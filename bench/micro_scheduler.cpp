@@ -82,11 +82,27 @@ workflow::Dag one_job_dag(std::uint64_t base, const std::string& input) {
   return dag;
 }
 
-void BM_SweepCost(benchmark::State& state) {
-  // Sweep cost must be O(changed work): N mostly-idle planning DAGs sit
-  // in the warehouse while a fixed handful stays blocked (inputs with no
-  // replicas), so every sweep retries only the blocked ones.  Growing N
-  // 100x should leave the per-sweep time roughly flat.
+/// one_job_dag plus a child consuming the first job's output.
+workflow::Dag chain_dag(std::uint64_t base) {
+  workflow::Dag dag = one_job_dag(base, "lfn://sweep-in");
+  workflow::JobSpec child;
+  child.id = JobId(base * 10 + 2);
+  child.name = "child";
+  child.compute_time = 60.0;
+  child.inputs = {"lfn://sweep-out/" + std::to_string(base)};
+  child.output = "lfn://sweep-final/" + std::to_string(base);
+  dag.add_job(child);
+  dag.add_edge(JobId(base * 10 + 1), child.id);
+  return dag;
+}
+
+/// Sweep cost must be O(changed work): N planning DAGs with nothing to
+/// plan sit in the warehouse while a fixed handful stays blocked (inputs
+/// with no replicas), so every sweep retries only the blocked ones.
+/// Growing N 100x should leave the per-sweep time roughly flat.  The
+/// idle DAGs are either fully planned (`parent_blocked` false) or
+/// two-job chains whose child waits on its planned parent.
+void sweep_cost(benchmark::State& state, bool parent_blocked) {
   const std::uint64_t idle = static_cast<std::uint64_t>(state.range(0));
   constexpr std::uint64_t kActive = 8;
   exp::ScenarioConfig config;
@@ -97,8 +113,9 @@ void BM_SweepCost(benchmark::State& state) {
   exp::Tenant& tenant = scenario.add_tenant("bench", exp::TenantOptions{});
   core::DataWarehouse& wh = tenant.server->warehouse();
   for (std::uint64_t i = 1; i <= idle; ++i) {
-    // Fully planned: no unplanned jobs, so the DAG settles off the queue.
-    wh.insert_dag(one_job_dag(i, "lfn://sweep-in"), "bench", UserId(1), 0.0);
+    wh.insert_dag(parent_blocked ? chain_dag(i)
+                                 : one_job_dag(i, "lfn://sweep-in"),
+                  "bench", UserId(1), 0.0);
     wh.set_dag_state(DagId(i), core::DagState::kPlanning);
     wh.set_job_planned(JobId(i * 10 + 1), SiteId(1), 0.0);
   }
@@ -112,9 +129,21 @@ void BM_SweepCost(benchmark::State& state) {
   for (auto _ : state) {
     tenant.server->sweep();
   }
-  state.SetLabel("idle=" + std::to_string(idle) + " active=8");
+  state.SetLabel(std::string(parent_blocked ? "parent_blocked=" : "idle=") +
+                 std::to_string(idle) + " active=8");
 }
+
+void BM_SweepCost(benchmark::State& state) { sweep_cost(state, false); }
 BENCHMARK(BM_SweepCost)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SweepCostParentBlocked(benchmark::State& state) {
+  sweep_cost(state, true);
+}
+BENCHMARK(BM_SweepCostParentBlocked)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)

@@ -31,14 +31,8 @@ Planner::Planner(DataWarehouse& warehouse, std::vector<CatalogSite> catalog,
 
 Planner::Outcome Planner::plan_dag(const DagRecord& dag, SimTime now) {
   Outcome outcome;
-  const auto completed = warehouse_.completed_jobs(dag.id);
-  for (const JobRecord& job : warehouse_.jobs_of_dag(dag.id)) {
-    if (job.state != JobState::kUnplanned) continue;
-    const auto parents = warehouse_.job_parents(job.id);
-    const bool ready =
-        std::all_of(parents.begin(), parents.end(),
-                    [&](JobId p) { return completed.contains(p); });
-    if (!ready || !plan_job(dag, job, now, outcome.plans)) {
+  for (const JobRecord& job : warehouse_.ready_jobs(dag.id)) {
+    if (!plan_job(dag, job, now, outcome.plans)) {
       outcome.jobs_left_unplanned = true;
     }
   }

@@ -38,13 +38,15 @@ class Planner {
     /// Plans persisted this pass, in decision order; the server delivers
     /// them to the client.
     std::vector<ExecutionPlan> plans;
-    /// True when the DAG still has unplanned jobs (blocked on parents,
-    /// missing inputs, or no feasible site).  The server re-marks the DAG
-    /// dirty so those jobs are retried next sweep.
+    /// True when a ready job could not be placed (an input has no
+    /// replica, or no site is feasible).  The server re-marks the DAG
+    /// dirty so those jobs are retried next sweep.  Jobs still waiting on
+    /// parents do not count: a parent's completion re-marks the DAG.
     bool jobs_left_unplanned = false;
   };
 
-  /// Plans every ready job of a planning-state DAG.
+  /// Plans every ready job (DataWarehouse::ready_jobs) of a
+  /// planning-state DAG.
   [[nodiscard]] Outcome plan_dag(const DagRecord& dag, SimTime now);
 
   /// Straggler defense: plans a speculative replica of a still-live

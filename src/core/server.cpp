@@ -405,8 +405,9 @@ void SphinxServer::sweep() {
         }
       }
     }
-    // Blocked or unplaceable jobs are retried every sweep, like the old
-    // full-scan control process did.
+    // Ready jobs the planner could not place are retried every sweep.
+    // Jobs waiting on parents are not: the parent's completion re-marks
+    // the DAG (DataWarehouse::set_job_state).
     if (outcome.jobs_left_unplanned) warehouse_->mark_dag_dirty(dag.id);
   }
 

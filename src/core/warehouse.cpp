@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "obs/recorder.hpp"
@@ -202,22 +203,15 @@ void DataWarehouse::rebuild_work_state() {
   }
   outstanding_.clear();
 
-  // One pass over jobs: rebuild the outstanding counters and note which
-  // DAGs still have unplanned work.
+  // One pass over jobs rebuilds the outstanding counters.
   const db::Table& jobs = db_.table("jobs");
   const std::size_t job_state_col = jobs.schema().index_of("state");
   const std::size_t job_site_col = jobs.schema().index_of("site");
   const std::size_t job_dag_col = jobs.schema().index_of("dag_id");
-  std::unordered_set<std::uint64_t> dags_with_unplanned;
   jobs.for_each([&](const db::Row& row) {
-    const JobState state = job_state_from(row.cells[job_state_col].as_text());
-    if (is_outstanding(state)) {
+    if (is_outstanding(job_state_from(row.cells[job_state_col].as_text()))) {
       ++outstanding_[SiteId(
           static_cast<std::uint64_t>(row.cells[job_site_col].as_int()))];
-    }
-    if (state == JobState::kUnplanned) {
-      dags_with_unplanned.insert(
-          static_cast<std::uint64_t>(row.cells[job_dag_col].as_int()));
     }
   });
   // Open speculation races: the job row tracks the replica attempt, so
@@ -288,17 +282,16 @@ void DataWarehouse::rebuild_work_state() {
   }
 
   // One enqueue has no journal footprint: the sweep re-marks any drained
-  // DAG whose planner left jobs unplanned (blocked, unplaceable or
-  // waiting on parents -- retried every sweep).  Such DAGs are therefore
+  // DAG whose planner could not place a ready job (no input replica, no
+  // feasible site -- retried every sweep).  Such DAGs are therefore
   // continuously dirty on a live server, so queueing every unfinished
-  // DAG that still holds an unplanned job reproduces those marks
-  // exactly.
+  // DAG that holds a ready job reproduces those marks exactly.  A job
+  // waiting on a parent is not retried and marks nothing: the parent's
+  // completion is a journaled enqueue, replayed above.
   dags.for_each([&](const db::Row& row) {
     if (row.cells[dag_state_col].as_text() == dag_finished) return;
-    if (dags_with_unplanned.contains(
-            static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()))) {
-      dirty_rows_.insert(row.id);
-    }
+    const DagId id(static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()));
+    if (!ready_jobs(id).empty()) dirty_rows_.insert(row.id);
   });
 }
 
@@ -563,12 +556,29 @@ std::vector<JobId> DataWarehouse::job_children(JobId id) const {
   return out;
 }
 
-std::unordered_set<JobId> DataWarehouse::completed_jobs(DagId dag) const {
-  std::unordered_set<JobId> out;
-  for (const JobRecord& job : jobs_of_dag(dag)) {
-    if (job.state == JobState::kCompleted) out.insert(job.id);
+std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
+  const db::Table& jobs = db_.table("jobs");
+  // One pass over the DAG's rows: completed ids for the parent test, and
+  // only the unplanned rows pay a full decode.
+  std::vector<JobId> completed;
+  std::vector<JobRecord> unplanned;
+  for (const db::RowId id : jobs.find_by("dag_id", Value(dag.value()))) {
+    const db::Row& row = *jobs.find(id);
+    const JobState state = job_state_from(row.cells[3].as_text());
+    if (state == JobState::kCompleted) {
+      completed.emplace_back(static_cast<std::uint64_t>(row.cells[0].as_int()));
+    } else if (state == JobState::kUnplanned) {
+      unplanned.push_back(decode_job(row));
+    }
   }
-  return out;
+  std::sort(completed.begin(), completed.end());
+  std::erase_if(unplanned, [&](const JobRecord& job) {
+    const std::vector<JobId> parents = job_parents(job.id);
+    return !std::all_of(parents.begin(), parents.end(), [&](JobId parent) {
+      return std::binary_search(completed.begin(), completed.end(), parent);
+    });
+  });
+  return unplanned;
 }
 
 std::int64_t DataWarehouse::outstanding_on_site(SiteId site) const {

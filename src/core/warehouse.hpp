@@ -34,7 +34,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -189,8 +188,12 @@ class DataWarehouse {
   [[nodiscard]] std::vector<JobId> job_parents(JobId id) const;
   /// Jobs that consume this job's output (dependency children).
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
-  /// Completed jobs of one DAG (for the ready-set computation).
-  [[nodiscard]] std::unordered_set<JobId> completed_jobs(DagId dag) const;
+  /// The DAG's ready set: unplanned jobs whose parents have all
+  /// completed, in job-table order.  Decodes the DAG's job rows once.
+  /// The planner plans exactly these, and recovery re-queues a DAG only
+  /// when this set is non-empty, so the two agree on what "blocked work"
+  /// is.
+  [[nodiscard]] std::vector<JobRecord> ready_jobs(DagId dag) const;
   /// Jobs outstanding on a site (eq. 1/2's planned + unfinished term).
   /// Served from the live counter; O(1).
   [[nodiscard]] std::int64_t outstanding_on_site(SiteId site) const;
@@ -207,8 +210,10 @@ class DataWarehouse {
 
   // --- work queue (dirty list) ------------------------------------------
   /// Enqueues a DAG for the next sweep.  Transitions that create planning
-  /// work mark automatically; the server re-marks a DAG it leaves with
-  /// unplanned jobs so blocked work is retried every sweep.  Idempotent.
+  /// work mark automatically; the server re-marks a DAG only when a ready
+  /// job could not be placed (no input replica, no feasible site), so that
+  /// job is retried every sweep.  Jobs waiting on parents are not retried:
+  /// the parent's completion marks the DAG.  Idempotent.
   void mark_dag_dirty(DagId id);
   /// Removes and returns the queued DAGs as fresh records, in table
   /// insertion order (the order dags_in_state() used to yield), skipping
@@ -339,7 +344,8 @@ class DataWarehouse {
   /// Rebuilds the outstanding counters from the recovered tables and the
   /// dirty queue by replaying the enqueue/clear rules over the journal
   /// (drain-ledger updates mark where sweeps cleared it) -- the queue is
-  /// history, not a function of the final tables.
+  /// history, not a function of the final tables -- plus the sweep's
+  /// unjournaled re-marks: unfinished DAGs with a non-empty ready_jobs().
   void rebuild_work_state();
   [[nodiscard]] static JobRecord decode_job(const db::Row& row);
   [[nodiscard]] static DagRecord decode_dag(const db::Row& row);

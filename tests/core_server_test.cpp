@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,9 +207,10 @@ TEST(ServerProtocol, RecoverFromCorruptJournalFails) {
 }
 
 TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
-  // Kill a server mid-run and rebuild it from nothing but the journal:
-  // the derived work state (dirty queue, outstanding counters) must come
-  // back exactly as a from-scratch scan of the recovered tables implies.
+  // Kill a server mid-run, while DAGs are still planning, and rebuild it
+  // from nothing but the journal: the derived work state (dirty queue,
+  // outstanding counters) must come back exactly as the crashed instance
+  // held it.
   Scenario scenario(quiet(17));
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
   auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
@@ -218,39 +220,129 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
     scenario.engine().schedule_at(
         minutes(i), "submit", [&tenant, dag] { tenant.client->submit(dag); });
   }
-  scenario.engine().run_until(minutes(10));
+  scenario.engine().run_until(300.0);
   tenant.server->stop();  // crash point: the journal is all that survives
+  const core::DataWarehouse& live = tenant.server->warehouse();
 
-  const auto recovered =
-      core::DataWarehouse::recover_from(tenant.server->warehouse().journal());
+  const auto recovered = core::DataWarehouse::recover_from(live.journal());
   ASSERT_TRUE(recovered.has_value());
   const core::DataWarehouse& r = **recovered;
-  EXPECT_EQ(r.all_dags().size(), 6u);
+  // Five DAGs arrived; the sixth, submitted at 300 s, is still on the wire.
+  EXPECT_EQ(r.all_dags().size(), 5u);
+
+  // The kill lands mid-run: some unfinished DAG holds an unplanned job
+  // still waiting on a parent, the work the sweep leaves off the queue.
+  bool parent_blocked = false;
+  for (const auto& dag : r.all_dags()) {
+    if (dag.state == core::DagState::kFinished) continue;
+    const auto ready = r.ready_jobs(dag.id);
+    for (const auto& job : r.jobs_of_dag(dag.id)) {
+      parent_blocked |=
+          job.state == core::JobState::kUnplanned &&
+          std::none_of(ready.begin(), ready.end(),
+                       [&](const auto& j) { return j.id == job.id; });
+    }
+  }
+  EXPECT_TRUE(parent_blocked);
 
   // Counters: rebuilt map == scan of the recovered tables == scan of the
   // crashed instance's tables (the journal lost nothing).
   EXPECT_EQ(r.outstanding_by_site(), r.scan_outstanding_by_site());
-  EXPECT_EQ(r.outstanding_by_site(),
-            tenant.server->warehouse().scan_outstanding_by_site());
+  EXPECT_EQ(r.outstanding_by_site(), live.scan_outstanding_by_site());
 
-  // Work queue: exactly the DAGs a from-scratch scan says have pending
-  // work -- received/reduced, or planning with unplanned jobs left.
+  // Work queue: the crashed instance's live queue, exactly...
+  EXPECT_EQ(r.dirty_dags(), live.dirty_dags());
+  // ...which, right after a sweep, a from-scratch scan derives from the
+  // readiness rule: received/reduced DAGs, and planning DAGs holding a
+  // ready job the planner could not place.
   std::vector<DagId> expected;
   for (const auto& dag : r.all_dags()) {
-    bool pending = dag.state == core::DagState::kReceived ||
-                   dag.state == core::DagState::kReduced;
-    if (dag.state == core::DagState::kPlanning) {
-      for (const auto& job : r.jobs_of_dag(dag.id)) {
-        if (job.state == core::JobState::kUnplanned) {
-          pending = true;
-          break;
-        }
-      }
-    }
+    const bool pending = dag.state == core::DagState::kReceived ||
+                         dag.state == core::DagState::kReduced ||
+                         (dag.state == core::DagState::kPlanning &&
+                          !r.ready_jobs(dag.id).empty());
     if (pending) expected.push_back(dag.id);
   }
   EXPECT_EQ(r.dirty_dags(), expected);
   r.check_invariants();
+}
+
+// --- readiness-driven sweeps -------------------------------------------------
+
+/// A two-job chain with no external inputs: the child is ready exactly
+/// when its parent completes.
+workflow::Dag chain_dag(std::uint64_t id) {
+  workflow::Dag dag(DagId(id), "chain-" + std::to_string(id));
+  workflow::JobSpec parent;
+  parent.id = JobId(id * 10 + 1);
+  parent.name = "parent";
+  parent.compute_time = 60.0;
+  parent.output = "lfn://chain/" + std::to_string(id) + "/mid";
+  workflow::JobSpec child = parent;
+  child.id = JobId(id * 10 + 2);
+  child.name = "child";
+  child.output = "lfn://chain/" + std::to_string(id) + "/out";
+  dag.add_job(parent);
+  dag.add_job(child);
+  dag.add_edge(parent.id, child.id);
+  return dag;
+}
+
+TEST(ServerSweep, ParentBlockedDagLeavesTheQueue) {
+  // A planning DAG whose only unplanned job waits on a planned parent has
+  // no work: one sweep drains it for good.  The parent's completion
+  // queues it again, and that sweep plans the child.
+  Scenario scenario(quiet());
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  core::DataWarehouse& wh = tenant.server->warehouse();
+  wh.insert_dag(chain_dag(5), "sphinx-client/t", UserId(1), 0.0);
+  wh.set_dag_state(DagId(5), core::DagState::kPlanning);
+  wh.set_job_planned(JobId(51), SiteId(1), 0.0);
+  EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(5)});
+
+  tenant.server->sweep();
+  EXPECT_TRUE(wh.dirty_dags().empty());
+  tenant.server->sweep();
+  EXPECT_TRUE(wh.dirty_dags().empty());
+  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  const auto idle = core::DataWarehouse::recover_from(wh.journal());
+  ASSERT_TRUE(idle.has_value());
+  EXPECT_TRUE((*idle)->dirty_dags().empty());
+
+  wh.set_job_state(JobId(51), core::JobState::kCompleted);
+  EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(5)});
+  tenant.server->sweep();
+  EXPECT_EQ(wh.job(JobId(52))->state, core::JobState::kPlanned);
+  EXPECT_EQ(tenant.server->stats().plans_sent, 1u);
+  EXPECT_TRUE(wh.dirty_dags().empty());
+}
+
+TEST(ServerSweep, UnplaceableReadyJobStaysQueuedAcrossRecovery) {
+  // A ready job whose input has no replica is retried every sweep: the
+  // planner cannot place it, so the server re-marks its DAG.  That
+  // re-mark leaves no journal record; recovery re-queues the DAG from
+  // its ready set.
+  Scenario scenario(quiet());
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  core::DataWarehouse& wh = tenant.server->warehouse();
+  workflow::Dag dag(DagId(6), "unplaceable");
+  workflow::JobSpec job;
+  job.id = JobId(61);
+  job.name = "j";
+  job.inputs = {"lfn://nowhere"};
+  job.output = "lfn://unplaceable.out";
+  dag.add_job(job);
+  wh.insert_dag(dag, "sphinx-client/t", UserId(1), 0.0);
+  wh.set_dag_state(DagId(6), core::DagState::kPlanning);
+
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    tenant.server->sweep();
+    EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(6)});
+  }
+  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  const auto recovered = core::DataWarehouse::recover_from(wh.journal());
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ((*recovered)->dirty_dags(), wh.dirty_dags());
 }
 
 TEST(ClientProtocol, TimeoutRearmsFromObservationWithFreshBudgetOnReplan) {

@@ -88,15 +88,44 @@ TEST(Warehouse, JobPlanningIncrementsAttempt) {
 TEST(Warehouse, CompletedJobsAndOutstanding) {
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
-  EXPECT_TRUE(wh.completed_jobs(DagId(100)).empty());
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
   wh.set_job_planned(JobId(102), SiteId(4), 1.0);
   EXPECT_EQ(wh.outstanding_on_site(SiteId(4)), 2);
   wh.set_job_state(JobId(101), JobState::kCompleted);
   EXPECT_EQ(wh.outstanding_on_site(SiteId(4)), 1);
-  EXPECT_EQ(wh.completed_jobs(DagId(100)).size(), 1u);
   const auto by_site = wh.outstanding_by_site();
   EXPECT_EQ(by_site.at(SiteId(4)), 1);
+}
+
+TEST(Warehouse, ReadyJobsFollowParentCompletion) {
+  DataWarehouse wh;
+  wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
+  const auto ready_ids = [&wh] {
+    std::vector<JobId> ids;
+    for (const JobRecord& job : wh.ready_jobs(DagId(100))) {
+      ids.push_back(job.id);
+    }
+    return ids;
+  };
+  // Root jobs are ready from the start; the child waits on its parent.
+  EXPECT_EQ(ready_ids(), std::vector<JobId>{JobId(101)});
+
+  // A live parent keeps the child waiting, and is itself no longer
+  // unplanned: nothing is ready.
+  wh.set_job_planned(JobId(101), SiteId(4), 1.0);
+  wh.set_job_state(JobId(101), JobState::kRunning);
+  EXPECT_TRUE(ready_ids().empty());
+
+  // The parent's completion readies the child, decoded in full.
+  wh.set_job_state(JobId(101), JobState::kCompleted);
+  const auto ready = wh.ready_jobs(DagId(100));
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].id, JobId(102));
+  EXPECT_EQ(ready[0].dag, DagId(100));
+  EXPECT_EQ(ready[0].name, "b");
+  EXPECT_EQ(ready[0].state, JobState::kUnplanned);
+  EXPECT_EQ(ready[0].output, "lfn://out");
+  EXPECT_TRUE(wh.ready_jobs(DagId(999)).empty());
 }
 
 TEST(Warehouse, SiteStatsEwmaAndReliability) {
@@ -288,7 +317,7 @@ TEST(Warehouse, OutstandingCountersMatchScan) {
 
 TEST(Warehouse, RecoveryRebuildsWorkState) {
   DataWarehouse wh;
-  // DAG 100: planning with an unplanned job -> work to retry.
+  // DAG 100: planning, its child waiting on the planned parent.
   wh.insert_dag(two_job_dag(100), "c", UserId(1), 0.0);
   wh.set_dag_state(DagId(100), DagState::kPlanning);
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
@@ -355,6 +384,19 @@ TEST(Warehouse, RecoveryReplaysDrainPoints) {
   // though the tables are byte-identical in both snapshots.
   (void)wh.drain_dirty_dags();
   EXPECT_TRUE(wh.dirty_dags().empty());
+  EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
+
+  // A drained DAG whose only unplanned job waits on a planned parent
+  // holds no ready work: the sweep does not re-mark it, so recovery must
+  // leave it idle too -- until the parent's completion queues it.
+  wh.insert_dag(two_job_dag(200), "c", UserId(1), 2.0);
+  wh.set_dag_state(DagId(200), DagState::kPlanning);
+  wh.set_job_planned(JobId(201), SiteId(4), 2.0);
+  (void)wh.drain_dirty_dags();
+  EXPECT_TRUE(wh.dirty_dags().empty());
+  EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
+  wh.set_job_state(JobId(201), JobState::kCompleted);
+  EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(200)});
   EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
 }
 

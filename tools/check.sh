@@ -36,18 +36,30 @@ diff docs/rng_streams.md build/relwithdebinfo/rng_streams.md || {
 }
 echo "rng registry: docs/rng_streams.md in sync"
 
+root=$PWD
+bin=$root/build/relwithdebinfo
+
+# twice NAME COMMAND...: runs COMMAND twice, each time from its own fresh
+# directory build/relwithdebinfo/NAME/{a,b} with stdout captured there,
+# then byte-diffs everything the two runs wrote.  Any nondeterminism in
+# what the command exercises shows up as a diff.
+twice() {
+  name=$1
+  shift
+  dir=$bin/$name
+  rm -rf "$dir"
+  for run in a b; do
+    mkdir -p "$dir/$run"
+    (cd "$dir/$run" && "$@" > stdout.txt)
+  done
+  diff -r "$dir/a" "$dir/b"
+}
+
 echo "== flight-recorder determinism gate =="
 # Two same-seed failure-enabled runs must emit byte-identical trace and
-# metrics files; any nondeterminism in the pipeline shows up as a diff.
-det_dir=build/relwithdebinfo/determinism
-rm -rf "$det_dir"
-mkdir -p "$det_dir"
-./build/relwithdebinfo/tools/record/sphinx_record --seed 7 \
-  --trace "$det_dir/trace_a.jsonl" --metrics "$det_dir/metrics_a.json"
-./build/relwithdebinfo/tools/record/sphinx_record --seed 7 \
-  --trace "$det_dir/trace_b.jsonl" --metrics "$det_dir/metrics_b.json"
-diff "$det_dir/trace_a.jsonl" "$det_dir/trace_b.jsonl"
-diff "$det_dir/metrics_a.json" "$det_dir/metrics_b.json"
+# metrics files.
+twice determinism "$bin/tools/record/sphinx_record" --seed 7 \
+  --trace trace.jsonl --metrics metrics.json
 echo "determinism gate: trace and metrics byte-identical"
 
 echo "== lossy-network smoke gate =="
@@ -55,17 +67,9 @@ echo "== lossy-network smoke gate =="
 # client<->server partition.  sphinx_record itself asserts the delivery
 # contract (every DAG finishes, no plan executes twice); the diff then
 # proves the whole fault pipeline is deterministic.
-lossy_dir=build/relwithdebinfo/lossy
-rm -rf "$lossy_dir"
-mkdir -p "$lossy_dir"
-./build/relwithdebinfo/tools/record/sphinx_record --seed 7 \
+twice lossy "$bin/tools/record/sphinx_record" --seed 7 \
   --loss 0.05 --duplicate 0.02 --partition-at 600 --partition-duration 60 \
-  --trace "$lossy_dir/trace_a.jsonl" --metrics "$lossy_dir/metrics_a.json"
-./build/relwithdebinfo/tools/record/sphinx_record --seed 7 \
-  --loss 0.05 --duplicate 0.02 --partition-at 600 --partition-duration 60 \
-  --trace "$lossy_dir/trace_b.jsonl" --metrics "$lossy_dir/metrics_b.json"
-diff "$lossy_dir/trace_a.jsonl" "$lossy_dir/trace_b.jsonl"
-diff "$lossy_dir/metrics_a.json" "$lossy_dir/metrics_b.json"
+  --trace trace.jsonl --metrics metrics.json
 echo "lossy-network gate: delivery contract held, outputs byte-identical"
 
 echo "== chaos smoke campaign =="
@@ -76,14 +80,8 @@ echo "== chaos smoke campaign =="
 # schedule includes a mid-checkpoint crash point -- a kill between
 # checkpoint publication and journal truncation -- so the gate covers
 # checkpoint + suffix recovery, not just full replay.
-chaos_dir=build/relwithdebinfo/chaos
-rm -rf "$chaos_dir"
-mkdir -p "$chaos_dir"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos campaign --runs 8 --seed 7 \
-  --repro "$chaos_dir/chaos_repro.json" > "$chaos_dir/report_a.txt"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos campaign --runs 8 --seed 7 \
-  --repro "$chaos_dir/chaos_repro.json" > "$chaos_dir/report_b.txt"
-diff "$chaos_dir/report_a.txt" "$chaos_dir/report_b.txt"
+twice chaos "$bin/tools/chaos/sphinx_chaos" campaign --runs 8 --seed 7 \
+  --repro chaos_repro.json
 echo "chaos gate: campaign green and byte-identical"
 
 echo "== failover smoke gate =="
@@ -93,14 +91,7 @@ echo "== failover smoke gate =="
 # must pass the failover differential oracle (adoption byte-invisible to
 # the scheduling layer), and two invocations must print byte-identical
 # reports.
-failover_dir=build/relwithdebinfo/failover
-rm -rf "$failover_dir"
-mkdir -p "$failover_dir"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos failover --runs 3 --seed 7 \
-  > "$failover_dir/report_a.txt"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos failover --runs 3 --seed 7 \
-  > "$failover_dir/report_b.txt"
-diff "$failover_dir/report_a.txt" "$failover_dir/report_b.txt"
+twice failover "$bin/tools/chaos/sphinx_chaos" failover --runs 3 --seed 7
 echo "failover gate: adoption green and byte-identical"
 
 echo "== straggler-defense smoke gate =="
@@ -111,20 +102,29 @@ echo "== straggler-defense smoke gate =="
 # increase) and exports the pooled numbers to BENCH_straggler.json; the
 # diff proves the whole defense -- detector, race arbitration,
 # loser-cancel -- is deterministic.
-straggler_dir=build/relwithdebinfo/straggler
-rm -rf "$straggler_dir"
-mkdir -p "$straggler_dir"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos straggler --runs 6 \
-  --seed 975 --json BENCH_straggler.json > "$straggler_dir/report_a.txt"
-./build/relwithdebinfo/tools/chaos/sphinx_chaos straggler --runs 6 \
-  --seed 975 --json BENCH_straggler.json > "$straggler_dir/report_b.txt"
-diff "$straggler_dir/report_a.txt" "$straggler_dir/report_b.txt"
+twice straggler "$bin/tools/chaos/sphinx_chaos" straggler --runs 6 \
+  --seed 975 --json "$root/BENCH_straggler.json"
 echo "straggler gate: p99/timeouts improved, report byte-identical"
 
+echo "== figure gate =="
+# The paper panels' stdout is a function of their fixed seeds alone, so
+# it must match the committed goldens byte for byte.  A change that
+# moves a figure on purpose regenerates bench/golden/ and says why.
+fig_dir=$bin/figures
+rm -rf "$fig_dir"
+mkdir -p "$fig_dir"
+for fig in fig3_algorithms_30 fig4_algorithms_60 fig5_algorithms_120; do
+  "$bin/bench/$fig" > "$fig_dir/$fig.txt"
+  diff "bench/golden/$fig.txt" "$fig_dir/$fig.txt"
+done
+echo "figure gate: fig3/fig4/fig5 match bench/golden"
+
 echo "== sweep-cost benchmark =="
-# The sweep must cost O(changed work): the 10,000-idle-DAG case should
+# The sweep must cost O(changed work).  Two variants: BM_SweepCost seeds
+# fully planned idle DAGs, BM_SweepCostParentBlocked two-job chains whose
+# child waits on its planned parent.  In both, the 10,000-DAG case should
 # stay within ~2x of the 100-DAG case.  Results land in BENCH_sweep.json.
-./build/relwithdebinfo/bench/micro_scheduler \
+"$bin/bench/micro_scheduler" \
   --benchmark_filter=BM_SweepCost \
   --benchmark_out=BENCH_sweep.json --benchmark_out_format=json
 
@@ -133,13 +133,13 @@ echo "== recovery benchmark =="
 # journal records.  The checkpointed path should win by well over an
 # order of magnitude at 100k and retain only the post-checkpoint journal
 # suffix.  Results land in BENCH_recovery.json.
-./build/relwithdebinfo/bench/micro_recovery \
+"$bin/bench/micro_recovery" \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
 echo "== rpc overhead benchmark =="
 # Dedup-cache lookup cost plus the reliable-stack A/B at 0% loss (the
 # overhead every fault-free run pays).  Results land in BENCH_rpc.json.
-./build/relwithdebinfo/bench/micro_rpc \
+"$bin/bench/micro_rpc" \
   --benchmark_out=BENCH_rpc.json --benchmark_out_format=json
 
 if [ "${1:-}" != "fast" ]; then
