@@ -68,7 +68,7 @@ void BM_RecoverCheckpointed(benchmark::State& state) {
   const auto& image = warehouse->checkpoint_image();
   for (auto _ : state) {
     auto recovered =
-        core::DataWarehouse::recover_from(*image, warehouse->journal());
+        core::DataWarehouse::recover_from(warehouse->journal(), image);
     benchmark::DoNotOptimize(recovered.has_value());
   }
   state.counters["journal_records"] =

@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -17,6 +18,15 @@ std::vector<std::string> split(std::string_view s, char sep) {
     out.emplace_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+bool parse_u64(std::string_view s, std::uint64_t& out) noexcept {
+  std::uint64_t value = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, error] = std::from_chars(s.data(), last, value);
+  if (error != std::errc{} || end != last) return false;
+  out = value;
+  return true;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

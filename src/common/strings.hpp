@@ -2,6 +2,7 @@
 /// \file strings.hpp
 /// Small string helpers shared by the XML layer, ClassAds, and reports.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,12 @@ namespace sphinx {
 /// Joins the pieces with `sep`.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
+
+/// Parses all of `s` as an unsigned decimal.  Returns false, leaving
+/// `out` untouched, on anything else: empty, a sign, trailing bytes, or a
+/// value past 64 bits -- so a caller may ignore the result to keep a
+/// default.
+bool parse_u64(std::string_view s, std::uint64_t& out) noexcept;
 
 /// Strips ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;

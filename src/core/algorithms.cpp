@@ -1,24 +1,11 @@
 #include "core/algorithms.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace sphinx::core {
-namespace {
-
-// Parses a decimal uint64 from [first, last); returns false (leaving
-// `out` untouched) on anything else.
-bool parse_u64(const char* first, const char* last, std::uint64_t& out) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) return false;
-  out = value;
-  return true;
-}
-
-}  // namespace
 
 std::unique_ptr<SchedulingAlgorithm> make_algorithm(Algorithm algorithm) {
   switch (algorithm) {
@@ -47,7 +34,7 @@ std::string RoundRobinAlgorithm::save_state() const {
 }
 
 void RoundRobinAlgorithm::restore_state(const std::string& state) {
-  parse_u64(state.data(), state.data() + state.size(), cursor_);
+  parse_u64(state, cursor_);
 }
 
 std::optional<SiteId> NumCpusAlgorithm::select(
@@ -163,14 +150,16 @@ void CompletionTimeAlgorithm::restore_state(const std::string& state) {
   const std::size_t bar = state.find('|');
   if (bar == std::string::npos) return;
   std::uint64_t cursor = 0;
-  if (!parse_u64(state.data(), state.data() + bar, cursor)) return;
+  if (!parse_u64(std::string_view(state).substr(0, bar), cursor)) return;
   std::unordered_set<std::uint64_t> probed;
   std::size_t pos = bar + 1;
   while (pos < state.size()) {
     std::size_t comma = state.find(',', pos);
     if (comma == std::string::npos) comma = state.size();
     std::uint64_t id = 0;
-    if (!parse_u64(state.data() + pos, state.data() + comma, id)) return;
+    if (!parse_u64(std::string_view(state).substr(pos, comma - pos), id)) {
+      return;
+    }
     probed.insert(id);
     pos = comma + 1;
   }

@@ -3,21 +3,17 @@
 /// The warehouse checkpoint image: snapshot + replay-start sequence.
 ///
 /// A checkpoint makes recovery O(state) instead of O(history): the image
-/// freezes everything a recovered server needs that the journal suffix
-/// cannot reproduce -- the database snapshot (tables, rows, schemas with
-/// their index declarations, allocation cursors) plus the derived
-/// dirty-DAG queue, which is history rather than a function of the
-/// tables (see DataWarehouse::rebuild_work_state).  `seq` marks the
-/// journal sequence the snapshot reflects: replaying entries >= seq on
-/// top of the restored image reproduces the crashed warehouse exactly.
+/// freezes the database snapshot (tables, rows, schemas with their index
+/// declarations, allocation cursors).  `seq` marks the journal sequence
+/// the snapshot reflects: replaying entries >= seq on top of the restored
+/// image reproduces the crashed warehouse's tables exactly, and the
+/// derived work state is a function of those tables (see
+/// DataWarehouse::rebuild_work_state).
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/error.hpp"
 #include "common/time.hpp"
-#include "db/table.hpp"
 
 namespace sphinx::core {
 
@@ -31,17 +27,6 @@ struct CheckpointImage {
   SimTime at = 0.0;
   /// db::Database::snapshot() image.
   std::string database;
-  /// Dirty-DAG work queue (dags-table row ids, ascending) at the
-  /// checkpoint.  Folded into the image because drain points at or
-  /// before the checkpoint are compacted out of the journal with the
-  /// rest of the prefix.
-  std::vector<db::RowId> dirty_rows;
-
-  /// Deterministic text form (for tests and footprint accounting).
-  /// Round-trips via parse().
-  [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Expected<CheckpointImage> parse(
-      const std::string& text);
 };
 
 }  // namespace sphinx::core

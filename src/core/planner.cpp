@@ -32,7 +32,9 @@ Planner::Planner(DataWarehouse& warehouse, std::vector<CatalogSite> catalog,
 Planner::Outcome Planner::plan_dag(const DagRecord& dag, SimTime now) {
   Outcome outcome;
   for (const JobRecord& job : warehouse_.ready_jobs(dag.id)) {
-    if (!plan_job(dag, job, now, outcome.plans)) {
+    if (auto plan = assemble_plan(dag, job, now, /*speculative=*/false)) {
+      outcome.plans.push_back(std::move(*plan));
+    } else {
       outcome.jobs_left_unplanned = true;
     }
   }
@@ -95,20 +97,39 @@ std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
   return reliable;
 }
 
-bool Planner::plan_job(const DagRecord& dag, const JobRecord& job, SimTime now,
-                       std::vector<ExecutionPlan>& plans) {
-  // Input availability: every input must have at least one replica.
+std::optional<ExecutionPlan> Planner::plan_speculative(const DagRecord& dag,
+                                                       const JobRecord& job,
+                                                       SimTime now) {
+  SPHINX_ASSERT(job.state == JobState::kSubmitted ||
+                    job.state == JobState::kRunning,
+                "speculation replicates a live attempt");
+  return assemble_plan(dag, job, now, /*speculative=*/true);
+}
+
+std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
+                                                    const JobRecord& job,
+                                                    SimTime now,
+                                                    bool speculative) {
+  // Input availability: every input must have at least one replica (not
+  // yet produced, or lost since a speculated job was planned).
   const auto inputs = warehouse_.job_inputs(job.id);
   const auto located = rls_.locate_bulk(inputs);
   for (const auto& replicas : located) {
-    if (replicas.empty()) return false;  // inputs not available yet
+    if (replicas.empty()) return std::nullopt;
   }
 
   PlanningContext context;
   context.now = now;
   context.sites = feasible_sites(dag, job);
+  if (speculative) {
+    // Same strategy, same immutable snapshot -- minus the site the
+    // suspect attempt already occupies.  Racing two replicas on one site
+    // would only double the load that made the first one slow.
+    std::erase_if(context.sites,
+                  [&](const CandidateSite& s) { return s.id == job.site; });
+  }
   const auto site = algorithm_->select(context);
-  if (!site.has_value()) return false;  // no feasible site right now
+  if (!site.has_value()) return std::nullopt;  // no feasible site right now
 
   // Choose the optimal transfer source for each input (planner step 3).
   ExecutionPlan plan;
@@ -119,6 +140,7 @@ bool Planner::plan_job(const DagRecord& dag, const JobRecord& job, SimTime now,
   plan.compute_time = job.compute_time;
   plan.output = job.output;
   plan.output_bytes = job.output_bytes;
+  plan.speculative = speculative;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const auto choice = data::select_replica(located[i], *site, transfers_);
     SPHINX_ASSERT(choice.has_value(), "located input lost its replicas");
@@ -141,79 +163,25 @@ bool Planner::plan_job(const DagRecord& dag, const JobRecord& job, SimTime now,
     plan.persistent_site = config_.persistent_site;
   }
 
-  warehouse_.set_job_planned(job.id, *site, now);
+  // A replica opens a race next to the live attempt; a regular plan
+  // moves the job to planned.  Either way the plan carries a fresh
+  // attempt number.
+  if (speculative) {
+    warehouse_.speculate_job(job.id, *site, now);
+  } else {
+    warehouse_.set_job_planned(job.id, *site, now);
+  }
   plan.attempt = job.attempt + 1;
   if (config_.use_policy) {
+    // A replica reserves its own quota; the race loser's share is
+    // refunded when the race settles.
     warehouse_.consume_quota(dag.user, *site, "cpu_seconds",
                              job.compute_time);
     warehouse_.consume_quota(dag.user, *site, "disk_bytes",
                              job.output_bytes);
   }
   ++stats_.plans_sent;
-  if (plan.attempt > 1) ++stats_.replans;
-  plans.push_back(std::move(plan));
-  return true;
-}
-
-std::optional<ExecutionPlan> Planner::plan_speculative(const DagRecord& dag,
-                                                       const JobRecord& job,
-                                                       SimTime now) {
-  SPHINX_ASSERT(job.state == JobState::kSubmitted ||
-                    job.state == JobState::kRunning,
-                "speculation replicates a live attempt");
-  const auto inputs = warehouse_.job_inputs(job.id);
-  const auto located = rls_.locate_bulk(inputs);
-  for (const auto& replicas : located) {
-    if (replicas.empty()) return std::nullopt;  // inputs lost since planning
-  }
-
-  // Same strategy, same immutable snapshot -- minus the site the suspect
-  // attempt already occupies.  Racing two replicas on one site would only
-  // double the load that made the first one slow.
-  PlanningContext context;
-  context.now = now;
-  context.sites = feasible_sites(dag, job);
-  std::erase_if(context.sites,
-                [&](const CandidateSite& s) { return s.id == job.site; });
-  const auto site = algorithm_->select(context);
-  if (!site.has_value()) return std::nullopt;
-
-  ExecutionPlan plan;
-  plan.job = job.id;
-  plan.dag = dag.id;
-  plan.job_name = job.name;
-  plan.site = *site;
-  plan.compute_time = job.compute_time;
-  plan.output = job.output;
-  plan.output_bytes = job.output_bytes;
-  plan.speculative = true;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto choice = data::select_replica(located[i], *site, transfers_);
-    SPHINX_ASSERT(choice.has_value(), "located input lost its replicas");
-    plan.inputs.push_back(PlannedInput{inputs[i], choice->replica.site,
-                                       choice->replica.size_bytes});
-  }
-  if (config_.use_qos_ordering) {
-    plan.batch_priority = std::clamp(dag.priority / 10.0, -0.4, 0.4) +
-                          (dag.deadline < kNever ? 0.5 : 0.0);
-  }
-  if (config_.persistent_site.valid() &&
-      warehouse_.job_children(job.id).empty()) {
-    plan.persist_output = true;
-    plan.persistent_site = config_.persistent_site;
-  }
-
-  warehouse_.speculate_job(job.id, *site, now);
-  plan.attempt = job.attempt + 1;  // the replica's fresh attempt number
-  if (config_.use_policy) {
-    // The replica reserves its own quota; the loser's share is refunded
-    // when the race settles.
-    warehouse_.consume_quota(dag.user, *site, "cpu_seconds",
-                             job.compute_time);
-    warehouse_.consume_quota(dag.user, *site, "disk_bytes",
-                             job.output_bytes);
-  }
-  ++stats_.plans_sent;
+  if (!speculative && plan.attempt > 1) ++stats_.replans;
   return plan;
 }
 

@@ -13,6 +13,7 @@
 /// outgoing RPC channel belongs to the composite server.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -59,9 +60,13 @@ class Planner {
       const DagRecord& dag, const JobRecord& job, SimTime now);
 
  private:
-  /// Plans one job; returns false when no feasible site exists right now.
-  bool plan_job(const DagRecord& dag, const JobRecord& job, SimTime now,
-                std::vector<ExecutionPlan>& plans);
+  /// Plans one job and persists the decision: a regular plan
+  /// (set_job_planned) or, with `speculative`, a replica racing the live
+  /// attempt on another site (speculate_job).  nullopt when an input has
+  /// no replica or no feasible site exists right now.
+  [[nodiscard]] std::optional<ExecutionPlan> assemble_plan(
+      const DagRecord& dag, const JobRecord& job, SimTime now,
+      bool speculative);
   /// Builds the strategy's immutable view of the feasible sites.
   [[nodiscard]] std::vector<CandidateSite> feasible_sites(
       const DagRecord& dag, const JobRecord& job);

@@ -110,26 +110,15 @@ Expected<std::unique_ptr<SphinxServer>> SphinxServer::recover(
     rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
     data::ReplicaLocationService& rls, data::TransferService& transfers,
     const monitor::MonitoringService* monitoring, ServerConfig config,
-    const db::Journal& journal) {
-  auto warehouse = DataWarehouse::recover_from(journal);
+    const db::Journal& journal,
+    const std::optional<CheckpointImage>& checkpoint) {
+  auto warehouse = DataWarehouse::recover_from(journal, checkpoint);
   if (!warehouse) return Unexpected<Error>{warehouse.error()};
   // The recovered warehouse carries everything: tables, indexes (from the
-  // journaled schema), rebuilt work queues and outstanding counters.
+  // journaled schema), rebuilt work queue and outstanding counters.
   // In-flight plans were already sent; jobs stuck in kPlanned will be
   // re-reported by the client tracker (or time out and be replanned), so
   // no plan is lost permanently.
-  return std::unique_ptr<SphinxServer>(new SphinxServer(
-      bus, std::move(catalog), rls, transfers, monitoring, std::move(config),
-      std::move(*warehouse)));
-}
-
-Expected<std::unique_ptr<SphinxServer>> SphinxServer::recover(
-    rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
-    data::ReplicaLocationService& rls, data::TransferService& transfers,
-    const monitor::MonitoringService* monitoring, ServerConfig config,
-    const CheckpointImage& checkpoint, const db::Journal& journal) {
-  auto warehouse = DataWarehouse::recover_from(checkpoint, journal);
-  if (!warehouse) return Unexpected<Error>{warehouse.error()};
   return std::unique_ptr<SphinxServer>(new SphinxServer(
       bus, std::move(catalog), rls, transfers, monitoring, std::move(config),
       std::move(*warehouse)));
@@ -328,14 +317,15 @@ void SphinxServer::sweep() {
   // Control process: drain the dirty-DAG work queue once, then walk each
   // drained DAG through the pipeline stages.  DAGs the queue does not
   // name are guaranteed idle -- every transition that creates work
-  // enqueues its DAG -- so the sweep costs O(changed work).  No other
-  // event can interleave while a sweep runs, so the drained snapshot
-  // stays consistent across the stages.
+  // enqueues its DAG -- and the drain yields only the queued DAGs with
+  // pending work, so the sweep costs O(changed work).  No other event
+  // can interleave while a sweep runs, so the drained snapshot stays
+  // consistent across the stages.
   std::vector<DagRecord> drained = warehouse_->drain_dirty_dags();
 
   // Idle sweeps (the overwhelming majority on a long run) are not traced;
-  // the begin/end pair brackets sweeps that had work, with the drained
-  // queue depth on begin and the plan count on end.
+  // the begin/end pair brackets sweeps that had work, with the number of
+  // drained DAGs on begin and the plan count on end.
   if (recorder_ != nullptr && !drained.empty()) {
     recorder_->event(obs::TraceKind::kSweepBegin, config_.endpoint, "", "",
                      static_cast<double>(drained.size()));

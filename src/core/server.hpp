@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,28 +53,21 @@ class SphinxServer {
                const monitor::MonitoringService* monitoring,
                ServerConfig config);
 
-  /// Reconstructs a server from a crashed instance's journal (paper:
-  /// "easily recoverable from internal component failures").  In-flight
-  /// client connections resume transparently because all state that
-  /// matters lives in the warehouse; the recovered warehouse rebuilds
-  /// the work queues, so the control process resumes exactly where the
-  /// crashed one stopped.
+  /// Reconstructs a server from a crashed instance's durable state -- its
+  /// journal plus, once checkpointing published one, its last checkpoint
+  /// image (paper: "easily recoverable from internal component
+  /// failures").  With an image only the journal suffix past it is
+  /// replayed: O(state + suffix) instead of O(history).  In-flight client
+  /// connections resume transparently because all state that matters
+  /// lives in the warehouse; the recovered warehouse rebuilds the work
+  /// queue from its tables, so the control process resumes exactly where
+  /// the crashed one stopped.
   static Expected<std::unique_ptr<SphinxServer>> recover(
       rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
       data::ReplicaLocationService& rls, data::TransferService& transfers,
       const monitor::MonitoringService* monitoring, ServerConfig config,
-      const db::Journal& journal);
-
-  /// Checkpoint-aware recovery: restores the crashed instance's last
-  /// checkpoint image and replays only the journal suffix past it --
-  /// O(state + suffix) instead of O(history).  Required once the journal
-  /// has been compacted (the full-replay overload above refuses a
-  /// journal whose base sequence is non-zero).
-  static Expected<std::unique_ptr<SphinxServer>> recover(
-      rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
-      data::ReplicaLocationService& rls, data::TransferService& transfers,
-      const monitor::MonitoringService* monitoring, ServerConfig config,
-      const CheckpointImage& checkpoint, const db::Journal& journal);
+      const db::Journal& journal,
+      const std::optional<CheckpointImage>& checkpoint = std::nullopt);
 
   ~SphinxServer();
   SphinxServer(const SphinxServer&) = delete;

@@ -107,58 +107,38 @@ void DataWarehouse::create_schema() {
                    db::Schema{{indexed("site", ValueType::kInt),
                                indexed("class", ValueType::kInt),
                                {"runtime", ValueType::kReal}}});
-  // One-row drain ledger.  The dirty queue itself is derived state, but
-  // *when* each sweep cleared it is history only the journal carries:
-  // rebuild_work_state() replays the enqueue rules over the journal and
-  // needs the clear points to land in order between them.
-  db::Table& work_queue =
-      db_.create_table("work_queue", db::Schema{{"drains", ValueType::kInt}});
-  work_queue.insert({Value(std::int64_t{0})});
 }
 
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
-    const db::Journal& journal) {
-  if (journal.base_seq() != 0) {
-    return Unexpected<Error>{
-        Error{"recover_suffix",
-              "journal is a compacted suffix; recovery needs its "
-              "checkpoint image"}};
-  }
-  // Construct without a schema: the journal replays table creation, and
-  // the journaled schema declares the indexes, so replay rebuilds those
+    const db::Journal& journal,
+    const std::optional<CheckpointImage>& checkpoint) {
+  // Construct without a schema: the image or the journal supplies the
+  // tables, and the schema declares the indexes, so both rebuild those
   // too.  Only the derived work state needs explicit reconstruction.
   auto warehouse =
       std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
-  if (const auto status = warehouse->db_.recover(journal); !status.ok()) {
-    return Unexpected<Error>{status.error()};
+  std::uint64_t from_seq = 0;
+  if (checkpoint.has_value()) {
+    if (const auto status = warehouse->db_.restore(checkpoint->database);
+        !status.ok()) {
+      return Unexpected<Error>{status.error()};
+    }
+    from_seq = checkpoint->seq;
   }
-  warehouse->rebuild_work_state();
-  warehouse->check_invariants();  // replay must reproduce a sound store
-  return warehouse;
-}
-
-Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
-    const CheckpointImage& checkpoint, const db::Journal& journal) {
-  auto warehouse =
-      std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
-  if (const auto status = warehouse->db_.restore(checkpoint.database);
-      !status.ok()) {
-    return Unexpected<Error>{status.error()};
-  }
-  // Replay only the post-checkpoint suffix.  When the crash landed
+  // Replay only what the image does not hold.  When the crash landed
   // between image publication and truncation the journal still holds the
-  // compacted prefix; skipping entries below checkpoint.seq completes
-  // the interrupted truncation.
-  if (const auto status = warehouse->db_.recover(journal, checkpoint.seq);
+  // compacted prefix; skipping entries below the image's sequence
+  // completes the interrupted truncation.  A compacted journal without
+  // its image is refused (recover_suffix).
+  if (const auto status = warehouse->db_.recover(journal, from_seq);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
-  // Carry the image so rebuild_work_state() can seed the dirty queue
-  // from it and so a later crash can pair the (now compacted) journal
-  // with the image that anchors its sequence numbers.
+  // Carry the image so a later crash can pair the (now compacted)
+  // journal with the image that anchors its sequence numbers.
   warehouse->checkpoint_ = checkpoint;
   warehouse->rebuild_work_state();
-  warehouse->check_invariants();
+  warehouse->check_invariants();  // recovery must reproduce a sound store
   return warehouse;
 }
 
@@ -168,7 +148,6 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
   image.seq = db_.journal().next_seq();
   image.at = now;
   image.database = db_.snapshot();
-  image.dirty_rows.assign(dirty_rows_.begin(), dirty_rows_.end());
 
   CheckpointStats stats;
   stats.seq = image.seq;
@@ -190,24 +169,13 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
 }
 
 void DataWarehouse::rebuild_work_state() {
-  // With a checkpoint image carried, the journal is (or is treated as) a
-  // suffix: drain points and enqueues at or before the checkpoint were
-  // compacted away, so the queue replay below must start from the
-  // image's dirty queue rather than empty.  The drain-ledger exactness
-  // argument is unchanged -- the image captured the live queue at the
-  // checkpoint, and the suffix carries every enqueue/drain after it.
   dirty_rows_.clear();
-  if (checkpoint_.has_value()) {
-    dirty_rows_.insert(checkpoint_->dirty_rows.begin(),
-                       checkpoint_->dirty_rows.end());
-  }
   outstanding_.clear();
 
   // One pass over jobs rebuilds the outstanding counters.
   const db::Table& jobs = db_.table("jobs");
   const std::size_t job_state_col = jobs.schema().index_of("state");
   const std::size_t job_site_col = jobs.schema().index_of("site");
-  const std::size_t job_dag_col = jobs.schema().index_of("dag_id");
   jobs.for_each([&](const db::Row& row) {
     if (is_outstanding(job_state_from(row.cells[job_state_col].as_text()))) {
       ++outstanding_[SiteId(
@@ -229,69 +197,13 @@ void DataWarehouse::rebuild_work_state() {
     });
   }
 
-  // The dirty queue is history, not state: "job completed, DAG queued,
-  // sweep pending" and "job completed, sweep already ran" leave
-  // identical tables, so no table scan can reconstruct it.  Replay the
-  // live enqueue/clear rules over the journal instead -- every enqueue
-  // rides a journaled write, and the drain ledger marks where each sweep
-  // cleared the queue -- so the recovered queue IS the crashed server's
-  // queue, not an approximation (the chaos harness's differential oracle
-  // compares the two runs byte-for-byte).
-  const db::Table& dags = db_.table("dags");
-  const std::size_t dag_id_col = dags.schema().index_of("dag_id");
-  const std::size_t dag_state_col = dags.schema().index_of("state");
-  const std::string dag_finished = to_string(DagState::kFinished);
-  const std::string job_unplanned = to_string(JobState::kUnplanned);
-  const std::string job_completed = to_string(JobState::kCompleted);
-  for (const db::JournalEntry& entry : db_.journal().entries()) {
-    switch (entry.op) {
-      case db::JournalEntry::Op::kInsert:
-        // record_dag: a received DAG is work for the reducer.
-        if (entry.table == "dags") dirty_rows_.insert(entry.row);
-        break;
-      case db::JournalEntry::Op::kUpdate:
-        if (entry.table == "dags" && entry.column == dag_state_col) {
-          // set_dag_state / set_dag_finished: the next stage owns it,
-          // finished DAGs hold no pending work.
-          if (entry.cells[0].as_text() == dag_finished) {
-            dirty_rows_.erase(entry.row);
-          } else {
-            dirty_rows_.insert(entry.row);
-          }
-        } else if (entry.table == "jobs" && entry.column == job_state_col) {
-          // update_job_state: falling back to unplanned or completing
-          // creates planner work for the owning DAG.
-          const std::string& text = entry.cells[0].as_text();
-          if (text == job_unplanned || text == job_completed) {
-            const db::Row* job_row = jobs.find(entry.row);
-            if (job_row == nullptr) break;
-            const db::Row* dag_row = dags.find_first(
-                "dag_id", Value(job_row->cells[job_dag_col].as_int()));
-            if (dag_row != nullptr) dirty_rows_.insert(dag_row->id);
-          }
-        } else if (entry.table == "work_queue") {
-          dirty_rows_.clear();  // a sweep drained everything queued so far
-        }
-        break;
-      case db::JournalEntry::Op::kErase:
-        if (entry.table == "dags") dirty_rows_.erase(entry.row);
-        break;
-      case db::JournalEntry::Op::kCreateTable:
-        break;
-    }
-  }
-
-  // One enqueue has no journal footprint: the sweep re-marks any drained
-  // DAG whose planner could not place a ready job (no input replica, no
-  // feasible site -- retried every sweep).  Such DAGs are therefore
-  // continuously dirty on a live server, so queueing every unfinished
-  // DAG that holds a ready job reproduces those marks exactly.  A job
-  // waiting on a parent is not retried and marks nothing: the parent's
-  // completion is a journaled enqueue, replayed above.
-  dags.for_each([&](const db::Row& row) {
-    if (row.cells[dag_state_col].as_text() == dag_finished) return;
-    const DagId id(static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()));
-    if (!ready_jobs(id).empty()) dirty_rows_.insert(row.id);
+  // The live queue is a superset of the DAGs with pending work, and a
+  // drain yields only those, so queueing exactly them reproduces every
+  // later drain of the crashed server.  What the live queue holds beyond
+  // them (a DAG queued by a completion that readied no child) no drain
+  // would ever yield.
+  db_.table("dags").for_each([&](const db::Row& row) {
+    if (has_pending_work(decode_dag(row))) dirty_rows_.insert(row.id);
   });
 }
 
@@ -626,44 +538,40 @@ void DataWarehouse::mark_dag_dirty(DagId id) {
 }
 
 std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
-  if (!dirty_rows_.empty()) {
-    // Journal the drain point (empty sweeps write nothing): without it a
-    // recovered server cannot tell "enqueued, not yet swept" from
-    // "already swept" -- both leave identical tables.
-    db::Table& ledger = db_.table("work_queue");
-    db::RowId ledger_row = db::kInvalidRow;
-    std::int64_t drains = 0;
-    ledger.for_each([&ledger_row, &drains](const db::Row& row) {
-      ledger_row = row.id;
-      drains = row.cells[0].as_int();
-    });
-    SPHINX_ASSERT(ledger_row != db::kInvalidRow, "drain ledger row missing");
-    ledger.update(ledger_row, "drains", Value(drains + 1));
-  }
-  const db::Table& dags = db_.table("dags");
-  std::vector<DagRecord> out;
-  out.reserve(dirty_rows_.size());
-  for (const db::RowId row_id : dirty_rows_) {
-    const db::Row* row = dags.find(row_id);
-    if (row == nullptr) continue;
-    DagRecord rec = decode_dag(*row);
-    if (rec.state == DagState::kFinished) continue;
-    out.push_back(std::move(rec));
-  }
+  std::vector<DagRecord> out = queued_pending_dags();
   dirty_rows_.clear();
   return out;
 }
 
 std::vector<DagId> DataWarehouse::dirty_dags() const {
-  const db::Table& dags = db_.table("dags");
   std::vector<DagId> out;
-  out.reserve(dirty_rows_.size());
+  for (const DagRecord& dag : queued_pending_dags()) out.push_back(dag.id);
+  return out;
+}
+
+std::vector<DagRecord> DataWarehouse::queued_pending_dags() const {
+  const db::Table& dags = db_.table("dags");
+  std::vector<DagRecord> out;
   for (const db::RowId row_id : dirty_rows_) {
     const db::Row* row = dags.find(row_id);
     if (row == nullptr) continue;
-    out.emplace_back(static_cast<std::uint64_t>(row->cells[0].as_int()));
+    DagRecord rec = decode_dag(*row);
+    if (has_pending_work(rec)) out.push_back(std::move(rec));
   }
   return out;
+}
+
+bool DataWarehouse::has_pending_work(const DagRecord& dag) const {
+  switch (dag.state) {
+    case DagState::kReceived:
+    case DagState::kReduced:
+      return true;
+    case DagState::kPlanning:
+      return !ready_jobs(dag.id).empty();
+    case DagState::kFinished:
+      return false;
+  }
+  return false;
 }
 
 // --- site stats -----------------------------------------------------------
@@ -1143,19 +1051,22 @@ void DataWarehouse::check_invariants() const {
   }
 
   // Derived work state mirrors the tables: the live counters must equal a
-  // fresh scan, and every queued dirty row names a live, unfinished DAG.
+  // fresh scan, every queued dirty row names a live, unfinished DAG, and
+  // every DAG with pending work is queued (else no sweep would reach it).
   SPHINX_INVARIANT(outstanding_ == scan_outstanding_by_site(),
                    "live outstanding counters diverged from the jobs table");
   const db::Table& dags = db_.table("dags");
-  const std::size_t dag_state_col = dags.schema().index_of("state");
   for (const db::RowId row_id : dirty_rows_) {
     const db::Row* row = dags.find(row_id);
     SPHINX_INVARIANT(row != nullptr, "dirty queue names a missing dag row");
-    SPHINX_INVARIANT(
-        dag_state_from(row->cells[dag_state_col].as_text()) !=
-            DagState::kFinished,
-        "dirty queue holds a finished dag");
+    SPHINX_INVARIANT(decode_dag(*row).state != DagState::kFinished,
+                     "dirty queue holds a finished dag");
   }
+  dags.for_each([&](const db::Row& row) {
+    SPHINX_INVARIANT(
+        !has_pending_work(decode_dag(row)) || dirty_rows_.contains(row.id),
+        "dag with pending work is not queued");
+  });
 #endif
 }
 

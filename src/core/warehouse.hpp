@@ -8,23 +8,27 @@
 /// system easily recoverable from internal component failures" (paper
 /// section 3.1).  All server state -- DAGs, jobs, dependencies, site
 /// statistics, quotas -- lives in db::Database tables; a crashed server
-/// is rebuilt by replaying the journal (see recover_from()).
+/// is rebuilt from the journal, optionally on top of a checkpoint image
+/// (see recover_from()).
 ///
 /// On top of the tables the warehouse maintains derived *work state* that
 /// makes sweeps O(changed work) instead of O(total state):
 ///  - a dirty-DAG work queue ("dirty list"): every state transition that
 ///    can create planning work enqueues the affected DAG, and the server's
-///    sweep drains the queue instead of scanning the dags table;
+///    sweep drains the queue instead of scanning the dags table.  A drain
+///    yields only the queued DAGs with *pending work* (has_pending_work()),
+///    a pure function of the tables, so the live queue only has to be a
+///    superset of the pending set;
 ///  - live outstanding-per-site counters, maintained on job transitions
 ///    instead of recomputed by a per-sweep scan of the jobs table.
-/// Both are rebuilt from the recovered tables in recover_from(), so a
-/// restarted server resumes exactly where the crashed one stopped.
+/// Both are rebuilt from the recovered tables alone in recover_from(), so
+/// a restarted server resumes exactly where the crashed one stopped.
 ///
 /// Recovery is O(state), not O(history): checkpoint() publishes a
-/// CheckpointImage (database snapshot + dirty queue + sequence number)
-/// and compacts the journal prefix it covers, and recover_from(image,
-/// journal) restores the snapshot then replays only the post-checkpoint
-/// suffix.  Full-history replay remains as the image-less path.
+/// CheckpointImage (database snapshot + sequence number) and compacts the
+/// journal prefix it covers, and recover_from(journal, image) restores
+/// the snapshot then replays only the post-checkpoint suffix.  Without an
+/// image, recovery replays the whole journal onto an empty database.
 
 #include <cstdint>
 #include <functional>
@@ -119,20 +123,17 @@ class DataWarehouse {
   /// Creates the schema in a fresh database.
   DataWarehouse();
 
-  /// Rebuilds a warehouse from a crashed instance's journal by full
-  /// replay.  The journal must start at sequence 0; once checkpointing
-  /// compacted it, recovery must go through the image overload below.
+  /// Rebuilds a warehouse from a crashed instance's durable state: the
+  /// checkpoint image, when one was published, plus the journal.  Restores
+  /// the image's snapshot and replays only the entries with sequence >=
+  /// image.seq; without an image it replays the whole journal, which must
+  /// then start at sequence 0 (a compacted journal needs its image).
+  /// Handles both a compacted journal (crash after truncation) and an
+  /// untruncated one (crash between snapshot publication and truncation
+  /// -- recovery completes the truncation).
   [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
-      const db::Journal& journal);
-
-  /// Rebuilds a warehouse from a checkpoint image plus the crashed
-  /// instance's journal: restores the snapshot, replays only the entries
-  /// with sequence >= image.seq, and seeds the work-state rebuild from
-  /// the image's dirty queue.  Handles both a compacted journal (crash
-  /// after truncation) and an untruncated one (crash between snapshot
-  /// publication and truncation -- recovery completes the truncation).
-  [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
-      const CheckpointImage& checkpoint, const db::Journal& journal);
+      const db::Journal& journal,
+      const std::optional<CheckpointImage>& checkpoint = std::nullopt);
 
   /// The journal to persist elsewhere for crash recovery.
   [[nodiscard]] const db::Journal& journal() const { return db_.journal(); }
@@ -147,8 +148,8 @@ class DataWarehouse {
   };
 
   /// Publishes a checkpoint image of the current state (database
-  /// snapshot + dirty queue at the journal's next_seq) and truncates the
-  /// journal prefix it covers.  `mid_hook`, when provided, runs between
+  /// snapshot at the journal's next_seq) and truncates the journal
+  /// prefix it covers.  `mid_hook`, when provided, runs between
   /// publication and truncation -- the chaos harness's mid-checkpoint
   /// kill point; returning true marks the instance as crashing and
   /// leaves the journal untruncated (the recovered instance finishes the
@@ -190,9 +191,9 @@ class DataWarehouse {
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
   /// The DAG's ready set: unplanned jobs whose parents have all
   /// completed, in job-table order.  Decodes the DAG's job rows once.
-  /// The planner plans exactly these, and recovery re-queues a DAG only
-  /// when this set is non-empty, so the two agree on what "blocked work"
-  /// is.
+  /// The planner plans exactly these, and a planning DAG has pending
+  /// work only when this set is non-empty, so the two agree on what
+  /// "blocked work" is.
   [[nodiscard]] std::vector<JobRecord> ready_jobs(DagId dag) const;
   /// Jobs outstanding on a site (eq. 1/2's planned + unfinished term).
   /// Served from the live counter; O(1).
@@ -215,11 +216,13 @@ class DataWarehouse {
   /// job is retried every sweep.  Jobs waiting on parents are not retried:
   /// the parent's completion marks the DAG.  Idempotent.
   void mark_dag_dirty(DagId id);
-  /// Removes and returns the queued DAGs as fresh records, in table
-  /// insertion order (the order dags_in_state() used to yield), skipping
-  /// DAGs that finished while queued.
+  /// Removes and returns the queued DAGs with pending work as fresh
+  /// records, in table insertion order (the order dags_in_state() used
+  /// to yield).  Queued DAGs without pending work -- finished, or
+  /// planning with nothing ready -- are dropped unswept.
   [[nodiscard]] std::vector<DagRecord> drain_dirty_dags();
-  /// Snapshot of the queued DAG ids, in table insertion order.
+  /// The queued DAG ids with pending work, in table insertion order: what
+  /// the next drain would yield.
   [[nodiscard]] std::vector<DagId> dirty_dags() const;
 
   // --- site statistics (feedback) --------------------------------------
@@ -325,11 +328,11 @@ class DataWarehouse {
   /// finished DAGs have a finish time, per-dag job counts match the
   /// recorded totals, site statistics counters are non-negative, quota
   /// usage is non-negative, the live outstanding counters agree with a
-  /// scan of the jobs table, and every queued dirty DAG names a live,
-  /// unfinished row.  Also runs the db layer's structural sweep.  O(total
-  /// state) -- call from recovery and tests, not per sweep.  Throws
-  /// ContractViolation on corruption; no-op when contracts are compiled
-  /// out.
+  /// scan of the jobs table, every queued dirty DAG names a live,
+  /// unfinished row, and every DAG with pending work is queued.  Also
+  /// runs the db layer's structural sweep.  O(total state) -- call from
+  /// recovery and tests, not per sweep.  Throws ContractViolation on
+  /// corruption; no-op when contracts are compiled out.
   void check_invariants() const;
 
   /// Incremental variant scoped to one DAG: its rows parse, outstanding
@@ -341,11 +344,16 @@ class DataWarehouse {
  private:
   explicit DataWarehouse(bool create_schema);
   void create_schema();
-  /// Rebuilds the outstanding counters from the recovered tables and the
-  /// dirty queue by replaying the enqueue/clear rules over the journal
-  /// (drain-ledger updates mark where sweeps cleared it) -- the queue is
-  /// history, not a function of the final tables -- plus the sweep's
-  /// unjournaled re-marks: unfinished DAGs with a non-empty ready_jobs().
+  /// Whether a DAG holds work for a sweep: received or reduced (work for
+  /// the reducer and the planning hand-off), or planning with a non-empty
+  /// ready_jobs().  A pure function of the tables; recovery queues
+  /// exactly the DAGs it holds for.
+  [[nodiscard]] bool has_pending_work(const DagRecord& dag) const;
+  /// The queued DAGs with pending work, in table insertion order.
+  [[nodiscard]] std::vector<DagRecord> queued_pending_dags() const;
+  /// Rebuilds the outstanding counters and the dirty queue from the
+  /// recovered tables: the queue holds exactly the DAGs with pending
+  /// work (has_pending_work()), found by one scan of the dags table.
   void rebuild_work_state();
   [[nodiscard]] static JobRecord decode_job(const db::Row& row);
   [[nodiscard]] static DagRecord decode_dag(const db::Row& row);
@@ -357,9 +365,10 @@ class DataWarehouse {
   db::Database db_;
   /// Dirty-DAG work queue, keyed by dags-table row id so draining yields
   /// insertion order.  Derived state: never journaled, rebuilt on
-  /// recovery by rebuild_work_state().  The annotation below lets
-  /// sphinx-lint reject mutations from any other function -- a stray
-  /// write would make recovered state diverge from the journal replay.
+  /// recovery by rebuild_work_state().  It may hold DAGs without pending
+  /// work (drains skip them) but must hold every DAG with some.  The
+  /// annotation below lets sphinx-lint reject mutations from any other
+  /// function -- a stray write could drop pending work.
   std::set<db::RowId> dirty_rows_;  // sphinx-lint: derived(rebuild_work_state, insert_dag, set_dag_state, set_dag_finished, set_job_state, mark_dag_dirty, drain_dirty_dags)
   /// Live outstanding-jobs-per-site counters (zero entries erased so the
   /// map compares equal to a fresh scan).  Derived state like the queue.

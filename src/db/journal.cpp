@@ -173,9 +173,7 @@ Expected<Journal> Journal::parse(const std::string& text) {
           !journal.entries_.empty() || journal.base_seq_ != 0) {
         return make_error("journal_parse", "bad header: " + line);
       }
-      try {
-        journal.base_seq_ = std::stoull(fields[1]);
-      } catch (const std::exception&) {
+      if (!parse_u64(fields[1], journal.base_seq_)) {
         return make_error("journal_parse", "bad header seq: " + fields[1]);
       }
       continue;
@@ -200,7 +198,9 @@ Expected<Journal> Journal::parse(const std::string& text) {
     } else if (op == "I") {
       if (fields.size() < 3) return make_error("journal_parse", "short insert");
       entry.op = JournalEntry::Op::kInsert;
-      entry.row = std::stoull(fields[2]);
+      if (!parse_u64(fields[2], entry.row)) {
+        return make_error("journal_parse", "bad row id: " + fields[2]);
+      }
       for (std::size_t i = 3; i < fields.size(); ++i) {
         auto v = decode_value(fields[i]);
         if (!v) return Unexpected<Error>{v.error()};
@@ -209,15 +209,20 @@ Expected<Journal> Journal::parse(const std::string& text) {
     } else if (op == "U") {
       if (fields.size() != 5) return make_error("journal_parse", "bad update");
       entry.op = JournalEntry::Op::kUpdate;
-      entry.row = std::stoull(fields[2]);
-      entry.column = std::stoull(fields[3]);
+      std::uint64_t column = 0;
+      if (!parse_u64(fields[2], entry.row) || !parse_u64(fields[3], column)) {
+        return make_error("journal_parse", "bad update target: " + line);
+      }
+      entry.column = static_cast<std::size_t>(column);
       auto v = decode_value(fields[4]);
       if (!v) return Unexpected<Error>{v.error()};
       entry.cells.push_back(std::move(*v));
     } else if (op == "E") {
       if (fields.size() != 3) return make_error("journal_parse", "bad erase");
       entry.op = JournalEntry::Op::kErase;
-      entry.row = std::stoull(fields[2]);
+      if (!parse_u64(fields[2], entry.row)) {
+        return make_error("journal_parse", "bad row id: " + fields[2]);
+      }
     } else {
       return make_error("journal_parse", "unknown op: " + op);
     }

@@ -264,14 +264,9 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
                       "recovery target still has a live server");
   const DurableServerState& durable = *tenant.durable;
 
-  auto recovered =
-      durable.checkpoint.has_value()
-          ? core::SphinxServer::recover(bus_, catalog(), rls_, transfers_,
-                                        &monitoring_, durable.config,
-                                        *durable.checkpoint, durable.journal)
-          : core::SphinxServer::recover(bus_, catalog(), rls_, transfers_,
-                                        &monitoring_, durable.config,
-                                        durable.journal);
+  auto recovered = core::SphinxServer::recover(
+      bus_, catalog(), rls_, transfers_, &monitoring_, durable.config,
+      durable.journal, durable.checkpoint);
   if (!recovered) return Unexpected<Error>{recovered.error()};
   tenant.server = std::move(*recovered);
   tenant.server->set_recorder(&recorder_);

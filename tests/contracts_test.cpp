@@ -189,6 +189,16 @@ TEST(Contracts, WarehouseDetectsNegativeQuotaUsage) {
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
+TEST(Contracts, WarehouseDetectsUnqueuedPendingDag) {
+  DataWarehouse wh;
+  wh.insert_dag(one_job_dag(), "c", UserId(1), 0.0);
+  EXPECT_NO_THROW(wh.check_invariants());
+  // A drain with no sweep after it leaves the received DAG pending but
+  // unqueued: no later sweep would ever reduce it.
+  ASSERT_EQ(wh.drain_dirty_dags().size(), 1u);
+  EXPECT_THROW(wh.check_invariants(), ContractViolation);
+}
+
 TEST(Contracts, QuotaApiRejectsNegativeAmounts) {
   DataWarehouse wh;
   wh.set_quota(UserId(1), SiteId(2), "cpu", 10.0);

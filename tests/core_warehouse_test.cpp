@@ -339,11 +339,13 @@ TEST(Warehouse, RecoveryRebuildsWorkState) {
   const auto recovered = DataWarehouse::recover_from(wh.journal());
   ASSERT_TRUE(recovered.has_value());
   const DataWarehouse& r = **recovered;
-  // Recovery reproduces the live queue *exactly* -- not an approximation
-  // from the tables.  Nothing drained yet, so every unfinished DAG that
-  // was ever enqueued (100, 200, 300) is still queued; finished 400 is
-  // not.  The chaos differential oracle depends on this equality.
-  const std::vector<DagId> expected{DagId(100), DagId(200), DagId(300)};
+  // Recovery queues exactly the DAGs with pending work, derived from the
+  // tables: received 300 is work for the reducer.  100 and 200 are still
+  // in the live queue (nothing drained yet), but neither holds a ready
+  // job -- 100's child waits on its planned parent, 200 is fully planned
+  // -- so no drain would yield them; finished 400 is never work.  The
+  // chaos differential oracle depends on this equality.
+  const std::vector<DagId> expected{DagId(300)};
   EXPECT_EQ(wh.dirty_dags(), expected);
   EXPECT_EQ(r.dirty_dags(), wh.dirty_dags());
   // Counters equal a from-scratch scan of the recovered jobs table.
@@ -353,10 +355,52 @@ TEST(Warehouse, RecoveryRebuildsWorkState) {
   r.check_invariants();
 }
 
-TEST(Warehouse, RecoveryReplaysDrainPoints) {
-  // "Enqueued, not yet swept" and "already swept" leave identical
-  // tables; only the journaled drain ledger separates them.  Recovery
-  // must land on the same side of the drain as the crashed server.
+workflow::Dag fan_in_dag() {
+  // Jobs 101 and 102 both feed 103.
+  workflow::Dag dag(DagId(100), "fan-in");
+  for (const std::uint64_t id : {101, 102, 103}) {
+    workflow::JobSpec job;
+    job.id = JobId(id);
+    job.name = "j" + std::to_string(id);
+    job.compute_time = 10.0;
+    job.output = "lfn://fan-in/" + std::to_string(id);
+    dag.add_job(job);
+  }
+  dag.add_edge(JobId(101), JobId(103));
+  dag.add_edge(JobId(102), JobId(103));
+  return dag;
+}
+
+TEST(Warehouse, DrainSkipsDagsWithoutPendingWork) {
+  // Every completion queues its DAG, but only one that readies a child
+  // leaves work for the sweep.  The drain yields the DAG exactly then;
+  // the other case is invisible to the tables, so recovery could never
+  // reproduce it.
+  DataWarehouse wh;
+  wh.insert_dag(fan_in_dag(), "c", UserId(1), 0.0);
+  wh.set_dag_state(DagId(100), DagState::kPlanning);
+  ASSERT_EQ(wh.drain_dirty_dags().size(), 1u);  // roots 101, 102 ready
+  wh.set_job_planned(JobId(101), SiteId(4), 1.0);
+  wh.set_job_planned(JobId(102), SiteId(4), 1.0);
+
+  wh.set_job_state(JobId(101), JobState::kCompleted);  // 103 waits on 102
+  EXPECT_TRUE(wh.dirty_dags().empty());
+  EXPECT_TRUE(wh.drain_dirty_dags().empty());
+  wh.check_invariants();
+
+  wh.set_job_state(JobId(102), JobState::kCompleted);  // readies 103
+  EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
+  const auto drained = wh.drain_dirty_dags();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].id, DagId(100));
+  EXPECT_EQ(drained[0].state, DagState::kPlanning);
+}
+
+TEST(Warehouse, RecoveryQueuesThePendingDags) {
+  // "Completed, not yet swept" and "already swept" leave identical
+  // tables.  Recovery keeps no record of drains: it queues the DAGs with
+  // pending work, and must still agree with the crashed server's next
+  // drain on either side of every sweep.
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(100), "c", UserId(1), 0.0);
   wh.set_dag_state(DagId(100), DagState::kPlanning);
@@ -374,29 +418,30 @@ TEST(Warehouse, RecoveryReplaysDrainPoints) {
   EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
   EXPECT_TRUE(wh.dirty_dags().empty());
 
-  // A completion re-enqueues the DAG: a crash before the next sweep must
-  // recover it queued...
+  // A completion that readies no child (102 is already planned) queues
+  // the DAG live, but holds no pending work: neither the crashed server
+  // nor the recovered one would sweep it, before or after the drain.
   wh.set_job_state(JobId(101), JobState::kCompleted);
-  EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
-  EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
-
-  // ...and a crash after that sweep must recover it idle again, even
-  // though the tables are byte-identical in both snapshots.
-  (void)wh.drain_dirty_dags();
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
+  EXPECT_TRUE(wh.drain_dirty_dags().empty());
+  EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
 
-  // A drained DAG whose only unplanned job waits on a planned parent
-  // holds no ready work: the sweep does not re-mark it, so recovery must
-  // leave it idle too -- until the parent's completion queues it.
+  // A DAG whose only unplanned job waits on a planned parent holds no
+  // ready work either, until the parent's completion readies the child:
+  // then it is pending on both sides of a crash, and idle again once the
+  // sweep has planned the child.
   wh.insert_dag(two_job_dag(200), "c", UserId(1), 2.0);
   wh.set_dag_state(DagId(200), DagState::kPlanning);
   wh.set_job_planned(JobId(201), SiteId(4), 2.0);
-  (void)wh.drain_dirty_dags();
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
   wh.set_job_state(JobId(201), JobState::kCompleted);
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(200)});
+  EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
+  ASSERT_EQ(wh.drain_dirty_dags().size(), 1u);
+  wh.set_job_planned(JobId(202), SiteId(4), 3.0);
+  EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(dirty_after_recovery(), wh.dirty_dags());
 }
 
@@ -427,7 +472,7 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
 
   ASSERT_TRUE(wh.checkpoint_image().has_value());
   auto recovered =
-      DataWarehouse::recover_from(*wh.checkpoint_image(), wh.journal());
+      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   DataWarehouse& r = **recovered;
   EXPECT_EQ(r.dag(DagId(100))->client, "client-x");
@@ -444,8 +489,7 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   EXPECT_EQ(r.journal().serialize(), wh.journal().serialize());
   r.record_completion(SiteId(2), 100.0);
   ASSERT_TRUE(r.checkpoint_image().has_value());  // carried across recovery
-  auto second =
-      DataWarehouse::recover_from(*r.checkpoint_image(), r.journal());
+  auto second = DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((*second)->site_stats(SiteId(2)).samples, 2);
   r.check_invariants();
@@ -470,7 +514,7 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
 
   ASSERT_TRUE(wh.checkpoint_image().has_value());
   const auto recovered =
-      DataWarehouse::recover_from(*wh.checkpoint_image(), wh.journal());
+      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   const DataWarehouse& r = **recovered;
   EXPECT_EQ(r.job(JobId(101))->state, JobState::kCompleted);
@@ -482,44 +526,43 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
   r.check_invariants();
 }
 
-TEST(Warehouse, DrainLedgerStaysExactAcrossCheckpoints) {
-  // The drain-ledger regression: "completion-dirtied, not yet swept" is
-  // invisible to the tables (no unplanned job, DAG still planning), so
-  // the final re-mark pass cannot reconstruct it.  The image must carry
-  // the live queue exactly, on whichever side of the checkpoint the
-  // drain and the re-dirtying completion fall.
+TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
+  // The image carries tables, not a queue: checkpointed recovery derives
+  // the pending DAGs from the restored snapshot plus the journal suffix,
+  // on whichever side of the checkpoint the completion falls.
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(100), "c", UserId(1), 0.0);
   wh.set_dag_state(DagId(100), DagState::kPlanning);
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
-  wh.set_job_planned(JobId(102), SiteId(4), 1.0);
-  (void)wh.drain_dirty_dags();  // drain point precedes every checkpoint
+  (void)wh.drain_dirty_dags();  // swept: the child waits on its parent
 
   const auto dirty_after_checkpoint_recovery = [&wh] {
     const auto recovered =
-        DataWarehouse::recover_from(*wh.checkpoint_image(), wh.journal());
+        DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
     EXPECT_TRUE(recovered.has_value());
     (*recovered)->check_invariants();
     return (*recovered)->dirty_dags();
   };
 
-  // Completion lands *after* the checkpoint: image says idle, the
-  // journal suffix re-marks the DAG.
+  // Completion lands *after* the checkpoint: the image says idle, the
+  // journal suffix readies the child.
   wh.checkpoint(2.0);
+  EXPECT_TRUE(dirty_after_checkpoint_recovery().empty());
   wh.set_job_state(JobId(101), JobState::kCompleted);
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());
 
   // Completion precedes the *next* checkpoint: the suffix is empty and
-  // only the image's captured queue knows the DAG is still pending.
+  // the restored tables alone show the ready child.
   wh.checkpoint(3.0);
   EXPECT_TRUE(wh.journal().empty());
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());
 
-  // And after the sweep drains it, a checkpointed recovery lands idle
-  // again, even though the tables are identical to the pending case.
+  // Once the sweep has planned the child, a checkpointed recovery lands
+  // idle again.
   (void)wh.drain_dirty_dags();
+  wh.set_job_planned(JobId(102), SiteId(4), 4.0);
   wh.checkpoint(4.0);
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());

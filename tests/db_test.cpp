@@ -282,6 +282,14 @@ TEST(Journal, ParseRejectsGarbage) {
   EXPECT_FALSE(Journal::parse("X\tjobs\n").has_value());
   EXPECT_FALSE(Journal::parse("U\tjobs\t1\n").has_value());
   EXPECT_FALSE(Journal::parse("I\tjobs\t1\tz:9\n").has_value());
+  // Malformed numbers are parse errors, not exceptions.
+  for (const char* text :
+       {"I\tjobs\tabc\n", "U\tjobs\t1\tx\ti:1\n", "E\tjobs\t\n",
+        "E\tjobs\t12345678901234567890123\n"}) {
+    const auto parsed = Journal::parse(text);
+    ASSERT_FALSE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed.error().code, "journal_parse") << text;
+  }
 }
 
 TEST(Journal, ParseEmptyIsEmpty) {

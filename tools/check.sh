@@ -110,14 +110,20 @@ echo "== figure gate =="
 # The paper panels' stdout is a function of their fixed seeds alone, so
 # it must match the committed goldens byte for byte.  A change that
 # moves a figure on purpose regenerates bench/golden/ and says why.
+# Beyond fig3/4/5, the goldens cover the other paper panels (fig2, fig6,
+# fig7) and planner paths fig3/4/5 never take: feedback off (fig2),
+# quotas (fig7), deadline/priority nudges (ablation_qos) and speculative
+# replicas (ablation_speculation).
 fig_dir=$bin/figures
 rm -rf "$fig_dir"
 mkdir -p "$fig_dir"
-for fig in fig3_algorithms_30 fig4_algorithms_60 fig5_algorithms_120; do
+for fig in fig2_feedback fig3_algorithms_30 fig4_algorithms_60 \
+    fig5_algorithms_120 fig6_site_distribution fig7_policy ablation_qos \
+    ablation_speculation; do
   "$bin/bench/$fig" > "$fig_dir/$fig.txt"
   diff "bench/golden/$fig.txt" "$fig_dir/$fig.txt"
 done
-echo "figure gate: fig3/fig4/fig5 match bench/golden"
+echo "figure gate: every panel matches bench/golden"
 
 echo "== sweep-cost benchmark =="
 # The sweep must cost O(changed work).  Two variants: BM_SweepCost seeds
