@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "core/codec.hpp"
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
@@ -90,6 +92,43 @@ void BM_GridFtpChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GridFtpChurn)->Range(64, 1024);
+
+void BM_GridFtpInFlight(benchmark::State& state) {
+  // Steady concurrency at the paper panels' scale (fig5 keeps ~670
+  // transfers in flight): N start at once and every completion starts
+  // the next, until 4,096 have run.  Sizes vary so completions stagger,
+  // and each start and finish rebalances against ~N flows.
+  constexpr int kTransfers = 4096;
+  const auto in_flight = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    data::TransferService transfers(engine);
+    for (std::uint64_t s = 1; s <= 15; ++s) {
+      transfers.set_link(SiteId(s), {20e6, 20e6});
+    }
+    int started = 0;
+    int done = 0;
+    std::function<void(TransferId, Duration)> next;
+    const auto start = [&] {
+      const auto i = static_cast<std::uint64_t>(started++);
+      transfers.transfer(SiteId(1 + i % 15), SiteId(1 + (i + 7) % 15),
+                         1e7 * static_cast<double>(1 + i % 13), next);
+    };
+    next = [&](TransferId, Duration) {
+      ++done;
+      if (started < kTransfers) start();
+    };
+    for (int i = 0; i < in_flight; ++i) start();
+    engine.run_until();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * kTransfers);
+}
+BENCHMARK(BM_GridFtpInFlight)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
   workflow::IdSpace ids;

@@ -38,12 +38,16 @@ Planner::Outcome Planner::plan_dag(const DagRecord& dag, SimTime now) {
       outcome.jobs_left_unplanned = true;
     }
   }
+  journal_algorithm_state();
+  return outcome;
+}
+
+void Planner::journal_algorithm_state() {
   if (std::string state = algorithm_->save_state();
       state != saved_algorithm_state_) {
     warehouse_.set_scheduler_state("algorithm:" + algorithm_->name(), state);
     saved_algorithm_state_ = std::move(state);
   }
-  return outcome;
 }
 
 std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
@@ -103,7 +107,9 @@ std::optional<ExecutionPlan> Planner::plan_speculative(const DagRecord& dag,
   SPHINX_ASSERT(job.state == JobState::kSubmitted ||
                     job.state == JobState::kRunning,
                 "speculation replicates a live attempt");
-  return assemble_plan(dag, job, now, /*speculative=*/true);
+  auto plan = assemble_plan(dag, job, now, /*speculative=*/true);
+  journal_algorithm_state();
+  return plan;
 }
 
 std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,

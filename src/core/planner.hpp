@@ -67,6 +67,10 @@ class Planner {
   [[nodiscard]] std::optional<ExecutionPlan> assemble_plan(
       const DagRecord& dag, const JobRecord& job, SimTime now,
       bool speculative);
+  /// Journals the strategy's cursor if a plan moved it since the last
+  /// write, so a recovered planner resumes where this one left off.
+  /// Called at the end of every planning entry point.
+  void journal_algorithm_state();
   /// Builds the strategy's immutable view of the feasible sites.
   [[nodiscard]] std::vector<CandidateSite> feasible_sites(
       const DagRecord& dag, const JobRecord& job);

@@ -11,15 +11,23 @@ constexpr double kEpsilonBytes = 1e-6;  // snap tiny residues to done
 
 TransferService::TransferService(sim::Engine& engine) : engine_(engine) {}
 
+std::uint32_t TransferService::port(SiteId site) {
+  const auto [it, added] =
+      port_of_.try_emplace(site, static_cast<std::uint32_t>(ports_.size()));
+  if (added) ports_.emplace_back();
+  return it->second;
+}
+
 void TransferService::set_link(SiteId site, LinkConfig link) {
   SPHINX_ASSERT(link.uplink_bps > 0 && link.downlink_bps > 0,
                 "link capacities must be positive");
-  links_[site] = link;
+  const std::uint32_t p = port(site);
+  ports_[p].link = link;
 }
 
 LinkConfig TransferService::link(SiteId site) const {
-  const auto it = links_.find(site);
-  return it == links_.end() ? LinkConfig{} : it->second;
+  const auto it = port_of_.find(site);
+  return it == port_of_.end() ? LinkConfig{} : ports_[it->second].link;
 }
 
 Duration TransferService::estimate(SiteId src, SiteId dst,
@@ -47,22 +55,29 @@ TransferId TransferService::transfer(SiteId src, SiteId dst, double bytes,
   }
 
   advance_to_now();
-  Active a;
-  a.src = src;
-  a.dst = dst;
-  a.remaining = bytes;
-  a.started_at = engine_.now();
-  a.done = std::move(done);
-  active_.emplace(id, std::move(a));
+  Flow flow;
+  flow.id = id;
+  flow.src = port(src);
+  flow.dst = port(dst);
+  flow.remaining = bytes;
+  flow.started_at = engine_.now();
+  flow.done = std::move(done);
+  ++ports_[flow.src].uplinks;
+  ++ports_[flow.dst].downlinks;
+  flows_.push_back(std::move(flow));
   rebalance();
   return id;
 }
 
 void TransferService::cancel(TransferId id) {
-  const auto it = active_.find(id);
-  if (it == active_.end()) return;
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, TransferId key) { return f.id < key; });
+  if (it == flows_.end() || it->id != id) return;
   advance_to_now();
-  active_.erase(it);
+  --ports_[it->src].uplinks;
+  --ports_[it->dst].downlinks;
+  flows_.erase(it);
   ++stats_.cancelled;
   rebalance();
 }
@@ -71,75 +86,69 @@ void TransferService::advance_to_now() {
   const SimTime now = engine_.now();
   const Duration dt = now - last_update_;
   if (dt > 0) {
-    for (auto& [id, a] : active_) {
-      a.remaining = std::max(0.0, a.remaining - a.rate * dt);
-      stats_.bytes_moved += a.rate * dt;
+    for (Flow& f : flows_) {
+      f.remaining = std::max(0.0, f.remaining - f.rate * dt);
+      stats_.bytes_moved += f.rate * dt;
     }
   }
   last_update_ = now;
 }
 
 void TransferService::rebalance() {
-  // Count active flows per uplink and downlink.
-  std::unordered_map<SiteId, int> up_count;
-  std::unordered_map<SiteId, int> down_count;
-  for (const auto& [id, a] : active_) {
-    ++up_count[a.src];
-    ++down_count[a.dst];
+  for (Port& p : ports_) {
+    if (p.uplinks > 0) p.up_share = p.link.uplink_bps / p.uplinks;
+    if (p.downlinks > 0) p.down_share = p.link.downlink_bps / p.downlinks;
   }
-  for (auto& [id, a] : active_) {
-    const double up_share = link(a.src).uplink_bps / up_count[a.src];
-    const double down_share = link(a.dst).downlink_bps / down_count[a.dst];
-    a.rate = std::min(up_share, down_share);
-  }
-  schedule_next_completion();
-}
-
-void TransferService::schedule_next_completion() {
-  engine_.cancel(next_completion_);
-  next_completion_ = sim::EventHandle{};
-  due_.clear();
-  if (active_.empty()) return;
-
   Duration soonest = kNever;
-  for (const auto& [id, a] : active_) {
-    if (a.rate <= 0) continue;
-    const Duration eta = a.remaining / a.rate;
+  for (Flow& f : flows_) {
+    f.rate = std::min(ports_[f.src].up_share, ports_[f.dst].down_share);
+    if (f.rate <= 0) continue;
+    const Duration eta = f.remaining / f.rate;
     if (eta < soonest) soonest = eta;
   }
+
+  engine_.cancel(next_completion_);
+  next_completion_ = sim::EventHandle{};
   if (soonest == kNever) return;
   // Transfers whose ETA (numerically) equals the minimum are *due*: they
   // will be force-completed when the event fires, so floating-point
   // residue can never strand a transfer in a zero-progress reschedule
   // loop.  A small relative window also batches near-simultaneous ends.
+  // Every start, cancel and finish reschedules, so the flags still
+  // describe flows_ when the event fires.
   const Duration window = soonest + 1e-9 * (1.0 + soonest);
-  for (const auto& [id, a] : active_) {
-    if (a.rate > 0 && a.remaining / a.rate <= window) due_.push_back(id);
+  for (Flow& f : flows_) {
+    f.due = f.rate > 0 && f.remaining / f.rate <= window;
   }
+  next_completion_ = engine_.schedule_in(soonest, "gridftp:complete",
+                                         [this] { complete_due(); });
+}
 
-  next_completion_ = engine_.schedule_in(
-      soonest, "gridftp:complete", [this] {
-        advance_to_now();
-        for (const TransferId id : due_) {
-          const auto it = active_.find(id);
-          if (it != active_.end()) it->second.remaining = 0.0;
-        }
-        // Collect every transfer that has drained (ties complete together).
-        std::vector<std::pair<TransferId, Active>> finished;
-        for (auto it = active_.begin(); it != active_.end();) {
-          if (it->second.remaining <= kEpsilonBytes) {
-            finished.emplace_back(it->first, std::move(it->second));
-            it = active_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        rebalance();
-        for (auto& [id, a] : finished) {
-          ++stats_.completed;
-          a.done(id, engine_.now() - a.started_at);
-        }
-      });
+void TransferService::complete_due() {
+  advance_to_now();
+  // Retire every due or drained flow (ties complete together), compacting
+  // the survivors in place so they keep their id order.
+  std::vector<Flow> finished;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
+    if (f.due || f.remaining <= kEpsilonBytes) {
+      --ports_[f.src].uplinks;
+      --ports_[f.dst].downlinks;
+      finished.push_back(std::move(f));
+    } else {
+      if (kept != i) flows_[kept] = std::move(f);
+      ++kept;
+    }
+  }
+  flows_.resize(kept);
+  // Callbacks may start transfers, so they fire only after the survivors
+  // are rebalanced.
+  rebalance();
+  for (Flow& f : finished) {
+    ++stats_.completed;
+    f.done(f.id, engine_.now() - f.started_at);
+  }
 }
 
 }  // namespace sphinx::data

@@ -1,11 +1,10 @@
 // End-to-end tests for the extension features: output persistence
 // (planner step 4), DAG request priorities, soft-state RLI propagation
-// and the Condor-style user log.
+// and gateway third-party replication.
 
 #include <gtest/gtest.h>
 
 #include "exp/scenario.hpp"
-#include "submit/userlog.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx::exp {
@@ -160,65 +159,6 @@ TEST(SoftStateRls, WorkflowStillCompletesWithLaggingIndex) {
                                 [&] { tenant.client->submit(dag); });
   scenario.run(hours(8));
   EXPECT_TRUE(tenant.client->all_dags_finished());
-}
-
-TEST(UserLog, RecordsAndQueriesGatewayEvents) {
-  using submit::GatewayEvent;
-  using submit::GatewayJobState;
-  submit::UserLog log;
-  log.append(GatewayEvent{JobId(1), GatewayJobState::kSubmitted, 0.0});
-  log.append(GatewayEvent{JobId(1), GatewayJobState::kIdle, 0.1});
-  log.append(GatewayEvent{JobId(2), GatewayJobState::kSubmitted, 1.0});
-  log.append(GatewayEvent{JobId(1), GatewayJobState::kRunning, 30.0});
-  log.append(GatewayEvent{JobId(1), GatewayJobState::kCompleted, 90.0});
-  log.append(GatewayEvent{JobId(2), GatewayJobState::kHeld, 120.0});
-
-  EXPECT_EQ(log.size(), 6u);
-  EXPECT_EQ(log.history(JobId(1)).size(), 4u);
-  EXPECT_EQ(log.jobs_in_state(GatewayJobState::kHeld),
-            std::vector<JobId>{JobId(2)});
-  EXPECT_TRUE(log.jobs_in_state(GatewayJobState::kRunning).empty());
-  EXPECT_DOUBLE_EQ(log.time_between(JobId(1), GatewayJobState::kSubmitted,
-                                    GatewayJobState::kRunning),
-                   30.0);
-  EXPECT_DOUBLE_EQ(log.time_between(JobId(1), GatewayJobState::kRunning,
-                                    GatewayJobState::kCompleted),
-                   60.0);
-  EXPECT_LT(log.time_between(JobId(2), GatewayJobState::kSubmitted,
-                             GatewayJobState::kCompleted),
-            0.0);
-
-  const std::string text = log.render();
-  EXPECT_NE(text.find("000 (001.000.000)"), std::string::npos);
-  EXPECT_NE(text.find("Job held"), std::string::npos);
-  EXPECT_NE(text.find("012"), std::string::npos);  // ULOG_JOB_HELD
-}
-
-TEST(UserLog, IntegratesWithLiveGateway) {
-  Scenario scenario(quiet(55));
-  Tenant& tenant = scenario.add_tenant("log", TenantOptions{});
-  // A user log cannot hook the client's internal callback, but it can be
-  // fed from DAGMan-style usage of the same gateway.
-  submit::UserLog log;
-  submit::SubmitRequest request;
-  request.job = scenario.ids().jobs.next();
-  request.name = "logged";
-  request.user = UserId(9);
-  request.site = scenario.grid().find_site("spider")->id();
-  request.compute_time = 30.0;
-  request.output = "lfn://log/out";
-  request.output_bytes = 1e6;
-  scenario.start();
-  scenario.engine().schedule_at(1.0, "submit", [&] {
-    (void)tenant.gateway->submit(
-        request, [&log](const submit::GatewayEvent& e) { log.append(e); });
-  });
-  scenario.engine().run_until(hours(1));
-  ASSERT_GE(log.size(), 3u);
-  EXPECT_EQ(log.events().back().state, submit::GatewayJobState::kCompleted);
-  EXPECT_GT(log.time_between(request.job, submit::GatewayJobState::kIdle,
-                             submit::GatewayJobState::kCompleted),
-            0.0);
 }
 
 TEST(GatewayReplicate, CopiesAndRegisters) {

@@ -1,5 +1,5 @@
-// Smoke tests for the remaining small surfaces: the logger, enum
-// renderings, and user-log event numbering.
+// Smoke tests for the remaining small surfaces: the logger and enum
+// renderings.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include "core/codec.hpp"
 #include "core/state.hpp"
 #include "grid/site.hpp"
-#include "submit/userlog.hpp"
+#include "submit/condor_g.hpp"
 
 namespace sphinx {
 namespace {
@@ -50,16 +50,6 @@ TEST(EnumRenderings, GatewayAndReports) {
   EXPECT_STREQ(core::to_string(core::ReportKind::kHeld), "held");
   EXPECT_STREQ(core::to_string(core::Algorithm::kCompletionTime),
                "completion-time");
-}
-
-TEST(UserLogNumbers, MatchCondorConventions) {
-  using submit::GatewayJobState;
-  using submit::userlog_event_number;
-  EXPECT_EQ(userlog_event_number(GatewayJobState::kSubmitted), 0);
-  EXPECT_EQ(userlog_event_number(GatewayJobState::kRunning), 1);
-  EXPECT_EQ(userlog_event_number(GatewayJobState::kCompleted), 5);
-  EXPECT_EQ(userlog_event_number(GatewayJobState::kRemoved), 9);
-  EXPECT_EQ(userlog_event_number(GatewayJobState::kHeld), 12);
 }
 
 TEST(StateTerminality, GridJobStates) {

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <numeric>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "chaos/schedule.hpp"
 #include "common/stats.hpp"
@@ -93,6 +97,282 @@ TEST_P(SeededProperty, TransferServiceConservesBytes) {
   // completed bytes plus partial progress of cancelled ones.
   EXPECT_GE(stats.bytes_moved + 1.0, completed_bytes);
   EXPECT_LE(completed_bytes, requested + 1.0);
+}
+
+// --- transfer model exactness ---------------------------------------------
+
+/// The map-based fluid model that data::TransferService replaced, kept as
+/// a reference implementation: flow counts rebuilt in hash maps and a
+/// link lookup per flow at every rebalance, flows in an id-ordered
+/// std::map.  TransferService must reproduce it bit for bit.
+class ReferenceTransferService {
+ public:
+  using Callback = data::TransferService::Callback;
+
+  explicit ReferenceTransferService(sim::Engine& engine) : engine_(engine) {}
+
+  void set_link(SiteId site, data::LinkConfig link) { links_[site] = link; }
+
+  [[nodiscard]] data::LinkConfig link(SiteId site) const {
+    const auto it = links_.find(site);
+    return it == links_.end() ? data::LinkConfig{} : it->second;
+  }
+
+  TransferId transfer(SiteId src, SiteId dst, double bytes, Callback done) {
+    const TransferId id = ids_.next();
+    ++stats_.started;
+    if (src == dst || bytes <= 0) {
+      ++stats_.completed;
+      stats_.bytes_moved += bytes;
+      engine_.schedule_in(0.0, "gridftp:local",
+                          [done = std::move(done), id] { done(id, 0.0); });
+      return id;
+    }
+    advance_to_now();
+    Active a;
+    a.src = src;
+    a.dst = dst;
+    a.remaining = bytes;
+    a.started_at = engine_.now();
+    a.done = std::move(done);
+    active_.emplace(id, std::move(a));
+    rebalance();
+    return id;
+  }
+
+  void cancel(TransferId id) {
+    const auto it = active_.find(id);
+    if (it == active_.end()) return;
+    advance_to_now();
+    active_.erase(it);
+    ++stats_.cancelled;
+    rebalance();
+  }
+
+  [[nodiscard]] std::size_t active() const noexcept { return active_.size(); }
+  [[nodiscard]] const data::TransferStats& stats() const noexcept {
+    return stats_;
+  }
+
+ private:
+  struct Active {
+    SiteId src;
+    SiteId dst;
+    double remaining = 0.0;
+    double rate = 0.0;
+    SimTime started_at = 0.0;
+    Callback done;
+  };
+
+  void advance_to_now() {
+    const SimTime now = engine_.now();
+    const Duration dt = now - last_update_;
+    if (dt > 0) {
+      for (auto& [id, a] : active_) {
+        a.remaining = std::max(0.0, a.remaining - a.rate * dt);
+        stats_.bytes_moved += a.rate * dt;
+      }
+    }
+    last_update_ = now;
+  }
+
+  void rebalance() {
+    std::unordered_map<SiteId, int> up_count;
+    std::unordered_map<SiteId, int> down_count;
+    for (const auto& [id, a] : active_) {
+      ++up_count[a.src];
+      ++down_count[a.dst];
+    }
+    for (auto& [id, a] : active_) {
+      const double up_share = link(a.src).uplink_bps / up_count[a.src];
+      const double down_share = link(a.dst).downlink_bps / down_count[a.dst];
+      a.rate = std::min(up_share, down_share);
+    }
+    schedule_next_completion();
+  }
+
+  void schedule_next_completion() {
+    engine_.cancel(next_completion_);
+    next_completion_ = sim::EventHandle{};
+    due_.clear();
+    if (active_.empty()) return;
+    Duration soonest = kNever;
+    for (const auto& [id, a] : active_) {
+      if (a.rate <= 0) continue;
+      const Duration eta = a.remaining / a.rate;
+      if (eta < soonest) soonest = eta;
+    }
+    if (soonest == kNever) return;
+    const Duration window = soonest + 1e-9 * (1.0 + soonest);
+    for (const auto& [id, a] : active_) {
+      if (a.rate > 0 && a.remaining / a.rate <= window) due_.push_back(id);
+    }
+    next_completion_ =
+        engine_.schedule_in(soonest, "gridftp:complete", [this] {
+          advance_to_now();
+          for (const TransferId id : due_) {
+            const auto it = active_.find(id);
+            if (it != active_.end()) it->second.remaining = 0.0;
+          }
+          std::vector<std::pair<TransferId, Active>> finished;
+          for (auto it = active_.begin(); it != active_.end();) {
+            if (it->second.remaining <= 1e-6) {
+              finished.emplace_back(it->first, std::move(it->second));
+              it = active_.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          rebalance();
+          for (auto& [id, a] : finished) {
+            ++stats_.completed;
+            a.done(id, engine_.now() - a.started_at);
+          }
+        });
+  }
+
+  sim::Engine& engine_;
+  // Looked up, never iterated.
+  std::unordered_map<SiteId, data::LinkConfig> links_;
+  std::map<TransferId, Active> active_;
+  IdGenerator<TransferId> ids_;
+  SimTime last_update_ = 0.0;
+  sim::EventHandle next_completion_;
+  std::vector<TransferId> due_;
+  data::TransferStats stats_;
+};
+
+/// What one drive of a transfer model observed, plus how much of each
+/// awkward case the seeded schedule actually exercised.
+struct TransferTrace {
+  /// (id, duration, sim time) per callback, in firing order.
+  std::vector<std::tuple<std::uint64_t, Duration, SimTime>> completions;
+  data::TransferStats stats;
+  std::size_t active = 0;
+  int cancels_live = 0;
+  int cancels_finished = 0;
+  int cancels_unknown = 0;
+  int ties = 0;  ///< WAN completions sharing a time and duration
+  sim::EventHandle next_event;
+};
+
+template <typename Service>
+TransferTrace drive_transfer_model(std::uint64_t seed) {
+  constexpr std::uint64_t kSites = 7;  // site 7 starts on the default link
+  sim::Engine engine;
+  Service transfers(engine);
+  Rng rng(seed);
+  for (std::uint64_t s = 1; s < kSites; ++s) {
+    transfers.set_link(SiteId(s), {rng.uniform(2e6, 30e6),
+                                   rng.uniform(2e6, 30e6)});
+  }
+  TransferTrace trace;
+  std::uint64_t last_issued = 0;
+  std::vector<bool> finished(1, false);
+  int follow_ups = 80;
+  const auto site = [&] {
+    return SiteId(static_cast<std::uint64_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(kSites))));
+  };
+  // Completion callbacks record themselves and sometimes start a
+  // follow-up transfer (local, empty or WAN), re-entering transfer().
+  std::function<void(TransferId, Duration)> done;
+  const auto start = [&](SiteId src, SiteId dst, double bytes) {
+    last_issued = transfers.transfer(src, dst, bytes, done).value();
+    finished.resize(last_issued + 1, false);
+  };
+  done = [&](TransferId id, Duration took) {
+    const auto& prev = trace.completions;
+    if (took > 0 && !prev.empty() && std::get<1>(prev.back()) == took &&
+        std::get<2>(prev.back()) == engine.now()) {
+      ++trace.ties;
+    }
+    trace.completions.emplace_back(id.value(), took, engine.now());
+    finished[id.value()] = true;
+    const std::uint64_t k = id.value();
+    if (k % 3 == 0 && follow_ups > 0) {
+      --follow_ups;
+      start(SiteId(1 + k % kSites), SiteId(1 + (k / 3) % kSites),
+            k % 5 == 0 ? 0.0 : 1e6 * static_cast<double>(1 + k % 40));
+    }
+  };
+
+  for (int i = 0; i < 150; ++i) {
+    const SiteId src = site();
+    const SiteId dst = site();
+    const double bytes = rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 2e8);
+    engine.schedule_at(rng.uniform(0, 600), "start",
+                       [&, src, dst, bytes] { start(src, dst, bytes); });
+  }
+  // Bursts over one link pair, so rates are identical: two transfers of
+  // equal size (their ETAs tie exactly) and two a relative 1e-12 larger,
+  // which finish inside the due window and are force-completed with them.
+  for (int burst = 0; burst < 4; ++burst) {
+    const SiteId src = SiteId(1 + static_cast<std::uint64_t>(burst));
+    const SiteId dst = SiteId(6 - static_cast<std::uint64_t>(burst));
+    const double bytes = rng.uniform(1e6, 5e7);
+    engine.schedule_at(rng.uniform(0, 600), "burst", [&, src, dst, bytes] {
+      for (int j = 0; j < 4; ++j) {
+        start(src, dst, bytes * (1.0 + static_cast<double>(j / 2) * 1e-12));
+      }
+    });
+  }
+  // Cancels hit either any id up to well past the last one issued, or
+  // one of the few most recent ids, which is likely still in flight.
+  for (int i = 0; i < 60; ++i) {
+    const bool recent = rng.chance(0.5);
+    const auto pick = static_cast<std::uint64_t>(
+        recent ? rng.uniform_int(0, 4) : rng.uniform_int(1, 320));
+    engine.schedule_at(rng.uniform(0, 900), "cancel", [&, recent, pick] {
+      const std::uint64_t id =
+          recent ? last_issued - std::min(pick, last_issued) : pick;
+      const std::size_t before = transfers.active();
+      transfers.cancel(TransferId(id));
+      if (transfers.active() < before) {
+        ++trace.cancels_live;
+      } else if (id > last_issued) {
+        ++trace.cancels_unknown;
+      } else if (finished[id]) {
+        ++trace.cancels_finished;
+      }
+    });
+  }
+  // Capacities change under live flows; rates follow at the next event.
+  engine.schedule_at(rng.uniform(200, 400), "relink", [&] {
+    transfers.set_link(SiteId(1), {rng.uniform(2e6, 30e6),
+                                   rng.uniform(2e6, 30e6)});
+    transfers.set_link(SiteId(kSites), {4e6, 9e6});
+  });
+  engine.run_until();
+  trace.stats = transfers.stats();
+  trace.active = transfers.active();
+  // Handles are issued in sequence, so this one counts the events the
+  // model scheduled.
+  trace.next_event = engine.schedule_in(0.0, "probe", [] {});
+  return trace;
+}
+
+TEST_P(SeededProperty, TransferServiceMatchesReferenceModelExactly) {
+  const TransferTrace want =
+      drive_transfer_model<ReferenceTransferService>(GetParam());
+  const TransferTrace got = drive_transfer_model<data::TransferService>(
+      GetParam());
+  // The schedule reached every awkward case.
+  EXPECT_GT(want.cancels_live, 0);
+  EXPECT_GT(want.cancels_finished, 0);
+  EXPECT_GT(want.cancels_unknown, 0);
+  EXPECT_GT(want.ties, 0);
+  EXPECT_TRUE(std::any_of(want.completions.begin(), want.completions.end(),
+                          [](const auto& c) { return std::get<1>(c) == 0.0; }));
+  // Bit-identical: == on every double, no tolerance.
+  EXPECT_EQ(got.completions, want.completions);
+  EXPECT_EQ(got.stats.started, want.stats.started);
+  EXPECT_EQ(got.stats.completed, want.stats.completed);
+  EXPECT_EQ(got.stats.cancelled, want.stats.cancelled);
+  EXPECT_EQ(got.stats.bytes_moved, want.stats.bytes_moved);
+  EXPECT_EQ(got.active, 0u);
+  EXPECT_EQ(want.active, 0u);
+  EXPECT_TRUE(got.next_event == want.next_event);
 }
 
 // --- site CPU accounting under chaos ---------------------------------------

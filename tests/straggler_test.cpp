@@ -469,35 +469,41 @@ TEST(StragglerProbe, ProbeIsDeterministic) {
 
 TEST(StragglerChaos, MidRaceCrashRecoveryIsByteInvisible) {
   // Long-tail outage schedule with speculation on: races are open for
-  // much of the run.  Crash + journal-recover the server at every Nth
+  // much of the run.  Crash + journal-recover the server at every
   // journal record and demand byte-equality with the uninterrupted
-  // baseline each time -- open races, sample rings and the detector's
-  // cadence cursor must all re-arm exactly.
-  chaos::ChaosRunConfig config;
-  config.seed = 211;
-  config.dag_count = 3;
-  config.jobs_per_dag = 5;
-  config.horizon = hours(24);
-  config.speculate = true;
-  config.schedule = chaos::straggler_schedule_defaults();
+  // baseline each time -- open races, sample rings, the detector's
+  // cadence cursor and the strategy cursor a speculative plan advanced
+  // must all re-arm exactly.  Both strategies with a cursor run:
+  // completion-time (warm-up cursor) and round-robin.
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::kCompletionTime, core::Algorithm::kRoundRobin}) {
+    SCOPED_TRACE(core::to_string(algorithm));
+    chaos::ChaosRunConfig config;
+    config.seed = 211;
+    config.dag_count = 3;
+    config.jobs_per_dag = 5;
+    config.horizon = hours(24);
+    config.algorithm = algorithm;
+    config.speculate = true;
+    config.schedule = chaos::straggler_schedule_defaults();
 
-  chaos::ChaosSchedule schedule = chaos::synthesize_schedule(config);
-  schedule.crash_records.clear();
-  schedule.mid_ckpt_crashes.clear();
-  const chaos::ChaosRunResult probe = chaos::run_chaos_pair(config, schedule);
-  ASSERT_TRUE(probe.ok()) << probe.violation();
-  ASSERT_GT(probe.speculations, 0u) << "schedule never triggered a race";
-  const std::size_t total = probe.journal_records;
-  ASSERT_GT(total, 20u);
+    chaos::ChaosSchedule schedule = chaos::synthesize_schedule(config);
+    schedule.crash_records.clear();
+    schedule.mid_ckpt_crashes.clear();
+    const chaos::ChaosRunResult probe = chaos::run_chaos_pair(config, schedule);
+    ASSERT_TRUE(probe.ok()) << probe.violation();
+    ASSERT_GT(probe.speculations, 0u) << "schedule never triggered a race";
+    const std::size_t total = probe.journal_records;
+    ASSERT_GT(total, 20u);
 
-  const std::size_t step = std::max<std::size_t>(total / 6, 1);
-  for (std::size_t at = step; at < total; at += step) {
-    chaos::ChaosSchedule crashed = schedule;
-    crashed.crash_records = {at};
-    const chaos::ChaosRunResult result =
-        chaos::run_chaos_pair(config, crashed);
-    EXPECT_TRUE(result.ok())
-        << "crash at record " << at << ": " << result.violation();
+    for (std::size_t at = 1; at < total; ++at) {
+      chaos::ChaosSchedule crashed = schedule;
+      crashed.crash_records = {at};
+      const chaos::ChaosRunResult result =
+          chaos::run_chaos_pair(config, crashed);
+      EXPECT_TRUE(result.ok())
+          << "crash at record " << at << ": " << result.violation();
+    }
   }
 }
 

@@ -148,6 +148,16 @@ echo "== rpc overhead benchmark =="
 "$bin/bench/micro_rpc" \
   --benchmark_out=BENCH_rpc.json --benchmark_out_format=json
 
+echo "== transfer-model benchmark =="
+# The GridFTP fluid model under staggered arrivals (BM_GridFtpChurn, few
+# flows in flight) and at the figure panels' concurrency
+# (BM_GridFtpInFlight/{64,256,1024}: N flows held in flight until 4,096
+# transfers have run).  Each start or finish costs one pass over the
+# in-flight flows.  Results land in BENCH_gridftp.json.
+"$bin/bench/micro_substrates" \
+  --benchmark_filter=BM_GridFtp \
+  --benchmark_out=BENCH_gridftp.json --benchmark_out_format=json
+
 if [ "${1:-}" != "fast" ]; then
   echo "== build + test (asan-ubsan) =="
   cmake --preset asan-ubsan
