@@ -164,4 +164,30 @@ void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlRpcReportRoundTrip);
 
+void BM_XmlRpcPlanRoundTrip(benchmark::State& state) {
+  // The server-to-client execute_plan payload: a job with three staged
+  // inputs.
+  core::ExecutionPlan plan;
+  plan.job = JobId(4242);
+  plan.dag = DagId(97);
+  plan.job_name = "wire-job-7";
+  plan.site = SiteId(11);
+  plan.compute_time = 61.25;
+  plan.output = "lfn://wire/out-7";
+  plan.output_bytes = 4.2e7;
+  plan.attempt = 2;
+  plan.batch_priority = 0.5;
+  plan.inputs = {{"lfn://wire/in-1", SiteId(3), 1.2e8},
+                 {"lfn://wire/in-2", SiteId(5), 9.5e7},
+                 {"lfn://wire/in-3", SiteId(11), 3.3e7}};
+  for (auto _ : state) {
+    rpc::MethodCall call;
+    call.method = "sphinx_client.execute_plan";
+    call.params = {core::encode_plan(plan)};
+    const auto parsed = rpc::MethodCall::parse(call.serialize());
+    benchmark::DoNotOptimize(core::decode_plan(parsed->params[0]));
+  }
+}
+BENCHMARK(BM_XmlRpcPlanRoundTrip);
+
 }  // namespace

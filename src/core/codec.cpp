@@ -26,26 +26,42 @@ Expected<ReportKind> report_kind_from(const std::string& text) {
   return make_error("codec", "unknown report kind: " + text);
 }
 
-/// Guarded struct-member access helpers.
+/// Guarded struct-member access helpers; each looks the member up once.
 Expected<std::int64_t> need_int(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || !s.at(key).is_int()) {
+  const XrValue* v = s.find(key);
+  if (v == nullptr || !v->is_int()) {
     return make_error("codec", "missing int member: " + key);
   }
-  return s.at(key).as_int();
+  return v->as_int();
 }
 
 Expected<double> need_double(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || (!s.at(key).is_double() && !s.at(key).is_int())) {
+  const XrValue* v = s.find(key);
+  if (v == nullptr || (!v->is_double() && !v->is_int())) {
     return make_error("codec", "missing double member: " + key);
   }
-  return s.at(key).as_double();
+  return v->as_double();
 }
 
 Expected<std::string> need_string(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || !s.at(key).is_string()) {
+  const XrValue* v = s.find(key);
+  if (v == nullptr || !v->is_string()) {
     return make_error("codec", "missing string member: " + key);
   }
-  return s.at(key).as_string();
+  return v->as_string();
+}
+
+/// The array member `key`; nullptr if absent or not an array.
+const XrValue::Array* find_array(const XrValue& s, const std::string& key) {
+  const XrValue* v = s.find(key);
+  return v != nullptr && v->is_array() ? &v->as_array() : nullptr;
+}
+
+/// Overwrites `out` with the bool member `key` when present and a bool.
+void read_bool(const XrValue& s, const std::string& key, bool& out) {
+  if (const XrValue* v = s.find(key); v != nullptr && v->is_bool()) {
+    out = v->as_bool();
+  }
 }
 
 }  // namespace
@@ -83,14 +99,13 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
   if (!dag_id) return Unexpected<Error>{dag_id.error()};
   auto name = need_string(value, "name");
   if (!name) return Unexpected<Error>{name.error()};
-  if (!value.has("jobs") || !value.at("jobs").is_array()) {
-    return make_error("codec", "dag without jobs array");
-  }
+  const XrValue::Array* jobs = find_array(value, "jobs");
+  if (jobs == nullptr) return make_error("codec", "dag without jobs array");
 
   workflow::Dag dag(DagId(static_cast<std::uint64_t>(*dag_id)), *name);
   // First pass: jobs.  Second pass: edges (parents must exist first).
   std::vector<std::pair<JobId, std::vector<JobId>>> edges;
-  for (const XrValue& jv : value.at("jobs").as_array()) {
+  for (const XrValue& jv : *jobs) {
     if (!jv.is_struct()) return make_error("codec", "job is not a struct");
     auto job_id = need_int(jv, "job_id");
     if (!job_id) return Unexpected<Error>{job_id.error()};
@@ -102,8 +117,9 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     if (!output) return Unexpected<Error>{output.error()};
     auto output_bytes = need_double(jv, "output_bytes");
     if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-    if (!jv.has("inputs") || !jv.at("inputs").is_array() ||
-        !jv.has("parents") || !jv.at("parents").is_array()) {
+    const XrValue::Array* inputs = find_array(jv, "inputs");
+    const XrValue::Array* parent_ids = find_array(jv, "parents");
+    if (inputs == nullptr || parent_ids == nullptr) {
       return make_error("codec", "job missing inputs/parents");
     }
 
@@ -113,12 +129,12 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     spec.compute_time = *compute;
     spec.output = *output;
     spec.output_bytes = *output_bytes;
-    for (const XrValue& in : jv.at("inputs").as_array()) {
+    for (const XrValue& in : *inputs) {
       if (!in.is_string()) return make_error("codec", "input is not a string");
       spec.inputs.push_back(in.as_string());
     }
     std::vector<JobId> parents;
-    for (const XrValue& p : jv.at("parents").as_array()) {
+    for (const XrValue& p : *parent_ids) {
       if (!p.is_int()) return make_error("codec", "parent is not an int");
       parents.emplace_back(static_cast<std::uint64_t>(p.as_int()));
     }
@@ -185,9 +201,8 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
   auto attempt = need_int(value, "attempt");
   if (!attempt) return Unexpected<Error>{attempt.error()};
-  if (!value.has("inputs") || !value.at("inputs").is_array()) {
-    return make_error("codec", "plan without inputs");
-  }
+  const XrValue::Array* inputs = find_array(value, "inputs");
+  if (inputs == nullptr) return make_error("codec", "plan without inputs");
   plan.job = JobId(static_cast<std::uint64_t>(*job));
   plan.dag = DagId(static_cast<std::uint64_t>(*dag));
   plan.job_name = *name;
@@ -196,20 +211,19 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   plan.output = *output;
   plan.output_bytes = *output_bytes;
   plan.attempt = static_cast<int>(*attempt);
-  if (value.has("persist_output") && value.at("persist_output").is_bool()) {
-    plan.persist_output = value.at("persist_output").as_bool();
+  read_bool(value, "persist_output", plan.persist_output);
+  if (const XrValue* v = value.find("persistent_site");
+      v != nullptr && v->is_int()) {
+    plan.persistent_site = SiteId(static_cast<std::uint64_t>(v->as_int()));
   }
-  if (value.has("persistent_site") && value.at("persistent_site").is_int()) {
-    plan.persistent_site = SiteId(
-        static_cast<std::uint64_t>(value.at("persistent_site").as_int()));
+  if (const XrValue* v = value.find("batch_priority"); v != nullptr) {
+    if (!v->is_double() && !v->is_int()) {
+      return make_error("codec", "batch_priority is not a number");
+    }
+    plan.batch_priority = v->as_double();
   }
-  if (value.has("batch_priority")) {
-    plan.batch_priority = value.at("batch_priority").as_double();
-  }
-  if (value.has("speculative") && value.at("speculative").is_bool()) {
-    plan.speculative = value.at("speculative").as_bool();
-  }
-  for (const XrValue& iv : value.at("inputs").as_array()) {
+  read_bool(value, "speculative", plan.speculative);
+  for (const XrValue& iv : *inputs) {
     auto lfn = need_string(iv, "lfn");
     if (!lfn) return Unexpected<Error>{lfn.error()};
     auto source = need_int(iv, "source");
@@ -261,8 +275,8 @@ Expected<TrackerReport> decode_report(const XrValue& value) {
   report.completion_time = *completion;
   report.execution_time = *execution;
   report.idle_time = *idle;
-  if (value.has("attempt") && value.at("attempt").is_int()) {
-    report.attempt = static_cast<int>(value.at("attempt").as_int());
+  if (const XrValue* v = value.find("attempt"); v != nullptr && v->is_int()) {
+    report.attempt = static_cast<int>(v->as_int());
   }
   return report;
 }

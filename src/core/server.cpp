@@ -292,7 +292,8 @@ Expected<XrValue> SphinxServer::handle_report(
 Expected<XrValue> SphinxServer::handle_set_quota(
     const std::vector<XrValue>& params, const rpc::Proxy&) {
   if (params.size() != 4 || !params[0].is_int() || !params[1].is_int() ||
-      !params[2].is_string()) {
+      !params[2].is_string() ||
+      (!params[3].is_double() && !params[3].is_int())) {
     return make_error("bad_request",
                       "expected [user, site, resource, limit]");
   }

@@ -6,17 +6,35 @@
 /// (paper Figure 1).  This implements the XML-RPC value system (int,
 /// double, boolean, string, array, struct), <methodCall> and
 /// <methodResponse> envelopes including <fault>.
+///
+/// There is no document model.  serialize() writes each XrValue straight
+/// into one string, and parse() is a single pull pass over the bytes that
+/// builds XrValues directly.  The wire bytes are a contract: the dedup
+/// cache replays cached replies, the client outbox journals payloads and
+/// the chaos digests hash those journals.  So the writer emits exactly the
+/// compact form the envelopes have always had: a `<?xml version="1.0"?>`
+/// declaration, no whitespace between elements, `<tag/>` for an element
+/// with no content, the five predefined entities escaped, integers as
+/// `<i8>`, doubles as `%.17g`.  The parser accepts that form, `<tag></tag>`
+/// for `<tag/>`, layout whitespace between elements, bare `<value>` text
+/// as a string and the `<i4>`/`<int>` tags.  It rejects everything else,
+/// including attributes, duplicate struct members, nesting deeper than
+/// kMaxValueDepth and number text that is not entirely a number
+/// (`<i8> 7</i8>`, `<i8>12abc</i8>`, `<double>0x10</double>`).
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
-#include "rpc/xml.hpp"
 
 namespace sphinx::rpc {
+
+/// Deepest nesting of values parse() accepts; a top-level param is depth
+/// 1.  The deepest real message, a DAG, nests 5 deep.
+inline constexpr int kMaxValueDepth = 64;
 
 /// An XML-RPC value.  Arrays and structs nest arbitrarily.
 class XrValue {
@@ -52,13 +70,9 @@ class XrValue {
 
   /// Struct member access; throws if not a struct or key missing.
   [[nodiscard]] const XrValue& at(const std::string& key) const;
-  /// True if this is a struct containing `key`.
-  [[nodiscard]] bool has(const std::string& key) const noexcept;
-
-  /// Encodes as a <value> element.
-  [[nodiscard]] XmlNode to_xml() const;
-  /// Decodes from a <value> element.
-  [[nodiscard]] static Expected<XrValue> from_xml(const XmlNode& value_node);
+  /// The struct member `key`; nullptr if this is not a struct or has no
+  /// such member.
+  [[nodiscard]] const XrValue* find(const std::string& key) const;
 
   friend bool operator==(const XrValue& a, const XrValue& b) noexcept {
     return a.data_ == b.data_;

@@ -134,6 +134,19 @@ TEST(PlanCodec, RejectsMissingMembers) {
   EXPECT_FALSE(decode_plan(rpc::XrValue(std::move(s))).has_value());
 }
 
+TEST(PlanCodec, RejectsNonNumericBatchPriority) {
+  ExecutionPlan plan;
+  plan.job = JobId(1);
+  plan.dag = DagId(1);
+  plan.job_name = "x";
+  plan.site = SiteId(1);
+  auto s = encode_plan(plan).as_struct();
+  s["batch_priority"] = rpc::XrValue("high");
+  Expected<ExecutionPlan> decoded = plan;
+  EXPECT_NO_THROW(decoded = decode_plan(rpc::XrValue(std::move(s))));
+  EXPECT_FALSE(decoded.has_value());
+}
+
 TEST(ReportCodec, RoundTripEachKind) {
   for (const ReportKind kind :
        {ReportKind::kSubmitted, ReportKind::kRunning, ReportKind::kCompleted,

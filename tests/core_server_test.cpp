@@ -120,6 +120,18 @@ TEST(ServerProtocol, SetQuotaOverRpc) {
                    1234.5);
 }
 
+TEST(ServerProtocol, SetQuotaRejectsNonNumericLimit) {
+  Scenario scenario(quiet());
+  scenario.add_tenant("t", TenantOptions{});
+  RawCaller caller(scenario, vo_proxy("uscms"));
+  const auto r = caller.call(
+      "sphinx-server/t", "sphinx.set_quota",
+      {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
+       rpc::XrValue("lots")});
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, "fault:100");
+}
+
 TEST(ServerProtocol, SubmitReturnsDagIdAndStoresPriority) {
   Scenario scenario(quiet());
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});

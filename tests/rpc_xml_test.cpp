@@ -1,88 +1,39 @@
-// Tests for the XML layer and XML-RPC envelopes.
+// Tests for the XML-RPC value model and the <methodCall>/<methodResponse>
+// wire format.
 
 #include <gtest/gtest.h>
 
-#include "rpc/xml.hpp"
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "rpc/xmlrpc.hpp"
 
 namespace sphinx::rpc {
 namespace {
 
-TEST(Xml, EscapeRoundTripsEntities) {
-  const std::string raw = R"(a & b < c > d "e" 'f')";
-  const std::string escaped = xml_escape(raw);
-  EXPECT_EQ(escaped.find('<'), std::string::npos);
-  EXPECT_NE(escaped.find("&amp;"), std::string::npos);
+/// Parses a methodCall whose one <param> holds `param_body`.
+Expected<MethodCall> parse_param(const std::string& param_body) {
+  return MethodCall::parse(
+      "<?xml version=\"1.0\"?><methodCall><methodName>m</methodName>"
+      "<params><param>" +
+      param_body + "</param></params></methodCall>");
 }
 
-TEST(Xml, WriteSimpleElement) {
-  XmlNode node("job", "payload");
-  node.attributes["site"] = "ufloridapg";
-  EXPECT_EQ(xml_write(node), "<job site=\"ufloridapg\">payload</job>");
+/// value -> wire bytes -> value, as the one param of a methodCall.
+Expected<XrValue> through_wire(const XrValue& value) {
+  auto parsed = MethodCall::parse(MethodCall{"m", {value}}.serialize());
+  if (!parsed) return Unexpected<Error>{parsed.error()};
+  EXPECT_EQ(parsed->params.size(), 1u);
+  return parsed->params.at(0);
 }
 
-TEST(Xml, WriteSelfClosing) {
-  EXPECT_EQ(xml_write(XmlNode("empty")), "<empty/>");
-}
-
-TEST(Xml, ParseSimpleDocument) {
-  const auto doc = xml_parse("<a x=\"1\"><b>hi</b><b>yo</b><c/></a>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->name, "a");
-  EXPECT_EQ(doc->attribute("x"), "1");
-  ASSERT_EQ(doc->children.size(), 3u);
-  EXPECT_EQ(doc->children_named("b").size(), 2u);
-  ASSERT_NE(doc->child("b"), nullptr);
-  EXPECT_EQ(doc->child("b")->text, "hi");
-  EXPECT_EQ(doc->child("missing"), nullptr);
-}
-
-TEST(Xml, ParseSkipsDeclaration) {
-  const auto doc = xml_parse("<?xml version=\"1.0\"?><root/>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->name, "root");
-}
-
-TEST(Xml, ParseDecodesEntities) {
-  const auto doc = xml_parse("<t a=\"x&amp;y\">1 &lt; 2</t>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->attribute("a"), "x&y");
-  EXPECT_EQ(doc->text, "1 < 2");
-}
-
-TEST(Xml, WriteParseRoundTrip) {
-  XmlNode root("methodCall");
-  root.add_child(XmlNode("methodName", "schedule<&>"));
-  XmlNode& params = root.add_child(XmlNode("params"));
-  params.attributes["count"] = "2";
-  params.add_child(XmlNode("param", "a\"b"));
-  params.add_child(XmlNode("param", "c'd"));
-
-  const auto parsed = xml_parse(xml_write(root));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->child("methodName")->text, "schedule<&>");
-  EXPECT_EQ(parsed->child("params")->attribute("count"), "2");
-  EXPECT_EQ(parsed->child("params")->children[1].text, "c'd");
-}
-
-TEST(Xml, PrettyPrintedRoundTripDropsLayoutWhitespace) {
-  XmlNode root("a");
-  root.add_child(XmlNode("b", "x"));
-  const auto parsed = xml_parse(xml_write(root, 2));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->text.empty());
-  EXPECT_EQ(parsed->child("b")->text, "x");
-}
-
-TEST(Xml, ParseRejectsMalformed) {
-  EXPECT_FALSE(xml_parse("").has_value());
-  EXPECT_FALSE(xml_parse("<a>").has_value());
-  EXPECT_FALSE(xml_parse("<a></b>").has_value());
-  EXPECT_FALSE(xml_parse("<a><b></a></b>").has_value());
-  EXPECT_FALSE(xml_parse("<a x=1></a>").has_value());
-  EXPECT_FALSE(xml_parse("<a>&bogus;</a>").has_value());
-  EXPECT_FALSE(xml_parse("<a/><b/>").has_value());
-  EXPECT_FALSE(xml_parse("<a>&amp</a>").has_value());
+/// `value` wrapped in `depth` single-element arrays.
+XrValue nested(int depth, XrValue value) {
+  for (int i = 0; i < depth; ++i) value = XrValue(XrValue::Array{value});
+  return value;
 }
 
 TEST(XrValue, TypedConstructionAndAccess) {
@@ -99,8 +50,10 @@ TEST(XrValue, StructAccess) {
   s.emplace("site", XrValue("acdc"));
   s.emplace("cpus", XrValue(72));
   const XrValue v(std::move(s));
-  EXPECT_TRUE(v.has("site"));
-  EXPECT_FALSE(v.has("nope"));
+  ASSERT_NE(v.find("site"), nullptr);
+  EXPECT_EQ(v.find("site")->as_string(), "acdc");
+  EXPECT_EQ(v.find("nope"), nullptr);
+  EXPECT_EQ(XrValue(3).find("site"), nullptr);  // not a struct
   EXPECT_EQ(v.at("cpus").as_int(), 72);
   EXPECT_THROW((void)v.at("nope"), AssertionError);
 }
@@ -118,7 +71,7 @@ XrValue sample_value() {
 
 TEST(XrValue, XmlRoundTripPreservesStructure) {
   const XrValue original = sample_value();
-  const auto decoded = XrValue::from_xml(original.to_xml());
+  const auto decoded = through_wire(original);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, original);
 }
@@ -128,35 +81,32 @@ TEST(XrValue, NestedArraysRoundTrip) {
       XrValue(XrValue::Array{XrValue(1), XrValue(2)}),
       XrValue(XrValue::Array{}),
   });
-  const auto decoded = XrValue::from_xml(v.to_xml());
+  const auto decoded = through_wire(v);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, v);
 }
 
 TEST(XrValue, BareTextValueIsString) {
-  const auto doc = xml_parse("<value>plain</value>");
-  ASSERT_TRUE(doc.has_value());
-  const auto v = XrValue::from_xml(*doc);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->as_string(), "plain");
+  const auto call = parse_param("<value>plain</value>");
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->params.at(0).as_string(), "plain");
+  const auto decoded = parse_param("<value>1 &lt; 2</value>");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->params.at(0).as_string(), "1 < 2");
 }
 
 TEST(XrValue, LegacyIntTagsAccepted) {
   for (const char* tag : {"i4", "int", "i8"}) {
-    const auto doc =
-        xml_parse("<value><" + std::string(tag) + ">7</" + tag + "></value>");
-    ASSERT_TRUE(doc.has_value());
-    const auto v = XrValue::from_xml(*doc);
-    ASSERT_TRUE(v.has_value()) << tag;
-    EXPECT_EQ(v->as_int(), 7);
+    const auto call =
+        parse_param("<value><" + std::string(tag) + ">7</" + tag + "></value>");
+    ASSERT_TRUE(call.has_value()) << tag;
+    EXPECT_EQ(call->params.at(0).as_int(), 7);
   }
 }
 
 TEST(XrValue, RejectsBadPayloads) {
   const auto bad = [](const std::string& body) {
-    const auto doc = xml_parse(body);
-    if (!doc.has_value()) return true;
-    return !XrValue::from_xml(*doc).has_value();
+    return !parse_param(body).has_value();
   };
   EXPECT_TRUE(bad("<value><i8>zzz</i8></value>"));
   EXPECT_TRUE(bad("<value><double>zzz</double></value>"));
@@ -164,6 +114,76 @@ TEST(XrValue, RejectsBadPayloads) {
   EXPECT_TRUE(bad("<value><array/></value>"));
   EXPECT_TRUE(bad("<value><mystery>1</mystery></value>"));
   EXPECT_TRUE(bad("<notvalue>x</notvalue>"));
+}
+
+TEST(XrValue, SubnormalAndSpecialDoublesRoundTripBitExact) {
+  const MethodCall smallest{"m", {XrValue(5e-324)}};
+  EXPECT_NE(smallest.serialize().find(
+                "<double>4.9406564584124654e-324</double>"),
+            std::string::npos);
+  for (const double d :
+       {5e-324, 2.2e-308, DBL_MIN, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -0.0}) {
+    const auto decoded = through_wire(XrValue(d));
+    ASSERT_TRUE(decoded.has_value()) << d;
+    ASSERT_TRUE(decoded->is_double());
+    // Bytes, not ==, so NaN and -0 are compared too.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded->as_double()),
+              std::bit_cast<std::uint64_t>(d))
+        << d;
+  }
+}
+
+TEST(XrValue, NumberTextMustBeEntirelyANumber) {
+  for (const char* body :
+       {"<i8>12abc</i8>", "<i8> 7</i8>", "<i8>7 </i8>", "<i8>+7</i8>",
+        "<i8></i8>", "<i8/>", "<i8>9223372036854775808</i8>", "<i4>0x10</i4>",
+        "<double>0x10</double>", "<double> 1.5</double>",
+        "<double>1.5e</double>", "<double>1e400</double>",
+        "<double>1e-400</double>", "<double>&amp;1</double>"}) {
+    EXPECT_FALSE(parse_param("<value>" + std::string(body) + "</value>")
+                     .has_value())
+        << body;
+  }
+  const auto call = parse_param("<value><i8>-9223372036854775808</i8></value>");
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->params.at(0).as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  const auto d = parse_param("<value><double>-1.5e-3</double></value>");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->params.at(0).as_double(), -1.5e-3);
+}
+
+TEST(XrValue, DuplicateStructMembersRejected) {
+  const auto member = [](const char* name, int v) {
+    return std::string("<member><name>") + name + "</name><value><i8>" +
+           std::to_string(v) + "</i8></value></member>";
+  };
+  EXPECT_FALSE(parse_param("<value><struct>" + member("a", 1) + member("a", 2) +
+                           "</struct></value>")
+                   .has_value());
+  const auto ok = parse_param("<value><struct>" + member("a", 1) +
+                              member("b", 2) + "</struct></value>");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->params.at(0).at("b").as_int(), 2);
+}
+
+TEST(XrValue, NestingIsCappedAtAFixedDepth) {
+  // A top-level param is depth 1; each array level adds one.
+  EXPECT_TRUE(through_wire(nested(kMaxValueDepth - 1, XrValue(1))).has_value());
+  EXPECT_FALSE(through_wire(nested(kMaxValueDepth, XrValue(1))).has_value());
+}
+
+TEST(MethodCall, DeepNestingIsRejectedNotACrash) {
+  constexpr int kLevels = 100000;
+  std::string xml = "<methodCall><methodName>m</methodName><params><param>";
+  for (int i = 0; i < kLevels; ++i) xml += "<value><array><data>";
+  for (int i = 0; i < kLevels; ++i) xml += "</data></array></value>";
+  xml += "</param></params></methodCall>";
+  const auto parsed = MethodCall::parse(xml);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_NE(parsed.error().message.find("nested too deep"), std::string::npos);
 }
 
 TEST(MethodCall, SerializeParseRoundTrip) {
@@ -178,6 +198,46 @@ TEST(MethodCall, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->params[2].as_int(), 42);
 }
 
+TEST(MethodCall, SerializesTheCompactWireForm) {
+  XrValue::Struct s;
+  s.emplace("a", XrValue(1));
+  s.emplace("", XrValue(""));
+  const MethodCall call{"x<&>\"'",
+                        {XrValue(std::move(s)), XrValue(XrValue::Array{}),
+                         XrValue(XrValue::Struct{}), XrValue(0.1),
+                         XrValue(true)}};
+  EXPECT_EQ(call.serialize(),
+            "<?xml version=\"1.0\"?><methodCall>"
+            "<methodName>x&lt;&amp;&gt;&quot;&apos;</methodName><params>"
+            "<param><value><struct>"
+            "<member><name/><value><string/></value></member>"
+            "<member><name>a</name><value><i8>1</i8></value></member>"
+            "</struct></value></param>"
+            "<param><value><array><data/></array></value></param>"
+            "<param><value><struct/></value></param>"
+            "<param><value><double>0.10000000000000001</double></value></param>"
+            "<param><value><boolean>1</boolean></value></param>"
+            "</params></methodCall>");
+  EXPECT_EQ((MethodCall{"ping", {}}).serialize(),
+            "<?xml version=\"1.0\"?><methodCall><methodName>ping</methodName>"
+            "<params/></methodCall>");
+  EXPECT_EQ(MethodResponse::failure(3, "no").serialize(),
+            "<?xml version=\"1.0\"?><methodResponse><fault><value><struct>"
+            "<member><name>faultCode</name><value><i8>3</i8></value></member>"
+            "<member><name>faultString</name><value><string>no</string>"
+            "</value></member></struct></value></fault></methodResponse>");
+}
+
+TEST(MethodCall, ParseAcceptsLayoutWhitespace) {
+  const auto parsed = MethodCall::parse(
+      "<?xml version=\"1.0\"?>\n<methodCall>\n  <methodName>m</methodName>\n"
+      "  <params>\n    <param>\n      <value> <array> <data>\n"
+      "        <value><i8>1</i8></value>\n      </data> </array> </value>\n"
+      "    </param>\n  </params>\n</methodCall>\n");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->params.at(0), XrValue(XrValue::Array{XrValue(1)}));
+}
+
 TEST(MethodCall, NoParamsOk) {
   MethodCall call;
   call.method = "ping";
@@ -189,6 +249,22 @@ TEST(MethodCall, NoParamsOk) {
 TEST(MethodCall, ParseRejectsMissingMethodName) {
   EXPECT_FALSE(MethodCall::parse("<methodCall><params/></methodCall>").has_value());
   EXPECT_FALSE(MethodCall::parse("<other/>").has_value());
+}
+
+TEST(MethodCall, ParseRejectsMalformed) {
+  const std::string name = "<methodName>m</methodName>";
+  for (const std::string& xml : std::vector<std::string>{
+           "",
+           "<methodCall>",                                  // unterminated
+           "<methodCall>" + name + "</methodResponse>",     // mismatched
+           "<methodCall><methodName>m</methodCall></methodName>",  // crossed
+           "<methodCall x=1>" + name + "</methodCall>",     // bad attribute
+           "<methodCall><methodName>&bogus;</methodName></methodCall>",
+           "<methodCall>" + name + "</methodCall><b/>",     // two roots
+           "<methodCall><methodName>&amp</methodName></methodCall>",
+       }) {
+    EXPECT_FALSE(MethodCall::parse(xml).has_value()) << xml;
+  }
 }
 
 TEST(MethodResponse, SuccessRoundTrip) {
@@ -210,6 +286,22 @@ TEST(MethodResponse, FaultRoundTrip) {
 
 TEST(MethodResponse, ParseRejectsEmptyResponse) {
   EXPECT_FALSE(MethodResponse::parse("<methodResponse/>").has_value());
+}
+
+TEST(MethodResponse, MistypedFaultMembersAreAnErrorNotAThrow) {
+  const auto fault = [](const std::string& code, const std::string& text) {
+    return "<methodResponse><fault><value><struct><member><name>faultCode"
+           "</name><value>" +
+           code + "</value></member><member><name>faultString</name><value>" +
+           text + "</value></member></struct></value></fault></methodResponse>";
+  };
+  ASSERT_TRUE(MethodResponse::parse(fault("<i8>3</i8>", "no")).has_value());
+  for (const std::string& xml :
+       {fault("<string>3</string>", "no"), fault("<i8>3</i8>", "<i8>4</i8>")}) {
+    Expected<MethodResponse> parsed = MethodResponse::failure(0, "");
+    EXPECT_NO_THROW(parsed = MethodResponse::parse(xml)) << xml;
+    EXPECT_FALSE(parsed.has_value()) << xml;
+  }
 }
 
 }  // namespace

@@ -147,6 +147,12 @@ echo "== rpc overhead benchmark =="
 # overhead every fault-free run pays).  Results land in BENCH_rpc.json.
 "$bin/bench/micro_rpc" \
   --benchmark_out=BENCH_rpc.json --benchmark_out_format=json
+# The XML-RPC wire itself: serialize + parse + decode of a 10-job DAG
+# submission, a tracker report and an execute_plan payload.  Results land
+# in BENCH_xmlrpc.json.
+"$bin/bench/micro_substrates" \
+  --benchmark_filter=BM_XmlRpc \
+  --benchmark_out=BENCH_xmlrpc.json --benchmark_out_format=json
 
 echo "== transfer-model benchmark =="
 # The GridFTP fluid model under staggered arrivals (BM_GridFtpChurn, few
