@@ -33,16 +33,14 @@ std::unique_ptr<core::DataWarehouse> build_warehouse(
     std::uint64_t records, std::size_t checkpoint_every) {
   auto warehouse = std::make_unique<core::DataWarehouse>();
   std::uint64_t last_checkpoint = 0;
-  double now = 0.0;
   while (warehouse->journal().next_seq() < records) {
     for (int site = 1; site <= kSites; ++site) {
       warehouse->record_completion(SiteId(static_cast<std::uint64_t>(site)),
                                    300.0 + site);
     }
-    now += 1.0;
     if (checkpoint_every > 0 &&
         warehouse->journal().next_seq() >= last_checkpoint + checkpoint_every) {
-      last_checkpoint = warehouse->checkpoint(now).seq;
+      last_checkpoint = warehouse->checkpoint().seq;
     }
   }
   return warehouse;
@@ -84,10 +82,8 @@ BENCHMARK(BM_RecoverCheckpointed)->Arg(1000)->Arg(10000)->Arg(100000);
 /// recovery win above can be weighed against its steady-state cost.
 void BM_CheckpointPublish(benchmark::State& state) {
   const auto warehouse = build_warehouse(2048, 0);
-  double now = 0.0;
   for (auto _ : state) {
-    now += 1.0;
-    benchmark::DoNotOptimize(warehouse->checkpoint(now).snapshot_bytes);
+    benchmark::DoNotOptimize(warehouse->checkpoint().snapshot_bytes);
   }
 }
 BENCHMARK(BM_CheckpointPublish);

@@ -154,6 +154,7 @@ void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
   report.kind = core::ReportKind::kCompleted;
   report.site = SiteId(3);
   report.completion_time = 321.5;
+  report.attempt = 1;
   for (auto _ : state) {
     rpc::MethodCall call;
     call.method = "sphinx.report";

@@ -13,18 +13,12 @@
 #include <cstdint>
 #include <string>
 
-#include "common/time.hpp"
-
 namespace sphinx::core {
 
 struct CheckpointImage {
   /// Journal sequence number the snapshot reflects; recovery replays the
   /// suffix with sequence >= seq on top of the restored snapshot.
   std::uint64_t seq = 0;
-  /// Sim time of publication -- re-seeds the period-based checkpoint
-  /// policy on the recovered instance so baseline and recovered runs
-  /// keep checkpointing in lockstep.
-  SimTime at = 0.0;
   /// db::Database::snapshot() image.
   std::string database;
 };

@@ -188,12 +188,13 @@ void SphinxClient::erase_tracked(Key key) {
 
 Expected<XrValue> SphinxClient::handle_cancel_attempt(
     const std::vector<XrValue>& params) {
-  if (params.size() != 2 || !params[0].is_int() || !params[1].is_int()) {
+  if (params.size() != 2 || !params[0].is_int()) {
     return make_error("bad_request", "expected [job_id, attempt]");
   }
+  const auto attempt = decode_attempt(&params[1]);
+  if (!attempt) return make_error("bad_request", attempt.error().message);
   const JobId job(static_cast<std::uint64_t>(params[0].as_int()));
-  const int attempt = static_cast<int>(params[1].as_int());
-  const Key key{job.value(), attempt};
+  const Key key{job.value(), *attempt};
   // Idempotent: the loser attempt may already be gone (it completed or
   // failed before the cancel arrived, or this is a retransmission).  The
   // server has already settled the race either way.
@@ -205,7 +206,7 @@ Expected<XrValue> SphinxClient::handle_cancel_attempt(
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.race_cancels");
   }
-  gateway_.cancel(job, attempt);
+  gateway_.cancel(job, *attempt);
   // No report: the server initiated this cancellation when it settled the
   // race and has already retired the attempt.
   erase_tracked(key);

@@ -1,5 +1,7 @@
 #include "core/codec.hpp"
 
+#include <limits>
+
 namespace sphinx::core {
 
 using rpc::XrValue;
@@ -65,6 +67,18 @@ void read_bool(const XrValue& s, const std::string& key, bool& out) {
 }
 
 }  // namespace
+
+Expected<int> decode_attempt(const XrValue* value) {
+  if (value == nullptr || !value->is_int()) {
+    return make_error("codec", "missing int member: attempt");
+  }
+  const std::int64_t attempt = value->as_int();
+  if (attempt < 1 || attempt > std::numeric_limits<int>::max()) {
+    return make_error("codec",
+                      "attempt out of range: " + std::to_string(attempt));
+  }
+  return static_cast<int>(attempt);
+}
 
 XrValue encode_dag(const workflow::Dag& dag) {
   XrValue::Struct root;
@@ -199,7 +213,7 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   if (!output) return Unexpected<Error>{output.error()};
   auto output_bytes = need_double(value, "output_bytes");
   if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-  auto attempt = need_int(value, "attempt");
+  auto attempt = decode_attempt(value.find("attempt"));
   if (!attempt) return Unexpected<Error>{attempt.error()};
   const XrValue::Array* inputs = find_array(value, "inputs");
   if (inputs == nullptr) return make_error("codec", "plan without inputs");
@@ -210,7 +224,7 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   plan.compute_time = *compute;
   plan.output = *output;
   plan.output_bytes = *output_bytes;
-  plan.attempt = static_cast<int>(*attempt);
+  plan.attempt = *attempt;
   read_bool(value, "persist_output", plan.persist_output);
   if (const XrValue* v = value.find("persistent_site");
       v != nullptr && v->is_int()) {
@@ -268,6 +282,8 @@ Expected<TrackerReport> decode_report(const XrValue& value) {
   if (!execution) return Unexpected<Error>{execution.error()};
   auto idle = need_double(value, "idle_time");
   if (!idle) return Unexpected<Error>{idle.error()};
+  auto attempt = decode_attempt(value.find("attempt"));
+  if (!attempt) return Unexpected<Error>{attempt.error()};
   report.job = JobId(static_cast<std::uint64_t>(*job));
   report.kind = *kind;
   report.site = SiteId(static_cast<std::uint64_t>(*site));
@@ -275,9 +291,7 @@ Expected<TrackerReport> decode_report(const XrValue& value) {
   report.completion_time = *completion;
   report.execution_time = *execution;
   report.idle_time = *idle;
-  if (const XrValue* v = value.find("attempt"); v != nullptr && v->is_int()) {
-    report.attempt = static_cast<int>(v->as_int());
-  }
+  report.attempt = *attempt;
   return report;
 }
 

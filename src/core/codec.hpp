@@ -65,10 +65,9 @@ struct TrackerReport {
   Duration completion_time = 0.0;  ///< submit -> complete (kCompleted)
   Duration execution_time = 0.0;   ///< run start -> complete (kCompleted)
   Duration idle_time = 0.0;        ///< submit -> run start
-  /// Which (job, attempt) this report describes.  0 = unknown (legacy
-  /// payloads); the server then attributes it to the job's live attempt.
-  /// Required for speculation: two attempts race concurrently and the
-  /// arbitration rules key off which one reported.
+  /// Which (job, attempt) this report describes, >= 1 (decode_report
+  /// refuses anything else).  Two attempts can race concurrently under
+  /// speculation, and the arbitration rules key off which one reported.
   int attempt = 0;
 };
 
@@ -79,6 +78,11 @@ struct TrackerReport {
 /// Plan <-> XML-RPC value.
 [[nodiscard]] rpc::XrValue encode_plan(const ExecutionPlan& plan);
 [[nodiscard]] Expected<ExecutionPlan> decode_plan(const rpc::XrValue& value);
+
+/// An attempt number off the wire: an int in [1, INT_MAX].  Missing,
+/// mistyped, non-positive or wider-than-int values are a `codec` error,
+/// never truncated into a live attempt number.
+[[nodiscard]] Expected<int> decode_attempt(const rpc::XrValue* value);
 
 /// Report <-> XML-RPC value.
 [[nodiscard]] rpc::XrValue encode_report(const TrackerReport& report);

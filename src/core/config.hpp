@@ -46,16 +46,12 @@ struct ServerConfig {
   SiteId persistent_site;
   /// VOs authorized to talk to this server (GSI ACL).
   std::vector<std::string> allowed_vos = {"uscms", "atlas", "ivdgl"};
-  /// Checkpoint policy, record-triggered: once the journal has grown by
-  /// this many records since the last checkpoint, the end of the next
-  /// sweep publishes a new image and compacts the journal.  0 disables
-  /// the record trigger.
+  /// Checkpoint policy: once the journal has grown by this many records
+  /// since the last checkpoint, the end of the next sweep publishes a new
+  /// image and compacts the journal.  0 (the default) disables
+  /// checkpointing: the journal grows unboundedly and recovery replays
+  /// the full history.
   std::size_t checkpoint_every_records = 0;
-  /// Checkpoint policy, time-triggered: publish at least every this many
-  /// sim-seconds (checked at sweep boundaries).  0 disables the period
-  /// trigger.  With both triggers off the journal grows unboundedly and
-  /// recovery replays the full history -- the pre-checkpointing default.
-  Duration checkpoint_period = 0.0;
 
   // --- straggler defense (speculative replication) ----------------------
   /// Master switch.  Off, the detector never runs and the tracker's

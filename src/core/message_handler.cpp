@@ -33,11 +33,10 @@ namespace {
 /// job row tracks one attempt; while a race is open its primary attempt
 /// is live too, and after kSpecDead (the replica died, the job row kept
 /// the replica's burnt attempt number) the surviving primary still
-/// reports under its own.  Attempt 0 is a legacy payload: attributed to
-/// whatever is live.
+/// reports under its own.
 [[nodiscard]] bool matches_live(int attempt, const JobRecord& job,
                                 const std::optional<SpeculationRecord>& race) {
-  if (attempt <= 0 || attempt == job.attempt) return true;
+  if (attempt == job.attempt) return true;
   if (!race.has_value()) return false;
   if (race->state == SpeculationState::kRacing) {
     return attempt == race->primary_attempt;

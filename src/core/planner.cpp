@@ -88,7 +88,7 @@ std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
     }
     // Feedback filter: "sites having more number of cancelled jobs than
     // completed jobs are marked unreliable".
-    if (config_.use_feedback && stats.cancelled > stats.completed) {
+    if (config_.use_feedback && !stats.reliable()) {
       unreliable.push_back(site);
     } else {
       reliable.push_back(site);

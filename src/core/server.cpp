@@ -93,12 +93,11 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   register_methods();
 
   // A recovered warehouse carries the crashed instance's checkpoint
-  // image; resuming the policy cursors from it keeps the recovered
-  // server checkpointing in lockstep with an uncrashed baseline run.
-  // A fresh warehouse has no image, and the cursors stay at zero.
+  // image; resuming the policy cursor from it keeps the recovered server
+  // checkpointing in lockstep with an uncrashed baseline run.  A fresh
+  // warehouse has no image, and the cursor stays at zero.
   if (const auto& image = warehouse_->checkpoint_image(); image.has_value()) {
     last_checkpoint_seq_ = image->seq;
-    last_checkpoint_at_ = image->at;
   }
 
   control_ = std::make_unique<sim::PeriodicProcess>(
@@ -158,25 +157,14 @@ void SphinxServer::maybe_crash() {
 }
 
 void SphinxServer::maybe_checkpoint() {
-  const std::uint64_t next_seq = warehouse_->journal().next_seq();
-  const SimTime now = bus_.engine().now();
-  const bool by_records =
-      config_.checkpoint_every_records > 0 &&
-      next_seq >= last_checkpoint_seq_ + config_.checkpoint_every_records;
-  const bool by_period =
-      config_.checkpoint_period > 0 &&
-      now >= last_checkpoint_at_ + config_.checkpoint_period;
-  if (!by_records && !by_period) return;
-  if (next_seq == last_checkpoint_seq_) {
-    // Nothing appended since the last image; a new one would be
-    // identical.  Re-arm the period trigger so idle stretches do not
-    // checkpoint every sweep.
-    last_checkpoint_at_ = now;
+  if (config_.checkpoint_every_records == 0 ||
+      warehouse_->journal().next_seq() <
+          last_checkpoint_seq_ + config_.checkpoint_every_records) {
     return;
   }
 
   const DataWarehouse::CheckpointStats stats = warehouse_->checkpoint(
-      now, [this](const CheckpointImage& image) {
+      [this](const CheckpointImage& image) {
         // Observability rides publication, before the mid-checkpoint kill
         // window below, so baseline and crashed-here traces agree on
         // every event up to the crash itself.
@@ -203,7 +191,6 @@ void SphinxServer::maybe_checkpoint() {
         return false;
       });
   last_checkpoint_seq_ = stats.seq;
-  last_checkpoint_at_ = now;
 }
 
 void SphinxServer::register_methods() {

@@ -153,8 +153,8 @@ class SphinxServer {
   /// Fires the armed crash hook when the journal crossed the threshold.
   void maybe_crash();
   /// End-of-sweep checkpoint policy: publishes an image and compacts the
-  /// journal when either ServerConfig trigger (records since last image,
-  /// sim-time period) has elapsed.  Also hosts the mid-checkpoint kill
+  /// journal once ServerConfig::checkpoint_every_records records were
+  /// appended since the last image.  Also hosts the mid-checkpoint kill
   /// point (see arm_crash_hook).
   void maybe_checkpoint();
 
@@ -173,12 +173,11 @@ class SphinxServer {
   std::size_t crash_at_records_ = 0;
   std::function<void()> crash_hook_;
   bool crash_mid_checkpoint_ = false;  ///< armed hook fires inside a checkpoint
-  /// Checkpoint-policy cursors.  Initialized to sequence 0 / sim time 0
-  /// and re-derived from a recovered warehouse's carried image, so a
-  /// recovered server stays in checkpoint lockstep with an uncrashed
-  /// baseline run (the differential oracle compares their traces).
+  /// Checkpoint-policy cursor.  Initialized to sequence 0 and re-derived
+  /// from a recovered warehouse's carried image, so a recovered server
+  /// stays in checkpoint lockstep with an uncrashed baseline run (the
+  /// differential oracle compares their traces).
   std::uint64_t last_checkpoint_seq_ = 0;  // sphinx-lint: derived(maybe_checkpoint, SphinxServer)
-  SimTime last_checkpoint_at_ = 0.0;  // sphinx-lint: derived(maybe_checkpoint, SphinxServer)
   /// Detector-cadence cursor, persisted to scheduler_state on every pass
   /// so a recovered server's next detector pass lands exactly where the
   /// crashed instance's would have (the differential oracle compares

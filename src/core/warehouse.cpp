@@ -22,91 +22,179 @@ constexpr double kEwmaAlpha = 0.3;
 // (site, job-class) key.  Bounded so the journal and the percentile scan
 // both stay O(1) per key while the distribution still adapts.
 constexpr std::size_t kMaxRuntimeSamples = 32;
-}  // namespace
 
-DataWarehouse::DataWarehouse() : DataWarehouse(true) {}
+// Column positions, one enum per table.  declared_tables() lists every
+// column beside the position it must occupy.
+struct DagCol {
+  enum : std::size_t { kDagId, kName, kClient, kUser, kState, kReceivedAt,
+                       kFinishedAt, kTotalJobs, kPriority, kDeadline };
+};
+struct JobCol {
+  enum : std::size_t { kJobId, kDagId, kName, kState, kSite, kComputeTime,
+                       kOutput, kOutputBytes, kAttempt, kPlannedAt };
+};
+struct InputCol { enum : std::size_t { kJobId, kLfn }; };
+struct DepCol { enum : std::size_t { kJobId, kParent }; };
+struct SiteCol {
+  enum : std::size_t { kSiteId, kCompleted, kCancelled, kAvgCompletion,
+                       kSamples };
+};
+struct QuotaCol {
+  enum : std::size_t { kUser, kSite, kResource, kLimit, kUsed };
+};
+struct StateCol { enum : std::size_t { kKey, kValue }; };
+struct OutboxCol {
+  enum : std::size_t { kSeq, kService, kPayload, kAttempt, kLastSentAt };
+};
+struct SpecCol {
+  enum : std::size_t { kJobId, kDagId, kPrimarySite, kPrimaryAttempt,
+                       kPrimaryPlannedAt, kSpecSite, kSpecAttempt, kState,
+                       kLaunchedAt };
+};
+struct SampleCol { enum : std::size_t { kSite, kClass, kRuntime }; };
 
-DataWarehouse::DataWarehouse(bool with_schema) {
-  if (with_schema) create_schema();
+/// A schema from (enum position, column) pairs listed in position order.
+/// A column listed out of its enum position throws AssertionError: the
+/// enum and the schema drifted apart.
+db::Schema positional(
+    std::initializer_list<std::pair<std::size_t, db::Column>> columns) {
+  std::vector<db::Column> out;
+  for (const auto& [position, column] : columns) {
+    SPHINX_ASSERT(position == out.size(),
+                  "column " + column.name + " declared out of position");
+    out.push_back(column);
+  }
+  return db::Schema(std::move(out));
 }
 
-void DataWarehouse::create_schema() {
+SiteId site_of(const Value& v) {
+  return SiteId(static_cast<std::uint64_t>(v.as_int()));
+}
+}  // namespace
+
+struct DataWarehouse::TableDecl {
+  const char* name;
+  db::Table* Tables::*handle;
+  db::Schema schema;
+};
+
+const std::vector<DataWarehouse::TableDecl>&
+DataWarehouse::declared_tables() {
   using db::indexed;
-  using db::ValueType;
+  constexpr auto kInt = db::ValueType::kInt;
+  constexpr auto kReal = db::ValueType::kReal;
+  constexpr auto kText = db::ValueType::kText;
   // Hot-path columns declare their hash index in the schema itself, so the
   // index set is journaled with the kCreateTable entry and recovery
   // rebuilds it without a separate recreation pass.
-  db_.create_table("dags", db::Schema{{indexed("dag_id", ValueType::kInt),
-                                       {"name", ValueType::kText},
-                                       {"client", ValueType::kText},
-                                       {"user", ValueType::kInt},
-                                       indexed("state", ValueType::kText),
-                                       {"received_at", ValueType::kReal},
-                                       {"finished_at", ValueType::kReal},
-                                       {"total_jobs", ValueType::kInt},
-                                       {"priority", ValueType::kReal},
-                                       {"deadline", ValueType::kReal}}});
-  db_.create_table("jobs", db::Schema{{indexed("job_id", ValueType::kInt),
-                                       indexed("dag_id", ValueType::kInt),
-                                       {"name", ValueType::kText},
-                                       indexed("state", ValueType::kText),
-                                       {"site", ValueType::kInt},
-                                       {"compute_time", ValueType::kReal},
-                                       {"output", ValueType::kText},
-                                       {"output_bytes", ValueType::kReal},
-                                       {"attempt", ValueType::kInt},
-                                       {"planned_at", ValueType::kReal}}});
-  db_.create_table("job_inputs",
-                   db::Schema{{indexed("job_id", ValueType::kInt),
-                               {"lfn", ValueType::kText}}});
-  db_.create_table("job_deps",
-                   db::Schema{{indexed("job_id", ValueType::kInt),
-                               indexed("parent", ValueType::kInt)}});
-  db_.create_table("site_stats",
-                   db::Schema{{indexed("site_id", ValueType::kInt),
-                               {"completed", ValueType::kInt},
-                               {"cancelled", ValueType::kInt},
-                               {"avg_completion", ValueType::kReal},
-                               {"samples", ValueType::kInt}}});
-  db_.create_table("quotas", db::Schema{{indexed("user", ValueType::kInt),
-                                         {"site", ValueType::kInt},
-                                         {"resource", ValueType::kText},
-                                         {"limit", ValueType::kReal},
-                                         {"used", ValueType::kReal}}});
-  // Key/value store for scheduling-module soft state (strategy cursors).
-  // Journaled like everything else, so a recovered server's strategy
-  // resumes mid-rotation instead of resetting to job zero.
-  db_.create_table("scheduler_state",
-                   db::Schema{{indexed("key", ValueType::kText),
-                               {"value", ValueType::kText}}});
-  // In-flight calls of the server's outbound RPC client.  Journaled so a
-  // journal-recovered server re-arms the exact retry schedule the
-  // crashed instance had in flight (see ClarensClient::restore_call).
-  db_.create_table("rpc_outbox",
-                   db::Schema{{indexed("seq", ValueType::kInt),
-                               {"service", ValueType::kText},
-                               {"payload", ValueType::kText},
-                               {"attempt", ValueType::kInt},
-                               {"last_sent_at", ValueType::kReal}}});
-  // Straggler defense.  Speculation races are scheduler state proper --
-  // recovery must re-arm an open race exactly, so the rows ride the
-  // journal like jobs do.  The runtime-sample rings feed the detector's
-  // per-(site, class) percentiles; journaling them keeps a recovered
-  // detector's decisions byte-identical to the crashed instance's.
-  db_.create_table("speculations",
-                   db::Schema{{indexed("job_id", ValueType::kInt),
-                               {"dag_id", ValueType::kInt},
-                               {"primary_site", ValueType::kInt},
-                               {"primary_attempt", ValueType::kInt},
-                               {"primary_planned_at", ValueType::kReal},
-                               {"spec_site", ValueType::kInt},
-                               {"spec_attempt", ValueType::kInt},
-                               indexed("state", ValueType::kText),
-                               {"launched_at", ValueType::kReal}}});
-  db_.create_table("runtime_samples",
-                   db::Schema{{indexed("site", ValueType::kInt),
-                               indexed("class", ValueType::kInt),
-                               {"runtime", ValueType::kReal}}});
+  static const std::vector<TableDecl> kTables = {
+      {"dags", &Tables::dags,
+       positional({{DagCol::kDagId, indexed("dag_id", kInt)},
+                   {DagCol::kName, {"name", kText}},
+                   {DagCol::kClient, {"client", kText}},
+                   {DagCol::kUser, {"user", kInt}},
+                   {DagCol::kState, indexed("state", kText)},
+                   {DagCol::kReceivedAt, {"received_at", kReal}},
+                   {DagCol::kFinishedAt, {"finished_at", kReal}},
+                   {DagCol::kTotalJobs, {"total_jobs", kInt}},
+                   {DagCol::kPriority, {"priority", kReal}},
+                   {DagCol::kDeadline, {"deadline", kReal}}})},
+      {"jobs", &Tables::jobs,
+       positional({{JobCol::kJobId, indexed("job_id", kInt)},
+                   {JobCol::kDagId, indexed("dag_id", kInt)},
+                   {JobCol::kName, {"name", kText}},
+                   {JobCol::kState, indexed("state", kText)},
+                   {JobCol::kSite, {"site", kInt}},
+                   {JobCol::kComputeTime, {"compute_time", kReal}},
+                   {JobCol::kOutput, {"output", kText}},
+                   {JobCol::kOutputBytes, {"output_bytes", kReal}},
+                   {JobCol::kAttempt, {"attempt", kInt}},
+                   {JobCol::kPlannedAt, {"planned_at", kReal}}})},
+      {"job_inputs", &Tables::job_inputs,
+       positional({{InputCol::kJobId, indexed("job_id", kInt)},
+                   {InputCol::kLfn, {"lfn", kText}}})},
+      {"job_deps", &Tables::job_deps,
+       positional({{DepCol::kJobId, indexed("job_id", kInt)},
+                   {DepCol::kParent, indexed("parent", kInt)}})},
+      {"site_stats", &Tables::site_stats,
+       positional({{SiteCol::kSiteId, indexed("site_id", kInt)},
+                   {SiteCol::kCompleted, {"completed", kInt}},
+                   {SiteCol::kCancelled, {"cancelled", kInt}},
+                   {SiteCol::kAvgCompletion, {"avg_completion", kReal}},
+                   {SiteCol::kSamples, {"samples", kInt}}})},
+      {"quotas", &Tables::quotas,
+       positional({{QuotaCol::kUser, indexed("user", kInt)},
+                   {QuotaCol::kSite, {"site", kInt}},
+                   {QuotaCol::kResource, {"resource", kText}},
+                   {QuotaCol::kLimit, {"limit", kReal}},
+                   {QuotaCol::kUsed, {"used", kReal}}})},
+      // Key/value store for scheduling-module soft state (strategy
+      // cursors).  Journaled like everything else, so a recovered
+      // server's strategy resumes mid-rotation instead of resetting to
+      // job zero.
+      {"scheduler_state", &Tables::scheduler_state,
+       positional({{StateCol::kKey, indexed("key", kText)},
+                   {StateCol::kValue, {"value", kText}}})},
+      // In-flight calls of the server's outbound RPC client.  Journaled
+      // so a journal-recovered server re-arms the exact retry schedule
+      // the crashed instance had in flight (see
+      // ClarensClient::restore_call).
+      {"rpc_outbox", &Tables::rpc_outbox,
+       positional({{OutboxCol::kSeq, indexed("seq", kInt)},
+                   {OutboxCol::kService, {"service", kText}},
+                   {OutboxCol::kPayload, {"payload", kText}},
+                   {OutboxCol::kAttempt, {"attempt", kInt}},
+                   {OutboxCol::kLastSentAt, {"last_sent_at", kReal}}})},
+      // Straggler defense.  Speculation races are scheduler state proper
+      // -- recovery must re-arm an open race exactly, so the rows ride
+      // the journal like jobs do.  The runtime-sample rings feed the
+      // detector's per-(site, class) percentiles; journaling them keeps a
+      // recovered detector's decisions byte-identical to the crashed
+      // instance's.
+      {"speculations", &Tables::speculations,
+       positional({{SpecCol::kJobId, indexed("job_id", kInt)},
+                   {SpecCol::kDagId, {"dag_id", kInt}},
+                   {SpecCol::kPrimarySite, {"primary_site", kInt}},
+                   {SpecCol::kPrimaryAttempt, {"primary_attempt", kInt}},
+                   {SpecCol::kPrimaryPlannedAt, {"primary_planned_at", kReal}},
+                   {SpecCol::kSpecSite, {"spec_site", kInt}},
+                   {SpecCol::kSpecAttempt, {"spec_attempt", kInt}},
+                   {SpecCol::kState, indexed("state", kText)},
+                   {SpecCol::kLaunchedAt, {"launched_at", kReal}}})},
+      {"runtime_samples", &Tables::runtime_samples,
+       positional({{SampleCol::kSite, indexed("site", kInt)},
+                   {SampleCol::kClass, indexed("class", kInt)},
+                   {SampleCol::kRuntime, {"runtime", kReal}}})},
+  };
+  return kTables;
+}
+
+DataWarehouse::DataWarehouse() : DataWarehouse(true) {}
+
+DataWarehouse::DataWarehouse(bool create_schema) {
+  if (!create_schema) return;  // recover_from() binds after replay
+  for (const TableDecl& decl : declared_tables()) {
+    db_.create_table(decl.name, decl.schema);
+  }
+  const StatusOrError bound = bind_tables();
+  SPHINX_ASSERT(bound.ok(), "a fresh warehouse must match its declared schema");
+}
+
+StatusOrError DataWarehouse::bind_tables() {
+  for (const TableDecl& decl : declared_tables()) {
+    if (!db_.has_table(decl.name)) {
+      return make_error("recover_schema",
+                        std::string("missing table ") + decl.name);
+    }
+    db::Table& table = db_.table(decl.name);
+    if (table.schema().columns() != decl.schema.columns()) {
+      return make_error("recover_schema",
+                        std::string("table ") + decl.name +
+                            " does not match its declared schema");
+    }
+    tables_.*decl.handle = &table;
+  }
+  return {};
 }
 
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
@@ -134,6 +222,9 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
+  if (const auto status = warehouse->bind_tables(); !status.ok()) {
+    return Unexpected<Error>{status.error()};
+  }
   // Carry the image so a later crash can pair the (now compacted)
   // journal with the image that anchors its sequence numbers.
   warehouse->checkpoint_ = checkpoint;
@@ -143,10 +234,9 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
 }
 
 DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
-    SimTime now, const std::function<bool(const CheckpointImage&)>& mid_hook) {
+    const std::function<bool(const CheckpointImage&)>& mid_hook) {
   CheckpointImage image;
   image.seq = db_.journal().next_seq();
-  image.at = now;
   image.database = db_.snapshot();
 
   CheckpointStats stats;
@@ -169,40 +259,14 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
 }
 
 void DataWarehouse::rebuild_work_state() {
-  dirty_rows_.clear();
-  outstanding_.clear();
-
-  // One pass over jobs rebuilds the outstanding counters.
-  const db::Table& jobs = db_.table("jobs");
-  const std::size_t job_state_col = jobs.schema().index_of("state");
-  const std::size_t job_site_col = jobs.schema().index_of("site");
-  jobs.for_each([&](const db::Row& row) {
-    if (is_outstanding(job_state_from(row.cells[job_state_col].as_text()))) {
-      ++outstanding_[SiteId(
-          static_cast<std::uint64_t>(row.cells[job_site_col].as_int()))];
-    }
-  });
-  // Open speculation races: the job row tracks the replica attempt, so
-  // the original attempt's outstanding unit lives on the racing row.
-  {
-    const db::Table& specs = db_.table("speculations");
-    const std::size_t spec_state_col = specs.schema().index_of("state");
-    const std::size_t spec_primary_col =
-        specs.schema().index_of("primary_site");
-    const std::string racing = to_string(SpeculationState::kRacing);
-    specs.for_each([&](const db::Row& row) {
-      if (row.cells[spec_state_col].as_text() != racing) return;
-      ++outstanding_[SiteId(
-          static_cast<std::uint64_t>(row.cells[spec_primary_col].as_int()))];
-    });
-  }
-
+  outstanding_ = scan_outstanding_by_site();
   // The live queue is a superset of the DAGs with pending work, and a
   // drain yields only those, so queueing exactly them reproduces every
   // later drain of the crashed server.  What the live queue holds beyond
   // them (a DAG queued by a completion that readied no child) no drain
   // would ever yield.
-  db_.table("dags").for_each([&](const db::Row& row) {
+  dirty_rows_.clear();
+  tables_.dags->for_each([&](const db::Row& row) {
     if (has_pending_work(decode_dag(row))) dirty_rows_.insert(row.id);
   });
 }
@@ -213,70 +277,61 @@ void DataWarehouse::insert_dag(const workflow::Dag& dag,
                                const std::string& client, UserId user,
                                SimTime now, double priority,
                                SimTime deadline) {
-  const db::RowId row = db_.table("dags").insert(
+  const db::RowId row = tables_.dags->insert(
       {Value(dag.id().value()), Value(dag.name()), Value(client),
        Value(user.value()), Value(to_string(DagState::kReceived)), Value(now),
        Value(kNever), Value(static_cast<std::int64_t>(dag.size())),
        Value(priority), Value(deadline)});
   dirty_rows_.insert(row);  // a received DAG is work for the reducer
-  db::Table& jobs = db_.table("jobs");
-  db::Table& inputs = db_.table("job_inputs");
-  db::Table& deps = db_.table("job_deps");
   for (const workflow::JobSpec& job : dag.jobs()) {
-    jobs.insert({Value(job.id.value()), Value(dag.id().value()),
-                 Value(job.name), Value(to_string(JobState::kUnplanned)),
-                 Value(std::int64_t{0}), Value(job.compute_time),
-                 Value(job.output), Value(job.output_bytes),
-                 Value(std::int64_t{0}), Value(kNever)});
+    tables_.jobs->insert({Value(job.id.value()), Value(dag.id().value()),
+                          Value(job.name),
+                          Value(to_string(JobState::kUnplanned)),
+                          Value(std::int64_t{0}), Value(job.compute_time),
+                          Value(job.output), Value(job.output_bytes),
+                          Value(std::int64_t{0}), Value(kNever)});
     for (const data::Lfn& lfn : job.inputs) {
-      inputs.insert({Value(job.id.value()), Value(lfn)});
+      tables_.job_inputs->insert({Value(job.id.value()), Value(lfn)});
     }
     for (const JobId parent : dag.parents(job.id)) {
-      deps.insert({Value(job.id.value()), Value(parent.value())});
+      tables_.job_deps->insert({Value(job.id.value()), Value(parent.value())});
     }
   }
 }
 
 DagRecord DataWarehouse::decode_dag(const db::Row& row) {
+  const std::vector<Value>& c = row.cells;
   DagRecord rec;
-  rec.id = DagId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.name = row.cells[1].as_text();
-  rec.client = row.cells[2].as_text();
-  rec.user = UserId(static_cast<std::uint64_t>(row.cells[3].as_int()));
-  rec.state = dag_state_from(row.cells[4].as_text());
-  rec.received_at = row.cells[5].as_real();
-  rec.finished_at = row.cells[6].as_real();
-  rec.total_jobs = row.cells[7].as_int();
-  rec.priority = row.cells[8].as_real();
-  rec.deadline = row.cells[9].as_real();
+  rec.id = DagId(static_cast<std::uint64_t>(c[DagCol::kDagId].as_int()));
+  rec.name = c[DagCol::kName].as_text();
+  rec.client = c[DagCol::kClient].as_text();
+  rec.user = UserId(static_cast<std::uint64_t>(c[DagCol::kUser].as_int()));
+  rec.state = dag_state_from(c[DagCol::kState].as_text());
+  rec.received_at = c[DagCol::kReceivedAt].as_real();
+  rec.finished_at = c[DagCol::kFinishedAt].as_real();
+  rec.total_jobs = c[DagCol::kTotalJobs].as_int();
+  rec.priority = c[DagCol::kPriority].as_real();
+  rec.deadline = c[DagCol::kDeadline].as_real();
   return rec;
-}
-
-std::vector<DagRecord> DataWarehouse::dags_in_state(DagState state) const {
-  const db::Table& dags = db_.table("dags");
-  std::vector<DagRecord> out;
-  for (const db::RowId id : dags.find_by("state", Value(to_string(state)))) {
-    out.push_back(decode_dag(*dags.find(id)));
-  }
-  return out;
 }
 
 std::optional<DagRecord> DataWarehouse::dag(DagId id) const {
   const db::Row* row =
-      db_.table("dags").find_first("dag_id", Value(id.value()));
+      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
   if (row == nullptr) return std::nullopt;
   return decode_dag(*row);
 }
 
 void DataWarehouse::set_dag_state(DagId id, DagState state) {
-  db::Table& dags = db_.table("dags");
-  const db::Row* row = dags.find_first("dag_id", Value(id.value()));
+  const db::Row* row =
+      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
   SPHINX_ASSERT(row != nullptr, "set_dag_state: unknown dag");
   SPHINX_PRECONDITION(
-      is_legal_transition(dag_state_from(row->cells[4].as_text()), state),
+      is_legal_transition(dag_state_from(row->cells[DagCol::kState].as_text()),
+                          state),
       "dag automaton only moves forward");
   const db::RowId row_id = row->id;
-  dags.update(row_id, "state", Value(to_string(state)));
+  tables_.dags->update(row_id, DagCol::kState, Value(to_string(state)));
   if (state == DagState::kFinished) {
     dirty_rows_.erase(row_id);
   } else {
@@ -285,20 +340,20 @@ void DataWarehouse::set_dag_state(DagId id, DagState state) {
 }
 
 void DataWarehouse::set_dag_finished(DagId id, SimTime at) {
-  db::Table& dags = db_.table("dags");
-  const db::Row* row = dags.find_first("dag_id", Value(id.value()));
+  db::Table& dags = *tables_.dags;
+  const db::Row* row = dags.find_first(DagCol::kDagId, Value(id.value()));
   SPHINX_ASSERT(row != nullptr, "set_dag_finished: unknown dag");
-  SPHINX_PRECONDITION(at >= row->cells[5].as_real(),
+  SPHINX_PRECONDITION(at >= row->cells[DagCol::kReceivedAt].as_real(),
                       "dag cannot finish before it was received");
   const db::RowId row_id = row->id;
-  dags.update(row_id, "state", Value(to_string(DagState::kFinished)));
-  dags.update(row_id, "finished_at", Value(at));
+  dags.update(row_id, DagCol::kState, Value(to_string(DagState::kFinished)));
+  dags.update(row_id, DagCol::kFinishedAt, Value(at));
   dirty_rows_.erase(row_id);  // finished DAGs hold no pending work
 }
 
 std::vector<DagRecord> DataWarehouse::all_dags() const {
   std::vector<DagRecord> out;
-  db_.table("dags").for_each(
+  tables_.dags->for_each(
       [&out](const db::Row& row) { out.push_back(decode_dag(row)); });
   return out;
 }
@@ -306,55 +361,57 @@ std::vector<DagRecord> DataWarehouse::all_dags() const {
 // --- jobs ---------------------------------------------------------------
 
 JobRecord DataWarehouse::decode_job(const db::Row& row) {
+  const std::vector<Value>& c = row.cells;
   JobRecord rec;
-  rec.id = JobId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[1].as_int()));
-  rec.name = row.cells[2].as_text();
-  rec.state = job_state_from(row.cells[3].as_text());
-  rec.site = SiteId(static_cast<std::uint64_t>(row.cells[4].as_int()));
-  rec.compute_time = row.cells[5].as_real();
-  rec.output = row.cells[6].as_text();
-  rec.output_bytes = row.cells[7].as_real();
-  rec.attempt = static_cast<int>(row.cells[8].as_int());
-  rec.planned_at = row.cells[9].as_real();
+  rec.id = JobId(static_cast<std::uint64_t>(c[JobCol::kJobId].as_int()));
+  rec.dag = DagId(static_cast<std::uint64_t>(c[JobCol::kDagId].as_int()));
+  rec.name = c[JobCol::kName].as_text();
+  rec.state = job_state_from(c[JobCol::kState].as_text());
+  rec.site = site_of(c[JobCol::kSite]);
+  rec.compute_time = c[JobCol::kComputeTime].as_real();
+  rec.output = c[JobCol::kOutput].as_text();
+  rec.output_bytes = c[JobCol::kOutputBytes].as_real();
+  rec.attempt = static_cast<int>(c[JobCol::kAttempt].as_int());
+  rec.planned_at = c[JobCol::kPlannedAt].as_real();
   return rec;
 }
 
 SpeculationRecord DataWarehouse::decode_speculation(const db::Row& row) {
+  const std::vector<Value>& c = row.cells;
   SpeculationRecord rec;
-  rec.job = JobId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[1].as_int()));
-  rec.primary_site =
-      SiteId(static_cast<std::uint64_t>(row.cells[2].as_int()));
-  rec.primary_attempt = static_cast<int>(row.cells[3].as_int());
-  rec.primary_planned_at = row.cells[4].as_real();
-  rec.spec_site = SiteId(static_cast<std::uint64_t>(row.cells[5].as_int()));
-  rec.spec_attempt = static_cast<int>(row.cells[6].as_int());
-  rec.state = speculation_state_from(row.cells[7].as_text());
-  rec.launched_at = row.cells[8].as_real();
+  rec.job = JobId(static_cast<std::uint64_t>(c[SpecCol::kJobId].as_int()));
+  rec.dag = DagId(static_cast<std::uint64_t>(c[SpecCol::kDagId].as_int()));
+  rec.primary_site = site_of(c[SpecCol::kPrimarySite]);
+  rec.primary_attempt = static_cast<int>(c[SpecCol::kPrimaryAttempt].as_int());
+  rec.primary_planned_at = c[SpecCol::kPrimaryPlannedAt].as_real();
+  rec.spec_site = site_of(c[SpecCol::kSpecSite]);
+  rec.spec_attempt = static_cast<int>(c[SpecCol::kSpecAttempt].as_int());
+  rec.state = speculation_state_from(c[SpecCol::kState].as_text());
+  rec.launched_at = c[SpecCol::kLaunchedAt].as_real();
   return rec;
 }
 
 std::optional<JobRecord> DataWarehouse::job(JobId id) const {
   const db::Row* row =
-      db_.table("jobs").find_first("job_id", Value(id.value()));
+      tables_.jobs->find_first(JobCol::kJobId, Value(id.value()));
   if (row == nullptr) return std::nullopt;
   return decode_job(*row);
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_of_dag(DagId id) const {
-  const db::Table& jobs = db_.table("jobs");
+  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row : jobs.find_by("dag_id", Value(id.value()))) {
+  for (const db::RowId row : jobs.find_by(JobCol::kDagId, Value(id.value()))) {
     out.push_back(decode_job(*jobs.find(row)));
   }
   return out;
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
-  const db::Table& jobs = db_.table("jobs");
+  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row : jobs.find_by("state", Value(to_string(state)))) {
+  for (const db::RowId row :
+       jobs.find_by(JobCol::kState, Value(to_string(state)))) {
     out.push_back(decode_job(*jobs.find(row)));
   }
   return out;
@@ -362,19 +419,20 @@ std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
 
 void DataWarehouse::set_job_state(JobId id, JobState state,
                                   std::string_view reason) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  db::Table& jobs = *tables_.jobs;
+  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
   SPHINX_ASSERT(row != nullptr, "set_job_state: unknown job");
-  const JobState old_state = job_state_from(row->cells[3].as_text());
+  const JobState old_state =
+      job_state_from(row->cells[JobCol::kState].as_text());
   SPHINX_PRECONDITION(is_legal_transition(old_state, state),
                       "illegal job state transition " +
                           std::string(to_string(old_state)) + " -> " +
                           to_string(state));
-  const SiteId site(static_cast<std::uint64_t>(row->cells[4].as_int()));
-  const Value dag_key = row->cells[1];
-  const std::int64_t attempt = row->cells[8].as_int();
+  const SiteId site = site_of(row->cells[JobCol::kSite]);
+  const Value dag_key = row->cells[JobCol::kDagId];
+  const std::int64_t attempt = row->cells[JobCol::kAttempt].as_int();
   const db::RowId row_id = row->id;
-  jobs.update(row_id, "state", Value(to_string(state)));
+  jobs.update(row_id, JobCol::kState, Value(to_string(state)));
 
   // Maintain the outstanding counters on the transition itself.
   const bool was_out = is_outstanding(old_state);
@@ -391,7 +449,7 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
   // A job falling back to unplanned (replanning) or completing (children
   // may become ready; the DAG may finish) creates planner work.
   if (state == JobState::kUnplanned || state == JobState::kCompleted) {
-    const db::Row* dag_row = db_.table("dags").find_first("dag_id", dag_key);
+    const db::Row* dag_row = tables_.dags->find_first(DagCol::kDagId, dag_key);
     if (dag_row != nullptr) dirty_rows_.insert(dag_row->id);
   }
 
@@ -410,19 +468,19 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
 }
 
 void DataWarehouse::set_job_planned(JobId id, SiteId site, SimTime at) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  db::Table& jobs = *tables_.jobs;
+  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
   SPHINX_ASSERT(row != nullptr, "set_job_planned: unknown job");
   SPHINX_PRECONDITION(
-      is_legal_transition(job_state_from(row->cells[3].as_text()),
+      is_legal_transition(job_state_from(row->cells[JobCol::kState].as_text()),
                           JobState::kPlanned),
       "job must be plannable to receive a plan");
   const db::RowId row_id = row->id;
-  const std::int64_t attempt = row->cells[8].as_int() + 1;
-  jobs.update(row_id, "state", Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, "site", Value(site.value()));
-  jobs.update(row_id, "attempt", Value(attempt));
-  jobs.update(row_id, "planned_at", Value(at));
+  const std::int64_t attempt = row->cells[JobCol::kAttempt].as_int() + 1;
+  jobs.update(row_id, JobCol::kState, Value(to_string(JobState::kPlanned)));
+  jobs.update(row_id, JobCol::kSite, Value(site.value()));
+  jobs.update(row_id, JobCol::kAttempt, Value(attempt));
+  jobs.update(row_id, JobCol::kPlannedAt, Value(at));
   ++outstanding_[site];  // planned counts as outstanding until it resolves
 
   if (recorder_ != nullptr) {
@@ -440,45 +498,47 @@ void DataWarehouse::set_recorder(obs::Recorder* recorder, std::string source) {
 }
 
 std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
-  const db::Table& inputs = db_.table("job_inputs");
+  const db::Table& inputs = *tables_.job_inputs;
   std::vector<data::Lfn> out;
-  for (const db::RowId row : inputs.find_by("job_id", Value(id.value()))) {
-    out.push_back(inputs.find(row)->cells[1].as_text());
+  for (const db::RowId row :
+       inputs.find_by(InputCol::kJobId, Value(id.value()))) {
+    out.push_back(inputs.find(row)->cells[InputCol::kLfn].as_text());
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_parents(JobId id) const {
-  const db::Table& deps = db_.table("job_deps");
+  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by("job_id", Value(id.value()))) {
-    out.emplace_back(
-        static_cast<std::uint64_t>(deps.find(row)->cells[1].as_int()));
+  for (const db::RowId row : deps.find_by(DepCol::kJobId, Value(id.value()))) {
+    out.emplace_back(static_cast<std::uint64_t>(
+        deps.find(row)->cells[DepCol::kParent].as_int()));
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_children(JobId id) const {
-  const db::Table& deps = db_.table("job_deps");
+  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by("parent", Value(id.value()))) {
-    out.emplace_back(
-        static_cast<std::uint64_t>(deps.find(row)->cells[0].as_int()));
+  for (const db::RowId row : deps.find_by(DepCol::kParent, Value(id.value()))) {
+    out.emplace_back(static_cast<std::uint64_t>(
+        deps.find(row)->cells[DepCol::kJobId].as_int()));
   }
   return out;
 }
 
 std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
-  const db::Table& jobs = db_.table("jobs");
+  const db::Table& jobs = *tables_.jobs;
   // One pass over the DAG's rows: completed ids for the parent test, and
   // only the unplanned rows pay a full decode.
   std::vector<JobId> completed;
   std::vector<JobRecord> unplanned;
-  for (const db::RowId id : jobs.find_by("dag_id", Value(dag.value()))) {
+  for (const db::RowId id : jobs.find_by(JobCol::kDagId, Value(dag.value()))) {
     const db::Row& row = *jobs.find(id);
-    const JobState state = job_state_from(row.cells[3].as_text());
+    const JobState state = job_state_from(row.cells[JobCol::kState].as_text());
     if (state == JobState::kCompleted) {
-      completed.emplace_back(static_cast<std::uint64_t>(row.cells[0].as_int()));
+      completed.emplace_back(
+          static_cast<std::uint64_t>(row.cells[JobCol::kJobId].as_int()));
     } else if (state == JobState::kUnplanned) {
       unplanned.push_back(decode_job(row));
     }
@@ -505,26 +565,19 @@ std::unordered_map<SiteId, std::int64_t> DataWarehouse::outstanding_by_site()
 
 std::unordered_map<SiteId, std::int64_t>
 DataWarehouse::scan_outstanding_by_site() const {
-  const db::Table& jobs = db_.table("jobs");
-  const std::size_t state_col = jobs.schema().index_of("state");
-  const std::size_t site_col = jobs.schema().index_of("site");
   std::unordered_map<SiteId, std::int64_t> out;
-  jobs.for_each([&](const db::Row& row) {
-    if (is_outstanding(job_state_from(row.cells[state_col].as_text()))) {
-      ++out[SiteId(static_cast<std::uint64_t>(row.cells[site_col].as_int()))];
+  tables_.jobs->for_each([&](const db::Row& row) {
+    if (is_outstanding(job_state_from(row.cells[JobCol::kState].as_text()))) {
+      ++out[site_of(row.cells[JobCol::kSite])];
     }
   });
   // Racing speculations hold the primary attempt's unit (the job row
   // only counts the replica).
-  const db::Table& specs = db_.table("speculations");
-  const std::size_t spec_state_col = specs.schema().index_of("state");
-  const std::size_t spec_primary_col = specs.schema().index_of("primary_site");
-  const std::string racing = to_string(SpeculationState::kRacing);
-  specs.for_each([&](const db::Row& row) {
-    if (row.cells[spec_state_col].as_text() != racing) return;
-    ++out[SiteId(
-        static_cast<std::uint64_t>(row.cells[spec_primary_col].as_int()))];
-  });
+  const db::Table& specs = *tables_.speculations;
+  for (const db::RowId id : specs.find_by(
+           SpecCol::kState, Value(to_string(SpeculationState::kRacing)))) {
+    ++out[site_of(specs.find(id)->cells[SpecCol::kPrimarySite])];
+  }
   return out;
 }
 
@@ -532,7 +585,7 @@ DataWarehouse::scan_outstanding_by_site() const {
 
 void DataWarehouse::mark_dag_dirty(DagId id) {
   const db::Row* row =
-      db_.table("dags").find_first("dag_id", Value(id.value()));
+      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
   SPHINX_ASSERT(row != nullptr, "mark_dag_dirty: unknown dag");
   dirty_rows_.insert(row->id);
 }
@@ -550,10 +603,9 @@ std::vector<DagId> DataWarehouse::dirty_dags() const {
 }
 
 std::vector<DagRecord> DataWarehouse::queued_pending_dags() const {
-  const db::Table& dags = db_.table("dags");
   std::vector<DagRecord> out;
   for (const db::RowId row_id : dirty_rows_) {
-    const db::Row* row = dags.find(row_id);
+    const db::Row* row = tables_.dags->find(row_id);
     if (row == nullptr) continue;
     DagRecord rec = decode_dag(*row);
     if (has_pending_work(rec)) out.push_back(std::move(rec));
@@ -576,75 +628,69 @@ bool DataWarehouse::has_pending_work(const DagRecord& dag) const {
 
 // --- site stats -----------------------------------------------------------
 
-db::RowId DataWarehouse::site_stats_row(SiteId site) const {
-  const db::Row* row =
-      db_.table("site_stats").find_first("site_id", Value(site.value()));
-  return row == nullptr ? db::kInvalidRow : row->id;
+const db::Row* DataWarehouse::site_stats_row(SiteId site) const {
+  return tables_.site_stats->find_first(SiteCol::kSiteId, Value(site.value()));
 }
 
 SiteStats DataWarehouse::site_stats(SiteId site) const {
   SiteStats out;
   out.site = site;
-  const db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) return out;
-  const db::Table& stats = db_.table("site_stats");
-  out.completed = stats.get(row, "completed").as_int();
-  out.cancelled = stats.get(row, "cancelled").as_int();
-  out.avg_completion = stats.get(row, "avg_completion").as_real();
-  out.samples = stats.get(row, "samples").as_int();
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) return out;
+  out.completed = row->cells[SiteCol::kCompleted].as_int();
+  out.cancelled = row->cells[SiteCol::kCancelled].as_int();
+  out.avg_completion = row->cells[SiteCol::kAvgCompletion].as_real();
+  out.samples = row->cells[SiteCol::kSamples].as_int();
   return out;
 }
 
 void DataWarehouse::record_completion(SiteId site, Duration completion_time) {
   SPHINX_PRECONDITION(completion_time >= 0 && !std::isnan(completion_time),
                       "completion time must be a non-negative duration");
-  db::Table& stats = db_.table("site_stats");
-  db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) {
+  db::Table& stats = *tables_.site_stats;
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) {
     stats.insert({Value(site.value()), Value(std::int64_t{1}),
                   Value(std::int64_t{0}), Value(completion_time),
                   Value(std::int64_t{1})});
     return;
   }
-  const std::int64_t completed = stats.get(row, "completed").as_int() + 1;
-  const std::int64_t samples = stats.get(row, "samples").as_int() + 1;
-  const double prev = stats.get(row, "avg_completion").as_real();
+  const db::RowId id = row->id;
+  const std::int64_t completed = row->cells[SiteCol::kCompleted].as_int() + 1;
+  const std::int64_t samples = row->cells[SiteCol::kSamples].as_int() + 1;
+  const double prev = row->cells[SiteCol::kAvgCompletion].as_real();
   const double next = samples == 1
                           ? completion_time
                           : kEwmaAlpha * completion_time +
                                 (1.0 - kEwmaAlpha) * prev;
-  stats.update(row, "completed", Value(completed));
-  stats.update(row, "samples", Value(samples));
-  stats.update(row, "avg_completion", Value(next));
+  stats.update(id, SiteCol::kCompleted, Value(completed));
+  stats.update(id, SiteCol::kSamples, Value(samples));
+  stats.update(id, SiteCol::kAvgCompletion, Value(next));
 }
 
 void DataWarehouse::record_cancellation(SiteId site,
                                         Duration censored_duration) {
-  db::Table& stats = db_.table("site_stats");
-  db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) {
+  db::Table& stats = *tables_.site_stats;
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) {
     stats.insert({Value(site.value()), Value(std::int64_t{0}),
                   Value(std::int64_t{1}), Value(censored_duration),
                   Value(censored_duration > 0 ? std::int64_t{1}
                                               : std::int64_t{0})});
     return;
   }
-  stats.update(row, "cancelled",
-               Value(stats.get(row, "cancelled").as_int() + 1));
+  const db::RowId id = row->id;
+  const std::int64_t cancelled = row->cells[SiteCol::kCancelled].as_int() + 1;
+  const std::int64_t samples = row->cells[SiteCol::kSamples].as_int() + 1;
+  const double prev = row->cells[SiteCol::kAvgCompletion].as_real();
+  stats.update(id, SiteCol::kCancelled, Value(cancelled));
   if (censored_duration > 0) {
-    const std::int64_t samples = stats.get(row, "samples").as_int() + 1;
-    const double prev = stats.get(row, "avg_completion").as_real();
     const double next = samples == 1 ? censored_duration
                                      : kEwmaAlpha * censored_duration +
                                            (1.0 - kEwmaAlpha) * prev;
-    stats.update(row, "samples", Value(samples));
-    stats.update(row, "avg_completion", Value(next));
+    stats.update(id, SiteCol::kSamples, Value(samples));
+    stats.update(id, SiteCol::kAvgCompletion, Value(next));
   }
-}
-
-bool DataWarehouse::site_available(SiteId site) const {
-  const SiteStats stats = site_stats(site);
-  return stats.cancelled <= stats.completed;
 }
 
 // --- straggler defense ------------------------------------------------------
@@ -653,15 +699,15 @@ void DataWarehouse::record_runtime_sample(SiteId site, int job_class,
                                           Duration runtime) {
   SPHINX_PRECONDITION(runtime >= 0 && !std::isnan(runtime),
                       "runtime sample must be a non-negative duration");
-  db::Table& table = db_.table("runtime_samples");
-  const std::size_t class_col = table.schema().index_of("class");
+  db::Table& table = *tables_.runtime_samples;
   // Ring bound: evict the oldest sample of this (site, class) key first.
   // find_by yields insertion order, so the first class match is oldest.
   std::size_t held = 0;
   db::RowId oldest = db::kInvalidRow;
-  for (const db::RowId id : table.find_by("site", Value(site.value()))) {
+  for (const db::RowId id :
+       table.find_by(SampleCol::kSite, Value(site.value()))) {
     const db::Row* row = table.find(id);
-    if (static_cast<int>(row->cells[class_col].as_int()) != job_class) continue;
+    if (row->cells[SampleCol::kClass].as_int() != job_class) continue;
     ++held;
     if (oldest == db::kInvalidRow) oldest = id;
   }
@@ -672,59 +718,58 @@ void DataWarehouse::record_runtime_sample(SiteId site, int job_class,
 
 std::vector<double> DataWarehouse::runtime_samples(SiteId site,
                                                    int job_class) const {
-  const db::Table& table = db_.table("runtime_samples");
-  const std::size_t class_col = table.schema().index_of("class");
+  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
-  for (const db::RowId id : table.find_by("site", Value(site.value()))) {
+  for (const db::RowId id :
+       table.find_by(SampleCol::kSite, Value(site.value()))) {
     const db::Row* row = table.find(id);
-    if (static_cast<int>(row->cells[class_col].as_int()) != job_class) continue;
-    out.push_back(row->cells[2].as_real());
+    if (row->cells[SampleCol::kClass].as_int() != job_class) continue;
+    out.push_back(row->cells[SampleCol::kRuntime].as_real());
   }
   return out;
 }
 
 std::vector<double> DataWarehouse::runtime_samples_all_sites(
     int job_class) const {
-  const db::Table& table = db_.table("runtime_samples");
+  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
   for (const db::RowId id :
-       table.find_by("class", Value(std::int64_t{job_class}))) {
-    out.push_back(table.find(id)->cells[2].as_real());
+       table.find_by(SampleCol::kClass, Value(std::int64_t{job_class}))) {
+    out.push_back(table.find(id)->cells[SampleCol::kRuntime].as_real());
   }
   return out;
 }
 
 void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  db::Table& jobs = *tables_.jobs;
+  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
   SPHINX_PRECONDITION(row != nullptr, "speculate_job: unknown job");
-  const JobState state = job_state_from(row->cells[3].as_text());
+  const JobState state = job_state_from(row->cells[JobCol::kState].as_text());
   SPHINX_PRECONDITION(
       state == JobState::kSubmitted || state == JobState::kRunning,
       "only a submitted/running job can be speculatively replicated");
-  const SiteId primary_site(
-      static_cast<std::uint64_t>(row->cells[4].as_int()));
+  const SiteId primary_site = site_of(row->cells[JobCol::kSite]);
   SPHINX_PRECONDITION(primary_site != spec_site,
                       "replica must race on a different site");
   SPHINX_PRECONDITION(!active_speculation(id).has_value(),
                       "job already has an open race");
-  const std::int64_t primary_attempt = row->cells[8].as_int();
-  const double primary_planned_at = row->cells[9].as_real();
-  const Value dag_key = row->cells[1];
+  const std::int64_t primary_attempt = row->cells[JobCol::kAttempt].as_int();
+  const double primary_planned_at = row->cells[JobCol::kPlannedAt].as_real();
+  const Value dag_key = row->cells[JobCol::kDagId];
   const db::RowId row_id = row->id;
 
-  db_.table("speculations")
-      .insert({Value(id.value()), dag_key, Value(primary_site.value()),
-               Value(primary_attempt), Value(primary_planned_at),
-               Value(spec_site.value()), Value(primary_attempt + 1),
-               Value(to_string(SpeculationState::kRacing)), Value(at)});
+  tables_.speculations->insert(
+      {Value(id.value()), dag_key, Value(primary_site.value()),
+       Value(primary_attempt), Value(primary_planned_at),
+       Value(spec_site.value()), Value(primary_attempt + 1),
+       Value(to_string(SpeculationState::kRacing)), Value(at)});
   // Retarget the job row at the replica.  Direct writes: the automaton
   // forbids kSubmitted/kRunning -> kPlanned for a single attempt, but
   // here the original attempt stays live on the racing row.
-  jobs.update(row_id, "state", Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, "site", Value(spec_site.value()));
-  jobs.update(row_id, "attempt", Value(primary_attempt + 1));
-  jobs.update(row_id, "planned_at", Value(at));
+  jobs.update(row_id, JobCol::kState, Value(to_string(JobState::kPlanned)));
+  jobs.update(row_id, JobCol::kSite, Value(spec_site.value()));
+  jobs.update(row_id, JobCol::kAttempt, Value(primary_attempt + 1));
+  jobs.update(row_id, JobCol::kPlannedAt, Value(at));
   // The primary's unit moved onto the racing row; the replica's is new.
   ++outstanding_[spec_site];
 
@@ -738,8 +783,9 @@ void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
 
 std::optional<SpeculationRecord> DataWarehouse::active_speculation(
     JobId id) const {
-  const db::Table& table = db_.table("speculations");
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
+  const db::Table& table = *tables_.speculations;
+  for (const db::RowId row_id :
+       table.find_by(SpecCol::kJobId, Value(id.value()))) {
     SpeculationRecord rec = decode_speculation(*table.find(row_id));
     if (rec.state == SpeculationState::kRacing) return rec;
   }
@@ -748,20 +794,19 @@ std::optional<SpeculationRecord> DataWarehouse::active_speculation(
 
 std::optional<SpeculationRecord> DataWarehouse::latest_speculation(
     JobId id) const {
-  const db::Table& table = db_.table("speculations");
-  std::optional<SpeculationRecord> latest;
+  const db::Table& table = *tables_.speculations;
   // find_by yields insertion order; the last row is the newest race.
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
-    latest = decode_speculation(*table.find(row_id));
-  }
-  return latest;
+  const std::vector<db::RowId>& rows =
+      table.find_by(SpecCol::kJobId, Value(id.value()));
+  if (rows.empty()) return std::nullopt;
+  return decode_speculation(*table.find(rows.back()));
 }
 
 std::vector<SpeculationRecord> DataWarehouse::racing_speculations() const {
-  const db::Table& table = db_.table("speculations");
+  const db::Table& table = *tables_.speculations;
   std::vector<SpeculationRecord> out;
   for (const db::RowId row_id : table.find_by(
-           "state", Value(to_string(SpeculationState::kRacing)))) {
+           SpecCol::kState, Value(to_string(SpeculationState::kRacing)))) {
     out.push_back(decode_speculation(*table.find(row_id)));
   }
   return out;
@@ -771,11 +816,12 @@ void DataWarehouse::resolve_speculation(JobId id,
                                         SpeculationState final_state) {
   SPHINX_PRECONDITION(final_state != SpeculationState::kRacing,
                       "a race resolves to a terminal state");
-  db::Table& table = db_.table("speculations");
+  db::Table& table = *tables_.speculations;
   const db::Row* racing_row = nullptr;
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
+  for (const db::RowId row_id :
+       table.find_by(SpecCol::kJobId, Value(id.value()))) {
     const db::Row* row = table.find(row_id);
-    if (speculation_state_from(row->cells[7].as_text()) ==
+    if (speculation_state_from(row->cells[SpecCol::kState].as_text()) ==
         SpeculationState::kRacing) {
       racing_row = row;
       break;
@@ -784,7 +830,7 @@ void DataWarehouse::resolve_speculation(JobId id,
   SPHINX_PRECONDITION(racing_row != nullptr,
                       "resolve_speculation: job has no open race");
   const SpeculationRecord rec = decode_speculation(*racing_row);
-  table.update(racing_row->id, "state", Value(to_string(final_state)));
+  table.update(racing_row->id, SpecCol::kState, Value(to_string(final_state)));
 
   const auto retire = [this](SiteId site) {
     const auto it = outstanding_.find(site);
@@ -797,12 +843,13 @@ void DataWarehouse::resolve_speculation(JobId id,
     // attempt column stays at the replica's number -- reusing the burnt
     // one would collide with the client's (job, attempt) duplicate guard
     // on the next replan.
-    db::Table& jobs = db_.table("jobs");
-    const db::Row* job_row = jobs.find_first("job_id", Value(id.value()));
+    db::Table& jobs = *tables_.jobs;
+    const db::Row* job_row =
+        jobs.find_first(JobCol::kJobId, Value(id.value()));
     SPHINX_ASSERT(job_row != nullptr, "resolve_speculation: unknown job");
-    SPHINX_ASSERT(job_row->cells[8].as_int() == rec.spec_attempt,
+    SPHINX_ASSERT(job_row->cells[JobCol::kAttempt].as_int() == rec.spec_attempt,
                   "racing job row must still track the replica attempt");
-    jobs.update(job_row->id, "site", Value(rec.primary_site.value()));
+    jobs.update(job_row->id, JobCol::kSite, Value(rec.primary_site.value()));
     // The primary's unit transfers from the racing row to the job row;
     // net change is the replica's retirement.
     retire(rec.spec_site);
@@ -816,36 +863,37 @@ void DataWarehouse::resolve_speculation(JobId id,
 void DataWarehouse::outbox_upsert(std::uint64_t seq, const std::string& service,
                                   const std::string& payload, int attempt,
                                   SimTime last_sent_at) {
-  db::Table& table = db_.table("rpc_outbox");
+  db::Table& table = *tables_.rpc_outbox;
   const db::Row* row =
-      table.find_first("seq", Value(static_cast<std::int64_t>(seq)));
+      table.find_first(OutboxCol::kSeq, Value(static_cast<std::int64_t>(seq)));
   if (row == nullptr) {
     table.insert({Value(static_cast<std::int64_t>(seq)), Value(service),
                   Value(payload), Value(std::int64_t{attempt}),
                   Value(last_sent_at)});
     return;
   }
-  table.update(row->id, "attempt", Value(std::int64_t{attempt}));
-  table.update(row->id, "last_sent_at", Value(last_sent_at));
+  const db::RowId id = row->id;
+  table.update(id, OutboxCol::kAttempt, Value(std::int64_t{attempt}));
+  table.update(id, OutboxCol::kLastSentAt, Value(last_sent_at));
 }
 
 void DataWarehouse::outbox_erase(std::uint64_t seq) {
-  db::Table& table = db_.table("rpc_outbox");
+  db::Table& table = *tables_.rpc_outbox;
   const db::Row* row =
-      table.find_first("seq", Value(static_cast<std::int64_t>(seq)));
+      table.find_first(OutboxCol::kSeq, Value(static_cast<std::int64_t>(seq)));
   if (row != nullptr) table.erase(row->id);
 }
 
 std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
-  const db::Table& table = db_.table("rpc_outbox");
   std::vector<OutboxEntry> entries;
-  table.for_each([&](const db::Row& row) {
+  tables_.rpc_outbox->for_each([&](const db::Row& row) {
+    const std::vector<Value>& c = row.cells;
     OutboxEntry entry;
-    entry.seq = static_cast<std::uint64_t>(row.cells[0].as_int());
-    entry.service = row.cells[1].as_text();
-    entry.payload = row.cells[2].as_text();
-    entry.attempt = static_cast<int>(row.cells[3].as_int());
-    entry.last_sent_at = row.cells[4].as_real();
+    entry.seq = static_cast<std::uint64_t>(c[OutboxCol::kSeq].as_int());
+    entry.service = c[OutboxCol::kService].as_text();
+    entry.payload = c[OutboxCol::kPayload].as_text();
+    entry.attempt = static_cast<int>(c[OutboxCol::kAttempt].as_int());
+    entry.last_sent_at = c[OutboxCol::kLastSentAt].as_real();
     entries.push_back(std::move(entry));
   });
   std::sort(entries.begin(), entries.end(),
@@ -859,80 +907,76 @@ std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
 
 void DataWarehouse::set_scheduler_state(const std::string& key,
                                         const std::string& value) {
-  db::Table& table = db_.table("scheduler_state");
-  const db::Row* row = table.find_first("key", Value(key));
+  db::Table& table = *tables_.scheduler_state;
+  const db::Row* row = table.find_first(StateCol::kKey, Value(key));
   if (row == nullptr) {
     table.insert({Value(key), Value(value)});
     return;
   }
-  if (table.get(row->id, "value").as_text() == value) return;
-  table.update(row->id, "value", Value(value));
+  if (row->cells[StateCol::kValue].as_text() == value) return;
+  table.update(row->id, StateCol::kValue, Value(value));
 }
 
 std::string DataWarehouse::scheduler_state(const std::string& key) const {
-  const db::Table& table = db_.table("scheduler_state");
-  const db::Row* row = table.find_first("key", Value(key));
+  const db::Row* row =
+      tables_.scheduler_state->find_first(StateCol::kKey, Value(key));
   if (row == nullptr) return "";
-  return table.get(row->id, "value").as_text();
+  return row->cells[StateCol::kValue].as_text();
 }
 
 // --- quotas -----------------------------------------------------------------
 
-db::RowId DataWarehouse::quota_row(UserId user, SiteId site,
-                                   const std::string& resource) const {
-  const db::Table& quotas = db_.table("quotas");
-  for (const db::RowId id : quotas.find_by("user", Value(user.value()))) {
+const db::Row* DataWarehouse::quota_row(UserId user, SiteId site,
+                                        const std::string& resource) const {
+  const db::Table& quotas = *tables_.quotas;
+  for (const db::RowId id :
+       quotas.find_by(QuotaCol::kUser, Value(user.value()))) {
     const db::Row* row = quotas.find(id);
-    if (static_cast<std::uint64_t>(row->cells[1].as_int()) == site.value() &&
-        row->cells[2].as_text() == resource) {
-      return id;
+    if (site_of(row->cells[QuotaCol::kSite]) == site &&
+        row->cells[QuotaCol::kResource].as_text() == resource) {
+      return row;
     }
   }
-  return db::kInvalidRow;
+  return nullptr;
 }
 
 void DataWarehouse::set_quota(UserId user, SiteId site,
                               const std::string& resource, double limit) {
-  db::Table& quotas = db_.table("quotas");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) {
-    quotas.insert({Value(user.value()), Value(site.value()), Value(resource),
-                   Value(limit), Value(0.0)});
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) {
+    tables_.quotas->insert({Value(user.value()), Value(site.value()),
+                            Value(resource), Value(limit), Value(0.0)});
   } else {
-    quotas.update(row, "limit", Value(limit));
+    tables_.quotas->update(row->id, QuotaCol::kLimit, Value(limit));
   }
 }
 
 double DataWarehouse::quota_remaining(UserId user, SiteId site,
                                       const std::string& resource) const {
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const db::Table& quotas = db_.table("quotas");
-  return quotas.get(row, "limit").as_real() -
-         quotas.get(row, "used").as_real();
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return std::numeric_limits<double>::infinity();
+  return row->cells[QuotaCol::kLimit].as_real() -
+         row->cells[QuotaCol::kUsed].as_real();
 }
 
 void DataWarehouse::consume_quota(UserId user, SiteId site,
                                   const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota consumption must be non-negative");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) return;
-  db::Table& quotas = db_.table("quotas");
-  const double used = quotas.get(row, "used").as_real() + amount;
-  quotas.update(row, "used", Value(used));
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return;
+  const double used = row->cells[QuotaCol::kUsed].as_real() + amount;
+  tables_.quotas->update(row->id, QuotaCol::kUsed, Value(used));
   SPHINX_POSTCONDITION(used >= 0, "quota usage went negative");
 }
 
 void DataWarehouse::refund_quota(UserId user, SiteId site,
                                  const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota refund must be non-negative");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) return;
-  db::Table& quotas = db_.table("quotas");
-  const double used = quotas.get(row, "used").as_real() - amount;
-  quotas.update(row, "used", Value(used < 0 ? 0.0 : used));
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return;
+  const double used = row->cells[QuotaCol::kUsed].as_real() - amount;
+  tables_.quotas->update(row->id, QuotaCol::kUsed,
+                         Value(used < 0 ? 0.0 : used));
 }
 
 // --- contracts --------------------------------------------------------------
@@ -943,7 +987,7 @@ void DataWarehouse::check_invariants() const {
 
   // Jobs: state text parses, outstanding jobs are placed and attempted.
   std::unordered_map<std::uint64_t, std::int64_t> jobs_per_dag;
-  db_.table("jobs").for_each([&](const db::Row& row) {
+  tables_.jobs->for_each([&](const db::Row& row) {
     JobRecord job;
     try {
       job = decode_job(row);
@@ -964,7 +1008,7 @@ void DataWarehouse::check_invariants() const {
   // DAGs: state text parses, finish times are coherent, and the recorded
   // job total matches the job table (journal/table consistency: both are
   // rebuilt from the same journal on recovery).
-  db_.table("dags").for_each([&](const db::Row& row) {
+  tables_.dags->for_each([&](const db::Row& row) {
     DagRecord dag;
     try {
       dag = decode_dag(row);
@@ -985,11 +1029,11 @@ void DataWarehouse::check_invariants() const {
 
   // Site statistics: counters never regress below zero; an empty sample
   // set cannot carry an average.
-  db_.table("site_stats").for_each([&](const db::Row& row) {
-    const std::int64_t completed = row.cells[1].as_int();
-    const std::int64_t cancelled = row.cells[2].as_int();
-    const double avg = row.cells[3].as_real();
-    const std::int64_t samples = row.cells[4].as_int();
+  tables_.site_stats->for_each([&](const db::Row& row) {
+    const std::int64_t completed = row.cells[SiteCol::kCompleted].as_int();
+    const std::int64_t cancelled = row.cells[SiteCol::kCancelled].as_int();
+    const double avg = row.cells[SiteCol::kAvgCompletion].as_real();
+    const std::int64_t samples = row.cells[SiteCol::kSamples].as_int();
     SPHINX_INVARIANT(completed >= 0 && cancelled >= 0 && samples >= 0,
                      "site statistics counter went negative");
     SPHINX_INVARIANT(avg >= 0 && !std::isnan(avg),
@@ -999,10 +1043,10 @@ void DataWarehouse::check_invariants() const {
   });
 
   // Quotas: limits and usage are non-negative.
-  db_.table("quotas").for_each([&](const db::Row& row) {
-    SPHINX_INVARIANT(row.cells[3].as_real() >= 0,
+  tables_.quotas->for_each([&](const db::Row& row) {
+    SPHINX_INVARIANT(row.cells[QuotaCol::kLimit].as_real() >= 0,
                      "quota limit went negative");
-    SPHINX_INVARIANT(row.cells[4].as_real() >= 0,
+    SPHINX_INVARIANT(row.cells[QuotaCol::kUsed].as_real() >= 0,
                      "quota usage went negative");
   });
 
@@ -1010,7 +1054,7 @@ void DataWarehouse::check_invariants() const {
   // sites differ, at most one race per job is open, and an open race's
   // job row still tracks the replica attempt.
   std::unordered_set<std::uint64_t> racing_jobs;
-  db_.table("speculations").for_each([&](const db::Row& row) {
+  tables_.speculations->for_each([&](const db::Row& row) {
     SpeculationRecord rec;
     try {
       rec = decode_speculation(row);
@@ -1039,10 +1083,11 @@ void DataWarehouse::check_invariants() const {
   // Runtime sample rings: non-negative values, ring bound respected.
   {
     std::map<std::pair<std::int64_t, std::int64_t>, std::size_t> ring_sizes;
-    db_.table("runtime_samples").for_each([&](const db::Row& row) {
-      SPHINX_INVARIANT(row.cells[2].as_real() >= 0,
+    tables_.runtime_samples->for_each([&](const db::Row& row) {
+      SPHINX_INVARIANT(row.cells[SampleCol::kRuntime].as_real() >= 0,
                        "runtime sample went negative");
-      ++ring_sizes[{row.cells[0].as_int(), row.cells[1].as_int()}];
+      ++ring_sizes[{row.cells[SampleCol::kSite].as_int(),
+                    row.cells[SampleCol::kClass].as_int()}];
     });
     for (const auto& [key, size] : ring_sizes) {
       SPHINX_INVARIANT(size <= kMaxRuntimeSamples,
@@ -1055,7 +1100,7 @@ void DataWarehouse::check_invariants() const {
   // every DAG with pending work is queued (else no sweep would reach it).
   SPHINX_INVARIANT(outstanding_ == scan_outstanding_by_site(),
                    "live outstanding counters diverged from the jobs table");
-  const db::Table& dags = db_.table("dags");
+  const db::Table& dags = *tables_.dags;
   for (const db::RowId row_id : dirty_rows_) {
     const db::Row* row = dags.find(row_id);
     SPHINX_INVARIANT(row != nullptr, "dirty queue names a missing dag row");

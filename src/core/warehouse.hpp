@@ -11,6 +11,13 @@
 /// is rebuilt from the journal, optionally on top of a checkpoint image
 /// (see recover_from()).
 ///
+/// The tables are declared once, in warehouse.cpp: each table's name and
+/// schema in creation order, each column beside the position its table's
+/// enum gives it (a column out of position fails warehouse construction).
+/// Table handles are bound once by bind_tables(); recovery binds the
+/// replayed tables the same way and refuses a journal or image whose
+/// tables differ from the declared schema (`recover_schema`).
+///
 /// On top of the tables the warehouse maintains derived *work state* that
 /// makes sweeps O(changed work) instead of O(total state):
 ///  - a dirty-DAG work queue ("dirty list"): every state transition that
@@ -63,6 +70,13 @@ struct SiteStats {
   std::int64_t cancelled = 0;
   double avg_completion = 0.0;  ///< EWMA of reported completion times
   std::int64_t samples = 0;     ///< completion reports folded in
+
+  /// Reliability rule from the paper: a site with more cancelled than
+  /// completed jobs is unreliable (section 4, "Importance of feedback
+  /// information").
+  [[nodiscard]] bool reliable() const noexcept {
+    return cancelled <= completed;
+  }
 };
 
 /// A job row materialized from the warehouse.
@@ -130,7 +144,10 @@ class DataWarehouse {
   /// then start at sequence 0 (a compacted journal needs its image).
   /// Handles both a compacted journal (crash after truncation) and an
   /// untruncated one (crash between snapshot publication and truncation
-  /// -- recovery completes the truncation).
+  /// -- recovery completes the truncation).  A recovered database whose
+  /// tables do not match the declared schema -- a table missing, or a
+  /// column renamed, retyped, moved or re-indexed -- is refused with a
+  /// `recover_schema` error.
   [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
       const db::Journal& journal,
       const std::optional<CheckpointImage>& checkpoint = std::nullopt);
@@ -155,7 +172,6 @@ class DataWarehouse {
   /// leaves the journal untruncated (the recovered instance finishes the
   /// truncation via recover_from, so a crash here is invisible).
   CheckpointStats checkpoint(
-      SimTime now,
       const std::function<bool(const CheckpointImage&)>& mid_hook = {});
 
   /// The most recent checkpoint image: published by checkpoint() and
@@ -170,7 +186,6 @@ class DataWarehouse {
   void insert_dag(const workflow::Dag& dag, const std::string& client,
                   UserId user, SimTime now, double priority = 0.0,
                   SimTime deadline = kNever);
-  [[nodiscard]] std::vector<DagRecord> dags_in_state(DagState state) const;
   [[nodiscard]] std::optional<DagRecord> dag(DagId id) const;
   void set_dag_state(DagId id, DagState state);
   void set_dag_finished(DagId id, SimTime at);
@@ -217,9 +232,9 @@ class DataWarehouse {
   /// the parent's completion marks the DAG.  Idempotent.
   void mark_dag_dirty(DagId id);
   /// Removes and returns the queued DAGs with pending work as fresh
-  /// records, in table insertion order (the order dags_in_state() used
-  /// to yield).  Queued DAGs without pending work -- finished, or
-  /// planning with nothing ready -- are dropped unswept.
+  /// records, in table insertion order.  Queued DAGs without pending
+  /// work -- finished, or planning with nothing ready -- are dropped
+  /// unswept.
   [[nodiscard]] std::vector<DagRecord> drain_dirty_dags();
   /// The queued DAG ids with pending work, in table insertion order: what
   /// the next drain would yield.
@@ -234,9 +249,6 @@ class DataWarehouse {
   /// censored observation so a black hole cannot keep a stale attractive
   /// average (it only ever "completes" nothing).
   void record_cancellation(SiteId site, Duration censored_duration = 0.0);
-  /// Reliability rule from the paper: unreliable when more cancelled than
-  /// completed jobs (section 4, "Importance of feedback information").
-  [[nodiscard]] bool site_available(SiteId site) const;
 
   // --- straggler defense (speculative replication) ----------------------
   /// Records one completed attempt's runtime into the (site, job-class)
@@ -342,8 +354,29 @@ class DataWarehouse {
   void check_dag_invariants(DagId id) const;
 
  private:
+  /// Handles to the warehouse tables, bound once by bind_tables().
+  struct Tables {
+    db::Table* dags = nullptr;
+    db::Table* jobs = nullptr;
+    db::Table* job_inputs = nullptr;
+    db::Table* job_deps = nullptr;
+    db::Table* site_stats = nullptr;
+    db::Table* quotas = nullptr;
+    db::Table* scheduler_state = nullptr;
+    db::Table* rpc_outbox = nullptr;
+    db::Table* speculations = nullptr;
+    db::Table* runtime_samples = nullptr;
+  };
+  /// One declared table: its name, its handle in Tables and its schema.
+  struct TableDecl;
+  /// The declared schema: every warehouse table, in creation order.
+  [[nodiscard]] static const std::vector<TableDecl>& declared_tables();
+
   explicit DataWarehouse(bool create_schema);
-  void create_schema();
+  /// Points tables_ at the database's tables after checking each against
+  /// its declared schema; a `recover_schema` error names the first table
+  /// that is missing or differs.
+  [[nodiscard]] StatusOrError bind_tables();
   /// Whether a DAG holds work for a sweep: received or reduced (work for
   /// the reducer and the planning hand-off), or planning with a non-empty
   /// ready_jobs().  A pure function of the tables; recovery queues
@@ -351,18 +384,20 @@ class DataWarehouse {
   [[nodiscard]] bool has_pending_work(const DagRecord& dag) const;
   /// The queued DAGs with pending work, in table insertion order.
   [[nodiscard]] std::vector<DagRecord> queued_pending_dags() const;
-  /// Rebuilds the outstanding counters and the dirty queue from the
-  /// recovered tables: the queue holds exactly the DAGs with pending
-  /// work (has_pending_work()), found by one scan of the dags table.
+  /// Rebuilds the outstanding counters (scan_outstanding_by_site()) and
+  /// the dirty queue from the recovered tables: the queue holds exactly
+  /// the DAGs with pending work (has_pending_work()), found by one scan
+  /// of the dags table.
   void rebuild_work_state();
   [[nodiscard]] static JobRecord decode_job(const db::Row& row);
   [[nodiscard]] static DagRecord decode_dag(const db::Row& row);
   [[nodiscard]] static SpeculationRecord decode_speculation(const db::Row& row);
-  [[nodiscard]] db::RowId site_stats_row(SiteId site) const;
-  db::RowId quota_row(UserId user, SiteId site,
-                      const std::string& resource) const;
+  [[nodiscard]] const db::Row* site_stats_row(SiteId site) const;
+  [[nodiscard]] const db::Row* quota_row(UserId user, SiteId site,
+                                         const std::string& resource) const;
 
   db::Database db_;
+  Tables tables_;  // sphinx-lint: derived(bind_tables)
   /// Dirty-DAG work queue, keyed by dags-table row id so draining yields
   /// insertion order.  Derived state: never journaled, rebuilt on
   /// recovery by rebuild_work_state().  It may hold DAGs without pending

@@ -7,6 +7,9 @@ namespace {
 
 constexpr const char* kTable = "lease";
 
+/// Column positions of the lease table, in schema order.
+enum LeaseCol : std::size_t { kShard, kOwner, kEpoch, kExpiresAt, kLive };
+
 }  // namespace
 
 LeaseTable::LeaseTable() : db_(std::make_unique<db::Database>()) {
@@ -20,11 +23,11 @@ LeaseTable::LeaseTable() : db_(std::make_unique<db::Database>()) {
 
 Lease LeaseTable::from_row(const db::Row& row) {
   Lease lease;
-  lease.shard = row.cells[0].as_text();
-  lease.owner = row.cells[1].as_text();
-  lease.epoch = static_cast<std::uint64_t>(row.cells[2].as_int());
-  lease.expires_at = row.cells[3].as_real();
-  lease.live = row.cells[4].as_bool();
+  lease.shard = row.cells[kShard].as_text();
+  lease.owner = row.cells[kOwner].as_text();
+  lease.epoch = static_cast<std::uint64_t>(row.cells[kEpoch].as_int());
+  lease.expires_at = row.cells[kExpiresAt].as_real();
+  lease.live = row.cells[kLive].as_bool();
   return lease;
 }
 
@@ -33,7 +36,7 @@ std::uint64_t LeaseTable::grant(const std::string& shard,
                                 Duration ttl) {
   SPHINX_PRECONDITION(ttl > 0, "lease ttl must be positive");
   SPHINX_PRECONDITION(
-      table_->find_first("shard", db::Value(shard)) == nullptr,
+      table_->find_first(kShard, db::Value(shard)) == nullptr,
       "shard already holds a lease; use transfer() to rebind it");
   table_->insert({db::Value(shard), db::Value(owner),
                   db::Value(std::int64_t{1}), db::Value(now + ttl),
@@ -44,13 +47,13 @@ std::uint64_t LeaseTable::grant(const std::string& shard,
 RenewOutcome LeaseTable::renew(const std::string& shard,
                                const std::string& owner, std::uint64_t epoch,
                                SimTime now, Duration ttl) {
-  const db::Row* row = table_->find_first("shard", db::Value(shard));
+  const db::Row* row = table_->find_first(kShard, db::Value(shard));
   if (row == nullptr) return RenewOutcome::kUnknownShard;
   const Lease lease = from_row(*row);
   if (!lease.live || lease.owner != owner || lease.epoch != epoch) {
     return RenewOutcome::kFenced;
   }
-  table_->update(row->id, "expires_at", db::Value(now + ttl));
+  table_->update(row->id, kExpiresAt, db::Value(now + ttl));
   return RenewOutcome::kRenewed;
 }
 
@@ -73,29 +76,30 @@ std::vector<Lease> LeaseTable::dead() const {
 }
 
 void LeaseTable::mark_expired(const std::string& shard) {
-  const db::Row* row = table_->find_first("shard", db::Value(shard));
+  const db::Row* row = table_->find_first(kShard, db::Value(shard));
   SPHINX_PRECONDITION(row != nullptr, "expiring a lease that was never granted");
-  table_->update(row->id, "live", db::Value(false));
+  table_->update(row->id, kLive, db::Value(false));
 }
 
 std::uint64_t LeaseTable::transfer(const std::string& shard,
                                    const std::string& new_owner, SimTime now,
                                    Duration ttl) {
   SPHINX_PRECONDITION(ttl > 0, "lease ttl must be positive");
-  const db::Row* row = table_->find_first("shard", db::Value(shard));
+  const db::Row* row = table_->find_first(kShard, db::Value(shard));
   SPHINX_PRECONDITION(row != nullptr,
                       "transferring a lease that was never granted");
-  const auto epoch = static_cast<std::uint64_t>(row->cells[2].as_int()) + 1;
+  const auto epoch =
+      static_cast<std::uint64_t>(row->cells[kEpoch].as_int()) + 1;
   const db::RowId id = row->id;
-  table_->update(id, "owner", db::Value(new_owner));
-  table_->update(id, "epoch", db::Value(static_cast<std::int64_t>(epoch)));
-  table_->update(id, "expires_at", db::Value(now + ttl));
-  table_->update(id, "live", db::Value(true));
+  table_->update(id, kOwner, db::Value(new_owner));
+  table_->update(id, kEpoch, db::Value(static_cast<std::int64_t>(epoch)));
+  table_->update(id, kExpiresAt, db::Value(now + ttl));
+  table_->update(id, kLive, db::Value(true));
   return epoch;
 }
 
 std::optional<Lease> LeaseTable::lookup(const std::string& shard) const {
-  const db::Row* row = table_->find_first("shard", db::Value(shard));
+  const db::Row* row = table_->find_first(kShard, db::Value(shard));
   if (row == nullptr) return std::nullopt;
   return from_row(*row);
 }
@@ -128,8 +132,13 @@ StatusOrError LeaseTable::recover_from(const db::Journal& journal) {
   // database and swap it in wholesale.
   auto replayed = std::make_unique<db::Database>();
   if (auto status = replayed->recover(journal); !status.ok()) return status;
-  if (!replayed->has_table(kTable)) {
-    return make_error("recover_lease", "journal holds no lease table");
+  // The fresh table this instance built holds the declared schema.
+  const std::vector<db::Column>& declared = table_->schema().columns();
+  if (!replayed->has_table(kTable) ||
+      replayed->table(kTable).schema().columns() != declared) {
+    return make_error("recover_schema",
+                      "journal holds no lease table matching its declared "
+                      "schema");
   }
   table_ = &replayed->table(kTable);
   db_ = std::move(replayed);

@@ -99,7 +99,9 @@ class LeaseTable {
   /// Replays a crashed instance's journal into this (freshly constructed,
   /// never-mutated) table, replacing the fresh schema wholesale -- the
   /// replayed journal's own create-table record rebuilds it, so the
-  /// recovered journal stays byte-identical to the crashed one's.
+  /// recovered journal stays byte-identical to the crashed one's.  A
+  /// journal whose lease table is missing or differs from the declared
+  /// schema is refused with a `recover_schema` error.
   [[nodiscard]] StatusOrError recover_from(const db::Journal& journal);
 
   void check_invariants() const { db_->check_invariants(); }

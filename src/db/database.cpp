@@ -45,10 +45,6 @@ bool Database::has_table(const std::string& name) const noexcept {
   return tables_.contains(name);
 }
 
-std::vector<std::string> Database::table_names() const {
-  return creation_order_;
-}
-
 StatusOrError Database::recover(const Journal& journal,
                                 std::uint64_t from_seq) {
   if (from_seq == 0 && !tables_.empty()) {

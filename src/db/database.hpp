@@ -30,24 +30,14 @@ class Database : private TableObserver {
   [[nodiscard]] const Table& table(const std::string& name) const;
 
   [[nodiscard]] bool has_table(const std::string& name) const noexcept;
-  [[nodiscard]] std::vector<std::string> table_names() const;
-  [[nodiscard]] std::size_t table_count() const noexcept { return tables_.size(); }
 
   /// The journal of all mutations since construction (or last checkpoint).
   [[nodiscard]] const Journal& journal() const noexcept { return journal_; }
-
-  /// Drops the retained journal entries, advancing the sequence base
-  /// (after a checkpoint captured the prefix's effects elsewhere).
-  void truncate_journal() noexcept { journal_.clear(); }
 
   /// Compacts the journal prefix below `seq` (see
   /// Journal::truncate_before) -- the checkpoint path, where `seq` is
   /// the sequence the published image reflects.
   void truncate_journal(std::uint64_t seq) { journal_.truncate_before(seq); }
-
-  /// Enables/disables journaling (enabled by default).  Replay-into-self
-  /// would double-log, so recover() and restore() disable it internally.
-  void set_journaling(bool on) noexcept { journaling_ = on; }
 
   /// Deterministic, byte-stable image of the whole store: table schemas
   /// (creation order, with their index declarations), rows (id order)
@@ -92,6 +82,8 @@ class Database : private TableObserver {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<std::string> creation_order_;
   Journal journal_;
+  /// Off while recover() and restore() rebuild tables: replay-into-self
+  /// would double-log.
   bool journaling_ = true;
 };
 

@@ -113,6 +113,10 @@ Expected<Column> decode_column(const std::string& spec) {
   if (is_indexed) type_text.pop_back();
   auto type = decode_type(type_text);
   if (!type) return Unexpected<Error>{type.error()};
+  if (is_indexed && !indexable(*type)) {
+    return make_error("journal_parse", "index on a " + type_text +
+                                           " column: " + spec);
+  }
   return Column{std::move(*name), *type, is_indexed};
 }
 

@@ -29,7 +29,8 @@ namespace sphinx::db {
 [[nodiscard]] Expected<Value> decode_value(const std::string& s);
 
 /// Column spec "name=type", with a trailing '!' marking an indexed
-/// column (the index set is part of the persisted schema).
+/// column (the index set is part of the persisted schema).  Decoding
+/// refuses an index on a column type that cannot carry one (indexable()).
 [[nodiscard]] std::string encode_column(const Column& column);
 [[nodiscard]] Expected<Column> decode_column(const std::string& spec);
 

@@ -122,11 +122,6 @@ void Journal::truncate_before(std::uint64_t seq) {
   base_seq_ = seq;
 }
 
-void Journal::clear() noexcept {
-  base_seq_ += entries_.size();
-  entries_.clear();
-}
-
 void Journal::adopt_suffix(const Journal& src, std::uint64_t from_seq) {
   entries_.clear();
   base_seq_ = std::max(from_seq, src.base_seq_);

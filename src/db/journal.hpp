@@ -63,10 +63,6 @@ class Journal {
   /// [base_seq, next_seq]; the retained suffix keeps its numbering.
   void truncate_before(std::uint64_t seq);
 
-  /// Drops everything, advancing base_seq to next_seq -- equivalent to
-  /// truncate_before(next_seq()).
-  void clear() noexcept;
-
   /// Replaces this journal's contents with the entries of `src` whose
   /// sequence number is >= from_seq, preserving their numbering.  Used by
   /// recovery to carry the crashed journal (or its post-checkpoint

@@ -1,39 +1,30 @@
 #include "db/table.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/contracts.hpp"
-#include "common/log.hpp"
 
 namespace sphinx::db {
-namespace {
 
-/// Index key: type tag + canonical text, so 1 (int) != "1" (text).
-std::string index_key(const Value& v) {
-  return std::string(to_string(v.type())) + ":" + v.to_string();
+bool indexable(ValueType type) noexcept {
+  return type == ValueType::kInt || type == ValueType::kText ||
+         type == ValueType::kBool;
 }
-
-}  // namespace
 
 Schema::Schema(std::initializer_list<Column> cols)
     : Schema(std::vector<Column>(cols.begin(), cols.end())) {}
 
 Schema::Schema(std::vector<Column> cols) : columns_(std::move(cols)) {
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    by_name_.emplace(columns_[i].name, i);
+  std::unordered_set<std::string> names;
+  for (const Column& column : columns_) {
+    SPHINX_ASSERT(names.insert(column.name).second,
+                  "duplicate column name in schema");
+    SPHINX_ASSERT(!column.indexed || indexable(column.type),
+                  "column " + column.name +
+                      " cannot be indexed: only int, text and bool columns "
+                      "carry an index");
   }
-  SPHINX_ASSERT(by_name_.size() == columns_.size(),
-                "duplicate column name in schema");
-}
-
-std::size_t Schema::index_of(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  SPHINX_ASSERT(it != by_name_.end(), "unknown column: " + name);
-  return it->second;
-}
-
-bool Schema::has(const std::string& name) const noexcept {
-  return by_name_.contains(name);
 }
 
 bool Schema::accepts(const std::vector<Value>& row) const noexcept {
@@ -55,37 +46,25 @@ bool Schema::accepts_cell(std::size_t i, const Value& v) const noexcept {
 }
 
 Table::Table(std::string name, Schema schema)
-    : name_(std::move(name)), schema_(std::move(schema)) {
-  for (const Column& column : schema_.columns()) {
-    if (column.indexed) create_index(column.name);
-  }
-}
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      indexes_(schema_.size()) {}
 
 RowId Table::insert(std::vector<Value> cells) {
-  SPHINX_ASSERT(schema_.accepts(cells),
-                "row does not match schema of table " + name_);
-  const RowId id = next_id_++;
-  const auto [it, ok] = rows_.emplace(id, Row{id, std::move(cells)});
-  SPHINX_ASSERT(ok, "duplicate row id");
-  index_insert(it->second);
-  if (observer_ != nullptr) observer_->on_insert(name_, id, it->second.cells);
+  const RowId id = next_id_;
+  insert_with_id(id, std::move(cells));
   return id;
 }
 
 void Table::insert_with_id(RowId id, std::vector<Value> cells) {
-  SPHINX_ASSERT(id != kInvalidRow, "invalid row id in replay");
+  SPHINX_ASSERT(id != kInvalidRow, "invalid row id");
   SPHINX_ASSERT(schema_.accepts(cells),
                 "row does not match schema of table " + name_);
-  SPHINX_ASSERT(!rows_.contains(id), "row id already present in replay");
+  const auto [it, ok] = rows_.try_emplace(id, Row{id, std::move(cells)});
+  SPHINX_ASSERT(ok, "row id already present in table " + name_);
   next_id_ = std::max(next_id_, id + 1);
-  const auto [it, ok] = rows_.emplace(id, Row{id, std::move(cells)});
-  SPHINX_ASSERT(ok, "duplicate row id");
   index_insert(it->second);
   if (observer_ != nullptr) observer_->on_insert(name_, id, it->second.cells);
-}
-
-bool Table::update(RowId id, const std::string& column, Value value) {
-  return update(id, schema_.index_of(column), std::move(value));
 }
 
 bool Table::update(RowId id, std::size_t column, Value value) {
@@ -94,12 +73,13 @@ bool Table::update(RowId id, std::size_t column, Value value) {
   SPHINX_ASSERT(column < schema_.size(), "column index out of range");
   SPHINX_ASSERT(schema_.accepts_cell(column, value),
                 "cell type does not match schema of table " + name_);
-  index_erase(it->second);
-  it->second.cells[column] = std::move(value);
-  index_insert(it->second);
-  if (observer_ != nullptr) {
-    observer_->on_update(name_, id, column, it->second.cells[column]);
+  Value& cell = it->second.cells[column];
+  if (schema_.at(column).indexed && !(cell == value)) {
+    bucket_erase(column, cell, id);
+    bucket_insert(column, value, id);
   }
+  cell = std::move(value);
+  if (observer_ != nullptr) observer_->on_update(name_, id, column, cell);
   return true;
 }
 
@@ -117,87 +97,28 @@ const Row* Table::find(RowId id) const {
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-const Value& Table::get(RowId id, const std::string& column) const {
-  const Row* row = find(id);
-  SPHINX_ASSERT(row != nullptr,
-                "row " + std::to_string(id) + " missing in table " + name_);
-  return row->cells[schema_.index_of(column)];
+const Table::Index& Table::index(std::size_t column) const {
+  SPHINX_ASSERT(column < schema_.size() && schema_.at(column).indexed,
+                "query on unindexed column " + std::to_string(column) +
+                    " of table " + name_);
+  return indexes_[column];
 }
 
-void Table::create_index(const std::string& column) {
-  const std::size_t col = schema_.index_of(column);
-  if (indexes_.contains(col)) return;
-  auto& index = indexes_[col];
-  for (const auto& [id, row] : rows_) {
-    index[index_key(row.cells[col])].push_back(id);
-  }
+const std::vector<RowId>& Table::find_by(std::size_t column,
+                                         const Value& value) const {
+  static const std::vector<RowId> kNone;
+  const Index& idx = index(column);
+  const auto bucket = idx.find(value);
+  return bucket == idx.end() ? kNone : bucket->second;
 }
 
-std::vector<RowId> Table::find_by(const std::string& column,
-                                  const Value& value) const {
-  const std::size_t col = schema_.index_of(column);
-  if (const auto it = indexes_.find(col); it != indexes_.end()) {
-    const auto bucket = it->second.find(index_key(value));
-    if (bucket == it->second.end()) return {};
-    return bucket->second;  // maintained in id order
-  }
-  note_full_scan(col);
-  std::vector<RowId> out;
-  for (const auto& [id, row] : rows_) {
-    if (row.cells[col] == value) out.push_back(id);
-  }
-  return out;
-}
-
-const Row* Table::find_first(const std::string& column,
-                             const Value& value) const {
-  const std::size_t col = schema_.index_of(column);
-  if (const auto it = indexes_.find(col); it != indexes_.end()) {
-    const auto bucket = it->second.find(index_key(value));
-    if (bucket == it->second.end() || bucket->second.empty()) return nullptr;
-    return find(bucket->second.front());
-  }
-  note_full_scan(col);
-  for (const auto& [id, row] : rows_) {
-    if (row.cells[col] == value) return &row;
-  }
-  return nullptr;
-}
-
-void Table::note_full_scan(std::size_t column) const {
-#if SPHINX_CONTRACTS_ENABLED
-  // Debug-build contract on query plans: an equality query that cannot
-  // use an index is almost always a missing `indexed` declaration in the
-  // schema.  Count every fallback and log the first one per column.
-  ++full_scans_;
-  if (scan_logged_.size() < schema_.size()) scan_logged_.resize(schema_.size());
-  if (!scan_logged_[column]) {
-    scan_logged_[column] = true;
-    const Logger log{"db"};
-    log.warn("full-scan query on ", name_, ".", schema_.at(column).name,
-             " (no index declared for this column)");
-  }
-#else
-  (void)column;
-#endif
-}
-
-std::vector<RowId> Table::select(
-    const std::function<bool(const Row&)>& pred) const {
-  std::vector<RowId> out;
-  for (const auto& [id, row] : rows_) {
-    if (pred(row)) out.push_back(id);
-  }
-  return out;
+const Row* Table::find_first(std::size_t column, const Value& value) const {
+  const std::vector<RowId>& ids = find_by(column, value);
+  return ids.empty() ? nullptr : find(ids.front());
 }
 
 void Table::for_each(const std::function<void(const Row&)>& fn) const {
   for (const auto& [id, row] : rows_) fn(row);
-}
-
-std::size_t Table::count_by(const std::string& column,
-                            const Value& value) const {
-  return find_by(column, value).size();
 }
 
 void Table::check_invariants() const {
@@ -211,9 +132,10 @@ void Table::check_invariants() const {
     SPHINX_INVARIANT(schema_.accepts(row.cells),
                      "row violates schema of table " + name_);
   }
-  for (const auto& [col, index] : indexes_) {
+  for (std::size_t col = 0; col < indexes_.size(); ++col) {
+    if (!schema_.at(col).indexed) continue;
     std::size_t covered = 0;
-    for (const auto& [key, ids] : index) {
+    for (const auto& [key, ids] : indexes_[col]) {
       SPHINX_INVARIANT(!ids.empty(),
                        "empty index bucket in table " + name_);
       SPHINX_INVARIANT(std::adjacent_find(ids.begin(), ids.end(),
@@ -225,7 +147,7 @@ void Table::check_invariants() const {
         const auto it = rows_.find(id);
         SPHINX_INVARIANT(it != rows_.end(),
                          "index names a missing row in table " + name_);
-        SPHINX_INVARIANT(index_key(it->second.cells[col]) == key,
+        SPHINX_INVARIANT(it->second.cells[col] == key,
                          "index bucket key mismatch in table " + name_);
       }
       covered += ids.size();
@@ -243,29 +165,39 @@ void Table::restore_next_id(RowId next_id) {
 }
 
 void Table::index_insert(const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    auto& ids = index[index_key(row.cells[col])];
-    // Buckets stay id-ordered (not touch-ordered): query order must be
-    // derivable from table state so a snapshot-restored table iterates
-    // identically to the live one.  Inserts allocate increasing ids, so
-    // the common case is an O(1) append; only an update that moves an
-    // old row between buckets pays the ordered insert.
-    if (ids.empty() || ids.back() < row.id) {
-      ids.push_back(row.id);
-      continue;
-    }
-    ids.insert(std::upper_bound(ids.begin(), ids.end(), row.id), row.id);
+  for (std::size_t col = 0; col < indexes_.size(); ++col) {
+    if (schema_.at(col).indexed) bucket_insert(col, row.cells[col], row.id);
   }
 }
 
 void Table::index_erase(const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    const auto it = index.find(index_key(row.cells[col]));
-    if (it == index.end()) continue;
-    auto& ids = it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), row.id), ids.end());
-    if (ids.empty()) index.erase(it);
+  for (std::size_t col = 0; col < indexes_.size(); ++col) {
+    if (schema_.at(col).indexed) bucket_erase(col, row.cells[col], row.id);
   }
+}
+
+void Table::bucket_insert(std::size_t column, const Value& key, RowId id) {
+  std::vector<RowId>& ids = indexes_[column][key];
+  // Buckets stay id-ordered (not touch-ordered): query order must be
+  // derivable from table state so a snapshot-restored table iterates
+  // identically to the live one.  Inserts allocate increasing ids, so
+  // the common case is an O(1) append; only an update that moves an
+  // old row between buckets pays the ordered insert.
+  if (ids.empty() || ids.back() < id) {
+    ids.push_back(id);
+    return;
+  }
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+}
+
+void Table::bucket_erase(std::size_t column, const Value& key, RowId id) {
+  Index& idx = indexes_[column];
+  const auto bucket = idx.find(key);
+  if (bucket == idx.end()) return;
+  std::vector<RowId>& ids = bucket->second;
+  const auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  if (pos != ids.end() && *pos == id) ids.erase(pos);
+  if (ids.empty()) idx.erase(bucket);
 }
 
 }  // namespace sphinx::db

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,8 +30,12 @@ struct Column {
   ValueType type = ValueType::kNull;  ///< kNull means "any type accepted"
   /// Declares a hash index on this column at table creation.  The flag is
   /// part of the schema, so it is journaled with kCreateTable entries and
-  /// recovery rebuilds the same indexes automatically.
+  /// recovery rebuilds the same indexes automatically.  Only int, text and
+  /// bool columns can carry one: index lookup is Value equality, which a
+  /// NaN real (possible in a real or untyped column) never satisfies.
   bool indexed = false;
+
+  friend bool operator==(const Column&, const Column&) = default;
 };
 
 /// Shorthand for declaring an indexed column in a schema literal.
@@ -40,7 +43,10 @@ struct Column {
   return Column{std::move(name), type, true};
 }
 
-/// Ordered list of columns.
+/// Whether a column of `type` can carry an index (int, text or bool).
+[[nodiscard]] bool indexable(ValueType type) noexcept;
+
+/// Ordered list of columns, addressed by position.
 class Schema {
  public:
   Schema() = default;
@@ -49,9 +55,6 @@ class Schema {
 
   [[nodiscard]] std::size_t size() const noexcept { return columns_.size(); }
   [[nodiscard]] const Column& at(std::size_t i) const { return columns_.at(i); }
-  /// Index of a named column; throws AssertionError if absent.
-  [[nodiscard]] std::size_t index_of(const std::string& name) const;
-  [[nodiscard]] bool has(const std::string& name) const noexcept;
   [[nodiscard]] const std::vector<Column>& columns() const noexcept {
     return columns_;
   }
@@ -65,7 +68,6 @@ class Schema {
 
  private:
   std::vector<Column> columns_;
-  std::unordered_map<std::string, std::size_t> by_name_;
 };
 
 /// A materialized row: id + cells.
@@ -84,9 +86,10 @@ struct TableObserver {
   virtual void on_erase(const std::string& table, RowId id) = 0;
 };
 
-/// One table.  Insertions get monotonically increasing RowIds; indexes are
-/// hash indexes on a single column maintained incrementally.  Columns
-/// marked `indexed` in the schema get their index at construction.
+/// One table.  Insertions get monotonically increasing RowIds.  Columns
+/// are addressed by position, and the only query path is the hash index
+/// the schema declares on a column, maintained incrementally and keyed by
+/// the cell Value itself.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -100,7 +103,7 @@ class Table {
   /// mismatch (callers construct rows from typed code, not user input).
   RowId insert(std::vector<Value> cells);
 
-  /// Inserts preserving a specific id -- used only by journal replay.
+  /// Inserts preserving a specific id (journal replay, snapshot restore).
   void insert_with_id(RowId id, std::vector<Value> cells);
 
   /// The id the next insert() will allocate.  Part of the table's
@@ -114,8 +117,9 @@ class Table {
   /// erased before the snapshot).
   void restore_next_id(RowId next_id);
 
-  /// Updates one cell.  Returns false if the row does not exist.
-  bool update(RowId id, const std::string& column, Value value);
+  /// Updates the cell at `column`.  Returns false if the row does not
+  /// exist.  Only an indexed column's index is touched, and only when the
+  /// value changes.
   bool update(RowId id, std::size_t column, Value value);
 
   /// Removes a row.  Returns false if absent.
@@ -124,48 +128,25 @@ class Table {
   /// Row lookup; nullptr if absent.  Pointer invalidated by mutations.
   [[nodiscard]] const Row* find(RowId id) const;
 
-  /// Reads one cell; throws if the row is missing.
-  [[nodiscard]] const Value& get(RowId id, const std::string& column) const;
+  /// All row ids whose `column` equals `value`, in id (= insertion)
+  /// order.  `column` must be indexed (AssertionError otherwise).  Buckets
+  /// are kept id-ordered so query results are a function of table
+  /// *state*, never of update history (checkpoint restore rebuilds
+  /// buckets from rows alone and must reproduce the live instance's
+  /// iteration order exactly).  The reference is invalidated by
+  /// mutations.
+  [[nodiscard]] const std::vector<RowId>& find_by(std::size_t column,
+                                                  const Value& value) const;
 
-  /// Declares a hash index on `column` (idempotent).
-  void create_index(const std::string& column);
-
-  /// All row ids whose `column` equals `value`.  Uses the index when one
-  /// exists, otherwise scans.  Ids are returned in id (= insertion)
-  /// order on both paths: index buckets are kept id-ordered so query
-  /// results are a function of table *state*, never of update history
-  /// (checkpoint restore rebuilds buckets from rows alone and must
-  /// reproduce the live instance's iteration order exactly).
-  [[nodiscard]] std::vector<RowId> find_by(const std::string& column,
-                                           const Value& value) const;
-
-  /// First (lowest-id) row whose `column` equals `value`; nullptr when no
-  /// row matches.  The hot-path accessor for unique-key lookups: unlike
-  /// find_by it does not materialize an id vector.  Pointer invalidated
-  /// by mutations.
-  [[nodiscard]] const Row* find_first(const std::string& column,
+  /// First (lowest-id) row whose indexed `column` equals `value`; nullptr
+  /// when no row matches.  Pointer invalidated by mutations.
+  [[nodiscard]] const Row* find_first(std::size_t column,
                                       const Value& value) const;
-
-  /// Row ids matching an arbitrary predicate, in insertion order.
-  [[nodiscard]] std::vector<RowId> select(
-      const std::function<bool(const Row&)>& pred) const;
 
   /// Visits every row in insertion order.
   void for_each(const std::function<void(const Row&)>& fn) const;
 
-  /// Number of rows whose `column` equals `value`.
-  [[nodiscard]] std::size_t count_by(const std::string& column,
-                                     const Value& value) const;
-
   void set_observer(TableObserver* observer) noexcept { observer_ = observer; }
-
-  /// Queries that fell back to a full table scan because the column had
-  /// no index (counted only in contract-enabled builds).  A hot-path
-  /// query showing up here means a missing `indexed` schema declaration;
-  /// the first scan per column is also logged at warn level.
-  [[nodiscard]] std::uint64_t full_scans() const noexcept {
-    return full_scans_;
-  }
 
   /// Structural sweep: every row matches the schema, row ids stay below
   /// the allocation cursor, and every index bucket mirrors the rows it
@@ -175,23 +156,22 @@ class Table {
 
  private:
   friend struct TableInspector;  // test-only fault injection
+  using Index = std::unordered_map<Value, std::vector<RowId>, Value::Hash>;
+
+  [[nodiscard]] const Index& index(std::size_t column) const;
   void index_insert(const Row& row);
   void index_erase(const Row& row);
-  void note_full_scan(std::size_t column) const;
+  void bucket_insert(std::size_t column, const Value& key, RowId id);
+  void bucket_erase(std::size_t column, const Value& key, RowId id);
 
   std::string name_;
   Schema schema_;
   std::map<RowId, Row> rows_;  // ordered: insertion order == id order
   RowId next_id_ = 1;
-  // column index -> (value text+type key -> row ids).  The outer map is
-  // ordered so per-index maintenance loops replay identically (rule
-  // ordered-escape); the inner bucket map is only probed, never walked
-  // in an order-sensitive way.
-  std::map<std::size_t, std::unordered_map<std::string, std::vector<RowId>>>
-      indexes_;
+  // One slot per column, filled only for indexed columns.  The buckets
+  // are only probed, never walked in an order-sensitive way.
+  std::vector<Index> indexes_;
   TableObserver* observer_ = nullptr;
-  mutable std::uint64_t full_scans_ = 0;
-  mutable std::vector<bool> scan_logged_;  // per column, first-scan log gate
 };
 
 }  // namespace sphinx::db

@@ -1,7 +1,6 @@
 #include "db/value.hpp"
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace sphinx::db {
 
@@ -50,17 +49,6 @@ const std::string& Value::as_text() const {
 bool Value::as_bool() const {
   SPHINX_ASSERT(std::holds_alternative<bool>(data_), "Value is not a bool");
   return std::get<bool>(data_);
-}
-
-std::string Value::to_string() const {
-  switch (type()) {
-    case ValueType::kNull: return "null";
-    case ValueType::kInt: return std::to_string(as_int());
-    case ValueType::kReal: return format_double(as_real(), 9);
-    case ValueType::kText: return as_text();
-    case ValueType::kBool: return as_bool() ? "true" : "false";
-  }
-  return "";
 }
 
 }  // namespace sphinx::db

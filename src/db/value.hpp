@@ -9,6 +9,7 @@
 /// those tables.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 
@@ -44,8 +45,14 @@ class Value {
   [[nodiscard]] const std::string& as_text() const;
   [[nodiscard]] bool as_bool() const;
 
-  /// Canonical text form, used by the journal serialization.
-  [[nodiscard]] std::string to_string() const;
+  /// Hash of type and payload for Value-keyed index buckets, consistent
+  /// with operator== for every value that equals itself (a NaN real does
+  /// not, so no column that can hold a real carries an index).
+  struct Hash {
+    [[nodiscard]] std::size_t operator()(const Value& v) const noexcept {
+      return std::hash<decltype(v.data_)>{}(v.data_);
+    }
+  };
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.data_ == b.data_;

@@ -181,7 +181,6 @@ Tenant& Scenario::add_tenant(const std::string& label,
   server_config.use_policy = options.use_policy;
   server_config.use_qos_ordering = options.use_qos_ordering;
   server_config.checkpoint_every_records = options.checkpoint_every_records;
-  server_config.checkpoint_period = options.checkpoint_period;
   server_config.sweep_phase = options.sweep_phase;
   server_config.speculate = options.speculate;
   tenant.server = std::make_unique<core::SphinxServer>(

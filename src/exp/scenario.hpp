@@ -90,10 +90,9 @@ struct TenantOptions {
   bool use_qos_ordering = true;  ///< priority + earliest-deadline planning
   Duration job_timeout = minutes(20);
   /// Server checkpoint policy (see ServerConfig): checkpoint every N
-  /// journal records / every M sim-seconds.  0/0 (default) disables
-  /// checkpointing and keeps recovery on full-history replay.
+  /// journal records.  0 (default) disables checkpointing and keeps
+  /// recovery on full-history replay.
   std::size_t checkpoint_every_records = 0;
-  Duration checkpoint_period = 0.0;
   /// First-sweep offset (ServerConfig::sweep_phase).  Multi-shard
   /// deployments stagger phases so no two shards sweep at the same
   /// engine timestamp.

@@ -69,7 +69,7 @@ std::string ClarensService::dedup_key(const std::string& from,
 }
 
 void ClarensService::handle(const Envelope& request) {
-  const bool dedup = request.call_seq != 0 && dedup_capacity_ > 0;
+  const bool dedup = dedup_capacity_ > 0;
   std::string key;
   if (dedup) {
     key = dedup_key(request.from, request.call_seq);
@@ -264,10 +264,6 @@ void ClarensClient::complete(std::uint64_t seq, Expected<XrValue> result) {
 
 void ClarensClient::handle(const Envelope& response) {
   const std::uint64_t seq = response.call_seq;
-  if (seq == 0) {
-    ++stray_replies_;  // unsequenced traffic cannot be one of our calls
-    return;
-  }
   const auto it = pending_.find(seq);
   if (it == pending_.end()) {
     // A duplicate of a reply we already consumed, or noise.  Counted and

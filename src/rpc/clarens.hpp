@@ -66,8 +66,7 @@ class ClarensService {
     return replayed_;
   }
 
-  /// Bounds the dedup cache (FIFO eviction).  0 disables deduplication;
-  /// unsequenced requests (call_seq == 0) always bypass the cache.
+  /// Bounds the dedup cache (FIFO eviction).  0 disables deduplication.
   /// Shrinking trims eagerly: cached replies beyond the new capacity are
   /// evicted right here, not lazily on the next insert -- with the old
   /// lazy scheme a shrink-to-zero left stale replies cached forever

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/contracts.hpp"
 #include "obs/recorder.hpp"
 
 namespace sphinx::rpc {
@@ -66,6 +67,7 @@ void MessageBus::set_control_stream(std::string prefix, Rng rng) {
 MessageId MessageBus::send(const std::string& from, const std::string& to,
                            std::string payload, Proxy proxy,
                            std::uint64_t call_seq) {
+  SPHINX_PRECONDITION(call_seq >= 1, "requests carry a call sequence >= 1");
   Envelope env;
   env.from = from;
   env.to = to;

@@ -40,7 +40,7 @@ struct Envelope {
   SimTime sent_at = 0.0;
   /// End-to-end call sequence number, stable across retransmissions of
   /// the same logical call (the bus-level `id` is per transmission).
-  /// 0 = unsequenced legacy traffic; replies copy the request's value.
+  /// Requests carry one >= 1; replies copy the request's value.
   std::uint64_t call_seq = 0;
 };
 
@@ -113,11 +113,10 @@ class MessageBus {
   [[nodiscard]] bool handoff_pending(const std::string& name) const noexcept;
 
   /// Sends a request envelope.  Returns the message id for correlation.
-  /// `call_seq` threads the caller's end-to-end sequence number through
-  /// the wire (0 = unsequenced).
+  /// `call_seq` (>= 1) threads the caller's end-to-end sequence number
+  /// through the wire.
   MessageId send(const std::string& from, const std::string& to,
-                 std::string payload, Proxy proxy = {},
-                 std::uint64_t call_seq = 0);
+                 std::string payload, Proxy proxy, std::uint64_t call_seq);
 
   /// Sends a reply correlated with `request` (copies its call_seq).
   MessageId reply(const Envelope& request, std::string payload);

@@ -15,8 +15,8 @@ void Dag::add_job(JobSpec job) {
 }
 
 void Dag::add_edge(JobId parent, JobId child) {
-  const std::size_t p = index_of(parent);
-  const std::size_t c = index_of(child);
+  const std::size_t p = slot_of(parent);
+  const std::size_t c = slot_of(child);
   SPHINX_ASSERT(parent != child, "self edge in DAG");
   auto& kids = children_[p];
   if (std::find(kids.begin(), kids.end(), child) != kids.end()) return;
@@ -26,21 +26,21 @@ void Dag::add_edge(JobId parent, JobId child) {
 
 bool Dag::has_job(JobId id) const noexcept { return index_.contains(id); }
 
-std::size_t Dag::index_of(JobId id) const {
+std::size_t Dag::slot_of(JobId id) const {
   const auto it = index_.find(id);
   SPHINX_ASSERT(it != index_.end(),
                 "unknown job id " + std::to_string(id.value()));
   return it->second;
 }
 
-const JobSpec& Dag::job(JobId id) const { return jobs_[index_of(id)]; }
+const JobSpec& Dag::job(JobId id) const { return jobs_[slot_of(id)]; }
 
 const std::vector<JobId>& Dag::parents(JobId id) const {
-  return parents_[index_of(id)];
+  return parents_[slot_of(id)];
 }
 
 const std::vector<JobId>& Dag::children(JobId id) const {
-  return children_[index_of(id)];
+  return children_[slot_of(id)];
 }
 
 std::vector<JobId> Dag::ready_jobs(

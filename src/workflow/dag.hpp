@@ -74,7 +74,7 @@ class Dag {
   [[nodiscard]] StatusOrError validate() const;
 
  private:
-  [[nodiscard]] std::size_t index_of(JobId id) const;
+  [[nodiscard]] std::size_t slot_of(JobId id) const;
 
   DagId id_;
   std::string name_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -38,8 +39,9 @@ struct TableInspector {
   static void append_phantom_cell(Table& table, RowId id) {
     table.rows_.at(id).cells.emplace_back();  // arity now violates schema
   }
+  /// Column 0 must be indexed and the table non-empty.
   static void add_phantom_index_entry(Table& table) {
-    table.indexes_.begin()->second.begin()->second.push_back(RowId{9999});
+    table.indexes_.front().begin()->second.push_back(RowId{9999});
   }
 };
 
@@ -60,6 +62,17 @@ namespace sphinx::core {
 namespace {
 
 using db::Value;
+
+/// Position of the column `name` in `table`: these tests corrupt rows
+/// behind the warehouse API, which addresses columns by position alone.
+std::size_t column(const db::Table& table, const std::string& name) {
+  const std::vector<db::Column>& columns = table.schema().columns();
+  const auto it = std::find_if(
+      columns.begin(), columns.end(),
+      [&name](const db::Column& c) { return c.name == name; });
+  EXPECT_NE(it, columns.end()) << "no column " << name;
+  return static_cast<std::size_t>(it - columns.begin());
+}
 
 workflow::Dag one_job_dag(std::uint64_t base = 100) {
   workflow::Dag dag(DagId(base), "contract-dag");
@@ -148,20 +161,22 @@ TEST(Contracts, WarehouseDetectsUnparseableJobState) {
   EXPECT_NO_THROW(wh.check_invariants());
   // "bogus" is schema-valid text, so the table layer accepts it; only the
   // warehouse-level sweep knows it is not a job state.
-  const auto rows =
-      wh.database().table("jobs").find_by("job_id", Value(std::uint64_t{101}));
+  db::Table& jobs = wh.database().table("jobs");
+  const std::vector<db::RowId> rows =
+      jobs.find_by(column(jobs, "job_id"), Value(std::uint64_t{101}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("jobs").update(rows.front(), "state", Value("bogus"));
+  jobs.update(rows.front(), column(jobs, "state"), Value("bogus"));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
 TEST(Contracts, WarehouseDetectsJobCountDrift) {
   DataWarehouse wh;
   wh.insert_dag(one_job_dag(), "c", UserId(1), 0.0);
-  const auto rows =
-      wh.database().table("jobs").find_by("job_id", Value(std::uint64_t{101}));
+  db::Table& jobs = wh.database().table("jobs");
+  const std::vector<db::RowId> rows =
+      jobs.find_by(column(jobs, "job_id"), Value(std::uint64_t{101}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("jobs").erase(rows.front());
+  jobs.erase(rows.front());
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -169,11 +184,12 @@ TEST(Contracts, WarehouseDetectsNegativeSiteStats) {
   DataWarehouse wh;
   wh.record_completion(SiteId(7), 12.0);
   EXPECT_NO_THROW(wh.check_invariants());
-  const auto rows = wh.database().table("site_stats").select(
-      [](const db::Row&) { return true; });
+  db::Table& stats = wh.database().table("site_stats");
+  const std::vector<db::RowId> rows =
+      stats.find_by(column(stats, "site_id"), Value(std::uint64_t{7}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("site_stats").update(rows.front(), "completed",
-                                           Value(std::int64_t{-1}));
+  stats.update(rows.front(), column(stats, "completed"),
+               Value(std::int64_t{-1}));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -182,10 +198,11 @@ TEST(Contracts, WarehouseDetectsNegativeQuotaUsage) {
   wh.set_quota(UserId(1), SiteId(2), "cpu", 10.0);
   wh.consume_quota(UserId(1), SiteId(2), "cpu", 4.0);
   EXPECT_NO_THROW(wh.check_invariants());
-  const auto rows = wh.database().table("quotas").select(
-      [](const db::Row&) { return true; });
+  db::Table& quotas = wh.database().table("quotas");
+  const std::vector<db::RowId> rows =
+      quotas.find_by(column(quotas, "user"), Value(std::uint64_t{1}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("quotas").update(rows.front(), "used", Value(-1.0));
+  quotas.update(rows.front(), column(quotas, "used"), Value(-1.0));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -230,8 +247,7 @@ TEST(Contracts, TableDetectsSchemaArityCorruption) {
 
 TEST(Contracts, TableDetectsIndexNamingMissingRow) {
   db::Database db;
-  db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
-  db.table("t").create_index("a");
+  db.create_table("t", db::Schema{db::indexed("a", db::ValueType::kInt)});
   db.table("t").insert({Value(std::int64_t{1})});
   EXPECT_NO_THROW(db.check_invariants());
   db::TableInspector::add_phantom_index_entry(db.table("t"));
@@ -242,7 +258,7 @@ TEST(Contracts, TableRejectsTypeConfusedUpdate) {
   db::Database db;
   db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
   const auto id = db.table("t").insert({Value(std::int64_t{1})});
-  EXPECT_THROW(db.table("t").update(id, "a", Value("not an int")),
+  EXPECT_THROW(db.table("t").update(id, 0, Value("not an int")),
                AssertionError);
 }
 

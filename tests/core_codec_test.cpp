@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "core/codec.hpp"
 #include "workflow/generator.hpp"
 
@@ -159,9 +163,11 @@ TEST(ReportCodec, RoundTripEachKind) {
     report.completion_time = 321.0;
     report.execution_time = 60.5;
     report.idle_time = 260.5;
+    report.attempt = 3;
     const auto decoded = decode_report(through_wire(encode_report(report)));
     ASSERT_TRUE(decoded.has_value()) << to_string(kind);
     EXPECT_EQ(decoded->kind, kind);
+    EXPECT_EQ(decoded->attempt, 3);
     EXPECT_EQ(decoded->job, report.job);
     EXPECT_EQ(decoded->site, report.site);
     EXPECT_DOUBLE_EQ(decoded->at, report.at);
@@ -172,10 +178,67 @@ TEST(ReportCodec, RoundTripEachKind) {
 }
 
 TEST(ReportCodec, RejectsUnknownKind) {
-  rpc::XrValue encoded = encode_report(TrackerReport{});
+  TrackerReport report;
+  report.attempt = 1;
+  rpc::XrValue encoded = encode_report(report);
   auto s = encoded.as_struct();
   s["kind"] = rpc::XrValue("exploded");
   EXPECT_FALSE(decode_report(rpc::XrValue(std::move(s))).has_value());
+}
+
+/// Attempt numbers a decoder must refuse: missing, mistyped, zero,
+/// negative, or wider than int (4294967297 would truncate to 1).
+std::vector<std::optional<rpc::XrValue>> bad_attempts() {
+  return {std::nullopt,
+          rpc::XrValue("x"),
+          rpc::XrValue(1.0),
+          rpc::XrValue(0),
+          rpc::XrValue(-3),
+          rpc::XrValue(std::int64_t{4294967297}),
+          rpc::XrValue(std::int64_t{std::numeric_limits<int>::max()} + 1)};
+}
+
+/// `encoded` with its attempt member replaced (or dropped when empty).
+rpc::XrValue with_attempt(const rpc::XrValue& encoded,
+                          const std::optional<rpc::XrValue>& attempt) {
+  auto s = encoded.as_struct();
+  s.erase("attempt");
+  if (attempt.has_value()) s.emplace("attempt", *attempt);
+  return through_wire(rpc::XrValue(std::move(s)));
+}
+
+TEST(ReportCodec, AttemptIsRequiredAndInRange) {
+  TrackerReport report;
+  report.job = JobId(9);
+  report.site = SiteId(4);
+  const rpc::XrValue encoded = encode_report(report);
+  for (const auto& attempt : bad_attempts()) {
+    EXPECT_FALSE(decode_report(with_attempt(encoded, attempt)).has_value());
+  }
+  for (const int attempt : {1, std::numeric_limits<int>::max()}) {
+    const auto decoded =
+        decode_report(with_attempt(encoded, rpc::XrValue(attempt)));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->attempt, attempt);
+  }
+}
+
+TEST(PlanCodec, AttemptIsRequiredAndInRange) {
+  ExecutionPlan plan;
+  plan.job = JobId(1);
+  plan.dag = DagId(1);
+  plan.job_name = "x";
+  plan.site = SiteId(1);
+  const rpc::XrValue encoded = encode_plan(plan);
+  for (const auto& attempt : bad_attempts()) {
+    EXPECT_FALSE(decode_plan(with_attempt(encoded, attempt)).has_value());
+  }
+  for (const int attempt : {1, std::numeric_limits<int>::max()}) {
+    const auto decoded =
+        decode_plan(with_attempt(encoded, rpc::XrValue(attempt)));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->attempt, attempt);
+  }
 }
 
 }  // namespace

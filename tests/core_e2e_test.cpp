@@ -170,7 +170,7 @@ TEST(CoreE2E, BlackHoleSiteTriggersTimeoutAndReplan) {
   const auto stats = tenant.server->warehouse().site_stats(ll3);
   EXPECT_GT(stats.cancelled, 0);
   EXPECT_EQ(stats.completed, 0);
-  EXPECT_FALSE(tenant.server->warehouse().site_available(ll3));
+  EXPECT_FALSE(stats.reliable());
 }
 
 TEST(CoreE2E, FeedbackAvoidsBlackHoleAfterFirstTimeouts) {

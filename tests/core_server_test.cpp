@@ -100,6 +100,7 @@ TEST(ServerProtocol, ReportForUnknownJobFaults) {
   report.job = JobId(999999);
   report.kind = core::ReportKind::kCompleted;
   report.site = SiteId(1);
+  report.attempt = 1;
   const auto r = caller.call("sphinx-server/t", "sphinx.report",
                              {core::encode_report(report)});
   ASSERT_FALSE(r.has_value());
@@ -414,6 +415,43 @@ TEST(ClientProtocol, TimeoutRearmsFromObservationWithFreshBudgetOnReplan) {
             stats.extensions);
 }
 
+TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
+  // A race-loser cancel names (job, attempt).  An attempt outside
+  // [1, INT_MAX] names no attempt at all; truncating 4294967297 to int
+  // would cancel the live first attempt instead.
+  Scenario scenario(quiet());
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
+  const auto dag = generator.generate("cancel");
+  scenario.start();
+  scenario.engine().schedule_at(1.0, "submit",
+                                [&tenant, dag] { tenant.client->submit(dag); });
+  scenario.engine().run_until(minutes(2));
+  std::vector<core::JobRecord> live =
+      tenant.server->warehouse().jobs_in_state(core::JobState::kRunning);
+  for (const core::JobRecord& job :
+       tenant.server->warehouse().jobs_in_state(core::JobState::kSubmitted)) {
+    live.push_back(job);
+  }
+  ASSERT_FALSE(live.empty());
+  ASSERT_EQ(live.front().attempt, 1);
+
+  RawCaller caller(scenario,
+                   rpc::Proxy(rpc::Identity{"/CN=server", "/CN=CA"}, "ivdgl",
+                              {}, 0.0, hours(24)));
+  for (const rpc::XrValue& attempt :
+       {rpc::XrValue(std::int64_t{4294967297}), rpc::XrValue(0),
+        rpc::XrValue(-3), rpc::XrValue("1")}) {
+    const auto r = caller.call(
+        "sphinx-client/t", "sphinx_client.cancel_attempt",
+        {rpc::XrValue(live.front().id.value()), attempt});
+    EXPECT_FALSE(r.has_value());
+  }
+  EXPECT_EQ(tenant.client->tracker_stats().race_cancels, 0u);
+  EXPECT_TRUE(core::is_outstanding(
+      tenant.server->warehouse().job(live.front().id)->state));
+}
+
 TEST(ClientProtocol, RejectsBogusPlans) {
   Scenario scenario(quiet());
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
@@ -441,40 +479,16 @@ std::vector<SimTime> checkpoint_times(const Scenario& scenario) {
   return times;
 }
 
-TEST(ServerCheckpoint, PeriodFiresExactlyOnTheSweepBoundary) {
-  // checkpoint_period = 2 sweeps: the deciding sweep lands at *exactly*
-  // last_checkpoint_at_ + period.  The trigger is `now >= last + period`;
-  // a strict `>` would slip every period checkpoint one sweep late.
-  Scenario scenario(quiet());
-  TenantOptions options;
-  options.checkpoint_period = 10.0;  // sweep_period is 5.0
-  Tenant& tenant = scenario.add_tenant("t", options);
-  auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
-  const auto dag = generator.generate("boundary");
-  scenario.start();
-  scenario.engine().schedule_at(1.0, "submit",
-                                [&tenant, dag] { tenant.client->submit(dag); });
-  scenario.engine().run_until(minutes(1));
-
-  const std::vector<SimTime> times = checkpoint_times(scenario);
-  ASSERT_GE(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 10.0);
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    // Every checkpoint lands on a period boundary, never a sweep late.
-    EXPECT_DOUBLE_EQ(times[i], 10.0 + 10.0 * static_cast<double>(i));
-  }
-}
-
 TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
-  // An adopted shard re-derives last_checkpoint_at_/last_checkpoint_seq_
-  // from the carried CheckpointImage (src/core/server.cpp), so its
-  // post-adoption period checkpoints fire at exactly the times the
-  // uncrashed baseline's do -- pinned by byte-diffing the terminal
-  // journal and the chaos-stripped trace.
+  // An adopted shard re-derives last_checkpoint_seq_ from the carried
+  // CheckpointImage (src/core/server.cpp), so its post-adoption
+  // checkpoints (one per checkpoint_every_records journal records) fire
+  // at exactly the times the uncrashed baseline's do -- pinned by
+  // byte-diffing the terminal journal and the chaos-stripped trace.
   auto run = [](bool crash) {
     auto scenario = std::make_unique<Scenario>(quiet(23));
     TenantOptions options;
-    options.checkpoint_period = 10.0;
+    options.checkpoint_every_records = 64;
     Tenant& tenant = scenario->add_tenant("t", options);
     auto generator =
         scenario->make_generator("w", workflow::WorkloadConfig{});
@@ -485,8 +499,8 @@ TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
           minutes(i), "submit", [&tenant, dag] { tenant.client->submit(dag); });
     }
     if (crash) {
-      // Mid-period kill (not on a sweep boundary), well after the first
-      // images published: the recovered cursors come from a real image.
+      // Kill off a sweep boundary, well after the first images
+      // published: the recovered cursor comes from a real image.
       scenario->engine().schedule_at(97.0, "crash", [&scenario] {
         scenario->crash_server(0);
         ASSERT_TRUE(scenario->recover_server(0).ok());

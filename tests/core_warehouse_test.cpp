@@ -57,10 +57,9 @@ TEST(Warehouse, InsertDagMaterializesRows) {
 TEST(Warehouse, DagStateTransitions) {
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
-  EXPECT_EQ(wh.dags_in_state(DagState::kReceived).size(), 1u);
+  EXPECT_EQ(wh.dag(DagId(100))->state, DagState::kReceived);
   wh.set_dag_state(DagId(100), DagState::kPlanning);
-  EXPECT_TRUE(wh.dags_in_state(DagState::kReceived).empty());
-  EXPECT_EQ(wh.dags_in_state(DagState::kPlanning).size(), 1u);
+  EXPECT_EQ(wh.dag(DagId(100))->state, DagState::kPlanning);
   wh.set_dag_finished(DagId(100), 500.0);
   const auto dag = wh.dag(DagId(100));
   EXPECT_EQ(dag->state, DagState::kFinished);
@@ -130,7 +129,7 @@ TEST(Warehouse, ReadyJobsFollowParentCompletion) {
 
 TEST(Warehouse, SiteStatsEwmaAndReliability) {
   DataWarehouse wh;
-  EXPECT_TRUE(wh.site_available(SiteId(1)));  // no data = available
+  EXPECT_TRUE(wh.site_stats(SiteId(1)).reliable());  // no data = reliable
   wh.record_completion(SiteId(1), 100.0);
   auto stats = wh.site_stats(SiteId(1));
   EXPECT_EQ(stats.completed, 1);
@@ -140,13 +139,13 @@ TEST(Warehouse, SiteStatsEwmaAndReliability) {
   EXPECT_EQ(stats.samples, 2);
   // EWMA(0.3): 0.3*200 + 0.7*100 = 130.
   EXPECT_NEAR(stats.avg_completion, 130.0, 1e-9);
-  EXPECT_TRUE(wh.site_available(SiteId(1)));
+  EXPECT_TRUE(wh.site_stats(SiteId(1)).reliable());
 
   wh.record_cancellation(SiteId(1));
-  EXPECT_TRUE(wh.site_available(SiteId(1)));  // 1 cancel <= 2 completed
+  EXPECT_TRUE(wh.site_stats(SiteId(1)).reliable());  // 1 cancel <= 2 completed
   wh.record_cancellation(SiteId(1));
   wh.record_cancellation(SiteId(1));
-  EXPECT_FALSE(wh.site_available(SiteId(1)));  // 3 > 2
+  EXPECT_FALSE(wh.site_stats(SiteId(1)).reliable());  // 3 > 2
 }
 
 TEST(Warehouse, CensoredCancellationRaisesEwma) {
@@ -454,7 +453,7 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   wh.set_job_planned(JobId(101), SiteId(2), 8.0);
   wh.record_completion(SiteId(2), 250.0);
 
-  const auto stats = wh.checkpoint(9.0);
+  const auto stats = wh.checkpoint();
   EXPECT_TRUE(stats.truncated);
   EXPECT_GT(stats.compacted_records, 0u);
   EXPECT_TRUE(wh.journal().empty());  // O(state): prefix discarded
@@ -503,7 +502,7 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
 
-  const auto stats = wh.checkpoint(2.0, [](const CheckpointImage&) {
+  const auto stats = wh.checkpoint([](const CheckpointImage&) {
     return true;  // simulate the kill inside the window
   });
   EXPECT_FALSE(stats.truncated);
@@ -546,7 +545,7 @@ TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
 
   // Completion lands *after* the checkpoint: the image says idle, the
   // journal suffix readies the child.
-  wh.checkpoint(2.0);
+  wh.checkpoint();
   EXPECT_TRUE(dirty_after_checkpoint_recovery().empty());
   wh.set_job_state(JobId(101), JobState::kCompleted);
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
@@ -554,7 +553,7 @@ TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
 
   // Completion precedes the *next* checkpoint: the suffix is empty and
   // the restored tables alone show the ready child.
-  wh.checkpoint(3.0);
+  wh.checkpoint();
   EXPECT_TRUE(wh.journal().empty());
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());
@@ -563,9 +562,50 @@ TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
   // idle again.
   (void)wh.drain_dirty_dags();
   wh.set_job_planned(JobId(102), SiteId(4), 4.0);
-  wh.checkpoint(4.0);
+  wh.checkpoint();
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());
+}
+
+TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
+  // Each journal replays cleanly at the db layer, but none of them
+  // rebuilds the warehouse's declared tables.
+  const DataWarehouse fresh;
+  const db::Journal& full = fresh.journal();
+  const auto expect_schema_error = [](const db::Journal& journal) {
+    const auto recovered = DataWarehouse::recover_from(journal);
+    ASSERT_FALSE(recovered.has_value());
+    EXPECT_EQ(recovered.error().code, "recover_schema");
+  };
+
+  // Only the first table (dags): the jobs table is missing.
+  ASSERT_EQ(full.entries().front().table, "dags");
+  db::Journal only_dags;
+  only_dags.append(full.entries().front());
+  expect_schema_error(only_dags);
+
+  // Nothing at all.
+  expect_schema_error(db::Journal{});
+
+  // The jobs table with its site and attempt column specs swapped: both
+  // are int columns, so rows would replay, and a warehouse bound to it
+  // would read every job's attempt as its site.
+  std::string text = full.serialize();
+  const std::size_t jobs_line = text.find("C\tjobs\t");
+  ASSERT_NE(jobs_line, std::string::npos);
+  const std::size_t site = text.find("\tsite=int\t", jobs_line);
+  const std::size_t attempt = text.find("\tattempt=int\t", jobs_line);
+  ASSERT_NE(site, std::string::npos);
+  ASSERT_NE(attempt, std::string::npos);
+  ASSERT_LT(site, attempt);
+  text.replace(attempt, 13, "\tsite=int\t");
+  text.replace(site, 10, "\tattempt=int\t");
+  const auto swapped = db::Journal::parse(text);
+  ASSERT_TRUE(swapped.has_value());
+  expect_schema_error(*swapped);
+
+  // The untouched journal still recovers.
+  EXPECT_TRUE(DataWarehouse::recover_from(full).has_value());
 }
 
 TEST(Warehouse, UnknownLookupsAreSafe) {

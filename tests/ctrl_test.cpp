@@ -154,6 +154,42 @@ TEST(LeaseTable, JournalRecoveryIsByteExact) {
   EXPECT_EQ(recovered.leases().size(), 2u);
 }
 
+TEST(LeaseTable, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
+  LeaseTable table;
+  table.grant("shard:0", "scheduler#0", 0.0, 3.0);
+  const auto expect_schema_error = [](const db::Journal& journal) {
+    LeaseTable recovered;
+    const auto status = recovered.recover_from(journal);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, "recover_schema");
+  };
+
+  // No lease table at all.
+  expect_schema_error(db::Journal{});
+
+  // The owner and epoch column specs swapped: the rows no longer fit.
+  std::string text = table.journal().serialize();
+  const std::string original = "\towner=text\tepoch=int\t";
+  const std::size_t at = text.find(original);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, original.size(), "\tepoch=int\towner=text\t");
+  const auto swapped = db::Journal::parse(text);
+  ASSERT_TRUE(swapped.has_value());
+  // The create record alone replays, so the schema check is what refuses.
+  db::Journal create_only;
+  create_only.append(swapped->entries().front());
+  expect_schema_error(create_only);
+
+  // The shard index dropped: same columns, but lookups would have no index.
+  text = table.journal().serialize();
+  const std::size_t bang = text.find("shard=text!");
+  ASSERT_NE(bang, std::string::npos);
+  text.erase(bang + 10, 1);
+  const auto unindexed = db::Journal::parse(text);
+  ASSERT_TRUE(unindexed.has_value());
+  expect_schema_error(*unindexed);
+}
+
 // --- coordinator + heartbeat integration ------------------------------------
 
 class CtrlFixture : public ::testing::Test {

@@ -5,12 +5,16 @@
 
 #include "common/contracts.hpp"
 #include "db/database.hpp"
+#include "db/encoding.hpp"
 #include "db/journal.hpp"
 #include "db/table.hpp"
 #include "db/value.hpp"
 
 namespace sphinx::db {
 namespace {
+
+/// Column positions of jobs_schema() and indexed_jobs_schema().
+enum Col : std::size_t { kName, kState, kSite, kRuntime, kDone };
 
 Schema jobs_schema() {
   return Schema{{"name", ValueType::kText},
@@ -48,18 +52,38 @@ TEST(Value, EqualityIsTyped) {
   EXPECT_EQ(Value(), Value());
 }
 
-TEST(Schema, IndexOfAndHas) {
-  const Schema s = jobs_schema();
-  EXPECT_EQ(s.size(), 5u);
-  EXPECT_EQ(s.index_of("state"), 1u);
-  EXPECT_TRUE(s.has("runtime"));
-  EXPECT_FALSE(s.has("nope"));
-  EXPECT_THROW((void)s.index_of("nope"), AssertionError);
+TEST(Value, HashAgreesWithEquality) {
+  const Value::Hash hash;
+  EXPECT_EQ(hash(Value(7)), hash(Value(std::int64_t{7})));
+  EXPECT_EQ(hash(Value("ready")), hash(Value(std::string("ready"))));
+  EXPECT_EQ(hash(Value(true)), hash(Value(true)));
+  EXPECT_EQ(hash(Value()), hash(Value()));
 }
 
 TEST(Schema, DuplicateColumnRejected) {
   EXPECT_THROW(Schema({{"a", ValueType::kInt}, {"a", ValueType::kInt}}),
                AssertionError);
+}
+
+TEST(Schema, IndexedRealColumnRejected) {
+  // Index lookup is Value equality, which a NaN cell never satisfies, so
+  // no column that can hold a real (real or untyped) may carry an index.
+  EXPECT_THROW(Schema({indexed("x", ValueType::kReal)}), AssertionError);
+  EXPECT_THROW(Schema({indexed("x", ValueType::kNull)}), AssertionError);
+  EXPECT_NO_THROW(Schema({indexed("i", ValueType::kInt),
+                          indexed("t", ValueType::kText),
+                          indexed("b", ValueType::kBool)}));
+
+  // The persisted forms refuse the same declarations.
+  EXPECT_FALSE(decode_column("x=real!").has_value());
+  EXPECT_FALSE(decode_column("x=null!").has_value());
+  EXPECT_TRUE(decode_column("x=real").has_value());
+  EXPECT_TRUE(decode_column("x=int!").has_value());
+  const auto journal = Journal::parse("C\tt\tx=real!\n");
+  ASSERT_FALSE(journal.has_value());
+  EXPECT_EQ(journal.error().code, "journal_parse");
+  Database d;
+  EXPECT_FALSE(d.restore("#db\t1\nT\tt\t1\tx=real!\n").ok());
 }
 
 TEST(Schema, AcceptsChecksArityAndTypes) {
@@ -82,15 +106,15 @@ TEST(Table, InsertFindUpdateErase) {
   EXPECT_EQ(t.size(), 1u);
 
   ASSERT_NE(t.find(id), nullptr);
-  EXPECT_EQ(t.get(id, "state").as_text(), "ready");
+  EXPECT_EQ(t.find(id)->cells[kState].as_text(), "ready");
 
-  EXPECT_TRUE(t.update(id, "state", Value("planned")));
-  EXPECT_EQ(t.get(id, "state").as_text(), "planned");
+  EXPECT_TRUE(t.update(id, kState, Value("planned")));
+  EXPECT_EQ(t.find(id)->cells[kState].as_text(), "planned");
 
   EXPECT_TRUE(t.erase(id));
   EXPECT_EQ(t.find(id), nullptr);
   EXPECT_FALSE(t.erase(id));
-  EXPECT_FALSE(t.update(id, "state", Value("x")));
+  EXPECT_FALSE(t.update(id, kState, Value("x")));
 }
 
 TEST(Table, SchemaEnforcedOnInsert) {
@@ -109,52 +133,46 @@ TEST(Table, RowIdsAreMonotonic) {
   }
 }
 
+Schema indexed_jobs_schema() {
+  return Schema{{{"name", ValueType::kText},
+                 indexed("state", ValueType::kText),
+                 {"site", ValueType::kInt},
+                 {"runtime", ValueType::kReal},
+                 {"done", ValueType::kBool}}};
+}
+
+/// The ids of `t`'s rows whose `column` equals `value`, by a full scan.
+std::vector<RowId> scan(const Table& t, std::size_t column,
+                        const Value& value) {
+  std::vector<RowId> out;
+  t.for_each([&](const Row& row) {
+    if (row.cells[column] == value) out.push_back(row.id);
+  });
+  return out;
+}
+
 TEST(Table, FindByScanAndIndexAgree) {
-  Table scan("jobs", jobs_schema());
-  Table indexed("jobs", jobs_schema());
-  indexed.create_index("state");
+  Table t("jobs", indexed_jobs_schema());
   for (int i = 0; i < 30; ++i) {
     const std::string state = i % 3 == 0 ? "ready" : "running";
-    scan.insert({Value("j"), Value(state), Value(i), Value(0.0), Value(false)});
-    indexed.insert(
-        {Value("j"), Value(state), Value(i), Value(0.0), Value(false)});
+    t.insert({Value("j"), Value(state), Value(i), Value(0.0), Value(false)});
   }
-  EXPECT_EQ(scan.find_by("state", Value("ready")),
-            indexed.find_by("state", Value("ready")));
-  EXPECT_EQ(indexed.count_by("state", Value("ready")), 10u);
+  EXPECT_EQ(t.find_by(kState, Value("ready")),
+            scan(t, kState, Value("ready")));
+  EXPECT_EQ(t.find_by(kState, Value("ready")).size(), 10u);
 }
 
 TEST(Table, IndexMaintainedAcrossUpdates) {
-  Table t("jobs", jobs_schema());
-  t.create_index("state");
+  Table t("jobs", indexed_jobs_schema());
   const RowId id =
       t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  EXPECT_EQ(t.count_by("state", Value("ready")), 1u);
-  t.update(id, "state", Value("planned"));
-  EXPECT_EQ(t.count_by("state", Value("ready")), 0u);
-  EXPECT_EQ(t.count_by("state", Value("planned")), 1u);
+  EXPECT_EQ(t.find_by(kState, Value("ready")).size(), 1u);
+  t.update(id, kState, Value("planned"));
+  EXPECT_TRUE(t.find_by(kState, Value("ready")).empty());
+  EXPECT_EQ(t.find_by(kState, Value("planned")).size(), 1u);
   t.erase(id);
-  EXPECT_EQ(t.count_by("state", Value("planned")), 0u);
-}
-
-TEST(Table, IndexCreatedAfterInsertsBackfills) {
-  Table t("jobs", jobs_schema());
-  for (int i = 0; i < 5; ++i) {
-    t.insert({Value("j"), Value("ready"), Value(i), Value(0.0), Value(false)});
-  }
-  t.create_index("state");
-  EXPECT_EQ(t.count_by("state", Value("ready")), 5u);
-}
-
-TEST(Table, SelectPredicate) {
-  Table t("jobs", jobs_schema());
-  for (int i = 0; i < 10; ++i) {
-    t.insert({Value("j"), Value("s"), Value(i), Value(i * 1.0), Value(false)});
-  }
-  const auto big = t.select([&t](const Row& r) {
-    return r.cells[t.schema().index_of("runtime")].as_real() >= 7.0;
-  });
-  EXPECT_EQ(big.size(), 3u);
+  EXPECT_TRUE(t.find_by(kState, Value("planned")).empty());
+  t.check_invariants();
 }
 
 TEST(Table, ForEachVisitsInInsertionOrder) {
@@ -174,9 +192,8 @@ TEST(Database, CreateAndLookupTables) {
   d.create_table("jobs", jobs_schema());
   d.create_table("dags", Schema{{"name", ValueType::kText}});
   EXPECT_TRUE(d.has_table("jobs"));
+  EXPECT_TRUE(d.has_table("dags"));
   EXPECT_FALSE(d.has_table("nope"));
-  EXPECT_EQ(d.table_count(), 2u);
-  EXPECT_EQ(d.table_names(), (std::vector<std::string>{"jobs", "dags"}));
   EXPECT_THROW(d.create_table("jobs", jobs_schema()), AssertionError);
   EXPECT_THROW((void)d.table("nope"), AssertionError);
 }
@@ -186,7 +203,7 @@ TEST(Database, JournalRecordsMutations) {
   Table& t = d.create_table("jobs", jobs_schema());
   const RowId id =
       t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, kState, Value("planned"));
   t.erase(id);
   // create + insert + update + erase
   EXPECT_EQ(d.journal().size(), 4u);
@@ -202,8 +219,8 @@ TEST(Database, RecoverRebuildsExactState) {
                                Value(false)}));
   }
   for (int i = 0; i < 20; i += 2) {
-    jobs.update(ids[i], "state", Value("completed"));
-    jobs.update(ids[i], "done", Value(true));
+    jobs.update(ids[i], kState, Value("completed"));
+    jobs.update(ids[i], kDone, Value(true));
   }
   jobs.erase(ids[3]);
   jobs.erase(ids[5]);
@@ -212,9 +229,9 @@ TEST(Database, RecoverRebuildsExactState) {
   ASSERT_TRUE(recovered.recover(original.journal()).ok());
   const Table& r = recovered.table("jobs");
   EXPECT_EQ(r.size(), 18u);
-  EXPECT_EQ(r.get(ids[0], "state").as_text(), "completed");
-  EXPECT_TRUE(r.get(ids[0], "done").as_bool());
-  EXPECT_EQ(r.get(ids[1], "state").as_text(), "ready");
+  EXPECT_EQ(r.find(ids[0])->cells[kState].as_text(), "completed");
+  EXPECT_TRUE(r.find(ids[0])->cells[kDone].as_bool());
+  EXPECT_EQ(r.find(ids[1])->cells[kState].as_text(), "ready");
   EXPECT_EQ(r.find(ids[3]), nullptr);
 }
 
@@ -263,7 +280,7 @@ TEST(Journal, SerializeParseRoundTrip) {
   const RowId id = t.insert({Value("has\ttab and \\slash\nnewline"),
                              Value("ready"), Value(-7), Value(3.25),
                              Value(true)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, kState, Value("planned"));
   t.erase(id);
 
   const std::string text = d.journal().serialize();
@@ -302,25 +319,9 @@ TEST(Database, TruncateJournalKeepsData) {
   Database d;
   Table& t = d.create_table("jobs", jobs_schema());
   t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  d.truncate_journal();
+  d.truncate_journal(d.journal().next_seq());
   EXPECT_TRUE(d.journal().empty());
   EXPECT_EQ(d.table("jobs").size(), 1u);
-}
-
-TEST(Database, JournalingCanBeDisabled) {
-  Database d;
-  d.set_journaling(false);
-  Table& t = d.create_table("jobs", jobs_schema());
-  t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  EXPECT_TRUE(d.journal().empty());
-}
-
-Schema indexed_jobs_schema() {
-  return Schema{{{"name", ValueType::kText},
-                 indexed("state", ValueType::kText),
-                 {"site", ValueType::kInt},
-                 {"runtime", ValueType::kReal},
-                 {"done", ValueType::kBool}}};
 }
 
 TEST(Table, SchemaDeclaredIndexes) {
@@ -330,14 +331,12 @@ TEST(Table, SchemaDeclaredIndexes) {
   t.insert({Value("b"), Value("done"), Value(2), Value(1.0), Value(true)});
   t.insert({Value("c"), Value("ready"), Value(1), Value(2.0), Value(false)});
 
-  // The declared index serves the query: no scan fallback.
-  EXPECT_EQ(t.find_by("state", Value("ready")).size(), 2u);
-  EXPECT_EQ(t.full_scans(), 0u);
-#if SPHINX_CONTRACTS_ENABLED
-  // Querying an undeclared column falls back to a (counted) full scan.
-  EXPECT_EQ(t.find_by("name", Value("b")).size(), 1u);
-  EXPECT_EQ(t.full_scans(), 1u);
-#endif
+  // The declared index serves the query.
+  EXPECT_EQ(t.find_by(kState, Value("ready")).size(), 2u);
+  // There is no scan path: querying an undeclared column is a bug.
+  EXPECT_THROW((void)t.find_by(kName, Value("b")), AssertionError);
+  EXPECT_THROW((void)t.find_first(kSite, Value(1)), AssertionError);
+  EXPECT_THROW((void)t.find_by(kDone + 1, Value(1)), AssertionError);
 }
 
 TEST(Table, FindFirstMatchesFindBy) {
@@ -348,17 +347,11 @@ TEST(Table, FindFirstMatchesFindBy) {
                 Value(false)});
   t.insert({Value("b"), Value("ready"), Value(2), Value(1.0), Value(false)});
 
-  // Index path.
-  const Row* row = t.find_first("state", Value("ready"));
+  const Row* row = t.find_first(kState, Value("ready"));
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->id, first);
-  EXPECT_EQ(row->id, t.find_by("state", Value("ready")).front());
-  EXPECT_EQ(t.find_first("state", Value("nope")), nullptr);
-  // Scan path agrees.
-  row = t.find_first("name", Value("b"));
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->id, t.find_by("name", Value("b")).front());
-  EXPECT_EQ(t.find_first("name", Value("zzz")), nullptr);
+  EXPECT_EQ(row->id, t.find_by(kState, Value("ready")).front());
+  EXPECT_EQ(t.find_first(kState, Value("nope")), nullptr);
 }
 
 TEST(Journal, CreateTableCarriesIndexFlags) {
@@ -372,14 +365,14 @@ TEST(Journal, CreateTableCarriesIndexFlags) {
   EXPECT_NE(text.find("name=text\t"), std::string::npos);
 
   // Round trip: the parsed journal rebuilds the index, so the recovered
-  // table answers the hot query without a scan fallback.
+  // table answers the hot query.
   const auto parsed = Journal::parse(text);
   ASSERT_TRUE(parsed.has_value());
   Database r;
   ASSERT_TRUE(r.recover(*parsed).ok());
   Table& rt = r.table("jobs");
-  EXPECT_EQ(rt.find_by("state", Value("ready")).size(), 1u);
-  EXPECT_EQ(rt.full_scans(), 0u);
+  EXPECT_EQ(rt.schema().columns(), indexed_jobs_schema().columns());
+  EXPECT_EQ(rt.find_by(kState, Value("ready")).size(), 1u);
 
   // Journals written before the flag existed still parse (no '!').
   const auto legacy = Journal::parse("C\tlegacy\tname=text\tstate=text\n");
@@ -408,7 +401,7 @@ TEST(Journal, SequenceNumbersSurviveTruncation) {
   EXPECT_EQ(d.journal().size(), 2u);
 
   // New mutations keep numbering from where the prefix left off.
-  t.update(ids[0], "state", Value("planned"));
+  t.update(ids[0], kState, Value("planned"));
   EXPECT_EQ(d.journal().next_seq(), 7u);
 
   // Truncating before the base or past the end clamps, never throws.
@@ -425,7 +418,7 @@ TEST(Journal, SerializedSizeMatchesAndHeaderRoundTrips) {
   Table& t = d.create_table("jobs", jobs_schema());
   const RowId id = t.insert({Value("tab\tand\nnewline"), Value("ready"),
                              Value(-3), Value(2.5), Value(true)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, kState, Value("planned"));
   EXPECT_EQ(d.journal().size_bytes(), d.journal().serialize().size());
 
   // Untruncated journals serialize headerless (legacy byte format).
@@ -457,7 +450,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
                                Value(i % 2 == 0 ? "ready" : "planned"),
                                Value(i), Value(1.5 * i), Value(false)}));
   }
-  jobs.update(ids[2], "state", Value("completed"));
+  jobs.update(ids[2], kState, Value("completed"));
   jobs.erase(ids[7]);  // tail erase: next_id exceeds the max live id
 
   const std::string image = original.snapshot();
@@ -472,7 +465,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
   // bytes, and keeps allocating row ids past the erased tail.
   EXPECT_EQ(restored.snapshot(), image);
   EXPECT_EQ(restored.table("jobs").size(), 7u);
-  EXPECT_EQ(restored.table("jobs").get(ids[2], "state").as_text(),
+  EXPECT_EQ(restored.table("jobs").find(ids[2])->cells[kState].as_text(),
             "completed");
   const RowId fresh = restored.table("jobs").insert(
       {Value("new"), Value("ready"), Value(9), Value(0.0), Value(false)});
@@ -488,8 +481,9 @@ TEST(Database, SnapshotCarriesIndexDeclarations) {
   Database restored;
   ASSERT_TRUE(restored.restore(original.snapshot()).ok());
   Table& rt = restored.table("jobs");
-  EXPECT_EQ(rt.find_by("state", Value("ready")).size(), 1u);
-  EXPECT_EQ(rt.full_scans(), 0u);  // the index came back with the schema
+  // The index came back with the schema.
+  EXPECT_EQ(rt.schema().columns(), indexed_jobs_schema().columns());
+  EXPECT_EQ(rt.find_by(kState, Value("ready")).size(), 1u);
 }
 
 TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
@@ -506,7 +500,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   }
   const std::string image = crashed.snapshot();
   const std::uint64_t seq = crashed.journal().next_seq();
-  jobs.update(ids[1], "state", Value("completed"));
+  jobs.update(ids[1], kState, Value("completed"));
   jobs.erase(ids[4]);
   crashed.truncate_journal(seq);
 
@@ -526,7 +520,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
     jobs2.insert({Value("j" + std::to_string(i)), Value("ready"), Value(i),
                   Value(0.0), Value(false)});
   }
-  jobs2.update(ids[1], "state", Value("completed"));
+  jobs2.update(ids[1], kState, Value("completed"));
   jobs2.erase(ids[4]);
   Database completed;
   ASSERT_TRUE(completed.restore(image).ok());
@@ -561,11 +555,13 @@ TEST(Table, IndexBucketsStayInIdOrder) {
     ids.push_back(t.insert({Value("j" + std::to_string(i)), Value("ready"),
                             Value(i), Value(0.0), Value(false)}));
   }
-  t.update(ids[0], "site", Value(9));  // same state: erase + reinsert
-  t.update(ids[2], "state", Value("planned"));
-  t.update(ids[2], "state", Value("ready"));
-  EXPECT_EQ(t.find_by("state", Value("ready")),
+  t.update(ids[0], kSite, Value(9));  // unindexed column: bucket untouched
+  t.update(ids[1], kState, Value("ready"));  // same value: no re-key
+  t.update(ids[2], kState, Value("planned"));
+  t.update(ids[2], kState, Value("ready"));
+  EXPECT_EQ(t.find_by(kState, Value("ready")),
             (std::vector<RowId>{ids[0], ids[1], ids[2], ids[3]}));
+  t.check_invariants();
 }
 
 }  // namespace

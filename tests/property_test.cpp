@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <tuple>
@@ -441,11 +442,12 @@ TEST_P(SeededProperty, SiteAccountingSurvivesChaos) {
 // --- journal replay equivalence ---------------------------------------------
 
 TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
+  enum Col : std::size_t { kK, kS, kX };
   Rng rng(GetParam());
   db::Database original;
   db::Table& table = original.create_table(
-      "t", db::Schema{{"k", db::ValueType::kInt},
-                      {"s", db::ValueType::kText},
+      "t", db::Schema{db::indexed("k", db::ValueType::kInt),
+                      db::indexed("s", db::ValueType::kText),
                       {"x", db::ValueType::kReal}});
   std::vector<db::RowId> rows;
   for (int i = 0; i < 400; ++i) {
@@ -455,9 +457,15 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
                                    db::Value("s" + std::to_string(i % 17)),
                                    db::Value(rng.uniform(0, 1))}));
     } else if (dice < 0.85) {
-      table.update(rows[static_cast<std::size_t>(rng.uniform_int(
-                       0, static_cast<std::int64_t>(rows.size() - 1)))],
-                   "s", db::Value("u" + std::to_string(i)));
+      // Re-key an indexed column (k or s) and write the unindexed x.
+      const db::RowId row = rows[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(rows.size() - 1)))];
+      if (dice < 0.75) {
+        table.update(row, kS, db::Value("u" + std::to_string(i % 23)));
+      } else {
+        table.update(row, kK, db::Value(rng.uniform_int(0, 1000)));
+      }
+      table.update(row, kX, db::Value(rng.uniform(0, 1)));
     } else {
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(rows.size() - 1)));
@@ -465,25 +473,45 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
       rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(idx));
     }
   }
-  // Replay directly and through the text form; both must equal original.
+  // Replay directly, through the text form and from a snapshot image.
   db::Database direct;
   ASSERT_TRUE(direct.recover(original.journal()).ok());
   const auto parsed = db::Journal::parse(original.journal().serialize());
   ASSERT_TRUE(parsed.has_value());
   db::Database via_text;
   ASSERT_TRUE(via_text.recover(*parsed).ok());
+  db::Database restored;
+  ASSERT_TRUE(restored.restore(original.snapshot()).ok());
 
-  const auto snapshot = [](const db::Database& d) {
-    std::vector<std::string> out;
-    d.table("t").for_each([&out](const db::Row& row) {
-      std::string line = std::to_string(row.id);
-      for (const auto& cell : row.cells) line += "|" + cell.to_string();
-      out.push_back(std::move(line));
-    });
-    return out;
+  // snapshot() prints reals at 17 digits, so every bit of x counts.
+  EXPECT_EQ(direct.snapshot(), original.snapshot());
+  EXPECT_EQ(via_text.snapshot(), original.snapshot());
+  EXPECT_EQ(restored.snapshot(), original.snapshot());
+
+  // Every index answers every key (plus one absent key) exactly as a
+  // scan of the rows does.
+  const auto check_indexes = [](const db::Database& d) {
+    const db::Table& t = d.table("t");
+    for (const std::size_t col : {std::size_t{kK}, std::size_t{kS}}) {
+      std::set<db::Value> keys = {col == kK ? db::Value(std::int64_t{-1})
+                                            : db::Value("absent")};
+      t.for_each([&](const db::Row& row) { keys.insert(row.cells[col]); });
+      for (const db::Value& key : keys) {
+        std::vector<db::RowId> expected;
+        t.for_each([&](const db::Row& row) {
+          if (row.cells[col] == key) expected.push_back(row.id);
+        });
+        EXPECT_EQ(t.find_by(col, key), expected);
+        const db::Row* first = t.find_first(col, key);
+        EXPECT_EQ(first == nullptr ? db::kInvalidRow : first->id,
+                  expected.empty() ? db::kInvalidRow : expected.front());
+      }
+    }
   };
-  EXPECT_EQ(snapshot(direct), snapshot(original));
-  EXPECT_EQ(snapshot(via_text), snapshot(original));
+  check_indexes(original);
+  check_indexes(direct);
+  check_indexes(via_text);
+  check_indexes(restored);
 }
 
 // --- workload generator invariants ------------------------------------------

@@ -100,7 +100,7 @@ TEST_F(BusFixture, DeliversAfterLatency) {
     got.push_back(e.payload);
     EXPECT_DOUBLE_EQ(e.sent_at, 0.0);
   });
-  bus.send("client", "server", "hello");
+  bus.send("client", "server", "hello", {}, 1);
   EXPECT_TRUE(got.empty());  // not yet delivered
   engine.run_until();
   ASSERT_EQ(got.size(), 1u);
@@ -113,13 +113,13 @@ TEST_F(BusFixture, PreservesSendOrderAtEqualLatency) {
   bus.register_endpoint("s", [&](const Envelope& e) {
     order.push_back(std::stoi(e.payload));
   });
-  for (int i = 0; i < 5; ++i) bus.send("c", "s", std::to_string(i));
+  for (int i = 0; i < 5; ++i) bus.send("c", "s", std::to_string(i), {}, 1);
   engine.run_until();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST_F(BusFixture, DropsToMissingEndpoint) {
-  bus.send("c", "nobody", "lost");
+  bus.send("c", "nobody", "lost", {}, 1);
   engine.run_until();
   EXPECT_EQ(bus.stats().sent, 1u);
   EXPECT_EQ(bus.stats().dropped_no_endpoint, 1u);
@@ -130,7 +130,7 @@ TEST_F(BusFixture, DropsToMissingEndpoint) {
 TEST_F(BusFixture, UnregisterDropsInflight) {
   bool delivered = false;
   bus.register_endpoint("s", [&](const Envelope&) { delivered = true; });
-  bus.send("c", "s", "x");
+  bus.send("c", "s", "x", {}, 1);
   bus.unregister_endpoint("s");
   engine.run_until();
   EXPECT_FALSE(delivered);
@@ -148,7 +148,7 @@ TEST_F(BusFixture, ReplyCorrelatesWithRequest) {
     got_reply_to = e.in_reply_to;
     EXPECT_EQ(e.payload, "pong");
   });
-  bus.send("client", "server", "ping");
+  bus.send("client", "server", "ping", {}, 1);
   engine.run_until();
   EXPECT_EQ(got_reply_to, request_id);
   EXPECT_TRUE(got_reply_to.valid());
@@ -258,7 +258,7 @@ TEST_F(ClarensFixture, GarbagePayloadFaults) {
     EXPECT_EQ(parsed->fault.code, 1);
     got_fault = true;
   });
-  bus.send("raw-client", "sphinx-server", "this is not xml", user_proxy());
+  bus.send("raw-client", "sphinx-server", "this is not xml", user_proxy(), 1);
   engine.run_until();
   EXPECT_TRUE(got_fault);
 }

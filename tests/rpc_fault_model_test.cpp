@@ -47,7 +47,7 @@ TEST_F(FaultBusFixture, CertainLossDropsEveryMessage) {
   rule.loss = 1.0;
   with_rule(rule);
   std::size_t* got = sink("server");
-  for (int i = 0; i < 8; ++i) bus.send("client", "server", "m");
+  for (int i = 0; i < 8; ++i) bus.send("client", "server", "m", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(bus.stats().sent, 8u);
@@ -61,7 +61,7 @@ TEST_F(FaultBusFixture, CertainDuplicationDeliversTwice) {
   rule.duplicate = 1.0;
   with_rule(rule);
   std::size_t* got = sink("server");
-  bus.send("client", "server", "m");
+  bus.send("client", "server", "m", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 2u);
   EXPECT_EQ(bus.stats().sent, 1u);
@@ -77,7 +77,7 @@ TEST_F(FaultBusFixture, PartitionWindowIsHalfOpen) {
   with_rule(rule);
   std::size_t* got = sink("server");
   for (const SimTime at : {5.0, 10.0, 19.99, 20.0}) {
-    engine.schedule_at(at, "send", [this] { bus.send("c", "server", "m"); });
+    engine.schedule_at(at, "send", [this] { bus.send("c", "server", "m", {}, 1); });
   }
   engine.run_until();
   // Sends at t=10 and t=19.99 fall inside [start, end); 5.0 and 20.0 pass.
@@ -95,9 +95,9 @@ TEST_F(FaultBusFixture, RuleMatchingIsSymmetricAndPrefixBased) {
   std::size_t* to_server = sink("server/out");
   std::size_t* to_client = sink("client-7");
   std::size_t* to_other = sink("other");
-  bus.send("client-7", "server/out", "req");     // forward: partitioned
-  bus.send("server/out", "client-7", "reply");   // reverse: partitioned too
-  bus.send("client-7", "other", "side");         // unmatched link: delivered
+  bus.send("client-7", "server/out", "req", {}, 1);     // forward: partitioned
+  bus.send("server/out", "client-7", "reply", {}, 1);   // reverse: partitioned too
+  bus.send("client-7", "other", "side", {}, 1);         // unmatched link: delivered
   engine.run_until();
   EXPECT_EQ(*to_server, 0u);
   EXPECT_EQ(*to_client, 0u);
@@ -114,7 +114,7 @@ TEST_F(FaultBusFixture, ReorderSpikeDelaysDelivery) {
   bus.register_endpoint("server", [&](const Envelope&) {
     delivered_at.push_back(engine.now());
   });
-  bus.send("client", "server", "m");
+  bus.send("client", "server", "m", {}, 1);
   engine.run_until();
   ASSERT_EQ(delivered_at.size(), 1u);
   EXPECT_GT(delivered_at[0], 0.05);  // base latency plus a spike
@@ -126,9 +126,9 @@ TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
   obs::Recorder recorder(engine);
   bus.set_recorder(&recorder);
   std::size_t* got = sink("ephemeral");
-  bus.send("client", "ephemeral", "in-flight");
+  bus.send("client", "ephemeral", "in-flight", {}, 1);
   bus.unregister_endpoint("ephemeral");  // drop the in-flight message
-  bus.send("client", "never-wired", "lost cause");
+  bus.send("client", "never-wired", "lost cause", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(bus.stats().dropped_no_endpoint, 2u);
@@ -146,7 +146,7 @@ TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
   obs::Recorder recorder(engine);
   bus.set_recorder(&recorder);
   std::size_t* got = sink("sphinx-server/shard0");
-  bus.send("client", "sphinx-server/shard0", "in-flight");
+  bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
 
   // Planned ownership transfer: announce the handoff, then take the
   // endpoint down.  The in-flight reply is dropped -- but as
@@ -177,12 +177,12 @@ TEST_F(FaultBusFixture, ReRegistrationClosesTheHandoffWindow) {
   // later unregister is a plain crash again, not a handoff remnant.
   std::size_t* got = sink("sphinx-server/shard0");
   EXPECT_FALSE(bus.handoff_pending("sphinx-server/shard0"));
-  bus.send("client", "sphinx-server/shard0", "post-handoff");
+  bus.send("client", "sphinx-server/shard0", "post-handoff", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 1u);
   EXPECT_EQ(bus.stats().dropped_handoff, 0u);
 
-  bus.send("client", "sphinx-server/shard0", "in-flight");
+  bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
   bus.unregister_endpoint("sphinx-server/shard0");
   engine.run_until();
   EXPECT_EQ(bus.stats().dropped_handoff, 0u);
@@ -212,11 +212,11 @@ TEST(ControlStream, ControlTrafficNeverShiftsCoreLatencyDraws) {
     bus.register_endpoint("ctrl/coordinator", [](const Envelope&) {});
     for (int i = 0; i < 16; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "core");
+        bus.send("client", "server", "core", {}, 1);
       });
       if (with_ctrl_traffic) {
         engine.schedule_at(static_cast<double>(i) + 0.5, "beat", [&bus] {
-          bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew");
+          bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
         });
       }
     }
@@ -243,8 +243,8 @@ TEST(ControlStream, ControlTrafficIsExemptFromProbabilisticFaults) {
   std::size_t core_delivered = 0;
   bus.register_endpoint("server", [&](const Envelope&) { ++core_delivered; });
   for (int i = 0; i < 8; ++i) {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew");
-    bus.send("client", "server", "core");
+    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
+    bus.send("client", "server", "core", {}, 1);
   }
   engine.run_until();
   EXPECT_EQ(ctrl_delivered, 8u);
@@ -271,13 +271,13 @@ TEST(ControlStream, ControlTrafficStillHonorsPartitions) {
   bus.register_endpoint("ctrl/coordinator",
                         [&](const Envelope&) { ++delivered; });
   engine.schedule_at(0.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew");
+    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
   });
   engine.schedule_at(1.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew");
+    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
   });
   engine.schedule_at(2.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew");
+    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
   });
   engine.run_until();
   EXPECT_EQ(delivered, 2u);
@@ -301,9 +301,9 @@ TEST_F(FaultBusFixture, InjectedFaultsEmitObserveOnlyTraceEvents) {
   config.rules = {loss, dup, cut};
   bus.set_fault_model(config, Rng(9));
   sink("server");
-  engine.schedule_at(0.5, "s", [this] { bus.send("c", "server", "a"); });
-  engine.schedule_at(1.5, "s", [this] { bus.send("c", "server", "b"); });
-  engine.schedule_at(2.5, "s", [this] { bus.send("c", "server", "c"); });
+  engine.schedule_at(0.5, "s", [this] { bus.send("c", "server", "a", {}, 1); });
+  engine.schedule_at(1.5, "s", [this] { bus.send("c", "server", "b", {}, 1); });
+  engine.schedule_at(2.5, "s", [this] { bus.send("c", "server", "c", {}, 1); });
   engine.run_until();
   EXPECT_EQ(recorder.counter("bus.lost", "bus"), 1u);
   EXPECT_EQ(recorder.counter("bus.duplicated", "bus"), 1u);
@@ -329,7 +329,7 @@ TEST(FaultModelDeterminism, InertConfigKeepsDeliveryTimingIdentical) {
     });
     for (int i = 0; i < 32; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "m");
+        bus.send("client", "server", "m", {}, 1);
       });
     }
     engine.run_until();
@@ -353,7 +353,7 @@ TEST(FaultModelDeterminism, SameSeedSameFaultSequence) {
     bus.register_endpoint("server", [&](const Envelope&) { ++delivered; });
     for (int i = 0; i < 64; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "m");
+        bus.send("client", "server", "m", {}, 1);
       });
     }
     engine.run_until();

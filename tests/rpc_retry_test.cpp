@@ -178,16 +178,6 @@ TEST_F(RetryFixture, DedupIsScopedToCaller) {
   EXPECT_EQ(service.calls_replayed(), 0u);
 }
 
-TEST_F(RetryFixture, UnsequencedRequestsBypassTheCache) {
-  bus.register_endpoint("legacy", [](const Envelope&) {});
-  const std::string request = MethodCall{"bump", {}}.serialize();
-  bus.send("legacy", "sphinx-server", request, user_proxy());  // seq 0
-  bus.send("legacy", "sphinx-server", request, user_proxy());
-  engine.run_until();
-  EXPECT_EQ(bumps, 2u);
-  EXPECT_EQ(service.calls_replayed(), 0u);
-}
-
 TEST_F(RetryFixture, DedupCacheEvictsFifoAtCapacity) {
   service.set_dedup_capacity(2);
   bus.register_endpoint("caller", [](const Envelope&) {});

@@ -142,6 +142,15 @@ echo "== recovery benchmark =="
 "$bin/bench/micro_recovery" \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
+echo "== db benchmark =="
+# The table store's hot operations: inserts, an indexed lookup, a state
+# write that moves its row between index buckets, a write to an
+# unindexed column of 4,096 rows sharing one state bucket (no index is
+# touched), warehouse journal replay and the journal text round trip.
+# Results land in BENCH_db.json.
+"$bin/bench/micro_db" \
+  --benchmark_out=BENCH_db.json --benchmark_out_format=json
+
 echo "== rpc overhead benchmark =="
 # Dedup-cache lookup cost plus the reliable-stack A/B at 0% loss (the
 # overhead every fault-free run pays).  Results land in BENCH_rpc.json.
