@@ -1,13 +1,11 @@
-/// Microbenchmarks for the reliable-RPC stack: dedup-cache lookup cost
-/// on the service hot path, and the end-to-end overhead the retry layer
-/// (sequence numbers, timers, outbox hooks, dedup) adds on a perfect
-/// wire -- the price every fault-free experiment pays for at-least-once
-/// delivery.
+/// Microbenchmark for the reliable-RPC stack: the end-to-end overhead
+/// the retry layer (sequence numbers, timers, outbox hooks) adds on a
+/// perfect wire -- the price every fault-free experiment pays for
+/// at-least-once delivery.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "rpc/clarens.hpp"
@@ -31,13 +29,11 @@ rpc::AuthzPolicy open_policy() {
 }
 
 /// One client/service pair on a zero-fault bus; `reliable` toggles the
-/// whole at-least-once machinery off (single attempt, no dedup cache)
-/// for the A/B comparison.
+/// retry machinery off (single attempt) for the A/B comparison.
 struct RpcHarness {
   explicit RpcHarness(bool reliable)
       : service(bus, "sphinx-server", open_policy()),
         client(bus, "bench-client", bench_proxy(), make_retry(reliable)) {
-    if (!reliable) service.set_dedup_capacity(0);
     service.register_method(
         "echo", [](const std::vector<rpc::XrValue>& params, const rpc::Proxy&) {
           return Expected<rpc::XrValue>(rpc::XrValue(params.at(0)));
@@ -73,53 +69,5 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   state.SetLabel(state.range(0) == 1 ? "reliable" : "bare");
 }
 BENCHMARK(BM_RpcRoundTrip)->Arg(0)->Arg(1);
-
-/// Dedup-cache lookup on the service hot path.  range(0) = cache
-/// capacity (and resident entries); every request is a fresh miss, so
-/// this prices the lookup + FIFO bookkeeping a first delivery pays.
-void BM_DedupCacheMiss(benchmark::State& state) {
-  RpcHarness harness(true);
-  const std::size_t capacity = static_cast<std::size_t>(state.range(0));
-  harness.service.set_dedup_capacity(capacity);
-  harness.bus.register_endpoint("raw-caller", [](const rpc::Envelope&) {});
-  const std::string request =
-      rpc::MethodCall{"echo", {rpc::XrValue("x")}}.serialize();
-  std::uint64_t seq = 0;
-  // Pre-fill the cache to capacity so steady-state misses also evict.
-  for (std::size_t i = 0; i < capacity; ++i) {
-    harness.bus.send("raw-caller", "sphinx-server", request, bench_proxy(),
-                     ++seq);
-  }
-  harness.engine.run_until();
-  for (auto _ : state) {
-    harness.bus.send("raw-caller", "sphinx-server", request, bench_proxy(),
-                     ++seq);
-    harness.engine.run_until();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DedupCacheMiss)->Range(8, 4096);
-
-/// Dedup-cache hit: the same sequence number over and over, so every
-/// request after the first replays the cached reply without touching
-/// the handler.  This is the retransmission fast path.
-void BM_DedupCacheHit(benchmark::State& state) {
-  RpcHarness harness(true);
-  harness.service.set_dedup_capacity(static_cast<std::size_t>(state.range(0)));
-  harness.bus.register_endpoint("raw-caller", [](const rpc::Envelope&) {});
-  const std::string request =
-      rpc::MethodCall{"echo", {rpc::XrValue("x")}}.serialize();
-  harness.bus.send("raw-caller", "sphinx-server", request, bench_proxy(), 1);
-  harness.engine.run_until();
-  for (auto _ : state) {
-    harness.bus.send("raw-caller", "sphinx-server", request, bench_proxy(), 1);
-    harness.engine.run_until();
-  }
-  if (harness.service.calls_served() != 1) {
-    state.SkipWithError("handler re-executed");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DedupCacheHit)->Range(8, 4096);
 
 }  // namespace

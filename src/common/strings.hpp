@@ -1,6 +1,7 @@
 #pragma once
 /// \file strings.hpp
-/// Small string helpers shared by the XML layer, ClassAds, and reports.
+/// Small string helpers shared by the journal and snapshot codecs, the
+/// scheduling algorithms' saved state, and reports.
 
 #include <cstdint>
 #include <string>

@@ -62,9 +62,9 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
   auto plan = decode_plan(params[0]);
   if (!plan) return Unexpected<Error>{plan.error()};
   // Duplicate-delivery guard: a replanned job always carries a fresh
-  // attempt number, so a repeated (job, attempt) pair is a retransmission
-  // that escaped the RPC dedup cache.  Acknowledge it without touching
-  // the tracker or the gateway -- a plan must never execute twice.
+  // attempt number, so a repeated (job, attempt) pair is a re-delivered
+  // plan.  Acknowledge it without touching the tracker or the gateway --
+  // a plan must never execute twice.
   if (!submitted_attempts_.emplace(plan->job.value(), plan->attempt).second) {
     ++tracker_.duplicate_plans;
     if (recorder_ != nullptr) {
@@ -83,7 +83,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
     }
   }
 
-  // Build the submit file from the server's decision.
+  // Turn the server's decision into a gateway submission.
   submit::SubmitRequest request;
   request.job = plan->job;
   request.name = plan->job_name;

@@ -93,8 +93,7 @@ struct ServerStats {
   std::size_t jobs_reduced = 0;    ///< jobs eliminated by the DAG reducer
   std::size_t policy_rejections = 0;  ///< site filtered by quota at least once
   /// Re-delivered submissions skipped by the ingress duplicate guard (a
-  /// retransmitted submit_dag that escaped the RPC dedup cache, e.g.
-  /// after a crash wiped it).
+  /// retransmitted submit_dag whose first delivery was already stored).
   std::size_t duplicate_dags = 0;
   // Straggler defense (speculate = true).
   std::size_t speculations = 0;           ///< races launched

@@ -49,8 +49,7 @@ class MessageHandler {
 
   /// Stores an incoming DAG in the warehouse (state: received).  Returns
   /// false (and touches nothing) when the DAG id is already stored -- a
-  /// duplicate delivery of a submission that escaped the RPC-layer dedup
-  /// cache must not re-insert rows or re-dirty the DAG.
+  /// re-delivered submission must not re-insert rows or re-dirty the DAG.
   [[nodiscard]] bool accept_dag(const workflow::Dag& dag,
                                 const std::string& client, UserId user,
                                 SimTime now, double priority,

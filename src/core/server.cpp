@@ -241,9 +241,9 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
   const bool accepted = message_handler_->accept_dag(
       *dag, client, user, bus_.engine().now(), priority, deadline);
   if (!accepted) {
-    // Duplicate delivery (retransmission past a wiped dedup cache): the
-    // DAG is already stored.  Re-acknowledge with the identical reply and
-    // leave journal, trace and work queue untouched.
+    // Duplicate delivery (a retransmission, or a re-send after a crash):
+    // the DAG is already stored.  Re-acknowledge with the identical reply
+    // and leave journal, trace and work queue untouched.
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "server.duplicate_dags");
     }

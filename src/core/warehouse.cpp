@@ -946,9 +946,12 @@ void DataWarehouse::set_quota(UserId user, SiteId site,
   if (row == nullptr) {
     tables_.quotas->insert({Value(user.value()), Value(site.value()),
                             Value(resource), Value(limit), Value(0.0)});
-  } else {
-    tables_.quotas->update(row->id, QuotaCol::kLimit, Value(limit));
+    return;
   }
+  // The stored limit again (a re-delivered sphinx.set_quota) journals
+  // nothing, like set_scheduler_state.
+  if (row->cells[QuotaCol::kLimit].as_real() == limit) return;
+  tables_.quotas->update(row->id, QuotaCol::kLimit, Value(limit));
 }
 
 double DataWarehouse::quota_remaining(UserId user, SiteId site,

@@ -26,9 +26,7 @@ namespace sphinx::ctrl {
 /// Canonical shard identity: "shard:<index>".
 [[nodiscard]] std::string shard_name(std::size_t index);
 
-/// Canonical scheduler-instance name: "scheduler#<index>".  The '#' is
-/// deliberate -- shard-qualified names exercise the RPC dedup-key
-/// escaping (ClarensService::dedup_key).
+/// Canonical scheduler-instance name: "scheduler#<index>".
 [[nodiscard]] std::string scheduler_name(std::size_t index);
 
 }  // namespace sphinx::ctrl

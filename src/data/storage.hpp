@@ -2,9 +2,11 @@
 /// \file storage.hpp
 /// Per-site storage elements with capacity and per-user accounting.
 ///
-/// Output files land on the execution site's storage element; per-user
-/// usage feeds the policy engine's disk-quota constraint ("complex policy
-/// issues like hard disk quota", paper section 2).
+/// Output files land on the execution site's storage element.  A full
+/// element refuses the file, and the gateway then skips the output's RLS
+/// registration.  The per-user usage is accounting only: nothing reads
+/// used_by(), and the policy engine's quota filter (eq. 4) reads the
+/// warehouse `quotas` table instead.
 
 #include <string>
 #include <unordered_map>

@@ -58,7 +58,6 @@ constexpr double kBackgroundJobMeanDuration = 20.0 * 60.0;  // 20 min
 
 Scenario::Scenario(ScenarioConfig config)
     : config_(config),
-      registry_(config.metric_history_limit),
       seeds_(config.seed),
       bus_(engine_, seeds_.stream("bus"), config.bus_latency,
            config.bus_jitter),
@@ -79,8 +78,7 @@ Scenario::Scenario(ScenarioConfig config)
   // stream is simply never drawn from, and runs stay byte-identical.
   bus_.set_control_stream("ctrl/", seeds_.stream("bus/ctrl"));
   grid_.set_recorder(&recorder_);
-  monitoring_.attach_registry(&registry_);
-  recorder_.bridge(registry_, "monitor");
+  monitoring_.set_recorder(&recorder_);
   build_sites();
 }
 

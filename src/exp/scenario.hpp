@@ -25,7 +25,6 @@
 #include "data/rls.hpp"
 #include "data/storage.hpp"
 #include "grid/grid.hpp"
-#include "monitor/gma.hpp"
 #include "monitor/service.hpp"
 #include "obs/recorder.hpp"
 #include "rpc/transport.hpp"
@@ -43,8 +42,6 @@ struct ScenarioConfig {
   monitor::MonitorConfig monitor;  ///< poll period 5 min by default
   Duration bus_latency = 0.1;
   Duration bus_jitter = 0.1;
-  /// GMA registry retention per (metric, site) series.
-  std::size_t metric_history_limit = 64;
   /// Pre-planned outages per site name (chaos harness).  A named site
   /// runs exactly this outage list instead of the seeded renewal process;
   /// unnamed sites keep whatever `site_failures` gives them.  Applied
@@ -166,14 +163,10 @@ class Scenario {
   [[nodiscard]] workflow::IdSpace& ids() noexcept { return ids_; }
   [[nodiscard]] const SeedTree& seeds() const noexcept { return seeds_; }
   /// The scenario-wide flight recorder: every layer (bus, grid failures,
-  /// monitoring bridge, each tenant's server and client) records into it.
+  /// monitoring, each tenant's server and client) records into it.
   [[nodiscard]] obs::Recorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const obs::Recorder& recorder() const noexcept {
     return recorder_;
-  }
-  /// The GMA registry monitoring publishes into (bridged to the recorder).
-  [[nodiscard]] monitor::MetricRegistry& registry() noexcept {
-    return registry_;
   }
 
  private:
@@ -181,11 +174,7 @@ class Scenario {
 
   ScenarioConfig config_;
   sim::Engine engine_;
-  // Declared before registry_: the registry holds a bridge callback into
-  // the recorder, so it must be destroyed first (reverse declaration
-  // order destroys registry_ before recorder_).
   obs::Recorder recorder_{engine_};
-  monitor::MetricRegistry registry_;
   SeedTree seeds_;
   rpc::MessageBus bus_;
   grid::Grid grid_;

@@ -1,6 +1,9 @@
 #include "monitor/service.hpp"
 
 #include <cmath>
+#include <string>
+
+#include "obs/recorder.hpp"
 
 namespace sphinx::monitor {
 
@@ -28,9 +31,10 @@ void MonitoringService::poll_site(SiteId site) {
   ++polls_;
   const auto status = grid_.site(site).query();
   const auto emit = [&](const std::string& name, double value) {
-    if (registry_ == nullptr) return;
-    registry_->publish(Metric{name, site, value, engine_.now(),
-                              "sphinx-monitor"});
+    if (recorder_ == nullptr) return;
+    recorder_->event(obs::TraceKind::kMonitorSample, "monitor",
+                     "site:" + std::to_string(site.value()), name, value);
+    recorder_->observe("monitor", name, value);
   };
   if (!status.has_value()) {
     ++failed_;  // site down: the old published snapshot just goes stale

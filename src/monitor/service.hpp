@@ -8,6 +8,11 @@
 /// hinges on that data being *imperfect*: updated on a poll period,
 /// subject to reporting latency, absent while a site is down, and
 /// optionally noisy.  All four imperfections are modelled explicitly.
+///
+/// With a flight recorder attached, every poll also records what the
+/// query job measured as `monitor_sample` events.  Those carry the true
+/// value at poll time; the planner sees a different one -- the noisy
+/// snapshot, published report_latency later.
 
 #include <memory>
 #include <optional>
@@ -15,10 +20,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "monitor/gma.hpp"
 #include "common/time.hpp"
 #include "grid/grid.hpp"
 #include "sim/engine.hpp"
+
+namespace sphinx::obs {
+class Recorder;
+}  // namespace sphinx::obs
 
 namespace sphinx::monitor {
 
@@ -50,12 +58,11 @@ class MonitoringService {
   /// Starts the poll loop (staggers the first polls across the period).
   void start();
 
-  /// Attaches a GMA registry: every successful poll publishes
-  /// queue.length / jobs.running / cpu.free metrics, and every poll
-  /// (success or not) publishes site.alive.  Pass nullptr to detach.
-  void attach_registry(MetricRegistry* registry) noexcept {
-    registry_ = registry;
-  }
+  /// Attaches the flight recorder: every poll records site.alive, and a
+  /// successful one also queue.length / jobs.running / cpu.free, each as
+  /// a `monitor_sample` event (subject "site:<id>") plus an observation
+  /// of histogram "<metric>\@monitor".  Pass nullptr to detach.
+  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
   /// The most recent *published* snapshot of a site, or nullopt if no
   /// query has ever succeeded.  Callers must treat the timestamps as part
@@ -83,7 +90,7 @@ class MonitoringService {
   Rng rng_;
   std::unordered_map<SiteId, SiteSnapshot> published_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> pollers_;
-  MetricRegistry* registry_ = nullptr;
+  obs::Recorder* recorder_ = nullptr;
   std::size_t polls_ = 0;
   std::size_t failed_ = 0;
 };

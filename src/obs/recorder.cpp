@@ -1,7 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include "monitor/gma.hpp"
-
 namespace sphinx::obs {
 
 void Recorder::event(TraceKind kind, std::string source, std::string subject,
@@ -34,21 +32,6 @@ std::uint64_t Recorder::counter(const std::string& name,
 const MetricSet::Histogram* Recorder::histogram(
     const std::string& name, const std::string& source) const {
   return metrics_.histogram(qualified_name(name, source));
-}
-
-void Recorder::bridge(monitor::MetricRegistry& registry, std::string source) {
-  // The wildcard subscription sees every producer that publishes into the
-  // registry, so monitoring observations land on the same timeline as
-  // scheduler decisions.  Publishing is synchronous and in event order,
-  // so the mirrored events inherit the run's determinism.
-  registry.subscribe(
-      "*", [this, source = std::move(source)](const monitor::Metric& m) {
-        event(TraceKind::kMonitorSample, source,
-              m.site.valid() ? "site:" + std::to_string(m.site.value())
-                             : std::string{},
-              m.name, m.value);
-        observe(source, m.name, m.value);
-      });
 }
 
 }  // namespace sphinx::obs

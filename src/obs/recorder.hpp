@@ -4,8 +4,8 @@
 ///
 /// A Recorder joins a TraceSink and a MetricSet and stamps everything
 /// with the owning engine's sim clock, so instrumented components that
-/// have no clock of their own (the warehouse, the metric registry
-/// bridge) still produce correctly timed events.  The recorder only
+/// have no clock of their own (the warehouse) still produce correctly
+/// timed events.  The recorder only
 /// *observes*: it never schedules events, draws random numbers or
 /// otherwise perturbs the simulation, so attaching one leaves a
 /// fixed-seed run's results byte-identical.
@@ -20,10 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-
-namespace sphinx::monitor {
-class MetricRegistry;
-}  // namespace sphinx::monitor
 
 namespace sphinx::obs {
 
@@ -50,12 +46,6 @@ class Recorder {
                                       const std::string& source) const;
   [[nodiscard]] const MetricSet::Histogram* histogram(
       const std::string& name, const std::string& source) const;
-
-  /// Subscribes to every metric the registry publishes, mirroring each
-  /// observation into this recorder ("monitor_sample" trace events plus
-  /// a per-metric histogram under `source`).  The registry must not
-  /// outlive this recorder.
-  void bridge(monitor::MetricRegistry& registry, std::string source = "gma");
 
   [[nodiscard]] const TraceSink& trace() const noexcept { return trace_; }
   [[nodiscard]] const MetricSet& metrics() const noexcept { return metrics_; }

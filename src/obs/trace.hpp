@@ -33,7 +33,7 @@ enum class TraceKind {
   kSiteOutage,       ///< failure model took a site out; detail = mode
   kSiteRepair,       ///< failure model restored a site
   kBusDelivery,      ///< message delivered; value = delivery latency
-  kMonitorSample,    ///< GMA metric published; detail = metric name
+  kMonitorSample,    ///< monitoring poll measured; detail = metric name
   kServerCrash,      ///< chaos harness killed a server; value = journal size
   kServerRecovery,   ///< journal-recovered server resumed; value = journal size
   kBusLoss,          ///< fault model lost a message on the wire

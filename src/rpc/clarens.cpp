@@ -30,8 +30,9 @@ double jitter01(const std::string& endpoint, std::uint64_t seq, int attempt) {
 ClarensService::ClarensService(MessageBus& bus, std::string endpoint,
                                AuthzPolicy policy)
     : bus_(bus), endpoint_(std::move(endpoint)), policy_(std::move(policy)) {
-  bus_.register_endpoint(endpoint_,
-                         [this](const Envelope& env) { handle(env); });
+  bus_.register_endpoint(endpoint_, [this](const Envelope& env) {
+    bus_.reply(env, process(env));
+  });
 }
 
 ClarensService::~ClarensService() { bus_.unregister_endpoint(endpoint_); }
@@ -39,57 +40,6 @@ ClarensService::~ClarensService() { bus_.unregister_endpoint(endpoint_); }
 void ClarensService::register_method(const std::string& name, Method method) {
   SPHINX_ASSERT(method != nullptr, "method handler must not be null");
   methods_[name] = std::move(method);
-}
-
-void ClarensService::set_dedup_capacity(std::size_t capacity) {
-  dedup_capacity_ = capacity;
-  // Trim eagerly.  Eviction used to run only on the next insert, so a
-  // shrink (and especially a shrink to zero, which stops inserts -- the
-  // only eviction point -- entirely) left the over-capacity tail cached
-  // forever, replaying stale replies for retransmissions.
-  while (dedup_order_.size() > dedup_capacity_) {
-    dedup_cache_.erase(dedup_order_.front());
-    dedup_order_.pop_front();
-  }
-}
-
-std::string ClarensService::dedup_key(const std::string& from,
-                                      std::uint64_t seq) {
-  // Length-prefix the caller name: "<len>:<from>#<seq>".  A bare
-  // "<from>#<seq>" concatenation cannot distinguish where a '#'-bearing
-  // shard-qualified name ends and the sequence number begins, so two
-  // distinct (from, seq) pairs could alias one cache slot and replay the
-  // wrong caller's reply.
-  std::string key = std::to_string(from.size());
-  key += ':';
-  key += from;
-  key += '#';
-  key += std::to_string(seq);
-  return key;
-}
-
-void ClarensService::handle(const Envelope& request) {
-  const bool dedup = dedup_capacity_ > 0;
-  std::string key;
-  if (dedup) {
-    key = dedup_key(request.from, request.call_seq);
-    const auto it = dedup_cache_.find(key);
-    if (it != dedup_cache_.end()) {
-      ++replayed_;
-      bus_.reply(request, it->second);
-      return;
-    }
-  }
-  std::string wire = process(request);
-  if (dedup) {
-    while (dedup_order_.size() >= dedup_capacity_) {
-      dedup_cache_.erase(dedup_order_.front());
-      dedup_order_.pop_front();
-    }
-    dedup_cache_.emplace(key, wire);
-    dedup_order_.push_back(std::move(key));
-  }
-  bus_.reply(request, std::move(wire));
 }
 
 std::string ClarensService::process(const Envelope& request) {
@@ -240,24 +190,12 @@ void ClarensClient::on_timeout(std::uint64_t seq) {
   transmit(seq);
 }
 
-void ClarensClient::remember_done(std::uint64_t seq) {
-  constexpr std::size_t kDoneCapacity = 1024;
-  if (done_set_.insert(seq).second) {
-    done_ring_.push_back(seq);
-    while (done_ring_.size() > kDoneCapacity) {
-      done_set_.erase(done_ring_.front());
-      done_ring_.pop_front();
-    }
-  }
-}
-
 void ClarensClient::complete(std::uint64_t seq, Expected<XrValue> result) {
   auto it = pending_.find(seq);
   SPHINX_ASSERT(it != pending_.end(), "completing unknown call");
   bus_.engine().cancel(it->second.timer);
   Callback callback = std::move(it->second.callback);
   pending_.erase(it);
-  remember_done(seq);
   if (outbox_erase_ != nullptr) outbox_erase_(seq);
   callback(std::move(result));
 }
@@ -268,11 +206,7 @@ void ClarensClient::handle(const Envelope& response) {
   if (it == pending_.end()) {
     // A duplicate of a reply we already consumed, or noise.  Counted and
     // dropped; the continuation never runs twice.
-    if (done_set_.contains(seq)) {
-      ++duplicate_replies_;
-    } else {
-      ++stray_replies_;
-    }
+    ++dropped_replies_;
     return;
   }
 

@@ -13,19 +13,18 @@
 /// The wire (transport.hpp's fault model) may lose, duplicate or delay
 /// envelopes.  The client therefore retransmits on a per-call timeout
 /// with capped exponential backoff plus deterministic jitter, tagging
-/// every transmission with the call's sequence number; the service keeps
-/// a bounded (caller, sequence) dedup cache and replays the cached reply
-/// for retransmissions instead of re-executing the handler.  Handlers
-/// thus stay effectively-once while the end-to-end delivery guarantee is
-/// at-least-once (until the retry budget is exhausted).
+/// every transmission with the call's sequence number and dropping any
+/// reply for a call no longer in flight.  The service keeps no reply
+/// cache: every delivery, retransmissions included, runs its handler.
+/// Delivery is at-least-once (until the retry budget is exhausted), so
+/// every handler must be idempotent -- a re-delivered request must leave
+/// state, journal and trace untouched and produce the identical reply.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "rpc/gsi.hpp"
@@ -61,35 +60,11 @@ class ClarensService {
   [[nodiscard]] const std::string& endpoint() const noexcept { return endpoint_; }
   [[nodiscard]] std::size_t calls_served() const noexcept { return served_; }
   [[nodiscard]] std::size_t calls_denied() const noexcept { return denied_; }
-  /// Retransmissions answered from the dedup cache (handler not re-run).
-  [[nodiscard]] std::size_t calls_replayed() const noexcept {
-    return replayed_;
-  }
-
-  /// Bounds the dedup cache (FIFO eviction).  0 disables deduplication.
-  /// Shrinking trims eagerly: cached replies beyond the new capacity are
-  /// evicted right here, not lazily on the next insert -- with the old
-  /// lazy scheme a shrink-to-zero left stale replies cached forever
-  /// (inserts, the only eviction point, stop happening at capacity 0).
-  void set_dedup_capacity(std::size_t capacity);
-
-  /// Current dedup cache occupancy (for tests and diagnostics).
-  [[nodiscard]] std::size_t dedup_size() const noexcept {
-    return dedup_order_.size();
-  }
-
-  /// The cache key for one (caller, sequence) pair.  Length-prefixed so
-  /// the key is injective even when endpoint names contain the '#'
-  /// separator (shard-qualified names like "sphinx-server/chaos#2"): no
-  /// two distinct (from, seq) pairs can alias one cache entry.
-  [[nodiscard]] static std::string dedup_key(const std::string& from,
-                                             std::uint64_t seq);
 
   /// Mutable policy access (e.g. to ban a subject at runtime).
   [[nodiscard]] AuthzPolicy& policy() noexcept { return policy_; }
 
  private:
-  void handle(const Envelope& request);
   /// Runs parse/authz/dispatch and returns the serialized response.
   [[nodiscard]] std::string process(const Envelope& request);
 
@@ -99,13 +74,6 @@ class ClarensService {
   std::unordered_map<std::string, Method> methods_;
   std::size_t served_ = 0;
   std::size_t denied_ = 0;
-  std::size_t replayed_ = 0;
-  /// Dedup cache: serialized reply by "caller#seq", FIFO-bounded.  Kept
-  /// in memory only -- a recovered server re-executes, which consumers
-  /// make idempotent (see DESIGN.md).
-  std::size_t dedup_capacity_ = 512;
-  std::unordered_map<std::string, std::string> dedup_cache_;
-  std::deque<std::string> dedup_order_;
 };
 
 /// Client-side retry knobs.  Defaults survive a 60 s partition with
@@ -172,13 +140,10 @@ class ClarensClient {
   [[nodiscard]] std::size_t retransmissions() const noexcept {
     return retransmissions_;
   }
-  /// Replies for an already-completed call, counted and dropped.
-  [[nodiscard]] std::size_t duplicate_replies() const noexcept {
-    return duplicate_replies_;
-  }
-  /// Replies matching no call this client ever completed.
-  [[nodiscard]] std::size_t stray_replies() const noexcept {
-    return stray_replies_;
+  /// Replies matching no call in flight (duplicates of a consumed reply,
+  /// or noise), counted and dropped.
+  [[nodiscard]] std::size_t dropped_replies() const noexcept {
+    return dropped_replies_;
   }
   /// Calls that exhausted the retry budget.
   [[nodiscard]] std::size_t exhausted() const noexcept { return exhausted_; }
@@ -199,7 +164,6 @@ class ClarensClient {
   void on_timeout(std::uint64_t seq);
   void complete(std::uint64_t seq, Expected<XrValue> result);
   [[nodiscard]] Duration rto(std::uint64_t seq, int attempt) const;
-  void remember_done(std::uint64_t seq);
 
   MessageBus& bus_;
   std::string endpoint_;
@@ -208,15 +172,10 @@ class ClarensClient {
   std::uint64_t next_seq_ = 1;
   /// Ordered so destruction/iteration order is deterministic.
   std::map<std::uint64_t, CallState> pending_;
-  /// Recently completed sequence numbers (bounded ring + set) so a late
-  /// duplicate reply is told apart from a genuinely unsolicited one.
-  std::deque<std::uint64_t> done_ring_;
-  std::unordered_set<std::uint64_t> done_set_;
   OutboxUpsert outbox_upsert_;
   OutboxErase outbox_erase_;
   std::size_t retransmissions_ = 0;
-  std::size_t duplicate_replies_ = 0;
-  std::size_t stray_replies_ = 0;
+  std::size_t dropped_replies_ = 0;
   std::size_t exhausted_ = 0;
 };
 

@@ -9,9 +9,9 @@
 ///
 /// There is no document model.  serialize() writes each XrValue straight
 /// into one string, and parse() is a single pull pass over the bytes that
-/// builds XrValues directly.  The wire bytes are a contract: the dedup
-/// cache replays cached replies, the client outbox journals payloads and
-/// the chaos digests hash those journals.  So the writer emits exactly the
+/// builds XrValues directly.  The wire bytes are a contract: the client
+/// outbox journals payloads and the chaos digests hash those journals.
+/// So the writer emits exactly the
 /// compact form the envelopes have always had: a `<?xml version="1.0"?>`
 /// declaration, no whitespace between elements, `<tag/>` for an element
 /// with no content, the five predefined entities escaped, integers as

@@ -28,22 +28,6 @@ CondorG::CondorG(grid::Grid& grid, data::TransferService& transfers,
       storage_(storage),
       name_(std::move(name)) {}
 
-ClassAd CondorG::make_ad(const SubmitRequest& request,
-                         const std::string& site_name) {
-  ClassAd ad;
-  ad.set("universe", std::string("grid"));
-  ad.set("executable", request.name);
-  ad.set("grid_resource", "gt2 " + site_name + "/jobmanager");
-  ad.set("x509userproxy", "/tmp/x509up_u" + std::to_string(request.user.value()));
-  ad.set("vo", request.vo);
-  ad.set("estimated_runtime", request.compute_time);
-  ad.set("output_lfn", request.output);
-  ad.set("input_count", static_cast<std::int64_t>(request.inputs.size()));
-  ad.add_requirement(
-      Requirement{"site", CmpOp::kEq, site_name});
-  return ad;
-}
-
 std::map<CondorG::Key, CondorG::Record>::iterator CondorG::find_latest(
     JobId job) {
   auto it = records_.lower_bound(Key{job.value() + 1, 0});
@@ -83,7 +67,6 @@ bool CondorG::submit(const SubmitRequest& request, GatewayCallback callback) {
   record.request = request;
   record.site = request.site;
   record.callback = std::move(callback);
-  record.ad = make_ad(request, site.name());
 
   grid::RemoteJob remote;
   remote.job = request.job;
@@ -282,38 +265,10 @@ void CondorG::replicate(const data::Lfn& lfn, SiteId destination,
       });
 }
 
-bool CondorG::site_responsive(JobId job) const {
-  const auto it = find_latest(job);
-  if (it == records_.end()) return false;
-  return grid_.site(it->second.site).query().has_value();
-}
-
 bool CondorG::site_responsive(JobId job, int attempt) const {
   const auto it = records_.find(Key{job.value(), attempt});
   if (it == records_.end()) return false;
   return grid_.site(it->second.site).query().has_value();
-}
-
-GatewayQueue CondorG::queue() const {
-  GatewayQueue q;
-  for (const auto& [key, rec] : records_) {
-    switch (rec.state) {
-      case GatewayJobState::kSubmitted:
-      case GatewayJobState::kIdle: ++q.idle; break;
-      case GatewayJobState::kStaging: ++q.staging; break;
-      case GatewayJobState::kRunning: ++q.running; break;
-      case GatewayJobState::kCompleted: ++q.completed; break;
-      case GatewayJobState::kHeld: ++q.held; break;
-      case GatewayJobState::kRemoved: ++q.removed; break;
-      case GatewayJobState::kFailed: ++q.failed; break;
-    }
-  }
-  return q;
-}
-
-const ClassAd* CondorG::submit_ad(JobId job) const {
-  const auto it = find_latest(job);
-  return it == records_.end() ? nullptr : &it->second.ad;
 }
 
 }  // namespace sphinx::submit

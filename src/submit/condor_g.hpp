@@ -2,12 +2,11 @@
 /// \file condor_g.hpp
 /// Condor-G style grid submission gateway.
 ///
-/// One gateway serves one client (user/VO): it turns a planned job into a
-/// ClassAd submit file, submits to the chosen site's gatekeeper, stages
-/// input replicas with GridFTP when the site allocates a CPU, registers
-/// the output in the RLS and storage element on success, and relays the
-/// condor-style state events back to the caller (the SPHINX client's job
-/// tracker).
+/// One gateway serves one client (user/VO): it submits a planned job to
+/// the chosen site's gatekeeper, stages input replicas with GridFTP when
+/// the site allocates a CPU, registers the output in the RLS and storage
+/// element on success, and relays the condor-style state events back to
+/// the caller (the SPHINX client's job tracker).
 
 #include <functional>
 #include <map>
@@ -21,7 +20,6 @@
 #include "data/rls.hpp"
 #include "data/storage.hpp"
 #include "grid/grid.hpp"
-#include "submit/classad.hpp"
 
 namespace sphinx::submit {
 
@@ -75,17 +73,6 @@ struct GatewayEvent {
 
 using GatewayCallback = std::function<void(const GatewayEvent&)>;
 
-/// condor_q summary for this gateway.
-struct GatewayQueue {
-  int idle = 0;
-  int staging = 0;
-  int running = 0;
-  int completed = 0;
-  int held = 0;
-  int removed = 0;
-  int failed = 0;
-};
-
 class CondorG {
  public:
   CondorG(grid::Grid& grid, data::TransferService& transfers,
@@ -110,10 +97,9 @@ class CondorG {
   [[nodiscard]] std::optional<GatewayJobState> state_of(JobId job,
                                                         int attempt) const;
 
-  /// True when the gatekeeper of the job's execution site still answers
-  /// status queries (condor_q against the remote jobmanager).  False for
-  /// unknown jobs or down sites.
-  [[nodiscard]] bool site_responsive(JobId job) const;
+  /// True when the gatekeeper of the attempt's execution site still
+  /// answers status queries (condor_q against the remote jobmanager).
+  /// False for unknown attempts or down sites.
   [[nodiscard]] bool site_responsive(JobId job, int attempt) const;
 
   /// Third-party replication (globus-url-copy style): copies an existing
@@ -122,13 +108,6 @@ class CondorG {
   /// exists or the destination already has the file.
   void replicate(const data::Lfn& lfn, SiteId destination,
                  std::function<void(bool)> done);
-
-  /// condor_q over this gateway's submissions.
-  [[nodiscard]] GatewayQueue queue() const;
-
-  /// The ClassAd submit file generated for a job (kept for diagnostics,
-  /// exactly like real submit files on disk).
-  [[nodiscard]] const ClassAd* submit_ad(JobId job) const;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t submissions() const noexcept { return total_; }
@@ -140,7 +119,6 @@ class CondorG {
     SubmissionId submission;
     GatewayJobState state = GatewayJobState::kSubmitted;
     GatewayCallback callback;
-    ClassAd ad;
     std::vector<TransferId> active_transfers;
     /// Owns the stage-in continuation chain; dropping the record (or the
     /// gateway) tears the chain down without dangling callbacks.
@@ -152,8 +130,6 @@ class CondorG {
   using Key = std::pair<std::uint64_t, int>;
 
   void relay(Record& record, GatewayJobState state, SimTime at);
-  [[nodiscard]] static ClassAd make_ad(const SubmitRequest& request,
-                                       const std::string& site_name);
   void stage_inputs(Key key, std::function<void()> done);
   void on_completed(Record& record);
   /// Latest-attempt record of a job, or records_.end() if unknown.

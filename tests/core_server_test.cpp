@@ -469,6 +469,203 @@ TEST(ClientProtocol, RejectsBogusPlans) {
   EXPECT_FALSE(r.has_value());
 }
 
+// --- re-delivery ------------------------------------------------------------
+
+rpc::Proxy host_proxy() {
+  return rpc::Proxy(rpc::Identity{"/CN=server", "/CN=CA"}, "ivdgl", {}, 0.0,
+                    hours(24));
+}
+
+/// Delivery is at-least-once, so every RPC handler must treat a
+/// retransmission -- the byte-identical request under the same call_seq
+/// -- as a no-op: the identical reply, no journal record and no trace
+/// event beyond the bus's own delivery lines.  Each test delivers a
+/// request, lets its effects settle, then delivers it again.
+class RedeliveryFixture : public ::testing::Test {
+ protected:
+  /// What the engine had recorded once a delivery settled.
+  struct Delivery {
+    std::string reply;
+    std::string journal;             ///< the server's journal afterwards
+    std::vector<std::string> trace;  ///< events added, bus_delivery excluded
+  };
+
+  RedeliveryFixture()
+      : scenario(quiet()), tenant(scenario.add_tenant("t", TenantOptions{})) {
+    scenario.bus().register_endpoint(
+        "raw-caller",
+        [this](const rpc::Envelope& reply) { replies.push_back(reply.payload); });
+    // DAG 1 reaches the server through the client, so both know it.  Its
+    // four independent jobs are then planned at site 1 (attempt 1); the
+    // server is never started, so nothing else touches them.
+    workflow::Dag dag(DagId(1), "redelivery");
+    for (std::uint64_t id = 11; id <= 14; ++id) {
+      workflow::JobSpec job;
+      job.id = JobId(id);
+      job.name = "job-" + std::to_string(id);
+      job.output = "lfn://redelivery/" + std::to_string(id);
+      dag.add_job(job);
+    }
+    tenant.client->submit(dag);
+    scenario.engine().run_until();
+    warehouse().set_dag_state(DagId(1), core::DagState::kPlanning);
+    for (std::uint64_t id = 11; id <= 14; ++id) {
+      warehouse().set_job_planned(JobId(id), SiteId(1),
+                                  scenario.engine().now());
+    }
+  }
+
+  core::DataWarehouse& warehouse() { return tenant.server->warehouse(); }
+
+  /// Sends `request` from "raw-caller" under `seq`, then runs the engine
+  /// until it is idle, or with `settle` false only until the reply.
+  Delivery deliver(const std::string& to, const rpc::Proxy& proxy,
+                   const std::string& request, std::uint64_t seq,
+                   bool settle = true) {
+    const std::size_t events = scenario.recorder().trace().size();
+    const std::size_t answered = replies.size();
+    scenario.bus().send("raw-caller", to, request, proxy, seq);
+    if (settle) {
+      scenario.engine().run_until();
+    } else {
+      while (replies.size() == answered && scenario.engine().step()) {
+      }
+    }
+    SPHINX_ASSERT(replies.size() == answered + 1, "expected one reply");
+    Delivery delivery;
+    delivery.reply = replies.back();
+    delivery.journal = warehouse().journal().serialize();
+    const auto& trace = scenario.recorder().trace().events();
+    for (std::size_t i = events; i < trace.size(); ++i) {
+      if (trace[i].kind != obs::TraceKind::kBusDelivery) {
+        delivery.trace.push_back(trace[i].to_json());
+      }
+    }
+    return delivery;
+  }
+
+  /// Delivers one call twice under one call_seq and expects the second
+  /// delivery to change nothing.
+  void twice(const std::string& to, const rpc::Proxy& proxy,
+             const std::string& method, std::vector<rpc::XrValue> params) {
+    const std::string request =
+        rpc::MethodCall{method, std::move(params)}.serialize();
+    ++seq;
+    const Delivery first = deliver(to, proxy, request, seq);
+    const Delivery again = deliver(to, proxy, request, seq);
+    const auto response = rpc::MethodResponse::parse(first.reply);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_FALSE(response->is_fault) << first.reply;
+    EXPECT_EQ(again.reply, first.reply);
+    EXPECT_EQ(again.journal, first.journal);
+    EXPECT_EQ(again.trace, std::vector<std::string>{});
+  }
+
+  void twice_report(std::uint64_t job, core::ReportKind kind) {
+    core::TrackerReport report;
+    report.job = JobId(job);
+    report.kind = kind;
+    report.site = SiteId(1);
+    report.at = scenario.engine().now();
+    report.completion_time = 60.0;
+    report.execution_time = 60.0;
+    report.attempt = 1;
+    twice(server, user, "sphinx.report", {core::encode_report(report)});
+  }
+
+  core::ExecutionPlan plan_for(std::uint64_t job) {
+    core::ExecutionPlan plan;
+    plan.job = JobId(job);
+    plan.dag = DagId(1);
+    plan.job_name = "job-" + std::to_string(job);
+    plan.site = SiteId(1);
+    plan.output = "lfn://redelivery/" + std::to_string(job);
+    plan.attempt = warehouse().job(JobId(job))->attempt;
+    return plan;
+  }
+
+  Scenario scenario;
+  Tenant& tenant;
+  const std::string server = "sphinx-server/t";
+  const std::string client = "sphinx-client/t";
+  const rpc::Proxy user = vo_proxy("uscms");
+  const rpc::Proxy host = host_proxy();
+  std::vector<std::string> replies;
+  std::uint64_t seq = 0;
+};
+
+TEST_F(RedeliveryFixture, SubmitDag) {
+  workflow::Dag dag(DagId(2), "resent");
+  workflow::JobSpec job;
+  job.id = JobId(21);
+  job.name = "j";
+  job.output = "lfn://resent.out";
+  dag.add_job(job);
+  twice(server, user, "sphinx.submit_dag",
+        {rpc::XrValue("raw-caller"), rpc::XrValue(5), core::encode_dag(dag),
+         rpc::XrValue(1.5)});
+  EXPECT_TRUE(warehouse().dag(DagId(2)).has_value());
+  EXPECT_EQ(tenant.server->stats().dags_received, 2u);
+  EXPECT_EQ(tenant.server->stats().duplicate_dags, 1u);
+}
+
+TEST_F(RedeliveryFixture, ReportOfEveryKind) {
+  twice_report(11, core::ReportKind::kSubmitted);
+  EXPECT_EQ(warehouse().job(JobId(11))->state, core::JobState::kSubmitted);
+  twice_report(11, core::ReportKind::kRunning);
+  EXPECT_EQ(warehouse().job(JobId(11))->state, core::JobState::kRunning);
+  twice_report(11, core::ReportKind::kCompleted);
+  EXPECT_EQ(warehouse().job(JobId(11))->state, core::JobState::kCompleted);
+  twice_report(12, core::ReportKind::kCancelled);
+  EXPECT_EQ(warehouse().job(JobId(12))->state, core::JobState::kUnplanned);
+  twice_report(13, core::ReportKind::kHeld);
+  EXPECT_EQ(warehouse().job(JobId(13))->state, core::JobState::kUnplanned);
+}
+
+TEST_F(RedeliveryFixture, SetQuota) {
+  twice(server, user, "sphinx.set_quota",
+        {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
+         rpc::XrValue(1234.5)});
+  EXPECT_DOUBLE_EQ(
+      warehouse().quota_remaining(UserId(7), SiteId(3), "cpu_seconds"),
+      1234.5);
+}
+
+TEST_F(RedeliveryFixture, ExecutePlan) {
+  ASSERT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  twice(client, host, "sphinx_client.execute_plan",
+        {core::encode_plan(plan_for(14))});
+  EXPECT_EQ(tenant.gateway->submissions(), 1u);
+  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 1u);
+  // The first delivery ran the job and its reports reached the server.
+  EXPECT_EQ(warehouse().job(JobId(14))->state, core::JobState::kCompleted);
+}
+
+TEST_F(RedeliveryFixture, DagDone) {
+  twice(client, host, "sphinx_client.dag_done",
+        {rpc::XrValue(1), rpc::XrValue(scenario.engine().now())});
+  EXPECT_EQ(tenant.client->dags_finished(), 1u);
+  EXPECT_EQ(tenant.client->tracker_stats().duplicate_dag_done, 1u);
+}
+
+TEST_F(RedeliveryFixture, CancelAttempt) {
+  // A live attempt to cancel: job 13 runs for hours, and the engine stops
+  // as soon as the client has acknowledged its plan.
+  core::ExecutionPlan plan = plan_for(13);
+  plan.compute_time = hours(10);
+  deliver(client, host,
+          rpc::MethodCall{"sphinx_client.execute_plan", {core::encode_plan(plan)}}
+              .serialize(),
+          ++seq, /*settle=*/false);
+  ASSERT_EQ(tenant.client->tracked_jobs(), 1u);
+  twice(client, host, "sphinx_client.cancel_attempt",
+        {rpc::XrValue(13), rpc::XrValue(1)});
+  EXPECT_EQ(tenant.client->tracker_stats().race_cancels, 1u);
+  EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
+  EXPECT_EQ(tenant.gateway->state_of(JobId(13), 1),
+            submit::GatewayJobState::kRemoved);
+}
+
 // --- checkpoint-timer edges across failover ---------------------------------
 
 std::vector<SimTime> checkpoint_times(const Scenario& scenario) {

@@ -192,6 +192,26 @@ TEST(Warehouse, QuotaLifecycle) {
   EXPECT_DOUBLE_EQ(wh.quota_remaining(user, site, "cpu_seconds"), 1700.0);
 }
 
+TEST(Warehouse, SettingTheStoredQuotaLimitJournalsNothing) {
+  // A re-delivered sphinx.set_quota sets the limit already stored; like
+  // set_scheduler_state with the stored value, that must append nothing.
+  DataWarehouse wh;
+  wh.set_quota(UserId(7), SiteId(3), "cpu_seconds", 1234.5);
+  const std::string journal = wh.journal().serialize();
+  wh.set_quota(UserId(7), SiteId(3), "cpu_seconds", 1234.5);
+  EXPECT_EQ(wh.journal().serialize(), journal);
+  wh.set_scheduler_state("k", "v");
+  const std::string with_state = wh.journal().serialize();
+  wh.set_scheduler_state("k", "v");
+  EXPECT_EQ(wh.journal().serialize(), with_state);
+  // A different limit is still written.
+  const std::size_t records = wh.journal().size();
+  wh.set_quota(UserId(7), SiteId(3), "cpu_seconds", 99.0);
+  EXPECT_EQ(wh.journal().size(), records + 1);
+  EXPECT_DOUBLE_EQ(wh.quota_remaining(UserId(7), SiteId(3), "cpu_seconds"),
+                   99.0);
+}
+
 TEST(Warehouse, RecoveryPreservesEverything) {
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(), "client-x", UserId(3), 5.0);

@@ -1,10 +1,15 @@
-// Tests for the monitoring service: polling, latency, staleness, noise
-// and behaviour across site failures.
+// Tests for the monitoring service: polling, latency, staleness, noise,
+// behaviour across site failures and the samples it records.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "grid/grid.hpp"
 #include "monitor/service.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 
 namespace sphinx::monitor {
@@ -188,6 +193,123 @@ TEST_F(MonitorFixture, BlackHoleLooksHealthyToMonitoring) {
   // The trap: queue visible, nothing running, CPUs "free".
   EXPECT_EQ(snap->running, 0);
   EXPECT_EQ(snap->free_cpus, 4);
+}
+
+// --- recorded samples -------------------------------------------------------
+
+/// The monitor_sample values recorded for one site's series of `metric`.
+std::vector<double> samples(const obs::Recorder& recorder, SiteId site,
+                            const std::string& metric) {
+  const std::string subject = "site:" + std::to_string(site.value());
+  std::vector<double> values;
+  for (const obs::TraceEvent& e : recorder.trace().events()) {
+    if (e.kind == obs::TraceKind::kMonitorSample && e.subject == subject &&
+        e.detail == metric) {
+      values.push_back(e.value);
+    }
+  }
+  return values;
+}
+
+void load_with_long_jobs(grid::Site& site, int jobs) {
+  for (int i = 0; i < jobs; ++i) {
+    grid::RemoteJob job;
+    job.compute_time = hours(3);
+    (void)site.submit(std::move(job), nullptr);
+  }
+}
+
+TEST_F(MonitorFixture, PollRecordsEachMetricAsSampleAndHistogram) {
+  load_with_long_jobs(grid.site(a), 6);
+  engine.run_until(1.0);  // 4 of the 6 jobs start on a's 4 CPUs
+  MonitorConfig config;
+  config.poll_period = minutes(5);
+  auto service = make_service(config);
+  obs::Recorder recorder(engine);
+  service.set_recorder(&recorder);
+  service.start();
+  engine.run_until(2.0);  // a polls now; b half a period later
+
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"site.alive", 1.0},
+      {"queue.length", 2.0},
+      {"jobs.running", 4.0},
+      {"cpu.free", 0.0}};
+  ASSERT_EQ(recorder.trace().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const obs::TraceEvent& e = recorder.trace().events()[i];
+    EXPECT_EQ(e.kind, obs::TraceKind::kMonitorSample);
+    EXPECT_EQ(e.source, "monitor");
+    EXPECT_EQ(e.subject, "site:" + std::to_string(a.value()));
+    EXPECT_EQ(e.detail, expected[i].first);
+    EXPECT_DOUBLE_EQ(e.value, expected[i].second);
+    const auto* histogram = recorder.histogram(expected[i].first, "monitor");
+    ASSERT_NE(histogram, nullptr);
+    EXPECT_EQ(histogram->stats.count(), 1u);
+  }
+}
+
+TEST_F(MonitorFixture, DownSiteRecordsOnlyAliveness) {
+  MonitorConfig config;
+  config.poll_period = minutes(1);
+  config.report_latency = 1.0;
+  auto service = make_service(config);
+  obs::Recorder recorder(engine);
+  service.set_recorder(&recorder);
+  service.start();
+  load_with_long_jobs(grid.site(a), 6);
+  engine.run_until(minutes(5));
+
+  EXPECT_GT(samples(recorder, a, "site.alive").size() +
+                samples(recorder, a, "queue.length").size() +
+                samples(recorder, a, "jobs.running").size() +
+                samples(recorder, a, "cpu.free").size(),
+            8u);
+  EXPECT_DOUBLE_EQ(samples(recorder, a, "site.alive").back(), 1.0);
+  EXPECT_DOUBLE_EQ(samples(recorder, a, "jobs.running").back(), 4.0);
+  EXPECT_DOUBLE_EQ(samples(recorder, a, "queue.length").back(), 2.0);
+  EXPECT_DOUBLE_EQ(samples(recorder, a, "cpu.free").back(), 0.0);
+  const std::size_t alive_up = samples(recorder, a, "site.alive").size();
+  const std::vector<double> queue_up = samples(recorder, a, "queue.length");
+
+  // Take the site down: each later poll records site.alive = 0 and
+  // nothing else, so the queue series stops (stale), like real monitoring.
+  grid.site(a).go_down();
+  engine.run_until(minutes(8));
+  const std::vector<double> alive = samples(recorder, a, "site.alive");
+  ASSERT_EQ(alive.size(), alive_up + 3);  // polls at 6, 7 and 8 minutes
+  for (std::size_t i = alive_up; i < alive.size(); ++i) {
+    EXPECT_DOUBLE_EQ(alive[i], 0.0);
+  }
+  EXPECT_EQ(samples(recorder, a, "queue.length"), queue_up);
+  EXPECT_EQ(samples(recorder, a, "jobs.running").size(), queue_up.size());
+  EXPECT_EQ(samples(recorder, a, "cpu.free").size(), queue_up.size());
+}
+
+TEST_F(MonitorFixture, EveryPollRecordsAliveness) {
+  MonitorConfig config;
+  config.poll_period = minutes(2);
+  auto service = make_service(config);
+  obs::Recorder recorder(engine);
+  service.set_recorder(&recorder);
+  service.start();
+  engine.run_until(minutes(7));
+  EXPECT_EQ(samples(recorder, a, "site.alive").size(),
+            4u);  // polls at 0, 2, 4, 6 minutes
+}
+
+TEST_F(MonitorFixture, DetachedRecorderRecordsNothing) {
+  MonitorConfig config;
+  config.poll_period = minutes(1);
+  auto service = make_service(config);
+  obs::Recorder recorder(engine);
+  service.set_recorder(&recorder);
+  service.set_recorder(nullptr);
+  service.start();
+  engine.run_until(minutes(5));
+  EXPECT_GT(service.polls_attempted(), 0u);
+  EXPECT_EQ(recorder.trace().size(), 0u);
+  EXPECT_EQ(recorder.histogram("site.alive", "monitor"), nullptr);
 }
 
 }  // namespace

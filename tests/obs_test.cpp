@@ -1,7 +1,6 @@
 // Tests for the flight recorder: trace serialization, metric
-// aggregation, recorder wiring, the GMA bridge, file export, and the
-// headline property -- two same-seed runs produce byte-identical
-// trace + metrics output.
+// aggregation, recorder wiring, file export, and the headline property
+// -- two same-seed runs produce byte-identical trace + metrics output.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 
 #include "common/contracts.hpp"
 #include "exp/runner.hpp"
-#include "monitor/gma.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -145,26 +143,6 @@ TEST(Recorder, QualifiedNamesAndEngineStamping) {
   const auto* histogram = recorder.histogram("depth", "srv");
   ASSERT_NE(histogram, nullptr);
   EXPECT_DOUBLE_EQ(histogram->stats.mean(), 3.0);
-}
-
-TEST(Recorder, BridgeMirrorsRegistryMetrics) {
-  sim::Engine engine;
-  Recorder recorder(engine);
-  monitor::MetricRegistry registry;
-  recorder.bridge(registry, "monitor");
-
-  registry.publish({"queue.length", SiteId(3), 5.0, 0.0, "test"});
-  registry.publish({"cpu.free", SiteId(1), 2.0, 0.0, "test"});
-
-  ASSERT_EQ(recorder.trace().size(), 2u);
-  const auto& first = recorder.trace().events().front();
-  EXPECT_EQ(first.kind, TraceKind::kMonitorSample);
-  EXPECT_EQ(first.subject, "site:3");
-  EXPECT_EQ(first.detail, "queue.length");
-  EXPECT_DOUBLE_EQ(first.value, 5.0);
-  const auto* histogram = recorder.histogram("queue.length", "monitor");
-  ASSERT_NE(histogram, nullptr);
-  EXPECT_EQ(histogram->stats.count(), 1u);
 }
 
 // --- export ----------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rpc/clarens.hpp"
@@ -261,112 +259,6 @@ TEST_F(ClarensFixture, GarbagePayloadFaults) {
   bus.send("raw-client", "sphinx-server", "this is not xml", user_proxy(), 1);
   engine.run_until();
   EXPECT_TRUE(got_fault);
-}
-
-// --- dedup cache management -------------------------------------------------
-
-TEST_F(ClarensFixture, ShrinkDedupCapacityToZeroDropsCacheEagerly) {
-  const std::string wire = MethodCall{"echo", {XrValue("x")}}.serialize();
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 1);
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 1u);
-  EXPECT_EQ(service.dedup_size(), 1u);
-
-  // Zeroing the capacity must trim the cache *now*: the next insert never
-  // comes when dedup is disabled, so a lazy trim would pin the stale
-  // replies (and their memory) forever.
-  service.set_dedup_capacity(0);
-  EXPECT_EQ(service.dedup_size(), 0u);
-
-  // With dedup off, a retransmission re-runs the handler.
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 1);
-  engine.run_until();
-  EXPECT_EQ(service.calls_replayed(), 0u);
-  EXPECT_EQ(service.calls_served(), 2u);
-  EXPECT_EQ(service.dedup_size(), 0u);
-}
-
-TEST_F(ClarensFixture, ShrinkDedupCapacityBelowSizeEvictsOldestFirst) {
-  const std::string wire = MethodCall{"echo", {XrValue("x")}}.serialize();
-  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
-    bus.send("client-1", "sphinx-server", wire, user_proxy(), seq);
-  }
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 4u);
-  EXPECT_EQ(service.dedup_size(), 4u);
-
-  // Shrinking below occupancy trims FIFO: seqs 1 and 2 leave, 3 and 4 stay.
-  service.set_dedup_capacity(2);
-  EXPECT_EQ(service.dedup_size(), 2u);
-
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 1);  // evicted
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 5u);
-  EXPECT_EQ(service.calls_replayed(), 0u);
-
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 4);  // retained
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 5u);
-  EXPECT_EQ(service.calls_replayed(), 1u);
-}
-
-TEST_F(ClarensFixture, GrowingDedupCapacityKeepsExistingEntries) {
-  const std::string wire = MethodCall{"echo", {XrValue("x")}}.serialize();
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 1);
-  engine.run_until();
-  service.set_dedup_capacity(4096);
-  EXPECT_EQ(service.dedup_size(), 1u);
-  bus.send("client-1", "sphinx-server", wire, user_proxy(), 1);
-  engine.run_until();
-  EXPECT_EQ(service.calls_replayed(), 1u);
-}
-
-TEST(ClarensDedupKey, LengthPrefixMakesHashBearingNamesInjective) {
-  // "<len>:<from>#<seq>": the length prefix pins where the caller name
-  // ends, so a '#' inside a shard-qualified name can never be mistaken
-  // for the name/sequence separator.
-  EXPECT_EQ(ClarensService::dedup_key("server#2", 3), "8:server#2#3");
-  EXPECT_EQ(ClarensService::dedup_key("server", 23), "6:server#23");
-
-  const std::vector<std::pair<std::string, std::uint64_t>> pairs = {
-      {"server", 1},     {"server", 11},     {"server#1", 1},
-      {"server#", 11},   {"server#1#1", 1},  {"server#11", 1},
-      {"scheduler#2", 3}, {"scheduler#23", 3}, {"scheduler", 23},
-  };
-  std::set<std::string> keys;
-  for (const auto& [from, seq] : pairs) {
-    keys.insert(ClarensService::dedup_key(from, seq));
-  }
-  EXPECT_EQ(keys.size(), pairs.size());
-}
-
-TEST_F(ClarensFixture, ShardQualifiedCallersKeepSeparateDedupSlots) {
-  // Two callers whose names embed '#' (the tentpole's shard-qualified
-  // scheduler names) retransmit with the same sequence number; each must
-  // get its *own* cached reply back, never the other's.
-  std::vector<std::string> a_replies;
-  std::vector<std::string> b_replies;
-  bus.register_endpoint("scheduler#2", [&](const Envelope& e) {
-    a_replies.push_back(MethodResponse::parse(e.payload)->value.as_string());
-  });
-  bus.register_endpoint("scheduler#21", [&](const Envelope& e) {
-    b_replies.push_back(MethodResponse::parse(e.payload)->value.as_string());
-  });
-  const std::string wire_a = MethodCall{"echo", {XrValue("alpha")}}.serialize();
-  const std::string wire_b = MethodCall{"echo", {XrValue("beta")}}.serialize();
-
-  bus.send("scheduler#2", "sphinx-server", wire_a, user_proxy(), 1);
-  bus.send("scheduler#21", "sphinx-server", wire_b, user_proxy(), 1);
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 2u);
-
-  bus.send("scheduler#2", "sphinx-server", wire_a, user_proxy(), 1);
-  bus.send("scheduler#21", "sphinx-server", wire_b, user_proxy(), 1);
-  engine.run_until();
-  EXPECT_EQ(service.calls_served(), 2u);
-  EXPECT_EQ(service.calls_replayed(), 2u);
-  EXPECT_EQ(a_replies, (std::vector<std::string>{"alpha", "alpha"}));
-  EXPECT_EQ(b_replies, (std::vector<std::string>{"beta", "beta"}));
 }
 
 TEST_F(ClarensFixture, ManyConcurrentCallsAllComplete) {

@@ -299,6 +299,7 @@ struct RaceRun {
   std::size_t dags_total = 0;
   std::size_t dags_finished = 0;
   core::TrackerStats tracker;
+  std::size_t unique_submissions = 0;  ///< distinct (job, attempt) pairs
   core::ServerStats server;
   std::string journal;
   std::string trace;
@@ -351,6 +352,7 @@ RaceRun run_race(std::uint64_t seed, bool speculate, bool lossy,
   run.dags_total = tenant.client->dag_outcomes().size();
   run.dags_finished = tenant.client->dags_finished();
   run.tracker = tenant.client->tracker_stats();
+  run.unique_submissions = tenant.client->unique_submissions();
   run.server = tenant.server->stats();
   run.journal = tenant.server->warehouse().journal().serialize();
   run.trace = scenario.recorder().trace().to_jsonl();
@@ -394,18 +396,22 @@ TEST(StragglerE2E, RacesResolveFirstCompletionWins) {
 
 TEST(StragglerE2E, LossyWireCrossDeliveryIsArbitratedAway) {
   // Loss, duplication and reorder on every link: completion and cancel
-  // reports cross, duplicate, and arrive out of order.  The client's
-  // first-completion arbitration plus the server's attempt guards must
-  // keep the run clean: every DAG finishes, no plan executes twice, and
-  // the race counters stay consistent.
+  // reports cross, duplicate, and arrive out of order, and plans are
+  // re-delivered.  The client's first-completion arbitration, its
+  // (job, attempt) plan guard and the server's attempt guards must keep
+  // the run clean: every DAG finishes, no plan executes twice, and the
+  // race counters stay consistent.
   const auto found = find_run(true, minutes(5), [](const RaceRun& r) {
-    return r.server.speculations > 0;
+    return r.server.speculations > 0 && r.tracker.duplicate_plans > 0;
   });
-  ASSERT_TRUE(found.has_value()) << "no seed in range triggered a race";
+  ASSERT_TRUE(found.has_value())
+      << "no seed in range triggered a race with a re-delivered plan";
   const RaceRun& run = *found;
   EXPECT_EQ(run.dags_finished, run.dags_total);
-  EXPECT_EQ(run.tracker.submissions,
-            run.tracker.plans_received - run.tracker.duplicate_plans);
+  // A re-delivered plan is counted in duplicate_plans only; every plan
+  // counted as received went to the gateway exactly once.
+  EXPECT_EQ(run.tracker.submissions, run.tracker.plans_received);
+  EXPECT_EQ(run.tracker.submissions, run.unique_submissions);
   EXPECT_LE(run.server.speculations_won_primary +
                 run.server.speculations_won_spec,
             run.server.speculations);

@@ -1,5 +1,5 @@
-// Tests for the submission layer: ClassAds, the Condor-G gateway
-// (stage-in, output registration, cancellation) and DAGMan.
+// Tests for the submission layer: the Condor-G gateway (stage-in,
+// output registration, cancellation) and DAGMan.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "data/rls.hpp"
 #include "data/storage.hpp"
 #include "grid/grid.hpp"
-#include "submit/classad.hpp"
 #include "submit/condor_g.hpp"
 #include "submit/dagman.hpp"
 #include "workflow/dag.hpp"
@@ -16,64 +15,6 @@ namespace sphinx::submit {
 namespace {
 
 constexpr double kMB = 1e6;
-
-TEST(ClassAd, SetGetTyped) {
-  ClassAd ad;
-  ad.set("cpus", std::int64_t{16});
-  ad.set("speed", 1.5);
-  ad.set("site", std::string("acdc"));
-  ad.set("healthy", true);
-  EXPECT_EQ(ad.get_int("cpus"), 16);
-  EXPECT_DOUBLE_EQ(ad.get_real("speed"), 1.5);
-  EXPECT_DOUBLE_EQ(ad.get_real("cpus"), 16.0);  // int widens
-  EXPECT_EQ(ad.get_string("site"), "acdc");
-  EXPECT_TRUE(ad.get_bool("healthy"));
-  EXPECT_TRUE(ad.has("cpus"));
-  EXPECT_FALSE(ad.has("nope"));
-  EXPECT_THROW((void)ad.get("nope"), AssertionError);
-  EXPECT_THROW((void)ad.get_int("site"), AssertionError);
-}
-
-TEST(ClassAd, RequirementEvaluation) {
-  ClassAd machine;
-  machine.set("cpus", std::int64_t{16});
-  machine.set("site", std::string("acdc"));
-
-  EXPECT_TRUE(evaluate({"cpus", CmpOp::kGe, std::int64_t{8}}, machine));
-  EXPECT_FALSE(evaluate({"cpus", CmpOp::kGt, std::int64_t{16}}, machine));
-  EXPECT_TRUE(evaluate({"site", CmpOp::kEq, std::string("acdc")}, machine));
-  EXPECT_TRUE(evaluate({"site", CmpOp::kNe, std::string("atlas")}, machine));
-  // Missing attribute and incomparable types never match.
-  EXPECT_FALSE(evaluate({"memory", CmpOp::kGe, std::int64_t{1}}, machine));
-  EXPECT_FALSE(evaluate({"site", CmpOp::kEq, std::int64_t{1}}, machine));
-}
-
-TEST(ClassAd, MatchmakingDirectionalAndSymmetric) {
-  ClassAd job;
-  job.set("owner", std::string("juin"));
-  job.add_requirement({"cpus", CmpOp::kGe, std::int64_t{8}});
-
-  ClassAd machine;
-  machine.set("cpus", std::int64_t{16});
-
-  EXPECT_TRUE(job.matches(machine));
-  EXPECT_TRUE(ClassAd::symmetric_match(job, machine));
-
-  machine.add_requirement({"owner", CmpOp::kEq, std::string("someone-else")});
-  EXPECT_TRUE(job.matches(machine));
-  EXPECT_FALSE(ClassAd::symmetric_match(job, machine));
-}
-
-TEST(ClassAd, RenderLooksLikeSubmitFile) {
-  ClassAd ad;
-  ad.set("executable", std::string("reco"));
-  ad.set("estimated_runtime", 60.0);
-  ad.add_requirement({"site", CmpOp::kEq, std::string("acdc")});
-  const std::string text = ad.render();
-  EXPECT_NE(text.find("executable = \"reco\""), std::string::npos);
-  EXPECT_NE(text.find("requirements = site == \"acdc\""), std::string::npos);
-  EXPECT_NE(text.find("queue"), std::string::npos);
-}
 
 class GatewayFixture : public ::testing::Test {
  protected:
@@ -140,16 +81,6 @@ TEST_F(GatewayFixture, FullLifecycleWithStaging) {
   EXPECT_TRUE(storage.find(exec_site)->has("lfn://out-1"));
 }
 
-TEST_F(GatewayFixture, SubmitAdRecordsDecision) {
-  ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));
-  const ClassAd* ad = gateway.submit_ad(JobId(1));
-  ASSERT_NE(ad, nullptr);
-  EXPECT_EQ(ad->get_string("vo"), "uscms");
-  EXPECT_EQ(ad->get_int("input_count"), 2);
-  EXPECT_NE(ad->get_string("grid_resource").find("exec"), std::string::npos);
-  EXPECT_EQ(gateway.submit_ad(JobId(99)), nullptr);
-}
-
 TEST_F(GatewayFixture, SubmitToDownSiteFails) {
   grid.site(exec_site).go_down();
   bool saw_failed = false;
@@ -187,21 +118,6 @@ TEST_F(GatewayFixture, ResubmitAfterTerminalStateAllowed) {
   ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));
   engine.run_until();
   EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kCompleted);
-}
-
-TEST_F(GatewayFixture, QueueSummaryCounts) {
-  for (int i = 1; i <= 6; ++i) {
-    SubmitRequest r = basic_request(JobId(i));
-    r.inputs.clear();  // no staging: straight to compute
-    ASSERT_TRUE(gateway.submit(r, nullptr));
-  }
-  engine.run_until(1.0);
-  const GatewayQueue q = gateway.queue();
-  EXPECT_EQ(q.running, 4);  // 4 CPUs
-  EXPECT_EQ(q.idle, 2);
-  engine.run_until();
-  EXPECT_EQ(gateway.queue().completed, 6);
-  EXPECT_EQ(gateway.submissions(), 6u);
 }
 
 TEST_F(GatewayFixture, LostJobStaysRunningUntilTrackerActs) {

@@ -152,8 +152,8 @@ echo "== db benchmark =="
   --benchmark_out=BENCH_db.json --benchmark_out_format=json
 
 echo "== rpc overhead benchmark =="
-# Dedup-cache lookup cost plus the reliable-stack A/B at 0% loss (the
-# overhead every fault-free run pays).  Results land in BENCH_rpc.json.
+# The reliable-stack A/B at 0% loss (BM_RpcRoundTrip: the overhead
+# every fault-free run pays).  Results land in BENCH_rpc.json.
 "$bin/bench/micro_rpc" \
   --benchmark_out=BENCH_rpc.json --benchmark_out_format=json
 # The XML-RPC wire itself: serialize + parse + decode of a 10-job DAG
