@@ -1,9 +1,11 @@
 /// Microbenchmarks for the discrete-event engine: scheduling, firing,
-/// cancellation and periodic processes.
+/// cancellation and periodic processes, plus two cases shaped like the
+/// simulator's own traffic (message deliveries, cancelled timeouts).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -60,6 +62,61 @@ void BM_CancelHalf(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_CancelHalf)->Range(1 << 10, 1 << 14);
+
+/// What a message-bus delivery captures: an envelope's worth of strings.
+struct DeliveryCapture {
+  std::string from = "sphinx-client/tenant-0";
+  std::string to = "sphinx-server/tenant-0";
+  std::string method = "sphinx_server.report_status";
+  std::string payload = std::string(200, 'x');
+};
+
+void BM_DeliverySizedCapture(benchmark::State& state) {
+  // Every callback owns ~256 bytes of strings and every event carries a
+  // label past std::string's 15-character inline buffer, so an engine
+  // that copies an event on pop pays for both.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const DeliveryCapture envelope;
+  const std::string label = "bus:sphinx-client->sphinx-server";
+  for (auto _ : state) {
+    Engine engine;
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Scattered times, so the heap sifts as in-flight deliveries do.
+      const auto at = static_cast<double>((i * 7919) % n);
+      engine.schedule_at(at, label, [&bytes, env = envelope] {
+        bytes += env.payload.size();
+      });
+    }
+    engine.run_until();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DeliverySizedCapture)->Range(1 << 10, 1 << 14);
+
+void BM_TimerCancelledBeforeFiring(benchmark::State& state) {
+  // The tracker and RPC timeout pattern: every job arms a timeout far
+  // ahead, and its completion, which comes first, cancels it.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    Engine engine;
+    std::size_t timeouts = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto at = static_cast<double>(i);
+      const EventHandle timeout = engine.schedule_at(
+          at + 1200.0, "client:timeout", [&timeouts] { ++timeouts; });
+      engine.schedule_at(at + 1.0, "site:complete",
+                         [&engine, timeout] { engine.cancel(timeout); });
+    }
+    engine.run_until();
+    benchmark::DoNotOptimize(timeouts);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TimerCancelledBeforeFiring)->Range(1 << 10, 1 << 14);
 
 void BM_SelfRescheduling(benchmark::State& state) {
   // The dominant pattern in the simulator: an event chain (periodic

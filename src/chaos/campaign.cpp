@@ -75,7 +75,7 @@ RunArtifacts run_once(const ChaosRunConfig& config,
     const workflow::Dag& dag = dags[k];
     scenario.engine().schedule_at(
         kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
-        "submit:" + dag.name(),
+        "submit",
         [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
   }
 
@@ -204,7 +204,7 @@ StragglerArmResult run_straggler_arm(const StragglerProbeConfig& config,
     const workflow::Dag& dag = dags[k];
     scenario.engine().schedule_at(
         kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
-        "submit:" + dag.name(),
+        "submit",
         [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
   }
   scenario.run(config.horizon);

@@ -137,7 +137,7 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
     const std::size_t shard = ctrl::shard_of(k, config.shards);
     scenario.engine().schedule_at(
         kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
-        "submit:" + dag.name(), [&scenario, &dag, shard] {
+        "submit", [&scenario, &dag, shard] {
           scenario.tenants()[shard].client->submit(dag);
         });
   }

@@ -126,7 +126,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
   }
   auto& slot = tracked_.emplace(key, std::move(tracked)).first->second;
   slot.timeout = bus_.engine().schedule_in(
-      config_.job_timeout, config_.endpoint + ":timeout",
+      config_.job_timeout, "client:timeout",
       [this, job, attempt] { on_timeout(job, attempt); });
 
   ++tracker_.submissions;
@@ -334,7 +334,7 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
     // the next check fires one full timeout period from now, so repeated
     // extensions never accumulate drift against the submission time.
     tracked.timeout = bus_.engine().schedule_in(
-        config_.job_timeout, config_.endpoint + ":timeout",
+        config_.job_timeout, "client:timeout",
         [this, job, attempt] { on_timeout(job, attempt); });
     if (recorder_ != nullptr) {
       recorder_->event(obs::TraceKind::kTrackerExtension, config_.endpoint,

@@ -101,7 +101,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
 
   control_ = std::make_unique<sim::PeriodicProcess>(
-      bus_.engine(), config_.endpoint + ":control", config_.sweep_period,
+      bus_.engine(), "server:sweep", config_.sweep_period,
       [this] { sweep(); }, config_.sweep_phase);
 }
 

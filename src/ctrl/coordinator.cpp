@@ -20,9 +20,8 @@ LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
                       "monitor period must be positive");
   register_methods();
   monitor_ = std::make_unique<sim::PeriodicProcess>(
-      bus_.engine(), "ctrl-monitor:" + config_.endpoint,
-      config_.monitor_period, [this] { monitor_sweep(); },
-      config_.monitor_phase);
+      bus_.engine(), "ctrl:monitor", config_.monitor_period,
+      [this] { monitor_sweep(); }, config_.monitor_phase);
 }
 
 Expected<std::unique_ptr<LeaseCoordinator>> LeaseCoordinator::recover(

@@ -27,7 +27,7 @@ HeartbeatAgent::HeartbeatAgent(rpc::MessageBus& bus, std::string shard,
   client_ = std::make_unique<rpc::ClarensClient>(
       bus, "ctrl/hb/" + owner_ + "/" + shard_, std::move(proxy), retry);
   beat_ = std::make_unique<sim::PeriodicProcess>(
-      bus.engine(), "ctrl-heartbeat:" + owner_ + "/" + shard_, config_.period,
+      bus.engine(), "ctrl:heartbeat", config_.period,
       [this] { beat(); }, config_.phase);
 }
 

@@ -120,7 +120,7 @@ void TransferService::rebalance() {
   for (Flow& f : flows_) {
     f.due = f.rate > 0 && f.remaining / f.rate <= window;
   }
-  next_completion_ = engine_.schedule_in(soonest, "gridftp:complete",
+  next_completion_ = engine_.schedule_in(soonest, "gridftp:done",
                                          [this] { complete_due(); });
 }
 

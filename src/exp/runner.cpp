@@ -77,7 +77,7 @@ std::vector<TenantResult> Experiment::run(
       const workflow::Dag& dag = workloads[t][k];
       scenario.engine().schedule_at(
           10.0 + static_cast<double>(k) * config_.submit_spacing,
-          "submit:" + dag.name(),
+          "submit",
           [&scenario, t, &dag] { scenario.tenants()[t].client->submit(dag); });
     }
   }

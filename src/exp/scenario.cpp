@@ -285,7 +285,7 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
 SimTime Scenario::run(SimTime horizon) {
   // Stop as soon as every tenant has finished (checked once a sim-minute).
   sim::PeriodicProcess watchdog(
-      engine_, "scenario:watchdog", 60.0, [this] {
+      engine_, "run:watchdog", 60.0, [this] {
         for (const Tenant& tenant : tenants_) {
           if (!tenant.client->all_dags_finished()) return;
         }

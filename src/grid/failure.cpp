@@ -49,7 +49,7 @@ void FailureModel::start() {
         SPHINX_PRECONDITION(prev.at + prev.duration <= outage.at,
                             "scheduled outages must be sorted, non-overlap");
       }
-      engine_.schedule_at(outage.at, "failure:" + site_.name() + ":fail",
+      engine_.schedule_at(outage.at, "failure:fail",
                           [this, i] { fail_scheduled(i); });
     }
     return;
@@ -67,8 +67,7 @@ void FailureModel::record_outage(const char* mode) {
 
 void FailureModel::schedule_failure() {
   const Duration uptime = rng_.exponential(config_.mean_uptime);
-  engine_.schedule_in(uptime, "failure:" + site_.name() + ":fail",
-                      [this] { fail(); });
+  engine_.schedule_in(uptime, "failure:fail", [this] { fail(); });
 }
 
 void FailureModel::apply_mode(OutageMode mode) {
@@ -100,15 +99,13 @@ void FailureModel::fail() {
   }
   apply_mode(mode);
   const Duration downtime = rng_.exponential(config_.mean_downtime);
-  engine_.schedule_in(downtime, "failure:" + site_.name() + ":repair",
-                      [this] { repair(); });
+  engine_.schedule_in(downtime, "failure:repair", [this] { repair(); });
 }
 
 void FailureModel::fail_scheduled(std::size_t index) {
   const ScheduledOutage& outage = config_.schedule[index];
   apply_mode(outage.mode);
-  engine_.schedule_at(outage.at + outage.duration,
-                      "failure:" + site_.name() + ":repair",
+  engine_.schedule_at(outage.at + outage.duration, "failure:repair",
                       [this] { repair_scheduled(); });
 }
 
@@ -152,7 +149,7 @@ void BackgroundLoad::start() {
 
 void BackgroundLoad::schedule_phase_flip() {
   const Duration phase = rng_.exponential(config_.mean_phase);
-  engine_.schedule_in(phase, "bg:" + site_.name() + ":phase", [this] {
+  engine_.schedule_in(phase, "bg:phase", [this] {
     heavy_ = !heavy_;
     schedule_phase_flip();
   });
@@ -168,7 +165,7 @@ void BackgroundLoad::schedule_arrival() {
   }
   const Duration gap =
       rng_.exponential(config_.mean_interarrival / rate_scale);
-  engine_.schedule_in(gap, "bg:" + site_.name() + ":arrival", [this] {
+  engine_.schedule_in(gap, "bg:arrival", [this] {
     RemoteJob job;
     job.vo = config_.vo;
     job.compute_time = rng_.exponential(config_.mean_duration);

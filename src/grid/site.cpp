@@ -63,8 +63,7 @@ std::optional<SubmissionId> Site::submit(RemoteJob job,
 
   emit(entries_.at(sid), RemoteJobState::kQueued);
   // Dispatch on the next engine tick so the submit call returns first.
-  engine_.schedule_in(0.0, "site:" + config_.name + ":dispatch",
-                      [this] { try_dispatch(); });
+  engine_.schedule_in(0.0, "site:dispatch", [this] { try_dispatch(); });
   return sid;
 }
 
@@ -83,8 +82,7 @@ bool Site::cancel(SubmissionId submission) {
     // Staging or running: free the CPU.
     engine_.cancel(entry.completion);
     --busy_cpus_;
-    engine_.schedule_in(0.0, "site:" + config_.name + ":dispatch",
-                        [this] { try_dispatch(); });
+    engine_.schedule_in(0.0, "site:dispatch", [this] { try_dispatch(); });
   }
   ++counters_.cancelled;
   emit(entry, RemoteJobState::kCancelled);
@@ -131,8 +129,7 @@ void Site::degrade() { health_ = SiteHealth::kDegraded; }
 
 void Site::recover() {
   health_ = SiteHealth::kHealthy;
-  engine_.schedule_in(0.0, "site:" + config_.name + ":dispatch",
-                      [this] { try_dispatch(); });
+  engine_.schedule_in(0.0, "site:dispatch", [this] { try_dispatch(); });
 }
 
 void Site::emit(Entry& entry, RemoteJobState state) {
@@ -197,7 +194,7 @@ void Site::begin_compute(SubmissionId submission) {
     runtime *= rng_.lognormal(0.0, config_.runtime_noise);
   }
   entry.completion = engine_.schedule_in(
-      runtime, "site:" + config_.name + ":complete", [this, submission] {
+      runtime, "site:complete", [this, submission] {
         Entry& e = entries_.at(submission);
         if (e.state != RemoteJobState::kRunning) return;
         --busy_cpus_;

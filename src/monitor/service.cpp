@@ -20,7 +20,7 @@ void MonitoringService::start() {
     const Duration offset =
         config_.poll_period * static_cast<double>(i) / static_cast<double>(n);
     auto poller = std::make_unique<sim::PeriodicProcess>(
-        engine_, "monitor:" + grid_.site(site).name(), config_.poll_period,
+        engine_, "monitor:poll", config_.poll_period,
         [this, site] { poll_site(site); }, offset);
     poller->start();
     pollers_.push_back(std::move(poller));

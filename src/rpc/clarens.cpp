@@ -138,7 +138,7 @@ void ClarensClient::restore_call(std::uint64_t seq, std::string service,
   const SimTime fire_at =
       std::max(bus_.engine().now(), last_sent_at + rto(seq, attempt));
   it->second.timer = bus_.engine().schedule_at(
-      fire_at, "rpc-timeout:" + endpoint_, [this, seq]() { on_timeout(seq); });
+      fire_at, "rpc:timeout", [this, seq]() { on_timeout(seq); });
 }
 
 Duration ClarensClient::rto(std::uint64_t seq, int attempt) const {
@@ -170,7 +170,7 @@ void ClarensClient::arm_timer(std::uint64_t seq) {
   SPHINX_ASSERT(it != pending_.end(), "arming timer for unknown call");
   CallState& state = it->second;
   state.timer = bus_.engine().schedule_in(rto(seq, state.attempt),
-                                          "rpc-timeout:" + endpoint_,
+                                          "rpc:timeout",
                                           [this, seq]() { on_timeout(seq); });
 }
 

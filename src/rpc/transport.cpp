@@ -198,7 +198,7 @@ MessageId MessageBus::post(Envelope envelope) {
 
 void MessageBus::deliver_in(Duration delay, Envelope envelope) {
   engine_.schedule_in(
-      delay, "bus:" + envelope.from + "->" + envelope.to,
+      delay, "bus:deliver",
       [this, env = std::move(envelope)]() {
         const auto it = endpoints_.find(env.to);
         if (it == endpoints_.end()) {

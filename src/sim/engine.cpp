@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -11,10 +12,20 @@ EventHandle Engine::schedule_at(SimTime t, std::string label, Callback cb) {
   SPHINX_PRECONDITION(cb != nullptr, "event callback must not be null");
   SPHINX_PRECONDITION(!std::isnan(t), "event time must not be NaN");
   if (t < now_) t = now_;  // late scheduling fires immediately, never rewinds
-  const std::uint64_t id = next_id_++;
-  queue_.push(Event{t, next_seq_++, id, std::move(label), std::move(cb)});
-  live_ids_.insert(id);
-  const EventHandle handle(id);
+  if (free_.empty()) {
+    free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t index = free_.back();
+  free_.pop_back();
+  const std::uint64_t id = next_seq_++;
+  Slot& slot = slots_[index];
+  slot.id = id;
+  slot.label = std::move(label);
+  slot.callback = std::move(cb);
+  heap_.push_back(Entry{t, id, index});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const EventHandle handle(index, id);
   SPHINX_POSTCONDITION(pending(handle), "scheduled event must be pending");
   return handle;
 }
@@ -25,38 +36,54 @@ EventHandle Engine::schedule_in(Duration delay, std::string label, Callback cb) 
 }
 
 void Engine::cancel(EventHandle handle) {
-  // Cancelling a fired (or never-issued) event is a no-op; only events
-  // still in the queue are marked, so the cancelled set cannot leak.
-  if (handle.valid() && live_ids_.contains(handle.id_)) {
-    cancelled_.insert(handle.id_);
-  }
+  // Only a pending event is marked, so the cancelled count cannot drift.
+  // The entry stays in the heap until it surfaces; the captured state goes
+  // now, after the bookkeeping, in case its destructor re-enters.
+  if (!pending(handle)) return;
+  Callback dropped;
+  dropped.swap(slots_[handle.slot_].callback);
+  ++cancelled_;
 }
 
 bool Engine::pending(EventHandle handle) const {
-  return handle.valid() && live_ids_.contains(handle.id_) &&
-         !cancelled_.contains(handle.id_);
+  return handle.valid() && handle.slot_ < slots_.size() &&
+         slots_[handle.slot_].id == handle.id_ &&
+         static_cast<bool>(slots_[handle.slot_].callback);
+}
+
+Engine::Entry Engine::pop_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  slots_[top.slot].id = 0;
+  free_.push_back(top.slot);
+  return top;
+}
+
+void Engine::drop_cancelled_top() {
+  while (!heap_.empty() && !slots_[heap_.front().slot].callback) {
+    pop_top();
+    --cancelled_;
+  }
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    live_ids_.erase(ev.id);
-    if (const auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    // Monotonicity: the queue can never surface an event behind the
-    // clock (schedule_at clamps late insertions to now()).
-    SPHINX_INVARIANT(ev.time >= now_, "event queue went non-monotonic");
-    now_ = ev.time;
-    ++fired_;
-    current_label_ = std::move(ev.label);
-    ev.callback();
-    current_label_.clear();
-    return true;
-  }
-  return false;
+  drop_cancelled_top();
+  if (heap_.empty()) return false;
+  // The slot is released before the callback runs: a stale handle to
+  // this event no longer matches, and the callback may reuse the slot.
+  const Entry top = pop_top();
+  Callback callback;
+  callback.swap(slots_[top.slot].callback);
+  current_label_ = std::move(slots_[top.slot].label);
+  // Monotonicity: the heap can never surface an event behind the clock
+  // (schedule_at clamps late insertions to now()).
+  SPHINX_INVARIANT(top.time >= now_, "event queue went non-monotonic");
+  now_ = top.time;
+  ++fired_;
+  callback();
+  current_label_.clear();
+  return true;
 }
 
 std::size_t Engine::run_until(SimTime limit) {
@@ -64,23 +91,13 @@ std::size_t Engine::run_until(SimTime limit) {
   stop_requested_ = false;
   while (!stop_requested_) {
     // Peek: do not fire events beyond the horizon.
-    bool fired = false;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      if (cancelled_.contains(top.id)) {
-        cancelled_.erase(top.id);
-        live_ids_.erase(top.id);
-        queue_.pop();
-        continue;
-      }
-      if (top.time > limit) {
-        now_ = limit < kNever ? limit : now_;
-        return n;
-      }
-      fired = step();
-      break;
+    drop_cancelled_top();
+    if (heap_.empty()) break;
+    if (heap_.front().time > limit) {
+      now_ = std::max(now_, limit);  // the clock never moves backwards
+      return n;
     }
-    if (!fired) break;
+    step();
     ++n;
   }
   return n;
@@ -90,18 +107,34 @@ void Engine::check_invariants() const {
 #if SPHINX_CONTRACTS_ENABLED
   SPHINX_INVARIANT(now_ >= 0.0 && !std::isnan(now_),
                    "simulation clock must be a non-negative number");
-  SPHINX_INVARIANT(live_ids_.size() == queue_.size(),
-                   "live id set must mirror the event queue");
-  for (const std::uint64_t id : cancelled_) {
-    SPHINX_INVARIANT(live_ids_.contains(id),
-                     "cancelled set must only name queued events");
+  enum class Use : unsigned char { kUnseen, kQueued, kFree };
+  std::vector<Use> use(slots_.size(), Use::kUnseen);
+  std::size_t cancelled = 0;
+  for (const Entry& entry : heap_) {
+    SPHINX_INVARIANT(
+        entry.slot < slots_.size() && use[entry.slot] == Use::kUnseen,
+        "a heap entry must name a slot no other entry names");
+    use[entry.slot] = Use::kQueued;
+    const Slot& slot = slots_[entry.slot];
+    SPHINX_INVARIANT(slot.id != 0 && slot.id == entry.seq,
+                     "a queued slot must hold its entry's nonzero id");
+    if (!slot.callback) ++cancelled;
   }
-  if (!queue_.empty()) {
-    // The heap top is the earliest entry; if even it is not behind the
-    // clock, no entry is.
-    SPHINX_INVARIANT(queue_.top().time >= now_,
-                     "pending event lies in the past");
+  for (const std::uint32_t index : free_) {
+    SPHINX_INVARIANT(index < slots_.size() && use[index] == Use::kUnseen,
+                     "a slot must be either queued or free, never both");
+    use[index] = Use::kFree;
+    SPHINX_INVARIANT(slots_[index].id == 0, "a free slot must hold id 0");
   }
+  SPHINX_INVARIANT(std::count(use.begin(), use.end(), Use::kUnseen) == 0,
+                   "every slot must be queued or free");
+  SPHINX_INVARIANT(cancelled == cancelled_,
+                   "cancelled count must match the queued slots without a "
+                   "callback");
+  // The heap top is the earliest entry; if even it is not behind the
+  // clock, no entry is.
+  SPHINX_INVARIANT(heap_.empty() || heap_.front().time >= now_,
+                   "pending event lies in the past");
 #endif
 }
 

@@ -10,9 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,7 +18,9 @@
 
 namespace sphinx::sim {
 
-/// Opaque handle to a scheduled event; used to cancel it.
+/// Opaque handle to a scheduled event; used to cancel it.  Names the
+/// engine slot the event occupies and the event's id, so a handle to an
+/// event that has fired never matches a later event reusing its slot.
 class EventHandle {
  public:
   constexpr EventHandle() noexcept = default;
@@ -30,7 +30,9 @@ class EventHandle {
 
  private:
   friend class Engine;
-  constexpr explicit EventHandle(std::uint64_t id) noexcept : id_(id) {}
+  constexpr EventHandle(std::uint32_t slot, std::uint64_t id) noexcept
+      : slot_(slot), id_(id) {}
+  std::uint32_t slot_ = 0;
   std::uint64_t id_ = 0;
 };
 
@@ -47,14 +49,18 @@ class Engine {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).
-  /// `label` names the event for diagnostics.
+  /// `label` names the event's family for diagnostics ("bus:deliver",
+  /// "site:complete"); a literal of at most 15 characters stays in
+  /// std::string's inline buffer and costs no allocation.
   EventHandle schedule_at(SimTime t, std::string label, Callback cb);
 
   /// Schedules `cb` after `delay` seconds (clamped to >= 0).
   EventHandle schedule_in(Duration delay, std::string label, Callback cb);
 
-  /// Cancels a pending event.  Cancelling an already-fired or invalid
-  /// handle is a no-op (common when a job completes before its timeout).
+  /// Cancels a pending event and frees its callback's captured state at
+  /// once.  Cancelling an already-fired, already-cancelled or invalid
+  /// handle is a no-op (common when a job completes before its timeout),
+  /// and so is an event cancelling itself while it runs.
   void cancel(EventHandle handle);
 
   /// True if the event is still pending.
@@ -65,7 +71,10 @@ class Engine {
   bool step();
 
   /// Runs until the queue drains, `limit` is reached, or stop() is called.
-  /// Returns the number of events fired.
+  /// Returns the number of events fired.  Where the clock ends: at
+  /// `limit` when the next pending event lies past it, at the last fired
+  /// event when the queue drains first.  It never moves backwards: a
+  /// `limit` behind now() fires nothing and leaves the clock alone.
   std::size_t run_until(SimTime limit = kNever);
 
   /// Requests run_until() to return after the current event.
@@ -73,9 +82,10 @@ class Engine {
 
   /// Total events fired so far.
   [[nodiscard]] std::size_t events_fired() const noexcept { return fired_; }
-  /// Events currently pending (including not-yet-collected cancelled ones).
+  /// Events that will still fire: queued events minus cancelled ones,
+  /// even while a cancelled event still sits in the queue.
   [[nodiscard]] std::size_t events_pending() const noexcept {
-    return queue_.size() - cancelled_.size();
+    return heap_.size() - cancelled_;
   }
 
   /// Label of the event currently being dispatched (empty outside dispatch).
@@ -84,35 +94,48 @@ class Engine {
   }
 
   /// Full structural sweep: clock monotonicity (no pending event is in
-  /// the past), bookkeeping consistency (live ids mirror the queue, the
-  /// cancelled set is a subset of live ids).  Throws ContractViolation on
-  /// corruption; a no-op when contracts are compiled out.  Cheap per-event
-  /// checks run inline in step()/schedule_at(); this sweep is for tests
-  /// and debugging sessions.
+  /// the past) and slot bookkeeping (every slot is queued exactly once or
+  /// free, never both; a queued slot holds its entry's nonzero id; the
+  /// cancelled count matches the queued slots without a callback).
+  /// Throws ContractViolation on corruption; a no-op when contracts are
+  /// compiled out.  Cheap per-event checks run inline in
+  /// step()/schedule_at(); this sweep is for tests and debugging sessions.
   void check_invariants() const;
 
  private:
   friend struct EngineInspector;  // test-only fault injection
-  struct Event {
+  /// A heap entry: trivially copyable, so sifting moves 24 bytes.
+  struct Entry {
     SimTime time;
-    std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-    std::uint64_t id;
-    std::string label;
-    Callback callback;
+    std::uint64_t seq;   // tie-break (FIFO among equal times); the event id
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
+  /// A queued event's payload.  Free slots hold id 0; a cancelled event
+  /// keeps its id but no callback until its entry leaves the heap.
+  struct Slot {
+    std::uint64_t id = 0;
+    std::string label;
+    Callback callback;
+  };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_set<std::uint64_t> live_ids_;  // ids currently in queue_
+  /// Pops cancelled entries off the heap top and frees their slots.
+  void drop_cancelled_top();
+  /// Pops the heap top and returns its slot to the free list; the slot's
+  /// label and callback stay for the caller to move out.
+  Entry pop_top();
+
+  std::vector<Entry> heap_;  // binary heap under Later: earliest on top
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // slots not holding a queued event
+  std::size_t cancelled_ = 0;        // queued entries whose slot is cancelled
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
   std::size_t fired_ = 0;
   bool stop_requested_ = false;
   std::string current_label_;

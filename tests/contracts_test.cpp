@@ -23,11 +23,15 @@
 namespace sphinx::sim {
 
 /// Test-only back door: the public Engine API cannot produce a
-/// non-monotonic clock or a desynchronized live-id set, so the negative
-/// tests reach in directly.
+/// non-monotonic clock, a slot both queued and free or a drifted
+/// cancelled count, so the negative tests reach in directly.
 struct EngineInspector {
   static void warp_clock(Engine& engine, SimTime t) { engine.now_ = t; }
-  static void drop_live_ids(Engine& engine) { engine.live_ids_.clear(); }
+  /// The engine must have a queued event.
+  static void free_queued_slot(Engine& engine) {
+    engine.free_.push_back(engine.heap_.front().slot);
+  }
+  static void miscount_cancelled(Engine& engine) { ++engine.cancelled_; }
 };
 
 }  // namespace sphinx::sim
@@ -98,10 +102,18 @@ TEST(Contracts, EngineDetectsNonMonotonicClock) {
   EXPECT_THROW(engine.check_invariants(), ContractViolation);
 }
 
-TEST(Contracts, EngineDetectsDesyncedLiveIdSet) {
+TEST(Contracts, EngineDetectsQueuedSlotOnFreeList) {
   sim::Engine engine;
   engine.schedule_at(5.0, "ev", [] {});
-  sim::EngineInspector::drop_live_ids(engine);
+  sim::EngineInspector::free_queued_slot(engine);
+  EXPECT_THROW(engine.check_invariants(), ContractViolation);
+}
+
+TEST(Contracts, EngineDetectsCancelledCountDrift) {
+  sim::Engine engine;
+  engine.schedule_at(5.0, "ev", [] {});
+  EXPECT_NO_THROW(engine.check_invariants());
+  sim::EngineInspector::miscount_cancelled(engine);
   EXPECT_THROW(engine.check_invariants(), ContractViolation);
 }
 

@@ -1,8 +1,10 @@
 // Tests for the discrete-event engine: ordering, determinism,
-// cancellation, horizons and periodic processes.
+// cancellation, slot reuse, horizons and periodic processes.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -103,6 +105,117 @@ TEST(Engine, RunUntilHorizonStopsEarly) {
   // Remaining event still fires later.
   e.run_until(200.0);
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, RunUntilBehindTheClockNeverRewinds) {
+  Engine e;
+  std::vector<double> fired;
+  e.schedule_at(10.0, "a", [&] { fired.push_back(e.now()); });
+  e.schedule_at(20.0, "b", [&] { fired.push_back(e.now()); });
+  e.run_until(15.0);
+  EXPECT_DOUBLE_EQ(e.now(), 15.0);
+  EXPECT_EQ(e.run_until(5.0), 0u);
+  EXPECT_DOUBLE_EQ(e.now(), 15.0);  // a horizon behind the clock
+  e.schedule_in(1.0, "c", [&] { fired.push_back(e.now()); });
+  e.run_until();
+  EXPECT_EQ(fired, (std::vector<double>{10.0, 16.0, 20.0}));
+}
+
+TEST(Engine, EventsPendingExcludesCancelledEvents) {
+  Engine e;
+  e.schedule_at(1.0, "a", [] {});
+  const EventHandle b = e.schedule_at(2.0, "b", [] {});
+  const EventHandle c = e.schedule_at(30.0, "c", [] {});
+  e.schedule_at(40.0, "d", [] {});
+  EXPECT_EQ(e.events_pending(), 4u);
+  e.cancel(b);
+  EXPECT_EQ(e.events_pending(), 3u);
+  e.cancel(b);  // already cancelled
+  EXPECT_EQ(e.events_pending(), 3u);
+  e.cancel(c);
+  EXPECT_EQ(e.events_pending(), 2u);
+  // c stays queued past the horizon, still excluded.
+  EXPECT_EQ(e.run_until(10.0), 1u);
+  EXPECT_EQ(e.events_pending(), 1u);
+  EXPECT_EQ(e.run_until(), 1u);
+  EXPECT_EQ(e.events_pending(), 0u);
+}
+
+TEST(Engine, StaleHandleNeverTouchesTheEventReusingItsSlot) {
+  Engine e;
+  const EventHandle a = e.schedule_at(1.0, "a", [] {});
+  e.run_until();
+  bool b_fired = false;
+  // The only free slot is a's, so b takes it.
+  const EventHandle b = e.schedule_at(2.0, "b", [&] { b_fired = true; });
+  EXPECT_NE(a, b);
+  e.cancel(a);
+  EXPECT_FALSE(e.pending(a));
+  EXPECT_TRUE(e.pending(b));
+  EXPECT_EQ(e.events_pending(), 1u);
+  e.run_until();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(Engine, CancelOwnHandleDuringDispatchIsNoop) {
+  Engine e;
+  EventHandle self;
+  EventHandle next;
+  int fired = 0;
+  self = e.schedule_at(1.0, "self", [&] {
+    ++fired;
+    EXPECT_FALSE(e.pending(self));
+    e.cancel(self);
+    // Reuses the slot self just released; the stale handle must miss it.
+    next = e.schedule_in(1.0, "next", [&] { ++fired; });
+    e.cancel(self);
+    EXPECT_TRUE(e.pending(next));
+  });
+  e.run_until();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(e.events_pending(), 0u);
+}
+
+TEST(Engine, CallbackCancelsSiblingAtSameTimestamp) {
+  Engine e;
+  bool sibling_fired = false;
+  EventHandle sibling;
+  e.schedule_at(5.0, "first", [&] { e.cancel(sibling); });
+  sibling = e.schedule_at(5.0, "sibling", [&] { sibling_fired = true; });
+  EXPECT_EQ(e.run_until(), 1u);
+  EXPECT_FALSE(sibling_fired);
+  EXPECT_EQ(e.events_pending(), 0u);
+  EXPECT_NO_THROW(e.check_invariants());
+}
+
+TEST(Engine, CancelReleasesCapturedStateAtOnce) {
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  const EventHandle h = e.schedule_at(1.0, "x", [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  e.cancel(h);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+/// A callable that counts its copies; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  void operator()() const {}
+  int* copies;
+};
+
+TEST(Engine, DispatchNeverCopiesTheCallback) {
+  Engine e;
+  int copies = 0;
+  for (int i = 64; i > 0; --i) {
+    e.schedule_at(static_cast<double>(i), "x", CopyCounter(&copies));
+  }
+  EXPECT_EQ(e.run_until(), 64u);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Engine, StopRequestHaltsRun) {

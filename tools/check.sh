@@ -142,6 +142,16 @@ echo "== recovery benchmark =="
 "$bin/bench/micro_recovery" \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
+echo "== engine benchmark =="
+# The event engine: schedule and fire, cancellation, self-rescheduling
+# chains and periodic processes, plus two cases shaped like the
+# simulator's traffic: BM_DeliverySizedCapture (each callback captures an
+# envelope's ~256 bytes of strings under a label past the 15-character
+# inline buffer) and BM_TimerCancelledBeforeFiring (a timeout that its
+# job's completion cancels).  Results land in BENCH_engine.json.
+"$bin/bench/micro_engine" \
+  --benchmark_out=BENCH_engine.json --benchmark_out_format=json
+
 echo "== db benchmark =="
 # The table store's hot operations: inserts, an indexed lookup, a state
 # write that moves its row between index buckets, a write to an
