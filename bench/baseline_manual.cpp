@@ -36,7 +36,7 @@ int main() {
 
   // Tenant 2: the manual user -- a bare gateway, no SPHINX.
   submit::CondorG manual_gateway(scenario.grid(), scenario.transfers(),
-                                 scenario.rls(), nullptr, "manual");
+                                 scenario.rls(), "manual");
 
   auto generator_a = scenario.make_generator("shared", config.workload);
   auto generator_b = scenario.make_generator("shared", config.workload);

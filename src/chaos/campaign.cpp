@@ -19,6 +19,14 @@ namespace {
 constexpr SimTime kFirstSubmitAt = 10.0;
 constexpr Duration kSubmitSpacing = 15.0;
 
+/// The straggler probe's fixed arm set-up: strategy, run horizon and
+/// tracker timeout.  Outages in straggler_schedule_defaults() last longer
+/// than the timeout, so without the defense a trapped job's only escape
+/// is the timeout.
+constexpr core::Algorithm kProbeAlgorithm = core::Algorithm::kCompletionTime;
+constexpr SimTime kProbeHorizon = hours(24);
+constexpr Duration kProbeJobTimeout = minutes(20);
+
 /// One simulation: the outage schedule always applies; crash points only
 /// when `with_crashes` (the baseline runs the same grid uninterrupted).
 RunArtifacts run_once(const ChaosRunConfig& config,
@@ -188,8 +196,8 @@ StragglerArmResult run_straggler_arm(const StragglerProbeConfig& config,
   exp::Scenario scenario(scenario_config);
 
   exp::TenantOptions options;
-  options.algorithm = config.algorithm;
-  options.job_timeout = config.job_timeout;
+  options.algorithm = kProbeAlgorithm;
+  options.job_timeout = kProbeJobTimeout;
   options.speculate = speculate;
   scenario.add_tenant("straggler", options);
 
@@ -207,7 +215,7 @@ StragglerArmResult run_straggler_arm(const StragglerProbeConfig& config,
         "submit",
         [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
   }
-  scenario.run(config.horizon);
+  scenario.run(kProbeHorizon);
 
   const exp::Tenant& tenant = scenario.tenants()[0];
   StragglerArmResult arm;

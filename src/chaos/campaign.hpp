@@ -132,9 +132,6 @@ struct StragglerProbeConfig {
   ScheduleConfig schedule;
   int dag_count = 6;
   int jobs_per_dag = 6;
-  core::Algorithm algorithm = core::Algorithm::kCompletionTime;
-  SimTime horizon = hours(24);
-  Duration job_timeout = minutes(20);
 };
 
 /// One arm (speculation off or on) of the probe.

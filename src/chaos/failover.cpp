@@ -17,11 +17,34 @@ namespace {
 
 constexpr SimTime kFirstSubmitAt = 10.0;
 constexpr Duration kSubmitSpacing = 15.0;
+constexpr int kJobsPerDag = 6;
+constexpr core::Algorithm kAlgorithm = core::Algorithm::kCompletionTime;
+/// Per-shard checkpoint policy (record-triggered).
+constexpr std::size_t kCheckpointEvery = 48;
+/// Fail-stop time and shard of the crashed scheduler.  Just after the
+/// shard's sweep at 120.0, so the dead window holds in-flight outbox
+/// state.
+constexpr SimTime kCrashAt = 120.1;
+constexpr std::size_t kCrashShard = 0;
+/// Client-server partition window.
+constexpr SimTime kPartitionStart = 119.8;
+constexpr SimTime kPartitionEnd = 124.8;
+constexpr SimTime kHorizon = hours(12);
 /// First-beat offset: off the integer grid the monitor (x.5) and the
 /// sweeps (multiples of 2.5) occupy, so no ctrl event ever shares an
 /// engine timestamp with a core one.
 constexpr Duration kHeartbeatPhase = 0.25;
 constexpr Duration kMonitorPhase = 0.5;
+
+// The partition opens at least one maximum bus latency before the crash,
+// so every send made before it delivers in both runs ...
+static_assert(kPartitionStart + exp::kBusLatency + exp::kBusJitter <= kCrashAt,
+              "partition must open a max bus latency before the crash");
+// ... and closes after the latest adoption: the dead owner's lease runs
+// out at most kLeaseTtl after the crash, and the next monitor sweep
+// adopts it, so no send ever targets the dark endpoint.
+static_assert(kCrashAt + ctrl::kLeaseTtl + ctrl::kMonitorPeriod < kPartitionEnd,
+              "partition must close after the latest adoption");
 
 struct FailoverArtifacts {
   RunArtifacts run;
@@ -32,8 +55,6 @@ struct FailoverArtifacts {
 FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
   SPHINX_PRECONDITION(config.shards >= 2,
                       "failover needs a surviving peer to adopt the shard");
-  SPHINX_PRECONDITION(config.crash_shard < config.shards,
-                      "crash_shard must name one of the shards");
 
   exp::ScenarioConfig scenario_config;
   scenario_config.seed = config.seed;
@@ -47,8 +68,8 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
     rpc::LinkFaultRule rule;
     rule.from_prefix = "sphinx-client";
     rule.to_prefix = "sphinx-server";
-    rule.start = config.partition_start;
-    rule.end = config.partition_end;
+    rule.start = kPartitionStart;
+    rule.end = kPartitionEnd;
     rule.partition = true;
     scenario_config.network_faults.rules.push_back(rule);
   }
@@ -59,31 +80,21 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
   std::unordered_map<std::string, std::size_t> shard_index;
   for (std::size_t i = 0; i < config.shards; ++i) {
     exp::TenantOptions options;
-    options.algorithm = config.algorithm;
-    options.checkpoint_every_records = config.checkpoint_every;
+    options.algorithm = kAlgorithm;
+    options.checkpoint_every_records = kCheckpointEvery;
     options.sweep_phase =
         static_cast<double>(i) *
-        (core::ServerConfig{}.sweep_period / static_cast<double>(config.shards));
+        (core::kSweepPeriod / static_cast<double>(config.shards));
     scenario.add_tenant("failover#" + std::to_string(i), options);
     shard_index.emplace(ctrl::shard_name(i), i);
   }
 
-  ctrl::CoordinatorConfig coordinator_config;
-  coordinator_config.lease_ttl = config.lease_ttl;
-  coordinator_config.monitor_period = config.monitor_period;
-  coordinator_config.monitor_phase = kMonitorPhase;
-  ctrl::LeaseCoordinator coordinator(scenario.bus(), coordinator_config);
+  ctrl::LeaseCoordinator coordinator(scenario.bus(), kMonitorPhase);
   coordinator.set_recorder(&scenario.recorder());
 
   const rpc::Proxy ctrl_proxy(
       rpc::Identity{"/CN=sphinx-control-plane", "/CN=iGOC CA"},
-      coordinator_config.control_vo, {}, scenario.engine().now(),
-      hours(24 * 365));
-
-  ctrl::HeartbeatConfig heartbeat_config;
-  heartbeat_config.coordinator = coordinator_config.endpoint;
-  heartbeat_config.period = config.heartbeat_period;
-  heartbeat_config.phase = kHeartbeatPhase;
+      ctrl::kControlVo, {}, scenario.engine().now(), hours(24 * 365));
 
   std::vector<std::unique_ptr<ctrl::HeartbeatAgent>> agents(config.shards);
   for (std::size_t i = 0; i < config.shards; ++i) {
@@ -91,7 +102,7 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
         coordinator.grant(ctrl::shard_name(i), ctrl::scheduler_name(i));
     agents[i] = std::make_unique<ctrl::HeartbeatAgent>(
         scenario.bus(), ctrl::shard_name(i), ctrl::scheduler_name(i), epoch,
-        heartbeat_config, ctrl_proxy);
+        kHeartbeatPhase, ctrl_proxy);
   }
 
   std::string failure;
@@ -117,13 +128,13 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
     // dead owner's agent object is already gone (the crash destroyed it).
     const std::size_t idx = shard_index.at(shard);
     agents[idx] = std::make_unique<ctrl::HeartbeatAgent>(
-        scenario.bus(), shard, new_owner, epoch, heartbeat_config, ctrl_proxy);
+        scenario.bus(), shard, new_owner, epoch, kHeartbeatPhase, ctrl_proxy);
     agents[idx]->start();
   });
 
   // Workload: DAGs routed round-robin across the shards.
   workflow::WorkloadConfig workload;
-  workload.jobs_per_dag = config.jobs_per_dag;
+  workload.jobs_per_dag = kJobsPerDag;
   auto generator = scenario.make_generator("failover", workload);
   const std::vector<workflow::Dag> dags =
       generator.generate_batch("failover", config.dag_count);
@@ -144,16 +155,16 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
 
   if (with_crash) {
     scenario.engine().schedule_at(
-        config.crash_at, "failover:crash", [&scenario, &agents, &config] {
+        kCrashAt, "failover:crash", [&scenario, &agents] {
           // Fail-stop of the whole scheduler process: the server AND its
           // heartbeat agent die together -- the ensuing lease silence is
           // exactly what the monitor detects.
-          agents[config.crash_shard].reset();
-          scenario.crash_server(config.crash_shard);
+          agents[kCrashShard].reset();
+          scenario.crash_server(kCrashShard);
         });
   }
 
-  const SimTime stopped = scenario.run(config.horizon);
+  const SimTime stopped = scenario.run(kHorizon);
 
   FailoverArtifacts out;
   out.run.stopped_at = stopped;

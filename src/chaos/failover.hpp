@@ -28,7 +28,9 @@
 ///    never shifts a core RNG draw;
 ///  - the partition opens >= one max bus latency before the crash and
 ///    closes after adoption, so every pre-partition send delivers in both
-///    runs and no send ever targets the dark endpoint.
+///    runs and no send ever targets the dark endpoint (static_asserts
+///    over the timing constants in failover.cpp hold this at compile
+///    time).
 
 #include <cstddef>
 #include <cstdint>
@@ -36,33 +38,18 @@
 
 #include "chaos/oracle.hpp"
 #include "common/time.hpp"
-#include "core/state.hpp"
 
 namespace sphinx::chaos {
 
-/// One failover experiment.  Defaults are tuned so the dead window
-/// [crash_at, adoption] sits strictly inside the partition window and
-/// ends before any restored retry timer or resumed sweep fires.
+/// One failover experiment.  Its timing (crash, partition window, lease
+/// and heartbeat periods) is fixed: constants in failover.cpp, tuned so
+/// the dead window [crash, adoption] sits strictly inside the partition
+/// window and ends before any restored retry timer or resumed sweep
+/// fires.
 struct FailoverConfig {
   std::uint64_t seed = 1;
   std::size_t shards = 2;
   std::size_t dag_count = 4;
-  int jobs_per_dag = 6;
-  core::Algorithm algorithm = core::Algorithm::kCompletionTime;
-  /// Per-shard checkpoint policy (record-triggered).
-  std::size_t checkpoint_every = 48;
-  /// Fail-stop time of the crashed scheduler.  Just after the shard's
-  /// sweep at 120.0, so the dead window holds in-flight outbox state.
-  SimTime crash_at = 120.1;
-  std::size_t crash_shard = 0;
-  /// Client-server partition window.  Must open at least one maximum bus
-  /// latency before crash_at and close after adoption.
-  SimTime partition_start = 119.8;
-  SimTime partition_end = 124.8;
-  Duration heartbeat_period = 1.0;
-  Duration lease_ttl = 3.0;
-  Duration monitor_period = 1.0;
-  SimTime horizon = hours(12);
 };
 
 /// Verdicts and artifacts of one chaotic/baseline pair.

@@ -97,7 +97,7 @@ ChaosSchedule synthesize(std::uint64_t seed, const ScheduleConfig& config,
           k, static_cast<std::int64_t>(indices.size()) - 1));
       std::swap(indices[static_cast<std::size_t>(k)], indices[j]);
       grid::ScheduledOutage outage = draw_outage(
-          burst_rng, config, at + burst_rng.uniform(0.0, config.burst_window));
+          burst_rng, config, at + burst_rng.uniform(0.0, kBurstWindow));
       outage.mode = mode;
       schedule.outages[sites[indices[static_cast<std::size_t>(k)]]].push_back(
           outage);
@@ -142,18 +142,18 @@ ChaosSchedule synthesize(std::uint64_t seed, const ScheduleConfig& config,
   for (int i = 0; i < config.net_windows; ++i) {
     NetFaultWindow window;
     window.at = net_rng.uniform(0.0, config.span);
-    window.duration = std::max(config.net_min_duration,
-                               net_rng.exponential(config.net_mean_duration));
+    window.duration =
+        std::max(kNetMinDuration, net_rng.exponential(kNetMeanDuration));
     window.loss = config.net_loss;
     window.duplicate = config.net_duplicate;
     window.reorder = config.net_reorder;
-    window.reorder_spike = config.net_reorder_spike;
+    window.reorder_spike = kNetReorderSpike;
     schedule.net_windows.push_back(window);
   }
   for (int i = 0; i < config.net_partitions; ++i) {
     NetFaultWindow window;
     window.at = net_rng.uniform(0.0, config.span);
-    window.duration = config.net_partition_duration;
+    window.duration = kNetPartitionDuration;
     window.partition = true;
     schedule.net_windows.push_back(window);
   }

@@ -63,6 +63,16 @@ struct ChaosSchedule {
   [[nodiscard]] std::size_t outage_count() const;
 };
 
+/// A burst's outages start within this window of the burst instant.
+inline constexpr Duration kBurstWindow = minutes(5);
+/// Lossy-wire windows: exponential durations with this mean, floored at
+/// kNetMinDuration, and this jitter-spike bound on their reorders.
+inline constexpr Duration kNetMeanDuration = minutes(10);
+inline constexpr Duration kNetMinDuration = minutes(1);
+inline constexpr Duration kNetReorderSpike = 5.0;
+/// Length of every synthesized client<->server partition.
+inline constexpr Duration kNetPartitionDuration = 60.0;
+
 /// Synthesis knobs.  Defaults give a mixed-mode schedule with one burst
 /// and one mid-run crash -- adversarial but quick to simulate.
 struct ScheduleConfig {
@@ -78,10 +88,9 @@ struct ScheduleConfig {
   double weight_degraded = 0.4;
   /// Correlated multi-site events: every burst picks `burst_sites`
   /// distinct sites and starts an outage of the same mode on each within
-  /// `burst_window` of the burst instant.
+  /// kBurstWindow of the burst instant.
   int bursts = 1;
   int burst_sites = 3;
-  Duration burst_window = minutes(5);
   /// Mid-run server crash points, drawn uniformly from
   /// [min_crash_record, max_crash_record] and kept strictly increasing.
   /// Points past the run's final journal length never fire, so the
@@ -95,17 +104,13 @@ struct ScheduleConfig {
   int mid_ckpt_crashes = 1;
   /// Network-fault windows: `net_windows` lossy-wire spans drawn in
   /// [0, span) with exponential durations, plus `net_partitions` fixed
-  /// 60 s client<->server partitions.  On by default: the crash/recovery
-  /// oracle should not assume a perfect wire.
+  /// kNetPartitionDuration client<->server partitions.  On by default:
+  /// the crash/recovery oracle should not assume a perfect wire.
   int net_windows = 1;
   double net_loss = 0.05;
   double net_duplicate = 0.02;
   double net_reorder = 0.05;
-  Duration net_reorder_spike = 5.0;
-  Duration net_mean_duration = minutes(10);
-  Duration net_min_duration = minutes(1);
   int net_partitions = 1;
-  Duration net_partition_duration = 60.0;
 };
 
 /// Deterministically synthesizes a schedule: same (seed, config, sites)

@@ -1,8 +1,20 @@
 #include "core/client.hpp"
 
+#include "core/config.hpp"
+
 namespace sphinx::core {
 
 using rpc::XrValue;
+
+namespace {
+
+/// Timeout periods granted to an attempt observed staging or computing
+/// on a responsive site before the hard kill: slow is not dead, and
+/// cancelling a half-staged job only to restage it elsewhere makes
+/// congestion worse.
+constexpr int kMaxTimeoutExtensions = 3;
+
+}  // namespace
 
 SphinxClient::SphinxClient(rpc::MessageBus& bus, submit::CondorG& gateway,
                            ClientConfig config, rpc::Proxy proxy)
@@ -119,9 +131,9 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
   if (plan->speculative) {
     ++racing_now_;
     // Cross-layer contract: the server enforces its speculation budgets
-    // *before* sending a plan; more concurrent racers than the client
+    // *before* sending a plan; more concurrent racers than its global
     // budget means that enforcement is broken.
-    SPHINX_ASSERT(racing_now_ <= config_.speculation_budget,
+    SPHINX_ASSERT(racing_now_ <= kSpeculationMaxGlobal,
                   "speculation budget exceeded at the client");
   }
   auto& slot = tracked_.emplace(key, std::move(tracked)).first->second;
@@ -320,14 +332,14 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
   Tracked& tracked = it->second;
   // Progress check before killing: a job visibly staging or computing on
   // a responsive site is slow, not lost.  Grant it another period (up to
-  // the configured budget) instead of cancelling and re-staging it
+  // kMaxTimeoutExtensions) instead of cancelling and re-staging it
   // somewhere else.
   const auto state = gateway_.state_of(job, attempt);
   const bool progressing =
       state.has_value() && (*state == submit::GatewayJobState::kStaging ||
                             *state == submit::GatewayJobState::kRunning);
   if (progressing && gateway_.site_responsive(job, attempt) &&
-      tracked.extensions < config_.max_timeout_extensions) {
+      tracked.extensions < kMaxTimeoutExtensions) {
     ++tracked.extensions;
     ++tracker_.extensions;
     // Rearm relative to *this observation*, not the original schedule:

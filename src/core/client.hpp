@@ -39,17 +39,9 @@ struct ClientConfig {
   std::string vo = "uscms";
   /// Tracker timeout: a job that has made no visible progress this long
   /// after submission is cancelled and replanning is requested.  A job
-  /// observed staging or computing on a responsive site is granted up to
-  /// `max_timeout_extensions` further periods before the hard kill --
-  /// slow is not dead, and cancelling a half-staged job only to restage
-  /// it elsewhere makes congestion worse.
+  /// observed staging or computing on a responsive site is granted a few
+  /// further periods first (kMaxTimeoutExtensions in client.cpp).
   Duration job_timeout = minutes(30);
-  int max_timeout_extensions = 3;
-  /// Straggler defense: upper bound on speculative attempts this client
-  /// will track concurrently.  The server's own per-DAG/global budgets
-  /// are tighter; this is the cross-layer contract check -- exceeding it
-  /// means the server's budget enforcement is broken.
-  std::size_t speculation_budget = 8;
 };
 
 /// Completion record for one DAG (client-side timing).

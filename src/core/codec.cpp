@@ -1,5 +1,6 @@
 #include "core/codec.hpp"
 
+#include <cmath>
 #include <limits>
 
 namespace sphinx::core {
@@ -43,6 +44,15 @@ Expected<double> need_double(const XrValue& s, const std::string& key) {
     return make_error("codec", "missing double member: " + key);
   }
   return v->as_double();
+}
+
+/// A duration or size member: finite and >= 0, or a `codec` error.
+Expected<double> need_non_negative(const XrValue& s, const std::string& key) {
+  auto v = need_double(s, key);
+  if (v && !(std::isfinite(*v) && *v >= 0)) {
+    return make_error("codec", key + " must be finite and >= 0");
+  }
+  return v;
 }
 
 Expected<std::string> need_string(const XrValue& s, const std::string& key) {
@@ -123,13 +133,22 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     if (!jv.is_struct()) return make_error("codec", "job is not a struct");
     auto job_id = need_int(jv, "job_id");
     if (!job_id) return Unexpected<Error>{job_id.error()};
+    if (*job_id < 1) {
+      return make_error("codec",
+                        "job id out of range: " + std::to_string(*job_id));
+    }
+    const JobId id(static_cast<std::uint64_t>(*job_id));
+    if (dag.has_job(id)) {
+      return make_error("codec",
+                        "duplicate job id: " + std::to_string(*job_id));
+    }
     auto job_name = need_string(jv, "name");
     if (!job_name) return Unexpected<Error>{job_name.error()};
-    auto compute = need_double(jv, "compute_time");
+    auto compute = need_non_negative(jv, "compute_time");
     if (!compute) return Unexpected<Error>{compute.error()};
     auto output = need_string(jv, "output");
     if (!output) return Unexpected<Error>{output.error()};
-    auto output_bytes = need_double(jv, "output_bytes");
+    auto output_bytes = need_non_negative(jv, "output_bytes");
     if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
     const XrValue::Array* inputs = find_array(jv, "inputs");
     const XrValue::Array* parent_ids = find_array(jv, "parents");
@@ -138,7 +157,7 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     }
 
     workflow::JobSpec spec;
-    spec.id = JobId(static_cast<std::uint64_t>(*job_id));
+    spec.id = id;
     spec.name = *job_name;
     spec.compute_time = *compute;
     spec.output = *output;
@@ -153,14 +172,14 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
       parents.emplace_back(static_cast<std::uint64_t>(p.as_int()));
     }
     dag.add_job(std::move(spec));
-    edges.emplace_back(JobId(static_cast<std::uint64_t>(*job_id)),
-                       std::move(parents));
+    edges.emplace_back(id, std::move(parents));
   }
   for (const auto& [child, parents] : edges) {
     for (const JobId parent : parents) {
       if (!dag.has_job(parent)) {
         return make_error("codec", "edge references unknown parent");
       }
+      if (parent == child) return make_error("codec", "self edge");
       dag.add_edge(parent, child);
     }
   }
@@ -207,7 +226,7 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   if (!name) return Unexpected<Error>{name.error()};
   auto site = need_int(value, "site");
   if (!site) return Unexpected<Error>{site.error()};
-  auto compute = need_double(value, "compute_time");
+  auto compute = need_non_negative(value, "compute_time");
   if (!compute) return Unexpected<Error>{compute.error()};
   auto output = need_string(value, "output");
   if (!output) return Unexpected<Error>{output.error()};
@@ -276,7 +295,8 @@ Expected<TrackerReport> decode_report(const XrValue& value) {
   if (!site) return Unexpected<Error>{site.error()};
   auto at = need_double(value, "at");
   if (!at) return Unexpected<Error>{at.error()};
-  auto completion = need_double(value, "completion_time");
+  if (std::isnan(*at)) return make_error("codec", "at is NaN");
+  auto completion = need_non_negative(value, "completion_time");
   if (!completion) return Unexpected<Error>{completion.error()};
   auto execution = need_double(value, "execution_time");
   if (!execution) return Unexpected<Error>{execution.error()};

@@ -71,11 +71,14 @@ struct TrackerReport {
   int attempt = 0;
 };
 
-/// DAG <-> XML-RPC value.
+/// DAG <-> XML-RPC value.  decode_dag refuses a job id below 1 or
+/// repeated, a self edge, and a compute_time or output_bytes that is
+/// negative or not finite (`codec` errors), and a cycle (`dag_cycle`).
 [[nodiscard]] rpc::XrValue encode_dag(const workflow::Dag& dag);
 [[nodiscard]] Expected<workflow::Dag> decode_dag(const rpc::XrValue& value);
 
-/// Plan <-> XML-RPC value.
+/// Plan <-> XML-RPC value.  decode_plan refuses a compute_time that is
+/// negative or not finite.
 [[nodiscard]] rpc::XrValue encode_plan(const ExecutionPlan& plan);
 [[nodiscard]] Expected<ExecutionPlan> decode_plan(const rpc::XrValue& value);
 
@@ -84,7 +87,8 @@ struct TrackerReport {
 /// never truncated into a live attempt number.
 [[nodiscard]] Expected<int> decode_attempt(const rpc::XrValue* value);
 
-/// Report <-> XML-RPC value.
+/// Report <-> XML-RPC value.  decode_report refuses a NaN `at` and a
+/// completion_time that is negative or not finite.
 [[nodiscard]] rpc::XrValue encode_report(const TrackerReport& report);
 [[nodiscard]] Expected<TrackerReport> decode_report(const rpc::XrValue& value);
 

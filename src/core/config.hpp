@@ -8,8 +8,8 @@
 /// live here rather than in server.hpp to keep the modules free of a
 /// dependency on the composite server.
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -25,6 +25,23 @@ struct CatalogSite {
   int cpus = 1;
 };
 
+/// Period of the server's control process: one sweep of the dirty-DAG
+/// work queue (reduce, plan, send) every this many sim-seconds.
+inline constexpr Duration kSweepPeriod = 5.0;
+
+/// Straggler-detector cadence: scan the in-flight jobs at most once per
+/// this many sim-seconds (checked at sweep boundaries; the scan is
+/// O(outstanding)).
+inline constexpr Duration kSpeculationCheckPeriod = minutes(2);
+
+/// Fan-out budgets: maximum concurrently racing speculations per DAG and
+/// per server, both contract-checked after every detector pass.  The
+/// client checks the global budget too, as the cross-layer contract: a
+/// client tracking more racing attempts than this means the server's
+/// budget enforcement is broken.
+inline constexpr std::size_t kSpeculationMaxPerDag = 2;
+inline constexpr std::size_t kSpeculationMaxGlobal = 8;
+
 /// Server configuration.
 struct ServerConfig {
   std::string endpoint = "sphinx-server";
@@ -34,18 +51,16 @@ struct ServerConfig {
   /// QoS: order planning by priority then earliest deadline first.  Off,
   /// requests are planned in pure submission order (priority ignored).
   bool use_qos_ordering = true;
-  Duration sweep_period = 5.0;
-  /// Offset of the first sweep after start().  Multi-server deployments
-  /// stagger shard phases with this: two shards sweeping at the same
-  /// instant would tie on engine timestamps, and recovery-rescheduled
-  /// events break such ties differently than the original schedule did.
+  /// Offset of the first sweep after start(); sweeps then repeat every
+  /// kSweepPeriod.  Multi-server deployments stagger shard phases with
+  /// this: two shards sweeping at the same instant would tie on engine
+  /// timestamps, and recovery-rescheduled events break such ties
+  /// differently than the original schedule did.
   Duration sweep_phase = 0.0;
   /// Planner step 4: when set, final outputs (outputs no other job in the
   /// DAG consumes) are copied to this site's persistent storage after the
   /// producing job completes.
   SiteId persistent_site;
-  /// VOs authorized to talk to this server (GSI ACL).
-  std::vector<std::string> allowed_vos = {"uscms", "atlas", "ivdgl"};
   /// Checkpoint policy: once the journal has grown by this many records
   /// since the last checkpoint, the end of the next sweep publishes a new
   /// image and compacts the journal.  0 (the default) disables
@@ -53,35 +68,12 @@ struct ServerConfig {
   /// the full history.
   std::size_t checkpoint_every_records = 0;
 
-  // --- straggler defense (speculative replication) ----------------------
-  /// Master switch.  Off, the detector never runs and the tracker's
-  /// timeout-cancel-replan loop is the only slow-site defense.
+  /// Straggler defense (speculative replication).  Off, the detector
+  /// never runs and the tracker's timeout-cancel-replan loop is the only
+  /// slow-site defense.  The detector's thresholds are constants in
+  /// straggler.cpp; its cadence and fan-out budgets are the constants
+  /// above.
   bool speculate = false;
-  /// A job is a straggler when its elapsed time since planning exceeds
-  /// speculation_multiplier x the q-th percentile of its (site, class)
-  /// runtime-sample distribution.
-  double speculation_percentile = 0.95;
-  double speculation_multiplier = 2.0;
-  /// Floor on the straggler threshold: never speculate before a job has
-  /// been outstanding at least this long, whatever the percentile says
-  /// (tiny-class histograms would otherwise replicate healthy jobs).
-  Duration speculation_min_elapsed = minutes(5);
-  /// Decline to classify when the (site, class) sample ring -- falling
-  /// back to the class's all-site ring for cold sites -- holds fewer
-  /// samples than this.
-  std::size_t speculation_min_samples = 3;
-  /// Detector cadence: scan the in-flight jobs at most once per this many
-  /// sim-seconds (checked at sweep boundaries; the scan is O(outstanding)).
-  Duration speculation_check_period = minutes(2);
-  /// Monitor staleness guard: when the freshest monitoring snapshot for a
-  /// job's site is older than this, the detector declines to classify the
-  /// job (a dark site's jobs all look like stragglers; the tracker
-  /// timeout owns that failure mode).  Counted as detector.stale_skips.
-  Duration speculation_stale_after = minutes(45);
-  /// Fan-out budgets: maximum concurrently racing speculations per DAG
-  /// and per server.  Both contract-checked after every detector pass.
-  std::size_t speculation_max_per_dag = 2;
-  std::size_t speculation_max_global = 8;
 };
 
 /// Counters for experiments and diagnostics.

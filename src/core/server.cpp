@@ -3,6 +3,7 @@
 #include "common/contracts.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
@@ -10,6 +11,13 @@
 namespace sphinx::core {
 
 using rpc::XrValue;
+
+namespace {
+
+/// VOs authorized to talk to the server (GSI ACL).
+constexpr const char* kAllowedVos[] = {"uscms", "atlas", "ivdgl"};
+
+}  // namespace
 
 SphinxServer::SphinxServer(rpc::MessageBus& bus,
                            std::vector<CatalogSite> catalog,
@@ -44,8 +52,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   reducer_ = std::make_unique<DagReducer>(*warehouse_, rls, stats_);
   planner_ = std::make_unique<Planner>(*warehouse_, std::move(catalog), rls,
                                        transfers, monitoring, config_, stats_);
-  detector_ =
-      std::make_unique<StragglerDetector>(*warehouse_, monitoring, config_);
+  detector_ = std::make_unique<StragglerDetector>(*warehouse_, monitoring);
   // The detector cursor is journaled soft state like the strategy
   // cursors: a recovered server resumes the crashed instance's cadence.
   if (const std::string stored =
@@ -55,7 +62,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
 
   rpc::AuthzPolicy policy;
-  for (const std::string& vo : config_.allowed_vos) policy.allow_vo("*", vo);
+  for (const char* vo : kAllowedVos) policy.allow_vo("*", vo);
   service_ = std::make_unique<rpc::ClarensService>(bus_, config_.endpoint,
                                                    std::move(policy));
   // The server's own outgoing identity (host certificate proxy).
@@ -101,7 +108,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
 
   control_ = std::make_unique<sim::PeriodicProcess>(
-      bus_.engine(), "server:sweep", config_.sweep_period,
+      bus_.engine(), "server:sweep", kSweepPeriod,
       [this] { sweep(); }, config_.sweep_phase);
 }
 
@@ -229,13 +236,20 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
       return make_error("bad_request", "priority must be numeric");
     }
     priority = params[3].as_double();
+    if (std::isnan(priority)) {
+      return make_error("bad_request", "priority must not be NaN");
+    }
   }
+  // +inf is a legal deadline: it is the client's best effort (kNever).
   SimTime deadline = kNever;
   if (params.size() == 5) {
     if (!params[4].is_double() && !params[4].is_int()) {
       return make_error("bad_request", "deadline must be numeric");
     }
     deadline = params[4].as_double();
+    if (std::isnan(deadline)) {
+      return make_error("bad_request", "deadline must not be NaN");
+    }
   }
 
   const bool accepted = message_handler_->accept_dag(
@@ -284,9 +298,13 @@ Expected<XrValue> SphinxServer::handle_set_quota(
     return make_error("bad_request",
                       "expected [user, site, resource, limit]");
   }
+  const double limit = params[3].as_double();
+  if (!(limit >= 0)) {  // also refuses NaN
+    return make_error("bad_request", "quota limit must be >= 0");
+  }
   set_quota(UserId(static_cast<std::uint64_t>(params[0].as_int())),
             SiteId(static_cast<std::uint64_t>(params[1].as_int())),
-            params[2].as_string(), params[3].as_double());
+            params[2].as_string(), limit);
   maybe_crash();
   return XrValue(true);
 }
@@ -422,7 +440,7 @@ void SphinxServer::sweep() {
 void SphinxServer::maybe_speculate() {
   if (!config_.speculate) return;
   const SimTime now = bus_.engine().now();
-  if (now < last_speculation_check_ + config_.speculation_check_period) {
+  if (now < last_speculation_check_ + kSpeculationCheckPeriod) {
     return;
   }
   last_speculation_check_ = now;
@@ -438,9 +456,9 @@ void SphinxServer::maybe_speculate() {
   for (const SpeculationRecord& r : racing) ++per_dag[r.dag.value()];
 
   for (const JobState state : {JobState::kSubmitted, JobState::kRunning}) {
-    if (global >= config_.speculation_max_global) break;
+    if (global >= kSpeculationMaxGlobal) break;
     for (const JobRecord& job : warehouse_->jobs_in_state(state)) {
-      if (global >= config_.speculation_max_global) break;
+      if (global >= kSpeculationMaxGlobal) break;
       // A job already racing is tracked by its replica attempt; never
       // stack a second replica on it.
       if (warehouse_->active_speculation(job.id).has_value()) continue;
@@ -453,7 +471,7 @@ void SphinxServer::maybe_speculate() {
         continue;
       }
       if (verdict != StragglerVerdict::kStraggler) continue;
-      if (per_dag[job.dag.value()] >= config_.speculation_max_per_dag) {
+      if (per_dag[job.dag.value()] >= kSpeculationMaxPerDag) {
         continue;
       }
       const auto dag = warehouse_->dag(job.dag);
@@ -480,10 +498,10 @@ void SphinxServer::maybe_speculate() {
   // races than the budgets allow.
   const bool budgets_respected = [&] {
     const auto open = warehouse_->racing_speculations();
-    if (open.size() > config_.speculation_max_global) return false;
+    if (open.size() > kSpeculationMaxGlobal) return false;
     std::unordered_map<std::uint64_t, std::size_t> by_dag;
     for (const SpeculationRecord& r : open) {
-      if (++by_dag[r.dag.value()] > config_.speculation_max_per_dag) {
+      if (++by_dag[r.dag.value()] > kSpeculationMaxPerDag) {
         return false;
       }
     }

@@ -142,7 +142,7 @@ class SphinxServer {
   void maybe_finish_dag(DagId dag_id);
   void send_plan(const std::string& client, const ExecutionPlan& plan);
   /// Straggler-defense detector pass (speculate = true, at most once per
-  /// speculation_check_period): classifies the in-flight jobs and plans
+  /// kSpeculationCheckPeriod): classifies the in-flight jobs and plans
   /// a speculative replica for each flagged straggler, within the
   /// per-DAG and global fan-out budgets.
   void maybe_speculate();

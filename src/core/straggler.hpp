@@ -1,8 +1,8 @@
 #pragma once
 /// \file straggler.hpp
 /// Straggler detector: learns per-(site, job-class) runtime percentiles
-/// and flags in-flight jobs whose elapsed time exceeds a configurable
-/// multiple of the learned percentile.
+/// and flags in-flight jobs whose elapsed time exceeds twice the learned
+/// 95th percentile (the thresholds are constants in straggler.cpp).
 ///
 /// The detector is the trigger half of the straggler defense: a flagged
 /// job gets a speculative replica planned onto a second site and the two
@@ -18,7 +18,6 @@
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
-#include "core/config.hpp"
 #include "core/warehouse.hpp"
 #include "monitor/service.hpp"
 
@@ -44,8 +43,7 @@ enum class StragglerVerdict {
 class StragglerDetector {
  public:
   StragglerDetector(const DataWarehouse& warehouse,
-                    const monitor::MonitoringService* monitoring,
-                    const ServerConfig& config);
+                    const monitor::MonitoringService* monitoring);
 
   /// Classifies one in-flight (kSubmitted/kRunning) job at `now`.
   /// kStaleMonitor takes precedence over the percentile test: a dark
@@ -55,16 +53,14 @@ class StragglerDetector {
                                           SimTime now) const;
 
   /// The elapsed-time threshold classify() applies for (site, class):
-  /// max(multiplier x percentile, min_elapsed).  nullopt when fewer than
-  /// min_samples exist even after the all-site fallback.  Exposed for
-  /// tests and diagnostics.
+  /// max(2 x p95, 5 min).  nullopt when fewer than 3 samples exist even
+  /// after the all-site fallback.  Exposed for tests and diagnostics.
   [[nodiscard]] std::optional<Duration> threshold(SiteId site,
                                                   int job_class) const;
 
  private:
   const DataWarehouse& warehouse_;
   const monitor::MonitoringService* monitoring_;  ///< may be null
-  const ServerConfig& config_;
 };
 
 }  // namespace sphinx::core

@@ -2,33 +2,29 @@
 
 #include <utility>
 
-#include "common/contracts.hpp"
 #include "obs/trace.hpp"
 
 namespace sphinx::ctrl {
 
 LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
-                                   CoordinatorConfig config)
-    : LeaseCoordinator(bus, std::move(config), /*deferred_recovery=*/false) {}
+                                   Duration monitor_phase)
+    : LeaseCoordinator(bus, monitor_phase, /*deferred_recovery=*/false) {}
 
 LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
-                                   CoordinatorConfig config,
+                                   Duration monitor_phase,
                                    bool /*deferred_recovery*/)
-    : bus_(bus), config_(std::move(config)) {
-  SPHINX_PRECONDITION(config_.lease_ttl > 0, "lease ttl must be positive");
-  SPHINX_PRECONDITION(config_.monitor_period > 0,
-                      "monitor period must be positive");
+    : bus_(bus) {
   register_methods();
   monitor_ = std::make_unique<sim::PeriodicProcess>(
-      bus_.engine(), "ctrl:monitor", config_.monitor_period,
-      [this] { monitor_sweep(); }, config_.monitor_phase);
+      bus_.engine(), "ctrl:monitor", kMonitorPeriod,
+      [this] { monitor_sweep(); }, monitor_phase);
 }
 
 Expected<std::unique_ptr<LeaseCoordinator>> LeaseCoordinator::recover(
-    rpc::MessageBus& bus, CoordinatorConfig config,
+    rpc::MessageBus& bus, Duration monitor_phase,
     const db::Journal& journal) {
   auto coordinator = std::unique_ptr<LeaseCoordinator>(new LeaseCoordinator(
-      bus, std::move(config), /*deferred_recovery=*/true));
+      bus, monitor_phase, /*deferred_recovery=*/true));
   if (auto replayed = coordinator->leases_.recover_from(journal); !replayed) {
     return Unexpected<Error>{replayed.error()};
   }
@@ -40,8 +36,8 @@ LeaseCoordinator::~LeaseCoordinator() = default;
 
 void LeaseCoordinator::register_methods() {
   rpc::AuthzPolicy policy;
-  policy.allow_vo("*", config_.control_vo);
-  service_ = std::make_unique<rpc::ClarensService>(bus_, config_.endpoint,
+  policy.allow_vo("*", kControlVo);
+  service_ = std::make_unique<rpc::ClarensService>(bus_, kCoordinatorEndpoint,
                                                    std::move(policy));
   service_->register_method(
       "ctrl.renew", [this](const std::vector<rpc::XrValue>& params,
@@ -51,10 +47,10 @@ void LeaseCoordinator::register_methods() {
 std::uint64_t LeaseCoordinator::grant(const std::string& shard,
                                       const std::string& owner) {
   const std::uint64_t epoch =
-      leases_.grant(shard, owner, bus_.engine().now(), config_.lease_ttl);
+      leases_.grant(shard, owner, bus_.engine().now(), kLeaseTtl);
   if (recorder_ != nullptr) {
-    recorder_->event(obs::TraceKind::kLeaseGranted, config_.endpoint, shard,
-                     owner, static_cast<double>(epoch));
+    recorder_->event(obs::TraceKind::kLeaseGranted, kCoordinatorEndpoint,
+                     shard, owner, static_cast<double>(epoch));
     recorder_->count("ctrl", "ctrl.leases_granted");
   }
   return epoch;
@@ -81,7 +77,7 @@ Expected<rpc::XrValue> LeaseCoordinator::handle_renew(
   const std::string& owner = params[1].as_string();
   const auto epoch = static_cast<std::uint64_t>(params[2].as_int());
   switch (leases_.renew(shard, owner, epoch, bus_.engine().now(),
-                        config_.lease_ttl)) {
+                        kLeaseTtl)) {
     case RenewOutcome::kRenewed:
       ++stats_.renewals;
       if (recorder_ != nullptr) recorder_->count("ctrl", "ctrl.lease_renewals");
@@ -89,8 +85,8 @@ Expected<rpc::XrValue> LeaseCoordinator::handle_renew(
     case RenewOutcome::kFenced:
       ++stats_.fenced;
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kLeaseFenced, config_.endpoint, shard,
-                         owner, static_cast<double>(epoch));
+        recorder_->event(obs::TraceKind::kLeaseFenced, kCoordinatorEndpoint,
+                         shard, owner, static_cast<double>(epoch));
         recorder_->count("ctrl", "ctrl.lease_fenced");
       }
       return rpc::XrValue("fenced");
@@ -109,7 +105,7 @@ void LeaseCoordinator::monitor_sweep() {
     leases_.mark_expired(lease.shard);
     ++stats_.expirations;
     if (recorder_ != nullptr) {
-      recorder_->event(obs::TraceKind::kLeaseExpired, config_.endpoint,
+      recorder_->event(obs::TraceKind::kLeaseExpired, kCoordinatorEndpoint,
                        lease.shard, lease.owner,
                        static_cast<double>(lease.epoch));
       recorder_->count("ctrl", "ctrl.lease_expired");
@@ -133,10 +129,10 @@ void LeaseCoordinator::monitor_sweep() {
       }
     }
     const std::uint64_t epoch =
-        leases_.transfer(lease.shard, *adopter, now, config_.lease_ttl);
+        leases_.transfer(lease.shard, *adopter, now, kLeaseTtl);
     ++stats_.adoptions;
     if (recorder_ != nullptr) {
-      recorder_->event(obs::TraceKind::kShardAdopted, config_.endpoint,
+      recorder_->event(obs::TraceKind::kShardAdopted, kCoordinatorEndpoint,
                        lease.shard, lease.owner + "->" + *adopter,
                        static_cast<double>(epoch));
       recorder_->count("ctrl", "ctrl.shard_adoptions");

@@ -33,18 +33,17 @@
 
 namespace sphinx::ctrl {
 
-/// Coordinator knobs.  Defaults tolerate two missed beats: with a 1 s
-/// heartbeat and a 3 s TTL, expiry needs three consecutive silent beats,
-/// so one delayed delivery never triggers a spurious failover.
-struct CoordinatorConfig {
-  std::string endpoint = "ctrl/coordinator";
-  Duration lease_ttl = 3.0;
-  Duration monitor_period = 1.0;
-  /// Offset of the first monitor sweep after start().
-  Duration monitor_phase = 0.0;
-  /// VO whose proxies may invoke ctrl methods.
-  std::string control_vo = "ivdgl";
-};
+/// The coordinator's bus endpoint, where HeartbeatAgents send renewals.
+inline constexpr const char* kCoordinatorEndpoint = "ctrl/coordinator";
+/// Lease lifetime.  It tolerates two missed beats: with a 1 s heartbeat
+/// (kHeartbeatPeriod) and a 3 s TTL, expiry needs three consecutive
+/// silent beats, so one delayed delivery never triggers a spurious
+/// failover.
+inline constexpr Duration kLeaseTtl = 3.0;
+/// Cadence of the expiry monitor.
+inline constexpr Duration kMonitorPeriod = 1.0;
+/// VO whose proxies may invoke ctrl methods.
+inline constexpr const char* kControlVo = "ivdgl";
 
 /// Counters for experiments and tests.
 struct CoordinatorStats {
@@ -69,13 +68,15 @@ class LeaseCoordinator {
       const std::string& shard, const std::string& new_owner,
       std::uint64_t epoch)>;
 
-  LeaseCoordinator(rpc::MessageBus& bus, CoordinatorConfig config);
+  /// \param monitor_phase offset of the first monitor sweep after
+  /// start().
+  LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase);
 
   /// Rebuilds a coordinator from a crashed instance's lease journal:
   /// ownership, epochs and deadlines all survive, so a recovered control
   /// plane fences exactly the owners the dead one would have.
   static Expected<std::unique_ptr<LeaseCoordinator>> recover(
-      rpc::MessageBus& bus, CoordinatorConfig config,
+      rpc::MessageBus& bus, Duration monitor_phase,
       const db::Journal& journal);
 
   ~LeaseCoordinator();
@@ -102,18 +103,14 @@ class LeaseCoordinator {
   [[nodiscard]] const CoordinatorStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] const CoordinatorConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
-  LeaseCoordinator(rpc::MessageBus& bus, CoordinatorConfig config,
+  LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase,
                    bool deferred_recovery);
   void register_methods();
   Expected<rpc::XrValue> handle_renew(const std::vector<rpc::XrValue>& params);
 
   rpc::MessageBus& bus_;
-  CoordinatorConfig config_;
   LeaseTable leases_;
   std::unique_ptr<rpc::ClarensService> service_;
   std::unique_ptr<sim::PeriodicProcess> monitor_;

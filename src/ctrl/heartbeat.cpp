@@ -2,33 +2,29 @@
 
 #include <utility>
 
-#include "common/contracts.hpp"
+#include "ctrl/coordinator.hpp"
 
 namespace sphinx::ctrl {
 
 HeartbeatAgent::HeartbeatAgent(rpc::MessageBus& bus, std::string shard,
                                std::string owner, std::uint64_t epoch,
-                               HeartbeatConfig config, rpc::Proxy proxy)
-    : shard_(std::move(shard)),
-      owner_(std::move(owner)),
-      epoch_(epoch),
-      config_(std::move(config)) {
-  SPHINX_PRECONDITION(config_.period > 0, "heartbeat period must be positive");
+                               Duration phase, rpc::Proxy proxy)
+    : shard_(std::move(shard)), owner_(std::move(owner)), epoch_(epoch) {
   // One transmission per beat: a lost beat is simply superseded by the
   // next one, so the retry budget is a single attempt with the timeout at
   // the beat period (a straggler reply never outlives its beat by more
   // than one period).
   rpc::RetryPolicy retry;
-  retry.timeout = config_.period;
-  retry.max_timeout = config_.period;
+  retry.timeout = kHeartbeatPeriod;
+  retry.max_timeout = kHeartbeatPeriod;
   retry.backoff = 1.0;
   retry.jitter = 0.0;
   retry.max_attempts = 1;
   client_ = std::make_unique<rpc::ClarensClient>(
       bus, "ctrl/hb/" + owner_ + "/" + shard_, std::move(proxy), retry);
   beat_ = std::make_unique<sim::PeriodicProcess>(
-      bus.engine(), "ctrl:heartbeat", config_.period,
-      [this] { beat(); }, config_.phase);
+      bus.engine(), "ctrl:heartbeat", kHeartbeatPeriod, [this] { beat(); },
+      phase);
 }
 
 HeartbeatAgent::~HeartbeatAgent() = default;
@@ -38,7 +34,7 @@ void HeartbeatAgent::stop() { beat_->stop(); }
 
 void HeartbeatAgent::beat() {
   client_->call(
-      config_.coordinator, "ctrl.renew",
+      kCoordinatorEndpoint, "ctrl.renew",
       {rpc::XrValue(shard_), rpc::XrValue(owner_),
        rpc::XrValue(static_cast<std::int64_t>(epoch_))},
       [this](Expected<rpc::XrValue> result) {

@@ -27,22 +27,18 @@
 
 namespace sphinx::ctrl {
 
-/// Heartbeat knobs.
-struct HeartbeatConfig {
-  std::string coordinator = "ctrl/coordinator";
-  Duration period = 1.0;
-  /// Offset of the first beat after start() (staggers agents so beats
-  /// never share an engine timestamp with each other).
-  Duration phase = 0.0;
-};
+/// Beat period: one ctrl.renew every this many sim-seconds.
+inline constexpr Duration kHeartbeatPeriod = 1.0;
 
 class HeartbeatAgent {
  public:
   /// \param shard the shard whose lease this agent renews; \param owner
   /// the scheduler instance name the lease is bound to; \param epoch the
-  /// epoch the lease was granted (or transferred) at.
+  /// epoch the lease was granted (or transferred) at; \param phase the
+  /// offset of the first beat after start() (staggers agents so beats
+  /// never share an engine timestamp with each other).
   HeartbeatAgent(rpc::MessageBus& bus, std::string shard, std::string owner,
-                 std::uint64_t epoch, HeartbeatConfig config, rpc::Proxy proxy);
+                 std::uint64_t epoch, Duration phase, rpc::Proxy proxy);
   ~HeartbeatAgent();
 
   HeartbeatAgent(const HeartbeatAgent&) = delete;
@@ -69,7 +65,6 @@ class HeartbeatAgent {
   std::string shard_;
   std::string owner_;
   std::uint64_t epoch_;
-  HeartbeatConfig config_;
   std::unique_ptr<rpc::ClarensClient> client_;
   std::unique_ptr<sim::PeriodicProcess> beat_;
   bool fenced_ = false;

@@ -59,8 +59,7 @@ constexpr double kBackgroundJobMeanDuration = 20.0 * 60.0;  // 20 min
 Scenario::Scenario(ScenarioConfig config)
     : config_(config),
       seeds_(config.seed),
-      bus_(engine_, seeds_.stream("bus"), config.bus_latency,
-           config.bus_jitter),
+      bus_(engine_, seeds_.stream("bus"), kBusLatency, kBusJitter),
       grid_(engine_, seeds_),
       transfers_(engine_),
       monitoring_(engine_, grid_, config.monitor,
@@ -90,11 +89,10 @@ void Scenario::build_sites() {
     spec.site.cpu_speed = row.speed;
     spec.site.runtime_noise = 0.15;
     spec.site.vo_priority["uscms"] = row.uscms_priority;
-    spec.site.vo_priority["background"] = 0.0;
+    spec.site.vo_priority[grid::kBackgroundVo] = 0.0;
 
     if (config_.background_load) {
       spec.background.enabled = true;
-      spec.background.vo = "background";
       spec.background.mean_duration = kBackgroundJobMeanDuration;
       // Arrival rate lambda = utilization * cpus / mean_duration.
       const double lambda =
@@ -109,7 +107,6 @@ void Scenario::build_sites() {
       // Grid3 load was anything but stationary; alternating heavy/light
       // phases are what make stale monitoring data actively misleading.
       spec.background.burstiness = 0.6;
-      spec.background.mean_phase = minutes(25);
     }
     if (config_.site_failures) {
       spec.failure.permanent_black_hole = row.permanent_black_hole;
@@ -130,7 +127,6 @@ void Scenario::build_sites() {
     }
     const SiteId id = grid_.add_site(spec);
     transfers_.set_link(id, {row.link_mbps * kMB, row.link_mbps * kMB});
-    storage_.add(id, 10e12);  // 10 TB storage element per site
   }
 }
 
@@ -170,7 +166,7 @@ Tenant& Scenario::add_tenant(const std::string& label,
   const UserId user = users_.next();
 
   tenant.gateway = std::make_unique<submit::CondorG>(
-      grid_, transfers_, rls_, &storage_, "condor-g/" + label);
+      grid_, transfers_, rls_, "condor-g/" + label);
 
   core::ServerConfig server_config;
   server_config.endpoint = "sphinx-server/" + label;

@@ -7,8 +7,8 @@
 /// "7 different scientific applications".  This scenario builds the
 /// simulated analogue: 15 heterogeneous sites (named after the sites in
 /// the paper's Figure 6), with background load from other VOs, per-site
-/// VO priorities, WAN links, storage elements, a monitoring service, and
-/// the failure behaviours (downtime, black holes, degradation) that the
+/// VO priorities, WAN links, a monitoring service, and the failure
+/// behaviours (downtime, black holes, degradation) that the
 /// fault-tolerance results depend on.
 
 #include <deque>
@@ -23,7 +23,6 @@
 #include "core/server.hpp"
 #include "data/gridftp.hpp"
 #include "data/rls.hpp"
-#include "data/storage.hpp"
 #include "grid/grid.hpp"
 #include "monitor/service.hpp"
 #include "obs/recorder.hpp"
@@ -34,14 +33,17 @@
 
 namespace sphinx::exp {
 
+/// The testbed's message-bus latency: every delivery takes kBusLatency
+/// plus a uniform draw in [0, kBusJitter) sim-seconds.
+inline constexpr Duration kBusLatency = 0.1;
+inline constexpr Duration kBusJitter = 0.1;
+
 /// Scenario-wide knobs.
 struct ScenarioConfig {
   std::uint64_t seed = 1;
   bool site_failures = true;     ///< intermittent downtime + black holes
   bool background_load = true;   ///< other VOs' jobs
   monitor::MonitorConfig monitor;  ///< poll period 5 min by default
-  Duration bus_latency = 0.1;
-  Duration bus_jitter = 0.1;
   /// Pre-planned outages per site name (chaos harness).  A named site
   /// runs exactly this outage list instead of the seeded renewal process;
   /// unnamed sites keep whatever `site_failures` gives them.  Applied
@@ -180,7 +182,6 @@ class Scenario {
   grid::Grid grid_;
   data::TransferService transfers_;
   data::ReplicaLocationService rls_;
-  data::StorageFabric storage_;
   monitor::MonitoringService monitoring_;
   workflow::IdSpace ids_;
   // deque: references returned by add_tenant stay valid as tenants are

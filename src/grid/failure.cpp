@@ -10,6 +10,10 @@ namespace {
 
 bool weight_ok(double w) { return std::isfinite(w) && w >= 0.0; }
 
+/// Mean of the exponential time between background load's heavy/light
+/// phase flips.
+constexpr Duration kMeanPhase = minutes(25);
+
 }  // namespace
 
 const char* to_string(OutageMode mode) noexcept {
@@ -136,7 +140,7 @@ void BackgroundLoad::start() {
   if (!config_.enabled) return;
   for (int i = 0; i < config_.prefill_jobs; ++i) {
     RemoteJob job;
-    job.vo = config_.vo;
+    job.vo = kBackgroundVo;
     job.compute_time = rng_.exponential(config_.mean_duration);
     if (site_.submit(std::move(job), nullptr).has_value()) ++injected_;
   }
@@ -148,7 +152,7 @@ void BackgroundLoad::start() {
 }
 
 void BackgroundLoad::schedule_phase_flip() {
-  const Duration phase = rng_.exponential(config_.mean_phase);
+  const Duration phase = rng_.exponential(kMeanPhase);
   engine_.schedule_in(phase, "bg:phase", [this] {
     heavy_ = !heavy_;
     schedule_phase_flip();
@@ -167,7 +171,7 @@ void BackgroundLoad::schedule_arrival() {
       rng_.exponential(config_.mean_interarrival / rate_scale);
   engine_.schedule_in(gap, "bg:arrival", [this] {
     RemoteJob job;
-    job.vo = config_.vo;
+    job.vo = kBackgroundVo;
     job.compute_time = rng_.exponential(config_.mean_duration);
     // Background jobs do not stage data and nobody watches them.
     if (site_.submit(std::move(job), nullptr).has_value()) ++injected_;

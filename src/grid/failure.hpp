@@ -92,27 +92,29 @@ class FailureModel {
   obs::Recorder* recorder_ = nullptr;
 };
 
+/// The VO background jobs carry; a site applies its local priority for
+/// this VO to them.
+inline constexpr const char* kBackgroundVo = "background";
+
 /// Poisson background load from other grid users (the site's "dynamic
 /// load").  Jobs arrive with exponential inter-arrival times, occupy CPUs
-/// for exponential durations, and carry a configurable VO whose local
-/// priority the site applies -- this is the traffic a monitoring system
-/// sees in the queue lengths.
+/// for exponential durations, and carry kBackgroundVo -- this is the
+/// traffic a monitoring system sees in the queue lengths.
 struct BackgroundLoadConfig {
   bool enabled = false;
   Duration mean_interarrival = 30.0;  ///< seconds between arrivals
   Duration mean_duration = minutes(10);
-  std::string vo = "background";
   /// Jobs injected immediately at start so the site begins in (approx.)
   /// steady state instead of empty -- remaining times of in-service
   /// exponential jobs are again exponential, so fresh draws are correct.
   int prefill_jobs = 0;
   /// Non-stationarity: arrival rate alternates between (1 + burstiness)
   /// and (1 - burstiness) times the base rate, switching phase after
-  /// exponential times with mean `mean_phase`.  This is what makes
-  /// point-in-time monitoring data go stale in a way that matters
-  /// (paper section 2: "the dynamic load ... of the resources").
+  /// exponential times with a mean of 25 minutes (kMeanPhase in
+  /// failure.cpp).  This is what makes point-in-time monitoring data go
+  /// stale in a way that matters (paper section 2: "the dynamic load ...
+  /// of the resources").
   double burstiness = 0.0;
-  Duration mean_phase = minutes(25);
 };
 
 class BackgroundLoad {

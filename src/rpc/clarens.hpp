@@ -127,8 +127,6 @@ class ClarensClient {
                     std::string payload, int attempt, SimTime last_sent_at,
                     Callback callback);
 
-  /// Replaces the proxy used for subsequent calls (e.g. after renewal).
-  void set_proxy(Proxy proxy) noexcept { proxy_ = std::move(proxy); }
   [[nodiscard]] const Proxy& proxy() const noexcept { return proxy_; }
 
   [[nodiscard]] const std::string& endpoint() const noexcept {

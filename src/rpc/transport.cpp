@@ -39,10 +39,6 @@ bool MessageBus::handoff_pending(const std::string& name) const noexcept {
   return handoff_pending_.contains(name);
 }
 
-bool MessageBus::has_endpoint(const std::string& name) const noexcept {
-  return endpoints_.contains(name);
-}
-
 void MessageBus::set_fault_model(NetworkFaultConfig config, Rng faults_rng) {
   for (const LinkFaultRule& rule : config.rules) {
     SPHINX_ASSERT(rule.loss >= 0 && rule.loss <= 1, "loss is a probability");

@@ -99,7 +99,6 @@ class MessageBus {
   void register_endpoint(const std::string& name, Handler handler);
   /// Removes an endpoint; in-flight messages to it will be dropped.
   void unregister_endpoint(const std::string& name);
-  [[nodiscard]] bool has_endpoint(const std::string& name) const noexcept;
 
   /// Opens a *planned handoff* window for an endpoint: until the name is
   /// registered again, in-flight messages to it are dropped with detail
@@ -126,9 +125,6 @@ class MessageBus {
   /// the latency-jitter stream, so enabling an all-zero config leaves
   /// delivery timing byte-identical.
   void set_fault_model(NetworkFaultConfig config, Rng faults_rng);
-  [[nodiscard]] const NetworkFaultConfig& fault_model() const noexcept {
-    return faults_;
-  }
 
   /// Routes control-plane traffic -- envelopes whose sender or recipient
   /// name starts with `prefix` -- onto a dedicated latency stream and

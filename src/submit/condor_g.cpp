@@ -1,6 +1,5 @@
 #include "submit/condor_g.hpp"
 
-#include "common/log.hpp"
 #include "data/replication.hpp"
 
 namespace sphinx::submit {
@@ -20,13 +19,8 @@ const char* to_string(GatewayJobState state) noexcept {
 }
 
 CondorG::CondorG(grid::Grid& grid, data::TransferService& transfers,
-                 data::ReplicaLocationService& rls,
-                 data::StorageFabric* storage, std::string name)
-    : grid_(grid),
-      transfers_(transfers),
-      rls_(rls),
-      storage_(storage),
-      name_(std::move(name)) {}
+                 data::ReplicaLocationService& rls, std::string name)
+    : grid_(grid), transfers_(transfers), rls_(rls), name_(std::move(name)) {}
 
 std::map<CondorG::Key, CondorG::Record>::iterator CondorG::find_latest(
     JobId job) {
@@ -163,15 +157,8 @@ void CondorG::stage_inputs(Key key, std::function<void()> done) {
 
 void CondorG::on_completed(Record& record) {
   const SubmitRequest& req = record.request;
-  if (!req.register_output || req.output.empty()) return;
+  if (req.output.empty()) return;
   // The output file materializes on the execution site.
-  if (storage_ != nullptr) {
-    if (auto* se = storage_->find(record.site); se != nullptr) {
-      // Best effort: a full storage element does not fail the job in this
-      // model; the replica is simply not persisted locally.
-      if (!se->store(req.user, req.output, req.output_bytes).ok()) return;
-    }
-  }
   rls_.register_replica(req.output, record.site, req.output_bytes);
 }
 
@@ -246,20 +233,6 @@ void CondorG::replicate(const data::Lfn& lfn, SiteId destination,
       source.site, destination, source.size_bytes,
       [this, lfn, destination, source, done = std::move(done)](TransferId,
                                                                Duration) {
-        if (storage_ != nullptr) {
-          if (auto* se = storage_->find(destination); se != nullptr) {
-            // Owner unknown at this layer; attribute to the gateway user 0.
-            // A full element still receives the bytes on the real grid
-            // (gridftp does not pre-reserve), so the replica is registered
-            // either way; the refusal is only worth a log line.
-            if (const auto stored = se->store(UserId(), lfn, source.size_bytes);
-                !stored.ok()) {
-              Logger("condor-g").warn("storage refused replica ", lfn, " at ",
-                                      destination.value(), ": ",
-                                      stored.error().to_string());
-            }
-          }
-        }
         rls_.register_replica(lfn, destination, source.size_bytes);
         done(true);
       });

@@ -4,9 +4,9 @@
 ///
 /// One gateway serves one client (user/VO): it submits a planned job to
 /// the chosen site's gatekeeper, stages input replicas with GridFTP when
-/// the site allocates a CPU, registers the output in the RLS and storage
-/// element on success, and relays the condor-style state events back to
-/// the caller (the SPHINX client's job tracker).
+/// the site allocates a CPU, registers the output in the RLS on success,
+/// and relays the condor-style state events back to the caller (the
+/// SPHINX client's job tracker).
 
 #include <functional>
 #include <map>
@@ -18,7 +18,6 @@
 #include "common/ids.hpp"
 #include "data/gridftp.hpp"
 #include "data/rls.hpp"
-#include "data/storage.hpp"
 #include "grid/grid.hpp"
 
 namespace sphinx::submit {
@@ -40,9 +39,8 @@ struct SubmitRequest {
   double priority = 0.0;            ///< within-VO batch priority nudge
   Duration compute_time = 60.0;
   std::vector<StagedInput> inputs;  ///< chosen transfer sources
-  data::Lfn output;
+  data::Lfn output;                 ///< published to the RLS on success
   double output_bytes = 0.0;
-  bool register_output = true;      ///< publish output to RLS on success
   /// Which attempt of the job this submission carries.  Speculation races
   /// two attempts of the same JobId through the same gateway, so the
   /// gateway tracks submissions per (job, attempt).
@@ -76,8 +74,7 @@ using GatewayCallback = std::function<void(const GatewayEvent&)>;
 class CondorG {
  public:
   CondorG(grid::Grid& grid, data::TransferService& transfers,
-          data::ReplicaLocationService& rls, data::StorageFabric* storage,
-          std::string name);
+          data::ReplicaLocationService& rls, std::string name);
 
   /// Submits a planned job.  Returns false when the gatekeeper is down
   /// (the caller sees a kFailed event first).  The callback observes
@@ -103,9 +100,9 @@ class CondorG {
   [[nodiscard]] bool site_responsive(JobId job, int attempt) const;
 
   /// Third-party replication (globus-url-copy style): copies an existing
-  /// replica to `destination`, stores it there and registers it in the
-  /// RLS.  `done(true)` on success; `done(false)` if no source replica
-  /// exists or the destination already has the file.
+  /// replica to `destination` and registers it in the RLS.  `done(true)`
+  /// on success; `done(false)` if no source replica exists or the
+  /// destination already has the file.
   void replicate(const data::Lfn& lfn, SiteId destination,
                  std::function<void(bool)> done);
 
@@ -140,7 +137,6 @@ class CondorG {
   grid::Grid& grid_;
   data::TransferService& transfers_;
   data::ReplicaLocationService& rls_;
-  data::StorageFabric* storage_;  ///< optional
   std::string name_;
   std::map<Key, Record> records_;
   std::size_t total_ = 0;

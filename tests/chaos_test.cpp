@@ -265,10 +265,9 @@ TEST(ChaosNetWindows, SynthesisIsSeededSortedAndConfigurable) {
     EXPECT_LT(window.at, config.schedule.span);
     if (window.partition) {
       ++partitions;
-      EXPECT_DOUBLE_EQ(window.duration,
-                       config.schedule.net_partition_duration);
+      EXPECT_DOUBLE_EQ(window.duration, chaos::kNetPartitionDuration);
     } else {
-      EXPECT_GE(window.duration, config.schedule.net_min_duration);
+      EXPECT_GE(window.duration, chaos::kNetMinDuration);
       EXPECT_DOUBLE_EQ(window.loss, config.schedule.net_loss);
       EXPECT_DOUBLE_EQ(window.duplicate, config.schedule.net_duplicate);
       EXPECT_DOUBLE_EQ(window.reorder, config.schedule.net_reorder);

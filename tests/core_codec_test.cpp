@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <limits>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/codec.hpp"
@@ -78,11 +81,66 @@ TEST(DagCodec, GeneratedWorkloadRoundTrips) {
   }
 }
 
+/// Whether `decode` refuses `value` with an error.  A throw is not a
+/// refusal: malformed wire input must never reach a precondition.
+template <typename Decode>
+bool refuses(const Decode& decode, const rpc::XrValue& value) {
+  try {
+    return !decode(value).has_value();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// `encoded` with job `index`'s member `key` set to `value`, after a trip
+/// over the wire (so NaN and inf arrive as parsed text).
+rpc::XrValue with_job_member(const rpc::XrValue& encoded, std::size_t index,
+                             const std::string& key, rpc::XrValue value) {
+  auto root = encoded.as_struct();
+  auto jobs = root.at("jobs").as_array();
+  auto job = jobs.at(index).as_struct();
+  job[key] = std::move(value);
+  jobs[index] = rpc::XrValue(std::move(job));
+  root["jobs"] = rpc::XrValue(std::move(jobs));
+  return through_wire(rpc::XrValue(std::move(root)));
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(DagCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(decode_dag(rpc::XrValue("not a struct")).has_value());
   rpc::XrValue::Struct incomplete;
   incomplete.emplace("dag_id", rpc::XrValue(1));
   EXPECT_FALSE(decode_dag(rpc::XrValue(std::move(incomplete))).has_value());
+
+  const rpc::XrValue encoded = encode_dag(sample_dag());
+  const auto decode = [](const rpc::XrValue& v) { return decode_dag(v); };
+  // Job 1 (id 101) has no children, so only its own id is at fault.
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-5}}) {
+    EXPECT_TRUE(refuses(decode, with_job_member(encoded, 1, "job_id",
+                                                rpc::XrValue(bad))))
+        << "job id " << bad;
+  }
+  EXPECT_TRUE(refuses(decode, with_job_member(encoded, 1, "job_id",
+                                              rpc::XrValue(100))))
+      << "repeated job id";
+  EXPECT_TRUE(refuses(decode,
+                      with_job_member(encoded, 1, "parents",
+                                      rpc::XrValue(rpc::XrValue::Array{
+                                          rpc::XrValue(101)}))))
+      << "self edge";
+  for (const char* key : {"compute_time", "output_bytes"}) {
+    for (const double bad : {-60.0, kNan, kInf}) {
+      EXPECT_TRUE(
+          refuses(decode, with_job_member(encoded, 0, key, rpc::XrValue(bad))))
+          << key << " = " << bad;
+    }
+  }
+  // Zero is a legal duration and size.
+  EXPECT_TRUE(decode_dag(with_job_member(encoded, 0, "compute_time",
+                                         rpc::XrValue(0.0)))
+                  .has_value());
 }
 
 TEST(DagCodec, RejectsEdgeToUnknownParent) {
@@ -151,6 +209,21 @@ TEST(PlanCodec, RejectsNonNumericBatchPriority) {
   EXPECT_FALSE(decoded.has_value());
 }
 
+TEST(PlanCodec, RejectsNegativeOrNonFiniteComputeTime) {
+  ExecutionPlan plan;
+  plan.job = JobId(1);
+  plan.dag = DagId(1);
+  plan.job_name = "x";
+  plan.site = SiteId(1);
+  const auto decode = [](const rpc::XrValue& v) { return decode_plan(v); };
+  for (const double bad : {-60.0, kNan, kInf}) {
+    auto s = encode_plan(plan).as_struct();
+    s["compute_time"] = rpc::XrValue(bad);
+    EXPECT_TRUE(refuses(decode, through_wire(rpc::XrValue(std::move(s)))))
+        << "compute_time = " << bad;
+  }
+}
+
 TEST(ReportCodec, RoundTripEachKind) {
   for (const ReportKind kind :
        {ReportKind::kSubmitted, ReportKind::kRunning, ReportKind::kCompleted,
@@ -184,6 +257,25 @@ TEST(ReportCodec, RejectsUnknownKind) {
   auto s = encoded.as_struct();
   s["kind"] = rpc::XrValue("exploded");
   EXPECT_FALSE(decode_report(rpc::XrValue(std::move(s))).has_value());
+}
+
+TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
+  TrackerReport report;
+  report.job = JobId(9);
+  report.kind = ReportKind::kCompleted;
+  report.site = SiteId(4);
+  report.attempt = 1;
+  const auto decode = [](const rpc::XrValue& v) { return decode_report(v); };
+  const auto with = [&](const std::string& key, double value) {
+    auto s = encode_report(report).as_struct();
+    s[key] = rpc::XrValue(value);
+    return through_wire(rpc::XrValue(std::move(s)));
+  };
+  for (const double bad : {-1.0, kNan, kInf}) {
+    EXPECT_TRUE(refuses(decode, with("completion_time", bad)))
+        << "completion_time = " << bad;
+  }
+  EXPECT_TRUE(refuses(decode, with("at", kNan))) << "at = nan";
 }
 
 /// Attempt numbers a decoder must refuse: missing, mistyped, zero,

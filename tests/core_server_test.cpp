@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -664,6 +666,145 @@ TEST_F(RedeliveryFixture, CancelAttempt) {
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(tenant.gateway->state_of(JobId(13), 1),
             submit::GatewayJobState::kRemoved);
+}
+
+// --- refused wire input -----------------------------------------------------
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+/// Malformed numbers and DAG shapes must be refused with a fault before
+/// anything is journaled or traced -- never stored, and never thrown out
+/// of the bus delivery by a precondition further in.
+class RefusalFixture : public RedeliveryFixture {
+ protected:
+  /// Delivers `method(params)` once and expects a fault reply, with the
+  /// server's journal and the trace (bus deliveries aside) unchanged.
+  void refused(const std::string& to, const rpc::Proxy& proxy,
+               const std::string& method, std::vector<rpc::XrValue> params,
+               const std::string& what) {
+    const std::string journal = warehouse().journal().serialize();
+    Delivery delivery;
+    try {
+      delivery = deliver(
+          to, proxy, rpc::MethodCall{method, std::move(params)}.serialize(),
+          ++seq);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << what << ": threw " << error.what();
+      return;
+    }
+    const auto response = rpc::MethodResponse::parse(delivery.reply);
+    ASSERT_TRUE(response.has_value()) << what;
+    EXPECT_TRUE(response->is_fault) << what << ": " << delivery.reply;
+    EXPECT_EQ(delivery.journal, journal) << what;
+    EXPECT_EQ(delivery.trace, std::vector<std::string>{}) << what;
+  }
+
+  /// A well-formed two-job chain, DAG 3, in wire form.
+  static rpc::XrValue chain() {
+    workflow::Dag dag(DagId(3), "chain");
+    workflow::JobSpec first;
+    first.id = JobId(31);
+    first.name = "first";
+    first.output = "lfn://chain/31";
+    workflow::JobSpec second;
+    second.id = JobId(32);
+    second.name = "second";
+    second.inputs = {"lfn://chain/31"};
+    second.output = "lfn://chain/32";
+    dag.add_job(first);
+    dag.add_job(second);
+    dag.add_edge(JobId(31), JobId(32));
+    return core::encode_dag(dag);
+  }
+
+  /// chain() with job `index`'s member `key` replaced.
+  static rpc::XrValue chain_with(std::size_t index, const std::string& key,
+                                 rpc::XrValue value) {
+    auto root = chain().as_struct();
+    auto jobs = root.at("jobs").as_array();
+    auto job = jobs.at(index).as_struct();
+    job[key] = std::move(value);
+    jobs[index] = rpc::XrValue(std::move(job));
+    root["jobs"] = rpc::XrValue(std::move(jobs));
+    return rpc::XrValue(std::move(root));
+  }
+
+  void refused_submit(rpc::XrValue dag, double priority, double deadline,
+                      const std::string& what) {
+    refused(server, user, "sphinx.submit_dag",
+            {rpc::XrValue("raw-caller"), rpc::XrValue(5), std::move(dag),
+             rpc::XrValue(priority), rpc::XrValue(deadline)},
+            what);
+  }
+};
+
+TEST_F(RefusalFixture, ReportWithBadCompletionTimeOrNanTime) {
+  core::TrackerReport report;
+  report.job = JobId(11);
+  report.kind = core::ReportKind::kCompleted;
+  report.site = SiteId(1);
+  report.at = scenario.engine().now();
+  report.attempt = 1;
+  const auto refused_report = [&](const std::string& what) {
+    refused(server, user, "sphinx.report", {core::encode_report(report)},
+            what);
+  };
+  for (const double bad : {-1.0, kNan}) {
+    report.completion_time = bad;
+    refused_report("completion_time " + std::to_string(bad));
+  }
+  report.completion_time = 60.0;
+  report.at = kNan;
+  refused_report("completed at nan");
+  report.kind = core::ReportKind::kSubmitted;
+  refused_report("submitted at nan");
+  EXPECT_EQ(warehouse().job(JobId(11))->state, core::JobState::kPlanned);
+}
+
+TEST_F(RefusalFixture, SubmitWithBadJobNumbers) {
+  for (const double bad : {-60.0, kNan}) {
+    refused_submit(chain_with(0, "compute_time", rpc::XrValue(bad)), 0.0,
+                   kNever, "compute_time " + std::to_string(bad));
+    refused_submit(chain_with(0, "output_bytes", rpc::XrValue(bad)), 0.0,
+                   kNever, "output_bytes " + std::to_string(bad));
+  }
+  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+}
+
+TEST_F(RefusalFixture, SubmitWithBadDagShape) {
+  refused_submit(chain_with(0, "job_id", rpc::XrValue(0)), 0.0, kNever,
+                 "job id 0");
+  refused_submit(chain_with(1, "job_id", rpc::XrValue(31)), 0.0, kNever,
+                 "repeated job id");
+  refused_submit(chain_with(1, "parents",
+                            rpc::XrValue(rpc::XrValue::Array{rpc::XrValue(32)})),
+                 0.0, kNever, "self edge");
+  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+}
+
+TEST_F(RefusalFixture, SubmitWithNanPriorityOrDeadline) {
+  refused_submit(chain(), kNan, kNever, "priority nan");
+  refused_submit(chain(), 0.0, kNan, "deadline nan");
+  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+}
+
+TEST_F(RefusalFixture, SetQuotaWithNegativeOrNanLimit) {
+  for (const double bad : {-1.0, kNan}) {
+    refused(server, user, "sphinx.set_quota",
+            {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
+             rpc::XrValue(bad)},
+            "limit " + std::to_string(bad));
+  }
+}
+
+TEST_F(RefusalFixture, PlanWithBadComputeTime) {
+  for (const double bad : {-60.0, kNan}) {
+    core::ExecutionPlan plan = plan_for(14);
+    plan.compute_time = bad;
+    refused(client, host, "sphinx_client.execute_plan",
+            {core::encode_plan(plan)}, "compute_time " + std::to_string(bad));
+  }
+  EXPECT_EQ(tenant.gateway->submissions(), 0u);
 }
 
 // --- checkpoint-timer edges across failover ---------------------------------

@@ -200,18 +200,15 @@ class CtrlFixture : public ::testing::Test {
                                              std::size_t owner_idx,
                                              std::uint64_t epoch,
                                              Duration phase = 0.25) {
-    HeartbeatConfig config;
-    config.period = 1.0;
-    config.phase = phase;
     return std::make_unique<HeartbeatAgent>(
-        bus, shard_name(shard_idx), scheduler_name(owner_idx), epoch, config,
+        bus, shard_name(shard_idx), scheduler_name(owner_idx), epoch, phase,
         control_proxy());
   }
 
   sim::Engine engine;
   rpc::MessageBus bus{engine, Rng(1), 0.05, 0.05};
-  CoordinatorConfig config;  // ttl 3, monitor period 1
-  LeaseCoordinator coordinator{bus, config};
+  // kLeaseTtl 3 s, kMonitorPeriod 1 s; the first sweep at t = 0.
+  LeaseCoordinator coordinator{bus, /*monitor_phase=*/0.0};
 };
 
 TEST_F(CtrlFixture, RenewalsKeepTheLeaseAliveIndefinitely) {
@@ -397,7 +394,7 @@ TEST_F(CtrlFixture, CoordinatorRecoversOwnershipFromItsJournal) {
   sim::Engine engine2;
   rpc::MessageBus bus2{engine2, Rng(2), 0.05, 0.05};
   auto recovered = LeaseCoordinator::recover(
-      bus2, config, coordinator.leases().journal());
+      bus2, /*monitor_phase=*/0.0, coordinator.leases().journal());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->leases().journal().serialize(),
             coordinator.leases().journal().serialize());

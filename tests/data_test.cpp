@@ -1,12 +1,10 @@
-// Tests for the data layer: RLS, storage elements, GridFTP transfers and
-// replica selection.
+// Tests for the data layer: RLS, GridFTP transfers and replica selection.
 
 #include <gtest/gtest.h>
 
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
 #include "data/rls.hpp"
-#include "data/storage.hpp"
 #include "sim/engine.hpp"
 
 namespace sphinx::data {
@@ -68,49 +66,6 @@ TEST(Rls, LrcIsPerSite) {
   EXPECT_FALSE(rls.lrc(SiteId(2)).has("lfn://a"));
   EXPECT_EQ(rls.lrc(SiteId(1)).size_of("lfn://a"), kMB);
   EXPECT_FALSE(rls.lrc(SiteId(2)).size_of("lfn://a").has_value());
-}
-
-TEST(Storage, StoreAndAccounting) {
-  StorageElement se(SiteId(1), 100 * kMB);
-  EXPECT_TRUE(se.store(UserId(1), "lfn://a", 30 * kMB).ok());
-  EXPECT_TRUE(se.store(UserId(2), "lfn://b", 20 * kMB).ok());
-  EXPECT_DOUBLE_EQ(se.used(), 50 * kMB);
-  EXPECT_DOUBLE_EQ(se.free_space(), 50 * kMB);
-  EXPECT_DOUBLE_EQ(se.used_by(UserId(1)), 30 * kMB);
-  EXPECT_DOUBLE_EQ(se.used_by(UserId(3)), 0.0);
-  EXPECT_EQ(se.file_count(), 2u);
-}
-
-TEST(Storage, RejectsOverflowAndDuplicates) {
-  StorageElement se(SiteId(1), 10 * kMB);
-  ASSERT_TRUE(se.store(UserId(1), "lfn://a", 8 * kMB).ok());
-  const auto full = se.store(UserId(1), "lfn://b", 5 * kMB);
-  EXPECT_FALSE(full.ok());
-  EXPECT_EQ(full.error().code, "storage_full");
-  const auto dup = se.store(UserId(1), "lfn://a", kMB);
-  EXPECT_FALSE(dup.ok());
-  EXPECT_EQ(dup.error().code, "storage_duplicate");
-  EXPECT_DOUBLE_EQ(se.used(), 8 * kMB);  // failed stores had no effect
-}
-
-TEST(Storage, EraseReleasesSpace) {
-  StorageElement se(SiteId(1), 10 * kMB);
-  ASSERT_TRUE(se.store(UserId(1), "lfn://a", 8 * kMB).ok());
-  EXPECT_TRUE(se.erase("lfn://a"));
-  EXPECT_FALSE(se.erase("lfn://a"));
-  EXPECT_DOUBLE_EQ(se.used(), 0.0);
-  EXPECT_DOUBLE_EQ(se.used_by(UserId(1)), 0.0);
-  EXPECT_TRUE(se.store(UserId(1), "lfn://b", 9 * kMB).ok());
-}
-
-TEST(StorageFabric, OnePerSite) {
-  StorageFabric fabric;
-  StorageElement& a = fabric.add(SiteId(1), 10 * kMB);
-  StorageElement& same = fabric.add(SiteId(1), 999 * kMB);
-  EXPECT_EQ(&a, &same);  // first capacity wins
-  EXPECT_DOUBLE_EQ(same.capacity(), 10 * kMB);
-  EXPECT_NE(fabric.find(SiteId(1)), nullptr);
-  EXPECT_EQ(fabric.find(SiteId(2)), nullptr);
 }
 
 class TransferFixture : public ::testing::Test {

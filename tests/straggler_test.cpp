@@ -42,16 +42,6 @@ TEST(StragglerDetector, JobClassBucketsByLog2) {
 
 // --- detector: thresholds and verdicts --------------------------------------
 
-core::ServerConfig detector_config() {
-  core::ServerConfig config;
-  config.speculate = true;
-  config.speculation_percentile = 0.95;
-  config.speculation_multiplier = 2.0;
-  config.speculation_min_elapsed = minutes(5);
-  config.speculation_min_samples = 3;
-  return config;
-}
-
 core::JobRecord running_job(SiteId site, Duration compute_time,
                             SimTime planned_at) {
   core::JobRecord job;
@@ -67,8 +57,7 @@ core::JobRecord running_job(SiteId site, Duration compute_time,
 
 TEST(StragglerDetector, ThresholdNeedsMinSamples) {
   core::DataWarehouse warehouse;
-  const core::ServerConfig config = detector_config();
-  core::StragglerDetector detector(warehouse, nullptr, config);
+  core::StragglerDetector detector(warehouse, nullptr);
   const int job_class = core::job_class_of(60.0);
 
   EXPECT_FALSE(detector.threshold(SiteId(1), job_class).has_value());
@@ -84,8 +73,7 @@ TEST(StragglerDetector, ThresholdNeedsMinSamples) {
 
 TEST(StragglerDetector, ThresholdScalesWithPercentile) {
   core::DataWarehouse warehouse;
-  const core::ServerConfig config = detector_config();
-  core::StragglerDetector detector(warehouse, nullptr, config);
+  core::StragglerDetector detector(warehouse, nullptr);
   const int job_class = core::job_class_of(60.0);
   for (int i = 0; i < 8; ++i) {
     warehouse.record_runtime_sample(SiteId(1), job_class, 400.0);
@@ -97,8 +85,7 @@ TEST(StragglerDetector, ThresholdScalesWithPercentile) {
 
 TEST(StragglerDetector, ColdSiteFallsBackToAllSiteSamples) {
   core::DataWarehouse warehouse;
-  const core::ServerConfig config = detector_config();
-  core::StragglerDetector detector(warehouse, nullptr, config);
+  core::StragglerDetector detector(warehouse, nullptr);
   const int job_class = core::job_class_of(60.0);
   for (int i = 0; i < 5; ++i) {
     warehouse.record_runtime_sample(SiteId(1), job_class, 400.0);
@@ -126,8 +113,7 @@ TEST(StragglerDetector, SampleRingEvictsOldest) {
 
 TEST(StragglerDetector, Verdicts) {
   core::DataWarehouse warehouse;
-  const core::ServerConfig config = detector_config();
-  core::StragglerDetector detector(warehouse, nullptr, config);
+  core::StragglerDetector detector(warehouse, nullptr);
   const int job_class = core::job_class_of(60.0);
 
   // No samples anywhere: kNoData once past the min-elapsed floor.
@@ -154,9 +140,10 @@ TEST(StragglerDetector, Verdicts) {
 
 TEST(StragglerDetector, StaleMonitoringDeclinesClassification) {
   // A detector wired to a monitoring service that has never published
-  // (age = kNever > stale_after) must refuse to judge the site: a dark
-  // grid makes every job look like a straggler, and that failure mode
-  // belongs to the tracker timeout, not to replication.
+  // (age = kNever, past the 45-minute staleness limit) must refuse to
+  // judge the site: a dark grid makes every job look like a straggler,
+  // and that failure mode belongs to the tracker timeout, not to
+  // replication.
   exp::ScenarioConfig scenario_config;
   scenario_config.seed = 5;
   scenario_config.site_failures = false;
@@ -164,8 +151,7 @@ TEST(StragglerDetector, StaleMonitoringDeclinesClassification) {
   exp::Scenario scenario(scenario_config);  // not started: no polls ever
 
   core::DataWarehouse warehouse;
-  const core::ServerConfig config = detector_config();
-  core::StragglerDetector detector(warehouse, &scenario.monitoring(), config);
+  core::StragglerDetector detector(warehouse, &scenario.monitoring());
   const int job_class = core::job_class_of(60.0);
   for (int i = 0; i < 8; ++i) {
     warehouse.record_runtime_sample(SiteId(1), job_class, 400.0);
@@ -426,7 +412,7 @@ TEST(StragglerE2E, SameSeedIsByteIdentical) {
 }
 
 TEST(StragglerE2E, StaleMonitoringSuppressesSpeculation) {
-  // Monitoring polls far slower than speculation_stale_after (45 min):
+  // Monitoring polls far slower than the 45-minute staleness limit:
   // the detector must decline every classification and count the skips
   // instead of launching replicas on unjudgeable data.
   const auto found = find_run(false, hours(12), [](const RaceRun& r) {

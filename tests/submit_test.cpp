@@ -5,7 +5,6 @@
 
 #include "data/gridftp.hpp"
 #include "data/rls.hpp"
-#include "data/storage.hpp"
 #include "grid/grid.hpp"
 #include "submit/condor_g.hpp"
 #include "submit/dagman.hpp"
@@ -21,7 +20,7 @@ class GatewayFixture : public ::testing::Test {
   GatewayFixture()
       : grid(engine, SeedTree(17)),
         transfers(engine),
-        gateway(grid, transfers, rls, &storage, "gw-test") {
+        gateway(grid, transfers, rls, "gw-test") {
     grid::SiteSpec spec;
     spec.site.name = "exec";
     spec.site.cpus = 4;
@@ -32,7 +31,6 @@ class GatewayFixture : public ::testing::Test {
     grid.start();
     transfers.set_link(exec_site, {10 * kMB, 10 * kMB});
     transfers.set_link(store_site, {10 * kMB, 10 * kMB});
-    storage.add(exec_site, 1e12);
     rls.register_replica("lfn://in1", store_site, 100 * kMB);
     rls.register_replica("lfn://in2", store_site, 50 * kMB);
   }
@@ -55,7 +53,6 @@ class GatewayFixture : public ::testing::Test {
   grid::Grid grid;
   data::TransferService transfers;
   data::ReplicaLocationService rls;
-  data::StorageFabric storage;
   CondorG gateway;
   SiteId exec_site, store_site;
 };
@@ -75,10 +72,9 @@ TEST_F(GatewayFixture, FullLifecycleWithStaging) {
   EXPECT_EQ(states.back(), GatewayJobState::kCompleted);
   // 150 MB at 10 MB/s = 15 s staging + 60 s compute.
   EXPECT_NEAR(completed_at, 75.0, 1.0);
-  // Output registered in RLS at the execution site and stored.
+  // Output registered in RLS at the execution site.
   ASSERT_TRUE(rls.exists("lfn://out-1"));
   EXPECT_EQ(rls.locate("lfn://out-1")[0].site, exec_site);
-  EXPECT_TRUE(storage.find(exec_site)->has("lfn://out-1"));
 }
 
 TEST_F(GatewayFixture, SubmitToDownSiteFails) {

@@ -109,7 +109,8 @@ echo "straggler gate: p99/timeouts improved, report byte-identical"
 echo "== figure gate =="
 # The paper panels' stdout is a function of their fixed seeds alone, so
 # it must match the committed goldens byte for byte.  A change that
-# moves a figure on purpose regenerates bench/golden/ and says why.
+# moves a figure or report on purpose regenerates its bench/golden/ file
+# and says why.
 # Beyond fig3/4/5, the goldens cover the other paper panels (fig2, fig6,
 # fig7) and planner paths fig3/4/5 never take: feedback off (fig2),
 # quotas (fig7), deadline/priority nudges (ablation_qos) and speculative
@@ -123,7 +124,26 @@ for fig in fig2_feedback fig3_algorithms_30 fig4_algorithms_60 \
   "$bin/bench/$fig" > "$fig_dir/$fig.txt"
   diff "bench/golden/$fig.txt" "$fig_dir/$fig.txt"
 done
-echo "figure gate: every panel matches bench/golden"
+# The same rule pins every other output a change may claim unchanged:
+# the four examples' stdout, the seed-7 flight recorder's stdout and
+# metrics.json (plain and lossy, from the determinism gates above), and
+# the chaos campaign, failover and straggler reports.  The straggler
+# report is diffed without its "summary ->" line, which names the
+# absolute path of BENCH_straggler.json.
+for example in quickstart physics_production fault_tolerance policy_quotas; do
+  (cd "$fig_dir" && "$bin/examples/example_$example" > "example_$example.txt")
+  diff "bench/golden/example_$example.txt" "$fig_dir/example_$example.txt"
+done
+diff bench/golden/record_stdout.txt "$bin/determinism/a/stdout.txt"
+diff bench/golden/record_metrics.json "$bin/determinism/a/metrics.json"
+diff bench/golden/record_lossy_stdout.txt "$bin/lossy/a/stdout.txt"
+diff bench/golden/record_lossy_metrics.json "$bin/lossy/a/metrics.json"
+diff bench/golden/chaos_campaign.txt "$bin/chaos/a/stdout.txt"
+diff bench/golden/chaos_failover.txt "$bin/failover/a/stdout.txt"
+grep -v 'summary ->' "$bin/straggler/a/stdout.txt" \
+  > "$fig_dir/chaos_straggler.txt"
+diff bench/golden/chaos_straggler.txt "$fig_dir/chaos_straggler.txt"
+echo "figure gate: every panel and report matches bench/golden"
 
 echo "== sweep-cost benchmark =="
 # The sweep must cost O(changed work).  Two variants: BM_SweepCost seeds
