@@ -1,8 +1,11 @@
-/// Microbenchmarks for the table store: inserts, indexed lookups, state
-/// updates and journal replay -- the operations the SPHINX control
-/// process performs on every sweep.
+/// Microbenchmarks for the table store: inserts, lookups by id and by
+/// index, state updates, journal appends and journal replay -- the
+/// operations the SPHINX control process performs on every sweep.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <memory>
 
 #include "core/warehouse.hpp"
 #include "db/database.hpp"
@@ -34,6 +37,25 @@ void BM_TableInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TableInsert)->Range(256, 4096);
+
+/// Lookup by row id, probing every row in a scattered order.
+void BM_TableFindById(benchmark::State& state) {
+  db::Table table("jobs", job_schema());
+  std::vector<db::RowId> rows;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    rows.push_back(table.insert({Value(i), Value("running"), Value(i % 16),
+                                 Value(60.0)}));
+  }
+  // An odd stride visits every row of a power-of-two table once per lap.
+  constexpr std::size_t kStride = 2654435761u;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(rows[(k * kStride) % rows.size()]));
+    ++k;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TableFindById)->Arg(4096)->Arg(65536);
 
 void BM_IndexedFindBy(benchmark::State& state) {
   db::Table table("jobs", job_schema());
@@ -82,6 +104,60 @@ void BM_UpdateUnindexedColumn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_UpdateUnindexedColumn);
+
+/// kJournalRecords mixed mutations of one table: every fourth record an
+/// insert, the rest alternate a state write and a runtime write to an
+/// earlier row.
+constexpr std::int64_t kJournalRecords = 10000;
+
+void mutate_jobs(db::Table& table) {
+  std::vector<db::RowId> rows;
+  for (std::int64_t i = 0; i < kJournalRecords; ++i) {
+    if (i % 4 == 0) {
+      rows.push_back(table.insert({Value(i), Value("unplanned"),
+                                   Value(i % 16), Value(60.0 + i)}));
+    } else if (i % 2 == 0) {
+      table.update(rows[static_cast<std::size_t>(i) % rows.size()], kState,
+                   Value(i % 3 == 0 ? "running" : "completed"));
+    } else {
+      table.update(rows[static_cast<std::size_t>(i) % rows.size()], kRuntime,
+                   Value(0.1 * static_cast<double>(i)));
+    }
+  }
+}
+
+/// Appends kJournalRecords records through a Database's mutation hooks.
+/// heap_bytes_per_record is the journal's share of the live heap: the
+/// mallinfo2 growth of the journaled run minus that of the same mutations
+/// on a bare table, per record.
+void BM_JournalAppend(benchmark::State& state) {
+  const auto heap_growth = [](const auto& run) {
+    const std::size_t before = mallinfo2().uordblks;
+    const auto kept = run();
+    const std::size_t after = mallinfo2().uordblks;
+    benchmark::DoNotOptimize(kept.get());
+    return static_cast<double>(after) - static_cast<double>(before);
+  };
+  const double journaled = heap_growth([] {
+    auto database = std::make_unique<db::Database>();
+    mutate_jobs(database->create_table("jobs", job_schema()));
+    return database;
+  });
+  const double bare = heap_growth([] {
+    auto table = std::make_unique<db::Table>("jobs", job_schema());
+    mutate_jobs(*table);
+    return table;
+  });
+  for (auto _ : state) {
+    db::Database database;
+    mutate_jobs(database.create_table("jobs", job_schema()));
+    benchmark::DoNotOptimize(database.journal().size());
+  }
+  state.SetItemsProcessed(state.iterations() * kJournalRecords);
+  state.counters["heap_bytes_per_record"] =
+      (journaled - bare) / static_cast<double>(kJournalRecords);
+}
+BENCHMARK(BM_JournalAppend);
 
 void BM_JournalReplay(benchmark::State& state) {
   // Build a realistic warehouse journal, then measure recovery.

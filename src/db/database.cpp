@@ -1,26 +1,39 @@
 #include "db/database.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "db/encoding.hpp"
 
 namespace sphinx::db {
+namespace {
+
+/// Turns journaling off for one scope and restores it on every exit, a
+/// throw included.
+class JournalingPaused {
+ public:
+  explicit JournalingPaused(bool& journaling)
+      : journaling_(journaling), was_(journaling) {
+    journaling_ = false;
+  }
+  ~JournalingPaused() { journaling_ = was_; }
+  JournalingPaused(const JournalingPaused&) = delete;
+  JournalingPaused& operator=(const JournalingPaused&) = delete;
+
+ private:
+  bool& journaling_;
+  bool was_;
+};
+
+}  // namespace
 
 Database::Database() = default;
 Database::~Database() = default;
 
 Table& Database::create_table(const std::string& name, Schema schema) {
   SPHINX_ASSERT(!tables_.contains(name), "table already exists: " + name);
-  if (journaling_) {
-    JournalEntry entry;
-    entry.op = JournalEntry::Op::kCreateTable;
-    entry.table = name;
-    entry.schema = schema.columns();
-    journal_.append(std::move(entry));
-  }
+  if (journaling_) journal_.append_create(name, schema.columns());
   auto table = std::make_unique<Table>(name, std::move(schema));
   table->set_observer(this);
   Table& ref = *table;
@@ -45,6 +58,51 @@ bool Database::has_table(const std::string& name) const noexcept {
   return tables_.contains(name);
 }
 
+StatusOrError Database::replay(JournalEntry e) {
+  const auto fail = [](const std::string& what) {
+    return make_error("recover_replay", what);
+  };
+  if (e.op == JournalEntry::Op::kCreateTable) {
+    if (tables_.contains(e.table)) return fail("duplicate table: " + e.table);
+    if (const auto valid = Schema::check(e.schema); !valid.ok()) {
+      return fail(valid.error().message);
+    }
+    create_table(e.table, Schema(std::move(e.schema)));
+    return {};
+  }
+  const auto it = tables_.find(e.table);
+  if (it == tables_.end()) return fail("record for missing table: " + e.table);
+  Table& t = *it->second;
+  switch (e.op) {
+    case JournalEntry::Op::kInsert:
+      // Replay re-allocates each row: a journaled insert carries exactly
+      // the id its table hands out next.
+      if (e.row != t.next_id()) {
+        return fail("insert of row " + std::to_string(e.row) + " into " +
+                    e.table + ", which allocates " +
+                    std::to_string(t.next_id()) + " next");
+      }
+      if (!t.schema().accepts(e.cells)) {
+        return fail("row does not match schema of table " + e.table);
+      }
+      t.insert_with_id(e.row, std::move(e.cells));
+      return {};
+    case JournalEntry::Op::kUpdate:
+      if (t.find(e.row) == nullptr) return fail("update of missing row");
+      if (!t.schema().accepts_cell(e.column, e.cells.at(0))) {
+        return fail("update of column " + std::to_string(e.column) +
+                    " that the schema of table " + e.table + " refuses");
+      }
+      t.update(e.row, e.column, std::move(e.cells[0]));
+      return {};
+    case JournalEntry::Op::kErase:
+      if (!t.erase(e.row)) return fail("erase of missing row");
+      return {};
+    case JournalEntry::Op::kCreateTable: break;
+  }
+  return {};
+}
+
 StatusOrError Database::recover(const Journal& journal,
                                 std::uint64_t from_seq) {
   if (from_seq == 0 && !tables_.empty()) {
@@ -59,53 +117,26 @@ StatusOrError Database::recover(const Journal& journal,
                       "journal starts past the requested sequence; "
                       "recover through the matching checkpoint image");
   }
+  if (from_seq > journal.next_seq()) {
+    return make_error("recover_suffix",
+                      "journal ends before the requested sequence");
+  }
   // Replay with journaling suspended: instead of re-recording every
   // operation through the observer path one entry at a time, the
   // replayed suffix is adopted wholesale below -- byte-identical to the
-  // crashed journal's retained entries.
-  const bool was_journaling = journaling_;
-  journaling_ = false;
-  const auto fail = [&](const std::string& what) {
-    journaling_ = was_journaling;
-    return make_error("recover_replay", what);
-  };
-  std::uint64_t seq = journal.base_seq();
-  for (const JournalEntry& e : journal.entries()) {
-    // Entries below from_seq are already folded into the restored
-    // snapshot (recovery after a crash between checkpoint publication
-    // and truncation sees them still in the journal).
-    if (seq++ < from_seq) continue;
-    switch (e.op) {
-      case JournalEntry::Op::kCreateTable: {
-        if (tables_.contains(e.table)) {
-          return fail("duplicate table: " + e.table);
-        }
-        create_table(e.table, Schema(e.schema));
-        break;
-      }
-      case JournalEntry::Op::kInsert: {
-        if (!tables_.contains(e.table)) {
-          return fail("insert into missing table");
-        }
-        table(e.table).insert_with_id(e.row, e.cells);
-        break;
-      }
-      case JournalEntry::Op::kUpdate: {
-        if (!tables_.contains(e.table) ||
-            !table(e.table).update(e.row, e.column, e.cells.at(0))) {
-          return fail("update of missing row");
-        }
-        break;
-      }
-      case JournalEntry::Op::kErase: {
-        if (!tables_.contains(e.table) || !table(e.table).erase(e.row)) {
-          return fail("erase of missing row");
-        }
-        break;
-      }
+  // crashed journal's retained entries.  Entries below from_seq are
+  // already folded into the restored snapshot (recovery after a crash
+  // between checkpoint publication and truncation sees them still in the
+  // journal).
+  const JournalingPaused paused(journaling_);
+  for (std::uint64_t seq = from_seq; seq < journal.next_seq(); ++seq) {
+    auto entry = Journal::decode(
+        journal.record(static_cast<std::size_t>(seq - journal.base_seq())));
+    if (!entry) return make_error("recover_replay", entry.error().message);
+    if (auto applied = replay(std::move(*entry)); !applied.ok()) {
+      return applied;
     }
   }
-  journaling_ = was_journaling;
   journal_.adopt_suffix(journal, from_seq);
   check_invariants();  // a replayed store must be as sound as the original
   return {};
@@ -116,20 +147,20 @@ std::string Database::snapshot() const {
   for (const std::string& name : creation_order_) {
     const Table& t = *tables_.at(name);
     out += "T\t";
-    out += escape_field(name);
+    append_field(out, name);
     out += '\t';
-    out += std::to_string(t.next_id());
+    append_u64(out, t.next_id());
     for (const Column& col : t.schema().columns()) {
       out += '\t';
-      out += encode_column(col);
+      append_column(out, col);
     }
     out += '\n';
     t.for_each([&out](const Row& row) {
       out += "R\t";
-      out += std::to_string(row.id);
+      append_u64(out, row.id);
       for (const Value& v : row.cells) {
         out += '\t';
-        out += encode_value(v);
+        append_value(out, v);
       }
       out += '\n';
     });
@@ -144,62 +175,62 @@ StatusOrError Database::restore(const std::string& snapshot) {
   }
   // Snapshot application is not a mutation history: nothing it does may
   // reach the journal.
-  const bool was_journaling = journaling_;
-  journaling_ = false;
-  const auto fail = [&](const std::string& what) {
-    journaling_ = was_journaling;
+  const JournalingPaused paused(journaling_);
+  const auto fail = [](const std::string& what) {
     return make_error("restore_parse", what);
   };
 
+  // Rows follow their table's record in id order, below the allocation
+  // cursor it carries.  The cursor is applied after the rows, whose
+  // inserts advance the table to max(id)+1.
   Table* current = nullptr;
-  RowId pending_next_id = kInvalidRow;
-  const auto finish_table = [&] {
-    // The allocation cursor is applied after the rows: restore_next_id
-    // only moves forward, and the inserts advanced it to max(id)+1.
-    if (current != nullptr && pending_next_id != kInvalidRow) {
-      current->restore_next_id(pending_next_id);
-    }
-  };
-
-  std::istringstream in(snapshot);
-  std::string line;
+  RowId cursor = kInvalidRow;
+  std::string_view rest = snapshot;
   bool saw_header = false;
-  while (std::getline(in, line)) {
+  while (!rest.empty()) {
+    const std::string_view line = take_line(rest);
     if (line.empty()) continue;
-    const std::vector<std::string> fields = split(line, '\t');
+    const std::vector<std::string_view> fields = split_fields(line);
     if (!saw_header) {
       if (fields.size() != 2 || fields[0] != "#db" || fields[1] != "1") {
-        return fail("bad snapshot header: " + line);
+        return fail("bad snapshot header: " + std::string(line));
       }
       saw_header = true;
       continue;
     }
     if (fields[0] == "T") {
-      if (fields.size() < 3) return fail("short table record: " + line);
-      finish_table();
+      if (fields.size() < 3) {
+        return fail("short table record: " + std::string(line));
+      }
+      if (current != nullptr) current->restore_next_id(cursor);
       auto name = unescape_field(fields[1]);
       if (!name) return fail(name.error().to_string());
       if (tables_.contains(*name)) return fail("duplicate table: " + *name);
+      if (!parse_u64(fields[2], cursor) || cursor == kInvalidRow) {
+        return fail("bad allocation cursor: " + std::string(fields[2]));
+      }
       std::vector<Column> columns;
       for (std::size_t i = 3; i < fields.size(); ++i) {
         auto column = decode_column(fields[i]);
         if (!column) return fail(column.error().to_string());
         columns.push_back(std::move(*column));
       }
-      current = &create_table(*name, Schema(std::move(columns)));
-      try {
-        pending_next_id = std::stoull(fields[2]);
-      } catch (const std::exception&) {
-        return fail("bad allocation cursor: " + fields[2]);
+      if (const auto valid = Schema::check(columns); !valid.ok()) {
+        return fail(valid.error().message);
       }
+      current = &create_table(*name, Schema(std::move(columns)));
     } else if (fields[0] == "R") {
-      if (current == nullptr) return fail("row before any table: " + line);
-      if (fields.size() < 2) return fail("short row record: " + line);
+      if (current == nullptr) {
+        return fail("row before any table: " + std::string(line));
+      }
+      if (fields.size() < 2) {
+        return fail("short row record: " + std::string(line));
+      }
       RowId id = kInvalidRow;
-      try {
-        id = std::stoull(fields[1]);
-      } catch (const std::exception&) {
-        return fail("bad row id: " + fields[1]);
+      if (!parse_u64(fields[1], id) || id < current->next_id() ||
+          id >= cursor) {
+        return fail("row id out of order or past the allocation cursor: " +
+                    std::string(line));
       }
       std::vector<Value> cells;
       cells.reserve(fields.size() - 2);
@@ -208,14 +239,17 @@ StatusOrError Database::restore(const std::string& snapshot) {
         if (!v) return fail(v.error().to_string());
         cells.push_back(std::move(*v));
       }
+      if (!current->schema().accepts(cells)) {
+        return fail("row does not match schema of table " + current->name() +
+                    ": " + std::string(line));
+      }
       current->insert_with_id(id, std::move(cells));
     } else {
-      return fail("unknown snapshot record: " + line);
+      return fail("unknown snapshot record: " + std::string(line));
     }
   }
   if (!saw_header) return fail("empty snapshot");
-  finish_table();
-  journaling_ = was_journaling;
+  if (current != nullptr) current->restore_next_id(cursor);
   check_invariants();
   return {};
 }
@@ -233,43 +267,27 @@ void Database::check_invariants() const {
                      "table missing from creation order: " + name);
     table->check_invariants();
   }
-  for (const JournalEntry& e : journal_.entries()) {
-    SPHINX_INVARIANT(tables_.contains(e.table),
-                     "journal entry references unknown table: " + e.table);
+  for (std::size_t i = 0; i < journal_.size(); ++i) {
+    const auto entry = Journal::decode(journal_.record(i));
+    SPHINX_INVARIANT(entry.has_value() && tables_.contains(entry->table),
+                     "journal entry references unknown table: " +
+                         std::string(journal_.record(i)));
   }
 #endif
 }
 
 void Database::on_insert(const std::string& table, RowId id,
                          const std::vector<Value>& cells) {
-  if (!journaling_) return;
-  JournalEntry entry;
-  entry.op = JournalEntry::Op::kInsert;
-  entry.table = table;
-  entry.row = id;
-  entry.cells = cells;
-  journal_.append(std::move(entry));
+  if (journaling_) journal_.append_insert(table, id, cells);
 }
 
 void Database::on_update(const std::string& table, RowId id,
                          std::size_t column, const Value& value) {
-  if (!journaling_) return;
-  JournalEntry entry;
-  entry.op = JournalEntry::Op::kUpdate;
-  entry.table = table;
-  entry.row = id;
-  entry.column = column;
-  entry.cells = {value};
-  journal_.append(std::move(entry));
+  if (journaling_) journal_.append_update(table, id, column, value);
 }
 
 void Database::on_erase(const std::string& table, RowId id) {
-  if (!journaling_) return;
-  JournalEntry entry;
-  entry.op = JournalEntry::Op::kErase;
-  entry.table = table;
-  entry.row = id;
-  journal_.append(std::move(entry));
+  if (journaling_) journal_.append_erase(table, id);
 }
 
 }  // namespace sphinx::db

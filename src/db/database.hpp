@@ -50,7 +50,10 @@ class Database : private TableObserver {
   /// Rebuilds tables from a snapshot() image into this empty database.
   /// The snapshot is state, not history: nothing is journaled and the
   /// journal is left empty -- the caller pairs the image with the
-  /// journal suffix it wants replayed on top (see recover()).
+  /// journal suffix it wants replayed on top (see recover()).  An image
+  /// that no store could have written is refused ("restore_parse"): a bad
+  /// number, a schema with a repeated column, or a row out of id order,
+  /// at or past its table's allocation cursor, or unfit for its schema.
   [[nodiscard]] StatusOrError restore(const std::string& snapshot);
 
   /// Rebuilds database content by replaying the entries of `journal`
@@ -59,7 +62,13 @@ class Database : private TableObserver {
   /// post-checkpoint suffix onto tables a restore() just rebuilt.  On
   /// success the replayed suffix is adopted wholesale as this database's
   /// own journal -- byte-identical to the crashed journal's retained
-  /// entries -- so a recovered server remains recoverable.
+  /// entries -- so a recovered server remains recoverable.  Each record
+  /// is checked before it is applied, and one the store would not have
+  /// written is refused ("recover_replay"): a record naming a missing
+  /// table or row, a create repeating a table or a column name, an insert
+  /// whose id is not the one its table allocates next, or a cell the
+  /// schema refuses.  A journal that starts after from_seq, or ends
+  /// before it, is refused too ("recover_suffix").
   [[nodiscard]] StatusOrError recover(const Journal& journal,
                                       std::uint64_t from_seq = 0);
 
@@ -73,6 +82,7 @@ class Database : private TableObserver {
 
  private:
   friend struct DatabaseInspector;  // test-only fault injection
+  [[nodiscard]] StatusOrError replay(JournalEntry entry);
   void on_insert(const std::string& table, RowId id,
                  const std::vector<Value>& cells) override;
   void on_update(const std::string& table, RowId id, std::size_t column,
@@ -82,8 +92,8 @@ class Database : private TableObserver {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<std::string> creation_order_;
   Journal journal_;
-  /// Off while recover() and restore() rebuild tables: replay-into-self
-  /// would double-log.
+  /// Off while recover() and restore() rebuild tables (replay-into-self
+  /// would double-log); restored on every exit from them.
   bool journaling_ = true;
 };
 

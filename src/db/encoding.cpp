@@ -1,132 +1,175 @@
 #include "db/encoding.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 
 namespace sphinx::db {
+namespace {
 
-std::string escape_field(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// Reads all of `s` as a T; false on anything else.
+template <typename T>
+bool parse_number(std::string_view s, T& out) noexcept {
+  const char* last = s.data() + s.size();
+  const auto [end, error] = std::from_chars(s.data(), last, out);
+  return error == std::errc{} && end == last;
 }
 
-std::size_t escaped_size(const std::string& s) noexcept {
-  std::size_t n = s.size();
-  for (const char c : s) {
-    if (c == '\\' || c == '\t' || c == '\n') ++n;
-  }
-  return n;
+Expected<ValueType> decode_type(std::string_view s) {
+  if (s == "null") return ValueType::kNull;
+  if (s == "int") return ValueType::kInt;
+  if (s == "real") return ValueType::kReal;
+  if (s == "text") return ValueType::kText;
+  if (s == "bool") return ValueType::kBool;
+  return make_error("journal_parse",
+                    "unknown column type: " + std::string(s));
 }
 
-Expected<std::string> unescape_field(const std::string& s) {
+}  // namespace
+
+void append_field(std::string& out, std::string_view s) {
+  static constexpr std::string_view kSpecial = "\\\t\n";
+  std::size_t from = 0;
+  for (std::size_t at = s.find_first_of(kSpecial); at != std::string_view::npos;
+       at = s.find_first_of(kSpecial, from)) {
+    out.append(s.substr(from, at - from));
+    out += '\\';
+    out += s[at] == '\t' ? 't' : s[at] == '\n' ? 'n' : '\\';
+    from = at + 1;
+  }
+  out.append(s.substr(from));
+}
+
+Expected<std::string> unescape_field(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (i + 1 >= s.size()) {
+  std::size_t from = 0;
+  for (std::size_t at = s.find('\\'); at != std::string_view::npos;
+       at = s.find('\\', from)) {
+    out.append(s.substr(from, at - from));
+    if (at + 1 >= s.size()) {
       return make_error("journal_parse", "dangling escape");
     }
-    switch (s[++i]) {
+    switch (s[at + 1]) {
       case '\\': out += '\\'; break;
       case 't': out += '\t'; break;
       case 'n': out += '\n'; break;
       default: return make_error("journal_parse", "unknown escape");
     }
+    from = at + 2;
   }
+  out.append(s.substr(from));
   return out;
 }
 
-std::string encode_value(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull: return "n:";
-    case ValueType::kInt: return "i:" + std::to_string(v.as_int());
-    case ValueType::kReal: {
-      std::ostringstream oss;
-      oss.precision(17);
-      oss << v.as_real();
-      return "r:" + oss.str();
-    }
-    case ValueType::kText: return "s:" + escape_field(v.as_text());
-    case ValueType::kBool: return std::string("b:") + (v.as_bool() ? "1" : "0");
-  }
-  return "n:";
+void append_u64(std::string& out, std::uint64_t v) {
+  char digits[20];
+  out.append(digits,
+             std::to_chars(std::begin(digits), std::end(digits), v).ptr);
 }
 
-Expected<Value> decode_value(const std::string& s) {
-  if (s.size() < 2 || s[1] != ':') {
-    return make_error("journal_parse", "bad value encoding: " + s);
+void append_value(std::string& out, const Value& v) {
+  char num[32];  // any int64, or a double as %.17g
+  switch (v.type()) {
+    case ValueType::kNull: out += "n:"; return;
+    case ValueType::kInt:
+      out += "i:";
+      out.append(num, std::to_chars(num, std::end(num), v.as_int()).ptr);
+      return;
+    case ValueType::kReal:
+      out += "r:";
+      out.append(num, std::to_chars(num, std::end(num), v.as_real(),
+                                    std::chars_format::general, 17)
+                          .ptr);
+      return;
+    case ValueType::kText:
+      out += "s:";
+      append_field(out, v.as_text());
+      return;
+    case ValueType::kBool: out += v.as_bool() ? "b:1" : "b:0"; return;
   }
-  const std::string payload = s.substr(2);
+}
+
+Expected<Value> decode_value(std::string_view s) {
+  if (s.size() < 2 || s[1] != ':') {
+    return make_error("journal_parse", "bad value encoding: " + std::string(s));
+  }
+  const std::string_view payload = s.substr(2);
+  const auto bad = [&](const char* what) {
+    return make_error("journal_parse",
+                      std::string("bad ") + what + ": " + std::string(payload));
+  };
   switch (s[0]) {
-    case 'n': return Value();
+    case 'n':
+      if (!payload.empty()) return bad("null");
+      return Value();
     case 'i': {
-      try {
-        return Value(static_cast<std::int64_t>(std::stoll(payload)));
-      } catch (const std::exception&) {
-        return make_error("journal_parse", "bad int: " + payload);
-      }
+      std::int64_t n = 0;
+      if (!parse_number(payload, n)) return bad("int");
+      return Value(n);
     }
     case 'r': {
-      try {
-        return Value(std::stod(payload));
-      } catch (const std::exception&) {
-        return make_error("journal_parse", "bad real: " + payload);
-      }
+      double x = 0;
+      if (!parse_number(payload, x)) return bad("real");
+      return Value(x);
     }
     case 's': {
       auto text = unescape_field(payload);
       if (!text) return Unexpected<Error>{text.error()};
       return Value(std::move(*text));
     }
-    case 'b': return Value(payload == "1");
+    case 'b':
+      if (payload != "0" && payload != "1") return bad("bool");
+      return Value(payload == "1");
     default: return make_error("journal_parse", "unknown value tag");
   }
 }
 
-std::string encode_column(const Column& column) {
+void append_column(std::string& out, const Column& column) {
   // A trailing '!' marks an indexed column, so recovery rebuilds the
   // same hash indexes the original schema declared.
-  return escape_field(column.name) + "=" + to_string(column.type) +
-         (column.indexed ? "!" : "");
+  append_field(out, column.name);
+  out += '=';
+  out += to_string(column.type);
+  if (column.indexed) out += '!';
 }
 
-Expected<Column> decode_column(const std::string& spec) {
+Expected<Column> decode_column(std::string_view spec) {
   const auto eq = spec.rfind('=');
-  if (eq == std::string::npos) {
-    return make_error("journal_parse", "bad column spec: " + spec);
+  if (eq == std::string_view::npos) {
+    return make_error("journal_parse", "bad column spec: " + std::string(spec));
   }
   auto name = unescape_field(spec.substr(0, eq));
   if (!name) return Unexpected<Error>{name.error()};
-  std::string type_text = spec.substr(eq + 1);
+  std::string_view type_text = spec.substr(eq + 1);
   const bool is_indexed = !type_text.empty() && type_text.back() == '!';
-  if (is_indexed) type_text.pop_back();
+  if (is_indexed) type_text.remove_suffix(1);
   auto type = decode_type(type_text);
   if (!type) return Unexpected<Error>{type.error()};
   if (is_indexed && !indexable(*type)) {
-    return make_error("journal_parse", "index on a " + type_text +
-                                           " column: " + spec);
+    return make_error("journal_parse", "index on a " + std::string(type_text) +
+                                           " column: " + std::string(spec));
   }
   return Column{std::move(*name), *type, is_indexed};
 }
 
-Expected<ValueType> decode_type(const std::string& s) {
-  if (s == "null") return ValueType::kNull;
-  if (s == "int") return ValueType::kInt;
-  if (s == "real") return ValueType::kReal;
-  if (s == "text") return ValueType::kText;
-  if (s == "bool") return ValueType::kBool;
-  return make_error("journal_parse", "unknown column type: " + s);
+std::string_view take_line(std::string_view& rest) noexcept {
+  const std::size_t end = rest.find('\n');
+  const std::string_view line = rest.substr(0, end);
+  rest.remove_prefix(end == std::string_view::npos ? rest.size() : end + 1);
+  return line;
+}
+
+std::vector<std::string_view> split_fields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  fields.reserve(1 + static_cast<std::size_t>(
+                         std::count(line.begin(), line.end(), '\t')));
+  for (;;) {
+    const std::size_t tab = line.find('\t');
+    fields.push_back(line.substr(0, tab));
+    if (tab == std::string_view::npos) return fields;
+    line.remove_prefix(tab + 1);
+  }
 }
 
 }  // namespace sphinx::db

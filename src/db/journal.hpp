@@ -8,6 +8,11 @@
 /// "easily recoverable from internal component failures" (section 3.1).
 /// The log has a text serialization so it can be persisted and reloaded.
 ///
+/// The journal is held as that text: each record is the line serialize()
+/// writes for it, encoded once on append into one buffer.  Replay reads
+/// records back through decode(), the same decoder parse() uses, so the
+/// log has exactly one codec.
+///
 /// Entries carry monotonic sequence numbers: the i-th retained entry has
 /// sequence base_seq() + i, and truncate_before() compacts a prefix (after
 /// a checkpoint captured its effects) without renumbering the suffix.  A
@@ -18,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,7 +31,7 @@
 
 namespace sphinx::db {
 
-/// One journal record.
+/// One journal record in decoded form, as Journal::decode reads it.
 struct JournalEntry {
   enum class Op { kCreateTable, kInsert, kUpdate, kErase };
 
@@ -40,12 +46,24 @@ struct JournalEntry {
 /// The append-only log.
 class Journal {
  public:
-  void append(JournalEntry entry) { entries_.push_back(std::move(entry)); }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  [[nodiscard]] const std::vector<JournalEntry>& entries() const noexcept {
-    return entries_;
-  }
+  /// Record encoders: each appends one record's line.
+  void append_create(std::string_view table, const std::vector<Column>& schema);
+  void append_insert(std::string_view table, RowId row,
+                     const std::vector<Value>& cells);
+  void append_update(std::string_view table, RowId row, std::size_t column,
+                     const Value& value);
+  void append_erase(std::string_view table, RowId row);
+
+  [[nodiscard]] std::size_t size() const noexcept { return starts_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return starts_.empty(); }
+
+  /// The line of retained entry i (sequence base_seq() + i), without its
+  /// newline.  The view is invalidated by any change to the journal.
+  [[nodiscard]] std::string_view record(std::size_t i) const;
+
+  /// Decodes one record line: the inverse of the append_* encoders, and
+  /// the decoder both parse() and replay use.
+  [[nodiscard]] static Expected<JournalEntry> decode(std::string_view line);
 
   /// Sequence number of the first retained entry (0 until a truncation).
   [[nodiscard]] std::uint64_t base_seq() const noexcept { return base_seq_; }
@@ -55,7 +73,7 @@ class Journal {
   /// thresholds (chaos crash points, checkpoint policy) stay meaningful
   /// across compaction.
   [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return base_seq_ + entries_.size();
+    return base_seq_ + starts_.size();
   }
 
   /// Drops every entry with sequence number < seq (compaction after a
@@ -69,9 +87,7 @@ class Journal {
   /// suffix) into the rebuilt database byte-for-byte.
   void adopt_suffix(const Journal& src, std::uint64_t from_seq);
 
-  /// Exact byte length of serialize(), computed without building the
-  /// string -- lets serialize() pre-size its buffer and gives callers a
-  /// journal-footprint metric that costs no allocator churn.
+  /// Byte length of serialize(): a journal-footprint metric.
   [[nodiscard]] std::size_t size_bytes() const noexcept;
 
   /// Line-oriented text serialization (one record per line, tab-separated,
@@ -82,10 +98,18 @@ class Journal {
   [[nodiscard]] std::string serialize() const;
 
   /// Parses a serialized journal.  Returns an error on malformed input.
+  /// Each record is decoded and encoded again, so the parsed journal
+  /// holds the canonical line for it.
   [[nodiscard]] static Expected<Journal> parse(const std::string& text);
 
  private:
-  std::vector<JournalEntry> entries_;
+  void append(const JournalEntry& entry);
+  /// Opens a record: notes where its line starts, then writes its op and
+  /// table fields.
+  void begin_record(char op, std::string_view table);
+
+  std::string text_;                ///< retained records, one line each
+  std::vector<std::size_t> starts_;  ///< offset of each record's line
   std::uint64_t base_seq_ = 0;
 };
 

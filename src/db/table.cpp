@@ -1,7 +1,10 @@
 #include "db/table.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -16,15 +19,25 @@ Schema::Schema(std::initializer_list<Column> cols)
     : Schema(std::vector<Column>(cols.begin(), cols.end())) {}
 
 Schema::Schema(std::vector<Column> cols) : columns_(std::move(cols)) {
-  std::unordered_set<std::string> names;
-  for (const Column& column : columns_) {
-    SPHINX_ASSERT(names.insert(column.name).second,
-                  "duplicate column name in schema");
-    SPHINX_ASSERT(!column.indexed || indexable(column.type),
-                  "column " + column.name +
-                      " cannot be indexed: only int, text and bool columns "
-                      "carry an index");
+  const StatusOrError valid = check(columns_);
+  SPHINX_ASSERT(valid.ok(), valid.error().message);
+}
+
+StatusOrError Schema::check(const std::vector<Column>& cols) {
+  std::unordered_set<std::string_view> names;
+  for (const Column& column : cols) {
+    if (!names.insert(column.name).second) {
+      return make_error("bad_schema",
+                        "duplicate column name in schema: " + column.name);
+    }
+    if (column.indexed && !indexable(column.type)) {
+      return make_error("bad_schema",
+                        "column " + column.name +
+                            " cannot be indexed: only int, text and bool "
+                            "columns carry an index");
+    }
   }
+  return {};
 }
 
 bool Schema::accepts(const std::vector<Value>& row) const noexcept {
@@ -57,23 +70,39 @@ RowId Table::insert(std::vector<Value> cells) {
 }
 
 void Table::insert_with_id(RowId id, std::vector<Value> cells) {
-  SPHINX_ASSERT(id != kInvalidRow, "invalid row id");
+  SPHINX_ASSERT(id >= next_id_ && id != std::numeric_limits<RowId>::max(),
+                "row id " + std::to_string(id) + " is not fresh in table " +
+                    name_);
   SPHINX_ASSERT(schema_.accepts(cells),
                 "row does not match schema of table " + name_);
-  const auto [it, ok] = rows_.try_emplace(id, Row{id, std::move(cells)});
-  SPHINX_ASSERT(ok, "row id already present in table " + name_);
-  next_id_ = std::max(next_id_, id + 1);
-  index_insert(it->second);
-  if (observer_ != nullptr) observer_->on_insert(name_, id, it->second.cells);
+  if (slots_.empty()) base_ = id;  // nothing live: the window restarts here
+  // Ids skipped since the last row (erased tail rows, or an image's gaps)
+  // stay empty slots.
+  slots_.resize(static_cast<std::size_t>(id - base_));
+  const Row& row = slots_.emplace_back(Row{id, std::move(cells)});
+  ++live_;
+  next_id_ = id + 1;
+  index_insert(row);
+  if (observer_ != nullptr) observer_->on_insert(name_, id, row.cells);
+}
+
+const Row* Table::find(RowId id) const {
+  if (id < base_ || id - base_ >= slots_.size()) return nullptr;
+  const Row& row = slots_[static_cast<std::size_t>(id - base_)];
+  return row.id == kInvalidRow ? nullptr : &row;
+}
+
+Row* Table::slot(RowId id) {
+  return const_cast<Row*>(std::as_const(*this).find(id));
 }
 
 bool Table::update(RowId id, std::size_t column, Value value) {
-  const auto it = rows_.find(id);
-  if (it == rows_.end()) return false;
+  Row* row = slot(id);
+  if (row == nullptr) return false;
   SPHINX_ASSERT(column < schema_.size(), "column index out of range");
   SPHINX_ASSERT(schema_.accepts_cell(column, value),
                 "cell type does not match schema of table " + name_);
-  Value& cell = it->second.cells[column];
+  Value& cell = row->cells[column];
   if (schema_.at(column).indexed && !(cell == value)) {
     bucket_erase(column, cell, id);
     bucket_insert(column, value, id);
@@ -84,17 +113,23 @@ bool Table::update(RowId id, std::size_t column, Value value) {
 }
 
 bool Table::erase(RowId id) {
-  const auto it = rows_.find(id);
-  if (it == rows_.end()) return false;
-  index_erase(it->second);
-  rows_.erase(it);
+  Row* row = slot(id);
+  if (row == nullptr) return false;
+  index_erase(*row);
+  *row = Row{};
+  --live_;
+  reclaim_prefix();
   if (observer_ != nullptr) observer_->on_erase(name_, id);
   return true;
 }
 
-const Row* Table::find(RowId id) const {
-  const auto it = rows_.find(id);
-  return it == rows_.end() ? nullptr : &it->second;
+void Table::reclaim_prefix() {
+  while (head_ < slots_.size() && slots_[head_].id == kInvalidRow) ++head_;
+  if (head_ * 2 < slots_.size()) return;
+  slots_.erase(slots_.begin(),
+               slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+  base_ += head_;
+  head_ = 0;
 }
 
 const Table::Index& Table::index(std::size_t column) const {
@@ -118,20 +153,33 @@ const Row* Table::find_first(std::size_t column, const Value& value) const {
 }
 
 void Table::for_each(const std::function<void(const Row&)>& fn) const {
-  for (const auto& [id, row] : rows_) fn(row);
+  for (std::size_t i = head_; i < slots_.size(); ++i) {
+    if (slots_[i].id != kInvalidRow) fn(slots_[i]);
+  }
 }
 
 void Table::check_invariants() const {
 #if SPHINX_CONTRACTS_ENABLED
-  for (const auto& [id, row] : rows_) {
-    SPHINX_INVARIANT(id != kInvalidRow, "table " + name_ + " holds row id 0");
-    SPHINX_INVARIANT(id == row.id,
-                     "row key/id mismatch in table " + name_);
-    SPHINX_INVARIANT(id < next_id_,
-                     "row id beyond allocation cursor in table " + name_);
+  SPHINX_INVARIANT(base_ != kInvalidRow && head_ <= slots_.size() &&
+                       base_ + slots_.size() <= next_id_,
+                   "row window beyond allocation cursor in table " + name_);
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Row& row = slots_[i];
+    if (row.id == kInvalidRow) {
+      SPHINX_INVARIANT(row.cells.empty(),
+                       "erased slot holds cells in table " + name_);
+      continue;
+    }
+    ++live;
+    SPHINX_INVARIANT(i >= head_,
+                     "live row in the erased prefix of table " + name_);
+    SPHINX_INVARIANT(row.id == base_ + i,
+                     "row stored outside its id's slot in table " + name_);
     SPHINX_INVARIANT(schema_.accepts(row.cells),
                      "row violates schema of table " + name_);
   }
+  SPHINX_INVARIANT(live == live_, "live row count drifted in table " + name_);
   for (std::size_t col = 0; col < indexes_.size(); ++col) {
     if (!schema_.at(col).indexed) continue;
     std::size_t covered = 0;
@@ -144,15 +192,15 @@ void Table::check_invariants() const {
                        "index bucket not strictly id-ordered in table " +
                            name_);
       for (const RowId id : ids) {
-        const auto it = rows_.find(id);
-        SPHINX_INVARIANT(it != rows_.end(),
+        const Row* row = find(id);
+        SPHINX_INVARIANT(row != nullptr,
                          "index names a missing row in table " + name_);
-        SPHINX_INVARIANT(it->second.cells[col] == key,
+        SPHINX_INVARIANT(row->cells[col] == key,
                          "index bucket key mismatch in table " + name_);
       }
       covered += ids.size();
     }
-    SPHINX_INVARIANT(covered == rows_.size(),
+    SPHINX_INVARIANT(covered == live_,
                      "index does not cover table " + name_);
   }
 #endif

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +65,11 @@ class Schema {
   /// allowed, ints widen to reals).
   [[nodiscard]] bool accepts_cell(std::size_t i, const Value& v) const noexcept;
 
+  /// Refuses column lists no schema may hold: a repeated name, or an index
+  /// on a column type that cannot carry one.  The constructor asserts
+  /// this; replay and restore check it first on what they read from text.
+  [[nodiscard]] static StatusOrError check(const std::vector<Column>& cols);
+
  private:
   std::vector<Column> columns_;
 };
@@ -90,20 +94,27 @@ struct TableObserver {
 /// are addressed by position, and the only query path is the hash index
 /// the schema declares on a column, maintained incrementally and keyed by
 /// the cell Value itself.
+///
+/// Rows live in id-indexed slots: the row with id `base + i` sits in slot
+/// i, so a lookup by id is an index.  An erased row leaves its slot empty
+/// until the erased prefix of the window is reclaimed, which advances the
+/// base; a table that inserts and erases one row at a time (an outbox)
+/// therefore holds one slot, not its whole history.
 class Table {
  public:
   Table(std::string name, Schema schema);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const Schema& schema() const noexcept { return schema_; }
-  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
   /// Inserts a row; returns its id.  Throws AssertionError on schema
   /// mismatch (callers construct rows from typed code, not user input).
   RowId insert(std::vector<Value> cells);
 
   /// Inserts preserving a specific id (journal replay, snapshot restore).
+  /// Ids only move forward: `id` must be at least next_id().
   void insert_with_id(RowId id, std::vector<Value> cells);
 
   /// The id the next insert() will allocate.  Part of the table's
@@ -125,7 +136,8 @@ class Table {
   /// Removes a row.  Returns false if absent.
   bool erase(RowId id);
 
-  /// Row lookup; nullptr if absent.  Pointer invalidated by mutations.
+  /// Row lookup; nullptr if absent.  Pointer invalidated by inserts and
+  /// erases.
   [[nodiscard]] const Row* find(RowId id) const;
 
   /// All row ids whose `column` equals `value`, in id (= insertion)
@@ -148,10 +160,11 @@ class Table {
 
   void set_observer(TableObserver* observer) noexcept { observer_ = observer; }
 
-  /// Structural sweep: every row matches the schema, row ids stay below
-  /// the allocation cursor, and every index bucket mirrors the rows it
-  /// claims to cover.  Throws ContractViolation on corruption; a no-op
-  /// when contracts are compiled out.
+  /// Structural sweep: every row matches the schema and sits in its id's
+  /// slot, row ids stay below the allocation cursor, and every index
+  /// bucket mirrors the rows it claims to cover.  Throws
+  /// ContractViolation on corruption; a no-op when contracts are compiled
+  /// out.
   void check_invariants() const;
 
  private:
@@ -159,6 +172,8 @@ class Table {
   using Index = std::unordered_map<Value, std::vector<RowId>, Value::Hash>;
 
   [[nodiscard]] const Index& index(std::size_t column) const;
+  [[nodiscard]] Row* slot(RowId id);
+  void reclaim_prefix();
   void index_insert(const Row& row);
   void index_erase(const Row& row);
   void bucket_insert(std::size_t column, const Value& key, RowId id);
@@ -166,7 +181,14 @@ class Table {
 
   std::string name_;
   Schema schema_;
-  std::map<RowId, Row> rows_;  // ordered: insertion order == id order
+  // slots_[i] holds row base_ + i, or is empty (id kInvalidRow) once that
+  // row was erased.  Slots before head_ are all empty: the erased prefix,
+  // dropped once it reaches half the window so that each slot moves O(1)
+  // times.  base_ + slots_.size() <= next_id_.
+  std::vector<Row> slots_;
+  RowId base_ = 1;
+  std::size_t head_ = 0;
+  std::size_t live_ = 0;
   RowId next_id_ = 1;
   // One slot per column, filled only for indexed columns.  The buckets
   // are only probed, never walked in an order-sensitive way.

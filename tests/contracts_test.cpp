@@ -41,7 +41,7 @@ namespace sphinx::db {
 /// Test-only back door into the table store.
 struct TableInspector {
   static void append_phantom_cell(Table& table, RowId id) {
-    table.rows_.at(id).cells.emplace_back();  // arity now violates schema
+    table.slot(id)->cells.emplace_back();  // arity now violates schema
   }
   /// Column 0 must be indexed and the table non-empty.
   static void add_phantom_index_entry(Table& table) {
@@ -52,11 +52,7 @@ struct TableInspector {
 /// Test-only back door into the journal.
 struct DatabaseInspector {
   static void append_foreign_journal_entry(Database& db) {
-    JournalEntry entry;
-    entry.op = JournalEntry::Op::kInsert;
-    entry.table = "no_such_table";
-    entry.row = 1;
-    db.journal_.append(std::move(entry));
+    db.journal_.append_insert("no_such_table", 1, {});
   }
 };
 

@@ -204,11 +204,7 @@ TEST(ServerProtocol, RecoveredServerKeepsQuotaState) {
 TEST(ServerProtocol, RecoverFromCorruptJournalFails) {
   Scenario scenario(quiet());
   db::Journal junk;
-  db::JournalEntry entry;
-  entry.op = db::JournalEntry::Op::kInsert;
-  entry.table = "never-created";
-  entry.row = 1;
-  junk.append(entry);
+  junk.append_insert("never-created", 1, {});
   const auto result = core::SphinxServer::recover(
       scenario.bus(), scenario.catalog(), scenario.rls(),
       scenario.transfers(), &scenario.monitoring(),

@@ -599,10 +599,10 @@ TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
   };
 
   // Only the first table (dags): the jobs table is missing.
-  ASSERT_EQ(full.entries().front().table, "dags");
-  db::Journal only_dags;
-  only_dags.append(full.entries().front());
-  expect_schema_error(only_dags);
+  ASSERT_EQ(db::Journal::decode(full.record(0))->table, "dags");
+  const auto only_dags = db::Journal::parse(std::string(full.record(0)));
+  ASSERT_TRUE(only_dags.has_value());
+  expect_schema_error(*only_dags);
 
   // Nothing at all.
   expect_schema_error(db::Journal{});

@@ -176,9 +176,9 @@ TEST(LeaseTable, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
   const auto swapped = db::Journal::parse(text);
   ASSERT_TRUE(swapped.has_value());
   // The create record alone replays, so the schema check is what refuses.
-  db::Journal create_only;
-  create_only.append(swapped->entries().front());
-  expect_schema_error(create_only);
+  const auto create_only = db::Journal::parse(std::string(swapped->record(0)));
+  ASSERT_TRUE(create_only.has_value());
+  expect_schema_error(*create_only);
 
   // The shard index dropped: same columns, but lookups would have no index.
   text = table.journal().serialize();

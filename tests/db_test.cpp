@@ -262,12 +262,7 @@ TEST(Database, RecoverIntoNonEmptyFails) {
 
 TEST(Database, RecoverDetectsCorruptReplay) {
   Journal j;
-  JournalEntry bad;
-  bad.op = JournalEntry::Op::kUpdate;
-  bad.table = "missing";
-  bad.row = 1;
-  bad.cells = {Value(1)};
-  j.append(bad);
+  j.append_update("missing", 1, 0, Value(1));
   Database d;
   const auto status = d.recover(j);
   ASSERT_FALSE(status.ok());
@@ -377,8 +372,10 @@ TEST(Journal, CreateTableCarriesIndexFlags) {
   // Journals written before the flag existed still parse (no '!').
   const auto legacy = Journal::parse("C\tlegacy\tname=text\tstate=text\n");
   ASSERT_TRUE(legacy.has_value());
-  ASSERT_EQ(legacy->entries().size(), 1u);
-  for (const Column& col : legacy->entries()[0].schema) {
+  ASSERT_EQ(legacy->size(), 1u);
+  const auto create = Journal::decode(legacy->record(0));
+  ASSERT_TRUE(create.has_value());
+  for (const Column& col : create->schema) {
     EXPECT_FALSE(col.indexed);
   }
 }
@@ -536,6 +533,16 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   const auto status = refused.recover(too_new, seq);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_suffix");
+
+  // So is a journal that ends before it.
+  Database short_journal;
+  ASSERT_TRUE(short_journal.restore(image).ok());
+  StatusOrError past_end;
+  EXPECT_NO_THROW(past_end =
+                      short_journal.recover(crashed.journal(),
+                                            crashed.journal().next_seq() + 1));
+  ASSERT_FALSE(past_end.ok());
+  EXPECT_EQ(past_end.error().code, "recover_suffix");
 }
 
 TEST(Database, RestoreRejectsCorruptImages) {
@@ -561,6 +568,141 @@ TEST(Table, IndexBucketsStayInIdOrder) {
   t.update(ids[2], kState, Value("ready"));
   EXPECT_EQ(t.find_by(kState, Value("ready")),
             (std::vector<RowId>{ids[0], ids[1], ids[2], ids[3]}));
+  t.check_invariants();
+}
+
+TEST(Database, RecoverRefusesRecordsTheStoreCouldNotHaveWritten) {
+  const std::string create = "C\tt\ta=int\n";
+  const std::string row = "I\tt\t1\ti:1\n";
+  for (const std::string& text : {
+           create + row + "U\tt\t1\t99\ti:2\n",  // no column 99
+           create + row + "U\tt\t1\t0\ts:x\n",   // text in an int column
+           create + "I\tt\t1\ti:1\ti:2\n",       // one cell too many
+           create + "I\tt\t1\ts:x\n",            // text in an int column
+           create + "I\tt\t0\ti:1\n",            // row id 0
+           create + row + "I\tt\t1\ti:2\n",      // a repeated row id
+           create + "I\tt\t2\ti:1\n",            // not the id t allocates
+           std::string("C\tt\ta=int\ta=text\n"),  // a repeated column name
+       }) {
+    const auto journal = Journal::parse(text);
+    ASSERT_TRUE(journal.has_value()) << text;
+    Database d;
+    StatusOrError status;
+    bool threw = false;
+    try {
+      status = d.recover(*journal);
+    } catch (const std::exception&) {
+      threw = true;
+    }
+    EXPECT_FALSE(threw) << text;
+    EXPECT_FALSE(status.ok()) << text;
+    if (!status.ok()) {
+      EXPECT_EQ(status.error().code, "recover_replay") << text;
+    }
+    // A refused replay leaves journaling on.
+    d.create_table("after", Schema{{"b", ValueType::kInt}});
+    EXPECT_EQ(d.journal().size(), 1u) << text;
+  }
+}
+
+TEST(Database, RestoreRefusesImagesTheStoreCouldNotHaveWritten) {
+  for (const char* image : {
+           "#db\t1\nT\tt\t2\ta=int\nR\t1\ti:1\ti:2\n",    // wrong arity
+           "#db\t1\nT\tt\t2\ta=int\nR\t1\ts:x\n",         // wrong cell type
+           "#db\t1\nT\tt\t2\ta=int\nR\t0\ti:1\n",         // row id 0
+           "#db\t1\nT\tt\t3\ta=int\nR\t1\ti:1\nR\t1\ti:2\n",  // repeated id
+           "#db\t1\nT\tt\t4\ta=int\nR\t2\ti:1\nR\t1\ti:2\n",  // out of order
+           "#db\t1\nT\tt\t1\ta=int\ta=int\n",             // repeated column
+           "#db\t1\nT\tt\t2\ta=int\nR\t5\ti:1\n",         // cursor below a row
+           "#db\t1\nT\tt\t0\ta=int\n",                    // cursor 0
+       }) {
+    Database d;
+    StatusOrError status;
+    bool threw = false;
+    try {
+      status = d.restore(image);
+    } catch (const std::exception&) {
+      threw = true;
+    }
+    EXPECT_FALSE(threw) << image;
+    EXPECT_FALSE(status.ok()) << image;
+    if (!status.ok()) {
+      EXPECT_EQ(status.error().code, "restore_parse") << image;
+    }
+    // A refused restore leaves journaling on.
+    d.create_table("after", Schema{{"b", ValueType::kInt}});
+    EXPECT_EQ(d.journal().size(), 1u) << image;
+  }
+}
+
+TEST(Journal, NumbersMustBeTheWholeField) {
+  // Each payload was once read by a prefix-tolerant parser and written
+  // back differently (or read as another value).
+  for (const char* cell : {"i:12abc", "i: 12", "i:+12", "i:", "r:1.5xyz",
+                           "r:0x10", "r: 1", "r:", "b:2", "b:", "b:true",
+                           "n:zzz"}) {
+    const std::string text =
+        std::string("C\tt\ta=null\nI\tt\t1\t") + cell + "\n";
+    const auto parsed = Journal::parse(text);
+    EXPECT_FALSE(parsed.has_value()) << cell;
+    if (!parsed) {
+      EXPECT_EQ(parsed.error().code, "journal_parse") << cell;
+    }
+    Database d;
+    EXPECT_FALSE(
+        d.restore(std::string("#db\t1\nT\tt\t2\ta=null\nR\t1\t") + cell + "\n")
+            .ok())
+        << cell;
+  }
+  // The snapshot's allocation cursor and row ids are whole decimals too.
+  for (const char* image : {"#db\t1\nT\tt\t5x\ta=int\n",
+                            "#db\t1\nT\tt\t-1\ta=int\n",
+                            "#db\t1\nT\tt\t+3\ta=int\n",
+                            "#db\t1\nT\tt\t3\ta=int\nR\t1x\ti:1\n",
+                            "#db\t1\nT\tt\t3\ta=int\nR\t+1\ti:1\n"}) {
+    Database d;
+    EXPECT_FALSE(d.restore(image).ok()) << image;
+  }
+  // What the encoder writes still reads back to the same bytes.
+  const std::string canonical =
+      "C\tt\ta=null\nI\tt\t1\ti:-12\tr:-1.4999999999999999e-07\tr:-0.25\t"
+      "r:nan\tr:-inf\tb:1\tb:0\tn:\n";
+  const auto parsed = Journal::parse(canonical);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->serialize(), canonical);
+}
+
+TEST(Table, ErasedPrefixIsReclaimed) {
+  // An outbox-shaped table: one row inserted and erased at a time.  Ids
+  // keep growing while lookups by id stay exact.
+  Table t("outbox", jobs_schema());
+  RowId last = kInvalidRow;
+  for (int i = 0; i < 1000; ++i) {
+    const RowId id = t.insert(
+        {Value("j"), Value("s"), Value(i), Value(0.0), Value(false)});
+    ASSERT_NE(t.find(id), nullptr);
+    if (last != kInvalidRow) {
+      EXPECT_TRUE(t.erase(last));
+      EXPECT_EQ(t.find(last), nullptr);
+    }
+    last = id;
+  }
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.find(last)->cells[kSite].as_int(), 999);
+  t.check_invariants();
+  // Interior erases leave the rest addressable and in id order.
+  std::vector<RowId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(t.insert(
+        {Value("k"), Value("s"), Value(i), Value(0.0), Value(false)}));
+  }
+  EXPECT_TRUE(t.erase(ids[2]));
+  EXPECT_TRUE(t.erase(last));
+  EXPECT_TRUE(t.erase(ids[0]));
+  std::vector<RowId> seen;
+  t.for_each([&](const Row& row) { seen.push_back(row.id); });
+  EXPECT_EQ(seen, (std::vector<RowId>{ids[1], ids[3], ids[4], ids[5], ids[6],
+                                      ids[7]}));
   t.check_invariants();
 }
 

@@ -20,6 +20,7 @@
 
 #include "chaos/schedule.hpp"
 #include "common/stats.hpp"
+#include "core/warehouse.hpp"
 #include "data/gridftp.hpp"
 #include "db/database.hpp"
 #include "exp/scenario.hpp"
@@ -1128,16 +1129,11 @@ bool has_subnormal(const rpc::XrValue& v) {
   return false;
 }
 
-/// One seeded byte mutation: delete, insert, replace or splice.
-void mutate(Rng& rng, std::string& doc,
-            const std::vector<std::string>& corpus) {
+/// One seeded byte mutation: delete, insert (a byte or one of
+/// `fragments`), replace or splice (from a document of `corpus`).
+void mutate(Rng& rng, std::string& doc, const std::vector<std::string>& corpus,
+            const std::vector<std::string>& fragments) {
   static constexpr std::string_view kBytes = "<>/&;= \n\t\"'?!-+.0159aeinx\v";
-  static const std::vector<std::string> kFragments = {
-      "<value>", "</value>", "<i8>", "</i8>", "<double>", "<string>",
-      "<array>", "<data>", "</data>", "<struct>", "<member>", "<name>",
-      "<param>", "</param>", "<value/>", "<string/>", "<data/>", "<struct/>",
-      "<value>&apos;a&gt;</value>", "&amp;", "&lt;", "&bogus;", "nan", "inf",
-      "1e-310", "-", "0x"};
   const auto at = [&](std::size_t size) {
     return static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(size)));
@@ -1157,8 +1153,8 @@ void mutate(Rng& rng, std::string& doc,
       if (rng.chance(0.5)) {
         doc.insert(pos, 1, byte());
       } else {
-        doc.insert(pos, kFragments[static_cast<std::size_t>(
-                            rng.uniform_int(0, kFragments.size() - 1))]);
+        doc.insert(pos, fragments[static_cast<std::size_t>(
+                            rng.uniform_int(0, fragments.size() - 1))]);
       }
       break;
     }
@@ -1236,6 +1232,12 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   // param; mistyped fault members (the reference throws).
   std::vector<std::string> corpus = calls;
   corpus.insert(corpus.end(), responses.begin(), responses.end());
+  static const std::vector<std::string> kFragments = {
+      "<value>", "</value>", "<i8>", "</i8>", "<double>", "<string>",
+      "<array>", "<data>", "</data>", "<struct>", "<member>", "<name>",
+      "<param>", "</param>", "<value/>", "<string/>", "<data/>", "<struct/>",
+      "<value>&apos;a&gt;</value>", "&amp;", "&lt;", "&bogus;", "nan", "inf",
+      "1e-310", "-", "0x"};
   int both = 0;
   int only_pull = 0;
   int only_reference = 0;
@@ -1245,7 +1247,9 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
     const auto& pool = is_call ? calls : responses;
     std::string doc = pool[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
-    for (auto n = rng.uniform_int(1, 3); n > 0; --n) mutate(rng, doc, corpus);
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      mutate(rng, doc, corpus, kFragments);
+    }
 
     bool pull_ok = false;
     bool reference_ok = false;
@@ -1293,6 +1297,98 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   RecordProperty("both_accepted", both);
   RecordProperty("only_pull_accepted", only_pull);
   RecordProperty("only_reference_accepted", only_reference);
+}
+
+// --- journal and snapshot codecs under mutation ----------------------------
+
+TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
+  // A small warehouse run: every table, every record kind (an outbox row
+  // inserted, updated and erased; a runtime-sample ring evicting), text
+  // that needs escapes, and reals at full precision.
+  core::DataWarehouse wh;
+  workflow::Dag dag(DagId(7), "fuzz\tdag");
+  for (std::uint64_t j = 1; j <= 4; ++j) {
+    workflow::JobSpec job;
+    job.id = JobId(j);
+    job.name = "j" + std::to_string(j);
+    job.compute_time = 60.0 / static_cast<double>(j);
+    job.output = "lfn://out/" + std::to_string(j);
+    if (j > 1) job.inputs.push_back("lfn://out/" + std::to_string(j - 1));
+    dag.add_job(job);
+    if (j > 1) dag.add_edge(JobId(j - 1), JobId(j));
+  }
+  wh.insert_dag(dag, "client\\1", UserId(3), 0.5);
+  wh.set_job_planned(JobId(1), SiteId(2), 1.0 / 3.0);
+  wh.set_job_state(JobId(1), core::JobState::kCompleted);
+  wh.record_completion(SiteId(2), 61.25);
+  wh.record_cancellation(SiteId(4), 0.1);
+  for (int k = 0; k < 34; ++k) {  // two past the 32-sample ring
+    wh.record_runtime_sample(SiteId(2), 1, 10.0 + k / 3.0);
+  }
+  wh.set_quota(UserId(3), SiteId(2), "cpu_seconds", 500.0);
+  wh.outbox_upsert(1, "client", "<plan>\n\t1</plan>", 1, 2.0);
+  wh.outbox_upsert(1, "client", "<plan>\n\t1</plan>", 2, 3.0);
+  wh.outbox_erase(1);
+  wh.outbox_upsert(2, "client", "<plan/>", 1, 4.0);
+  wh.set_scheduler_state("rr", "3");
+  const std::string journal = wh.journal().serialize();
+  const std::string image = wh.database().snapshot();
+  const std::vector<std::string> corpus = {journal, image};
+  static const std::vector<std::string> kFragments = {
+      "\t", "\n", "\\", "\\t", "n:", "i:", "r:", "s:", "b:", "b:2", "i:-1",
+      "r:nan", "r:1e-310", "0", "99", "-1", "+", "0x", "=int", "=text!",
+      "=real!", "#seq\t", "C\t", "I\t", "U\t", "E\t", "T\t", "R\t", "#db\t1\n",
+      "18446744073709551615"};
+
+  // Journal::parse, Database::recover and Database::restore answer every
+  // mutated document with a value or an error, never a throw.  Whatever
+  // is accepted serializes to text that is accepted again and then
+  // serializes to itself.
+  Rng rng(GetParam());
+  int parsed_journals = 0;
+  int replayed = 0;
+  int restored = 0;
+  constexpr int kMutations = 10000;
+  for (int i = 0; i < kMutations; ++i) {
+    const bool is_journal = rng.chance(0.5);
+    std::string doc = is_journal ? journal : image;
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      mutate(rng, doc, corpus, kFragments);
+    }
+    try {
+      if (is_journal) {
+        const auto parsed = db::Journal::parse(doc);
+        if (!parsed) continue;
+        ++parsed_journals;
+        const std::string text = parsed->serialize();
+        const auto again = db::Journal::parse(text);
+        ASSERT_TRUE(again.has_value()) << doc;
+        EXPECT_EQ(again->serialize(), text) << doc;
+        db::Database d;
+        if (!d.recover(*parsed).ok()) continue;
+        ++replayed;
+        EXPECT_EQ(d.journal().serialize(), text) << doc;
+      } else {
+        db::Database d;
+        if (!d.restore(doc).ok()) continue;
+        ++restored;
+        const std::string text = d.snapshot();
+        db::Database again;
+        ASSERT_TRUE(again.restore(text).ok()) << doc;
+        EXPECT_EQ(again.snapshot(), text) << doc;
+      }
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "threw " << error.what() << " on:\n" << doc;
+    }
+  }
+  // Both outcomes are exercised: some mutants survive each stage.
+  EXPECT_GT(parsed_journals, kMutations / 20);
+  EXPECT_GT(replayed, kMutations / 100);
+  EXPECT_LT(replayed, parsed_journals);
+  EXPECT_GT(restored, kMutations / 100);
+  RecordProperty("journals_parsed", parsed_journals);
+  RecordProperty("journals_replayed", replayed);
+  RecordProperty("images_restored", restored);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
