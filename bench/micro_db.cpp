@@ -159,6 +159,37 @@ void BM_JournalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalAppend);
 
+/// An insert whose text cell is a 1.8 KB XML payload, as rpc_outbox
+/// journals every plan: the cost is escaping the cell into the journal.
+void BM_JournalAppendPayload(benchmark::State& state) {
+  std::string payload = "<?xml version=\"1.0\"?><methodCall><methodName>"
+                        "sphinx_client.execute_plan</methodName><params>";
+  while (payload.size() < 1800) {
+    payload += "<member><name>lfn</name><value><string>lfn://wire/in-" +
+               std::to_string(payload.size()) + "</string></value></member>";
+  }
+  payload += "</params></methodCall>";
+  const db::Schema schema{db::indexed("seq", db::ValueType::kInt),
+                          {"service", db::ValueType::kText},
+                          {"payload", db::ValueType::kText},
+                          {"attempt", db::ValueType::kInt},
+                          {"last_sent_at", db::ValueType::kReal}};
+  constexpr std::int64_t kInserts = 256;
+  for (auto _ : state) {
+    db::Database database;
+    db::Table& table = database.create_table("rpc_outbox", schema);
+    for (std::int64_t i = 0; i < kInserts; ++i) {
+      table.insert({Value(i), Value("sphinx-client/cms"), Value(payload),
+                    Value(std::int64_t{1}), Value(60.0 * i)});
+    }
+    benchmark::DoNotOptimize(database.journal().size());
+  }
+  state.SetItemsProcessed(state.iterations() * kInserts);
+  state.SetBytesProcessed(state.iterations() * kInserts *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_JournalAppendPayload);
+
 void BM_JournalReplay(benchmark::State& state) {
   // Build a realistic warehouse journal, then measure recovery.
   core::DataWarehouse warehouse;

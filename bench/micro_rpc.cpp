@@ -58,7 +58,9 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   RpcHarness harness(state.range(0) == 1);
   std::size_t completed = 0;
   for (auto _ : state) {
-    harness.client.call("sphinx-server", "echo", {rpc::XrValue("payload")},
+    harness.client.call("sphinx-server",
+                        rpc::MethodCall{"echo", {rpc::XrValue("payload")}}
+                            .serialize(),
                         [&completed](Expected<rpc::XrValue> result) {
                           if (result.has_value()) ++completed;
                         });

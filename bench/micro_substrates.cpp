@@ -10,7 +10,6 @@
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
 #include "data/rls.hpp"
-#include "rpc/xmlrpc.hpp"
 #include "workflow/generator.hpp"
 
 namespace {
@@ -130,44 +129,52 @@ BENCHMARK(BM_GridFtpInFlight)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
+// --- the XML-RPC wire ----------------------------------------------------
+//
+// Each message on the path each side ships: the sender's typed encoder
+// writes the whole <methodCall>, the receiver reads it as ClarensService
+// does (envelope, typed params decoder, close).  *RoundTrip is struct ->
+// bytes -> struct; *Encode and *Decode are its two halves.
+
+/// Reads the whole call `wire` with typed params decoder `decode`.
+template <typename P>
+Expected<P> decode_call(const std::string& wire,
+                        Expected<P> (*decode)(rpc::XrReader&)) {
+  rpc::XrReader in(wire);
+  std::string method;
+  if (!in.begin_call(method)) return in.error();
+  Expected<P> params = decode(in);
+  if (!in.ok() || !in.end_call()) return in.error();
+  return params;
+}
+
+/// A 10-job DAG submission (about 8.4 KB).
+workflow::Dag wire_dag() {
   workflow::IdSpace ids;
   data::ReplicaLocationService rls;
   workflow::WorkloadGenerator generator(workflow::WorkloadConfig{}, Rng(1),
                                         ids, rls, {SiteId(1), SiteId(2)});
-  const workflow::Dag dag = generator.generate("wire");
-  for (auto _ : state) {
-    rpc::MethodCall call;
-    call.method = "sphinx.submit_dag";
-    call.params = {rpc::XrValue("client"), rpc::XrValue(1),
-                   core::encode_dag(dag)};
-    const std::string wire = call.serialize();
-    const auto parsed = rpc::MethodCall::parse(wire);
-    benchmark::DoNotOptimize(core::decode_dag(parsed->params[2]));
-  }
+  return generator.generate("wire");
 }
-BENCHMARK(BM_XmlRpcDagRoundTrip);
 
-void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
+std::string wire_dag_call(const workflow::Dag& dag) {
+  return core::encode_dag("sphinx-client/cms", UserId(1), dag, 0.0, kNever);
+}
+
+/// A completed-job tracker report.
+core::TrackerReport wire_report() {
   core::TrackerReport report;
   report.job = JobId(42);
   report.kind = core::ReportKind::kCompleted;
   report.site = SiteId(3);
   report.completion_time = 321.5;
   report.attempt = 1;
-  for (auto _ : state) {
-    rpc::MethodCall call;
-    call.method = "sphinx.report";
-    call.params = {core::encode_report(report)};
-    const auto parsed = rpc::MethodCall::parse(call.serialize());
-    benchmark::DoNotOptimize(core::decode_report(parsed->params[0]));
-  }
+  return report;
 }
-BENCHMARK(BM_XmlRpcReportRoundTrip);
 
-void BM_XmlRpcPlanRoundTrip(benchmark::State& state) {
-  // The server-to-client execute_plan payload: a job with three staged
-  // inputs.
+/// The server-to-client execute_plan payload: a job with three staged
+/// inputs.
+core::ExecutionPlan wire_plan() {
   core::ExecutionPlan plan;
   plan.job = JobId(4242);
   plan.dag = DagId(97);
@@ -181,14 +188,76 @@ void BM_XmlRpcPlanRoundTrip(benchmark::State& state) {
   plan.inputs = {{"lfn://wire/in-1", SiteId(3), 1.2e8},
                  {"lfn://wire/in-2", SiteId(5), 9.5e7},
                  {"lfn://wire/in-3", SiteId(11), 3.3e7}};
+  return plan;
+}
+
+void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
+  const workflow::Dag dag = wire_dag();
   for (auto _ : state) {
-    rpc::MethodCall call;
-    call.method = "sphinx_client.execute_plan";
-    call.params = {core::encode_plan(plan)};
-    const auto parsed = rpc::MethodCall::parse(call.serialize());
-    benchmark::DoNotOptimize(core::decode_plan(parsed->params[0]));
+    benchmark::DoNotOptimize(
+        decode_call(wire_dag_call(dag), &core::decode_dag));
+  }
+}
+BENCHMARK(BM_XmlRpcDagRoundTrip);
+
+void BM_XmlRpcDagEncode(benchmark::State& state) {
+  const workflow::Dag dag = wire_dag();
+  for (auto _ : state) benchmark::DoNotOptimize(wire_dag_call(dag));
+}
+BENCHMARK(BM_XmlRpcDagEncode);
+
+void BM_XmlRpcDagDecode(benchmark::State& state) {
+  const std::string wire = wire_dag_call(wire_dag());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_call(wire, &core::decode_dag));
+  }
+}
+BENCHMARK(BM_XmlRpcDagDecode);
+
+void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
+  const core::TrackerReport report = wire_report();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        decode_call(core::encode_report(report), &core::decode_report));
+  }
+}
+BENCHMARK(BM_XmlRpcReportRoundTrip);
+
+void BM_XmlRpcReportEncode(benchmark::State& state) {
+  const core::TrackerReport report = wire_report();
+  for (auto _ : state) benchmark::DoNotOptimize(core::encode_report(report));
+}
+BENCHMARK(BM_XmlRpcReportEncode);
+
+void BM_XmlRpcReportDecode(benchmark::State& state) {
+  const std::string wire = core::encode_report(wire_report());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_call(wire, &core::decode_report));
+  }
+}
+BENCHMARK(BM_XmlRpcReportDecode);
+
+void BM_XmlRpcPlanRoundTrip(benchmark::State& state) {
+  const core::ExecutionPlan plan = wire_plan();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        decode_call(core::encode_plan(plan), &core::decode_plan));
   }
 }
 BENCHMARK(BM_XmlRpcPlanRoundTrip);
+
+void BM_XmlRpcPlanEncode(benchmark::State& state) {
+  const core::ExecutionPlan plan = wire_plan();
+  for (auto _ : state) benchmark::DoNotOptimize(core::encode_plan(plan));
+}
+BENCHMARK(BM_XmlRpcPlanEncode);
+
+void BM_XmlRpcPlanDecode(benchmark::State& state) {
+  const std::string wire = core::encode_plan(wire_plan());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_call(wire, &core::decode_plan));
+  }
+}
+BENCHMARK(BM_XmlRpcPlanDecode);
 
 }  // namespace

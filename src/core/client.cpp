@@ -26,10 +26,10 @@ SphinxClient::SphinxClient(rpc::MessageBus& bus, submit::CondorG& gateway,
   policy.allow_vo("*", config_.vo);
   service_ = std::make_unique<rpc::ClarensService>(bus_, config_.endpoint,
                                                    std::move(policy));
-  service_->register_method(
-      "sphinx_client.execute_plan",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy&) {
-        return handle_execute_plan(params);
+  service_->register_method<ExecutionPlan>(
+      "sphinx_client.execute_plan", &decode_plan,
+      [this](const ExecutionPlan& plan, const rpc::Proxy&) {
+        return handle_execute_plan(plan);
       });
   service_->register_method(
       "sphinx_client.dag_done",
@@ -57,9 +57,9 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
   outcome_index_[dag.id()] = outcomes_.size();
   outcomes_.push_back(outcome);
 
-  rpc_->call(config_.server, "sphinx.submit_dag",
-             {XrValue(config_.endpoint), XrValue(config_.user.value()),
-              encode_dag(dag), XrValue(priority), XrValue(deadline)},
+  rpc_->call(config_.server,
+             encode_dag(config_.endpoint, config_.user, dag, priority,
+                        deadline),
              [this, name = dag.name()](Expected<XrValue> result) {
                if (!result.has_value()) {
                  log_.error("dag submission rejected: ",
@@ -68,16 +68,18 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
              });
 }
 
-Expected<XrValue> SphinxClient::handle_execute_plan(
-    const std::vector<XrValue>& params) {
-  if (params.size() != 1) return make_error("bad_request", "expected [plan]");
-  auto plan = decode_plan(params[0]);
-  if (!plan) return Unexpected<Error>{plan.error()};
+Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
+  // A plan for a site this client's grid does not have cannot run; refuse
+  // it before anything is tracked or submitted.
+  if (!gateway_.has_site(plan.site)) {
+    return make_error("bad_request", "unknown site " +
+                                         std::to_string(plan.site.value()));
+  }
   // Duplicate-delivery guard: a replanned job always carries a fresh
   // attempt number, so a repeated (job, attempt) pair is a re-delivered
   // plan.  Acknowledge it without touching the tracker or the gateway --
   // a plan must never execute twice.
-  if (!submitted_attempts_.emplace(plan->job.value(), plan->attempt).second) {
+  if (!submitted_attempts_.emplace(plan.job.value(), plan.attempt).second) {
     ++tracker_.duplicate_plans;
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.duplicate_plans");
@@ -88,7 +90,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.plans_received");
   }
-  if (plan->speculative) {
+  if (plan.speculative) {
     ++tracker_.speculative_plans;
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.speculative_plans");
@@ -97,27 +99,27 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
 
   // Turn the server's decision into a gateway submission.
   submit::SubmitRequest request;
-  request.job = plan->job;
-  request.name = plan->job_name;
+  request.job = plan.job;
+  request.name = plan.job_name;
   request.user = config_.user;
   request.vo = config_.vo;
-  request.site = plan->site;
-  request.priority = plan->batch_priority;
-  request.compute_time = plan->compute_time;
-  request.attempt = plan->attempt;
-  for (const PlannedInput& input : plan->inputs) {
+  request.site = plan.site;
+  request.priority = plan.batch_priority;
+  request.compute_time = plan.compute_time;
+  request.attempt = plan.attempt;
+  for (const PlannedInput& input : plan.inputs) {
     request.inputs.push_back(
         submit::StagedInput{input.lfn, input.source, input.bytes});
   }
-  request.output = plan->output;
-  request.output_bytes = plan->output_bytes;
+  request.output = plan.output;
+  request.output_bytes = plan.output_bytes;
 
   const SimTime now = bus_.engine().now();
   Tracked tracked;
-  tracked.plan = *plan;
+  tracked.plan = plan;
   tracked.submitted_at = now;
-  const JobId job = plan->job;
-  const int attempt = plan->attempt;
+  const JobId job = plan.job;
+  const int attempt = plan.attempt;
   const Key key{job.value(), attempt};
   // (Re)insert: each attempt gets its own entry, so a resubmission starts
   // with a *fresh* extensions budget -- the previous attempt's used-up
@@ -128,7 +130,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
     bus_.engine().cancel(it->second.timeout);
     erase_tracked(key);
   }
-  if (plan->speculative) {
+  if (plan.speculative) {
     ++racing_now_;
     // Cross-layer contract: the server enforces its speculation budgets
     // *before* sending a plan; more concurrent racers than its global
@@ -146,7 +148,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
       request,
       [this](const submit::GatewayEvent& event) { on_gateway_event(event); });
   if (accepted) {
-    report(TrackerReport{job, ReportKind::kSubmitted, plan->site, now, 0, 0, 0,
+    report(TrackerReport{job, ReportKind::kSubmitted, plan.site, now, 0, 0, 0,
                          attempt});
   }
   // If not accepted, the kFailed gateway event already ran on_gateway_event
@@ -381,7 +383,7 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
 }
 
 void SphinxClient::report(const TrackerReport& r) {
-  rpc_->call(config_.server, "sphinx.report", {encode_report(r)},
+  rpc_->call(config_.server, encode_report(r),
              [this](Expected<XrValue> result) {
                if (!result.has_value()) {
                  log_.warn("report rejected: ", result.error().to_string());

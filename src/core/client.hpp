@@ -167,8 +167,7 @@ class SphinxClient {
   /// two live attempts of one JobId at once.
   using Key = std::pair<std::uint64_t, int>;
 
-  Expected<rpc::XrValue> handle_execute_plan(
-      const std::vector<rpc::XrValue>& params);
+  Expected<rpc::XrValue> handle_execute_plan(const ExecutionPlan& plan);
   Expected<rpc::XrValue> handle_dag_done(
       const std::vector<rpc::XrValue>& params);
   Expected<rpc::XrValue> handle_cancel_attempt(

@@ -1,11 +1,17 @@
 #include "core/codec.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <unordered_set>
 
 namespace sphinx::core {
 
+using rpc::XrReader;
+using rpc::XrType;
 using rpc::XrValue;
+using rpc::XrWriter;
 
 const char* to_string(ReportKind kind) noexcept {
   switch (kind) {
@@ -20,69 +26,89 @@ const char* to_string(ReportKind kind) noexcept {
 
 namespace {
 
-Expected<ReportKind> report_kind_from(const std::string& text) {
+/// Room for each message's bytes, so its writer never grows: a report is
+/// about 740 bytes, a plan about 1.2 KB plus 240 per input, a DAG
+/// submission about 400 bytes plus 840 per job.
+constexpr std::size_t kReportBytes = 832;
+constexpr std::size_t kPlanBytes = 1280;
+constexpr std::size_t kPlanInputBytes = 256;
+constexpr std::size_t kDagBytes = 512;
+constexpr std::size_t kDagJobBytes = 896;
+
+Expected<ReportKind> report_kind_from(std::string_view text) {
   if (text == "submitted") return ReportKind::kSubmitted;
   if (text == "running") return ReportKind::kRunning;
   if (text == "completed") return ReportKind::kCompleted;
   if (text == "cancelled") return ReportKind::kCancelled;
   if (text == "held") return ReportKind::kHeld;
-  return make_error("codec", "unknown report kind: " + text);
+  return make_error("codec", "unknown report kind: " + std::string(text));
 }
 
-/// Guarded struct-member access helpers; each looks the member up once.
-Expected<std::int64_t> need_int(const XrValue& s, const std::string& key) {
-  const XrValue* v = s.find(key);
-  if (v == nullptr || !v->is_int()) {
-    return make_error("codec", "missing int member: " + key);
+// --- reading ----------------------------------------------------------------
+//
+// A decoder first reads its message's members off the wire, each into an
+// optional that stays empty when the member is absent or of another type,
+// then checks them in its documented order.
+
+Unexpected<Error> missing(const char* type, const char* key) {
+  return make_error("codec", std::string("missing ") + type +
+                                 " member: " + key);
+}
+
+/// Reads one value at `depth`; keeps it in `out` when it is an int.
+bool read_int(XrReader& in, int depth, std::optional<std::int64_t>& out) {
+  XrType type;
+  if (!in.open(depth, type)) return false;
+  if (type == XrType::kInt) out = in.integer();
+  return in.skip_open(type, depth);
+}
+
+/// Keeps an int or a double, as a double.
+bool read_number(XrReader& in, int depth, std::optional<double>& out) {
+  XrType type;
+  if (!in.open(depth, type)) return false;
+  if (type == XrType::kDouble) out = in.real();
+  if (type == XrType::kInt) out = static_cast<double>(in.integer());
+  return in.skip_open(type, depth);
+}
+
+bool read_string(XrReader& in, int depth, std::optional<std::string>& out) {
+  XrType type;
+  if (!in.open(depth, type)) return false;
+  if (type == XrType::kString) out.emplace(in.text());
+  return in.skip_open(type, depth);
+}
+
+/// Overwrites `out` when the value is a bool.
+bool read_bool(XrReader& in, int depth, bool& out) {
+  XrType type;
+  if (!in.open(depth, type)) return false;
+  if (type == XrType::kBool) out = in.boolean();
+  return in.skip_open(type, depth);
+}
+
+/// Opens the value at `depth` and, when it has type `want`, calls
+/// `read()` to read the rest; any other value is validated and skipped.
+/// `is_want` says which it was.
+template <typename F>
+bool read_if(XrReader& in, int depth, XrType want, bool& is_want, F&& read) {
+  XrType type;
+  if (!in.open(depth, type)) return false;
+  is_want = type == want;
+  return is_want ? read() : in.skip_open(type, depth);
+}
+
+/// A duration or size: finite and >= 0.
+Expected<double> non_negative(const std::optional<double>& v, const char* key) {
+  if (!v) return missing("double", key);
+  if (!(std::isfinite(*v) && *v >= 0)) {
+    return make_error("codec", std::string(key) + " must be finite and >= 0");
   }
-  return v->as_int();
+  return *v;
 }
 
-Expected<double> need_double(const XrValue& s, const std::string& key) {
-  const XrValue* v = s.find(key);
-  if (v == nullptr || (!v->is_double() && !v->is_int())) {
-    return make_error("codec", "missing double member: " + key);
-  }
-  return v->as_double();
-}
-
-/// A duration or size member: finite and >= 0, or a `codec` error.
-Expected<double> need_non_negative(const XrValue& s, const std::string& key) {
-  auto v = need_double(s, key);
-  if (v && !(std::isfinite(*v) && *v >= 0)) {
-    return make_error("codec", key + " must be finite and >= 0");
-  }
-  return v;
-}
-
-Expected<std::string> need_string(const XrValue& s, const std::string& key) {
-  const XrValue* v = s.find(key);
-  if (v == nullptr || !v->is_string()) {
-    return make_error("codec", "missing string member: " + key);
-  }
-  return v->as_string();
-}
-
-/// The array member `key`; nullptr if absent or not an array.
-const XrValue::Array* find_array(const XrValue& s, const std::string& key) {
-  const XrValue* v = s.find(key);
-  return v != nullptr && v->is_array() ? &v->as_array() : nullptr;
-}
-
-/// Overwrites `out` with the bool member `key` when present and a bool.
-void read_bool(const XrValue& s, const std::string& key, bool& out) {
-  if (const XrValue* v = s.find(key); v != nullptr && v->is_bool()) {
-    out = v->as_bool();
-  }
-}
-
-}  // namespace
-
-Expected<int> decode_attempt(const XrValue* value) {
-  if (value == nullptr || !value->is_int()) {
-    return make_error("codec", "missing int member: attempt");
-  }
-  const std::int64_t attempt = value->as_int();
+/// An attempt number in [1, INT_MAX].
+Expected<int> attempt_in_range(std::int64_t attempt) {
   if (attempt < 1 || attempt > std::numeric_limits<int>::max()) {
     return make_error("codec",
                       "attempt out of range: " + std::to_string(attempt));
@@ -90,92 +116,340 @@ Expected<int> decode_attempt(const XrValue* value) {
   return static_cast<int>(attempt);
 }
 
-XrValue encode_dag(const workflow::Dag& dag) {
-  XrValue::Struct root;
-  root.emplace("dag_id", XrValue(dag.id().value()));
-  root.emplace("name", XrValue(dag.name()));
-
-  XrValue::Array jobs;
-  for (const workflow::JobSpec& job : dag.jobs()) {
-    XrValue::Struct j;
-    j.emplace("job_id", XrValue(job.id.value()));
-    j.emplace("name", XrValue(job.name));
-    j.emplace("compute_time", XrValue(job.compute_time));
-    j.emplace("output", XrValue(job.output));
-    j.emplace("output_bytes", XrValue(job.output_bytes));
-    XrValue::Array inputs;
-    for (const data::Lfn& lfn : job.inputs) inputs.emplace_back(lfn);
-    j.emplace("inputs", XrValue(std::move(inputs)));
-    XrValue::Array parents;
-    for (const JobId parent : dag.parents(job.id)) {
-      parents.emplace_back(parent.value());
-    }
-    j.emplace("parents", XrValue(std::move(parents)));
-    jobs.emplace_back(std::move(j));
-  }
-  root.emplace("jobs", XrValue(std::move(jobs)));
-  return XrValue(std::move(root));
+Expected<int> attempt_of(const std::optional<std::int64_t>& v) {
+  if (!v) return missing("int", "attempt");
+  return attempt_in_range(*v);
 }
 
-Expected<workflow::Dag> decode_dag(const XrValue& value) {
-  if (!value.is_struct()) return make_error("codec", "dag is not a struct");
-  auto dag_id = need_int(value, "dag_id");
-  if (!dag_id) return Unexpected<Error>{dag_id.error()};
-  auto name = need_string(value, "name");
-  if (!name) return Unexpected<Error>{name.error()};
-  const XrValue::Array* jobs = find_array(value, "jobs");
-  if (jobs == nullptr) return make_error("codec", "dag without jobs array");
+std::uint64_t id_of(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+std::int64_t wire_id(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
-  workflow::Dag dag(DagId(static_cast<std::uint64_t>(*dag_id)), *name);
-  // First pass: jobs.  Second pass: edges (parents must exist first).
-  std::vector<std::pair<JobId, std::vector<JobId>>> edges;
-  for (const XrValue& jv : *jobs) {
-    if (!jv.is_struct()) return make_error("codec", "job is not a struct");
-    auto job_id = need_int(jv, "job_id");
-    if (!job_id) return Unexpected<Error>{job_id.error()};
-    if (*job_id < 1) {
-      return make_error("codec",
-                        "job id out of range: " + std::to_string(*job_id));
-    }
-    const JobId id(static_cast<std::uint64_t>(*job_id));
-    if (dag.has_job(id)) {
-      return make_error("codec",
-                        "duplicate job id: " + std::to_string(*job_id));
-    }
-    auto job_name = need_string(jv, "name");
-    if (!job_name) return Unexpected<Error>{job_name.error()};
-    auto compute = need_non_negative(jv, "compute_time");
-    if (!compute) return Unexpected<Error>{compute.error()};
-    auto output = need_string(jv, "output");
-    if (!output) return Unexpected<Error>{output.error()};
-    auto output_bytes = need_non_negative(jv, "output_bytes");
-    if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-    const XrValue::Array* inputs = find_array(jv, "inputs");
-    const XrValue::Array* parent_ids = find_array(jv, "parents");
-    if (inputs == nullptr || parent_ids == nullptr) {
-      return make_error("codec", "job missing inputs/parents");
-    }
+// --- report -----------------------------------------------------------------
 
-    workflow::JobSpec spec;
-    spec.id = id;
-    spec.name = *job_name;
-    spec.compute_time = *compute;
-    spec.output = *output;
-    spec.output_bytes = *output_bytes;
-    for (const XrValue& in : *inputs) {
-      if (!in.is_string()) return make_error("codec", "input is not a string");
-      spec.inputs.push_back(in.as_string());
-    }
-    std::vector<JobId> parents;
-    for (const XrValue& p : *parent_ids) {
-      if (!p.is_int()) return make_error("codec", "parent is not an int");
-      parents.emplace_back(static_cast<std::uint64_t>(p.as_int()));
-    }
-    dag.add_job(std::move(spec));
-    edges.emplace_back(id, std::move(parents));
+// Each message's member names in ascending byte order: the order the
+// encoders write them in, and the index a decoder's switch reads.
+constexpr std::array<std::string_view, 8> kReportMembers = {
+    "at",        "attempt", "completion_time", "execution_time",
+    "idle_time", "job_id",  "kind",            "site"};
+
+struct ReportFields {
+  bool is_struct = false;
+  std::optional<std::int64_t> job_id, site, attempt;
+  std::optional<std::string> kind;
+  std::optional<double> at, completion_time, execution_time, idle_time;
+};
+
+bool read_report(XrReader& in, ReportFields& f) {
+  return read_if(in, 1, XrType::kStruct, f.is_struct, [&] {
+    return in.known_members(1, kReportMembers, [&](std::size_t member) {
+      switch (member) {
+        case 0: return read_number(in, 2, f.at);
+        case 1: return read_int(in, 2, f.attempt);
+        case 2: return read_number(in, 2, f.completion_time);
+        case 3: return read_number(in, 2, f.execution_time);
+        case 4: return read_number(in, 2, f.idle_time);
+        case 5: return read_int(in, 2, f.job_id);
+        case 6: return read_string(in, 2, f.kind);
+        default: return read_int(in, 2, f.site);
+      }
+    });
+  });
+}
+
+Expected<TrackerReport> check_report(const ReportFields& f) {
+  if (!f.is_struct) return make_error("codec", "report is not a struct");
+  if (!f.job_id) return missing("int", "job_id");
+  if (!f.kind) return missing("string", "kind");
+  auto kind = report_kind_from(*f.kind);
+  if (!kind) return Unexpected<Error>{kind.error()};
+  if (!f.site) return missing("int", "site");
+  if (!f.at) return missing("double", "at");
+  if (std::isnan(*f.at)) return make_error("codec", "at is NaN");
+  auto completion = non_negative(f.completion_time, "completion_time");
+  if (!completion) return Unexpected<Error>{completion.error()};
+  if (!f.execution_time) return missing("double", "execution_time");
+  if (!f.idle_time) return missing("double", "idle_time");
+  auto attempt = attempt_of(f.attempt);
+  if (!attempt) return Unexpected<Error>{attempt.error()};
+  TrackerReport report;
+  report.job = JobId(id_of(*f.job_id));
+  report.kind = *kind;
+  report.site = SiteId(id_of(*f.site));
+  report.at = *f.at;
+  report.completion_time = *completion;
+  report.execution_time = *f.execution_time;
+  report.idle_time = *f.idle_time;
+  report.attempt = *attempt;
+  return report;
+}
+
+// --- plan -------------------------------------------------------------------
+
+constexpr std::array<std::string_view, 13> kPlanMembers = {
+    "attempt",      "batch_priority", "compute_time",    "dag_id",
+    "inputs",       "job_id",         "job_name",        "output",
+    "output_bytes", "persist_output", "persistent_site", "site",
+    "speculative"};
+constexpr std::array<std::string_view, 3> kInputMembers = {"bytes", "lfn",
+                                                           "source"};
+
+struct PlanFields {
+  bool is_struct = false;
+  std::optional<std::int64_t> job_id, dag_id, site, attempt, persistent_site;
+  std::optional<std::string> job_name, output;
+  std::optional<double> compute_time, output_bytes, batch_priority;
+  bool has_batch_priority = false;
+  bool persist_output = false;
+  bool speculative = false;
+  bool has_inputs = false;
+  std::vector<PlannedInput> inputs;
+  std::optional<Error> input_error;  ///< the first refused input's
+};
+
+Expected<PlannedInput> check_input(std::optional<std::string>& lfn,
+                                   const std::optional<std::int64_t>& source,
+                                   const std::optional<double>& bytes) {
+  if (!lfn) return missing("string", "lfn");
+  if (!source) return missing("int", "source");
+  auto size = non_negative(bytes, "bytes");
+  if (!size) return Unexpected<Error>{size.error()};
+  return PlannedInput{std::move(*lfn), SiteId(id_of(*source)), *size};
+}
+
+/// One item of a plan's inputs, at depth 3.
+bool read_input(XrReader& in, PlanFields& f) {
+  std::optional<std::string> lfn;
+  std::optional<std::int64_t> source;
+  std::optional<double> bytes;
+  bool is_struct = false;
+  if (!read_if(in, 3, XrType::kStruct, is_struct, [&] {
+        return in.known_members(3, kInputMembers, [&](std::size_t member) {
+          switch (member) {
+            case 0: return read_number(in, 4, bytes);
+            case 1: return read_string(in, 4, lfn);
+            default: return read_int(in, 4, source);
+          }
+        });
+      })) {
+    return false;
   }
-  for (const auto& [child, parents] : edges) {
-    for (const JobId parent : parents) {
+  if (f.input_error) return true;  // an earlier input refused the plan
+  auto input = check_input(lfn, source, bytes);
+  if (input) {
+    f.inputs.push_back(std::move(*input));
+  } else {
+    f.input_error = input.error();
+  }
+  return true;
+}
+
+bool read_plan(XrReader& in, PlanFields& f) {
+  return read_if(in, 1, XrType::kStruct, f.is_struct, [&] {
+    return in.known_members(1, kPlanMembers, [&](std::size_t member) {
+      switch (member) {
+        case 0: return read_int(in, 2, f.attempt);
+        case 1:
+          f.has_batch_priority = true;
+          return read_number(in, 2, f.batch_priority);
+        case 2: return read_number(in, 2, f.compute_time);
+        case 3: return read_int(in, 2, f.dag_id);
+        case 4:
+          return read_if(in, 2, XrType::kArray, f.has_inputs, [&] {
+            return in.items([&] { return read_input(in, f); });
+          });
+        case 5: return read_int(in, 2, f.job_id);
+        case 6: return read_string(in, 2, f.job_name);
+        case 7: return read_string(in, 2, f.output);
+        case 8: return read_number(in, 2, f.output_bytes);
+        case 9: return read_bool(in, 2, f.persist_output);
+        case 10: return read_int(in, 2, f.persistent_site);
+        case 11: return read_int(in, 2, f.site);
+        default: return read_bool(in, 2, f.speculative);
+      }
+    });
+  });
+}
+
+Expected<ExecutionPlan> check_plan(PlanFields& f) {
+  if (!f.is_struct) return make_error("codec", "plan is not a struct");
+  if (!f.job_id) return missing("int", "job_id");
+  if (!f.dag_id) return missing("int", "dag_id");
+  if (!f.job_name) return missing("string", "job_name");
+  if (!f.site) return missing("int", "site");
+  auto compute = non_negative(f.compute_time, "compute_time");
+  if (!compute) return Unexpected<Error>{compute.error()};
+  if (!f.output) return missing("string", "output");
+  auto output_bytes = non_negative(f.output_bytes, "output_bytes");
+  if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
+  auto attempt = attempt_of(f.attempt);
+  if (!attempt) return Unexpected<Error>{attempt.error()};
+  if (!f.has_inputs) return make_error("codec", "plan without inputs");
+  if (f.has_batch_priority && !f.batch_priority) {
+    return make_error("codec", "batch_priority is not a number");
+  }
+  if (f.input_error) return Unexpected<Error>{std::move(*f.input_error)};
+  ExecutionPlan plan;
+  plan.job = JobId(id_of(*f.job_id));
+  plan.dag = DagId(id_of(*f.dag_id));
+  plan.job_name = std::move(*f.job_name);
+  plan.site = SiteId(id_of(*f.site));
+  plan.compute_time = *compute;
+  plan.inputs = std::move(f.inputs);
+  plan.output = std::move(*f.output);
+  plan.output_bytes = *output_bytes;
+  plan.attempt = *attempt;
+  plan.persist_output = f.persist_output;
+  if (f.persistent_site) {
+    plan.persistent_site = SiteId(id_of(*f.persistent_site));
+  }
+  plan.batch_priority = f.batch_priority.value_or(0.0);
+  plan.speculative = f.speculative;
+  return plan;
+}
+
+// --- dag --------------------------------------------------------------------
+
+constexpr std::array<std::string_view, 3> kDagMembers = {"dag_id", "jobs",
+                                                         "name"};
+constexpr std::array<std::string_view, 7> kJobMembers = {
+    "compute_time", "inputs",       "job_id", "name",
+    "output",       "output_bytes", "parents"};
+
+struct DagFields {
+  bool is_struct = false;
+  std::optional<std::int64_t> dag_id;
+  std::optional<std::string> name;
+  bool has_jobs = false;
+  std::vector<workflow::JobSpec> jobs;
+  std::vector<std::vector<JobId>> parents;  ///< per job
+  std::unordered_set<JobId> ids;
+  std::optional<Error> job_error;  ///< the first refused job's
+};
+
+/// A job's members as read.
+struct JobFields {
+  std::optional<std::int64_t> job_id;
+  std::optional<std::string> name, output;
+  std::optional<double> compute_time, output_bytes;
+  bool has_inputs = false;
+  bool has_parents = false;
+  bool bad_input = false;
+  bool bad_parent = false;
+  std::vector<data::Lfn> inputs;
+  std::vector<JobId> parents;
+};
+
+Expected<workflow::JobSpec> check_job(JobFields& j, const DagFields& f) {
+  if (!j.job_id) return missing("int", "job_id");
+  if (*j.job_id < 1) {
+    return make_error("codec",
+                      "job id out of range: " + std::to_string(*j.job_id));
+  }
+  const JobId id(id_of(*j.job_id));
+  if (f.ids.contains(id)) {
+    return make_error("codec",
+                      "duplicate job id: " + std::to_string(*j.job_id));
+  }
+  if (!j.name) return missing("string", "name");
+  auto compute = non_negative(j.compute_time, "compute_time");
+  if (!compute) return Unexpected<Error>{compute.error()};
+  if (!j.output) return missing("string", "output");
+  auto output_bytes = non_negative(j.output_bytes, "output_bytes");
+  if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
+  if (!j.has_inputs || !j.has_parents) {
+    return make_error("codec", "job missing inputs/parents");
+  }
+  if (j.bad_input) return make_error("codec", "input is not a string");
+  if (j.bad_parent) return make_error("codec", "parent is not an int");
+  workflow::JobSpec spec;
+  spec.id = id;
+  spec.name = std::move(*j.name);
+  spec.compute_time = *compute;
+  spec.inputs = std::move(j.inputs);
+  spec.output = std::move(*j.output);
+  spec.output_bytes = *output_bytes;
+  return spec;
+}
+
+/// One item of a DAG's jobs, at depth 3.
+bool read_job(XrReader& in, DagFields& f) {
+  JobFields j;
+  bool is_struct = false;
+  if (!read_if(in, 3, XrType::kStruct, is_struct, [&] {
+        return in.known_members(3, kJobMembers, [&](std::size_t member) {
+          switch (member) {
+            case 0: return read_number(in, 4, j.compute_time);
+            case 1:
+              return read_if(in, 4, XrType::kArray, j.has_inputs, [&] {
+                return in.items([&] {
+                  std::optional<std::string> lfn;
+                  if (!read_string(in, 5, lfn)) return false;
+                  if (!lfn) j.bad_input = true;
+                  if (lfn) j.inputs.push_back(std::move(*lfn));
+                  return true;
+                });
+              });
+            case 2: return read_int(in, 4, j.job_id);
+            case 3: return read_string(in, 4, j.name);
+            case 4: return read_string(in, 4, j.output);
+            case 5: return read_number(in, 4, j.output_bytes);
+            default:
+              return read_if(in, 4, XrType::kArray, j.has_parents, [&] {
+                return in.items([&] {
+                  std::optional<std::int64_t> parent;
+                  if (!read_int(in, 5, parent)) return false;
+                  if (!parent) j.bad_parent = true;
+                  if (parent) j.parents.emplace_back(id_of(*parent));
+                  return true;
+                });
+              });
+          }
+        });
+      })) {
+    return false;
+  }
+  if (f.job_error) return true;  // an earlier job refused the DAG
+  if (!is_struct) {
+    f.job_error = Error{"codec", "job is not a struct"};
+    return true;
+  }
+  auto spec = check_job(j, f);
+  if (!spec) {
+    f.job_error = spec.error();
+    return true;
+  }
+  f.ids.insert(spec->id);
+  f.jobs.push_back(std::move(*spec));
+  f.parents.push_back(std::move(j.parents));
+  return true;
+}
+
+bool read_dag(XrReader& in, DagFields& f) {
+  return read_if(in, 1, XrType::kStruct, f.is_struct, [&] {
+    return in.known_members(1, kDagMembers, [&](std::size_t member) {
+      switch (member) {
+        case 0: return read_int(in, 2, f.dag_id);
+        case 1:
+          return read_if(in, 2, XrType::kArray, f.has_jobs, [&] {
+            return in.items([&] { return read_job(in, f); });
+          });
+        default: return read_string(in, 2, f.name);
+      }
+    });
+  });
+}
+
+Expected<workflow::Dag> check_dag(DagFields& f) {
+  if (!f.is_struct) return make_error("codec", "dag is not a struct");
+  if (!f.dag_id) return missing("int", "dag_id");
+  if (!f.name) return missing("string", "name");
+  if (!f.has_jobs) return make_error("codec", "dag without jobs array");
+  if (f.job_error) return Unexpected<Error>{std::move(*f.job_error)};
+  workflow::Dag dag(DagId(id_of(*f.dag_id)), std::move(*f.name));
+  for (workflow::JobSpec& job : f.jobs) dag.add_job(std::move(job));
+  for (std::size_t i = 0; i < f.parents.size(); ++i) {
+    const JobId child = dag.jobs()[i].id;
+    for (const JobId parent : f.parents[i]) {
       if (!dag.has_job(parent)) {
         return make_error("codec", "edge references unknown parent");
       }
@@ -189,130 +463,210 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
   return dag;
 }
 
-XrValue encode_plan(const ExecutionPlan& plan) {
-  XrValue::Struct root;
-  root.emplace("job_id", XrValue(plan.job.value()));
-  root.emplace("dag_id", XrValue(plan.dag.value()));
-  root.emplace("job_name", XrValue(plan.job_name));
-  root.emplace("site", XrValue(plan.site.value()));
-  root.emplace("compute_time", XrValue(plan.compute_time));
-  root.emplace("output", XrValue(plan.output));
-  root.emplace("output_bytes", XrValue(plan.output_bytes));
-  root.emplace("attempt", XrValue(static_cast<std::int64_t>(plan.attempt)));
-  root.emplace("persist_output", XrValue(plan.persist_output));
-  root.emplace("persistent_site", XrValue(plan.persistent_site.value()));
-  root.emplace("batch_priority", XrValue(plan.batch_priority));
-  root.emplace("speculative", XrValue(plan.speculative));
-  XrValue::Array inputs;
-  for (const PlannedInput& input : plan.inputs) {
-    XrValue::Struct i;
-    i.emplace("lfn", XrValue(input.lfn));
-    i.emplace("source", XrValue(input.source.value()));
-    i.emplace("bytes", XrValue(input.bytes));
-    inputs.emplace_back(std::move(i));
-  }
-  root.emplace("inputs", XrValue(std::move(inputs)));
-  return XrValue(std::move(root));
+}  // namespace
+
+Expected<int> decode_attempt(const XrValue* value) {
+  if (value == nullptr || !value->is_int()) return missing("int", "attempt");
+  return attempt_in_range(value->as_int());
 }
 
-Expected<ExecutionPlan> decode_plan(const XrValue& value) {
-  if (!value.is_struct()) return make_error("codec", "plan is not a struct");
-  ExecutionPlan plan;
-  auto job = need_int(value, "job_id");
-  if (!job) return Unexpected<Error>{job.error()};
-  auto dag = need_int(value, "dag_id");
-  if (!dag) return Unexpected<Error>{dag.error()};
-  auto name = need_string(value, "job_name");
-  if (!name) return Unexpected<Error>{name.error()};
-  auto site = need_int(value, "site");
-  if (!site) return Unexpected<Error>{site.error()};
-  auto compute = need_non_negative(value, "compute_time");
-  if (!compute) return Unexpected<Error>{compute.error()};
-  auto output = need_string(value, "output");
-  if (!output) return Unexpected<Error>{output.error()};
-  auto output_bytes = need_double(value, "output_bytes");
-  if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-  auto attempt = decode_attempt(value.find("attempt"));
-  if (!attempt) return Unexpected<Error>{attempt.error()};
-  const XrValue::Array* inputs = find_array(value, "inputs");
-  if (inputs == nullptr) return make_error("codec", "plan without inputs");
-  plan.job = JobId(static_cast<std::uint64_t>(*job));
-  plan.dag = DagId(static_cast<std::uint64_t>(*dag));
-  plan.job_name = *name;
-  plan.site = SiteId(static_cast<std::uint64_t>(*site));
-  plan.compute_time = *compute;
-  plan.output = *output;
-  plan.output_bytes = *output_bytes;
-  plan.attempt = *attempt;
-  read_bool(value, "persist_output", plan.persist_output);
-  if (const XrValue* v = value.find("persistent_site");
-      v != nullptr && v->is_int()) {
-    plan.persistent_site = SiteId(static_cast<std::uint64_t>(v->as_int()));
+// --- encoders and decoders --------------------------------------------------
+
+std::string encode_report(const TrackerReport& report) {
+  XrWriter out(kReportBytes);
+  out.begin_call("sphinx.report");
+  out.begin_param();
+  out.begin_struct();
+  out.double_member("at", report.at);
+  out.int_member("attempt", report.attempt);
+  out.double_member("completion_time", report.completion_time);
+  out.double_member("execution_time", report.execution_time);
+  out.double_member("idle_time", report.idle_time);
+  out.int_member("job_id", wire_id(report.job.value()));
+  out.string_member("kind", to_string(report.kind));
+  out.int_member("site", wire_id(report.site.value()));
+  out.end_struct();
+  out.end_param();
+  out.end_call();
+  return std::move(out).take();
+}
+
+Expected<TrackerReport> decode_report(XrReader& in) {
+  int params = 0;
+  ReportFields f;
+  if (!in.each_param([&](int i) {
+        ++params;
+        return i == 0 ? read_report(in, f) : in.skip(1);
+      })) {
+    return in.error();
   }
-  if (const XrValue* v = value.find("batch_priority"); v != nullptr) {
-    if (!v->is_double() && !v->is_int()) {
-      return make_error("codec", "batch_priority is not a number");
+  if (params != 1) return make_error("bad_request", "expected [report]");
+  return check_report(f);
+}
+
+std::string encode_plan(const ExecutionPlan& plan) {
+  XrWriter out(kPlanBytes + kPlanInputBytes * plan.inputs.size());
+  out.begin_call("sphinx_client.execute_plan");
+  out.begin_param();
+  out.begin_struct();
+  out.int_member("attempt", plan.attempt);
+  out.double_member("batch_priority", plan.batch_priority);
+  out.double_member("compute_time", plan.compute_time);
+  out.int_member("dag_id", wire_id(plan.dag.value()));
+  out.begin_member("inputs");
+  if (plan.inputs.empty()) {
+    out.empty_array();
+  } else {
+    out.begin_array();
+    for (const PlannedInput& input : plan.inputs) {
+      out.begin_struct();
+      out.double_member("bytes", input.bytes);
+      out.string_member("lfn", input.lfn);
+      out.int_member("source", wire_id(input.source.value()));
+      out.end_struct();
     }
-    plan.batch_priority = v->as_double();
+    out.end_array();
   }
-  read_bool(value, "speculative", plan.speculative);
-  for (const XrValue& iv : *inputs) {
-    auto lfn = need_string(iv, "lfn");
-    if (!lfn) return Unexpected<Error>{lfn.error()};
-    auto source = need_int(iv, "source");
-    if (!source) return Unexpected<Error>{source.error()};
-    auto bytes = need_double(iv, "bytes");
-    if (!bytes) return Unexpected<Error>{bytes.error()};
-    plan.inputs.push_back(PlannedInput{
-        *lfn, SiteId(static_cast<std::uint64_t>(*source)), *bytes});
-  }
-  return plan;
+  out.end_member();
+  out.int_member("job_id", wire_id(plan.job.value()));
+  out.string_member("job_name", plan.job_name);
+  out.string_member("output", plan.output);
+  out.double_member("output_bytes", plan.output_bytes);
+  out.bool_member("persist_output", plan.persist_output);
+  out.int_member("persistent_site", wire_id(plan.persistent_site.value()));
+  out.int_member("site", wire_id(plan.site.value()));
+  out.bool_member("speculative", plan.speculative);
+  out.end_struct();
+  out.end_param();
+  out.end_call();
+  return std::move(out).take();
 }
 
-XrValue encode_report(const TrackerReport& report) {
-  XrValue::Struct root;
-  root.emplace("job_id", XrValue(report.job.value()));
-  root.emplace("kind", XrValue(std::string(to_string(report.kind))));
-  root.emplace("site", XrValue(report.site.value()));
-  root.emplace("at", XrValue(report.at));
-  root.emplace("completion_time", XrValue(report.completion_time));
-  root.emplace("execution_time", XrValue(report.execution_time));
-  root.emplace("idle_time", XrValue(report.idle_time));
-  root.emplace("attempt", XrValue(static_cast<std::int64_t>(report.attempt)));
-  return XrValue(std::move(root));
+Expected<ExecutionPlan> decode_plan(XrReader& in) {
+  int params = 0;
+  PlanFields f;
+  if (!in.each_param([&](int i) {
+        ++params;
+        return i == 0 ? read_plan(in, f) : in.skip(1);
+      })) {
+    return in.error();
+  }
+  if (params != 1) return make_error("bad_request", "expected [plan]");
+  return check_plan(f);
 }
 
-Expected<TrackerReport> decode_report(const XrValue& value) {
-  if (!value.is_struct()) return make_error("codec", "report is not a struct");
-  TrackerReport report;
-  auto job = need_int(value, "job_id");
-  if (!job) return Unexpected<Error>{job.error()};
-  auto kind_text = need_string(value, "kind");
-  if (!kind_text) return Unexpected<Error>{kind_text.error()};
-  auto kind = report_kind_from(*kind_text);
-  if (!kind) return Unexpected<Error>{kind.error()};
-  auto site = need_int(value, "site");
-  if (!site) return Unexpected<Error>{site.error()};
-  auto at = need_double(value, "at");
-  if (!at) return Unexpected<Error>{at.error()};
-  if (std::isnan(*at)) return make_error("codec", "at is NaN");
-  auto completion = need_non_negative(value, "completion_time");
-  if (!completion) return Unexpected<Error>{completion.error()};
-  auto execution = need_double(value, "execution_time");
-  if (!execution) return Unexpected<Error>{execution.error()};
-  auto idle = need_double(value, "idle_time");
-  if (!idle) return Unexpected<Error>{idle.error()};
-  auto attempt = decode_attempt(value.find("attempt"));
-  if (!attempt) return Unexpected<Error>{attempt.error()};
-  report.job = JobId(static_cast<std::uint64_t>(*job));
-  report.kind = *kind;
-  report.site = SiteId(static_cast<std::uint64_t>(*site));
-  report.at = *at;
-  report.completion_time = *completion;
-  report.execution_time = *execution;
-  report.idle_time = *idle;
-  report.attempt = *attempt;
-  return report;
+std::string encode_dag(const std::string& client, UserId user,
+                       const workflow::Dag& dag, double priority,
+                       SimTime deadline) {
+  XrWriter out(kDagBytes + kDagJobBytes * dag.size());
+  out.begin_call("sphinx.submit_dag");
+  out.begin_param();
+  out.string_value(client);
+  out.end_param();
+  out.begin_param();
+  out.int_value(wire_id(user.value()));
+  out.end_param();
+  out.begin_param();
+  out.begin_struct();
+  out.int_member("dag_id", wire_id(dag.id().value()));
+  out.begin_member("jobs");
+  if (dag.empty()) {
+    out.empty_array();
+  } else {
+    out.begin_array();
+    for (const workflow::JobSpec& job : dag.jobs()) {
+      out.begin_struct();
+      out.double_member("compute_time", job.compute_time);
+      out.begin_member("inputs");
+      if (job.inputs.empty()) {
+        out.empty_array();
+      } else {
+        out.begin_array();
+        for (const data::Lfn& lfn : job.inputs) out.string_value(lfn);
+        out.end_array();
+      }
+      out.end_member();
+      out.int_member("job_id", wire_id(job.id.value()));
+      out.string_member("name", job.name);
+      out.string_member("output", job.output);
+      out.double_member("output_bytes", job.output_bytes);
+      out.begin_member("parents");
+      const std::vector<JobId>& parents = dag.parents(job.id);
+      if (parents.empty()) {
+        out.empty_array();
+      } else {
+        out.begin_array();
+        for (const JobId parent : parents) {
+          out.int_value(wire_id(parent.value()));
+        }
+        out.end_array();
+      }
+      out.end_member();
+      out.end_struct();
+    }
+    out.end_array();
+  }
+  out.end_member();
+  out.string_member("name", dag.name());
+  out.end_struct();
+  out.end_param();
+  out.begin_param();
+  out.double_value(priority);
+  out.end_param();
+  out.begin_param();
+  out.double_value(deadline);
+  out.end_param();
+  out.end_call();
+  return std::move(out).take();
+}
+
+Expected<DagSubmission> decode_dag(XrReader& in) {
+  int params = 0;
+  std::optional<std::string> client;
+  std::optional<std::int64_t> user;
+  DagFields dag;
+  std::optional<double> priority;
+  std::optional<double> deadline;
+  if (!in.each_param([&](int i) {
+        ++params;
+        switch (i) {
+          case 0: return read_string(in, 1, client);
+          case 1: return read_int(in, 1, user);
+          case 2: return read_dag(in, dag);
+          case 3: return read_number(in, 1, priority);
+          case 4: return read_number(in, 1, deadline);
+          default: return in.skip(1);
+        }
+      })) {
+    return in.error();
+  }
+  if (params < 3 || params > 5 || !client || !user) {
+    return make_error(
+        "bad_request",
+        "expected [client_endpoint, user_id, dag, priority?, deadline?]");
+  }
+  auto checked = check_dag(dag);
+  if (!checked) return Unexpected<Error>{checked.error()};
+  DagSubmission submission;
+  submission.client = std::move(*client);
+  submission.user = UserId(id_of(*user));
+  submission.dag = std::move(*checked);
+  if (params >= 4) {
+    if (!priority) return make_error("bad_request", "priority must be numeric");
+    if (std::isnan(*priority)) {
+      return make_error("bad_request", "priority must not be NaN");
+    }
+    submission.priority = *priority;
+  }
+  // +inf is a legal deadline: it is the client's best effort (kNever).
+  if (params == 5) {
+    if (!deadline) return make_error("bad_request", "deadline must be numeric");
+    if (std::isnan(*deadline)) {
+      return make_error("bad_request", "deadline must not be NaN");
+    }
+    submission.deadline = *deadline;
+  }
+  return submission;
 }
 
 }  // namespace sphinx::core

@@ -3,7 +3,6 @@
 #include "common/contracts.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
@@ -201,59 +200,29 @@ void SphinxServer::maybe_checkpoint() {
 }
 
 void SphinxServer::register_methods() {
-  service_->register_method(
-      "sphinx.submit_dag",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy& proxy) {
-        return handle_submit_dag(params, proxy);
+  service_->register_method<DagSubmission>(
+      "sphinx.submit_dag", &decode_dag,
+      [this](const DagSubmission& submission, const rpc::Proxy& proxy) {
+        return handle_submit_dag(submission, proxy);
       });
-  service_->register_method(
-      "sphinx.report",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy& proxy) {
-        return handle_report(params, proxy);
+  service_->register_method<TrackerReport>(
+      "sphinx.report", &decode_report,
+      [this](const TrackerReport& report, const rpc::Proxy&) {
+        return handle_report(report);
       });
   service_->register_method(
       "sphinx.set_quota",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy& proxy) {
-        return handle_set_quota(params, proxy);
+      [this](const std::vector<XrValue>& params, const rpc::Proxy&) {
+        return handle_set_quota(params);
       });
 }
 
 Expected<XrValue> SphinxServer::handle_submit_dag(
-    const std::vector<XrValue>& params, const rpc::Proxy& proxy) {
-  if (params.size() < 3 || params.size() > 5 || !params[0].is_string() ||
-      !params[1].is_int()) {
-    return make_error(
-        "bad_request",
-        "expected [client_endpoint, user_id, dag, priority?, deadline?]");
-  }
-  auto dag = decode_dag(params[2]);
-  if (!dag) return Unexpected<Error>{dag.error()};
-  const std::string& client = params[0].as_string();
-  const UserId user(static_cast<std::uint64_t>(params[1].as_int()));
-  double priority = 0.0;
-  if (params.size() >= 4) {
-    if (!params[3].is_double() && !params[3].is_int()) {
-      return make_error("bad_request", "priority must be numeric");
-    }
-    priority = params[3].as_double();
-    if (std::isnan(priority)) {
-      return make_error("bad_request", "priority must not be NaN");
-    }
-  }
-  // +inf is a legal deadline: it is the client's best effort (kNever).
-  SimTime deadline = kNever;
-  if (params.size() == 5) {
-    if (!params[4].is_double() && !params[4].is_int()) {
-      return make_error("bad_request", "deadline must be numeric");
-    }
-    deadline = params[4].as_double();
-    if (std::isnan(deadline)) {
-      return make_error("bad_request", "deadline must not be NaN");
-    }
-  }
-
+    const DagSubmission& submission, const rpc::Proxy& proxy) {
+  const workflow::Dag& dag = submission.dag;
   const bool accepted = message_handler_->accept_dag(
-      *dag, client, user, bus_.engine().now(), priority, deadline);
+      dag, submission.client, submission.user, bus_.engine().now(),
+      submission.priority, submission.deadline);
   if (!accepted) {
     // Duplicate delivery (a retransmission, or a re-send after a crash):
     // the DAG is already stored.  Re-acknowledge with the identical reply
@@ -261,28 +230,22 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "server.duplicate_dags");
     }
-    return XrValue(dag->id().value());
+    return XrValue(dag.id().value());
   }
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kDagReceived, config_.endpoint,
-                     "dag:" + std::to_string(dag->id().value()), dag->name(),
-                     static_cast<double>(dag->size()));
+                     "dag:" + std::to_string(dag.id().value()), dag.name(),
+                     static_cast<double>(dag.size()));
     recorder_->count(config_.endpoint, "server.dags_received");
   }
-  log_.debug("received dag ", dag->name(), " (", dag->size(), " jobs) from ",
-             client, " [", proxy.principal(), "]");
+  log_.debug("received dag ", dag.name(), " (", dag.size(), " jobs) from ",
+             submission.client, " [", proxy.principal(), "]");
   maybe_crash();
-  return XrValue(dag->id().value());
+  return XrValue(dag.id().value());
 }
 
-Expected<XrValue> SphinxServer::handle_report(
-    const std::vector<XrValue>& params, const rpc::Proxy&) {
-  if (params.size() != 1) {
-    return make_error("bad_request", "expected [report]");
-  }
-  auto report = decode_report(params[0]);
-  if (!report) return Unexpected<Error>{report.error()};
-  if (const auto status = message_handler_->apply_report(*report);
+Expected<XrValue> SphinxServer::handle_report(const TrackerReport& report) {
+  if (const auto status = message_handler_->apply_report(report);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
@@ -291,7 +254,7 @@ Expected<XrValue> SphinxServer::handle_report(
 }
 
 Expected<XrValue> SphinxServer::handle_set_quota(
-    const std::vector<XrValue>& params, const rpc::Proxy&) {
+    const std::vector<XrValue>& params) {
   if (params.size() != 4 || !params[0].is_int() || !params[1].is_int() ||
       !params[2].is_string() ||
       (!params[3].is_double() && !params[3].is_int())) {
@@ -548,16 +511,19 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
     recorder_->count(config_.endpoint, "server.speculation_cancels");
   }
   if (const auto dag = warehouse_->dag(race.dag); dag.has_value()) {
-    out_->call(dag->client, "sphinx_client.cancel_attempt",
-               {XrValue(race.job.value()),
-                XrValue(static_cast<std::int64_t>(retired_attempt))},
+    out_->call(dag->client,
+               rpc::MethodCall{"sphinx_client.cancel_attempt",
+                               {XrValue(race.job.value()),
+                                XrValue(static_cast<std::int64_t>(
+                                    retired_attempt))}}
+                   .serialize(),
                [](auto) {});
   }
 }
 
 void SphinxServer::send_plan(const std::string& client,
                              const ExecutionPlan& plan) {
-  out_->call(client, "sphinx_client.execute_plan", {encode_plan(plan)},
+  out_->call(client, encode_plan(plan),
              [this, job = plan.job](auto result) {
                if (!result.has_value()) {
                  // Client unreachable: the job stays kPlanned; the
@@ -587,8 +553,11 @@ void SphinxServer::maybe_finish_dag(DagId dag_id) {
     recorder_->observe(config_.endpoint, "dag.turnaround",
                        now - dag->received_at);
   }
-  out_->call(dag->client, "sphinx_client.dag_done",
-             {XrValue(dag_id.value()), XrValue(now)}, [](auto) {});
+  out_->call(dag->client,
+             rpc::MethodCall{"sphinx_client.dag_done",
+                             {XrValue(dag_id.value()), XrValue(now)}}
+                 .serialize(),
+             [](auto) {});
 }
 
 }  // namespace sphinx::core

@@ -131,13 +131,12 @@ class SphinxServer {
                ServerConfig config, std::unique_ptr<DataWarehouse> warehouse);
 
   void register_methods();
-  /// RPC shims: parse the wire payload, then delegate to MessageHandler.
-  Expected<rpc::XrValue> handle_submit_dag(const std::vector<rpc::XrValue>& params,
+  /// RPC shims: take the decoded params, then delegate to MessageHandler.
+  Expected<rpc::XrValue> handle_submit_dag(const DagSubmission& submission,
                                            const rpc::Proxy& proxy);
-  Expected<rpc::XrValue> handle_report(const std::vector<rpc::XrValue>& params,
-                                       const rpc::Proxy& proxy);
-  Expected<rpc::XrValue> handle_set_quota(const std::vector<rpc::XrValue>& params,
-                                          const rpc::Proxy& proxy);
+  Expected<rpc::XrValue> handle_report(const TrackerReport& report);
+  Expected<rpc::XrValue> handle_set_quota(
+      const std::vector<rpc::XrValue>& params);
 
   void maybe_finish_dag(DagId dag_id);
   void send_plan(const std::string& client, const ExecutionPlan& plan);

@@ -34,9 +34,11 @@ void HeartbeatAgent::stop() { beat_->stop(); }
 
 void HeartbeatAgent::beat() {
   client_->call(
-      kCoordinatorEndpoint, "ctrl.renew",
-      {rpc::XrValue(shard_), rpc::XrValue(owner_),
-       rpc::XrValue(static_cast<std::int64_t>(epoch_))},
+      kCoordinatorEndpoint,
+      rpc::MethodCall{"ctrl.renew",
+                      {rpc::XrValue(shard_), rpc::XrValue(owner_),
+                       rpc::XrValue(static_cast<std::int64_t>(epoch_))}}
+          .serialize(),
       [this](Expected<rpc::XrValue> result) {
         if (!result || !result->is_string()) {
           ++missed_;

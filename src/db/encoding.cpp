@@ -28,13 +28,15 @@ Expected<ValueType> decode_type(std::string_view s) {
 }  // namespace
 
 void append_field(std::string& out, std::string_view s) {
-  static constexpr std::string_view kSpecial = "\\\t\n";
+  // A plain loop: find_first_of over a three-character set costs a
+  // memchr per input byte, and a journaled plan payload is ~1.8 KB.
   std::size_t from = 0;
-  for (std::size_t at = s.find_first_of(kSpecial); at != std::string_view::npos;
-       at = s.find_first_of(kSpecial, from)) {
+  for (std::size_t at = 0; at < s.size(); ++at) {
+    const char c = s[at];
+    if (c != '\\' && c != '\t' && c != '\n') continue;
     out.append(s.substr(from, at - from));
     out += '\\';
-    out += s[at] == '\t' ? 't' : s[at] == '\n' ? 'n' : '\\';
+    out += c == '\t' ? 't' : c == '\n' ? 'n' : '\\';
     from = at + 1;
   }
   out.append(s.substr(from));

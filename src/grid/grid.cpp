@@ -41,13 +41,13 @@ void Grid::start() {
 }
 
 Site& Grid::site(SiteId id) {
-  SPHINX_ASSERT(id.valid() && id.value() <= sites_.size(),
+  SPHINX_ASSERT(has_site(id),
                 "unknown site id " + std::to_string(id.value()));
   return *sites_[id.value() - 1].site;
 }
 
 const Site& Grid::site(SiteId id) const {
-  SPHINX_ASSERT(id.valid() && id.value() <= sites_.size(),
+  SPHINX_ASSERT(has_site(id),
                 "unknown site id " + std::to_string(id.value()));
   return *sites_[id.value() - 1].site;
 }

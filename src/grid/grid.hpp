@@ -45,6 +45,10 @@ class Grid {
 
   [[nodiscard]] Site& site(SiteId id);
   [[nodiscard]] const Site& site(SiteId id) const;
+  /// Whether `id` names one of this grid's sites.
+  [[nodiscard]] bool has_site(SiteId id) const noexcept {
+    return id.valid() && id.value() <= sites_.size();
+  }
   /// Lookup by name; nullptr when absent.
   [[nodiscard]] Site* find_site(const std::string& name) noexcept;
 

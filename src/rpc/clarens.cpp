@@ -25,6 +25,20 @@ double jitter01(const std::string& endpoint, std::uint64_t seq, int attempt) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// The generic params decoder: every param as an XrValue.  It refuses
+/// nothing; its handler checks the params.
+Expected<std::vector<XrValue>> any_params(XrReader& in) {
+  std::vector<XrValue> params;
+  in.params(params);
+  return params;
+}
+
+std::string fault(ClarensFault code, std::string message) {
+  return MethodResponse::failure(static_cast<std::int64_t>(code),
+                                 std::move(message))
+      .serialize();
+}
+
 }  // namespace
 
 ClarensService::ClarensService(MessageBus& bus, std::string endpoint,
@@ -37,45 +51,44 @@ ClarensService::ClarensService(MessageBus& bus, std::string endpoint,
 
 ClarensService::~ClarensService() { bus_.unregister_endpoint(endpoint_); }
 
-void ClarensService::register_method(const std::string& name, Method method) {
-  SPHINX_ASSERT(method != nullptr, "method handler must not be null");
-  methods_[name] = std::move(method);
+void ClarensService::register_method(const std::string& name,
+                                     Handler<std::vector<XrValue>> handler) {
+  register_method<std::vector<XrValue>>(name, &any_params, std::move(handler));
 }
 
 std::string ClarensService::process(const Envelope& request) {
-  auto call = MethodCall::parse(request.payload);
-  if (!call) {
-    return MethodResponse::failure(
-               static_cast<std::int64_t>(ClarensFault::kParse),
-               call.error().message)
-        .serialize();
+  // The whole envelope is decoded before anything else is decided, so a
+  // malformed request is a parse fault whatever its method or caller.
+  XrReader in(request.payload);
+  std::string method_name;
+  Method* method = nullptr;
+  if (in.begin_call(method_name)) {
+    const auto it = methods_.find(method_name);
+    if (it != methods_.end()) {
+      method = it->second.get();
+      method->read(in);
+    } else {
+      in.each_param([&](int) { return in.skip(1); });
+    }
+    if (in.ok()) in.end_call();
   }
+  if (!in.ok()) return fault(ClarensFault::kParse, in.error().error.message);
 
   const AuthzDecision decision =
-      policy_.check(request.proxy, call->method, bus_.engine().now());
+      policy_.check(request.proxy, method_name, bus_.engine().now());
   if (!decision.allowed) {
     ++denied_;
-    return MethodResponse::failure(
-               static_cast<std::int64_t>(ClarensFault::kDenied),
-               decision.reason)
-        .serialize();
+    return fault(ClarensFault::kDenied, decision.reason);
   }
 
-  const auto it = methods_.find(call->method);
-  if (it == methods_.end()) {
-    return MethodResponse::failure(
-               static_cast<std::int64_t>(ClarensFault::kNoSuchMethod),
-               "no such method: " + call->method)
-        .serialize();
+  if (method == nullptr) {
+    return fault(ClarensFault::kNoSuchMethod, "no such method: " + method_name);
   }
 
   ++served_;
-  auto result = it->second(call->params, request.proxy);
+  auto result = method->run(request.proxy);
   if (!result) {
-    return MethodResponse::failure(
-               static_cast<std::int64_t>(ClarensFault::kApplication),
-               result.error().to_string())
-        .serialize();
+    return fault(ClarensFault::kApplication, result.error().to_string());
   }
   return MethodResponse::success(std::move(*result)).serialize();
 }
@@ -98,16 +111,13 @@ ClarensClient::~ClarensClient() {
   bus_.unregister_endpoint(endpoint_);
 }
 
-void ClarensClient::call(const std::string& service, const std::string& method,
-                         std::vector<XrValue> params, Callback callback) {
+void ClarensClient::call(const std::string& service, std::string payload,
+                         Callback callback) {
   SPHINX_ASSERT(callback != nullptr, "call callback must not be null");
-  MethodCall mc;
-  mc.method = method;
-  mc.params = std::move(params);
   const std::uint64_t seq = next_seq_++;
   CallState state;
   state.service = service;
-  state.payload = mc.serialize();
+  state.payload = std::move(payload);
   state.callback = std::move(callback);
   pending_.emplace(seq, std::move(state));
   transmit(seq);

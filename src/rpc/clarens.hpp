@@ -10,6 +10,21 @@
 /// Payloads really are serialized and re-parsed XML-RPC, so the wire
 /// format is exercised on every call.
 ///
+/// A method is a params decoder plus a handler.  A typed method's decoder
+/// reads its params straight off the XrReader into a struct (the plan,
+/// report and DAG decoders of core/codec.hpp); every other method gets
+/// the generic decoder, which hands its handler the params as XrValues.
+/// The service runs the decoder over the whole envelope before it
+/// authorizes anything, so a fault says, in this order of precedence:
+///   1. kParse: the envelope is not well-formed XML-RPC;
+///   2. kDenied: the caller may not call the method;
+///   3. kNoSuchMethod: no method has that name;
+///   4. kApplication: the decoder refused the params (a wrong count or
+///      type, or a codec error: the first failing check in the decoder's
+///      own order, not in wire order), or the handler reported an error.
+/// A client sends a payload its caller serialized -- a typed encoder's
+/// bytes or a MethodCall's -- and every reply is a MethodResponse.
+///
 /// The wire (transport.hpp's fault model) may lose, duplicate or delay
 /// envelopes.  The client therefore retransmits on a per-call timeout
 /// with capped exponential backoff plus deterministic jitter, tagging
@@ -23,8 +38,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "rpc/gsi.hpp"
@@ -44,9 +62,14 @@ enum class ClarensFault : std::int64_t {
 /// Server side: a named endpoint exposing XML-RPC methods.
 class ClarensService {
  public:
-  /// Handler receives decoded params and the authenticated caller proxy.
-  using Method =
-      std::function<Expected<XrValue>(const std::vector<XrValue>&, const Proxy&)>;
+  /// Reads a call's params off `in`, positioned after its <methodName>:
+  /// the params, or why they are refused.  A syntax error leaves `in`
+  /// failed, and the result is then ignored.
+  template <typename P>
+  using Decoder = Expected<P> (*)(XrReader& in);
+  /// Runs an authorized call on its decoded params.
+  template <typename P>
+  using Handler = std::function<Expected<XrValue>(const P&, const Proxy&)>;
 
   ClarensService(MessageBus& bus, std::string endpoint, AuthzPolicy policy);
   ~ClarensService();
@@ -54,8 +77,18 @@ class ClarensService {
   ClarensService(const ClarensService&) = delete;
   ClarensService& operator=(const ClarensService&) = delete;
 
-  /// Registers a method (replaces an existing one of the same name).
-  void register_method(const std::string& name, Method method);
+  /// Registers a typed method (replaces an existing one of the same name).
+  template <typename P>
+  void register_method(const std::string& name, Decoder<P> decode,
+                       std::type_identity_t<Handler<P>> handler) {
+    SPHINX_ASSERT(decode != nullptr && handler != nullptr,
+                  "method decoder and handler must not be null");
+    methods_[name] =
+        std::make_unique<TypedMethod<P>>(decode, std::move(handler));
+  }
+  /// Registers a method whose params arrive as XrValues.
+  void register_method(const std::string& name,
+                       Handler<std::vector<XrValue>> handler);
 
   [[nodiscard]] const std::string& endpoint() const noexcept { return endpoint_; }
   [[nodiscard]] std::size_t calls_served() const noexcept { return served_; }
@@ -65,13 +98,42 @@ class ClarensService {
   [[nodiscard]] AuthzPolicy& policy() noexcept { return policy_; }
 
  private:
-  /// Runs parse/authz/dispatch and returns the serialized response.
+  /// A registered method: read() decodes a call's params and keeps them,
+  /// or their refusal, for run(), which comes only once the call is
+  /// authorized.
+  class Method {
+   public:
+    virtual ~Method() = default;
+    virtual void read(XrReader& in) = 0;
+    virtual Expected<XrValue> run(const Proxy& proxy) = 0;
+  };
+
+  template <typename P>
+  class TypedMethod final : public Method {
+   public:
+    TypedMethod(Decoder<P> decode, Handler<P> handler)
+        : decode_(decode), handler_(std::move(handler)) {}
+    void read(XrReader& in) override { params_.emplace(decode_(in)); }
+    Expected<XrValue> run(const Proxy& proxy) override {
+      Expected<P> params = std::move(*params_);
+      params_.reset();
+      if (!params) return Unexpected<Error>{params.error()};
+      return handler_(*params, proxy);
+    }
+
+   private:
+    Decoder<P> decode_;
+    Handler<P> handler_;
+    std::optional<Expected<P>> params_;
+  };
+
+  /// Runs decode/authz/dispatch and returns the serialized response.
   [[nodiscard]] std::string process(const Envelope& request);
 
   MessageBus& bus_;
   std::string endpoint_;
   AuthzPolicy policy_;
-  std::unordered_map<std::string, Method> methods_;
+  std::map<std::string, std::unique_ptr<Method>, std::less<>> methods_;
   std::size_t served_ = 0;
   std::size_t denied_ = 0;
 };
@@ -108,11 +170,12 @@ class ClarensClient {
   ClarensClient(const ClarensClient&) = delete;
   ClarensClient& operator=(const ClarensClient&) = delete;
 
-  /// Issues an asynchronous call.  The callback fires exactly once: when
-  /// a response arrives, or with "rpc_timeout" after max_attempts
-  /// transmissions went unanswered.
-  void call(const std::string& service, const std::string& method,
-            std::vector<XrValue> params, Callback callback);
+  /// Issues an asynchronous call of the serialized <methodCall>
+  /// `payload`.  The callback fires exactly once: when a response
+  /// arrives, or with "rpc_timeout" after max_attempts transmissions went
+  /// unanswered.
+  void call(const std::string& service, std::string payload,
+            Callback callback);
 
   /// Wires a durable outbox so a journal-recovered owner can re-arm
   /// in-flight calls (see restore_call()).  Pass nullptrs to detach.

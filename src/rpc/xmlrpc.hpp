@@ -1,30 +1,44 @@
 #pragma once
 /// \file xmlrpc.hpp
-/// XML-RPC data model and method-call/response envelopes.
+/// XML-RPC data model, the one wire writer and the one wire reader.
 ///
 /// The SPHINX client and server exchange GSI-enabled XML-RPC messages
 /// (paper Figure 1).  This implements the XML-RPC value system (int,
 /// double, boolean, string, array, struct), <methodCall> and
 /// <methodResponse> envelopes including <fault>.
 ///
-/// There is no document model.  serialize() writes each XrValue straight
-/// into one string, and parse() is a single pull pass over the bytes that
-/// builds XrValues directly.  The wire bytes are a contract: the client
-/// outbox journals payloads and the chaos digests hash those journals.
-/// So the writer emits exactly the
+/// There is no document model.  Every envelope is written by an XrWriter
+/// straight into one string and read by an XrReader, a single pull pass
+/// over the bytes.  The three messages of a scheduling run -- plans,
+/// tracker reports and DAG submissions (core/codec.hpp) -- go straight
+/// between their structs and the bytes through these two: their encoders
+/// write members as literals, their decoders read members off the reader
+/// and skip (while still validating) any they do not know.  XrValue, the
+/// generic tree, remains for everything else: the cold calls' params
+/// (MethodCall), every reply (MethodResponse) and tests.
+///
+/// The wire bytes are a contract: the client outbox journals payloads and
+/// the chaos digests hash those journals.  So the writer emits exactly the
 /// compact form the envelopes have always had: a `<?xml version="1.0"?>`
 /// declaration, no whitespace between elements, `<tag/>` for an element
 /// with no content, the five predefined entities escaped, integers as
-/// `<i8>`, doubles as `%.17g`.  The parser accepts that form, `<tag></tag>`
-/// for `<tag/>`, layout whitespace between elements, bare `<value>` text
-/// as a string and the `<i4>`/`<int>` tags.  It rejects everything else,
-/// including attributes, duplicate struct members, nesting deeper than
+/// `<i8>`, doubles as `%.17g`, and struct members in ascending byte order
+/// of their names (the order of XrValue::Struct, a std::map).  The reader
+/// accepts that form, `<tag></tag>` for `<tag/>`, layout whitespace
+/// between elements, bare `<value>` text as a string and the
+/// `<i4>`/`<int>` tags.  It rejects everything else, including
+/// attributes, duplicate struct members, nesting deeper than
 /// kMaxValueDepth and number text that is not entirely a number
-/// (`<i8> 7</i8>`, `<i8>12abc</i8>`, `<double>0x10</double>`).
+/// (`<i8> 7</i8>`, `<i8>12abc</i8>`, `<double>0x10</double>`) -- at any
+/// depth, in members a typed decoder skips as much as in those it reads.
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -32,8 +46,8 @@
 
 namespace sphinx::rpc {
 
-/// Deepest nesting of values parse() accepts; a top-level param is depth
-/// 1.  The deepest real message, a DAG, nests 5 deep.
+/// Deepest nesting of values the reader accepts; a top-level param is
+/// depth 1.  The deepest real message, a DAG, nests 5 deep.
 inline constexpr int kMaxValueDepth = 64;
 
 /// An XML-RPC value.  Arrays and structs nest arbitrarily.
@@ -119,5 +133,292 @@ struct MethodResponse {
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static Expected<MethodResponse> parse(const std::string& xml);
 };
+
+/// Writes one envelope in the compact wire form.  A call is begin_call(),
+/// then per param begin_param(), one value and end_param(), then
+/// end_call(); take() hands over the bytes.  A struct is begin_struct(),
+/// its members in ascending name order, end_struct(); an array is
+/// begin_array(), its items, end_array(), or empty_array().
+class XrWriter {
+ public:
+  /// Starts the document, with room for about `reserve` bytes.
+  explicit XrWriter(std::size_t reserve);
+
+  void begin_call(std::string_view method);
+  void begin_param();
+  void end_param() { out_ += "</param>"; }
+  /// `<params/>` when no param was written.
+  void end_call();
+  /// A whole `<methodResponse>` carrying `value`.
+  void response(const XrValue& value);
+  /// A whole `<methodResponse>` carrying a fault.
+  void fault(std::int64_t code, std::string_view message);
+
+  /// Any value, as its tree says.
+  void value(const XrValue& v);
+  void int_value(std::int64_t v);
+  void double_value(double v);
+  void bool_value(bool v);
+  void string_value(std::string_view v);
+  void begin_struct() { out_ += "<value><struct>"; }
+  void end_struct() { out_ += "</struct></value>"; }
+  void begin_array() { out_ += "<value><array><data>"; }
+  void end_array() { out_ += "</data></array></value>"; }
+  void empty_array() { out_ += "<value><array><data/></array></value>"; }
+  /// `<member><name>name</name>`.  `name` is written as is, so it must
+  /// need no escaping; the member's value follows, then end_member().
+  void begin_member(std::string_view name);
+  void end_member() { out_ += "</member>"; }
+
+  /// Whole members with a scalar value.
+  void int_member(std::string_view name, std::int64_t v);
+  void double_member(std::string_view name, double v);
+  void bool_member(std::string_view name, bool v);
+  void string_member(std::string_view name, std::string_view v);
+
+  [[nodiscard]] std::string take() && { return std::move(out_); }
+
+ private:
+  void text_element(std::string_view tag, std::string_view text);
+  void int_digits(std::int64_t v);
+  void double_digits(double v);
+
+  std::string out_;
+  bool params_ = false;  ///< `<params>` is open
+};
+
+/// What a `<value>` holds.
+enum class XrType : std::uint8_t {
+  kString,
+  kInt,
+  kDouble,
+  kBool,
+  kArray,
+  kStruct,
+};
+
+/// Reads one envelope in a single pull pass.  Each read consumes one
+/// construct and returns true, or records why it could not and returns
+/// false; callers stop at the first false, and error() then says what
+/// failed where.  As in XML, `<tag/>` reads as `<tag></tag>`.
+///
+/// A value is read piecewise: open() reads a scalar whole and makes its
+/// content available (integer(), real(), boolean(), text()), or enters an
+/// array or a struct, whose items() or known_members() must follow (or
+/// skip_open(), to validate and discard them).  read() builds an XrValue
+/// from these, and skip() validates one and keeps nothing.  Whichever
+/// way a value is read, every check -- duplicate members, depth,
+/// entities, whole-field numbers -- runs at the same place, so a typed
+/// decoder fails exactly where, and with what, the tree reader fails.
+class XrReader {
+ public:
+  explicit XrReader(std::string_view in) noexcept : in_(in) {}
+
+  /// False once a read has failed.
+  [[nodiscard]] bool ok() const noexcept { return what_.empty(); }
+  [[nodiscard]] Unexpected<Error> error() const;
+
+  /// Reads the optional declaration, `<methodCall>` and a non-empty
+  /// `<methodName>`, and opens `<params>` when the call has one.
+  bool begin_call(std::string& method);
+  /// Calls `read(i)` for each `<param>` i of the call; `read` reads its
+  /// one value at depth 1.
+  template <typename F>
+  bool each_param(F&& read);
+  /// Every param as an XrValue (the generic params decoder).
+  bool params(std::vector<XrValue>& out);
+  /// Reads `</methodCall>`; only whitespace may follow it.
+  bool end_call() { return end("methodCall"); }
+  /// A whole `<methodResponse>`.
+  bool response(MethodResponse& out);
+
+  /// Opens the `<value>` at nesting `depth` and says what it holds.
+  bool open(int depth, XrType& type);
+  /// The scalar open() read last.  text() is valid until the next read.
+  [[nodiscard]] std::int64_t integer() const noexcept { return integer_; }
+  [[nodiscard]] double real() const noexcept { return real_; }
+  [[nodiscard]] bool boolean() const noexcept { return boolean_; }
+  [[nodiscard]] std::string_view text() const noexcept { return text_; }
+  /// Calls `read()` for each item of the array open() entered, which
+  /// reads that item's value (at the array's depth + 1); closes the value.
+  template <typename F>
+  bool items(F&& read);
+  /// Reads the members of the struct open() entered at `depth`, whose
+  /// names `known` lists in ascending order, and closes the value:
+  /// `read(i)` reads known member i's value (at `depth` + 1), any other
+  /// member is validated and skipped, and a repeated name fails.
+  template <std::size_t N, typename F>
+  bool known_members(int depth, const std::array<std::string_view, N>& known,
+                     F&& read);
+  /// Validates and discards what is left of a value open() opened at
+  /// `depth` (nothing, for a scalar).
+  bool skip_open(XrType type, int depth);
+  /// Validates and discards one whole value.
+  bool skip(int depth);
+  /// One whole value as a tree.
+  bool read(int depth, XrValue& out);
+
+ private:
+  /// Names of struct members a reader did not look up, for the
+  /// duplicate check.
+  using NameSet = std::set<std::string, std::less<>>;
+
+  // The per-tag primitives are inline, so a literal tag compares in
+  // place; failing is rare and out of line.
+  static constexpr bool is_blank(char c) noexcept {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  }
+  bool fail(std::string what);
+  /// Fails on a repeated struct member `name`.
+  bool duplicate(std::string_view name);
+  bool fail_open(std::string_view tag);
+  bool fail_close(std::string_view tag);
+
+  void skip_ws() noexcept {
+    if (empty_) return;  // the implied close tag comes first
+    while (pos_ < in_.size() && is_blank(in_[pos_])) ++pos_;
+  }
+  /// Consumes `<tag>` or `<tag/>` if it comes next.
+  bool open_tag(std::string_view tag) noexcept {
+    const std::size_t n = tag.size();
+    if (empty_ || in_.size() - pos_ < n + 2) return false;
+    const char* p = in_.data() + pos_;
+    if (p[0] != '<' || std::memcmp(p + 1, tag.data(), n) != 0) return false;
+    if (p[n + 1] == '>') {
+      pos_ += n + 2;
+      return true;
+    }
+    if (p[n + 1] == '/' && in_.size() - pos_ > n + 2 && p[n + 2] == '>') {
+      empty_ = true;
+      pos_ += n + 3;
+      return true;
+    }
+    return false;
+  }
+  bool expect_open(std::string_view tag) {
+    return open_tag(tag) || fail_open(tag);
+  }
+  /// Consumes `</tag>` if it comes next.
+  bool try_close(std::string_view tag) noexcept {
+    if (empty_) {
+      empty_ = false;
+      return true;
+    }
+    const std::size_t n = tag.size();
+    if (in_.size() - pos_ < n + 3) return false;
+    const char* p = in_.data() + pos_;
+    if (p[0] != '<' || p[1] != '/' || std::memcmp(p + 2, tag.data(), n) != 0 ||
+        p[n + 2] != '>') {
+      return false;
+    }
+    pos_ += n + 3;
+    return true;
+  }
+  bool close(std::string_view tag) { return try_close(tag) || fail_close(tag); }
+  /// Consumes the raw character data up to the next tag.
+  bool chars(std::string_view& raw) {
+    std::size_t lt = pos_;
+    if (!empty_) {
+      while (lt < in_.size() && in_[lt] != '<') ++lt;
+      if (lt == in_.size()) return fail("unexpected end of input");
+    }
+    raw = in_.substr(pos_, lt - pos_);
+    pos_ = lt;
+    return true;
+  }
+  bool open_any(std::string_view& name) noexcept;
+  /// Calls `read(name)` for each member of the struct open() entered,
+  /// right after its name; `read` checks the name for a duplicate and
+  /// reads the member's value.  Closes the value.
+  template <typename F>
+  bool members(F&& read);
+  bool begin(std::string_view root);
+  bool end(std::string_view root);
+  bool decode(std::string_view raw, std::string& out);
+  bool decode_text(std::string_view raw, std::string& buffer,
+                   std::string_view& out);
+  bool member_name(std::string_view& name);
+  bool text_element(std::string_view tag, std::string& out);
+  bool inner_value(std::string_view tag, XrValue& out);
+  bool close_value() {
+    skip_ws();
+    return close("value");
+  }
+
+  std::string_view in_;
+  std::size_t pos_ = 0;
+  bool empty_ = false;   ///< just opened a `<tag/>`; its close is implied
+  bool params_ = false;  ///< `<params>` is open
+  std::int64_t integer_ = 0;
+  double real_ = 0.0;
+  bool boolean_ = false;
+  std::string_view text_;
+  std::string text_buffer_;  ///< a string with entities, decoded
+  std::string name_buffer_;  ///< a member name with entities, decoded
+  std::string what_;
+  std::size_t at_ = 0;
+};
+
+template <typename F>
+bool XrReader::each_param(F&& read) {
+  if (!params_) return true;
+  for (int i = 0; !try_close("params"); ++i) {
+    if (!expect_open("param") || !read(i)) return false;
+    skip_ws();
+    if (!close("param")) return false;
+    skip_ws();
+  }
+  params_ = false;
+  return true;
+}
+
+template <typename F>
+bool XrReader::items(F&& read) {
+  while (!try_close("data")) {
+    if (!read()) return false;
+    skip_ws();
+  }
+  skip_ws();
+  return close("array") && close_value();
+}
+
+template <typename F>
+bool XrReader::members(F&& read) {
+  while (!try_close("struct")) {
+    std::string_view name;
+    if (!expect_open("member")) return false;
+    skip_ws();
+    if (!member_name(name) || !read(name)) return false;
+    skip_ws();
+    if (!close("member")) return false;
+    skip_ws();
+  }
+  return close_value();
+}
+
+template <std::size_t N, typename F>
+bool XrReader::known_members(int depth,
+                             const std::array<std::string_view, N>& known,
+                             F&& read) {
+  static_assert(N <= 64, "known member names are tracked in 64 bits");
+  std::uint64_t seen = 0;
+  std::size_t next = 0;  // members usually come in ascending order
+  NameSet others;
+  return members([&](std::string_view name) {
+    std::size_t i = next;
+    if (i >= N || known[i] != name) {
+      for (i = 0; i < N && known[i] != name; ++i) {
+      }
+    }
+    if (i == N) {
+      return others.emplace(name).second ? skip(depth + 1) : duplicate(name);
+    }
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if ((seen & bit) != 0) return duplicate(name);
+    seen |= bit;
+    next = i + 1;
+    return read(i);
+  });
+}
 
 }  // namespace sphinx::rpc

@@ -98,6 +98,10 @@ class CondorG {
   /// answers status queries (condor_q against the remote jobmanager).
   /// False for unknown attempts or down sites.
   [[nodiscard]] bool site_responsive(JobId job, int attempt) const;
+  /// Whether the grid this gateway submits to has site `id`.
+  [[nodiscard]] bool has_site(SiteId id) const noexcept {
+    return grid_.has_site(id);
+  }
 
   /// Third-party replication (globus-url-copy style): copies an existing
   /// replica to `destination` and registers it in the RLS.  `done(true)`

@@ -1,5 +1,7 @@
 // Tests for the client/server payload codecs: every message type must
-// survive encode -> XML wire -> decode.
+// survive encode -> XML wire -> decode.  Malformed payloads are built as
+// trees with the reference codecs of wire_reference.hpp, written through
+// MethodCall, and read back with the typed decoders.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/codec.hpp"
+#include "wire_reference.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx::core {
@@ -38,19 +41,38 @@ workflow::Dag sample_dag() {
   return dag;
 }
 
-/// Full wire round trip: value -> XML text -> value.
-rpc::XrValue through_wire(const rpc::XrValue& value) {
-  rpc::MethodCall call;
-  call.method = "test";
-  call.params = {value};
-  const auto parsed = rpc::MethodCall::parse(call.serialize());
-  EXPECT_TRUE(parsed.has_value());
-  return parsed->params.at(0);
+/// The typed decoders' view of a tree param: the call is written from
+/// the tree and read back the way the service reads it.
+Expected<workflow::Dag> dag_from(const rpc::XrValue& dag) {
+  auto submission = tree::typed_decode(
+      tree::call_bytes("sphinx.submit_dag",
+                       {rpc::XrValue("client"), rpc::XrValue(1), dag}),
+      &decode_dag);
+  if (!submission) return Unexpected<Error>{submission.error()};
+  return std::move(submission->dag);
+}
+
+Expected<ExecutionPlan> plan_from(const rpc::XrValue& plan) {
+  return tree::typed_decode(
+      tree::call_bytes("sphinx_client.execute_plan", {plan}), &decode_plan);
+}
+
+Expected<TrackerReport> report_from(const rpc::XrValue& report) {
+  return tree::typed_decode(tree::call_bytes("sphinx.report", {report}),
+                            &decode_report);
+}
+
+/// Typed encode -> bytes -> typed decode of a DAG submission.
+Expected<workflow::Dag> round_trip(const workflow::Dag& dag) {
+  auto submission = tree::typed_decode(
+      encode_dag("client", UserId(1), dag, 0.0, kNever), &decode_dag);
+  if (!submission) return Unexpected<Error>{submission.error()};
+  return std::move(submission->dag);
 }
 
 TEST(DagCodec, RoundTripPreservesEverything) {
   const workflow::Dag original = sample_dag();
-  const auto decoded = decode_dag(through_wire(encode_dag(original)));
+  const auto decoded = round_trip(original);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->id(), original.id());
   EXPECT_EQ(decoded->name(), original.name());
@@ -74,7 +96,7 @@ TEST(DagCodec, GeneratedWorkloadRoundTrips) {
                                         ids, rls, {SiteId(1), SiteId(2)});
   for (int i = 0; i < 5; ++i) {
     const workflow::Dag dag = generator.generate("rt" + std::to_string(i));
-    const auto decoded = decode_dag(through_wire(encode_dag(dag)));
+    const auto decoded = round_trip(dag);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->size(), dag.size());
     EXPECT_TRUE(decoded->validate().ok());
@@ -92,8 +114,7 @@ bool refuses(const Decode& decode, const rpc::XrValue& value) {
   }
 }
 
-/// `encoded` with job `index`'s member `key` set to `value`, after a trip
-/// over the wire (so NaN and inf arrive as parsed text).
+/// `encoded` with job `index`'s member `key` set to `value`.
 rpc::XrValue with_job_member(const rpc::XrValue& encoded, std::size_t index,
                              const std::string& key, rpc::XrValue value) {
   auto root = encoded.as_struct();
@@ -102,20 +123,20 @@ rpc::XrValue with_job_member(const rpc::XrValue& encoded, std::size_t index,
   job[key] = std::move(value);
   jobs[index] = rpc::XrValue(std::move(job));
   root["jobs"] = rpc::XrValue(std::move(jobs));
-  return through_wire(rpc::XrValue(std::move(root)));
+  return rpc::XrValue(std::move(root));
 }
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(DagCodec, RejectsMalformedPayloads) {
-  EXPECT_FALSE(decode_dag(rpc::XrValue("not a struct")).has_value());
+  EXPECT_FALSE(dag_from(rpc::XrValue("not a struct")).has_value());
   rpc::XrValue::Struct incomplete;
   incomplete.emplace("dag_id", rpc::XrValue(1));
-  EXPECT_FALSE(decode_dag(rpc::XrValue(std::move(incomplete))).has_value());
+  EXPECT_FALSE(dag_from(rpc::XrValue(std::move(incomplete))).has_value());
 
-  const rpc::XrValue encoded = encode_dag(sample_dag());
-  const auto decode = [](const rpc::XrValue& v) { return decode_dag(v); };
+  const rpc::XrValue encoded = tree::encode_dag(sample_dag());
+  const auto decode = [](const rpc::XrValue& v) { return dag_from(v); };
   // Job 1 (id 101) has no children, so only its own id is at fault.
   for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-5}}) {
     EXPECT_TRUE(refuses(decode, with_job_member(encoded, 1, "job_id",
@@ -138,13 +159,13 @@ TEST(DagCodec, RejectsMalformedPayloads) {
     }
   }
   // Zero is a legal duration and size.
-  EXPECT_TRUE(decode_dag(with_job_member(encoded, 0, "compute_time",
-                                         rpc::XrValue(0.0)))
+  EXPECT_TRUE(dag_from(with_job_member(encoded, 0, "compute_time",
+                                       rpc::XrValue(0.0)))
                   .has_value());
 }
 
 TEST(DagCodec, RejectsEdgeToUnknownParent) {
-  rpc::XrValue encoded = encode_dag(sample_dag());
+  rpc::XrValue encoded = tree::encode_dag(sample_dag());
   // Corrupt: point job 101's parent at a nonexistent id.
   auto root = encoded.as_struct();
   auto jobs = root.at("jobs").as_array();
@@ -152,7 +173,7 @@ TEST(DagCodec, RejectsEdgeToUnknownParent) {
   job1["parents"] = rpc::XrValue(rpc::XrValue::Array{rpc::XrValue(999)});
   jobs[1] = rpc::XrValue(std::move(job1));
   root["jobs"] = rpc::XrValue(std::move(jobs));
-  EXPECT_FALSE(decode_dag(rpc::XrValue(std::move(root))).has_value());
+  EXPECT_FALSE(dag_from(rpc::XrValue(std::move(root))).has_value());
 }
 
 TEST(PlanCodec, RoundTrip) {
@@ -167,7 +188,8 @@ TEST(PlanCodec, RoundTrip) {
   plan.output_bytes = 5e6;
   plan.attempt = 2;
 
-  const auto decoded = decode_plan(through_wire(encode_plan(plan)));
+  const auto decoded =
+      tree::typed_decode(encode_plan(plan), &decode_plan);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->job, plan.job);
   EXPECT_EQ(decoded->dag, plan.dag);
@@ -184,16 +206,17 @@ TEST(PlanCodec, EmptyInputsOk) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  const auto decoded = decode_plan(through_wire(encode_plan(plan)));
+  const auto decoded =
+      tree::typed_decode(encode_plan(plan), &decode_plan);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->inputs.empty());
 }
 
 TEST(PlanCodec, RejectsMissingMembers) {
-  EXPECT_FALSE(decode_plan(rpc::XrValue(5)).has_value());
+  EXPECT_FALSE(plan_from(rpc::XrValue(5)).has_value());
   rpc::XrValue::Struct s;
   s.emplace("job_id", rpc::XrValue(1));
-  EXPECT_FALSE(decode_plan(rpc::XrValue(std::move(s))).has_value());
+  EXPECT_FALSE(plan_from(rpc::XrValue(std::move(s))).has_value());
 }
 
 TEST(PlanCodec, RejectsNonNumericBatchPriority) {
@@ -202,10 +225,10 @@ TEST(PlanCodec, RejectsNonNumericBatchPriority) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  auto s = encode_plan(plan).as_struct();
+  auto s = tree::encode_plan(plan).as_struct();
   s["batch_priority"] = rpc::XrValue("high");
   Expected<ExecutionPlan> decoded = plan;
-  EXPECT_NO_THROW(decoded = decode_plan(rpc::XrValue(std::move(s))));
+  EXPECT_NO_THROW(decoded = plan_from(rpc::XrValue(std::move(s))));
   EXPECT_FALSE(decoded.has_value());
 }
 
@@ -215,13 +238,37 @@ TEST(PlanCodec, RejectsNegativeOrNonFiniteComputeTime) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  const auto decode = [](const rpc::XrValue& v) { return decode_plan(v); };
+  const auto decode = [](const rpc::XrValue& v) { return plan_from(v); };
   for (const double bad : {-60.0, kNan, kInf}) {
-    auto s = encode_plan(plan).as_struct();
+    auto s = tree::encode_plan(plan).as_struct();
     s["compute_time"] = rpc::XrValue(bad);
-    EXPECT_TRUE(refuses(decode, through_wire(rpc::XrValue(std::move(s)))))
+    EXPECT_TRUE(refuses(decode, rpc::XrValue(std::move(s))))
         << "compute_time = " << bad;
   }
+}
+
+TEST(PlanCodec, RejectsNegativeOrNonFiniteOutputOrInputBytes) {
+  ExecutionPlan plan;
+  plan.job = JobId(1);
+  plan.dag = DagId(1);
+  plan.job_name = "x";
+  plan.site = SiteId(1);
+  plan.inputs = {{"lfn://a", SiteId(1), 12e6}, {"lfn://b", SiteId(2), 7e6}};
+  const auto decode = [](const rpc::XrValue& v) { return plan_from(v); };
+  for (const double bad : {-5.0, kNan, kInf}) {
+    auto s = tree::encode_plan(plan).as_struct();
+    s["output_bytes"] = rpc::XrValue(bad);
+    EXPECT_TRUE(refuses(decode, rpc::XrValue(std::move(s))))
+        << "output_bytes = " << bad;
+    ExecutionPlan bad_input = plan;
+    bad_input.inputs[1].bytes = bad;
+    EXPECT_TRUE(refuses(decode, tree::encode_plan(bad_input)))
+        << "input bytes = " << bad;
+  }
+  // Zero is a legal size.
+  plan.output_bytes = 0.0;
+  plan.inputs[0].bytes = 0.0;
+  EXPECT_TRUE(plan_from(tree::encode_plan(plan)).has_value());
 }
 
 TEST(ReportCodec, RoundTripEachKind) {
@@ -237,7 +284,8 @@ TEST(ReportCodec, RoundTripEachKind) {
     report.execution_time = 60.5;
     report.idle_time = 260.5;
     report.attempt = 3;
-    const auto decoded = decode_report(through_wire(encode_report(report)));
+    const auto decoded =
+        tree::typed_decode(encode_report(report), &decode_report);
     ASSERT_TRUE(decoded.has_value()) << to_string(kind);
     EXPECT_EQ(decoded->kind, kind);
     EXPECT_EQ(decoded->attempt, 3);
@@ -253,10 +301,9 @@ TEST(ReportCodec, RoundTripEachKind) {
 TEST(ReportCodec, RejectsUnknownKind) {
   TrackerReport report;
   report.attempt = 1;
-  rpc::XrValue encoded = encode_report(report);
-  auto s = encoded.as_struct();
+  auto s = tree::encode_report(report).as_struct();
   s["kind"] = rpc::XrValue("exploded");
-  EXPECT_FALSE(decode_report(rpc::XrValue(std::move(s))).has_value());
+  EXPECT_FALSE(report_from(rpc::XrValue(std::move(s))).has_value());
 }
 
 TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
@@ -265,11 +312,11 @@ TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
   report.kind = ReportKind::kCompleted;
   report.site = SiteId(4);
   report.attempt = 1;
-  const auto decode = [](const rpc::XrValue& v) { return decode_report(v); };
+  const auto decode = [](const rpc::XrValue& v) { return report_from(v); };
   const auto with = [&](const std::string& key, double value) {
-    auto s = encode_report(report).as_struct();
+    auto s = tree::encode_report(report).as_struct();
     s[key] = rpc::XrValue(value);
-    return through_wire(rpc::XrValue(std::move(s)));
+    return rpc::XrValue(std::move(s));
   };
   for (const double bad : {-1.0, kNan, kInf}) {
     EXPECT_TRUE(refuses(decode, with("completion_time", bad)))
@@ -296,20 +343,20 @@ rpc::XrValue with_attempt(const rpc::XrValue& encoded,
   auto s = encoded.as_struct();
   s.erase("attempt");
   if (attempt.has_value()) s.emplace("attempt", *attempt);
-  return through_wire(rpc::XrValue(std::move(s)));
+  return rpc::XrValue(std::move(s));
 }
 
 TEST(ReportCodec, AttemptIsRequiredAndInRange) {
   TrackerReport report;
   report.job = JobId(9);
   report.site = SiteId(4);
-  const rpc::XrValue encoded = encode_report(report);
+  const rpc::XrValue encoded = tree::encode_report(report);
   for (const auto& attempt : bad_attempts()) {
-    EXPECT_FALSE(decode_report(with_attempt(encoded, attempt)).has_value());
+    EXPECT_FALSE(report_from(with_attempt(encoded, attempt)).has_value());
   }
   for (const int attempt : {1, std::numeric_limits<int>::max()}) {
     const auto decoded =
-        decode_report(with_attempt(encoded, rpc::XrValue(attempt)));
+        report_from(with_attempt(encoded, rpc::XrValue(attempt)));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->attempt, attempt);
   }
@@ -321,13 +368,13 @@ TEST(PlanCodec, AttemptIsRequiredAndInRange) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  const rpc::XrValue encoded = encode_plan(plan);
+  const rpc::XrValue encoded = tree::encode_plan(plan);
   for (const auto& attempt : bad_attempts()) {
-    EXPECT_FALSE(decode_plan(with_attempt(encoded, attempt)).has_value());
+    EXPECT_FALSE(plan_from(with_attempt(encoded, attempt)).has_value());
   }
   for (const int attempt : {1, std::numeric_limits<int>::max()}) {
     const auto decoded =
-        decode_plan(with_attempt(encoded, rpc::XrValue(attempt)));
+        plan_from(with_attempt(encoded, rpc::XrValue(attempt)));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->attempt, attempt);
   }

@@ -12,6 +12,7 @@
 
 #include "chaos/oracle.hpp"
 #include "exp/scenario.hpp"
+#include "wire_reference.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx::exp {
@@ -37,7 +38,7 @@ class RawCaller {
                               const std::string& method,
                               std::vector<rpc::XrValue> params) {
     std::optional<Expected<rpc::XrValue>> result;
-    client_.call(service, method, std::move(params),
+    client_.call(service, tree::call_bytes(method, std::move(params)),
                  [&result](Expected<rpc::XrValue> r) {
                    result = std::move(r);
                  });
@@ -90,7 +91,7 @@ TEST(ServerProtocol, RejectsMalformedSubmit) {
   dag.add_job(job);
   r = caller.call("sphinx-server/t", "sphinx.submit_dag",
                   {rpc::XrValue("client"), rpc::XrValue(1),
-                   core::encode_dag(dag), rpc::XrValue("high")});
+                   tree::encode_dag(dag), rpc::XrValue("high")});
   ASSERT_FALSE(r.has_value());
 }
 
@@ -104,7 +105,7 @@ TEST(ServerProtocol, ReportForUnknownJobFaults) {
   report.site = SiteId(1);
   report.attempt = 1;
   const auto r = caller.call("sphinx-server/t", "sphinx.report",
-                             {core::encode_report(report)});
+                             {tree::encode_report(report)});
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, "fault:100");
 }
@@ -148,7 +149,7 @@ TEST(ServerProtocol, SubmitReturnsDagIdAndStoresPriority) {
   dag.add_job(job);
   const auto r = caller.call("sphinx-server/t", "sphinx.submit_dag",
                              {rpc::XrValue("raw-caller"), rpc::XrValue(5),
-                              core::encode_dag(dag), rpc::XrValue(3.5)});
+                              tree::encode_dag(dag), rpc::XrValue(3.5)});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->as_int(), 77);
   const auto record = tenant.server->warehouse().dag(DagId(77));
@@ -568,7 +569,7 @@ class RedeliveryFixture : public ::testing::Test {
     report.completion_time = 60.0;
     report.execution_time = 60.0;
     report.attempt = 1;
-    twice(server, user, "sphinx.report", {core::encode_report(report)});
+    twice(server, user, "sphinx.report", {tree::encode_report(report)});
   }
 
   core::ExecutionPlan plan_for(std::uint64_t job) {
@@ -600,7 +601,7 @@ TEST_F(RedeliveryFixture, SubmitDag) {
   job.output = "lfn://resent.out";
   dag.add_job(job);
   twice(server, user, "sphinx.submit_dag",
-        {rpc::XrValue("raw-caller"), rpc::XrValue(5), core::encode_dag(dag),
+        {rpc::XrValue("raw-caller"), rpc::XrValue(5), tree::encode_dag(dag),
          rpc::XrValue(1.5)});
   EXPECT_TRUE(warehouse().dag(DagId(2)).has_value());
   EXPECT_EQ(tenant.server->stats().dags_received, 2u);
@@ -632,7 +633,7 @@ TEST_F(RedeliveryFixture, SetQuota) {
 TEST_F(RedeliveryFixture, ExecutePlan) {
   ASSERT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
   twice(client, host, "sphinx_client.execute_plan",
-        {core::encode_plan(plan_for(14))});
+        {tree::encode_plan(plan_for(14))});
   EXPECT_EQ(tenant.gateway->submissions(), 1u);
   EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 1u);
   // The first delivery ran the job and its reports reached the server.
@@ -652,7 +653,7 @@ TEST_F(RedeliveryFixture, CancelAttempt) {
   core::ExecutionPlan plan = plan_for(13);
   plan.compute_time = hours(10);
   deliver(client, host,
-          rpc::MethodCall{"sphinx_client.execute_plan", {core::encode_plan(plan)}}
+          rpc::MethodCall{"sphinx_client.execute_plan", {tree::encode_plan(plan)}}
               .serialize(),
           ++seq, /*settle=*/false);
   ASSERT_EQ(tenant.client->tracked_jobs(), 1u);
@@ -710,7 +711,7 @@ class RefusalFixture : public RedeliveryFixture {
     dag.add_job(first);
     dag.add_job(second);
     dag.add_edge(JobId(31), JobId(32));
-    return core::encode_dag(dag);
+    return tree::encode_dag(dag);
   }
 
   /// chain() with job `index`'s member `key` replaced.
@@ -742,7 +743,7 @@ TEST_F(RefusalFixture, ReportWithBadCompletionTimeOrNanTime) {
   report.at = scenario.engine().now();
   report.attempt = 1;
   const auto refused_report = [&](const std::string& what) {
-    refused(server, user, "sphinx.report", {core::encode_report(report)},
+    refused(server, user, "sphinx.report", {tree::encode_report(report)},
             what);
   };
   for (const double bad : {-1.0, kNan}) {
@@ -798,9 +799,37 @@ TEST_F(RefusalFixture, PlanWithBadComputeTime) {
     core::ExecutionPlan plan = plan_for(14);
     plan.compute_time = bad;
     refused(client, host, "sphinx_client.execute_plan",
-            {core::encode_plan(plan)}, "compute_time " + std::to_string(bad));
+            {tree::encode_plan(plan)}, "compute_time " + std::to_string(bad));
   }
   EXPECT_EQ(tenant.gateway->submissions(), 0u);
+}
+
+TEST_F(RefusalFixture, PlanWithBadInputOrOutputBytes) {
+  for (const double bad : {-5.0, kNan}) {
+    core::ExecutionPlan plan = plan_for(14);
+    plan.output_bytes = bad;
+    refused(client, host, "sphinx_client.execute_plan",
+            {tree::encode_plan(plan)}, "output_bytes " + std::to_string(bad));
+    plan = plan_for(14);
+    plan.inputs = {{"lfn://redelivery/11", SiteId(1), 1e6},
+                   {"lfn://redelivery/12", SiteId(1), bad}};
+    refused(client, host, "sphinx_client.execute_plan",
+            {tree::encode_plan(plan)}, "input bytes " + std::to_string(bad));
+  }
+  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
+}
+
+TEST_F(RefusalFixture, PlanForUnknownSite) {
+  core::ExecutionPlan plan = plan_for(14);
+  plan.site = SiteId(999);
+  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
+          "site 999");
+  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
+  // The refusal recorded nothing: the same (job, attempt) at a real site
+  // is still a first delivery, not a duplicate.
+  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
 }
 
 // --- checkpoint-timer edges across failover ---------------------------------

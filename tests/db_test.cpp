@@ -635,6 +635,43 @@ TEST(Database, RestoreRefusesImagesTheStoreCouldNotHaveWritten) {
   }
 }
 
+TEST(Journal, FieldEscapesAreExact) {
+  // Backslash, tab and newline are written as \\, \t and \n wherever
+  // they sit -- leading, trailing, next to each other or alone -- and
+  // every other byte as it is.
+  const std::pair<std::string, std::string> cases[] = {
+      {"", ""},
+      {"plain <xml a='1'>&amp;</xml>", "plain <xml a='1'>&amp;</xml>"},
+      {"\\", "\\\\"},
+      {"\t", "\\t"},
+      {"\n", "\\n"},
+      {"\\lead", "\\\\lead"},
+      {"\tlead", "\\tlead"},
+      {"trail\n", "trail\\n"},
+      {"trail\\", "trail\\\\"},
+      {"\t\n\\", "\\t\\n\\\\"},
+      {"a\t\tb", "a\\t\\tb"},
+      {"\n\nmid\n", "\\n\\nmid\\n"},
+      {"\\t", "\\\\t"},
+      {"\\\\n", "\\\\\\\\n"},
+      {"x\ry", "x\ry"},
+  };
+  for (const auto& [raw, escaped] : cases) {
+    std::string out = "cell:";
+    append_field(out, raw);
+    EXPECT_EQ(out, "cell:" + escaped) << raw;
+    const auto back = unescape_field(escaped);
+    ASSERT_TRUE(back.has_value()) << escaped;
+    EXPECT_EQ(*back, raw);
+  }
+  // The journal writes a text cell through the same escape.
+  Database d;
+  Table& t = d.create_table("t", Schema{{"s", ValueType::kText}});
+  t.insert({Value(std::string("\tx\\y\n"))});
+  const std::string text = d.journal().serialize();
+  EXPECT_NE(text.find("\ts:\\tx\\\\y\\n\n"), std::string::npos) << text;
+}
+
 TEST(Journal, NumbersMustBeTheWholeField) {
   // Each payload was once read by a prefix-tolerant parser and written
   // back differently (or read as another value).

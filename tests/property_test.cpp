@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -26,8 +27,10 @@
 #include "exp/scenario.hpp"
 #include "grid/site.hpp"
 #include "obs/recorder.hpp"
+#include "rpc/clarens.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "sim/engine.hpp"
+#include "wire_reference.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx {
@@ -1174,6 +1177,14 @@ void mutate(Rng& rng, std::string& doc, const std::vector<std::string>& corpus,
   }
 }
 
+/// XML-RPC fragments the wire mutators insert.
+const std::vector<std::string> kXmlFragments = {
+    "<value>", "</value>", "<i8>", "</i8>", "<double>", "<string>",
+    "<array>", "<data>", "</data>", "<struct>", "<member>", "<name>",
+    "<param>", "</param>", "<value/>", "<string/>", "<data/>", "<struct/>",
+    "<value>&apos;a&gt;</value>", "&amp;", "&lt;", "&bogus;", "nan", "inf",
+    "1e-310", "-", "0x"};
+
 TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   Rng rng(GetParam());
   // (a) Bytes: the writer reproduces the DOM writer, and a parsed
@@ -1232,12 +1243,6 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   // param; mistyped fault members (the reference throws).
   std::vector<std::string> corpus = calls;
   corpus.insert(corpus.end(), responses.begin(), responses.end());
-  static const std::vector<std::string> kFragments = {
-      "<value>", "</value>", "<i8>", "</i8>", "<double>", "<string>",
-      "<array>", "<data>", "</data>", "<struct>", "<member>", "<name>",
-      "<param>", "</param>", "<value/>", "<string/>", "<data/>", "<struct/>",
-      "<value>&apos;a&gt;</value>", "&amp;", "&lt;", "&bogus;", "nan", "inf",
-      "1e-310", "-", "0x"};
   int both = 0;
   int only_pull = 0;
   int only_reference = 0;
@@ -1248,7 +1253,7 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
     std::string doc = pool[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
     for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
-      mutate(rng, doc, corpus, kFragments);
+      mutate(rng, doc, corpus, kXmlFragments);
     }
 
     bool pull_ok = false;
@@ -1297,6 +1302,462 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   RecordProperty("both_accepted", both);
   RecordProperty("only_pull_accepted", only_pull);
   RecordProperty("only_reference_accepted", only_reference);
+}
+
+// --- typed wire against the tree reference ---------------------------------
+
+/// An id: for a `clean` message a small one, else one from the whole
+/// 64-bit range, biased toward 0, small ids and the values that turn
+/// negative as an i8.
+std::uint64_t wire_id(Rng& rng, bool clean) {
+  switch (clean ? 1 : rng.uniform_int(0, 3)) {
+    case 0: return static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+    case 1: return static_cast<std::uint64_t>(rng.uniform_int(1, 40));
+    case 2: return 0x8000000000000000ull + static_cast<std::uint64_t>(
+                                              rng.uniform_int(-1, 1));
+    default: return rng.engine()();
+  }
+}
+
+/// A duration or size: finite and >= 0 for a `clean` message, else from
+/// raw bits.
+double wire_size(Rng& rng, bool clean) {
+  return clean ? static_cast<double>(rng.uniform_int(0, 9999)) / 8
+               : wire_double(rng);
+}
+
+/// An attempt number: in range, at its edges, or outside them.
+int wire_attempt(Rng& rng, bool clean) {
+  switch (clean ? 0 : rng.uniform_int(0, 3)) {
+    case 0: return static_cast<int>(rng.uniform_int(1, 4));
+    case 1: return rng.chance(0.5) ? 0 : -3;
+    case 2: return std::numeric_limits<int>::max();
+    default: return static_cast<int>(rng.engine()());
+  }
+}
+
+/// A plan with hostile strings; half of them are otherwise well formed,
+/// the rest carry ids, numbers and attempts from the whole range.
+core::ExecutionPlan wire_plan(Rng& rng) {
+  const bool clean = rng.chance(0.5);
+  core::ExecutionPlan plan;
+  plan.job = JobId(wire_id(rng, clean));
+  plan.dag = DagId(wire_id(rng, clean));
+  plan.job_name = wire_text(rng);
+  plan.site = SiteId(wire_id(rng, clean));
+  plan.compute_time = wire_size(rng, clean);
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+    plan.inputs.push_back(core::PlannedInput{
+        wire_text(rng), SiteId(wire_id(rng, clean)), wire_size(rng, clean)});
+  }
+  plan.output = wire_text(rng);
+  plan.output_bytes = wire_size(rng, clean);
+  plan.attempt = wire_attempt(rng, clean);
+  plan.persist_output = rng.chance(0.5);
+  plan.persistent_site = SiteId(wire_id(rng, false));
+  plan.batch_priority = wire_double(rng);
+  plan.speculative = rng.chance(0.5);
+  return plan;
+}
+
+core::TrackerReport wire_report(Rng& rng) {
+  const bool clean = rng.chance(0.5);
+  core::TrackerReport report;
+  report.job = JobId(wire_id(rng, clean));
+  report.kind = static_cast<core::ReportKind>(rng.uniform_int(0, 4));
+  report.site = SiteId(wire_id(rng, clean));
+  report.at = clean ? wire_size(rng, clean) : wire_double(rng);
+  report.completion_time = wire_size(rng, clean);
+  report.execution_time = wire_double(rng);
+  report.idle_time = wire_double(rng);
+  report.attempt = wire_attempt(rng, clean);
+  return report;
+}
+
+/// A DAG submission: up to five jobs with distinct valid ids (some past
+/// INT64_MAX unless `clean`), edges from earlier to later jobs whose data
+/// the child consumes (or, now and then, does not).
+core::DagSubmission wire_submission(Rng& rng) {
+  const bool clean = rng.chance(0.5);
+  core::DagSubmission s;
+  s.client = wire_text(rng);
+  s.user = UserId(wire_id(rng, false));
+  s.dag = workflow::Dag(DagId(wire_id(rng, false)), wire_text(rng));
+  std::vector<workflow::JobSpec> jobs;
+  for (auto n = rng.uniform_int(0, 5); n > 0; --n) {
+    workflow::JobSpec job;
+    job.id = JobId(!clean && rng.chance(0.1)
+                       ? 0x8000000000000000ull + jobs.size()
+                       : 1 + jobs.size());
+    job.name = wire_text(rng);
+    job.compute_time = rng.chance(0.8) ? wire_size(rng, true)
+                                       : wire_size(rng, clean);
+    for (auto i = rng.uniform_int(0, 2); i > 0; --i) {
+      job.inputs.push_back(wire_text(rng));
+    }
+    job.output = "lfn://" + wire_text(rng) + std::to_string(jobs.size());
+    job.output_bytes = rng.chance(0.8) ? wire_size(rng, true)
+                                       : wire_size(rng, clean);
+    jobs.push_back(std::move(job));
+  }
+  std::vector<std::pair<JobId, JobId>> edges;
+  for (std::size_t c = 1; c < jobs.size(); ++c) {
+    for (std::size_t p = 0; p < c; ++p) {
+      if (!rng.chance(0.4)) continue;
+      if (clean || rng.chance(0.9)) jobs[c].inputs.push_back(jobs[p].output);
+      edges.emplace_back(jobs[p].id, jobs[c].id);
+    }
+  }
+  for (workflow::JobSpec& job : jobs) s.dag.add_job(std::move(job));
+  for (const auto& [parent, child] : edges) s.dag.add_edge(parent, child);
+  s.priority = rng.chance(0.8) ? 0.0 : wire_double(rng);
+  s.deadline = rng.chance(0.5) ? kNever : wire_double(rng);
+  if (clean) {
+    s.priority = wire_size(rng, true);
+    s.deadline = rng.chance(0.5) ? kNever : wire_size(rng, true);
+  }
+  return s;
+}
+
+/// Double equality for a decoded value: the same bits, except that any
+/// NaN matches any NaN when `any_nan` (the text "nan" keeps no payload).
+bool same(double a, double b, bool any_nan = false) {
+  if (any_nan && std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same(const core::ExecutionPlan& a, const core::ExecutionPlan& b,
+          bool any_nan = false) {
+  if (a.inputs.size() != b.inputs.size()) return false;
+  for (std::size_t i = 0; i < a.inputs.size(); ++i) {
+    if (a.inputs[i].lfn != b.inputs[i].lfn ||
+        a.inputs[i].source != b.inputs[i].source ||
+        !same(a.inputs[i].bytes, b.inputs[i].bytes, any_nan)) {
+      return false;
+    }
+  }
+  return a.job == b.job && a.dag == b.dag && a.job_name == b.job_name &&
+         a.site == b.site && same(a.compute_time, b.compute_time, any_nan) &&
+         a.output == b.output &&
+         same(a.output_bytes, b.output_bytes, any_nan) &&
+         a.attempt == b.attempt && a.persist_output == b.persist_output &&
+         a.persistent_site == b.persistent_site &&
+         same(a.batch_priority, b.batch_priority, any_nan) &&
+         a.speculative == b.speculative;
+}
+
+bool same(const core::TrackerReport& a, const core::TrackerReport& b,
+          bool any_nan = false) {
+  return a.job == b.job && a.kind == b.kind && a.site == b.site &&
+         same(a.at, b.at, any_nan) &&
+         same(a.completion_time, b.completion_time, any_nan) &&
+         same(a.execution_time, b.execution_time, any_nan) &&
+         same(a.idle_time, b.idle_time, any_nan) && a.attempt == b.attempt;
+}
+
+bool same(const core::DagSubmission& a, const core::DagSubmission& b,
+          bool any_nan = false) {
+  if (a.client != b.client || a.user != b.user ||
+      !same(a.priority, b.priority, any_nan) ||
+      !same(a.deadline, b.deadline, any_nan) || a.dag.id() != b.dag.id() ||
+      a.dag.name() != b.dag.name() || a.dag.size() != b.dag.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.dag.size(); ++i) {
+    const workflow::JobSpec& x = a.dag.jobs()[i];
+    const workflow::JobSpec& y = b.dag.jobs()[i];
+    if (x.id != y.id || x.name != y.name ||
+        !same(x.compute_time, y.compute_time, any_nan) ||
+        x.inputs != y.inputs || x.output != y.output ||
+        !same(x.output_bytes, y.output_bytes, any_nan) ||
+        a.dag.parents(x.id) != b.dag.parents(y.id)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Both outcomes refused with the same error, or accepted the same value.
+template <typename T>
+::testing::AssertionResult same_outcome(const Expected<T>& got,
+                                        const Expected<T>& want) {
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure()
+           << (got ? "typed accepted, tree refused: " + want.error().to_string()
+                   : "typed refused (" + got.error().to_string() +
+                         "), tree accepted");
+  }
+  if (!got) {
+    if (got.error().to_string() == want.error().to_string()) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << got.error().to_string() << " != " << want.error().to_string();
+  }
+  return same(*got, *want) ? ::testing::AssertionSuccess()
+                           : ::testing::AssertionFailure() << "values differ";
+}
+
+/// Two Clarens services on one bus, each hosting the three methods: one
+/// wired the typed way (the codec's params decoders), one the tree way
+/// (the generic decoder, then the reference checks).  Every handler keeps
+/// what it decoded and replies `true`.
+class WirePair {
+ public:
+  WirePair() {
+    typed_.register_method<core::ExecutionPlan>(
+        "sphinx_client.execute_plan", &core::decode_plan,
+        [this](const core::ExecutionPlan& p, const rpc::Proxy&) {
+          return keep(typed_plan, p);
+        });
+    typed_.register_method<core::TrackerReport>(
+        "sphinx.report", &core::decode_report,
+        [this](const core::TrackerReport& r, const rpc::Proxy&) {
+          return keep(typed_report, r);
+        });
+    typed_.register_method<core::DagSubmission>(
+        "sphinx.submit_dag", &core::decode_dag,
+        [this](const core::DagSubmission& s, const rpc::Proxy&) {
+          return keep(typed_dag, s);
+        });
+    tree_.register_method("sphinx_client.execute_plan",
+                          [this](const std::vector<rpc::XrValue>& params,
+                                 const rpc::Proxy&) {
+                            return keep(tree_plan,
+                                        tree::decode_plan_params(params));
+                          });
+    tree_.register_method("sphinx.report",
+                          [this](const std::vector<rpc::XrValue>& params,
+                                 const rpc::Proxy&) {
+                            return keep(tree_report,
+                                        tree::decode_report_params(params));
+                          });
+    tree_.register_method("sphinx.submit_dag",
+                          [this](const std::vector<rpc::XrValue>& params,
+                                 const rpc::Proxy&) {
+                            return keep(tree_dag,
+                                        tree::decode_submission(params));
+                          });
+    bus_.register_endpoint("caller", [this](const rpc::Envelope& reply) {
+      reply_ = reply.payload;
+    });
+  }
+
+  /// The reply of the typed service and of the tree service to `request`.
+  std::pair<std::string, std::string> deliver(const std::string& request) {
+    forget();
+    return {deliver_to("typed", request), deliver_to("tree", request)};
+  }
+
+  std::optional<core::ExecutionPlan> typed_plan, tree_plan;
+  std::optional<core::TrackerReport> typed_report, tree_report;
+  std::optional<core::DagSubmission> typed_dag, tree_dag;
+
+ private:
+  template <typename T>
+  static Expected<rpc::XrValue> keep(std::optional<T>& slot, const T& value) {
+    slot = value;
+    return rpc::XrValue(true);
+  }
+  template <typename T>
+  static Expected<rpc::XrValue> keep(std::optional<T>& slot,
+                                     const Expected<T>& value) {
+    if (!value) return Unexpected<Error>{value.error()};
+    return keep(slot, *value);
+  }
+
+  void forget() {
+    typed_plan.reset();
+    tree_plan.reset();
+    typed_report.reset();
+    tree_report.reset();
+    typed_dag.reset();
+    tree_dag.reset();
+  }
+
+  std::string deliver_to(const std::string& service,
+                         const std::string& request) {
+    reply_.clear();
+    bus_.send("caller", service, request, proxy_, ++seq_);
+    engine_.run_until();
+    return reply_;
+  }
+
+  sim::Engine engine_;
+  rpc::MessageBus bus_{engine_, Rng(3), 0.01, 0.0};
+  rpc::ClarensService typed_{bus_, "typed", rpc::AuthzPolicy{}};
+  rpc::ClarensService tree_{bus_, "tree", rpc::AuthzPolicy{}};
+  rpc::Proxy proxy_{rpc::Identity{"/CN=wire", "/CN=CA"}, "uscms", {}, 0.0,
+                    hours(24)};
+  std::uint64_t seq_ = 0;
+  std::string reply_;
+};
+
+/// An extra struct member for a skipped-member mutant: an unknown name
+/// or one the message already has, with a random value, a struct that
+/// repeats a member, or arrays nested around the depth cap.
+std::string injected_member(Rng& rng) {
+  static const std::vector<std::string> kNames = {
+      "zz", "unknown", "job_id", "attempt", "inputs", "kind", "jobs", "lfn"};
+  std::string value;
+  switch (rng.uniform_int(0, 3)) {
+    case 0: {
+      const std::string call =
+          rpc::MethodCall{"m", {wire_value(rng, 1)}}.serialize();
+      const std::size_t from = call.find("<param>") + 7;
+      value = call.substr(from, call.rfind("</param>") - from);
+      break;
+    }
+    case 1:
+      value =
+          "<value><struct><member><name>a</name><value>1</value></member>"
+          "<member><name>a</name><value>2</value></member></struct></value>";
+      break;
+    default: {
+      const auto depth = rng.uniform_int(56, 66);
+      for (auto d = depth; d > 0; --d) value += "<value><array><data>";
+      value += "<value>x</value>";
+      for (auto d = depth; d > 0; --d) value += "</data></array></value>";
+      break;
+    }
+  }
+  const std::string member = "<member><name>" +
+                             kNames[static_cast<std::size_t>(rng.uniform_int(
+                                 0, kNames.size() - 1))] +
+                             "</name>" + value + "</member>";
+  return rng.chance(0.3) ? member + member : member;
+}
+
+/// `doc` with an injected member before one of its members.
+void inject_member(Rng& rng, std::string& doc) {
+  std::vector<std::size_t> at;
+  for (std::size_t p = doc.find("<member>"); p != std::string::npos;
+       p = doc.find("<member>", p + 1)) {
+    at.push_back(p);
+  }
+  if (at.empty()) return;
+  doc.insert(at[static_cast<std::size_t>(rng.uniform_int(
+                 0, static_cast<std::int64_t>(at.size()) - 1))],
+             injected_member(rng));
+}
+
+TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
+  Rng rng(GetParam() ^ 0x7e1eull);
+  // (a) Generated messages: the typed encoder writes the bytes MethodCall
+  // writes from the reference tree, and the typed decoder reads them back
+  // to what the reference reads -- the message itself, or the same
+  // refusal (a NaN compute_time, a job id below 1, an attempt out of
+  // range, ...).
+  std::vector<std::string> plans;
+  std::vector<std::string> reports;
+  std::vector<std::string> dags;
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const core::ExecutionPlan plan = wire_plan(rng);
+    const std::string plan_bytes = core::encode_plan(plan);
+    ASSERT_EQ(plan_bytes, tree::call_bytes("sphinx_client.execute_plan",
+                                           {tree::encode_plan(plan)}));
+    const auto plan_back = tree::typed_decode(plan_bytes, &core::decode_plan);
+    const auto plan_want =
+        tree::decode_plan(*rpc::MethodCall::parse(plan_bytes)->params.begin());
+    EXPECT_TRUE(same_outcome(plan_back, plan_want)) << plan_bytes;
+    if (plan_back) {
+      EXPECT_TRUE(same(*plan_back, plan, /*any_nan=*/true)) << plan_bytes;
+      ++accepted;
+    }
+    plans.push_back(plan_bytes);
+
+    const core::TrackerReport report = wire_report(rng);
+    const std::string report_bytes = core::encode_report(report);
+    ASSERT_EQ(report_bytes,
+              tree::call_bytes("sphinx.report", {tree::encode_report(report)}));
+    const auto report_back =
+        tree::typed_decode(report_bytes, &core::decode_report);
+    const auto report_want = tree::decode_report(
+        *rpc::MethodCall::parse(report_bytes)->params.begin());
+    EXPECT_TRUE(same_outcome(report_back, report_want)) << report_bytes;
+    if (report_back) {
+      EXPECT_TRUE(same(*report_back, report, /*any_nan=*/true));
+      ++accepted;
+    }
+    reports.push_back(report_bytes);
+
+    const core::DagSubmission s = wire_submission(rng);
+    const std::string dag_bytes =
+        core::encode_dag(s.client, s.user, s.dag, s.priority, s.deadline);
+    ASSERT_EQ(dag_bytes, tree::call_bytes("sphinx.submit_dag",
+                                          tree::submit_params(
+                                              s.client, s.user, s.dag,
+                                              s.priority, s.deadline)));
+    const auto dag_back = tree::typed_decode(dag_bytes, &core::decode_dag);
+    const auto dag_want = tree::decode_submission(
+        rpc::MethodCall::parse(dag_bytes)->params);
+    EXPECT_TRUE(same_outcome(dag_back, dag_want)) << dag_bytes;
+    if (dag_back) {
+      EXPECT_TRUE(same(*dag_back, s, /*any_nan=*/true));
+      ++accepted;
+    }
+    dags.push_back(dag_bytes);
+  }
+  EXPECT_GT(accepted, 150);
+
+  // (b) Mutants: every one is delivered to a service wired the typed way
+  // and to one wired the tree way, and the replies -- fault code and
+  // message (a parse fault's offset included), or result -- must be the
+  // same bytes, and so must the decoded message whenever both accept.
+  // Most mutants come from mutate() and the XML fragments; one in four
+  // instead gets a struct member the decoders skip or repeat: an unknown
+  // name or a known one, with a random value, a struct repeating a
+  // member, or arrays nested across the depth cap.  No input class may
+  // differ.
+  std::vector<std::string> corpus = plans;
+  corpus.insert(corpus.end(), reports.begin(), reports.end());
+  corpus.insert(corpus.end(), dags.begin(), dags.end());
+  WirePair wire;
+  int both_accepted = 0;
+  int both_refused = 0;
+  int differing = 0;
+  constexpr int kMutationsPerMessage = 12500;
+  for (const auto* pool : {&plans, &reports, &dags}) {
+    for (int i = 0; i < kMutationsPerMessage; ++i) {
+      std::string doc = (*pool)[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool->size()) - 1))];
+      if (rng.chance(0.25)) {
+        inject_member(rng, doc);
+      } else {
+        for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+          mutate(rng, doc, corpus, kXmlFragments);
+        }
+      }
+      const auto [typed, tree] = wire.deliver(doc);
+      if (typed != tree) {
+        ++differing;
+        ADD_FAILURE() << "typed: " << typed << "\ntree: " << tree
+                      << "\nrequest: " << doc;
+        continue;
+      }
+      const bool fault = typed.find("<fault>") != std::string::npos;
+      fault ? ++both_refused : ++both_accepted;
+      if (wire.typed_plan) {
+        EXPECT_TRUE(wire.tree_plan && same(*wire.typed_plan, *wire.tree_plan))
+            << doc;
+      }
+      if (wire.typed_report) {
+        EXPECT_TRUE(wire.tree_report &&
+                    same(*wire.typed_report, *wire.tree_report))
+            << doc;
+      }
+      if (wire.typed_dag) {
+        EXPECT_TRUE(wire.tree_dag && same(*wire.typed_dag, *wire.tree_dag))
+            << doc;
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0);
+  EXPECT_GT(both_accepted, 3 * kMutationsPerMessage / 50);
+  EXPECT_GT(both_refused, 3 * kMutationsPerMessage / 2);
+  RecordProperty("both_accepted", both_accepted);
+  RecordProperty("both_refused", both_refused);
 }
 
 // --- journal and snapshot codecs under mutation ----------------------------

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rpc/clarens.hpp"
@@ -183,7 +185,8 @@ class ClarensFixture : public ::testing::Test {
 TEST_F(ClarensFixture, RoundTripCall) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::string got;
-  client.call("sphinx-server", "echo", {XrValue("payload")},
+  client.call("sphinx-server",
+              MethodCall{"echo", {XrValue("payload")}}.serialize(),
               [&](Expected<XrValue> result) {
                 ASSERT_TRUE(result.has_value());
                 got = result->as_string();
@@ -197,7 +200,8 @@ TEST_F(ClarensFixture, RoundTripCall) {
 TEST_F(ClarensFixture, ProxyTravelsWithCall) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::string got;
-  client.call("sphinx-server", "whoami", {},
+  client.call("sphinx-server",
+              MethodCall{"whoami", {}}.serialize(),
               [&](Expected<XrValue> r) { got = r->as_string(); });
   engine.run_until();
   EXPECT_EQ(got, "uscms:/uscms/production");
@@ -206,7 +210,8 @@ TEST_F(ClarensFixture, ProxyTravelsWithCall) {
 TEST_F(ClarensFixture, UnknownMethodFaults) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::string code;
-  client.call("sphinx-server", "nope", {},
+  client.call("sphinx-server",
+              MethodCall{"nope", {}}.serialize(),
               [&](Expected<XrValue> r) { code = r.error().code; });
   engine.run_until();
   EXPECT_EQ(code, "fault:2");
@@ -215,7 +220,8 @@ TEST_F(ClarensFixture, UnknownMethodFaults) {
 TEST_F(ClarensFixture, HandlerErrorBecomesApplicationFault) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::string code;
-  client.call("sphinx-server", "boom", {},
+  client.call("sphinx-server",
+              MethodCall{"boom", {}}.serialize(),
               [&](Expected<XrValue> r) { code = r.error().code; });
   engine.run_until();
   EXPECT_EQ(code, "fault:100");
@@ -226,7 +232,8 @@ TEST_F(ClarensFixture, WrongVoDenied) {
                        hours(1));
   ClarensClient client(bus, "client-2", intruder);
   std::string code;
-  client.call("sphinx-server", "echo", {XrValue("x")},
+  client.call("sphinx-server",
+              MethodCall{"echo", {XrValue("x")}}.serialize(),
               [&](Expected<XrValue> r) { code = r.error().code; });
   engine.run_until();
   EXPECT_EQ(code, "fault:3");
@@ -237,7 +244,8 @@ TEST_F(ClarensFixture, ExpiredProxyDeniedAtCallTime) {
   ClarensClient client(bus, "client-1", user_proxy(0.0, minutes(1)));
   // Let the proxy expire before the call is made.
   engine.schedule_at(120.0, "late-call", [&] {
-    client.call("sphinx-server", "echo", {XrValue("x")},
+    client.call("sphinx-server",
+                MethodCall{"echo", {XrValue("x")}}.serialize(),
                 [&](Expected<XrValue> r) {
                   EXPECT_FALSE(r.has_value());
                   EXPECT_EQ(r.error().code, "fault:3");
@@ -265,7 +273,8 @@ TEST_F(ClarensFixture, ManyConcurrentCallsAllComplete) {
   ClarensClient client(bus, "client-1", user_proxy());
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    client.call("sphinx-server", "echo", {XrValue(i)},
+    client.call("sphinx-server",
+                MethodCall{"echo", {XrValue(i)}}.serialize(),
                 [&completed, i](Expected<XrValue> r) {
                   ASSERT_TRUE(r.has_value());
                   EXPECT_EQ(r->as_int(), i);
@@ -274,6 +283,74 @@ TEST_F(ClarensFixture, ManyConcurrentCallsAllComplete) {
   }
   engine.run_until();
   EXPECT_EQ(completed, 100);
+}
+
+/// A typed params decoder for the precedence test: exactly one int.
+Expected<std::int64_t> one_int(XrReader& in) {
+  int params = 0;
+  std::optional<std::int64_t> n;
+  if (!in.each_param([&](int i) {
+        ++params;
+        XrType type;
+        if (!in.open(1, type)) return false;
+        if (i == 0 && type == XrType::kInt) n = in.integer();
+        return in.skip_open(type, 1);
+      })) {
+    return in.error();
+  }
+  if (params != 1 || !n) return make_error("bad_request", "expected [n]");
+  return *n;
+}
+
+TEST_F(ClarensFixture, FaultPrecedenceIsParseDeniedMethodThenParams) {
+  service.register_method<std::int64_t>(
+      "count", &one_int, [](const std::int64_t& n, const Proxy&) {
+        return Expected<XrValue>(XrValue(n + 1));
+      });
+  const Proxy intruder(Identity{"/CN=Someone Else", "/CN=CA"}, "ligo", {}, 0.0,
+                       hours(1));
+  std::optional<MethodResponse> reply;
+  bus.register_endpoint("raw-client", [&](const Envelope& env) {
+    auto parsed = MethodResponse::parse(env.payload);
+    ASSERT_TRUE(parsed.has_value()) << env.payload;
+    reply = std::move(*parsed);
+  });
+  std::uint64_t seq = 0;
+  const auto fault_of = [&](const Proxy& proxy, const std::string& payload) {
+    reply.reset();
+    bus.send("raw-client", "sphinx-server", payload, proxy, ++seq);
+    engine.run_until();
+    EXPECT_TRUE(reply.has_value() && reply->is_fault) << payload;
+    return reply.has_value()
+               ? std::pair(reply->fault.code, reply->fault.message)
+               : std::pair(std::int64_t{0}, std::string());
+  };
+  const std::string refused = MethodCall{"count", {XrValue("x")}}.serialize();
+  // A syntax error anywhere in the envelope is a parse fault, even for a
+  // caller who would be denied, and even behind a param the decoder
+  // would refuse.
+  std::string bad_number = refused;
+  bad_number.insert(bad_number.find("</params>"),
+                    "<param><value><i8>12abc</i8></value></param>");
+  EXPECT_EQ(fault_of(intruder, bad_number).first, 1);
+  EXPECT_EQ(fault_of(user_proxy(), bad_number).first, 1);
+  // Then authorization: before the method lookup and the params' refusal.
+  EXPECT_EQ(fault_of(intruder, MethodCall{"nope", {}}.serialize()).first, 3);
+  EXPECT_EQ(fault_of(intruder, refused).first, 3);
+  // Then the method lookup, then the decoder's refusal.
+  EXPECT_EQ(fault_of(user_proxy(), MethodCall{"nope", {}}.serialize()).first,
+            2);
+  EXPECT_EQ(fault_of(user_proxy(), refused),
+            std::pair(std::int64_t{100},
+                      std::string("bad_request: expected [n]")));
+  // An accepted call runs its handler.
+  reply.reset();
+  bus.send("raw-client", "sphinx-server",
+           MethodCall{"count", {XrValue(41)}}.serialize(), user_proxy(), ++seq);
+  engine.run_until();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->is_fault);
+  EXPECT_EQ(reply->value, XrValue(42));
 }
 
 }  // namespace

@@ -56,6 +56,7 @@ class RetryFixture : public ::testing::Test {
   MessageBus bus{engine, Rng(2), 0.05, 0.0};
   ClarensService service;
   std::size_t bumps = 0;
+  const std::string bump = MethodCall{"bump", {}}.serialize();
 };
 
 TEST_F(RetryFixture, RetransmitsAcrossLossWindowAndCompletesOnce) {
@@ -63,7 +64,7 @@ TEST_F(RetryFixture, RetransmitsAcrossLossWindowAndCompletesOnce) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::size_t callbacks = 0;
   std::int64_t got = 0;
-  client.call("sphinx-server", "bump", {}, [&](Expected<XrValue> result) {
+  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
     ++callbacks;
     ASSERT_TRUE(result.has_value());
     got = result->as_int();
@@ -87,7 +88,7 @@ TEST_F(RetryFixture, ExhaustsRetryBudgetWithTimeoutError) {
   ClarensClient client(bus, "client-1", user_proxy(), retry);
   std::size_t callbacks = 0;
   std::string code;
-  client.call("sphinx-server", "bump", {}, [&](Expected<XrValue> result) {
+  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
     ++callbacks;
     ASSERT_FALSE(result.has_value());
     code = result.error().code;
@@ -106,7 +107,7 @@ TEST_F(RetryFixture, BackoffIsCappedExponentialWithBoundedJitter) {
   RetryPolicy retry;  // 5, 10, 20, 30, 30, ... (+/- 10% jitter)
   retry.max_attempts = 5;
   ClarensClient client(bus, "client-1", user_proxy(), retry);
-  client.call("sphinx-server", "bump", {}, [](Expected<XrValue>) {});
+  client.call("sphinx-server", bump, [](Expected<XrValue>) {});
   std::vector<SimTime> send_times;
   // The bus counts sends; sample the stats each sim second instead of
   // instrumenting the client.
@@ -139,7 +140,7 @@ TEST_F(RetryFixture, DuplicateReplyInvokesCallbackOnce) {
   });
   ClarensClient client(bus, "client-1", user_proxy());
   std::size_t callbacks = 0;
-  client.call("sphinx-server", "bump", {}, [&](Expected<XrValue> result) {
+  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
     ++callbacks;
     EXPECT_TRUE(result.has_value());
   });
@@ -171,7 +172,7 @@ TEST_F(RetryFixture, OutboxRestoreResumesInFlightCall) {
       },
       [&](std::uint64_t seq) { outbox.erase(seq); });
   bool first_callback = false;
-  first->call("sphinx-server", "bump", {},
+  first->call("sphinx-server", bump,
               [&](Expected<XrValue>) { first_callback = true; });
   engine.run_until(1.0);  // transmission sent (and lost); timer pending
   ASSERT_EQ(outbox.size(), 1u);

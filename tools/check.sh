@@ -176,8 +176,9 @@ echo "== db benchmark =="
 # The table store's hot operations: inserts, an indexed lookup, a state
 # write that moves its row between index buckets, a write to an
 # unindexed column of 4,096 rows sharing one state bucket (no index is
-# touched), warehouse journal replay and the journal text round trip.
-# Results land in BENCH_db.json.
+# touched), journal appends (BM_JournalAppendPayload: a 1.8 KB XML cell,
+# as rpc_outbox journals every plan), warehouse journal replay and the
+# journal text round trip.  Results land in BENCH_db.json.
 "$bin/bench/micro_db" \
   --benchmark_out=BENCH_db.json --benchmark_out_format=json
 
@@ -186,9 +187,11 @@ echo "== rpc overhead benchmark =="
 # every fault-free run pays).  Results land in BENCH_rpc.json.
 "$bin/bench/micro_rpc" \
   --benchmark_out=BENCH_rpc.json --benchmark_out_format=json
-# The XML-RPC wire itself: serialize + parse + decode of a 10-job DAG
-# submission, a tracker report and an execute_plan payload.  Results land
-# in BENCH_xmlrpc.json.
+# The XML-RPC wire itself, per message on the path each side ships (a
+# 10-job DAG submission, a tracker report, an execute_plan payload): the
+# typed encoder alone (BM_XmlRpc*Encode), the typed decoder alone
+# (*Decode) and struct -> bytes -> struct (*RoundTrip).  Results land in
+# BENCH_xmlrpc.json.
 "$bin/bench/micro_substrates" \
   --benchmark_filter=BM_XmlRpc \
   --benchmark_out=BENCH_xmlrpc.json --benchmark_out_format=json
