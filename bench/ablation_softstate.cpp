@@ -33,7 +33,8 @@ int main() {
     scenario.start();
     for (std::size_t k = 0; k < dags.size(); ++k) {
       scenario.engine().schedule_at(
-          10.0 + static_cast<double>(k) * config.submit_spacing, "submit",
+          exp::kFirstSubmitAt + static_cast<double>(k) * exp::kSubmitSpacing,
+          "submit",
           [&, k] { tenant.client->submit(dags[k]); });
     }
     scenario.run(config.horizon);

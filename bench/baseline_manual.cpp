@@ -65,8 +65,8 @@ int main() {
       if (replicas.empty()) return std::nullopt;  // wait for parent output
       const auto choice = data::select_replica(replicas, placement.site,
                                                scenario.transfers());
-      placement.inputs.push_back(submit::StagedInput{
-          lfn, choice->replica.site, choice->replica.size_bytes});
+      placement.inputs.push_back(
+          submit::StagedInput{lfn, choice->site, choice->size_bytes});
     }
     return placement;
   };

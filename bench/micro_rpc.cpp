@@ -18,7 +18,7 @@ using namespace sphinx;
 
 rpc::Proxy bench_proxy() {
   return rpc::Proxy(
-      rpc::Identity{"/DC=org/DC=griphyn/CN=Bench", "/CN=iGOC CA"}, "uscms",
+      rpc::Identity{"/DC=org/DC=griphyn/CN=Bench"}, "uscms",
       {"/uscms/production"}, 0.0, hours(24 * 365));
 }
 

@@ -16,9 +16,6 @@
 namespace sphinx::chaos {
 namespace {
 
-constexpr SimTime kFirstSubmitAt = 10.0;
-constexpr Duration kSubmitSpacing = 15.0;
-
 /// The straggler probe's fixed arm set-up: strategy, run horizon and
 /// tracker timeout.  Outages in straggler_schedule_defaults() last longer
 /// than the timeout, so without the defense a trapped job's only escape
@@ -27,22 +24,9 @@ constexpr core::Algorithm kProbeAlgorithm = core::Algorithm::kCompletionTime;
 constexpr SimTime kProbeHorizon = hours(24);
 constexpr Duration kProbeJobTimeout = minutes(20);
 
-/// One simulation: the outage schedule always applies; crash points only
-/// when `with_crashes` (the baseline runs the same grid uninterrupted).
-RunArtifacts run_once(const ChaosRunConfig& config,
-                      const ChaosSchedule& schedule, bool with_crashes,
-                      std::size_t* crashes_executed) {
-  exp::ScenarioConfig scenario_config;
-  scenario_config.seed = config.seed;
-  // The schedule owns all site misbehaviour; the seeded renewal process
-  // stays off so the baseline/chaotic pair differs only in crashes.
-  scenario_config.site_failures = false;
-  scenario_config.background_load = config.background_load;
-  scenario_config.outage_schedules = schedule.outages;
-  // Network-fault windows apply to the chaotic AND the baseline run, so
-  // the differential oracle checks crash recovery *under* a lossy wire
-  // (same draws: the fault stream is seeded per scenario, and the two
-  // runs issue identical sends).
+/// The schedule's lossy-wire and partition windows as bus fault rules.
+void add_net_faults(const ChaosSchedule& schedule,
+                    exp::ScenarioConfig& scenario_config) {
   for (const NetFaultWindow& window : schedule.net_windows) {
     rpc::LinkFaultRule rule;
     rule.start = window.at;
@@ -61,6 +45,48 @@ RunArtifacts run_once(const ChaosRunConfig& config,
     }
     scenario_config.network_faults.rules.push_back(rule);
   }
+}
+
+/// Adds a run's one tenant as `label`, generates `dag_count` DAGs from
+/// the `label` generator stream, starts the scenario and schedules the
+/// tenant's submissions.  The DAGs returned must outlive the run: the
+/// submit events refer to them.
+std::vector<workflow::Dag> start_single_tenant(
+    exp::Scenario& scenario, const std::string& label,
+    const exp::TenantOptions& options, int jobs_per_dag, int dag_count) {
+  scenario.add_tenant(label, options);
+  workflow::WorkloadConfig workload;
+  workload.jobs_per_dag = jobs_per_dag;
+  auto generator = scenario.make_generator(label, workload);
+  std::vector<workflow::Dag> dags = generator.generate_batch(label, dag_count);
+  scenario.start();
+  for (std::size_t k = 0; k < dags.size(); ++k) {
+    const workflow::Dag& dag = dags[k];
+    scenario.engine().schedule_at(
+        exp::kFirstSubmitAt + static_cast<double>(k) * exp::kSubmitSpacing,
+        "submit",
+        [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
+  }
+  return dags;
+}
+
+/// One simulation: the outage schedule always applies; crash points only
+/// when `with_crashes` (the baseline runs the same grid uninterrupted).
+RunArtifacts run_once(const ChaosRunConfig& config,
+                      const ChaosSchedule& schedule, bool with_crashes,
+                      std::size_t* crashes_executed) {
+  exp::ScenarioConfig scenario_config;
+  scenario_config.seed = config.seed;
+  // The schedule owns all site misbehaviour; the seeded renewal process
+  // stays off so the baseline/chaotic pair differs only in crashes.
+  scenario_config.site_failures = false;
+  scenario_config.background_load = config.background_load;
+  scenario_config.outage_schedules = schedule.outages;
+  // Network-fault windows apply to the chaotic AND the baseline run, so
+  // the differential oracle checks crash recovery *under* a lossy wire
+  // (same draws: the fault stream is seeded per scenario, and the two
+  // runs issue identical sends).
+  add_net_faults(schedule, scenario_config);
   exp::Scenario scenario(scenario_config);
 
   exp::TenantOptions options;
@@ -70,22 +96,8 @@ RunArtifacts run_once(const ChaosRunConfig& config,
   // Single tenant: multiple tenants sweep at identical timestamps, and a
   // crash+recovery would reorder equal-time events across tenants --
   // byte-equality only holds within one tenant's event stream.
-  scenario.add_tenant("chaos", options);
-
-  workflow::WorkloadConfig workload;
-  workload.jobs_per_dag = config.jobs_per_dag;
-  auto generator = scenario.make_generator("chaos", workload);
-  const std::vector<workflow::Dag> dags =
-      generator.generate_batch("chaos", config.dag_count);
-
-  scenario.start();
-  for (std::size_t k = 0; k < dags.size(); ++k) {
-    const workflow::Dag& dag = dags[k];
-    scenario.engine().schedule_at(
-        kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
-        "submit",
-        [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
-  }
+  const std::vector<workflow::Dag> dags = start_single_tenant(
+      scenario, "chaos", options, config.jobs_per_dag, config.dag_count);
 
   // Crash chain: arm the next crash point on whatever server instance is
   // currently alive; the hook defers the actual kill to a fresh engine
@@ -177,44 +189,15 @@ StragglerArmResult run_straggler_arm(const StragglerProbeConfig& config,
   scenario_config.site_failures = false;
   scenario_config.background_load = false;
   scenario_config.outage_schedules = schedule.outages;
-  for (const NetFaultWindow& window : schedule.net_windows) {
-    rpc::LinkFaultRule rule;
-    rule.start = window.at;
-    rule.end = window.at + window.duration;
-    if (window.partition) {
-      rule.from_prefix = "sphinx-client";
-      rule.to_prefix = "sphinx-server";
-      rule.partition = true;
-    } else {
-      rule.loss = window.loss;
-      rule.duplicate = window.duplicate;
-      rule.reorder = window.reorder;
-      rule.reorder_spike = window.reorder_spike;
-    }
-    scenario_config.network_faults.rules.push_back(rule);
-  }
+  add_net_faults(schedule, scenario_config);
   exp::Scenario scenario(scenario_config);
 
   exp::TenantOptions options;
   options.algorithm = kProbeAlgorithm;
   options.job_timeout = kProbeJobTimeout;
   options.speculate = speculate;
-  scenario.add_tenant("straggler", options);
-
-  workflow::WorkloadConfig workload;
-  workload.jobs_per_dag = config.jobs_per_dag;
-  auto generator = scenario.make_generator("straggler", workload);
-  const std::vector<workflow::Dag> dags =
-      generator.generate_batch("straggler", config.dag_count);
-
-  scenario.start();
-  for (std::size_t k = 0; k < dags.size(); ++k) {
-    const workflow::Dag& dag = dags[k];
-    scenario.engine().schedule_at(
-        kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
-        "submit",
-        [&scenario, &dag] { scenario.tenants()[0].client->submit(dag); });
-  }
+  const std::vector<workflow::Dag> dags = start_single_tenant(
+      scenario, "straggler", options, config.jobs_per_dag, config.dag_count);
   scenario.run(kProbeHorizon);
 
   const exp::Tenant& tenant = scenario.tenants()[0];
@@ -381,23 +364,36 @@ Expected<ReproCase> repro_from_json(const std::string& text) {
   }
 
   ReproCase repro;
-  const auto number = [&](const char* key, double fallback) {
-    const JsonValue* value = config->find(key);
-    return value != nullptr && value->is_number() ? value->number : fallback;
+  // A member that is present must hold a value the campaign could have
+  // written: seeds and counts whole and in range, the horizon a
+  // non-negative time.  An absent one keeps the ChaosRunConfig default.
+  bool valid = true;
+  const auto whole = [&]<typename Int>(const char* key, Int& out) {
+    if (const JsonValue* value = config->find(key)) {
+      const auto number = whole_number<Int>(*value);
+      valid = valid && number.has_value();
+      out = number.value_or(out);
+    }
   };
   const auto flag = [&](const char* key) {
     const JsonValue* value = config->find(key);
     return value != nullptr && value->type == JsonValue::Type::kBool &&
            value->boolean;
   };
-  repro.config.seed = static_cast<std::uint64_t>(number("seed", 1));
-  repro.config.dag_count = static_cast<int>(number("dag_count", 3));
-  repro.config.jobs_per_dag = static_cast<int>(number("jobs_per_dag", 6));
-  repro.config.horizon = number("horizon", hours(24));
+  whole("seed", repro.config.seed);
+  whole("dag_count", repro.config.dag_count);
+  whole("jobs_per_dag", repro.config.jobs_per_dag);
+  whole("checkpoint_every", repro.config.checkpoint_every);
+  if (const JsonValue* horizon = config->find("horizon")) {
+    const auto value = bounded_number(*horizon);
+    valid = valid && value.has_value();
+    repro.config.horizon = value.value_or(repro.config.horizon);
+  }
+  if (!valid) {
+    return bad("seed, counts: whole non-negative numbers in range; horizon: "
+               "a non-negative time");
+  }
   repro.config.background_load = flag("background_load");
-  repro.config.checkpoint_every = static_cast<std::size_t>(
-      number("checkpoint_every",
-             static_cast<double>(repro.config.checkpoint_every)));
   repro.config.speculate = flag("speculate");
   repro.config.inject_divergence = flag("inject_divergence");
   if (const JsonValue* algorithm = config->find("algorithm")) {
@@ -422,6 +418,12 @@ Expected<ReproCase> repro_from_json(const std::string& text) {
   auto parsed = schedule_from_value(*schedule);
   if (!parsed) return Unexpected<Error>{parsed.error()};
   repro.schedule = std::move(*parsed);
+  const std::vector<std::string> sites = exp::Scenario::site_names();
+  for (const auto& [site, outages] : repro.schedule.outages) {
+    if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
+      return bad("outage on a site the testbed lacks: " + site);
+    }
+  }
   return repro;
 }
 

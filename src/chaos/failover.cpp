@@ -15,8 +15,6 @@
 namespace sphinx::chaos {
 namespace {
 
-constexpr SimTime kFirstSubmitAt = 10.0;
-constexpr Duration kSubmitSpacing = 15.0;
 constexpr int kJobsPerDag = 6;
 constexpr core::Algorithm kAlgorithm = core::Algorithm::kCompletionTime;
 /// Per-shard checkpoint policy (record-triggered).
@@ -93,7 +91,7 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
   coordinator.set_recorder(&scenario.recorder());
 
   const rpc::Proxy ctrl_proxy(
-      rpc::Identity{"/CN=sphinx-control-plane", "/CN=iGOC CA"},
+      rpc::Identity{"/CN=sphinx-control-plane"},
       ctrl::kControlVo, {}, scenario.engine().now(), hours(24 * 365));
 
   std::vector<std::unique_ptr<ctrl::HeartbeatAgent>> agents(config.shards);
@@ -147,7 +145,7 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
     const workflow::Dag& dag = dags[k];
     const std::size_t shard = ctrl::shard_of(k, config.shards);
     scenario.engine().schedule_at(
-        kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing,
+        exp::kFirstSubmitAt + static_cast<double>(k) * exp::kSubmitSpacing,
         "submit", [&scenario, &dag, shard] {
           scenario.tenants()[shard].client->submit(dag);
         });

@@ -59,7 +59,8 @@ struct FailoverRunResult {
   OracleReport differential;     ///< chaotic vs baseline, failover-stripped
   std::size_t adoptions = 0;     ///< chaotic run's successful adoptions
   std::size_t expirations = 0;   ///< leases the chaotic run declared dead
-  std::size_t baseline_adoptions = 0;  ///< must stay 0
+  /// Must stay 0.
+  std::size_t baseline_adoptions = 0;  // sphinx-lint-allow(test-only): ok() in this pair reads it
   std::size_t journal_records = 0;     ///< chaotic run, summed over shards
   SimTime stopped_at = 0.0;      ///< chaotic run's stop time
   std::uint64_t digest = 0;      ///< fnv1a over chaotic journals + trace

@@ -13,7 +13,7 @@ class Parser {
   explicit Parser(const std::string& input) : input_(input) {}
 
   Expected<JsonValue> parse() {
-    auto value = parse_value();
+    auto value = parse_value(0);
     if (!value) return value;
     skip_ws();
     if (pos_ != input_.size()) {
@@ -44,19 +44,23 @@ class Parser {
     return false;
   }
 
-  Expected<JsonValue> parse_value() {
+  /// `depth`: containers enclosing this value.
+  Expected<JsonValue> parse_value(int depth) {
     skip_ws();
     if (pos_ >= input_.size()) return fail("unexpected end of input");
     const char c = input_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if ((c == '{' || c == '[') && depth >= kMaxJsonDepth) {
+      return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+    if (c == '{') return parse_object(depth + 1);
+    if (c == '[') return parse_array(depth + 1);
     if (c == '"') return parse_string();
     if (c == 't' || c == 'f') return parse_bool();
     if (c == 'n') return parse_null();
     return parse_number();
   }
 
-  Expected<JsonValue> parse_object() {
+  Expected<JsonValue> parse_object(int depth) {
     ++pos_;  // '{'
     JsonValue out;
     out.type = JsonValue::Type::kObject;
@@ -68,7 +72,7 @@ class Parser {
       if (!key) return key;
       skip_ws();
       if (!consume(':')) return fail("expected ':' in object");
-      auto value = parse_value();
+      auto value = parse_value(depth);
       if (!value) return value;
       out.members.emplace_back(std::move(key->text), std::move(*value));
       skip_ws();
@@ -78,14 +82,14 @@ class Parser {
     }
   }
 
-  Expected<JsonValue> parse_array() {
+  Expected<JsonValue> parse_array(int depth) {
     ++pos_;  // '['
     JsonValue out;
     out.type = JsonValue::Type::kArray;
     skip_ws();
     if (consume(']')) return out;
     while (true) {
-      auto value = parse_value();
+      auto value = parse_value(depth);
       if (!value) return value;
       out.array.push_back(std::move(*value));
       skip_ws();

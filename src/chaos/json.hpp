@@ -7,10 +7,14 @@
 /// exactly.  The repo deliberately carries no third-party dependencies,
 /// so this is a small recursive-descent parser covering the JSON subset
 /// the harness emits (objects, arrays, strings, finite numbers, bools,
-/// null).  Writing stays with the emitting code (obs::json_escape /
-/// obs::format_double keep numbers deterministic); this file only reads.
+/// null), nested at most kMaxJsonDepth deep.  Writing stays with the
+/// emitting code (obs::json_escape / obs::format_double keep numbers
+/// deterministic); this file only reads.
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,9 +39,6 @@ struct JsonValue {
     return type == Type::kObject;
   }
   [[nodiscard]] bool is_array() const noexcept { return type == Type::kArray; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type == Type::kNumber;
-  }
   [[nodiscard]] bool is_string() const noexcept {
     return type == Type::kString;
   }
@@ -46,7 +47,38 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
+/// Deepest nesting parse_json accepts (the XML-RPC reader's cap,
+/// rpc::kMaxValueDepth): the parser recurses once per level, so an
+/// unbounded document could exhaust the stack.  The repro files the
+/// campaign writes nest five deep.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 [[nodiscard]] Expected<JsonValue> parse_json(const std::string& input);
+
+/// The value of `v` as an `Int` when it is a whole, non-negative number
+/// that `Int` can hold; nullopt otherwise (casting a double outside the
+/// target's range is undefined behaviour).
+template <typename Int>
+[[nodiscard]] std::optional<Int> whole_number(const JsonValue& v) {
+  if (v.type != JsonValue::Type::kNumber || !(v.number >= 0.0) ||
+      std::floor(v.number) != v.number ||
+      v.number >= std::ldexp(1.0, std::numeric_limits<Int>::digits)) {
+    return std::nullopt;
+  }
+  return static_cast<Int>(v.number);
+}
+
+/// The value of `v` when it is a finite number in [0, max] (times,
+/// durations, probabilities); nullopt otherwise.
+[[nodiscard]] inline std::optional<double> bounded_number(
+    const JsonValue& v,
+    double max = std::numeric_limits<double>::max()) noexcept {
+  if (v.type != JsonValue::Type::kNumber || !(v.number >= 0.0) ||
+      !(v.number <= max)) {
+    return std::nullopt;
+  }
+  return v.number;
+}
 
 }  // namespace sphinx::chaos

@@ -157,13 +157,4 @@ OracleReport check_failover_differential(const RunArtifacts& chaotic,
                      strip_failover_events(baseline.trace_jsonl));
 }
 
-std::uint64_t fnv1a(const std::string& bytes, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace sphinx::chaos

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.hpp"
 #include "common/time.hpp"
 
 namespace sphinx::chaos {
@@ -49,7 +50,7 @@ struct OracleReport {
 /// Removes the chaos harness's own trace lines (server_crash /
 /// server_recovery events) so a recovered run's trace is comparable to
 /// the uninterrupted baseline's.
-[[nodiscard]] std::string strip_chaos_events(const std::string& trace_jsonl);
+[[nodiscard]] std::string strip_chaos_events(const std::string& trace_jsonl);  // sphinx-lint-allow(test-only): tests diff traces through the oracle's filter
 
 /// Failover-aware stripping: chaos marker events, lease lifecycle events
 /// (lease_granted / lease_expired / lease_fenced / shard_adopted), and
@@ -58,7 +59,7 @@ struct OracleReport {
 /// baseline *by design* (the dead owner stops beating, the survivor
 /// adopts), so the differential oracle judges only the scheduling-layer
 /// residue, which must still match byte-for-byte.
-[[nodiscard]] std::string strip_failover_events(const std::string& trace_jsonl);
+[[nodiscard]] std::string strip_failover_events(const std::string& trace_jsonl);  // sphinx-lint-allow(test-only): tests diff traces through the oracle's filter
 
 /// Invariant oracles over one run (completeness, stored sweep verdict,
 /// monotone trace timestamps).
@@ -75,8 +76,7 @@ struct OracleReport {
 [[nodiscard]] OracleReport check_failover_differential(
     const RunArtifacts& chaotic, const RunArtifacts& baseline);
 
-/// FNV-1a 64 over a byte string (campaign digests).
-[[nodiscard]] std::uint64_t fnv1a(const std::string& bytes,
-                                  std::uint64_t seed = 0xcbf29ce484222325ull);
+/// FNV-1a 64 over a byte string (campaign digests), by its chaos name.
+using sphinx::fnv1a;
 
 }  // namespace sphinx::chaos

@@ -216,46 +216,52 @@ Expected<ChaosSchedule> schedule_from_value(const JsonValue& doc) {
   if (!doc.is_object()) return bad_schedule("schedule must be an object");
 
   ChaosSchedule schedule;
-  if (const JsonValue* crashes = doc.find("crash_records")) {
-    if (!crashes->is_array()) return bad_schedule("crash_records: array");
-    for (const JsonValue& entry : crashes->array) {
-      if (!entry.is_number() || entry.number < 0) {
-        return bad_schedule("crash_records: non-negative numbers");
-      }
-      schedule.crash_records.push_back(
-          static_cast<std::size_t>(entry.number));
+  const auto crash_points = [&doc](const char* key,
+                                   std::vector<std::size_t>& out) {
+    const JsonValue* list = doc.find(key);
+    if (list == nullptr) return true;
+    if (!list->is_array()) return false;
+    for (const JsonValue& entry : list->array) {
+      const auto records = whole_number<std::size_t>(entry);
+      if (!records) return false;
+      out.push_back(*records);
     }
+    return true;
+  };
+  if (!crash_points("crash_records", schedule.crash_records)) {
+    return bad_schedule("crash_records: whole non-negative numbers");
   }
-  if (const JsonValue* mid = doc.find("mid_ckpt_crashes")) {
-    if (!mid->is_array()) return bad_schedule("mid_ckpt_crashes: array");
-    for (const JsonValue& entry : mid->array) {
-      if (!entry.is_number() || entry.number < 0) {
-        return bad_schedule("mid_ckpt_crashes: non-negative numbers");
-      }
-      schedule.mid_ckpt_crashes.push_back(
-          static_cast<std::size_t>(entry.number));
-    }
+  if (!crash_points("mid_ckpt_crashes", schedule.mid_ckpt_crashes)) {
+    return bad_schedule("mid_ckpt_crashes: whole non-negative numbers");
   }
   if (const JsonValue* windows = doc.find("net_windows")) {
     if (!windows->is_array()) return bad_schedule("net_windows: array");
     for (const JsonValue& entry : windows->array) {
       const JsonValue* at = entry.find("at");
       const JsonValue* duration = entry.find("duration");
-      if (at == nullptr || !at->is_number() || duration == nullptr ||
-          !duration->is_number()) {
+      if (at == nullptr || duration == nullptr) {
         return bad_schedule("net window: {at, duration, ...}");
       }
       NetFaultWindow window;
-      window.at = at->number;
-      window.duration = duration->number;
-      const auto number_or = [&entry](const char* key, double fallback) {
-        const JsonValue* v = entry.find(key);
-        return (v != nullptr && v->is_number()) ? v->number : fallback;
+      // Each optional member, when present, must be a number in range.
+      bool in_range = true;
+      const auto number = [&](const JsonValue* v, double fallback,
+                              double max = std::numeric_limits<double>::max()) {
+        if (v == nullptr) return fallback;
+        const auto value = bounded_number(*v, max);
+        in_range = in_range && value.has_value();
+        return value.value_or(fallback);
       };
-      window.loss = number_or("loss", 0.0);
-      window.duplicate = number_or("duplicate", 0.0);
-      window.reorder = number_or("reorder", 0.0);
-      window.reorder_spike = number_or("spike", 5.0);
+      window.at = number(at, 0.0);
+      window.duration = number(duration, 0.0);
+      window.loss = number(entry.find("loss"), 0.0, 1.0);
+      window.duplicate = number(entry.find("duplicate"), 0.0, 1.0);
+      window.reorder = number(entry.find("reorder"), 0.0, 1.0);
+      window.reorder_spike = number(entry.find("spike"), 5.0);
+      if (!in_range) {
+        return bad_schedule(
+            "net window: non-negative times, probabilities in [0, 1]");
+      }
       if (const JsonValue* partition = entry.find("partition")) {
         window.partition = partition->type == JsonValue::Type::kBool &&
                            partition->boolean;
@@ -271,13 +277,18 @@ Expected<ChaosSchedule> schedule_from_value(const JsonValue& doc) {
         const JsonValue* at = entry.find("at");
         const JsonValue* duration = entry.find("duration");
         const JsonValue* mode = entry.find("mode");
-        if (at == nullptr || !at->is_number() || duration == nullptr ||
-            !duration->is_number() || mode == nullptr || !mode->is_string()) {
+        if (at == nullptr || duration == nullptr || mode == nullptr ||
+            !mode->is_string()) {
           return bad_schedule("outage entry: {at, duration, mode}");
         }
+        const auto start = bounded_number(*at);
+        const auto length = bounded_number(*duration);
+        if (!start || !length) {
+          return bad_schedule("outage entry: non-negative at and duration");
+        }
         grid::ScheduledOutage outage;
-        outage.at = at->number;
-        outage.duration = duration->number;
+        outage.at = *start;
+        outage.duration = *length;
         if (mode->text == "down") {
           outage.mode = grid::OutageMode::kDown;
         } else if (mode->text == "black_hole") {

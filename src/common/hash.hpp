@@ -1,0 +1,28 @@
+#pragma once
+/// \file hash.hpp
+/// FNV-1a 64, the one byte-string hash behind stream seeds
+/// (SeedTree::seed_for), retry jitter (rpc/clarens.cpp) and the chaos
+/// campaign digests.  Every use depends on its exact values: changing it
+/// moves every seeded run.
+
+#include <cstdint>
+#include <string_view>
+
+namespace sphinx {
+
+/// FNV-1a 64's offset basis: the state of a fresh hash.
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64 over `bytes`, continuing from `seed` (kFnv1aOffset starts a
+/// fresh hash; a previous digest chains onto it).
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::string_view bytes, std::uint64_t seed = kFnv1aOffset) noexcept {
+  std::uint64_t h = seed;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+}  // namespace sphinx

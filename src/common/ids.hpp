@@ -47,8 +47,6 @@ class IdGenerator {
  public:
   /// Returns a fresh id, never the invalid id.
   [[nodiscard]] Id next() noexcept { return Id(++last_); }
-  /// Highest id handed out so far (0 if none).
-  [[nodiscard]] typename Id::underlying_type last() const noexcept { return last_; }
 
  private:
   typename Id::underlying_type last_ = 0;

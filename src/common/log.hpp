@@ -15,14 +15,14 @@ namespace sphinx {
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 namespace log_detail {
-LogLevel& global_level() noexcept;
+LogLevel& global_level() noexcept;  // sphinx-lint-allow(test-only): Logger's inline write() below reads it
 void emit(LogLevel level, const std::string& component, const std::string& msg);
 }  // namespace log_detail
 
 /// Sets the process-wide log level; returns the previous level.
-LogLevel set_log_level(LogLevel level) noexcept;
+LogLevel set_log_level(LogLevel level) noexcept;  // sphinx-lint-allow(test-only): debugging aid, raised by hand
 /// Current process-wide log level.
-[[nodiscard]] LogLevel log_level() noexcept;
+[[nodiscard]] LogLevel log_level() noexcept;  // sphinx-lint-allow(test-only): debugging aid, read with set_log_level
 
 /// Component-scoped logger.  Cheap to copy; holds only the component name.
 class Logger {
@@ -30,17 +30,11 @@ class Logger {
   explicit Logger(std::string component) : component_(std::move(component)) {}
 
   template <typename... Args>
-  void trace(const Args&... args) const { write(LogLevel::kTrace, args...); }
-  template <typename... Args>
   void debug(const Args&... args) const { write(LogLevel::kDebug, args...); }
-  template <typename... Args>
-  void info(const Args&... args) const { write(LogLevel::kInfo, args...); }
   template <typename... Args>
   void warn(const Args&... args) const { write(LogLevel::kWarn, args...); }
   template <typename... Args>
   void error(const Args&... args) const { write(LogLevel::kError, args...); }
-
-  [[nodiscard]] const std::string& component() const noexcept { return component_; }
 
  private:
   template <typename... Args>

@@ -62,16 +62,6 @@ std::string format_double(double v, int digits) {
   return buf;
 }
 
-std::string format_bytes(double bytes) {
-  static constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 4) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  return format_double(bytes, unit == 0 ? 0 : 1) + " " + kUnits[unit];
-}
-
 std::string format_duration(double s) {
   if (s < 0) return "-" + format_duration(-s);
   const auto total = static_cast<long long>(std::llround(s));

@@ -32,9 +32,6 @@ bool parse_u64(std::string_view s, std::uint64_t& out) noexcept;
 /// Formats a double with `digits` fraction digits (no trailing cleanup).
 [[nodiscard]] std::string format_double(double v, int digits = 2);
 
-/// Formats a byte count as a human-friendly string ("12.5 MB").
-[[nodiscard]] std::string format_bytes(double bytes);
-
 /// Formats a duration in seconds as "1h 02m 03s" / "42s".
 [[nodiscard]] std::string format_duration(double seconds);
 

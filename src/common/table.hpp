@@ -21,8 +21,6 @@ class TextTable {
   /// Renders with a separator line under the header.
   [[nodiscard]] std::string render() const;
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

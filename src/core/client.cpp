@@ -69,11 +69,19 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
 }
 
 Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
-  // A plan for a site this client's grid does not have cannot run; refuse
-  // it before anything is tracked or submitted.
+  // A plan for a site this client's grid does not have cannot run, nor
+  // can one staging an input from such a site; refuse it before anything
+  // is tracked or submitted.
   if (!gateway_.has_site(plan.site)) {
     return make_error("bad_request", "unknown site " +
                                          std::to_string(plan.site.value()));
+  }
+  for (const PlannedInput& input : plan.inputs) {
+    if (!gateway_.has_site(input.source)) {
+      return make_error("bad_request",
+                        "input " + input.lfn + " from unknown site " +
+                            std::to_string(input.source.value()));
+    }
   }
   // Duplicate-delivery guard: a replanned job always carries a fresh
   // attempt number, so a repeated (job, attempt) pair is a re-delivered
@@ -253,7 +261,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       // cancel lost the race to its own completion.  Swallow it -- no
       // stats, no report -- the job is already done.
       if (!completed_jobs_.insert(event.job.value()).second) {
-        ++tracker_.duplicate_completions;
         if (recorder_ != nullptr) {
           recorder_->count(config_.endpoint, "tracker.duplicate_completions");
         }

@@ -56,7 +56,7 @@ struct DagOutcome {
     return finished_at - submitted_at;
   }
   /// True when a QoS deadline existed and was met.
-  [[nodiscard]] bool deadline_met() const noexcept {
+  [[nodiscard]] bool deadline_met() const noexcept {  // sphinx-lint-allow(test-only): the deadline tally in this pair reads it
     return deadline < kNever && done() && finished_at <= deadline;
   }
 };
@@ -69,21 +69,21 @@ struct TrackerStats {
   std::size_t extensions = 0;        ///< timeouts deferred due to progress
   std::size_t held_or_failed = 0;    ///< site-initiated failures observed
   std::size_t completions = 0;
-  std::size_t persisted_outputs = 0; ///< final outputs sent to archive
+  /// Final outputs sent to archive.
+  std::size_t persisted_outputs = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
   /// Re-delivered plans skipped by the (job, attempt) duplicate guard; a
   /// duplicate must never reach the gateway as a second submission.
   std::size_t duplicate_plans = 0;
   /// Re-delivered dag_done notifications; the recorded finish time of
   /// the first delivery is kept.
-  std::size_t duplicate_dag_done = 0;
+  std::size_t duplicate_dag_done = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
   /// Straggler defense: speculative (racing) plans accepted.
-  std::size_t speculative_plans = 0;
+  std::size_t speculative_plans = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
   /// cancel_attempt requests that found a live attempt to kill (the
   /// loser of a first-completion-wins race).
-  std::size_t race_cancels = 0;
+  std::size_t race_cancels = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
   /// Completions of a racing attempt observed after the sibling already
   /// completed; arbitrated away (no stats, no report).
-  std::size_t duplicate_completions = 0;
 };
 
 class SphinxClient {
@@ -142,7 +142,7 @@ class SphinxClient {
 
   /// Jobs currently tracked (terminal entries are erased as their
   /// lifecycle ends, so this does not grow with run length).
-  [[nodiscard]] std::size_t tracked_jobs() const noexcept {
+  [[nodiscard]] std::size_t tracked_jobs() const noexcept {  // sphinx-lint-allow(test-only): tests check that attempts are untracked
     return tracked_.size();
   }
 

@@ -150,8 +150,8 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const auto choice = data::select_replica(located[i], *site, transfers_);
     SPHINX_ASSERT(choice.has_value(), "located input lost its replicas");
-    plan.inputs.push_back(PlannedInput{inputs[i], choice->replica.site,
-                                       choice->replica.size_bytes});
+    plan.inputs.push_back(
+        PlannedInput{inputs[i], choice->site, choice->size_bytes});
   }
 
   // QoS: deadline requests jump within-VO batch queues; explicit request

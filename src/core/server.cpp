@@ -66,7 +66,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
                                                    std::move(policy));
   // The server's own outgoing identity (host certificate proxy).
   const rpc::Proxy host_proxy(
-      rpc::Identity{"/CN=" + config_.endpoint, "/CN=iGOC CA"}, "ivdgl", {},
+      rpc::Identity{"/CN=" + config_.endpoint}, "ivdgl", {},
       bus_.engine().now(), hours(24 * 365));
   out_ = std::make_unique<rpc::ClarensClient>(bus_, config_.endpoint + "/out",
                                               host_proxy);

@@ -55,7 +55,7 @@ class StragglerDetector {
   /// The elapsed-time threshold classify() applies for (site, class):
   /// max(2 x p95, 5 min).  nullopt when fewer than 3 samples exist even
   /// after the all-site fallback.  Exposed for tests and diagnostics.
-  [[nodiscard]] std::optional<Duration> threshold(SiteId site,
+  [[nodiscard]] std::optional<Duration> threshold(SiteId site,  // sphinx-lint-allow(test-only): classify() in this pair applies it
                                                   int job_class) const;
 
  private:

@@ -127,7 +127,7 @@ struct DagRecord {
   DagState state = DagState::kReceived;
   SimTime received_at = 0.0;
   SimTime finished_at = kNever;
-  std::int64_t total_jobs = 0;
+  std::int64_t total_jobs = 0;  // sphinx-lint-allow(test-only): the invariant sweep in this pair reads it
   double priority = 0.0;  ///< request priority; higher is planned first
   SimTime deadline = kNever;  ///< QoS deadline; kNever = best effort
 };
@@ -159,9 +159,11 @@ class DataWarehouse {
   /// Result of one checkpoint() call, for the caller's observability.
   struct CheckpointStats {
     std::uint64_t seq = 0;              ///< sequence the image reflects
-    std::size_t compacted_records = 0;  ///< journal entries the image covers
+    /// Journal entries the image covers.
+    std::size_t compacted_records = 0;  // sphinx-lint-allow(test-only): tests read the checkpoint counters
     std::size_t snapshot_bytes = 0;     ///< size of the database snapshot
-    bool truncated = false;  ///< false when mid_hook fail-stopped the run
+    /// False when mid_hook fail-stopped the run.
+    bool truncated = false;  // sphinx-lint-allow(test-only): tests read the checkpoint counters
   };
 
   /// Publishes a checkpoint image of the current state (database
@@ -201,7 +203,7 @@ class DataWarehouse {
   /// Records a planning decision (state -> planned, attempt++).
   void set_job_planned(JobId id, SiteId site, SimTime at);
   [[nodiscard]] std::vector<data::Lfn> job_inputs(JobId id) const;
-  [[nodiscard]] std::vector<JobId> job_parents(JobId id) const;
+  [[nodiscard]] std::vector<JobId> job_parents(JobId id) const;  // sphinx-lint-allow(test-only): ready_jobs() in this pair reads it
   /// Jobs that consume this job's output (dependency children).
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
   /// The DAG's ready set: unplanned jobs whose parents have all
@@ -216,13 +218,13 @@ class DataWarehouse {
   /// All sites with outstanding work.  Served from the live counters
   /// maintained on job transitions -- no table scan.  Sites with zero
   /// outstanding jobs carry no entry.
-  [[nodiscard]] std::unordered_map<SiteId, std::int64_t> outstanding_by_site()
+  [[nodiscard]] std::unordered_map<SiteId, std::int64_t> outstanding_by_site()  // sphinx-lint-allow(test-only): tests cross-check the live counters
       const;
   /// Recomputes the same map with a full scan of the jobs table.  Slow;
   /// exists so tests and the invariant sweep can cross-check the live
   /// counters against ground truth.
   [[nodiscard]] std::unordered_map<SiteId, std::int64_t>
-  scan_outstanding_by_site() const;
+  scan_outstanding_by_site() const;  // sphinx-lint-allow(test-only): the invariant sweep in this pair compares it
 
   // --- work queue (dirty list) ------------------------------------------
   /// Enqueues a DAG for the next sweep.  Transitions that create planning
@@ -238,7 +240,7 @@ class DataWarehouse {
   [[nodiscard]] std::vector<DagRecord> drain_dirty_dags();
   /// The queued DAG ids with pending work, in table insertion order: what
   /// the next drain would yield.
-  [[nodiscard]] std::vector<DagId> dirty_dags() const;
+  [[nodiscard]] std::vector<DagId> dirty_dags() const;  // sphinx-lint-allow(test-only): tests inspect the work queue
 
   // --- site statistics (feedback) --------------------------------------
   [[nodiscard]] SiteStats site_stats(SiteId site) const;

@@ -51,7 +51,8 @@ struct CoordinatorStats {
   std::size_t fenced = 0;            ///< stale renewals rejected
   std::size_t expirations = 0;       ///< leases declared dead
   std::size_t adoptions = 0;         ///< shards rebound to a survivor
-  std::size_t failed_adoptions = 0;  ///< no candidate, or handler failed
+  /// No candidate, or handler failed.
+  std::size_t failed_adoptions = 0;  // sphinx-lint-allow(test-only): tests read the coordinator counters
 };
 
 class LeaseCoordinator {
@@ -95,10 +96,6 @@ class LeaseCoordinator {
   void start();
   void stop();
 
-  /// One monitor sweep (also callable directly from tests): declares
-  /// overdue leases dead and adopts them onto survivors.
-  void monitor_sweep();
-
   [[nodiscard]] const LeaseTable& leases() const noexcept { return leases_; }
   [[nodiscard]] const CoordinatorStats& stats() const noexcept {
     return stats_;
@@ -108,6 +105,9 @@ class LeaseCoordinator {
   LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase,
                    bool deferred_recovery);
   void register_methods();
+  /// One monitor sweep: declares overdue leases dead and adopts them
+  /// onto survivors.
+  void monitor_sweep();
   Expected<rpc::XrValue> handle_renew(const std::vector<rpc::XrValue>& params);
 
   rpc::MessageBus& bus_;

@@ -81,7 +81,7 @@ class LeaseTable {
   std::uint64_t transfer(const std::string& shard, const std::string& new_owner,
                          SimTime now, Duration ttl);
 
-  [[nodiscard]] std::optional<Lease> lookup(const std::string& shard) const;
+  [[nodiscard]] std::optional<Lease> lookup(const std::string& shard) const;  // sphinx-lint-allow(test-only): tests inspect lease rows
 
   /// The owner of the first live, unexpired lease in grant order whose
   /// owner differs from `exclude` -- the adoption candidate.  An owner

@@ -30,8 +30,9 @@ namespace sphinx::data {
 
 /// Per-site network capacity in bytes/second.
 struct LinkConfig {
-  double uplink_bps = 10e6;    ///< 10 MB/s default
-  double downlink_bps = 10e6;
+  /// 10 MB/s default.
+  double uplink_bps = 10e6;  // sphinx-lint-allow(test-only): the transfer model in this pair reads it
+  double downlink_bps = 10e6;  // sphinx-lint-allow(test-only): the transfer model in this pair reads it
 };
 
 /// Aggregate transfer counters.
@@ -39,7 +40,7 @@ struct TransferStats {
   std::size_t started = 0;
   std::size_t completed = 0;
   std::size_t cancelled = 0;
-  double bytes_moved = 0.0;
+  double bytes_moved = 0.0;  // sphinx-lint-allow(test-only): tests read the transfer counters
 };
 
 class TransferService {

@@ -2,29 +2,20 @@
 
 namespace sphinx::data {
 
-std::optional<ReplicaChoice> select_replica(
-    const std::vector<Replica>& replicas, SiteId destination,
-    const TransferService& transfers) {
-  std::optional<ReplicaChoice> best;
+std::optional<Replica> select_replica(const std::vector<Replica>& replicas,
+                                      SiteId destination,
+                                      const TransferService& transfers) {
+  std::optional<Replica> best;
+  Duration best_cost = 0.0;
   for (const Replica& r : replicas) {
     const Duration cost =
         transfers.estimate(r.site, destination, r.size_bytes);
-    if (!best.has_value() || cost < best->estimated_cost) {
-      best = ReplicaChoice{r, cost};
+    if (!best.has_value() || cost < best_cost) {
+      best = r;
+      best_cost = cost;
     }
   }
   return best;
-}
-
-Duration estimate_stage_in(const std::vector<std::vector<Replica>>& inputs,
-                           SiteId destination,
-                           const TransferService& transfers) {
-  Duration total = 0.0;
-  for (const auto& replicas : inputs) {
-    const auto choice = select_replica(replicas, destination, transfers);
-    if (choice.has_value()) total += choice->estimated_cost;
-  }
-  return total;
 }
 
 }  // namespace sphinx::data

@@ -16,22 +16,11 @@
 
 namespace sphinx::data {
 
-/// A chosen source replica and its estimated stage-in cost.
-struct ReplicaChoice {
-  Replica replica;
-  Duration estimated_cost = 0.0;
-};
-
-/// Picks the cheapest replica to stage to `destination`.  Returns nullopt
-/// when `replicas` is empty.
-[[nodiscard]] std::optional<ReplicaChoice> select_replica(
+/// Picks the replica with the cheapest stage-in estimate to
+/// `destination` (the first of equals).  Returns nullopt when `replicas`
+/// is empty.
+[[nodiscard]] std::optional<Replica> select_replica(
     const std::vector<Replica>& replicas, SiteId destination,
-    const TransferService& transfers);
-
-/// Total estimated stage-in time for a set of inputs (sum of per-file
-/// estimates; transfers run sequentially per job in the gateway).
-[[nodiscard]] Duration estimate_stage_in(
-    const std::vector<std::vector<Replica>>& inputs, SiteId destination,
     const TransferService& transfers);
 
 }  // namespace sphinx::data

@@ -10,12 +10,6 @@ void LocalReplicaCatalog::add(const Lfn& lfn, double size_bytes) {
   files_[lfn] = size_bytes;
 }
 
-void LocalReplicaCatalog::remove(const Lfn& lfn) { files_.erase(lfn); }
-
-bool LocalReplicaCatalog::has(const Lfn& lfn) const noexcept {
-  return files_.contains(lfn);
-}
-
 std::optional<double> LocalReplicaCatalog::size_of(
     const Lfn& lfn) const noexcept {
   const auto it = files_.find(lfn);
@@ -39,32 +33,11 @@ void ReplicaLocationService::register_replica(const Lfn& lfn, SiteId site,
   SPHINX_ASSERT(site.valid(), "replica needs a valid site");
   lrc(site).add(lfn, size_bytes);
   if (engine_ != nullptr && propagation_delay_ > 0) {
-    ++pending_;
     engine_->schedule_in(propagation_delay_, "rls:propagate",
-                         [this, lfn, site] {
-                           --pending_;
-                           // The LRC may have dropped the file meanwhile;
-                           // the index only advertises what still exists.
-                           if (lrc(site).has(lfn)) index_[lfn].insert(site);
-                         });
+                         [this, lfn, site] { index_[lfn].insert(site); });
     return;
   }
   index_[lfn].insert(site);
-}
-
-void ReplicaLocationService::unregister_replica(const Lfn& lfn, SiteId site) {
-  const auto lrc_it = lrcs_.find(site);
-  if (lrc_it != lrcs_.end()) lrc_it->second.remove(lfn);
-  const auto idx = index_.find(lfn);
-  if (idx != index_.end()) {
-    idx->second.erase(site);
-    if (idx->second.empty()) index_.erase(idx);
-  }
-}
-
-bool ReplicaLocationService::exists(const Lfn& lfn) const noexcept {
-  ++queries_;
-  return index_.contains(lfn);
 }
 
 std::vector<Replica> ReplicaLocationService::locate_uncounted(

@@ -33,10 +33,7 @@ class LocalReplicaCatalog {
 
   /// Registers (or re-registers, updating the size) a local replica.
   void add(const Lfn& lfn, double size_bytes);
-  /// Removes a mapping; no-op if absent.
-  void remove(const Lfn& lfn);
-  [[nodiscard]] bool has(const Lfn& lfn) const noexcept;
-  [[nodiscard]] std::optional<double> size_of(const Lfn& lfn) const noexcept;
+  [[nodiscard]] std::optional<double> size_of(const Lfn& lfn) const noexcept;  // sphinx-lint-allow(test-only): the RLS in this pair reads replica sizes through it
   [[nodiscard]] std::size_t size() const noexcept { return files_.size(); }
 
  private:
@@ -61,16 +58,11 @@ class ReplicaLocationService {
   void enable_soft_state(sim::Engine& engine, Duration propagation_delay);
 
   /// Creates (idempotently) the LRC for a site.
-  LocalReplicaCatalog& lrc(SiteId site);
+  LocalReplicaCatalog& lrc(SiteId site);  // sphinx-lint-allow(test-only): tests read a site's LRC ahead of the soft-state index
 
-  /// Registers a replica of `lfn` at `site` and updates the index.
+  /// Registers a replica of `lfn` at `site` and updates the index.  A
+  /// replica is never unregistered: the grid only ever adds files.
   void register_replica(const Lfn& lfn, SiteId site, double size_bytes);
-
-  /// Unregisters one replica; drops the index entry when none remain.
-  void unregister_replica(const Lfn& lfn, SiteId site);
-
-  /// True if at least one replica of `lfn` exists anywhere.
-  [[nodiscard]] bool exists(const Lfn& lfn) const noexcept;
 
   /// All replicas of one logical file.
   [[nodiscard]] std::vector<Replica> locate(const Lfn& lfn) const;
@@ -82,12 +74,7 @@ class ReplicaLocationService {
 
   /// Number of RLS queries answered (single and bulk both count once) --
   /// lets tests verify that clubbing reduces call volume.
-  [[nodiscard]] std::size_t queries() const noexcept { return queries_; }
-  [[nodiscard]] std::size_t lfn_count() const noexcept { return index_.size(); }
-  /// Index updates still in flight (soft-state mode only).
-  [[nodiscard]] std::size_t pending_updates() const noexcept {
-    return pending_;
-  }
+  [[nodiscard]] std::size_t queries() const noexcept { return queries_; }  // sphinx-lint-allow(test-only): tests check that a clubbed lookup is one query
 
  private:
   [[nodiscard]] std::vector<Replica> locate_uncounted(const Lfn& lfn) const;
@@ -98,7 +85,6 @@ class ReplicaLocationService {
   mutable std::size_t queries_ = 0;
   sim::Engine* engine_ = nullptr;  ///< non-null in soft-state mode
   Duration propagation_delay_ = 0.0;
-  std::size_t pending_ = 0;
 };
 
 }  // namespace sphinx::data

@@ -48,21 +48,6 @@ std::string render_site_distribution(const std::string& title,
   return out;
 }
 
-std::string render_timeouts(const std::string& title,
-                            const std::vector<TenantResult>& results) {
-  std::string out = title + "\n";
-  double max_value = 1.0;
-  for (const TenantResult& r : results) {
-    max_value = std::max(max_value, static_cast<double>(r.timeouts));
-  }
-  for (const TenantResult& r : results) {
-    out += bar_line(r.label, static_cast<double>(r.timeouts), max_value, 40,
-                    "timeouts") +
-           "\n";
-  }
-  return out;
-}
-
 std::string render_summary(const std::vector<TenantResult>& results) {
   TextTable table;
   table.set_header({"algorithm", "dags done", "plans", "replans", "timeouts",

@@ -22,10 +22,6 @@ namespace sphinx::exp {
 [[nodiscard]] std::string render_site_distribution(
     const std::string& title, const TenantResult& result);
 
-/// Figure 8: timeout counts per strategy.
-[[nodiscard]] std::string render_timeouts(
-    const std::string& title, const std::vector<TenantResult>& results);
-
 /// Run health summary (DAGs finished, plans, replans) for any figure.
 [[nodiscard]] std::string render_summary(
     const std::vector<TenantResult>& results);

@@ -76,8 +76,7 @@ std::vector<TenantResult> Experiment::run(
     for (std::size_t k = 0; k < workloads[t].size(); ++k) {
       const workflow::Dag& dag = workloads[t][k];
       scenario.engine().schedule_at(
-          10.0 + static_cast<double>(k) * config_.submit_spacing,
-          "submit",
+          kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing, "submit",
           [&scenario, t, &dag] { scenario.tenants()[t].client->submit(dag); });
     }
   }

@@ -62,7 +62,6 @@ struct ExperimentConfig {
   ScenarioConfig scenario;
   workflow::WorkloadConfig workload;
   int dag_count = 30;             ///< 30 / 60 / 120 in the paper
-  Duration submit_spacing = 15.0;  ///< seconds between DAG submissions
   SimTime horizon = hours(48);    ///< hard stop
   /// Figure 7: per-user per-site usage quotas, as a fraction of the total
   /// workload demand.  0 disables quota installation.

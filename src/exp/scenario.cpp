@@ -188,7 +188,7 @@ Tenant& Scenario::add_tenant(const std::string& label,
   client_config.vo = "uscms";
   client_config.job_timeout = options.job_timeout;
   const rpc::Proxy proxy(
-      rpc::Identity{"/DC=org/DC=griphyn/CN=user-" + label, "/CN=iGOC CA"},
+      rpc::Identity{"/DC=org/DC=griphyn/CN=user-" + label},
       "uscms", {"/uscms/production"}, engine_.now(), hours(24 * 365));
   tenant.client = std::make_unique<core::SphinxClient>(bus_, *tenant.gateway,
                                                        client_config, proxy);

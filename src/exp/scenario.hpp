@@ -38,6 +38,11 @@ namespace sphinx::exp {
 inline constexpr Duration kBusLatency = 0.1;
 inline constexpr Duration kBusJitter = 0.1;
 
+/// The submission schedule of every experiment and chaos run: a tenant's
+/// k-th DAG goes in at kFirstSubmitAt + k * kSubmitSpacing.
+inline constexpr SimTime kFirstSubmitAt = 10.0;
+inline constexpr Duration kSubmitSpacing = 15.0;
+
 /// Scenario-wide knobs.
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -64,7 +69,7 @@ struct DurableServerState {
   db::Journal journal;
   std::optional<core::CheckpointImage> checkpoint;
   core::ServerConfig config;
-  SimTime resume_at = 0.0;
+  SimTime resume_at = 0.0;  // sphinx-lint-allow(test-only): crash and recovery in this pair hand it over
 };
 
 /// One SPHINX deployment (server + client + gateway) sharing the grid
@@ -78,7 +83,7 @@ struct Tenant {
   std::unique_ptr<core::SphinxClient> client;
   /// Set between crash_server() and recover_server(): the dead shard's
   /// durable state, waiting for an adopter.
-  std::optional<DurableServerState> durable;
+  std::optional<DurableServerState> durable;  // sphinx-lint-allow(test-only): crash and recovery in this pair hand it over
 };
 
 /// Per-tenant scheduling options.

@@ -99,13 +99,6 @@ std::optional<QueueStatus> Site::query() const {
   return status;
 }
 
-std::optional<RemoteJobState> Site::submission_state(
-    SubmissionId submission) const {
-  const auto it = entries_.find(submission);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.state;
-}
-
 void Site::go_down() {
   health_ = SiteHealth::kDown;
   // Every non-terminal job is silently lost; no events are emitted
@@ -141,8 +134,7 @@ void Site::emit(Entry& entry, RemoteJobState state) {
 
 double Site::effective_speed() const noexcept {
   const double base = config_.cpu_speed;
-  return health_ == SiteHealth::kDegraded ? base * config_.degraded_speed
-                                          : base;
+  return health_ == SiteHealth::kDegraded ? base * kDegradedSpeed : base;
 }
 
 void Site::try_dispatch() {
@@ -177,8 +169,6 @@ void Site::start_job(SubmissionId submission) {
   };
   if (entry.job.stage) {
     entry.job.stage(resume);
-  } else if (stage_in_) {
-    stage_in_(entry.job, resume);
   } else {
     begin_compute(submission);
   }

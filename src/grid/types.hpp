@@ -41,7 +41,7 @@ struct RemoteJob {
   double priority = 0.0;     ///< local batch priority (higher runs first)
   /// Per-job stage-in action, installed by the submission layer: invoked
   /// when a CPU is allocated; compute starts when `done` is called.
-  /// Takes precedence over the site-wide StageInHook.  Null = no staging.
+  /// Null = no staging.
   std::function<void(std::function<void()> done)> stage;
 };
 
@@ -54,12 +54,6 @@ struct JobEvent {
 
 /// Callback the submitter registers to observe one submission.
 using JobEventCallback = std::function<void(const JobEvent&)>;
-
-/// Hook allowing the submission layer to stage input data when a CPU is
-/// allocated.  The site calls it with a completion continuation; passing a
-/// null hook means "no stage-in needed".
-using StageInHook =
-    std::function<void(const RemoteJob&, std::function<void()> done)>;
 
 /// condor_q-style queue snapshot a site reports when queried.
 struct QueueStatus {

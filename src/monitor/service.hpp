@@ -37,8 +37,10 @@ struct SiteSnapshot {
   int queued = 0;
   int running = 0;
   int free_cpus = 0;
-  SimTime measured_at = -1.0;  ///< when the query job actually ran
-  SimTime published_at = -1.0; ///< when the value became visible
+  /// When the query job actually ran.
+  SimTime measured_at = -1.0;  // sphinx-lint-allow(test-only): staleness in this pair is measured from it
+  /// When the value became visible.
+  SimTime published_at = -1.0;  // sphinx-lint-allow(test-only): tests check the publication lag
 };
 
 /// Monitoring behaviour knobs.
@@ -74,11 +76,11 @@ class MonitoringService {
 
   /// Static catalog information (always available, like the Grid3
   /// catalog): CPU count of a site.
-  [[nodiscard]] int catalog_cpus(SiteId site) const;
+  [[nodiscard]] int catalog_cpus(SiteId site) const;  // sphinx-lint-allow(test-only): tests check the static catalog
 
   [[nodiscard]] const MonitorConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t polls_attempted() const noexcept { return polls_; }
-  [[nodiscard]] std::size_t polls_failed() const noexcept { return failed_; }
+  [[nodiscard]] std::size_t polls_attempted() const noexcept { return polls_; }  // sphinx-lint-allow(test-only): tests read the poll counters
+  [[nodiscard]] std::size_t polls_failed() const noexcept { return failed_; }  // sphinx-lint-allow(test-only): tests read the poll counters
 
  private:
   void poll_site(SiteId site);

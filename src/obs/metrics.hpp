@@ -41,10 +41,6 @@ class MetricSet {
       const noexcept {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms()
-      const noexcept {
-    return histograms_;
-  }
 
   /// The whole set as one pretty-printed JSON document: counters first,
   /// then histograms with count/mean/min/max/stddev and p50/p90/p99.

@@ -51,12 +51,12 @@ class Recorder {
   [[nodiscard]] const MetricSet& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const sim::Engine& engine() const noexcept { return engine_; }
 
+ private:
   [[nodiscard]] static std::string qualified_name(const std::string& name,
                                                   const std::string& source) {
     return source.empty() ? name : name + "@" + source;
   }
 
- private:
   const sim::Engine& engine_;
   TraceSink trace_;
   MetricSet metrics_;

@@ -88,7 +88,7 @@ class TraceSink {
  public:
   void record(TraceEvent event);
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
+  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {  // sphinx-lint-allow(test-only): tests read the recorded events
     return events_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }

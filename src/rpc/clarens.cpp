@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace sphinx::rpc {
 namespace {
 
@@ -10,11 +12,7 @@ namespace {
 /// name folded with splitmix64 over (seq, attempt).  No RNG stream is
 /// consumed, so a journal-recovered client re-arms byte-identical timers.
 double jitter01(const std::string& endpoint, std::uint64_t seq, int attempt) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : endpoint) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ull;
-  }
+  std::uint64_t h = fnv1a(endpoint);
   h ^= seq + 0x9e3779b97f4a7c15ull;
   h ^= static_cast<std::uint64_t>(attempt) * 0xbf58476d1ce4e5b9ull;
   h ^= h >> 30;

@@ -1,6 +1,5 @@
 #include "rpc/gsi.hpp"
 
-#include <algorithm>
 
 namespace sphinx::rpc {
 
@@ -14,12 +13,6 @@ Proxy::Proxy(Identity identity, std::string vo,
   SPHINX_ASSERT(lifetime > 0, "proxy lifetime must be positive");
 }
 
-Proxy Proxy::delegate(SimTime now, Duration lifetime) const {
-  Proxy child = *this;
-  child.expires_at_ = std::min(expires_at_, now + lifetime);
-  return child;
-}
-
 std::string Proxy::principal() const {
   std::string p = vo_;
   for (const std::string& g : groups_) p += ":" + g;
@@ -27,37 +20,20 @@ std::string Proxy::principal() const {
 }
 
 void AuthzPolicy::allow_vo(const std::string& method, const std::string& vo) {
-  acls_[method].vos.insert(vo);
-}
-
-void AuthzPolicy::allow_subject(const std::string& method,
-                                const std::string& subject) {
-  acls_[method].subjects.insert(subject);
-}
-
-void AuthzPolicy::ban_subject(const std::string& subject) {
-  banned_.insert(subject);
-}
-
-bool AuthzPolicy::acl_matches(const MethodAcl& acl, const Proxy& proxy) const {
-  return acl.vos.contains(proxy.vo()) ||
-         acl.subjects.contains(proxy.identity().subject);
+  acls_[method].insert(vo);
 }
 
 AuthzDecision AuthzPolicy::check(const Proxy& proxy, const std::string& method,
                                  SimTime now) const {
-  if (banned_.contains(proxy.identity().subject)) {
-    return {false, "subject is banned"};
-  }
   if (!proxy.valid_at(now)) {
     return {false, "proxy expired or anonymous"};
   }
   const auto exact = acls_.find(method);
-  if (exact != acls_.end() && acl_matches(exact->second, proxy)) {
+  if (exact != acls_.end() && exact->second.contains(proxy.vo())) {
     return {true, {}};
   }
   const auto wildcard = acls_.find("*");
-  if (wildcard != acls_.end() && acl_matches(wildcard->second, proxy)) {
+  if (wildcard != acls_.end() && wildcard->second.contains(proxy.vo())) {
     return {true, {}};
   }
   // With no ACLs configured at all the service is open to any

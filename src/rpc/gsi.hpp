@@ -23,9 +23,6 @@ namespace sphinx::rpc {
 /// A long-lived identity certificate (maps to an X.509 subject DN).
 struct Identity {
   std::string subject;  ///< e.g. "/DC=org/DC=griphyn/CN=Jang-uk In"
-  std::string issuer;   ///< CA subject
-
-  friend bool operator==(const Identity&, const Identity&) = default;
 };
 
 /// A short-lived VO proxy derived from an identity (VOMS-style).
@@ -36,21 +33,13 @@ class Proxy {
   Proxy(Identity identity, std::string vo, std::vector<std::string> groups,
         SimTime issued_at, Duration lifetime);
 
-  [[nodiscard]] const Identity& identity() const noexcept { return identity_; }
   [[nodiscard]] const std::string& vo() const noexcept { return vo_; }
-  [[nodiscard]] const std::vector<std::string>& groups() const noexcept {
-    return groups_;
-  }
   [[nodiscard]] SimTime expires_at() const noexcept { return expires_at_; }
 
   /// True while the proxy has not expired.
-  [[nodiscard]] bool valid_at(SimTime now) const noexcept {
+  [[nodiscard]] bool valid_at(SimTime now) const noexcept {  // sphinx-lint-allow(test-only): AuthzPolicy::check in this pair reads it
     return !identity_.subject.empty() && now < expires_at_;
   }
-
-  /// Delegation: a child proxy with a (possibly shorter) remaining
-  /// lifetime.  Lifetime never extends past the parent's.
-  [[nodiscard]] Proxy delegate(SimTime now, Duration lifetime) const;
 
   /// The VO-scoped principal string, e.g. "uscms:/uscms/production".
   [[nodiscard]] std::string principal() const;
@@ -68,32 +57,21 @@ struct AuthzDecision {
   std::string reason;  ///< set when denied
 };
 
-/// Per-service ACL: which subjects and which VOs may invoke which methods.
-/// An empty method entry means "any authenticated caller".
+/// Per-service ACL: which VOs may invoke which methods.  With no ACL at
+/// all the service is open to any authenticated caller.
 class AuthzPolicy {
  public:
   /// Grants `vo` access to `method` ("*" for all methods).
   void allow_vo(const std::string& method, const std::string& vo);
-  /// Grants an individual subject access to `method` ("*" for all).
-  void allow_subject(const std::string& method, const std::string& subject);
-  /// Denies a specific subject everywhere (a revocation list entry).
-  void ban_subject(const std::string& subject);
 
-  /// Evaluates a call.  Order: ban list, then proxy validity, then ACLs.
+  /// Evaluates a call.  Order: proxy validity, then the VO ACLs.
   [[nodiscard]] AuthzDecision check(const Proxy& proxy,
                                     const std::string& method,
                                     SimTime now) const;
 
  private:
-  struct MethodAcl {
-    std::unordered_set<std::string> vos;
-    std::unordered_set<std::string> subjects;
-  };
-  [[nodiscard]] bool acl_matches(const MethodAcl& acl,
-                                 const Proxy& proxy) const;
-
-  std::unordered_map<std::string, MethodAcl> acls_;  // method or "*"
-  std::unordered_set<std::string> banned_;
+  /// Method (or "*") -> VOs it admits.
+  std::unordered_map<std::string, std::unordered_set<std::string>> acls_;
 };
 
 }  // namespace sphinx::rpc

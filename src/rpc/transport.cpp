@@ -24,7 +24,7 @@ void MessageBus::register_endpoint(const std::string& name, Handler handler) {
   ever_registered_.insert(name);
   // Registration completes a planned handoff: the name has an owner
   // again, so later drops (if any) are back to crash semantics.
-  handoff_pending_.erase(name);
+  handoff_windows_.erase(name);
 }
 
 void MessageBus::unregister_endpoint(const std::string& name) {
@@ -32,11 +32,7 @@ void MessageBus::unregister_endpoint(const std::string& name) {
 }
 
 void MessageBus::expect_handoff(const std::string& name) {
-  handoff_pending_.insert(name);
-}
-
-bool MessageBus::handoff_pending(const std::string& name) const noexcept {
-  return handoff_pending_.contains(name);
+  handoff_windows_.insert(name);
 }
 
 void MessageBus::set_fault_model(NetworkFaultConfig config, Rng faults_rng) {
@@ -78,7 +74,6 @@ MessageId MessageBus::reply(const Envelope& request, std::string payload) {
   env.from = request.to;
   env.to = request.from;
   env.payload = std::move(payload);
-  env.in_reply_to = request.id;
   env.call_seq = request.call_seq;
   return post(std::move(env));
 }
@@ -201,7 +196,7 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           // A planned-handoff window is not a crash: the old owner
           // unregistered deliberately and a new owner is on the way, so
           // the drop gets its own counter and detail.
-          if (handoff_pending_.contains(env.to)) {
+          if (handoff_windows_.contains(env.to)) {
             ++stats_.dropped_handoff;
             if (recorder_ != nullptr) {
               recorder_->count("bus", "bus.dropped_handoff");

@@ -69,7 +69,7 @@ class XrValue {
 
   [[nodiscard]] bool is_int() const noexcept { return std::holds_alternative<std::int64_t>(data_); }
   [[nodiscard]] bool is_double() const noexcept { return std::holds_alternative<double>(data_); }
-  [[nodiscard]] bool is_bool() const noexcept { return std::holds_alternative<bool>(data_); }
+  [[nodiscard]] bool is_bool() const noexcept { return std::holds_alternative<bool>(data_); }  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] bool is_string() const noexcept { return std::holds_alternative<std::string>(data_); }
   [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
   [[nodiscard]] bool is_struct() const noexcept { return std::holds_alternative<Struct>(data_); }
@@ -79,8 +79,8 @@ class XrValue {
   [[nodiscard]] double as_double() const;  ///< accepts int too
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] const Struct& as_struct() const;
+  [[nodiscard]] const Array& as_array() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
+  [[nodiscard]] const Struct& as_struct() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
 
   /// Struct member access; throws if not a struct or key missing.
   [[nodiscard]] const XrValue& at(const std::string& key) const;
@@ -158,7 +158,6 @@ class XrWriter {
   void value(const XrValue& v);
   void int_value(std::int64_t v);
   void double_value(double v);
-  void bool_value(bool v);
   void string_value(std::string_view v);
   void begin_struct() { out_ += "<value><struct>"; }
   void end_struct() { out_ += "</struct></value>"; }
@@ -179,6 +178,7 @@ class XrWriter {
   [[nodiscard]] std::string take() && { return std::move(out_); }
 
  private:
+  void bool_value(bool v);
   void text_element(std::string_view tag, std::string_view text);
   void int_digits(std::int64_t v);
   void double_digits(double v);

@@ -84,12 +84,12 @@ class Engine {
   [[nodiscard]] std::size_t events_fired() const noexcept { return fired_; }
   /// Events that will still fire: queued events minus cancelled ones,
   /// even while a cancelled event still sits in the queue.
-  [[nodiscard]] std::size_t events_pending() const noexcept {
+  [[nodiscard]] std::size_t events_pending() const noexcept {  // sphinx-lint-allow(test-only): tests check that cancellation leaves nothing to fire
     return heap_.size() - cancelled_;
   }
 
   /// Label of the event currently being dispatched (empty outside dispatch).
-  [[nodiscard]] const std::string& current_label() const noexcept {
+  [[nodiscard]] const std::string& current_label() const noexcept {  // sphinx-lint-allow(test-only): tests check the label a callback runs under
     return current_label_;
   }
 
@@ -166,18 +166,15 @@ class PeriodicProcess {
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_; }
-  [[nodiscard]] Duration period() const noexcept { return period_; }
   /// Absolute time of the next pending firing (meaningful while running).
   [[nodiscard]] SimTime next_fire_at() const noexcept { return next_at_; }
-  /// Changes the period; takes effect at the next firing.
-  void set_period(Duration period) noexcept { period_ = period; }
 
  private:
   void fire();
 
   Engine& engine_;
   std::string label_;
-  Duration period_;
+  const Duration period_;
   Body body_;
   Duration jitter0_;
   EventHandle next_;

@@ -227,8 +227,8 @@ void CondorG::replicate(const data::Lfn& lfn, SiteId destination,
       return;
     }
   }
-  const auto choice = data::select_replica(replicas, destination, transfers_);
-  const data::Replica source = choice->replica;
+  const data::Replica source =
+      *data::select_replica(replicas, destination, transfers_);
   transfers_.transfer(
       source.site, destination, source.size_bytes,
       [this, lfn, destination, source, done = std::move(done)](TransferId,

@@ -23,14 +23,10 @@ StatusOrError VirtualDataCatalog::add_derivation(Derivation d) {
   return {};
 }
 
-bool VirtualDataCatalog::can_derive(const data::Lfn& lfn) const noexcept {
-  return derivations_.contains(lfn);
-}
-
 Expected<Dag> VirtualDataCatalog::request(const data::Lfn& target,
                                           IdSpace& ids,
                                           const std::string& dag_name) const {
-  if (!can_derive(target)) {
+  if (!derivations_.contains(target)) {
     return make_error("vdc_not_derivable", "no derivation yields " + target);
   }
 

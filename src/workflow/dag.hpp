@@ -56,7 +56,7 @@ class Dag {
     return jobs_;
   }
   [[nodiscard]] const std::vector<JobId>& parents(JobId id) const;
-  [[nodiscard]] const std::vector<JobId>& children(JobId id) const;
+  [[nodiscard]] const std::vector<JobId>& children(JobId id) const;  // sphinx-lint-allow(test-only): tests check the edges
 
   /// Jobs whose parents are all in `completed` and are not themselves in
   /// `completed` -- the planner's "ready set" (paper section 3.2, step 1).
@@ -67,7 +67,7 @@ class Dag {
   [[nodiscard]] std::vector<JobId> roots() const;
 
   /// Topological order; error if the graph has a cycle.
-  [[nodiscard]] Expected<std::vector<JobId>> topological_order() const;
+  [[nodiscard]] Expected<std::vector<JobId>> topological_order() const;  // sphinx-lint-allow(test-only): validate() in this pair orders through it
 
   /// Structural validation: acyclic, and every edge parent's output is
   /// actually consumed by the child (data consistency).

@@ -24,21 +24,24 @@ namespace sphinx::workflow {
 struct WorkloadConfig {
   int jobs_per_dag = 10;
   Duration compute_time = 60.0;      ///< identical for all jobs (paper)
-  int min_inputs = 2;
+  int min_inputs = 2;  // sphinx-lint-allow(test-only): the generator property test varies it
   int max_inputs = 3;
   int max_parents = 2;               ///< parents drawn among earlier jobs
-  double external_min_bytes = 60e6;  ///< pre-existing input sizes
-  double external_max_bytes = 180e6;
-  double output_min_bytes = 10e6;    ///< per-job output sizes (all differ)
-  double output_max_bytes = 100e6;
-  int external_replicas = 1;         ///< replicas per pre-existing file
+  /// Pre-existing input sizes.
+  double external_min_bytes = 60e6;  // sphinx-lint-allow(test-only): the QoS test shrinks staging
+  double external_max_bytes = 180e6;  // sphinx-lint-allow(test-only): the QoS test shrinks staging
+  /// Per-job output sizes (all differ)
+  double output_min_bytes = 10e6;  // sphinx-lint-allow(test-only): the QoS test shrinks staging
+  double output_max_bytes = 100e6;  // sphinx-lint-allow(test-only): the QoS test shrinks staging
+  /// Replicas per pre-existing file.
+  int external_replicas = 1;  // sphinx-lint-allow(test-only): tests check the replica fan-out
 };
 
 /// Shared id space so every generated entity is unique within a scenario.
 struct IdSpace {
   IdGenerator<DagId> dags;
   IdGenerator<JobId> jobs;
-  std::uint64_t next_file = 0;
+  std::uint64_t next_file = 0;  // sphinx-lint-allow(test-only): the generator in this pair numbers files from it
 };
 
 class WorkloadGenerator {

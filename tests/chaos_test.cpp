@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
+#include "chaos/json.hpp"
 #include "chaos/minimize.hpp"
 #include "chaos/schedule.hpp"
 #include "exp/scenario.hpp"
@@ -402,6 +403,90 @@ TEST(ChaosRepro, RejectsMalformedInput) {
       chaos::schedule_from_json(
           R"({"outages":{"x":[{"at":0,"duration":1,"mode":"melted"}]}})")
           .has_value());
+}
+
+/// A repro the reader accepts, with `schedule` substituted in and the
+/// `config` members (each ending in a comma) placed first, so they win
+/// over the defaults that follow.
+std::string repro_text(const std::string& config, const std::string& schedule) {
+  return R"({"config":{)" + config +
+         R"("seed":7,"dag_count":3,"jobs_per_dag":6,)"
+         R"("algorithm":"completion-time","horizon":86400},)"
+         R"("violation":"","schedule":)" +
+         schedule + "}";
+}
+
+TEST(ChaosRepro, AcceptsWhatTheCampaignWrites) {
+  const auto parsed = chaos::repro_from_json(repro_text(
+      R"("checkpoint_every":64,)",
+      R"({"crash_records":[5,9],"net_windows":[{"at":0,"duration":60,)"
+      R"("loss":1,"duplicate":0,"reorder":0.5,"spike":0}],)"
+      R"("outages":{"ufgrid1":[{"at":0,"duration":0,"mode":"down"}]}})"));
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->config.seed, 7u);
+  EXPECT_EQ(parsed->schedule.crash_records.size(), 2u);
+}
+
+TEST(ChaosRepro, RefusesNestingDeeperThanTheCap) {
+  // 64 levels parse; a 65th is refused, and so is a document deep enough
+  // to exhaust the stack of an uncapped recursive parser.
+  EXPECT_TRUE(chaos::parse_json(std::string(64, '[') + std::string(64, ']'))
+                  .has_value());
+  EXPECT_FALSE(chaos::parse_json(std::string(65, '[') + std::string(65, ']'))
+                   .has_value());
+  EXPECT_FALSE(chaos::parse_json(std::string(100000, '[')).has_value());
+  EXPECT_FALSE(
+      chaos::repro_from_json(repro_text("", std::string(100000, '[')))
+          .has_value());
+}
+
+TEST(ChaosRepro, RefusesSeedsAndCountsOutsideTheirType) {
+  for (const char* config :
+       {R"("dag_count":-3,)", R"("jobs_per_dag":2.5,)",
+        R"("dag_count":3e9,)", R"("seed":-1,)", R"("seed":1.5,)",
+        R"("seed":1e20,)", R"("seed":"7",)", R"("checkpoint_every":-64,)",
+        R"("checkpoint_every":1e300,)"}) {
+    EXPECT_FALSE(chaos::repro_from_json(repro_text(config, "{}")).has_value())
+        << config;
+  }
+  for (const char* schedule :
+       {R"({"crash_records":[2.5]})", R"({"crash_records":[1e20]})",
+        R"({"mid_ckpt_crashes":[0.5]})", R"({"crash_records":["3"]})"}) {
+    EXPECT_FALSE(chaos::repro_from_json(repro_text("", schedule)).has_value())
+        << schedule;
+  }
+}
+
+TEST(ChaosRepro, RefusesNegativeTimes) {
+  EXPECT_FALSE(
+      chaos::repro_from_json(repro_text(R"("horizon":-1,)", "{}")).has_value());
+  for (const char* schedule :
+       {R"({"outages":{"ufgrid1":[{"at":0,"duration":-50,"mode":"down"}]}})",
+        R"({"outages":{"ufgrid1":[{"at":-1,"duration":50,"mode":"down"}]}})",
+        R"({"net_windows":[{"at":-5,"duration":60}]})",
+        R"({"net_windows":[{"at":5,"duration":-60}]})",
+        R"({"net_windows":[{"at":5,"duration":60,"spike":-1}]})"}) {
+    EXPECT_FALSE(chaos::repro_from_json(repro_text("", schedule)).has_value())
+        << schedule;
+  }
+}
+
+TEST(ChaosRepro, RefusesProbabilitiesOutsideUnitInterval) {
+  for (const char* schedule :
+       {R"({"net_windows":[{"at":0,"duration":60,"loss":1.5}]})",
+        R"({"net_windows":[{"at":0,"duration":60,"duplicate":-0.1}]})",
+        R"({"net_windows":[{"at":0,"duration":60,"reorder":2}]})",
+        R"({"net_windows":[{"at":0,"duration":60,"loss":"high"}]})"}) {
+    EXPECT_FALSE(chaos::repro_from_json(repro_text("", schedule)).has_value())
+        << schedule;
+  }
+}
+
+TEST(ChaosRepro, RefusesOutagesOnSitesTheTestbedLacks) {
+  const auto refused = chaos::repro_from_json(repro_text(
+      "", R"({"outages":{"nowhere":[{"at":0,"duration":5,"mode":"down"}]}})"));
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_NE(refused.error().to_string().find("nowhere"), std::string::npos);
 }
 
 // --- oracle end-to-end: injected divergence ---------------------------------

@@ -28,7 +28,7 @@ TEST(StrongId, GeneratorNeverReturnsInvalid) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(gen.next().valid());
   }
-  EXPECT_EQ(gen.last(), 100u);
+  EXPECT_EQ(gen.next(), JobId(101));
 }
 
 TEST(StrongId, DistinctTagsAreDistinctTypes) {
@@ -93,13 +93,6 @@ TEST(Rng, ExponentialMeanApproximatelyCorrect) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(5.0);
   EXPECT_NEAR(sum / n, 5.0, 0.25);
-}
-
-TEST(Rng, NormalRespectsFloor) {
-  Rng rng(13);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(rng.normal(1.0, 5.0, 0.5), 0.5);
-  }
 }
 
 TEST(SeedTree, SameLabelSameSeed) {
@@ -313,8 +306,6 @@ TEST(Strings, StartsEndsWith) {
 
 TEST(Strings, FormatHelpers) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
-  EXPECT_EQ(format_bytes(1536.0), "1.5 KB");
-  EXPECT_EQ(format_bytes(10.0), "10 B");
   EXPECT_EQ(format_duration(3723), "1h 02m 03s");
   EXPECT_EQ(format_duration(42), "42s");
   EXPECT_EQ(format_duration(125), "2m 05s");
@@ -329,7 +320,7 @@ TEST(TextTable, RendersAlignedColumns) {
   EXPECT_NE(out.find("algorithm"), std::string::npos);
   EXPECT_NE(out.find("completion-time"), std::string::npos);
   EXPECT_NE(out.find("----"), std::string::npos);
-  EXPECT_EQ(t.rows(), 2u);
+  EXPECT_NE(out.find("round-robin"), std::string::npos);
 }
 
 TEST(TextTable, ShortRowsPadded) {

@@ -49,7 +49,7 @@ TEST(CoreE2E, SingleDagCompletesOnHealthyGrid) {
 
   // Every job's output is now registered in the RLS.
   for (const auto& job : dag.jobs()) {
-    EXPECT_TRUE(scenario.rls().exists(job.output)) << job.output;
+    EXPECT_FALSE(scenario.rls().locate(job.output).empty()) << job.output;
   }
   // Server-side automaton: DAG finished, all jobs completed.
   const auto record = tenant.server->warehouse().dag(dag.id());
@@ -88,7 +88,7 @@ TEST(CoreE2E, JobsWithDependenciesRespectOrdering) {
                                 [&] { tenant.client->submit(dag); });
   scenario.run(hours(4));
   EXPECT_TRUE(tenant.client->all_dags_finished());
-  EXPECT_TRUE(scenario.rls().exists("lfn://chain/out2"));
+  EXPECT_FALSE(scenario.rls().locate("lfn://chain/out2").empty());
 }
 
 TEST(CoreE2E, DagReducerSkipsMaterializedJobs) {

@@ -122,26 +122,13 @@ TEST(SoftStateRls, IndexLagsLrc) {
 
   rls.register_replica("lfn://soft/a", SiteId(1), 1e6);
   // The LRC has it immediately; the index does not.
-  EXPECT_TRUE(rls.lrc(SiteId(1)).has("lfn://soft/a"));
-  EXPECT_FALSE(rls.exists("lfn://soft/a"));
-  EXPECT_EQ(rls.pending_updates(), 1u);
+  EXPECT_TRUE(rls.lrc(SiteId(1)).size_of("lfn://soft/a").has_value());
+  EXPECT_TRUE(rls.locate("lfn://soft/a").empty());
 
   engine.run_until(59.0);
-  EXPECT_FALSE(rls.exists("lfn://soft/a"));
+  EXPECT_TRUE(rls.locate("lfn://soft/a").empty());
   engine.run_until(61.0);
-  EXPECT_TRUE(rls.exists("lfn://soft/a"));
-  EXPECT_EQ(rls.pending_updates(), 0u);
   EXPECT_EQ(rls.locate("lfn://soft/a").size(), 1u);
-}
-
-TEST(SoftStateRls, UnregisteredBeforePropagationNeverAppears) {
-  sim::Engine engine;
-  data::ReplicaLocationService rls;
-  rls.enable_soft_state(engine, 60.0);
-  rls.register_replica("lfn://soft/b", SiteId(1), 1e6);
-  rls.unregister_replica("lfn://soft/b", SiteId(1));
-  engine.run_until(120.0);
-  EXPECT_FALSE(rls.exists("lfn://soft/b"));
 }
 
 TEST(SoftStateRls, WorkflowStillCompletesWithLaggingIndex) {

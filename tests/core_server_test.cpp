@@ -54,7 +54,7 @@ class RawCaller {
 };
 
 rpc::Proxy vo_proxy(const std::string& vo) {
-  return rpc::Proxy(rpc::Identity{"/CN=raw", "/CN=CA"}, vo, {}, 0.0,
+  return rpc::Proxy(rpc::Identity{"/CN=raw"}, vo, {}, 0.0,
                     hours(24));
 }
 
@@ -436,7 +436,7 @@ TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
   ASSERT_EQ(live.front().attempt, 1);
 
   RawCaller caller(scenario,
-                   rpc::Proxy(rpc::Identity{"/CN=server", "/CN=CA"}, "ivdgl",
+                   rpc::Proxy(rpc::Identity{"/CN=server"}, "ivdgl",
                               {}, 0.0, hours(24)));
   for (const rpc::XrValue& attempt :
        {rpc::XrValue(std::int64_t{4294967297}), rpc::XrValue(0),
@@ -456,7 +456,7 @@ TEST(ClientProtocol, RejectsBogusPlans) {
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
   (void)tenant;
   RawCaller caller(scenario,
-                   rpc::Proxy(rpc::Identity{"/CN=server", "/CN=CA"}, "ivdgl",
+                   rpc::Proxy(rpc::Identity{"/CN=server"}, "ivdgl",
                               {}, 0.0, hours(24)));
   // Not a plan at all.
   auto r = caller.call("sphinx-client/t", "sphinx_client.execute_plan",
@@ -471,7 +471,7 @@ TEST(ClientProtocol, RejectsBogusPlans) {
 // --- re-delivery ------------------------------------------------------------
 
 rpc::Proxy host_proxy() {
-  return rpc::Proxy(rpc::Identity{"/CN=server", "/CN=CA"}, "ivdgl", {}, 0.0,
+  return rpc::Proxy(rpc::Identity{"/CN=server"}, "ivdgl", {}, 0.0,
                     hours(24));
 }
 
@@ -829,6 +829,18 @@ TEST_F(RefusalFixture, PlanForUnknownSite) {
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   // The refusal recorded nothing: the same (job, attempt) at a real site
   // is still a first delivery, not a duplicate.
+  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+}
+
+TEST_F(RefusalFixture, PlanWithUnknownInputSource) {
+  // The execution site exists, but one input would be staged from a site
+  // the grid does not have.
+  core::ExecutionPlan plan = plan_for(14);
+  plan.inputs = {{"lfn://refusal/in", SiteId(999), 1e6}};
+  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
+          "site 999");
+  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
 }
 

@@ -23,7 +23,7 @@ namespace {
 
 rpc::Proxy control_proxy(SimTime now = 0.0) {
   return rpc::Proxy(
-      rpc::Identity{"/CN=sphinx-control-plane", "/CN=iGOC CA"}, "ivdgl", {},
+      rpc::Identity{"/CN=sphinx-control-plane"}, "ivdgl", {},
       now, hours(24 * 365));
 }
 

@@ -22,7 +22,6 @@ ExperimentConfig tiny_config(std::uint64_t seed) {
   config.scenario.background_load = false;
   config.workload.jobs_per_dag = 5;
   config.dag_count = 2;
-  config.submit_spacing = 1.0;
   config.horizon = hours(12);
   return config;
 }
@@ -109,9 +108,6 @@ TEST(Reports, RenderAllForms) {
   const std::string sites = render_site_distribution("Sites:", r);
   EXPECT_NE(sites.find("acdc"), std::string::npos);
   EXPECT_NE(sites.find("-"), std::string::npos);  // ll3 has no data
-
-  const std::string timeouts = render_timeouts("Timeouts:", results);
-  EXPECT_NE(timeouts.find("12"), std::string::npos);
 
   const std::string summary = render_summary(results);
   EXPECT_NE(summary.find("30/30"), std::string::npos);

@@ -136,10 +136,11 @@ TEST_F(SiteFixture, EqualPriorityIsFifo) {
 }
 
 TEST_F(SiteFixture, StageInHookDelaysCompute) {
-  site.set_stage_in_hook([this](const RemoteJob&, std::function<void()> done) {
+  RemoteJob job = job_of(60.0);
+  job.stage = [this](std::function<void()> done) {
     engine.schedule_in(30.0, "stage", std::move(done));
-  });
-  const auto sid = submit(job_of(60.0));
+  };
+  const auto sid = submit(std::move(job));
   engine.run_until();
   const auto& events = *history.at(sid);
   ASSERT_EQ(events.size(), 4u);
@@ -244,14 +245,12 @@ TEST_F(SiteFixture, BlackHoleRecoveryDispatchesBacklog) {
 }
 
 TEST_F(SiteFixture, DegradedSiteRunsSlower) {
-  SiteConfig config = basic_config(1);
-  config.degraded_speed = 0.5;
-  Site slow(engine, SiteId(7), config, Rng(7));
+  Site slow(engine, SiteId(7), basic_config(1), Rng(7));
   slow.degrade();
   bool done = false;
   (void)slow.submit(job_of(60.0), [&](const JobEvent& e) {
     if (e.state == RemoteJobState::kCompleted) {
-      EXPECT_DOUBLE_EQ(e.at, 120.0);  // 60 / (1.0 * 0.5)
+      EXPECT_DOUBLE_EQ(e.at, 60.0 / kDegradedSpeed);  // 60 / (1.0 * 0.3)
       done = true;
     }
   });

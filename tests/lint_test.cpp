@@ -457,6 +457,116 @@ TEST(SphinxLint, ObserveOnlyPolicesObsModule) {
       "observe-only"));
 }
 
+// --- test-only ---------------------------------------------------------
+
+/// A header declaring one public function and one private member, plus
+/// its source; `extra` goes inside the public section.
+void write_gadget(const TempTree& tree, const std::string& extra = "") {
+  tree.write("src/core/gadget.hpp",
+             "#pragma once\n/// \\file gadget.hpp\n/// Fixture.\n"
+             "namespace fx {\n"
+             "class Gadget {\n"
+             " public:\n"
+             "  int turn() const;\n" +
+                 extra +
+                 " private:\n"
+                 "  int hidden() const;\n"
+                 "};\n"
+                 "}  // namespace fx\n");
+  tree.write("src/core/gadget.cpp",
+             "/// \\file gadget.cpp\n#include \"gadget.hpp\"\n"
+             "int fx::Gadget::turn() const { return hidden(); }\n"
+             "int fx::Gadget::hidden() const { return 1; }\n");
+}
+
+/// A file that calls Gadget::turn.
+constexpr const char* kTurnUser =
+    "int u(const fx::Gadget& g) { return g.turn(); }\n";
+
+std::vector<std::string> test_only_names(const TempTree& tree) {
+  std::vector<std::string> out;
+  for (const Finding& f :
+       sphinx::lint::analyze_tree(tree.root(), {"src"}, {"test-only"})
+           .findings) {
+    EXPECT_EQ(f.rule, "test-only");
+    const std::size_t open = f.message.find('\'');
+    out.push_back(f.message.substr(
+        open + 1, f.message.find('\'', open + 1) - open - 1));
+  }
+  return out;
+}
+
+TEST(SphinxLint, TestOnlyFiresForANameOnlyTestsUse) {
+  TempTree tree("test_only_tests");
+  write_gadget(tree);
+  tree.write("tests/gadget_test.cpp", kTurnUser);
+  EXPECT_EQ(test_only_names(tree), std::vector<std::string>{"Gadget::turn"});
+}
+
+TEST(SphinxLint, TestOnlyFiresForANameOnlyItsOwnSourceUses) {
+  TempTree tree("test_only_own_source");
+  write_gadget(tree);
+  EXPECT_EQ(test_only_names(tree), std::vector<std::string>{"Gadget::turn"});
+}
+
+TEST(SphinxLint, TestOnlyCountsBenchAndPerfbenchAsUsers) {
+  for (const std::string dir :
+       {"bench", "perfbench/src", "examples", "tools/x"}) {
+    TempTree tree("test_only_users");
+    write_gadget(tree);
+    tree.write(dir + "/user.cpp", kTurnUser);
+    EXPECT_TRUE(test_only_names(tree).empty()) << dir;
+  }
+}
+
+TEST(SphinxLint, TestOnlyNeverCountsALintFixtureAsAUse) {
+  TempTree tree("test_only_fixture");
+  write_gadget(tree);
+  tree.write("tools/sphinx_lint/fixtures/rules/x/bad/src/user.cpp",
+             kTurnUser);
+  EXPECT_EQ(test_only_names(tree), std::vector<std::string>{"Gadget::turn"});
+}
+
+TEST(SphinxLint, TestOnlyNeverReportsPrivateMembersTypesOrOperators) {
+  TempTree tree("test_only_private");
+  write_gadget(tree,
+               "  enum class Mode { kSlow, fast };\n"
+               "  struct Part;\n"
+               "  bool operator==(const Gadget&) const = default;\n");
+  tree.write("src/core/user.cpp", kTurnUser);
+  // hidden() is used only by gadget.cpp, but it is private.
+  EXPECT_TRUE(test_only_names(tree).empty());
+}
+
+TEST(SphinxLint, TestOnlyWaiverSilencesTheDeclaration) {
+  TempTree tree("test_only_waiver");
+  write_gadget(tree,
+               "  int spare() const;  "
+               "// sphinx-lint-allow(test-only): a seam\n");
+  tree.write("src/core/user.cpp", kTurnUser);
+  EXPECT_TRUE(test_only_names(tree).empty());
+}
+
+TEST(SphinxLint, TestOnlyFiresForAConfigFieldOnlyTestsSet) {
+  TempTree tree("test_only_config");
+  tree.write("src/core/knob.hpp",
+             "#pragma once\n/// \\file knob.hpp\n/// Fixture.\n"
+             "struct KnobConfig {\n"
+             "  double gain = 1.0;\n"
+             "  double bias = 0.0;\n"
+             "};\n");
+  // The program reads both fields and varies only bias; a test varies
+  // gain, with a designated initializer and a member assignment.
+  tree.write("src/core/amp.cpp",
+             "double amp(const KnobConfig& c) { return c.gain + c.bias; }\n"
+             "KnobConfig tuned() { KnobConfig c; c.bias = 2.0; return c; }\n");
+  tree.write("tests/amp_test.cpp",
+             "KnobConfig a{.gain = 3.0};\n"
+             "void t(KnobConfig* c) { c->gain = 4.0; c->bias = 1.0; }\n");
+  EXPECT_EQ(test_only_names(tree),
+            std::vector<std::string>{"KnobConfig::gain"});
+}
+
 // --- catalog + JSON output --------------------------------------------
 
 TEST(SphinxLint, CatalogListsEveryRuleWithExplanation) {

@@ -21,7 +21,6 @@ TEST(Logger, LevelGateRoundTrip) {
   Logger log("test-component");
   log.debug("this is ", 42, " and should be suppressed");
   log.error("visible error with value ", 3.5);
-  EXPECT_EQ(log.component(), "test-component");
   set_log_level(LogLevel::kOff);
   log.error("suppressed entirely");
   set_log_level(before);

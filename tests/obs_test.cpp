@@ -125,17 +125,18 @@ TEST(MetricSet, JsonIsOrderedAndStable) {
 // --- recorder --------------------------------------------------------------
 
 TEST(Recorder, QualifiedNamesAndEngineStamping) {
-  EXPECT_EQ(Recorder::qualified_name("n", "src"), "n@src");
-  EXPECT_EQ(Recorder::qualified_name("n", ""), "n");
-
   sim::Engine engine;
   Recorder recorder(engine);
   engine.schedule_at(7.0, "emit", [&] {
     recorder.event(TraceKind::kSweepBegin, "srv", "", "", 3.0);
     recorder.count("srv", "sweeps");
+    recorder.count("", "unscoped");
     recorder.observe("srv", "depth", 3.0);
   });
   engine.run_until();
+  // Metric names are qualified "name@source", bare without a source.
+  EXPECT_TRUE(recorder.metrics().counters().contains("sweeps@srv"));
+  EXPECT_TRUE(recorder.metrics().counters().contains("unscoped"));
   ASSERT_EQ(recorder.trace().size(), 1u);
   EXPECT_DOUBLE_EQ(recorder.trace().events().front().at, 7.0);
   EXPECT_EQ(recorder.counter("sweeps", "srv"), 1u);

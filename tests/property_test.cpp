@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "chaos/campaign.hpp"
 #include "chaos/schedule.hpp"
 #include "common/stats.hpp"
 #include "core/warehouse.hpp"
@@ -548,7 +549,7 @@ TEST_P(SeededProperty, GeneratedWorkloadsAreWellFormed) {
           if (dag.job(parent).output == input) from_parent = true;
         }
         if (!from_parent) {
-          EXPECT_TRUE(rls.exists(input)) << input;
+          EXPECT_FALSE(rls.locate(input).empty()) << input;
         }
       }
     }
@@ -1587,7 +1588,7 @@ class WirePair {
   rpc::MessageBus bus_{engine_, Rng(3), 0.01, 0.0};
   rpc::ClarensService typed_{bus_, "typed", rpc::AuthzPolicy{}};
   rpc::ClarensService tree_{bus_, "tree", rpc::AuthzPolicy{}};
-  rpc::Proxy proxy_{rpc::Identity{"/CN=wire", "/CN=CA"}, "uscms", {}, 0.0,
+  rpc::Proxy proxy_{rpc::Identity{"/CN=wire"}, "uscms", {}, 0.0,
                     hours(24)};
   std::uint64_t seq_ = 0;
   std::string reply_;
@@ -1850,6 +1851,60 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   RecordProperty("journals_parsed", parsed_journals);
   RecordProperty("journals_replayed", replayed);
   RecordProperty("images_restored", restored);
+}
+
+// --- the chaos repro reader under mutation ------------------------------------
+
+TEST_P(SeededProperty, MutatedReprosAreRefusedOrRoundTrip) {
+  // Repros as the campaign writes them: a synthesized schedule (outages on
+  // testbed sites, crash and mid-checkpoint points, lossy and partition
+  // windows), every config member, and a violation text with escapes.
+  std::vector<std::string> corpus;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    chaos::ReproCase repro;
+    repro.config.seed = GetParam() * 10 + k;
+    repro.config.checkpoint_every = 16 << k;
+    repro.config.speculate = k == 1;
+    repro.config.schedule.mid_ckpt_crashes = static_cast<int>(k);
+    repro.schedule = chaos::synthesize_schedule(repro.config);
+    repro.violation = "differential: \"journal\"\tline " + std::to_string(k);
+    corpus.push_back(chaos::to_json(repro));
+  }
+  static const std::vector<std::string> kFragments = {
+      "{", "}", "[", "]", "\"", ":", ",", "-", "-3", "0.5", "1.5", "2.5e0",
+      "1e20", "1e300", "18446744073709551616", "4294967296", "null", "true",
+      "\"down\"", "\"nowhere\"", "\"ufgrid1\"", "\\u0041", "[[[[[[[[",
+      "{\"at\":-1,\"duration\":5,\"mode\":\"down\"}"};
+
+  // The reader answers every mutant with a repro or an error, never a
+  // throw or a crash; whatever it accepts serializes to text that it
+  // accepts again and that then serializes to itself.
+  Rng rng(GetParam());
+  int accepted = 0;
+  constexpr int kMutations = 10000;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string doc = corpus[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      mutate(rng, doc, corpus, kFragments);
+    }
+    try {
+      const auto parsed = chaos::repro_from_json(doc);
+      if (!parsed) continue;
+      ++accepted;
+      const std::string text = chaos::to_json(*parsed);
+      const auto again = chaos::repro_from_json(text);
+      ASSERT_TRUE(again.has_value())
+          << again.error().to_string() << " on:\n" << text;
+      EXPECT_EQ(chaos::to_json(*again), text) << doc;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "threw " << error.what() << " on:\n" << doc;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, kMutations / 20);
+  EXPECT_LT(accepted, kMutations);
+  RecordProperty("repros_accepted", accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

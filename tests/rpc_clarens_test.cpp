@@ -16,7 +16,7 @@ namespace sphinx::rpc {
 namespace {
 
 Identity user_identity() {
-  return Identity{"/DC=org/DC=griphyn/CN=Production Manager", "/CN=iGOC CA"};
+  return Identity{"/DC=org/DC=griphyn/CN=Production Manager"};
 }
 
 Proxy user_proxy(SimTime now = 0.0, Duration lifetime = hours(12)) {
@@ -32,15 +32,6 @@ TEST(Proxy, ValidWithinLifetime) {
 
 TEST(Proxy, DefaultProxyIsAnonymousAndInvalid) {
   EXPECT_FALSE(Proxy{}.valid_at(0.0));
-}
-
-TEST(Proxy, DelegationNeverOutlivesParent) {
-  const Proxy p = user_proxy(0.0, 100.0);
-  const Proxy child = p.delegate(50.0, 200.0);
-  EXPECT_DOUBLE_EQ(child.expires_at(), 100.0);
-  const Proxy short_child = p.delegate(50.0, 10.0);
-  EXPECT_DOUBLE_EQ(short_child.expires_at(), 60.0);
-  EXPECT_EQ(child.identity(), p.identity());
 }
 
 TEST(Proxy, PrincipalIncludesVoAndGroups) {
@@ -71,14 +62,6 @@ TEST(AuthzPolicy, WildcardMethodAcl) {
   AuthzPolicy policy;
   policy.allow_vo("*", "uscms");
   EXPECT_TRUE(policy.check(user_proxy(), "whatever", 0.0).allowed);
-}
-
-TEST(AuthzPolicy, SubjectAclAndBanList) {
-  AuthzPolicy policy;
-  policy.allow_subject("schedule", user_identity().subject);
-  EXPECT_TRUE(policy.check(user_proxy(), "schedule", 0.0).allowed);
-  policy.ban_subject(user_identity().subject);
-  EXPECT_FALSE(policy.check(user_proxy(), "schedule", 0.0).allowed);
 }
 
 TEST(AuthzPolicy, AclOnOtherMethodDeniesThisOne) {
@@ -138,20 +121,19 @@ TEST_F(BusFixture, UnregisterDropsInflight) {
 }
 
 TEST_F(BusFixture, ReplyCorrelatesWithRequest) {
-  MessageId request_id;
-  bus.register_endpoint("server", [&](const Envelope& e) {
-    request_id = e.id;
-    bus.reply(e, "pong");
-  });
-  MessageId got_reply_to;
+  bus.register_endpoint("server",
+                        [&](const Envelope& e) { bus.reply(e, "pong"); });
+  std::uint64_t got_call_seq = 0;
+  std::string got_to;
   bus.register_endpoint("client", [&](const Envelope& e) {
-    got_reply_to = e.in_reply_to;
+    got_call_seq = e.call_seq;
+    got_to = e.to;
     EXPECT_EQ(e.payload, "pong");
   });
-  bus.send("client", "server", "ping", {}, 1);
+  bus.send("client", "server", "ping", {}, 7);
   engine.run_until();
-  EXPECT_EQ(got_reply_to, request_id);
-  EXPECT_TRUE(got_reply_to.valid());
+  EXPECT_EQ(got_call_seq, 7u);  // the reply carries the request's call
+  EXPECT_EQ(got_to, "client");
 }
 
 class ClarensFixture : public ::testing::Test {
@@ -228,7 +210,7 @@ TEST_F(ClarensFixture, HandlerErrorBecomesApplicationFault) {
 }
 
 TEST_F(ClarensFixture, WrongVoDenied) {
-  const Proxy intruder(Identity{"/CN=Someone Else", "/CN=CA"}, "ligo", {}, 0.0,
+  const Proxy intruder(Identity{"/CN=Someone Else"}, "ligo", {}, 0.0,
                        hours(1));
   ClarensClient client(bus, "client-2", intruder);
   std::string code;
@@ -307,7 +289,7 @@ TEST_F(ClarensFixture, FaultPrecedenceIsParseDeniedMethodThenParams) {
       "count", &one_int, [](const std::int64_t& n, const Proxy&) {
         return Expected<XrValue>(XrValue(n + 1));
       });
-  const Proxy intruder(Identity{"/CN=Someone Else", "/CN=CA"}, "ligo", {}, 0.0,
+  const Proxy intruder(Identity{"/CN=Someone Else"}, "ligo", {}, 0.0,
                        hours(1));
   std::optional<MethodResponse> reply;
   bus.register_endpoint("raw-client", [&](const Envelope& env) {

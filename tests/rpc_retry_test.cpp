@@ -18,7 +18,7 @@ namespace sphinx::rpc {
 namespace {
 
 Identity user_identity() {
-  return Identity{"/DC=org/DC=griphyn/CN=Production Manager", "/CN=iGOC CA"};
+  return Identity{"/DC=org/DC=griphyn/CN=Production Manager"};
 }
 
 Proxy user_proxy(SimTime now = 0.0, Duration lifetime = hours(48)) {

@@ -337,19 +337,6 @@ TEST(PeriodicProcess, StartIsIdempotent) {
   EXPECT_EQ(count, 1);
 }
 
-TEST(PeriodicProcess, SetPeriodTakesEffectNextFiring) {
-  Engine e;
-  std::vector<double> times;
-  PeriodicProcess p(e, "tick", 10.0, [&] { times.push_back(e.now()); });
-  p.start();
-  e.run_until(0.5);       // fires at t=0
-  p.set_period(2.0);      // next gap still 10 (already scheduled), then 2
-  e.run_until(14.5);
-  ASSERT_GE(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[1], 10.0);
-  EXPECT_DOUBLE_EQ(times[2], 12.0);
-}
-
 TEST(PeriodicProcess, InvalidConstructionRejected) {
   Engine e;
   EXPECT_THROW(PeriodicProcess(e, "x", 0.0, [] {}), AssertionError);

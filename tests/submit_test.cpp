@@ -73,7 +73,7 @@ TEST_F(GatewayFixture, FullLifecycleWithStaging) {
   // 150 MB at 10 MB/s = 15 s staging + 60 s compute.
   EXPECT_NEAR(completed_at, 75.0, 1.0);
   // Output registered in RLS at the execution site.
-  ASSERT_TRUE(rls.exists("lfn://out-1"));
+  ASSERT_FALSE(rls.locate("lfn://out-1").empty());
   EXPECT_EQ(rls.locate("lfn://out-1")[0].site, exec_site);
 }
 
@@ -96,7 +96,7 @@ TEST_F(GatewayFixture, CancelDuringStagingKillsTransfers) {
   engine.run_until();
   EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kRemoved);
   EXPECT_EQ(transfers.stats().cancelled, 1u);
-  EXPECT_FALSE(rls.exists("lfn://out-1"));
+  EXPECT_TRUE(rls.locate("lfn://out-1").empty());
 }
 
 TEST_F(GatewayFixture, CancelUnknownOrTerminalFails) {
@@ -181,7 +181,7 @@ TEST_F(DagManFixture, RunsChainInOrder) {
   EXPECT_FALSE(dagman.failed());
   EXPECT_EQ(dagman.completed_jobs(), 2u);
   EXPECT_GT(finished, 20.0);  // both computes plus staging
-  EXPECT_TRUE(rls.exists("lfn://final"));
+  EXPECT_FALSE(rls.locate("lfn://final").empty());
 }
 
 TEST_F(DagManFixture, SecondJobWaitsForFirstOutput) {
@@ -192,7 +192,7 @@ TEST_F(DagManFixture, SecondJobWaitsForFirstOutput) {
   dagman.start(0.0);
   engine.run_until(5.0);
   EXPECT_EQ(dagman.completed_jobs(), 0u);
-  EXPECT_FALSE(rls.exists("lfn://mid"));
+  EXPECT_TRUE(rls.locate("lfn://mid").empty());
   engine.run_until();
   EXPECT_TRUE(dagman.finished());
 }

@@ -45,6 +45,7 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/failover.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
 
@@ -238,7 +239,7 @@ int run_failover(int argc, char** argv) {
   }
 
   int failures = 0;
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = sphinx::kFnv1aOffset;
   std::printf("sphinx_chaos failover: runs=%d shards=%zu dags=%zu\n", runs,
               base.shards, base.dag_count);
   for (int k = 0; k < runs; ++k) {

@@ -16,12 +16,26 @@ ctest --preset relwithdebinfo
 echo "== sphinx-lint =="
 # The full static pass: the 7 hygiene/determinism regex rules plus the
 # declaration-aware analyzer rules (ordered-escape taint, rng stream
-# discipline, derived-state, observe-only) over everything we compile.
+# discipline, derived-state, observe-only, test-only) over everything we
+# compile.
 # src/ctrl (the lease/failover control plane) is named explicitly: it is
 # already inside src/, but the control plane must never regress on the
 # determinism rules, so the gate stays loud about covering it.
 ./build/relwithdebinfo/tools/sphinx_lint/sphinx_lint \
   --root . src src/ctrl tests bench examples tools
+
+echo "== test-only waiver gate =="
+# Each sphinx-lint-allow(test-only) waiver in src/ keeps a public name
+# that only tests (or the name's own header/source pair) reach.  The list
+# may only shrink: a change that removes waivers lowers this bound, and
+# one that adds a waiver fails here.
+max_test_only_waivers=77
+waivers=$(grep -rho 'sphinx-lint-allow(test-only)' src | wc -l)
+if [ "$waivers" -gt "$max_test_only_waivers" ]; then
+  echo "test-only waivers in src/: $waivers, bound $max_test_only_waivers" >&2
+  exit 1
+fi
+echo "test-only waivers: $waivers (bound $max_test_only_waivers)"
 
 echo "== rng stream registry gate =="
 # docs/rng_streams.md is generated from the seeds.stream() literals the

@@ -39,6 +39,16 @@ bool is_library_code(const std::string& rel_path) {
   return rel_path.starts_with("src/");
 }
 
+bool is_source_file(const std::filesystem::path& path) {
+  const std::string ext = path.extension().string();
+  return ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" ||
+         ext == ".h" || ext == ".hh";
+}
+
+bool is_lint_fixture(const std::string& rel_path) {
+  return rel_path.find("fixtures/") != std::string::npos;
+}
+
 bool determinism_whitelisted(const std::string& rel_path) {
   return std::find(kDeterminismWhitelist.begin(), kDeterminismWhitelist.end(),
                    rel_path) != kDeterminismWhitelist.end();

@@ -22,6 +22,7 @@
 /// not noisy: the rules fire on patterns they positively recognise.
 
 #include <cstddef>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -122,6 +123,12 @@ struct FileContext {
 
 [[nodiscard]] bool is_header(const std::string& rel_path);
 [[nodiscard]] bool is_library_code(const std::string& rel_path);
+/// A C++ source or header, by extension.
+[[nodiscard]] bool is_source_file(const std::filesystem::path& path);
+/// Under the linter's own rule fixtures: deliberate violations, never
+/// part of a tree under analysis (a fixture directory can still be the
+/// scan root itself, which is how the per-rule ctest cases drive them).
+[[nodiscard]] bool is_lint_fixture(const std::string& rel_path);
 /// Files exempt from the determinism rules (the sanctioned time/rng
 /// abstractions themselves, and the logger).
 [[nodiscard]] bool determinism_whitelisted(const std::string& rel_path);

@@ -1,7 +1,8 @@
 /// \file linter.cpp
 /// Rule orchestration: catalog assembly, per-file driving, and the
 /// cross-file phase (derived-state annotations across header/source
-/// pairs, the rng stream registry and its duplicate check).  The rules
+/// pairs, the rng stream registry and its duplicate check, test-only
+/// reachability).  The rules
 /// themselves live one family per translation unit under rules/.
 
 #include "linter.hpp"
@@ -86,7 +87,7 @@ const std::vector<Rule>& rule_catalog() {
     for (auto family :
          {&determinism_rules, &status_rules, &hygiene_rules,
           &ordered_escape_rules, &rng_stream_rules, &derived_state_rules,
-          &observe_only_rules}) {
+          &observe_only_rules, &test_only_rules}) {
       for (Rule& rule : family()) all.push_back(rule);
     }
     return all;
@@ -130,19 +131,6 @@ TreeReport analyze_tree(const std::filesystem::path& root,
   namespace fs = std::filesystem;
   TreeReport report;
 
-  const auto lintable = [](const fs::path& p) {
-    const std::string ext = p.extension().string();
-    return ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" ||
-           ext == ".h" || ext == ".hh";
-  };
-  // The linter's own rule fixtures are deliberate violations; never
-  // treat them as part of a tree under analysis (they are still
-  // lintable when a fixture directory is the scan root itself, which is
-  // how the per-rule ctest cases drive them).
-  const auto fixture = [&root](const fs::path& p) {
-    return fs::relative(p, root).generic_string().find("fixtures/") !=
-           std::string::npos;
-  };
 
   std::vector<fs::path> files;
   for (const std::string& entry : entries) {
@@ -153,8 +141,9 @@ TreeReport analyze_tree(const std::filesystem::path& root,
     } else if (fs::is_directory(base, ec)) {
       for (auto it = fs::recursive_directory_iterator(base, ec);
            !ec && it != fs::recursive_directory_iterator(); ++it) {
-        if (it->is_regular_file() && lintable(it->path()) &&
-            !fixture(it->path())) {
+        if (it->is_regular_file() && is_source_file(it->path()) &&
+            !is_lint_fixture(
+                fs::relative(it->path(), root).generic_string())) {
           files.push_back(it->path());
         }
       }
@@ -258,6 +247,11 @@ TreeReport analyze_tree(const std::filesystem::path& root,
               "; two modules sharing a label share a generator and "
               "entangle their draw sequences -- rename one"});
     }
+  }
+
+  // Phase 5: public src/ names that only tests reach.
+  if (rule_selected(only, "test-only")) {
+    check_test_only(root, contexts, report.findings);
   }
 
   sort_findings(report.findings);

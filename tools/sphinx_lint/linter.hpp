@@ -32,6 +32,11 @@
 ///   observe-only         src/obs/ never draws randomness, requests
 ///                        streams, schedules events or reaches into
 ///                        warehouse/db state
+///   test-only            every public snake_case name a src/ header
+///                        declares is named by a program file (src,
+///                        tools, bench, examples, perfbench) outside its
+///                        header/source pair, and no *Config/*Options
+///                        field is assigned only by tests
 ///
 /// Comments and string literals are stripped before regex matching, so
 /// documentation may mention rand() freely.  Escapes:
@@ -95,9 +100,10 @@ struct TreeReport {
 /// Walks `entries` (directories or files, relative to `root`) and runs
 /// the full analysis: per-file rules, then the cross-file phase
 /// (duplicate stream names across modules; derived-state annotations
-/// declared in a header enforced in the sibling source file).  Files
-/// are visited in sorted order for deterministic output.  `only`
-/// restricts the rule set (empty = all).
+/// declared in a header enforced in the sibling source file; test-only,
+/// which also reads the program directories under `root` whatever the
+/// entries).  Files are visited in sorted order for deterministic
+/// output.  `only` restricts the rule set (empty = all).
 [[nodiscard]] TreeReport analyze_tree(
     const std::filesystem::path& root, const std::vector<std::string>& entries,
     const std::vector<std::string>& only = {});

@@ -8,9 +8,9 @@
 /// through a Reporter (which silently drops findings waived with an
 /// inline `sphinx-lint-allow(rule)` comment).  Cross-file analyses --
 /// the rng stream registry and duplicate detection, derived-state
-/// annotations declared in a header and enforced in the matching source
-/// -- are coordinated by analyze_tree() in linter.cpp using the
-/// extraction helpers declared at the bottom.
+/// annotations declared in a header and enforced in the matching source,
+/// test-only reachability -- are coordinated by analyze_tree() in
+/// linter.cpp using the helpers declared at the bottom.
 
 #include <string>
 #include <vector>
@@ -57,6 +57,7 @@ struct Rule {
 [[nodiscard]] std::vector<Rule> rng_stream_rules();     // rng-stream-literal, rng-stream-duplicate, rng-raw
 [[nodiscard]] std::vector<Rule> derived_state_rules();  // derived-state
 [[nodiscard]] std::vector<Rule> observe_only_rules();   // observe-only
+[[nodiscard]] std::vector<Rule> test_only_rules();      // test-only
 
 // --- cross-file extraction helpers ------------------------------------
 
@@ -70,6 +71,15 @@ struct Rule {
 /// comments on member declaration lines.
 [[nodiscard]] std::map<std::string, std::set<std::string>> extract_derived(
     const Stripped& stripped, const std::vector<Token>& tokens);
+
+/// test-only's cross-file pass: reports each public snake_case name a
+/// src/ header among `linted` declares that no program file under
+/// `root` (src, tools, bench, examples, perfbench; fixtures excluded)
+/// names outside the header's own pair, and each *Config/*Options field
+/// that only files under tests/ assign.
+void check_test_only(const std::filesystem::path& root,
+                     const std::vector<FileContext>& linted,
+                     std::vector<Finding>& out);
 
 /// Unordered-container declarations in one token stream, for the
 /// ordered-escape taint (names + functions returning such types).
