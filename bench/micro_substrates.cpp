@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <utility>
 
 #include "core/codec.hpp"
 #include "data/gridftp.hpp"
@@ -92,11 +93,12 @@ void BM_GridFtpChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_GridFtpChurn)->Range(64, 1024);
 
-void BM_GridFtpInFlight(benchmark::State& state) {
-  // Steady concurrency at the paper panels' scale (fig5 keeps ~670
-  // transfers in flight): N start at once and every completion starts
-  // the next, until 4,096 have run.  Sizes vary so completions stagger,
-  // and each start and finish rebalances against ~N flows.
+/// Steady concurrency at the paper panels' scale (fig5 keeps ~670
+/// transfers in flight): N start at once and every completion starts the
+/// next, until 4,096 have run.  Sizes vary so completions stagger.
+/// `route(i)` is the (src, dst) of transfer i.
+template <typename Route>
+void gridftp_in_flight(benchmark::State& state, Route route) {
   constexpr int kTransfers = 4096;
   const auto in_flight = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -110,8 +112,9 @@ void BM_GridFtpInFlight(benchmark::State& state) {
     std::function<void(TransferId, Duration)> next;
     const auto start = [&] {
       const auto i = static_cast<std::uint64_t>(started++);
-      transfers.transfer(SiteId(1 + i % 15), SiteId(1 + (i + 7) % 15),
-                         1e7 * static_cast<double>(1 + i % 13), next);
+      const auto [src, dst] = route(i);
+      transfers.transfer(src, dst, 1e7 * static_cast<double>(1 + i % 13),
+                         next);
     };
     next = [&](TransferId, Duration) {
       ++done;
@@ -123,7 +126,29 @@ void BM_GridFtpInFlight(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kTransfers);
 }
+
+void BM_GridFtpInFlight(benchmark::State& state) {
+  // 15 link pairs: site s always sends to site s + 7 (mod 15).
+  gridftp_in_flight(state, [](std::uint64_t i) {
+    return std::pair{SiteId(1 + i % 15), SiteId(1 + (i + 7) % 15)};
+  });
+}
 BENCHMARK(BM_GridFtpInFlight)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GridFtpInFlightSpread(benchmark::State& state) {
+  // All 210 ordered pairs of distinct sites in turn; fig5 spreads its
+  // flows over ~126 active pairs.
+  gridftp_in_flight(state, [](std::uint64_t i) {
+    const std::uint64_t pair = i % 210;
+    const std::uint64_t src = pair / 14;
+    return std::pair{SiteId(1 + src), SiteId(1 + (src + 1 + pair % 14) % 15)};
+  });
+}
+BENCHMARK(BM_GridFtpInFlightSpread)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024)

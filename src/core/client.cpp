@@ -70,8 +70,8 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
 
 Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
   // A plan for a site this client's grid does not have cannot run, nor
-  // can one staging an input from such a site; refuse it before anything
-  // is tracked or submitted.
+  // can one staging an input from such a site or archiving its output to
+  // one; refuse it before anything is tracked or submitted.
   if (!gateway_.has_site(plan.site)) {
     return make_error("bad_request", "unknown site " +
                                          std::to_string(plan.site.value()));
@@ -82,6 +82,12 @@ Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
                         "input " + input.lfn + " from unknown site " +
                             std::to_string(input.source.value()));
     }
+  }
+  if (plan.persistent_site.valid() &&
+      !gateway_.has_site(plan.persistent_site)) {
+    return make_error("bad_request",
+                      "output archived to unknown site " +
+                          std::to_string(plan.persistent_site.value()));
   }
   // Duplicate-delivery guard: a replanned job always carries a fresh
   // attempt number, so a repeated (job, attempt) pair is a re-delivered
@@ -99,7 +105,6 @@ Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
     recorder_->count(config_.endpoint, "tracker.plans_received");
   }
   if (plan.speculative) {
-    ++tracker_.speculative_plans;
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.speculative_plans");
     }
@@ -178,7 +183,6 @@ Expected<XrValue> SphinxClient::handle_dag_done(
   if (outcome.done()) {
     // Duplicate notification: keep the first delivery's finish time so
     // completion-time metrics are not skewed by the retransmission.
-    ++tracker_.duplicate_dag_done;
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.duplicate_dag_done");
     }
@@ -224,7 +228,6 @@ Expected<XrValue> SphinxClient::handle_cancel_attempt(
   if (it == tracked_.end() || it->second.terminal) return XrValue(true);
   Tracked& tracked = it->second;
   finish_tracking(tracked);
-  ++tracker_.race_cancels;
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.race_cancels");
   }

@@ -74,16 +74,6 @@ struct TrackerStats {
   /// Re-delivered plans skipped by the (job, attempt) duplicate guard; a
   /// duplicate must never reach the gateway as a second submission.
   std::size_t duplicate_plans = 0;
-  /// Re-delivered dag_done notifications; the recorded finish time of
-  /// the first delivery is kept.
-  std::size_t duplicate_dag_done = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
-  /// Straggler defense: speculative (racing) plans accepted.
-  std::size_t speculative_plans = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
-  /// cancel_attempt requests that found a live attempt to kill (the
-  /// loser of a first-completion-wins race).
-  std::size_t race_cancels = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
-  /// Completions of a racing attempt observed after the sibling already
-  /// completed; arbitrated away (no stats, no report).
 };
 
 class SphinxClient {

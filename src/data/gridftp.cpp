@@ -7,6 +7,7 @@
 namespace sphinx::data {
 namespace {
 constexpr double kEpsilonBytes = 1e-6;  // snap tiny residues to done
+constexpr std::uint32_t kNoPair = 0xffffffff;
 }
 
 TransferService::TransferService(sim::Engine& engine) : engine_(engine) {}
@@ -16,6 +17,18 @@ std::uint32_t TransferService::port(SiteId site) {
       port_of_.try_emplace(site, static_cast<std::uint32_t>(ports_.size()));
   if (added) ports_.emplace_back();
   return it->second;
+}
+
+std::uint32_t TransferService::pair_of(std::uint32_t src, std::uint32_t dst) {
+  std::vector<std::uint32_t>& row = ports_[src].pair_to;
+  if (row.size() <= dst) row.resize(dst + 1, kNoPair);
+  if (row[dst] == kNoPair) {
+    row[dst] = static_cast<std::uint32_t>(pairs_.size());
+    Pair& pair = pairs_.emplace_back();
+    pair.src = src;
+    pair.dst = dst;
+  }
+  return row[dst];
 }
 
 void TransferService::set_link(SiteId site, LinkConfig link) {
@@ -48,47 +61,72 @@ TransferId TransferService::transfer(SiteId src, SiteId dst, double bytes,
     // Local replica: no WAN movement.  Complete on the next tick so the
     // caller's bookkeeping finishes first.
     ++stats_.completed;
-    stats_.bytes_moved += bytes;
     engine_.schedule_in(0.0, "gridftp:local",
                         [done = std::move(done), id] { done(id, 0.0); });
     return id;
   }
 
   advance_to_now();
-  Flow flow;
-  flow.id = id;
-  flow.src = port(src);
-  flow.dst = port(dst);
-  flow.remaining = bytes;
-  flow.started_at = engine_.now();
-  flow.done = std::move(done);
-  ++ports_[flow.src].uplinks;
-  ++ports_[flow.dst].downlinks;
-  flows_.push_back(std::move(flow));
+  const std::uint32_t src_port = port(src);
+  const std::uint32_t dst_port = port(dst);
+  const std::uint32_t p = pair_of(src_port, dst_port);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot] = Slot{id, p, engine_.now(), std::move(done)};
+  Pair& pair = pairs_[p];
+  if (pair.lanes.empty()) active_pairs_.push_back(p);
+  // The lanes were just advanced, so the new flow is ordered against
+  // current values.
+  const auto at = std::partition_point(
+      pair.lanes.begin(), pair.lanes.end(),
+      [bytes](const Lane& lane) { return lane.remaining >= bytes; });
+  pair.lanes.insert(at, Lane{bytes, slot});
+  ++ports_[src_port].uplinks;
+  ++ports_[dst_port].downlinks;
   rebalance();
   return id;
 }
 
 void TransferService::cancel(TransferId id) {
-  const auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, TransferId key) { return f.id < key; });
-  if (it == flows_.end() || it->id != id) return;
+  if (!id.valid()) return;  // free slots hold the invalid id
+  const auto it = std::find_if(slots_.begin(), slots_.end(),
+                               [id](const Slot& s) { return s.id == id; });
+  if (it == slots_.end()) return;
   advance_to_now();
-  --ports_[it->src].uplinks;
-  --ports_[it->dst].downlinks;
-  flows_.erase(it);
+  const auto slot = static_cast<std::uint32_t>(it - slots_.begin());
+  const std::uint32_t p = it->pair;
+  Pair& pair = pairs_[p];
+  pair.lanes.erase(std::find_if(
+      pair.lanes.begin(), pair.lanes.end(),
+      [slot](const Lane& lane) { return lane.slot == slot; }));
+  if (pair.lanes.empty()) std::erase(active_pairs_, p);
+  --ports_[pair.src].uplinks;
+  --ports_[pair.dst].downlinks;
+  free_slot(slot);
   ++stats_.cancelled;
   rebalance();
+}
+
+void TransferService::free_slot(std::uint32_t slot) {
+  slots_[slot] = Slot{};
+  free_slots_.push_back(slot);
 }
 
 void TransferService::advance_to_now() {
   const SimTime now = engine_.now();
   const Duration dt = now - last_update_;
   if (dt > 0) {
-    for (Flow& f : flows_) {
-      f.remaining = std::max(0.0, f.remaining - f.rate * dt);
-      stats_.bytes_moved += f.rate * dt;
+    for (const std::uint32_t p : active_pairs_) {
+      const double rate = pairs_[p].rate;
+      for (Lane& lane : pairs_[p].lanes) {
+        lane.remaining = std::max(0.0, lane.remaining - rate * dt);
+      }
     }
   }
   last_update_ = now;
@@ -99,12 +137,16 @@ void TransferService::rebalance() {
     if (p.uplinks > 0) p.up_share = p.link.uplink_bps / p.uplinks;
     if (p.downlinks > 0) p.down_share = p.link.downlink_bps / p.downlinks;
   }
+  // remaining / rate grows with remaining, so a pair's back lane has the
+  // pair's soonest ETA.
   Duration soonest = kNever;
-  for (Flow& f : flows_) {
-    f.rate = std::min(ports_[f.src].up_share, ports_[f.dst].down_share);
-    if (f.rate <= 0) continue;
-    const Duration eta = f.remaining / f.rate;
-    if (eta < soonest) soonest = eta;
+  for (const std::uint32_t p : active_pairs_) {
+    Pair& pair = pairs_[p];
+    pair.rate =
+        std::min(ports_[pair.src].up_share, ports_[pair.dst].down_share);
+    if (pair.rate <= 0) continue;
+    pair.eta = pair.lanes.back().remaining / pair.rate;
+    if (pair.eta < soonest) soonest = pair.eta;
   }
 
   engine_.cancel(next_completion_);
@@ -114,11 +156,20 @@ void TransferService::rebalance() {
   // will be force-completed when the event fires, so floating-point
   // residue can never strand a transfer in a zero-progress reschedule
   // loop.  A small relative window also batches near-simultaneous ends.
-  // Every start, cancel and finish reschedules, so the flags still
-  // describe flows_ when the event fires.
+  // The due lanes of a pair are a run at its back, so the test stops at
+  // the first lane outside the window, and a pair whose back lane is
+  // outside has none.  Every start, cancel and finish reschedules, so the
+  // counts still describe the lanes when the event fires.
   const Duration window = soonest + 1e-9 * (1.0 + soonest);
-  for (Flow& f : flows_) {
-    f.due = f.rate > 0 && f.remaining / f.rate <= window;
+  for (const std::uint32_t p : active_pairs_) {
+    Pair& pair = pairs_[p];
+    pair.due = 0;
+    if (pair.rate <= 0 || pair.eta > window) continue;
+    for (auto lane = pair.lanes.rbegin();
+         lane != pair.lanes.rend() && lane->remaining / pair.rate <= window;
+         ++lane) {
+      ++pair.due;
+    }
   }
   next_completion_ = engine_.schedule_in(soonest, "gridftp:done",
                                          [this] { complete_due(); });
@@ -126,26 +177,32 @@ void TransferService::rebalance() {
 
 void TransferService::complete_due() {
   advance_to_now();
-  // Retire every due or drained flow (ties complete together), compacting
-  // the survivors in place so they keep their id order.
-  std::vector<Flow> finished;
+  // Retire every due or drained flow (ties complete together).  Both are
+  // runs at the back of their pair, so each pair retires one run, and a
+  // pair left empty leaves the active list.
+  std::vector<Slot> finished;
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (f.due || f.remaining <= kEpsilonBytes) {
-      --ports_[f.src].uplinks;
-      --ports_[f.dst].downlinks;
-      finished.push_back(std::move(f));
-    } else {
-      if (kept != i) flows_[kept] = std::move(f);
-      ++kept;
+  for (const std::uint32_t p : active_pairs_) {
+    Pair& pair = pairs_[p];
+    for (std::size_t retired = 0;
+         !pair.lanes.empty() && (retired < pair.due ||
+                                 pair.lanes.back().remaining <= kEpsilonBytes);
+         ++retired) {
+      finished.push_back(std::move(slots_[pair.lanes.back().slot]));
+      free_slot(pair.lanes.back().slot);
+      pair.lanes.pop_back();
+      --ports_[pair.src].uplinks;
+      --ports_[pair.dst].downlinks;
     }
+    if (!pair.lanes.empty()) active_pairs_[kept++] = p;
   }
-  flows_.resize(kept);
+  active_pairs_.resize(kept);
+  std::sort(finished.begin(), finished.end(),
+            [](const Slot& a, const Slot& b) { return a.id < b.id; });
   // Callbacks may start transfers, so they fire only after the survivors
   // are rebalanced.
   rebalance();
-  for (Flow& f : finished) {
+  for (Slot& f : finished) {
     ++stats_.completed;
     f.done(f.id, engine_.now() - f.started_at);
   }

@@ -131,7 +131,6 @@ MessageId MessageBus::post(Envelope envelope) {
       }
     }
     if (partitioned) {
-      ++stats_.partition_dropped;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusPartitionDrop, envelope.from,
                          envelope.to, "", 0.0);
@@ -148,7 +147,6 @@ MessageId MessageBus::post(Envelope envelope) {
       return id;
     }
     if (pass_loss < 1.0 && faults_rng_.chance(1.0 - pass_loss)) {
-      ++stats_.lost_injected;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusLoss, envelope.from, envelope.to,
                          "", 0.0);
@@ -157,7 +155,6 @@ MessageId MessageBus::post(Envelope envelope) {
       return id;
     }
     if (pass_duplicate < 1.0 && faults_rng_.chance(1.0 - pass_duplicate)) {
-      ++stats_.duplicated_injected;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusDuplicate, envelope.from,
                          envelope.to, "", 0.0);
@@ -174,7 +171,6 @@ MessageId MessageBus::post(Envelope envelope) {
       const Duration extra =
           spike > 0 ? faults_rng_.uniform(0.0, spike) : 0.0;
       delay += extra;
-      ++stats_.reordered_injected;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusReorder, envelope.from,
                          envelope.to, "", extra);
@@ -197,7 +193,6 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           // unregistered deliberately and a new owner is on the way, so
           // the drop gets its own counter and detail.
           if (handoff_windows_.contains(env.to)) {
-            ++stats_.dropped_handoff;
             if (recorder_ != nullptr) {
               recorder_->count("bus", "bus.dropped_handoff");
               recorder_->event(obs::TraceKind::kBusDrop, env.from, env.to,
@@ -205,7 +200,6 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
             }
             return;
           }
-          ++stats_.dropped_no_endpoint;
           const bool known = ever_registered_.contains(env.to);
           if (recorder_ != nullptr) {
             recorder_->count("bus", "bus.dropped_no_endpoint");

@@ -43,25 +43,12 @@ struct Envelope {
   std::uint64_t call_seq = 0;
 };
 
-/// Bus delivery counters, exposed for tests and diagnostics.  Drops are
-/// split by cause: a missing endpoint is a wiring bug (or a crashed
-/// peer); everything else is a deliberately injected fault.
+/// Bus delivery counters, exposed for tests and diagnostics.  Drops and
+/// injected faults are counted by the flight recorder ("bus.lost",
+/// "bus.dropped_no_endpoint", ...; see set_recorder()).
 struct BusStats {
   std::size_t sent = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
   std::size_t delivered = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// No handler at delivery time.
-  std::size_t dropped_no_endpoint = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// Dropped while the endpoint was in a *planned* handoff window (see
-  /// expect_handoff()) -- deliberate ownership transfer, not a crash.
-  std::size_t dropped_handoff = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// Fault model lost the message.
-  std::size_t lost_injected = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// Extra deliveries scheduled.
-  std::size_t duplicated_injected = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// Link inside a partition window.
-  std::size_t partition_dropped = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  /// Jitter spikes applied.
-  std::size_t reordered_injected = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
 };
 
 /// One fault rule scoped to a link (endpoint-name prefix pair) and a time
@@ -106,8 +93,8 @@ class MessageBus {
 
   /// Opens a *planned handoff* window for an endpoint: until the name is
   /// registered again, in-flight messages to it are dropped with detail
-  /// "endpoint_handoff" and counted in BusStats::dropped_handoff instead
-  /// of "endpoint_unregistered" / dropped_no_endpoint.  The control
+  /// "endpoint_handoff" and counted as "bus.dropped_handoff" instead of
+  /// "endpoint_unregistered" / "bus.dropped_no_endpoint".  The control
   /// plane marks a dead shard here before adoption re-registers it, so
   /// drops during a deliberate ownership transfer are distinguishable
   /// from drops caused by a crashed peer.

@@ -446,7 +446,9 @@ TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
         {rpc::XrValue(live.front().id.value()), attempt});
     EXPECT_FALSE(r.has_value());
   }
-  EXPECT_EQ(tenant.client->tracker_stats().race_cancels, 0u);
+  EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels",
+                                        "sphinx-client/t"),
+            0u);
   EXPECT_TRUE(core::is_outstanding(
       tenant.server->warehouse().job(live.front().id)->state));
 }
@@ -644,7 +646,8 @@ TEST_F(RedeliveryFixture, DagDone) {
   twice(client, host, "sphinx_client.dag_done",
         {rpc::XrValue(1), rpc::XrValue(scenario.engine().now())});
   EXPECT_EQ(tenant.client->dags_finished(), 1u);
-  EXPECT_EQ(tenant.client->tracker_stats().duplicate_dag_done, 1u);
+  EXPECT_EQ(scenario.recorder().counter("tracker.duplicate_dag_done", client),
+            1u);
 }
 
 TEST_F(RedeliveryFixture, CancelAttempt) {
@@ -659,7 +662,7 @@ TEST_F(RedeliveryFixture, CancelAttempt) {
   ASSERT_EQ(tenant.client->tracked_jobs(), 1u);
   twice(client, host, "sphinx_client.cancel_attempt",
         {rpc::XrValue(13), rpc::XrValue(1)});
-  EXPECT_EQ(tenant.client->tracker_stats().race_cancels, 1u);
+  EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels", client), 1u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(tenant.gateway->state_of(JobId(13), 1),
             submit::GatewayJobState::kRemoved);
@@ -842,6 +845,22 @@ TEST_F(RefusalFixture, PlanWithUnknownInputSource) {
   EXPECT_EQ(tenant.gateway->submissions(), 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+}
+
+TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
+  // The job could run, but its output would be archived to a site the
+  // grid does not have.
+  core::ExecutionPlan plan = plan_for(14);
+  plan.persist_output = true;
+  plan.persistent_site = SiteId(999);
+  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
+          "persistent site 999");
+  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  for (const data::Replica& replica : scenario.rls().locate(plan.output)) {
+    EXPECT_NE(replica.site, SiteId(999));
+  }
 }
 
 // --- checkpoint-timer edges across failover ---------------------------------

@@ -72,7 +72,6 @@ TEST_F(TransferFixture, SingleTransferAtFullRate) {
   engine.run_until();
   EXPECT_NEAR(took, 10.0, 1e-6);  // 100 MB at 10 MB/s
   EXPECT_EQ(transfers.stats().completed, 1u);
-  EXPECT_NEAR(transfers.stats().bytes_moved, 100 * kMB, 1.0);
 }
 
 TEST_F(TransferFixture, LocalTransferIsInstant) {

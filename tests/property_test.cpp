@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -76,17 +77,27 @@ TEST_P(SeededProperty, TransferServiceConservesBytes) {
   double requested = 0.0;
   double completed_bytes = 0.0;
   std::vector<std::pair<TransferId, double>> started;
+  std::map<std::uint64_t, int> fired;  // id -> callbacks
+  std::set<std::uint64_t> cancelled;
+  int beat_bound = 0;
   for (int i = 0; i < 120; ++i) {
     const double bytes = rng.uniform(1e6, 2e8);
     const auto src = SiteId(static_cast<std::uint64_t>(rng.uniform_int(1, 6)));
     const auto dst = SiteId(static_cast<std::uint64_t>(rng.uniform_int(1, 6)));
     engine.schedule_at(rng.uniform(0, 500), "start", [&, src, dst, bytes] {
       requested += bytes;
-      const TransferId id = transfers.transfer(
-          src, dst, bytes,
-          [&completed_bytes, bytes](TransferId, Duration) {
-            completed_bytes += bytes;
-          });
+      const auto on_done = [&, src, dst, bytes](TransferId id, Duration took) {
+        completed_bytes += bytes;
+        ++fired[id.value()];
+        // No flow outruns its contention-free rate r.  A flow may end
+        // early by the due window (1e-9 relative, on an ETA no longer than
+        // the flow took) or by the 1e-6-byte snap, 1e-6 / r seconds.
+        const double r = std::min(transfers.link(src).uplink_bps,
+                                  transfers.link(dst).downlink_bps);
+        const Duration slack = 1e-9 * (1.0 + took) + 1e-6 / r;
+        if (took < transfers.estimate(src, dst, bytes) - slack) ++beat_bound;
+      };
+      const TransferId id = transfers.transfer(src, dst, bytes, on_done);
       started.emplace_back(id, bytes);
     });
   }
@@ -94,11 +105,13 @@ TEST_P(SeededProperty, TransferServiceConservesBytes) {
   for (int i = 0; i < 20; ++i) {
     engine.schedule_at(rng.uniform(100, 400), "cancel", [&] {
       if (started.empty()) return;
-      transfers.cancel(started[static_cast<std::size_t>(
-                                   rng.uniform_int(
-                                       0, static_cast<std::int64_t>(
-                                              started.size() - 1)))]
-                           .first);
+      const TransferId id =
+          started[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(started.size() - 1)))]
+              .first;
+      const std::size_t before = transfers.active();
+      transfers.cancel(id);
+      if (transfers.active() < before) cancelled.insert(id.value());
     });
   }
   engine.run_until();
@@ -106,10 +119,17 @@ TEST_P(SeededProperty, TransferServiceConservesBytes) {
   const auto& stats = transfers.stats();
   EXPECT_EQ(stats.started, 120u);
   EXPECT_EQ(stats.completed + stats.cancelled, stats.started);
-  // Every completed transfer delivered exactly its bytes; moved bytes are
-  // completed bytes plus partial progress of cancelled ones.
-  EXPECT_GE(stats.bytes_moved + 1.0, completed_bytes);
+  EXPECT_EQ(cancelled.size(), stats.cancelled);
   EXPECT_LE(completed_bytes, requested + 1.0);
+  // Every callback fired once, and only for transfers not cancelled.
+  EXPECT_EQ(fired.size(), started.size() - cancelled.size());
+  for (const auto& [id, bytes] : started) {
+    const auto it = fired.find(id.value());
+    EXPECT_EQ(it == fired.end() ? 0 : it->second,
+              cancelled.contains(id.value()) ? 0 : 1)
+        << "transfer " << id.value();
+  }
+  EXPECT_EQ(beat_bound, 0);
 }
 
 // --- transfer model exactness ---------------------------------------------
@@ -136,7 +156,6 @@ class ReferenceTransferService {
     ++stats_.started;
     if (src == dst || bytes <= 0) {
       ++stats_.completed;
-      stats_.bytes_moved += bytes;
       engine_.schedule_in(0.0, "gridftp:local",
                           [done = std::move(done), id] { done(id, 0.0); });
       return id;
@@ -167,6 +186,22 @@ class ReferenceTransferService {
     return stats_;
   }
 
+  /// Whether in-flight `id` has flows of its own link pair on both sides
+  /// of it in remaining-bytes order.
+  [[nodiscard]] bool inside_its_pair(TransferId id) const {
+    const auto it = active_.find(id);
+    if (it == active_.end()) return false;
+    const Active& flow = it->second;
+    bool smaller = false;
+    bool larger = false;
+    for (const auto& [other, a] : active_) {
+      if (a.src != flow.src || a.dst != flow.dst) continue;
+      smaller = smaller || a.remaining < flow.remaining;
+      larger = larger || a.remaining > flow.remaining;
+    }
+    return smaller && larger;
+  }
+
  private:
   struct Active {
     SiteId src;
@@ -183,7 +218,6 @@ class ReferenceTransferService {
     if (dt > 0) {
       for (auto& [id, a] : active_) {
         a.remaining = std::max(0.0, a.remaining - a.rate * dt);
-        stats_.bytes_moved += a.rate * dt;
       }
     }
     last_update_ = now;
@@ -266,6 +300,14 @@ struct TransferTrace {
   int cancels_finished = 0;
   int cancels_unknown = 0;
   int ties = 0;  ///< WAN completions sharing a time and duration
+  /// WAN completions while an earlier-started flow of the same link pair
+  /// is still in flight.
+  int overtakes = 0;
+  /// WAN starts on a link pair whose earlier flows have all left.
+  int refills = 0;
+  /// Live cancels of a flow with flows of its pair on both sides of it in
+  /// remaining-bytes order (counted on the reference drive only).
+  int cancels_inside = 0;
   sim::EventHandle next_event;
 };
 
@@ -287,12 +329,39 @@ TransferTrace drive_transfer_model(std::uint64_t seed) {
     return SiteId(static_cast<std::uint64_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(kSites))));
   };
+  // The WAN flows in flight per (src, dst) link pair, and each one's pair.
+  using Route = std::pair<std::uint64_t, std::uint64_t>;
+  std::map<Route, std::set<std::uint64_t>> in_flight;
+  std::map<std::uint64_t, Route> route_of;
   // Completion callbacks record themselves and sometimes start a
   // follow-up transfer (local, empty or WAN), re-entering transfer().
   std::function<void(TransferId, Duration)> done;
   const auto start = [&](SiteId src, SiteId dst, double bytes) {
     last_issued = transfers.transfer(src, dst, bytes, done).value();
     finished.resize(last_issued + 1, false);
+    if (src == dst || bytes <= 0) return;
+    const Route route{src.value(), dst.value()};
+    const auto [flows, added] = in_flight.try_emplace(route);
+    if (!added && flows->second.empty()) ++trace.refills;
+    flows->second.insert(last_issued);
+    route_of.emplace(last_issued, route);
+  };
+  const auto cancel = [&](std::uint64_t id) {
+    bool inside = false;
+    if constexpr (std::is_same_v<Service, ReferenceTransferService>) {
+      inside = transfers.inside_its_pair(TransferId(id));
+    }
+    const std::size_t before = transfers.active();
+    transfers.cancel(TransferId(id));
+    if (transfers.active() < before) {
+      ++trace.cancels_live;
+      if (inside) ++trace.cancels_inside;
+      in_flight[route_of.at(id)].erase(id);
+    } else if (id > last_issued) {
+      ++trace.cancels_unknown;
+    } else if (finished[id]) {
+      ++trace.cancels_finished;
+    }
   };
   done = [&](TransferId id, Duration took) {
     const auto& prev = trace.completions;
@@ -302,6 +371,11 @@ TransferTrace drive_transfer_model(std::uint64_t seed) {
     }
     trace.completions.emplace_back(id.value(), took, engine.now());
     finished[id.value()] = true;
+    if (const auto route = route_of.find(id.value()); route != route_of.end()) {
+      std::set<std::uint64_t>& flows = in_flight[route->second];
+      if (*flows.begin() < id.value()) ++trace.overtakes;
+      flows.erase(id.value());
+    }
     const std::uint64_t k = id.value();
     if (k % 3 == 0 && follow_ups > 0) {
       --follow_ups;
@@ -339,15 +413,7 @@ TransferTrace drive_transfer_model(std::uint64_t seed) {
     engine.schedule_at(rng.uniform(0, 900), "cancel", [&, recent, pick] {
       const std::uint64_t id =
           recent ? last_issued - std::min(pick, last_issued) : pick;
-      const std::size_t before = transfers.active();
-      transfers.cancel(TransferId(id));
-      if (transfers.active() < before) {
-        ++trace.cancels_live;
-      } else if (id > last_issued) {
-        ++trace.cancels_unknown;
-      } else if (finished[id]) {
-        ++trace.cancels_finished;
-      }
+      cancel(id);
     });
   }
   // Capacities change under live flows; rates follow at the next event.
@@ -355,6 +421,16 @@ TransferTrace drive_transfer_model(std::uint64_t seed) {
     transfers.set_link(SiteId(1), {rng.uniform(2e6, 30e6),
                                    rng.uniform(2e6, 30e6)});
     transfers.set_link(SiteId(kSites), {4e6, 9e6});
+  });
+  // A ladder on one link pair: three flows start together, largest first,
+  // and a second later the middle one is cancelled from between the
+  // other two (none of them can finish within a second).
+  engine.schedule_at(300.0, "ladder", [&] {
+    for (const double bytes : {9e7, 6e7, 3e7}) {
+      start(SiteId(2), SiteId(5), bytes);
+    }
+    const std::uint64_t middle = last_issued - 1;
+    engine.schedule_in(1.0, "ladder-cancel", [&, middle] { cancel(middle); });
   });
   engine.run_until();
   trace.stats = transfers.stats();
@@ -375,6 +451,9 @@ TEST_P(SeededProperty, TransferServiceMatchesReferenceModelExactly) {
   EXPECT_GT(want.cancels_finished, 0);
   EXPECT_GT(want.cancels_unknown, 0);
   EXPECT_GT(want.ties, 0);
+  EXPECT_GT(want.overtakes, 0);
+  EXPECT_GT(want.refills, 0);
+  EXPECT_GT(want.cancels_inside, 0);
   EXPECT_TRUE(std::any_of(want.completions.begin(), want.completions.end(),
                           [](const auto& c) { return std::get<1>(c) == 0.0; }));
   // Bit-identical: == on every double, no tolerance.
@@ -382,7 +461,6 @@ TEST_P(SeededProperty, TransferServiceMatchesReferenceModelExactly) {
   EXPECT_EQ(got.stats.started, want.stats.started);
   EXPECT_EQ(got.stats.completed, want.stats.completed);
   EXPECT_EQ(got.stats.cancelled, want.stats.cancelled);
-  EXPECT_EQ(got.stats.bytes_moved, want.stats.bytes_moved);
   EXPECT_EQ(got.active, 0u);
   EXPECT_EQ(want.active, 0u);
   EXPECT_TRUE(got.next_event == want.next_event);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "rpc/clarens.hpp"
 #include "rpc/gsi.hpp"
 #include "rpc/transport.hpp"
@@ -73,7 +74,10 @@ TEST(AuthzPolicy, AclOnOtherMethodDeniesThisOne) {
 
 class BusFixture : public ::testing::Test {
  protected:
+  BusFixture() { bus.set_recorder(&recorder); }
+
   sim::Engine engine;
+  obs::Recorder recorder{engine};
   MessageBus bus{engine, Rng(1), 0.05, 0.0};
 };
 
@@ -105,8 +109,8 @@ TEST_F(BusFixture, DropsToMissingEndpoint) {
   bus.send("c", "nobody", "lost", {}, 1);
   engine.run_until();
   EXPECT_EQ(bus.stats().sent, 1u);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 1u);
-  EXPECT_EQ(bus.stats().lost_injected, 0u);
+  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
+  EXPECT_EQ(recorder.counter("bus.lost", "bus"), 0u);
   EXPECT_EQ(bus.stats().delivered, 0u);
 }
 
@@ -117,7 +121,7 @@ TEST_F(BusFixture, UnregisterDropsInflight) {
   bus.unregister_endpoint("s");
   engine.run_until();
   EXPECT_FALSE(delivered);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 1u);
+  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
 }
 
 TEST_F(BusFixture, ReplyCorrelatesWithRequest) {

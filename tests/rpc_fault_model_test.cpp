@@ -18,6 +18,8 @@ namespace {
 
 class FaultBusFixture : public ::testing::Test {
  protected:
+  FaultBusFixture() { bus.set_recorder(&recorder); }
+
   /// Installs one rule and returns the bus for chaining.
   MessageBus& with_rule(LinkFaultRule rule, std::uint64_t faults_seed = 42) {
     NetworkFaultConfig config;
@@ -35,7 +37,13 @@ class FaultBusFixture : public ::testing::Test {
     return raw;
   }
 
+  /// The recorder's count `name` (e.g. "bus.lost") from source "bus".
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const {
+    return recorder.counter(name, "bus");
+  }
+
   sim::Engine engine;
+  obs::Recorder recorder{engine};
   MessageBus bus{engine, Rng(1), 0.05, 0.0};
 
  private:
@@ -51,9 +59,9 @@ TEST_F(FaultBusFixture, CertainLossDropsEveryMessage) {
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(bus.stats().sent, 8u);
-  EXPECT_EQ(bus.stats().lost_injected, 8u);
+  EXPECT_EQ(counter("bus.lost"), 8u);
   EXPECT_EQ(bus.stats().delivered, 0u);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 0u);
+  EXPECT_EQ(counter("bus.dropped_no_endpoint"), 0u);
 }
 
 TEST_F(FaultBusFixture, CertainDuplicationDeliversTwice) {
@@ -65,7 +73,7 @@ TEST_F(FaultBusFixture, CertainDuplicationDeliversTwice) {
   engine.run_until();
   EXPECT_EQ(*got, 2u);
   EXPECT_EQ(bus.stats().sent, 1u);
-  EXPECT_EQ(bus.stats().duplicated_injected, 1u);
+  EXPECT_EQ(counter("bus.duplicated"), 1u);
   EXPECT_EQ(bus.stats().delivered, 2u);
 }
 
@@ -82,8 +90,8 @@ TEST_F(FaultBusFixture, PartitionWindowIsHalfOpen) {
   engine.run_until();
   // Sends at t=10 and t=19.99 fall inside [start, end); 5.0 and 20.0 pass.
   EXPECT_EQ(*got, 2u);
-  EXPECT_EQ(bus.stats().partition_dropped, 2u);
-  EXPECT_EQ(bus.stats().lost_injected, 0u);
+  EXPECT_EQ(counter("bus.partitioned"), 2u);
+  EXPECT_EQ(counter("bus.lost"), 0u);
 }
 
 TEST_F(FaultBusFixture, RuleMatchingIsSymmetricAndPrefixBased) {
@@ -102,7 +110,7 @@ TEST_F(FaultBusFixture, RuleMatchingIsSymmetricAndPrefixBased) {
   EXPECT_EQ(*to_server, 0u);
   EXPECT_EQ(*to_client, 0u);
   EXPECT_EQ(*to_other, 1u);
-  EXPECT_EQ(bus.stats().partition_dropped, 2u);
+  EXPECT_EQ(counter("bus.partitioned"), 2u);
 }
 
 TEST_F(FaultBusFixture, ReorderSpikeDelaysDelivery) {
@@ -119,19 +127,17 @@ TEST_F(FaultBusFixture, ReorderSpikeDelaysDelivery) {
   ASSERT_EQ(delivered_at.size(), 1u);
   EXPECT_GT(delivered_at[0], 0.05);  // base latency plus a spike
   EXPECT_LT(delivered_at[0], 100.05 + 1e-9);
-  EXPECT_EQ(bus.stats().reordered_injected, 1u);
+  EXPECT_EQ(counter("bus.reordered"), 1u);
 }
 
 TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
-  obs::Recorder recorder(engine);
-  bus.set_recorder(&recorder);
   std::size_t* got = sink("ephemeral");
   bus.send("client", "ephemeral", "in-flight", {}, 1);
   bus.unregister_endpoint("ephemeral");  // drop the in-flight message
   bus.send("client", "never-wired", "lost cause", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 0u);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 2u);
+  EXPECT_EQ(counter("bus.dropped_no_endpoint"), 2u);
   std::vector<std::string> details;
   for (const obs::TraceEvent& e : recorder.trace().events()) {
     if (e.kind == obs::TraceKind::kBusDrop) details.push_back(e.detail);
@@ -139,12 +145,9 @@ TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
   ASSERT_EQ(details.size(), 2u);
   EXPECT_EQ(details[0], "endpoint_unregistered");
   EXPECT_EQ(details[1], "missing_endpoint");
-  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 2u);
 }
 
 TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
-  obs::Recorder recorder(engine);
-  bus.set_recorder(&recorder);
   std::size_t* got = sink("sphinx-server/shard0");
   bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
 
@@ -155,8 +158,8 @@ TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
   bus.unregister_endpoint("sphinx-server/shard0");
   engine.run_until();
   EXPECT_EQ(*got, 0u);
-  EXPECT_EQ(bus.stats().dropped_handoff, 1u);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 0u);
+  EXPECT_EQ(counter("bus.dropped_handoff"), 1u);
+  EXPECT_EQ(counter("bus.dropped_no_endpoint"), 0u);
 
   std::vector<std::string> details;
   for (const obs::TraceEvent& e : recorder.trace().events()) {
@@ -164,12 +167,9 @@ TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
   }
   ASSERT_EQ(details.size(), 1u);
   EXPECT_EQ(details[0], "endpoint_handoff");
-  EXPECT_EQ(recorder.counter("bus.dropped_handoff", "bus"), 1u);
 }
 
 TEST_F(FaultBusFixture, ReRegistrationClosesTheHandoffWindow) {
-  obs::Recorder recorder(engine);
-  bus.set_recorder(&recorder);
   bus.expect_handoff("sphinx-server/shard0");
 
   // The new owner registering the endpoint completes the handoff; a
@@ -178,13 +178,13 @@ TEST_F(FaultBusFixture, ReRegistrationClosesTheHandoffWindow) {
   bus.send("client", "sphinx-server/shard0", "post-handoff", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 1u);
-  EXPECT_EQ(bus.stats().dropped_handoff, 0u);
+  EXPECT_EQ(counter("bus.dropped_handoff"), 0u);
 
   bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
   bus.unregister_endpoint("sphinx-server/shard0");
   engine.run_until();
-  EXPECT_EQ(bus.stats().dropped_handoff, 0u);
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 1u);
+  EXPECT_EQ(counter("bus.dropped_handoff"), 0u);
+  EXPECT_EQ(counter("bus.dropped_no_endpoint"), 1u);
   std::vector<std::string> details;
   for (const obs::TraceEvent& e : recorder.trace().events()) {
     if (e.kind == obs::TraceKind::kBusDrop) details.push_back(e.detail);
@@ -228,7 +228,9 @@ TEST(ControlStream, ControlTrafficNeverShiftsCoreLatencyDraws) {
 // its draws never consume from the faults stream either.
 TEST(ControlStream, ControlTrafficIsExemptFromProbabilisticFaults) {
   sim::Engine engine;
+  obs::Recorder recorder(engine);
   MessageBus bus{engine, Rng(1), 0.05, 0.0};
+  bus.set_recorder(&recorder);
   bus.set_control_stream("ctrl/", Rng(99));
   NetworkFaultConfig config;
   LinkFaultRule rule;
@@ -247,14 +249,16 @@ TEST(ControlStream, ControlTrafficIsExemptFromProbabilisticFaults) {
   engine.run_until();
   EXPECT_EQ(ctrl_delivered, 8u);
   EXPECT_EQ(core_delivered, 0u);
-  EXPECT_EQ(bus.stats().lost_injected, 8u);
+  EXPECT_EQ(recorder.counter("bus.lost", "bus"), 8u);
 }
 
 // Partitions are deterministic (no RNG draw), so the control lane still
 // honors them: a partition covering the coordinator severs heartbeats.
 TEST(ControlStream, ControlTrafficStillHonorsPartitions) {
   sim::Engine engine;
+  obs::Recorder recorder(engine);
   MessageBus bus{engine, Rng(1), 0.05, 0.0};
+  bus.set_recorder(&recorder);
   bus.set_control_stream("ctrl/", Rng(99));
   NetworkFaultConfig config;
   LinkFaultRule cut;
@@ -279,12 +283,10 @@ TEST(ControlStream, ControlTrafficStillHonorsPartitions) {
   });
   engine.run_until();
   EXPECT_EQ(delivered, 2u);
-  EXPECT_EQ(bus.stats().partition_dropped, 1u);
+  EXPECT_EQ(recorder.counter("bus.partitioned", "bus"), 1u);
 }
 
 TEST_F(FaultBusFixture, InjectedFaultsEmitObserveOnlyTraceEvents) {
-  obs::Recorder recorder(engine);
-  bus.set_recorder(&recorder);
   LinkFaultRule loss;
   loss.loss = 1.0;
   loss.end = 1.0;
@@ -339,7 +341,9 @@ TEST(FaultModelDeterminism, InertConfigKeepsDeliveryTimingIdentical) {
 TEST(FaultModelDeterminism, SameSeedSameFaultSequence) {
   auto run = [] {
     sim::Engine engine;
+    obs::Recorder recorder(engine);
     MessageBus bus{engine, Rng(1), 0.05, 0.0};
+    bus.set_recorder(&recorder);
     NetworkFaultConfig config;
     LinkFaultRule rule;
     rule.loss = 0.3;
@@ -355,9 +359,9 @@ TEST(FaultModelDeterminism, SameSeedSameFaultSequence) {
       });
     }
     engine.run_until();
-    return std::tuple{delivered, bus.stats().lost_injected,
-                      bus.stats().duplicated_injected,
-                      bus.stats().reordered_injected};
+    return std::tuple{delivered, recorder.counter("bus.lost", "bus"),
+                      recorder.counter("bus.duplicated", "bus"),
+                      recorder.counter("bus.reordered", "bus")};
   };
   const auto a = run();
   const auto b = run();

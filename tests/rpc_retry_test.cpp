@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "rpc/clarens.hpp"
 #include "rpc/transport.hpp"
 #include "sim/engine.hpp"
@@ -28,6 +29,7 @@ Proxy user_proxy(SimTime now = 0.0, Duration lifetime = hours(48)) {
 class RetryFixture : public ::testing::Test {
  protected:
   RetryFixture() : service(bus, "sphinx-server", make_policy()) {
+    bus.set_recorder(&recorder);
     service.register_method(
         "bump", [this](const std::vector<XrValue>&, const Proxy&) {
           ++bumps;
@@ -53,6 +55,7 @@ class RetryFixture : public ::testing::Test {
   }
 
   sim::Engine engine;
+  obs::Recorder recorder{engine};
   MessageBus bus{engine, Rng(2), 0.05, 0.0};
   ClarensService service;
   std::size_t bumps = 0;
@@ -76,7 +79,7 @@ TEST_F(RetryFixture, RetransmitsAcrossLossWindowAndCompletesOnce) {
   EXPECT_GE(client.retransmissions(), 2u);
   EXPECT_EQ(client.pending(), 0u);
   EXPECT_EQ(client.exhausted(), 0u);
-  EXPECT_GE(bus.stats().lost_injected, 2u);
+  EXPECT_GE(recorder.counter("bus.lost", "bus"), 2u);
 }
 
 TEST_F(RetryFixture, ExhaustsRetryBudgetWithTimeoutError) {
