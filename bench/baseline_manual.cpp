@@ -138,7 +138,8 @@ int main() {
   std::printf("%-24s %zu/%zu  %-16.1f %-14zu\n", "SPHINX (completion-time)",
               sphinx_tenant.client->dags_finished(), sphinx_dags.size(),
               sphinx_tenant.client->avg_dag_completion(),
-              sphinx_tenant.server->stats().replans);
+              static_cast<std::size_t>(scenario.recorder().counter(
+                  "server.replans", sphinx_tenant.server->endpoint())));
   if (manual_failed > 0) {
     std::printf("  * %zu manual DAGs exhausted their retry budget and died\n",
                 manual_failed);

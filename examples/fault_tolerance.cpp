@@ -5,7 +5,8 @@
 ///   t=0        submit 6 DAGs; ufloridapg (the best site) is healthy
 ///   t=10 min   ufloridapg goes down *silently*, taking its jobs with it
 ///   t=12 min   the SPHINX server "crashes"; a new instance is rebuilt
-///              from the database journal and resumes scheduling
+///              from the database journal (Scenario::crash_and_recover_server,
+///              the one recovery path) and resumes scheduling
 ///   ...        tracker timeouts fire for the lost jobs; the server
 ///              (recovered!) replans them onto other sites
 ///   end        every DAG completes despite losing a site and a server
@@ -49,27 +50,26 @@ int main() {
     site->go_down();
   });
 
-  std::unique_ptr<core::SphinxServer> recovered;
+  // The recorder outlives the crash, so the plan count continues across
+  // it; the recovered server's share is the count's growth since then.
+  const std::string endpoint = tenant.server->endpoint();
+  bool recovered = false;
+  std::uint64_t plans_at_recovery = 0;
   scenario.engine().schedule_at(minutes(12), "crash-server", [&] {
     std::printf("[t=%5.0fs] SPHINX server crashes; replaying journal (%zu "
                 "records)...\n",
                 scenario.engine().now(),
                 tenant.server->warehouse().journal().size());
-    const db::Journal journal = tenant.server->warehouse().journal();
-    const core::ServerConfig server_config = tenant.server->config();
-    tenant.server.reset();
-    auto result = core::SphinxServer::recover(
-        scenario.bus(), scenario.catalog(), scenario.rls(),
-        scenario.transfers(), &scenario.monitoring(), server_config, journal);
-    if (!result.has_value()) {
-      std::printf("recovery failed: %s\n", result.error().to_string().c_str());
+    if (const auto status = scenario.crash_and_recover_server(0);
+        !status.ok()) {
+      std::printf("recovery failed: %s\n", status.error().to_string().c_str());
       return;
     }
-    recovered = std::move(*result);
-    recovered->start();
+    recovered = true;
+    plans_at_recovery = scenario.recorder().counter("server.plans", endpoint);
     std::printf("[t=%5.0fs] server recovered: %zu dags, scheduling resumes\n",
                 scenario.engine().now(),
-                recovered->warehouse().all_dags().size());
+                tenant.server->warehouse().all_dags().size());
   });
 
   scenario.engine().schedule_at(minutes(40), "repair-site", [&] {
@@ -88,12 +88,17 @@ int main() {
                     ? format_duration(outcome.completion_time()).c_str()
                     : "(did not finish)");
   }
-  const auto& tracker = tenant.client->tracker_stats();
-  std::printf("tracker: %zu timeouts, %zu held/failed observations\n",
-              tracker.timeouts, tracker.held_or_failed);
-  if (recovered != nullptr) {
-    std::printf("recovered server: %zu plans sent after recovery\n",
-                recovered->stats().plans_sent);
+  const auto count = [&](const char* name, const std::string& source) {
+    return static_cast<unsigned long long>(
+        scenario.recorder().counter(name, source));
+  };
+  const std::string& client = tenant.client->config().endpoint;
+  std::printf("tracker: %llu timeouts, %llu held/failed observations\n",
+              count("tracker.timeouts", client),
+              count("tracker.held_or_failed", client));
+  if (recovered) {
+    std::printf("recovered server: %llu plans sent after recovery\n",
+                count("server.plans", endpoint) - plans_at_recovery);
   }
   std::printf("%zu/%zu dags completed -> %s\n", finished,
               tenant.client->dag_outcomes().size(),

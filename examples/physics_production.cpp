@@ -81,15 +81,20 @@ int main() {
   // --- request higgs again: everything is already materialized --------
   const auto again = vdc.request("lfn://plots/higgs", scenario.ids(),
                                  "higgs-again");
-  const std::size_t reduced_before = tenant.server->stats().jobs_reduced;
+  const auto jobs_reduced = [&] {
+    return scenario.recorder().counter("server.jobs_reduced",
+                                       tenant.server->endpoint());
+  };
+  const std::uint64_t reduced_before = jobs_reduced();
   scenario.engine().schedule_in(1.0, "resubmit",
                                 [&] { tenant.client->submit(*again); });
   scenario.run(scenario.engine().now() + hours(1));
   const auto& outcome = tenant.client->dag_outcomes().back();
   std::printf(
-      "\nre-request of lfn://plots/higgs: %zu of %zu jobs eliminated by the "
+      "\nre-request of lfn://plots/higgs: %llu of %zu jobs eliminated by the "
       "DAG reducer, finished in %s\n",
-      tenant.server->stats().jobs_reduced - reduced_before, again->size(),
+      static_cast<unsigned long long>(jobs_reduced() - reduced_before),
+      again->size(),
       outcome.done() ? format_duration(outcome.completion_time()).c_str()
                      : "(did not finish)");
   return 0;

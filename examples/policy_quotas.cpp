@@ -71,8 +71,9 @@ int main() {
     for (const auto& [site, count] : spread(*tenant)) {
       std::printf("  %-12s %d\n", site.c_str(), count);
     }
-    std::printf("  (policy filtered the candidate set %zu times)\n",
-                tenant->server->stats().policy_rejections);
+    std::printf("  (policy filtered the candidate set %llu times)\n",
+                static_cast<unsigned long long>(scenario.recorder().counter(
+                    "server.policy_rejections", tenant->server->endpoint())));
   }
 
   // Invariant check for the example's claim: Bob only ran where allowed.

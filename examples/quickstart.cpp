@@ -58,8 +58,12 @@ int main() {
     std::printf("%-28s %-12s %-10d %s\n", job.name.c_str(), site.c_str(),
                 record->attempt, core::to_string(record->state));
   }
-  const auto& tracker = tenant.client->tracker_stats();
-  std::printf("\ntracker: %zu plans, %zu completions, %zu timeouts\n",
-              tracker.plans_received, tracker.completions, tracker.timeouts);
+  const auto tracker = [&](const char* name) {
+    return static_cast<unsigned long long>(scenario.recorder().counter(
+        name, tenant.client->config().endpoint));
+  };
+  std::printf("\ntracker: %llu plans, %llu completions, %llu timeouts\n",
+              tracker("tracker.plans_received"), tracker("tracker.completions"),
+              tracker("tracker.timeouts"));
   return 0;
 }

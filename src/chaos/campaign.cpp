@@ -164,7 +164,10 @@ RunArtifacts run_once(const ChaosRunConfig& config,
       tenant.server->warehouse().journal().next_seq());
   artifacts.journal_live_records = tenant.server->warehouse().journal().size();
   artifacts.trace_jsonl = scenario.recorder().trace().to_jsonl();
-  artifacts.speculations = tenant.server->stats().speculations;
+  // The recorder outlives every server instance the crash chain built,
+  // so this counts the replicas all of them launched.
+  artifacts.speculations = scenario.recorder().counter(
+      "server.speculations", tenant.server->endpoint());
   artifacts.invariant_violation = crash_failure;
   if (artifacts.invariant_violation.empty()) {
     try {
@@ -208,11 +211,14 @@ StragglerArmResult run_straggler_arm(const StragglerProbeConfig& config,
   for (const core::DagOutcome& outcome : tenant.client->dag_outcomes()) {
     if (outcome.done()) arm.dag_completions.push_back(outcome.completion_time());
   }
-  arm.timeouts = tenant.client->tracker_stats().timeouts;
-  arm.speculations = tenant.server->stats().speculations;
-  arm.won_primary = tenant.server->stats().speculations_won_primary;
-  arm.won_spec = tenant.server->stats().speculations_won_spec;
-  arm.stale_skips = tenant.server->stats().detector_stale_skips;
+  const obs::Recorder& recorder = scenario.recorder();
+  const std::string& server = tenant.server->endpoint();
+  arm.timeouts =
+      recorder.counter("tracker.timeouts", tenant.client->config().endpoint);
+  arm.speculations = recorder.counter("server.speculations", server);
+  arm.won_primary = recorder.counter("server.speculations_won_primary", server);
+  arm.won_spec = recorder.counter("server.speculations_won_spec", server);
+  arm.stale_skips = recorder.counter("detector.stale_skips", server);
   arm.digest = fnv1a(scenario.recorder().trace().to_jsonl(),
                      fnv1a(tenant.server->warehouse().journal().serialize()));
   return arm;

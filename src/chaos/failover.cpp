@@ -167,8 +167,8 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
   FailoverArtifacts out;
   out.run.stopped_at = stopped;
   out.run.invariant_violation = failure;
-  out.adoptions = coordinator.stats().adoptions;
-  out.expirations = coordinator.stats().expirations;
+  out.adoptions = scenario.recorder().counter("ctrl.shard_adoptions", "ctrl");
+  out.expirations = scenario.recorder().counter("ctrl.lease_expired", "ctrl");
   for (const exp::Tenant& tenant : scenario.tenants()) {
     out.run.dags_total += tenant.client->dag_outcomes().size();
     out.run.dags_finished += tenant.client->dags_finished();

@@ -28,6 +28,4 @@ LogLevel set_log_level(LogLevel level) noexcept {
   return prev;
 }
 
-LogLevel log_level() noexcept { return log_detail::global_level(); }
-
 }  // namespace sphinx

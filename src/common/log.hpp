@@ -21,8 +21,6 @@ void emit(LogLevel level, const std::string& component, const std::string& msg);
 
 /// Sets the process-wide log level; returns the previous level.
 LogLevel set_log_level(LogLevel level) noexcept;  // sphinx-lint-allow(test-only): debugging aid, raised by hand
-/// Current process-wide log level.
-[[nodiscard]] LogLevel log_level() noexcept;  // sphinx-lint-allow(test-only): debugging aid, read with set_log_level
 
 /// Component-scoped logger.  Cheap to copy; holds only the component name.
 class Logger {

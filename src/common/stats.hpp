@@ -24,9 +24,6 @@ class RunningStats {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other) noexcept;  // sphinx-lint-allow(test-only): kept with its 18 test ids for a later change
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

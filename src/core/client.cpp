@@ -94,13 +94,11 @@ Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
   // plan.  Acknowledge it without touching the tracker or the gateway --
   // a plan must never execute twice.
   if (!submitted_attempts_.emplace(plan.job.value(), plan.attempt).second) {
-    ++tracker_.duplicate_plans;
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.duplicate_plans");
     }
     return XrValue(true);
   }
-  ++tracker_.plans_received;
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.plans_received");
   }
@@ -270,7 +268,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
         erase_tracked(key);
         return;
       }
-      ++tracker_.completions;
       TrackerReport r{event.job, ReportKind::kCompleted, site, now, 0, 0, 0,
                       attempt};
       r.completion_time = now - tracked.submitted_at;
@@ -287,7 +284,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       if (tracked.plan.persist_output &&
           tracked.plan.persistent_site.valid() &&
           tracked.plan.persistent_site != site) {
-        ++tracker_.persisted_outputs;
         gateway_.replicate(tracked.plan.output, tracked.plan.persistent_site,
                            [](bool) {});
       }
@@ -306,7 +302,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       // replanning ("the client also sends the job cancellation message
       // to the remote sites on which the held jobs are located").
       finish_tracking(tracked);
-      ++tracker_.held_or_failed;
       gateway_.cancel(event.job, attempt);
       TrackerReport r{event.job, ReportKind::kHeld, site, now, 0, 0, 0,
                       attempt};
@@ -353,7 +348,6 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
   if (progressing && gateway_.site_responsive(job, attempt) &&
       tracked.extensions < kMaxTimeoutExtensions) {
     ++tracked.extensions;
-    ++tracker_.extensions;
     // Rearm relative to *this observation*, not the original schedule:
     // the next check fires one full timeout period from now, so repeated
     // extensions never accumulate drift against the submission time.
@@ -370,7 +364,6 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
     return;
   }
   finish_tracking(tracked);
-  ++tracker_.timeouts;
   log_.debug("timeout for job ", job.value(), " on site ",
              tracked.plan.site.value(), "; cancelling and replanning");
   if (recorder_ != nullptr) {

@@ -61,19 +61,12 @@ struct DagOutcome {
   }
 };
 
-/// Tracker counters (Figure 8's timeout counts come from here).
+/// The tracker's one count outside the recorder: plans handed to the
+/// gateway, which unique_submissions() must match on a healthy run.  The
+/// tracker's other counts (timeouts, extensions, completions, ...) live
+/// only in the recorder as "tracker.*\@<endpoint>".
 struct TrackerStats {
-  std::size_t plans_received = 0;
   std::size_t submissions = 0;
-  std::size_t timeouts = 0;          ///< tracker-initiated cancellations
-  std::size_t extensions = 0;        ///< timeouts deferred due to progress
-  std::size_t held_or_failed = 0;    ///< site-initiated failures observed
-  std::size_t completions = 0;
-  /// Final outputs sent to archive.
-  std::size_t persisted_outputs = 0;  // sphinx-lint-allow(test-only): tests read the tracker counters
-  /// Re-delivered plans skipped by the (job, attempt) duplicate guard; a
-  /// duplicate must never reach the gateway as a second submission.
-  std::size_t duplicate_plans = 0;
 };
 
 class SphinxClient {
@@ -124,8 +117,8 @@ class SphinxClient {
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
 
   /// Attaches a flight recorder: tracker timeouts, extensions and
-  /// completion observations are traced under this client's endpoint.
-  /// Observation only.
+  /// completion observations are traced and counted under this client's
+  /// endpoint.  Observation only.
   void set_recorder(obs::Recorder* recorder) noexcept {
     recorder_ = recorder;
   }

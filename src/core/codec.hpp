@@ -20,8 +20,8 @@
 ///     not of the members on the wire.  Bytes that are not well-formed
 ///     XML-RPC, anywhere in the call, leave the reader failed instead (the
 ///     service's parse fault), whatever the checks would have said.
-/// The cold calls (set_quota, cancel_attempt, dag_done, ctrl.renew) keep
-/// XrValue params.
+/// The cold calls (cancel_attempt, dag_done, ctrl.renew) keep XrValue
+/// params.
 
 #include "common/error.hpp"
 #include "common/ids.hpp"

@@ -1,12 +1,13 @@
 #pragma once
 /// \file config.hpp
-/// Shared configuration and counters for the server's pipeline modules.
+/// Shared configuration for the server's pipeline modules.
 ///
 /// The server is decomposed into the paper's scheduling modules (message
 /// handler, DAG reducer, planner -- section 3.2); they all read the same
-/// configuration and update the same experiment counters, so those types
-/// live here rather than in server.hpp to keep the modules free of a
-/// dependency on the composite server.
+/// configuration, so it lives here rather than in server.hpp to keep the
+/// modules free of a dependency on the composite server.  Their counts
+/// live in the flight recorder (obs::Recorder), which outlives any one
+/// server instance.
 
 #include <cstddef>
 #include <string>
@@ -74,25 +75,6 @@ struct ServerConfig {
   /// straggler.cpp; its cadence and fan-out budgets are the constants
   /// above.
   bool speculate = false;
-};
-
-/// Counters for experiments and diagnostics.
-struct ServerStats {
-  std::size_t dags_received = 0;
-  std::size_t plans_sent = 0;
-  std::size_t replans = 0;         ///< plans for attempt > 1
-  std::size_t reports_processed = 0;
-  std::size_t jobs_reduced = 0;    ///< jobs eliminated by the DAG reducer
-  std::size_t policy_rejections = 0;  ///< site filtered by quota at least once
-  /// Re-delivered submissions skipped by the ingress duplicate guard (a
-  /// retransmitted submit_dag whose first delivery was already stored).
-  std::size_t duplicate_dags = 0;
-  // Straggler defense (speculate = true).
-  std::size_t speculations = 0;           ///< races launched
-  std::size_t speculations_won_primary = 0;  ///< original attempt finished first
-  std::size_t speculations_won_spec = 0;     ///< replica finished first
-  std::size_t speculation_cancels = 0;    ///< loser-cancel RPCs issued
-  std::size_t detector_stale_skips = 0;   ///< classifications declined (stale)
 };
 
 }  // namespace sphinx::core

@@ -9,7 +9,8 @@
 /// RLS call covers the whole DAG), and advances the DAG to reduced for
 /// the planner stage.
 
-#include "core/config.hpp"
+#include <cstddef>
+
 #include "core/warehouse.hpp"
 #include "data/rls.hpp"
 
@@ -17,17 +18,16 @@ namespace sphinx::core {
 
 class DagReducer {
  public:
-  DagReducer(DataWarehouse& warehouse, data::ReplicaLocationService& rls,
-             ServerStats& stats);
+  DagReducer(DataWarehouse& warehouse, data::ReplicaLocationService& rls);
 
   /// Reduces one received DAG: completes jobs with pre-existing outputs
-  /// and transitions the DAG to reduced.
-  void reduce(const DagRecord& dag);
+  /// and transitions the DAG to reduced.  Returns the number of jobs it
+  /// eliminated.
+  [[nodiscard]] std::size_t reduce(const DagRecord& dag);
 
  private:
   DataWarehouse& warehouse_;
   data::ReplicaLocationService& rls_;
-  ServerStats& stats_;
 };
 
 }  // namespace sphinx::core

@@ -7,23 +7,18 @@
 namespace sphinx::core {
 
 MessageHandler::MessageHandler(DataWarehouse& warehouse,
-                               const ServerConfig& config, ServerStats& stats,
+                               const ServerConfig& config,
                                JobCompletedHook on_job_completed)
     : warehouse_(warehouse),
       config_(config),
-      stats_(stats),
       on_job_completed_(std::move(on_job_completed)) {}
 
 bool MessageHandler::accept_dag(const workflow::Dag& dag,
                                 const std::string& client, UserId user,
                                 SimTime now, double priority,
                                 SimTime deadline) {
-  if (warehouse_.dag(dag.id()).has_value()) {
-    ++stats_.duplicate_dags;
-    return false;
-  }
+  if (warehouse_.dag(dag.id()).has_value()) return false;
   warehouse_.insert_dag(dag, client, user, now, priority, deadline);
-  ++stats_.dags_received;
   return true;
 }
 
@@ -73,17 +68,10 @@ void MessageHandler::settle_race(const JobRecord& job,
                               job.output_bytes);
     }
   }
-  if (final_state == SpeculationState::kPrimaryWon) {
-    ++stats_.speculations_won_primary;
-  } else if (final_state == SpeculationState::kSpecWon) {
-    ++stats_.speculations_won_spec;
-  }
   if (on_speculation_resolved_) on_speculation_resolved_(race, final_state);
 }
 
 StatusOrError MessageHandler::apply_report(const TrackerReport& report) {
-  ++stats_.reports_processed;
-
   const auto job = warehouse_.job(report.job);
   if (!job.has_value()) {
     return make_error("unknown_job",
@@ -200,11 +188,6 @@ StatusOrError MessageHandler::apply_report(const TrackerReport& report) {
     }
   }
   return {};
-}
-
-void MessageHandler::set_quota(UserId user, SiteId site,
-                               const std::string& resource, double limit) {
-  warehouse_.set_quota(user, site, resource, limit);
 }
 
 }  // namespace sphinx::core

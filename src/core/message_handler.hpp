@@ -34,14 +34,14 @@ class MessageHandler {
 
   /// Invoked when a tracker report settles a speculation race, with the
   /// race as it was while racing and its final state.  The composite
-  /// server turns this into traces, counters and -- for kPrimaryWon /
+  /// server turns this into traces, counts and -- for kPrimaryWon /
   /// kSpecWon -- the loser-cancel RPC to the client (which needs the
   /// outgoing channel this module does not own).
   using SpeculationResolvedHook =
       std::function<void(const SpeculationRecord&, SpeculationState)>;
 
   MessageHandler(DataWarehouse& warehouse, const ServerConfig& config,
-                 ServerStats& stats, JobCompletedHook on_job_completed);
+                 JobCompletedHook on_job_completed);
 
   void set_on_speculation_resolved(SpeculationResolvedHook hook) {
     on_speculation_resolved_ = std::move(hook);
@@ -61,10 +61,6 @@ class MessageHandler {
   /// stale and duplicate reports are ignored.
   [[nodiscard]] StatusOrError apply_report(const TrackerReport& report);
 
-  /// Administrative quota update (eq. 4's limits).
-  void set_quota(UserId user, SiteId site, const std::string& resource,
-                 double limit);
-
  private:
   /// Settles an open race against a terminal report of one of its two
   /// attempts: resolves the speculation row, books the loser's censored
@@ -75,7 +71,6 @@ class MessageHandler {
 
   DataWarehouse& warehouse_;
   const ServerConfig& config_;
-  ServerStats& stats_;
   JobCompletedHook on_job_completed_;
   SpeculationResolvedHook on_speculation_resolved_;
 };

@@ -12,14 +12,13 @@ Planner::Planner(DataWarehouse& warehouse, std::vector<CatalogSite> catalog,
                  data::ReplicaLocationService& rls,
                  data::TransferService& transfers,
                  const monitor::MonitoringService* monitoring,
-                 const ServerConfig& config, ServerStats& stats)
+                 const ServerConfig& config)
     : warehouse_(warehouse),
       catalog_(std::move(catalog)),
       rls_(rls),
       transfers_(transfers),
       monitoring_(monitoring),
       config_(config),
-      stats_(stats),
       algorithm_(make_algorithm(config.algorithm)) {
   SPHINX_ASSERT(!catalog_.empty(), "planner needs a non-empty site catalog");
   // Strategy cursors are journaled soft state: pick up where a crashed
@@ -94,7 +93,9 @@ std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
       reliable.push_back(site);
     }
   }
-  if (policy_rejected_any) ++stats_.policy_rejections;
+  if (policy_rejected_any && recorder_ != nullptr) {
+    recorder_->count(config_.endpoint, "server.policy_rejections");
+  }
   // Starvation guard: if feedback flagged every policy-feasible site,
   // fall back to the full list rather than deadlock the DAG.
   if (reliable.empty()) return unreliable;
@@ -186,8 +187,6 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
     warehouse_.consume_quota(dag.user, *site, "disk_bytes",
                              job.output_bytes);
   }
-  ++stats_.plans_sent;
-  if (!speculative && plan.attempt > 1) ++stats_.replans;
   return plan;
 }
 

@@ -24,6 +24,7 @@
 #include "data/gridftp.hpp"
 #include "data/rls.hpp"
 #include "monitor/service.hpp"
+#include "obs/recorder.hpp"
 
 namespace sphinx::core {
 
@@ -32,7 +33,7 @@ class Planner {
   Planner(DataWarehouse& warehouse, std::vector<CatalogSite> catalog,
           data::ReplicaLocationService& rls, data::TransferService& transfers,
           const monitor::MonitoringService* monitoring,
-          const ServerConfig& config, ServerStats& stats);
+          const ServerConfig& config);
 
   /// What one planning pass over a DAG produced.
   struct Outcome {
@@ -59,6 +60,11 @@ class Planner {
   [[nodiscard]] std::optional<ExecutionPlan> plan_speculative(
       const DagRecord& dag, const JobRecord& job, SimTime now);
 
+  /// Attaches the server's flight recorder: a plan whose candidate set
+  /// the quota filter narrowed counts "server.policy_rejections" under
+  /// the server's endpoint.  Observation only.
+  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+
  private:
   /// Plans one job and persists the decision: a regular plan
   /// (set_job_planned) or, with `speculative`, a replica racing the live
@@ -81,11 +87,11 @@ class Planner {
   data::TransferService& transfers_;
   const monitor::MonitoringService* monitoring_;  ///< may be null
   const ServerConfig& config_;
-  ServerStats& stats_;
   std::unique_ptr<SchedulingAlgorithm> algorithm_;
   /// Last strategy state persisted to the warehouse; skips the table
   /// lookup when a pass changed nothing.
   std::string saved_algorithm_state_;
+  obs::Recorder* recorder_ = nullptr;
 };
 
 }  // namespace sphinx::core

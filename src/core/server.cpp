@@ -42,15 +42,14 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   // The pipeline modules share the warehouse; the work queue inside it is
   // how one stage hands a DAG to the next.
   message_handler_ = std::make_unique<MessageHandler>(
-      *warehouse_, config_, stats_,
-      [this](DagId dag) { maybe_finish_dag(dag); });
+      *warehouse_, config_, [this](DagId dag) { maybe_finish_dag(dag); });
   message_handler_->set_on_speculation_resolved(
       [this](const SpeculationRecord& race, SpeculationState final_state) {
         on_speculation_resolved(race, final_state);
       });
-  reducer_ = std::make_unique<DagReducer>(*warehouse_, rls, stats_);
+  reducer_ = std::make_unique<DagReducer>(*warehouse_, rls);
   planner_ = std::make_unique<Planner>(*warehouse_, std::move(catalog), rls,
-                                       transfers, monitoring, config_, stats_);
+                                       transfers, monitoring, config_);
   detector_ = std::make_unique<StragglerDetector>(*warehouse_, monitoring);
   // The detector cursor is journaled soft state like the strategy
   // cursors: a recovered server resumes the crashed instance's cadence.
@@ -210,11 +209,6 @@ void SphinxServer::register_methods() {
       [this](const TrackerReport& report, const rpc::Proxy&) {
         return handle_report(report);
       });
-  service_->register_method(
-      "sphinx.set_quota",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy&) {
-        return handle_set_quota(params);
-      });
 }
 
 Expected<XrValue> SphinxServer::handle_submit_dag(
@@ -253,33 +247,15 @@ Expected<XrValue> SphinxServer::handle_report(const TrackerReport& report) {
   return XrValue(true);
 }
 
-Expected<XrValue> SphinxServer::handle_set_quota(
-    const std::vector<XrValue>& params) {
-  if (params.size() != 4 || !params[0].is_int() || !params[1].is_int() ||
-      !params[2].is_string() ||
-      (!params[3].is_double() && !params[3].is_int())) {
-    return make_error("bad_request",
-                      "expected [user, site, resource, limit]");
-  }
-  const double limit = params[3].as_double();
-  if (!(limit >= 0)) {  // also refuses NaN
-    return make_error("bad_request", "quota limit must be >= 0");
-  }
-  set_quota(UserId(static_cast<std::uint64_t>(params[0].as_int())),
-            SiteId(static_cast<std::uint64_t>(params[1].as_int())),
-            params[2].as_string(), limit);
-  maybe_crash();
-  return XrValue(true);
-}
-
 void SphinxServer::set_quota(UserId user, SiteId site,
                              const std::string& resource, double limit) {
-  message_handler_->set_quota(user, site, resource, limit);
+  warehouse_->set_quota(user, site, resource, limit);
 }
 
 void SphinxServer::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
   warehouse_->set_recorder(recorder, config_.endpoint);
+  planner_->set_recorder(recorder);
 }
 
 void SphinxServer::sweep() {
@@ -299,13 +275,18 @@ void SphinxServer::sweep() {
     recorder_->event(obs::TraceKind::kSweepBegin, config_.endpoint, "", "",
                      static_cast<double>(drained.size()));
   }
-  const std::size_t plans_before = stats_.plans_sent;
+  // Plans this sweep sent, speculative replicas included: the value of
+  // its sweep_end trace event.
+  std::size_t plans_sent = 0;
 
   // Stage 1: the reducer consumes received DAGs.  A fully-reduced DAG can
   // finish right here (all outputs already existed).
   for (const DagRecord& dag : drained) {
     if (dag.state != DagState::kReceived) continue;
-    reducer_->reduce(dag);
+    const std::size_t reduced = reducer_->reduce(dag);
+    if (reduced > 0 && recorder_ != nullptr) {
+      recorder_->count(config_.endpoint, "server.jobs_reduced", reduced);
+    }
     maybe_finish_dag(dag.id);
   }
 
@@ -345,6 +326,7 @@ void SphinxServer::sweep() {
   const SimTime now = bus_.engine().now();
   for (const DagRecord& dag : planning) {
     Planner::Outcome outcome = planner_->plan_dag(dag, now);
+    plans_sent += outcome.plans.size();
     for (const ExecutionPlan& plan : outcome.plans) {
       send_plan(dag.client, plan);
       if (recorder_ != nullptr) {
@@ -373,11 +355,11 @@ void SphinxServer::sweep() {
   // Straggler defense: after regular planning, scan the in-flight jobs
   // for stragglers and race replicas against them (its own cadence; a
   // no-op when speculation is off).
-  maybe_speculate();
+  plans_sent += maybe_speculate();
 
   if (recorder_ != nullptr && !drained.empty()) {
     recorder_->event(obs::TraceKind::kSweepEnd, config_.endpoint, "", "",
-                     static_cast<double>(stats_.plans_sent - plans_before));
+                     static_cast<double>(plans_sent));
     recorder_->observe(config_.endpoint, "server.sweep_depth",
                        static_cast<double>(drained.size()));
   }
@@ -400,11 +382,11 @@ void SphinxServer::sweep() {
   maybe_crash();
 }
 
-void SphinxServer::maybe_speculate() {
-  if (!config_.speculate) return;
+std::size_t SphinxServer::maybe_speculate() {
+  if (!config_.speculate) return 0;
   const SimTime now = bus_.engine().now();
   if (now < last_speculation_check_ + kSpeculationCheckPeriod) {
-    return;
+    return 0;
   }
   last_speculation_check_ = now;
   // Round-trip-exact persistence: the recovered server must compare the
@@ -415,6 +397,7 @@ void SphinxServer::maybe_speculate() {
 
   const auto racing = warehouse_->racing_speculations();
   std::size_t global = racing.size();
+  std::size_t launched = 0;
   std::unordered_map<std::uint64_t, std::size_t> per_dag;
   for (const SpeculationRecord& r : racing) ++per_dag[r.dag.value()];
 
@@ -427,7 +410,6 @@ void SphinxServer::maybe_speculate() {
       if (warehouse_->active_speculation(job.id).has_value()) continue;
       const StragglerVerdict verdict = detector_->classify(job, now);
       if (verdict == StragglerVerdict::kStaleMonitor) {
-        ++stats_.detector_stale_skips;
         if (recorder_ != nullptr) {
           recorder_->count(config_.endpoint, "detector.stale_skips");
         }
@@ -443,7 +425,7 @@ void SphinxServer::maybe_speculate() {
       if (!plan.has_value()) continue;  // no alternative feasible site
       ++global;
       ++per_dag[job.dag.value()];
-      ++stats_.speculations;
+      ++launched;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kSpeculationLaunched,
                          config_.endpoint,
@@ -472,6 +454,7 @@ void SphinxServer::maybe_speculate() {
   }();
   SPHINX_POSTCONDITION(budgets_respected,
                        "speculation fan-out budgets respected after detector pass");
+  return launched;
 }
 
 void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
@@ -506,7 +489,6 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
   // First completion won: tell the client to kill the loser attempt.
   // Idempotent on the client, journaled in the outbox like every
   // server -> client call, so a crash cannot lose the cancel.
-  ++stats_.speculation_cancels;
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "server.speculation_cancels");
   }

@@ -107,20 +107,21 @@ class SphinxServer {
   [[nodiscard]] const DataWarehouse& warehouse() const noexcept {
     return *warehouse_;
   }
-  [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::string& endpoint() const noexcept {
     return config_.endpoint;
   }
 
-  /// Sets a usage quota (administrative interface; also reachable over
-  /// RPC via `sphinx.set_quota`).
+  /// Sets a usage quota (administrative interface).
   void set_quota(UserId user, SiteId site, const std::string& resource,
                  double limit);
 
   /// Attaches a flight recorder: sweeps, DAG arrivals/finishes and plan
   /// emissions are traced under this server's endpoint, and the
-  /// warehouse's job transitions are wired up too.  Observation only.
+  /// warehouse's job transitions are wired up too.  The recorder is
+  /// where the server's counts live ("server.plans\@<endpoint>", ...):
+  /// it outlives this instance, so a crash-recovered server's counts
+  /// continue its predecessor's.  Observation only.
   void set_recorder(obs::Recorder* recorder);
 
  private:
@@ -135,18 +136,16 @@ class SphinxServer {
   Expected<rpc::XrValue> handle_submit_dag(const DagSubmission& submission,
                                            const rpc::Proxy& proxy);
   Expected<rpc::XrValue> handle_report(const TrackerReport& report);
-  Expected<rpc::XrValue> handle_set_quota(
-      const std::vector<rpc::XrValue>& params);
 
   void maybe_finish_dag(DagId dag_id);
   void send_plan(const std::string& client, const ExecutionPlan& plan);
   /// Straggler-defense detector pass (speculate = true, at most once per
   /// kSpeculationCheckPeriod): classifies the in-flight jobs and plans
   /// a speculative replica for each flagged straggler, within the
-  /// per-DAG and global fan-out budgets.
-  void maybe_speculate();
+  /// per-DAG and global fan-out budgets.  Returns the replicas launched.
+  std::size_t maybe_speculate();
   /// MessageHandler hook: a tracker report settled a race.  Emits traces
-  /// and counters and, when one attempt won, the loser-cancel RPC.
+  /// and counts and, when one attempt won, the loser-cancel RPC.
   void on_speculation_resolved(const SpeculationRecord& race,
                                SpeculationState final_state);
   /// Fires the armed crash hook when the journal crossed the threshold.
@@ -160,7 +159,6 @@ class SphinxServer {
   rpc::MessageBus& bus_;
   ServerConfig config_;
   std::unique_ptr<DataWarehouse> warehouse_;
-  ServerStats stats_;
   // The paper's pipeline modules (section 3.2), in stage order.
   std::unique_ptr<MessageHandler> message_handler_;
   std::unique_ptr<DagReducer> reducer_;

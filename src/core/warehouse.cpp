@@ -241,7 +241,6 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
 
   CheckpointStats stats;
   stats.seq = image.seq;
-  stats.compacted_records = db_.journal().size();
   stats.snapshot_bytes = image.database.size();
 
   // Publish first: from here on a recovered instance no longer needs the
@@ -251,7 +250,6 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
     return stats;  // crashing mid-checkpoint; journal left untruncated
   }
   db_.truncate_journal(checkpoint_->seq);
-  stats.truncated = true;
   SPHINX_POSTCONDITION(db_.journal().base_seq() == checkpoint_->seq,
                        "compaction must advance the journal base to the "
                        "checkpoint sequence");
@@ -948,7 +946,7 @@ void DataWarehouse::set_quota(UserId user, SiteId site,
                             Value(resource), Value(limit), Value(0.0)});
     return;
   }
-  // The stored limit again (a re-delivered sphinx.set_quota) journals
+  // The stored limit again (a repeated administrative call) journals
   // nothing, like set_scheduler_state.
   if (row->cells[QuotaCol::kLimit].as_real() == limit) return;
   tables_.quotas->update(row->id, QuotaCol::kLimit, Value(limit));

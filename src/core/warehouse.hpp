@@ -159,11 +159,7 @@ class DataWarehouse {
   /// Result of one checkpoint() call, for the caller's observability.
   struct CheckpointStats {
     std::uint64_t seq = 0;              ///< sequence the image reflects
-    /// Journal entries the image covers.
-    std::size_t compacted_records = 0;  // sphinx-lint-allow(test-only): tests read the checkpoint counters
     std::size_t snapshot_bytes = 0;     ///< size of the database snapshot
-    /// False when mid_hook fail-stopped the run.
-    bool truncated = false;  // sphinx-lint-allow(test-only): tests read the checkpoint counters
   };
 
   /// Publishes a checkpoint image of the current state (database

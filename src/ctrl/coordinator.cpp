@@ -79,11 +79,9 @@ Expected<rpc::XrValue> LeaseCoordinator::handle_renew(
   switch (leases_.renew(shard, owner, epoch, bus_.engine().now(),
                         kLeaseTtl)) {
     case RenewOutcome::kRenewed:
-      ++stats_.renewals;
       if (recorder_ != nullptr) recorder_->count("ctrl", "ctrl.lease_renewals");
       return rpc::XrValue("renewed");
     case RenewOutcome::kFenced:
-      ++stats_.fenced;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kLeaseFenced, kCoordinatorEndpoint,
                          shard, owner, static_cast<double>(epoch));
@@ -103,7 +101,6 @@ void LeaseCoordinator::monitor_sweep() {
   // exactly once no matter how often the monitor sweeps.
   for (const Lease& lease : leases_.expired(now)) {
     leases_.mark_expired(lease.shard);
-    ++stats_.expirations;
     if (recorder_ != nullptr) {
       recorder_->event(obs::TraceKind::kLeaseExpired, kCoordinatorEndpoint,
                        lease.shard, lease.owner,
@@ -117,20 +114,13 @@ void LeaseCoordinator::monitor_sweep() {
   for (const Lease& lease : leases_.dead()) {
     const std::optional<std::string> adopter =
         leases_.first_live_owner(now, lease.owner);
-    if (!adopter.has_value()) {
-      ++stats_.failed_adoptions;
+    if (!adopter.has_value()) continue;
+    if (adopt_handler_ != nullptr &&
+        !adopt_handler_(lease.shard, lease.owner, *adopter).ok()) {
       continue;
-    }
-    if (adopt_handler_ != nullptr) {
-      if (auto adopted = adopt_handler_(lease.shard, lease.owner, *adopter);
-          !adopted) {
-        ++stats_.failed_adoptions;
-        continue;
-      }
     }
     const std::uint64_t epoch =
         leases_.transfer(lease.shard, *adopter, now, kLeaseTtl);
-    ++stats_.adoptions;
     if (recorder_ != nullptr) {
       recorder_->event(obs::TraceKind::kShardAdopted, kCoordinatorEndpoint,
                        lease.shard, lease.owner + "->" + *adopter,

@@ -45,16 +45,6 @@ inline constexpr Duration kMonitorPeriod = 1.0;
 /// VO whose proxies may invoke ctrl methods.
 inline constexpr const char* kControlVo = "ivdgl";
 
-/// Counters for experiments and tests.
-struct CoordinatorStats {
-  std::size_t renewals = 0;          ///< deadline extensions granted
-  std::size_t fenced = 0;            ///< stale renewals rejected
-  std::size_t expirations = 0;       ///< leases declared dead
-  std::size_t adoptions = 0;         ///< shards rebound to a survivor
-  /// No candidate, or handler failed.
-  std::size_t failed_adoptions = 0;  // sphinx-lint-allow(test-only): tests read the coordinator counters
-};
-
 class LeaseCoordinator {
  public:
   /// Recovers the dead shard's scheduler under `new_owner`.  Runs inside
@@ -97,9 +87,6 @@ class LeaseCoordinator {
   void stop();
 
   [[nodiscard]] const LeaseTable& leases() const noexcept { return leases_; }
-  [[nodiscard]] const CoordinatorStats& stats() const noexcept {
-    return stats_;
-  }
 
  private:
   LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase,
@@ -116,7 +103,6 @@ class LeaseCoordinator {
   std::unique_ptr<sim::PeriodicProcess> monitor_;
   AdoptHandler adopt_handler_;
   AdoptedCallback adopted_callback_;
-  CoordinatorStats stats_;
   obs::Recorder* recorder_ = nullptr;
 };
 

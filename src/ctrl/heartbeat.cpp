@@ -40,24 +40,15 @@ void HeartbeatAgent::beat() {
                        rpc::XrValue(static_cast<std::int64_t>(epoch_))}}
           .serialize(),
       [this](Expected<rpc::XrValue> result) {
-        if (!result || !result->is_string()) {
-          ++missed_;
-          return;
-        }
-        const std::string& verdict = result->as_string();
-        if (verdict == "renewed") {
-          ++renewals_;
-          return;
-        }
-        if (verdict == "fenced") {
+        // A lost beat, a renewal or an unknown shard needs nothing here:
+        // the next beat supersedes it, and the coordinator counts the
+        // renewals ("ctrl.lease_renewals").
+        if (result && result->is_string() && result->as_string() == "fenced") {
           // The shard was adopted out from under us.  Stop immediately:
           // continuing to beat (or to schedule) on a lost shard is the
           // split-brain the epoch exists to prevent.
-          fenced_ = true;
           beat_->stop();
-          return;
         }
-        ++missed_;  // "unknown" -- coordinator lost our grant
       });
 }
 

@@ -51,13 +51,9 @@ class HeartbeatAgent {
 
   [[nodiscard]] const std::string& shard() const noexcept { return shard_; }
   [[nodiscard]] const std::string& owner() const noexcept { return owner_; }
+  /// False once stopped -- by stop(), or by the agent itself when the
+  /// coordinator fenced a renewal as stale (it must not be restarted).
   [[nodiscard]] bool running() const noexcept { return beat_->running(); }
-  /// True once the coordinator rejected a renewal as stale; the agent has
-  /// stopped itself and must not be restarted.
-  [[nodiscard]] bool fenced() const noexcept { return fenced_; }
-  [[nodiscard]] std::size_t renewals() const noexcept { return renewals_; }
-  /// Beats that got no usable answer (timeout, unknown shard, wire error).
-  [[nodiscard]] std::size_t missed() const noexcept { return missed_; }  // sphinx-lint-allow(test-only): tests read the heartbeat counters
 
  private:
   void beat();
@@ -67,9 +63,6 @@ class HeartbeatAgent {
   std::uint64_t epoch_;
   std::unique_ptr<rpc::ClarensClient> client_;
   std::unique_ptr<sim::PeriodicProcess> beat_;
-  bool fenced_ = false;
-  std::size_t renewals_ = 0;
-  std::size_t missed_ = 0;
 };
 
 }  // namespace sphinx::ctrl

@@ -83,10 +83,14 @@ std::vector<TenantResult> Experiment::run(
 
   stopped_at_ = scenario.run(config_.horizon);
 
-  // Harvest metrics.
+  // Harvest metrics.  Counts come from the recorder, under each tenant's
+  // server and client endpoints.
+  const obs::Recorder& recorder = scenario.recorder();
   std::vector<TenantResult> results;
   for (std::size_t t = 0; t < specs.size(); ++t) {
     const Tenant& tenant = scenario.tenants()[t];
+    const std::string& server = tenant.server->endpoint();
+    const std::string& client = tenant.client->config().endpoint;
     TenantResult r;
     r.label = tenant.label;
     r.dags_total = tenant.client->dag_outcomes().size();
@@ -94,16 +98,17 @@ std::vector<TenantResult> Experiment::run(
     r.avg_dag_completion = tenant.client->avg_dag_completion();
     r.avg_job_execution = tenant.client->avg_job_execution();
     r.avg_job_idle = tenant.client->avg_job_idle();
-    r.timeouts = tenant.client->tracker_stats().timeouts;
-    r.extensions = tenant.client->tracker_stats().extensions;
-    r.held_or_failed = tenant.client->tracker_stats().held_or_failed;
-    r.plans = tenant.server->stats().plans_sent;
-    r.replans = tenant.server->stats().replans;
-    r.policy_rejections = tenant.server->stats().policy_rejections;
+    r.timeouts = recorder.counter("tracker.timeouts", client);
+    r.extensions = recorder.counter("tracker.extensions", client);
+    r.held_or_failed = recorder.counter("tracker.held_or_failed", client);
+    r.plans = recorder.counter("server.plans", server) +
+              recorder.counter("server.speculations", server);
+    r.replans = recorder.counter("server.replans", server);
+    r.policy_rejections = recorder.counter("server.policy_rejections", server);
     r.submissions = tenant.client->tracker_stats().submissions;
     r.unique_submissions = tenant.client->unique_submissions();
-    r.duplicate_plans = tenant.client->tracker_stats().duplicate_plans;
-    r.duplicate_dags = tenant.server->stats().duplicate_dags;
+    r.duplicate_plans = recorder.counter("tracker.duplicate_plans", client);
+    r.duplicate_dags = recorder.counter("server.duplicate_dags", server);
     for (const core::CatalogSite& site : scenario.catalog()) {
       const auto& observations = tenant.client->site_observations();
       const auto it = observations.find(site.id);

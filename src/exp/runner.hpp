@@ -44,7 +44,7 @@ struct TenantResult {
   std::size_t timeouts = 0;         ///< Figure 8
   std::size_t extensions = 0;       ///< progress-aware timeout deferrals
   std::size_t held_or_failed = 0;
-  std::size_t plans = 0;
+  std::size_t plans = 0;             ///< speculative replicas included
   std::size_t replans = 0;
   std::size_t policy_rejections = 0;
   /// Reliable-RPC accounting (lossy-network smoke gate): submissions and

@@ -142,7 +142,7 @@ void BackgroundLoad::start() {
     RemoteJob job;
     job.vo = kBackgroundVo;
     job.compute_time = rng_.exponential(config_.mean_duration);
-    if (site_.submit(std::move(job), nullptr).has_value()) ++injected_;
+    site_.submit(std::move(job), nullptr);
   }
   if (config_.burstiness > 0) {
     heavy_ = rng_.chance(0.5);
@@ -174,7 +174,7 @@ void BackgroundLoad::schedule_arrival() {
     job.vo = kBackgroundVo;
     job.compute_time = rng_.exponential(config_.mean_duration);
     // Background jobs do not stage data and nobody watches them.
-    if (site_.submit(std::move(job), nullptr).has_value()) ++injected_;
+    site_.submit(std::move(job), nullptr);
     schedule_arrival();
   });
 }

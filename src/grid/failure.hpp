@@ -123,7 +123,6 @@ class BackgroundLoad {
                  Rng rng);
 
   void start();
-  [[nodiscard]] std::size_t jobs_injected() const noexcept { return injected_; }  // sphinx-lint-allow(test-only): tests check that load arrives
 
  private:
   void schedule_arrival();
@@ -133,7 +132,6 @@ class BackgroundLoad {
   Site& site_;
   BackgroundLoadConfig config_;
   Rng rng_;
-  std::size_t injected_ = 0;
   bool heavy_ = false;
 };
 

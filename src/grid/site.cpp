@@ -59,7 +59,6 @@ std::optional<SubmissionId> Site::submit(RemoteJob job,
   const auto key = std::make_pair(-priority, arrival_seq_++);
   queue_.emplace(key, sid);
   queue_pos_.emplace(sid, key);
-  ++counters_.submitted;
 
   emit(entries_.at(sid), RemoteJobState::kQueued);
   // Dispatch on the next engine tick so the submit call returns first.
@@ -84,7 +83,6 @@ bool Site::cancel(SubmissionId submission) {
     --busy_cpus_;
     engine_.schedule_in(0.0, "site:dispatch", [this] { try_dispatch(); });
   }
-  ++counters_.cancelled;
   emit(entry, RemoteJobState::kCancelled);
   return true;
 }
@@ -109,7 +107,6 @@ void Site::go_down() {
     engine_.cancel(entry.completion);
     if (entry.state != RemoteJobState::kQueued) --busy_cpus_;
     entry.state = RemoteJobState::kHeld;  // terminal from the site's view
-    ++counters_.lost;
   }
   queue_.clear();
   queue_pos_.clear();
@@ -153,7 +150,6 @@ void Site::try_dispatch() {
 
 void Site::start_job(SubmissionId submission) {
   Entry& entry = entries_.at(submission);
-  ++counters_.dispatched;
   emit(entry, RemoteJobState::kStaging);
   if (entry.state != RemoteJobState::kStaging) return;  // callback cancelled us
 
@@ -188,7 +184,6 @@ void Site::begin_compute(SubmissionId submission) {
         Entry& e = entries_.at(submission);
         if (e.state != RemoteJobState::kRunning) return;
         --busy_cpus_;
-        ++counters_.completed;
         emit(e, RemoteJobState::kCompleted);
         try_dispatch();
       });

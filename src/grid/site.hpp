@@ -46,16 +46,6 @@ struct SiteConfig {
   std::map<std::string, double> vo_priority;
 };
 
-/// Cumulative counters for site-level reporting (Figure 6).
-struct SiteCounters {
-  std::size_t submitted = 0;  // sphinx-lint-allow(test-only): tests read the site counters
-  std::size_t dispatched = 0;  // sphinx-lint-allow(test-only): tests read the site counters
-  std::size_t completed = 0;
-  std::size_t cancelled = 0;
-  /// Dropped while the site was down.
-  std::size_t lost = 0;  // sphinx-lint-allow(test-only): tests read the site counters
-};
-
 class Site {
  public:
   Site(sim::Engine& engine, SiteId id, SiteConfig config, Rng rng);
@@ -64,7 +54,6 @@ class Site {
   [[nodiscard]] const std::string& name() const noexcept { return config_.name; }
   [[nodiscard]] const SiteConfig& config() const noexcept { return config_; }
   [[nodiscard]] SiteHealth health() const noexcept { return health_; }  // sphinx-lint-allow(test-only): tests check the failure transitions
-  [[nodiscard]] const SiteCounters& counters() const noexcept { return counters_; }
 
   /// Submits a job.  The site assigns and returns the submission id (ids
   /// are scoped to this site).  Returns nullopt if the site is down: the
@@ -124,7 +113,6 @@ class Site {
   int busy_cpus_ = 0;
   std::unordered_map<SubmissionId, Entry> entries_;
   std::unordered_map<SubmissionId, std::pair<double, std::uint64_t>> queue_pos_;
-  SiteCounters counters_;
 };
 
 }  // namespace sphinx::grid

@@ -28,7 +28,6 @@ void MonitoringService::start() {
 }
 
 void MonitoringService::poll_site(SiteId site) {
-  ++polls_;
   const auto status = grid_.site(site).query();
   const auto emit = [&](const std::string& name, double value) {
     if (recorder_ == nullptr) return;
@@ -37,7 +36,7 @@ void MonitoringService::poll_site(SiteId site) {
     recorder_->observe("monitor", name, value);
   };
   if (!status.has_value()) {
-    ++failed_;  // site down: the old published snapshot just goes stale
+    // Site down: the old published snapshot just goes stale.
     emit("site.alive", 0.0);
     return;
   }

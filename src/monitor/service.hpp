@@ -79,8 +79,6 @@ class MonitoringService {
   [[nodiscard]] int catalog_cpus(SiteId site) const;  // sphinx-lint-allow(test-only): tests check the static catalog
 
   [[nodiscard]] const MonitorConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t polls_attempted() const noexcept { return polls_; }  // sphinx-lint-allow(test-only): tests read the poll counters
-  [[nodiscard]] std::size_t polls_failed() const noexcept { return failed_; }  // sphinx-lint-allow(test-only): tests read the poll counters
 
  private:
   void poll_site(SiteId site);
@@ -93,8 +91,6 @@ class MonitoringService {
   std::unordered_map<SiteId, SiteSnapshot> published_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> pollers_;
   obs::Recorder* recorder_ = nullptr;
-  std::size_t polls_ = 0;
-  std::size_t failed_ = 0;
 };
 
 }  // namespace sphinx::monitor

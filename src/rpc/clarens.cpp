@@ -75,7 +75,6 @@ std::string ClarensService::process(const Envelope& request) {
   const AuthzDecision decision =
       policy_.check(request.proxy, method_name, bus_.engine().now());
   if (!decision.allowed) {
-    ++denied_;
     return fault(ClarensFault::kDenied, decision.reason);
   }
 
@@ -83,7 +82,6 @@ std::string ClarensService::process(const Envelope& request) {
     return fault(ClarensFault::kNoSuchMethod, "no such method: " + method_name);
   }
 
-  ++served_;
   auto result = method->run(request.proxy);
   if (!result) {
     return fault(ClarensFault::kApplication, result.error().to_string());
@@ -186,7 +184,6 @@ void ClarensClient::on_timeout(std::uint64_t seq) {
   const auto it = pending_.find(seq);
   if (it == pending_.end()) return;  // response won the race; timer stale
   if (it->second.attempt >= retry_.max_attempts) {
-    ++exhausted_;
     complete(seq, make_error("rpc_timeout",
                              "no response from " + it->second.service +
                                  " after " +
@@ -194,7 +191,6 @@ void ClarensClient::on_timeout(std::uint64_t seq) {
                                  " attempts"));
     return;
   }
-  ++retransmissions_;
   transmit(seq);
 }
 
@@ -212,9 +208,8 @@ void ClarensClient::handle(const Envelope& response) {
   const std::uint64_t seq = response.call_seq;
   const auto it = pending_.find(seq);
   if (it == pending_.end()) {
-    // A duplicate of a reply we already consumed, or noise.  Counted and
-    // dropped; the continuation never runs twice.
-    ++dropped_replies_;
+    // A duplicate of a reply we already consumed, or noise: dropped, so
+    // the continuation never runs twice.
     return;
   }
 

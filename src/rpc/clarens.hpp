@@ -91,8 +91,6 @@ class ClarensService {
                        Handler<std::vector<XrValue>> handler);
 
   [[nodiscard]] const std::string& endpoint() const noexcept { return endpoint_; }
-  [[nodiscard]] std::size_t calls_served() const noexcept { return served_; }  // sphinx-lint-allow(test-only): tests read the service counters
-  [[nodiscard]] std::size_t calls_denied() const noexcept { return denied_; }  // sphinx-lint-allow(test-only): tests read the service counters
 
  private:
   /// A registered method: read() decodes a call's params and keeps them,
@@ -131,8 +129,6 @@ class ClarensService {
   std::string endpoint_;
   AuthzPolicy policy_;
   std::map<std::string, std::unique_ptr<Method>, std::less<>> methods_;
-  std::size_t served_ = 0;
-  std::size_t denied_ = 0;
 };
 
 /// Client-side retry knobs.  Defaults survive a 60 s partition with
@@ -193,17 +189,6 @@ class ClarensClient {
     return endpoint_;
   }
   [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
-  /// Retransmissions issued (beyond each call's first transmission).
-  [[nodiscard]] std::size_t retransmissions() const noexcept {  // sphinx-lint-allow(test-only): tests read the client counters
-    return retransmissions_;
-  }
-  /// Replies matching no call in flight (duplicates of a consumed reply,
-  /// or noise), counted and dropped.
-  [[nodiscard]] std::size_t dropped_replies() const noexcept {  // sphinx-lint-allow(test-only): tests read the client counters
-    return dropped_replies_;
-  }
-  /// Calls that exhausted the retry budget.
-  [[nodiscard]] std::size_t exhausted() const noexcept { return exhausted_; }  // sphinx-lint-allow(test-only): tests read the client counters
 
  private:
   struct CallState {
@@ -231,9 +216,6 @@ class ClarensClient {
   std::map<std::uint64_t, CallState> pending_;
   OutboxUpsert outbox_upsert_;
   OutboxErase outbox_erase_;
-  std::size_t retransmissions_ = 0;
-  std::size_t dropped_replies_ = 0;
-  std::size_t exhausted_ = 0;
 };
 
 }  // namespace sphinx::rpc

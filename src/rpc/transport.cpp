@@ -95,7 +95,6 @@ bool MessageBus::rule_matches(const LinkFaultRule& rule, const Envelope& env,
 MessageId MessageBus::post(Envelope envelope) {
   envelope.id = ids_.next();
   envelope.sent_at = engine_.now();
-  ++stats_.sent;
   // Control-plane traffic draws its latency from a dedicated stream and
   // skips the probabilistic faults below: its volume differs by design
   // between a failover run and its baseline, so letting it touch rng_ or
@@ -209,7 +208,6 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           }
           return;
         }
-        ++stats_.delivered;
         if (recorder_ != nullptr) {
           const Duration latency = engine_.now() - env.sent_at;
           recorder_->event(obs::TraceKind::kBusDelivery, env.from, env.to, "",

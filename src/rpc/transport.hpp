@@ -43,14 +43,6 @@ struct Envelope {
   std::uint64_t call_seq = 0;
 };
 
-/// Bus delivery counters, exposed for tests and diagnostics.  Drops and
-/// injected faults are counted by the flight recorder ("bus.lost",
-/// "bus.dropped_no_endpoint", ...; see set_recorder()).
-struct BusStats {
-  std::size_t sent = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-  std::size_t delivered = 0;  // sphinx-lint-allow(test-only): tests read the bus counters
-};
-
 /// One fault rule scoped to a link (endpoint-name prefix pair) and a time
 /// window.  Matching is symmetric -- a rule for (client, server) also
 /// affects server->client replies -- and an empty prefix matches every
@@ -126,7 +118,6 @@ class MessageBus {
   /// dedicated stream (e.g. seeds.stream("bus/ctrl")).
   void set_control_stream(std::string prefix, Rng rng);
 
-  [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
 
   /// Attaches a flight recorder; every delivery records its latency and
@@ -156,7 +147,6 @@ class MessageBus {
   /// it, re-registration closes it).  Probed only, never iterated.
   std::unordered_set<std::string> handoff_windows_;
   IdGenerator<MessageId> ids_;
-  BusStats stats_;
   NetworkFaultConfig faults_;
   // Placeholder seed, never drawn from: configuring faults move-assigns
   // a stream-derived Rng over it.

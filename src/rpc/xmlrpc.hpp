@@ -68,15 +68,16 @@ class XrValue {
   XrValue(Struct v) : data_(std::move(v)) {}
 
   [[nodiscard]] bool is_int() const noexcept { return std::holds_alternative<std::int64_t>(data_); }
-  [[nodiscard]] bool is_double() const noexcept { return std::holds_alternative<double>(data_); }
+  [[nodiscard]] bool is_double() const noexcept { return std::holds_alternative<double>(data_); }  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] bool is_bool() const noexcept { return std::holds_alternative<bool>(data_); }  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] bool is_string() const noexcept { return std::holds_alternative<std::string>(data_); }
   [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
   [[nodiscard]] bool is_struct() const noexcept { return std::holds_alternative<Struct>(data_); }
 
-  /// Typed accessors; throw AssertionError on type mismatch.
+  /// Typed accessors; throw AssertionError on type mismatch.  as_double()
+  /// accepts an int too.
   [[nodiscard]] std::int64_t as_int() const;
-  [[nodiscard]] double as_double() const;  ///< accepts int too
+  [[nodiscard]] double as_double() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it

@@ -54,7 +54,6 @@ bool CondorG::submit(const SubmitRequest& request, GatewayCallback callback) {
                   "job attempt already active on this gateway");
     records_.erase(it);
   }
-  ++total_;
 
   grid::Site& site = grid_.site(request.site);
   Record record;

@@ -111,7 +111,6 @@ class CondorG {
                  std::function<void(bool)> done);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t submissions() const noexcept { return total_; }
 
  private:
   struct Record {
@@ -143,7 +142,6 @@ class CondorG {
   data::ReplicaLocationService& rls_;
   std::string name_;
   std::map<Key, Record> records_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace sphinx::submit

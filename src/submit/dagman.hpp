@@ -49,9 +49,6 @@ class DagMan {
     return completed_.size() == dag_.size();
   }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] std::size_t completed_jobs() const noexcept {  // sphinx-lint-allow(test-only): tests read the DAGMan progress
-    return completed_.size();
-  }
   [[nodiscard]] std::size_t resubmissions() const noexcept { return retries_; }
   [[nodiscard]] const workflow::Dag& dag() const noexcept { return dag_; }
 

@@ -220,32 +220,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const double v = rng.uniform(0, 100);
-    all.add(v);
-    (i % 2 == 0 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Ewma, FirstObservationSetsValue) {
   Ewma e(0.5);
   e.add(10.0);

@@ -22,6 +22,15 @@ ScenarioConfig quiet_scenario(std::uint64_t seed = 7) {
   return config;
 }
 
+/// One of a tenant's counts in the scenario's recorder: "tracker.*" counts
+/// live under its client's endpoint, the others under its server's.
+std::uint64_t count(const Scenario& scenario, const Tenant& tenant,
+                    const std::string& name) {
+  return scenario.recorder().counter(
+      name, name.starts_with("tracker.") ? tenant.client->config().endpoint
+                                         : tenant.server->endpoint());
+}
+
 workflow::WorkloadConfig small_workload() {
   workflow::WorkloadConfig workload;
   workload.jobs_per_dag = 6;
@@ -42,10 +51,10 @@ TEST(CoreE2E, SingleDagCompletesOnHealthyGrid) {
   const auto& outcome = tenant.client->dag_outcomes().front();
   EXPECT_GT(outcome.completion_time(), 60.0);   // at least one compute
   EXPECT_LT(outcome.completion_time(), hours(3));
-  EXPECT_EQ(tenant.client->tracker_stats().completions, dag.size());
-  EXPECT_EQ(tenant.client->tracker_stats().timeouts, 0u);
-  EXPECT_EQ(tenant.server->stats().plans_sent, dag.size());
-  EXPECT_EQ(tenant.server->stats().replans, 0u);
+  EXPECT_EQ(count(scenario, tenant, "tracker.completions"), dag.size());
+  EXPECT_EQ(count(scenario, tenant, "tracker.timeouts"), 0u);
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), dag.size());
+  EXPECT_EQ(count(scenario, tenant, "server.replans"), 0u);
 
   // Every job's output is now registered in the RLS.
   for (const auto& job : dag.jobs()) {
@@ -106,8 +115,8 @@ TEST(CoreE2E, DagReducerSkipsMaterializedJobs) {
   scenario.run(hours(1));
 
   EXPECT_TRUE(tenant.client->all_dags_finished());
-  EXPECT_EQ(tenant.server->stats().jobs_reduced, dag.size());
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(count(scenario, tenant, "server.jobs_reduced"), dag.size());
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
   // DAG completion was nearly instantaneous (no execution happened).
   EXPECT_LT(tenant.client->dag_outcomes().front().completion_time(),
             minutes(2));
@@ -163,8 +172,8 @@ TEST(CoreE2E, BlackHoleSiteTriggersTimeoutAndReplan) {
   scenario.run(hours(8));
 
   EXPECT_TRUE(tenant.client->all_dags_finished());
-  EXPECT_GT(tenant.client->tracker_stats().timeouts, 0u);
-  EXPECT_GT(tenant.server->stats().replans, 0u);
+  EXPECT_GT(count(scenario, tenant, "tracker.timeouts"), 0u);
+  EXPECT_GT(count(scenario, tenant, "server.replans"), 0u);
   // The black hole shows up in the feedback stats as cancel-only.
   const SiteId ll3 = scenario.grid().find_site("ll3")->id();
   const auto stats = tenant.server->warehouse().site_stats(ll3);
@@ -215,8 +224,8 @@ TEST(CoreE2E, FeedbackAvoidsBlackHoleAfterFirstTimeouts) {
   const auto fb_ll3 = fb.server->warehouse().site_stats(ll3);
   const auto nofb_ll3 = nofb.server->warehouse().site_stats(ll3);
   EXPECT_LT(fb_ll3.cancelled, nofb_ll3.cancelled);
-  EXPECT_LE(fb.client->tracker_stats().timeouts,
-            nofb.client->tracker_stats().timeouts);
+  EXPECT_LE(count(scenario, fb, "tracker.timeouts"),
+            count(scenario, nofb, "tracker.timeouts"));
   // And the DAGs finish no later on average.
   EXPECT_LE(fb.client->avg_dag_completion(),
             nofb.client->avg_dag_completion());
@@ -244,7 +253,7 @@ TEST(CoreE2E, PolicyQuotasRestrictSites) {
   scenario.run(hours(6));
 
   ASSERT_TRUE(tenant.client->all_dags_finished());
-  EXPECT_GT(tenant.server->stats().policy_rejections, 0u);
+  EXPECT_GT(count(scenario, tenant, "server.policy_rejections"), 0u);
   for (const auto& job : dag.jobs()) {
     const auto record = tenant.server->warehouse().job(job.id);
     ASSERT_TRUE(record.has_value());

@@ -59,7 +59,6 @@ TEST(OutputPersistence, FinalOutputsArchivedIntermediatesNot) {
   scenario.run(hours(6));
 
   ASSERT_TRUE(tenant.client->all_dags_finished());
-  EXPECT_EQ(tenant.client->tracker_stats().persisted_outputs, 1u);
   // Give the archival transfer time to finish (it is asynchronous).
   scenario.engine().run_until(scenario.engine().now() + hours(1));
 

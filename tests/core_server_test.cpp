@@ -53,6 +53,15 @@ class RawCaller {
   sim::Engine& engine_;
 };
 
+/// One of a tenant's counts in the scenario's recorder: "tracker.*" counts
+/// live under its client's endpoint, the others under its server's.
+std::uint64_t count(const Scenario& scenario, const Tenant& tenant,
+                    const std::string& name) {
+  return scenario.recorder().counter(
+      name, name.starts_with("tracker.") ? tenant.client->config().endpoint
+                                         : tenant.server->endpoint());
+}
+
 rpc::Proxy vo_proxy(const std::string& vo) {
   return rpc::Proxy(rpc::Identity{"/CN=raw"}, vo, {}, 0.0,
                     hours(24));
@@ -110,32 +119,6 @@ TEST(ServerProtocol, ReportForUnknownJobFaults) {
   EXPECT_EQ(r.error().code, "fault:100");
 }
 
-TEST(ServerProtocol, SetQuotaOverRpc) {
-  Scenario scenario(quiet());
-  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
-  RawCaller caller(scenario, vo_proxy("uscms"));
-  const auto r = caller.call(
-      "sphinx-server/t", "sphinx.set_quota",
-      {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
-       rpc::XrValue(1234.5)});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(tenant.server->warehouse().quota_remaining(
-                       UserId(7), SiteId(3), "cpu_seconds"),
-                   1234.5);
-}
-
-TEST(ServerProtocol, SetQuotaRejectsNonNumericLimit) {
-  Scenario scenario(quiet());
-  scenario.add_tenant("t", TenantOptions{});
-  RawCaller caller(scenario, vo_proxy("uscms"));
-  const auto r = caller.call(
-      "sphinx-server/t", "sphinx.set_quota",
-      {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
-       rpc::XrValue("lots")});
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, "fault:100");
-}
-
 TEST(ServerProtocol, SubmitReturnsDagIdAndStoresPriority) {
   Scenario scenario(quiet());
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
@@ -171,8 +154,8 @@ TEST(ServerProtocol, StoppedServerPlansNothing) {
                                 [&] { tenant.client->submit(dag); });
   scenario.engine().run_until(minutes(30));
   // The DAG was received but never planned.
-  EXPECT_EQ(tenant.server->stats().dags_received, 1u);
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(count(scenario, tenant, "server.dags_received"), 1u);
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
   // Restart: scheduling resumes where it left off.
   tenant.server->start();
   scenario.run(hours(6));
@@ -315,7 +298,7 @@ TEST(ServerSweep, ParentBlockedDagLeavesTheQueue) {
   EXPECT_TRUE(wh.dirty_dags().empty());
   tenant.server->sweep();
   EXPECT_TRUE(wh.dirty_dags().empty());
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
   const auto idle = core::DataWarehouse::recover_from(wh.journal());
   ASSERT_TRUE(idle.has_value());
   EXPECT_TRUE((*idle)->dirty_dags().empty());
@@ -324,7 +307,7 @@ TEST(ServerSweep, ParentBlockedDagLeavesTheQueue) {
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(5)});
   tenant.server->sweep();
   EXPECT_EQ(wh.job(JobId(52))->state, core::JobState::kPlanned);
-  EXPECT_EQ(tenant.server->stats().plans_sent, 1u);
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), 1u);
   EXPECT_TRUE(wh.dirty_dags().empty());
 }
 
@@ -350,7 +333,7 @@ TEST(ServerSweep, UnplaceableReadyJobStaysQueuedAcrossRecovery) {
     tenant.server->sweep();
     EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(6)});
   }
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
   const auto recovered = core::DataWarehouse::recover_from(wh.journal());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->dirty_dags(), wh.dirty_dags());
@@ -382,36 +365,35 @@ TEST(ClientProtocol, TimeoutRearmsFromObservationWithFreshBudgetOnReplan) {
   scenario.engine().schedule_at(1.0, "submit",
                                 [&] { tenant.client->submit(dag); });
   const double J = minutes(20);
-  const auto& stats = tenant.client->tracker_stats();
+  const auto extensions = [&] {
+    return count(scenario, tenant, "tracker.extensions");
+  };
+  const auto timeouts = [&] {
+    return count(scenario, tenant, "tracker.timeouts");
+  };
 
   // t = 3.5J: checks at ~J, ~2J, ~3J after submission each extended.
   scenario.run(3.5 * J);
-  EXPECT_EQ(stats.extensions, 3u);
-  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(extensions(), 3u);
+  EXPECT_EQ(timeouts(), 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 1u);
 
   // t = 4.5J: the fourth check found the budget exhausted -> hard kill,
   // cancellation reported, server replanned; the replacement attempt is
   // tracked with a *fresh* budget (no extension due yet).
   scenario.run(4.5 * J);
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_EQ(stats.extensions, 3u);
+  EXPECT_EQ(timeouts(), 1u);
+  EXPECT_EQ(extensions(), 3u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 1u);
-  EXPECT_EQ(tenant.server->stats().replans, 1u);
+  EXPECT_EQ(count(scenario, tenant, "server.replans"), 1u);
 
   // t = 9.5J: attempt 2 burned its own 3 extensions before its kill at
   // ~8J; if the old attempt's used-up budget leaked into the new entry,
   // the second timeout would have come 3J earlier with no extensions.
   scenario.run(9.5 * J);
-  EXPECT_EQ(stats.timeouts, 2u);
-  EXPECT_GE(stats.extensions, 6u);
+  EXPECT_EQ(timeouts(), 2u);
+  EXPECT_GE(extensions(), 6u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 1u);  // dead entries dropped
-
-  // The flight recorder saw the same story under this client's endpoint.
-  const auto& recorder = scenario.recorder();
-  EXPECT_EQ(recorder.counter("tracker.timeouts", "sphinx-client/t"), 2u);
-  EXPECT_EQ(recorder.counter("tracker.extensions", "sphinx-client/t"),
-            stats.extensions);
 }
 
 TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
@@ -606,8 +588,8 @@ TEST_F(RedeliveryFixture, SubmitDag) {
         {rpc::XrValue("raw-caller"), rpc::XrValue(5), tree::encode_dag(dag),
          rpc::XrValue(1.5)});
   EXPECT_TRUE(warehouse().dag(DagId(2)).has_value());
-  EXPECT_EQ(tenant.server->stats().dags_received, 2u);
-  EXPECT_EQ(tenant.server->stats().duplicate_dags, 1u);
+  EXPECT_EQ(count(scenario, tenant, "server.dags_received"), 2u);
+  EXPECT_EQ(count(scenario, tenant, "server.duplicate_dags"), 1u);
 }
 
 TEST_F(RedeliveryFixture, ReportOfEveryKind) {
@@ -623,21 +605,12 @@ TEST_F(RedeliveryFixture, ReportOfEveryKind) {
   EXPECT_EQ(warehouse().job(JobId(13))->state, core::JobState::kUnplanned);
 }
 
-TEST_F(RedeliveryFixture, SetQuota) {
-  twice(server, user, "sphinx.set_quota",
-        {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
-         rpc::XrValue(1234.5)});
-  EXPECT_DOUBLE_EQ(
-      warehouse().quota_remaining(UserId(7), SiteId(3), "cpu_seconds"),
-      1234.5);
-}
-
 TEST_F(RedeliveryFixture, ExecutePlan) {
-  ASSERT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  ASSERT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
   twice(client, host, "sphinx_client.execute_plan",
         {tree::encode_plan(plan_for(14))});
-  EXPECT_EQ(tenant.gateway->submissions(), 1u);
-  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 1u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 1u);
+  EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 1u);
   // The first delivery ran the job and its reports reached the server.
   EXPECT_EQ(warehouse().job(JobId(14))->state, core::JobState::kCompleted);
 }
@@ -788,15 +761,6 @@ TEST_F(RefusalFixture, SubmitWithNanPriorityOrDeadline) {
   EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
 }
 
-TEST_F(RefusalFixture, SetQuotaWithNegativeOrNanLimit) {
-  for (const double bad : {-1.0, kNan}) {
-    refused(server, user, "sphinx.set_quota",
-            {rpc::XrValue(7), rpc::XrValue(3), rpc::XrValue("cpu_seconds"),
-             rpc::XrValue(bad)},
-            "limit " + std::to_string(bad));
-  }
-}
-
 TEST_F(RefusalFixture, PlanWithBadComputeTime) {
   for (const double bad : {-60.0, kNan}) {
     core::ExecutionPlan plan = plan_for(14);
@@ -804,7 +768,7 @@ TEST_F(RefusalFixture, PlanWithBadComputeTime) {
     refused(client, host, "sphinx_client.execute_plan",
             {tree::encode_plan(plan)}, "compute_time " + std::to_string(bad));
   }
-  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
 }
 
 TEST_F(RefusalFixture, PlanWithBadInputOrOutputBytes) {
@@ -819,7 +783,7 @@ TEST_F(RefusalFixture, PlanWithBadInputOrOutputBytes) {
     refused(client, host, "sphinx_client.execute_plan",
             {tree::encode_plan(plan)}, "input bytes " + std::to_string(bad));
   }
-  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
 }
 
@@ -828,11 +792,11 @@ TEST_F(RefusalFixture, PlanForUnknownSite) {
   plan.site = SiteId(999);
   refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
           "site 999");
-  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   // The refusal recorded nothing: the same (job, attempt) at a real site
   // is still a first delivery, not a duplicate.
-  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
 }
 
 TEST_F(RefusalFixture, PlanWithUnknownInputSource) {
@@ -842,9 +806,9 @@ TEST_F(RefusalFixture, PlanWithUnknownInputSource) {
   plan.inputs = {{"lfn://refusal/in", SiteId(999), 1e6}};
   refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
           "site 999");
-  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
-  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
 }
 
 TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
@@ -855,9 +819,9 @@ TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
   plan.persistent_site = SiteId(999);
   refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
           "persistent site 999");
-  EXPECT_EQ(tenant.gateway->submissions(), 0u);
+  EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
-  EXPECT_EQ(tenant.client->tracker_stats().duplicate_plans, 0u);
+  EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
   for (const data::Replica& replica : scenario.rls().locate(plan.output)) {
     EXPECT_NE(replica.site, SiteId(999));
   }

@@ -14,6 +14,7 @@
 #include "ctrl/heartbeat.hpp"
 #include "ctrl/lease.hpp"
 #include "ctrl/shard.hpp"
+#include "obs/recorder.hpp"
 #include "rpc/gsi.hpp"
 #include "rpc/transport.hpp"
 #include "sim/engine.hpp"
@@ -194,7 +195,15 @@ TEST(LeaseTable, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
 
 class CtrlFixture : public ::testing::Test {
  protected:
-  CtrlFixture() { bus.set_control_stream("ctrl/", Rng(99)); }
+  CtrlFixture() {
+    bus.set_control_stream("ctrl/", Rng(99));
+    coordinator.set_recorder(&recorder);
+  }
+
+  /// The coordinator's count `name` (e.g. "ctrl.lease_expired").
+  [[nodiscard]] std::uint64_t count(const std::string& name) const {
+    return recorder.counter(name, "ctrl");
+  }
 
   std::unique_ptr<HeartbeatAgent> make_agent(std::size_t shard_idx,
                                              std::size_t owner_idx,
@@ -206,6 +215,7 @@ class CtrlFixture : public ::testing::Test {
   }
 
   sim::Engine engine;
+  obs::Recorder recorder{engine};
   rpc::MessageBus bus{engine, Rng(1), 0.05, 0.05};
   // kLeaseTtl 3 s, kMonitorPeriod 1 s; the first sweep at t = 0.
   LeaseCoordinator coordinator{bus, /*monitor_phase=*/0.0};
@@ -219,10 +229,9 @@ TEST_F(CtrlFixture, RenewalsKeepTheLeaseAliveIndefinitely) {
   engine.schedule_at(60.0, "stop", [&] { engine.stop(); });
   engine.run_until();
   EXPECT_TRUE(agent->running());
-  EXPECT_FALSE(agent->fenced());
-  EXPECT_GT(agent->renewals(), 50u);
-  EXPECT_EQ(coordinator.stats().expirations, 0u);
-  EXPECT_GT(coordinator.stats().renewals, 50u);
+  EXPECT_EQ(count("ctrl.lease_fenced"), 0u);
+  EXPECT_EQ(count("ctrl.lease_expired"), 0u);
+  EXPECT_GT(count("ctrl.lease_renewals"), 50u);
   EXPECT_TRUE(coordinator.leases().lookup(shard_name(0))->live);
 }
 
@@ -262,8 +271,8 @@ TEST_F(CtrlFixture, SilentOwnerExpiresAndSurvivorAdopts) {
   engine.schedule_at(30.0, "stop", [&] { engine.stop(); });
   engine.run_until();
 
-  EXPECT_EQ(coordinator.stats().expirations, 1u);
-  EXPECT_EQ(coordinator.stats().adoptions, 1u);
+  EXPECT_EQ(count("ctrl.lease_expired"), 1u);
+  EXPECT_EQ(count("ctrl.shard_adoptions"), 1u);
   ASSERT_EQ(adopted_shards.size(), 1u);  // adopted exactly once
   EXPECT_EQ(adopter, scheduler_name(1));
   EXPECT_EQ(adopted_epoch, 2u);
@@ -302,10 +311,9 @@ TEST_F(CtrlFixture, FailedAdoptionIsRetriedNextSweep) {
   engine.schedule_at(20.0, "stop", [&] { engine.stop(); });
   engine.run_until();
 
-  EXPECT_EQ(attempts, 3u);
-  EXPECT_EQ(coordinator.stats().failed_adoptions, 2u);
-  EXPECT_EQ(coordinator.stats().adoptions, 1u);
-  EXPECT_EQ(coordinator.stats().expirations, 1u);  // declared dead once
+  EXPECT_EQ(attempts, 3u);  // two refused, the third adopted
+  EXPECT_EQ(count("ctrl.shard_adoptions"), 1u);
+  EXPECT_EQ(count("ctrl.lease_expired"), 1u);  // declared dead once
   EXPECT_EQ(coordinator.leases().lookup(shard_name(0))->owner,
             scheduler_name(1));
 }
@@ -323,8 +331,11 @@ TEST_F(CtrlFixture, AdoptionWaitsWhenNoLiveCandidateExists) {
   engine.schedule_at(10.0, "stop", [&] { engine.stop(); });
   engine.run_until();
   EXPECT_EQ(attempts, 0u);
-  EXPECT_EQ(coordinator.stats().expirations, 1u);
-  EXPECT_GT(coordinator.stats().failed_adoptions, 0u);
+  EXPECT_EQ(count("ctrl.lease_expired"), 1u);
+  EXPECT_EQ(count("ctrl.shard_adoptions"), 0u);
+  // Still dead and still the silent owner's: adoption keeps waiting.
+  ASSERT_EQ(coordinator.leases().dead().size(), 1u);
+  EXPECT_EQ(coordinator.leases().dead().front().owner, scheduler_name(0));
   EXPECT_FALSE(coordinator.leases().lookup(shard_name(0))->live);
 }
 
@@ -355,9 +366,8 @@ TEST_F(CtrlFixture, ResurrectedOwnerIsFencedAndStopsItself) {
   engine.schedule_at(30.0, "stop", [&] { engine.stop(); });
   engine.run_until();
 
-  EXPECT_EQ(coordinator.stats().adoptions, 1u);
-  EXPECT_GT(coordinator.stats().fenced, 0u);
-  EXPECT_TRUE(old_agent->fenced());
+  EXPECT_EQ(count("ctrl.shard_adoptions"), 1u);
+  EXPECT_GT(count("ctrl.lease_fenced"), 0u);
   EXPECT_FALSE(old_agent->running());  // stopped itself, stays stopped
   EXPECT_EQ(coordinator.leases().lookup(shard_name(0))->owner,
             scheduler_name(1));
@@ -385,7 +395,7 @@ TEST_F(CtrlFixture, CoordinatorRecoversOwnershipFromItsJournal) {
   engine.schedule_at(10.0, "kill", [&] { agent0.reset(); });
   engine.schedule_at(30.0, "stop", [&] { engine.stop(); });
   engine.run_until();
-  ASSERT_EQ(coordinator.stats().adoptions, 1u);
+  ASSERT_EQ(count("ctrl.shard_adoptions"), 1u);
 
   // Kill the coordinator and rebuild a replacement from its journal on a
   // second bus: owners, epochs and deadlines must all survive, so the

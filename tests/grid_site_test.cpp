@@ -151,7 +151,10 @@ TEST_F(SiteFixture, StageInHookDelaysCompute) {
 
 TEST_F(SiteFixture, CancelQueuedJob) {
   Site one(engine, SiteId(5), basic_config(1), Rng(7));
-  (void)one.submit(job_of(100.0), nullptr);
+  bool first_done = false;
+  (void)one.submit(job_of(100.0), [&](const JobEvent& e) {
+    if (e.state == RemoteJobState::kCompleted) first_done = true;
+  });
   std::vector<JobEvent> events;
   const auto sid = one.submit(job_of(100.0), [&](const JobEvent& e) {
     events.push_back(e);
@@ -160,9 +163,11 @@ TEST_F(SiteFixture, CancelQueuedJob) {
   ASSERT_TRUE(sid.has_value());
   EXPECT_TRUE(one.cancel(*sid));
   engine.run_until();
+  // Queued, then cancelled: it never reached a CPU.
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events.front().state, RemoteJobState::kQueued);
   EXPECT_EQ(events.back().state, RemoteJobState::kCancelled);
-  EXPECT_EQ(one.counters().cancelled, 1u);
-  EXPECT_EQ(one.counters().completed, 1u);
+  EXPECT_TRUE(first_done);
 }
 
 TEST_F(SiteFixture, CancelRunningJobFreesCpu) {
@@ -210,7 +215,8 @@ TEST_F(SiteFixture, DownSiteRejectsAndLosesJobs) {
   engine.run_until();
   // The running job was lost without any event.
   EXPECT_EQ(last_state(sid), RemoteJobState::kRunning);
-  EXPECT_EQ(site.counters().lost, 1u);
+  site.recover();
+  EXPECT_EQ(site.query()->running, 0);  // its CPU came back free
 }
 
 TEST_F(SiteFixture, RecoveredSiteRunsNewJobs) {
@@ -259,12 +265,19 @@ TEST_F(SiteFixture, DegradedSiteRunsSlower) {
 }
 
 TEST_F(SiteFixture, CountersTrackLifecycle) {
-  submit(job_of(10.0));
-  submit(job_of(10.0));
+  // Each submission's event stream is its count: submitted (queued),
+  // dispatched (staging) and completed, once each.
+  const auto first = submit(job_of(10.0));
+  const auto second = submit(job_of(10.0));
   engine.run_until();
-  EXPECT_EQ(site.counters().submitted, 2u);
-  EXPECT_EQ(site.counters().dispatched, 2u);
-  EXPECT_EQ(site.counters().completed, 2u);
+  for (const SubmissionId sid : {first, second}) {
+    std::vector<RemoteJobState> states;
+    for (const JobEvent& e : *history.at(sid)) states.push_back(e.state);
+    EXPECT_EQ(states, (std::vector<RemoteJobState>{
+                          RemoteJobState::kQueued, RemoteJobState::kStaging,
+                          RemoteJobState::kRunning,
+                          RemoteJobState::kCompleted}));
+  }
 }
 
 TEST_F(SiteFixture, RuntimeNoiseVariesRuntimes) {
@@ -369,11 +382,12 @@ TEST(BackgroundLoad, InjectsJobsThatOccupyCpus) {
   BackgroundLoad load(engine, site, config, Rng(3));
   load.start();
   engine.run_until(hours(1));
-  EXPECT_GT(load.jobs_injected(), 50u);
   const auto q = site.query();
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(q->running, 4);  // saturated
-  EXPECT_GT(q->queued, 0);
+  // About 120 arrivals in the hour; four CPUs of 20-minute jobs finish
+  // a dozen, so the rest are still there.
+  EXPECT_GT(q->running + q->queued, 50);
 }
 
 TEST(Grid, AddAndLookupSites) {

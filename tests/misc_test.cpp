@@ -13,10 +13,8 @@ namespace sphinx {
 namespace {
 
 TEST(Logger, LevelGateRoundTrip) {
-  const LogLevel before = log_level();
-  const LogLevel prev = set_log_level(LogLevel::kError);
-  EXPECT_EQ(prev, before);
-  EXPECT_EQ(log_level(), LogLevel::kError);
+  const LogLevel before = set_log_level(LogLevel::kError);
+  EXPECT_EQ(set_log_level(LogLevel::kError), LogLevel::kError);
   // Below-threshold calls are cheap no-ops; above-threshold ones emit.
   Logger log("test-component");
   log.debug("this is ", 42, " and should be suppressed");

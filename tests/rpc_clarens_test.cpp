@@ -108,10 +108,10 @@ TEST_F(BusFixture, PreservesSendOrderAtEqualLatency) {
 TEST_F(BusFixture, DropsToMissingEndpoint) {
   bus.send("c", "nobody", "lost", {}, 1);
   engine.run_until();
-  EXPECT_EQ(bus.stats().sent, 1u);
   EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
   EXPECT_EQ(recorder.counter("bus.lost", "bus"), 0u);
-  EXPECT_EQ(bus.stats().delivered, 0u);
+  // Nothing was delivered, so no delivery latency was observed.
+  EXPECT_EQ(recorder.histogram("bus.delivery_latency", "bus"), nullptr);
 }
 
 TEST_F(BusFixture, UnregisterDropsInflight) {
@@ -179,7 +179,6 @@ TEST_F(ClarensFixture, RoundTripCall) {
               });
   engine.run_until();
   EXPECT_EQ(got, "payload");
-  EXPECT_EQ(service.calls_served(), 1u);
   EXPECT_EQ(client.pending(), 0u);
 }
 
@@ -223,22 +222,22 @@ TEST_F(ClarensFixture, WrongVoDenied) {
               [&](Expected<XrValue> r) { code = r.error().code; });
   engine.run_until();
   EXPECT_EQ(code, "fault:3");
-  EXPECT_EQ(service.calls_denied(), 1u);
 }
 
 TEST_F(ClarensFixture, ExpiredProxyDeniedAtCallTime) {
   ClarensClient client(bus, "client-1", user_proxy(0.0, minutes(1)));
   // Let the proxy expire before the call is made.
+  std::string code;
   engine.schedule_at(120.0, "late-call", [&] {
     client.call("sphinx-server",
                 MethodCall{"echo", {XrValue("x")}}.serialize(),
                 [&](Expected<XrValue> r) {
-                  EXPECT_FALSE(r.has_value());
-                  EXPECT_EQ(r.error().code, "fault:3");
+                  ASSERT_FALSE(r.has_value());
+                  code = r.error().code;
                 });
   });
   engine.run_until();
-  EXPECT_EQ(service.calls_denied(), 1u);
+  EXPECT_EQ(code, "fault:3");
 }
 
 TEST_F(ClarensFixture, GarbagePayloadFaults) {

@@ -58,9 +58,7 @@ TEST_F(FaultBusFixture, CertainLossDropsEveryMessage) {
   for (int i = 0; i < 8; ++i) bus.send("client", "server", "m", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 0u);
-  EXPECT_EQ(bus.stats().sent, 8u);
   EXPECT_EQ(counter("bus.lost"), 8u);
-  EXPECT_EQ(bus.stats().delivered, 0u);
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 0u);
 }
 
@@ -72,9 +70,7 @@ TEST_F(FaultBusFixture, CertainDuplicationDeliversTwice) {
   bus.send("client", "server", "m", {}, 1);
   engine.run_until();
   EXPECT_EQ(*got, 2u);
-  EXPECT_EQ(bus.stats().sent, 1u);
   EXPECT_EQ(counter("bus.duplicated"), 1u);
-  EXPECT_EQ(bus.stats().delivered, 2u);
 }
 
 TEST_F(FaultBusFixture, PartitionWindowIsHalfOpen) {

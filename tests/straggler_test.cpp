@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -284,15 +285,18 @@ TEST(SpeculationWarehouse, RaceStateSurvivesJournalRecovery) {
 struct RaceRun {
   std::size_t dags_total = 0;
   std::size_t dags_finished = 0;
-  core::TrackerStats tracker;
-  /// The recorder's tracker counts of speculative plans accepted and of
-  /// race losers cancelled.
-  std::uint64_t speculative_plans = 0;
-  std::uint64_t race_cancels = 0;
+  std::size_t submissions = 0;         ///< plans handed to the gateway
   std::size_t unique_submissions = 0;  ///< distinct (job, attempt) pairs
-  core::ServerStats server;
+  /// The recorder's counts, by name: "tracker.*" under the client's
+  /// endpoint, "server.*" and "detector.*" under the server's.
+  std::map<std::string, std::uint64_t> counts;
   std::string journal;
   std::string trace;
+
+  [[nodiscard]] std::uint64_t count(const std::string& name) const {
+    const auto it = counts.find(name);
+    return it == counts.end() ? 0 : it->second;
+  }
 };
 
 /// One tenant on a degraded-heavy grid (long black-hole/degraded
@@ -341,13 +345,18 @@ RaceRun run_race(std::uint64_t seed, bool speculate, bool lossy,
   RaceRun run;
   run.dags_total = tenant.client->dag_outcomes().size();
   run.dags_finished = tenant.client->dags_finished();
-  run.tracker = tenant.client->tracker_stats();
-  run.speculative_plans = scenario.recorder().counter(
-      "tracker.speculative_plans", "sphinx-client/race");
-  run.race_cancels = scenario.recorder().counter("tracker.race_cancels",
-                                                 "sphinx-client/race");
+  run.submissions = tenant.client->tracker_stats().submissions;
   run.unique_submissions = tenant.client->unique_submissions();
-  run.server = tenant.server->stats();
+  for (const auto& [qualified, value] :
+       scenario.recorder().metrics().counters()) {
+    const std::size_t at = qualified.rfind('@');
+    if (at == std::string::npos) continue;
+    const std::string source = qualified.substr(at + 1);
+    if (source == tenant.client->config().endpoint ||
+        source == tenant.server->endpoint()) {
+      run.counts[qualified.substr(0, at)] = value;
+    }
+  }
   run.journal = tenant.server->warehouse().journal().serialize();
   run.trace = scenario.recorder().trace().to_jsonl();
   return run;
@@ -370,22 +379,21 @@ std::optional<RaceRun> find_run(bool lossy, Duration monitor_poll,
 
 TEST(StragglerE2E, RacesResolveFirstCompletionWins) {
   const auto found = find_run(false, minutes(5), [](const RaceRun& r) {
-    return r.server.speculations > 0;
+    return r.count("server.speculations") > 0;
   });
   ASSERT_TRUE(found.has_value()) << "no seed in range triggered a race";
   const RaceRun& run = *found;
   EXPECT_EQ(run.dags_finished, run.dags_total);
   // Every race resolves to exactly one of the four terminal states; the
-  // won counters can never exceed the launches.
-  EXPECT_LE(run.server.speculations_won_primary +
-                run.server.speculations_won_spec,
-            run.server.speculations);
+  // won counts can never exceed the launches.
+  const std::uint64_t won = run.count("server.speculations_won_primary") +
+                            run.count("server.speculations_won_spec");
+  EXPECT_LE(won, run.count("server.speculations"));
   // A win retires the loser through the cancel path.
-  EXPECT_EQ(run.server.speculation_cancels,
-            run.server.speculations_won_primary +
-                run.server.speculations_won_spec);
-  EXPECT_LE(run.race_cancels, run.server.speculation_cancels);
-  EXPECT_GE(run.speculative_plans, 1u);
+  EXPECT_EQ(run.count("server.speculation_cancels"), won);
+  EXPECT_LE(run.count("tracker.race_cancels"),
+            run.count("server.speculation_cancels"));
+  EXPECT_GE(run.count("tracker.speculative_plans"), 1u);
 }
 
 TEST(StragglerE2E, LossyWireCrossDeliveryIsArbitratedAway) {
@@ -396,7 +404,8 @@ TEST(StragglerE2E, LossyWireCrossDeliveryIsArbitratedAway) {
   // the run clean: every DAG finishes, no plan executes twice, and the
   // race counters stay consistent.
   const auto found = find_run(true, minutes(5), [](const RaceRun& r) {
-    return r.server.speculations > 0 && r.tracker.duplicate_plans > 0;
+    return r.count("server.speculations") > 0 &&
+           r.count("tracker.duplicate_plans") > 0;
   });
   ASSERT_TRUE(found.has_value())
       << "no seed in range triggered a race with a re-delivered plan";
@@ -404,11 +413,11 @@ TEST(StragglerE2E, LossyWireCrossDeliveryIsArbitratedAway) {
   EXPECT_EQ(run.dags_finished, run.dags_total);
   // A re-delivered plan is counted in duplicate_plans only; every plan
   // counted as received went to the gateway exactly once.
-  EXPECT_EQ(run.tracker.submissions, run.tracker.plans_received);
-  EXPECT_EQ(run.tracker.submissions, run.unique_submissions);
-  EXPECT_LE(run.server.speculations_won_primary +
-                run.server.speculations_won_spec,
-            run.server.speculations);
+  EXPECT_EQ(run.submissions, run.count("tracker.plans_received"));
+  EXPECT_EQ(run.submissions, run.unique_submissions);
+  EXPECT_LE(run.count("server.speculations_won_primary") +
+                run.count("server.speculations_won_spec"),
+            run.count("server.speculations"));
 }
 
 TEST(StragglerE2E, SameSeedIsByteIdentical) {
@@ -416,7 +425,7 @@ TEST(StragglerE2E, SameSeedIsByteIdentical) {
   const RaceRun b = run_race(13, true, true);
   EXPECT_EQ(a.journal, b.journal);
   EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.server.speculations, b.server.speculations);
+  EXPECT_EQ(a.counts, b.counts);
 }
 
 TEST(StragglerE2E, StaleMonitoringSuppressesSpeculation) {
@@ -425,8 +434,8 @@ TEST(StragglerE2E, StaleMonitoringSuppressesSpeculation) {
   // instead of launching replicas on unjudgeable data.
   const auto found = find_run(false, hours(12), [](const RaceRun& r) {
     // Stale monitoring must never co-exist with a launch.
-    EXPECT_EQ(r.server.speculations, 0u);
-    return r.server.detector_stale_skips > 0;
+    EXPECT_EQ(r.count("server.speculations"), 0u);
+    return r.count("detector.stale_skips") > 0;
   });
   ASSERT_TRUE(found.has_value())
       << "no seed in range trapped a job long enough to consult the guard";
@@ -434,9 +443,9 @@ TEST(StragglerE2E, StaleMonitoringSuppressesSpeculation) {
 
 TEST(StragglerE2E, SpeculationOffLaunchesNothing) {
   const RaceRun run = run_race(11, false, false);
-  EXPECT_EQ(run.server.speculations, 0u);
-  EXPECT_EQ(run.speculative_plans, 0u);
-  EXPECT_EQ(run.race_cancels, 0u);
+  EXPECT_EQ(run.count("server.speculations"), 0u);
+  EXPECT_EQ(run.count("tracker.speculative_plans"), 0u);
+  EXPECT_EQ(run.count("tracker.race_cancels"), 0u);
 }
 
 // --- A/B tail-latency gate --------------------------------------------------
@@ -504,6 +513,42 @@ TEST(StragglerChaos, MidRaceCrashRecoveryIsByteInvisible) {
       EXPECT_TRUE(result.ok())
           << "crash at record " << at << ": " << result.violation();
     }
+  }
+}
+
+TEST(StragglerChaos, CrashedRunCountsEveryReplicaItLaunched) {
+  // The launch count lives in the scenario's recorder, not in the server
+  // instance a crash destroys: a crash-recovered run reports the replicas
+  // every instance launched.  By the differential oracle the chaotic run
+  // launches exactly the baseline's replicas, so its count must equal the
+  // same pair's with the crash points cleared -- for one crash late in
+  // the run, after the races opened, and for a chain of two.
+  chaos::ChaosRunConfig config;
+  config.seed = 211;
+  config.dag_count = 3;
+  config.jobs_per_dag = 5;
+  config.speculate = true;
+  config.schedule = chaos::straggler_schedule_defaults();
+
+  chaos::ChaosSchedule schedule = chaos::synthesize_schedule(config);
+  schedule.crash_records.clear();
+  schedule.mid_ckpt_crashes.clear();
+  const chaos::ChaosRunResult uncrashed =
+      chaos::run_chaos_pair(config, schedule);
+  ASSERT_TRUE(uncrashed.ok()) << uncrashed.violation();
+  ASSERT_GT(uncrashed.speculations, 0u) << "schedule never triggered a race";
+  const std::size_t total = uncrashed.journal_records;
+
+  for (const std::vector<std::size_t>& points :
+       {std::vector<std::size_t>{total - 1},
+        std::vector<std::size_t>{total / 2, total - 1}}) {
+    chaos::ChaosSchedule crashed = schedule;
+    crashed.crash_records = points;
+    const chaos::ChaosRunResult result = chaos::run_chaos_pair(config, crashed);
+    ASSERT_TRUE(result.ok()) << result.violation();
+    ASSERT_EQ(result.crashes_executed, points.size());
+    EXPECT_EQ(result.speculations, uncrashed.speculations)
+        << points.size() << " crash point(s), last at record " << total - 1;
   }
 }
 
