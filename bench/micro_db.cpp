@@ -6,6 +6,8 @@
 #include <malloc.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "core/warehouse.hpp"
 #include "db/database.hpp"
@@ -13,24 +15,28 @@
 namespace {
 
 using namespace sphinx;
-using db::Value;
 
-/// Column positions of job_schema().
-enum Col : std::size_t { kJobId, kState, kSite, kRuntime };
+/// A job-shaped row: an id, an indexed text state, a site and a runtime.
+struct JobRow {
+  std::int64_t job_id = 0;
+  std::string state;
+  std::int64_t site = 0;
+  double runtime = 0.0;
 
-db::Schema job_schema() {
-  return db::Schema{{"job_id", db::ValueType::kInt},
-                    db::indexed("state", db::ValueType::kText),
-                    {"site", db::ValueType::kInt},
-                    {"runtime", db::ValueType::kReal}};
-}
+  static constexpr auto columns() {
+    return std::tuple{db::column("job_id", &JobRow::job_id),
+                      db::indexed("state", &JobRow::state),
+                      db::column("site", &JobRow::site),
+                      db::column("runtime", &JobRow::runtime)};
+  }
+};
+using JobTable = db::Table<JobRow>;
 
 void BM_TableInsert(benchmark::State& state) {
   for (auto _ : state) {
-    db::Table table("jobs", job_schema());
+    JobTable table("jobs");
     for (std::int64_t i = 0; i < state.range(0); ++i) {
-      table.insert({Value(i), Value("unplanned"), Value(i % 16),
-                    Value(60.0)});
+      table.insert({i, "unplanned", i % 16, 60.0});
     }
     benchmark::DoNotOptimize(table.size());
   }
@@ -40,11 +46,10 @@ BENCHMARK(BM_TableInsert)->Range(256, 4096);
 
 /// Lookup by row id, probing every row in a scattered order.
 void BM_TableFindById(benchmark::State& state) {
-  db::Table table("jobs", job_schema());
+  JobTable table("jobs");
   std::vector<db::RowId> rows;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    rows.push_back(table.insert({Value(i), Value("running"), Value(i % 16),
-                                 Value(60.0)}));
+    rows.push_back(table.insert({i, "running", i % 16, 60.0}));
   }
   // An odd stride visits every row of a power-of-two table once per lap.
   constexpr std::size_t kStride = 2654435761u;
@@ -58,28 +63,25 @@ void BM_TableFindById(benchmark::State& state) {
 BENCHMARK(BM_TableFindById)->Arg(4096)->Arg(65536);
 
 void BM_IndexedFindBy(benchmark::State& state) {
-  db::Table table("jobs", job_schema());
+  JobTable table("jobs");
   for (std::int64_t i = 0; i < 4096; ++i) {
-    table.insert({Value(i), Value(i % 7 == 0 ? "ready" : "running"),
-                  Value(i % 16), Value(60.0)});
+    table.insert({i, i % 7 == 0 ? "ready" : "running", i % 16, 60.0});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find_by(kState, Value("ready")).size());
+    benchmark::DoNotOptimize(table.find_by<&JobRow::state>("ready").size());
   }
 }
 BENCHMARK(BM_IndexedFindBy);
 
 void BM_StateUpdate(benchmark::State& state) {
-  db::Table table("jobs", job_schema());
+  JobTable table("jobs");
   std::vector<db::RowId> rows;
   for (std::int64_t i = 0; i < 4096; ++i) {
-    rows.push_back(
-        table.insert({Value(i), Value("a"), Value(i % 16), Value(60.0)}));
+    rows.push_back(table.insert({i, "a", i % 16, 60.0}));
   }
   std::size_t k = 0;
   for (auto _ : state) {
-    table.update(rows[k % rows.size()], kState,
-                 Value(k % 2 == 0 ? "b" : "a"));
+    table.set<&JobRow::state>(rows[k % rows.size()], k % 2 == 0 ? "b" : "a");
     ++k;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -89,16 +91,15 @@ BENCHMARK(BM_StateUpdate);
 /// Writes to an unindexed column of rows that all share one `state`
 /// bucket: the write must not touch the index.
 void BM_UpdateUnindexedColumn(benchmark::State& state) {
-  db::Table table("jobs", job_schema());
+  JobTable table("jobs");
   std::vector<db::RowId> rows;
   for (std::int64_t i = 0; i < 4096; ++i) {
-    rows.push_back(
-        table.insert({Value(i), Value("running"), Value(i % 16), Value(60.0)}));
+    rows.push_back(table.insert({i, "running", i % 16, 60.0}));
   }
   std::size_t k = 0;
   for (auto _ : state) {
-    table.update(rows[k % rows.size()], kSite,
-                 Value(static_cast<std::int64_t>(k % 16)));
+    table.set<&JobRow::site>(rows[k % rows.size()],
+                             static_cast<std::int64_t>(k % 16));
     ++k;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -110,18 +111,18 @@ BENCHMARK(BM_UpdateUnindexedColumn);
 /// earlier row.
 constexpr std::int64_t kJournalRecords = 10000;
 
-void mutate_jobs(db::Table& table) {
+void mutate_jobs(JobTable& table) {
   std::vector<db::RowId> rows;
   for (std::int64_t i = 0; i < kJournalRecords; ++i) {
     if (i % 4 == 0) {
-      rows.push_back(table.insert({Value(i), Value("unplanned"),
-                                   Value(i % 16), Value(60.0 + i)}));
+      rows.push_back(table.insert({i, "unplanned", i % 16, 60.0 + i}));
     } else if (i % 2 == 0) {
-      table.update(rows[static_cast<std::size_t>(i) % rows.size()], kState,
-                   Value(i % 3 == 0 ? "running" : "completed"));
+      table.set<&JobRow::state>(rows[static_cast<std::size_t>(i) % rows.size()],
+                                i % 3 == 0 ? "running" : "completed");
     } else {
-      table.update(rows[static_cast<std::size_t>(i) % rows.size()], kRuntime,
-                   Value(0.1 * static_cast<double>(i)));
+      table.set<&JobRow::runtime>(
+          rows[static_cast<std::size_t>(i) % rows.size()],
+          0.1 * static_cast<double>(i));
     }
   }
 }
@@ -140,17 +141,17 @@ void BM_JournalAppend(benchmark::State& state) {
   };
   const double journaled = heap_growth([] {
     auto database = std::make_unique<db::Database>();
-    mutate_jobs(database->create_table("jobs", job_schema()));
+    mutate_jobs(database->create_table<JobRow>("jobs"));
     return database;
   });
   const double bare = heap_growth([] {
-    auto table = std::make_unique<db::Table>("jobs", job_schema());
+    auto table = std::make_unique<JobTable>("jobs");
     mutate_jobs(*table);
     return table;
   });
   for (auto _ : state) {
     db::Database database;
-    mutate_jobs(database.create_table("jobs", job_schema()));
+    mutate_jobs(database.create_table<JobRow>("jobs"));
     benchmark::DoNotOptimize(database.journal().size());
   }
   state.SetItemsProcessed(state.iterations() * kJournalRecords);
@@ -169,18 +170,13 @@ void BM_JournalAppendPayload(benchmark::State& state) {
                std::to_string(payload.size()) + "</string></value></member>";
   }
   payload += "</params></methodCall>";
-  const db::Schema schema{db::indexed("seq", db::ValueType::kInt),
-                          {"service", db::ValueType::kText},
-                          {"payload", db::ValueType::kText},
-                          {"attempt", db::ValueType::kInt},
-                          {"last_sent_at", db::ValueType::kReal}};
   constexpr std::int64_t kInserts = 256;
   for (auto _ : state) {
     db::Database database;
-    db::Table& table = database.create_table("rpc_outbox", schema);
+    auto& table = database.create_table<core::OutboxEntry>("rpc_outbox");
     for (std::int64_t i = 0; i < kInserts; ++i) {
-      table.insert({Value(i), Value("sphinx-client/cms"), Value(payload),
-                    Value(std::int64_t{1}), Value(60.0 * i)});
+      table.insert({static_cast<std::uint64_t>(i), "sphinx-client/cms",
+                    payload, 1, 60.0 * static_cast<double>(i)});
     }
     benchmark::DoNotOptimize(database.journal().size());
   }
@@ -219,10 +215,9 @@ BENCHMARK(BM_JournalReplay);
 
 void BM_JournalSerializeParse(benchmark::State& state) {
   db::Database database;
-  db::Table& table = database.create_table("jobs", job_schema());
+  JobTable& table = database.create_table<JobRow>("jobs");
   for (std::int64_t i = 0; i < 512; ++i) {
-    table.insert({Value(i), Value("state-" + std::to_string(i % 5)),
-                  Value(i % 16), Value(60.0 + i)});
+    table.insert({i, "state-" + std::to_string(i % 5), i % 16, 60.0 + i});
   }
   for (auto _ : state) {
     const std::string text = database.journal().serialize();

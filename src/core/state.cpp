@@ -1,7 +1,5 @@
 #include "core/state.hpp"
 
-#include "common/error.hpp"
-
 namespace sphinx::core {
 
 const char* to_string(DagState state) noexcept {
@@ -27,23 +25,34 @@ const char* to_string(JobState state) noexcept {
   return "?";
 }
 
-DagState dag_state_from(std::string_view text) {
-  if (text == "received") return DagState::kReceived;
-  if (text == "reduced") return DagState::kReduced;
-  if (text == "planning") return DagState::kPlanning;
-  if (text == "finished") return DagState::kFinished;
-  throw AssertionError("unknown dag state: " + std::string(text));
+namespace {
+
+/// The enumerator of `all` whose to_string() is `text`, if any.
+template <typename E, std::size_t N>
+bool parse(std::string_view text, const E (&all)[N], E& out) noexcept {
+  for (const E state : all) {
+    if (text == to_string(state)) {
+      out = state;
+      return true;
+    }
+  }
+  return false;
 }
 
-JobState job_state_from(std::string_view text) {
-  if (text == "unplanned") return JobState::kUnplanned;
-  if (text == "planned") return JobState::kPlanned;
-  if (text == "submitted") return JobState::kSubmitted;
-  if (text == "running") return JobState::kRunning;
-  if (text == "completed") return JobState::kCompleted;
-  if (text == "cancelled") return JobState::kCancelled;
-  if (text == "held") return JobState::kHeld;
-  throw AssertionError("unknown job state: " + std::string(text));
+}  // namespace
+
+bool from_string(std::string_view text, DagState& out) noexcept {
+  constexpr DagState kAll[] = {DagState::kReceived, DagState::kReduced,
+                               DagState::kPlanning, DagState::kFinished};
+  return parse(text, kAll, out);
+}
+
+bool from_string(std::string_view text, JobState& out) noexcept {
+  constexpr JobState kAll[] = {JobState::kUnplanned, JobState::kPlanned,
+                               JobState::kSubmitted, JobState::kRunning,
+                               JobState::kCompleted, JobState::kCancelled,
+                               JobState::kHeld};
+  return parse(text, kAll, out);
 }
 
 bool is_legal_transition(JobState from, JobState to) noexcept {
@@ -81,13 +90,12 @@ const char* to_string(SpeculationState state) noexcept {
   return "?";
 }
 
-SpeculationState speculation_state_from(std::string_view text) {
-  if (text == "racing") return SpeculationState::kRacing;
-  if (text == "primary_won") return SpeculationState::kPrimaryWon;
-  if (text == "spec_won") return SpeculationState::kSpecWon;
-  if (text == "primary_dead") return SpeculationState::kPrimaryDead;
-  if (text == "spec_dead") return SpeculationState::kSpecDead;
-  throw AssertionError("unknown speculation state: " + std::string(text));
+bool from_string(std::string_view text, SpeculationState& out) noexcept {
+  constexpr SpeculationState kAll[] = {
+      SpeculationState::kRacing, SpeculationState::kPrimaryWon,
+      SpeculationState::kSpecWon, SpeculationState::kPrimaryDead,
+      SpeculationState::kSpecDead};
+  return parse(text, kAll, out);
 }
 
 const char* to_string(Algorithm algorithm) noexcept {

@@ -34,9 +34,10 @@ enum class JobState {
 [[nodiscard]] const char* to_string(DagState state) noexcept;
 [[nodiscard]] const char* to_string(JobState state) noexcept;
 
-/// Parses the to_string() form back (used when reading warehouse rows).
-[[nodiscard]] DagState dag_state_from(std::string_view text);
-[[nodiscard]] JobState job_state_from(std::string_view text);
+/// Parses the to_string() form back; false on any other text.  The
+/// warehouse tables hold states as this text (db::CellCodec).
+[[nodiscard]] bool from_string(std::string_view text, DagState& out) noexcept;
+[[nodiscard]] bool from_string(std::string_view text, JobState& out) noexcept;
 
 /// Job states that count as "outstanding on a site" for the load-rate
 /// formulas (planned_jobs + unfinished_jobs in eq. 1 and 2).
@@ -74,7 +75,8 @@ enum class SpeculationState {
 };
 
 [[nodiscard]] const char* to_string(SpeculationState state) noexcept;
-[[nodiscard]] SpeculationState speculation_state_from(std::string_view text);
+[[nodiscard]] bool from_string(std::string_view text,
+                               SpeculationState& out) noexcept;
 
 /// Scheduling strategies evaluated in the paper (section 4.1).
 enum class Algorithm {

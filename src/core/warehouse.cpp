@@ -12,8 +12,6 @@
 
 namespace sphinx::core {
 
-using db::Value;
-
 namespace {
 // EWMA weight for completion-time tracking: recent behaviour dominates on
 // a dynamic grid, but not so sharply that one outlier flips the ranking.
@@ -22,189 +20,27 @@ constexpr double kEwmaAlpha = 0.3;
 // (site, job-class) key.  Bounded so the journal and the percentile scan
 // both stay O(1) per key while the distribution still adapts.
 constexpr std::size_t kMaxRuntimeSamples = 32;
-
-// Column positions, one enum per table.  declared_tables() lists every
-// column beside the position it must occupy.
-struct DagCol {
-  enum : std::size_t { kDagId, kName, kClient, kUser, kState, kReceivedAt,
-                       kFinishedAt, kTotalJobs, kPriority, kDeadline };
-};
-struct JobCol {
-  enum : std::size_t { kJobId, kDagId, kName, kState, kSite, kComputeTime,
-                       kOutput, kOutputBytes, kAttempt, kPlannedAt };
-};
-struct InputCol { enum : std::size_t { kJobId, kLfn }; };
-struct DepCol { enum : std::size_t { kJobId, kParent }; };
-struct SiteCol {
-  enum : std::size_t { kSiteId, kCompleted, kCancelled, kAvgCompletion,
-                       kSamples };
-};
-struct QuotaCol {
-  enum : std::size_t { kUser, kSite, kResource, kLimit, kUsed };
-};
-struct StateCol { enum : std::size_t { kKey, kValue }; };
-struct OutboxCol {
-  enum : std::size_t { kSeq, kService, kPayload, kAttempt, kLastSentAt };
-};
-struct SpecCol {
-  enum : std::size_t { kJobId, kDagId, kPrimarySite, kPrimaryAttempt,
-                       kPrimaryPlannedAt, kSpecSite, kSpecAttempt, kState,
-                       kLaunchedAt };
-};
-struct SampleCol { enum : std::size_t { kSite, kClass, kRuntime }; };
-
-/// A schema from (enum position, column) pairs listed in position order.
-/// A column listed out of its enum position throws AssertionError: the
-/// enum and the schema drifted apart.
-db::Schema positional(
-    std::initializer_list<std::pair<std::size_t, db::Column>> columns) {
-  std::vector<db::Column> out;
-  for (const auto& [position, column] : columns) {
-    SPHINX_ASSERT(position == out.size(),
-                  "column " + column.name + " declared out of position");
-    out.push_back(column);
-  }
-  return db::Schema(std::move(out));
-}
-
-SiteId site_of(const Value& v) {
-  return SiteId(static_cast<std::uint64_t>(v.as_int()));
-}
 }  // namespace
 
-struct DataWarehouse::TableDecl {
-  const char* name;
-  db::Table* Tables::*handle;
-  db::Schema schema;
-};
-
-const std::vector<DataWarehouse::TableDecl>&
-DataWarehouse::declared_tables() {
-  using db::indexed;
-  constexpr auto kInt = db::ValueType::kInt;
-  constexpr auto kReal = db::ValueType::kReal;
-  constexpr auto kText = db::ValueType::kText;
-  // Hot-path columns declare their hash index in the schema itself, so the
-  // index set is journaled with the kCreateTable entry and recovery
-  // rebuilds it without a separate recreation pass.
-  static const std::vector<TableDecl> kTables = {
-      {"dags", &Tables::dags,
-       positional({{DagCol::kDagId, indexed("dag_id", kInt)},
-                   {DagCol::kName, {"name", kText}},
-                   {DagCol::kClient, {"client", kText}},
-                   {DagCol::kUser, {"user", kInt}},
-                   {DagCol::kState, indexed("state", kText)},
-                   {DagCol::kReceivedAt, {"received_at", kReal}},
-                   {DagCol::kFinishedAt, {"finished_at", kReal}},
-                   {DagCol::kTotalJobs, {"total_jobs", kInt}},
-                   {DagCol::kPriority, {"priority", kReal}},
-                   {DagCol::kDeadline, {"deadline", kReal}}})},
-      {"jobs", &Tables::jobs,
-       positional({{JobCol::kJobId, indexed("job_id", kInt)},
-                   {JobCol::kDagId, indexed("dag_id", kInt)},
-                   {JobCol::kName, {"name", kText}},
-                   {JobCol::kState, indexed("state", kText)},
-                   {JobCol::kSite, {"site", kInt}},
-                   {JobCol::kComputeTime, {"compute_time", kReal}},
-                   {JobCol::kOutput, {"output", kText}},
-                   {JobCol::kOutputBytes, {"output_bytes", kReal}},
-                   {JobCol::kAttempt, {"attempt", kInt}},
-                   {JobCol::kPlannedAt, {"planned_at", kReal}}})},
-      {"job_inputs", &Tables::job_inputs,
-       positional({{InputCol::kJobId, indexed("job_id", kInt)},
-                   {InputCol::kLfn, {"lfn", kText}}})},
-      {"job_deps", &Tables::job_deps,
-       positional({{DepCol::kJobId, indexed("job_id", kInt)},
-                   {DepCol::kParent, indexed("parent", kInt)}})},
-      {"site_stats", &Tables::site_stats,
-       positional({{SiteCol::kSiteId, indexed("site_id", kInt)},
-                   {SiteCol::kCompleted, {"completed", kInt}},
-                   {SiteCol::kCancelled, {"cancelled", kInt}},
-                   {SiteCol::kAvgCompletion, {"avg_completion", kReal}},
-                   {SiteCol::kSamples, {"samples", kInt}}})},
-      {"quotas", &Tables::quotas,
-       positional({{QuotaCol::kUser, indexed("user", kInt)},
-                   {QuotaCol::kSite, {"site", kInt}},
-                   {QuotaCol::kResource, {"resource", kText}},
-                   {QuotaCol::kLimit, {"limit", kReal}},
-                   {QuotaCol::kUsed, {"used", kReal}}})},
-      // Key/value store for scheduling-module soft state (strategy
-      // cursors).  Journaled like everything else, so a recovered
-      // server's strategy resumes mid-rotation instead of resetting to
-      // job zero.
-      {"scheduler_state", &Tables::scheduler_state,
-       positional({{StateCol::kKey, indexed("key", kText)},
-                   {StateCol::kValue, {"value", kText}}})},
-      // In-flight calls of the server's outbound RPC client.  Journaled
-      // so a journal-recovered server re-arms the exact retry schedule
-      // the crashed instance had in flight (see
-      // ClarensClient::restore_call).
-      {"rpc_outbox", &Tables::rpc_outbox,
-       positional({{OutboxCol::kSeq, indexed("seq", kInt)},
-                   {OutboxCol::kService, {"service", kText}},
-                   {OutboxCol::kPayload, {"payload", kText}},
-                   {OutboxCol::kAttempt, {"attempt", kInt}},
-                   {OutboxCol::kLastSentAt, {"last_sent_at", kReal}}})},
-      // Straggler defense.  Speculation races are scheduler state proper
-      // -- recovery must re-arm an open race exactly, so the rows ride
-      // the journal like jobs do.  The runtime-sample rings feed the
-      // detector's per-(site, class) percentiles; journaling them keeps a
-      // recovered detector's decisions byte-identical to the crashed
-      // instance's.
-      {"speculations", &Tables::speculations,
-       positional({{SpecCol::kJobId, indexed("job_id", kInt)},
-                   {SpecCol::kDagId, {"dag_id", kInt}},
-                   {SpecCol::kPrimarySite, {"primary_site", kInt}},
-                   {SpecCol::kPrimaryAttempt, {"primary_attempt", kInt}},
-                   {SpecCol::kPrimaryPlannedAt, {"primary_planned_at", kReal}},
-                   {SpecCol::kSpecSite, {"spec_site", kInt}},
-                   {SpecCol::kSpecAttempt, {"spec_attempt", kInt}},
-                   {SpecCol::kState, indexed("state", kText)},
-                   {SpecCol::kLaunchedAt, {"launched_at", kReal}}})},
-      {"runtime_samples", &Tables::runtime_samples,
-       positional({{SampleCol::kSite, indexed("site", kInt)},
-                   {SampleCol::kClass, indexed("class", kInt)},
-                   {SampleCol::kRuntime, {"runtime", kReal}}})},
-  };
-  return kTables;
-}
-
-DataWarehouse::DataWarehouse() : DataWarehouse(true) {}
-
-DataWarehouse::DataWarehouse(bool create_schema) {
-  if (!create_schema) return;  // recover_from() binds after replay
-  for (const TableDecl& decl : declared_tables()) {
-    db_.create_table(decl.name, decl.schema);
-  }
-  const StatusOrError bound = bind_tables();
-  SPHINX_ASSERT(bound.ok(), "a fresh warehouse must match its declared schema");
-}
-
-StatusOrError DataWarehouse::bind_tables() {
-  for (const TableDecl& decl : declared_tables()) {
-    if (!db_.has_table(decl.name)) {
-      return make_error("recover_schema",
-                        std::string("missing table ") + decl.name);
-    }
-    db::Table& table = db_.table(decl.name);
-    if (table.schema().columns() != decl.schema.columns()) {
-      return make_error("recover_schema",
-                        std::string("table ") + decl.name +
-                            " does not match its declared schema");
-    }
-    tables_.*decl.handle = &table;
-  }
-  return {};
-}
+DataWarehouse::DataWarehouse()
+    : dags_(db_.create_table<DagRecord>("dags")),
+      jobs_(db_.create_table<JobRecord>("jobs")),
+      job_inputs_(db_.create_table<JobInput>("job_inputs")),
+      job_deps_(db_.create_table<JobDep>("job_deps")),
+      site_stats_(db_.create_table<SiteStats>("site_stats")),
+      quotas_(db_.create_table<Quota>("quotas")),
+      scheduler_state_(db_.create_table<Setting>("scheduler_state")),
+      rpc_outbox_(db_.create_table<OutboxEntry>("rpc_outbox")),
+      speculations_(db_.create_table<SpeculationRecord>("speculations")),
+      runtime_samples_(db_.create_table<RuntimeSample>("runtime_samples")) {}
 
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
     const db::Journal& journal,
     const std::optional<CheckpointImage>& checkpoint) {
-  // Construct without a schema: the image or the journal supplies the
-  // tables, and the schema declares the indexes, so both rebuild those
-  // too.  Only the derived work state needs explicit reconstruction.
-  auto warehouse =
-      std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
+  // A fresh warehouse declares the tables; the image or the journal fills
+  // them, and the schema declares the indexes, so both rebuild those too.
+  // Only the derived work state needs explicit reconstruction.
+  auto warehouse = std::make_unique<DataWarehouse>();
   std::uint64_t from_seq = 0;
   if (checkpoint.has_value()) {
     if (const auto status = warehouse->db_.restore(checkpoint->database);
@@ -222,14 +58,18 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
-  if (const auto status = warehouse->bind_tables(); !status.ok()) {
-    return Unexpected<Error>{status.error()};
-  }
   // Carry the image so a later crash can pair the (now compacted)
   // journal with the image that anchors its sequence numbers.
   warehouse->checkpoint_ = checkpoint;
   warehouse->rebuild_work_state();
-  warehouse->check_invariants();  // recovery must reproduce a sound store
+  // Every cell was read into its column, but the rows can still disagree
+  // with each other (a job count, a negative counter): recovery refuses a
+  // store the live warehouse could not have reached.
+  try {
+    warehouse->check_invariants();
+  } catch (const ContractViolation& violation) {
+    return make_error("recover_invariant", violation.what());
+  }
   return warehouse;
 }
 
@@ -264,8 +104,8 @@ void DataWarehouse::rebuild_work_state() {
   // them (a DAG queued by a completion that readied no child) no drain
   // would ever yield.
   dirty_rows_.clear();
-  tables_.dags->for_each([&](const db::Row& row) {
-    if (has_pending_work(decode_dag(row))) dirty_rows_.insert(row.id);
+  dags_.for_each([&](db::RowId id, const DagRecord& dag) {
+    if (has_pending_work(dag)) dirty_rows_.insert(id);
   });
 }
 
@@ -275,61 +115,45 @@ void DataWarehouse::insert_dag(const workflow::Dag& dag,
                                const std::string& client, UserId user,
                                SimTime now, double priority,
                                SimTime deadline) {
-  const db::RowId row = tables_.dags->insert(
-      {Value(dag.id().value()), Value(dag.name()), Value(client),
-       Value(user.value()), Value(to_string(DagState::kReceived)), Value(now),
-       Value(kNever), Value(static_cast<std::int64_t>(dag.size())),
-       Value(priority), Value(deadline)});
+  const db::RowId row = dags_.insert(
+      {.id = dag.id(),
+       .name = dag.name(),
+       .client = client,
+       .user = user,
+       .received_at = now,
+       .total_jobs = static_cast<std::int64_t>(dag.size()),
+       .priority = priority,
+       .deadline = deadline});
   dirty_rows_.insert(row);  // a received DAG is work for the reducer
   for (const workflow::JobSpec& job : dag.jobs()) {
-    tables_.jobs->insert({Value(job.id.value()), Value(dag.id().value()),
-                          Value(job.name),
-                          Value(to_string(JobState::kUnplanned)),
-                          Value(std::int64_t{0}), Value(job.compute_time),
-                          Value(job.output), Value(job.output_bytes),
-                          Value(std::int64_t{0}), Value(kNever)});
-    for (const data::Lfn& lfn : job.inputs) {
-      tables_.job_inputs->insert({Value(job.id.value()), Value(lfn)});
-    }
+    jobs_.insert({.id = job.id,
+                  .dag = dag.id(),
+                  .name = job.name,
+                  .state = JobState::kUnplanned,
+                  .site = SiteId(),
+                  .compute_time = job.compute_time,
+                  .output = job.output,
+                  .output_bytes = job.output_bytes});
+    for (const data::Lfn& lfn : job.inputs) job_inputs_.insert({job.id, lfn});
     for (const JobId parent : dag.parents(job.id)) {
-      tables_.job_deps->insert({Value(job.id.value()), Value(parent.value())});
+      job_deps_.insert({job.id, parent});
     }
   }
 }
 
-DagRecord DataWarehouse::decode_dag(const db::Row& row) {
-  const std::vector<Value>& c = row.cells;
-  DagRecord rec;
-  rec.id = DagId(static_cast<std::uint64_t>(c[DagCol::kDagId].as_int()));
-  rec.name = c[DagCol::kName].as_text();
-  rec.client = c[DagCol::kClient].as_text();
-  rec.user = UserId(static_cast<std::uint64_t>(c[DagCol::kUser].as_int()));
-  rec.state = dag_state_from(c[DagCol::kState].as_text());
-  rec.received_at = c[DagCol::kReceivedAt].as_real();
-  rec.finished_at = c[DagCol::kFinishedAt].as_real();
-  rec.total_jobs = c[DagCol::kTotalJobs].as_int();
-  rec.priority = c[DagCol::kPriority].as_real();
-  rec.deadline = c[DagCol::kDeadline].as_real();
-  return rec;
-}
-
 std::optional<DagRecord> DataWarehouse::dag(DagId id) const {
-  const db::Row* row =
-      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
+  const DagRecord* row = dags_.find(dags_.first<&DagRecord::id>(id));
   if (row == nullptr) return std::nullopt;
-  return decode_dag(*row);
+  return *row;
 }
 
 void DataWarehouse::set_dag_state(DagId id, DagState state) {
-  const db::Row* row =
-      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
+  const db::RowId row_id = dags_.first<&DagRecord::id>(id);
+  const DagRecord* row = dags_.find(row_id);
   SPHINX_ASSERT(row != nullptr, "set_dag_state: unknown dag");
-  SPHINX_PRECONDITION(
-      is_legal_transition(dag_state_from(row->cells[DagCol::kState].as_text()),
-                          state),
-      "dag automaton only moves forward");
-  const db::RowId row_id = row->id;
-  tables_.dags->update(row_id, DagCol::kState, Value(to_string(state)));
+  SPHINX_PRECONDITION(is_legal_transition(row->state, state),
+                      "dag automaton only moves forward");
+  dags_.set<&DagRecord::state>(row_id, state);
   if (state == DagState::kFinished) {
     dirty_rows_.erase(row_id);
   } else {
@@ -338,99 +162,61 @@ void DataWarehouse::set_dag_state(DagId id, DagState state) {
 }
 
 void DataWarehouse::set_dag_finished(DagId id, SimTime at) {
-  db::Table& dags = *tables_.dags;
-  const db::Row* row = dags.find_first(DagCol::kDagId, Value(id.value()));
+  const db::RowId row_id = dags_.first<&DagRecord::id>(id);
+  const DagRecord* row = dags_.find(row_id);
   SPHINX_ASSERT(row != nullptr, "set_dag_finished: unknown dag");
-  SPHINX_PRECONDITION(at >= row->cells[DagCol::kReceivedAt].as_real(),
+  SPHINX_PRECONDITION(at >= row->received_at,
                       "dag cannot finish before it was received");
-  const db::RowId row_id = row->id;
-  dags.update(row_id, DagCol::kState, Value(to_string(DagState::kFinished)));
-  dags.update(row_id, DagCol::kFinishedAt, Value(at));
+  dags_.set<&DagRecord::state>(row_id, DagState::kFinished);
+  dags_.set<&DagRecord::finished_at>(row_id, at);
   dirty_rows_.erase(row_id);  // finished DAGs hold no pending work
 }
 
 std::vector<DagRecord> DataWarehouse::all_dags() const {
   std::vector<DagRecord> out;
-  tables_.dags->for_each(
-      [&out](const db::Row& row) { out.push_back(decode_dag(row)); });
+  dags_.for_each(
+      [&out](db::RowId, const DagRecord& dag) { out.push_back(dag); });
   return out;
 }
 
 // --- jobs ---------------------------------------------------------------
 
-JobRecord DataWarehouse::decode_job(const db::Row& row) {
-  const std::vector<Value>& c = row.cells;
-  JobRecord rec;
-  rec.id = JobId(static_cast<std::uint64_t>(c[JobCol::kJobId].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(c[JobCol::kDagId].as_int()));
-  rec.name = c[JobCol::kName].as_text();
-  rec.state = job_state_from(c[JobCol::kState].as_text());
-  rec.site = site_of(c[JobCol::kSite]);
-  rec.compute_time = c[JobCol::kComputeTime].as_real();
-  rec.output = c[JobCol::kOutput].as_text();
-  rec.output_bytes = c[JobCol::kOutputBytes].as_real();
-  rec.attempt = static_cast<int>(c[JobCol::kAttempt].as_int());
-  rec.planned_at = c[JobCol::kPlannedAt].as_real();
-  return rec;
-}
-
-SpeculationRecord DataWarehouse::decode_speculation(const db::Row& row) {
-  const std::vector<Value>& c = row.cells;
-  SpeculationRecord rec;
-  rec.job = JobId(static_cast<std::uint64_t>(c[SpecCol::kJobId].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(c[SpecCol::kDagId].as_int()));
-  rec.primary_site = site_of(c[SpecCol::kPrimarySite]);
-  rec.primary_attempt = static_cast<int>(c[SpecCol::kPrimaryAttempt].as_int());
-  rec.primary_planned_at = c[SpecCol::kPrimaryPlannedAt].as_real();
-  rec.spec_site = site_of(c[SpecCol::kSpecSite]);
-  rec.spec_attempt = static_cast<int>(c[SpecCol::kSpecAttempt].as_int());
-  rec.state = speculation_state_from(c[SpecCol::kState].as_text());
-  rec.launched_at = c[SpecCol::kLaunchedAt].as_real();
-  return rec;
-}
-
 std::optional<JobRecord> DataWarehouse::job(JobId id) const {
-  const db::Row* row =
-      tables_.jobs->find_first(JobCol::kJobId, Value(id.value()));
+  const JobRecord* row = jobs_.find(jobs_.first<&JobRecord::id>(id));
   if (row == nullptr) return std::nullopt;
-  return decode_job(*row);
+  return *row;
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_of_dag(DagId id) const {
-  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row : jobs.find_by(JobCol::kDagId, Value(id.value()))) {
-    out.push_back(decode_job(*jobs.find(row)));
+  for (const db::RowId row : jobs_.find_by<&JobRecord::dag>(id)) {
+    out.push_back(*jobs_.find(row));
   }
   return out;
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
-  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row :
-       jobs.find_by(JobCol::kState, Value(to_string(state)))) {
-    out.push_back(decode_job(*jobs.find(row)));
+  for (const db::RowId row : jobs_.find_by<&JobRecord::state>(state)) {
+    out.push_back(*jobs_.find(row));
   }
   return out;
 }
 
 void DataWarehouse::set_job_state(JobId id, JobState state,
                                   std::string_view reason) {
-  db::Table& jobs = *tables_.jobs;
-  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
+  const db::RowId row_id = jobs_.first<&JobRecord::id>(id);
+  const JobRecord* row = jobs_.find(row_id);
   SPHINX_ASSERT(row != nullptr, "set_job_state: unknown job");
-  const JobState old_state =
-      job_state_from(row->cells[JobCol::kState].as_text());
+  const JobState old_state = row->state;
   SPHINX_PRECONDITION(is_legal_transition(old_state, state),
                       "illegal job state transition " +
                           std::string(to_string(old_state)) + " -> " +
                           to_string(state));
-  const SiteId site = site_of(row->cells[JobCol::kSite]);
-  const Value dag_key = row->cells[JobCol::kDagId];
-  const std::int64_t attempt = row->cells[JobCol::kAttempt].as_int();
-  const db::RowId row_id = row->id;
-  jobs.update(row_id, JobCol::kState, Value(to_string(state)));
+  const SiteId site = row->site;
+  const DagId dag = row->dag;
+  const int attempt = row->attempt;
+  jobs_.set<&JobRecord::state>(row_id, state);
 
   // Maintain the outstanding counters on the transition itself.
   const bool was_out = is_outstanding(old_state);
@@ -447,8 +233,8 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
   // A job falling back to unplanned (replanning) or completing (children
   // may become ready; the DAG may finish) creates planner work.
   if (state == JobState::kUnplanned || state == JobState::kCompleted) {
-    const db::Row* dag_row = tables_.dags->find_first(DagCol::kDagId, dag_key);
-    if (dag_row != nullptr) dirty_rows_.insert(dag_row->id);
+    const db::RowId dag_row = dags_.first<&DagRecord::id>(dag);
+    if (dag_row != db::kInvalidRow) dirty_rows_.insert(dag_row);
   }
 
   if (recorder_ != nullptr) {
@@ -466,19 +252,16 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
 }
 
 void DataWarehouse::set_job_planned(JobId id, SiteId site, SimTime at) {
-  db::Table& jobs = *tables_.jobs;
-  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
+  const db::RowId row_id = jobs_.first<&JobRecord::id>(id);
+  const JobRecord* row = jobs_.find(row_id);
   SPHINX_ASSERT(row != nullptr, "set_job_planned: unknown job");
-  SPHINX_PRECONDITION(
-      is_legal_transition(job_state_from(row->cells[JobCol::kState].as_text()),
-                          JobState::kPlanned),
-      "job must be plannable to receive a plan");
-  const db::RowId row_id = row->id;
-  const std::int64_t attempt = row->cells[JobCol::kAttempt].as_int() + 1;
-  jobs.update(row_id, JobCol::kState, Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, JobCol::kSite, Value(site.value()));
-  jobs.update(row_id, JobCol::kAttempt, Value(attempt));
-  jobs.update(row_id, JobCol::kPlannedAt, Value(at));
+  SPHINX_PRECONDITION(is_legal_transition(row->state, JobState::kPlanned),
+                      "job must be plannable to receive a plan");
+  const int attempt = row->attempt + 1;
+  jobs_.set<&JobRecord::state>(row_id, JobState::kPlanned);
+  jobs_.set<&JobRecord::site>(row_id, site);
+  jobs_.set<&JobRecord::attempt>(row_id, attempt);
+  jobs_.set<&JobRecord::planned_at>(row_id, at);
   ++outstanding_[site];  // planned counts as outstanding until it resolves
 
   if (recorder_ != nullptr) {
@@ -496,49 +279,40 @@ void DataWarehouse::set_recorder(obs::Recorder* recorder, std::string source) {
 }
 
 std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
-  const db::Table& inputs = *tables_.job_inputs;
   std::vector<data::Lfn> out;
-  for (const db::RowId row :
-       inputs.find_by(InputCol::kJobId, Value(id.value()))) {
-    out.push_back(inputs.find(row)->cells[InputCol::kLfn].as_text());
+  for (const db::RowId row : job_inputs_.find_by<&JobInput::job>(id)) {
+    out.push_back(job_inputs_.find(row)->lfn);
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_parents(JobId id) const {
-  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by(DepCol::kJobId, Value(id.value()))) {
-    out.emplace_back(static_cast<std::uint64_t>(
-        deps.find(row)->cells[DepCol::kParent].as_int()));
+  for (const db::RowId row : job_deps_.find_by<&JobDep::job>(id)) {
+    out.push_back(job_deps_.find(row)->parent);
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_children(JobId id) const {
-  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by(DepCol::kParent, Value(id.value()))) {
-    out.emplace_back(static_cast<std::uint64_t>(
-        deps.find(row)->cells[DepCol::kJobId].as_int()));
+  for (const db::RowId row : job_deps_.find_by<&JobDep::parent>(id)) {
+    out.push_back(job_deps_.find(row)->job);
   }
   return out;
 }
 
 std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
-  const db::Table& jobs = *tables_.jobs;
   // One pass over the DAG's rows: completed ids for the parent test, and
-  // only the unplanned rows pay a full decode.
+  // the unplanned rows as candidates.
   std::vector<JobId> completed;
   std::vector<JobRecord> unplanned;
-  for (const db::RowId id : jobs.find_by(JobCol::kDagId, Value(dag.value()))) {
-    const db::Row& row = *jobs.find(id);
-    const JobState state = job_state_from(row.cells[JobCol::kState].as_text());
-    if (state == JobState::kCompleted) {
-      completed.emplace_back(
-          static_cast<std::uint64_t>(row.cells[JobCol::kJobId].as_int()));
-    } else if (state == JobState::kUnplanned) {
-      unplanned.push_back(decode_job(row));
+  for (const db::RowId id : jobs_.find_by<&JobRecord::dag>(dag)) {
+    const JobRecord& job = *jobs_.find(id);
+    if (job.state == JobState::kCompleted) {
+      completed.push_back(job.id);
+    } else if (job.state == JobState::kUnplanned) {
+      unplanned.push_back(job);
     }
   }
   std::sort(completed.begin(), completed.end());
@@ -564,17 +338,15 @@ std::unordered_map<SiteId, std::int64_t> DataWarehouse::outstanding_by_site()
 std::unordered_map<SiteId, std::int64_t>
 DataWarehouse::scan_outstanding_by_site() const {
   std::unordered_map<SiteId, std::int64_t> out;
-  tables_.jobs->for_each([&](const db::Row& row) {
-    if (is_outstanding(job_state_from(row.cells[JobCol::kState].as_text()))) {
-      ++out[site_of(row.cells[JobCol::kSite])];
-    }
+  jobs_.for_each([&](db::RowId, const JobRecord& job) {
+    if (is_outstanding(job.state)) ++out[job.site];
   });
   // Racing speculations hold the primary attempt's unit (the job row
   // only counts the replica).
-  const db::Table& specs = *tables_.speculations;
-  for (const db::RowId id : specs.find_by(
-           SpecCol::kState, Value(to_string(SpeculationState::kRacing)))) {
-    ++out[site_of(specs.find(id)->cells[SpecCol::kPrimarySite])];
+  for (const db::RowId id :
+       speculations_.find_by<&SpeculationRecord::state>(
+           SpeculationState::kRacing)) {
+    ++out[speculations_.find(id)->primary_site];
   }
   return out;
 }
@@ -582,10 +354,9 @@ DataWarehouse::scan_outstanding_by_site() const {
 // --- work queue ---------------------------------------------------------
 
 void DataWarehouse::mark_dag_dirty(DagId id) {
-  const db::Row* row =
-      tables_.dags->find_first(DagCol::kDagId, Value(id.value()));
-  SPHINX_ASSERT(row != nullptr, "mark_dag_dirty: unknown dag");
-  dirty_rows_.insert(row->id);
+  const db::RowId row = dags_.first<&DagRecord::id>(id);
+  SPHINX_ASSERT(row != db::kInvalidRow, "mark_dag_dirty: unknown dag");
+  dirty_rows_.insert(row);
 }
 
 std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
@@ -603,10 +374,8 @@ std::vector<DagId> DataWarehouse::dirty_dags() const {
 std::vector<DagRecord> DataWarehouse::queued_pending_dags() const {
   std::vector<DagRecord> out;
   for (const db::RowId row_id : dirty_rows_) {
-    const db::Row* row = tables_.dags->find(row_id);
-    if (row == nullptr) continue;
-    DagRecord rec = decode_dag(*row);
-    if (has_pending_work(rec)) out.push_back(std::move(rec));
+    const DagRecord* dag = dags_.find(row_id);
+    if (dag != nullptr && has_pending_work(*dag)) out.push_back(*dag);
   }
   return out;
 }
@@ -626,68 +395,56 @@ bool DataWarehouse::has_pending_work(const DagRecord& dag) const {
 
 // --- site stats -----------------------------------------------------------
 
-const db::Row* DataWarehouse::site_stats_row(SiteId site) const {
-  return tables_.site_stats->find_first(SiteCol::kSiteId, Value(site.value()));
-}
-
 SiteStats DataWarehouse::site_stats(SiteId site) const {
-  SiteStats out;
-  out.site = site;
-  const db::Row* row = site_stats_row(site);
-  if (row == nullptr) return out;
-  out.completed = row->cells[SiteCol::kCompleted].as_int();
-  out.cancelled = row->cells[SiteCol::kCancelled].as_int();
-  out.avg_completion = row->cells[SiteCol::kAvgCompletion].as_real();
-  out.samples = row->cells[SiteCol::kSamples].as_int();
-  return out;
+  const SiteStats* row =
+      site_stats_.find(site_stats_.first<&SiteStats::site>(site));
+  if (row == nullptr) return SiteStats{.site = site};
+  return *row;
 }
 
 void DataWarehouse::record_completion(SiteId site, Duration completion_time) {
   SPHINX_PRECONDITION(completion_time >= 0 && !std::isnan(completion_time),
                       "completion time must be a non-negative duration");
-  db::Table& stats = *tables_.site_stats;
-  const db::Row* row = site_stats_row(site);
+  const db::RowId id = site_stats_.first<&SiteStats::site>(site);
+  const SiteStats* row = site_stats_.find(id);
   if (row == nullptr) {
-    stats.insert({Value(site.value()), Value(std::int64_t{1}),
-                  Value(std::int64_t{0}), Value(completion_time),
-                  Value(std::int64_t{1})});
+    site_stats_.insert({.site = site,
+                        .completed = 1,
+                        .avg_completion = completion_time,
+                        .samples = 1});
     return;
   }
-  const db::RowId id = row->id;
-  const std::int64_t completed = row->cells[SiteCol::kCompleted].as_int() + 1;
-  const std::int64_t samples = row->cells[SiteCol::kSamples].as_int() + 1;
-  const double prev = row->cells[SiteCol::kAvgCompletion].as_real();
+  const std::int64_t completed = row->completed + 1;
+  const std::int64_t samples = row->samples + 1;
   const double next = samples == 1
                           ? completion_time
                           : kEwmaAlpha * completion_time +
-                                (1.0 - kEwmaAlpha) * prev;
-  stats.update(id, SiteCol::kCompleted, Value(completed));
-  stats.update(id, SiteCol::kSamples, Value(samples));
-  stats.update(id, SiteCol::kAvgCompletion, Value(next));
+                                (1.0 - kEwmaAlpha) * row->avg_completion;
+  site_stats_.set<&SiteStats::completed>(id, completed);
+  site_stats_.set<&SiteStats::samples>(id, samples);
+  site_stats_.set<&SiteStats::avg_completion>(id, next);
 }
 
 void DataWarehouse::record_cancellation(SiteId site,
                                         Duration censored_duration) {
-  db::Table& stats = *tables_.site_stats;
-  const db::Row* row = site_stats_row(site);
+  const db::RowId id = site_stats_.first<&SiteStats::site>(site);
+  const SiteStats* row = site_stats_.find(id);
   if (row == nullptr) {
-    stats.insert({Value(site.value()), Value(std::int64_t{0}),
-                  Value(std::int64_t{1}), Value(censored_duration),
-                  Value(censored_duration > 0 ? std::int64_t{1}
-                                              : std::int64_t{0})});
+    site_stats_.insert({.site = site,
+                        .cancelled = 1,
+                        .avg_completion = censored_duration,
+                        .samples = censored_duration > 0 ? 1 : 0});
     return;
   }
-  const db::RowId id = row->id;
-  const std::int64_t cancelled = row->cells[SiteCol::kCancelled].as_int() + 1;
-  const std::int64_t samples = row->cells[SiteCol::kSamples].as_int() + 1;
-  const double prev = row->cells[SiteCol::kAvgCompletion].as_real();
-  stats.update(id, SiteCol::kCancelled, Value(cancelled));
+  const std::int64_t samples = row->samples + 1;
+  const double prev = row->avg_completion;
+  site_stats_.set<&SiteStats::cancelled>(id, row->cancelled + 1);
   if (censored_duration > 0) {
     const double next = samples == 1 ? censored_duration
                                      : kEwmaAlpha * censored_duration +
                                            (1.0 - kEwmaAlpha) * prev;
-    stats.update(id, SiteCol::kSamples, Value(samples));
-    stats.update(id, SiteCol::kAvgCompletion, Value(next));
+    site_stats_.set<&SiteStats::samples>(id, samples);
+    site_stats_.set<&SiteStats::avg_completion>(id, next);
   }
 }
 
@@ -697,77 +454,71 @@ void DataWarehouse::record_runtime_sample(SiteId site, int job_class,
                                           Duration runtime) {
   SPHINX_PRECONDITION(runtime >= 0 && !std::isnan(runtime),
                       "runtime sample must be a non-negative duration");
-  db::Table& table = *tables_.runtime_samples;
   // Ring bound: evict the oldest sample of this (site, class) key first.
   // find_by yields insertion order, so the first class match is oldest.
   std::size_t held = 0;
   db::RowId oldest = db::kInvalidRow;
   for (const db::RowId id :
-       table.find_by(SampleCol::kSite, Value(site.value()))) {
-    const db::Row* row = table.find(id);
-    if (row->cells[SampleCol::kClass].as_int() != job_class) continue;
+       runtime_samples_.find_by<&RuntimeSample::site>(site)) {
+    if (runtime_samples_.find(id)->job_class != job_class) continue;
     ++held;
     if (oldest == db::kInvalidRow) oldest = id;
   }
-  if (held >= kMaxRuntimeSamples) table.erase(oldest);
-  table.insert({Value(site.value()), Value(std::int64_t{job_class}),
-                Value(runtime)});
+  if (held >= kMaxRuntimeSamples) runtime_samples_.erase(oldest);
+  runtime_samples_.insert({site, job_class, runtime});
 }
 
 std::vector<double> DataWarehouse::runtime_samples(SiteId site,
                                                    int job_class) const {
-  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
   for (const db::RowId id :
-       table.find_by(SampleCol::kSite, Value(site.value()))) {
-    const db::Row* row = table.find(id);
-    if (row->cells[SampleCol::kClass].as_int() != job_class) continue;
-    out.push_back(row->cells[SampleCol::kRuntime].as_real());
+       runtime_samples_.find_by<&RuntimeSample::site>(site)) {
+    const RuntimeSample& sample = *runtime_samples_.find(id);
+    if (sample.job_class == job_class) out.push_back(sample.runtime);
   }
   return out;
 }
 
 std::vector<double> DataWarehouse::runtime_samples_all_sites(
     int job_class) const {
-  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
   for (const db::RowId id :
-       table.find_by(SampleCol::kClass, Value(std::int64_t{job_class}))) {
-    out.push_back(table.find(id)->cells[SampleCol::kRuntime].as_real());
+       runtime_samples_.find_by<&RuntimeSample::job_class>(job_class)) {
+    out.push_back(runtime_samples_.find(id)->runtime);
   }
   return out;
 }
 
 void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
-  db::Table& jobs = *tables_.jobs;
-  const db::Row* row = jobs.find_first(JobCol::kJobId, Value(id.value()));
+  const db::RowId row_id = jobs_.first<&JobRecord::id>(id);
+  const JobRecord* row = jobs_.find(row_id);
   SPHINX_PRECONDITION(row != nullptr, "speculate_job: unknown job");
-  const JobState state = job_state_from(row->cells[JobCol::kState].as_text());
+  const JobState state = row->state;
   SPHINX_PRECONDITION(
       state == JobState::kSubmitted || state == JobState::kRunning,
       "only a submitted/running job can be speculatively replicated");
-  const SiteId primary_site = site_of(row->cells[JobCol::kSite]);
-  SPHINX_PRECONDITION(primary_site != spec_site,
+  SPHINX_PRECONDITION(row->site != spec_site,
                       "replica must race on a different site");
   SPHINX_PRECONDITION(!active_speculation(id).has_value(),
                       "job already has an open race");
-  const std::int64_t primary_attempt = row->cells[JobCol::kAttempt].as_int();
-  const double primary_planned_at = row->cells[JobCol::kPlannedAt].as_real();
-  const Value dag_key = row->cells[JobCol::kDagId];
-  const db::RowId row_id = row->id;
+  const int primary_attempt = row->attempt;
 
-  tables_.speculations->insert(
-      {Value(id.value()), dag_key, Value(primary_site.value()),
-       Value(primary_attempt), Value(primary_planned_at),
-       Value(spec_site.value()), Value(primary_attempt + 1),
-       Value(to_string(SpeculationState::kRacing)), Value(at)});
+  speculations_.insert({.job = id,
+                        .dag = row->dag,
+                        .primary_site = row->site,
+                        .primary_attempt = primary_attempt,
+                        .primary_planned_at = row->planned_at,
+                        .spec_site = spec_site,
+                        .spec_attempt = primary_attempt + 1,
+                        .state = SpeculationState::kRacing,
+                        .launched_at = at});
   // Retarget the job row at the replica.  Direct writes: the automaton
   // forbids kSubmitted/kRunning -> kPlanned for a single attempt, but
   // here the original attempt stays live on the racing row.
-  jobs.update(row_id, JobCol::kState, Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, JobCol::kSite, Value(spec_site.value()));
-  jobs.update(row_id, JobCol::kAttempt, Value(primary_attempt + 1));
-  jobs.update(row_id, JobCol::kPlannedAt, Value(at));
+  jobs_.set<&JobRecord::state>(row_id, JobState::kPlanned);
+  jobs_.set<&JobRecord::site>(row_id, spec_site);
+  jobs_.set<&JobRecord::attempt>(row_id, primary_attempt + 1);
+  jobs_.set<&JobRecord::planned_at>(row_id, at);
   // The primary's unit moved onto the racing row; the replica's is new.
   ++outstanding_[spec_site];
 
@@ -781,10 +532,9 @@ void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
 
 std::optional<SpeculationRecord> DataWarehouse::active_speculation(
     JobId id) const {
-  const db::Table& table = *tables_.speculations;
-  for (const db::RowId row_id :
-       table.find_by(SpecCol::kJobId, Value(id.value()))) {
-    SpeculationRecord rec = decode_speculation(*table.find(row_id));
+  for (const db::RowId row :
+       speculations_.find_by<&SpeculationRecord::job>(id)) {
+    const SpeculationRecord& rec = *speculations_.find(row);
     if (rec.state == SpeculationState::kRacing) return rec;
   }
   return std::nullopt;
@@ -792,20 +542,18 @@ std::optional<SpeculationRecord> DataWarehouse::active_speculation(
 
 std::optional<SpeculationRecord> DataWarehouse::latest_speculation(
     JobId id) const {
-  const db::Table& table = *tables_.speculations;
   // find_by yields insertion order; the last row is the newest race.
   const std::vector<db::RowId>& rows =
-      table.find_by(SpecCol::kJobId, Value(id.value()));
+      speculations_.find_by<&SpeculationRecord::job>(id);
   if (rows.empty()) return std::nullopt;
-  return decode_speculation(*table.find(rows.back()));
+  return *speculations_.find(rows.back());
 }
 
 std::vector<SpeculationRecord> DataWarehouse::racing_speculations() const {
-  const db::Table& table = *tables_.speculations;
   std::vector<SpeculationRecord> out;
-  for (const db::RowId row_id : table.find_by(
-           SpecCol::kState, Value(to_string(SpeculationState::kRacing)))) {
-    out.push_back(decode_speculation(*table.find(row_id)));
+  for (const db::RowId row : speculations_.find_by<&SpeculationRecord::state>(
+           SpeculationState::kRacing)) {
+    out.push_back(*speculations_.find(row));
   }
   return out;
 }
@@ -814,21 +562,18 @@ void DataWarehouse::resolve_speculation(JobId id,
                                         SpeculationState final_state) {
   SPHINX_PRECONDITION(final_state != SpeculationState::kRacing,
                       "a race resolves to a terminal state");
-  db::Table& table = *tables_.speculations;
-  const db::Row* racing_row = nullptr;
-  for (const db::RowId row_id :
-       table.find_by(SpecCol::kJobId, Value(id.value()))) {
-    const db::Row* row = table.find(row_id);
-    if (speculation_state_from(row->cells[SpecCol::kState].as_text()) ==
-        SpeculationState::kRacing) {
-      racing_row = row;
+  db::RowId racing = db::kInvalidRow;
+  for (const db::RowId row :
+       speculations_.find_by<&SpeculationRecord::job>(id)) {
+    if (speculations_.find(row)->state == SpeculationState::kRacing) {
+      racing = row;
       break;
     }
   }
-  SPHINX_PRECONDITION(racing_row != nullptr,
+  SPHINX_PRECONDITION(racing != db::kInvalidRow,
                       "resolve_speculation: job has no open race");
-  const SpeculationRecord rec = decode_speculation(*racing_row);
-  table.update(racing_row->id, SpecCol::kState, Value(to_string(final_state)));
+  const SpeculationRecord rec = *speculations_.find(racing);
+  speculations_.set<&SpeculationRecord::state>(racing, final_state);
 
   const auto retire = [this](SiteId site) {
     const auto it = outstanding_.find(site);
@@ -841,13 +586,12 @@ void DataWarehouse::resolve_speculation(JobId id,
     // attempt column stays at the replica's number -- reusing the burnt
     // one would collide with the client's (job, attempt) duplicate guard
     // on the next replan.
-    db::Table& jobs = *tables_.jobs;
-    const db::Row* job_row =
-        jobs.find_first(JobCol::kJobId, Value(id.value()));
-    SPHINX_ASSERT(job_row != nullptr, "resolve_speculation: unknown job");
-    SPHINX_ASSERT(job_row->cells[JobCol::kAttempt].as_int() == rec.spec_attempt,
+    const db::RowId job_row = jobs_.first<&JobRecord::id>(id);
+    SPHINX_ASSERT(job_row != db::kInvalidRow,
+                  "resolve_speculation: unknown job");
+    SPHINX_ASSERT(jobs_.find(job_row)->attempt == rec.spec_attempt,
                   "racing job row must still track the replica attempt");
-    jobs.update(job_row->id, JobCol::kSite, Value(rec.primary_site.value()));
+    jobs_.set<&JobRecord::site>(job_row, rec.primary_site);
     // The primary's unit transfers from the racing row to the job row;
     // net change is the replica's retirement.
     retire(rec.spec_site);
@@ -861,38 +605,24 @@ void DataWarehouse::resolve_speculation(JobId id,
 void DataWarehouse::outbox_upsert(std::uint64_t seq, const std::string& service,
                                   const std::string& payload, int attempt,
                                   SimTime last_sent_at) {
-  db::Table& table = *tables_.rpc_outbox;
-  const db::Row* row =
-      table.find_first(OutboxCol::kSeq, Value(static_cast<std::int64_t>(seq)));
-  if (row == nullptr) {
-    table.insert({Value(static_cast<std::int64_t>(seq)), Value(service),
-                  Value(payload), Value(std::int64_t{attempt}),
-                  Value(last_sent_at)});
+  const db::RowId id = rpc_outbox_.first<&OutboxEntry::seq>(seq);
+  if (id == db::kInvalidRow) {
+    rpc_outbox_.insert({seq, service, payload, attempt, last_sent_at});
     return;
   }
-  const db::RowId id = row->id;
-  table.update(id, OutboxCol::kAttempt, Value(std::int64_t{attempt}));
-  table.update(id, OutboxCol::kLastSentAt, Value(last_sent_at));
+  rpc_outbox_.set<&OutboxEntry::attempt>(id, attempt);
+  rpc_outbox_.set<&OutboxEntry::last_sent_at>(id, last_sent_at);
 }
 
 void DataWarehouse::outbox_erase(std::uint64_t seq) {
-  db::Table& table = *tables_.rpc_outbox;
-  const db::Row* row =
-      table.find_first(OutboxCol::kSeq, Value(static_cast<std::int64_t>(seq)));
-  if (row != nullptr) table.erase(row->id);
+  const db::RowId id = rpc_outbox_.first<&OutboxEntry::seq>(seq);
+  if (id != db::kInvalidRow) rpc_outbox_.erase(id);
 }
 
 std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
   std::vector<OutboxEntry> entries;
-  tables_.rpc_outbox->for_each([&](const db::Row& row) {
-    const std::vector<Value>& c = row.cells;
-    OutboxEntry entry;
-    entry.seq = static_cast<std::uint64_t>(c[OutboxCol::kSeq].as_int());
-    entry.service = c[OutboxCol::kService].as_text();
-    entry.payload = c[OutboxCol::kPayload].as_text();
-    entry.attempt = static_cast<int>(c[OutboxCol::kAttempt].as_int());
-    entry.last_sent_at = c[OutboxCol::kLastSentAt].as_real();
-    entries.push_back(std::move(entry));
+  rpc_outbox_.for_each([&entries](db::RowId, const OutboxEntry& entry) {
+    entries.push_back(entry);
   });
   std::sort(entries.begin(), entries.end(),
             [](const OutboxEntry& a, const OutboxEntry& b) {
@@ -905,79 +635,69 @@ std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
 
 void DataWarehouse::set_scheduler_state(const std::string& key,
                                         const std::string& value) {
-  db::Table& table = *tables_.scheduler_state;
-  const db::Row* row = table.find_first(StateCol::kKey, Value(key));
-  if (row == nullptr) {
-    table.insert({Value(key), Value(value)});
+  const db::RowId id = scheduler_state_.first<&Setting::key>(key);
+  if (id == db::kInvalidRow) {
+    scheduler_state_.insert({key, value});
     return;
   }
-  if (row->cells[StateCol::kValue].as_text() == value) return;
-  table.update(row->id, StateCol::kValue, Value(value));
+  if (scheduler_state_.find(id)->value == value) return;
+  scheduler_state_.set<&Setting::value>(id, value);
 }
 
 std::string DataWarehouse::scheduler_state(const std::string& key) const {
-  const db::Row* row =
-      tables_.scheduler_state->find_first(StateCol::kKey, Value(key));
-  if (row == nullptr) return "";
-  return row->cells[StateCol::kValue].as_text();
+  const Setting* row =
+      scheduler_state_.find(scheduler_state_.first<&Setting::key>(key));
+  return row == nullptr ? std::string() : row->value;
 }
 
 // --- quotas -----------------------------------------------------------------
 
-const db::Row* DataWarehouse::quota_row(UserId user, SiteId site,
-                                        const std::string& resource) const {
-  const db::Table& quotas = *tables_.quotas;
-  for (const db::RowId id :
-       quotas.find_by(QuotaCol::kUser, Value(user.value()))) {
-    const db::Row* row = quotas.find(id);
-    if (site_of(row->cells[QuotaCol::kSite]) == site &&
-        row->cells[QuotaCol::kResource].as_text() == resource) {
-      return row;
-    }
+db::RowId DataWarehouse::quota_row(UserId user, SiteId site,
+                                   const std::string& resource) const {
+  for (const db::RowId id : quotas_.find_by<&Quota::user>(user)) {
+    const Quota& quota = *quotas_.find(id);
+    if (quota.site == site && quota.resource == resource) return id;
   }
-  return nullptr;
+  return db::kInvalidRow;
 }
 
 void DataWarehouse::set_quota(UserId user, SiteId site,
                               const std::string& resource, double limit) {
-  const db::Row* row = quota_row(user, site, resource);
-  if (row == nullptr) {
-    tables_.quotas->insert({Value(user.value()), Value(site.value()),
-                            Value(resource), Value(limit), Value(0.0)});
+  const db::RowId id = quota_row(user, site, resource);
+  if (id == db::kInvalidRow) {
+    quotas_.insert({user, site, resource, limit, 0.0});
     return;
   }
   // The stored limit again (a repeated administrative call) journals
   // nothing, like set_scheduler_state.
-  if (row->cells[QuotaCol::kLimit].as_real() == limit) return;
-  tables_.quotas->update(row->id, QuotaCol::kLimit, Value(limit));
+  if (quotas_.find(id)->limit == limit) return;
+  quotas_.set<&Quota::limit>(id, limit);
 }
 
 double DataWarehouse::quota_remaining(UserId user, SiteId site,
                                       const std::string& resource) const {
-  const db::Row* row = quota_row(user, site, resource);
-  if (row == nullptr) return std::numeric_limits<double>::infinity();
-  return row->cells[QuotaCol::kLimit].as_real() -
-         row->cells[QuotaCol::kUsed].as_real();
+  const Quota* quota = quotas_.find(quota_row(user, site, resource));
+  if (quota == nullptr) return std::numeric_limits<double>::infinity();
+  return quota->limit - quota->used;
 }
 
 void DataWarehouse::consume_quota(UserId user, SiteId site,
                                   const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota consumption must be non-negative");
-  const db::Row* row = quota_row(user, site, resource);
-  if (row == nullptr) return;
-  const double used = row->cells[QuotaCol::kUsed].as_real() + amount;
-  tables_.quotas->update(row->id, QuotaCol::kUsed, Value(used));
+  const db::RowId id = quota_row(user, site, resource);
+  if (id == db::kInvalidRow) return;
+  const double used = quotas_.find(id)->used + amount;
+  quotas_.set<&Quota::used>(id, used);
   SPHINX_POSTCONDITION(used >= 0, "quota usage went negative");
 }
 
 void DataWarehouse::refund_quota(UserId user, SiteId site,
                                  const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota refund must be non-negative");
-  const db::Row* row = quota_row(user, site, resource);
-  if (row == nullptr) return;
-  const double used = row->cells[QuotaCol::kUsed].as_real() - amount;
-  tables_.quotas->update(row->id, QuotaCol::kUsed,
-                         Value(used < 0 ? 0.0 : used));
+  const db::RowId id = quota_row(user, site, resource);
+  if (id == db::kInvalidRow) return;
+  const double used = quotas_.find(id)->used - amount;
+  quotas_.set<&Quota::used>(id, used < 0 ? 0.0 : used);
 }
 
 // --- contracts --------------------------------------------------------------
@@ -986,17 +706,10 @@ void DataWarehouse::check_invariants() const {
 #if SPHINX_CONTRACTS_ENABLED
   db_.check_invariants();
 
-  // Jobs: state text parses, outstanding jobs are placed and attempted.
-  std::unordered_map<std::uint64_t, std::int64_t> jobs_per_dag;
-  tables_.jobs->for_each([&](const db::Row& row) {
-    JobRecord job;
-    try {
-      job = decode_job(row);
-    } catch (const AssertionError& e) {
-      SPHINX_INVARIANT(false, std::string("job row does not parse: ") +
-                                  e.what());
-    }
-    ++jobs_per_dag[job.dag.value()];
+  // Jobs: outstanding jobs are placed and attempted.
+  std::unordered_map<DagId, std::int64_t> jobs_per_dag;
+  jobs_.for_each([&](db::RowId, const JobRecord& job) {
+    ++jobs_per_dag[job.dag];
     SPHINX_INVARIANT(job.attempt >= 0, "job attempt counter went negative");
     if (is_outstanding(job.state)) {
       SPHINX_INVARIANT(job.site.value() != 0,
@@ -1006,19 +719,12 @@ void DataWarehouse::check_invariants() const {
     }
   });
 
-  // DAGs: state text parses, finish times are coherent, and the recorded
-  // job total matches the job table (journal/table consistency: both are
-  // rebuilt from the same journal on recovery).
-  tables_.dags->for_each([&](const db::Row& row) {
-    DagRecord dag;
-    try {
-      dag = decode_dag(row);
-    } catch (const AssertionError& e) {
-      SPHINX_INVARIANT(false, std::string("dag row does not parse: ") +
-                                  e.what());
-    }
+  // DAGs: finish times are coherent, and the recorded job total matches
+  // the job table (journal/table consistency: both are rebuilt from the
+  // same journal on recovery).
+  dags_.for_each([&](db::RowId, const DagRecord& dag) {
     SPHINX_INVARIANT(dag.total_jobs >= 0, "dag job total went negative");
-    SPHINX_INVARIANT(jobs_per_dag[dag.id.value()] == dag.total_jobs,
+    SPHINX_INVARIANT(jobs_per_dag[dag.id] == dag.total_jobs,
                      "dag job total disagrees with the jobs table");
     if (dag.state == DagState::kFinished) {
       SPHINX_INVARIANT(dag.finished_at < kNever,
@@ -1030,39 +736,28 @@ void DataWarehouse::check_invariants() const {
 
   // Site statistics: counters never regress below zero; an empty sample
   // set cannot carry an average.
-  tables_.site_stats->for_each([&](const db::Row& row) {
-    const std::int64_t completed = row.cells[SiteCol::kCompleted].as_int();
-    const std::int64_t cancelled = row.cells[SiteCol::kCancelled].as_int();
-    const double avg = row.cells[SiteCol::kAvgCompletion].as_real();
-    const std::int64_t samples = row.cells[SiteCol::kSamples].as_int();
-    SPHINX_INVARIANT(completed >= 0 && cancelled >= 0 && samples >= 0,
-                     "site statistics counter went negative");
-    SPHINX_INVARIANT(avg >= 0 && !std::isnan(avg),
+  site_stats_.for_each([&](db::RowId, const SiteStats& stats) {
+    SPHINX_INVARIANT(
+        stats.completed >= 0 && stats.cancelled >= 0 && stats.samples >= 0,
+        "site statistics counter went negative");
+    SPHINX_INVARIANT(stats.avg_completion >= 0 &&
+                         !std::isnan(stats.avg_completion),
                      "site completion average must be non-negative");
-    SPHINX_INVARIANT(samples > 0 || avg == 0,
+    SPHINX_INVARIANT(stats.samples > 0 || stats.avg_completion == 0,
                      "site carries an average with no samples");
   });
 
   // Quotas: limits and usage are non-negative.
-  tables_.quotas->for_each([&](const db::Row& row) {
-    SPHINX_INVARIANT(row.cells[QuotaCol::kLimit].as_real() >= 0,
-                     "quota limit went negative");
-    SPHINX_INVARIANT(row.cells[QuotaCol::kUsed].as_real() >= 0,
-                     "quota usage went negative");
+  quotas_.for_each([&](db::RowId, const Quota& quota) {
+    SPHINX_INVARIANT(quota.limit >= 0, "quota limit went negative");
+    SPHINX_INVARIANT(quota.used >= 0, "quota usage went negative");
   });
 
-  // Speculation races: rows parse, attempts are consecutive, the two
-  // sites differ, at most one race per job is open, and an open race's
-  // job row still tracks the replica attempt.
-  std::unordered_set<std::uint64_t> racing_jobs;
-  tables_.speculations->for_each([&](const db::Row& row) {
-    SpeculationRecord rec;
-    try {
-      rec = decode_speculation(row);
-    } catch (const AssertionError& e) {
-      SPHINX_INVARIANT(false, std::string("speculation row does not parse: ") +
-                                  e.what());
-    }
+  // Speculation races: attempts are consecutive, the two sites differ, at
+  // most one race per job is open, and an open race's job row still
+  // tracks the replica attempt.
+  std::unordered_set<JobId> racing_jobs;
+  speculations_.for_each([&](db::RowId, const SpeculationRecord& rec) {
     SPHINX_INVARIANT(rec.primary_attempt >= 1,
                      "race opened on a never-planned attempt");
     SPHINX_INVARIANT(rec.spec_attempt == rec.primary_attempt + 1,
@@ -1070,7 +765,7 @@ void DataWarehouse::check_invariants() const {
     SPHINX_INVARIANT(rec.primary_site != rec.spec_site,
                      "race must span two sites");
     if (rec.state != SpeculationState::kRacing) return;
-    SPHINX_INVARIANT(racing_jobs.insert(rec.job.value()).second,
+    SPHINX_INVARIANT(racing_jobs.insert(rec.job).second,
                      "job holds two open races");
     const std::optional<JobRecord> job_rec = job(rec.job);
     SPHINX_INVARIANT(job_rec.has_value(), "open race names a missing job");
@@ -1082,18 +777,14 @@ void DataWarehouse::check_invariants() const {
   });
 
   // Runtime sample rings: non-negative values, ring bound respected.
-  {
-    std::map<std::pair<std::int64_t, std::int64_t>, std::size_t> ring_sizes;
-    tables_.runtime_samples->for_each([&](const db::Row& row) {
-      SPHINX_INVARIANT(row.cells[SampleCol::kRuntime].as_real() >= 0,
-                       "runtime sample went negative");
-      ++ring_sizes[{row.cells[SampleCol::kSite].as_int(),
-                    row.cells[SampleCol::kClass].as_int()}];
-    });
-    for (const auto& [key, size] : ring_sizes) {
-      SPHINX_INVARIANT(size <= kMaxRuntimeSamples,
-                       "runtime sample ring exceeded its bound");
-    }
+  std::map<std::pair<SiteId, int>, std::size_t> ring_sizes;
+  runtime_samples_.for_each([&](db::RowId, const RuntimeSample& sample) {
+    SPHINX_INVARIANT(sample.runtime >= 0, "runtime sample went negative");
+    ++ring_sizes[{sample.site, sample.job_class}];
+  });
+  for (const auto& [key, size] : ring_sizes) {
+    SPHINX_INVARIANT(size <= kMaxRuntimeSamples,
+                     "runtime sample ring exceeded its bound");
   }
 
   // Derived work state mirrors the tables: the live counters must equal a
@@ -1101,17 +792,15 @@ void DataWarehouse::check_invariants() const {
   // every DAG with pending work is queued (else no sweep would reach it).
   SPHINX_INVARIANT(outstanding_ == scan_outstanding_by_site(),
                    "live outstanding counters diverged from the jobs table");
-  const db::Table& dags = *tables_.dags;
   for (const db::RowId row_id : dirty_rows_) {
-    const db::Row* row = dags.find(row_id);
-    SPHINX_INVARIANT(row != nullptr, "dirty queue names a missing dag row");
-    SPHINX_INVARIANT(decode_dag(*row).state != DagState::kFinished,
+    const DagRecord* dag = dags_.find(row_id);
+    SPHINX_INVARIANT(dag != nullptr, "dirty queue names a missing dag row");
+    SPHINX_INVARIANT(dag->state != DagState::kFinished,
                      "dirty queue holds a finished dag");
   }
-  dags.for_each([&](const db::Row& row) {
-    SPHINX_INVARIANT(
-        !has_pending_work(decode_dag(row)) || dirty_rows_.contains(row.id),
-        "dag with pending work is not queued");
+  dags_.for_each([&](db::RowId id, const DagRecord& dag) {
+    SPHINX_INVARIANT(!has_pending_work(dag) || dirty_rows_.contains(id),
+                     "dag with pending work is not queued");
   });
 #endif
 }

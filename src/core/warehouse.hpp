@@ -11,12 +11,17 @@
 /// is rebuilt from the journal, optionally on top of a checkpoint image
 /// (see recover_from()).
 ///
-/// The tables are declared once, in warehouse.cpp: each table's name and
-/// schema in creation order, each column beside the position its table's
-/// enum gives it (a column out of position fails warehouse construction).
-/// Table handles are bound once by bind_tables(); recovery binds the
-/// replayed tables the same way and refuses a journal or image whose
-/// tables differ from the declared schema (`recover_schema`).
+/// Each table is a db::Table of its row struct: a DagRecord, JobRecord,
+/// SpeculationRecord, SiteStats or OutboxEntry, or a small private row
+/// for job inputs, dependencies, quotas, scheduler state and runtime
+/// samples.  Each row type declares its columns once, in persisted order
+/// (its static columns()), and the warehouse members below fix the
+/// creation order, so a read is a lookup of the stored struct and a write
+/// is one typed column set.  Recovery fills a fresh warehouse's tables
+/// and refuses, at the edge, what they cannot hold: a cell its column
+/// cannot read (`recover_replay`, `restore_parse`), a table that differs
+/// from the declared schema (`recover_schema`), and a store that fails
+/// the invariant sweep (`recover_invariant`).
 ///
 /// On top of the tables the warehouse maintains derived *work state* that
 /// makes sweeps O(changed work) instead of O(total state):
@@ -35,7 +40,7 @@
 /// CheckpointImage (database snapshot + sequence number) and compacts the
 /// journal prefix it covers, and recover_from(journal, image) restores
 /// the snapshot then replays only the post-checkpoint suffix.  Without an
-/// image, recovery replays the whole journal onto an empty database.
+/// image, recovery replays the whole journal onto empty tables.
 
 #include <cstdint>
 #include <functional>
@@ -44,6 +49,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -77,9 +83,18 @@ struct SiteStats {
   [[nodiscard]] bool reliable() const noexcept {
     return cancelled <= completed;
   }
+
+  /// The site_stats table's columns, in persisted order.
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("site_id", &SiteStats::site),
+                      db::column("completed", &SiteStats::completed),
+                      db::column("cancelled", &SiteStats::cancelled),
+                      db::column("avg_completion", &SiteStats::avg_completion),
+                      db::column("samples", &SiteStats::samples)};
+  }
 };
 
-/// A job row materialized from the warehouse.
+/// A row of the jobs table.
 struct JobRecord {
   JobId id;
   DagId dag;
@@ -91,6 +106,20 @@ struct JobRecord {
   double output_bytes = 0.0;
   int attempt = 0;
   SimTime planned_at = kNever;  ///< when the live attempt was planned
+
+  /// The jobs table's columns, in persisted order.
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("job_id", &JobRecord::id),
+                      db::indexed("dag_id", &JobRecord::dag),
+                      db::column("name", &JobRecord::name),
+                      db::indexed("state", &JobRecord::state),
+                      db::column("site", &JobRecord::site),
+                      db::column("compute_time", &JobRecord::compute_time),
+                      db::column("output", &JobRecord::output),
+                      db::column("output_bytes", &JobRecord::output_bytes),
+                      db::column("attempt", &JobRecord::attempt),
+                      db::column("planned_at", &JobRecord::planned_at)};
+  }
 };
 
 /// One speculative replication race (straggler defense).  While kRacing
@@ -107,6 +136,20 @@ struct SpeculationRecord {
   int spec_attempt = 0;
   SpeculationState state = SpeculationState::kRacing;
   SimTime launched_at = 0.0;
+
+  /// The speculations table's columns, in persisted order.
+  static constexpr auto columns() {
+    using R = SpeculationRecord;
+    return std::tuple{db::indexed("job_id", &R::job),
+                      db::column("dag_id", &R::dag),
+                      db::column("primary_site", &R::primary_site),
+                      db::column("primary_attempt", &R::primary_attempt),
+                      db::column("primary_planned_at", &R::primary_planned_at),
+                      db::column("spec_site", &R::spec_site),
+                      db::column("spec_attempt", &R::spec_attempt),
+                      db::indexed("state", &R::state),
+                      db::column("launched_at", &R::launched_at)};
+  }
 };
 
 /// One in-flight outbound RPC call persisted for crash recovery.
@@ -116,9 +159,18 @@ struct OutboxEntry {
   std::string payload;   ///< serialized methodCall, retransmitted verbatim
   int attempt = 0;
   SimTime last_sent_at = 0.0;
+
+  /// The rpc_outbox table's columns, in persisted order.
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("seq", &OutboxEntry::seq),
+                      db::column("service", &OutboxEntry::service),
+                      db::column("payload", &OutboxEntry::payload),
+                      db::column("attempt", &OutboxEntry::attempt),
+                      db::column("last_sent_at", &OutboxEntry::last_sent_at)};
+  }
 };
 
-/// A DAG row materialized from the warehouse.
+/// A row of the dags table.
 struct DagRecord {
   DagId id;
   std::string name;
@@ -130,11 +182,26 @@ struct DagRecord {
   std::int64_t total_jobs = 0;  // sphinx-lint-allow(test-only): the invariant sweep in this pair reads it
   double priority = 0.0;  ///< request priority; higher is planned first
   SimTime deadline = kNever;  ///< QoS deadline; kNever = best effort
+
+  /// The dags table's columns, in persisted order.  Nothing reads the
+  /// state index; it stays declared so the create record keeps its bytes.
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("dag_id", &DagRecord::id),
+                      db::column("name", &DagRecord::name),
+                      db::column("client", &DagRecord::client),
+                      db::column("user", &DagRecord::user),
+                      db::indexed("state", &DagRecord::state),
+                      db::column("received_at", &DagRecord::received_at),
+                      db::column("finished_at", &DagRecord::finished_at),
+                      db::column("total_jobs", &DagRecord::total_jobs),
+                      db::column("priority", &DagRecord::priority),
+                      db::column("deadline", &DagRecord::deadline)};
+  }
 };
 
 class DataWarehouse {
  public:
-  /// Creates the schema in a fresh database.
+  /// Creates the declared tables in a fresh database.
   DataWarehouse();
 
   /// Rebuilds a warehouse from a crashed instance's durable state: the
@@ -144,10 +211,13 @@ class DataWarehouse {
   /// then start at sequence 0 (a compacted journal needs its image).
   /// Handles both a compacted journal (crash after truncation) and an
   /// untruncated one (crash between snapshot publication and truncation
-  /// -- recovery completes the truncation).  A recovered database whose
-  /// tables do not match the declared schema -- a table missing, or a
-  /// column renamed, retyped, moved or re-indexed -- is refused with a
-  /// `recover_schema` error.
+  /// -- recovery completes the truncation).  Never throws: a journal or
+  /// image whose tables do not match the declared schema -- a table
+  /// missing or undeclared, or a column renamed, retyped, moved or
+  /// re-indexed -- is refused with `recover_schema`, a cell its column
+  /// cannot hold with `recover_replay` (journal) or `restore_parse`
+  /// (image), and a store that fails check_invariants() with
+  /// `recover_invariant`.
   [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
       const db::Journal& journal,
       const std::optional<CheckpointImage>& checkpoint = std::nullopt);
@@ -325,56 +395,92 @@ class DataWarehouse {
   /// The stored value, or "" when the key was never written.
   [[nodiscard]] std::string scheduler_state(const std::string& key) const;
 
-  [[nodiscard]] db::Database& database() noexcept { return db_; }
-
   /// Attaches a flight recorder; job transitions and planning decisions
   /// are traced as `source` (the owning server's endpoint).  The
   /// warehouse has no clock of its own -- the recorder stamps events
   /// with its engine's sim time.  Observation only.
   void set_recorder(obs::Recorder* recorder, std::string source);
 
-  /// Semantic sweep over the whole warehouse: every job/dag state text
-  /// parses, outstanding jobs have a site and at least one attempt,
-  /// finished DAGs have a finish time, per-dag job counts match the
-  /// recorded totals, site statistics counters are non-negative, quota
-  /// usage is non-negative, the live outstanding counters agree with a
-  /// scan of the jobs table, every queued dirty DAG names a live,
-  /// unfinished row, and every DAG with pending work is queued.  Also
-  /// runs the db layer's structural sweep.  O(total state) -- call from
-  /// recovery and tests, not per sweep.  Throws ContractViolation on
-  /// corruption; no-op when contracts are compiled out.
+  /// Semantic sweep over the whole warehouse: outstanding jobs have a
+  /// site and at least one attempt, finished DAGs have a finish time,
+  /// per-dag job counts match the recorded totals, site statistics
+  /// counters and quota usage are non-negative, the live outstanding
+  /// counters agree with a scan of the jobs table, every queued dirty DAG
+  /// names a live, unfinished row, and every DAG with pending work is
+  /// queued.  Also runs the db layer's structural sweep.  O(total state)
+  /// -- call from recovery and tests, not per sweep.  Throws
+  /// ContractViolation on corruption; no-op when contracts are compiled
+  /// out.
   void check_invariants() const;
 
-  /// Incremental variant scoped to one DAG: its rows parse, outstanding
-  /// jobs are placed and attempted, the job count matches the recorded
-  /// total, and finish times are coherent.  O(jobs of that DAG), so the
-  /// sweep can check just the DAGs it touched.
+  /// Incremental variant scoped to one DAG: outstanding jobs are placed
+  /// and attempted, the job count matches the recorded total, and finish
+  /// times are coherent.  O(jobs of that DAG), so the sweep can check
+  /// just the DAGs it touched.
   void check_dag_invariants(DagId id) const;
 
  private:
-  /// Handles to the warehouse tables, bound once by bind_tables().
-  struct Tables {
-    db::Table* dags = nullptr;
-    db::Table* jobs = nullptr;
-    db::Table* job_inputs = nullptr;
-    db::Table* job_deps = nullptr;
-    db::Table* site_stats = nullptr;
-    db::Table* quotas = nullptr;
-    db::Table* scheduler_state = nullptr;
-    db::Table* rpc_outbox = nullptr;
-    db::Table* speculations = nullptr;
-    db::Table* runtime_samples = nullptr;
-  };
-  /// One declared table: its name, its handle in Tables and its schema.
-  struct TableDecl;
-  /// The declared schema: every warehouse table, in creation order.
-  [[nodiscard]] static const std::vector<TableDecl>& declared_tables();
+  friend struct WarehouseInspector;  // test-only fault injection
 
-  explicit DataWarehouse(bool create_schema);
-  /// Points tables_ at the database's tables after checking each against
-  /// its declared schema; a `recover_schema` error names the first table
-  /// that is missing or differs.
-  [[nodiscard]] StatusOrError bind_tables();
+  /// One input file of a job.
+  struct JobInput {
+    JobId job;
+    data::Lfn lfn;
+
+    static constexpr auto columns() {
+      return std::tuple{db::indexed("job_id", &JobInput::job),
+                        db::column("lfn", &JobInput::lfn)};
+    }
+  };
+  /// One dependency edge: `job` consumes `parent`'s output.
+  struct JobDep {
+    JobId job;
+    JobId parent;
+
+    static constexpr auto columns() {
+      return std::tuple{db::indexed("job_id", &JobDep::job),
+                        db::indexed("parent", &JobDep::parent)};
+    }
+  };
+  /// A user's limit on one resource of one site, and what it has used.
+  struct Quota {
+    UserId user;
+    SiteId site;
+    std::string resource;
+    double limit = 0.0;
+    double used = 0.0;
+
+    static constexpr auto columns() {
+      return std::tuple{db::indexed("user", &Quota::user),
+                        db::column("site", &Quota::site),
+                        db::column("resource", &Quota::resource),
+                        db::column("limit", &Quota::limit),
+                        db::column("used", &Quota::used)};
+    }
+  };
+  /// One scheduling-module key/value pair.
+  struct Setting {
+    std::string key;
+    std::string value;
+
+    static constexpr auto columns() {
+      return std::tuple{db::indexed("key", &Setting::key),
+                        db::column("value", &Setting::value)};
+    }
+  };
+  /// One completed attempt's runtime, in its (site, job-class) ring.
+  struct RuntimeSample {
+    SiteId site;
+    int job_class = 0;
+    double runtime = 0.0;
+
+    static constexpr auto columns() {
+      return std::tuple{db::indexed("site", &RuntimeSample::site),
+                        db::indexed("class", &RuntimeSample::job_class),
+                        db::column("runtime", &RuntimeSample::runtime)};
+    }
+  };
+
   /// Whether a DAG holds work for a sweep: received or reduced (work for
   /// the reducer and the planning hand-off), or planning with a non-empty
   /// ready_jobs().  A pure function of the tables; recovery queues
@@ -387,15 +493,35 @@ class DataWarehouse {
   /// the DAGs with pending work (has_pending_work()), found by one scan
   /// of the dags table.
   void rebuild_work_state();
-  [[nodiscard]] static JobRecord decode_job(const db::Row& row);
-  [[nodiscard]] static DagRecord decode_dag(const db::Row& row);
-  [[nodiscard]] static SpeculationRecord decode_speculation(const db::Row& row);
-  [[nodiscard]] const db::Row* site_stats_row(SiteId site) const;
-  [[nodiscard]] const db::Row* quota_row(UserId user, SiteId site,
-                                         const std::string& resource) const;
+  /// The row of the user's quota on (site, resource); kInvalidRow when
+  /// there is none.
+  [[nodiscard]] db::RowId quota_row(UserId user, SiteId site,
+                                    const std::string& resource) const;
 
+  // The tables, in creation order: the order of their create records and
+  // of a checkpoint image.
   db::Database db_;
-  Tables tables_;  // sphinx-lint: derived(bind_tables)
+  db::Table<DagRecord>& dags_;
+  db::Table<JobRecord>& jobs_;
+  db::Table<JobInput>& job_inputs_;
+  db::Table<JobDep>& job_deps_;
+  db::Table<SiteStats>& site_stats_;
+  db::Table<Quota>& quotas_;
+  /// Scheduling-module soft state (strategy cursors).  Journaled like
+  /// everything else, so a recovered server's strategy resumes
+  /// mid-rotation instead of resetting to job zero.
+  db::Table<Setting>& scheduler_state_;
+  /// In-flight calls of the server's outbound RPC client.  Journaled so a
+  /// journal-recovered server re-arms the exact retry schedule the crashed
+  /// instance had in flight (see ClarensClient::restore_call).
+  db::Table<OutboxEntry>& rpc_outbox_;
+  /// Straggler defense.  Speculation races are scheduler state proper --
+  /// recovery must re-arm an open race exactly, so the rows ride the
+  /// journal like jobs do.  The runtime-sample rings feed the detector's
+  /// per-(site, class) percentiles; journaling them keeps a recovered
+  /// detector's decisions byte-identical to the crashed instance's.
+  db::Table<SpeculationRecord>& speculations_;
+  db::Table<RuntimeSample>& runtime_samples_;
   /// Dirty-DAG work queue, keyed by dags-table row id so draining yields
   /// insertion order.  Derived state: never journaled, rebuilt on
   /// recovery by rebuild_work_state().  It may hold DAGs without pending

@@ -8,11 +8,6 @@ namespace sphinx::ctrl {
 
 LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
                                    Duration monitor_phase)
-    : LeaseCoordinator(bus, monitor_phase, /*deferred_recovery=*/false) {}
-
-LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
-                                   Duration monitor_phase,
-                                   bool /*deferred_recovery*/)
     : bus_(bus) {
   register_methods();
   monitor_ = std::make_unique<sim::PeriodicProcess>(
@@ -23,8 +18,7 @@ LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
 Expected<std::unique_ptr<LeaseCoordinator>> LeaseCoordinator::recover(
     rpc::MessageBus& bus, Duration monitor_phase,
     const db::Journal& journal) {
-  auto coordinator = std::unique_ptr<LeaseCoordinator>(new LeaseCoordinator(
-      bus, monitor_phase, /*deferred_recovery=*/true));
+  auto coordinator = std::make_unique<LeaseCoordinator>(bus, monitor_phase);
   if (auto replayed = coordinator->leases_.recover_from(journal); !replayed) {
     return Unexpected<Error>{replayed.error()};
   }

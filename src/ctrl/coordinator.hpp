@@ -89,8 +89,6 @@ class LeaseCoordinator {
   [[nodiscard]] const LeaseTable& leases() const noexcept { return leases_; }
 
  private:
-  LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase,
-                   bool deferred_recovery);
   void register_methods();
   /// One monitor sweep: declares overdue leases dead and adopts them
   /// onto survivors.

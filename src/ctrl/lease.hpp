@@ -16,9 +16,9 @@
 /// schedulers can never both believe they own a shard.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,13 +27,22 @@
 
 namespace sphinx::ctrl {
 
-/// One shard's lease, materialized from its table row.
+/// One shard's lease: a row of the lease table.
 struct Lease {
   std::string shard;
   std::string owner;
   std::uint64_t epoch = 0;
   SimTime expires_at = 0.0;
   bool live = true;  ///< false once the coordinator declared it expired
+
+  /// The lease table's columns, in persisted order.
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("shard", &Lease::shard),
+                      db::column("owner", &Lease::owner),
+                      db::column("epoch", &Lease::epoch),
+                      db::column("expires_at", &Lease::expires_at),
+                      db::column("live", &Lease::live)};
+  }
 };
 
 /// Outcome of a renewal attempt.
@@ -81,8 +90,6 @@ class LeaseTable {
   std::uint64_t transfer(const std::string& shard, const std::string& new_owner,
                          SimTime now, Duration ttl);
 
-  [[nodiscard]] std::optional<Lease> lookup(const std::string& shard) const;  // sphinx-lint-allow(test-only): tests inspect lease rows
-
   /// The owner of the first live, unexpired lease in grant order whose
   /// owner differs from `exclude` -- the adoption candidate.  An owner
   /// is only believed alive while some lease of its own is current.
@@ -93,25 +100,23 @@ class LeaseTable {
   [[nodiscard]] std::vector<Lease> leases() const;
 
   [[nodiscard]] const db::Journal& journal() const noexcept {
-    return db_->journal();
+    return db_.journal();
   }
 
   /// Replays a crashed instance's journal into this (freshly constructed,
-  /// never-mutated) table, replacing the fresh schema wholesale -- the
-  /// replayed journal's own create-table record rebuilds it, so the
-  /// recovered journal stays byte-identical to the crashed one's.  A
-  /// journal whose lease table is missing or differs from the declared
-  /// schema is refused with a `recover_schema` error.
+  /// never-mutated) table.  The replayed journal's own create record
+  /// declares the table, so the recovered journal stays byte-identical to
+  /// the crashed one's.  A journal whose lease table is missing or
+  /// differs from the declared schema is refused with `recover_schema`,
+  /// and one with a cell its column cannot hold with `recover_replay`;
+  /// either way the table is left unusable.
   [[nodiscard]] StatusOrError recover_from(const db::Journal& journal);
 
-  void check_invariants() const { db_->check_invariants(); }
+  void check_invariants() const { db_.check_invariants(); }
 
  private:
-  [[nodiscard]] static Lease from_row(const db::Row& row);
-
-  /// unique_ptr so recover_from() can swap in the replayed store.
-  std::unique_ptr<db::Database> db_;
-  db::Table* table_ = nullptr;
+  db::Database db_;
+  db::Table<Lease>& table_;
 };
 
 }  // namespace sphinx::ctrl

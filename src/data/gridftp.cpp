@@ -55,12 +55,10 @@ TransferId TransferService::transfer(SiteId src, SiteId dst, double bytes,
   SPHINX_ASSERT(done != nullptr, "transfer callback must not be null");
   SPHINX_ASSERT(bytes >= 0, "transfer size must be non-negative");
   const TransferId id = ids_.next();
-  ++stats_.started;
 
   if (src == dst || bytes <= 0) {
     // Local replica: no WAN movement.  Complete on the next tick so the
     // caller's bookkeeping finishes first.
-    ++stats_.completed;
     engine_.schedule_in(0.0, "gridftp:local",
                         [done = std::move(done), id] { done(id, 0.0); });
     return id;
@@ -109,7 +107,6 @@ void TransferService::cancel(TransferId id) {
   --ports_[pair.src].uplinks;
   --ports_[pair.dst].downlinks;
   free_slot(slot);
-  ++stats_.cancelled;
   rebalance();
 }
 
@@ -202,10 +199,7 @@ void TransferService::complete_due() {
   // Callbacks may start transfers, so they fire only after the survivors
   // are rebalanced.
   rebalance();
-  for (Slot& f : finished) {
-    ++stats_.completed;
-    f.done(f.id, engine_.now() - f.started_at);
-  }
+  for (Slot& f : finished) f.done(f.id, engine_.now() - f.started_at);
 }
 
 }  // namespace sphinx::data

@@ -40,13 +40,6 @@ struct LinkConfig {
   double downlink_bps = 10e6;  // sphinx-lint-allow(test-only): the transfer model in this pair reads it
 };
 
-/// Aggregate transfer counters.
-struct TransferStats {
-  std::size_t started = 0;
-  std::size_t completed = 0;
-  std::size_t cancelled = 0;
-};
-
 class TransferService {
  public:
   /// Callback receives the transfer id and the wall-clock duration the
@@ -73,7 +66,6 @@ class TransferService {
   [[nodiscard]] std::size_t active() const noexcept {
     return slots_.size() - free_slots_.size();
   }
-  [[nodiscard]] const TransferStats& stats() const noexcept { return stats_; }
 
   /// Contention-free lower bound on the duration of a transfer, used by
   /// planners for estimation.
@@ -154,7 +146,6 @@ class TransferService {
   IdGenerator<TransferId> ids_;
   SimTime last_update_ = 0.0;
   sim::EventHandle next_completion_;
-  TransferStats stats_;
 };
 
 }  // namespace sphinx::data

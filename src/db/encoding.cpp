@@ -15,14 +15,23 @@ bool parse_number(std::string_view s, T& out) noexcept {
   return error == std::errc{} && end == last;
 }
 
-Expected<ValueType> decode_type(std::string_view s) {
-  if (s == "null") return ValueType::kNull;
-  if (s == "int") return ValueType::kInt;
-  if (s == "real") return ValueType::kReal;
-  if (s == "text") return ValueType::kText;
-  if (s == "bool") return ValueType::kBool;
-  return make_error("journal_parse",
-                    "unknown column type: " + std::string(s));
+/// The payload of a field tagged `tag` ("i", "r", ...); false when the
+/// field carries another tag.
+bool payload_of(std::string_view field, char tag,
+                std::string_view& payload) noexcept {
+  if (field.size() < 2 || field[0] != tag || field[1] != ':') return false;
+  payload = field.substr(2);
+  return true;
+}
+
+const char* type_name(CellType type) noexcept {
+  switch (type) {
+    case CellType::kInt: return "int";
+    case CellType::kReal: return "real";
+    case CellType::kText: return "text";
+    case CellType::kBool: return "bool";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -70,69 +79,100 @@ void append_u64(std::string& out, std::uint64_t v) {
              std::to_chars(std::begin(digits), std::end(digits), v).ptr);
 }
 
-void append_value(std::string& out, const Value& v) {
-  char num[32];  // any int64, or a double as %.17g
-  switch (v.type()) {
-    case ValueType::kNull: out += "n:"; return;
-    case ValueType::kInt:
-      out += "i:";
-      out.append(num, std::to_chars(num, std::end(num), v.as_int()).ptr);
-      return;
-    case ValueType::kReal:
-      out += "r:";
-      out.append(num, std::to_chars(num, std::end(num), v.as_real(),
-                                    std::chars_format::general, 17)
-                          .ptr);
-      return;
-    case ValueType::kText:
-      out += "s:";
-      append_field(out, v.as_text());
-      return;
-    case ValueType::kBool: out += v.as_bool() ? "b:1" : "b:0"; return;
-  }
+void append_int(std::string& out, std::int64_t v) {
+  char num[20];  // any int64
+  out += "i:";
+  out.append(num, std::to_chars(std::begin(num), std::end(num), v).ptr);
 }
 
-Expected<Value> decode_value(std::string_view s) {
-  if (s.size() < 2 || s[1] != ':') {
-    return make_error("journal_parse", "bad value encoding: " + std::string(s));
+void append_real(std::string& out, double v) {
+  char num[32];  // a double as %.17g
+  out += "r:";
+  out.append(num, std::to_chars(std::begin(num), std::end(num), v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+void append_text(std::string& out, std::string_view v) {
+  out += "s:";
+  append_field(out, v);
+}
+
+void append_bool(std::string& out, bool v) { out += v ? "b:1" : "b:0"; }
+
+bool read_int(std::string_view field, std::int64_t& out) noexcept {
+  std::string_view payload;
+  return payload_of(field, 'i', payload) && parse_number(payload, out);
+}
+
+bool read_real(std::string_view field, double& out) noexcept {
+  std::string_view payload;
+  return payload_of(field, 'r', payload) && parse_number(payload, out);
+}
+
+bool read_text(std::string_view field, std::string& out) {
+  std::string_view payload;
+  if (!payload_of(field, 's', payload)) return false;
+  auto text = unescape_field(payload);
+  if (!text) return false;
+  out = std::move(*text);
+  return true;
+}
+
+bool read_bool(std::string_view field, bool& out) noexcept {
+  std::string_view payload;
+  if (!payload_of(field, 'b', payload) || payload.size() != 1 ||
+      (payload[0] != '0' && payload[0] != '1')) {
+    return false;
   }
-  const std::string_view payload = s.substr(2);
-  const auto bad = [&](const char* what) {
-    return make_error("journal_parse",
-                      std::string("bad ") + what + ": " + std::string(payload));
+  out = payload[0] == '1';
+  return true;
+}
+
+StatusOrError append_canonical_cell(std::string& out, std::string_view field) {
+  const auto bad = [&] {
+    return make_error("journal_parse", "bad cell: " + std::string(field));
   };
-  switch (s[0]) {
+  if (field.size() < 2 || field[1] != ':') return bad();
+  switch (field[0]) {
     case 'n':
-      if (!payload.empty()) return bad("null");
-      return Value();
+      if (field.size() != 2) return bad();
+      out += "n:";
+      return {};
     case 'i': {
-      std::int64_t n = 0;
-      if (!parse_number(payload, n)) return bad("int");
-      return Value(n);
+      std::int64_t v = 0;
+      if (!read_int(field, v)) return bad();
+      append_int(out, v);
+      return {};
     }
     case 'r': {
-      double x = 0;
-      if (!parse_number(payload, x)) return bad("real");
-      return Value(x);
+      double v = 0;
+      if (!read_real(field, v)) return bad();
+      append_real(out, v);
+      return {};
     }
     case 's': {
-      auto text = unescape_field(payload);
-      if (!text) return Unexpected<Error>{text.error()};
-      return Value(std::move(*text));
+      std::string v;
+      if (!read_text(field, v)) return bad();
+      append_text(out, v);
+      return {};
     }
-    case 'b':
-      if (payload != "0" && payload != "1") return bad("bool");
-      return Value(payload == "1");
-    default: return make_error("journal_parse", "unknown value tag");
+    case 'b': {
+      bool v = false;
+      if (!read_bool(field, v)) return bad();
+      append_bool(out, v);
+      return {};
+    }
+    default: return bad();
   }
 }
 
 void append_column(std::string& out, const Column& column) {
-  // A trailing '!' marks an indexed column, so recovery rebuilds the
-  // same hash indexes the original schema declared.
+  // A trailing '!' marks an indexed column, so recovery can tell a
+  // schema whose index set differs from the declared one.
   append_field(out, column.name);
   out += '=';
-  out += to_string(column.type);
+  out += type_name(column.type);
   if (column.indexed) out += '!';
 }
 
@@ -146,13 +186,17 @@ Expected<Column> decode_column(std::string_view spec) {
   std::string_view type_text = spec.substr(eq + 1);
   const bool is_indexed = !type_text.empty() && type_text.back() == '!';
   if (is_indexed) type_text.remove_suffix(1);
-  auto type = decode_type(type_text);
-  if (!type) return Unexpected<Error>{type.error()};
-  if (is_indexed && !indexable(*type)) {
-    return make_error("journal_parse", "index on a " + std::string(type_text) +
-                                           " column: " + std::string(spec));
+  for (const CellType type :
+       {CellType::kInt, CellType::kReal, CellType::kText, CellType::kBool}) {
+    if (type_text != type_name(type)) continue;
+    if (is_indexed && type == CellType::kReal) {
+      return make_error("journal_parse",
+                        "index on a real column: " + std::string(spec));
+    }
+    return Column{std::move(*name), type, is_indexed};
   }
-  return Column{std::move(*name), *type, is_indexed};
+  return make_error("journal_parse",
+                    "unknown column type: " + std::string(type_text));
 }
 
 std::string_view take_line(std::string_view& rest) noexcept {

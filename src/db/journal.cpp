@@ -27,52 +27,11 @@ void Journal::append_create(std::string_view table,
   text_ += '\n';
 }
 
-void Journal::append_insert(std::string_view table, RowId row,
-                            const std::vector<Value>& cells) {
-  begin_record('I', table);
-  text_ += '\t';
-  append_u64(text_, row);
-  for (const Value& v : cells) {
-    text_ += '\t';
-    append_value(text_, v);
-  }
-  text_ += '\n';
-}
-
-void Journal::append_update(std::string_view table, RowId row,
-                            std::size_t column, const Value& value) {
-  begin_record('U', table);
-  text_ += '\t';
-  append_u64(text_, row);
-  text_ += '\t';
-  append_u64(text_, column);
-  text_ += '\t';
-  append_value(text_, value);
-  text_ += '\n';
-}
-
 void Journal::append_erase(std::string_view table, RowId row) {
   begin_record('E', table);
   text_ += '\t';
   append_u64(text_, row);
   text_ += '\n';
-}
-
-void Journal::append(const JournalEntry& entry) {
-  switch (entry.op) {
-    case JournalEntry::Op::kCreateTable:
-      append_create(entry.table, entry.schema);
-      break;
-    case JournalEntry::Op::kInsert:
-      append_insert(entry.table, entry.row, entry.cells);
-      break;
-    case JournalEntry::Op::kUpdate:
-      append_update(entry.table, entry.row, entry.column, entry.cells.at(0));
-      break;
-    case JournalEntry::Op::kErase:
-      append_erase(entry.table, entry.row);
-      break;
-  }
 }
 
 std::string_view Journal::record(std::size_t i) const {
@@ -107,12 +66,7 @@ Expected<JournalEntry> Journal::decode(std::string_view line) {
       return make_error("journal_parse",
                         "bad row id: " + std::string(fields[2]));
     }
-    entry.cells.reserve(fields.size() - 3);
-    for (std::size_t i = 3; i < fields.size(); ++i) {
-      auto v = decode_value(fields[i]);
-      if (!v) return Unexpected<Error>{v.error()};
-      entry.cells.push_back(std::move(*v));
-    }
+    entry.cells.assign(fields.begin() + 3, fields.end());
   } else if (op == "U") {
     if (fields.size() != 5) return make_error("journal_parse", "bad update");
     entry.op = JournalEntry::Op::kUpdate;
@@ -122,9 +76,7 @@ Expected<JournalEntry> Journal::decode(std::string_view line) {
                         "bad update target: " + std::string(line));
     }
     entry.column = static_cast<std::size_t>(column);
-    auto v = decode_value(fields[4]);
-    if (!v) return Unexpected<Error>{v.error()};
-    entry.cells.push_back(std::move(*v));
+    entry.cells.push_back(fields[4]);
   } else if (op == "E") {
     if (fields.size() != 3) return make_error("journal_parse", "bad erase");
     entry.op = JournalEntry::Op::kErase;
@@ -208,7 +160,30 @@ Expected<Journal> Journal::parse(const std::string& text) {
     }
     auto entry = decode(line);
     if (!entry) return Unexpected<Error>{entry.error()};
-    journal.append(*entry);
+    // Re-encode the record, each cell in its canonical form.
+    StatusOrError cells;
+    const auto write_cells = [&](std::string& out) {
+      for (const std::string_view cell : entry->cells) {
+        out += '\t';
+        if (cells.ok()) cells = append_canonical_cell(out, cell);
+      }
+    };
+    switch (entry->op) {
+      case JournalEntry::Op::kCreateTable:
+        journal.append_create(entry->table, entry->schema);
+        break;
+      case JournalEntry::Op::kInsert:
+        journal.append_insert(entry->table, entry->row, write_cells);
+        break;
+      case JournalEntry::Op::kUpdate:
+        journal.append_update(entry->table, entry->row, entry->column,
+                              write_cells);
+        break;
+      case JournalEntry::Op::kErase:
+        journal.append_erase(entry->table, entry->row);
+        break;
+    }
+    if (!cells.ok()) return Unexpected<Error>{cells.error()};
   }
   return journal;
 }

@@ -27,9 +27,13 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "db/table.hpp"
+#include "db/encoding.hpp"
 
 namespace sphinx::db {
+
+/// Stable identifier of a row within one table.
+using RowId = std::uint64_t;
+inline constexpr RowId kInvalidRow = 0;
 
 /// One journal record in decoded form, as Journal::decode reads it.
 struct JournalEntry {
@@ -38,20 +42,39 @@ struct JournalEntry {
   Op op = Op::kInsert;
   std::string table;
   RowId row = kInvalidRow;
-  std::size_t column = 0;            ///< kUpdate only
-  std::vector<Value> cells;          ///< kInsert: full row; kUpdate: [value]
-  std::vector<Column> schema;        ///< kCreateTable only
+  std::size_t column = 0;  ///< kUpdate only
+  /// The encoded cells, as views into the decoded line: kInsert's full
+  /// row, kUpdate's one cell.  Their table's columns read them.
+  std::vector<std::string_view> cells;
+  std::vector<Column> schema;  ///< kCreateTable only
 };
 
 /// The append-only log.
 class Journal {
  public:
-  /// Record encoders: each appends one record's line.
+  /// Record encoders: each appends one record's line.  Inserts and
+  /// updates take a writer that appends the cells, each after a tab.
   void append_create(std::string_view table, const std::vector<Column>& schema);
+  template <typename WriteCells>
   void append_insert(std::string_view table, RowId row,
-                     const std::vector<Value>& cells);
+                     const WriteCells& write_cells) {
+    begin_record('I', table);
+    text_ += '\t';
+    append_u64(text_, row);
+    write_cells(text_);
+    text_ += '\n';
+  }
+  template <typename WriteCell>
   void append_update(std::string_view table, RowId row, std::size_t column,
-                     const Value& value);
+                     const WriteCell& write_cell) {
+    begin_record('U', table);
+    text_ += '\t';
+    append_u64(text_, row);
+    text_ += '\t';
+    append_u64(text_, column);
+    write_cell(text_);
+    text_ += '\n';
+  }
   void append_erase(std::string_view table, RowId row);
 
   [[nodiscard]] std::size_t size() const noexcept { return starts_.size(); }
@@ -62,7 +85,8 @@ class Journal {
   [[nodiscard]] std::string_view record(std::size_t i) const;
 
   /// Decodes one record line: the inverse of the append_* encoders, and
-  /// the decoder both parse() and replay use.
+  /// the decoder both parse() and replay use.  Cells are split, not read:
+  /// parse() checks their form and replay reads them into their columns.
   [[nodiscard]] static Expected<JournalEntry> decode(std::string_view line);
 
   /// Sequence number of the first retained entry (0 until a truncation).
@@ -103,7 +127,6 @@ class Journal {
   [[nodiscard]] static Expected<Journal> parse(const std::string& text);
 
  private:
-  void append(const JournalEntry& entry);
   /// Opens a record: notes where its line starts, then writes its op and
   /// table fields.
   void begin_record(char op, std::string_view table);

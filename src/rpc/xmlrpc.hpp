@@ -78,7 +78,7 @@ class XrValue {
   /// accepts an int too.
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] double as_double() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] bool as_bool() const;
+  [[nodiscard]] bool as_bool() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
   [[nodiscard]] const Struct& as_struct() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it

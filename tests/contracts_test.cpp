@@ -1,16 +1,16 @@
 // Negative tests for the runtime contracts layer (common/contracts.hpp).
 // Each case corrupts state that the public API can no longer reach --
-// either through a test-only Inspector friend or by writing semantically
-// invalid (but schema-valid) cells straight into the warehouse tables --
+// through a test-only Inspector friend, some by writing semantically
+// invalid (but well-typed) values straight into the warehouse tables --
 // and checks that the matching check_invariants() sweep or precondition
 // throws ContractViolation.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -40,39 +40,39 @@ namespace sphinx::db {
 
 /// Test-only back door into the table store.
 struct TableInspector {
-  static void append_phantom_cell(Table& table, RowId id) {
-    table.slot(id)->cells.emplace_back();  // arity now violates schema
-  }
   /// Column 0 must be indexed and the table non-empty.
-  static void add_phantom_index_entry(Table& table) {
-    table.indexes_.front().begin()->second.push_back(RowId{9999});
+  template <typename Row>
+  static void add_phantom_index_entry(Table<Row>& table) {
+    std::get<0>(table.indexes_).begin()->second.push_back(RowId{9999});
   }
 };
 
 /// Test-only back door into the journal.
 struct DatabaseInspector {
   static void append_foreign_journal_entry(Database& db) {
-    db.journal_.append_insert("no_such_table", 1, {});
+    db.journal_.append_erase("no_such_table", 1);
   }
 };
 
 }  // namespace sphinx::db
 
 namespace sphinx::core {
+
+/// Test-only back door into the warehouse tables.
+struct WarehouseInspector {
+  static db::Table<JobRecord>& jobs(DataWarehouse& wh) { return wh.jobs_; }
+  static db::Table<SiteStats>& site_stats(DataWarehouse& wh) {
+    return wh.site_stats_;
+  }
+  /// Overwrites the usage of the user's first quota row.
+  static void set_quota_used(DataWarehouse& wh, UserId user, double used) {
+    auto& quotas = wh.quotas_;
+    quotas.set<&DataWarehouse::Quota::used>(
+        quotas.first<&DataWarehouse::Quota::user>(user), used);
+  }
+};
+
 namespace {
-
-using db::Value;
-
-/// Position of the column `name` in `table`: these tests corrupt rows
-/// behind the warehouse API, which addresses columns by position alone.
-std::size_t column(const db::Table& table, const std::string& name) {
-  const std::vector<db::Column>& columns = table.schema().columns();
-  const auto it = std::find_if(
-      columns.begin(), columns.end(),
-      [&name](const db::Column& c) { return c.name == name; });
-  EXPECT_NE(it, columns.end()) << "no column " << name;
-  return static_cast<std::size_t>(it - columns.begin());
-}
 
 workflow::Dag one_job_dag(std::uint64_t base = 100) {
   workflow::Dag dag(DagId(base), "contract-dag");
@@ -163,28 +163,13 @@ TEST(Contracts, DagCannotFinishBeforeItWasReceived) {
 
 // --- core: warehouse sweeps over corrupted rows -------------------------
 
-TEST(Contracts, WarehouseDetectsUnparseableJobState) {
-  DataWarehouse wh;
-  wh.insert_dag(one_job_dag(), "c", UserId(1), 0.0);
-  EXPECT_NO_THROW(wh.check_invariants());
-  // "bogus" is schema-valid text, so the table layer accepts it; only the
-  // warehouse-level sweep knows it is not a job state.
-  db::Table& jobs = wh.database().table("jobs");
-  const std::vector<db::RowId> rows =
-      jobs.find_by(column(jobs, "job_id"), Value(std::uint64_t{101}));
-  ASSERT_EQ(rows.size(), 1u);
-  jobs.update(rows.front(), column(jobs, "state"), Value("bogus"));
-  EXPECT_THROW(wh.check_invariants(), ContractViolation);
-}
-
 TEST(Contracts, WarehouseDetectsJobCountDrift) {
   DataWarehouse wh;
   wh.insert_dag(one_job_dag(), "c", UserId(1), 0.0);
-  db::Table& jobs = wh.database().table("jobs");
-  const std::vector<db::RowId> rows =
-      jobs.find_by(column(jobs, "job_id"), Value(std::uint64_t{101}));
-  ASSERT_EQ(rows.size(), 1u);
-  jobs.erase(rows.front());
+  db::Table<JobRecord>& jobs = WarehouseInspector::jobs(wh);
+  const db::RowId row = jobs.first<&JobRecord::id>(JobId(101));
+  ASSERT_NE(row, db::kInvalidRow);
+  jobs.erase(row);
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -192,12 +177,10 @@ TEST(Contracts, WarehouseDetectsNegativeSiteStats) {
   DataWarehouse wh;
   wh.record_completion(SiteId(7), 12.0);
   EXPECT_NO_THROW(wh.check_invariants());
-  db::Table& stats = wh.database().table("site_stats");
-  const std::vector<db::RowId> rows =
-      stats.find_by(column(stats, "site_id"), Value(std::uint64_t{7}));
-  ASSERT_EQ(rows.size(), 1u);
-  stats.update(rows.front(), column(stats, "completed"),
-               Value(std::int64_t{-1}));
+  db::Table<SiteStats>& stats = WarehouseInspector::site_stats(wh);
+  const db::RowId row = stats.first<&SiteStats::site>(SiteId(7));
+  ASSERT_NE(row, db::kInvalidRow);
+  stats.set<&SiteStats::completed>(row, -1);
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -206,11 +189,7 @@ TEST(Contracts, WarehouseDetectsNegativeQuotaUsage) {
   wh.set_quota(UserId(1), SiteId(2), "cpu", 10.0);
   wh.consume_quota(UserId(1), SiteId(2), "cpu", 4.0);
   EXPECT_NO_THROW(wh.check_invariants());
-  db::Table& quotas = wh.database().table("quotas");
-  const std::vector<db::RowId> rows =
-      quotas.find_by(column(quotas, "user"), Value(std::uint64_t{1}));
-  ASSERT_EQ(rows.size(), 1u);
-  quotas.update(rows.front(), column(quotas, "used"), Value(-1.0));
+  WarehouseInspector::set_quota_used(wh, UserId(1), -1.0);
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -244,35 +223,27 @@ TEST(Contracts, RecordCompletionRejectsAbsurdDurations) {
 
 // --- db: table / journal consistency ------------------------------------
 
-TEST(Contracts, TableDetectsSchemaArityCorruption) {
-  db::Database db;
-  db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
-  const auto id = db.table("t").insert({Value(std::int64_t{1})});
-  EXPECT_NO_THROW(db.check_invariants());
-  db::TableInspector::append_phantom_cell(db.table("t"), id);
-  EXPECT_THROW(db.check_invariants(), ContractViolation);
-}
+/// A one-column row whose column carries an index.
+struct Key {
+  std::int64_t a = 0;
+
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("a", &Key::a)};
+  }
+};
 
 TEST(Contracts, TableDetectsIndexNamingMissingRow) {
   db::Database db;
-  db.create_table("t", db::Schema{db::indexed("a", db::ValueType::kInt)});
-  db.table("t").insert({Value(std::int64_t{1})});
+  db::Table<Key>& table = db.create_table<Key>("t");
+  table.insert({1});
   EXPECT_NO_THROW(db.check_invariants());
-  db::TableInspector::add_phantom_index_entry(db.table("t"));
+  db::TableInspector::add_phantom_index_entry(table);
   EXPECT_THROW(db.check_invariants(), ContractViolation);
-}
-
-TEST(Contracts, TableRejectsTypeConfusedUpdate) {
-  db::Database db;
-  db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
-  const auto id = db.table("t").insert({Value(std::int64_t{1})});
-  EXPECT_THROW(db.table("t").update(id, 0, Value("not an int")),
-               AssertionError);
 }
 
 TEST(Contracts, DatabaseDetectsForeignJournalEntry) {
   db::Database db;
-  db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
+  db.create_table<Key>("t");
   EXPECT_NO_THROW(db.check_invariants());
   db::DatabaseInspector::append_foreign_journal_entry(db);
   EXPECT_THROW(db.check_invariants(), ContractViolation);

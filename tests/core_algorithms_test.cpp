@@ -240,16 +240,28 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, AlgorithmSweep,
 TEST(States, RoundTripParsing) {
   for (const DagState s : {DagState::kReceived, DagState::kReduced,
                            DagState::kPlanning, DagState::kFinished}) {
-    EXPECT_EQ(dag_state_from(to_string(s)), s);
+    DagState parsed = DagState::kFinished;
+    EXPECT_TRUE(from_string(to_string(s), parsed));
+    EXPECT_EQ(parsed, s);
   }
   for (const JobState s :
        {JobState::kUnplanned, JobState::kPlanned, JobState::kSubmitted,
         JobState::kRunning, JobState::kCompleted, JobState::kCancelled,
         JobState::kHeld}) {
-    EXPECT_EQ(job_state_from(to_string(s)), s);
+    JobState parsed = JobState::kHeld;
+    EXPECT_TRUE(from_string(to_string(s), parsed));
+    EXPECT_EQ(parsed, s);
   }
-  EXPECT_THROW((void)dag_state_from("bogus"), sphinx::AssertionError);
-  EXPECT_THROW((void)job_state_from("bogus"), sphinx::AssertionError);
+  // Any other text is refused, and leaves the target as it was.
+  DagState dag = DagState::kReduced;
+  JobState job = JobState::kRunning;
+  SpeculationState race = SpeculationState::kSpecWon;
+  EXPECT_FALSE(from_string("bogus", dag));
+  EXPECT_FALSE(from_string("bogus", job));
+  EXPECT_FALSE(from_string("", race));
+  EXPECT_EQ(dag, DagState::kReduced);
+  EXPECT_EQ(job, JobState::kRunning);
+  EXPECT_EQ(race, SpeculationState::kSpecWon);
 }
 
 TEST(States, OutstandingClassification) {

@@ -188,7 +188,7 @@ TEST(ServerProtocol, RecoveredServerKeepsQuotaState) {
 TEST(ServerProtocol, RecoverFromCorruptJournalFails) {
   Scenario scenario(quiet());
   db::Journal junk;
-  junk.append_insert("never-created", 1, {});
+  junk.append_erase("never-created", 1);
   const auto result = core::SphinxServer::recover(
       scenario.bus(), scenario.catalog(), scenario.rls(),
       scenario.transfers(), &scenario.monitoring(),

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "core/warehouse.hpp"
 #include "workflow/generator.hpp"
 
@@ -627,6 +631,82 @@ TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
 
   // The untouched journal still recovers.
   EXPECT_TRUE(DataWarehouse::recover_from(full).has_value());
+}
+
+/// `text` with field `field` of the first line after `anchor` that starts
+/// with `prefix` replaced by `to`; the field must hold `from`.
+std::string replace_cell(const std::string& text, const std::string& anchor,
+                         const std::string& prefix, std::size_t field,
+                         std::string_view from, std::string_view to) {
+  const std::size_t line = text.find("\n" + prefix, text.find(anchor)) + 1;
+  EXPECT_NE(line, 0u) << prefix;
+  std::size_t start = line;
+  for (std::size_t i = 0; i < field; ++i) start = text.find('\t', start) + 1;
+  const std::size_t end = text.find_first_of("\t\n", start);
+  EXPECT_EQ(text.substr(start, end - start), from) << prefix;
+  std::string out = text;
+  out.replace(start, end - start, to);
+  return out;
+}
+
+TEST(Warehouse, RecoveryRefusesCellsItsColumnsCannotHold) {
+  // One DAG with one planned job, then one cell at a time made into one
+  // its column cannot hold: in the journal a full replay reads, and in
+  // the image a checkpoint publishes (with its compacted journal).
+  workflow::Dag dag(DagId(100), "one");
+  workflow::JobSpec spec;
+  spec.id = JobId(101);
+  spec.name = "only";
+  spec.compute_time = 60.0;
+  spec.output = "lfn://out";
+  dag.add_job(spec);
+  DataWarehouse wh;
+  wh.insert_dag(dag, "c", UserId(1), 0.0);
+  wh.set_job_planned(JobId(101), SiteId(2), 1.0);
+  const std::string journal = wh.journal().serialize();
+  wh.checkpoint();
+  const CheckpointImage image = *wh.checkpoint_image();
+  const db::Journal compacted = wh.journal();
+
+  // Recovery's error code, or what it did instead of refusing.
+  const auto outcome = [](const db::Journal& log,
+                          const std::optional<CheckpointImage>& checkpoint) {
+    try {
+      const auto recovered = DataWarehouse::recover_from(log, checkpoint);
+      return recovered ? std::string("recovered") : recovered.error().code;
+    } catch (const std::exception& error) {
+      return std::string("threw ") + error.what();
+    }
+  };
+  struct Case {
+    std::string journal_line;    ///< the record holding the cell
+    std::size_t journal_field;   ///< the cell's field in that record
+    std::string table;
+    std::size_t column;
+    const char* from;
+    const char* to;
+  };
+  const Case cases[] = {
+      {"U\tjobs\t1\t3\t", 4, "jobs", 3, "s:planned", "s:bogus"},
+      {"I\tdags\t1\t", 7, "dags", 4, "s:received", "s:nope"},
+      {"I\tjobs\t1\t", 8, "jobs", 5, "r:60", "n:"},
+      {"U\tjobs\t1\t8\t", 4, "jobs", 8, "i:1", "i:99999999999"},
+  };
+  for (const Case& c : cases) {
+    const auto mutated = db::Journal::parse(replace_cell(
+        journal, "", c.journal_line, c.journal_field, c.from, c.to));
+    ASSERT_TRUE(mutated.has_value()) << c.to;
+    EXPECT_EQ(outcome(*mutated, std::nullopt), "recover_replay") << c.to;
+    const std::string mutated_image =
+        replace_cell(image.database, "T\t" + c.table + "\t", "R\t1\t",
+                     2 + c.column, c.from, c.to);
+    EXPECT_EQ(outcome(compacted, CheckpointImage{image.seq, mutated_image}),
+              "restore_parse")
+        << c.to;
+  }
+  // Unmutated, both routes recover.
+  EXPECT_EQ(outcome(*db::Journal::parse(journal), std::nullopt), "recovered");
+  EXPECT_EQ(outcome(compacted, image), "recovered");
 }
 
 TEST(Warehouse, UnknownLookupsAreSafe) {

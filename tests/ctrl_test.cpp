@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,15 @@
 
 namespace sphinx::ctrl {
 namespace {
+
+/// The lease on `shard`, if one was ever granted.
+std::optional<Lease> lease_of(const LeaseTable& table,
+                              const std::string& shard) {
+  for (const Lease& lease : table.leases()) {
+    if (lease.shard == shard) return lease;
+  }
+  return std::nullopt;
+}
 
 rpc::Proxy control_proxy(SimTime now = 0.0) {
   return rpc::Proxy(
@@ -44,7 +54,7 @@ TEST(Shard, RoundRobinAssignmentAndNames) {
 TEST(LeaseTable, GrantRenewAndLookup) {
   LeaseTable table;
   EXPECT_EQ(table.grant("shard:0", "scheduler#0", 0.0, 3.0), 1u);
-  const auto lease = table.lookup("shard:0");
+  const auto lease = lease_of(table, "shard:0");
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->owner, "scheduler#0");
   EXPECT_EQ(lease->epoch, 1u);
@@ -53,10 +63,10 @@ TEST(LeaseTable, GrantRenewAndLookup) {
 
   EXPECT_EQ(table.renew("shard:0", "scheduler#0", 1, 2.0, 3.0),
             RenewOutcome::kRenewed);
-  EXPECT_DOUBLE_EQ(table.lookup("shard:0")->expires_at, 5.0);
+  EXPECT_DOUBLE_EQ(lease_of(table, "shard:0")->expires_at, 5.0);
   EXPECT_EQ(table.renew("missing", "scheduler#0", 1, 2.0, 3.0),
             RenewOutcome::kUnknownShard);
-  EXPECT_FALSE(table.lookup("missing").has_value());
+  EXPECT_FALSE(lease_of(table, "missing").has_value());
 }
 
 TEST(LeaseTable, StaleEpochAndDeadLeaseAreFenced) {
@@ -106,7 +116,7 @@ TEST(LeaseTable, TransferBumpsEpochAndRevives) {
   table.grant("shard:0", "scheduler#0", 0.0, 3.0);
   table.mark_expired("shard:0");
   EXPECT_EQ(table.transfer("shard:0", "scheduler#1", 4.0, 3.0), 2u);
-  const auto lease = table.lookup("shard:0");
+  const auto lease = lease_of(table, "shard:0");
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->owner, "scheduler#1");
   EXPECT_EQ(lease->epoch, 2u);
@@ -148,7 +158,7 @@ TEST(LeaseTable, JournalRecoveryIsByteExact) {
   ASSERT_TRUE(recovered.recover_from(table.journal()).ok());
   recovered.check_invariants();
   EXPECT_EQ(recovered.journal().serialize(), table.journal().serialize());
-  const auto lease = recovered.lookup("shard:1");
+  const auto lease = lease_of(recovered, "shard:1");
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->owner, "scheduler#0");
   EXPECT_EQ(lease->epoch, 2u);
@@ -189,6 +199,29 @@ TEST(LeaseTable, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
   const auto unindexed = db::Journal::parse(text);
   ASSERT_TRUE(unindexed.has_value());
   expect_schema_error(*unindexed);
+}
+
+TEST(LeaseTable, RecoveryRefusesCellsItsColumnsCannotHold) {
+  // The grant's epoch made a null: its column holds an unsigned integer.
+  LeaseTable table;
+  table.grant("shard:0", "scheduler#0", 0.0, 3.0);
+  std::string text = table.journal().serialize();
+  const std::size_t epoch = text.find("\ts:scheduler#0\ti:1\t");
+  ASSERT_NE(epoch, std::string::npos);
+  text.replace(epoch + 15, 3, "n:");
+  const auto journal = db::Journal::parse(text);
+  ASSERT_TRUE(journal.has_value());
+  LeaseTable recovered;
+  StatusOrError status;
+  bool threw = false;
+  try {
+    status = recovered.recover_from(*journal);
+  } catch (const std::exception&) {
+    threw = true;
+  }
+  EXPECT_FALSE(threw);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, "recover_replay");
 }
 
 // --- coordinator + heartbeat integration ------------------------------------
@@ -232,7 +265,7 @@ TEST_F(CtrlFixture, RenewalsKeepTheLeaseAliveIndefinitely) {
   EXPECT_EQ(count("ctrl.lease_fenced"), 0u);
   EXPECT_EQ(count("ctrl.lease_expired"), 0u);
   EXPECT_GT(count("ctrl.lease_renewals"), 50u);
-  EXPECT_TRUE(coordinator.leases().lookup(shard_name(0))->live);
+  EXPECT_TRUE(lease_of(coordinator.leases(), shard_name(0))->live);
 }
 
 TEST_F(CtrlFixture, SilentOwnerExpiresAndSurvivorAdopts) {
@@ -276,12 +309,12 @@ TEST_F(CtrlFixture, SilentOwnerExpiresAndSurvivorAdopts) {
   ASSERT_EQ(adopted_shards.size(), 1u);  // adopted exactly once
   EXPECT_EQ(adopter, scheduler_name(1));
   EXPECT_EQ(adopted_epoch, 2u);
-  const auto lease = coordinator.leases().lookup(shard_name(0));
+  const auto lease = lease_of(coordinator.leases(), shard_name(0));
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->owner, scheduler_name(1));
   EXPECT_TRUE(lease->live);
   // The survivor's own shard never wobbled.
-  EXPECT_EQ(coordinator.leases().lookup(shard_name(1))->epoch, 1u);
+  EXPECT_EQ(lease_of(coordinator.leases(), shard_name(1))->epoch, 1u);
 }
 
 TEST_F(CtrlFixture, FailedAdoptionIsRetriedNextSweep) {
@@ -314,7 +347,7 @@ TEST_F(CtrlFixture, FailedAdoptionIsRetriedNextSweep) {
   EXPECT_EQ(attempts, 3u);  // two refused, the third adopted
   EXPECT_EQ(count("ctrl.shard_adoptions"), 1u);
   EXPECT_EQ(count("ctrl.lease_expired"), 1u);  // declared dead once
-  EXPECT_EQ(coordinator.leases().lookup(shard_name(0))->owner,
+  EXPECT_EQ(lease_of(coordinator.leases(), shard_name(0))->owner,
             scheduler_name(1));
 }
 
@@ -336,7 +369,7 @@ TEST_F(CtrlFixture, AdoptionWaitsWhenNoLiveCandidateExists) {
   // Still dead and still the silent owner's: adoption keeps waiting.
   ASSERT_EQ(coordinator.leases().dead().size(), 1u);
   EXPECT_EQ(coordinator.leases().dead().front().owner, scheduler_name(0));
-  EXPECT_FALSE(coordinator.leases().lookup(shard_name(0))->live);
+  EXPECT_FALSE(lease_of(coordinator.leases(), shard_name(0))->live);
 }
 
 TEST_F(CtrlFixture, ResurrectedOwnerIsFencedAndStopsItself) {
@@ -369,7 +402,7 @@ TEST_F(CtrlFixture, ResurrectedOwnerIsFencedAndStopsItself) {
   EXPECT_EQ(count("ctrl.shard_adoptions"), 1u);
   EXPECT_GT(count("ctrl.lease_fenced"), 0u);
   EXPECT_FALSE(old_agent->running());  // stopped itself, stays stopped
-  EXPECT_EQ(coordinator.leases().lookup(shard_name(0))->owner,
+  EXPECT_EQ(lease_of(coordinator.leases(), shard_name(0))->owner,
             scheduler_name(1));
 }
 
@@ -408,7 +441,7 @@ TEST_F(CtrlFixture, CoordinatorRecoversOwnershipFromItsJournal) {
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->leases().journal().serialize(),
             coordinator.leases().journal().serialize());
-  const auto lease = (*recovered)->leases().lookup(shard_name(0));
+  const auto lease = lease_of((*recovered)->leases(), shard_name(0));
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->owner, scheduler_name(1));
   EXPECT_EQ(lease->epoch, 2u);

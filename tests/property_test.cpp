@@ -22,8 +22,10 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/schedule.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "core/warehouse.hpp"
+#include "ctrl/lease.hpp"
 #include "data/gridftp.hpp"
 #include "db/database.hpp"
 #include "exp/scenario.hpp"
@@ -116,10 +118,7 @@ TEST_P(SeededProperty, TransferServiceConservesBytes) {
   }
   engine.run_until();
   EXPECT_EQ(transfers.active(), 0u);
-  const auto& stats = transfers.stats();
-  EXPECT_EQ(stats.started, 120u);
-  EXPECT_EQ(stats.completed + stats.cancelled, stats.started);
-  EXPECT_EQ(cancelled.size(), stats.cancelled);
+  EXPECT_EQ(started.size(), 120u);
   EXPECT_LE(completed_bytes, requested + 1.0);
   // Every callback fired once, and only for transfers not cancelled.
   EXPECT_EQ(fired.size(), started.size() - cancelled.size());
@@ -153,9 +152,7 @@ class ReferenceTransferService {
 
   TransferId transfer(SiteId src, SiteId dst, double bytes, Callback done) {
     const TransferId id = ids_.next();
-    ++stats_.started;
     if (src == dst || bytes <= 0) {
-      ++stats_.completed;
       engine_.schedule_in(0.0, "gridftp:local",
                           [done = std::move(done), id] { done(id, 0.0); });
       return id;
@@ -177,14 +174,10 @@ class ReferenceTransferService {
     if (it == active_.end()) return;
     advance_to_now();
     active_.erase(it);
-    ++stats_.cancelled;
     rebalance();
   }
 
   [[nodiscard]] std::size_t active() const noexcept { return active_.size(); }
-  [[nodiscard]] const data::TransferStats& stats() const noexcept {
-    return stats_;
-  }
 
   /// Whether in-flight `id` has flows of its own link pair on both sides
   /// of it in remaining-bytes order.
@@ -272,7 +265,6 @@ class ReferenceTransferService {
           }
           rebalance();
           for (auto& [id, a] : finished) {
-            ++stats_.completed;
             a.done(id, engine_.now() - a.started_at);
           }
         });
@@ -286,7 +278,6 @@ class ReferenceTransferService {
   SimTime last_update_ = 0.0;
   sim::EventHandle next_completion_;
   std::vector<TransferId> due_;
-  data::TransferStats stats_;
 };
 
 /// What one drive of a transfer model observed, plus how much of each
@@ -294,7 +285,6 @@ class ReferenceTransferService {
 struct TransferTrace {
   /// (id, duration, sim time) per callback, in firing order.
   std::vector<std::tuple<std::uint64_t, Duration, SimTime>> completions;
-  data::TransferStats stats;
   std::size_t active = 0;
   int cancels_live = 0;
   int cancels_finished = 0;
@@ -433,7 +423,6 @@ TransferTrace drive_transfer_model(std::uint64_t seed) {
     engine.schedule_in(1.0, "ladder-cancel", [&, middle] { cancel(middle); });
   });
   engine.run_until();
-  trace.stats = transfers.stats();
   trace.active = transfers.active();
   // Handles are issued in sequence, so this one counts the events the
   // model scheduled.
@@ -458,9 +447,9 @@ TEST_P(SeededProperty, TransferServiceMatchesReferenceModelExactly) {
                           [](const auto& c) { return std::get<1>(c) == 0.0; }));
   // Bit-identical: == on every double, no tolerance.
   EXPECT_EQ(got.completions, want.completions);
-  EXPECT_EQ(got.stats.started, want.stats.started);
-  EXPECT_EQ(got.stats.completed, want.stats.completed);
-  EXPECT_EQ(got.stats.cancelled, want.stats.cancelled);
+  EXPECT_EQ(got.cancels_live, want.cancels_live);
+  EXPECT_EQ(got.cancels_finished, want.cancels_finished);
+  EXPECT_EQ(got.cancels_unknown, want.cancels_unknown);
   EXPECT_EQ(got.active, 0u);
   EXPECT_EQ(want.active, 0u);
   EXPECT_TRUE(got.next_event == want.next_event);
@@ -525,31 +514,63 @@ TEST_P(SeededProperty, SiteAccountingSurvivesChaos) {
 
 // --- journal replay equivalence ---------------------------------------------
 
+/// A row with an indexed int, an indexed text and an unindexed real.
+struct KeyedRow {
+  std::int64_t k = 0;
+  std::string s;
+  double x = 0.0;
+
+  static constexpr auto columns() {
+    return std::tuple{db::indexed("k", &KeyedRow::k),
+                      db::indexed("s", &KeyedRow::s),
+                      db::column("x", &KeyedRow::x)};
+  }
+};
+
+/// A database declaring one KeyedRow table, "t".
+struct KeyedStore {
+  db::Database db;
+  db::Table<KeyedRow>& t = db.create_table<KeyedRow>("t");
+};
+
+/// Every key of `Member` in `t` (plus `absent`) finds exactly the rows a
+/// scan finds, in id order.
+template <auto Member, typename Key>
+void expect_index_matches_scan(const db::Table<KeyedRow>& t, Key absent) {
+  std::set<Key> keys = {absent};
+  t.for_each([&](db::RowId, const KeyedRow& row) { keys.insert(row.*Member); });
+  for (const Key& key : keys) {
+    std::vector<db::RowId> expected;
+    t.for_each([&](db::RowId id, const KeyedRow& row) {
+      if (row.*Member == key) expected.push_back(id);
+    });
+    EXPECT_EQ(t.find_by<Member>(key), expected);
+    EXPECT_EQ(t.first<Member>(key),
+              expected.empty() ? db::kInvalidRow : expected.front());
+  }
+}
+
 TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
-  enum Col : std::size_t { kK, kS, kX };
   Rng rng(GetParam());
-  db::Database original;
-  db::Table& table = original.create_table(
-      "t", db::Schema{db::indexed("k", db::ValueType::kInt),
-                      db::indexed("s", db::ValueType::kText),
-                      {"x", db::ValueType::kReal}});
+  KeyedStore original;
+  db::Table<KeyedRow>& table = original.t;
   std::vector<db::RowId> rows;
   for (int i = 0; i < 400; ++i) {
     const double dice = rng.uniform();
     if (dice < 0.6 || rows.empty()) {
-      rows.push_back(table.insert({db::Value(rng.uniform_int(0, 1000)),
-                                   db::Value("s" + std::to_string(i % 17)),
-                                   db::Value(rng.uniform(0, 1))}));
+      rows.push_back(table.insert({rng.uniform_int(0, 1000),
+                                   "s" + std::to_string(i % 17),
+                                   rng.uniform(0, 1)}));
     } else if (dice < 0.85) {
       // Re-key an indexed column (k or s) and write the unindexed x.
       const db::RowId row = rows[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(rows.size() - 1)))];
       if (dice < 0.75) {
-        table.update(row, kS, db::Value("u" + std::to_string(i % 23)));
+        table.set<&KeyedRow::s>(row, "u" + std::to_string(i % 23));
       } else {
-        table.update(row, kK, db::Value(rng.uniform_int(0, 1000)));
+        table.set<&KeyedRow::k>(row, rng.uniform_int(0, 1000));
       }
-      table.update(row, kX, db::Value(rng.uniform(0, 1)));
+      table.set<&KeyedRow::x>(row, rng.uniform(0, 1));
     } else {
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(rows.size() - 1)));
@@ -558,44 +579,26 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
     }
   }
   // Replay directly, through the text form and from a snapshot image.
-  db::Database direct;
-  ASSERT_TRUE(direct.recover(original.journal()).ok());
-  const auto parsed = db::Journal::parse(original.journal().serialize());
+  KeyedStore direct;
+  ASSERT_TRUE(direct.db.recover(original.db.journal()).ok());
+  const auto parsed = db::Journal::parse(original.db.journal().serialize());
   ASSERT_TRUE(parsed.has_value());
-  db::Database via_text;
-  ASSERT_TRUE(via_text.recover(*parsed).ok());
-  db::Database restored;
-  ASSERT_TRUE(restored.restore(original.snapshot()).ok());
+  KeyedStore via_text;
+  ASSERT_TRUE(via_text.db.recover(*parsed).ok());
+  KeyedStore restored;
+  ASSERT_TRUE(restored.db.restore(original.db.snapshot()).ok());
 
   // snapshot() prints reals at 17 digits, so every bit of x counts.
-  EXPECT_EQ(direct.snapshot(), original.snapshot());
-  EXPECT_EQ(via_text.snapshot(), original.snapshot());
-  EXPECT_EQ(restored.snapshot(), original.snapshot());
+  EXPECT_EQ(direct.db.snapshot(), original.db.snapshot());
+  EXPECT_EQ(via_text.db.snapshot(), original.db.snapshot());
+  EXPECT_EQ(restored.db.snapshot(), original.db.snapshot());
 
   // Every index answers every key (plus one absent key) exactly as a
   // scan of the rows does.
-  const auto check_indexes = [](const db::Database& d) {
-    const db::Table& t = d.table("t");
-    for (const std::size_t col : {std::size_t{kK}, std::size_t{kS}}) {
-      std::set<db::Value> keys = {col == kK ? db::Value(std::int64_t{-1})
-                                            : db::Value("absent")};
-      t.for_each([&](const db::Row& row) { keys.insert(row.cells[col]); });
-      for (const db::Value& key : keys) {
-        std::vector<db::RowId> expected;
-        t.for_each([&](const db::Row& row) {
-          if (row.cells[col] == key) expected.push_back(row.id);
-        });
-        EXPECT_EQ(t.find_by(col, key), expected);
-        const db::Row* first = t.find_first(col, key);
-        EXPECT_EQ(first == nullptr ? db::kInvalidRow : first->id,
-                  expected.empty() ? db::kInvalidRow : expected.front());
-      }
-    }
-  };
-  check_indexes(original);
-  check_indexes(direct);
-  check_indexes(via_text);
-  check_indexes(restored);
+  for (const KeyedStore* store : {&original, &direct, &via_text, &restored}) {
+    expect_index_matches_scan<&KeyedRow::k>(store->t, std::int64_t{-1});
+    expect_index_matches_scan<&KeyedRow::s>(store->t, std::string("absent"));
+  }
 }
 
 // --- workload generator invariants ------------------------------------------
@@ -1798,11 +1801,12 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
 
 // --- journal and snapshot codecs under mutation ----------------------------
 
-TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
-  // A small warehouse run: every table, every record kind (an outbox row
-  // inserted, updated and erased; a runtime-sample ring evicting), text
-  // that needs escapes, and reals at full precision.
-  core::DataWarehouse wh;
+/// A small fixed warehouse run that writes every table and every record
+/// kind: an outbox row inserted, updated and erased, a runtime-sample ring
+/// evicting, a speculation opened and resolved, text that needs escapes,
+/// and reals at full precision.  `midway` runs between its two halves.
+void run_fixed_warehouse(core::DataWarehouse& wh,
+                         const std::function<void()>& midway = {}) {
   workflow::Dag dag(DagId(7), "fuzz\tdag");
   for (std::uint64_t j = 1; j <= 4; ++j) {
     workflow::JobSpec job;
@@ -1823,24 +1827,83 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
     wh.record_runtime_sample(SiteId(2), 1, 10.0 + k / 3.0);
   }
   wh.set_quota(UserId(3), SiteId(2), "cpu_seconds", 500.0);
+  if (midway) midway();
   wh.outbox_upsert(1, "client", "<plan>\n\t1</plan>", 1, 2.0);
   wh.outbox_upsert(1, "client", "<plan>\n\t1</plan>", 2, 3.0);
   wh.outbox_erase(1);
   wh.outbox_upsert(2, "client", "<plan/>", 1, 4.0);
   wh.set_scheduler_state("rr", "3");
-  const std::string journal = wh.journal().serialize();
-  const std::string image = wh.database().snapshot();
-  const std::vector<std::string> corpus = {journal, image};
+  wh.set_dag_state(DagId(7), core::DagState::kPlanning);
+  wh.set_job_planned(JobId(2), SiteId(2), 62.0);
+  wh.set_job_state(JobId(2), core::JobState::kSubmitted);
+  wh.set_job_state(JobId(2), core::JobState::kRunning);
+  wh.speculate_job(JobId(2), SiteId(4), 400.0);
+  wh.resolve_speculation(JobId(2), core::SpeculationState::kSpecDead);
+  wh.consume_quota(UserId(3), SiteId(2), "cpu_seconds", 60.0);
+}
+
+/// Fails with the text itself when its length or FNV-1a digest moved.
+void expect_pinned(const std::string& text, std::size_t length,
+                   std::uint64_t digest) {
+  EXPECT_EQ(text.size(), length) << text;
+  EXPECT_EQ(fnv1a(text), digest) << text;
+}
+
+TEST(PinnedBytes, WarehouseJournalAndCheckpointImage) {
+  // The bytes a run of every table writes: its journal, and the image a
+  // checkpoint publishes at its end.  No other gate compares image text.
+  core::DataWarehouse wh;
+  run_fixed_warehouse(wh);
+  expect_pinned(wh.journal().serialize(), 3643, 0x9ab8e63e02e8bbc4u);
+  wh.checkpoint();
+  ASSERT_TRUE(wh.checkpoint_image().has_value());
+  expect_pinned(wh.checkpoint_image()->database, 2414, 0xa06c2866a02258feu);
+}
+
+TEST(PinnedBytes, LeaseJournal) {
+  ctrl::LeaseTable leases;
+  leases.grant("shard:0", "scheduler#0", 0.0, 3.0);
+  ASSERT_EQ(leases.renew("shard:0", "scheduler#0", 1, 2.0, 3.0),
+            ctrl::RenewOutcome::kRenewed);
+  leases.mark_expired("shard:0");
+  leases.transfer("shard:0", "scheduler#1", 6.0, 3.0);
+  EXPECT_EQ(leases.journal().serialize(),
+            "C\tlease\tshard=text!\towner=text\tepoch=int\texpires_at=real\t"
+            "live=bool\n"
+            "I\tlease\t1\ts:shard:0\ts:scheduler#0\ti:1\tr:3\tb:1\n"
+            "U\tlease\t1\t3\tr:5\n"
+            "U\tlease\t1\t4\tb:0\n"
+            "U\tlease\t1\t1\ts:scheduler#1\n"
+            "U\tlease\t1\t2\ti:2\n"
+            "U\tlease\t1\t3\tr:9\n"
+            "U\tlease\t1\t4\tb:1\n");
+}
+
+TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
+  // The fixed run twice: once whole, for its full journal, and once with
+  // a checkpoint midway, for the image and the compacted journal suffix
+  // recovery replays on top of it.
+  core::DataWarehouse whole;
+  run_fixed_warehouse(whole);
+  core::DataWarehouse split;
+  run_fixed_warehouse(split, [&split] { split.checkpoint(); });
+  const std::string journal = whole.journal().serialize();
+  const core::CheckpointImage image = *split.checkpoint_image();
+  const db::Journal suffix = split.journal();
+  ASSERT_GT(suffix.base_seq(), 0u);
+  ASSERT_FALSE(suffix.empty());
+  const std::vector<std::string> corpus = {journal, image.database,
+                                           suffix.serialize()};
   static const std::vector<std::string> kFragments = {
       "\t", "\n", "\\", "\\t", "n:", "i:", "r:", "s:", "b:", "b:2", "i:-1",
       "r:nan", "r:1e-310", "0", "99", "-1", "+", "0x", "=int", "=text!",
       "=real!", "#seq\t", "C\t", "I\t", "U\t", "E\t", "T\t", "R\t", "#db\t1\n",
-      "18446744073709551615"};
+      "18446744073709551615", "s:bogus", "i:99999999999"};
 
-  // Journal::parse, Database::recover and Database::restore answer every
-  // mutated document with a value or an error, never a throw.  Whatever
-  // is accepted serializes to text that is accepted again and then
-  // serializes to itself.
+  // Journal::parse and DataWarehouse::recover_from answer every mutated
+  // journal, and every mutated image paired with the suffix, with a value
+  // or an error, never a throw.  Whatever is accepted serializes to text
+  // that is accepted again and then serializes to itself.
   Rng rng(GetParam());
   int parsed_journals = 0;
   int replayed = 0;
@@ -1848,7 +1911,7 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   constexpr int kMutations = 10000;
   for (int i = 0; i < kMutations; ++i) {
     const bool is_journal = rng.chance(0.5);
-    std::string doc = is_journal ? journal : image;
+    std::string doc = is_journal ? journal : image.database;
     for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
       mutate(rng, doc, corpus, kFragments);
     }
@@ -1861,18 +1924,25 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
         const auto again = db::Journal::parse(text);
         ASSERT_TRUE(again.has_value()) << doc;
         EXPECT_EQ(again->serialize(), text) << doc;
-        db::Database d;
-        if (!d.recover(*parsed).ok()) continue;
+        const auto recovered = core::DataWarehouse::recover_from(*parsed);
+        if (!recovered) continue;
         ++replayed;
-        EXPECT_EQ(d.journal().serialize(), text) << doc;
+        EXPECT_EQ((*recovered)->journal().serialize(), text) << doc;
       } else {
-        db::Database d;
-        if (!d.restore(doc).ok()) continue;
+        const auto recovered = core::DataWarehouse::recover_from(
+            suffix, core::CheckpointImage{image.seq, doc});
+        if (!recovered) continue;
         ++restored;
-        const std::string text = d.snapshot();
-        db::Database again;
-        ASSERT_TRUE(again.restore(text).ok()) << doc;
-        EXPECT_EQ(again.snapshot(), text) << doc;
+        // The recovered state's own image recovers to the same image.
+        core::DataWarehouse& wh = **recovered;
+        wh.checkpoint();
+        const core::CheckpointImage text = *wh.checkpoint_image();
+        const auto again =
+            core::DataWarehouse::recover_from(wh.journal(), text);
+        ASSERT_TRUE(again.has_value()) << again.error().to_string() << doc;
+        (*again)->checkpoint();
+        EXPECT_EQ((*again)->checkpoint_image()->database, text.database)
+            << doc;
       }
     } catch (const std::exception& error) {
       ADD_FAILURE() << "threw " << error.what() << " on:\n" << doc;

@@ -187,12 +187,14 @@ echo "== engine benchmark =="
   --benchmark_out=BENCH_engine.json --benchmark_out_format=json
 
 echo "== db benchmark =="
-# The table store's hot operations: inserts, an indexed lookup, a state
-# write that moves its row between index buckets, a write to an
+# The table store's hot operations on a typed four-column job row
+# (id, indexed text state, site, runtime): inserts, an indexed lookup, a
+# state set that moves its row between index buckets, a set of an
 # unindexed column of 4,096 rows sharing one state bucket (no index is
-# touched), journal appends (BM_JournalAppendPayload: a 1.8 KB XML cell,
-# as rpc_outbox journals every plan), warehouse journal replay and the
-# journal text round trip.  Results land in BENCH_db.json.
+# touched), journal appends (BM_JournalAppendPayload: the warehouse's
+# OutboxEntry row with a 1.8 KB XML cell, as rpc_outbox journals every
+# plan), warehouse journal replay and the journal text round trip.
+# Results land in BENCH_db.json.
 "$bin/bench/micro_db" \
   --benchmark_out=BENCH_db.json --benchmark_out_format=json
 
