@@ -57,7 +57,6 @@ struct DagIdTag {};
 struct SiteIdTag {};
 struct FileIdTag {};
 struct UserIdTag {};
-struct MessageIdTag {};
 struct TransferIdTag {};
 struct SubmissionIdTag {};
 struct VoIdTag {};
@@ -67,7 +66,6 @@ using DagId = StrongId<DagIdTag>;
 using SiteId = StrongId<SiteIdTag>;
 using FileId = StrongId<FileIdTag>;
 using UserId = StrongId<UserIdTag>;
-using MessageId = StrongId<MessageIdTag>;
 using TransferId = StrongId<TransferIdTag>;
 using SubmissionId = StrongId<SubmissionIdTag>;
 using VoId = StrongId<VoIdTag>;

@@ -3,9 +3,6 @@
 #include "core/config.hpp"
 
 namespace sphinx::core {
-
-using rpc::XrValue;
-
 namespace {
 
 /// Timeout periods granted to an attempt observed staging or computing
@@ -22,24 +19,24 @@ SphinxClient::SphinxClient(rpc::MessageBus& bus, submit::CondorG& gateway,
   // The client endpoint only accepts calls from authenticated peers; the
   // server presents its host proxy (VO "ivdgl").
   rpc::AuthzPolicy policy;
-  policy.allow_vo("*", "ivdgl");
-  policy.allow_vo("*", config_.vo);
+  policy.allow_vo("ivdgl");
+  policy.allow_vo(config_.vo);
   service_ = std::make_unique<rpc::ClarensService>(bus_, config_.endpoint,
                                                    std::move(policy));
-  service_->register_method<ExecutionPlan>(
-      "sphinx_client.execute_plan", &decode_plan,
+  service_->register_method(
+      "sphinx_client.execute_plan", &decode_plan, &write_flag,
       [this](const ExecutionPlan& plan, const rpc::Proxy&) {
         return handle_execute_plan(plan);
       });
   service_->register_method(
-      "sphinx_client.dag_done",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy&) {
-        return handle_dag_done(params);
+      "sphinx_client.dag_done", &decode_dag_done, &write_flag,
+      [this](const DagId& dag, const rpc::Proxy&) {
+        return handle_dag_done(dag);
       });
   service_->register_method(
-      "sphinx_client.cancel_attempt",
-      [this](const std::vector<XrValue>& params, const rpc::Proxy&) {
-        return handle_cancel_attempt(params);
+      "sphinx_client.cancel_attempt", &decode_cancel_attempt, &write_flag,
+      [this](const AttemptCancel& cancel, const rpc::Proxy&) {
+        return handle_cancel_attempt(cancel);
       });
   rpc_ = std::make_unique<rpc::ClarensClient>(bus_, config_.endpoint + "/out",
                                               std::move(proxy));
@@ -60,7 +57,7 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
   rpc_->call(config_.server,
              encode_dag(config_.endpoint, config_.user, dag, priority,
                         deadline),
-             [this, name = dag.name()](Expected<XrValue> result) {
+             &read_dag_id, [this](Expected<DagId> result) {
                if (!result.has_value()) {
                  log_.error("dag submission rejected: ",
                             result.error().to_string());
@@ -68,7 +65,7 @@ void SphinxClient::submit(const workflow::Dag& dag, double priority,
              });
 }
 
-Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
+Expected<bool> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
   // A plan for a site this client's grid does not have cannot run, nor
   // can one staging an input from such a site or archiving its output to
   // one; refuse it before anything is tracked or submitted.
@@ -97,7 +94,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.duplicate_plans");
     }
-    return XrValue(true);
+    return true;
   }
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.plans_received");
@@ -164,15 +161,10 @@ Expected<XrValue> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
   }
   // If not accepted, the kFailed gateway event already ran on_gateway_event
   // and requested replanning.
-  return XrValue(true);
+  return true;
 }
 
-Expected<XrValue> SphinxClient::handle_dag_done(
-    const std::vector<XrValue>& params) {
-  if (params.size() != 2 || !params[0].is_int()) {
-    return make_error("bad_request", "expected [dag_id, finished_at]");
-  }
-  const DagId dag(static_cast<std::uint64_t>(params[0].as_int()));
+Expected<bool> SphinxClient::handle_dag_done(DagId dag) {
   const auto it = outcome_index_.find(dag);
   if (it == outcome_index_.end()) {
     return make_error("unknown_dag", "client never submitted this dag");
@@ -184,7 +176,7 @@ Expected<XrValue> SphinxClient::handle_dag_done(
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "tracker.duplicate_dag_done");
     }
-    return XrValue(true);
+    return true;
   }
   outcome.finished_at = bus_.engine().now();
   if (recorder_ != nullptr) {
@@ -192,7 +184,7 @@ Expected<XrValue> SphinxClient::handle_dag_done(
     recorder_->observe(config_.endpoint, "dag.completion_time",
                        outcome.completion_time());
   }
-  return XrValue(true);
+  return true;
 }
 
 void SphinxClient::finish_tracking(Tracked& tracked) {
@@ -210,30 +202,24 @@ void SphinxClient::erase_tracked(Key key) {
   tracked_.erase(it);
 }
 
-Expected<XrValue> SphinxClient::handle_cancel_attempt(
-    const std::vector<XrValue>& params) {
-  if (params.size() != 2 || !params[0].is_int()) {
-    return make_error("bad_request", "expected [job_id, attempt]");
-  }
-  const auto attempt = decode_attempt(&params[1]);
-  if (!attempt) return make_error("bad_request", attempt.error().message);
-  const JobId job(static_cast<std::uint64_t>(params[0].as_int()));
-  const Key key{job.value(), *attempt};
+Expected<bool> SphinxClient::handle_cancel_attempt(
+    const AttemptCancel& cancel) {
+  const Key key{cancel.job.value(), cancel.attempt};
   // Idempotent: the loser attempt may already be gone (it completed or
   // failed before the cancel arrived, or this is a retransmission).  The
   // server has already settled the race either way.
   const auto it = tracked_.find(key);
-  if (it == tracked_.end() || it->second.terminal) return XrValue(true);
+  if (it == tracked_.end() || it->second.terminal) return true;
   Tracked& tracked = it->second;
   finish_tracking(tracked);
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "tracker.race_cancels");
   }
-  gateway_.cancel(job, *attempt);
+  gateway_.cancel(cancel.job, cancel.attempt);
   // No report: the server initiated this cancellation when it settled the
   // race and has already retired the attempt.
   erase_tracked(key);
-  return XrValue(true);
+  return true;
 }
 
 void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
@@ -386,8 +372,8 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
 }
 
 void SphinxClient::report(const TrackerReport& r) {
-  rpc_->call(config_.server, encode_report(r),
-             [this](Expected<XrValue> result) {
+  rpc_->call(config_.server, encode_report(r), &read_flag,
+             [this](Expected<bool> result) {
                if (!result.has_value()) {
                  log_.warn("report rejected: ", result.error().to_string());
                }

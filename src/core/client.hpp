@@ -150,11 +150,9 @@ class SphinxClient {
   /// two live attempts of one JobId at once.
   using Key = std::pair<std::uint64_t, int>;
 
-  Expected<rpc::XrValue> handle_execute_plan(const ExecutionPlan& plan);
-  Expected<rpc::XrValue> handle_dag_done(
-      const std::vector<rpc::XrValue>& params);
-  Expected<rpc::XrValue> handle_cancel_attempt(
-      const std::vector<rpc::XrValue>& params);
+  Expected<bool> handle_execute_plan(const ExecutionPlan& plan);
+  Expected<bool> handle_dag_done(DagId dag);
+  Expected<bool> handle_cancel_attempt(const AttemptCancel& cancel);
   void on_gateway_event(const submit::GatewayEvent& event);
   void on_timeout(JobId job, int attempt);
   void report(const TrackerReport& report);

@@ -10,7 +10,6 @@ namespace sphinx::core {
 
 using rpc::XrReader;
 using rpc::XrType;
-using rpc::XrValue;
 using rpc::XrWriter;
 
 const char* to_string(ReportKind kind) noexcept {
@@ -28,12 +27,14 @@ namespace {
 
 /// Room for each message's bytes, so its writer never grows: a report is
 /// about 740 bytes, a plan about 1.2 KB plus 240 per input, a DAG
-/// submission about 400 bytes plus 840 per job.
+/// submission about 400 bytes plus 840 per job, a dag_done or a
+/// cancel_attempt about 200 bytes.
 constexpr std::size_t kReportBytes = 832;
 constexpr std::size_t kPlanBytes = 1280;
 constexpr std::size_t kPlanInputBytes = 256;
 constexpr std::size_t kDagBytes = 512;
 constexpr std::size_t kDagJobBytes = 896;
+constexpr std::size_t kNoticeBytes = 256;
 
 Expected<ReportKind> report_kind_from(std::string_view text) {
   if (text == "submitted") return ReportKind::kSubmitted;
@@ -107,18 +108,13 @@ Expected<double> non_negative(const std::optional<double>& v, const char* key) {
   return *v;
 }
 
-/// An attempt number in [1, INT_MAX].
-Expected<int> attempt_in_range(std::int64_t attempt) {
-  if (attempt < 1 || attempt > std::numeric_limits<int>::max()) {
-    return make_error("codec",
-                      "attempt out of range: " + std::to_string(attempt));
-  }
-  return static_cast<int>(attempt);
-}
-
+/// An attempt number: an int in [1, INT_MAX].
 Expected<int> attempt_of(const std::optional<std::int64_t>& v) {
   if (!v) return missing("int", "attempt");
-  return attempt_in_range(*v);
+  if (*v < 1 || *v > std::numeric_limits<int>::max()) {
+    return make_error("codec", "attempt out of range: " + std::to_string(*v));
+  }
+  return static_cast<int>(*v);
 }
 
 std::uint64_t id_of(std::int64_t v) { return static_cast<std::uint64_t>(v); }
@@ -465,11 +461,6 @@ Expected<workflow::Dag> check_dag(DagFields& f) {
 
 }  // namespace
 
-Expected<int> decode_attempt(const XrValue* value) {
-  if (value == nullptr || !value->is_int()) return missing("int", "attempt");
-  return attempt_in_range(value->as_int());
-}
-
 // --- encoders and decoders --------------------------------------------------
 
 std::string encode_report(const TrackerReport& report) {
@@ -514,19 +505,15 @@ std::string encode_plan(const ExecutionPlan& plan) {
   out.double_member("compute_time", plan.compute_time);
   out.int_member("dag_id", wire_id(plan.dag.value()));
   out.begin_member("inputs");
-  if (plan.inputs.empty()) {
-    out.empty_array();
-  } else {
-    out.begin_array();
-    for (const PlannedInput& input : plan.inputs) {
-      out.begin_struct();
-      out.double_member("bytes", input.bytes);
-      out.string_member("lfn", input.lfn);
-      out.int_member("source", wire_id(input.source.value()));
-      out.end_struct();
-    }
-    out.end_array();
+  out.begin_array();
+  for (const PlannedInput& input : plan.inputs) {
+    out.begin_struct();
+    out.double_member("bytes", input.bytes);
+    out.string_member("lfn", input.lfn);
+    out.int_member("source", wire_id(input.source.value()));
+    out.end_struct();
   }
+  out.end_array();
   out.end_member();
   out.int_member("job_id", wire_id(plan.job.value()));
   out.string_member("job_name", plan.job_name);
@@ -570,42 +557,29 @@ std::string encode_dag(const std::string& client, UserId user,
   out.begin_struct();
   out.int_member("dag_id", wire_id(dag.id().value()));
   out.begin_member("jobs");
-  if (dag.empty()) {
-    out.empty_array();
-  } else {
+  out.begin_array();
+  for (const workflow::JobSpec& job : dag.jobs()) {
+    out.begin_struct();
+    out.double_member("compute_time", job.compute_time);
+    out.begin_member("inputs");
     out.begin_array();
-    for (const workflow::JobSpec& job : dag.jobs()) {
-      out.begin_struct();
-      out.double_member("compute_time", job.compute_time);
-      out.begin_member("inputs");
-      if (job.inputs.empty()) {
-        out.empty_array();
-      } else {
-        out.begin_array();
-        for (const data::Lfn& lfn : job.inputs) out.string_value(lfn);
-        out.end_array();
-      }
-      out.end_member();
-      out.int_member("job_id", wire_id(job.id.value()));
-      out.string_member("name", job.name);
-      out.string_member("output", job.output);
-      out.double_member("output_bytes", job.output_bytes);
-      out.begin_member("parents");
-      const std::vector<JobId>& parents = dag.parents(job.id);
-      if (parents.empty()) {
-        out.empty_array();
-      } else {
-        out.begin_array();
-        for (const JobId parent : parents) {
-          out.int_value(wire_id(parent.value()));
-        }
-        out.end_array();
-      }
-      out.end_member();
-      out.end_struct();
+    for (const data::Lfn& lfn : job.inputs) out.string_value(lfn);
+    out.end_array();
+    out.end_member();
+    out.int_member("job_id", wire_id(job.id.value()));
+    out.string_member("name", job.name);
+    out.string_member("output", job.output);
+    out.double_member("output_bytes", job.output_bytes);
+    out.begin_member("parents");
+    out.begin_array();
+    for (const JobId parent : dag.parents(job.id)) {
+      out.int_value(wire_id(parent.value()));
     }
     out.end_array();
+    out.end_member();
+    out.end_struct();
   }
+  out.end_array();
   out.end_member();
   out.string_member("name", dag.name());
   out.end_struct();
@@ -667,6 +641,91 @@ Expected<DagSubmission> decode_dag(XrReader& in) {
     submission.deadline = *deadline;
   }
   return submission;
+}
+
+void write_flag(XrWriter& out, bool flag) { out.bool_value(flag); }
+
+Expected<bool> read_flag(XrReader& in) {
+  XrType type;
+  if (!in.open(1, type) || !in.skip_open(type, 1)) return in.error();
+  if (type != XrType::kBool) {
+    return make_error("codec", "reply is not a boolean");
+  }
+  return in.boolean();
+}
+
+void write_dag_id(XrWriter& out, DagId dag) {
+  out.int_value(wire_id(dag.value()));
+}
+
+Expected<DagId> read_dag_id(XrReader& in) {
+  std::optional<std::int64_t> id;
+  if (!read_int(in, 1, id)) return in.error();
+  if (!id) return make_error("codec", "reply is not an int");
+  return DagId(id_of(*id));
+}
+
+std::string encode_dag_done(DagId dag, SimTime finished_at) {
+  XrWriter out(kNoticeBytes);
+  out.begin_call("sphinx_client.dag_done");
+  out.begin_param();
+  out.int_value(wire_id(dag.value()));
+  out.end_param();
+  out.begin_param();
+  out.double_value(finished_at);
+  out.end_param();
+  out.end_call();
+  return std::move(out).take();
+}
+
+Expected<DagId> decode_dag_done(XrReader& in) {
+  int params = 0;
+  std::optional<std::int64_t> dag;
+  if (!in.each_param([&](int i) {
+        ++params;
+        return i == 0 ? read_int(in, 1, dag) : in.skip(1);
+      })) {
+    return in.error();
+  }
+  if (params != 2 || !dag) {
+    return make_error("bad_request", "expected [dag_id, finished_at]");
+  }
+  return DagId(id_of(*dag));
+}
+
+std::string encode_cancel_attempt(JobId job, int attempt) {
+  XrWriter out(kNoticeBytes);
+  out.begin_call("sphinx_client.cancel_attempt");
+  out.begin_param();
+  out.int_value(wire_id(job.value()));
+  out.end_param();
+  out.begin_param();
+  out.int_value(attempt);
+  out.end_param();
+  out.end_call();
+  return std::move(out).take();
+}
+
+Expected<AttemptCancel> decode_cancel_attempt(XrReader& in) {
+  int params = 0;
+  std::optional<std::int64_t> job;
+  std::optional<std::int64_t> attempt;
+  if (!in.each_param([&](int i) {
+        ++params;
+        switch (i) {
+          case 0: return read_int(in, 1, job);
+          case 1: return read_int(in, 1, attempt);
+          default: return in.skip(1);
+        }
+      })) {
+    return in.error();
+  }
+  if (params != 2 || !job) {
+    return make_error("bad_request", "expected [job_id, attempt]");
+  }
+  auto checked = attempt_of(attempt);
+  if (!checked) return make_error("bad_request", checked.error().message);
+  return AttemptCancel{JobId(id_of(*job)), *checked};
 }
 
 }  // namespace sphinx::core

@@ -1,18 +1,19 @@
 #pragma once
 /// \file codec.hpp
-/// The wire form of the three client/server messages.
+/// The wire form of the five client/server methods.
 ///
 /// Everything that crosses the client/server boundary is a real XML-RPC
 /// call that is serialized to XML and parsed back on the other side:
-/// abstract DAGs (client -> server, `sphinx.submit_dag`), execution plans
-/// (server -> client, `sphinx_client.execute_plan`) and tracker reports
-/// (client -> server, `sphinx.report`).  These are nearly all of a run's
-/// calls, so they go straight between struct and bytes, through no
-/// XrValue tree:
+/// abstract DAGs (client -> server, `sphinx.submit_dag`, answered with
+/// the DAG's id), tracker reports (client -> server, `sphinx.report`),
+/// execution plans (server -> client, `sphinx_client.execute_plan`),
+/// DAG completions (`sphinx_client.dag_done`) and race-loser cancels
+/// (`sphinx_client.cancel_attempt`), the last four answered with a flag
+/// (write_flag()).  Each goes straight between its types and bytes:
 ///   - encode_* writes the whole <methodCall> through one rpc::XrWriter,
 ///     struct members in ascending byte order of their names (the bytes a
 ///     tree of std::map structs would have written; the rpc_outbox
-///     journal and the chaos digests pin the plan's);
+///     journal and the chaos digests pin the server's calls);
 ///   - decode_* is the ClarensService params decoder of its method: it
 ///     reads every param off the rpc::XrReader, skips (validating) struct
 ///     members it does not know, and refuses with the first failing check
@@ -20,8 +21,9 @@
 ///     not of the members on the wire.  Bytes that are not well-formed
 ///     XML-RPC, anywhere in the call, leave the reader failed instead (the
 ///     service's parse fault), whatever the checks would have said.
-/// The cold calls (cancel_attempt, dag_done, ctrl.renew) keep XrValue
-/// params.
+/// An encoder and its decoder are separate functions: a method no program
+/// sends leaves its encoder unreferenced, which sphinx_lint's test-only
+/// rule reports.
 
 #include "common/error.hpp"
 #include "common/ids.hpp"
@@ -97,7 +99,7 @@ struct DagSubmission {
   SimTime deadline = kNever;  ///< +inf: best effort
 };
 
-/// `sphinx.submit_dag` call bytes.
+/// `sphinx.submit_dag` call bytes.  Its reply is the DAG's id.
 [[nodiscard]] std::string encode_dag(const std::string& client, UserId user,
                                      const workflow::Dag& dag, double priority,
                                      SimTime deadline);
@@ -128,11 +130,6 @@ struct DagSubmission {
 /// array order: lfn, source, bytes (likewise).
 [[nodiscard]] Expected<ExecutionPlan> decode_plan(rpc::XrReader& in);
 
-/// An attempt number off the wire: an int in [1, INT_MAX].  Missing,
-/// mistyped, non-positive or wider-than-int values are a `codec` error,
-/// never truncated into a live attempt number.
-[[nodiscard]] Expected<int> decode_attempt(const rpc::XrValue* value);
-
 /// `sphinx.report` call bytes.
 [[nodiscard]] std::string encode_report(const TrackerReport& report);
 /// Its params decoder.  The first failing check refuses, in this order:
@@ -142,5 +139,40 @@ struct DagSubmission {
 /// or not finite); execution_time; idle_time; attempt (missing, mistyped,
 /// outside [1, INT_MAX]).
 [[nodiscard]] Expected<TrackerReport> decode_report(rpc::XrReader& in);
+
+/// The reply of the four methods that only acknowledge: a boolean.
+void write_flag(rpc::XrWriter& out, bool flag);
+/// A boolean reply; any other value is refused (`codec`).
+[[nodiscard]] Expected<bool> read_flag(rpc::XrReader& in);
+
+/// `sphinx.submit_dag`'s reply: the DAG's id.
+void write_dag_id(rpc::XrWriter& out, DagId dag);
+/// An int reply; any other value is refused (`codec`).
+[[nodiscard]] Expected<DagId> read_dag_id(rpc::XrReader& in);
+
+/// `sphinx_client.dag_done` call bytes: [dag_id, finished_at].  The client
+/// reads only the id; finished_at stays because the rpc_outbox journals
+/// these bytes and the chaos digests hash that journal.
+[[nodiscard]] std::string encode_dag_done(DagId dag, SimTime finished_at);
+/// Its params decoder: other than two params, or a first that is not an
+/// int, is refused (`bad_request`); the second may be anything.
+[[nodiscard]] Expected<DagId> decode_dag_done(rpc::XrReader& in);
+
+/// The params of `sphinx_client.cancel_attempt`: the attempt that lost a
+/// speculation race.
+struct AttemptCancel {
+  JobId job;
+  int attempt = 0;
+};
+
+/// `sphinx_client.cancel_attempt` call bytes: [job_id, attempt].
+[[nodiscard]] std::string encode_cancel_attempt(JobId job, int attempt);
+/// Its params decoder.  The first failing check refuses, in this order:
+/// other than two params or a job id that is not an int; an attempt that
+/// is not an int, or is outside [1, INT_MAX] (all `bad_request`).  An
+/// out-of-range attempt names no attempt at all: it is never truncated
+/// into a live attempt number.
+[[nodiscard]] Expected<AttemptCancel> decode_cancel_attempt(
+    rpc::XrReader& in);
 
 }  // namespace sphinx::core

@@ -8,9 +8,6 @@
 #include <unordered_map>
 
 namespace sphinx::core {
-
-using rpc::XrValue;
-
 namespace {
 
 /// VOs authorized to talk to the server (GSI ACL).
@@ -60,7 +57,7 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
 
   rpc::AuthzPolicy policy;
-  for (const char* vo : kAllowedVos) policy.allow_vo("*", vo);
+  for (const char* vo : kAllowedVos) policy.allow_vo(vo);
   service_ = std::make_unique<rpc::ClarensService>(bus_, config_.endpoint,
                                                    std::move(policy));
   // The server's own outgoing identity (host certificate proxy).
@@ -88,8 +85,8 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
   for (const OutboxEntry& entry : warehouse_->outbox_entries()) {
     out_->restore_call(entry.seq, entry.service, entry.payload, entry.attempt,
-                       entry.last_sent_at, [this](auto result) {
-                         if (!result.has_value()) {
+                       entry.last_sent_at, [this](StatusOrError result) {
+                         if (!result.ok()) {
                            log_.warn("restored call failed: ",
                                      result.error().to_string());
                          }
@@ -199,19 +196,19 @@ void SphinxServer::maybe_checkpoint() {
 }
 
 void SphinxServer::register_methods() {
-  service_->register_method<DagSubmission>(
-      "sphinx.submit_dag", &decode_dag,
+  service_->register_method(
+      "sphinx.submit_dag", &decode_dag, &write_dag_id,
       [this](const DagSubmission& submission, const rpc::Proxy& proxy) {
         return handle_submit_dag(submission, proxy);
       });
-  service_->register_method<TrackerReport>(
-      "sphinx.report", &decode_report,
+  service_->register_method(
+      "sphinx.report", &decode_report, &write_flag,
       [this](const TrackerReport& report, const rpc::Proxy&) {
         return handle_report(report);
       });
 }
 
-Expected<XrValue> SphinxServer::handle_submit_dag(
+Expected<DagId> SphinxServer::handle_submit_dag(
     const DagSubmission& submission, const rpc::Proxy& proxy) {
   const workflow::Dag& dag = submission.dag;
   const bool accepted = message_handler_->accept_dag(
@@ -224,7 +221,7 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
     if (recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "server.duplicate_dags");
     }
-    return XrValue(dag.id().value());
+    return dag.id();
   }
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kDagReceived, config_.endpoint,
@@ -235,16 +232,16 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
   log_.debug("received dag ", dag.name(), " (", dag.size(), " jobs) from ",
              submission.client, " [", proxy.principal(), "]");
   maybe_crash();
-  return XrValue(dag.id().value());
+  return dag.id();
 }
 
-Expected<XrValue> SphinxServer::handle_report(const TrackerReport& report) {
+Expected<bool> SphinxServer::handle_report(const TrackerReport& report) {
   if (const auto status = message_handler_->apply_report(report);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
   maybe_crash();
-  return XrValue(true);
+  return true;
 }
 
 void SphinxServer::set_quota(UserId user, SiteId site,
@@ -493,20 +490,15 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
     recorder_->count(config_.endpoint, "server.speculation_cancels");
   }
   if (const auto dag = warehouse_->dag(race.dag); dag.has_value()) {
-    out_->call(dag->client,
-               rpc::MethodCall{"sphinx_client.cancel_attempt",
-                               {XrValue(race.job.value()),
-                                XrValue(static_cast<std::int64_t>(
-                                    retired_attempt))}}
-                   .serialize(),
-               [](auto) {});
+    out_->call(dag->client, encode_cancel_attempt(race.job, retired_attempt),
+               &read_flag, [](Expected<bool>) {});
   }
 }
 
 void SphinxServer::send_plan(const std::string& client,
                              const ExecutionPlan& plan) {
-  out_->call(client, encode_plan(plan),
-             [this, job = plan.job](auto result) {
+  out_->call(client, encode_plan(plan), &read_flag,
+             [this, job = plan.job](Expected<bool> result) {
                if (!result.has_value()) {
                  // Client unreachable: the job stays kPlanned; the
                  // client's tracker (or its absence) will eventually
@@ -535,11 +527,8 @@ void SphinxServer::maybe_finish_dag(DagId dag_id) {
     recorder_->observe(config_.endpoint, "dag.turnaround",
                        now - dag->received_at);
   }
-  out_->call(dag->client,
-             rpc::MethodCall{"sphinx_client.dag_done",
-                             {XrValue(dag_id.value()), XrValue(now)}}
-                 .serialize(),
-             [](auto) {});
+  out_->call(dag->client, encode_dag_done(dag_id, now), &read_flag,
+             [](Expected<bool>) {});
 }
 
 }  // namespace sphinx::core

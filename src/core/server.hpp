@@ -133,9 +133,9 @@ class SphinxServer {
 
   void register_methods();
   /// RPC shims: take the decoded params, then delegate to MessageHandler.
-  Expected<rpc::XrValue> handle_submit_dag(const DagSubmission& submission,
-                                           const rpc::Proxy& proxy);
-  Expected<rpc::XrValue> handle_report(const TrackerReport& report);
+  Expected<DagId> handle_submit_dag(const DagSubmission& submission,
+                                    const rpc::Proxy& proxy);
+  Expected<bool> handle_report(const TrackerReport& report);
 
   void maybe_finish_dag(DagId dag_id);
   void send_plan(const std::string& client, const ExecutionPlan& plan);

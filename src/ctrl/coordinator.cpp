@@ -30,12 +30,14 @@ LeaseCoordinator::~LeaseCoordinator() = default;
 
 void LeaseCoordinator::register_methods() {
   rpc::AuthzPolicy policy;
-  policy.allow_vo("*", kControlVo);
+  policy.allow_vo(kControlVo);
   service_ = std::make_unique<rpc::ClarensService>(bus_, kCoordinatorEndpoint,
                                                    std::move(policy));
   service_->register_method(
-      "ctrl.renew", [this](const std::vector<rpc::XrValue>& params,
-                           const rpc::Proxy&) { return handle_renew(params); });
+      "ctrl.renew", &decode_renew, &write_renew_outcome,
+      [this](const Renewal& renewal, const rpc::Proxy&) {
+        return handle_renew(renewal);
+      });
 }
 
 std::uint64_t LeaseCoordinator::grant(const std::string& shard,
@@ -61,31 +63,26 @@ void LeaseCoordinator::set_adopted_callback(AdoptedCallback callback) {
 void LeaseCoordinator::start() { monitor_->start(); }
 void LeaseCoordinator::stop() { monitor_->stop(); }
 
-Expected<rpc::XrValue> LeaseCoordinator::handle_renew(
-    const std::vector<rpc::XrValue>& params) {
-  if (params.size() != 3 || !params[0].is_string() || !params[1].is_string() ||
-      !params[2].is_int()) {
-    return make_error("bad_request", "ctrl.renew(shard, owner, epoch)");
-  }
-  const std::string& shard = params[0].as_string();
-  const std::string& owner = params[1].as_string();
-  const auto epoch = static_cast<std::uint64_t>(params[2].as_int());
-  switch (leases_.renew(shard, owner, epoch, bus_.engine().now(),
-                        kLeaseTtl)) {
+Expected<RenewOutcome> LeaseCoordinator::handle_renew(
+    const Renewal& renewal) {
+  const RenewOutcome outcome =
+      leases_.renew(renewal.shard, renewal.owner, renewal.epoch,
+                    bus_.engine().now(), kLeaseTtl);
+  if (recorder_ == nullptr) return outcome;
+  switch (outcome) {
     case RenewOutcome::kRenewed:
-      if (recorder_ != nullptr) recorder_->count("ctrl", "ctrl.lease_renewals");
-      return rpc::XrValue("renewed");
+      recorder_->count("ctrl", "ctrl.lease_renewals");
+      break;
     case RenewOutcome::kFenced:
-      if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kLeaseFenced, kCoordinatorEndpoint,
-                         shard, owner, static_cast<double>(epoch));
-        recorder_->count("ctrl", "ctrl.lease_fenced");
-      }
-      return rpc::XrValue("fenced");
+      recorder_->event(obs::TraceKind::kLeaseFenced, kCoordinatorEndpoint,
+                       renewal.shard, renewal.owner,
+                       static_cast<double>(renewal.epoch));
+      recorder_->count("ctrl", "ctrl.lease_fenced");
+      break;
     case RenewOutcome::kUnknownShard:
       break;
   }
-  return rpc::XrValue("unknown");
+  return outcome;
 }
 
 void LeaseCoordinator::monitor_sweep() {

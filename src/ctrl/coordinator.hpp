@@ -26,6 +26,7 @@
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "ctrl/lease.hpp"
+#include "ctrl/renew.hpp"
 #include "obs/recorder.hpp"
 #include "rpc/clarens.hpp"
 #include "rpc/transport.hpp"
@@ -93,7 +94,7 @@ class LeaseCoordinator {
   /// One monitor sweep: declares overdue leases dead and adopts them
   /// onto survivors.
   void monitor_sweep();
-  Expected<rpc::XrValue> handle_renew(const std::vector<rpc::XrValue>& params);
+  Expected<RenewOutcome> handle_renew(const Renewal& renewal);
 
   rpc::MessageBus& bus_;
   LeaseTable leases_;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "ctrl/coordinator.hpp"
+#include "ctrl/renew.hpp"
 
 namespace sphinx::ctrl {
 
@@ -34,16 +35,12 @@ void HeartbeatAgent::stop() { beat_->stop(); }
 
 void HeartbeatAgent::beat() {
   client_->call(
-      kCoordinatorEndpoint,
-      rpc::MethodCall{"ctrl.renew",
-                      {rpc::XrValue(shard_), rpc::XrValue(owner_),
-                       rpc::XrValue(static_cast<std::int64_t>(epoch_))}}
-          .serialize(),
-      [this](Expected<rpc::XrValue> result) {
+      kCoordinatorEndpoint, encode_renew(shard_, owner_, epoch_),
+      &read_renew_outcome, [this](Expected<RenewOutcome> outcome) {
         // A lost beat, a renewal or an unknown shard needs nothing here:
         // the next beat supersedes it, and the coordinator counts the
         // renewals ("ctrl.lease_renewals").
-        if (result && result->is_string() && result->as_string() == "fenced") {
+        if (outcome && *outcome == RenewOutcome::kFenced) {
           // The shard was adopted out from under us.  Stop immediately:
           // continuing to beat (or to schedule) on a lost shard is the
           // split-brain the epoch exists to prevent.

@@ -32,7 +32,7 @@ struct Lease {
   std::string shard;
   std::string owner;
   std::uint64_t epoch = 0;
-  SimTime expires_at = 0.0;
+  SimTime expires_at = 0.0;  // sphinx-lint-allow(test-only): only the lease pair reads it, for expiry and adoption
   bool live = true;  ///< false once the coordinator declared it expired
 
   /// The lease table's columns, in persisted order.

@@ -23,18 +23,17 @@ double jitter01(const std::string& endpoint, std::uint64_t seq, int attempt) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// The generic params decoder: every param as an XrValue.  It refuses
-/// nothing; its handler checks the params.
-Expected<std::vector<XrValue>> any_params(XrReader& in) {
-  std::vector<XrValue> params;
-  in.params(params);
-  return params;
+std::string fault(ClarensFault code, std::string_view message) {
+  XrWriter out(kReplyBytes);
+  out.fault(static_cast<std::int64_t>(code), message);
+  return std::move(out).take();
 }
 
-std::string fault(ClarensFault code, std::string message) {
-  return MethodResponse::failure(static_cast<std::int64_t>(code),
-                                 std::move(message))
-      .serialize();
+/// The reply reader of a call restored from the outbox, whose method is
+/// not known: any well-formed value.
+Expected<bool> any_value(XrReader& in) {
+  in.skip(1);
+  return true;
 }
 
 }  // namespace
@@ -48,11 +47,6 @@ ClarensService::ClarensService(MessageBus& bus, std::string endpoint,
 }
 
 ClarensService::~ClarensService() { bus_.unregister_endpoint(endpoint_); }
-
-void ClarensService::register_method(const std::string& name,
-                                     Handler<std::vector<XrValue>> handler) {
-  register_method<std::vector<XrValue>>(name, &any_params, std::move(handler));
-}
 
 std::string ClarensService::process(const Envelope& request) {
   // The whole envelope is decoded before anything else is decided, so a
@@ -72,21 +66,21 @@ std::string ClarensService::process(const Envelope& request) {
   }
   if (!in.ok()) return fault(ClarensFault::kParse, in.error().error.message);
 
-  const AuthzDecision decision =
-      policy_.check(request.proxy, method_name, bus_.engine().now());
-  if (!decision.allowed) {
-    return fault(ClarensFault::kDenied, decision.reason);
+  if (const StatusOrError admitted =
+          policy_.check(request.proxy, bus_.engine().now());
+      !admitted.ok()) {
+    return fault(ClarensFault::kDenied, admitted.error().message);
   }
 
   if (method == nullptr) {
     return fault(ClarensFault::kNoSuchMethod, "no such method: " + method_name);
   }
 
-  auto result = method->run(request.proxy);
-  if (!result) {
-    return fault(ClarensFault::kApplication, result.error().to_string());
+  auto reply = method->run(request.proxy);
+  if (!reply) {
+    return fault(ClarensFault::kApplication, reply.error().to_string());
   }
-  return MethodResponse::success(std::move(*result)).serialize();
+  return std::move(*reply);
 }
 
 ClarensClient::ClarensClient(MessageBus& bus, std::string endpoint, Proxy proxy,
@@ -107,14 +101,13 @@ ClarensClient::~ClarensClient() {
   bus_.unregister_endpoint(endpoint_);
 }
 
-void ClarensClient::call(const std::string& service, std::string payload,
-                         Callback callback) {
-  SPHINX_ASSERT(callback != nullptr, "call callback must not be null");
+void ClarensClient::start(const std::string& service, std::string payload,
+                          Completion done) {
   const std::uint64_t seq = next_seq_++;
   CallState state;
   state.service = service;
   state.payload = std::move(payload);
-  state.callback = std::move(callback);
+  state.done = std::move(done);
   pending_.emplace(seq, std::move(state));
   transmit(seq);
 }
@@ -126,14 +119,20 @@ void ClarensClient::set_outbox(OutboxUpsert upsert, OutboxErase erase) {
 
 void ClarensClient::restore_call(std::uint64_t seq, std::string service,
                                  std::string payload, int attempt,
-                                 SimTime last_sent_at, Callback callback) {
+                                 SimTime last_sent_at,
+                                 std::function<void(StatusOrError)> callback) {
   SPHINX_ASSERT(callback != nullptr, "restore callback must not be null");
   SPHINX_ASSERT(attempt >= 1, "restored call must have been transmitted");
   SPHINX_ASSERT(!pending_.contains(seq), "sequence number already in flight");
   CallState state;
   state.service = std::move(service);
   state.payload = std::move(payload);
-  state.callback = std::move(callback);
+  state.done = [callback = std::move(callback)](
+                   Expected<std::string_view> reply) {
+    const Expected<bool> read = reply ? read_reply(*reply, &any_value)
+                                      : Unexpected<Error>{reply.error()};
+    callback(read ? StatusOrError{} : Unexpected<Error>{read.error()});
+  };
   state.attempt = attempt;
   state.last_sent_at = last_sent_at;
   auto [it, inserted] = pending_.emplace(seq, std::move(state));
@@ -194,36 +193,23 @@ void ClarensClient::on_timeout(std::uint64_t seq) {
   transmit(seq);
 }
 
-void ClarensClient::complete(std::uint64_t seq, Expected<XrValue> result) {
+void ClarensClient::complete(std::uint64_t seq,
+                             Expected<std::string_view> reply) {
   auto it = pending_.find(seq);
   SPHINX_ASSERT(it != pending_.end(), "completing unknown call");
   bus_.engine().cancel(it->second.timer);
-  Callback callback = std::move(it->second.callback);
+  Completion done = std::move(it->second.done);
   pending_.erase(it);
   if (outbox_erase_ != nullptr) outbox_erase_(seq);
-  callback(std::move(result));
+  done(reply);
 }
 
 void ClarensClient::handle(const Envelope& response) {
-  const std::uint64_t seq = response.call_seq;
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) {
-    // A duplicate of a reply we already consumed, or noise: dropped, so
-    // the continuation never runs twice.
-    return;
+  // A reply for no call in flight is a duplicate of one already consumed,
+  // or noise: dropped, so the continuation never runs twice.
+  if (pending_.contains(response.call_seq)) {
+    complete(response.call_seq, std::string_view(response.payload));
   }
-
-  auto parsed = MethodResponse::parse(response.payload);
-  if (!parsed) {
-    complete(seq, Unexpected<Error>{parsed.error()});
-    return;
-  }
-  if (parsed->is_fault) {
-    complete(seq, make_error("fault:" + std::to_string(parsed->fault.code),
-                             parsed->fault.message));
-    return;
-  }
-  complete(seq, std::move(parsed->value));
 }
 
 }  // namespace sphinx::rpc

@@ -1,5 +1,6 @@
 #include "rpc/gsi.hpp"
 
+#include <algorithm>
 
 namespace sphinx::rpc {
 
@@ -19,29 +20,14 @@ std::string Proxy::principal() const {
   return p;
 }
 
-void AuthzPolicy::allow_vo(const std::string& method, const std::string& vo) {
-  acls_[method].insert(vo);
-}
-
-AuthzDecision AuthzPolicy::check(const Proxy& proxy, const std::string& method,
-                                 SimTime now) const {
+StatusOrError AuthzPolicy::check(const Proxy& proxy, SimTime now) const {
   if (!proxy.valid_at(now)) {
-    return {false, "proxy expired or anonymous"};
+    return make_error("denied", "proxy expired or anonymous");
   }
-  const auto exact = acls_.find(method);
-  if (exact != acls_.end() && exact->second.contains(proxy.vo())) {
-    return {true, {}};
+  if (std::find(vos_.begin(), vos_.end(), proxy.vo()) == vos_.end()) {
+    return make_error("denied", "no ACL admits " + proxy.principal());
   }
-  const auto wildcard = acls_.find("*");
-  if (wildcard != acls_.end() && wildcard->second.contains(proxy.vo())) {
-    return {true, {}};
-  }
-  // With no ACLs configured at all the service is open to any
-  // authenticated caller; once any ACL exists, default is deny.
-  if (acls_.empty()) {
-    return {true, {}};
-  }
-  return {false, "no ACL grants " + proxy.principal() + " access to " + method};
+  return {};
 }
 
 }  // namespace sphinx::rpc

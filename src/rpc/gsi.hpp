@@ -6,13 +6,11 @@
 /// SPHINX uses "GSI-enabled XML-RPC" through Clarens (paper Figure 1).
 /// The reproduction models the parts that influence scheduling: who a
 /// request is from, which VO (and group) their proxy asserts, whether the
-/// proxy is still valid, and whether a service method authorizes the
-/// caller.  Actual cryptography is out of scope (DESIGN.md section 6).
+/// proxy is still valid, and whether a service admits the caller's VO.
+/// Actual cryptography is out of scope (DESIGN.md section 6).
 
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -34,7 +32,6 @@ class Proxy {
         SimTime issued_at, Duration lifetime);
 
   [[nodiscard]] const std::string& vo() const noexcept { return vo_; }
-  [[nodiscard]] SimTime expires_at() const noexcept { return expires_at_; }
 
   /// True while the proxy has not expired.
   [[nodiscard]] bool valid_at(SimTime now) const noexcept {  // sphinx-lint-allow(test-only): AuthzPolicy::check in this pair reads it
@@ -51,27 +48,18 @@ class Proxy {
   SimTime expires_at_ = 0.0;
 };
 
-/// Decision record returned by authorization checks.
-struct AuthzDecision {
-  bool allowed = false;
-  std::string reason;  ///< set when denied
-};
-
-/// Per-service ACL: which VOs may invoke which methods.  With no ACL at
-/// all the service is open to any authenticated caller.
+/// A service's ACL: the VOs whose callers it admits, to every method.
 class AuthzPolicy {
  public:
-  /// Grants `vo` access to `method` ("*" for all methods).
-  void allow_vo(const std::string& method, const std::string& vo);
+  /// Admits callers whose proxy asserts `vo`.
+  void allow_vo(std::string vo) { vos_.push_back(std::move(vo)); }
 
-  /// Evaluates a call.  Order: proxy validity, then the VO ACLs.
-  [[nodiscard]] AuthzDecision check(const Proxy& proxy,
-                                    const std::string& method,
-                                    SimTime now) const;
+  /// Admits a call, or says why not.  Order: proxy validity, then the
+  /// VO.
+  [[nodiscard]] StatusOrError check(const Proxy& proxy, SimTime now) const;
 
  private:
-  /// Method (or "*") -> VOs it admits.
-  std::unordered_map<std::string, std::unordered_set<std::string>> acls_;
+  std::vector<std::string> vos_;  ///< a few, so searched in order
 };
 
 }  // namespace sphinx::rpc

@@ -56,9 +56,9 @@ void MessageBus::set_control_stream(std::string prefix, Rng rng) {
   control_enabled_ = !control_prefix_.empty();
 }
 
-MessageId MessageBus::send(const std::string& from, const std::string& to,
-                           std::string payload, Proxy proxy,
-                           std::uint64_t call_seq) {
+void MessageBus::send(const std::string& from, const std::string& to,
+                      std::string payload, Proxy proxy,
+                      std::uint64_t call_seq) {
   SPHINX_PRECONDITION(call_seq >= 1, "requests carry a call sequence >= 1");
   Envelope env;
   env.from = from;
@@ -66,16 +66,16 @@ MessageId MessageBus::send(const std::string& from, const std::string& to,
   env.payload = std::move(payload);
   env.proxy = std::move(proxy);
   env.call_seq = call_seq;
-  return post(std::move(env));
+  post(std::move(env));
 }
 
-MessageId MessageBus::reply(const Envelope& request, std::string payload) {
+void MessageBus::reply(const Envelope& request, std::string payload) {
   Envelope env;
   env.from = request.to;
   env.to = request.from;
   env.payload = std::move(payload);
   env.call_seq = request.call_seq;
-  return post(std::move(env));
+  post(std::move(env));
 }
 
 bool MessageBus::rule_matches(const LinkFaultRule& rule, const Envelope& env,
@@ -92,8 +92,7 @@ bool MessageBus::rule_matches(const LinkFaultRule& rule, const Envelope& env,
           has_prefix(env.to, rule.from_prefix));
 }
 
-MessageId MessageBus::post(Envelope envelope) {
-  envelope.id = ids_.next();
+void MessageBus::post(Envelope envelope) {
   envelope.sent_at = engine_.now();
   // Control-plane traffic draws its latency from a dedicated stream and
   // skips the probabilistic faults below: its volume differs by design
@@ -110,7 +109,6 @@ MessageId MessageBus::post(Envelope envelope) {
   Rng& latency_rng = control ? control_rng_ : rng_;
   Duration delay =
       base_latency_ + (jitter_ > 0 ? latency_rng.uniform(0.0, jitter_) : 0.0);
-  const MessageId id = envelope.id;
 
   if (faults_enabled_) {
     const SimTime now = engine_.now();
@@ -135,7 +133,7 @@ MessageId MessageBus::post(Envelope envelope) {
                          envelope.to, "", 0.0);
         recorder_->count("bus", "bus.partitioned");
       }
-      return id;
+      return;
     }
     // Partitions (above) are deterministic and apply to everything, the
     // control plane included -- a severed link severs heartbeats too.
@@ -143,7 +141,7 @@ MessageId MessageBus::post(Envelope envelope) {
     // control traffic must not reach them (see set_control_stream()).
     if (control) {
       deliver_in(delay, std::move(envelope));
-      return id;
+      return;
     }
     if (pass_loss < 1.0 && faults_rng_.chance(1.0 - pass_loss)) {
       if (recorder_ != nullptr) {
@@ -151,7 +149,7 @@ MessageId MessageBus::post(Envelope envelope) {
                          "", 0.0);
         recorder_->count("bus", "bus.lost");
       }
-      return id;
+      return;
     }
     if (pass_duplicate < 1.0 && faults_rng_.chance(1.0 - pass_duplicate)) {
       if (recorder_ != nullptr) {
@@ -179,7 +177,6 @@ MessageId MessageBus::post(Envelope envelope) {
   }
 
   deliver_in(delay, std::move(envelope));
-  return id;
 }
 
 void MessageBus::deliver_in(Duration delay, Envelope envelope) {

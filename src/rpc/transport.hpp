@@ -17,7 +17,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "rpc/gsi.hpp"
@@ -31,15 +30,14 @@ namespace sphinx::rpc {
 
 /// One message in flight.
 struct Envelope {
-  MessageId id;
   std::string from;          ///< sender endpoint name
   std::string to;            ///< recipient endpoint name
   std::string payload;       ///< serialized XML-RPC call or response
   Proxy proxy;               ///< caller credential (GSI)
   SimTime sent_at = 0.0;  // sphinx-lint-allow(test-only): the bus in this pair measures latency from it
   /// End-to-end call sequence number, stable across retransmissions of
-  /// the same logical call (the bus-level `id` is per transmission).
-  /// Requests carry one >= 1; replies copy the request's value.
+  /// the same logical call.  Requests carry one >= 1; replies copy the
+  /// request's value.
   std::uint64_t call_seq = 0;
 };
 
@@ -92,14 +90,14 @@ class MessageBus {
   /// from drops caused by a crashed peer.
   void expect_handoff(const std::string& name);
 
-  /// Sends a request envelope.  Returns the message id for correlation.
-  /// `call_seq` (>= 1) threads the caller's end-to-end sequence number
-  /// through the wire.
-  MessageId send(const std::string& from, const std::string& to,
-                 std::string payload, Proxy proxy, std::uint64_t call_seq);
+  /// Sends a request envelope.  `call_seq` (>= 1) threads the caller's
+  /// end-to-end sequence number through the wire, which correlates the
+  /// reply.
+  void send(const std::string& from, const std::string& to,
+            std::string payload, Proxy proxy, std::uint64_t call_seq);
 
   /// Sends a reply correlated with `request` (copies its call_seq).
-  MessageId reply(const Envelope& request, std::string payload);
+  void reply(const Envelope& request, std::string payload);
 
   /// Installs the network fault model.  `faults_rng` must be a dedicated
   /// stream (e.g. seeds.stream("bus/faults")): fault draws never touch
@@ -129,7 +127,7 @@ class MessageBus {
   }
 
  private:
-  MessageId post(Envelope envelope);
+  void post(Envelope envelope);
   void deliver_in(Duration delay, Envelope envelope);
   [[nodiscard]] static bool rule_matches(const LinkFaultRule& rule,
                                          const Envelope& env, SimTime now);
@@ -146,7 +144,6 @@ class MessageBus {
   /// Endpoints inside a planned-handoff window (expect_handoff() opened
   /// it, re-registration closes it).  Probed only, never iterated.
   std::unordered_set<std::string> handoff_windows_;
-  IdGenerator<MessageId> ids_;
   NetworkFaultConfig faults_;
   // Placeholder seed, never drawn from: configuring faults move-assigns
   // a stream-derived Rng over it.

@@ -6,59 +6,11 @@
 
 namespace sphinx::rpc {
 
-std::int64_t XrValue::as_int() const {
-  SPHINX_ASSERT(is_int(), "XrValue is not an int");
-  return std::get<std::int64_t>(data_);
-}
-
-double XrValue::as_double() const {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
-  SPHINX_ASSERT(is_double(), "XrValue is not a double");
-  return std::get<double>(data_);
-}
-
-bool XrValue::as_bool() const {
-  SPHINX_ASSERT(is_bool(), "XrValue is not a bool");
-  return std::get<bool>(data_);
-}
-
-const std::string& XrValue::as_string() const {
-  SPHINX_ASSERT(is_string(), "XrValue is not a string");
-  return std::get<std::string>(data_);
-}
-
-const XrValue::Array& XrValue::as_array() const {
-  SPHINX_ASSERT(is_array(), "XrValue is not an array");
-  return std::get<Array>(data_);
-}
-
-const XrValue::Struct& XrValue::as_struct() const {
-  SPHINX_ASSERT(is_struct(), "XrValue is not a struct");
-  return std::get<Struct>(data_);
-}
-
-const XrValue& XrValue::at(const std::string& key) const {
-  const Struct& s = as_struct();
-  const auto it = s.find(key);
-  SPHINX_ASSERT(it != s.end(), "missing struct member: " + key);
-  return it->second;
-}
-
-const XrValue* XrValue::find(const std::string& key) const {
-  const auto* s = std::get_if<Struct>(&data_);
-  if (s == nullptr) return nullptr;
-  const auto it = s->find(key);
-  return it == s->end() ? nullptr : &it->second;
-}
-
-
 // --- writer ------------------------------------------------------------------
 
 namespace {
 
 constexpr std::string_view kDeclaration = "<?xml version=\"1.0\"?>";
-/// Initial capacity of a generic envelope (a reply, a fault, a cold call).
-constexpr std::size_t kEnvelopeReserve = 256;
 
 /// Appends `raw` with the five predefined entities escaped.
 void append_escaped(std::string& out, std::string_view raw) {
@@ -118,12 +70,6 @@ void XrWriter::end_call() {
   params_ = false;
 }
 
-void XrWriter::response(const XrValue& v) {
-  out_ += "<methodResponse><params><param>";
-  value(v);
-  out_ += "</param></params></methodResponse>";
-}
-
 void XrWriter::fault(std::int64_t code, std::string_view message) {
   out_ += "<methodResponse><fault><value><struct>";
   int_member("faultCode", code);
@@ -166,38 +112,29 @@ void XrWriter::string_value(std::string_view v) {
   out_ += "</value>";
 }
 
-void XrWriter::value(const XrValue& v) {
-  if (v.is_string()) {
-    string_value(v.as_string());
-  } else if (v.is_int()) {
-    int_value(v.as_int());
-  } else if (v.is_double()) {
-    double_value(v.as_double());
-  } else if (v.is_bool()) {
-    bool_value(v.as_bool());
-  } else if (v.is_array()) {
-    if (v.as_array().empty()) {
-      empty_array();
-    } else {
-      begin_array();
-      for (const XrValue& item : v.as_array()) value(item);
-      end_array();
-    }
-  } else if (v.as_struct().empty()) {
-    out_ += "<value><struct/></value>";
+void XrWriter::end_struct() {
+  if (out_.ends_with("<struct>")) {
+    out_.back() = '/';  // nothing since begin_struct(): `<struct/>`
+    out_ += "></value>";
   } else {
-    begin_struct();
-    for (const auto& [key, member] : v.as_struct()) {
-      out_ += "<member>";
-      text_element("name", key);
-      value(member);
-      end_member();
-    }
-    end_struct();
+    out_ += "</struct></value>";
+  }
+}
+
+void XrWriter::end_array() {
+  if (out_.ends_with("<data>")) {
+    out_.back() = '/';  // nothing since begin_array(): `<data/>`
+    out_ += "></array></value>";
+  } else {
+    out_ += "</data></array></value>";
   }
 }
 
 void XrWriter::begin_member(std::string_view name) {
+  if (name.empty()) {
+    out_ += "<member><name/>";
+    return;
+  }
   out_ += "<member><name>";
   out_ += name;
   out_ += "</name>";
@@ -353,16 +290,6 @@ bool XrReader::member_name(std::string_view& name) {
          decode_text(raw, name_buffer_, name);
 }
 
-/// The one `<value>` inside an open `<tag>`, through `</tag>` and the
-/// whitespace after it.
-bool XrReader::inner_value(std::string_view tag, XrValue& out) {
-  if (!read(1, out)) return false;
-  skip_ws();
-  if (!close(tag)) return false;
-  skip_ws();
-  return true;
-}
-
 bool XrReader::open(int depth, XrType& type) {
   skip_ws();
   if (depth > kMaxValueDepth) return fail("values nested too deep");
@@ -419,10 +346,7 @@ bool XrReader::skip_open(XrType type, int depth) {
     return items([&] { return skip(depth + 1); });
   }
   if (type == XrType::kStruct) {
-    NameSet seen;
-    return members([&](std::string_view name) {
-      return seen.emplace(name).second ? skip(depth + 1) : duplicate(name);
-    });
+    return each_member([&](std::string_view) { return skip(depth + 1); });
   }
   return true;
 }
@@ -430,37 +354,6 @@ bool XrReader::skip_open(XrType type, int depth) {
 bool XrReader::skip(int depth) {
   XrType type;
   return open(depth, type) && skip_open(type, depth);
-}
-
-bool XrReader::read(int depth, XrValue& out) {
-  XrType type;
-  if (!open(depth, type)) return false;
-  switch (type) {
-    case XrType::kString: out = XrValue(std::string(text_)); return true;
-    case XrType::kInt: out = XrValue(integer_); return true;
-    case XrType::kDouble: out = XrValue(real_); return true;
-    case XrType::kBool: out = XrValue(boolean_); return true;
-    case XrType::kArray: {
-      XrValue::Array items;
-      if (!this->items([&] { return read(depth + 1, items.emplace_back()); })) {
-        return false;
-      }
-      out = XrValue(std::move(items));
-      return true;
-    }
-    case XrType::kStruct: {
-      XrValue::Struct members;
-      if (!this->members([&](std::string_view name) {
-            const auto [it, fresh] = members.try_emplace(std::string(name));
-            return fresh ? read(depth + 1, it->second) : duplicate(name);
-          })) {
-        return false;
-      }
-      out = XrValue(std::move(members));
-      return true;
-    }
-  }
-  return false;
 }
 
 bool XrReader::begin_call(std::string& method) {
@@ -474,72 +367,56 @@ bool XrReader::begin_call(std::string& method) {
   return true;
 }
 
-bool XrReader::params(std::vector<XrValue>& out) {
-  return each_param([&](int) { return read(1, out.emplace_back()); });
-}
-
-bool XrReader::response(MethodResponse& out) {
+bool XrReader::begin_response(bool& fault, std::int64_t& code,
+                              std::string& message) {
   if (!begin("methodResponse")) return false;
-  if (open_tag("fault")) {
-    XrValue fault;
-    if (!inner_value("fault", fault)) return false;
-    const XrValue* code = fault.find("faultCode");
-    const XrValue* message = fault.find("faultString");
-    if (code == nullptr || !code->is_int() || message == nullptr ||
-        !message->is_string()) {
-      return fail("fault struct incomplete");
-    }
-    out = MethodResponse::failure(code->as_int(), message->as_string());
-  } else {
+  fault = open_tag("fault");
+  if (!fault) {
     if (!open_tag("params")) return fail("response without params or fault");
     skip_ws();
-    if (!expect_open("param") || !inner_value("param", out.value) ||
-        !close("params")) {
-      return false;
-    }
+    params_ = true;
+    return expect_open("param");
+  }
+  // A fault's value is a struct with an int faultCode and a string
+  // faultString; whatever else it holds is validated and skipped.
+  static constexpr std::array<std::string_view, 2> kFaultMembers = {
+      "faultCode", "faultString"};
+  bool has_code = false;
+  bool has_message = false;
+  XrType type;
+  if (!open(1, type)) return false;
+  if (type != XrType::kStruct) {
+    if (!skip_open(type, 1)) return false;
+  } else if (!known_members(1, kFaultMembers, [&](std::size_t i) {
+               XrType member;
+               if (!open(2, member)) return false;
+               if (i == 0 && member == XrType::kInt) {
+                 code = integer_;
+                 has_code = true;
+               }
+               if (i == 1 && member == XrType::kString) {
+                 message.assign(text_);
+                 has_message = true;
+               }
+               return skip_open(member, 2);
+             })) {
+    return false;
+  }
+  skip_ws();
+  if (!close("fault")) return false;
+  skip_ws();
+  return (has_code && has_message) || fail("fault struct incomplete");
+}
+
+bool XrReader::end_response() {
+  if (params_) {
+    skip_ws();
+    if (!close("param")) return false;
+    skip_ws();
+    if (!close("params")) return false;
+    params_ = false;
   }
   return end("methodResponse");
-}
-
-// --- envelopes ---------------------------------------------------------------
-
-std::string MethodCall::serialize() const {
-  XrWriter out(kEnvelopeReserve);
-  out.begin_call(method);
-  for (const XrValue& p : params) {
-    out.begin_param();
-    out.value(p);
-    out.end_param();
-  }
-  out.end_call();
-  return std::move(out).take();
-}
-
-Expected<MethodCall> MethodCall::parse(const std::string& xml) {
-  MethodCall call;
-  XrReader in(xml);
-  if (!in.begin_call(call.method) || !in.params(call.params) ||
-      !in.end_call()) {
-    return in.error();
-  }
-  return call;
-}
-
-std::string MethodResponse::serialize() const {
-  XrWriter out(kEnvelopeReserve);
-  if (is_fault) {
-    out.fault(fault.code, fault.message);
-  } else {
-    out.response(value);
-  }
-  return std::move(out).take();
-}
-
-Expected<MethodResponse> MethodResponse::parse(const std::string& xml) {
-  MethodResponse response;
-  XrReader in(xml);
-  if (!in.response(response)) return in.error();
-  return response;
 }
 
 }  // namespace sphinx::rpc

@@ -1,21 +1,23 @@
 #pragma once
 /// \file xmlrpc.hpp
-/// XML-RPC data model, the one wire writer and the one wire reader.
+/// The XML-RPC wire: the one writer and the one reader.
 ///
 /// The SPHINX client and server exchange GSI-enabled XML-RPC messages
-/// (paper Figure 1).  This implements the XML-RPC value system (int,
-/// double, boolean, string, array, struct), <methodCall> and
-/// <methodResponse> envelopes including <fault>.
+/// (paper Figure 1): <methodCall> and <methodResponse> envelopes, a
+/// response carrying one value or a <fault>, over the XML-RPC value
+/// system (int, double, boolean, string, array, struct).
 ///
-/// There is no document model.  Every envelope is written by an XrWriter
-/// straight into one string and read by an XrReader, a single pull pass
-/// over the bytes.  The three messages of a scheduling run -- plans,
-/// tracker reports and DAG submissions (core/codec.hpp) -- go straight
-/// between their structs and the bytes through these two: their encoders
-/// write members as literals, their decoders read members off the reader
-/// and skip (while still validating) any they do not know.  XrValue, the
-/// generic tree, remains for everything else: the cold calls' params
-/// (MethodCall), every reply (MethodResponse) and tests.
+/// There is no document model and no value tree.  Every envelope is
+/// written by an XrWriter straight into one string and read by an
+/// XrReader, a single pull pass over the bytes.  Each method's params and
+/// its reply go straight between their types and the bytes through these
+/// two: an encoder writes members as literals, a params decoder reads
+/// members off the reader and skips (while still validating) any it does
+/// not know, and a reply is one value that its method's reply writer
+/// writes and its reply reader reads back (clarens.hpp).  The generic
+/// tree codec this replaced lives on in tests/wire_reference.hpp as the
+/// reference of the differential tests, built on the reader's public
+/// piecewise API.
 ///
 /// The wire bytes are a contract: the client outbox journals payloads and
 /// the chaos digests hash those journals.  So the writer emits exactly the
@@ -23,8 +25,8 @@
 /// declaration, no whitespace between elements, `<tag/>` for an element
 /// with no content, the five predefined entities escaped, integers as
 /// `<i8>`, doubles as `%.17g`, and struct members in ascending byte order
-/// of their names (the order of XrValue::Struct, a std::map).  The reader
-/// accepts that form, `<tag></tag>` for `<tag/>`, layout whitespace
+/// of their names (the order a tree of std::map structs wrote).  The
+/// reader accepts that form, `<tag></tag>` for `<tag/>`, layout whitespace
 /// between elements, bare `<value>` text as a string and the
 /// `<i4>`/`<int>` tags.  It rejects everything else, including
 /// attributes, duplicate struct members, nesting deeper than
@@ -35,12 +37,9 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
-#include <variant>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -50,96 +49,12 @@ namespace sphinx::rpc {
 /// depth 1.  The deepest real message, a DAG, nests 5 deep.
 inline constexpr int kMaxValueDepth = 64;
 
-/// An XML-RPC value.  Arrays and structs nest arbitrarily.
-class XrValue {
- public:
-  using Array = std::vector<XrValue>;
-  using Struct = std::map<std::string, XrValue>;
-
-  XrValue() : data_(std::string{}) {}  ///< XML-RPC has no null; default ""
-  XrValue(std::int64_t v) : data_(v) {}
-  XrValue(int v) : data_(static_cast<std::int64_t>(v)) {}
-  XrValue(std::uint64_t v) : data_(static_cast<std::int64_t>(v)) {}
-  XrValue(double v) : data_(v) {}
-  XrValue(bool v) : data_(v) {}
-  XrValue(std::string v) : data_(std::move(v)) {}
-  XrValue(const char* v) : data_(std::string(v)) {}
-  XrValue(Array v) : data_(std::move(v)) {}
-  XrValue(Struct v) : data_(std::move(v)) {}
-
-  [[nodiscard]] bool is_int() const noexcept { return std::holds_alternative<std::int64_t>(data_); }
-  [[nodiscard]] bool is_double() const noexcept { return std::holds_alternative<double>(data_); }  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] bool is_bool() const noexcept { return std::holds_alternative<bool>(data_); }  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] bool is_string() const noexcept { return std::holds_alternative<std::string>(data_); }
-  [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
-  [[nodiscard]] bool is_struct() const noexcept { return std::holds_alternative<Struct>(data_); }
-
-  /// Typed accessors; throw AssertionError on type mismatch.  as_double()
-  /// accepts an int too.
-  [[nodiscard]] std::int64_t as_int() const;
-  [[nodiscard]] double as_double() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] bool as_bool() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-  [[nodiscard]] const Struct& as_struct() const;  // sphinx-lint-allow(test-only): tests/wire_reference.hpp decodes trees with it
-
-  /// Struct member access; throws if not a struct or key missing.
-  [[nodiscard]] const XrValue& at(const std::string& key) const;
-  /// The struct member `key`; nullptr if this is not a struct or has no
-  /// such member.
-  [[nodiscard]] const XrValue* find(const std::string& key) const;
-
-  friend bool operator==(const XrValue& a, const XrValue& b) noexcept {
-    return a.data_ == b.data_;
-  }
-
- private:
-  std::variant<std::int64_t, double, bool, std::string, Array, Struct> data_;
-};
-
-/// A <methodCall>.
-struct MethodCall {
-  std::string method;
-  std::vector<XrValue> params;
-
-  [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Expected<MethodCall> parse(const std::string& xml);
-};
-
-/// XML-RPC fault payload.
-struct Fault {
-  std::int64_t code = 0;
-  std::string message;
-};
-
-/// A <methodResponse>: either one return value or a fault.
-struct MethodResponse {
-  XrValue value;
-  bool is_fault = false;
-  Fault fault;
-
-  [[nodiscard]] static MethodResponse success(XrValue v) {
-    MethodResponse r;
-    r.value = std::move(v);
-    return r;
-  }
-  [[nodiscard]] static MethodResponse failure(std::int64_t code,
-                                              std::string message) {
-    MethodResponse r;
-    r.is_fault = true;
-    r.fault = Fault{code, std::move(message)};
-    return r;
-  }
-
-  [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Expected<MethodResponse> parse(const std::string& xml);
-};
-
 /// Writes one envelope in the compact wire form.  A call is begin_call(),
 /// then per param begin_param(), one value and end_param(), then
-/// end_call(); take() hands over the bytes.  A struct is begin_struct(),
-/// its members in ascending name order, end_struct(); an array is
-/// begin_array(), its items, end_array(), or empty_array().
+/// end_call(); a reply is begin_response(), one value, end_response(), or
+/// a whole fault(); take() hands over the bytes.  A struct is
+/// begin_struct(), its members in ascending name order, end_struct(); an
+/// array is begin_array(), its items, end_array().
 class XrWriter {
  public:
   /// Starts the document, with room for about `reserve` bytes.
@@ -150,23 +65,24 @@ class XrWriter {
   void end_param() { out_ += "</param>"; }
   /// `<params/>` when no param was written.
   void end_call();
-  /// A whole `<methodResponse>` carrying `value`.
-  void response(const XrValue& value);
+  void begin_response() { out_ += "<methodResponse><params><param>"; }
+  void end_response() { out_ += "</param></params></methodResponse>"; }
   /// A whole `<methodResponse>` carrying a fault.
   void fault(std::int64_t code, std::string_view message);
 
-  /// Any value, as its tree says.
-  void value(const XrValue& v);
   void int_value(std::int64_t v);
   void double_value(double v);
+  void bool_value(bool v);
   void string_value(std::string_view v);
   void begin_struct() { out_ += "<value><struct>"; }
-  void end_struct() { out_ += "</struct></value>"; }
+  /// `<struct/>` when no member was written.
+  void end_struct();
   void begin_array() { out_ += "<value><array><data>"; }
-  void end_array() { out_ += "</data></array></value>"; }
-  void empty_array() { out_ += "<value><array><data/></array></value>"; }
-  /// `<member><name>name</name>`.  `name` is written as is, so it must
-  /// need no escaping; the member's value follows, then end_member().
+  /// `<data/>` when no item was written.
+  void end_array();
+  /// `<member><name>name</name>`, or `<name/>` when `name` is empty.
+  /// `name` is written as is, so it must need no escaping; the member's
+  /// value follows, then end_member().
   void begin_member(std::string_view name);
   void end_member() { out_ += "</member>"; }
 
@@ -179,7 +95,6 @@ class XrWriter {
   [[nodiscard]] std::string take() && { return std::move(out_); }
 
  private:
-  void bool_value(bool v);
   void text_element(std::string_view tag, std::string_view text);
   void int_digits(std::int64_t v);
   void double_digits(double v);
@@ -205,12 +120,12 @@ enum class XrType : std::uint8_t {
 ///
 /// A value is read piecewise: open() reads a scalar whole and makes its
 /// content available (integer(), real(), boolean(), text()), or enters an
-/// array or a struct, whose items() or known_members() must follow (or
-/// skip_open(), to validate and discard them).  read() builds an XrValue
-/// from these, and skip() validates one and keeps nothing.  Whichever
-/// way a value is read, every check -- duplicate members, depth,
-/// entities, whole-field numbers -- runs at the same place, so a typed
-/// decoder fails exactly where, and with what, the tree reader fails.
+/// array or a struct, whose items(), known_members() or each_member()
+/// must follow (or skip_open(), to validate and discard them); skip()
+/// validates a whole value and keeps nothing.  Whichever way a value is
+/// read, every check -- duplicate members, depth, entities, whole-field
+/// numbers -- runs at the same place, so a typed decoder fails exactly
+/// where, and with what, any other reader of the same bytes fails.
 class XrReader {
  public:
   explicit XrReader(std::string_view in) noexcept : in_(in) {}
@@ -226,12 +141,17 @@ class XrReader {
   /// one value at depth 1.
   template <typename F>
   bool each_param(F&& read);
-  /// Every param as an XrValue (the generic params decoder).
-  bool params(std::vector<XrValue>& out);
   /// Reads `</methodCall>`; only whitespace may follow it.
   bool end_call() { return end("methodCall"); }
-  /// A whole `<methodResponse>`.
-  bool response(MethodResponse& out);
+
+  /// Reads the optional declaration and `<methodResponse>`, then either a
+  /// whole `<fault>` -- `fault` set, its int faultCode in `code` and its
+  /// string faultString in `message` -- or `<params><param>`, which
+  /// leaves the response's one value (depth 1) to read next.
+  bool begin_response(bool& fault, std::int64_t& code, std::string& message);
+  /// Reads what follows: `</param></params>` after the value, then
+  /// `</methodResponse>`; only whitespace may follow it.
+  bool end_response();
 
   /// Opens the `<value>` at nesting `depth` and says what it holds.
   bool open(int depth, XrType& type);
@@ -251,13 +171,17 @@ class XrReader {
   template <std::size_t N, typename F>
   bool known_members(int depth, const std::array<std::string_view, N>& known,
                      F&& read);
+  /// Calls `read(name)` for each member of the struct open() entered,
+  /// which reads that member's value (at the struct's depth + 1); a
+  /// repeated name fails before `read` runs.  `name` is valid until
+  /// `read` reads on.  Closes the value.
+  template <typename F>
+  bool each_member(F&& read);  // sphinx-lint-allow(test-only): the tree reader of tests/wire_reference.hpp walks structs with it
   /// Validates and discards what is left of a value open() opened at
   /// `depth` (nothing, for a scalar).
   bool skip_open(XrType type, int depth);
   /// Validates and discards one whole value.
   bool skip(int depth);
-  /// One whole value as a tree.
-  bool read(int depth, XrValue& out);
 
  private:
   /// Names of struct members a reader did not look up, for the
@@ -340,7 +264,6 @@ class XrReader {
                    std::string_view& out);
   bool member_name(std::string_view& name);
   bool text_element(std::string_view tag, std::string& out);
-  bool inner_value(std::string_view tag, XrValue& out);
   bool close_value() {
     skip_ws();
     return close("value");
@@ -349,7 +272,7 @@ class XrReader {
   std::string_view in_;
   std::size_t pos_ = 0;
   bool empty_ = false;   ///< just opened a `<tag/>`; its close is implied
-  bool params_ = false;  ///< `<params>` is open
+  bool params_ = false;  ///< `<params>` is open (a call's, or a reply's)
   std::int64_t integer_ = 0;
   double real_ = 0.0;
   bool boolean_ = false;
@@ -395,6 +318,14 @@ bool XrReader::members(F&& read) {
     skip_ws();
   }
   return close_value();
+}
+
+template <typename F>
+bool XrReader::each_member(F&& read) {
+  NameSet seen;
+  return members([&](std::string_view name) {
+    return seen.emplace(name).second ? read(name) : duplicate(name);
+  });
 }
 
 template <std::size_t N, typename F>

@@ -43,21 +43,21 @@ workflow::Dag sample_dag() {
 
 /// The typed decoders' view of a tree param: the call is written from
 /// the tree and read back the way the service reads it.
-Expected<workflow::Dag> dag_from(const rpc::XrValue& dag) {
+Expected<workflow::Dag> dag_from(const tree::XrValue& dag) {
   auto submission = tree::typed_decode(
       tree::call_bytes("sphinx.submit_dag",
-                       {rpc::XrValue("client"), rpc::XrValue(1), dag}),
+                       {tree::XrValue("client"), tree::XrValue(1), dag}),
       &decode_dag);
   if (!submission) return Unexpected<Error>{submission.error()};
   return std::move(submission->dag);
 }
 
-Expected<ExecutionPlan> plan_from(const rpc::XrValue& plan) {
+Expected<ExecutionPlan> plan_from(const tree::XrValue& plan) {
   return tree::typed_decode(
       tree::call_bytes("sphinx_client.execute_plan", {plan}), &decode_plan);
 }
 
-Expected<TrackerReport> report_from(const rpc::XrValue& report) {
+Expected<TrackerReport> report_from(const tree::XrValue& report) {
   return tree::typed_decode(tree::call_bytes("sphinx.report", {report}),
                             &decode_report);
 }
@@ -106,7 +106,7 @@ TEST(DagCodec, GeneratedWorkloadRoundTrips) {
 /// Whether `decode` refuses `value` with an error.  A throw is not a
 /// refusal: malformed wire input must never reach a precondition.
 template <typename Decode>
-bool refuses(const Decode& decode, const rpc::XrValue& value) {
+bool refuses(const Decode& decode, const tree::XrValue& value) {
   try {
     return !decode(value).has_value();
   } catch (const std::exception&) {
@@ -115,65 +115,65 @@ bool refuses(const Decode& decode, const rpc::XrValue& value) {
 }
 
 /// `encoded` with job `index`'s member `key` set to `value`.
-rpc::XrValue with_job_member(const rpc::XrValue& encoded, std::size_t index,
-                             const std::string& key, rpc::XrValue value) {
+tree::XrValue with_job_member(const tree::XrValue& encoded, std::size_t index,
+                             const std::string& key, tree::XrValue value) {
   auto root = encoded.as_struct();
   auto jobs = root.at("jobs").as_array();
   auto job = jobs.at(index).as_struct();
   job[key] = std::move(value);
-  jobs[index] = rpc::XrValue(std::move(job));
-  root["jobs"] = rpc::XrValue(std::move(jobs));
-  return rpc::XrValue(std::move(root));
+  jobs[index] = tree::XrValue(std::move(job));
+  root["jobs"] = tree::XrValue(std::move(jobs));
+  return tree::XrValue(std::move(root));
 }
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(DagCodec, RejectsMalformedPayloads) {
-  EXPECT_FALSE(dag_from(rpc::XrValue("not a struct")).has_value());
-  rpc::XrValue::Struct incomplete;
-  incomplete.emplace("dag_id", rpc::XrValue(1));
-  EXPECT_FALSE(dag_from(rpc::XrValue(std::move(incomplete))).has_value());
+  EXPECT_FALSE(dag_from(tree::XrValue("not a struct")).has_value());
+  tree::XrValue::Struct incomplete;
+  incomplete.emplace("dag_id", tree::XrValue(1));
+  EXPECT_FALSE(dag_from(tree::XrValue(std::move(incomplete))).has_value());
 
-  const rpc::XrValue encoded = tree::encode_dag(sample_dag());
-  const auto decode = [](const rpc::XrValue& v) { return dag_from(v); };
+  const tree::XrValue encoded = tree::encode_dag(sample_dag());
+  const auto decode = [](const tree::XrValue& v) { return dag_from(v); };
   // Job 1 (id 101) has no children, so only its own id is at fault.
   for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-5}}) {
     EXPECT_TRUE(refuses(decode, with_job_member(encoded, 1, "job_id",
-                                                rpc::XrValue(bad))))
+                                                tree::XrValue(bad))))
         << "job id " << bad;
   }
   EXPECT_TRUE(refuses(decode, with_job_member(encoded, 1, "job_id",
-                                              rpc::XrValue(100))))
+                                              tree::XrValue(100))))
       << "repeated job id";
   EXPECT_TRUE(refuses(decode,
                       with_job_member(encoded, 1, "parents",
-                                      rpc::XrValue(rpc::XrValue::Array{
-                                          rpc::XrValue(101)}))))
+                                      tree::XrValue(tree::XrValue::Array{
+                                          tree::XrValue(101)}))))
       << "self edge";
   for (const char* key : {"compute_time", "output_bytes"}) {
     for (const double bad : {-60.0, kNan, kInf}) {
       EXPECT_TRUE(
-          refuses(decode, with_job_member(encoded, 0, key, rpc::XrValue(bad))))
+          refuses(decode, with_job_member(encoded, 0, key, tree::XrValue(bad))))
           << key << " = " << bad;
     }
   }
   // Zero is a legal duration and size.
   EXPECT_TRUE(dag_from(with_job_member(encoded, 0, "compute_time",
-                                       rpc::XrValue(0.0)))
+                                       tree::XrValue(0.0)))
                   .has_value());
 }
 
 TEST(DagCodec, RejectsEdgeToUnknownParent) {
-  rpc::XrValue encoded = tree::encode_dag(sample_dag());
+  tree::XrValue encoded = tree::encode_dag(sample_dag());
   // Corrupt: point job 101's parent at a nonexistent id.
   auto root = encoded.as_struct();
   auto jobs = root.at("jobs").as_array();
   auto job1 = jobs.at(1).as_struct();
-  job1["parents"] = rpc::XrValue(rpc::XrValue::Array{rpc::XrValue(999)});
-  jobs[1] = rpc::XrValue(std::move(job1));
-  root["jobs"] = rpc::XrValue(std::move(jobs));
-  EXPECT_FALSE(dag_from(rpc::XrValue(std::move(root))).has_value());
+  job1["parents"] = tree::XrValue(tree::XrValue::Array{tree::XrValue(999)});
+  jobs[1] = tree::XrValue(std::move(job1));
+  root["jobs"] = tree::XrValue(std::move(jobs));
+  EXPECT_FALSE(dag_from(tree::XrValue(std::move(root))).has_value());
 }
 
 TEST(PlanCodec, RoundTrip) {
@@ -213,10 +213,10 @@ TEST(PlanCodec, EmptyInputsOk) {
 }
 
 TEST(PlanCodec, RejectsMissingMembers) {
-  EXPECT_FALSE(plan_from(rpc::XrValue(5)).has_value());
-  rpc::XrValue::Struct s;
-  s.emplace("job_id", rpc::XrValue(1));
-  EXPECT_FALSE(plan_from(rpc::XrValue(std::move(s))).has_value());
+  EXPECT_FALSE(plan_from(tree::XrValue(5)).has_value());
+  tree::XrValue::Struct s;
+  s.emplace("job_id", tree::XrValue(1));
+  EXPECT_FALSE(plan_from(tree::XrValue(std::move(s))).has_value());
 }
 
 TEST(PlanCodec, RejectsNonNumericBatchPriority) {
@@ -226,9 +226,9 @@ TEST(PlanCodec, RejectsNonNumericBatchPriority) {
   plan.job_name = "x";
   plan.site = SiteId(1);
   auto s = tree::encode_plan(plan).as_struct();
-  s["batch_priority"] = rpc::XrValue("high");
+  s["batch_priority"] = tree::XrValue("high");
   Expected<ExecutionPlan> decoded = plan;
-  EXPECT_NO_THROW(decoded = plan_from(rpc::XrValue(std::move(s))));
+  EXPECT_NO_THROW(decoded = plan_from(tree::XrValue(std::move(s))));
   EXPECT_FALSE(decoded.has_value());
 }
 
@@ -238,11 +238,11 @@ TEST(PlanCodec, RejectsNegativeOrNonFiniteComputeTime) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  const auto decode = [](const rpc::XrValue& v) { return plan_from(v); };
+  const auto decode = [](const tree::XrValue& v) { return plan_from(v); };
   for (const double bad : {-60.0, kNan, kInf}) {
     auto s = tree::encode_plan(plan).as_struct();
-    s["compute_time"] = rpc::XrValue(bad);
-    EXPECT_TRUE(refuses(decode, rpc::XrValue(std::move(s))))
+    s["compute_time"] = tree::XrValue(bad);
+    EXPECT_TRUE(refuses(decode, tree::XrValue(std::move(s))))
         << "compute_time = " << bad;
   }
 }
@@ -254,11 +254,11 @@ TEST(PlanCodec, RejectsNegativeOrNonFiniteOutputOrInputBytes) {
   plan.job_name = "x";
   plan.site = SiteId(1);
   plan.inputs = {{"lfn://a", SiteId(1), 12e6}, {"lfn://b", SiteId(2), 7e6}};
-  const auto decode = [](const rpc::XrValue& v) { return plan_from(v); };
+  const auto decode = [](const tree::XrValue& v) { return plan_from(v); };
   for (const double bad : {-5.0, kNan, kInf}) {
     auto s = tree::encode_plan(plan).as_struct();
-    s["output_bytes"] = rpc::XrValue(bad);
-    EXPECT_TRUE(refuses(decode, rpc::XrValue(std::move(s))))
+    s["output_bytes"] = tree::XrValue(bad);
+    EXPECT_TRUE(refuses(decode, tree::XrValue(std::move(s))))
         << "output_bytes = " << bad;
     ExecutionPlan bad_input = plan;
     bad_input.inputs[1].bytes = bad;
@@ -302,8 +302,8 @@ TEST(ReportCodec, RejectsUnknownKind) {
   TrackerReport report;
   report.attempt = 1;
   auto s = tree::encode_report(report).as_struct();
-  s["kind"] = rpc::XrValue("exploded");
-  EXPECT_FALSE(report_from(rpc::XrValue(std::move(s))).has_value());
+  s["kind"] = tree::XrValue("exploded");
+  EXPECT_FALSE(report_from(tree::XrValue(std::move(s))).has_value());
 }
 
 TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
@@ -312,11 +312,11 @@ TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
   report.kind = ReportKind::kCompleted;
   report.site = SiteId(4);
   report.attempt = 1;
-  const auto decode = [](const rpc::XrValue& v) { return report_from(v); };
+  const auto decode = [](const tree::XrValue& v) { return report_from(v); };
   const auto with = [&](const std::string& key, double value) {
     auto s = tree::encode_report(report).as_struct();
-    s[key] = rpc::XrValue(value);
-    return rpc::XrValue(std::move(s));
+    s[key] = tree::XrValue(value);
+    return tree::XrValue(std::move(s));
   };
   for (const double bad : {-1.0, kNan, kInf}) {
     EXPECT_TRUE(refuses(decode, with("completion_time", bad)))
@@ -327,36 +327,36 @@ TEST(ReportCodec, RejectsNegativeOrNonFiniteCompletionTimeAndNanTime) {
 
 /// Attempt numbers a decoder must refuse: missing, mistyped, zero,
 /// negative, or wider than int (4294967297 would truncate to 1).
-std::vector<std::optional<rpc::XrValue>> bad_attempts() {
+std::vector<std::optional<tree::XrValue>> bad_attempts() {
   return {std::nullopt,
-          rpc::XrValue("x"),
-          rpc::XrValue(1.0),
-          rpc::XrValue(0),
-          rpc::XrValue(-3),
-          rpc::XrValue(std::int64_t{4294967297}),
-          rpc::XrValue(std::int64_t{std::numeric_limits<int>::max()} + 1)};
+          tree::XrValue("x"),
+          tree::XrValue(1.0),
+          tree::XrValue(0),
+          tree::XrValue(-3),
+          tree::XrValue(std::int64_t{4294967297}),
+          tree::XrValue(std::int64_t{std::numeric_limits<int>::max()} + 1)};
 }
 
 /// `encoded` with its attempt member replaced (or dropped when empty).
-rpc::XrValue with_attempt(const rpc::XrValue& encoded,
-                          const std::optional<rpc::XrValue>& attempt) {
+tree::XrValue with_attempt(const tree::XrValue& encoded,
+                          const std::optional<tree::XrValue>& attempt) {
   auto s = encoded.as_struct();
   s.erase("attempt");
   if (attempt.has_value()) s.emplace("attempt", *attempt);
-  return rpc::XrValue(std::move(s));
+  return tree::XrValue(std::move(s));
 }
 
 TEST(ReportCodec, AttemptIsRequiredAndInRange) {
   TrackerReport report;
   report.job = JobId(9);
   report.site = SiteId(4);
-  const rpc::XrValue encoded = tree::encode_report(report);
+  const tree::XrValue encoded = tree::encode_report(report);
   for (const auto& attempt : bad_attempts()) {
     EXPECT_FALSE(report_from(with_attempt(encoded, attempt)).has_value());
   }
   for (const int attempt : {1, std::numeric_limits<int>::max()}) {
     const auto decoded =
-        report_from(with_attempt(encoded, rpc::XrValue(attempt)));
+        report_from(with_attempt(encoded, tree::XrValue(attempt)));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->attempt, attempt);
   }
@@ -368,13 +368,13 @@ TEST(PlanCodec, AttemptIsRequiredAndInRange) {
   plan.dag = DagId(1);
   plan.job_name = "x";
   plan.site = SiteId(1);
-  const rpc::XrValue encoded = tree::encode_plan(plan);
+  const tree::XrValue encoded = tree::encode_plan(plan);
   for (const auto& attempt : bad_attempts()) {
     EXPECT_FALSE(plan_from(with_attempt(encoded, attempt)).has_value());
   }
   for (const int attempt : {1, std::numeric_limits<int>::max()}) {
     const auto decoded =
-        plan_from(with_attempt(encoded, rpc::XrValue(attempt)));
+        plan_from(with_attempt(encoded, tree::XrValue(attempt)));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->attempt, attempt);
   }

@@ -34,12 +34,12 @@ class RawCaller {
         engine_(scenario.engine()) {}
 
   /// Synchronous-style call: runs the engine until the response arrives.
-  Expected<rpc::XrValue> call(const std::string& service,
+  Expected<tree::XrValue> call(const std::string& service,
                               const std::string& method,
-                              std::vector<rpc::XrValue> params) {
-    std::optional<Expected<rpc::XrValue>> result;
+                              std::vector<tree::XrValue> params) {
+    std::optional<Expected<tree::XrValue>> result;
     client_.call(service, tree::call_bytes(method, std::move(params)),
-                 [&result](Expected<rpc::XrValue> r) {
+                 &tree::any_reply, [&result](Expected<tree::XrValue> r) {
                    result = std::move(r);
                  });
     while (!result.has_value() && engine_.step()) {
@@ -72,7 +72,7 @@ TEST(ServerProtocol, RejectsUnknownVo) {
   scenario.add_tenant("t", TenantOptions{});
   RawCaller caller(scenario, vo_proxy("intruders"));
   const auto result =
-      caller.call("sphinx-server/t", "sphinx.report", {rpc::XrValue(1)});
+      caller.call("sphinx-server/t", "sphinx.report", {tree::XrValue(1)});
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, "fault:3");  // authorization denied
 }
@@ -83,13 +83,13 @@ TEST(ServerProtocol, RejectsMalformedSubmit) {
   RawCaller caller(scenario, vo_proxy("uscms"));
   // Wrong arity.
   auto r = caller.call("sphinx-server/t", "sphinx.submit_dag",
-                       {rpc::XrValue("client")});
+                       {tree::XrValue("client")});
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, "fault:100");
   // Garbage dag payload.
   r = caller.call("sphinx-server/t", "sphinx.submit_dag",
-                  {rpc::XrValue("client"), rpc::XrValue(1),
-                   rpc::XrValue("not a dag")});
+                  {tree::XrValue("client"), tree::XrValue(1),
+                   tree::XrValue("not a dag")});
   ASSERT_FALSE(r.has_value());
   // Non-numeric priority.
   workflow::Dag dag(DagId(1), "x");
@@ -99,8 +99,8 @@ TEST(ServerProtocol, RejectsMalformedSubmit) {
   job.output = "lfn://x";
   dag.add_job(job);
   r = caller.call("sphinx-server/t", "sphinx.submit_dag",
-                  {rpc::XrValue("client"), rpc::XrValue(1),
-                   tree::encode_dag(dag), rpc::XrValue("high")});
+                  {tree::XrValue("client"), tree::XrValue(1),
+                   tree::encode_dag(dag), tree::XrValue("high")});
   ASSERT_FALSE(r.has_value());
 }
 
@@ -131,8 +131,8 @@ TEST(ServerProtocol, SubmitReturnsDagIdAndStoresPriority) {
   job.output = "lfn://raw-out";
   dag.add_job(job);
   const auto r = caller.call("sphinx-server/t", "sphinx.submit_dag",
-                             {rpc::XrValue("raw-caller"), rpc::XrValue(5),
-                              tree::encode_dag(dag), rpc::XrValue(3.5)});
+                             {tree::XrValue("raw-caller"), tree::XrValue(5),
+                              tree::encode_dag(dag), tree::XrValue(3.5)});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->as_int(), 77);
   const auto record = tenant.server->warehouse().dag(DagId(77));
@@ -420,12 +420,12 @@ TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
   RawCaller caller(scenario,
                    rpc::Proxy(rpc::Identity{"/CN=server"}, "ivdgl",
                               {}, 0.0, hours(24)));
-  for (const rpc::XrValue& attempt :
-       {rpc::XrValue(std::int64_t{4294967297}), rpc::XrValue(0),
-        rpc::XrValue(-3), rpc::XrValue("1")}) {
+  for (const tree::XrValue& attempt :
+       {tree::XrValue(std::int64_t{4294967297}), tree::XrValue(0),
+        tree::XrValue(-3), tree::XrValue("1")}) {
     const auto r = caller.call(
         "sphinx-client/t", "sphinx_client.cancel_attempt",
-        {rpc::XrValue(live.front().id.value()), attempt});
+        {tree::XrValue(live.front().id.value()), attempt});
     EXPECT_FALSE(r.has_value());
   }
   EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels",
@@ -444,11 +444,11 @@ TEST(ClientProtocol, RejectsBogusPlans) {
                               {}, 0.0, hours(24)));
   // Not a plan at all.
   auto r = caller.call("sphinx-client/t", "sphinx_client.execute_plan",
-                       {rpc::XrValue("junk")});
+                       {tree::XrValue("junk")});
   EXPECT_FALSE(r.has_value());
   // dag_done for a dag this client never submitted.
   r = caller.call("sphinx-client/t", "sphinx_client.dag_done",
-                  {rpc::XrValue(424242), rpc::XrValue(1.0)});
+                  {tree::XrValue(424242), tree::XrValue(1.0)});
   EXPECT_FALSE(r.has_value());
 }
 
@@ -527,16 +527,14 @@ class RedeliveryFixture : public ::testing::Test {
     return delivery;
   }
 
-  /// Delivers one call twice under one call_seq and expects the second
-  /// delivery to change nothing.
+  /// Delivers the call `request` twice under one call_seq and expects
+  /// the second delivery to change nothing.
   void twice(const std::string& to, const rpc::Proxy& proxy,
-             const std::string& method, std::vector<rpc::XrValue> params) {
-    const std::string request =
-        rpc::MethodCall{method, std::move(params)}.serialize();
+             const std::string& request) {
     ++seq;
     const Delivery first = deliver(to, proxy, request, seq);
     const Delivery again = deliver(to, proxy, request, seq);
-    const auto response = rpc::MethodResponse::parse(first.reply);
+    const auto response = tree::MethodResponse::parse(first.reply);
     ASSERT_TRUE(response.has_value());
     EXPECT_FALSE(response->is_fault) << first.reply;
     EXPECT_EQ(again.reply, first.reply);
@@ -553,7 +551,7 @@ class RedeliveryFixture : public ::testing::Test {
     report.completion_time = 60.0;
     report.execution_time = 60.0;
     report.attempt = 1;
-    twice(server, user, "sphinx.report", {tree::encode_report(report)});
+    twice(server, user, core::encode_report(report));
   }
 
   core::ExecutionPlan plan_for(std::uint64_t job) {
@@ -584,9 +582,8 @@ TEST_F(RedeliveryFixture, SubmitDag) {
   job.name = "j";
   job.output = "lfn://resent.out";
   dag.add_job(job);
-  twice(server, user, "sphinx.submit_dag",
-        {rpc::XrValue("raw-caller"), rpc::XrValue(5), tree::encode_dag(dag),
-         rpc::XrValue(1.5)});
+  twice(server, user,
+        core::encode_dag("raw-caller", UserId(5), dag, 1.5, kNever));
   EXPECT_TRUE(warehouse().dag(DagId(2)).has_value());
   EXPECT_EQ(count(scenario, tenant, "server.dags_received"), 2u);
   EXPECT_EQ(count(scenario, tenant, "server.duplicate_dags"), 1u);
@@ -607,8 +604,7 @@ TEST_F(RedeliveryFixture, ReportOfEveryKind) {
 
 TEST_F(RedeliveryFixture, ExecutePlan) {
   ASSERT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
-  twice(client, host, "sphinx_client.execute_plan",
-        {tree::encode_plan(plan_for(14))});
+  twice(client, host, core::encode_plan(plan_for(14)));
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 1u);
   EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 1u);
   // The first delivery ran the job and its reports reached the server.
@@ -616,8 +612,8 @@ TEST_F(RedeliveryFixture, ExecutePlan) {
 }
 
 TEST_F(RedeliveryFixture, DagDone) {
-  twice(client, host, "sphinx_client.dag_done",
-        {rpc::XrValue(1), rpc::XrValue(scenario.engine().now())});
+  twice(client, host,
+        core::encode_dag_done(DagId(1), scenario.engine().now()));
   EXPECT_EQ(tenant.client->dags_finished(), 1u);
   EXPECT_EQ(scenario.recorder().counter("tracker.duplicate_dag_done", client),
             1u);
@@ -628,13 +624,9 @@ TEST_F(RedeliveryFixture, CancelAttempt) {
   // as soon as the client has acknowledged its plan.
   core::ExecutionPlan plan = plan_for(13);
   plan.compute_time = hours(10);
-  deliver(client, host,
-          rpc::MethodCall{"sphinx_client.execute_plan", {tree::encode_plan(plan)}}
-              .serialize(),
-          ++seq, /*settle=*/false);
+  deliver(client, host, core::encode_plan(plan), ++seq, /*settle=*/false);
   ASSERT_EQ(tenant.client->tracked_jobs(), 1u);
-  twice(client, host, "sphinx_client.cancel_attempt",
-        {rpc::XrValue(13), rpc::XrValue(1)});
+  twice(client, host, core::encode_cancel_attempt(JobId(13), 1));
   EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels", client), 1u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(tenant.gateway->state_of(JobId(13), 1),
@@ -650,22 +642,19 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 /// of the bus delivery by a precondition further in.
 class RefusalFixture : public RedeliveryFixture {
  protected:
-  /// Delivers `method(params)` once and expects a fault reply, with the
-  /// server's journal and the trace (bus deliveries aside) unchanged.
+  /// Delivers the call `request` once and expects a fault reply, with
+  /// the server's journal and the trace (bus deliveries aside) unchanged.
   void refused(const std::string& to, const rpc::Proxy& proxy,
-               const std::string& method, std::vector<rpc::XrValue> params,
-               const std::string& what) {
+               const std::string& request, const std::string& what) {
     const std::string journal = warehouse().journal().serialize();
     Delivery delivery;
     try {
-      delivery = deliver(
-          to, proxy, rpc::MethodCall{method, std::move(params)}.serialize(),
-          ++seq);
+      delivery = deliver(to, proxy, request, ++seq);
     } catch (const std::exception& error) {
       ADD_FAILURE() << what << ": threw " << error.what();
       return;
     }
-    const auto response = rpc::MethodResponse::parse(delivery.reply);
+    const auto response = tree::MethodResponse::parse(delivery.reply);
     ASSERT_TRUE(response.has_value()) << what;
     EXPECT_TRUE(response->is_fault) << what << ": " << delivery.reply;
     EXPECT_EQ(delivery.journal, journal) << what;
@@ -673,7 +662,7 @@ class RefusalFixture : public RedeliveryFixture {
   }
 
   /// A well-formed two-job chain, DAG 3, in wire form.
-  static rpc::XrValue chain() {
+  static tree::XrValue chain() {
     workflow::Dag dag(DagId(3), "chain");
     workflow::JobSpec first;
     first.id = JobId(31);
@@ -691,22 +680,24 @@ class RefusalFixture : public RedeliveryFixture {
   }
 
   /// chain() with job `index`'s member `key` replaced.
-  static rpc::XrValue chain_with(std::size_t index, const std::string& key,
-                                 rpc::XrValue value) {
+  static tree::XrValue chain_with(std::size_t index, const std::string& key,
+                                 tree::XrValue value) {
     auto root = chain().as_struct();
     auto jobs = root.at("jobs").as_array();
     auto job = jobs.at(index).as_struct();
     job[key] = std::move(value);
-    jobs[index] = rpc::XrValue(std::move(job));
-    root["jobs"] = rpc::XrValue(std::move(jobs));
-    return rpc::XrValue(std::move(root));
+    jobs[index] = tree::XrValue(std::move(job));
+    root["jobs"] = tree::XrValue(std::move(jobs));
+    return tree::XrValue(std::move(root));
   }
 
-  void refused_submit(rpc::XrValue dag, double priority, double deadline,
+  void refused_submit(tree::XrValue dag, double priority, double deadline,
                       const std::string& what) {
-    refused(server, user, "sphinx.submit_dag",
-            {rpc::XrValue("raw-caller"), rpc::XrValue(5), std::move(dag),
-             rpc::XrValue(priority), rpc::XrValue(deadline)},
+    refused(server, user,
+            tree::call_bytes("sphinx.submit_dag",
+                             {tree::XrValue("raw-caller"), tree::XrValue(5),
+                              std::move(dag), tree::XrValue(priority),
+                              tree::XrValue(deadline)}),
             what);
   }
 };
@@ -719,8 +710,7 @@ TEST_F(RefusalFixture, ReportWithBadCompletionTimeOrNanTime) {
   report.at = scenario.engine().now();
   report.attempt = 1;
   const auto refused_report = [&](const std::string& what) {
-    refused(server, user, "sphinx.report", {tree::encode_report(report)},
-            what);
+    refused(server, user, core::encode_report(report), what);
   };
   for (const double bad : {-1.0, kNan}) {
     report.completion_time = bad;
@@ -736,21 +726,21 @@ TEST_F(RefusalFixture, ReportWithBadCompletionTimeOrNanTime) {
 
 TEST_F(RefusalFixture, SubmitWithBadJobNumbers) {
   for (const double bad : {-60.0, kNan}) {
-    refused_submit(chain_with(0, "compute_time", rpc::XrValue(bad)), 0.0,
+    refused_submit(chain_with(0, "compute_time", tree::XrValue(bad)), 0.0,
                    kNever, "compute_time " + std::to_string(bad));
-    refused_submit(chain_with(0, "output_bytes", rpc::XrValue(bad)), 0.0,
+    refused_submit(chain_with(0, "output_bytes", tree::XrValue(bad)), 0.0,
                    kNever, "output_bytes " + std::to_string(bad));
   }
   EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
 }
 
 TEST_F(RefusalFixture, SubmitWithBadDagShape) {
-  refused_submit(chain_with(0, "job_id", rpc::XrValue(0)), 0.0, kNever,
+  refused_submit(chain_with(0, "job_id", tree::XrValue(0)), 0.0, kNever,
                  "job id 0");
-  refused_submit(chain_with(1, "job_id", rpc::XrValue(31)), 0.0, kNever,
+  refused_submit(chain_with(1, "job_id", tree::XrValue(31)), 0.0, kNever,
                  "repeated job id");
   refused_submit(chain_with(1, "parents",
-                            rpc::XrValue(rpc::XrValue::Array{rpc::XrValue(32)})),
+                            tree::XrValue(tree::XrValue::Array{tree::XrValue(32)})),
                  0.0, kNever, "self edge");
   EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
 }
@@ -765,8 +755,8 @@ TEST_F(RefusalFixture, PlanWithBadComputeTime) {
   for (const double bad : {-60.0, kNan}) {
     core::ExecutionPlan plan = plan_for(14);
     plan.compute_time = bad;
-    refused(client, host, "sphinx_client.execute_plan",
-            {tree::encode_plan(plan)}, "compute_time " + std::to_string(bad));
+    refused(client, host, core::encode_plan(plan),
+            "compute_time " + std::to_string(bad));
   }
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
 }
@@ -775,13 +765,13 @@ TEST_F(RefusalFixture, PlanWithBadInputOrOutputBytes) {
   for (const double bad : {-5.0, kNan}) {
     core::ExecutionPlan plan = plan_for(14);
     plan.output_bytes = bad;
-    refused(client, host, "sphinx_client.execute_plan",
-            {tree::encode_plan(plan)}, "output_bytes " + std::to_string(bad));
+    refused(client, host, core::encode_plan(plan),
+            "output_bytes " + std::to_string(bad));
     plan = plan_for(14);
     plan.inputs = {{"lfn://redelivery/11", SiteId(1), 1e6},
                    {"lfn://redelivery/12", SiteId(1), bad}};
-    refused(client, host, "sphinx_client.execute_plan",
-            {tree::encode_plan(plan)}, "input bytes " + std::to_string(bad));
+    refused(client, host, core::encode_plan(plan),
+            "input bytes " + std::to_string(bad));
   }
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
@@ -790,8 +780,7 @@ TEST_F(RefusalFixture, PlanWithBadInputOrOutputBytes) {
 TEST_F(RefusalFixture, PlanForUnknownSite) {
   core::ExecutionPlan plan = plan_for(14);
   plan.site = SiteId(999);
-  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
-          "site 999");
+  refused(client, host, core::encode_plan(plan), "site 999");
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   // The refusal recorded nothing: the same (job, attempt) at a real site
@@ -804,8 +793,7 @@ TEST_F(RefusalFixture, PlanWithUnknownInputSource) {
   // the grid does not have.
   core::ExecutionPlan plan = plan_for(14);
   plan.inputs = {{"lfn://refusal/in", SiteId(999), 1e6}};
-  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
-          "site 999");
+  refused(client, host, core::encode_plan(plan), "site 999");
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);
@@ -817,8 +805,7 @@ TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
   core::ExecutionPlan plan = plan_for(14);
   plan.persist_output = true;
   plan.persistent_site = SiteId(999);
-  refused(client, host, "sphinx_client.execute_plan", {tree::encode_plan(plan)},
-          "persistent site 999");
+  refused(client, host, core::encode_plan(plan), "persistent site 999");
   EXPECT_EQ(tenant.client->tracker_stats().submissions, 0u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
   EXPECT_EQ(count(scenario, tenant, "tracker.duplicate_plans"), 0u);

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
+#include <concepts>
 #include <functional>
 #include <limits>
 #include <map>
@@ -26,6 +27,7 @@
 #include "common/stats.hpp"
 #include "core/warehouse.hpp"
 #include "ctrl/lease.hpp"
+#include "ctrl/renew.hpp"
 #include "data/gridftp.hpp"
 #include "db/database.hpp"
 #include "exp/scenario.hpp"
@@ -743,15 +745,15 @@ TEST_P(SeededProperty, PercentileExtremesAreMinAndMax) {
 
 // --- XML-RPC wire against the DOM reference --------------------------------
 
-/// The XML-RPC path that rpc::MethodCall/MethodResponse replaced, kept as
-/// a reference implementation: every envelope is built as an XmlNode tree
-/// and written out compactly, or parsed by a recursive-descent XML parser
-/// into such a tree and then decoded.  The streaming writer must reproduce
-/// its bytes exactly; the pull parser may accept only what it accepts, and
-/// must then decode the same value.
+/// The XML-RPC path that the streaming writer and pull reader replaced,
+/// kept as a reference implementation: every envelope is built as an
+/// XmlNode tree and written out compactly, or parsed by a recursive-descent
+/// XML parser into such a tree and then decoded.  The streaming writer must
+/// reproduce its bytes exactly; the pull parser may accept only what it
+/// accepts, and must then decode the same value.
 namespace dom {
 
-using rpc::XrValue;
+using tree::XrValue;
 
 struct XmlNode {
   std::string name;
@@ -1010,7 +1012,7 @@ std::string serialize(const XmlNode& root) {
   return out;
 }
 
-std::string serialize(const rpc::MethodCall& call) {
+std::string serialize(const tree::MethodCall& call) {
   XmlNode root("methodCall");
   root.add_child(XmlNode("methodName", call.method));
   XmlNode& params = root.add_child(XmlNode("params"));
@@ -1020,7 +1022,7 @@ std::string serialize(const rpc::MethodCall& call) {
   return serialize(root);
 }
 
-std::string serialize(const rpc::MethodResponse& r) {
+std::string serialize(const tree::MethodResponse& r) {
   XmlNode root("methodResponse");
   if (r.is_fault) {
     XrValue::Struct f;
@@ -1035,14 +1037,14 @@ std::string serialize(const rpc::MethodResponse& r) {
   return serialize(root);
 }
 
-Expected<rpc::MethodCall> parse_call(const std::string& xml) {
+Expected<tree::MethodCall> parse_call(const std::string& xml) {
   auto doc = Parser(xml).parse();
   if (!doc) return Unexpected<Error>{doc.error()};
   const XmlNode* name = doc->child("methodName");
   if (doc->name != "methodCall" || name == nullptr || name->text.empty()) {
     return make_error("xmlrpc_parse", "not a call");
   }
-  rpc::MethodCall call;
+  tree::MethodCall call;
   call.method = name->text;
   if (const XmlNode* params = doc->child("params"); params != nullptr) {
     for (const XmlNode& param : params->children) {
@@ -1057,7 +1059,7 @@ Expected<rpc::MethodCall> parse_call(const std::string& xml) {
 }
 
 /// Throws AssertionError when a fault member has the wrong type.
-Expected<rpc::MethodResponse> parse_response(const std::string& xml) {
+Expected<tree::MethodResponse> parse_response(const std::string& xml) {
   auto doc = Parser(xml).parse();
   if (!doc) return Unexpected<Error>{doc.error()};
   if (doc->name != "methodResponse") {
@@ -1071,7 +1073,7 @@ Expected<rpc::MethodResponse> parse_response(const std::string& xml) {
     if (v->find("faultCode") == nullptr || v->find("faultString") == nullptr) {
       return make_error("xmlrpc_parse", "fault struct incomplete");
     }
-    return rpc::MethodResponse::failure(v->at("faultCode").as_int(),
+    return tree::MethodResponse::failure(v->at("faultCode").as_int(),
                                         v->at("faultString").as_string());
   }
   const XmlNode* params = doc->child("params");
@@ -1082,7 +1084,7 @@ Expected<rpc::MethodResponse> parse_response(const std::string& xml) {
   if (value == nullptr) return make_error("xmlrpc_parse", "no <value>");
   auto v = from_xml(*value);
   if (!v) return Unexpected<Error>{v.error()};
-  return rpc::MethodResponse::success(std::move(*v));
+  return tree::MethodResponse::success(std::move(*v));
 }
 
 }  // namespace dom
@@ -1119,33 +1121,33 @@ double wire_double(Rng& rng) {
 }
 
 /// Random values nested up to 5 deep (a top-level value is depth 1).
-rpc::XrValue wire_value(Rng& rng, int depth) {
+tree::XrValue wire_value(Rng& rng, int depth) {
   switch (rng.uniform_int(0, depth < 5 ? 5 : 3)) {
     case 0:
-      return rpc::XrValue(rng.chance(0.2)
+      return tree::XrValue(rng.chance(0.2)
                               ? std::numeric_limits<std::int64_t>::min()
                               : static_cast<std::int64_t>(rng.engine()()));
-    case 1: return rpc::XrValue(wire_double(rng));
-    case 2: return rpc::XrValue(rng.chance(0.5));
-    case 3: return rpc::XrValue(wire_text(rng));
+    case 1: return tree::XrValue(wire_double(rng));
+    case 2: return tree::XrValue(rng.chance(0.5));
+    case 3: return tree::XrValue(wire_text(rng));
     case 4: {
-      rpc::XrValue::Array items;
+      tree::XrValue::Array items;
       for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
         items.push_back(wire_value(rng, depth + 1));
       }
-      return rpc::XrValue(std::move(items));
+      return tree::XrValue(std::move(items));
     }
     default: {
-      rpc::XrValue::Struct members;
+      tree::XrValue::Struct members;
       for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
         members.emplace(wire_text(rng), wire_value(rng, depth + 1));
       }
-      return rpc::XrValue(std::move(members));
+      return tree::XrValue(std::move(members));
     }
   }
 }
 
-int value_depth(const rpc::XrValue& v) {
+int value_depth(const tree::XrValue& v) {
   int deepest = 0;
   if (v.is_array()) {
     for (const auto& item : v.as_array()) {
@@ -1159,7 +1161,7 @@ int value_depth(const rpc::XrValue& v) {
   return deepest + 1;
 }
 
-bool has_subnormal(const rpc::XrValue& v) {
+bool has_subnormal(const tree::XrValue& v) {
   if (v.is_double()) return std::fpclassify(v.as_double()) == FP_SUBNORMAL;
   if (v.is_array()) {
     return std::any_of(v.as_array().begin(), v.as_array().end(), has_subnormal);
@@ -1232,13 +1234,13 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
   std::vector<std::string> responses;
   int deepest = 0;
   for (int i = 0; i < 150; ++i) {
-    rpc::MethodCall call{"m" + wire_text(rng), {}};
+    tree::MethodCall call{"m" + wire_text(rng), {}};
     if (i == 0) {
       // Whatever the seed, one param nests 5 deep: struct, array, struct,
       // array, random leaf.
-      rpc::XrValue v = wire_value(rng, 5);
+      tree::XrValue v = wire_value(rng, 5);
       for (int d = 4; d >= 1; --d) {
-        using rpc::XrValue;
+        using tree::XrValue;
         v = d % 2 == 0 ? XrValue(XrValue::Array{v})
                        : XrValue(XrValue::Struct{{wire_text(rng), v}});
       }
@@ -1247,24 +1249,24 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
     for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
       call.params.push_back(wire_value(rng, 1));
     }
-    for (const rpc::XrValue& p : call.params) {
+    for (const tree::XrValue& p : call.params) {
       deepest = std::max(deepest, value_depth(p));
     }
     const std::string bytes = call.serialize();
     EXPECT_EQ(bytes, dom::serialize(call));
-    const auto parsed = rpc::MethodCall::parse(bytes);
+    const auto parsed = tree::MethodCall::parse(bytes);
     ASSERT_TRUE(parsed.has_value()) << bytes;
     EXPECT_EQ(parsed->serialize(), bytes);
     calls.push_back(bytes);
 
-    const rpc::MethodResponse response =
+    const tree::MethodResponse response =
         rng.chance(0.25)
-            ? rpc::MethodResponse::failure(
+            ? tree::MethodResponse::failure(
                   static_cast<std::int64_t>(rng.engine()()), wire_text(rng))
-            : rpc::MethodResponse::success(wire_value(rng, 1));
+            : tree::MethodResponse::success(wire_value(rng, 1));
     const std::string reply = response.serialize();
     EXPECT_EQ(reply, dom::serialize(response));
-    const auto reparsed = rpc::MethodResponse::parse(reply);
+    const auto reparsed = tree::MethodResponse::parse(reply);
     ASSERT_TRUE(reparsed.has_value()) << reply;
     EXPECT_EQ(reparsed->serialize(), reply);
     responses.push_back(reply);
@@ -1301,7 +1303,7 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
     std::string pull_bytes;
     std::string reference_bytes;
     if (is_call) {
-      const auto got = rpc::MethodCall::parse(doc);
+      const auto got = tree::MethodCall::parse(doc);
       const auto want = dom::parse_call(doc);
       pull_ok = got.has_value();
       reference_ok = want.has_value();
@@ -1312,7 +1314,7 @@ TEST_P(SeededProperty, XmlRpcWireMatchesDomReference) {
       }
       if (reference_ok) reference_bytes = dom::serialize(*want);
     } else {
-      const auto got = rpc::MethodResponse::parse(doc);
+      const auto got = tree::MethodResponse::parse(doc);
       pull_ok = got.has_value();
       if (pull_ok) {
         pull_bytes = got->serialize();
@@ -1516,6 +1518,21 @@ bool same(const core::DagSubmission& a, const core::DagSubmission& b,
   return true;
 }
 
+/// Values `==` compares: ids, flags, renew verdicts.
+template <typename T>
+  requires std::equality_comparable<T>
+bool same(const T& a, const T& b) {
+  return a == b;
+}
+
+bool same(const core::AttemptCancel& a, const core::AttemptCancel& b) {
+  return a.job == b.job && a.attempt == b.attempt;
+}
+
+bool same(const ctrl::Renewal& a, const ctrl::Renewal& b) {
+  return a.shard == b.shard && a.owner == b.owner && a.epoch == b.epoch;
+}
+
 /// Both outcomes refused with the same error, or accepted the same value.
 template <typename T>
 ::testing::AssertionResult same_outcome(const Expected<T>& got,
@@ -1537,46 +1554,70 @@ template <typename T>
                            : ::testing::AssertionFailure() << "values differ";
 }
 
-/// Two Clarens services on one bus, each hosting the three methods: one
-/// wired the typed way (the codec's params decoders), one the tree way
-/// (the generic decoder, then the reference checks).  Every handler keeps
-/// what it decoded and replies `true`.
+/// The verdict a WirePair service gives a renewal: each of the three, by
+/// epoch.
+ctrl::RenewOutcome verdict(const ctrl::Renewal& renewal) {
+  return static_cast<ctrl::RenewOutcome>(renewal.epoch % 3);
+}
+
+/// Two Clarens services on one bus, each hosting all six methods: one
+/// wired the typed way (each method's params decoder and reply writer),
+/// one the tree way (the generic decoder, then the reference checks, and
+/// a tree reply).  Every handler keeps what it decoded and replies as its
+/// method does: a flag, the DAG's id, or a renew verdict.
 class WirePair {
  public:
+  /// What the typed and the tree service decoded from the last request.
+  template <typename T>
+  struct Decoded {
+    std::optional<T> typed;
+    std::optional<T> tree;
+
+    void reset() {
+      typed.reset();
+      tree.reset();
+    }
+    /// The tree service decoded the same whenever the typed one decoded.
+    [[nodiscard]] ::testing::AssertionResult agree() const {
+      if (!typed || (tree && same(*typed, *tree))) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure() << "decoded params differ";
+    }
+  };
+
   WirePair() {
-    typed_.register_method<core::ExecutionPlan>(
-        "sphinx_client.execute_plan", &core::decode_plan,
-        [this](const core::ExecutionPlan& p, const rpc::Proxy&) {
-          return keep(typed_plan, p);
-        });
-    typed_.register_method<core::TrackerReport>(
-        "sphinx.report", &core::decode_report,
-        [this](const core::TrackerReport& r, const rpc::Proxy&) {
-          return keep(typed_report, r);
-        });
-    typed_.register_method<core::DagSubmission>(
-        "sphinx.submit_dag", &core::decode_dag,
-        [this](const core::DagSubmission& s, const rpc::Proxy&) {
-          return keep(typed_dag, s);
-        });
-    tree_.register_method("sphinx_client.execute_plan",
-                          [this](const std::vector<rpc::XrValue>& params,
-                                 const rpc::Proxy&) {
-                            return keep(tree_plan,
-                                        tree::decode_plan_params(params));
-                          });
-    tree_.register_method("sphinx.report",
-                          [this](const std::vector<rpc::XrValue>& params,
-                                 const rpc::Proxy&) {
-                            return keep(tree_report,
-                                        tree::decode_report_params(params));
-                          });
-    tree_.register_method("sphinx.submit_dag",
-                          [this](const std::vector<rpc::XrValue>& params,
-                                 const rpc::Proxy&) {
-                            return keep(tree_dag,
-                                        tree::decode_submission(params));
-                          });
+    const auto ack = [](const auto&) { return true; };
+    typed_method("sphinx_client.execute_plan", plan, &core::decode_plan,
+                 &core::write_flag, ack);
+    typed_method("sphinx.report", report, &core::decode_report,
+                 &core::write_flag, ack);
+    typed_method("sphinx.submit_dag", dag, &core::decode_dag,
+                 &core::write_dag_id,
+                 [](const core::DagSubmission& s) { return s.dag.id(); });
+    typed_method("sphinx_client.dag_done", dag_done, &core::decode_dag_done,
+                 &core::write_flag, ack);
+    typed_method("sphinx_client.cancel_attempt", cancel,
+                 &core::decode_cancel_attempt, &core::write_flag, ack);
+    typed_method("ctrl.renew", renewal, &ctrl::decode_renew,
+                 &ctrl::write_renew_outcome, &verdict);
+    const auto tree_ack = [](const auto&) { return tree::XrValue(true); };
+    tree_method("sphinx_client.execute_plan", plan, &tree::decode_plan_params,
+                tree_ack);
+    tree_method("sphinx.report", report, &tree::decode_report_params,
+                tree_ack);
+    tree_method("sphinx.submit_dag", dag, &tree::decode_submission,
+                [](const core::DagSubmission& s) {
+                  return tree::XrValue(s.dag.id().value());
+                });
+    tree_method("sphinx_client.dag_done", dag_done, &tree::decode_dag_done,
+                tree_ack);
+    tree_method("sphinx_client.cancel_attempt", cancel, &tree::decode_cancel,
+                tree_ack);
+    tree_method("ctrl.renew", renewal, &tree::decode_renew,
+                [](const ctrl::Renewal& r) {
+                  return tree::XrValue(tree::renew_text(verdict(r)));
+                });
     bus_.register_endpoint("caller", [this](const rpc::Envelope& reply) {
       reply_ = reply.payload;
     });
@@ -1584,34 +1625,64 @@ class WirePair {
 
   /// The reply of the typed service and of the tree service to `request`.
   std::pair<std::string, std::string> deliver(const std::string& request) {
-    forget();
+    plan.reset();
+    report.reset();
+    dag.reset();
+    dag_done.reset();
+    cancel.reset();
+    renewal.reset();
     return {deliver_to("typed", request), deliver_to("tree", request)};
   }
 
-  std::optional<core::ExecutionPlan> typed_plan, tree_plan;
-  std::optional<core::TrackerReport> typed_report, tree_report;
-  std::optional<core::DagSubmission> typed_dag, tree_dag;
+  /// Both services decoded the same params.
+  [[nodiscard]] ::testing::AssertionResult agree() const {
+    for (const ::testing::AssertionResult& each :
+         {plan.agree(), report.agree(), dag.agree(), dag_done.agree(),
+          cancel.agree(), renewal.agree()}) {
+      if (!each) return each;
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  Decoded<core::ExecutionPlan> plan;
+  Decoded<core::TrackerReport> report;
+  Decoded<core::DagSubmission> dag;
+  Decoded<DagId> dag_done;
+  Decoded<core::AttemptCancel> cancel;
+  Decoded<ctrl::Renewal> renewal;
 
  private:
-  template <typename T>
-  static Expected<rpc::XrValue> keep(std::optional<T>& slot, const T& value) {
-    slot = value;
-    return rpc::XrValue(true);
-  }
-  template <typename T>
-  static Expected<rpc::XrValue> keep(std::optional<T>& slot,
-                                     const Expected<T>& value) {
-    if (!value) return Unexpected<Error>{value.error()};
-    return keep(slot, *value);
+  template <typename T, typename R, typename F>
+  void typed_method(const std::string& name, Decoded<T>& slot,
+                    Expected<T> (*decode)(rpc::XrReader&),
+                    rpc::ClarensService::ReplyWriter<R> write, F reply) {
+    typed_.register_method(
+        name, decode, write,
+        [&slot, reply](const T& params, const rpc::Proxy&) -> Expected<R> {
+          slot.typed = params;
+          return reply(params);
+        });
   }
 
-  void forget() {
-    typed_plan.reset();
-    tree_plan.reset();
-    typed_report.reset();
-    tree_report.reset();
-    typed_dag.reset();
-    tree_dag.reset();
+  template <typename T, typename F>
+  void tree_method(const std::string& name, Decoded<T>& slot,
+                   Expected<T> (*check)(const std::vector<tree::XrValue>&),
+                   F reply) {
+    tree_.register_method(
+        name, &tree::any_params, &tree::write_tree,
+        [&slot, check, reply](const std::vector<tree::XrValue>& params,
+                              const rpc::Proxy&) -> Expected<tree::XrValue> {
+          const Expected<T> decoded = check(params);
+          if (!decoded) return Unexpected<Error>{decoded.error()};
+          slot.tree = *decoded;
+          return reply(*decoded);
+        });
+  }
+
+  static rpc::AuthzPolicy policy() {
+    rpc::AuthzPolicy policy;
+    policy.allow_vo("uscms");
+    return policy;
   }
 
   std::string deliver_to(const std::string& service,
@@ -1624,8 +1695,8 @@ class WirePair {
 
   sim::Engine engine_;
   rpc::MessageBus bus_{engine_, Rng(3), 0.01, 0.0};
-  rpc::ClarensService typed_{bus_, "typed", rpc::AuthzPolicy{}};
-  rpc::ClarensService tree_{bus_, "tree", rpc::AuthzPolicy{}};
+  rpc::ClarensService typed_{bus_, "typed", policy()};
+  rpc::ClarensService tree_{bus_, "tree", policy()};
   rpc::Proxy proxy_{rpc::Identity{"/CN=wire"}, "uscms", {}, 0.0,
                     hours(24)};
   std::uint64_t seq_ = 0;
@@ -1642,7 +1713,7 @@ std::string injected_member(Rng& rng) {
   switch (rng.uniform_int(0, 3)) {
     case 0: {
       const std::string call =
-          rpc::MethodCall{"m", {wire_value(rng, 1)}}.serialize();
+          tree::MethodCall{"m", {wire_value(rng, 1)}}.serialize();
       const std::size_t from = call.find("<param>") + 7;
       value = call.substr(from, call.rfind("</param>") - from);
       break;
@@ -1667,6 +1738,24 @@ std::string injected_member(Rng& rng) {
   return rng.chance(0.3) ? member + member : member;
 }
 
+/// `doc` with one of its params repeated or dropped: a call with one
+/// param too many or too few, each param still well formed.
+void reshape_params(Rng& rng, std::string& doc) {
+  std::vector<std::pair<std::size_t, std::size_t>> params;  // [begin, end)
+  for (std::size_t p = doc.find("<param>"); p != std::string::npos;
+       p = doc.find("<param>", p + 1)) {
+    params.emplace_back(p, doc.find("</param>", p) + 8);
+  }
+  if (params.empty()) return;
+  const auto [begin, end] = params[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(params.size()) - 1))];
+  if (rng.chance(0.5)) {
+    doc.insert(end, doc.substr(begin, end - begin));
+  } else {
+    doc.erase(begin, end - begin);
+  }
+}
+
 /// `doc` with an injected member before one of its members.
 void inject_member(Rng& rng, std::string& doc) {
   std::vector<std::size_t> at;
@@ -1680,16 +1769,78 @@ void inject_member(Rng& rng, std::string& doc) {
              injected_member(rng));
 }
 
+/// A Clarens client whose every call is answered with a given reply
+/// document, to read replies exactly as a ClarensClient reads them.
+class ReplyProbe {
+ public:
+  ReplyProbe() {
+    bus_.register_endpoint("replier", [this](const rpc::Envelope& request) {
+      bus_.reply(request, reply_);
+    });
+  }
+
+  /// `reply` as the client's typed reader `read` takes it.
+  template <typename R>
+  Expected<R> read(const std::string& reply,
+                   rpc::ClarensClient::ReplyReader<R> read) {
+    reply_ = reply;
+    std::optional<Expected<R>> got;
+    client_.call("replier", "<call/>", read,
+                 [&got](Expected<R> result) { got = std::move(result); });
+    engine_.run_until();
+    SPHINX_ASSERT(got.has_value(), "the probe call did not complete");
+    return std::move(*got);
+  }
+
+  /// One reply mutant read typed and the tree way -- MethodResponse::parse,
+  /// then the reference check of the value -- counting the outcome's
+  /// class: a value, a fault, a parse error or another refusal.
+  template <typename R>
+  ::testing::AssertionResult same_reply(
+      const std::string& doc, rpc::ClarensClient::ReplyReader<R> typed,
+      Expected<R> (*check)(const tree::XrValue&),
+      std::map<std::string, int>& classes) {
+    const Expected<R> got = read(doc, typed);
+    const Expected<R> want = tree::tree_reply(doc, check);
+    ++classes[got                                      ? "value"
+              : got.error().code.starts_with("fault:") ? "fault"
+              : got.error().code == "xmlrpc_parse"     ? "parse"
+                                                       : "refused"];
+    return same_outcome(got, want);
+  }
+
+ private:
+  sim::Engine engine_;
+  rpc::MessageBus bus_{engine_, Rng(4), 0.01, 0.0};
+  rpc::ClarensClient client_{
+      bus_, "probe",
+      rpc::Proxy{rpc::Identity{"/CN=probe"}, "uscms", {}, 0.0, hours(24)}};
+  std::string reply_;
+};
+
+/// The bytes of a reply carrying `value`, written as a service writes it.
+template <typename R>
+std::string typed_reply(rpc::ClarensService::ReplyWriter<R> write, R value) {
+  rpc::XrWriter out(rpc::kReplyBytes);
+  out.begin_response();
+  write(out, std::move(value));
+  out.end_response();
+  return std::move(out).take();
+}
+
 TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
   Rng rng(GetParam() ^ 0x7e1eull);
-  // (a) Generated messages: the typed encoder writes the bytes MethodCall
-  // writes from the reference tree, and the typed decoder reads them back
-  // to what the reference reads -- the message itself, or the same
-  // refusal (a NaN compute_time, a job id below 1, an attempt out of
-  // range, ...).
+  // (a) Generated calls of all six methods: the typed encoder writes the
+  // bytes MethodCall writes from the reference tree, and the typed decoder
+  // reads them back to what the reference reads -- the message itself, or
+  // the same refusal (a NaN compute_time, a job id below 1, an attempt out
+  // of range, ...).
   std::vector<std::string> plans;
   std::vector<std::string> reports;
   std::vector<std::string> dags;
+  std::vector<std::string> dag_dones;
+  std::vector<std::string> cancels;
+  std::vector<std::string> renewals;
   int accepted = 0;
   for (int i = 0; i < 200; ++i) {
     const core::ExecutionPlan plan = wire_plan(rng);
@@ -1698,7 +1849,7 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
                                            {tree::encode_plan(plan)}));
     const auto plan_back = tree::typed_decode(plan_bytes, &core::decode_plan);
     const auto plan_want =
-        tree::decode_plan(*rpc::MethodCall::parse(plan_bytes)->params.begin());
+        tree::decode_plan(*tree::MethodCall::parse(plan_bytes)->params.begin());
     EXPECT_TRUE(same_outcome(plan_back, plan_want)) << plan_bytes;
     if (plan_back) {
       EXPECT_TRUE(same(*plan_back, plan, /*any_nan=*/true)) << plan_bytes;
@@ -1713,7 +1864,7 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
     const auto report_back =
         tree::typed_decode(report_bytes, &core::decode_report);
     const auto report_want = tree::decode_report(
-        *rpc::MethodCall::parse(report_bytes)->params.begin());
+        *tree::MethodCall::parse(report_bytes)->params.begin());
     EXPECT_TRUE(same_outcome(report_back, report_want)) << report_bytes;
     if (report_back) {
       EXPECT_TRUE(same(*report_back, report, /*any_nan=*/true));
@@ -1730,39 +1881,102 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
                                               s.priority, s.deadline)));
     const auto dag_back = tree::typed_decode(dag_bytes, &core::decode_dag);
     const auto dag_want = tree::decode_submission(
-        rpc::MethodCall::parse(dag_bytes)->params);
+        tree::MethodCall::parse(dag_bytes)->params);
     EXPECT_TRUE(same_outcome(dag_back, dag_want)) << dag_bytes;
     if (dag_back) {
       EXPECT_TRUE(same(*dag_back, s, /*any_nan=*/true));
       ++accepted;
     }
     dags.push_back(dag_bytes);
+
+    const bool clean = rng.chance(0.5);
+    const DagId done(wire_id(rng, clean));
+    const SimTime finished_at = wire_double(rng);
+    const std::string done_bytes = core::encode_dag_done(done, finished_at);
+    ASSERT_EQ(done_bytes,
+              tree::call_bytes("sphinx_client.dag_done",
+                               tree::dag_done_params(done, finished_at)));
+    const auto done_back =
+        tree::typed_decode(done_bytes, &core::decode_dag_done);
+    EXPECT_TRUE(same_outcome(
+        done_back,
+        tree::decode_dag_done(tree::MethodCall::parse(done_bytes)->params)))
+        << done_bytes;
+    if (done_back) {
+      EXPECT_EQ(*done_back, done);
+      ++accepted;
+    }
+    dag_dones.push_back(done_bytes);
+
+    const core::AttemptCancel cancel{JobId(wire_id(rng, clean)),
+                                     wire_attempt(rng, clean)};
+    const std::string cancel_bytes =
+        core::encode_cancel_attempt(cancel.job, cancel.attempt);
+    ASSERT_EQ(cancel_bytes,
+              tree::call_bytes("sphinx_client.cancel_attempt",
+                               tree::cancel_params(cancel.job, cancel.attempt)));
+    const auto cancel_back =
+        tree::typed_decode(cancel_bytes, &core::decode_cancel_attempt);
+    EXPECT_TRUE(same_outcome(
+        cancel_back,
+        tree::decode_cancel(tree::MethodCall::parse(cancel_bytes)->params)))
+        << cancel_bytes;
+    if (cancel_back) {
+      EXPECT_TRUE(same(*cancel_back, cancel)) << cancel_bytes;
+      ++accepted;
+    }
+    cancels.push_back(cancel_bytes);
+
+    const ctrl::Renewal renewal{wire_text(rng), wire_text(rng),
+                                wire_id(rng, clean)};
+    const std::string renew_bytes =
+        ctrl::encode_renew(renewal.shard, renewal.owner, renewal.epoch);
+    ASSERT_EQ(renew_bytes,
+              tree::call_bytes("ctrl.renew",
+                               tree::renew_params(renewal.shard, renewal.owner,
+                                                  renewal.epoch)));
+    const auto renew_back = tree::typed_decode(renew_bytes, &ctrl::decode_renew);
+    EXPECT_TRUE(same_outcome(
+        renew_back,
+        tree::decode_renew(tree::MethodCall::parse(renew_bytes)->params)))
+        << renew_bytes;
+    if (renew_back) {
+      EXPECT_TRUE(same(*renew_back, renewal)) << renew_bytes;
+      ++accepted;
+    }
+    renewals.push_back(renew_bytes);
   }
-  EXPECT_GT(accepted, 150);
+  EXPECT_GT(accepted, 700);
 
   // (b) Mutants: every one is delivered to a service wired the typed way
   // and to one wired the tree way, and the replies -- fault code and
   // message (a parse fault's offset included), or result -- must be the
-  // same bytes, and so must the decoded message whenever both accept.
+  // same bytes, and so must the decoded params whenever both accept.
   // Most mutants come from mutate() and the XML fragments; one in four
   // instead gets a struct member the decoders skip or repeat: an unknown
   // name or a known one, with a random value, a struct repeating a
-  // member, or arrays nested across the depth cap.  No input class may
-  // differ.
-  std::vector<std::string> corpus = plans;
-  corpus.insert(corpus.end(), reports.begin(), reports.end());
-  corpus.insert(corpus.end(), dags.begin(), dags.end());
+  // member, or arrays nested across the depth cap; and some of the rest
+  // get a param repeated or dropped, so the params counts and their
+  // place among the checks are exercised.  No input class may differ.
+  const std::vector<const std::vector<std::string>*> pools = {
+      &plans, &reports, &dags, &dag_dones, &cancels, &renewals};
+  std::vector<std::string> corpus;
+  for (const auto* pool : pools) {
+    corpus.insert(corpus.end(), pool->begin(), pool->end());
+  }
   WirePair wire;
   int both_accepted = 0;
   int both_refused = 0;
   int differing = 0;
   constexpr int kMutationsPerMessage = 12500;
-  for (const auto* pool : {&plans, &reports, &dags}) {
+  for (const auto* pool : pools) {
     for (int i = 0; i < kMutationsPerMessage; ++i) {
       std::string doc = (*pool)[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(pool->size()) - 1))];
       if (rng.chance(0.25)) {
         inject_member(rng, doc);
+      } else if (rng.chance(0.2)) {
+        reshape_params(rng, doc);
       } else {
         for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
           mutate(rng, doc, corpus, kXmlFragments);
@@ -1777,26 +1991,80 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
       }
       const bool fault = typed.find("<fault>") != std::string::npos;
       fault ? ++both_refused : ++both_accepted;
-      if (wire.typed_plan) {
-        EXPECT_TRUE(wire.tree_plan && same(*wire.typed_plan, *wire.tree_plan))
-            << doc;
-      }
-      if (wire.typed_report) {
-        EXPECT_TRUE(wire.tree_report &&
-                    same(*wire.typed_report, *wire.tree_report))
-            << doc;
-      }
-      if (wire.typed_dag) {
-        EXPECT_TRUE(wire.tree_dag && same(*wire.typed_dag, *wire.tree_dag))
-            << doc;
-      }
+      EXPECT_TRUE(wire.agree()) << doc;
     }
   }
   EXPECT_EQ(differing, 0);
-  EXPECT_GT(both_accepted, 3 * kMutationsPerMessage / 50);
-  EXPECT_GT(both_refused, 3 * kMutationsPerMessage / 2);
+  const int deliveries = static_cast<int>(pools.size()) * kMutationsPerMessage;
+  EXPECT_GT(both_accepted, deliveries / 50);
+  EXPECT_GT(both_refused, deliveries / 2);
   RecordProperty("both_accepted", both_accepted);
   RecordProperty("both_refused", both_refused);
+
+  // (c) Replies: each reply type and a fault, written typed, must be the
+  // bytes MethodResponse writes from the tree (and, for a fault, the DOM
+  // reference's too); and on mutated replies each typed reader, as a
+  // ClarensClient applies it, must accept exactly what
+  // MethodResponse::parse accepts -- with the same value, the same fault
+  // code and message, or the same error text.
+  std::vector<std::string> replies;
+  ReplyProbe probe;
+  for (int i = 0; i < 100; ++i) {
+    const bool flag = rng.chance(0.5);
+    const DagId dag(wire_id(rng, false));
+    const auto outcome = static_cast<ctrl::RenewOutcome>(rng.uniform_int(0, 2));
+    const std::int64_t code =
+        rng.chance(0.5) ? rng.uniform_int(1, 100)
+                        : static_cast<std::int64_t>(rng.engine()());
+    const std::string message = wire_text(rng);
+    rpc::XrWriter fault(rpc::kReplyBytes);
+    fault.fault(code, message);
+    const std::vector<std::pair<std::string, tree::MethodResponse>> written = {
+        {typed_reply(&core::write_flag, flag),
+         tree::MethodResponse::success(tree::XrValue(flag))},
+        {typed_reply(&core::write_dag_id, dag),
+         tree::MethodResponse::success(tree::XrValue(dag.value()))},
+        {typed_reply(&ctrl::write_renew_outcome, outcome),
+         tree::MethodResponse::success(
+             tree::XrValue(tree::renew_text(outcome)))},
+        {std::move(fault).take(),
+         tree::MethodResponse::failure(code, message)}};
+    for (const auto& [bytes, reference] : written) {
+      ASSERT_EQ(bytes, reference.serialize());
+      replies.push_back(bytes);
+    }
+    EXPECT_EQ(written.back().first, dom::serialize(written.back().second));
+    EXPECT_EQ(probe.read(written[0].first, &core::read_flag).value(), flag);
+    EXPECT_EQ(probe.read(written[1].first, &core::read_dag_id).value(), dag);
+    EXPECT_EQ(probe.read(written[2].first, &ctrl::read_renew_outcome).value(),
+              outcome);
+    const auto faulted = probe.read(written[3].first, &core::read_flag);
+    ASSERT_FALSE(faulted.has_value());
+    EXPECT_EQ(faulted.error().code, "fault:" + std::to_string(code));
+    EXPECT_EQ(faulted.error().message, message);
+  }
+  std::map<std::string, int> classes;
+  constexpr int kReplyMutations = 12500;
+  for (int i = 0; i < kReplyMutations; ++i) {
+    std::string doc = replies[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(replies.size()) - 1))];
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      mutate(rng, doc, replies, kXmlFragments);
+    }
+    EXPECT_TRUE(probe.same_reply(doc, &core::read_flag, &tree::flag_reply,
+                                 classes))
+        << doc;
+    EXPECT_TRUE(probe.same_reply(doc, &core::read_dag_id, &tree::dag_id_reply,
+                                 classes))
+        << doc;
+    EXPECT_TRUE(probe.same_reply(doc, &ctrl::read_renew_outcome,
+                                 &tree::renew_reply, classes))
+        << doc;
+  }
+  for (const char* each : {"value", "fault", "parse", "refused"}) {
+    EXPECT_GT(classes[each], kReplyMutations / 100) << each;
+    RecordProperty(std::string("replies_") + each, classes[each]);
+  }
 }
 
 // --- journal and snapshot codecs under mutation ----------------------------

@@ -14,9 +14,14 @@
 #include "rpc/clarens.hpp"
 #include "rpc/transport.hpp"
 #include "sim/engine.hpp"
+#include "wire_reference.hpp"
 
 namespace sphinx::rpc {
 namespace {
+
+using tree::MethodCall;
+using tree::MethodResponse;
+using tree::XrValue;
 
 Identity user_identity() {
   return Identity{"/DC=org/DC=griphyn/CN=Production Manager"};
@@ -31,7 +36,8 @@ class RetryFixture : public ::testing::Test {
   RetryFixture() : service(bus, "sphinx-server", make_policy()) {
     bus.set_recorder(&recorder);
     service.register_method(
-        "bump", [this](const std::vector<XrValue>&, const Proxy&) {
+        "bump", &tree::any_params, &tree::write_tree,
+        [this](const std::vector<XrValue>&, const Proxy&) {
           ++bumps;
           return Expected<XrValue>(XrValue(static_cast<std::int64_t>(bumps)));
         });
@@ -39,7 +45,7 @@ class RetryFixture : public ::testing::Test {
 
   static AuthzPolicy make_policy() {
     AuthzPolicy policy;
-    policy.allow_vo("*", "uscms");
+    policy.allow_vo("uscms");
     return policy;
   }
 
@@ -67,11 +73,12 @@ TEST_F(RetryFixture, RetransmitsAcrossLossWindowAndCompletesOnce) {
   ClarensClient client(bus, "client-1", user_proxy());
   std::size_t callbacks = 0;
   std::int64_t got = 0;
-  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
-    ++callbacks;
-    ASSERT_TRUE(result.has_value());
-    got = result->as_int();
-  });
+  client.call("sphinx-server", bump, &tree::any_reply,
+              [&](Expected<XrValue> result) {
+                ++callbacks;
+                ASSERT_TRUE(result.has_value());
+                got = result->as_int();
+              });
   engine.run_until();
   EXPECT_EQ(callbacks, 1u);
   EXPECT_EQ(got, 1);
@@ -89,11 +96,12 @@ TEST_F(RetryFixture, ExhaustsRetryBudgetWithTimeoutError) {
   ClarensClient client(bus, "client-1", user_proxy(), retry);
   std::size_t callbacks = 0;
   std::string code;
-  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
-    ++callbacks;
-    ASSERT_FALSE(result.has_value());
-    code = result.error().code;
-  });
+  client.call("sphinx-server", bump, &tree::any_reply,
+              [&](Expected<XrValue> result) {
+                ++callbacks;
+                ASSERT_FALSE(result.has_value());
+                code = result.error().code;
+              });
   engine.run_until();
   EXPECT_EQ(callbacks, 1u);
   EXPECT_EQ(code, "rpc_timeout");
@@ -107,7 +115,8 @@ TEST_F(RetryFixture, BackoffIsCappedExponentialWithBoundedJitter) {
   RetryPolicy retry;  // 5, 10, 20, 30, 30, ... (+/- 10% jitter)
   retry.max_attempts = 5;
   ClarensClient client(bus, "client-1", user_proxy(), retry);
-  client.call("sphinx-server", bump, [](Expected<XrValue>) {});
+  client.call("sphinx-server", bump, &tree::any_reply,
+              [](Expected<XrValue>) {});
   engine.run_until();
   // Every transmission is lost, and the bus traces each loss at its send
   // time.
@@ -135,10 +144,11 @@ TEST_F(RetryFixture, DuplicateReplyInvokesCallbackOnce) {
   });
   ClarensClient client(bus, "client-1", user_proxy());
   std::size_t callbacks = 0;
-  client.call("sphinx-server", bump, [&](Expected<XrValue> result) {
-    ++callbacks;
-    EXPECT_TRUE(result.has_value());
-  });
+  client.call("sphinx-server", bump, &tree::any_reply,
+              [&](Expected<XrValue> result) {
+                ++callbacks;
+                EXPECT_TRUE(result.has_value());
+              });
   engine.run_until();
   EXPECT_EQ(callbacks, 1u);
   // Both replies reached the client; it dropped the second.
@@ -175,7 +185,7 @@ TEST_F(RetryFixture, OutboxRestoreResumesInFlightCall) {
       },
       [&](std::uint64_t seq) { outbox.erase(seq); });
   bool first_callback = false;
-  first->call("sphinx-server", bump,
+  first->call("sphinx-server", bump, &tree::any_reply,
               [&](Expected<XrValue>) { first_callback = true; });
   engine.run_until(1.0);  // transmission sent (and lost); timer pending
   ASSERT_EQ(outbox.size(), 1u);
@@ -193,9 +203,9 @@ TEST_F(RetryFixture, OutboxRestoreResumesInFlightCall) {
   std::size_t callbacks = 0;
   for (const auto& [seq, row] : outbox) {
     second.restore_call(seq, row.service, row.payload, row.attempt,
-                        row.last_sent_at, [&](Expected<XrValue> result) {
+                        row.last_sent_at, [&](StatusOrError result) {
                           ++callbacks;
-                          EXPECT_TRUE(result.has_value());
+                          EXPECT_TRUE(result.ok());
                         });
   }
   engine.run_until();

@@ -1,5 +1,7 @@
-// Tests for the XML-RPC value model and the <methodCall>/<methodResponse>
-// wire format.
+// Tests for the <methodCall>/<methodResponse> wire format, through the
+// XrValue tree reference of wire_reference.hpp: its envelopes are written
+// and read by rpc::XrWriter and rpc::XrReader, so every wire rule checked
+// here is the reader's and the writer's.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +12,14 @@
 #include <vector>
 
 #include "rpc/xmlrpc.hpp"
+#include "wire_reference.hpp"
 
 namespace sphinx::rpc {
 namespace {
+
+using tree::MethodCall;
+using tree::MethodResponse;
+using tree::XrValue;
 
 /// Parses a methodCall whose one <param> holds `param_body`.
 Expected<MethodCall> parse_param(const std::string& param_body) {

@@ -1,26 +1,283 @@
 #pragma once
 /// \file wire_reference.hpp
-/// The XrValue-tree codecs of the three scheduling messages, kept as the
-/// tests' reference for the typed wire in core/codec.hpp: each message is
-/// built as an XrValue tree and serialized through rpc::MethodCall, or
-/// parsed into one and then decoded, exactly as the service did before
-/// the typed decoders.  The typed encoders must write the bytes
-/// MethodCall{method, params}.serialize() writes, and the typed decoders
-/// must accept what these accept, with the same result, and refuse the
-/// rest with the same error.
+/// The generic XML-RPC tree codec, kept as the tests' reference for the
+/// typed wire: an XrValue tree per value, MethodCall and MethodResponse
+/// envelopes, and the tree form of every method's params and reply.  The
+/// tree is written through rpc::XrWriter and read through rpc::XrReader's
+/// public piecewise API, so a typed decoder and its reference fail at the
+/// same offset with the same message.  Each method's params are built as
+/// a tree and serialized through MethodCall, or parsed into one and then
+/// checked, exactly as the service did before the typed decoders; each
+/// reply likewise through MethodResponse.  The typed encoders must write
+/// the bytes MethodCall{method, params}.serialize() writes, the typed
+/// decoders and reply readers must accept what these accept, with the
+/// same result, and refuse the rest with the same error.
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/codec.hpp"
+#include "ctrl/renew.hpp"
 #include "rpc/xmlrpc.hpp"
 
 namespace sphinx::tree {
 
-using rpc::XrValue;
+// --- the tree ---------------------------------------------------------------
+
+/// Room for a tree-written envelope's bytes.
+inline constexpr std::size_t kEnvelopeBytes = 256;
+
+/// An XML-RPC value.  Arrays and structs nest arbitrarily.
+class XrValue {
+ public:
+  using Array = std::vector<XrValue>;
+  using Struct = std::map<std::string, XrValue>;
+
+  XrValue() : data_(std::string{}) {}  ///< XML-RPC has no null; default ""
+  XrValue(std::int64_t v) : data_(v) {}
+  XrValue(int v) : data_(static_cast<std::int64_t>(v)) {}
+  XrValue(std::uint64_t v) : data_(static_cast<std::int64_t>(v)) {}
+  XrValue(double v) : data_(v) {}
+  XrValue(bool v) : data_(v) {}
+  XrValue(std::string v) : data_(std::move(v)) {}
+  XrValue(const char* v) : data_(std::string(v)) {}
+  XrValue(Array v) : data_(std::move(v)) {}
+  XrValue(Struct v) : data_(std::move(v)) {}
+
+  [[nodiscard]] bool is_int() const noexcept { return holds<std::int64_t>(); }
+  [[nodiscard]] bool is_double() const noexcept { return holds<double>(); }
+  [[nodiscard]] bool is_bool() const noexcept { return holds<bool>(); }
+  [[nodiscard]] bool is_string() const noexcept { return holds<std::string>(); }
+  [[nodiscard]] bool is_array() const noexcept { return holds<Array>(); }
+  [[nodiscard]] bool is_struct() const noexcept { return holds<Struct>(); }
+
+  /// Typed accessors; throw AssertionError on type mismatch.  as_double()
+  /// accepts an int too.
+  [[nodiscard]] std::int64_t as_int() const { return get<std::int64_t>(); }
+  [[nodiscard]] double as_double() const {
+    if (is_int()) return static_cast<double>(as_int());
+    return get<double>();
+  }
+  [[nodiscard]] bool as_bool() const { return get<bool>(); }
+  [[nodiscard]] const std::string& as_string() const {
+    return get<std::string>();
+  }
+  [[nodiscard]] const Array& as_array() const { return get<Array>(); }
+  [[nodiscard]] const Struct& as_struct() const { return get<Struct>(); }
+
+  /// Struct member access; throws if not a struct or key missing.
+  [[nodiscard]] const XrValue& at(const std::string& key) const {
+    const XrValue* member = find(key);
+    SPHINX_ASSERT(member != nullptr, "missing struct member: " + key);
+    return *member;
+  }
+  /// The struct member `key`; nullptr if this is not a struct or has no
+  /// such member.
+  [[nodiscard]] const XrValue* find(const std::string& key) const {
+    const auto* s = std::get_if<Struct>(&data_);
+    if (s == nullptr) return nullptr;
+    const auto it = s->find(key);
+    return it == s->end() ? nullptr : &it->second;
+  }
+
+  friend bool operator==(const XrValue& a, const XrValue& b) noexcept {
+    return a.data_ == b.data_;
+  }
+
+ private:
+  template <typename T>
+  [[nodiscard]] bool holds() const noexcept {
+    return std::holds_alternative<T>(data_);
+  }
+  template <typename T>
+  [[nodiscard]] const T& get() const {
+    SPHINX_ASSERT(holds<T>(), "XrValue holds another type");
+    return std::get<T>(data_);
+  }
+
+  std::variant<std::int64_t, double, bool, std::string, Array, Struct> data_;
+};
+
+/// `name` with the five predefined entities escaped, as a member name
+/// must be before rpc::XrWriter writes it.
+inline std::string escaped(const std::string& name) {
+  std::string out;
+  for (const char c : name) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&apos;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+/// Writes any value, as its tree says.
+inline void write_value(rpc::XrWriter& out, const XrValue& v) {
+  if (v.is_string()) {
+    out.string_value(v.as_string());
+  } else if (v.is_int()) {
+    out.int_value(v.as_int());
+  } else if (v.is_double()) {
+    out.double_value(v.as_double());
+  } else if (v.is_bool()) {
+    out.bool_value(v.as_bool());
+  } else if (v.is_array()) {
+    out.begin_array();
+    for (const XrValue& item : v.as_array()) write_value(out, item);
+    out.end_array();
+  } else {
+    out.begin_struct();
+    for (const auto& [key, member] : v.as_struct()) {
+      out.begin_member(escaped(key));
+      write_value(out, member);
+      out.end_member();
+    }
+    out.end_struct();
+  }
+}
+
+/// Reads one whole value at `depth` as a tree.
+inline bool read_value(rpc::XrReader& in, int depth, XrValue& out) {
+  rpc::XrType type;
+  if (!in.open(depth, type)) return false;
+  switch (type) {
+    case rpc::XrType::kString: out = XrValue(std::string(in.text())); break;
+    case rpc::XrType::kInt: out = XrValue(in.integer()); break;
+    case rpc::XrType::kDouble: out = XrValue(in.real()); break;
+    case rpc::XrType::kBool: out = XrValue(in.boolean()); break;
+    case rpc::XrType::kArray: {
+      XrValue::Array items;
+      if (!in.items([&] {
+            return read_value(in, depth + 1, items.emplace_back());
+          })) {
+        return false;
+      }
+      out = XrValue(std::move(items));
+      break;
+    }
+    case rpc::XrType::kStruct: {
+      XrValue::Struct members;
+      if (!in.each_member([&](std::string_view name) {
+            return read_value(in, depth + 1, members[std::string(name)]);
+          })) {
+        return false;
+      }
+      out = XrValue(std::move(members));
+      break;
+    }
+  }
+  return true;
+}
+
+/// A <methodCall>.
+struct MethodCall {
+  std::string method;
+  std::vector<XrValue> params;
+
+  [[nodiscard]] std::string serialize() const {
+    rpc::XrWriter out(kEnvelopeBytes);
+    out.begin_call(method);
+    for (const XrValue& p : params) {
+      out.begin_param();
+      write_value(out, p);
+      out.end_param();
+    }
+    out.end_call();
+    return std::move(out).take();
+  }
+
+  [[nodiscard]] static Expected<MethodCall> parse(const std::string& xml) {
+    MethodCall call;
+    rpc::XrReader in(xml);
+    if (!in.begin_call(call.method) ||
+        !in.each_param([&](int) {
+          return read_value(in, 1, call.params.emplace_back());
+        }) ||
+        !in.end_call()) {
+      return in.error();
+    }
+    return call;
+  }
+};
+
+/// XML-RPC fault payload.
+struct Fault {
+  std::int64_t code = 0;
+  std::string message;
+};
+
+/// A <methodResponse>: either one return value or a fault.
+struct MethodResponse {
+  XrValue value;
+  bool is_fault = false;
+  Fault fault;
+
+  [[nodiscard]] static MethodResponse success(XrValue v) {
+    MethodResponse r;
+    r.value = std::move(v);
+    return r;
+  }
+  [[nodiscard]] static MethodResponse failure(std::int64_t code,
+                                              std::string message) {
+    MethodResponse r;
+    r.is_fault = true;
+    r.fault = Fault{code, std::move(message)};
+    return r;
+  }
+
+  [[nodiscard]] std::string serialize() const {
+    rpc::XrWriter out(kEnvelopeBytes);
+    if (is_fault) {
+      out.fault(fault.code, fault.message);
+    } else {
+      out.begin_response();
+      write_value(out, value);
+      out.end_response();
+    }
+    return std::move(out).take();
+  }
+
+  [[nodiscard]] static Expected<MethodResponse> parse(const std::string& xml) {
+    MethodResponse r;
+    rpc::XrReader in(xml);
+    if (!in.begin_response(r.is_fault, r.fault.code, r.fault.message) ||
+        (!r.is_fault && !read_value(in, 1, r.value)) || !in.end_response()) {
+      return in.error();
+    }
+    return r;
+  }
+};
+
+/// The params decoder the service once gave every untyped method: every
+/// param as a tree.  It refuses nothing; its handler checks the params.
+inline Expected<std::vector<XrValue>> any_params(rpc::XrReader& in) {
+  std::vector<XrValue> params;
+  in.each_param([&](int) { return read_value(in, 1, params.emplace_back()); });
+  return params;
+}
+
+/// A reply as a tree, for a client call whose reply a test inspects.
+inline Expected<XrValue> any_reply(rpc::XrReader& in) {
+  XrValue value;
+  if (!read_value(in, 1, value)) return in.error();
+  return value;
+}
+
+/// Writes a tree as a reply, for a service wired the tree way.
+inline void write_tree(rpc::XrWriter& out, XrValue value) {
+  write_value(out, value);
+}
+
+// --- message checks ---------------------------------------------------------
 
 inline Expected<std::int64_t> need_int(const XrValue& s,
                                        const std::string& key) {
@@ -68,6 +325,20 @@ inline void read_bool(const XrValue& s, const std::string& key, bool& out) {
   if (const XrValue* v = s.find(key); v != nullptr && v->is_bool()) {
     out = v->as_bool();
   }
+}
+
+/// An attempt number off the wire: an int in [1, INT_MAX].  Missing,
+/// mistyped, non-positive or wider-than-int values are a `codec` error.
+inline Expected<int> decode_attempt(const XrValue* value) {
+  if (value == nullptr || !value->is_int()) {
+    return make_error("codec", "missing int member: attempt");
+  }
+  const std::int64_t attempt = value->as_int();
+  if (attempt < 1 || attempt > std::numeric_limits<int>::max()) {
+    return make_error("codec",
+                      "attempt out of range: " + std::to_string(attempt));
+  }
+  return static_cast<int>(attempt);
 }
 
 inline Expected<core::ReportKind> report_kind_from(const std::string& text) {
@@ -267,7 +538,7 @@ inline Expected<core::ExecutionPlan> decode_plan(const XrValue& value) {
   if (!output) return Unexpected<Error>{output.error()};
   auto output_bytes = need_non_negative(value, "output_bytes");
   if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-  auto attempt = core::decode_attempt(value.find("attempt"));
+  auto attempt = decode_attempt(value.find("attempt"));
   if (!attempt) return Unexpected<Error>{attempt.error()};
   const XrValue::Array* inputs = find_array(value, "inputs");
   if (inputs == nullptr) return make_error("codec", "plan without inputs");
@@ -345,7 +616,7 @@ inline Expected<core::TrackerReport> decode_report(const XrValue& value) {
   if (!execution) return Unexpected<Error>{execution.error()};
   auto idle = need_double(value, "idle_time");
   if (!idle) return Unexpected<Error>{idle.error()};
-  auto attempt = core::decode_attempt(value.find("attempt"));
+  auto attempt = decode_attempt(value.find("attempt"));
   if (!attempt) return Unexpected<Error>{attempt.error()};
   report.job = JobId(static_cast<std::uint64_t>(*job));
   report.kind = *kind;
@@ -364,12 +635,105 @@ inline Expected<core::TrackerReport> decode_report_params(
   return decode_report(params[0]);
 }
 
+// --- dag_done, cancel_attempt, ctrl.renew ----------------------------------
+
+inline std::vector<XrValue> dag_done_params(DagId dag, SimTime finished_at) {
+  return {XrValue(dag.value()), XrValue(finished_at)};
+}
+
+inline Expected<DagId> decode_dag_done(const std::vector<XrValue>& params) {
+  if (params.size() != 2 || !params[0].is_int()) {
+    return make_error("bad_request", "expected [dag_id, finished_at]");
+  }
+  return DagId(static_cast<std::uint64_t>(params[0].as_int()));
+}
+
+inline std::vector<XrValue> cancel_params(JobId job, int attempt) {
+  return {XrValue(job.value()), XrValue(static_cast<std::int64_t>(attempt))};
+}
+
+inline Expected<core::AttemptCancel> decode_cancel(
+    const std::vector<XrValue>& params) {
+  if (params.size() != 2 || !params[0].is_int()) {
+    return make_error("bad_request", "expected [job_id, attempt]");
+  }
+  const auto attempt = decode_attempt(&params[1]);
+  if (!attempt) return make_error("bad_request", attempt.error().message);
+  return core::AttemptCancel{
+      JobId(static_cast<std::uint64_t>(params[0].as_int())), *attempt};
+}
+
+inline std::vector<XrValue> renew_params(const std::string& shard,
+                                         const std::string& owner,
+                                         std::uint64_t epoch) {
+  return {XrValue(shard), XrValue(owner),
+          XrValue(static_cast<std::int64_t>(epoch))};
+}
+
+inline Expected<ctrl::Renewal> decode_renew(
+    const std::vector<XrValue>& params) {
+  if (params.size() != 3 || !params[0].is_string() || !params[1].is_string() ||
+      !params[2].is_int()) {
+    return make_error("bad_request", "ctrl.renew(shard, owner, epoch)");
+  }
+  return ctrl::Renewal{params[0].as_string(), params[1].as_string(),
+                       static_cast<std::uint64_t>(params[2].as_int())};
+}
+
+// --- replies ----------------------------------------------------------------
+
+inline const char* renew_text(ctrl::RenewOutcome outcome) {
+  switch (outcome) {
+    case ctrl::RenewOutcome::kRenewed: return "renewed";
+    case ctrl::RenewOutcome::kFenced: return "fenced";
+    case ctrl::RenewOutcome::kUnknownShard: break;
+  }
+  return "unknown";
+}
+
+/// A reply's value checked as a flag, a DAG id or a renew outcome, as the
+/// typed reply readers check it.
+inline Expected<bool> flag_reply(const XrValue& v) {
+  if (!v.is_bool()) return make_error("codec", "reply is not a boolean");
+  return v.as_bool();
+}
+
+inline Expected<DagId> dag_id_reply(const XrValue& v) {
+  if (!v.is_int()) return make_error("codec", "reply is not an int");
+  return DagId(static_cast<std::uint64_t>(v.as_int()));
+}
+
+inline Expected<ctrl::RenewOutcome> renew_reply(const XrValue& v) {
+  if (!v.is_string()) return make_error("codec", "reply is not a string");
+  for (const ctrl::RenewOutcome outcome :
+       {ctrl::RenewOutcome::kRenewed, ctrl::RenewOutcome::kFenced,
+        ctrl::RenewOutcome::kUnknownShard}) {
+    if (v.as_string() == renew_text(outcome)) return outcome;
+  }
+  return make_error("codec", "unknown renew outcome: " + v.as_string());
+}
+
+/// Reads the reply `xml` the tree way, as a client did before the typed
+/// readers: MethodResponse::parse, a fault as `fault:<code>`, then `check`
+/// on the value.
+template <typename R>
+Expected<R> tree_reply(const std::string& xml,
+                       Expected<R> (*check)(const XrValue&)) {
+  const auto response = MethodResponse::parse(xml);
+  if (!response) return Unexpected<Error>{response.error()};
+  if (response->is_fault) {
+    return make_error("fault:" + std::to_string(response->fault.code),
+                      response->fault.message);
+  }
+  return check(response->value);
+}
+
 // --- whole calls ------------------------------------------------------------
 
 /// The bytes of `method(params)`, written from the tree.
 inline std::string call_bytes(const std::string& method,
                               std::vector<XrValue> params) {
-  return rpc::MethodCall{method, std::move(params)}.serialize();
+  return MethodCall{method, std::move(params)}.serialize();
 }
 
 /// Reads the whole call `xml` with typed params decoder `decode`, as the
