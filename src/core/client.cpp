@@ -44,6 +44,13 @@ SphinxClient::SphinxClient(rpc::MessageBus& bus, submit::CondorG& gateway,
 
 SphinxClient::~SphinxClient() = default;
 
+void SphinxClient::set_recorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr) return;
+  source_name_ = recorder_->name(config_.endpoint);
+  job_name_ = recorder_->name("job");
+}
+
 void SphinxClient::submit(const workflow::Dag& dag, double priority,
                           SimTime deadline) {
   DagOutcome outcome;
@@ -341,9 +348,9 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
         config_.job_timeout, "client:timeout",
         [this, job, attempt] { on_timeout(job, attempt); });
     if (recorder_ != nullptr) {
-      recorder_->event(obs::TraceKind::kTrackerExtension, config_.endpoint,
-                       "job:" + std::to_string(job.value()),
-                       "site:" + std::to_string(tracked.plan.site.value()),
+      recorder_->event(obs::TraceKind::kTrackerExtension, source_name_,
+                       {job_name_, job.value()},
+                       recorder_->name("site:", tracked.plan.site.value()),
                        static_cast<double>(tracked.extensions));
       recorder_->count(config_.endpoint, "tracker.extensions");
     }
@@ -353,9 +360,9 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
   log_.debug("timeout for job ", job.value(), " on site ",
              tracked.plan.site.value(), "; cancelling and replanning");
   if (recorder_ != nullptr) {
-    recorder_->event(obs::TraceKind::kTrackerTimeout, config_.endpoint,
-                     "job:" + std::to_string(job.value()),
-                     "site:" + std::to_string(tracked.plan.site.value()),
+    recorder_->event(obs::TraceKind::kTrackerTimeout, source_name_,
+                     {job_name_, job.value()},
+                     recorder_->name("site:", tracked.plan.site.value()),
                      static_cast<double>(tracked.extensions));
     recorder_->count(config_.endpoint, "tracker.timeouts");
   }

@@ -119,9 +119,7 @@ class SphinxClient {
   /// Attaches a flight recorder: tracker timeouts, extensions and
   /// completion observations are traced and counted under this client's
   /// endpoint.  Observation only.
-  void set_recorder(obs::Recorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
+  void set_recorder(obs::Recorder* recorder);
 
   /// Jobs currently tracked (terminal entries are erased as their
   /// lifecycle ends, so this does not grow with run length).
@@ -181,6 +179,9 @@ class SphinxClient {
   RunningStats idle_times_;
   std::unordered_map<SiteId, SiteObservation> per_site_;
   obs::Recorder* recorder_ = nullptr;
+  /// This client's endpoint and "job" in the recorder's trace.
+  obs::Name source_name_{};
+  obs::Name job_name_{};
   Logger log_{"sphinx-client"};
 };
 

@@ -173,8 +173,8 @@ void SphinxServer::maybe_checkpoint() {
         if (recorder_ != nullptr) {
           const auto compacted =
               static_cast<double>(warehouse_->journal().size());
-          recorder_->event(obs::TraceKind::kCheckpoint, config_.endpoint,
-                           "", "seq:" + std::to_string(image.seq), compacted);
+          recorder_->event(obs::TraceKind::kCheckpoint, source_name_, {},
+                           recorder_->name("seq:", image.seq), compacted);
           recorder_->count(config_.endpoint, "server.checkpoints");
           recorder_->observe(config_.endpoint,
                              "server.checkpoint_snapshot_bytes",
@@ -224,8 +224,8 @@ Expected<DagId> SphinxServer::handle_submit_dag(
     return dag.id();
   }
   if (recorder_ != nullptr) {
-    recorder_->event(obs::TraceKind::kDagReceived, config_.endpoint,
-                     "dag:" + std::to_string(dag.id().value()), dag.name(),
+    recorder_->event(obs::TraceKind::kDagReceived, source_name_,
+                     {dag_name_, dag.id().value()}, recorder_->name(dag.name()),
                      static_cast<double>(dag.size()));
     recorder_->count(config_.endpoint, "server.dags_received");
   }
@@ -253,6 +253,10 @@ void SphinxServer::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
   warehouse_->set_recorder(recorder, config_.endpoint);
   planner_->set_recorder(recorder);
+  if (recorder_ == nullptr) return;
+  source_name_ = recorder_->name(config_.endpoint);
+  job_name_ = recorder_->name("job");
+  dag_name_ = recorder_->name("dag");
 }
 
 void SphinxServer::sweep() {
@@ -269,7 +273,7 @@ void SphinxServer::sweep() {
   // the begin/end pair brackets sweeps that had work, with the number of
   // drained DAGs on begin and the plan count on end.
   if (recorder_ != nullptr && !drained.empty()) {
-    recorder_->event(obs::TraceKind::kSweepBegin, config_.endpoint, "", "",
+    recorder_->event(obs::TraceKind::kSweepBegin, source_name_, {}, {},
                      static_cast<double>(drained.size()));
   }
   // Plans this sweep sent, speculative replicas included: the value of
@@ -327,9 +331,9 @@ void SphinxServer::sweep() {
     for (const ExecutionPlan& plan : outcome.plans) {
       send_plan(dag.client, plan);
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kPlanSent, config_.endpoint,
-                         "job:" + std::to_string(plan.job.value()),
-                         "site:" + std::to_string(plan.site.value()),
+        recorder_->event(obs::TraceKind::kPlanSent, source_name_,
+                         {job_name_, plan.job.value()},
+                         recorder_->name("site:", plan.site.value()),
                          static_cast<double>(plan.attempt));
         recorder_->count(config_.endpoint, "server.plans");
         if (plan.attempt > 1) {
@@ -355,7 +359,7 @@ void SphinxServer::sweep() {
   plans_sent += maybe_speculate();
 
   if (recorder_ != nullptr && !drained.empty()) {
-    recorder_->event(obs::TraceKind::kSweepEnd, config_.endpoint, "", "",
+    recorder_->event(obs::TraceKind::kSweepEnd, source_name_, {}, {},
                      static_cast<double>(plans_sent));
     recorder_->observe(config_.endpoint, "server.sweep_depth",
                        static_cast<double>(drained.size()));
@@ -424,11 +428,10 @@ std::size_t SphinxServer::maybe_speculate() {
       ++per_dag[job.dag.value()];
       ++launched;
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kSpeculationLaunched,
-                         config_.endpoint,
-                         "job:" + std::to_string(job.id.value()),
-                         "site:" + std::to_string(job.site.value()) + "->" +
-                             std::to_string(plan->site.value()),
+        recorder_->event(obs::TraceKind::kSpeculationLaunched, source_name_,
+                         {job_name_, job.id.value()},
+                         recorder_->name("site:", job.site.value(), "->",
+                                         plan->site.value()),
                          static_cast<double>(plan->attempt));
         recorder_->count(config_.endpoint, "server.speculations");
       }
@@ -465,9 +468,9 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
           : race.spec_attempt;
   if (recorder_ != nullptr) {
     if (won) {
-      recorder_->event(obs::TraceKind::kSpeculationWon, config_.endpoint,
-                       "job:" + std::to_string(race.job.value()),
-                       primary_won ? "primary" : "spec",
+      recorder_->event(obs::TraceKind::kSpeculationWon, source_name_,
+                       {job_name_, race.job.value()},
+                       recorder_->name(primary_won ? "primary" : "spec"),
                        static_cast<double>(primary_won ? race.primary_attempt
                                                        : race.spec_attempt));
       recorder_->count(config_.endpoint,
@@ -475,11 +478,12 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
                                    : "server.speculations_won_spec");
     }
     recorder_->event(
-        obs::TraceKind::kSpeculationCancelled, config_.endpoint,
-        "job:" + std::to_string(race.job.value()),
-        won ? "loser-cancel"
-            : (final_state == SpeculationState::kPrimaryDead ? "primary_dead"
-                                                             : "spec_dead"),
+        obs::TraceKind::kSpeculationCancelled, source_name_,
+        {job_name_, race.job.value()},
+        recorder_->name(won ? "loser-cancel"
+                        : final_state == SpeculationState::kPrimaryDead
+                            ? "primary_dead"
+                            : "spec_dead"),
         static_cast<double>(retired_attempt));
   }
   if (!won) return;  // the dead side's tracker entry is already gone
@@ -521,8 +525,8 @@ void SphinxServer::maybe_finish_dag(DagId dag_id) {
   const SimTime now = bus_.engine().now();
   warehouse_->set_dag_finished(dag_id, now);
   if (recorder_ != nullptr) {
-    recorder_->event(obs::TraceKind::kDagFinished, config_.endpoint,
-                     "dag:" + std::to_string(dag_id.value()), dag->name,
+    recorder_->event(obs::TraceKind::kDagFinished, source_name_,
+                     {dag_name_, dag_id.value()}, recorder_->name(dag->name),
                      now - dag->received_at);
     recorder_->observe(config_.endpoint, "dag.turnaround",
                        now - dag->received_at);

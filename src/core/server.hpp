@@ -181,6 +181,10 @@ class SphinxServer {
   /// speculation launch times byte-for-byte).
   SimTime last_speculation_check_ = 0.0;  // sphinx-lint: derived(maybe_speculate, SphinxServer)
   obs::Recorder* recorder_ = nullptr;
+  /// This server's endpoint, "job" and "dag" in the recorder's trace.
+  obs::Name source_name_{};
+  obs::Name job_name_{};
+  obs::Name dag_name_{};
   Logger log_{"sphinx-server"};
 };
 

@@ -238,15 +238,13 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
   }
 
   if (recorder_ != nullptr) {
-    std::string detail = std::string(to_string(old_state)) + "->" +
-                         to_string(state);
-    if (!reason.empty()) {
-      detail += " (";
-      detail += reason;
-      detail += ")";
-    }
+    const obs::Name detail =
+        reason.empty()
+            ? recorder_->name(to_string(old_state), "->", to_string(state))
+            : recorder_->name(to_string(old_state), "->", to_string(state),
+                              " (", reason, ")");
     recorder_->event(obs::TraceKind::kJobTransition, recorder_source_,
-                     "job:" + std::to_string(id.value()), std::move(detail),
+                     {job_name_, id.value()}, detail,
                      static_cast<double>(attempt));
   }
 }
@@ -266,16 +264,19 @@ void DataWarehouse::set_job_planned(JobId id, SiteId site, SimTime at) {
 
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kJobTransition, recorder_source_,
-                     "job:" + std::to_string(id.value()),
-                     attempt > 1 ? std::string("unplanned->planned (replan)")
-                                 : std::string("unplanned->planned"),
+                     {job_name_, id.value()},
+                     recorder_->name(attempt > 1 ? "unplanned->planned (replan)"
+                                                 : "unplanned->planned"),
                      static_cast<double>(attempt));
   }
 }
 
-void DataWarehouse::set_recorder(obs::Recorder* recorder, std::string source) {
+void DataWarehouse::set_recorder(obs::Recorder* recorder,
+                                 std::string_view source) {
   recorder_ = recorder;
-  recorder_source_ = std::move(source);
+  if (recorder_ == nullptr) return;
+  recorder_source_ = recorder_->name(source);
+  job_name_ = recorder_->name("job");
 }
 
 std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
@@ -524,8 +525,8 @@ void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
 
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kJobTransition, recorder_source_,
-                     "job:" + std::to_string(id.value()),
-                     std::string(to_string(state)) + "->planned (speculate)",
+                     {job_name_, id.value()},
+                     recorder_->name(to_string(state), "->planned (speculate)"),
                      static_cast<double>(primary_attempt + 1));
   }
 }

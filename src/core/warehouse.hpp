@@ -59,6 +59,7 @@
 #include "core/state.hpp"
 #include "data/lfn.hpp"
 #include "db/database.hpp"
+#include "obs/trace.hpp"
 #include "workflow/dag.hpp"
 
 namespace sphinx::obs {
@@ -396,10 +397,10 @@ class DataWarehouse {
   [[nodiscard]] std::string scheduler_state(const std::string& key) const;
 
   /// Attaches a flight recorder; job transitions and planning decisions
-  /// are traced as `source` (the owning server's endpoint).  The
-  /// warehouse has no clock of its own -- the recorder stamps events
-  /// with its engine's sim time.  Observation only.
-  void set_recorder(obs::Recorder* recorder, std::string source);
+  /// are traced as `source` (the owning server's endpoint) about
+  /// "job:<id>".  The warehouse has no clock of its own -- the recorder
+  /// stamps events with its engine's sim time.  Observation only.
+  void set_recorder(obs::Recorder* recorder, std::string_view source);
 
   /// Semantic sweep over the whole warehouse: outstanding jobs have a
   /// site and at least one attempt, finished DAGs have a finish time,
@@ -537,7 +538,8 @@ class DataWarehouse {
   /// the image drift from the journal sequence it anchors.
   std::optional<CheckpointImage> checkpoint_;  // sphinx-lint: derived(checkpoint, recover_from)
   obs::Recorder* recorder_ = nullptr;
-  std::string recorder_source_;
+  obs::Name recorder_source_{};
+  obs::Name job_name_{};  ///< "job", the subject of every transition
 };
 
 }  // namespace sphinx::core

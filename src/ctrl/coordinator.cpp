@@ -45,11 +45,17 @@ std::uint64_t LeaseCoordinator::grant(const std::string& shard,
   const std::uint64_t epoch =
       leases_.grant(shard, owner, bus_.engine().now(), kLeaseTtl);
   if (recorder_ != nullptr) {
-    recorder_->event(obs::TraceKind::kLeaseGranted, kCoordinatorEndpoint,
-                     shard, owner, static_cast<double>(epoch));
+    recorder_->event(obs::TraceKind::kLeaseGranted, source_name_,
+                     recorder_->name(shard), recorder_->name(owner),
+                     static_cast<double>(epoch));
     recorder_->count("ctrl", "ctrl.leases_granted");
   }
   return epoch;
+}
+
+void LeaseCoordinator::set_recorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ != nullptr) source_name_ = recorder_->name(kCoordinatorEndpoint);
 }
 
 void LeaseCoordinator::set_adopt_handler(AdoptHandler handler) {
@@ -74,8 +80,9 @@ Expected<RenewOutcome> LeaseCoordinator::handle_renew(
       recorder_->count("ctrl", "ctrl.lease_renewals");
       break;
     case RenewOutcome::kFenced:
-      recorder_->event(obs::TraceKind::kLeaseFenced, kCoordinatorEndpoint,
-                       renewal.shard, renewal.owner,
+      recorder_->event(obs::TraceKind::kLeaseFenced, source_name_,
+                       recorder_->name(renewal.shard),
+                       recorder_->name(renewal.owner),
                        static_cast<double>(renewal.epoch));
       recorder_->count("ctrl", "ctrl.lease_fenced");
       break;
@@ -93,8 +100,9 @@ void LeaseCoordinator::monitor_sweep() {
   for (const Lease& lease : leases_.expired(now)) {
     leases_.mark_expired(lease.shard);
     if (recorder_ != nullptr) {
-      recorder_->event(obs::TraceKind::kLeaseExpired, kCoordinatorEndpoint,
-                       lease.shard, lease.owner,
+      recorder_->event(obs::TraceKind::kLeaseExpired, source_name_,
+                       recorder_->name(lease.shard),
+                       recorder_->name(lease.owner),
                        static_cast<double>(lease.epoch));
       recorder_->count("ctrl", "ctrl.lease_expired");
     }
@@ -113,8 +121,9 @@ void LeaseCoordinator::monitor_sweep() {
     const std::uint64_t epoch =
         leases_.transfer(lease.shard, *adopter, now, kLeaseTtl);
     if (recorder_ != nullptr) {
-      recorder_->event(obs::TraceKind::kShardAdopted, kCoordinatorEndpoint,
-                       lease.shard, lease.owner + "->" + *adopter,
+      recorder_->event(obs::TraceKind::kShardAdopted, source_name_,
+                       recorder_->name(lease.shard),
+                       recorder_->name(lease.owner, "->", *adopter),
                        static_cast<double>(epoch));
       recorder_->count("ctrl", "ctrl.shard_adoptions");
     }

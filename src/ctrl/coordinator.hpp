@@ -81,7 +81,7 @@ class LeaseCoordinator {
   void set_adopt_handler(AdoptHandler handler);
   void set_adopted_callback(AdoptedCallback callback);
   /// Observation only: lease lifecycle events and ctrl.* counters.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+  void set_recorder(obs::Recorder* recorder);
 
   /// Starts / stops the expiry monitor.
   void start();
@@ -103,6 +103,7 @@ class LeaseCoordinator {
   AdoptHandler adopt_handler_;
   AdoptedCallback adopted_callback_;
   obs::Recorder* recorder_ = nullptr;
+  obs::Name source_name_{};  ///< kCoordinatorEndpoint in the recorder's trace
 };
 
 }  // namespace sphinx::ctrl

@@ -234,8 +234,10 @@ void Scenario::crash_server(std::size_t tenant_index) {
   durable.config = tenant.server->config();
   durable.resume_at = tenant.server->next_sweep_at();
 
-  recorder_.event(obs::TraceKind::kServerCrash, durable.config.endpoint, "",
-                  "fail-stop", static_cast<double>(durable.journal.size()));
+  recorder_.event(obs::TraceKind::kServerCrash,
+                  recorder_.name(durable.config.endpoint), {},
+                  recorder_.name("fail-stop"),
+                  static_cast<double>(durable.journal.size()));
   recorder_.count("chaos", "server.crashes");
 
   // Fail-stop: the destructor unregisters the endpoint, so until
@@ -269,10 +271,12 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
   // one would have.
   tenant.server->start_at(durable.resume_at);
 
-  recorder_.event(obs::TraceKind::kServerRecovery, durable.config.endpoint, "",
-                  durable.checkpoint.has_value() ? "checkpoint+suffix"
-                                                 : "journal-replay",
-                  static_cast<double>(tenant.server->warehouse().journal().size()));
+  recorder_.event(
+      obs::TraceKind::kServerRecovery, recorder_.name(durable.config.endpoint),
+      {},
+      recorder_.name(durable.checkpoint.has_value() ? "checkpoint+suffix"
+                                                    : "journal-replay"),
+      static_cast<double>(tenant.server->warehouse().journal().size()));
   recorder_.count("chaos", "server.recoveries");
   tenant.durable.reset();
   return {};

@@ -61,10 +61,17 @@ void FailureModel::start() {
   if (config_.enabled) schedule_failure();
 }
 
+void FailureModel::set_recorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr) return;
+  source_name_ = recorder_->name("failure:", site_.name());
+  site_name_ = recorder_->name("site");
+}
+
 void FailureModel::record_outage(const char* mode) {
   if (recorder_ == nullptr) return;
-  recorder_->event(obs::TraceKind::kSiteOutage, "failure:" + site_.name(),
-                   "site:" + std::to_string(site_.id().value()), mode,
+  recorder_->event(obs::TraceKind::kSiteOutage, source_name_,
+                   {site_name_, site_.id().value()}, recorder_->name(mode),
                    static_cast<double>(outages_));
   recorder_->count("grid", "site.outages");
 }
@@ -126,8 +133,8 @@ void FailureModel::repair() {
 
 void FailureModel::record_repair() {
   if (recorder_ == nullptr) return;
-  recorder_->event(obs::TraceKind::kSiteRepair, "failure:" + site_.name(),
-                   "site:" + std::to_string(site_.id().value()), "",
+  recorder_->event(obs::TraceKind::kSiteRepair, source_name_,
+                   {site_name_, site_.id().value()}, {},
                    static_cast<double>(outages_));
   recorder_->count("grid", "site.repairs");
 }

@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "grid/site.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace sphinx::obs {
@@ -68,8 +69,9 @@ class FailureModel {
   void start();
 
   /// Attaches a flight recorder; outages and repairs are traced with
-  /// their failure mode.  Observation only.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+  /// their failure mode, from "failure:<site name>" about "site:<id>".
+  /// Observation only.
+  void set_recorder(obs::Recorder* recorder);
 
   [[nodiscard]] std::size_t outages() const noexcept { return outages_; }
   [[nodiscard]] const FailureConfig& config() const noexcept { return config_; }
@@ -90,6 +92,8 @@ class FailureModel {
   Rng rng_;
   std::size_t outages_ = 0;
   obs::Recorder* recorder_ = nullptr;
+  obs::Name source_name_{};  ///< "failure:<site name>"
+  obs::Name site_name_{};    ///< "site"
 };
 
 /// The VO background jobs carry; a site applies its local priority for

@@ -27,7 +27,7 @@ SiteId Grid::add_site(const SiteSpec& spec) {
   return id;
 }
 
-void Grid::set_recorder(obs::Recorder* recorder) noexcept {
+void Grid::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
   for (Slot& slot : sites_) slot.failure->set_recorder(recorder);
 }

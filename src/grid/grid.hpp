@@ -41,7 +41,7 @@ class Grid {
 
   /// Attaches a flight recorder to every site's failure model (current
   /// and future).  Observation only.
-  void set_recorder(obs::Recorder* recorder) noexcept;
+  void set_recorder(obs::Recorder* recorder);
 
   [[nodiscard]] Site& site(SiteId id);
   [[nodiscard]] const Site& site(SiteId id) const;

@@ -1,7 +1,7 @@
 #include "monitor/service.hpp"
 
 #include <cmath>
-#include <string>
+#include <string_view>
 
 #include "obs/recorder.hpp"
 
@@ -27,12 +27,20 @@ void MonitoringService::start() {
   }
 }
 
+void MonitoringService::set_recorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr) return;
+  source_name_ = recorder_->name("monitor");
+  site_name_ = recorder_->name("site");
+}
+
 void MonitoringService::poll_site(SiteId site) {
   const auto status = grid_.site(site).query();
-  const auto emit = [&](const std::string& name, double value) {
+  const auto emit = [&](std::string_view name, double value) {
     if (recorder_ == nullptr) return;
-    recorder_->event(obs::TraceKind::kMonitorSample, "monitor",
-                     "site:" + std::to_string(site.value()), name, value);
+    recorder_->event(obs::TraceKind::kMonitorSample, source_name_,
+                     {site_name_, site.value()}, recorder_->name(name),
+                     value);
     recorder_->observe("monitor", name, value);
   };
   if (!status.has_value()) {

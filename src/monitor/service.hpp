@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "grid/grid.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace sphinx::obs {
@@ -64,7 +65,7 @@ class MonitoringService {
   /// successful one also queue.length / jobs.running / cpu.free, each as
   /// a `monitor_sample` event (subject "site:<id>") plus an observation
   /// of histogram "<metric>\@monitor".  Pass nullptr to detach.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+  void set_recorder(obs::Recorder* recorder);
 
   /// The most recent *published* snapshot of a site, or nullopt if no
   /// query has ever succeeded.  Callers must treat the timestamps as part
@@ -91,6 +92,8 @@ class MonitoringService {
   std::unordered_map<SiteId, SiteSnapshot> published_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> pollers_;
   obs::Recorder* recorder_ = nullptr;
+  obs::Name source_name_{};  ///< "monitor" in the recorder's trace
+  obs::Name site_name_{};    ///< "site", the subject of every sample
 };
 
 }  // namespace sphinx::monitor

@@ -4,23 +4,37 @@
 
 namespace sphinx::obs {
 
-void MetricSet::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
+namespace {
+
+/// The entry named `name`, created (its one allocation) on first use.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.lower_bound(name);
+  if (it == map.end() || it->first != name) {
+    it = map.emplace_hint(it, std::string(name), typename Map::mapped_type{});
+  }
+  return it->second;
 }
 
-void MetricSet::observe(const std::string& name, double value) {
-  Histogram& histogram = histograms_[name];
+}  // namespace
+
+void MetricSet::add(std::string_view name, std::uint64_t delta) {
+  entry(counters_, name) += delta;
+}
+
+void MetricSet::observe(std::string_view name, double value) {
+  Histogram& histogram = entry(histograms_, name);
   histogram.stats.add(value);
   histogram.samples.push_back(value);
 }
 
-std::uint64_t MetricSet::counter(const std::string& name) const {
+std::uint64_t MetricSet::counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
 const MetricSet::Histogram* MetricSet::histogram(
-    const std::string& name) const {
+    std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }

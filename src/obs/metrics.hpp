@@ -7,11 +7,14 @@
 /// samples so percentiles can be computed at export time.  Storage is
 /// ordered (std::map) and the serializer emits keys in that order with
 /// deterministic float formatting, so two same-seed runs export
-/// byte-identical metrics.json.
+/// byte-identical metrics.json.  The maps compare transparently
+/// (std::less<>), so a lookup by std::string_view allocates nothing; a
+/// metric's name is stored once, when the metric is created.
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -28,17 +31,17 @@ class MetricSet {
   };
 
   /// Increments a counter (creating it at zero first).
-  void add(const std::string& name, std::uint64_t delta = 1);
+  void add(std::string_view name, std::uint64_t delta = 1);
   /// Folds one observation into a histogram.
-  void observe(const std::string& name, double value);
+  void observe(std::string_view name, double value);
 
   /// Counter value; 0 for a counter never incremented.
-  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   /// Histogram by name; nullptr when never observed.
-  [[nodiscard]] const Histogram* histogram(const std::string& name) const;
+  [[nodiscard]] const Histogram* histogram(std::string_view name) const;
 
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters()
-      const noexcept {
+  [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>&
+  counters() const noexcept {
     return counters_;
   }
 
@@ -47,8 +50,8 @@ class MetricSet {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace sphinx::obs

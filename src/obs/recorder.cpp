@@ -1,37 +1,72 @@
 #include "obs/recorder.hpp"
 
-namespace sphinx::obs {
+#include <charconv>
+#include <limits>
 
-void Recorder::event(TraceKind kind, std::string source, std::string subject,
-                     std::string detail, double value) {
+namespace sphinx::obs {
+namespace {
+
+/// The metric key "name\@source" (the bare name without a source),
+/// appended to `out`.
+void append_qualified(std::string& out, std::string_view name,
+                      std::string_view source) {
+  out += name;
+  if (source.empty()) return;
+  out += '@';
+  out += source;
+}
+
+}  // namespace
+
+void Recorder::append_part(std::uint64_t number) {
+  char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  const auto end = std::to_chars(digits, digits + sizeof digits, number).ptr;
+  buffer_.append(digits, end);
+}
+
+std::string_view Recorder::qualified(std::string_view name,
+                                     std::string_view source) {
+  buffer_.clear();
+  append_qualified(buffer_, name, source);
+  return buffer_;
+}
+
+void Recorder::event(TraceKind kind, Name source, Subject subject,
+                     Name detail, double value) {
   TraceEvent e;
   e.at = engine_.now();
-  e.kind = kind;
-  e.source = std::move(source);
-  e.subject = std::move(subject);
-  e.detail = std::move(detail);
   e.value = value;
-  trace_.record(std::move(e));
+  e.number = subject.number.value_or(0);
+  e.source = source;
+  e.subject = subject.name;
+  e.detail = detail;
+  e.kind = kind;
+  e.numbered = subject.number.has_value();
+  trace_.record(e);
 }
 
-void Recorder::count(const std::string& source, const std::string& name,
+void Recorder::count(std::string_view source, std::string_view name,
                      std::uint64_t delta) {
-  metrics_.add(qualified_name(name, source), delta);
+  metrics_.add(qualified(name, source), delta);
 }
 
-void Recorder::observe(const std::string& source, const std::string& name,
+void Recorder::observe(std::string_view source, std::string_view name,
                        double value) {
-  metrics_.observe(qualified_name(name, source), value);
+  metrics_.observe(qualified(name, source), value);
 }
 
-std::uint64_t Recorder::counter(const std::string& name,
-                                const std::string& source) const {
-  return metrics_.counter(qualified_name(name, source));
+std::uint64_t Recorder::counter(std::string_view name,
+                                std::string_view source) const {
+  std::string key;
+  append_qualified(key, name, source);
+  return metrics_.counter(key);
 }
 
 const MetricSet::Histogram* Recorder::histogram(
-    const std::string& name, const std::string& source) const {
-  return metrics_.histogram(qualified_name(name, source));
+    std::string_view name, std::string_view source) const {
+  std::string key;
+  append_qualified(key, name, source);
+  return metrics_.histogram(key);
 }
 
 }  // namespace sphinx::obs

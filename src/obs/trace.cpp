@@ -2,10 +2,39 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.hpp"
 
 namespace sphinx::obs {
+namespace {
+
+void append_double(std::string& out, double value) {
+  if (std::isinf(value)) {
+    out += value > 0 ? "\"inf\"" : "\"-inf\"";
+    return;
+  }
+  if (std::isnan(value)) {
+    out += "\"nan\"";
+    return;
+  }
+  char buffer[64];
+  const auto [ptr, ec] =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
+  SPHINX_INVARIANT(ec == std::errc{}, "double formatting cannot fail");
+  out.append(buffer, ptr);
+}
+
+[[nodiscard]] bool needs_escape(std::string_view text) noexcept {
+  for (const char c : text) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* to_string(TraceKind kind) noexcept {
   switch (kind) {
@@ -41,16 +70,12 @@ const char* to_string(TraceKind kind) noexcept {
 }
 
 std::string format_double(double value) {
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  if (std::isnan(value)) return "\"nan\"";
-  char buffer[64];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof buffer, value);
-  SPHINX_INVARIANT(ec == std::errc{}, "double formatting cannot fail");
-  return std::string(buffer, ptr);
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
-std::string json_escape(const std::string& text) {
+std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (const char c : text) {
@@ -73,35 +98,76 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-std::string TraceEvent::to_json() const {
-  std::string out = "{\"t\":";
-  out += format_double(at);
-  out += ",\"kind\":\"";
-  out += to_string(kind);
-  out += "\",\"src\":\"";
-  out += json_escape(source);
-  out += "\",\"subj\":\"";
-  out += json_escape(subject);
-  out += "\",\"detail\":\"";
-  out += json_escape(detail);
-  out += "\",\"v\":";
-  out += format_double(value);
-  out += "}";
-  return out;
+TraceSink::TraceSink() : names_(1) { index_.emplace(names_.front(), Name{}); }
+
+Name TraceSink::name(std::string_view text) {
+  const auto it = index_.find(text);
+  if (it != index_.end()) return it->second;
+  SPHINX_INVARIANT(names_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "trace name table is full");
+  const Name handle{static_cast<std::uint32_t>(names_.size())};
+  if (needs_escape(text)) {
+    names_.push_back(json_escape(text));
+    index_.emplace(raw_keys_.emplace_back(text), handle);
+  } else {
+    index_.emplace(names_.emplace_back(text), handle);
+  }
+  return handle;
 }
 
-void TraceSink::record(TraceEvent event) {
+void TraceSink::record(const TraceEvent& event) {
   SPHINX_PRECONDITION(event.at >= last_at_,
                       "trace events must arrive in sim-time order");
+  const auto known = [this](Name name) {
+    return static_cast<std::size_t>(name) < names_.size();
+  };
+  SPHINX_PRECONDITION(
+      known(event.source) && known(event.subject) && known(event.detail),
+      "trace event names must come from this sink");
   last_at_ = event.at;
-  events_.push_back(std::move(event));
+  if (size_ % kBlockEvents == 0) blocks_.push_back(std::make_unique<Block>());
+  (*blocks_.back())[size_ % kBlockEvents] = event;
+  ++size_;
+}
+
+std::vector<TraceView> TraceSink::events() const {
+  std::vector<TraceView> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const TraceEvent& e = event(i);
+    std::string subject = text(e.subject);
+    if (e.numbered) subject += ":" + std::to_string(e.number);
+    out.push_back(TraceView{e.at, e.kind, text(e.source), std::move(subject),
+                            text(e.detail), e.value});
+  }
+  return out;
 }
 
 std::string TraceSink::to_jsonl() const {
   std::string out;
-  for (const TraceEvent& event : events_) {
-    out += event.to_json();
-    out += '\n';
+  for (std::size_t i = 0; i < size_; ++i) {
+    const TraceEvent& e = event(i);
+    out += "{\"t\":";
+    append_double(out, e.at);
+    out += ",\"kind\":\"";
+    out += to_string(e.kind);
+    out += "\",\"src\":\"";
+    out += text(e.source);
+    out += "\",\"subj\":\"";
+    out += text(e.subject);
+    if (e.numbered) {
+      char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+      const auto [end, ec] =
+          std::to_chars(digits, digits + sizeof digits, e.number);
+      SPHINX_INVARIANT(ec == std::errc{}, "integer formatting cannot fail");
+      out += ':';
+      out.append(digits, end);
+    }
+    out += "\",\"detail\":\"";
+    out += text(e.detail);
+    out += "\",\"v\":";
+    append_double(out, e.value);
+    out += "}\n";
   }
   return out;
 }

@@ -78,6 +78,12 @@ void MessageBus::reply(const Envelope& request, std::string payload) {
   post(std::move(env));
 }
 
+void MessageBus::record(obs::TraceKind kind, const Envelope& env,
+                        obs::Name detail, double value) {
+  recorder_->event(kind, recorder_->name(env.from), recorder_->name(env.to),
+                   detail, value);
+}
+
 bool MessageBus::rule_matches(const LinkFaultRule& rule, const Envelope& env,
                               SimTime now) {
   if (now < rule.start || now >= rule.end) return false;
@@ -129,8 +135,7 @@ void MessageBus::post(Envelope envelope) {
     }
     if (partitioned) {
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kBusPartitionDrop, envelope.from,
-                         envelope.to, "", 0.0);
+        record(obs::TraceKind::kBusPartitionDrop, envelope, {}, 0.0);
         recorder_->count("bus", "bus.partitioned");
       }
       return;
@@ -145,16 +150,14 @@ void MessageBus::post(Envelope envelope) {
     }
     if (pass_loss < 1.0 && faults_rng_.chance(1.0 - pass_loss)) {
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kBusLoss, envelope.from, envelope.to,
-                         "", 0.0);
+        record(obs::TraceKind::kBusLoss, envelope, {}, 0.0);
         recorder_->count("bus", "bus.lost");
       }
       return;
     }
     if (pass_duplicate < 1.0 && faults_rng_.chance(1.0 - pass_duplicate)) {
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kBusDuplicate, envelope.from,
-                         envelope.to, "", 0.0);
+        record(obs::TraceKind::kBusDuplicate, envelope, {}, 0.0);
         recorder_->count("bus", "bus.duplicated");
       }
       // The duplicate's extra jitter comes from the fault stream so the
@@ -169,8 +172,7 @@ void MessageBus::post(Envelope envelope) {
           spike > 0 ? faults_rng_.uniform(0.0, spike) : 0.0;
       delay += extra;
       if (recorder_ != nullptr) {
-        recorder_->event(obs::TraceKind::kBusReorder, envelope.from,
-                         envelope.to, "", extra);
+        record(obs::TraceKind::kBusReorder, envelope, {}, extra);
         recorder_->count("bus", "bus.reordered");
       }
     }
@@ -191,24 +193,24 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           if (handoff_windows_.contains(env.to)) {
             if (recorder_ != nullptr) {
               recorder_->count("bus", "bus.dropped_handoff");
-              recorder_->event(obs::TraceKind::kBusDrop, env.from, env.to,
-                               "endpoint_handoff", 0.0);
+              record(obs::TraceKind::kBusDrop, env,
+                     recorder_->name("endpoint_handoff"), 0.0);
             }
             return;
           }
           const bool known = ever_registered_.contains(env.to);
           if (recorder_ != nullptr) {
             recorder_->count("bus", "bus.dropped_no_endpoint");
-            recorder_->event(
-                obs::TraceKind::kBusDrop, env.from, env.to,
-                known ? "endpoint_unregistered" : "missing_endpoint", 0.0);
+            record(obs::TraceKind::kBusDrop, env,
+                   recorder_->name(known ? "endpoint_unregistered"
+                                         : "missing_endpoint"),
+                   0.0);
           }
           return;
         }
         if (recorder_ != nullptr) {
           const Duration latency = engine_.now() - env.sent_at;
-          recorder_->event(obs::TraceKind::kBusDelivery, env.from, env.to, "",
-                           latency);
+          record(obs::TraceKind::kBusDelivery, env, {}, latency);
           recorder_->observe("bus", "bus.delivery_latency", latency);
         }
         it->second(env);

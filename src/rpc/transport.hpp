@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "obs/trace.hpp"
 #include "rpc/gsi.hpp"
 #include "sim/engine.hpp"
 
@@ -119,9 +120,12 @@ class MessageBus {
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
 
   /// Attaches a flight recorder; every delivery records its latency and
-  /// every injected fault records an observe-only event.  Pass nullptr
-  /// to detach.  Observation only -- attaching a recorder changes
-  /// neither delivery timing nor the RNG streams.
+  /// every injected fault records an observe-only event, with the sender
+  /// as source and the recipient as subject.  Endpoints come and go, so
+  /// their trace names are looked up per event, a lookup that allocates
+  /// nothing once an endpoint has been traced.  Pass nullptr to detach.
+  /// Observation only -- attaching a recorder changes neither delivery
+  /// timing nor the RNG streams.
   void set_recorder(obs::Recorder* recorder) noexcept {
     recorder_ = recorder;
   }
@@ -129,6 +133,9 @@ class MessageBus {
  private:
   void post(Envelope envelope);
   void deliver_in(Duration delay, Envelope envelope);
+  /// Traces one event about `env` (recorder attached).
+  void record(obs::TraceKind kind, const Envelope& env, obs::Name detail,
+              double value);
   [[nodiscard]] static bool rule_matches(const LinkFaultRule& rule,
                                          const Envelope& env, SimTime now);
 

@@ -518,10 +518,12 @@ class RedeliveryFixture : public ::testing::Test {
     Delivery delivery;
     delivery.reply = replies.back();
     delivery.journal = warehouse().journal().serialize();
-    const auto& trace = scenario.recorder().trace().events();
+    const auto trace = scenario.recorder().trace().events();
     for (std::size_t i = events; i < trace.size(); ++i) {
       if (trace[i].kind != obs::TraceKind::kBusDelivery) {
-        delivery.trace.push_back(trace[i].to_json());
+        delivery.trace.push_back(std::string(obs::to_string(trace[i].kind)) +
+                                 " " + trace[i].subject + " " +
+                                 std::string(trace[i].detail));
       }
     }
     return delivery;
@@ -818,7 +820,7 @@ TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
 
 std::vector<SimTime> checkpoint_times(const Scenario& scenario) {
   std::vector<SimTime> times;
-  for (const obs::TraceEvent& e : scenario.recorder().trace().events()) {
+  for (const obs::TraceView& e : scenario.recorder().trace().events()) {
     if (e.kind == obs::TraceKind::kCheckpoint) times.push_back(e.at);
   }
   return times;

@@ -29,7 +29,7 @@ std::vector<double> samples(const obs::Recorder& recorder, SiteId site,
                             const std::string& metric) {
   const std::string subject = "site:" + std::to_string(site.value());
   std::vector<double> values;
-  for (const obs::TraceEvent& e : recorder.trace().events()) {
+  for (const obs::TraceView& e : recorder.trace().events()) {
     if (e.kind == obs::TraceKind::kMonitorSample && e.subject == subject &&
         e.detail == metric) {
       values.push_back(e.value);
@@ -242,9 +242,10 @@ TEST_F(MonitorFixture, PollRecordsEachMetricAsSampleAndHistogram) {
       {"queue.length", 2.0},
       {"jobs.running", 4.0},
       {"cpu.free", 0.0}};
-  ASSERT_EQ(recorder.trace().size(), expected.size());
+  const std::vector<obs::TraceView> events = recorder.trace().events();
+  ASSERT_EQ(events.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    const obs::TraceEvent& e = recorder.trace().events()[i];
+    const obs::TraceView& e = events[i];
     EXPECT_EQ(e.kind, obs::TraceKind::kMonitorSample);
     EXPECT_EQ(e.source, "monitor");
     EXPECT_EQ(e.subject, "site:" + std::to_string(a.value()));

@@ -8,6 +8,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "exp/runner.hpp"
@@ -44,16 +45,57 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
 }
 
 TEST(TraceEvent, JsonHasFixedKeyOrder) {
+  TraceSink sink;
   TraceEvent event;
   event.at = 12.5;
   event.kind = TraceKind::kPlanSent;
-  event.source = "sphinx-server/t";
-  event.subject = "job:7";
-  event.detail = "site:3";
+  event.source = sink.name("sphinx-server/t");
+  event.subject = sink.name("job");
+  event.numbered = true;
+  event.number = 7;
+  event.detail = sink.name("site:3");
   event.value = 2.0;
-  EXPECT_EQ(event.to_json(),
+  sink.record(event);
+  EXPECT_EQ(sink.to_jsonl(),
             "{\"t\":12.5,\"kind\":\"plan_sent\",\"src\":\"sphinx-server/t\","
-            "\"subj\":\"job:7\",\"detail\":\"site:3\",\"v\":2}");
+            "\"subj\":\"job:7\",\"detail\":\"site:3\",\"v\":2}\n");
+}
+
+TEST(TraceSink, StoresEachNameOnceEscaped) {
+  TraceSink sink;
+  EXPECT_EQ(sink.name(""), Name{});
+  const Name job = sink.name("job");
+  EXPECT_EQ(sink.name(std::string("job")), job);
+  const Name quoted = sink.name("say \"hi\"");
+  EXPECT_NE(quoted, job);
+  EXPECT_EQ(sink.name("say \"hi\""), quoted);
+  TraceEvent event;
+  event.source = quoted;
+  event.subject = job;
+  event.numbered = true;
+  event.number = 0;
+  sink.record(event);
+  event.numbered = false;
+  sink.record(event);
+  const std::vector<TraceView> events = sink.events();
+  ASSERT_EQ(events.size(), 2u);
+  // Views read the table's escaped text; a numbered subject reads
+  // "name:number", a bare one the name alone.
+  EXPECT_EQ(events[0].source, "say \\\"hi\\\"");
+  EXPECT_EQ(events[0].subject, "job:0");
+  EXPECT_EQ(events[1].subject, "job");
+  EXPECT_EQ(events[1].detail, "");
+}
+
+TEST(TraceSink, RefusesNamesFromAnotherSink) {
+  TraceSink other;
+  (void)other.name("a");
+  const Name foreign = other.name("b");
+  TraceSink sink;
+  TraceEvent event;
+  event.detail = foreign;
+  EXPECT_THROW(sink.record(event), ContractViolation);
+  EXPECT_TRUE(sink.empty());
 }
 
 TEST(TraceSink, EnforcesMonotonicTime) {
@@ -76,7 +118,7 @@ TEST(TraceSink, JsonlIsOneObjectPerLine) {
     TraceEvent event;
     event.at = i;
     event.kind = TraceKind::kSweepBegin;
-    event.source = "s";
+    event.source = sink.name("s");
     sink.record(event);
   }
   const std::string jsonl = sink.to_jsonl();
@@ -128,7 +170,7 @@ TEST(Recorder, QualifiedNamesAndEngineStamping) {
   sim::Engine engine;
   Recorder recorder(engine);
   engine.schedule_at(7.0, "emit", [&] {
-    recorder.event(TraceKind::kSweepBegin, "srv", "", "", 3.0);
+    recorder.event(TraceKind::kSweepBegin, recorder.name("srv"), {}, {}, 3.0);
     recorder.count("srv", "sweeps");
     recorder.count("", "unscoped");
     recorder.observe("srv", "depth", 3.0);
@@ -165,7 +207,7 @@ TEST(Export, WritesSerializedFormsVerbatim) {
   TraceSink sink;
   TraceEvent event;
   event.at = 1.0;
-  event.source = "s";
+  event.source = sink.name("s");
   sink.record(event);
   MetricSet metrics;
   metrics.add("c", 3);

@@ -36,6 +36,7 @@
 #include "rpc/clarens.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "sim/engine.hpp"
+#include "trace_reference.hpp"
 #include "wire_reference.hpp"
 #include "workflow/generator.hpp"
 
@@ -696,8 +697,8 @@ TEST_P(SeededProperty, ScheduledOutagesAlternateWithRepairs) {
   scenario.start();
   scenario.run(hours(12));
 
-  std::map<std::string, int> open;  // site -> currently-down?
-  std::map<std::string, SimTime> last_outage_at;
+  std::map<std::string_view, int> open;  // site -> currently-down?
+  std::map<std::string_view, SimTime> last_outage_at;
   std::size_t outages_seen = 0;
   for (const auto& event : scenario.recorder().trace().events()) {
     if (event.kind == obs::TraceKind::kSiteOutage) {
@@ -2278,6 +2279,169 @@ TEST_P(SeededProperty, MutatedReprosAreRefusedOrRoundTrip) {
   EXPECT_GT(accepted, kMutations / 20);
   EXPECT_LT(accepted, kMutations);
   RecordProperty("repros_accepted", accepted);
+}
+
+// --- trace rendering against the string reference ----------------------------
+
+/// Raw texts the trace must carry through its name table: every byte
+/// the escaper treats specially, 0x7f and non-ASCII bytes it passes
+/// through, the empty name, and ':' and digits, which a numbered
+/// subject writes after its name.
+const std::vector<std::string>& special_trace_names() {
+  static const std::vector<std::string> names = {
+      "",
+      "job",
+      "sphinx-server/completion-time",
+      "\"",
+      "\\",
+      "\n",
+      "\t",
+      std::string("\x01"),
+      std::string("\x7f"),
+      "caf\xc3\xa9",
+      "\xe5\x90\x8d\xe5\x89\x8d",
+      std::string("a\"b\\c\nd\te\x01" "f\x7fg\xff"),
+      "job:42",
+      "\\\"",
+      std::string("\x1f\x00z", 3)};
+  return names;
+}
+
+/// A random name: mostly drawn from the specials, else random bytes from
+/// an alphabet heavy in the escaper's special cases.
+std::string random_trace_name(Rng& rng) {
+  const auto& specials = special_trace_names();
+  if (rng.chance(0.6)) {
+    return specials[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(specials.size()) - 1))];
+  }
+  static const std::string alphabet = std::string("ab:09\"\\\n\t\r\x01\x1f\x7f") +
+                                      "\x80\xc3\xa9\xff -/>()";
+  std::string out;
+  const auto length = rng.uniform_int(0, 12);
+  for (std::int64_t i = 0; i < length; ++i) {
+    out += alphabet[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+  }
+  return out;
+}
+
+double random_trace_value(Rng& rng) {
+  static const std::vector<double> specials = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -2.5e-310,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.1,
+      1e21,
+      123456789.0};
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return specials[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(specials.size()) - 1))];
+    case 1:  // any bit pattern: every exponent, NaN payloads included
+      return std::bit_cast<double>(rng.engine()());
+    case 2:
+      return static_cast<double>(rng.uniform_int(-1000000, 1000000));
+    default:
+      return rng.uniform(-1e6, 1e6);
+  }
+}
+
+std::uint64_t random_subject_number(Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return 0;
+    case 1: return std::numeric_limits<std::uint64_t>::max();
+    case 2: return rng.engine()();
+    default: return static_cast<std::uint64_t>(rng.uniform_int(1, 100000));
+  }
+}
+
+// The sink stores names as escaped handles and writes a numbered
+// subject as "name:number"; its JSON Lines must equal, line for line,
+// what the string event it replaced rendered (tests/trace_reference.hpp).
+// 3,000 events fill three of the log's blocks.
+TEST_P(SeededProperty, TraceRenderingMatchesStringReference) {
+  Rng rng(GetParam());
+  constexpr std::size_t kEvents = 3000;
+  constexpr auto kKinds =
+      static_cast<std::int64_t>(obs::TraceKind::kSpeculationCancelled);
+  obs::TraceSink sink;
+  std::vector<std::string> expected;
+  std::vector<std::string> expected_subjects;
+  std::size_t numbered = 0;
+  std::size_t extremes = 0;
+  SimTime at = 0.0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    if (rng.chance(0.7)) at += rng.exponential(5.0);
+    trace_reference::TraceEvent reference;
+    reference.at = at;
+    reference.kind = static_cast<obs::TraceKind>(rng.uniform_int(0, kKinds));
+    reference.source = random_trace_name(rng);
+    reference.subject = random_trace_name(rng);
+    reference.detail = random_trace_name(rng);
+    reference.value = random_trace_value(rng);
+
+    obs::TraceEvent event;
+    event.at = reference.at;
+    event.kind = reference.kind;
+    event.source = sink.name(reference.source);
+    event.subject = sink.name(reference.subject);
+    event.detail = sink.name(reference.detail);
+    event.value = reference.value;
+    if (rng.chance(0.5)) {
+      event.numbered = true;
+      event.number = random_subject_number(rng);
+      reference.subject += ":" + std::to_string(event.number);
+      ++numbered;
+      if (event.number == 0 ||
+          event.number == std::numeric_limits<std::uint64_t>::max()) {
+        ++extremes;
+      }
+    }
+    sink.record(event);
+    expected.push_back(reference.to_json());
+    expected_subjects.push_back(trace_reference::json_escape(reference.subject));
+  }
+
+  const std::string jsonl = sink.to_jsonl();
+  std::size_t line_start = 0;
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const std::size_t end = jsonl.find('\n', line_start);
+    ASSERT_NE(end, std::string::npos) << "missing line " << i;
+    const std::string_view line(jsonl.data() + line_start, end - line_start);
+    if (line != expected[i] && differing++ == 0) {
+      ADD_FAILURE() << "first differing line " << i << "\n  sink: " << line
+                    << "\n  reference: " << expected[i];
+    }
+    line_start = end + 1;
+  }
+  EXPECT_EQ(line_start, jsonl.size()) << "lines past the last event";
+  EXPECT_EQ(differing, 0u);
+
+  // The view reads the same escaped subject text.
+  const std::vector<obs::TraceView> views = sink.events();
+  ASSERT_EQ(views.size(), kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(views[i].subject, expected_subjects[i]) << "event " << i;
+  }
+
+  // Reach: both subject shapes and both extreme numbers were drawn, and
+  // the table holds each distinct name once.
+  EXPECT_GT(numbered, kEvents / 3);
+  EXPECT_LT(numbered, 2 * kEvents / 3);
+  EXPECT_GT(extremes, kEvents / 10);
+  for (const std::string& name : special_trace_names()) {
+    EXPECT_EQ(sink.name(name), sink.name(std::string(name)));
+  }
+  RecordProperty("numbered_subjects", static_cast<int>(numbered));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

@@ -135,8 +135,8 @@ TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 2u);
   std::vector<std::string> details;
-  for (const obs::TraceEvent& e : recorder.trace().events()) {
-    if (e.kind == obs::TraceKind::kBusDrop) details.push_back(e.detail);
+  for (const obs::TraceView& e : recorder.trace().events()) {
+    if (e.kind == obs::TraceKind::kBusDrop) details.emplace_back(e.detail);
   }
   ASSERT_EQ(details.size(), 2u);
   EXPECT_EQ(details[0], "endpoint_unregistered");
@@ -158,8 +158,8 @@ TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 0u);
 
   std::vector<std::string> details;
-  for (const obs::TraceEvent& e : recorder.trace().events()) {
-    if (e.kind == obs::TraceKind::kBusDrop) details.push_back(e.detail);
+  for (const obs::TraceView& e : recorder.trace().events()) {
+    if (e.kind == obs::TraceKind::kBusDrop) details.emplace_back(e.detail);
   }
   ASSERT_EQ(details.size(), 1u);
   EXPECT_EQ(details[0], "endpoint_handoff");
@@ -182,8 +182,8 @@ TEST_F(FaultBusFixture, ReRegistrationClosesTheHandoffWindow) {
   EXPECT_EQ(counter("bus.dropped_handoff"), 0u);
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 1u);
   std::vector<std::string> details;
-  for (const obs::TraceEvent& e : recorder.trace().events()) {
-    if (e.kind == obs::TraceKind::kBusDrop) details.push_back(e.detail);
+  for (const obs::TraceView& e : recorder.trace().events()) {
+    if (e.kind == obs::TraceKind::kBusDrop) details.emplace_back(e.detail);
   }
   ASSERT_EQ(details.size(), 1u);
   EXPECT_EQ(details[0], "endpoint_unregistered");

@@ -121,7 +121,7 @@ TEST_F(RetryFixture, BackoffIsCappedExponentialWithBoundedJitter) {
   // Every transmission is lost, and the bus traces each loss at its send
   // time.
   std::vector<SimTime> send_times;
-  for (const obs::TraceEvent& event : recorder.trace().events()) {
+  for (const obs::TraceView& event : recorder.trace().events()) {
     if (event.kind == obs::TraceKind::kBusLoss) send_times.push_back(event.at);
   }
   ASSERT_EQ(send_times.size(), 5u);
@@ -153,7 +153,7 @@ TEST_F(RetryFixture, DuplicateReplyInvokesCallbackOnce) {
   EXPECT_EQ(callbacks, 1u);
   // Both replies reached the client; it dropped the second.
   std::size_t replies = 0;
-  for (const obs::TraceEvent& event : recorder.trace().events()) {
+  for (const obs::TraceView& event : recorder.trace().events()) {
     if (event.kind == obs::TraceKind::kBusDelivery &&
         event.subject == "client-1") {
       ++replies;

@@ -152,6 +152,10 @@ diff bench/golden/record_stdout.txt "$bin/determinism/a/stdout.txt"
 diff bench/golden/record_metrics.json "$bin/determinism/a/metrics.json"
 diff bench/golden/record_lossy_stdout.txt "$bin/lossy/a/stdout.txt"
 diff bench/golden/record_lossy_metrics.json "$bin/lossy/a/metrics.json"
+# The seed-7 trace.jsonl, plain and lossy, is pinned by its sha256: the
+# determinism gates above only compare two runs of the same build, so
+# this is what holds the trace's bytes from one commit to the next.
+(cd "$bin" && sha256sum --check --strict "$root/bench/golden/record_trace.sha256")
 diff bench/golden/chaos_campaign.txt "$bin/chaos/a/stdout.txt"
 diff bench/golden/chaos_failover.txt "$bin/failover/a/stdout.txt"
 grep -v 'summary ->' "$bin/straggler/a/stdout.txt" \
@@ -197,6 +201,17 @@ echo "== db benchmark =="
 # Results land in BENCH_db.json.
 "$bin/bench/micro_db" \
   --benchmark_out=BENCH_db.json --benchmark_out_format=json
+
+echo "== flight-recorder benchmark =="
+# Recording the two most frequent trace event shapes into a fresh
+# recorder (BM_TraceRecord/bus_delivery: endpoint source and subject
+# looked up per event, empty detail, a latency; /job_transition: subject
+# job:<id>, detail "queued->planned"), with the live heap each event
+# adds (heap_bytes_per_event); rendering a 10,000-event log as JSON
+# Lines (BM_TraceJsonl); and one source-qualified counter increment
+# (BM_RecorderCount).  Results land in BENCH_obs.json.
+"$bin/bench/micro_obs" \
+  --benchmark_out=BENCH_obs.json --benchmark_out_format=json
 
 echo "== rpc overhead benchmark =="
 # The reliable-stack A/B at 0% loss (BM_RpcRoundTrip: the overhead
