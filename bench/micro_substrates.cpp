@@ -1,8 +1,10 @@
 /// Microbenchmarks for the data substrates the planner leans on: RLS
 /// lookups (single vs clubbed), replica selection, the GridFTP fluid
-/// model, and XML-RPC wire costs.
+/// model, XML-RPC wire costs, and the submission path under the client
+/// (Condor-G gateway and site).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <functional>
 #include <utility>
@@ -11,6 +13,8 @@
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
 #include "data/rls.hpp"
+#include "grid/grid.hpp"
+#include "submit/condor_g.hpp"
 #include "workflow/generator.hpp"
 
 namespace {
@@ -284,5 +288,104 @@ void BM_XmlRpcPlanDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XmlRpcPlanDecode);
+
+// --- the submission path ----------------------------------------------------
+//
+// Staged jobs through one Condor-G gateway to a 16-CPU site: each job
+// stages one 50 MB input from a store site, computes for a minute and
+// ends; 32 are in flight, and each completion submits the next, so the
+// engine, the transfer model and the site queue stay the same size
+// however many jobs run.  ns_per_job is the time per job.
+// retained_bytes_per_job is the live heap (mallinfo2) a drained world
+// holds after N more jobs than before them, per job: what the gateway
+// and the site keep of finished work.
+
+[[nodiscard]] double live_heap() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
+class SubmissionChurn {
+ public:
+  SubmissionChurn() {
+    grid::SiteSpec spec;
+    spec.site.name = "exec";
+    spec.site.cpus = 16;
+    exec_ = grid_.add_site(spec);
+    spec.site.name = "store";
+    store_ = grid_.add_site(spec);
+    transfers_.set_link(exec_, {20e6, 20e6});
+    transfers_.set_link(store_, {20e6, 20e6});
+  }
+
+  /// Runs `jobs` more jobs until the world drains; false if any did not
+  /// complete or a transfer is left in flight.
+  bool run(std::int64_t jobs) {
+    const std::int64_t done_before = completed_;
+    left_ = jobs;
+    for (int i = 0; i < kInFlight && left_ > 0; ++i) submit_next();
+    engine_.run_until();
+    return completed_ - done_before == jobs && transfers_.active() == 0;
+  }
+
+ private:
+  static constexpr int kInFlight = 32;
+
+  void submit_next() {
+    --left_;
+    submit::SubmitRequest request;
+    request.job = JobId(++last_job_);
+    request.name = "churn";
+    request.user = UserId(1);
+    request.site = exec_;
+    request.compute_time = 60.0;
+    request.inputs = {{"lfn://churn/in", store_, 5e7}};
+    gateway_.submit(request, [this](const submit::GatewayEvent& event) {
+      if (event.state != submit::GatewayJobState::kCompleted) return;
+      ++completed_;
+      if (left_ > 0) submit_next();
+    });
+  }
+
+  sim::Engine engine_;
+  grid::Grid grid_{engine_, SeedTree(29)};
+  data::TransferService transfers_{engine_};
+  data::ReplicaLocationService rls_;
+  submit::CondorG gateway_{grid_, transfers_, rls_, "churn"};
+  SiteId exec_;
+  SiteId store_;
+  std::uint64_t last_job_ = 0;
+  std::int64_t left_ = 0;
+  std::int64_t completed_ = 0;
+};
+
+void BM_SubmissionChurn(benchmark::State& state) {
+  const std::int64_t jobs = state.range(0);
+  {
+    SubmissionChurn world;
+    const bool warm = world.run(jobs);  // containers reach their working size
+    const double before = live_heap();
+    if (!warm || !world.run(jobs)) {
+      state.SkipWithError("the churn did not drain");
+      return;
+    }
+    state.counters["retained_bytes_per_job"] =
+        (live_heap() - before) / static_cast<double>(jobs);
+  }
+  for (auto _ : state) {
+    SubmissionChurn world;
+    benchmark::DoNotOptimize(world.run(jobs));
+  }
+  // Seconds over (iterations x jobs x 1e-9): nanoseconds per job.
+  state.counters["ns_per_job"] = benchmark::Counter(
+      1e-9 * static_cast<double>(jobs),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * jobs);
+}
+BENCHMARK(BM_SubmissionChurn)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

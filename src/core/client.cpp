@@ -53,13 +53,8 @@ void SphinxClient::set_recorder(obs::Recorder* recorder) {
 
 void SphinxClient::submit(const workflow::Dag& dag, double priority,
                           SimTime deadline) {
-  DagOutcome outcome;
-  outcome.id = dag.id();
-  outcome.name = dag.name();
-  outcome.submitted_at = bus_.engine().now();
-  outcome.deadline = deadline;
   outcome_index_[dag.id()] = outcomes_.size();
-  outcomes_.push_back(outcome);
+  outcomes_.emplace_back(dag.id(), dag.name(), bus_.engine().now(), deadline);
 
   rpc_->call(config_.server,
              encode_dag(config_.endpoint, config_.user, dag, priority,
@@ -130,21 +125,25 @@ Expected<bool> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
   request.output_bytes = plan.output_bytes;
 
   const SimTime now = bus_.engine().now();
-  Tracked tracked;
-  tracked.plan = plan;
-  tracked.submitted_at = now;
   const JobId job = plan.job;
   const int attempt = plan.attempt;
-  const Key key{job.value(), attempt};
-  // (Re)insert: each attempt gets its own entry, so a resubmission starts
-  // with a *fresh* extensions budget -- the previous attempt's used-up
+  // Each attempt gets its own entry, so a resubmission starts with a
+  // *fresh* extensions budget -- the previous attempt's used-up
   // extensions must not count against the new attempt (Figure 8's timeout
   // counts depend on this).  A speculative plan coexists with the still
-  // racing primary attempt instead of replacing it.
-  if (const auto it = tracked_.find(key); it != tracked_.end()) {
-    bus_.engine().cancel(it->second.timeout);
-    erase_tracked(key);
+  // racing primary attempt instead of replacing it.  The duplicate guard
+  // above means the key is new.
+  const auto [slot, fresh] = tracked_.try_emplace(Key{job.value(), attempt});
+  SPHINX_ASSERT(fresh, "attempt already tracked");
+  Tracked& tracked = slot->second;
+  tracked.site = plan.site;
+  if (plan.persist_output && plan.persistent_site.valid() &&
+      plan.persistent_site != plan.site) {
+    tracked.archive_site = plan.persistent_site;
+    tracked.output = plan.output;
   }
+  tracked.submitted_at = now;
+  tracked.speculative = plan.speculative;
   if (plan.speculative) {
     ++racing_now_;
     // Cross-layer contract: the server enforces its speculation budgets
@@ -153,8 +152,7 @@ Expected<bool> SphinxClient::handle_execute_plan(const ExecutionPlan& plan) {
     SPHINX_ASSERT(racing_now_ <= kSpeculationMaxGlobal,
                   "speculation budget exceeded at the client");
   }
-  auto& slot = tracked_.emplace(key, std::move(tracked)).first->second;
-  slot.timeout = bus_.engine().schedule_in(
+  tracked.timeout = bus_.engine().schedule_in(
       config_.job_timeout, "client:timeout",
       [this, job, attempt] { on_timeout(job, attempt); });
 
@@ -202,7 +200,7 @@ void SphinxClient::finish_tracking(Tracked& tracked) {
 void SphinxClient::erase_tracked(Key key) {
   const auto it = tracked_.find(key);
   if (it == tracked_.end()) return;
-  if (it->second.plan.speculative) {
+  if (it->second.speculative) {
     SPHINX_ASSERT(racing_now_ > 0, "racing counter underflow");
     --racing_now_;
   }
@@ -236,8 +234,8 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
   Tracked& tracked = it->second;
   if (tracked.terminal) return;
   const SimTime now = bus_.engine().now();
-  const SiteId site = tracked.plan.site;
-  const int attempt = tracked.plan.attempt;
+  const SiteId site = tracked.site;
+  const int attempt = event.attempt;
 
   switch (event.state) {
     case submit::GatewayJobState::kRunning: {
@@ -274,11 +272,8 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       ++obs.completed;
       obs.completion_times.add(r.completion_time);
       // Planner step 4: archive final outputs to persistent storage.
-      if (tracked.plan.persist_output &&
-          tracked.plan.persistent_site.valid() &&
-          tracked.plan.persistent_site != site) {
-        gateway_.replicate(tracked.plan.output, tracked.plan.persistent_site,
-                           [](bool) {});
+      if (tracked.archive_site.valid()) {
+        gateway_.replicate(tracked.output, tracked.archive_site, [](bool) {});
       }
       if (recorder_ != nullptr) {
         recorder_->count(config_.endpoint, "tracker.completions");
@@ -350,7 +345,7 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
     if (recorder_ != nullptr) {
       recorder_->event(obs::TraceKind::kTrackerExtension, source_name_,
                        {job_name_, job.value()},
-                       recorder_->name("site:", tracked.plan.site.value()),
+                       recorder_->name("site:", tracked.site.value()),
                        static_cast<double>(tracked.extensions));
       recorder_->count(config_.endpoint, "tracker.extensions");
     }
@@ -358,16 +353,16 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
   }
   finish_tracking(tracked);
   log_.debug("timeout for job ", job.value(), " on site ",
-             tracked.plan.site.value(), "; cancelling and replanning");
+             tracked.site.value(), "; cancelling and replanning");
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kTrackerTimeout, source_name_,
                      {job_name_, job.value()},
-                     recorder_->name("site:", tracked.plan.site.value()),
+                     recorder_->name("site:", tracked.site.value()),
                      static_cast<double>(tracked.extensions));
     recorder_->count(config_.endpoint, "tracker.timeouts");
   }
   gateway_.cancel(job, attempt);  // condor_rm (or forced removal)
-  TrackerReport r{job, ReportKind::kCancelled, tracked.plan.site,
+  TrackerReport r{job, ReportKind::kCancelled, tracked.site,
                   bus_.engine().now(), 0, 0, 0, attempt};
   // The attempt had been outstanding for the full timeout: report that as
   // a censored (lower-bound) completion-time observation.

@@ -9,9 +9,11 @@
 /// tracker*: watching execution status, reporting completion times back
 /// to the server, cancelling jobs that exceed their timeout and
 /// requesting replanning -- the mechanism behind every fault-tolerance
-/// result in the paper (Figures 2 and 8).
+/// result in the paper (Figures 2 and 8).  The tracker follows each
+/// attempt until it ends and then forgets it, keeping only the few fields
+/// of the plan it reads afterwards.
 
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -46,19 +48,28 @@ struct ClientConfig {
 
 /// Completion record for one DAG (client-side timing).
 struct DagOutcome {
+  DagOutcome(DagId dag, std::string dag_name, SimTime submitted_at,
+             SimTime due)
+      : id(dag),
+        name(std::move(dag_name)),
+        deadline(due),
+        submitted_at_(submitted_at) {}
+
   DagId id;
   std::string name;
-  SimTime submitted_at = 0.0;
   SimTime finished_at = kNever;
   SimTime deadline = kNever;  ///< QoS deadline; kNever = best effort
   [[nodiscard]] bool done() const noexcept { return finished_at < kNever; }
   [[nodiscard]] Duration completion_time() const noexcept {
-    return finished_at - submitted_at;
+    return finished_at - submitted_at_;
   }
   /// True when a QoS deadline existed and was met.
   [[nodiscard]] bool deadline_met() const noexcept {  // sphinx-lint-allow(test-only): the deadline tally in this pair reads it
     return deadline < kNever && done() && finished_at <= deadline;
   }
+
+ private:
+  SimTime submitted_at_ = 0.0;
 };
 
 /// The tracker's one count outside the recorder: plans handed to the
@@ -135,18 +146,32 @@ class SphinxClient {
   }
 
  private:
+  /// One live attempt: what the tracker reads after handing the plan to
+  /// the gateway.
   struct Tracked {
-    ExecutionPlan plan;
+    SiteId site;
+    /// Planner step 4: where the output is archived once the job
+    /// completes (invalid: it stays put), and the output itself.
+    SiteId archive_site;
+    data::Lfn output;
     SimTime submitted_at = 0.0;
     SimTime started_at = kNever;
     sim::EventHandle timeout;
     int extensions = 0;
+    bool speculative = false;
     bool terminal = false;
   };
 
   /// Tracker entries are keyed per (job, attempt): a speculation race has
   /// two live attempts of one JobId at once.
   using Key = std::pair<std::uint64_t, int>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::uint64_t>{}(
+          key.first * 0x9e3779b97f4a7c15ull ^
+          static_cast<std::uint64_t>(key.second));
+    }
+  };
 
   Expected<bool> handle_execute_plan(const ExecutionPlan& plan);
   Expected<bool> handle_dag_done(DagId dag);
@@ -162,7 +187,8 @@ class SphinxClient {
   ClientConfig config_;
   std::unique_ptr<rpc::ClarensService> service_;
   std::unique_ptr<rpc::ClarensClient> rpc_;
-  std::map<Key, Tracked> tracked_;
+  /// Live attempts only: an entry leaves when its attempt ends.
+  std::unordered_map<Key, Tracked, KeyHash> tracked_;
   /// Jobs whose first completion has already been observed; a sibling
   /// attempt completing later is the race loser and is arbitrated away.
   std::unordered_set<std::uint64_t> completed_jobs_;

@@ -48,19 +48,15 @@ std::optional<SubmissionId> Site::submit(RemoteJob job,
     job.priority = it->second + std::clamp(job.priority, -0.9, 0.9);
   }
 
-  Entry entry;
+  const SubmissionId sid = job.submission;
+  const QueueKey key{-job.priority, arrival_seq_++};
+  queue_.emplace(key, sid);
+  Entry& entry = entries_[sid];
   entry.job = std::move(job);
   entry.callback = std::move(callback);
-  entry.submitted_at = engine_.now();
-  const SubmissionId sid = entry.job.submission;
-  const double priority = entry.job.priority;
-  entries_.emplace(sid, std::move(entry));
+  entry.queue_key = key;
 
-  const auto key = std::make_pair(-priority, arrival_seq_++);
-  queue_.emplace(key, sid);
-  queue_pos_.emplace(sid, key);
-
-  emit(entries_.at(sid), RemoteJobState::kQueued);
+  emit(entry, RemoteJobState::kQueued);
   // Dispatch on the next engine tick so the submit call returns first.
   engine_.schedule_in(0.0, "site:dispatch", [this] { try_dispatch(); });
   return sid;
@@ -73,10 +69,7 @@ bool Site::cancel(SubmissionId submission) {
 
   Entry& entry = it->second;
   if (entry.state == RemoteJobState::kQueued) {
-    if (const auto pos = queue_pos_.find(submission); pos != queue_pos_.end()) {
-      queue_.erase(pos->second);
-      queue_pos_.erase(pos);
-    }
+    queue_.erase(entry.queue_key);
   } else {
     // Staging or running: free the CPU.
     engine_.cancel(entry.completion);
@@ -99,17 +92,21 @@ std::optional<QueueStatus> Site::query() const {
 
 void Site::go_down() {
   health_ = SiteHealth::kDown;
-  // Every non-terminal job is silently lost; no events are emitted
-  // because an unresponsive site cannot notify anyone.  The submitter
-  // only finds out through its own timeouts.
-  for (auto& [sid, entry] : entries_) {
-    if (is_terminal(entry.state)) continue;
+  // Every live job is silently lost and its entry dropped; no events are
+  // emitted because an unresponsive site cannot notify anyone.  The
+  // submitter only finds out through its own timeouts.  A terminal entry
+  // here is one whose last event is being delivered: its emit retires it.
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    Entry& entry = it->second;
+    if (is_terminal(entry.state)) {
+      ++it;
+      continue;
+    }
     engine_.cancel(entry.completion);
     if (entry.state != RemoteJobState::kQueued) --busy_cpus_;
-    entry.state = RemoteJobState::kHeld;  // terminal from the site's view
+    it = entries_.erase(it);
   }
   queue_.clear();
-  queue_pos_.clear();
   SPHINX_ASSERT(busy_cpus_ == 0, "cpu accounting broken on go_down");
 }
 
@@ -124,9 +121,14 @@ void Site::recover() {
 
 void Site::emit(Entry& entry, RemoteJobState state) {
   entry.state = state;
+  const JobEvent event{entry.job.submission, state, engine_.now()};
   if (entry.callback) {
-    entry.callback(JobEvent{entry.job.submission, state, engine_.now()});
+    // A cancel from inside the callback retires the entry, callback and
+    // all: call a copy.
+    const JobEventCallback callback = entry.callback;
+    callback(event);
   }
+  if (is_terminal(state)) entries_.erase(event.submission);
 }
 
 double Site::effective_speed() const noexcept {
@@ -142,18 +144,23 @@ void Site::try_dispatch() {
     const auto front = queue_.begin();
     const SubmissionId sid = front->second;
     queue_.erase(front);
-    queue_pos_.erase(sid);
     ++busy_cpus_;
     start_job(sid);
   }
 }
 
 void Site::start_job(SubmissionId submission) {
-  Entry& entry = entries_.at(submission);
-  emit(entry, RemoteJobState::kStaging);
-  if (entry.state != RemoteJobState::kStaging) return;  // callback cancelled us
-
-  const auto resume = [this, submission] {
+  emit(entries_.at(submission), RemoteJobState::kStaging);
+  const auto live = entries_.find(submission);
+  if (live == entries_.end()) return;  // the callback cancelled it
+  // The stage-in runs once; moved out, it outlives a cancel that retires
+  // the entry from inside it.
+  const auto stage = std::move(live->second.job.stage);
+  if (!stage) {
+    begin_compute(submission);
+    return;
+  }
+  stage([this, submission] {
     // The job may have been cancelled or the site may have failed while
     // data was in flight.
     const auto it = entries_.find(submission);
@@ -162,18 +169,14 @@ void Site::start_job(SubmissionId submission) {
       return;
     }
     begin_compute(submission);
-  };
-  if (entry.job.stage) {
-    entry.job.stage(resume);
-  } else {
-    begin_compute(submission);
-  }
+  });
 }
 
 void Site::begin_compute(SubmissionId submission) {
-  Entry& entry = entries_.at(submission);
-  emit(entry, RemoteJobState::kRunning);
-  if (entry.state != RemoteJobState::kRunning) return;
+  emit(entries_.at(submission), RemoteJobState::kRunning);
+  const auto live = entries_.find(submission);
+  if (live == entries_.end()) return;  // the callback cancelled it
+  Entry& entry = live->second;
 
   double runtime = entry.job.compute_time / effective_speed();
   if (config_.runtime_noise > 0) {

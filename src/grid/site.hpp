@@ -9,6 +9,11 @@
 /// evaluation depends on: honest sites, sites that are down (unresponsive,
 /// jobs lost), black holes (accept jobs, never run them) and degraded
 /// sites (CPUs slowed).
+///
+/// A site keeps only its live submissions: an entry leaves once its
+/// kCompleted or kCancelled event has been delivered, and go_down drops
+/// every entry it loses, so a site's memory follows its queue and CPUs,
+/// not its history.  A finished submission answers like an unknown one.
 
 #include <deque>
 #include <map>
@@ -63,9 +68,10 @@ class Site {
 
   /// condor_rm: cancels a queued/staging/running job.  Queued jobs leave
   /// the queue; running jobs free their CPU.  Emits kCancelled.  Returns
-  /// false if the submission is unknown, already terminal, or the site is
+  /// false if the submission is unknown, already finished, or the site is
   /// down (an unresponsive gatekeeper cannot process the remove -- the
-  /// job is already lost anyway).
+  /// job is already lost anyway).  A submission's own callback may cancel
+  /// it.
   bool cancel(SubmissionId submission);
 
   /// condor_q: the live queue snapshot, or nullopt if the site is down.
@@ -73,7 +79,8 @@ class Site {
 
   /// --- health transitions (driven by FailureModel) -------------------
   /// Takes the site down: queued/staging/running jobs are silently lost
-  /// (no events -- an unresponsive site cannot notify anyone).
+  /// (no events -- an unresponsive site cannot notify anyone) and their
+  /// entries dropped.
   void go_down();
   /// Turns the site into a black hole: it keeps accepting submissions and
   /// answering queries but never dispatches.
@@ -85,14 +92,21 @@ class Site {
   void recover();
 
  private:
+  /// Batch queue order: (-priority, arrival sequence).
+  using QueueKey = std::pair<double, std::uint64_t>;
+
   struct Entry {
     RemoteJob job;
     RemoteJobState state = RemoteJobState::kQueued;
     JobEventCallback callback;
-    SimTime submitted_at = 0.0;
+    QueueKey queue_key;           ///< its place in queue_ while kQueued
     sim::EventHandle completion;  ///< pending compute-finish event
   };
 
+  /// Moves the entry to `state` and tells its submitter; a terminal state
+  /// retires the entry once the callback returns.  The callback may cancel
+  /// the submission or take the site down, so a caller must look the entry
+  /// up again by id afterwards.
   void emit(Entry& entry, RemoteJobState state);
   void try_dispatch();
   void start_job(SubmissionId submission);
@@ -106,13 +120,12 @@ class Site {
   SiteHealth health_ = SiteHealth::kHealthy;
 
   // Queue of waiting submissions ordered by (priority desc, arrival).
-  // Key: (-priority, arrival sequence) for natural map ordering.
-  std::map<std::pair<double, std::uint64_t>, SubmissionId> queue_;
+  std::map<QueueKey, SubmissionId> queue_;
   std::uint64_t arrival_seq_ = 0;
   IdGenerator<SubmissionId> submission_ids_;
   int busy_cpus_ = 0;
+  /// Live submissions only: queued, staging or running.
   std::unordered_map<SubmissionId, Entry> entries_;
-  std::unordered_map<SubmissionId, std::pair<double, std::uint64_t>> queue_pos_;
 };
 
 }  // namespace sphinx::grid

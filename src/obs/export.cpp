@@ -1,21 +1,26 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>  // sphinx-lint-allow(iostream-include): "-" = stdout export
 
 namespace sphinx::obs {
 namespace {
 
-StatusOrError write_text(const std::string& text, const std::string& path) {
+/// Hands `write` the stream for `path` ("-" = stdout) and reports a file
+/// that cannot be opened or written.
+template <typename Write>
+StatusOrError write_to(const std::string& path, const Write& write) {
   if (path == "-") {
-    std::cout << text << std::flush;
+    write(std::cout);
+    std::cout << std::flush;
     return {};
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return make_error("io_error", "cannot open " + path + " for writing");
   }
-  out << text;
+  write(out);
   out.flush();
   if (!out) {
     return make_error("io_error", "short write to " + path);
@@ -27,12 +32,24 @@ StatusOrError write_text(const std::string& text, const std::string& path) {
 
 StatusOrError write_trace_jsonl(const TraceSink& trace,
                                 const std::string& path) {
-  return write_text(trace.to_jsonl(), path);
+  // One block of events is rendered at a time, so the text held in memory
+  // is a block's, not the whole log's.
+  return write_to(path, [&trace](std::ostream& out) {
+    std::string text;
+    for (std::size_t first = 0; first < trace.size();
+         first += TraceSink::kBlockEvents) {
+      text.clear();
+      trace.append_jsonl(
+          text, first, std::min(trace.size(), first + TraceSink::kBlockEvents));
+      out << text;
+    }
+  });
 }
 
 StatusOrError write_metrics_json(const MetricSet& metrics,
                                  const std::string& path) {
-  return write_text(metrics.to_json(), path);
+  return write_to(path,
+                  [&metrics](std::ostream& out) { out << metrics.to_json(); });
 }
 
 }  // namespace sphinx::obs

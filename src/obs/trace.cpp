@@ -145,7 +145,15 @@ std::vector<TraceView> TraceSink::events() const {
 
 std::string TraceSink::to_jsonl() const {
   std::string out;
-  for (std::size_t i = 0; i < size_; ++i) {
+  append_jsonl(out, 0, size_);
+  return out;
+}
+
+void TraceSink::append_jsonl(std::string& out, std::size_t first,
+                             std::size_t last) const {
+  SPHINX_PRECONDITION(first <= last && last <= size_,
+                      "event range past the end of the log");
+  for (std::size_t i = first; i < last; ++i) {
     const TraceEvent& e = event(i);
     out += "{\"t\":";
     append_double(out, e.at);
@@ -169,7 +177,6 @@ std::string TraceSink::to_jsonl() const {
     append_double(out, e.value);
     out += "}\n";
   }
-  return out;
 }
 
 }  // namespace sphinx::obs

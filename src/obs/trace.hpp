@@ -17,8 +17,9 @@
 /// so "job:42" is the name "job" with 42 and no job adds a name.  The
 /// table stores each distinct name once, already JSON-escaped, and only
 /// grows.  The log grows in fixed-size blocks, so growing it never moves
-/// an event.  Text is made only by to_jsonl() (which write_trace_jsonl
-/// writes out); tests read an event's fields through a TraceView.
+/// an event.  Text is made only by append_jsonl() (write_trace_jsonl
+/// renders and writes one block at a time) and to_jsonl(); tests read an
+/// event's fields through a TraceView.
 
 #include <array>
 #include <cstddef>
@@ -149,11 +150,17 @@ class TraceSink {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// The whole log as JSON Lines (one event object per line).
+  /// Events per block of the log.
+  static constexpr std::size_t kBlockEvents = 1024;
+
+  /// Appends events [first, last) to `out` as JSON Lines (one event
+  /// object per line).
+  void append_jsonl(std::string& out, std::size_t first,
+                    std::size_t last) const;
+  /// The whole log as JSON Lines.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
-  static constexpr std::size_t kBlockEvents = 1024;
   using Block = std::array<TraceEvent, kBlockEvents>;
 
   [[nodiscard]] const TraceEvent& event(std::size_t index) const {

@@ -7,11 +7,17 @@
 /// the site allocates a CPU, registers the output in the RLS on success,
 /// and relays the condor-style state events back to the caller (the
 /// SPHINX client's job tracker).
+///
+/// The gateway keeps only live attempts.  An attempt is retired once the
+/// callback of its terminal event (completed, held, removed, failed) has
+/// returned; from then on it answers like an unknown one, and the same
+/// (job, attempt) may be submitted again.
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,25 +84,27 @@ class CondorG {
 
   /// Submits a planned job.  Returns false when the gatekeeper is down
   /// (the caller sees a kFailed event first).  The callback observes
-  /// every state change.
+  /// every state change; it may cancel the attempt, or submit the same
+  /// (job, attempt) again from its terminal event, as DAGMan does.
   bool submit(const SubmitRequest& request, GatewayCallback callback);
 
   /// condor_rm: cancels a job (kills in-flight stage-in transfers too).
-  /// Returns false if the job is unknown, terminal, or the site is down.
-  /// The JobId-only form targets the latest attempt; the qualified form
-  /// cancels one specific attempt of a racing pair.
+  /// Returns false if the job is unknown, finished, or the site is down.
+  /// The JobId-only form targets the latest live attempt; the qualified
+  /// form cancels one specific attempt of a racing pair.
   bool cancel(JobId job);
   bool cancel(JobId job, int attempt);
 
-  /// Per-job state, if the gateway knows the job.  JobId-only forms
-  /// resolve the latest attempt.
+  /// Per-job state while the attempt is live (inside its terminal event's
+  /// callback too), nullopt once it is retired or if it never existed.
+  /// JobId-only forms resolve the latest live attempt.
   [[nodiscard]] std::optional<GatewayJobState> state_of(JobId job) const;
   [[nodiscard]] std::optional<GatewayJobState> state_of(JobId job,
                                                         int attempt) const;
 
   /// True when the gatekeeper of the attempt's execution site still
   /// answers status queries (condor_q against the remote jobmanager).
-  /// False for unknown attempts or down sites.
+  /// False for unknown or retired attempts, or down sites.
   [[nodiscard]] bool site_responsive(JobId job, int attempt) const;
   /// Whether the grid this gateway submits to has site `id`.
   [[nodiscard]] bool has_site(SiteId id) const noexcept {
@@ -113,35 +121,49 @@ class CondorG {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
+  /// One live attempt: what the gateway reads after submit() returns.
   struct Record {
-    SubmitRequest request;
+    JobId job;
+    int attempt = 1;
     SiteId site;
-    SubmissionId submission;
+    SubmissionId submission;  ///< named by the site's kQueued event
     GatewayJobState state = GatewayJobState::kSubmitted;
     GatewayCallback callback;
+    std::vector<StagedInput> inputs;
+    data::Lfn output;
+    double output_bytes = 0.0;
     std::vector<TransferId> active_transfers;
     /// Owns the stage-in continuation chain; dropping the record (or the
     /// gateway) tears the chain down without dangling callbacks.
     std::shared_ptr<std::function<void(std::size_t)>> stage_chain;
   };
 
-  /// Submissions are tracked per (job, attempt); an ordered map keeps the
-  /// attempts of one job contiguous so "latest attempt" is a range scan.
+  /// Records are held under a gateway-local id, which the site and
+  /// transfer callbacks carry: with `this` it fits std::function's inline
+  /// buffer, so the copy a site calls allocates nothing.  `attempts_`
+  /// finds a record by (job, attempt).
+  using Records = std::unordered_map<std::uint64_t, Record>;
   using Key = std::pair<std::uint64_t, int>;
 
-  void relay(Record& record, GatewayJobState state, SimTime at);
-  void stage_inputs(Key key, std::function<void()> done);
-  void on_completed(Record& record);
-  /// Latest-attempt record of a job, or records_.end() if unknown.
-  [[nodiscard]] std::map<Key, Record>::iterator find_latest(JobId job);
-  [[nodiscard]] std::map<Key, Record>::const_iterator find_latest(
-      JobId job) const;
+  void on_site_event(std::uint64_t id, const grid::JobEvent& event);
+  /// Moves the record to `state` and tells its owner; a terminal state
+  /// retires the record once the callback returns.
+  void relay(Records::iterator record, GatewayJobState state, SimTime at);
+  void stage_inputs(std::uint64_t id, std::function<void()> done);
+  void on_completed(const Record& record);
+  [[nodiscard]] const Record* find(JobId job, int attempt) const;
+  /// Latest live attempt's record of a job, or nullptr.
+  [[nodiscard]] const Record* find_latest(JobId job) const;
 
   grid::Grid& grid_;
   data::TransferService& transfers_;
   data::ReplicaLocationService& rls_;
   std::string name_;
-  std::map<Key, Record> records_;
+  Records records_;
+  /// Live attempts by (job, attempt).  Ordered, so the attempts of one job
+  /// are contiguous and "latest live attempt" is a range scan.
+  std::map<Key, std::uint64_t> attempts_;
+  std::uint64_t last_id_ = 0;
 };
 
 }  // namespace sphinx::submit

@@ -628,11 +628,15 @@ TEST_F(RedeliveryFixture, CancelAttempt) {
   plan.compute_time = hours(10);
   deliver(client, host, core::encode_plan(plan), ++seq, /*settle=*/false);
   ASSERT_EQ(tenant.client->tracked_jobs(), 1u);
+  grid::Site& site = scenario.grid().site(SiteId(1));
+  ASSERT_EQ(site.query()->running, 1);
   twice(client, host, core::encode_cancel_attempt(JobId(13), 1));
   EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels", client), 1u);
   EXPECT_EQ(tenant.client->tracked_jobs(), 0u);
-  EXPECT_EQ(tenant.gateway->state_of(JobId(13), 1),
-            submit::GatewayJobState::kRemoved);
+  // The remove reached the site, whose kCancelled the gateway relayed as
+  // kRemoved and then retired the attempt.
+  EXPECT_EQ(site.query()->running, 0);
+  EXPECT_FALSE(tenant.gateway->state_of(JobId(13), 1).has_value());
 }
 
 // --- refused wire input -----------------------------------------------------

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -182,6 +184,41 @@ TEST_F(SiteFixture, CancelRunningJobFreesCpu) {
   engine.run_until();
   EXPECT_TRUE(second_done);
   EXPECT_LT(engine.now(), 100.0);  // did not wait for the 1000s job
+}
+
+// A callback may cancel its own submission: the kCancelled event nests
+// inside kStaging, the entry is retired from under the dispatch that
+// emitted kStaging, and the stage-in never starts.
+TEST_F(SiteFixture, CancelFromInsideTheStagingCallback) {
+  Site one(engine, SiteId(9), basic_config(1), Rng(7));
+  bool staged = false;
+  RemoteJob job = job_of(100.0);
+  job.stage = [&staged](std::function<void()> done) {
+    staged = true;
+    done();
+  };
+  std::vector<RemoteJobState> states;
+  std::optional<SubmissionId> sid;
+  bool cancelled = false;
+  sid = one.submit(std::move(job), [&](const JobEvent& e) {
+    states.push_back(e.state);
+    if (e.state == RemoteJobState::kStaging) cancelled = one.cancel(*sid);
+  });
+  ASSERT_TRUE(sid.has_value());
+  bool second_done = false;
+  (void)one.submit(job_of(10.0), [&](const JobEvent& e) {
+    if (e.state == RemoteJobState::kCompleted) second_done = true;
+  });
+  engine.run_until();
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(states, (std::vector<RemoteJobState>{RemoteJobState::kQueued,
+                                                 RemoteJobState::kStaging,
+                                                 RemoteJobState::kCancelled}));
+  EXPECT_FALSE(staged);
+  EXPECT_FALSE(one.cancel(*sid));  // retired: answers like an unknown one
+  EXPECT_TRUE(second_done);        // the CPU came back
+  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
+  EXPECT_EQ(one.query()->running, 0);
 }
 
 TEST_F(SiteFixture, CancelUnknownOrTerminalFails) {

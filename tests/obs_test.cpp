@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -220,6 +221,33 @@ TEST(Export, WritesSerializedFormsVerbatim) {
   EXPECT_EQ(slurp(metrics_path), metrics.to_json());
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+// The export renders and writes one block of events at a time; the file
+// must still equal the whole log's rendering (two full blocks and a
+// partial third).
+TEST(Export, StreamedTraceEqualsTheWholeRendering) {
+  TraceSink sink;
+  const Name source = sink.name("sphinx-server/t");
+  const Name job = sink.name("job");
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    TraceEvent event;
+    event.at = static_cast<double>(i) * 0.5;
+    event.kind = i % 2 == 0 ? TraceKind::kPlanSent : TraceKind::kSweepBegin;
+    event.source = source;
+    event.subject = job;
+    event.numbered = true;
+    event.number = i;
+    event.detail = sink.name("site:" + std::to_string(i % 7));
+    event.value = static_cast<double>(i) / 3.0;
+    sink.record(event);
+  }
+  const std::string path = ::testing::TempDir() + "obs_streamed.jsonl";
+  ASSERT_TRUE(write_trace_jsonl(sink, path).ok());
+  const std::string whole = sink.to_jsonl();
+  EXPECT_EQ(std::count(whole.begin(), whole.end(), '\n'), 3000);
+  EXPECT_EQ(slurp(path), whole);
+  std::remove(path.c_str());
 }
 
 TEST(Export, UnwritablePathReportsIoError) {

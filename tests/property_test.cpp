@@ -36,6 +36,8 @@
 #include "rpc/clarens.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "sim/engine.hpp"
+#include "submission_reference.hpp"
+#include "submit/condor_g.hpp"
 #include "trace_reference.hpp"
 #include "wire_reference.hpp"
 #include "workflow/generator.hpp"
@@ -513,6 +515,359 @@ TEST_P(SeededProperty, SiteAccountingSurvivesChaos) {
       std::count_if(terminal.begin(), terminal.end(),
                     [](const auto& entry) { return entry.second; });
   EXPECT_LE(static_cast<std::size_t>(ended), live.size());
+}
+
+// --- the submission path against the never-retiring reference --------------
+
+/// What one drive of a submission path (sites plus a Condor-G gateway)
+/// observed, plus how much of each awkward case the schedule reached.
+struct SubmissionTrace {
+  /// (what, id, attempt, state, sim time, answer, flag) per observation:
+  /// a gateway event with the gateway's state_of and site_responsive for
+  /// its attempt, asked from inside the callback; a site event of a
+  /// direct submission; a probe of a live attempt; and the result of
+  /// every submit and cancel.
+  using Observation =
+      std::tuple<char, std::uint64_t, int, int, SimTime, int, bool>;
+  std::vector<Observation> log;
+  int staged = 0;
+  int unstaged = 0;
+  int two_live = 0;  ///< a new attempt of a job with one still live
+  int cancels_live = 0;
+  int cancels_finished = 0;
+  int cancels_unknown = 0;
+  int cancels_in_staging = 0;
+  int cancels_in_running = 0;
+  int site_cancels_in_callback = 0;
+  int resubmits_in_failed = 0;
+  int resubmits_in_removed = 0;
+  int downs_while_staging = 0;
+  int downs_while_running = 0;
+  int black_holes = 0;
+  int degrades = 0;
+  int recovers = 0;
+  std::size_t active_transfers = 0;
+  sim::EventHandle next_event;
+};
+
+template <typename Grid, typename Gateway>
+SubmissionTrace drive_submission_path(std::uint64_t seed) {
+  using submit::GatewayJobState;
+  using Key = std::pair<std::uint64_t, int>;
+  constexpr int kSites = 3;
+  constexpr SimTime kSpan = 4000.0;
+  sim::Engine engine;
+  Grid grid(engine, SeedTree(seed));
+  Rng rng(seed ^ 0x51de5eedull);
+  std::vector<SiteId> sites;
+  for (int i = 0; i < kSites; ++i) {
+    grid::SiteSpec spec;
+    spec.site.name = std::string("site-") + static_cast<char>('a' + i);
+    spec.site.cpus = 2 + i;
+    spec.site.runtime_noise = 0.2;
+    spec.site.vo_priority["atlas"] = 1.0;
+    sites.push_back(grid.add_site(spec));
+  }
+  data::TransferService transfers(engine);
+  for (const SiteId site : sites) {
+    transfers.set_link(site, {rng.uniform(2e6, 20e6), rng.uniform(2e6, 20e6)});
+  }
+  data::ReplicaLocationService rls;
+  Gateway gateway(grid, transfers, rls, "gw");
+  SubmissionTrace trace;
+  const auto pick_site = [&] {
+    return sites[static_cast<std::size_t>(rng.uniform_int(0, kSites - 1))];
+  };
+  const auto state_code = [](std::optional<GatewayJobState> state) {
+    return state.has_value() ? static_cast<int>(*state) : -1;
+  };
+
+  // The schedule's own view of each attempt: live until its terminal event.
+  struct Attempt {
+    submit::SubmitRequest request;
+    GatewayJobState last = GatewayJobState::kSubmitted;
+    bool live = false;
+    bool cancel_in_staging = false;
+    bool cancel_in_running = false;
+    int resubmits_left = 0;
+  };
+  std::map<Key, Attempt> attempts;
+  std::map<std::uint64_t, int> next_attempt;
+  std::vector<Key> finished;
+  // Keys are taken by value: the reference destroys a replaced record's
+  // callback, whose captured key would dangle, from inside its own call.
+  std::function<void(Key, const submit::GatewayEvent&)> on_event;
+  const auto submit = [&](Key key) {
+    Attempt& attempt = attempts.at(key);
+    attempt.live = true;
+    attempt.last = GatewayJobState::kSubmitted;
+    const bool accepted = gateway.submit(
+        attempt.request,
+        [&on_event, key](const submit::GatewayEvent& e) { on_event(key, e); });
+    trace.log.emplace_back('S', key.first, key.second, 0, engine.now(), 0,
+                           accepted);
+    return accepted;
+  };
+  const auto cancel = [&](Key key) {
+    const bool removed = gateway.cancel(JobId(key.first), key.second);
+    trace.log.emplace_back('C', key.first, key.second, 0, engine.now(), 0,
+                           removed);
+    return removed;
+  };
+  on_event = [&](Key key, const submit::GatewayEvent& e) {
+    const JobId job = JobId(key.first);
+    trace.log.emplace_back(
+        'G', e.job.value(), e.attempt, static_cast<int>(e.state), e.at,
+        state_code(gateway.state_of(job, key.second)),
+        gateway.site_responsive(job, key.second));
+    Attempt& attempt = attempts.at(key);
+    attempt.last = e.state;
+    switch (e.state) {
+      case GatewayJobState::kStaging:
+        if (attempt.cancel_in_staging && cancel(key)) {
+          ++trace.cancels_in_staging;
+        }
+        return;
+      case GatewayJobState::kRunning:
+        if (attempt.cancel_in_running && cancel(key)) {
+          ++trace.cancels_in_running;
+        }
+        return;
+      case GatewayJobState::kCompleted:
+      case GatewayJobState::kHeld:
+        attempt.live = false;
+        finished.push_back(key);
+        return;
+      case GatewayJobState::kFailed:
+      case GatewayJobState::kRemoved:
+        attempt.live = false;
+        finished.push_back(key);
+        // DAGMan's retry: the same (job, attempt) again, re-placed, from
+        // inside the relay of the attempt it replaces.
+        if (attempt.resubmits_left > 0) {
+          --attempt.resubmits_left;
+          ++(e.state == GatewayJobState::kFailed ? trace.resubmits_in_failed
+                                                 : trace.resubmits_in_removed);
+          attempt.request.site = pick_site();
+          submit(key);
+        }
+        return;
+      default:
+        return;
+    }
+  };
+
+  // Gateway submissions: staged or not, some onto a site that is down,
+  // some racing a live attempt of the same job.
+  const auto down_site = [&]() -> std::optional<SiteId> {
+    for (const SiteId site : sites) {
+      if (!grid.site(site).query().has_value()) return site;
+    }
+    return std::nullopt;
+  };
+  for (int i = 0; i < 220; ++i) {
+    engine.schedule_at(rng.uniform(0, kSpan), "submit", [&] {
+      const auto job = static_cast<std::uint64_t>(rng.uniform_int(1, 40));
+      for (const auto& [key, attempt] : attempts) {
+        if (key.first == job && attempt.live) {
+          ++trace.two_live;
+          break;
+        }
+      }
+      const Key key{job, ++next_attempt[job]};
+      Attempt attempt;
+      submit::SubmitRequest& request = attempt.request;
+      request.job = JobId(job);
+      request.name = "job-" + std::to_string(job);
+      request.user = UserId(1);
+      request.vo = rng.chance(0.3) ? "atlas" : "uscms";
+      request.priority = rng.uniform(-1.0, 1.0);
+      request.compute_time = rng.uniform(20, 400);
+      request.attempt = key.second;
+      const auto down = down_site();
+      request.site = down.has_value() && rng.chance(0.3) ? *down : pick_site();
+      if (rng.chance(0.6)) {
+        const auto inputs = rng.uniform_int(1, 3);
+        for (std::int64_t k = 0; k < inputs; ++k) {
+          const double draw = rng.uniform();
+          const SiteId source = draw < 0.15 ? request.site : pick_site();
+          const double bytes = draw > 0.9 ? 0.0 : rng.uniform(5e7, 6e8);
+          request.inputs.push_back(
+              {"lfn://in/" + std::to_string(k), source, bytes});
+        }
+      }
+      request.output = "lfn://out/" + std::to_string(job) + "." +
+                       std::to_string(key.second);
+      request.output_bytes = rng.uniform(1e5, 1e7);
+      attempt.cancel_in_staging = rng.chance(0.1);
+      attempt.cancel_in_running = rng.chance(0.1);
+      attempt.resubmits_left = rng.chance(0.5) ? 2 : 0;
+      const bool staged = !request.inputs.empty();
+      attempts.emplace(key, std::move(attempt));
+      if (submit(key)) ++(staged ? trace.staged : trace.unstaged);
+    });
+  }
+  // Cancels of a live attempt (probed first), a finished one and one the
+  // gateway never saw.
+  for (int i = 0; i < 90; ++i) {
+    engine.schedule_at(rng.uniform(0, kSpan + 600), "cancel", [&] {
+      const double draw = rng.uniform();
+      if (draw < 0.5) {
+        std::vector<Key> live;
+        for (const auto& [key, attempt] : attempts) {
+          if (attempt.live) live.push_back(key);
+        }
+        if (live.empty()) return;
+        const Key key = live[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size() - 1)))];
+        const JobId job = JobId(key.first);
+        trace.log.emplace_back('P', key.first, key.second, 0, engine.now(),
+                               state_code(gateway.state_of(job, key.second)),
+                               gateway.site_responsive(job, key.second));
+        if (cancel(key)) ++trace.cancels_live;
+      } else if (draw < 0.8) {
+        if (finished.empty()) return;
+        const Key key = finished[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(finished.size() - 1)))];
+        if (attempts.at(key).live) return;  // resubmitted since
+        if (!cancel(key)) ++trace.cancels_finished;
+      } else {
+        const Key key{rng.chance(0.5) ? 999u : 1u, rng.chance(0.5) ? 99 : 0};
+        if (!cancel(key)) ++trace.cancels_unknown;
+      }
+    });
+  }
+  // Outages, each ended by a recover, counting the attempts a site that
+  // goes down loses mid-flight.
+  const auto log_health = [&](SiteId site) {
+    const auto status = grid.site(site).query();
+    trace.log.emplace_back('H', site.value(), 0,
+                           status.has_value() ? status->queued : -1,
+                           engine.now(),
+                           status.has_value() ? status->running : -1, false);
+  };
+  for (int i = 0; i < 24; ++i) {
+    const SiteId site = pick_site();
+    const SimTime at = rng.uniform(0, kSpan);
+    const double kind = rng.uniform();
+    engine.schedule_at(at, "outage", [&, site, kind] {
+      if (kind < 0.5) {
+        bool staging = false;
+        bool running = false;
+        for (const auto& [key, attempt] : attempts) {
+          if (!attempt.live || attempt.request.site != site) continue;
+          staging |= attempt.last == GatewayJobState::kStaging;
+          running |= attempt.last == GatewayJobState::kRunning;
+        }
+        trace.downs_while_staging += staging ? 1 : 0;
+        trace.downs_while_running += running ? 1 : 0;
+        grid.site(site).go_down();
+      } else if (kind < 0.75) {
+        grid.site(site).become_black_hole();
+        ++trace.black_holes;
+      } else {
+        grid.site(site).degrade();
+        ++trace.degrades;
+      }
+      log_health(site);
+    });
+    engine.schedule_at(at + rng.uniform(60, 600), "repair", [&, site] {
+      grid.site(site).recover();
+      ++trace.recovers;
+      log_health(site);
+    });
+  }
+  // Direct site submissions, background-load style, some staged through
+  // an engine delay; some cancel themselves from inside their own
+  // kStaging or kRunning event.
+  std::map<std::uint64_t, std::pair<SiteId, SubmissionId>> direct;
+  for (std::uint64_t tag = 1; tag <= 80; ++tag) {
+    engine.schedule_at(rng.uniform(0, kSpan), "direct", [&, tag] {
+      const SiteId site = pick_site();
+      grid::RemoteJob job;
+      job.vo = rng.chance(0.5) ? "atlas" : "background";
+      job.compute_time = rng.uniform(10, 300);
+      if (rng.chance(0.4)) {
+        const Duration delay = rng.uniform(1, 60);
+        job.stage = [&engine, delay](std::function<void()> done) {
+          engine.schedule_in(delay, "direct:stage", std::move(done));
+        };
+      }
+      const double cancel_at = rng.uniform();
+      const auto sid = grid.site(site).submit(
+          std::move(job), [&, tag, site, cancel_at](const grid::JobEvent& e) {
+            trace.log.emplace_back('J', tag, 0, static_cast<int>(e.state),
+                                   e.at, static_cast<int>(e.submission.value()),
+                                   false);
+            const bool staging = e.state == grid::RemoteJobState::kStaging;
+            const bool running = e.state == grid::RemoteJobState::kRunning;
+            if ((staging && cancel_at < 0.1) ||
+                (running && cancel_at > 0.9)) {
+              if (grid.site(site).cancel(e.submission)) {
+                ++trace.site_cancels_in_callback;
+              }
+            }
+          });
+      if (sid.has_value()) direct.emplace(tag, std::pair{site, *sid});
+    });
+  }
+  for (int i = 0; i < 30; ++i) {
+    engine.schedule_at(rng.uniform(0, kSpan), "direct:cancel", [&] {
+      const auto tag = static_cast<std::uint64_t>(rng.uniform_int(1, 90));
+      const auto it = direct.find(tag);
+      const bool removed =
+          it != direct.end() &&
+          grid.site(it->second.first).cancel(it->second.second);
+      trace.log.emplace_back('K', tag, 0, 0, engine.now(), 0, removed);
+    });
+  }
+  engine.run_until();
+  trace.active_transfers = transfers.active();
+  // Handles are numbered in sequence, so this one counts the events both
+  // layers scheduled.
+  trace.next_event = engine.schedule_in(0.0, "probe", [] {});
+  return trace;
+}
+
+TEST_P(SeededProperty, SubmissionPathMatchesReference) {
+  const SubmissionTrace want = drive_submission_path<
+      submission_reference::Grid, submission_reference::CondorG>(GetParam());
+  const SubmissionTrace got =
+      drive_submission_path<grid::Grid, submit::CondorG>(GetParam());
+  // The schedule reached every case.
+  EXPECT_GT(want.staged, 0);
+  EXPECT_GT(want.unstaged, 0);
+  EXPECT_GT(want.two_live, 0);
+  EXPECT_GT(want.cancels_live, 0);
+  EXPECT_GT(want.cancels_finished, 0);
+  EXPECT_GT(want.cancels_unknown, 0);
+  EXPECT_GT(want.cancels_in_staging, 0);
+  EXPECT_GT(want.cancels_in_running, 0);
+  EXPECT_GT(want.site_cancels_in_callback, 0);
+  EXPECT_GT(want.resubmits_in_failed, 0);
+  EXPECT_GT(want.resubmits_in_removed, 0);
+  EXPECT_GT(want.downs_while_staging, 0);
+  EXPECT_GT(want.downs_while_running, 0);
+  EXPECT_GT(want.black_holes, 0);
+  EXPECT_GT(want.degrades, 0);
+  EXPECT_GT(want.recovers, 0);
+  // Every observation equal, sim times by ==.
+  ASSERT_EQ(got.log.size(), want.log.size());
+  for (std::size_t i = 0; i < want.log.size(); ++i) {
+    if (got.log[i] != want.log[i]) {
+      const auto& [w0, w1, w2, w3, w4, w5, w6] = want.log[i];
+      const auto& [g0, g1, g2, g3, g4, g5, g6] = got.log[i];
+      ADD_FAILURE() << "first differing observation " << i << "\n  reference: "
+                    << w0 << ' ' << w1 << ' ' << w2 << ' ' << w3 << ' ' << w4
+                    << ' ' << w5 << ' ' << w6 << "\n  retiring:  " << g0 << ' '
+                    << g1 << ' ' << g2 << ' ' << g3 << ' ' << g4 << ' ' << g5
+                    << ' ' << g6;
+      break;
+    }
+  }
+  EXPECT_EQ(got.active_transfers, want.active_transfers);
+  EXPECT_TRUE(got.next_event == want.next_event);
+  RecordProperty("observations", static_cast<int>(want.log.size()));
 }
 
 // --- journal replay equivalence ---------------------------------------------

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "data/gridftp.hpp"
 #include "data/rls.hpp"
 #include "grid/grid.hpp"
@@ -79,23 +83,32 @@ TEST_F(GatewayFixture, FullLifecycleWithStaging) {
 
 TEST_F(GatewayFixture, SubmitToDownSiteFails) {
   grid.site(exec_site).go_down();
-  bool saw_failed = false;
+  std::vector<GatewayJobState> states;
   EXPECT_FALSE(gateway.submit(basic_request(JobId(1)),
                               [&](const GatewayEvent& e) {
-                                saw_failed = e.state == GatewayJobState::kFailed;
+                                states.push_back(e.state);
                               }));
-  EXPECT_TRUE(saw_failed);
-  EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kFailed);
+  EXPECT_EQ(states, std::vector<GatewayJobState>{GatewayJobState::kFailed});
+  // The failed attempt is retired once its callback has returned.
+  EXPECT_FALSE(gateway.state_of(JobId(1)).has_value());
 }
 
 TEST_F(GatewayFixture, CancelDuringStagingKillsTransfers) {
-  ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));
+  std::vector<GatewayJobState> states;
+  ASSERT_TRUE(gateway.submit(basic_request(JobId(1)),
+                             [&](const GatewayEvent& e) {
+                               states.push_back(e.state);
+                             }));
   engine.run_until(5.0);  // mid-stage-in
   EXPECT_EQ(transfers.active(), 1u);
   EXPECT_TRUE(gateway.cancel(JobId(1)));
   EXPECT_EQ(transfers.active(), 0u);  // the stage-in was cancelled
   engine.run_until();
-  EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kRemoved);
+  ASSERT_FALSE(states.empty());
+  EXPECT_EQ(states.back(), GatewayJobState::kRemoved);
+  EXPECT_EQ(std::count(states.begin(), states.end(), GatewayJobState::kRunning),
+            0);
+  EXPECT_FALSE(gateway.state_of(JobId(1)).has_value());
   EXPECT_TRUE(rls.locate("lfn://out-1").empty());
 }
 
@@ -107,27 +120,81 @@ TEST_F(GatewayFixture, CancelUnknownOrTerminalFails) {
 }
 
 TEST_F(GatewayFixture, ResubmitAfterTerminalStateAllowed) {
-  ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));
+  std::vector<GatewayJobState> first;
+  ASSERT_TRUE(gateway.submit(
+      basic_request(JobId(1)),
+      [&](const GatewayEvent& e) { first.push_back(e.state); }));
   engine.run_until(2.0);
   ASSERT_TRUE(gateway.cancel(JobId(1)));
   engine.run_until(3.0);
-  ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.back(), GatewayJobState::kRemoved);
+  EXPECT_FALSE(gateway.state_of(JobId(1)).has_value());
+  std::vector<GatewayJobState> second;
+  ASSERT_TRUE(gateway.submit(
+      basic_request(JobId(1)),
+      [&](const GatewayEvent& e) { second.push_back(e.state); }));
   engine.run_until();
-  EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kCompleted);
+  ASSERT_FALSE(second.empty());
+  EXPECT_EQ(second.back(), GatewayJobState::kCompleted);
+  EXPECT_EQ(first.back(), GatewayJobState::kRemoved);  // nothing more for it
+  EXPECT_FALSE(gateway.state_of(JobId(1)).has_value());
 }
 
 TEST_F(GatewayFixture, LostJobStaysRunningUntilTrackerActs) {
   SubmitRequest r = basic_request(JobId(1));
   r.inputs.clear();
-  ASSERT_TRUE(gateway.submit(r, nullptr));
+  std::vector<GatewayJobState> states;
+  ASSERT_TRUE(gateway.submit(
+      r, [&](const GatewayEvent& e) { states.push_back(e.state); }));
   engine.run_until(10.0);
   grid.site(exec_site).go_down();
   engine.run_until(hours(1));
   // No event ever arrives; the gateway still believes the job is running.
   EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kRunning);
+  EXPECT_EQ(states.back(), GatewayJobState::kRunning);
   // condor_rm against the dead site falls back to forced local removal.
   EXPECT_TRUE(gateway.cancel(JobId(1)));
-  EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kRemoved);
+  EXPECT_EQ(states.back(), GatewayJobState::kRemoved);
+  EXPECT_FALSE(gateway.state_of(JobId(1)).has_value());
+}
+
+// DAGMan submits the same (job, 1) again from inside the kFailed relay of
+// the attempt it replaces.  The relay retires the failed record only: the
+// resubmission stays live and runs to completion.
+TEST_F(GatewayFixture, DagManResubmitsFromInsideTheFailedRelay) {
+  workflow::Dag dag(DagId(1), "one");
+  workflow::JobSpec spec;
+  spec.id = JobId(7);
+  spec.name = "seven";
+  spec.compute_time = 10.0;
+  dag.add_job(spec);
+  grid.site(exec_site).go_down();
+  int placements = 0;
+  std::vector<std::optional<GatewayJobState>> seen_by_callout;
+  SimTime finished = -1;
+  DagMan dagman(
+      gateway, dag, UserId(1), "uscms",
+      [&](const workflow::JobSpec&) -> std::optional<Placement> {
+        // The second placement comes from inside the failed attempt's
+        // relay, which still holds its record.
+        seen_by_callout.push_back(gateway.state_of(JobId(7), 1));
+        if (++placements == 2) grid.site(exec_site).recover();
+        return Placement{exec_site, {}};
+      },
+      [&](DagId, SimTime at) { finished = at; });
+  dagman.start(0.0);
+  ASSERT_EQ(seen_by_callout.size(), 2u);
+  EXPECT_FALSE(seen_by_callout[0].has_value());
+  EXPECT_EQ(seen_by_callout[1], GatewayJobState::kFailed);
+  EXPECT_EQ(dagman.resubmissions(), 1u);
+  // The resubmission took over the key; the failed relay left it live.
+  EXPECT_EQ(gateway.state_of(JobId(7), 1), GatewayJobState::kIdle);
+  engine.run_until();
+  EXPECT_TRUE(dagman.finished());
+  EXPECT_FALSE(dagman.failed());
+  EXPECT_DOUBLE_EQ(finished, 10.0);
+  EXPECT_FALSE(gateway.state_of(JobId(7), 1).has_value());
 }
 
 class DagManFixture : public GatewayFixture {

@@ -239,6 +239,17 @@ echo "== transfer-model benchmark =="
   --benchmark_filter=BM_GridFtp \
   --benchmark_out=BENCH_gridftp.json --benchmark_out_format=json
 
+echo "== submission-path benchmark =="
+# Staged jobs through one Condor-G gateway to a 16-CPU site, 32 in
+# flight, each completion submitting the next (BM_SubmissionChurn/{64,
+# 1024}): ns_per_job, and retained_bytes_per_job, the live heap
+# (mallinfo2) a drained run keeps per finished job.  Sites and the
+# gateway retire finished work, so it should read about 0 bytes.
+# Results land in BENCH_grid.json.
+"$bin/bench/micro_substrates" \
+  --benchmark_filter=BM_SubmissionChurn \
+  --benchmark_out=BENCH_grid.json --benchmark_out_format=json
+
 if [ "${1:-}" != "fast" ]; then
   echo "== build + test (asan-ubsan) =="
   cmake --preset asan-ubsan
