@@ -6,6 +6,7 @@
 #include <malloc.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -206,7 +207,8 @@ void BM_JournalReplay(benchmark::State& state) {
     warehouse.record_completion(SiteId(1 + i % 15), 300.0);
   }
   for (auto _ : state) {
-    auto recovered = core::DataWarehouse::recover_from(warehouse.journal());
+    auto recovered =
+        core::DataWarehouse::recover_from(warehouse.journal(), std::nullopt);
     benchmark::DoNotOptimize(recovered.has_value());
   }
   state.SetLabel(std::to_string(warehouse.journal().size()) + " records");

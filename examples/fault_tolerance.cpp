@@ -5,8 +5,9 @@
 ///   t=0        submit 6 DAGs; ufloridapg (the best site) is healthy
 ///   t=10 min   ufloridapg goes down *silently*, taking its jobs with it
 ///   t=12 min   the SPHINX server "crashes"; a new instance is rebuilt
-///              from the database journal (Scenario::crash_and_recover_server,
-///              the one recovery path) and resumes scheduling
+///              from its last checkpoint image and the journal records
+///              after it (Scenario::crash_and_recover_server, the one
+///              recovery path) and resumes scheduling
 ///   ...        tracker timeouts fire for the lost jobs; the server
 ///              (recovered!) replans them onto other sites
 ///   end        every DAG completes despite losing a site and a server

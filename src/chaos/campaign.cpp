@@ -1,8 +1,10 @@
 #include "chaos/campaign.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <exception>
 #include <functional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,6 +72,28 @@ std::vector<workflow::Dag> start_single_tenant(
   return dags;
 }
 
+/// Moves each mid-checkpoint point onto a checkpoint a run takes
+/// (`checkpoints`: their sequence numbers, ascending), so that the point
+/// fires there.  A point goes to the first checkpoint at or past it, or
+/// to the last one for a point past them all; when two points would
+/// share one, the earlier goes to the checkpoint before.  Every point
+/// fires as long as the run takes at least as many checkpoints as there
+/// are points; those left over keep their record counts.
+std::vector<std::size_t> onto_checkpoints(
+    const std::vector<std::size_t>& points,
+    const std::vector<std::uint64_t>& checkpoints) {
+  std::vector<std::size_t> moved = points;
+  std::size_t limit = checkpoints.size();  // this point's checkpoint < limit
+  for (std::size_t j = points.size(); j-- > 0 && limit > 0;) {
+    const auto first = static_cast<std::size_t>(
+        std::lower_bound(checkpoints.begin(), checkpoints.end(), points[j]) -
+        checkpoints.begin());
+    limit = std::min(first, limit - 1);
+    moved[j] = static_cast<std::size_t>(checkpoints[limit]);
+  }
+  return moved;
+}
+
 /// One simulation: the outage schedule always applies; crash points only
 /// when `with_crashes` (the baseline runs the same grid uninterrupted).
 RunArtifacts run_once(const ChaosRunConfig& config,
@@ -91,7 +115,6 @@ RunArtifacts run_once(const ChaosRunConfig& config,
 
   exp::TenantOptions options;
   options.algorithm = config.algorithm;
-  options.checkpoint_every_records = config.checkpoint_every;
   options.speculate = config.speculate;
   // Single tenant: multiple tenants sweep at identical timestamps, and a
   // crash+recovery would reorder equal-time events across tenants --
@@ -99,39 +122,22 @@ RunArtifacts run_once(const ChaosRunConfig& config,
   const std::vector<workflow::Dag> dags = start_single_tenant(
       scenario, "chaos", options, config.jobs_per_dag, config.dag_count);
 
-  // Crash chain: arm the next crash point on whatever server instance is
-  // currently alive; the hook defers the actual kill to a fresh engine
-  // event (a server cannot destroy itself from inside its own sweep),
-  // then recovery re-arms the following point on the new instance.
-  // Regular and mid-checkpoint points merge into one chain ordered by
-  // record threshold (regular first on a tie: the stable sort keeps the
-  // insertion order below).
-  struct CrashPoint {
-    std::size_t records;
-    bool mid_checkpoint;
-  };
-  std::vector<CrashPoint> crash_points;
-  crash_points.reserve(schedule.crash_records.size() +
-                       schedule.mid_ckpt_crashes.size());
-  for (const std::size_t records : schedule.crash_records) {
-    crash_points.push_back({records, false});
-  }
-  for (const std::size_t records : schedule.mid_ckpt_crashes) {
-    crash_points.push_back({records, true});
-  }
-  std::stable_sort(crash_points.begin(), crash_points.end(),
-                   [](const CrashPoint& a, const CrashPoint& b) {
-                     return a.records < b.records;
-                   });
-  std::size_t next_crash = 0;
+  // Crash chains, one per kind of point.  The server holds one armed
+  // point of each kind, so regular points fire at their record
+  // thresholds and mid-checkpoint points inside their checkpoints,
+  // neither kind held back by the other.  The firing hook defers the kill
+  // to a fresh engine event (a server cannot destroy itself from inside
+  // its own sweep); recovery then re-arms both chains' pending points on
+  // the new instance.
+  std::size_t next_regular = 0;
+  std::size_t next_mid = 0;
   std::string crash_failure;
-  std::function<void()> arm_next = [&] {
-    if (!with_crashes || next_crash >= crash_points.size()) return;
-    const CrashPoint& point = crash_points[next_crash];
-    scenario.tenants()[0].server->arm_crash_hook(point.records, [&] {
+  std::function<void()> arm_next;
+  const auto crash_hook = [&](std::size_t* cursor) {
+    return [&, cursor] {
       sim::Engine& engine = scenario.engine();
-      engine.schedule_at(engine.now(), "chaos:crash", [&] {
-        ++next_crash;
+      engine.schedule_at(engine.now(), "chaos:crash", [&, cursor] {
+        ++*cursor;
         if (const auto status = scenario.crash_and_recover_server(0);
             !status.ok()) {
           if (crash_failure.empty()) {
@@ -147,12 +153,26 @@ RunArtifacts run_once(const ChaosRunConfig& config,
         }
         arm_next();
       });
-    }, point.mid_checkpoint);
+    };
+  };
+  arm_next = [&] {
+    if (!with_crashes) return;
+    core::SphinxServer& server = *scenario.tenants()[0].server;
+    if (next_regular < schedule.crash_records.size()) {
+      server.arm_crash_hook(schedule.crash_records[next_regular],
+                            crash_hook(&next_regular));
+    }
+    if (next_mid < schedule.mid_ckpt_crashes.size()) {
+      server.arm_crash_hook(schedule.mid_ckpt_crashes[next_mid],
+                            crash_hook(&next_mid), true);
+    }
   };
   arm_next();
 
   const SimTime stopped = scenario.run(config.horizon);
-  if (crashes_executed != nullptr) *crashes_executed = next_crash;
+  if (crashes_executed != nullptr) {
+    *crashes_executed = next_regular + next_mid;
+  }
 
   const exp::Tenant& tenant = scenario.tenants()[0];
   RunArtifacts artifacts;
@@ -164,6 +184,15 @@ RunArtifacts run_once(const ChaosRunConfig& config,
       tenant.server->warehouse().journal().next_seq());
   artifacts.journal_live_records = tenant.server->warehouse().journal().size();
   artifacts.trace_jsonl = scenario.recorder().trace().to_jsonl();
+  for (const obs::TraceView& event :
+       scenario.recorder().trace().events(obs::TraceKind::kCheckpoint)) {
+    // detail = "seq:<n>"
+    const std::string_view seq =
+        event.detail.substr(event.detail.find(':') + 1);
+    std::uint64_t value = 0;
+    std::from_chars(seq.data(), seq.data() + seq.size(), value);
+    artifacts.checkpoint_seqs.push_back(value);
+  }
   // The recorder outlives every server instance the crash chain built,
   // so this counts the replicas all of them launched.
   artifacts.speculations = scenario.recorder().counter(
@@ -277,9 +306,14 @@ ChaosRunResult run_chaos_pair(const ChaosRunConfig& config,
   result.seed = config.seed;
   result.schedule = schedule;
 
-  const RunArtifacts chaotic =
-      run_once(config, schedule, true, &result.crashes_executed);
+  // The baseline runs first: the chaotic run arms its mid-checkpoint
+  // points on the checkpoints the baseline took.
   const RunArtifacts baseline = run_once(config, schedule, false, nullptr);
+  ChaosSchedule armed = schedule;
+  armed.mid_ckpt_crashes =
+      onto_checkpoints(schedule.mid_ckpt_crashes, baseline.checkpoint_seqs);
+  const RunArtifacts chaotic =
+      run_once(config, armed, true, &result.crashes_executed);
 
   result.invariants = check_run_invariants(chaotic);
   result.differential = check_differential(chaotic, baseline);
@@ -345,8 +379,6 @@ std::string to_json(const ReproCase& repro) {
   out += "\",\"horizon\":" + obs::format_double(repro.config.horizon);
   out += ",\"background_load\":";
   out += repro.config.background_load ? "true" : "false";
-  out += ",\"checkpoint_every\":" +
-         std::to_string(repro.config.checkpoint_every);
   out += ",\"speculate\":";
   out += repro.config.speculate ? "true" : "false";
   out += ",\"inject_divergence\":";
@@ -389,7 +421,6 @@ Expected<ReproCase> repro_from_json(const std::string& text) {
   whole("seed", repro.config.seed);
   whole("dag_count", repro.config.dag_count);
   whole("jobs_per_dag", repro.config.jobs_per_dag);
-  whole("checkpoint_every", repro.config.checkpoint_every);
   if (const JsonValue* horizon = config->find("horizon")) {
     const auto value = bounded_number(*horizon);
     valid = valid && value.has_value();

@@ -38,12 +38,6 @@ struct ChaosRunConfig {
   core::Algorithm algorithm = core::Algorithm::kCompletionTime;
   SimTime horizon = hours(24);
   bool background_load = false;
-  /// Server checkpoint policy: checkpoint + compact every this many
-  /// journal records.  On by default -- checkpointed recovery is the
-  /// production configuration, so it is what campaigns exercise; set 0
-  /// for the legacy full-replay configuration (mid-checkpoint crash
-  /// points then never fire and block any later points in the chain).
-  std::size_t checkpoint_every = 64;
   /// Straggler defense: race speculative replicas against detected
   /// stragglers (ServerConfig::speculate).  Chaos campaigns with this on
   /// prove the races stay journal-replayable under crashes and lossy
@@ -68,9 +62,7 @@ struct ChaosRunResult {
   /// Chaotic run's total journal records ever appended (next_seq) --
   /// crash thresholds are expressed in this unit.
   std::size_t journal_records = 0;
-  /// Records actually retained at end of run (== journal_records with
-  /// checkpointing off; the live suffix after the last compaction with
-  /// it on).
+  /// Records retained at end of run: the suffix after the last image.
   std::size_t journal_live_records = 0;
 
   [[nodiscard]] bool ok() const noexcept {
@@ -85,9 +77,13 @@ struct ChaosRunResult {
 /// Synthesizes the run's schedule from its seed (testbed site names).
 [[nodiscard]] ChaosSchedule synthesize_schedule(const ChaosRunConfig& config);
 
-/// Runs the chaotic run and its uninterrupted baseline, applies every
-/// oracle, and digests the chaotic artifacts.  Deterministic: same
-/// (config, schedule) in, byte-identical result out.
+/// Runs the uninterrupted baseline and then the chaotic run, applies
+/// every oracle, and digests the chaotic artifacts.  The chaotic run arms
+/// each mid-checkpoint point on a checkpoint the baseline took: the first
+/// at or past the point, or the last one for a point past it, so every
+/// point fires while the baseline takes as many checkpoints as there are
+/// points.  Deterministic: same (config, schedule) in, byte-identical
+/// result out.
 [[nodiscard]] ChaosRunResult run_chaos_pair(const ChaosRunConfig& config,
                                             const ChaosSchedule& schedule);
 

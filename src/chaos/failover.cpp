@@ -17,8 +17,6 @@ namespace {
 
 constexpr int kJobsPerDag = 6;
 constexpr core::Algorithm kAlgorithm = core::Algorithm::kCompletionTime;
-/// Per-shard checkpoint policy (record-triggered).
-constexpr std::size_t kCheckpointEvery = 48;
 /// Fail-stop time and shard of the crashed scheduler.  Just after the
 /// shard's sweep at 120.0, so the dead window holds in-flight outbox
 /// state.
@@ -79,7 +77,6 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
   for (std::size_t i = 0; i < config.shards; ++i) {
     exp::TenantOptions options;
     options.algorithm = kAlgorithm;
-    options.checkpoint_every_records = kCheckpointEvery;
     options.sweep_phase =
         static_cast<double>(i) *
         (core::kSweepPeriod / static_cast<double>(config.shards));

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/time.hpp"
@@ -28,9 +29,12 @@ struct RunArtifacts {
   /// Total journal records ever appended (next_seq): the unit crash
   /// thresholds use, immune to checkpoint compaction.
   std::size_t journal_records = 0;
-  /// Records retained at end of run (the suffix after the last
-  /// compaction; equals journal_records with checkpointing off).
+  /// Records retained at end of run: the suffix after the last
+  /// compaction.
   std::size_t journal_live_records = 0;
+  /// Sequence number of each checkpoint image the run published, in
+  /// order (from its trace's checkpoint events).
+  std::vector<std::uint64_t> checkpoint_seqs;
   std::size_t dags_total = 0;
   std::size_t dags_finished = 0;
   /// Speculative replicas the server launched (straggler defense).

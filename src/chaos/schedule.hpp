@@ -49,10 +49,12 @@ struct ChaosSchedule {
   /// Like crash_records, but the fail-stop fires *inside* the first
   /// eligible checkpoint: between image publication and journal
   /// truncation, the window where durable state is an image plus an
-  /// uncompacted journal.  No-ops when the run has checkpointing off.
+  /// uncompacted journal.  The campaign arms each point on a checkpoint
+  /// its uncrashed baseline run takes (see run_chaos_pair), so a point
+  /// drawn past the run's last checkpoint fires inside that one.
   /// Strictly increasing within this list; a collision with a
-  /// crash_records entry is fine (the campaign arms points one at a
-  /// time, regular before mid on a tie).
+  /// crash_records entry is fine (the server holds one armed point of
+  /// each kind).
   std::vector<std::size_t> mid_ckpt_crashes;
   /// Network-fault windows (lossy wire + partitions), sorted by start.
   /// Applied identically to the chaotic and baseline runs, so the

@@ -4,11 +4,14 @@
 ///
 /// A checkpoint makes recovery O(state) instead of O(history): the image
 /// freezes the database snapshot (tables, rows, schemas with their index
-/// declarations, allocation cursors).  `seq` marks the journal sequence
-/// the snapshot reflects: replaying entries >= seq on top of the restored
-/// image reproduces the crashed warehouse's tables exactly, and the
-/// derived work state is a function of those tables (see
-/// DataWarehouse::rebuild_work_state).
+/// declarations, allocation cursors) -- the only place the schema is
+/// persisted, since the journal holds rows alone.  `seq` marks the
+/// journal sequence the snapshot reflects: replaying entries >= seq on
+/// top of the restored image reproduces the crashed warehouse's tables
+/// exactly, and the derived work state is a function of those tables
+/// (see DataWarehouse::rebuild_work_state).  Every server publishes one
+/// whenever DataWarehouse::checkpoint_due() says its journal has caught
+/// up with the last image's row count.
 
 #include <cstdint>
 #include <string>

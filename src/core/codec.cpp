@@ -665,14 +665,11 @@ Expected<DagId> read_dag_id(XrReader& in) {
   return DagId(id_of(*id));
 }
 
-std::string encode_dag_done(DagId dag, SimTime finished_at) {
+std::string encode_dag_done(DagId dag) {
   XrWriter out(kNoticeBytes);
   out.begin_call("sphinx_client.dag_done");
   out.begin_param();
   out.int_value(wire_id(dag.value()));
-  out.end_param();
-  out.begin_param();
-  out.double_value(finished_at);
   out.end_param();
   out.end_call();
   return std::move(out).take();
@@ -687,8 +684,8 @@ Expected<DagId> decode_dag_done(XrReader& in) {
       })) {
     return in.error();
   }
-  if (params != 2 || !dag) {
-    return make_error("bad_request", "expected [dag_id, finished_at]");
+  if (params != 1 || !dag) {
+    return make_error("bad_request", "expected [dag_id]");
   }
   return DagId(id_of(*dag));
 }

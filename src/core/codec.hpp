@@ -150,12 +150,11 @@ void write_dag_id(rpc::XrWriter& out, DagId dag);
 /// An int reply; any other value is refused (`codec`).
 [[nodiscard]] Expected<DagId> read_dag_id(rpc::XrReader& in);
 
-/// `sphinx_client.dag_done` call bytes: [dag_id, finished_at].  The client
-/// reads only the id; finished_at stays because the rpc_outbox journals
-/// these bytes and the chaos digests hash that journal.
-[[nodiscard]] std::string encode_dag_done(DagId dag, SimTime finished_at);
-/// Its params decoder: other than two params, or a first that is not an
-/// int, is refused (`bad_request`); the second may be anything.
+/// `sphinx_client.dag_done` call bytes: [dag_id].  The client stamps the
+/// arrival time itself.
+[[nodiscard]] std::string encode_dag_done(DagId dag);
+/// Its params decoder: other than one param, or one that is not an int,
+/// is refused (`bad_request`).
 [[nodiscard]] Expected<DagId> decode_dag_done(rpc::XrReader& in);
 
 /// The params of `sphinx_client.cancel_attempt`: the attempt that lost a

@@ -7,7 +7,8 @@
 /// configuration, so it lives here rather than in server.hpp to keep the
 /// modules free of a dependency on the composite server.  Their counts
 /// live in the flight recorder (obs::Recorder), which outlives any one
-/// server instance.
+/// server instance.  No setting chooses when the server checkpoints: the
+/// warehouse's own rule does (DataWarehouse::checkpoint_due).
 
 #include <cstddef>
 #include <string>
@@ -62,12 +63,6 @@ struct ServerConfig {
   /// DAG consumes) are copied to this site's persistent storage after the
   /// producing job completes.
   SiteId persistent_site;
-  /// Checkpoint policy: once the journal has grown by this many records
-  /// since the last checkpoint, the end of the next sweep publishes a new
-  /// image and compacts the journal.  0 (the default) disables
-  /// checkpointing: the journal grows unboundedly and recovery replays
-  /// the full history.
-  std::size_t checkpoint_every_records = 0;
 
   /// Straggler defense (speculative replication).  Off, the detector
   /// never runs and the tracker's timeout-cancel-replan loop is the only

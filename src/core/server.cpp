@@ -94,14 +94,6 @@ SphinxServer::SphinxServer(rpc::MessageBus& bus,
   }
   register_methods();
 
-  // A recovered warehouse carries the crashed instance's checkpoint
-  // image; resuming the policy cursor from it keeps the recovered server
-  // checkpointing in lockstep with an uncrashed baseline run.  A fresh
-  // warehouse has no image, and the cursor stays at zero.
-  if (const auto& image = warehouse_->checkpoint_image(); image.has_value()) {
-    last_checkpoint_seq_ = image->seq;
-  }
-
   control_ = std::make_unique<sim::PeriodicProcess>(
       bus_.engine(), "server:sweep", kSweepPeriod,
       [this] { sweep(); }, config_.sweep_phase);
@@ -115,8 +107,8 @@ Expected<std::unique_ptr<SphinxServer>> SphinxServer::recover(
     const std::optional<CheckpointImage>& checkpoint) {
   auto warehouse = DataWarehouse::recover_from(journal, checkpoint);
   if (!warehouse) return Unexpected<Error>{warehouse.error()};
-  // The recovered warehouse carries everything: tables, indexes (from the
-  // journaled schema), rebuilt work queue and outstanding counters.
+  // The recovered warehouse carries everything: tables, indexes, rebuilt
+  // work queue and outstanding counters, and the last image.
   // In-flight plans were already sent; jobs stuck in kPlanned will be
   // re-reported by the client tracker (or time out and be replanned), so
   // no plan is lost permanently.
@@ -138,34 +130,32 @@ SimTime SphinxServer::next_sweep_at() const noexcept {
 void SphinxServer::arm_crash_hook(std::size_t journal_records,
                                   std::function<void()> hook,
                                   bool mid_checkpoint) {
-  crash_at_records_ = journal_records;
-  crash_hook_ = std::move(hook);
-  crash_mid_checkpoint_ = mid_checkpoint && crash_hook_ != nullptr;
+  (mid_checkpoint ? crash_mid_checkpoint_ : crash_) =
+      CrashTrigger{journal_records, std::move(hook)};
 }
 
-void SphinxServer::maybe_crash() {
-  // Mid-checkpoint arms fire only from inside maybe_checkpoint()'s hook
-  // window, never at regular event boundaries.
-  if (crash_hook_ == nullptr || crash_mid_checkpoint_) return;
+bool SphinxServer::fire_crash(CrashTrigger& trigger) {
   // Thresholds count total records ever appended (next_seq), not the
   // retained suffix, so a crash point means the same thing whether or
   // not compaction ran before it.
-  if (warehouse_->journal().next_seq() < crash_at_records_) return;
+  if (trigger.hook == nullptr ||
+      warehouse_->journal().next_seq() < trigger.at_records) {
+    return false;
+  }
   // Move-out first: the hook typically schedules this server's own
-  // destruction and must never fire twice.
-  std::function<void()> hook = std::move(crash_hook_);
-  crash_hook_ = nullptr;
+  // destruction, and no trigger may fire after it.
+  std::function<void()> hook = std::move(trigger.hook);
+  crash_ = {};
+  crash_mid_checkpoint_ = {};
   hook();
+  return true;
 }
 
-void SphinxServer::maybe_checkpoint() {
-  if (config_.checkpoint_every_records == 0 ||
-      warehouse_->journal().next_seq() <
-          last_checkpoint_seq_ + config_.checkpoint_every_records) {
-    return;
-  }
+void SphinxServer::maybe_crash() { fire_crash(crash_); }
 
-  const DataWarehouse::CheckpointStats stats = warehouse_->checkpoint(
+void SphinxServer::maybe_checkpoint() {
+  if (!warehouse_->checkpoint_due()) return;
+  warehouse_->checkpoint(
       [this](const CheckpointImage& image) {
         // Observability rides publication, before the mid-checkpoint kill
         // window below, so baseline and crashed-here traces agree on
@@ -182,17 +172,9 @@ void SphinxServer::maybe_checkpoint() {
           recorder_->observe(config_.endpoint, "server.checkpoint_compacted",
                              compacted);
         }
-        if (crash_mid_checkpoint_ && crash_hook_ != nullptr &&
-            warehouse_->journal().next_seq() >= crash_at_records_) {
-          std::function<void()> hook = std::move(crash_hook_);
-          crash_hook_ = nullptr;
-          crash_mid_checkpoint_ = false;
-          hook();
-          return true;  // crashing: leave the journal untruncated
-        }
-        return false;
+        // Crashing here leaves the journal untruncated.
+        return fire_crash(crash_mid_checkpoint_);
       });
-  last_checkpoint_seq_ = stats.seq;
 }
 
 void SphinxServer::register_methods() {
@@ -531,7 +513,7 @@ void SphinxServer::maybe_finish_dag(DagId dag_id) {
     recorder_->observe(config_.endpoint, "dag.turnaround",
                        now - dag->received_at);
   }
-  out_->call(dag->client, encode_dag_done(dag_id, now), &read_flag,
+  out_->call(dag->client, encode_dag_done(dag_id), &read_flag,
              [](Expected<bool>) {});
 }
 

@@ -18,7 +18,10 @@
 /// that creates work enqueues the affected DAG, and sweep() drains the
 /// queue and walks each DAG through the stages -- O(changed work), not
 /// O(total state).  The server itself only owns the wiring: the RPC
-/// endpoint, the outgoing client channel, and the periodic sweep.
+/// endpoint, the outgoing client channel, and the periodic sweep, whose
+/// end publishes a checkpoint image whenever the warehouse's rule says
+/// one is due (DataWarehouse::checkpoint_due), so every server's journal
+/// holds only the records since its last image.
 
 #include <functional>
 #include <memory>
@@ -54,10 +57,10 @@ class SphinxServer {
                ServerConfig config);
 
   /// Reconstructs a server from a crashed instance's durable state -- its
-  /// journal plus, once checkpointing published one, its last checkpoint
-  /// image (paper: "easily recoverable from internal component
-  /// failures").  With an image only the journal suffix past it is
-  /// replayed: O(state + suffix) instead of O(history).  In-flight client
+  /// last checkpoint image, if a sweep published one, and its journal
+  /// (paper: "easily recoverable from internal component failures").
+  /// Only the journal suffix past the image is replayed: O(state +
+  /// suffix) instead of O(history).  In-flight client
   /// connections resume transparently because all state that matters
   /// lives in the warehouse; the recovered warehouse rebuilds the work
   /// queue from its tables, so the control process resumes exactly where
@@ -67,7 +70,7 @@ class SphinxServer {
       data::ReplicaLocationService& rls, data::TransferService& transfers,
       const monitor::MonitoringService* monitoring, ServerConfig config,
       const db::Journal& journal,
-      const std::optional<CheckpointImage>& checkpoint = std::nullopt);
+      const std::optional<CheckpointImage>& checkpoint);
 
   ~SphinxServer();
   SphinxServer(const SphinxServer&) = delete;
@@ -92,9 +95,13 @@ class SphinxServer {
   /// instead fires inside the next eligible checkpoint, between image
   /// publication and journal truncation -- the window where a crash
   /// leaves a published image alongside an uncompacted journal.  The
-  /// hook must NOT destroy the server synchronously -- it is called from
-  /// inside server code; schedule the teardown on the engine at the
-  /// current time instead.  Passing nullptr disarms.
+  /// server holds one trigger of each kind, and arming a kind replaces
+  /// its earlier trigger.  Whichever fires first disarms both: the
+  /// instance is about to die, and the harness re-arms what is still
+  /// pending on the recovered one.  The hook must NOT destroy the server
+  /// synchronously -- it is called from inside server code; schedule the
+  /// teardown on the engine at the current time instead.  Passing
+  /// nullptr disarms that kind.
   void arm_crash_hook(std::size_t journal_records, std::function<void()> hook,
                       bool mid_checkpoint = false);
 
@@ -148,12 +155,21 @@ class SphinxServer {
   /// and counts and, when one attempt won, the loser-cancel RPC.
   void on_speculation_resolved(const SpeculationRecord& race,
                                SpeculationState final_state);
-  /// Fires the armed crash hook when the journal crossed the threshold.
+  /// One armed fail-stop trigger (see arm_crash_hook).
+  struct CrashTrigger {
+    std::size_t at_records = 0;
+    std::function<void()> hook;
+  };
+  /// Fires `trigger` if it is armed and the journal reached its
+  /// threshold, disarming both triggers first.  Returns whether it fired.
+  bool fire_crash(CrashTrigger& trigger);
+  /// Fires the event-boundary trigger when the journal crossed its
+  /// threshold.
   void maybe_crash();
-  /// End-of-sweep checkpoint policy: publishes an image and compacts the
-  /// journal once ServerConfig::checkpoint_every_records records were
-  /// appended since the last image.  Also hosts the mid-checkpoint kill
-  /// point (see arm_crash_hook).
+  /// End-of-sweep checkpoint: publishes an image and compacts the
+  /// journal once DataWarehouse::checkpoint_due() holds -- the journal
+  /// holds as many records as the last image holds rows.  Also hosts the
+  /// mid-checkpoint kill point (see arm_crash_hook).
   void maybe_checkpoint();
 
   rpc::MessageBus& bus_;
@@ -167,14 +183,8 @@ class SphinxServer {
   std::unique_ptr<rpc::ClarensService> service_;
   std::unique_ptr<rpc::ClarensClient> out_;  ///< for server -> client calls
   std::unique_ptr<sim::PeriodicProcess> control_;
-  std::size_t crash_at_records_ = 0;
-  std::function<void()> crash_hook_;
-  bool crash_mid_checkpoint_ = false;  ///< armed hook fires inside a checkpoint
-  /// Checkpoint-policy cursor.  Initialized to sequence 0 and re-derived
-  /// from a recovered warehouse's carried image, so a recovered server
-  /// stays in checkpoint lockstep with an uncrashed baseline run (the
-  /// differential oracle compares their traces).
-  std::uint64_t last_checkpoint_seq_ = 0;  // sphinx-lint: derived(maybe_checkpoint, SphinxServer)
+  CrashTrigger crash_;                 ///< checked at event boundaries
+  CrashTrigger crash_mid_checkpoint_;  ///< checked inside a checkpoint
   /// Detector-cadence cursor, persisted to scheduler_state on every pass
   /// so a recovered server's next detector pass lands exactly where the
   /// crashed instance's would have (the differential oracle compares

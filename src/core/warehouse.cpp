@@ -37,9 +37,9 @@ DataWarehouse::DataWarehouse()
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
     const db::Journal& journal,
     const std::optional<CheckpointImage>& checkpoint) {
-  // A fresh warehouse declares the tables; the image or the journal fills
-  // them, and the schema declares the indexes, so both rebuild those too.
-  // Only the derived work state needs explicit reconstruction.
+  // A fresh warehouse declares the tables and their indexes; the image
+  // and the journal records after it fill them, indexes included.  Only
+  // the derived work state needs explicit reconstruction.
   auto warehouse = std::make_unique<DataWarehouse>();
   std::uint64_t from_seq = 0;
   if (checkpoint.has_value()) {
@@ -48,6 +48,7 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
       return Unexpected<Error>{status.error()};
     }
     from_seq = checkpoint->seq;
+    warehouse->image_rows_ = warehouse->db_.rows();
   }
   // Replay only what the image does not hold.  When the crash landed
   // between image publication and truncation the journal still holds the
@@ -73,27 +74,25 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   return warehouse;
 }
 
-DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
+bool DataWarehouse::checkpoint_due() const noexcept {
+  const std::size_t records = db_.journal().size();
+  return records > 0 && records >= image_rows_;
+}
+
+const CheckpointImage& DataWarehouse::checkpoint(
     const std::function<bool(const CheckpointImage&)>& mid_hook) {
-  CheckpointImage image;
-  image.seq = db_.journal().next_seq();
-  image.database = db_.snapshot();
-
-  CheckpointStats stats;
-  stats.seq = image.seq;
-  stats.snapshot_bytes = image.database.size();
-
   // Publish first: from here on a recovered instance no longer needs the
   // journal prefix, whether or not the truncation below completes.
-  checkpoint_ = std::move(image);
+  checkpoint_ = CheckpointImage{db_.journal().next_seq(), db_.snapshot()};
+  image_rows_ = db_.rows();
   if (mid_hook && mid_hook(*checkpoint_)) {
-    return stats;  // crashing mid-checkpoint; journal left untruncated
+    return *checkpoint_;  // crashing mid-checkpoint; journal left untruncated
   }
   db_.truncate_journal(checkpoint_->seq);
   SPHINX_POSTCONDITION(db_.journal().base_seq() == checkpoint_->seq,
                        "compaction must advance the journal base to the "
                        "checkpoint sequence");
-  return stats;
+  return *checkpoint_;
 }
 
 void DataWarehouse::rebuild_work_state() {

@@ -8,8 +8,8 @@
 /// system easily recoverable from internal component failures" (paper
 /// section 3.1).  All server state -- DAGs, jobs, dependencies, site
 /// statistics, quotas -- lives in db::Database tables; a crashed server
-/// is rebuilt from the journal, optionally on top of a checkpoint image
-/// (see recover_from()).
+/// is rebuilt from its last checkpoint image, when it has one, and the
+/// journal records after it (see recover_from()).
 ///
 /// Each table is a db::Table of its row struct: a DagRecord, JobRecord,
 /// SpeculationRecord, SiteStats or OutboxEntry, or a small private row
@@ -39,8 +39,13 @@
 /// Recovery is O(state), not O(history): checkpoint() publishes a
 /// CheckpointImage (database snapshot + sequence number) and compacts the
 /// journal prefix it covers, and recover_from(journal, image) restores
-/// the snapshot then replays only the post-checkpoint suffix.  Without an
-/// image, recovery replays the whole journal onto empty tables.
+/// the snapshot then replays only the post-checkpoint suffix onto the
+/// declared tables; before the first image that suffix is the whole
+/// journal.  checkpoint_due() keeps the two in proportion: a checkpoint
+/// is due once the journal holds at least as many records as the last
+/// image holds rows, so replaying the retained journal never costs more
+/// than restoring the image, and each image is paid for by the records
+/// journaled since the one before.
 
 #include <cstdint>
 #include <functional>
@@ -184,14 +189,13 @@ struct DagRecord {
   double priority = 0.0;  ///< request priority; higher is planned first
   SimTime deadline = kNever;  ///< QoS deadline; kNever = best effort
 
-  /// The dags table's columns, in persisted order.  Nothing reads the
-  /// state index; it stays declared so the create record keeps its bytes.
+  /// The dags table's columns, in persisted order.
   static constexpr auto columns() {
     return std::tuple{db::indexed("dag_id", &DagRecord::id),
                       db::column("name", &DagRecord::name),
                       db::column("client", &DagRecord::client),
                       db::column("user", &DagRecord::user),
-                      db::indexed("state", &DagRecord::state),
+                      db::column("state", &DagRecord::state),
                       db::column("received_at", &DagRecord::received_at),
                       db::column("finished_at", &DagRecord::finished_at),
                       db::column("total_jobs", &DagRecord::total_jobs),
@@ -208,8 +212,9 @@ class DataWarehouse {
   /// Rebuilds a warehouse from a crashed instance's durable state: the
   /// checkpoint image, when one was published, plus the journal.  Restores
   /// the image's snapshot and replays only the entries with sequence >=
-  /// image.seq; without an image it replays the whole journal, which must
-  /// then start at sequence 0 (a compacted journal needs its image).
+  /// image.seq onto the declared tables; without an image it replays the
+  /// whole journal, which must then start at sequence 0 (a compacted
+  /// journal needs its image).
   /// Handles both a compacted journal (crash after truncation) and an
   /// untruncated one (crash between snapshot publication and truncation
   /// -- recovery completes the truncation).  Never throws: a journal or
@@ -221,26 +226,28 @@ class DataWarehouse {
   /// `recover_invariant`.
   [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
       const db::Journal& journal,
-      const std::optional<CheckpointImage>& checkpoint = std::nullopt);
+      const std::optional<CheckpointImage>& checkpoint);
 
   /// The journal to persist elsewhere for crash recovery.
   [[nodiscard]] const db::Journal& journal() const { return db_.journal(); }
 
   // --- checkpointing ----------------------------------------------------
-  /// Result of one checkpoint() call, for the caller's observability.
-  struct CheckpointStats {
-    std::uint64_t seq = 0;              ///< sequence the image reflects
-    std::size_t snapshot_bytes = 0;     ///< size of the database snapshot
-  };
+  /// The checkpoint rule: true once the journal holds at least one record
+  /// and at least as many records as the last image holds rows (zero
+  /// before the first image).  It reads only what recovery carries over
+  /// -- the retained journal and the image -- so a recovered warehouse
+  /// answers exactly as the crashed one would have.
+  [[nodiscard]] bool checkpoint_due() const noexcept;
 
   /// Publishes a checkpoint image of the current state (database
-  /// snapshot at the journal's next_seq) and truncates the journal
-  /// prefix it covers.  `mid_hook`, when provided, runs between
-  /// publication and truncation -- the chaos harness's mid-checkpoint
-  /// kill point; returning true marks the instance as crashing and
-  /// leaves the journal untruncated (the recovered instance finishes the
-  /// truncation via recover_from, so a crash here is invisible).
-  CheckpointStats checkpoint(
+  /// snapshot at the journal's next_seq), truncates the journal prefix it
+  /// covers, and returns the image.  `mid_hook`, when provided, runs
+  /// between publication and truncation -- the chaos harness's
+  /// mid-checkpoint kill point; returning true marks the instance as
+  /// crashing and leaves the journal untruncated (the recovered instance
+  /// finishes the truncation via recover_from, so a crash here is
+  /// invisible).
+  const CheckpointImage& checkpoint(
       const std::function<bool(const CheckpointImage&)>& mid_hook = {});
 
   /// The most recent checkpoint image: published by checkpoint() and
@@ -499,8 +506,7 @@ class DataWarehouse {
   [[nodiscard]] db::RowId quota_row(UserId user, SiteId site,
                                     const std::string& resource) const;
 
-  // The tables, in creation order: the order of their create records and
-  // of a checkpoint image.
+  // The tables, in creation order: the order of a checkpoint image.
   db::Database db_;
   db::Table<DagRecord>& dags_;
   db::Table<JobRecord>& jobs_;
@@ -537,6 +543,9 @@ class DataWarehouse {
   /// published or carried across recovery -- any other write would let
   /// the image drift from the journal sequence it anchors.
   std::optional<CheckpointImage> checkpoint_;  // sphinx-lint: derived(checkpoint, recover_from)
+  /// Rows the last image holds (0 before the first): the store's row
+  /// count when it was published, and again when recovery restores it.
+  std::size_t image_rows_ = 0;  // sphinx-lint: derived(checkpoint, recover_from)
   obs::Recorder* recorder_ = nullptr;
   obs::Name recorder_source_{};
   obs::Name job_name_{};  ///< "job", the subject of every transition

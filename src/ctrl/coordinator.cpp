@@ -15,17 +15,6 @@ LeaseCoordinator::LeaseCoordinator(rpc::MessageBus& bus,
       [this] { monitor_sweep(); }, monitor_phase);
 }
 
-Expected<std::unique_ptr<LeaseCoordinator>> LeaseCoordinator::recover(
-    rpc::MessageBus& bus, Duration monitor_phase,
-    const db::Journal& journal) {
-  auto coordinator = std::make_unique<LeaseCoordinator>(bus, monitor_phase);
-  if (auto replayed = coordinator->leases_.recover_from(journal); !replayed) {
-    return Unexpected<Error>{replayed.error()};
-  }
-  coordinator->leases_.check_invariants();
-  return coordinator;
-}
-
 LeaseCoordinator::~LeaseCoordinator() = default;
 
 void LeaseCoordinator::register_methods() {

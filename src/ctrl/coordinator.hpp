@@ -5,7 +5,7 @@
 ///
 /// One coordinator serves a multi-scheduler deployment.  It hosts the
 /// `ctrl.renew` Clarens method the HeartbeatAgents call, keeps the
-/// journaled LeaseTable, and runs a periodic monitor that declares a
+/// LeaseTable, and runs a periodic monitor that declares a
 /// shard dead when its owner stops renewing.  On expiry it picks the
 /// adopter -- the first scheduler in grant order that still holds a
 /// current lease of its own -- and runs the installed AdoptHandler,
@@ -63,13 +63,6 @@ class LeaseCoordinator {
   /// \param monitor_phase offset of the first monitor sweep after
   /// start().
   LeaseCoordinator(rpc::MessageBus& bus, Duration monitor_phase);
-
-  /// Rebuilds a coordinator from a crashed instance's lease journal:
-  /// ownership, epochs and deadlines all survive, so a recovered control
-  /// plane fences exactly the owners the dead one would have.
-  static Expected<std::unique_ptr<LeaseCoordinator>> recover(
-      rpc::MessageBus& bus, Duration monitor_phase,
-      const db::Journal& journal);
 
   ~LeaseCoordinator();
   LeaseCoordinator(const LeaseCoordinator&) = delete;

@@ -4,8 +4,6 @@
 
 namespace sphinx::ctrl {
 
-LeaseTable::LeaseTable() : table_(db_.create_table<Lease>("lease")) {}
-
 std::uint64_t LeaseTable::grant(const std::string& shard,
                                 const std::string& owner, SimTime now,
                                 Duration ttl) {
@@ -86,12 +84,6 @@ std::vector<Lease> LeaseTable::leases() const {
   table_.for_each(
       [&out](db::RowId, const Lease& lease) { out.push_back(lease); });
   return out;
-}
-
-StatusOrError LeaseTable::recover_from(const db::Journal& journal) {
-  SPHINX_PRECONDITION(table_.empty(),
-                      "recover_from() requires a never-mutated table");
-  return db_.recover(journal);
 }
 
 }  // namespace sphinx::ctrl

@@ -1,14 +1,12 @@
 #pragma once
 /// \file lease.hpp
-/// The journaled heartbeat-lease table: which scheduler owns which shard.
+/// The heartbeat-lease table: which scheduler owns which shard.
 ///
 /// Ownership is a lease, not an assignment: the owner must renew within
 /// the TTL or the coordinator declares the shard dead and a surviving
-/// peer adopts it.  Every mutation -- grant, renewal, expiry, transfer --
-/// goes through a db::Database so it lands in a journal, exactly like
-/// the warehouse's scheduling state: a crashed-and-recovered coordinator
-/// replays the journal and sees the same owners, epochs and deadlines as
-/// the instance it replaced (recover_from()).
+/// peer adopts it.  The leases are rows of an unjournaled db::Table: a
+/// lookup by shard goes through its index, and the invariant sweep
+/// checks them like the warehouse's tables.
 ///
 /// Epochs fence stale owners.  Each transfer increments the shard's
 /// epoch; a renewal carrying an older epoch (an owner that was paused,
@@ -21,9 +19,8 @@
 #include <tuple>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/time.hpp"
-#include "db/database.hpp"
+#include "db/table.hpp"
 
 namespace sphinx::ctrl {
 
@@ -57,10 +54,6 @@ enum class RenewOutcome {
 /// are a function of table state alone, never of hash-map iteration.
 class LeaseTable {
  public:
-  LeaseTable();
-
-  LeaseTable(const LeaseTable&) = delete;
-  LeaseTable& operator=(const LeaseTable&) = delete;
 
   /// Grants the initial lease on `shard` (epoch 1).  The shard must not
   /// already hold a lease -- regrant is transfer()'s job.
@@ -80,7 +73,7 @@ class LeaseTable {
   /// shard whose adoption failed stays here until a sweep succeeds.
   [[nodiscard]] std::vector<Lease> dead() const;
 
-  /// Marks a lease dead (journaled), so one missed deadline is declared
+  /// Marks a lease dead, so one missed deadline is declared
   /// exactly once no matter how often the monitor sweeps.
   void mark_expired(const std::string& shard);
 
@@ -99,24 +92,10 @@ class LeaseTable {
   /// All leases in grant order.
   [[nodiscard]] std::vector<Lease> leases() const;
 
-  [[nodiscard]] const db::Journal& journal() const noexcept {
-    return db_.journal();
-  }
-
-  /// Replays a crashed instance's journal into this (freshly constructed,
-  /// never-mutated) table.  The replayed journal's own create record
-  /// declares the table, so the recovered journal stays byte-identical to
-  /// the crashed one's.  A journal whose lease table is missing or
-  /// differs from the declared schema is refused with `recover_schema`,
-  /// and one with a cell its column cannot hold with `recover_replay`;
-  /// either way the table is left unusable.
-  [[nodiscard]] StatusOrError recover_from(const db::Journal& journal);
-
-  void check_invariants() const { db_.check_invariants(); }
+  void check_invariants() const { table_.check_invariants(); }
 
  private:
-  db::Database db_;
-  db::Table<Lease>& table_;
+  db::Table<Lease> table_{"lease"};
 };
 
 }  // namespace sphinx::ctrl

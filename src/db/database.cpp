@@ -24,16 +24,6 @@ StatusOrError with_code(const char* code, const StatusOrError& status) {
   return make_error(code, status.error().message);
 }
 
-/// The first declared table the recovery never saw created.
-StatusOrError all_created(
-    const std::vector<std::unique_ptr<TableBase>>& tables,
-    const std::vector<bool>& created) {
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    if (!created[i]) return schema_error("missing table " + tables[i]->name());
-  }
-  return {};
-}
-
 }  // namespace
 
 Database::Database() = default;
@@ -42,8 +32,13 @@ Database::~Database() = default;
 void Database::add(std::unique_ptr<TableBase> table) {
   SPHINX_ASSERT(position(table->name()) == tables_.size(),
                 "table already exists: " + table->name());
-  journal_.append_create(table->name(), table->columns());
   tables_.push_back(std::move(table));
+}
+
+std::size_t Database::rows() const noexcept {
+  std::size_t rows = 0;
+  for (const auto& table : tables_) rows += table->size();
+  return rows;
 }
 
 std::size_t Database::position(std::string_view name) const noexcept {
@@ -58,26 +53,13 @@ bool Database::fresh() const noexcept {
   });
 }
 
-StatusOrError Database::replay(const JournalEntry& e,
-                               std::vector<bool>& created) {
+StatusOrError Database::replay(const JournalEntry& e) {
   const auto fail = [](const std::string& what) {
     return make_error("recover_replay", what);
   };
   const std::size_t at = position(e.table);
-  if (e.op == JournalEntry::Op::kCreateTable) {
-    if (at == tables_.size()) {
-      return schema_error("undeclared table " + e.table);
-    }
-    if (created[at]) return fail("duplicate table: " + e.table);
-    if (e.schema != tables_[at]->columns()) {
-      return schema_error("table " + e.table +
-                          " does not match its declared schema");
-    }
-    created[at] = true;
-    return {};
-  }
-  if (at == tables_.size() || !created[at]) {
-    return fail("record for missing table: " + e.table);
+  if (at == tables_.size()) {
+    return fail("record for undeclared table: " + e.table);
   }
   TableBase& t = *tables_[at];
   switch (e.op) {
@@ -97,7 +79,6 @@ StatusOrError Database::replay(const JournalEntry& e,
     case JournalEntry::Op::kErase:
       if (!t.replay_erase(e.row)) return fail("erase of missing row");
       return {};
-    case JournalEntry::Op::kCreateTable: break;
   }
   return {};
 }
@@ -120,21 +101,19 @@ StatusOrError Database::recover(const Journal& journal,
     return make_error("recover_suffix",
                       "journal ends before the requested sequence");
   }
-  // A full replay creates every table from its create record; a suffix
-  // replays onto the tables the image restored.  Nothing replay applies
-  // is journaled: the replayed suffix is adopted wholesale below --
+  // The records replay onto the declared tables: empty ones without an
+  // image, the restored ones with it.  Nothing replay applies is
+  // journaled: the replayed suffix is adopted wholesale below --
   // byte-identical to the crashed journal's retained entries.  Entries
   // below from_seq are already folded into the restored snapshot
   // (recovery after a crash between checkpoint publication and
   // truncation sees them still in the journal).
-  std::vector<bool> created(tables_.size(), from_seq > 0);
   for (std::uint64_t seq = from_seq; seq < journal.next_seq(); ++seq) {
     const auto entry = Journal::decode(
         journal.record(static_cast<std::size_t>(seq - journal.base_seq())));
     if (!entry) return make_error("recover_replay", entry.error().message);
-    if (auto applied = replay(*entry, created); !applied.ok()) return applied;
+    if (auto applied = replay(*entry); !applied.ok()) return applied;
   }
-  if (auto status = all_created(tables_, created); !status.ok()) return status;
   journal_.adopt_suffix(journal, from_seq);
   check_invariants();  // a replayed store must be as sound as the original
   return {};
@@ -168,7 +147,7 @@ StatusOrError Database::restore(const std::string& snapshot) {
   // Rows follow their table's record in id order, below the allocation
   // cursor it carries.  The cursor is applied after the rows, whose
   // inserts advance the table to max(id)+1.
-  std::vector<bool> created(tables_.size(), false);
+  std::vector<bool> seen(tables_.size(), false);
   TableBase* current = nullptr;
   RowId cursor = kInvalidRow;
   std::string_view rest = snapshot;
@@ -205,12 +184,12 @@ StatusOrError Database::restore(const std::string& snapshot) {
       if (at == tables_.size()) {
         return schema_error("undeclared table " + *name);
       }
-      if (created[at]) return fail("duplicate table: " + *name);
+      if (seen[at]) return fail("duplicate table: " + *name);
       if (columns != tables_[at]->columns()) {
         return schema_error("table " + *name +
                             " does not match its declared schema");
       }
-      created[at] = true;
+      seen[at] = true;
       current = tables_[at].get();
     } else if (fields[0] == "R") {
       if (current == nullptr) {
@@ -235,7 +214,9 @@ StatusOrError Database::restore(const std::string& snapshot) {
   }
   if (!saw_header) return fail("empty snapshot");
   if (current != nullptr) current->restore_next_id(cursor);
-  if (auto status = all_created(tables_, created); !status.ok()) return status;
+  for (std::size_t i = 0; i < tables_.size(); ++i) {
+    if (!seen[i]) return schema_error("missing table " + tables_[i]->name());
+  }
   journal_ = Journal{};
   check_invariants();
   return {};

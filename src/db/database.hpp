@@ -1,6 +1,11 @@
 #pragma once
 /// \file database.hpp
 /// The table store: typed tables + journaling + recovery.
+///
+/// Recovery has one path: restore() the last checkpoint image, if there
+/// is one, then recover() replays the journal records after it onto the
+/// declared tables.  The schema lives in the code that declares the
+/// tables and in each image, never in the journal.
 
 #include <memory>
 #include <string>
@@ -14,7 +19,8 @@ namespace sphinx::db {
 
 /// A collection of tables sharing one journal.  Its owner declares every
 /// table up front, in creation order; recovery fills the declared tables
-/// and refuses a journal or image whose tables differ from them.
+/// and refuses an image whose tables differ from them, or a record for a
+/// table they lack.
 class Database {
  public:
   Database();
@@ -23,7 +29,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Creates a table of Row structs and journals its create record.
+  /// Declares a table of Row structs.  Nothing is journaled: the code
+  /// declares every table, and a checkpoint image carries the schemas.
   /// Throws AssertionError if the name already exists (table names are
   /// compile-time constants in this codebase).
   template <typename Row>
@@ -36,6 +43,9 @@ class Database {
 
   /// The journal of all mutations since construction (or last checkpoint).
   [[nodiscard]] const Journal& journal() const noexcept { return journal_; }
+
+  /// Rows across every table: the number of row lines snapshot() writes.
+  [[nodiscard]] std::size_t rows() const noexcept;
 
   /// Compacts the journal prefix below `seq` (see
   /// Journal::truncate_before) -- the checkpoint path, where `seq` is
@@ -63,19 +73,18 @@ class Database {
   [[nodiscard]] StatusOrError restore(const std::string& snapshot);
 
   /// Rebuilds database content by replaying the entries of `journal`
-  /// whose sequence number is >= from_seq.  With from_seq == 0 (full
-  /// replay) the declared tables must be empty, and the journal's create
-  /// records must declare exactly them ("recover_schema" otherwise); with
-  /// from_seq > 0 it replays a post-checkpoint suffix onto tables a
-  /// restore() just rebuilt.  On success the replayed suffix is adopted
-  /// wholesale as this database's own journal -- byte-identical to the
-  /// crashed journal's retained entries -- so a recovered server remains
-  /// recoverable.  Each record is checked before it is applied, and one
-  /// the store would not have written is refused ("recover_replay"): a
-  /// record naming a missing table or row, a create repeating a table, an
-  /// insert whose id is not the one its table allocates next, or a cell
-  /// its column cannot hold.  A journal that starts after from_seq, or
-  /// ends before it, is refused too ("recover_suffix").
+  /// whose sequence number is >= from_seq onto the declared tables: with
+  /// from_seq == 0 (no image) they must be empty, and with from_seq > 0
+  /// they hold what a restore() of the image at from_seq just rebuilt.
+  /// On success the replayed suffix is adopted wholesale as this
+  /// database's own journal -- byte-identical to the crashed journal's
+  /// retained entries -- so a recovered server remains recoverable.  Each
+  /// record is checked before it is applied, and one the store would not
+  /// have written is refused ("recover_replay"): a record naming an
+  /// undeclared table or a missing row, an insert whose id is not the one
+  /// its table allocates next, or a cell its column cannot hold.  A
+  /// journal that starts after from_seq, or ends before it, is refused too
+  /// ("recover_suffix").
   [[nodiscard]] StatusOrError recover(const Journal& journal,
                                       std::uint64_t from_seq = 0);
 
@@ -91,10 +100,8 @@ class Database {
   void add(std::unique_ptr<TableBase> table);
   /// The position of table `name` in tables_, or tables_.size().
   [[nodiscard]] std::size_t position(std::string_view name) const noexcept;
-  /// Applies one journal record; `created` marks the tables whose create
-  /// record (or image) the recovery has seen.
-  [[nodiscard]] StatusOrError replay(const JournalEntry& entry,
-                                     std::vector<bool>& created);
+  /// Applies one journal record to its declared table.
+  [[nodiscard]] StatusOrError replay(const JournalEntry& entry);
   /// Whether every table is as create_table() left it.
   [[nodiscard]] bool fresh() const noexcept;
 

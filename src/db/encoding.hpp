@@ -25,8 +25,8 @@ namespace sphinx::db {
 enum class CellType { kInt, kReal, kText, kBool };
 
 /// One persisted column spec.  `indexed` marks a column that carries a
-/// hash index: the flag is part of the schema, so create records and
-/// images carry it and recovery compares it like the name and type.
+/// hash index: the flag is part of the schema, so images carry it and
+/// recovery compares it like the name and type.
 struct Column {
   std::string name;
   CellType type = CellType::kInt;

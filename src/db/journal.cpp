@@ -17,16 +17,6 @@ void Journal::begin_record(char op, std::string_view table) {
   append_field(text_, table);
 }
 
-void Journal::append_create(std::string_view table,
-                            const std::vector<Column>& schema) {
-  begin_record('C', table);
-  for (const Column& col : schema) {
-    text_ += '\t';
-    append_column(text_, col);
-  }
-  text_ += '\n';
-}
-
 void Journal::append_erase(std::string_view table, RowId row) {
   begin_record('E', table);
   text_ += '\t';
@@ -52,14 +42,7 @@ Expected<JournalEntry> Journal::decode(std::string_view line) {
   entry.table = std::move(*table);
 
   const std::string_view op = fields[0];
-  if (op == "C") {
-    entry.op = JournalEntry::Op::kCreateTable;
-    for (std::size_t i = 2; i < fields.size(); ++i) {
-      auto column = decode_column(fields[i]);
-      if (!column) return Unexpected<Error>{column.error()};
-      entry.schema.push_back(std::move(*column));
-    }
-  } else if (op == "I") {
+  if (op == "I") {
     if (fields.size() < 3) return make_error("journal_parse", "short insert");
     entry.op = JournalEntry::Op::kInsert;
     if (!parse_u64(fields[2], entry.row)) {
@@ -169,9 +152,6 @@ Expected<Journal> Journal::parse(const std::string& text) {
       }
     };
     switch (entry->op) {
-      case JournalEntry::Op::kCreateTable:
-        journal.append_create(entry->table, entry->schema);
-        break;
       case JournalEntry::Op::kInsert:
         journal.append_insert(entry->table, entry->row, write_cells);
         break;

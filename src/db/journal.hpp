@@ -2,11 +2,14 @@
 /// \file journal.hpp
 /// Append-only operation log for crash recovery.
 ///
-/// Every committed mutation on every table of a Database is appended here.
-/// A fresh Database replaying the journal reaches the exact pre-crash
-/// state -- this is the mechanism behind the paper's claim that SPHINX is
-/// "easily recoverable from internal component failures" (section 3.1).
-/// The log has a text serialization so it can be persisted and reloaded.
+/// Every committed mutation on every table of a Database is appended here:
+/// row inserts, cell updates and row erasures.  Tables are not: their
+/// owner declares them in code, and a checkpoint image carries their
+/// schemas.  A fresh Database replaying the journal onto its declared
+/// tables reaches the exact pre-crash state -- this is the mechanism
+/// behind the paper's claim that SPHINX is "easily recoverable from
+/// internal component failures" (section 3.1).  The log has a text
+/// serialization so it can be persisted and reloaded.
 ///
 /// The journal is held as that text: each record is the line serialize()
 /// writes for it, encoded once on append into one buffer.  Replay reads
@@ -37,7 +40,7 @@ inline constexpr RowId kInvalidRow = 0;
 
 /// One journal record in decoded form, as Journal::decode reads it.
 struct JournalEntry {
-  enum class Op { kCreateTable, kInsert, kUpdate, kErase };
+  enum class Op { kInsert, kUpdate, kErase };
 
   Op op = Op::kInsert;
   std::string table;
@@ -46,7 +49,6 @@ struct JournalEntry {
   /// The encoded cells, as views into the decoded line: kInsert's full
   /// row, kUpdate's one cell.  Their table's columns read them.
   std::vector<std::string_view> cells;
-  std::vector<Column> schema;  ///< kCreateTable only
 };
 
 /// The append-only log.
@@ -54,7 +56,6 @@ class Journal {
  public:
   /// Record encoders: each appends one record's line.  Inserts and
   /// updates take a writer that appends the cells, each after a tab.
-  void append_create(std::string_view table, const std::vector<Column>& schema);
   template <typename WriteCells>
   void append_insert(std::string_view table, RowId row,
                      const WriteCells& write_cells) {
@@ -94,8 +95,7 @@ class Journal {
   /// Sequence number the next appended entry will carry -- equivalently,
   /// the total number of entries ever appended.  Monotonic: truncation
   /// advances base_seq() but never rewinds this, so record-count
-  /// thresholds (chaos crash points, checkpoint policy) stay meaningful
-  /// across compaction.
+  /// thresholds (chaos crash points) stay meaningful across compaction.
   [[nodiscard]] std::uint64_t next_seq() const noexcept {
     return base_seq_ + starts_.size();
   }

@@ -11,10 +11,10 @@
 /// A Table<Row> holds the row struct itself.  The row type declares its
 /// columns once, in persisted order, as a static constexpr `columns()`
 /// tuple of column(name, &Row::member) and indexed(name, &Row::member)
-/// entries.  That one list gives the column specs of create records and
-/// images, the cell writers for inserts, updates and images, the cell
-/// readers for replay and restore, and the hash indexes, each keyed by its
-/// member's own type.  Reading a row is a lookup of the stored struct, and
+/// entries.  That one list gives the column specs images carry, the cell
+/// writers for inserts, updates and images, the cell readers for replay
+/// and restore, and the hash indexes, each keyed by its member's own
+/// type.  Reading a row is a lookup of the stored struct, and
 /// a write is one typed column set, set<&Row::member>(id, value).
 
 #include <algorithm>

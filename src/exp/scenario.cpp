@@ -174,7 +174,6 @@ Tenant& Scenario::add_tenant(const std::string& label,
   server_config.use_feedback = options.use_feedback;
   server_config.use_policy = options.use_policy;
   server_config.use_qos_ordering = options.use_qos_ordering;
-  server_config.checkpoint_every_records = options.checkpoint_every_records;
   server_config.sweep_phase = options.sweep_phase;
   server_config.speculate = options.speculate;
   tenant.server = std::make_unique<core::SphinxServer>(
@@ -226,8 +225,8 @@ void Scenario::crash_server(std::size_t tenant_index) {
   // uninterrupted run.
   DurableServerState durable;
   durable.journal = tenant.server->warehouse().journal();
-  // With checkpointing on, the journal alone is not enough: it may be a
-  // compacted suffix whose sequence base only the last published image
+  // Once a sweep has checkpointed, the journal alone is not enough: it is
+  // a compacted suffix whose sequence base only the last published image
   // anchors.  Capture the image alongside it -- together they are the
   // crashed instance's complete durable state.
   durable.checkpoint = tenant.server->warehouse().checkpoint_image();

@@ -130,15 +130,24 @@ void TraceSink::record(const TraceEvent& event) {
   ++size_;
 }
 
+TraceView TraceSink::view(const TraceEvent& e) const {
+  std::string subject = text(e.subject);
+  if (e.numbered) subject += ":" + std::to_string(e.number);
+  return TraceView{e.at, e.kind, text(e.source), std::move(subject),
+                   text(e.detail), e.value};
+}
+
 std::vector<TraceView> TraceSink::events() const {
   std::vector<TraceView> out;
   out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) out.push_back(view(event(i)));
+  return out;
+}
+
+std::vector<TraceView> TraceSink::events(TraceKind kind) const {
+  std::vector<TraceView> out;
   for (std::size_t i = 0; i < size_; ++i) {
-    const TraceEvent& e = event(i);
-    std::string subject = text(e.subject);
-    if (e.numbered) subject += ":" + std::to_string(e.number);
-    out.push_back(TraceView{e.at, e.kind, text(e.source), std::move(subject),
-                            text(e.detail), e.value});
+    if (event(i).kind == kind) out.push_back(view(event(i)));
   }
   return out;
 }

@@ -147,6 +147,8 @@ class TraceSink {
 
   /// Every event, names looked up.
   [[nodiscard]] std::vector<TraceView> events() const;  // sphinx-lint-allow(test-only): tests read the recorded events
+  /// Every event of one kind, names looked up.
+  [[nodiscard]] std::vector<TraceView> events(TraceKind kind) const;
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
@@ -169,6 +171,7 @@ class TraceSink {
   [[nodiscard]] const std::string& text(Name name) const {
     return names_[static_cast<std::size_t>(name)];
   }
+  [[nodiscard]] TraceView view(const TraceEvent& event) const;
 
   std::vector<std::unique_ptr<Block>> blocks_;
   std::size_t size_ = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,10 @@ TEST(ChaosKillPoints, BackToBackCrashesRecover) {
   schedule.crash_records = {40, 80, 120};
   const chaos::ChaosRunResult result = chaos::run_chaos_pair(config, schedule);
   EXPECT_TRUE(result.ok()) << result.violation();
-  EXPECT_EQ(result.crashes_executed, 3u);
+  // The three regular points and the synthesized mid-checkpoint point
+  // all fire.
+  ASSERT_EQ(schedule.mid_ckpt_crashes.size(), 1u);
+  EXPECT_EQ(result.crashes_executed, 4u);
 }
 
 TEST(ChaosKillPoints, BackToBackCrashesWithMidCheckpointSecond) {
@@ -81,7 +85,6 @@ TEST(ChaosKillPoints, BackToBackCrashesWithMidCheckpointSecond) {
   // truncated.  The second recovery therefore starts from a server that
   // was itself recovered from a checkpoint.
   chaos::ChaosRunConfig config = tiny_chaos(17);
-  config.checkpoint_every = 32;
   chaos::ChaosSchedule schedule = chaos::synthesize_schedule(config);
   schedule.crash_records = {40};
   schedule.mid_ckpt_crashes = {80};
@@ -96,7 +99,6 @@ TEST(ChaosKillPoints, MidCheckpointCrashSweepIsTransparent) {
   // truncation, so recovery must complete the truncation itself and
   // still match the baseline byte for byte.
   chaos::ChaosRunConfig config = tiny_chaos(91);
-  config.checkpoint_every = 32;
   chaos::ChaosSchedule outages_only = chaos::synthesize_schedule(config);
   outages_only.crash_records.clear();
   outages_only.mid_ckpt_crashes.clear();
@@ -110,6 +112,7 @@ TEST(ChaosKillPoints, MidCheckpointCrashSweepIsTransparent) {
   EXPECT_LT(probe.journal_live_records, probe.journal_records);
 
   const std::size_t step = std::max<std::size_t>(total / 6, 1);
+  std::size_t positions = 0;
   std::size_t crashes_seen = 0;
   for (std::size_t at = step; at < total; at += step) {
     chaos::ChaosSchedule schedule = outages_only;
@@ -119,27 +122,87 @@ TEST(ChaosKillPoints, MidCheckpointCrashSweepIsTransparent) {
     EXPECT_TRUE(result.ok())
         << "mid-checkpoint crash at record " << at << ": "
         << result.violation();
+    ++positions;
     crashes_seen += result.crashes_executed;
   }
-  // Positions in the run's tail may never see another checkpoint, but
-  // the sweep as a whole must actually exercise the window.
-  EXPECT_GE(crashes_seen, 2u);
+  // Every position fires, those in the run's tail inside its last
+  // checkpoint.
+  EXPECT_EQ(crashes_seen, positions);
 }
 
-TEST(ChaosKillPoints, FullReplayModeStillRecovers) {
-  // checkpoint_every = 0 is the legacy configuration: no checkpoints,
-  // recovery replays the whole history.  It must stay green -- the
-  // refactor adds a path, it does not retire one.
-  chaos::ChaosRunConfig config = tiny_chaos(17);
-  config.checkpoint_every = 0;
+TEST(ChaosKillPoints, MidCheckpointPointsPastTheLastCheckpointFire) {
+  // Two mid-checkpoint points drawn past every checkpoint of the run,
+  // plus a regular point in the same tail: the campaign arms the mid
+  // points on the run's last two checkpoints, the regular one fires at
+  // its record, and all three recoveries stay transparent.
+  chaos::ChaosRunConfig config = tiny_chaos(91);
   chaos::ChaosSchedule schedule = chaos::synthesize_schedule(config);
-  schedule.crash_records = {40, 80};
-  schedule.mid_ckpt_crashes.clear();  // can never fire without checkpoints
+  schedule.crash_records.clear();
+  schedule.mid_ckpt_crashes.clear();
+  const chaos::ChaosRunResult probe = chaos::run_chaos_pair(config, schedule);
+  ASSERT_TRUE(probe.ok()) << probe.violation();
+  const std::size_t total = probe.journal_records;
+
+  schedule.crash_records = {total - 1};
+  schedule.mid_ckpt_crashes = {total + 1, total + 50};
   const chaos::ChaosRunResult result = chaos::run_chaos_pair(config, schedule);
   EXPECT_TRUE(result.ok()) << result.violation();
-  EXPECT_EQ(result.crashes_executed, 2u);
-  // Without compaction the live journal is the full history.
-  EXPECT_EQ(result.journal_live_records, result.journal_records);
+  EXPECT_EQ(result.crashes_executed, 3u);
+  // The result keeps the schedule as drawn; only the run arms it moved.
+  EXPECT_EQ(result.schedule.mid_ckpt_crashes, schedule.mid_ckpt_crashes);
+}
+
+TEST(ChaosKillPoints, CrashAtTheFirstRecordRecoversWithoutAnImage) {
+  // The first journal record lands in the first submission's handler,
+  // before any sweep could publish an image, so a crash there recovers
+  // by replaying the whole journal onto the declared tables.  The
+  // recovered run must still match its uninterrupted baseline byte for
+  // byte: terminal journal and trace, minus the crash markers.
+  const auto run = [](bool crash) {
+    exp::ScenarioConfig scenario_config;
+    scenario_config.seed = 17;
+    scenario_config.site_failures = false;
+    scenario_config.background_load = false;
+    auto scenario = std::make_unique<exp::Scenario>(scenario_config);
+    exp::Tenant& tenant = scenario->add_tenant("t", exp::TenantOptions{});
+    workflow::WorkloadConfig workload;
+    workload.jobs_per_dag = 4;
+    auto generator = scenario->make_generator("w", workload);
+    scenario->start();
+    for (int i = 0; i < 2; ++i) {
+      const workflow::Dag dag =
+          generator.generate("first-record-" + std::to_string(i));
+      scenario->engine().schedule_at(
+          exp::kFirstSubmitAt + i * exp::kSubmitSpacing, "submit",
+          [&tenant, dag] { tenant.client->submit(dag); });
+    }
+    if (crash) {
+      exp::Scenario* s = scenario.get();
+      tenant.server->arm_crash_hook(1, [s] {
+        s->engine().schedule_at(s->engine().now(), "crash", [s] {
+          const core::DataWarehouse& crashed =
+              s->tenants()[0].server->warehouse();
+          EXPECT_FALSE(crashed.checkpoint_image().has_value());
+          EXPECT_EQ(crashed.journal().base_seq(), 0u);
+          EXPECT_GT(crashed.journal().size(), 0u);
+          ASSERT_TRUE(s->crash_and_recover_server(0).ok());
+        });
+      });
+    }
+    scenario->run(hours(10));
+    return scenario;
+  };
+
+  const auto baseline = run(false);
+  const auto crashed = run(true);
+  const std::string trace = crashed->recorder().trace().to_jsonl();
+  EXPECT_NE(trace.find("\"detail\":\"journal-replay\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"detail\":\"checkpoint+suffix\""), std::string::npos);
+  EXPECT_TRUE(crashed->tenants()[0].client->all_dags_finished());
+  EXPECT_EQ(crashed->tenants()[0].server->warehouse().journal().serialize(),
+            baseline->tenants()[0].server->warehouse().journal().serialize());
+  EXPECT_EQ(chaos::strip_chaos_events(trace),
+            chaos::strip_chaos_events(baseline->recorder().trace().to_jsonl()));
 }
 
 // --- campaigns --------------------------------------------------------------
@@ -365,7 +428,6 @@ TEST(ChaosRepro, JsonRoundTripPreservesEverything) {
   repro.config.algorithm = core::Algorithm::kRoundRobin;
   repro.config.background_load = true;
   repro.config.inject_divergence = true;
-  repro.config.checkpoint_every = 17;
   repro.config.schedule.mid_ckpt_crashes = 2;
   repro.schedule = chaos::synthesize_schedule(repro.config);
   repro.violation = "differential: journal diverged at line 3";
@@ -380,7 +442,6 @@ TEST(ChaosRepro, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(parsed->config.horizon, repro.config.horizon);
   EXPECT_EQ(parsed->config.background_load, repro.config.background_load);
   EXPECT_EQ(parsed->config.inject_divergence, repro.config.inject_divergence);
-  EXPECT_EQ(parsed->config.checkpoint_every, repro.config.checkpoint_every);
   EXPECT_EQ(parsed->schedule.mid_ckpt_crashes,
             repro.schedule.mid_ckpt_crashes);
   ASSERT_EQ(parsed->schedule.mid_ckpt_crashes.size(), 2u);
@@ -418,7 +479,7 @@ std::string repro_text(const std::string& config, const std::string& schedule) {
 
 TEST(ChaosRepro, AcceptsWhatTheCampaignWrites) {
   const auto parsed = chaos::repro_from_json(repro_text(
-      R"("checkpoint_every":64,)",
+      R"("speculate":false,)",
       R"({"crash_records":[5,9],"net_windows":[{"at":0,"duration":60,)"
       R"("loss":1,"duplicate":0,"reorder":0.5,"spike":0}],)"
       R"("outages":{"ufgrid1":[{"at":0,"duration":0,"mode":"down"}]}})"));
@@ -444,8 +505,7 @@ TEST(ChaosRepro, RefusesSeedsAndCountsOutsideTheirType) {
   for (const char* config :
        {R"("dag_count":-3,)", R"("jobs_per_dag":2.5,)",
         R"("dag_count":3e9,)", R"("seed":-1,)", R"("seed":1.5,)",
-        R"("seed":1e20,)", R"("seed":"7",)", R"("checkpoint_every":-64,)",
-        R"("checkpoint_every":1e300,)"}) {
+        R"("seed":1e20,)", R"("seed":"7",)", R"("jobs_per_dag":1e300,)"}) {
     EXPECT_FALSE(chaos::repro_from_json(repro_text(config, "{}")).has_value())
         << config;
   }
@@ -506,8 +566,11 @@ TEST(ChaosOracles, InjectedDivergenceMinimizesToReplayableRepro) {
   const chaos::ReproCase& repro = campaign.repros.front();
   EXPECT_FALSE(repro.violation.empty());
   // Minimization kept the failure reproducible and small: a corrupted
-  // recovery needs exactly one crash and no outage at all.
-  ASSERT_EQ(repro.schedule.crash_records.size(), 1u);
+  // recovery needs exactly one crash, of either kind, and no outage at
+  // all.
+  ASSERT_EQ(repro.schedule.crash_records.size() +
+                repro.schedule.mid_ckpt_crashes.size(),
+            1u);
   EXPECT_EQ(repro.schedule.outage_count(), 0u);
 
   const auto parsed = chaos::repro_from_json(chaos::to_json(repro));

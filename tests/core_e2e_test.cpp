@@ -276,16 +276,17 @@ TEST(CoreE2E, ServerRecoversFromCrashMidRun) {
   });
 
   // Let some work happen, then "crash" the server and rebuild it from its
-  // journal, transparently to the client.
+  // last image and journal, transparently to the client.
   std::unique_ptr<core::SphinxServer> recovered;
   scenario.engine().schedule_at(150.0, "crash", [&] {
     const db::Journal journal = tenant.server->warehouse().journal();
+    const auto image = tenant.server->warehouse().checkpoint_image();
     const auto catalog = scenario.catalog();
     const core::ServerConfig config = tenant.server->config();
     tenant.server.reset();  // kaboom: endpoint unregisters, control stops
     auto result = core::SphinxServer::recover(
         scenario.bus(), catalog, scenario.rls(), scenario.transfers(),
-        &scenario.monitoring(), config, journal);
+        &scenario.monitoring(), config, journal, image);
     ASSERT_TRUE(result.has_value()) << result.error().to_string();
     recovered = std::move(*result);
     recovered->start();

@@ -7,6 +7,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,7 +169,7 @@ TEST(ServerProtocol, RecoveredServerKeepsQuotaState) {
   tenant.server->set_quota(UserId(1), SiteId(2), "cpu_seconds", 500.0);
   tenant.server->warehouse().consume_quota(UserId(1), SiteId(2),
                                            "cpu_seconds", 100.0);
-  const db::Journal journal = tenant.server->warehouse().journal();
+  const core::DataWarehouse& crashed = tenant.server->warehouse();
   auto recovered = core::SphinxServer::recover(
       scenario.bus(), scenario.catalog(), scenario.rls(),
       scenario.transfers(), &scenario.monitoring(),
@@ -177,7 +178,7 @@ TEST(ServerProtocol, RecoveredServerKeepsQuotaState) {
         c.endpoint = "recovered";
         return c;
       }(),
-      journal);
+      crashed.journal(), crashed.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_DOUBLE_EQ((*recovered)
                        ->warehouse()
@@ -197,15 +198,15 @@ TEST(ServerProtocol, RecoverFromCorruptJournalFails) {
         c.endpoint = "broken";
         return c;
       }(),
-      junk);
+      junk, std::nullopt);
   EXPECT_FALSE(result.has_value());
 }
 
 TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
   // Kill a server mid-run, while DAGs are still planning, and rebuild it
-  // from nothing but the journal: the derived work state (dirty queue,
-  // outstanding counters) must come back exactly as the crashed instance
-  // held it.
+  // from nothing but its last image and journal: the derived work state
+  // (dirty queue, outstanding counters) must come back exactly as the
+  // crashed instance held it.
   Scenario scenario(quiet(17));
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
   auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
@@ -216,10 +217,11 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
         minutes(i), "submit", [&tenant, dag] { tenant.client->submit(dag); });
   }
   scenario.engine().run_until(300.0);
-  tenant.server->stop();  // crash point: the journal is all that survives
+  tenant.server->stop();  // crash point: image and journal survive
   const core::DataWarehouse& live = tenant.server->warehouse();
 
-  const auto recovered = core::DataWarehouse::recover_from(live.journal());
+  const auto recovered =
+      core::DataWarehouse::recover_from(live.journal(), live.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   const core::DataWarehouse& r = **recovered;
   // Five DAGs arrived; the sixth, submitted at 300 s, is still on the wire.
@@ -299,7 +301,8 @@ TEST(ServerSweep, ParentBlockedDagLeavesTheQueue) {
   tenant.server->sweep();
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
-  const auto idle = core::DataWarehouse::recover_from(wh.journal());
+  const auto idle =
+      core::DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(idle.has_value());
   EXPECT_TRUE((*idle)->dirty_dags().empty());
 
@@ -334,7 +337,8 @@ TEST(ServerSweep, UnplaceableReadyJobStaysQueuedAcrossRecovery) {
     EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(6)});
   }
   EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
-  const auto recovered = core::DataWarehouse::recover_from(wh.journal());
+  const auto recovered =
+      core::DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->dirty_dags(), wh.dirty_dags());
 }
@@ -448,7 +452,7 @@ TEST(ClientProtocol, RejectsBogusPlans) {
   EXPECT_FALSE(r.has_value());
   // dag_done for a dag this client never submitted.
   r = caller.call("sphinx-client/t", "sphinx_client.dag_done",
-                  {tree::XrValue(424242), tree::XrValue(1.0)});
+                  {tree::XrValue(424242)});
   EXPECT_FALSE(r.has_value());
 }
 
@@ -614,8 +618,7 @@ TEST_F(RedeliveryFixture, ExecutePlan) {
 }
 
 TEST_F(RedeliveryFixture, DagDone) {
-  twice(client, host,
-        core::encode_dag_done(DagId(1), scenario.engine().now()));
+  twice(client, host, core::encode_dag_done(DagId(1)));
   EXPECT_EQ(tenant.client->dags_finished(), 1u);
   EXPECT_EQ(scenario.recorder().counter("tracker.duplicate_dag_done", client),
             1u);
@@ -820,7 +823,7 @@ TEST_F(RefusalFixture, PlanWithUnknownPersistentSite) {
   }
 }
 
-// --- checkpoint-timer edges across failover ---------------------------------
+// --- the checkpoint rule, across failover -----------------------------------
 
 std::vector<SimTime> checkpoint_times(const Scenario& scenario) {
   std::vector<SimTime> times;
@@ -831,16 +834,14 @@ std::vector<SimTime> checkpoint_times(const Scenario& scenario) {
 }
 
 TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
-  // An adopted shard re-derives last_checkpoint_seq_ from the carried
-  // CheckpointImage (src/core/server.cpp), so its post-adoption
-  // checkpoints (one per checkpoint_every_records journal records) fire
-  // at exactly the times the uncrashed baseline's do -- pinned by
-  // byte-diffing the terminal journal and the chaos-stripped trace.
+  // The checkpoint rule reads only what recovery carries over -- the
+  // image and the journal after it -- so an adopted shard's
+  // post-adoption checkpoints fire at exactly the times the uncrashed
+  // baseline's do, pinned by byte-diffing the terminal journal and the
+  // chaos-stripped trace.
   auto run = [](bool crash) {
     auto scenario = std::make_unique<Scenario>(quiet(23));
-    TenantOptions options;
-    options.checkpoint_every_records = 64;
-    Tenant& tenant = scenario->add_tenant("t", options);
+    Tenant& tenant = scenario->add_tenant("t", TenantOptions{});
     auto generator =
         scenario->make_generator("w", workflow::WorkloadConfig{});
     scenario->start();
@@ -851,7 +852,7 @@ TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
     }
     if (crash) {
       // Kill off a sweep boundary, well after the first images
-      // published: the recovered cursor comes from a real image.
+      // published: the recovered rule reads a real image.
       scenario->engine().schedule_at(97.0, "crash", [&scenario] {
         scenario->crash_server(0);
         ASSERT_TRUE(scenario->recover_server(0).ok());
@@ -871,6 +872,59 @@ TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
   EXPECT_EQ(
       chaos::strip_chaos_events(adopted->recorder().trace().to_jsonl()),
       chaos::strip_chaos_events(baseline->recorder().trace().to_jsonl()));
+}
+
+/// Rows a checkpoint image holds: one "R" line each.
+std::size_t image_rows(const core::CheckpointImage& image) {
+  std::size_t rows = 0;
+  for (std::size_t at = image.database.find("\nR\t");
+       at != std::string::npos; at = image.database.find("\nR\t", at + 1)) {
+    ++rows;
+  }
+  return rows;
+}
+
+TEST(ServerCheckpoint, AfterEverySweepTheJournalIsShorterThanTheImage) {
+  // A fixed multi-DAG run, checked at the end of every sweep: the
+  // retained journal is empty, or holds fewer records than the last
+  // image holds rows (zero before the first image), so replaying it never
+  // costs more than restoring the image.
+  Scenario scenario(quiet(29));
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
+  scenario.start();
+  std::vector<workflow::Dag> dags;
+  for (int i = 0; i < 8; ++i) {
+    dags.push_back(generator.generate("bounded-" + std::to_string(i)));
+  }
+  for (std::size_t k = 0; k < dags.size(); ++k) {
+    scenario.engine().schedule_at(
+        kFirstSubmitAt + static_cast<double>(k) * kSubmitSpacing, "submit",
+        [&tenant, &dag = dags[k]] { tenant.client->submit(dag); });
+  }
+  // The check runs on the server's sweep period and phase, and starts
+  // after it, so at every shared instant it runs right after the sweep.
+  std::size_t sweeps = 0;
+  std::size_t bounded_by_an_image = 0;
+  sim::PeriodicProcess check(
+      scenario.engine(), "test:after-sweep", core::kSweepPeriod, [&] {
+        ++sweeps;
+        const core::DataWarehouse& wh = tenant.server->warehouse();
+        const std::size_t records = wh.journal().size();
+        const std::size_t rows =
+            wh.checkpoint_image() ? image_rows(*wh.checkpoint_image()) : 0;
+        EXPECT_TRUE(records == 0 || records < rows)
+            << "t=" << scenario.engine().now() << " records=" << records
+            << " rows=" << rows;
+        if (records > 0) ++bounded_by_an_image;
+      });
+  check.start();
+  scenario.run(hours(12));
+
+  EXPECT_TRUE(tenant.client->all_dags_finished());
+  EXPECT_GT(sweeps, 50u);
+  EXPECT_GT(bounded_by_an_image, 10u);  // not only the empty case
+  EXPECT_GE(checkpoint_times(scenario).size(), 5u);
 }
 
 }  // namespace

@@ -227,7 +227,8 @@ TEST(Warehouse, RecoveryPreservesEverything) {
   wh.set_quota(UserId(3), SiteId(2), "cpu_seconds", 5000.0);
   wh.consume_quota(UserId(3), SiteId(2), "cpu_seconds", 60.0);
 
-  auto recovered = DataWarehouse::recover_from(wh.journal());
+  auto recovered =
+      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   DataWarehouse& r = **recovered;
   EXPECT_EQ(r.dag(DagId(100))->client, "client-x");
@@ -240,7 +241,8 @@ TEST(Warehouse, RecoveryPreservesEverything) {
                    4940.0);
   // Recovered warehouse keeps journaling and can recover again (chain).
   r.record_completion(SiteId(2), 100.0);
-  auto second = DataWarehouse::recover_from(r.journal());
+  auto second =
+      DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((*second)->site_stats(SiteId(2)).samples, 2);
 }
@@ -252,7 +254,7 @@ TEST(Warehouse, RecoverySurvivesTextSerialization) {
   const std::string text = wh.journal().serialize();
   const auto parsed = db::Journal::parse(text);
   ASSERT_TRUE(parsed.has_value());
-  const auto recovered = DataWarehouse::recover_from(*parsed);
+  const auto recovered = DataWarehouse::recover_from(*parsed, std::nullopt);
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->job(JobId(101))->site, SiteId(2));
 }
@@ -360,7 +362,8 @@ TEST(Warehouse, RecoveryRebuildsWorkState) {
   wh.set_job_state(JobId(402), JobState::kCompleted);
   wh.set_dag_finished(DagId(400), 5.0);
 
-  const auto recovered = DataWarehouse::recover_from(wh.journal());
+  const auto recovered =
+      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   const DataWarehouse& r = **recovered;
   // Recovery queues exactly the DAGs with pending work, derived from the
@@ -432,7 +435,8 @@ TEST(Warehouse, RecoveryQueuesThePendingDags) {
   wh.set_job_planned(JobId(102), SiteId(4), 1.0);
 
   const auto dirty_after_recovery = [&wh] {
-    const auto recovered = DataWarehouse::recover_from(wh.journal());
+    const auto recovered =
+      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
     EXPECT_TRUE(recovered.has_value());
     return (*recovered)->dirty_dags();
   };
@@ -479,10 +483,10 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   wh.record_completion(SiteId(2), 250.0);
 
   const std::size_t history = wh.journal().size();
-  const auto stats = wh.checkpoint();
-  EXPECT_EQ(stats.seq, history);      // the image covers every record
+  const std::uint64_t seq = wh.checkpoint().seq;
+  EXPECT_EQ(seq, history);            // the image covers every record
   EXPECT_TRUE(wh.journal().empty());  // O(state): prefix discarded
-  EXPECT_EQ(wh.journal().base_seq(), stats.seq);
+  EXPECT_EQ(wh.journal().base_seq(), seq);
 
   wh.set_job_state(JobId(101), JobState::kRunning);
   wh.record_cancellation(SiteId(9), 900.0);
@@ -490,7 +494,8 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   wh.consume_quota(UserId(3), SiteId(2), "cpu_seconds", 60.0);
 
   // The compacted journal alone is not recoverable -- it needs its image.
-  const auto replay_only = DataWarehouse::recover_from(wh.journal());
+  const auto replay_only =
+      DataWarehouse::recover_from(wh.journal(), std::nullopt);
   ASSERT_FALSE(replay_only.has_value());
   EXPECT_EQ(replay_only.error().code, "recover_suffix");
 
@@ -513,7 +518,8 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   EXPECT_EQ(r.journal().serialize(), wh.journal().serialize());
   r.record_completion(SiteId(2), 100.0);
   ASSERT_TRUE(r.checkpoint_image().has_value());  // carried across recovery
-  auto second = DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
+  auto second =
+      DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((*second)->site_stats(SiteId(2)).samples, 2);
   r.check_invariants();
@@ -527,10 +533,10 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
 
-  const auto stats = wh.checkpoint([](const CheckpointImage&) {
+  const std::uint64_t seq = wh.checkpoint([](const CheckpointImage&) {
     return true;  // simulate the kill inside the window
-  });
-  EXPECT_GT(stats.seq, 0u);
+  }).seq;
+  EXPECT_GT(seq, 0u);
   EXPECT_EQ(wh.journal().base_seq(), 0u);  // untruncated
   EXPECT_GT(wh.journal().size(), 0u);
 
@@ -548,6 +554,40 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
   EXPECT_EQ(r.journal().base_seq(), wh.checkpoint_image()->seq);
   EXPECT_EQ(r.journal().next_seq(), wh.journal().next_seq());
   r.check_invariants();
+}
+
+TEST(Warehouse, CheckpointIsDueOnceTheJournalHoldsTheImageRows) {
+  // Before the first image the bar is zero rows, so any record makes a
+  // checkpoint due.  After it the bar is the rows the image holds, and a
+  // warehouse recovered from the image and the journal after it answers
+  // the same at every step.
+  DataWarehouse wh;
+  EXPECT_FALSE(wh.checkpoint_due());  // nothing journaled yet
+  wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
+  EXPECT_TRUE(wh.checkpoint_due());
+  const CheckpointImage image = wh.checkpoint();
+  EXPECT_FALSE(wh.checkpoint_due());  // nothing journaled since
+  std::size_t rows = 0;
+  for (std::size_t at = image.database.find("\nR\t");
+       at != std::string::npos; at = image.database.find("\nR\t", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 6u);  // the DAG, two jobs, two inputs, one edge
+
+  const auto due_after_recovery = [&wh] {
+    const auto recovered =
+        DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+    EXPECT_TRUE(recovered.has_value());
+    return recovered.has_value() && (*recovered)->checkpoint_due();
+  };
+  while (wh.journal().size() < rows) {
+    EXPECT_FALSE(wh.checkpoint_due()) << wh.journal().size();
+    EXPECT_FALSE(due_after_recovery()) << wh.journal().size();
+    // One record each: the first inserts the row, the rest update it.
+    wh.set_scheduler_state("k", std::to_string(wh.journal().size()));
+  }
+  EXPECT_TRUE(wh.checkpoint_due());
+  EXPECT_TRUE(due_after_recovery());
 }
 
 TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
@@ -592,32 +632,32 @@ TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
   EXPECT_EQ(dirty_after_checkpoint_recovery(), wh.dirty_dags());
 }
 
-TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
-  // Each journal replays cleanly at the db layer, but none of them
-  // rebuilds the warehouse's declared tables.
-  const DataWarehouse fresh;
-  const db::Journal& full = fresh.journal();
-  const auto expect_schema_error = [](const db::Journal& journal) {
-    const auto recovered = DataWarehouse::recover_from(journal);
+TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
+  // The image is the only place the schema is persisted: each mutant
+  // below is well-formed, but none of them rebuilds the warehouse's
+  // declared tables.
+  DataWarehouse wh;
+  wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
+  const CheckpointImage image = wh.checkpoint();
+  const auto expect_schema_error = [&](const std::string& text) {
+    const auto recovered = DataWarehouse::recover_from(
+        wh.journal(), CheckpointImage{image.seq, text});
     ASSERT_FALSE(recovered.has_value());
     EXPECT_EQ(recovered.error().code, "recover_schema");
   };
 
-  // Only the first table (dags): the jobs table is missing.
-  ASSERT_EQ(db::Journal::decode(full.record(0))->table, "dags");
-  const auto only_dags = db::Journal::parse(std::string(full.record(0)));
-  ASSERT_TRUE(only_dags.has_value());
-  expect_schema_error(*only_dags);
+  // Only the first table (dags) and its row: the jobs table is missing.
+  const std::size_t jobs_line = image.database.find("\nT\tjobs\t");
+  ASSERT_NE(jobs_line, std::string::npos);
+  expect_schema_error(image.database.substr(0, jobs_line + 1));
 
-  // Nothing at all.
-  expect_schema_error(db::Journal{});
+  // No table at all.
+  expect_schema_error("#db\t1\n");
 
   // The jobs table with its site and attempt column specs swapped: both
-  // are int columns, so rows would replay, and a warehouse bound to it
+  // are int columns, so rows would restore, and a warehouse bound to it
   // would read every job's attempt as its site.
-  std::string text = full.serialize();
-  const std::size_t jobs_line = text.find("C\tjobs\t");
-  ASSERT_NE(jobs_line, std::string::npos);
+  std::string text = image.database;
   const std::size_t site = text.find("\tsite=int\t", jobs_line);
   const std::size_t attempt = text.find("\tattempt=int\t", jobs_line);
   ASSERT_NE(site, std::string::npos);
@@ -625,12 +665,10 @@ TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
   ASSERT_LT(site, attempt);
   text.replace(attempt, 13, "\tsite=int\t");
   text.replace(site, 10, "\tattempt=int\t");
-  const auto swapped = db::Journal::parse(text);
-  ASSERT_TRUE(swapped.has_value());
-  expect_schema_error(*swapped);
+  expect_schema_error(text);
 
-  // The untouched journal still recovers.
-  EXPECT_TRUE(DataWarehouse::recover_from(full).has_value());
+  // The untouched image still recovers.
+  EXPECT_TRUE(DataWarehouse::recover_from(wh.journal(), image).has_value());
 }
 
 /// `text` with field `field` of the first line after `anchor` that starts
@@ -638,8 +676,9 @@ TEST(Warehouse, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
 std::string replace_cell(const std::string& text, const std::string& anchor,
                          const std::string& prefix, std::size_t field,
                          std::string_view from, std::string_view to) {
-  const std::size_t line = text.find("\n" + prefix, text.find(anchor)) + 1;
-  EXPECT_NE(line, 0u) << prefix;
+  // A line starts after a newline or at the start of the text.
+  const std::size_t line = ("\n" + text).find("\n" + prefix, text.find(anchor));
+  EXPECT_NE(line, std::string::npos) << prefix;
   std::size_t start = line;
   for (std::size_t i = 0; i < field; ++i) start = text.find('\t', start) + 1;
   const std::size_t end = text.find_first_of("\t\n", start);

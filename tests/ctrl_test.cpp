@@ -1,8 +1,7 @@
-// Control-plane tests: the journaled lease table (grant / renew / fence /
-// expire / transfer / recovery), shard naming, and the coordinator +
-// heartbeat integration on a bare engine and bus -- expiry detection,
-// adoption with retry, epoch fencing, and coordinator recovery from its
-// own journal.
+// Control-plane tests: the lease table (grant / renew / fence / expire /
+// transfer), shard naming, and the coordinator + heartbeat integration on
+// a bare engine and bus -- expiry detection, adoption with retry and
+// epoch fencing.
 
 #include <gtest/gtest.h>
 
@@ -144,84 +143,6 @@ TEST(LeaseTable, FirstLiveOwnerSkipsExcludedDeadAndOverdue) {
   table.mark_expired("shard:1");
   EXPECT_EQ(table.first_live_owner(4.0, ""), "scheduler#2");
   EXPECT_FALSE(table.first_live_owner(4.0, "scheduler#2").has_value());
-}
-
-TEST(LeaseTable, JournalRecoveryIsByteExact) {
-  LeaseTable table;
-  table.grant("shard:0", "scheduler#0", 0.0, 3.0);
-  table.grant("shard:1", "scheduler#1", 0.0, 3.0);
-  table.renew("shard:0", "scheduler#0", 1, 1.0, 3.0);
-  table.mark_expired("shard:1");
-  table.transfer("shard:1", "scheduler#0", 4.0, 3.0);
-
-  LeaseTable recovered;
-  ASSERT_TRUE(recovered.recover_from(table.journal()).ok());
-  recovered.check_invariants();
-  EXPECT_EQ(recovered.journal().serialize(), table.journal().serialize());
-  const auto lease = lease_of(recovered, "shard:1");
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->owner, "scheduler#0");
-  EXPECT_EQ(lease->epoch, 2u);
-  EXPECT_EQ(recovered.leases().size(), 2u);
-}
-
-TEST(LeaseTable, RecoveryRefusesJournalsThatMissTheDeclaredSchema) {
-  LeaseTable table;
-  table.grant("shard:0", "scheduler#0", 0.0, 3.0);
-  const auto expect_schema_error = [](const db::Journal& journal) {
-    LeaseTable recovered;
-    const auto status = recovered.recover_from(journal);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.error().code, "recover_schema");
-  };
-
-  // No lease table at all.
-  expect_schema_error(db::Journal{});
-
-  // The owner and epoch column specs swapped: the rows no longer fit.
-  std::string text = table.journal().serialize();
-  const std::string original = "\towner=text\tepoch=int\t";
-  const std::size_t at = text.find(original);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, original.size(), "\tepoch=int\towner=text\t");
-  const auto swapped = db::Journal::parse(text);
-  ASSERT_TRUE(swapped.has_value());
-  // The create record alone replays, so the schema check is what refuses.
-  const auto create_only = db::Journal::parse(std::string(swapped->record(0)));
-  ASSERT_TRUE(create_only.has_value());
-  expect_schema_error(*create_only);
-
-  // The shard index dropped: same columns, but lookups would have no index.
-  text = table.journal().serialize();
-  const std::size_t bang = text.find("shard=text!");
-  ASSERT_NE(bang, std::string::npos);
-  text.erase(bang + 10, 1);
-  const auto unindexed = db::Journal::parse(text);
-  ASSERT_TRUE(unindexed.has_value());
-  expect_schema_error(*unindexed);
-}
-
-TEST(LeaseTable, RecoveryRefusesCellsItsColumnsCannotHold) {
-  // The grant's epoch made a null: its column holds an unsigned integer.
-  LeaseTable table;
-  table.grant("shard:0", "scheduler#0", 0.0, 3.0);
-  std::string text = table.journal().serialize();
-  const std::size_t epoch = text.find("\ts:scheduler#0\ti:1\t");
-  ASSERT_NE(epoch, std::string::npos);
-  text.replace(epoch + 15, 3, "n:");
-  const auto journal = db::Journal::parse(text);
-  ASSERT_TRUE(journal.has_value());
-  LeaseTable recovered;
-  StatusOrError status;
-  bool threw = false;
-  try {
-    status = recovered.recover_from(*journal);
-  } catch (const std::exception&) {
-    threw = true;
-  }
-  EXPECT_FALSE(threw);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, "recover_replay");
 }
 
 // --- coordinator + heartbeat integration ------------------------------------
@@ -404,47 +325,6 @@ TEST_F(CtrlFixture, ResurrectedOwnerIsFencedAndStopsItself) {
   EXPECT_FALSE(old_agent->running());  // stopped itself, stays stopped
   EXPECT_EQ(lease_of(coordinator.leases(), shard_name(0))->owner,
             scheduler_name(1));
-}
-
-TEST_F(CtrlFixture, CoordinatorRecoversOwnershipFromItsJournal) {
-  coordinator.grant(shard_name(0), scheduler_name(0));
-  coordinator.grant(shard_name(1), scheduler_name(1));
-  auto agent0 = make_agent(0, 0, 1, 0.25);
-  auto agent1 = make_agent(1, 1, 1, 0.35);
-  std::unique_ptr<HeartbeatAgent> adopted_agent;
-  coordinator.set_adopt_handler(
-      [](const std::string&, const std::string&,
-         const std::string&) -> StatusOrError {
-        return StatusOrError{};
-      });
-  coordinator.set_adopted_callback(
-      [&](const std::string&, const std::string&, std::uint64_t epoch) {
-        adopted_agent = make_agent(0, 1, epoch, 0.45);
-        adopted_agent->start();
-      });
-  coordinator.start();
-  agent0->start();
-  agent1->start();
-  engine.schedule_at(10.0, "kill", [&] { agent0.reset(); });
-  engine.schedule_at(30.0, "stop", [&] { engine.stop(); });
-  engine.run_until();
-  ASSERT_EQ(count("ctrl.shard_adoptions"), 1u);
-
-  // Kill the coordinator and rebuild a replacement from its journal on a
-  // second bus: owners, epochs and deadlines must all survive, so the
-  // replacement fences exactly the owners the dead one would have.
-  coordinator.stop();
-  sim::Engine engine2;
-  rpc::MessageBus bus2{engine2, Rng(2), 0.05, 0.05};
-  auto recovered = LeaseCoordinator::recover(
-      bus2, /*monitor_phase=*/0.0, coordinator.leases().journal());
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ((*recovered)->leases().journal().serialize(),
-            coordinator.leases().journal().serialize());
-  const auto lease = lease_of((*recovered)->leases(), shard_name(0));
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->owner, scheduler_name(1));
-  EXPECT_EQ(lease->epoch, 2u);
 }
 
 }  // namespace

@@ -109,17 +109,8 @@ TEST(CellCodec, ReadsBackWhatItWritesAndRefusesTheRest) {
 }
 
 TEST(Schema, DuplicateColumnRejected) {
-  // A row type cannot declare a name twice (a static_assert), and a
-  // create record or image repeating one differs from every declared
-  // table.
-  const auto journal = Journal::parse("C\tt\ta=int\ta=int\n");
-  ASSERT_TRUE(journal.has_value());
-  Database replayed;
-  replayed.create_table<Cell1>("t");
-  const auto status = replayed.recover(*journal);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, "recover_schema");
-
+  // A row type cannot declare a name twice (a static_assert), and an
+  // image repeating one differs from every declared table.
   Database restored;
   restored.create_table<Cell1>("t");
   const auto image = restored.restore("#db\t1\nT\tt\t1\ta=int\ta=int\n");
@@ -135,9 +126,6 @@ TEST(Schema, IndexedRealColumnRejected) {
   EXPECT_FALSE(decode_column("x=null!").has_value());
   EXPECT_TRUE(decode_column("x=real").has_value());
   EXPECT_TRUE(decode_column("x=int!").has_value());
-  const auto journal = Journal::parse("C\tt\tx=real!\n");
-  ASSERT_FALSE(journal.has_value());
-  EXPECT_EQ(journal.error().code, "journal_parse");
   Database d;
   d.create_table<Cell1>("t");
   EXPECT_FALSE(d.restore("#db\t1\nT\tt\t1\tx=real!\n").ok());
@@ -234,12 +222,12 @@ TEST(Database, CreateAndLookupTables) {
   Table<Job>& jobs = d.create_table<Job>("jobs");
   d.create_table<Cell1>("dags");
   EXPECT_EQ(jobs.name(), "jobs");
-  // Each table journals its create record, columns in declared order.
-  ASSERT_EQ(d.journal().size(), 2u);
-  EXPECT_EQ(d.journal().record(0),
-            "C\tjobs\tname=text\tstate=text\tsite=int\truntime=real\t"
-            "done=bool");
-  EXPECT_EQ(d.journal().record(1), "C\tdags\ta=int");
+  // Declaring a table journals nothing: the code declares the schema,
+  // and an image carries it.
+  EXPECT_TRUE(d.journal().empty());
+  EXPECT_EQ(d.snapshot(),
+            "#db\t1\nT\tjobs\t1\tname=text\tstate=text\tsite=int\t"
+            "runtime=real\tdone=bool\nT\tdags\t1\ta=int\n");
   EXPECT_THROW(d.create_table<Job>("jobs"), AssertionError);
 }
 
@@ -249,8 +237,8 @@ TEST(Database, JournalRecordsMutations) {
   const RowId id = t.insert(job("j", "ready", 1));
   t.set<&Job::state>(id, "planned");
   t.erase(id);
-  // create + insert + update + erase
-  EXPECT_EQ(d.journal().size(), 4u);
+  // insert + update + erase
+  EXPECT_EQ(d.journal().size(), 3u);
 }
 
 TEST(Database, RecoverRebuildsExactState) {
@@ -337,6 +325,8 @@ TEST(Journal, SerializeParseRoundTrip) {
 
 TEST(Journal, ParseRejectsGarbage) {
   EXPECT_FALSE(Journal::parse("X\tjobs\n").has_value());
+  // Tables are declared in code, so a create record is no record kind.
+  EXPECT_FALSE(Journal::parse("C\tjobs\tname=text\n").has_value());
   EXPECT_FALSE(Journal::parse("U\tjobs\t1\n").has_value());
   EXPECT_FALSE(Journal::parse("I\tjobs\t1\tz:9\n").has_value());
   // Malformed numbers are parse errors, not exceptions.
@@ -391,44 +381,6 @@ TEST(Table, FindFirstMatchesFindBy) {
   EXPECT_EQ(t.find(kInvalidRow), nullptr);
 }
 
-TEST(Journal, CreateTableCarriesIndexFlags) {
-  Database d;
-  Table<IndexedJob>& t = d.create_table<IndexedJob>("jobs");
-  t.insert(indexed_job("a", "ready", 1));
-
-  // The schema line marks indexed columns with a trailing '!'.
-  const std::string text = d.journal().serialize();
-  EXPECT_NE(text.find("state=text!"), std::string::npos);
-  EXPECT_NE(text.find("name=text\t"), std::string::npos);
-
-  // Round trip: the parsed journal rebuilds the index, so the recovered
-  // table answers the hot query.
-  const auto parsed = Journal::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  Database r;
-  const Table<IndexedJob>& rt = r.create_table<IndexedJob>("jobs");
-  ASSERT_TRUE(r.recover(*parsed).ok());
-  EXPECT_EQ(rt.find_by<&IndexedJob::state>("ready").size(), 1u);
-
-  // A create record without the flag declares no index.
-  const auto legacy = Journal::parse("C\tlegacy\tname=text\tstate=text\n");
-  ASSERT_TRUE(legacy.has_value());
-  ASSERT_EQ(legacy->size(), 1u);
-  const auto create = Journal::decode(legacy->record(0));
-  ASSERT_TRUE(create.has_value());
-  for (const Column& col : create->schema) {
-    EXPECT_FALSE(col.indexed);
-  }
-  // A journal whose create record drops a declared index is refused.
-  Database unindexed;
-  unindexed.create_table<IndexedJob>("jobs");
-  std::string dropped = text;
-  dropped.erase(dropped.find("state=text!") + 10, 1);
-  const auto status = unindexed.recover(*Journal::parse(dropped));
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, "recover_schema");
-}
-
 TEST(Journal, SequenceNumbersSurviveTruncation) {
   Database d;
   Table<Job>& t = d.create_table<Job>("jobs");
@@ -436,25 +388,25 @@ TEST(Journal, SequenceNumbersSurviveTruncation) {
   for (int i = 0; i < 5; ++i) {
     ids.push_back(t.insert(job("j" + std::to_string(i), "ready", i)));
   }
-  // create + 5 inserts: sequences 0..5, next is 6.
+  // 5 inserts: sequences 0..4, next is 5.
   EXPECT_EQ(d.journal().base_seq(), 0u);
-  EXPECT_EQ(d.journal().next_seq(), 6u);
+  EXPECT_EQ(d.journal().next_seq(), 5u);
 
-  d.truncate_journal(4);
-  EXPECT_EQ(d.journal().base_seq(), 4u);
-  EXPECT_EQ(d.journal().next_seq(), 6u);
+  d.truncate_journal(3);
+  EXPECT_EQ(d.journal().base_seq(), 3u);
+  EXPECT_EQ(d.journal().next_seq(), 5u);
   EXPECT_EQ(d.journal().size(), 2u);
 
   // New mutations keep numbering from where the prefix left off.
   t.set<&Job::state>(ids[0], "planned");
-  EXPECT_EQ(d.journal().next_seq(), 7u);
+  EXPECT_EQ(d.journal().next_seq(), 6u);
 
   // Truncating before the base or past the end clamps, never throws.
   Journal j = d.journal();
   j.truncate_before(1);
-  EXPECT_EQ(j.base_seq(), 4u);
+  EXPECT_EQ(j.base_seq(), 3u);
   j.truncate_before(99);
-  EXPECT_EQ(j.base_seq(), 7u);
+  EXPECT_EQ(j.base_seq(), 6u);
   EXPECT_TRUE(j.empty());
 }
 
@@ -466,21 +418,21 @@ TEST(Journal, SerializedSizeMatchesAndHeaderRoundTrips) {
   EXPECT_EQ(d.journal().size_bytes(), d.journal().serialize().size());
 
   // Untruncated journals serialize headerless (legacy byte format).
-  EXPECT_EQ(d.journal().serialize().front(), 'C');
+  EXPECT_EQ(d.journal().serialize().front(), 'I');
 
-  d.truncate_journal(2);
+  d.truncate_journal(1);
   const std::string text = d.journal().serialize();
-  EXPECT_EQ(text.rfind("#seq\t2\n", 0), 0u);
+  EXPECT_EQ(text.rfind("#seq\t1\n", 0), 0u);
   EXPECT_EQ(d.journal().size_bytes(), text.size());
 
   const auto parsed = Journal::parse(text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->base_seq(), 2u);
+  EXPECT_EQ(parsed->base_seq(), 1u);
   EXPECT_EQ(parsed->next_seq(), d.journal().next_seq());
   EXPECT_EQ(parsed->serialize(), text);
 
   // A header anywhere but the very start is corruption.
-  EXPECT_FALSE(Journal::parse("C\tjobs\tname=text\n#seq\t2\n").has_value());
+  EXPECT_FALSE(Journal::parse("E\tjobs\t1\n#seq\t2\n").has_value());
   EXPECT_FALSE(Journal::parse("#seq\tnope\n").has_value());
 }
 
@@ -633,24 +585,19 @@ TEST(Table, IndexBucketsStayInIdOrder) {
 }
 
 TEST(Database, RecoverRefusesRecordsTheStoreCouldNotHaveWritten) {
-  const std::string create = "C\tt\ta=int\n";
   const std::string row = "I\tt\t1\ti:1\n";
   const std::pair<std::string, const char*> cases[] = {
-      {create + row + "U\tt\t1\t99\ti:2\n", "recover_replay"},  // no column 99
-      {create + row + "U\tt\t1\t0\ts:x\n", "recover_replay"},   // text cell
-      {create + row + "U\tt\t1\t0\tn:\n", "recover_replay"},    // a null
-      {create + row + "U\tt\t2\t0\ti:2\n", "recover_replay"},   // no row 2
-      {create + "I\tt\t1\ti:1\ti:2\n", "recover_replay"},       // too wide
-      {create + "I\tt\t1\ts:x\n", "recover_replay"},            // text cell
-      {create + "I\tt\t0\ti:1\n", "recover_replay"},            // row id 0
-      {create + row + "I\tt\t1\ti:2\n", "recover_replay"},      // id again
-      {create + "I\tt\t2\ti:1\n", "recover_replay"},            // not next
-      {row, "recover_replay"},                                  // no create
-      {create + create, "recover_replay"},                      // created twice
-      {"C\tt\ta=int\ta=text\n", "recover_schema"},  // a repeated column name
-      {"C\tt\ta=text\n", "recover_schema"},         // another column type
-      {create + "C\tu\ta=int\n", "recover_schema"},  // an undeclared table
-      {"", "recover_schema"},                       // t never created
+      {row + "U\tt\t1\t99\ti:2\n", "recover_replay"},  // no column 99
+      {row + "U\tt\t1\t0\ts:x\n", "recover_replay"},   // text cell
+      {row + "U\tt\t1\t0\tn:\n", "recover_replay"},    // a null
+      {row + "U\tt\t2\t0\ti:2\n", "recover_replay"},   // no row 2
+      {"I\tt\t1\ti:1\ti:2\n", "recover_replay"},       // too wide
+      {"I\tt\t1\ts:x\n", "recover_replay"},            // text cell
+      {"I\tt\t0\ti:1\n", "recover_replay"},            // row id 0
+      {row + "I\tt\t1\ti:2\n", "recover_replay"},      // id again
+      {"I\tt\t2\ti:1\n", "recover_replay"},            // not next
+      {row + "E\tt\t2\n", "recover_replay"},            // no row 2 to erase
+      {"I\tu\t1\ti:1\n", "recover_replay"},            // an undeclared table
   };
   for (const auto& [text, code] : cases) {
     const auto journal = Journal::parse(text);
@@ -670,7 +617,7 @@ TEST(Database, RecoverRefusesRecordsTheStoreCouldNotHaveWritten) {
       EXPECT_EQ(status.error().code, code) << text;
     }
     // A refused replay leaves the journal as it was.
-    EXPECT_EQ(d.journal().serialize(), create) << text;
+    EXPECT_TRUE(d.journal().empty()) << text;
   }
   // No insert takes the last row id, after which the cursor would wrap.
   Database edge;
@@ -762,8 +709,7 @@ TEST(Journal, NumbersMustBeTheWholeField) {
   for (const char* cell : {"i:12abc", "i: 12", "i:+12", "i:", "r:1.5xyz",
                            "r:0x10", "r: 1", "r:", "b:2", "b:", "b:true",
                            "n:zzz"}) {
-    const std::string text =
-        std::string("C\tt\ta=int\nI\tt\t1\t") + cell + "\n";
+    const std::string text = std::string("I\tt\t1\t") + cell + "\n";
     const auto parsed = Journal::parse(text);
     EXPECT_FALSE(parsed.has_value()) << cell;
     if (!parsed) {
@@ -789,8 +735,8 @@ TEST(Journal, NumbersMustBeTheWholeField) {
   // What the encoder writes still reads back to the same bytes: a journal
   // parsed without its tables checks each cell's form, not its column.
   const std::string canonical =
-      "C\tt\ta=int\nI\tt\t1\ti:-12\tr:-1.4999999999999999e-07\tr:-0.25\t"
-      "r:nan\tr:-inf\tb:1\tb:0\tn:\n";
+      "I\tt\t1\ti:-12\tr:-1.4999999999999999e-07\tr:-0.25\tr:nan\t"
+      "r:-inf\tb:1\tb:0\tn:\n";
   const auto parsed = Journal::parse(canonical);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->serialize(), canonical);

@@ -88,6 +88,27 @@ TEST(TraceSink, StoresEachNameOnceEscaped) {
   EXPECT_EQ(events[1].detail, "");
 }
 
+TEST(TraceSink, ReadsTheEventsOfOneKindInOrder) {
+  TraceSink sink;
+  TraceEvent event;
+  for (int i = 0; i < 5; ++i) {
+    event.kind = i % 2 == 0 ? TraceKind::kCheckpoint : TraceKind::kPlanSent;
+    event.value = i;
+    event.detail = sink.name("seq:" + std::to_string(i));
+    sink.record(event);
+  }
+  const std::vector<TraceView> checkpoints =
+      sink.events(TraceKind::kCheckpoint);
+  ASSERT_EQ(checkpoints.size(), 3u);
+  for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    EXPECT_EQ(checkpoints[k].kind, TraceKind::kCheckpoint);
+    EXPECT_EQ(checkpoints[k].value, static_cast<double>(2 * k));
+    EXPECT_EQ(checkpoints[k].detail, "seq:" + std::to_string(2 * k));
+  }
+  EXPECT_EQ(sink.events(TraceKind::kPlanSent).size(), 2u);
+  EXPECT_TRUE(sink.events(TraceKind::kDagReceived).empty());
+}
+
 TEST(TraceSink, RefusesNamesFromAnotherSink) {
   TraceSink other;
   (void)other.name("a");

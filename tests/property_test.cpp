@@ -2247,11 +2247,9 @@ TEST_P(SeededProperty, TypedWireMatchesTreeReference) {
 
     const bool clean = rng.chance(0.5);
     const DagId done(wire_id(rng, clean));
-    const SimTime finished_at = wire_double(rng);
-    const std::string done_bytes = core::encode_dag_done(done, finished_at);
-    ASSERT_EQ(done_bytes,
-              tree::call_bytes("sphinx_client.dag_done",
-                               tree::dag_done_params(done, finished_at)));
+    const std::string done_bytes = core::encode_dag_done(done);
+    ASSERT_EQ(done_bytes, tree::call_bytes("sphinx_client.dag_done",
+                                           tree::dag_done_params(done)));
     const auto done_back =
         tree::typed_decode(done_bytes, &core::decode_dag_done);
     EXPECT_TRUE(same_outcome(
@@ -2478,29 +2476,10 @@ TEST(PinnedBytes, WarehouseJournalAndCheckpointImage) {
   // checkpoint publishes at its end.  No other gate compares image text.
   core::DataWarehouse wh;
   run_fixed_warehouse(wh);
-  expect_pinned(wh.journal().serialize(), 3643, 0x9ab8e63e02e8bbc4u);
+  expect_pinned(wh.journal().serialize(), 2820, 0xcf5da5830e50d69eu);
   wh.checkpoint();
   ASSERT_TRUE(wh.checkpoint_image().has_value());
-  expect_pinned(wh.checkpoint_image()->database, 2414, 0xa06c2866a02258feu);
-}
-
-TEST(PinnedBytes, LeaseJournal) {
-  ctrl::LeaseTable leases;
-  leases.grant("shard:0", "scheduler#0", 0.0, 3.0);
-  ASSERT_EQ(leases.renew("shard:0", "scheduler#0", 1, 2.0, 3.0),
-            ctrl::RenewOutcome::kRenewed);
-  leases.mark_expired("shard:0");
-  leases.transfer("shard:0", "scheduler#1", 6.0, 3.0);
-  EXPECT_EQ(leases.journal().serialize(),
-            "C\tlease\tshard=text!\towner=text\tepoch=int\texpires_at=real\t"
-            "live=bool\n"
-            "I\tlease\t1\ts:shard:0\ts:scheduler#0\ti:1\tr:3\tb:1\n"
-            "U\tlease\t1\t3\tr:5\n"
-            "U\tlease\t1\t4\tb:0\n"
-            "U\tlease\t1\t1\ts:scheduler#1\n"
-            "U\tlease\t1\t2\ti:2\n"
-            "U\tlease\t1\t3\tr:9\n"
-            "U\tlease\t1\t4\tb:1\n");
+  expect_pinned(wh.checkpoint_image()->database, 2413, 0xe8fb77be226c0071u);
 }
 
 TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
@@ -2548,7 +2527,8 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
         const auto again = db::Journal::parse(text);
         ASSERT_TRUE(again.has_value()) << doc;
         EXPECT_EQ(again->serialize(), text) << doc;
-        const auto recovered = core::DataWarehouse::recover_from(*parsed);
+        const auto recovered =
+            core::DataWarehouse::recover_from(*parsed, std::nullopt);
         if (!recovered) continue;
         ++replayed;
         EXPECT_EQ((*recovered)->journal().serialize(), text) << doc;
@@ -2592,7 +2572,6 @@ TEST_P(SeededProperty, MutatedReprosAreRefusedOrRoundTrip) {
   for (std::uint64_t k = 0; k < 3; ++k) {
     chaos::ReproCase repro;
     repro.config.seed = GetParam() * 10 + k;
-    repro.config.checkpoint_every = 16 << k;
     repro.config.speculate = k == 1;
     repro.config.schedule.mid_ckpt_crashes = static_cast<int>(k);
     repro.schedule = chaos::synthesize_schedule(repro.config);

@@ -266,7 +266,8 @@ TEST(SpeculationWarehouse, RaceStateSurvivesJournalRecovery) {
   warehouse.speculate_job(JobId(1), SiteId(2), 500.0);
   warehouse.record_runtime_sample(SiteId(1), 6, 123.0);
 
-  const auto recovered = core::DataWarehouse::recover_from(warehouse.journal());
+  const auto recovered = core::DataWarehouse::recover_from(
+      warehouse.journal(), warehouse.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   const auto race = (*recovered)->active_speculation(JobId(1));
   ASSERT_TRUE(race.has_value());

@@ -637,13 +637,13 @@ inline Expected<core::TrackerReport> decode_report_params(
 
 // --- dag_done, cancel_attempt, ctrl.renew ----------------------------------
 
-inline std::vector<XrValue> dag_done_params(DagId dag, SimTime finished_at) {
-  return {XrValue(dag.value()), XrValue(finished_at)};
+inline std::vector<XrValue> dag_done_params(DagId dag) {
+  return {XrValue(dag.value())};
 }
 
 inline Expected<DagId> decode_dag_done(const std::vector<XrValue>& params) {
-  if (params.size() != 2 || !params[0].is_int()) {
-    return make_error("bad_request", "expected [dag_id, finished_at]");
+  if (params.size() != 1 || !params[0].is_int()) {
+    return make_error("bad_request", "expected [dag_id]");
   }
   return DagId(static_cast<std::uint64_t>(params[0].as_int()));
 }

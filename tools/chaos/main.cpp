@@ -2,7 +2,7 @@
 //
 //   sphinx_chaos campaign [--runs N] [--seed S] [--threads T]
 //                         [--crashes C] [--mid-ckpt-crashes M]
-//                         [--checkpoint-every R] [--dags K] [--repro PATH]
+//                         [--dags K] [--repro PATH]
 //                         [--net-windows W] [--net-partitions P]
 //                         [--speculate]
 //                         [--inject-divergence] [--no-minimize]
@@ -28,9 +28,9 @@
 //
 // `campaign` sweeps N seeded chaos runs (randomized outage schedules,
 // lossy-wire windows + client<->server partitions, and
-// mid-run server crash/recovery -- checkpointed by default, including
-// crash points that land between checkpoint publication and journal
-// truncation) and checks every run against the
+// mid-run server crash/recovery -- from the server's own checkpoints,
+// including crash points that land between checkpoint publication and
+// journal truncation) and checks every run against the
 // invariant and differential oracles.  The report is deterministic:
 // same flags -> byte-identical stdout (tools/check.sh diffs two
 // invocations).  On failure the first failing run is minimized and
@@ -68,8 +68,7 @@ int usage() {
       stderr,
       "usage: sphinx_chaos campaign [--runs N] [--seed S] [--threads T]\n"
       "                             [--crashes C] [--mid-ckpt-crashes M]\n"
-      "                             [--checkpoint-every R] [--dags K]\n"
-      "                             [--repro PATH]\n"
+      "                             [--dags K] [--repro PATH]\n"
       "                             [--net-windows W] [--net-partitions P]\n"
       "                             [--speculate]\n"
       "                             [--inject-divergence] [--no-minimize]\n"
@@ -291,10 +290,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--mid-ckpt-crashes" && value != nullptr) {
       config.base.schedule.mid_ckpt_crashes = std::atoi(value);
-      ++i;
-    } else if (arg == "--checkpoint-every" && value != nullptr) {
-      config.base.checkpoint_every =
-          static_cast<std::size_t>(std::atoi(value));
       ++i;
     } else if (arg == "--dags" && value != nullptr) {
       config.base.dag_count = std::atoi(value);

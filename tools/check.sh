@@ -89,11 +89,12 @@ echo "lossy-network gate: delivery contract held, outputs byte-identical"
 echo "== chaos smoke campaign =="
 # A fixed-seed 8-run chaos campaign (scheduled outages + mid-run server
 # crash/recovery, differential + invariant oracles) must pass and must
-# print a byte-identical report across two invocations.  Checkpointing
-# is the campaign default (checkpoint every 64 records), and each
-# schedule includes a mid-checkpoint crash point -- a kill between
-# checkpoint publication and journal truncation -- so the gate covers
-# checkpoint + suffix recovery, not just full replay.
+# print a byte-identical report across two invocations.  The server
+# checkpoints by its own rule (an image once its journal holds as many
+# records as the last image holds rows), and each schedule includes a
+# mid-checkpoint crash point -- a kill between checkpoint publication
+# and journal truncation -- so the gate covers checkpoint + suffix
+# recovery, and recovery with no image before the first checkpoint.
 twice chaos "$bin/tools/chaos/sphinx_chaos" campaign --runs 8 --seed 7 \
   --repro chaos_repro.json
 echo "chaos gate: campaign green and byte-identical"
@@ -173,10 +174,12 @@ echo "== sweep-cost benchmark =="
   --benchmark_out=BENCH_sweep.json --benchmark_out_format=json
 
 echo "== recovery benchmark =="
-# Checkpoint + suffix recovery vs full-history replay at 1k/10k/100k
-# journal records.  The checkpointed path should win by well over an
-# order of magnitude at 100k and retain only the post-checkpoint journal
-# suffix.  Results land in BENCH_recovery.json.
+# Checkpoint + suffix recovery vs full-history replay (recovery with no
+# image: every record replayed onto the empty declared tables) at
+# 1k/10k/100k journal records.  The checkpointed path follows the
+# server's rule, should win by well over an order of magnitude at 100k,
+# and retains only the post-checkpoint journal suffix.  Results land in
+# BENCH_recovery.json.
 "$bin/bench/micro_recovery" \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 

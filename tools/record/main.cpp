@@ -4,7 +4,7 @@
 //   sphinx_record [--seed N] [--dags K] [--trace PATH] [--metrics PATH]
 //                 [--loss P] [--duplicate P] [--reorder P]
 //                 [--partition-at T] [--partition-duration D]
-//                 [--checkpoint-every R] [--speculate]
+//                 [--speculate]
 //
 // Same seed -> byte-identical outputs; tools/check.sh runs this twice
 // and diffs the files as the determinism gate, and again with --loss /
@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   double reorder = 0.0;
   double partition_at = -1.0;
   double partition_duration = 60.0;
-  std::size_t checkpoint_every = 0;
   bool speculate = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -63,9 +62,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--partition-duration" && value != nullptr) {
       partition_duration = std::atof(value);
       ++i;
-    } else if (arg == "--checkpoint-every" && value != nullptr) {
-      checkpoint_every = static_cast<std::size_t>(std::atoi(value));
-      ++i;
     } else if (arg == "--speculate") {
       speculate = true;
     } else {
@@ -76,8 +72,7 @@ int main(int argc, char** argv) {
                    "[--reorder P]\n"
                    "                     [--partition-at T] "
                    "[--partition-duration D]\n"
-                   "                     [--checkpoint-every R] "
-                   "[--speculate]\n");
+                   "                     [--speculate]\n");
       return 2;
     }
   }
@@ -115,8 +110,6 @@ int main(int argc, char** argv) {
   exp::TenantOptions no_feedback;
   no_feedback.algorithm = core::Algorithm::kRoundRobin;
   no_feedback.use_feedback = false;
-  with_feedback.checkpoint_every_records = checkpoint_every;
-  no_feedback.checkpoint_every_records = checkpoint_every;
   with_feedback.speculate = speculate;
   no_feedback.speculate = speculate;
   exp::Experiment experiment(config);
