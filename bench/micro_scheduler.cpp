@@ -4,7 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/algorithms.hpp"
+#include "core/message_handler.hpp"
 #include "exp/scenario.hpp"
 #include "workflow/generator.hpp"
 
@@ -148,5 +151,79 @@ BENCHMARK(BM_SweepCostParentBlocked)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
+
+/// ns per tracker completion report on a warehouse of 1,000 ten-job
+/// DAGs, through MessageHandler::apply_report: the report's job lookup,
+/// its state write, and the DAG-finished check the server runs on each
+/// completion (its hook).  Jobs report in job-table order, so the k-th
+/// job of a DAG finds the k - 1 before it completed, as when a DAG's jobs
+/// finish in dependency order.  With timing paused, each batch of 100
+/// jobs is planned and set running before it reports, so the running
+/// state's index bucket stays near a figure run's size, and a fresh
+/// warehouse replaces a fully reported one.
+void BM_CompletionReport(benchmark::State& state) {
+  constexpr std::uint64_t kDags = 1000;
+  constexpr std::uint64_t kJobsPerDag = 10;
+  constexpr std::uint64_t kJobs = kDags * kJobsPerDag;
+  constexpr std::uint64_t kBatch = 100;
+  const auto job_id = [](std::uint64_t k) {
+    return JobId((k / kJobsPerDag + 1) * 100 + k % kJobsPerDag + 1);
+  };
+  const core::ServerConfig config;
+  struct Store {
+    core::DataWarehouse warehouse;
+    std::unique_ptr<core::MessageHandler> handler;
+  };
+  const auto fresh_store = [&] {
+    auto store = std::make_unique<Store>();
+    core::DataWarehouse& wh = store->warehouse;
+    for (std::uint64_t d = 1; d <= kDags; ++d) {
+      workflow::Dag dag(DagId(d), "report-" + std::to_string(d));
+      for (std::uint64_t j = 0; j < kJobsPerDag; ++j) {
+        workflow::JobSpec job;
+        job.id = job_id((d - 1) * kJobsPerDag + j);
+        job.name = "j" + std::to_string(j);
+        job.output = "lfn://report-out/" + std::to_string(job.id.value());
+        dag.add_job(job);
+        if (j > 0) dag.add_edge(job_id((d - 1) * kJobsPerDag + j - 1), job.id);
+      }
+      wh.insert_dag(dag, "bench", UserId(1), 0.0);
+      wh.set_dag_state(DagId(d), core::DagState::kPlanning);
+    }
+    store->handler = std::make_unique<core::MessageHandler>(
+        wh, config, [&wh](DagId dag) {
+          const auto row = wh.dag(dag);
+          benchmark::DoNotOptimize(row &&
+                                   row->state != core::DagState::kFinished &&
+                                   wh.all_jobs_completed(dag));
+        });
+    return store;
+  };
+  auto store = fresh_store();
+  std::uint64_t next = 0;  // the next job to report, in table order
+  core::TrackerReport report;
+  report.kind = core::ReportKind::kCompleted;
+  report.site = SiteId(1);
+  report.completion_time = 60.0;
+  report.attempt = 1;
+  for (auto _ : state) {
+    if (next % kBatch == 0) {
+      state.PauseTiming();
+      if (next == kJobs) {
+        store = fresh_store();
+        next = 0;
+      }
+      for (std::uint64_t k = next; k < next + kBatch; ++k) {
+        store->warehouse.set_job_planned(job_id(k), SiteId(1), 0.0);
+        store->warehouse.set_job_state(job_id(k), core::JobState::kRunning);
+      }
+      state.ResumeTiming();
+    }
+    report.job = job_id(next++);
+    benchmark::DoNotOptimize(store->handler->apply_report(report));
+  }
+  state.SetLabel("dags=1000 jobs_per_dag=10");
+}
+BENCHMARK(BM_CompletionReport);
 
 }  // namespace

@@ -12,6 +12,7 @@
 ///              (recovered!) replans them onto other sites
 ///   end        every DAG completes despite losing a site and a server
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/strings.hpp"
@@ -68,9 +69,11 @@ int main() {
     }
     recovered = true;
     plans_at_recovery = scenario.recorder().counter("server.plans", endpoint);
-    std::printf("[t=%5.0fs] server recovered: %zu dags, scheduling resumes\n",
-                scenario.engine().now(),
-                tenant.server->warehouse().all_dags().size());
+    const auto stored = std::ranges::count_if(dags, [&](const auto& dag) {
+      return tenant.server->warehouse().dag(dag.id()) != nullptr;
+    });
+    std::printf("[t=%5.0fs] server recovered: %td dags, scheduling resumes\n",
+                scenario.engine().now(), stored);
   });
 
   scenario.engine().schedule_at(minutes(40), "repair-site", [&] {

@@ -11,15 +11,18 @@ DagReducer::DagReducer(DataWarehouse& warehouse,
     : warehouse_(warehouse), rls_(rls) {}
 
 std::size_t DagReducer::reduce(const DagRecord& dag) {
-  const auto jobs = warehouse_.jobs_of_dag(dag.id);
+  // The ids are a snapshot: the loop below completes jobs as it goes.
+  std::vector<JobId> ids;
   std::vector<data::Lfn> outputs;
-  outputs.reserve(jobs.size());
-  for (const JobRecord& job : jobs) outputs.push_back(job.output);
+  for (const JobRecord& job : warehouse_.job_rows(dag.id)) {
+    ids.push_back(job.id);
+    outputs.push_back(job.output);
+  }
   const auto replicas = rls_.locate_bulk(outputs);
   std::size_t reduced = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     if (!replicas[i].empty()) {
-      warehouse_.set_job_state(jobs[i].id, JobState::kCompleted,
+      warehouse_.set_job_state(ids[i], JobState::kCompleted,
                                "reduced:output-exists");
       ++reduced;
     }

@@ -17,7 +17,7 @@ bool MessageHandler::accept_dag(const workflow::Dag& dag,
                                 const std::string& client, UserId user,
                                 SimTime now, double priority,
                                 SimTime deadline) {
-  if (warehouse_.dag(dag.id()).has_value()) return false;
+  if (warehouse_.dag(dag.id()) != nullptr) return false;
   warehouse_.insert_dag(dag, client, user, now, priority, deadline);
   return true;
 }
@@ -61,7 +61,7 @@ void MessageHandler::settle_race(const JobRecord& job,
                                 : report.at - race.launched_at;
   warehouse_.record_cancellation(loser_site, censored);
   if (config_.use_policy) {
-    if (const auto dag = warehouse_.dag(job.dag); dag.has_value()) {
+    if (const DagRecord* dag = warehouse_.dag(job.dag); dag != nullptr) {
       warehouse_.refund_quota(dag->user, loser_site, "cpu_seconds",
                               job.compute_time);
       warehouse_.refund_quota(dag->user, loser_site, "disk_bytes",
@@ -72,8 +72,11 @@ void MessageHandler::settle_race(const JobRecord& job,
 }
 
 StatusOrError MessageHandler::apply_report(const TrackerReport& report) {
-  const auto job = warehouse_.job(report.job);
-  if (!job.has_value()) {
+  // The job's live row: the writes below change its state (and, for a
+  // settled race, its site), while the fields read after them -- id, dag,
+  // compute time, output size -- never change.
+  const JobRecord* job = warehouse_.job(report.job);
+  if (job == nullptr) {
     return make_error("unknown_job",
                       "no job " + std::to_string(report.job.value()));
   }
@@ -173,7 +176,7 @@ StatusOrError MessageHandler::apply_report(const TrackerReport& report) {
                                    : "report:cancelled");
       warehouse_.record_cancellation(report.site, report.completion_time);
       if (config_.use_policy) {
-        if (const auto dag = warehouse_.dag(job->dag); dag.has_value()) {
+        if (const DagRecord* dag = warehouse_.dag(job->dag); dag != nullptr) {
           warehouse_.refund_quota(dag->user, report.site, "cpu_seconds",
                                   job->compute_time);
           warehouse_.refund_quota(dag->user, report.site, "disk_bytes",

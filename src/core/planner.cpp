@@ -30,8 +30,8 @@ Planner::Planner(DataWarehouse& warehouse, std::vector<CatalogSite> catalog,
 
 Planner::Outcome Planner::plan_dag(const DagRecord& dag, SimTime now) {
   Outcome outcome;
-  for (const JobRecord& job : warehouse_.ready_jobs(dag.id)) {
-    if (auto plan = assemble_plan(dag, job, now, /*speculative=*/false)) {
+  for (const JobRecord* job : warehouse_.ready_jobs(dag.id)) {
+    if (auto plan = assemble_plan(dag, *job, now, /*speculative=*/false)) {
       outcome.plans.push_back(std::move(*plan));
     } else {
       outcome.jobs_left_unplanned = true;
@@ -49,10 +49,11 @@ void Planner::journal_algorithm_state() {
   }
 }
 
-std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
-                                                   const JobRecord& job) {
-  std::vector<CandidateSite> reliable;
-  std::vector<CandidateSite> unreliable;  // kept for the starvation fallback
+void Planner::collect_feasible_sites(const DagRecord& dag,
+                                     const JobRecord& job) {
+  std::vector<CandidateSite>& reliable = context_.sites;
+  reliable.clear();
+  unreliable_.clear();
   bool policy_rejected_any = false;
   for (const CatalogSite& entry : catalog_) {
     // Policy filter (eq. 4): quota_i^s >= required_i^s for every resource.
@@ -88,7 +89,7 @@ std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
     // Feedback filter: "sites having more number of cancelled jobs than
     // completed jobs are marked unreliable".
     if (config_.use_feedback && !stats.reliable()) {
-      unreliable.push_back(site);
+      unreliable_.push_back(site);
     } else {
       reliable.push_back(site);
     }
@@ -98,8 +99,7 @@ std::vector<CandidateSite> Planner::feasible_sites(const DagRecord& dag,
   }
   // Starvation guard: if feedback flagged every policy-feasible site,
   // fall back to the full list rather than deadlock the DAG.
-  if (reliable.empty()) return unreliable;
-  return reliable;
+  if (reliable.empty()) reliable.swap(unreliable_);
 }
 
 std::optional<ExecutionPlan> Planner::plan_speculative(const DagRecord& dag,
@@ -125,17 +125,16 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
     if (replicas.empty()) return std::nullopt;
   }
 
-  PlanningContext context;
-  context.now = now;
-  context.sites = feasible_sites(dag, job);
+  context_.now = now;
+  collect_feasible_sites(dag, job);
   if (speculative) {
     // Same strategy, same immutable snapshot -- minus the site the
     // suspect attempt already occupies.  Racing two replicas on one site
     // would only double the load that made the first one slow.
-    std::erase_if(context.sites,
+    std::erase_if(context_.sites,
                   [&](const CandidateSite& s) { return s.id == job.site; });
   }
-  const auto site = algorithm_->select(context);
+  const auto site = algorithm_->select(context_);
   if (!site.has_value()) return std::nullopt;  // no feasible site right now
 
   // Choose the optimal transfer source for each input (planner step 3).
@@ -172,13 +171,14 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
 
   // A replica opens a race next to the live attempt; a regular plan
   // moves the job to planned.  Either way the plan carries a fresh
-  // attempt number.
+  // attempt number, read before the write: `job` is the live row, and
+  // both writes advance its attempt.
+  plan.attempt = job.attempt + 1;
   if (speculative) {
     warehouse_.speculate_job(job.id, *site, now);
   } else {
     warehouse_.set_job_planned(job.id, *site, now);
   }
-  plan.attempt = job.attempt + 1;
   if (config_.use_policy) {
     // A replica reserves its own quota; the race loser's share is
     // refunded when the race settles.

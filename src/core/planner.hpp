@@ -77,9 +77,9 @@ class Planner {
   /// write, so a recovered planner resumes where this one left off.
   /// Called at the end of every planning entry point.
   void journal_algorithm_state();
-  /// Builds the strategy's immutable view of the feasible sites.
-  [[nodiscard]] std::vector<CandidateSite> feasible_sites(
-      const DagRecord& dag, const JobRecord& job);
+  /// Fills context_.sites with the strategy's immutable view of the
+  /// feasible sites.
+  void collect_feasible_sites(const DagRecord& dag, const JobRecord& job);
 
   DataWarehouse& warehouse_;
   std::vector<CatalogSite> catalog_;
@@ -91,6 +91,10 @@ class Planner {
   /// Last strategy state persisted to the warehouse; skips the table
   /// lookup when a pass changed nothing.
   std::string saved_algorithm_state_;
+  /// The strategy's input, and the unreliable sites kept for its
+  /// starvation fallback: buffers reused from one plan to the next.
+  PlanningContext context_;
+  std::vector<CandidateSite> unreliable_;
   obs::Recorder* recorder_ = nullptr;
 };
 

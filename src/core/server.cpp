@@ -247,9 +247,9 @@ void SphinxServer::sweep() {
   // name are guaranteed idle -- every transition that creates work
   // enqueues its DAG -- and the drain yields only the queued DAGs with
   // pending work, so the sweep costs O(changed work).  No other event
-  // can interleave while a sweep runs, so the drained snapshot stays
-  // consistent across the stages.
-  std::vector<DagRecord> drained = warehouse_->drain_dirty_dags();
+  // can interleave while a sweep runs, and no stage inserts or erases a
+  // dags row, so each stage reads the drained DAGs' live rows.
+  const std::vector<DagId> drained = warehouse_->drain_dirty_dags();
 
   // Idle sweeps (the overwhelming majority on a long run) are not traced;
   // the begin/end pair brackets sweeps that had work, with the number of
@@ -264,54 +264,50 @@ void SphinxServer::sweep() {
 
   // Stage 1: the reducer consumes received DAGs.  A fully-reduced DAG can
   // finish right here (all outputs already existed).
-  for (const DagRecord& dag : drained) {
-    if (dag.state != DagState::kReceived) continue;
-    const std::size_t reduced = reducer_->reduce(dag);
+  for (const DagId id : drained) {
+    const DagRecord* dag = warehouse_->dag(id);
+    SPHINX_ASSERT(dag != nullptr, "drained dag vanished mid-sweep");
+    if (dag->state != DagState::kReceived) continue;
+    const std::size_t reduced = reducer_->reduce(*dag);
     if (reduced > 0 && recorder_ != nullptr) {
       recorder_->count(config_.endpoint, "server.jobs_reduced", reduced);
     }
-    maybe_finish_dag(dag.id);
+    maybe_finish_dag(id);
   }
 
-  // Stage 2: reduced DAGs advance to planning.  Re-fetch each record:
-  // stage 1 may have changed its state (reduced or even finished).
-  for (DagRecord& dag : drained) {
-    const auto fresh = warehouse_->dag(dag.id);
-    SPHINX_ASSERT(fresh.has_value(), "drained dag vanished mid-sweep");
-    dag = *fresh;
-    if (dag.state == DagState::kReduced) {
-      warehouse_->set_dag_state(dag.id, DagState::kPlanning);
-      dag.state = DagState::kPlanning;
-    }
-  }
-
-  // Stage 3: the planner consumes planning DAGs.  Requests are planned by
-  // priority, then submission order -- the server "provides functionality
-  // for scheduling jobs from multiple users concurrently based on the
-  // policy and priorities of these jobs" (paper section 5).
-  std::vector<DagRecord> planning;
+  // Stage 2: reduced DAGs advance to planning; stage 1 may have changed a
+  // row's state (reduced or even finished).  Stage 3: the planner
+  // consumes planning DAGs.  Requests are planned by priority, then
+  // submission order -- the server "provides functionality for
+  // scheduling jobs from multiple users concurrently based on the policy
+  // and priorities of these jobs" (paper section 5).
+  std::vector<const DagRecord*> planning;
   planning.reserve(drained.size());
-  for (const DagRecord& dag : drained) {
-    if (dag.state == DagState::kPlanning) planning.push_back(dag);
+  for (const DagId id : drained) {
+    const DagRecord* dag = warehouse_->dag(id);
+    if (dag->state == DagState::kReduced) {
+      warehouse_->set_dag_state(id, DagState::kPlanning);
+    }
+    if (dag->state == DagState::kPlanning) planning.push_back(dag);
   }
   if (config_.use_qos_ordering) {
     // Priority first, then earliest deadline first among equals.  The
     // drained queue is in submission order, so the stable sort leaves
     // equal-key DAGs in the same relative order a full table scan gave.
     std::stable_sort(planning.begin(), planning.end(),
-                     [](const DagRecord& a, const DagRecord& b) {
-                       if (a.priority != b.priority) {
-                         return a.priority > b.priority;
+                     [](const DagRecord* a, const DagRecord* b) {
+                       if (a->priority != b->priority) {
+                         return a->priority > b->priority;
                        }
-                       return a.deadline < b.deadline;
+                       return a->deadline < b->deadline;
                      });
   }
   const SimTime now = bus_.engine().now();
-  for (const DagRecord& dag : planning) {
-    Planner::Outcome outcome = planner_->plan_dag(dag, now);
+  for (const DagRecord* dag : planning) {
+    Planner::Outcome outcome = planner_->plan_dag(*dag, now);
     plans_sent += outcome.plans.size();
     for (const ExecutionPlan& plan : outcome.plans) {
-      send_plan(dag.client, plan);
+      send_plan(dag->client, plan);
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kPlanSent, source_name_,
                          {job_name_, plan.job.value()},
@@ -325,14 +321,14 @@ void SphinxServer::sweep() {
           // Replans are excluded; their latency measures the failure
           // path, not the planner.
           recorder_->observe(config_.endpoint, "server.plan_latency",
-                             now - dag.received_at);
+                             now - dag->received_at);
         }
       }
     }
     // Ready jobs the planner could not place are retried every sweep.
     // Jobs waiting on parents are not: the parent's completion re-marks
     // the DAG (DataWarehouse::set_job_state).
-    if (outcome.jobs_left_unplanned) warehouse_->mark_dag_dirty(dag.id);
+    if (outcome.jobs_left_unplanned) warehouse_->mark_dag_dirty(dag->id);
   }
 
   // Straggler defense: after regular planning, scan the in-flight jobs
@@ -350,9 +346,7 @@ void SphinxServer::sweep() {
   // Every sweep leaves the DAGs it touched in a sound state; scoped to
   // the touched DAGs so the check is also O(changed work).  Compiled out
   // with the rest of the contracts layer.
-  for (const DagRecord& dag : drained) {
-    warehouse_->check_dag_invariants(dag.id);
-  }
+  for (const DagId id : drained) warehouse_->check_dag_invariants(id);
 
   // Checkpoint before the crash point: a sweep that crosses a checkpoint
   // trigger publishes its image even if a fail-stop lands on the same
@@ -386,8 +380,10 @@ std::size_t SphinxServer::maybe_speculate() {
 
   for (const JobState state : {JobState::kSubmitted, JobState::kRunning}) {
     if (global >= kSpeculationMaxGlobal) break;
-    for (const JobRecord& job : warehouse_->jobs_in_state(state)) {
+    // Ids, not the state bucket: a launch moves its job out of `state`.
+    for (const JobId id : warehouse_->jobs_in_state(state)) {
       if (global >= kSpeculationMaxGlobal) break;
+      const JobRecord& job = *warehouse_->job(id);
       // A job already racing is tracked by its replica attempt; never
       // stack a second replica on it.
       if (warehouse_->active_speculation(job.id).has_value()) continue;
@@ -402,8 +398,10 @@ std::size_t SphinxServer::maybe_speculate() {
       if (per_dag[job.dag.value()] >= kSpeculationMaxPerDag) {
         continue;
       }
-      const auto dag = warehouse_->dag(job.dag);
-      SPHINX_ASSERT(dag.has_value(), "straggler's dag vanished");
+      const DagRecord* dag = warehouse_->dag(job.dag);
+      SPHINX_ASSERT(dag != nullptr, "straggler's dag vanished");
+      // The launch retargets the job row at the replica's site.
+      const SiteId primary_site = job.site;
       const auto plan = planner_->plan_speculative(*dag, job, now);
       if (!plan.has_value()) continue;  // no alternative feasible site
       ++global;
@@ -412,8 +410,8 @@ std::size_t SphinxServer::maybe_speculate() {
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kSpeculationLaunched, source_name_,
                          {job_name_, job.id.value()},
-                         recorder_->name("site:", job.site.value(), "->",
-                                         plan->site.value()),
+                         recorder_->name("site:", primary_site.value(),
+                                         "->", plan->site.value()),
                          static_cast<double>(plan->attempt));
         recorder_->count(config_.endpoint, "server.speculations");
       }
@@ -475,7 +473,7 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
   if (recorder_ != nullptr) {
     recorder_->count(config_.endpoint, "server.speculation_cancels");
   }
-  if (const auto dag = warehouse_->dag(race.dag); dag.has_value()) {
+  if (const DagRecord* dag = warehouse_->dag(race.dag); dag != nullptr) {
     out_->call(dag->client, encode_cancel_attempt(race.job, retired_attempt),
                &read_flag, [](Expected<bool>) {});
   }
@@ -496,14 +494,11 @@ void SphinxServer::send_plan(const std::string& client,
 }
 
 void SphinxServer::maybe_finish_dag(DagId dag_id) {
-  const auto dag = warehouse_->dag(dag_id);
-  if (!dag.has_value() || dag->state == DagState::kFinished) return;
-  const auto jobs = warehouse_->jobs_of_dag(dag_id);
-  const bool all_done =
-      std::all_of(jobs.begin(), jobs.end(), [](const JobRecord& job) {
-        return job.state == JobState::kCompleted;
-      });
-  if (!all_done) return;
+  const DagRecord* dag = warehouse_->dag(dag_id);
+  if (dag == nullptr || dag->state == DagState::kFinished ||
+      !warehouse_->all_jobs_completed(dag_id)) {
+    return;
+  }
   const SimTime now = bus_.engine().now();
   warehouse_->set_dag_finished(dag_id, now);
   if (recorder_ != nullptr) {

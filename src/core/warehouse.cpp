@@ -140,10 +140,8 @@ void DataWarehouse::insert_dag(const workflow::Dag& dag,
   }
 }
 
-std::optional<DagRecord> DataWarehouse::dag(DagId id) const {
-  const DagRecord* row = dags_.find(dags_.first<&DagRecord::id>(id));
-  if (row == nullptr) return std::nullopt;
-  return *row;
+const DagRecord* DataWarehouse::dag(DagId id) const {
+  return dags_.find(dags_.first<&DagRecord::id>(id));
 }
 
 void DataWarehouse::set_dag_state(DagId id, DagState state) {
@@ -171,33 +169,22 @@ void DataWarehouse::set_dag_finished(DagId id, SimTime at) {
   dirty_rows_.erase(row_id);  // finished DAGs hold no pending work
 }
 
-std::vector<DagRecord> DataWarehouse::all_dags() const {
-  std::vector<DagRecord> out;
-  dags_.for_each(
-      [&out](db::RowId, const DagRecord& dag) { out.push_back(dag); });
-  return out;
-}
-
 // --- jobs ---------------------------------------------------------------
 
-std::optional<JobRecord> DataWarehouse::job(JobId id) const {
-  const JobRecord* row = jobs_.find(jobs_.first<&JobRecord::id>(id));
-  if (row == nullptr) return std::nullopt;
-  return *row;
+const JobRecord* DataWarehouse::job(JobId id) const {
+  return jobs_.find(jobs_.first<&JobRecord::id>(id));
 }
 
-std::vector<JobRecord> DataWarehouse::jobs_of_dag(DagId id) const {
-  std::vector<JobRecord> out;
-  for (const db::RowId row : jobs_.find_by<&JobRecord::dag>(id)) {
-    out.push_back(*jobs_.find(row));
-  }
-  return out;
+bool DataWarehouse::all_jobs_completed(DagId id) const {
+  return std::ranges::all_of(job_rows(id), [](const JobRecord& job) {
+    return job.state == JobState::kCompleted;
+  });
 }
 
-std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
-  std::vector<JobRecord> out;
+std::vector<JobId> DataWarehouse::jobs_in_state(JobState state) const {
+  std::vector<JobId> out;
   for (const db::RowId row : jobs_.find_by<&JobRecord::state>(state)) {
-    out.push_back(*jobs_.find(row));
+    out.push_back(jobs_.find(row)->id);
   }
   return out;
 }
@@ -286,14 +273,6 @@ std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
   return out;
 }
 
-std::vector<JobId> DataWarehouse::job_parents(JobId id) const {
-  std::vector<JobId> out;
-  for (const db::RowId row : job_deps_.find_by<&JobDep::job>(id)) {
-    out.push_back(job_deps_.find(row)->parent);
-  }
-  return out;
-}
-
 std::vector<JobId> DataWarehouse::job_children(JobId id) const {
   std::vector<JobId> out;
   for (const db::RowId row : job_deps_.find_by<&JobDep::parent>(id)) {
@@ -302,27 +281,23 @@ std::vector<JobId> DataWarehouse::job_children(JobId id) const {
   return out;
 }
 
-std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
-  // One pass over the DAG's rows: completed ids for the parent test, and
-  // the unplanned rows as candidates.
-  std::vector<JobId> completed;
-  std::vector<JobRecord> unplanned;
-  for (const db::RowId id : jobs_.find_by<&JobRecord::dag>(dag)) {
-    const JobRecord& job = *jobs_.find(id);
-    if (job.state == JobState::kCompleted) {
-      completed.push_back(job.id);
-    } else if (job.state == JobState::kUnplanned) {
-      unplanned.push_back(job);
+bool DataWarehouse::is_ready(const JobRecord& job) const {
+  if (job.state != JobState::kUnplanned) return false;
+  for (const db::RowId dep : job_deps_.find_by<&JobDep::job>(job.id)) {
+    const JobRecord* parent = this->job(job_deps_.find(dep)->parent);
+    if (parent == nullptr || parent->state != JobState::kCompleted) {
+      return false;
     }
   }
-  std::sort(completed.begin(), completed.end());
-  std::erase_if(unplanned, [&](const JobRecord& job) {
-    const std::vector<JobId> parents = job_parents(job.id);
-    return !std::all_of(parents.begin(), parents.end(), [&](JobId parent) {
-      return std::binary_search(completed.begin(), completed.end(), parent);
-    });
-  });
-  return unplanned;
+  return true;
+}
+
+std::vector<const JobRecord*> DataWarehouse::ready_jobs(DagId dag) const {
+  std::vector<const JobRecord*> out;
+  for (const JobRecord& job : job_rows(dag)) {
+    if (is_ready(job)) out.push_back(&job);
+  }
+  return out;
 }
 
 std::int64_t DataWarehouse::outstanding_on_site(SiteId site) const {
@@ -359,23 +334,17 @@ void DataWarehouse::mark_dag_dirty(DagId id) {
   dirty_rows_.insert(row);
 }
 
-std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
-  std::vector<DagRecord> out = queued_pending_dags();
+std::vector<DagId> DataWarehouse::drain_dirty_dags() {
+  std::vector<DagId> out = dirty_dags();
   dirty_rows_.clear();
   return out;
 }
 
 std::vector<DagId> DataWarehouse::dirty_dags() const {
   std::vector<DagId> out;
-  for (const DagRecord& dag : queued_pending_dags()) out.push_back(dag.id);
-  return out;
-}
-
-std::vector<DagRecord> DataWarehouse::queued_pending_dags() const {
-  std::vector<DagRecord> out;
   for (const db::RowId row_id : dirty_rows_) {
     const DagRecord* dag = dags_.find(row_id);
-    if (dag != nullptr && has_pending_work(*dag)) out.push_back(*dag);
+    if (dag != nullptr && has_pending_work(*dag)) out.push_back(dag->id);
   }
   return out;
 }
@@ -386,7 +355,9 @@ bool DataWarehouse::has_pending_work(const DagRecord& dag) const {
     case DagState::kReduced:
       return true;
     case DagState::kPlanning:
-      return !ready_jobs(dag.id).empty();
+      return std::ranges::any_of(
+          job_rows(dag.id),
+          [this](const JobRecord& job) { return is_ready(job); });
     case DagState::kFinished:
       return false;
   }
@@ -767,8 +738,8 @@ void DataWarehouse::check_invariants() const {
     if (rec.state != SpeculationState::kRacing) return;
     SPHINX_INVARIANT(racing_jobs.insert(rec.job).second,
                      "job holds two open races");
-    const std::optional<JobRecord> job_rec = job(rec.job);
-    SPHINX_INVARIANT(job_rec.has_value(), "open race names a missing job");
+    const JobRecord* job_rec = job(rec.job);
+    SPHINX_INVARIANT(job_rec != nullptr, "open race names a missing job");
     SPHINX_INVARIANT(is_outstanding(job_rec->state),
                      "open race on a job that is not outstanding");
     SPHINX_INVARIANT(
@@ -807,10 +778,10 @@ void DataWarehouse::check_invariants() const {
 
 void DataWarehouse::check_dag_invariants(DagId id) const {
 #if SPHINX_CONTRACTS_ENABLED
-  const std::optional<DagRecord> rec = dag(id);
-  SPHINX_INVARIANT(rec.has_value(), "check_dag_invariants: unknown dag");
+  const DagRecord* rec = dag(id);
+  SPHINX_INVARIANT(rec != nullptr, "check_dag_invariants: unknown dag");
   std::int64_t job_count = 0;
-  for (const JobRecord& job : jobs_of_dag(id)) {
+  for (const JobRecord& job : job_rows(id)) {
     ++job_count;
     SPHINX_INVARIANT(job.attempt >= 0, "job attempt counter went negative");
     if (is_outstanding(job.state)) {

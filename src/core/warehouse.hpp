@@ -36,6 +36,16 @@
 /// Both are rebuilt from the recovered tables alone in recover_from(), so
 /// a restarted server resumes exactly where the crashed one stopped.
 ///
+/// Reads borrow.  job(), dag(), job_rows() and ready_jobs() hand out the
+/// stored rows themselves, as db::Table::find does, not copies: a row
+/// pointer stays valid until the next insert into or erase from that
+/// table, and its fields follow set_* on that row.  No report or sweep
+/// inserts into `jobs` or `dags`, and nothing erases from them, so a
+/// report or a sweep may hold its rows throughout; a caller that needs a
+/// field as it was before its own write reads it first (the planner's
+/// attempt number).  jobs_in_state() returns ids instead, a snapshot,
+/// because its caller moves jobs out of that state while walking them.
+///
 /// Recovery is O(state), not O(history): checkpoint() publishes a
 /// CheckpointImage (database snapshot + sequence number) and compacts the
 /// journal prefix it covers, and recover_from(journal, image) restores
@@ -51,6 +61,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <string>
 #include <string_view>
@@ -262,30 +273,42 @@ class DataWarehouse {
   void insert_dag(const workflow::Dag& dag, const std::string& client,
                   UserId user, SimTime now, double priority = 0.0,
                   SimTime deadline = kNever);
-  [[nodiscard]] std::optional<DagRecord> dag(DagId id) const;
+  /// The stored row, borrowed (see the file comment); nullptr when absent.
+  [[nodiscard]] const DagRecord* dag(DagId id) const;
   void set_dag_state(DagId id, DagState state);
   void set_dag_finished(DagId id, SimTime at);
-  [[nodiscard]] std::vector<DagRecord> all_dags() const;
 
   // --- job lifecycle --------------------------------------------------
-  [[nodiscard]] std::optional<JobRecord> job(JobId id) const;
-  [[nodiscard]] std::vector<JobRecord> jobs_of_dag(DagId id) const;
-  [[nodiscard]] std::vector<JobRecord> jobs_in_state(JobState state) const;
+  /// The stored row, borrowed (see the file comment); nullptr when absent.
+  [[nodiscard]] const JobRecord* job(JobId id) const;
+  /// The DAG's job rows in job-table order, borrowed: a view of the dag
+  /// index.  Empty for an unknown DAG.
+  [[nodiscard]] auto job_rows(DagId id) const {
+    return std::views::transform(
+        jobs_.find_by<&JobRecord::dag>(id),
+        [this](db::RowId row) -> const JobRecord& {
+          return *jobs_.find(row);
+        });
+  }
+  /// Whether every job of the DAG has completed: the server's
+  /// DAG-finished test.  Stops at the first job that has not.
+  [[nodiscard]] bool all_jobs_completed(DagId id) const;
+  /// Ids of the jobs in `state`, in job-table order.  A snapshot, not a
+  /// view: the caller may move those jobs to another state as it walks.
+  [[nodiscard]] std::vector<JobId> jobs_in_state(JobState state) const;
   /// Transitions a job; `reason` is free-form context ("report:completed",
   /// "tracker-cancel", ...) carried into the flight-recorder trace.
   void set_job_state(JobId id, JobState state, std::string_view reason = {});
   /// Records a planning decision (state -> planned, attempt++).
   void set_job_planned(JobId id, SiteId site, SimTime at);
   [[nodiscard]] std::vector<data::Lfn> job_inputs(JobId id) const;
-  [[nodiscard]] std::vector<JobId> job_parents(JobId id) const;  // sphinx-lint-allow(test-only): ready_jobs() in this pair reads it
   /// Jobs that consume this job's output (dependency children).
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
   /// The DAG's ready set: unplanned jobs whose parents have all
-  /// completed, in job-table order.  Decodes the DAG's job rows once.
-  /// The planner plans exactly these, and a planning DAG has pending
-  /// work only when this set is non-empty, so the two agree on what
-  /// "blocked work" is.
-  [[nodiscard]] std::vector<JobRecord> ready_jobs(DagId dag) const;
+  /// completed, in job-table order, as borrowed rows.  The planner plans
+  /// exactly these, and a planning DAG has pending work only when this
+  /// set is non-empty, so the two agree on what "blocked work" is.
+  [[nodiscard]] std::vector<const JobRecord*> ready_jobs(DagId dag) const;
   /// Jobs outstanding on a site (eq. 1/2's planned + unfinished term).
   /// Served from the live counter; O(1).
   [[nodiscard]] std::int64_t outstanding_on_site(SiteId site) const;
@@ -307,11 +330,11 @@ class DataWarehouse {
   /// job is retried every sweep.  Jobs waiting on parents are not retried:
   /// the parent's completion marks the DAG.  Idempotent.
   void mark_dag_dirty(DagId id);
-  /// Removes and returns the queued DAGs with pending work as fresh
-  /// records, in table insertion order.  Queued DAGs without pending
-  /// work -- finished, or planning with nothing ready -- are dropped
-  /// unswept.
-  [[nodiscard]] std::vector<DagRecord> drain_dirty_dags();
+  /// Removes the queued DAGs from the queue and returns the ids of those
+  /// with pending work, in table insertion order.  Queued DAGs without
+  /// pending work -- finished, or planning with nothing ready -- are
+  /// dropped unswept.
+  [[nodiscard]] std::vector<DagId> drain_dirty_dags();
   /// The queued DAG ids with pending work, in table insertion order: what
   /// the next drain would yield.
   [[nodiscard]] std::vector<DagId> dirty_dags() const;  // sphinx-lint-allow(test-only): tests inspect the work queue
@@ -428,7 +451,7 @@ class DataWarehouse {
   void check_dag_invariants(DagId id) const;
 
  private:
-  friend struct WarehouseInspector;  // test-only fault injection
+  friend struct WarehouseInspector;  // tests: fault injection, reference reads
 
   /// One input file of a job.
   struct JobInput {
@@ -490,12 +513,13 @@ class DataWarehouse {
   };
 
   /// Whether a DAG holds work for a sweep: received or reduced (work for
-  /// the reducer and the planning hand-off), or planning with a non-empty
-  /// ready_jobs().  A pure function of the tables; recovery queues
-  /// exactly the DAGs it holds for.
+  /// the reducer and the planning hand-off), or planning with a ready
+  /// job.  A pure function of the tables; recovery queues exactly the
+  /// DAGs it holds for.
   [[nodiscard]] bool has_pending_work(const DagRecord& dag) const;
-  /// The queued DAGs with pending work, in table insertion order.
-  [[nodiscard]] std::vector<DagRecord> queued_pending_dags() const;
+  /// Whether a job is ready: unplanned, and each parent's row, found
+  /// through the job_deps index, reads completed.  Allocates nothing.
+  [[nodiscard]] bool is_ready(const JobRecord& job) const;
   /// Rebuilds the outstanding counters (scan_outstanding_by_site()) and
   /// the dirty queue from the recovered tables: the queue holds exactly
   /// the DAGs with pending work (has_pending_work()), found by one scan

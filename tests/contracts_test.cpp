@@ -18,6 +18,7 @@
 #include "core/warehouse.hpp"
 #include "db/database.hpp"
 #include "sim/engine.hpp"
+#include "warehouse_reference.hpp"
 #include "workflow/dag.hpp"
 
 namespace sphinx::sim {
@@ -57,20 +58,6 @@ struct DatabaseInspector {
 }  // namespace sphinx::db
 
 namespace sphinx::core {
-
-/// Test-only back door into the warehouse tables.
-struct WarehouseInspector {
-  static db::Table<JobRecord>& jobs(DataWarehouse& wh) { return wh.jobs_; }
-  static db::Table<SiteStats>& site_stats(DataWarehouse& wh) {
-    return wh.site_stats_;
-  }
-  /// Overwrites the usage of the user's first quota row.
-  static void set_quota_used(DataWarehouse& wh, UserId user, double used) {
-    auto& quotas = wh.quotas_;
-    quotas.set<&DataWarehouse::Quota::used>(
-        quotas.first<&DataWarehouse::Quota::user>(user), used);
-  }
-};
 
 namespace {
 

@@ -62,7 +62,7 @@ TEST(CoreE2E, SingleDagCompletesOnHealthyGrid) {
   }
   // Server-side automaton: DAG finished, all jobs completed.
   const auto record = tenant.server->warehouse().dag(dag.id());
-  ASSERT_TRUE(record.has_value());
+  ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->state, core::DagState::kFinished);
 }
 
@@ -256,7 +256,7 @@ TEST(CoreE2E, PolicyQuotasRestrictSites) {
   EXPECT_GT(count(scenario, tenant, "server.policy_rejections"), 0u);
   for (const auto& job : dag.jobs()) {
     const auto record = tenant.server->warehouse().job(job.id);
-    ASSERT_TRUE(record.has_value());
+    ASSERT_NE(record, nullptr);
     EXPECT_EQ(record->site, allowed);
   }
   // Quota was consumed.
@@ -296,7 +296,7 @@ TEST(CoreE2E, ServerRecoversFromCrashMidRun) {
   EXPECT_TRUE(tenant.client->all_dags_finished());
   ASSERT_NE(recovered, nullptr);
   const auto record = recovered->warehouse().dag(dags[0].id());
-  ASSERT_TRUE(record.has_value());
+  ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->state, core::DagState::kFinished);
 }
 

@@ -137,7 +137,7 @@ TEST(ServerProtocol, SubmitReturnsDagIdAndStoresPriority) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->as_int(), 77);
   const auto record = tenant.server->warehouse().dag(DagId(77));
-  ASSERT_TRUE(record.has_value());
+  ASSERT_NE(record, nullptr);
   EXPECT_DOUBLE_EQ(record->priority, 3.5);
   EXPECT_EQ(record->user, UserId(5));
   EXPECT_EQ(record->client, "raw-caller");
@@ -211,8 +211,10 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
   Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
   auto generator = scenario.make_generator("w", workflow::WorkloadConfig{});
   scenario.start();
+  std::vector<DagId> submitted;
   for (int i = 0; i < 6; ++i) {
     const auto dag = generator.generate("mid-" + std::to_string(i));
+    submitted.push_back(dag.id());
     scenario.engine().schedule_at(
         minutes(i), "submit", [&tenant, dag] { tenant.client->submit(dag); });
   }
@@ -224,20 +226,27 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
       core::DataWarehouse::recover_from(live.journal(), live.checkpoint_image());
   ASSERT_TRUE(recovered.has_value());
   const core::DataWarehouse& r = **recovered;
-  // Five DAGs arrived; the sixth, submitted at 300 s, is still on the wire.
-  EXPECT_EQ(r.all_dags().size(), 5u);
+  // Five DAGs arrived, in submission order; the sixth, submitted at
+  // 300 s, is still on the wire.
+  std::vector<const core::DagRecord*> stored;
+  for (const DagId id : submitted) {
+    if (const core::DagRecord* dag = r.dag(id); dag != nullptr) {
+      stored.push_back(dag);
+    }
+  }
+  EXPECT_EQ(stored.size(), 5u);
+  EXPECT_EQ(r.dag(submitted.back()), nullptr);
 
   // The kill lands mid-run: some unfinished DAG holds an unplanned job
   // still waiting on a parent, the work the sweep leaves off the queue.
   bool parent_blocked = false;
-  for (const auto& dag : r.all_dags()) {
-    if (dag.state == core::DagState::kFinished) continue;
-    const auto ready = r.ready_jobs(dag.id);
-    for (const auto& job : r.jobs_of_dag(dag.id)) {
-      parent_blocked |=
-          job.state == core::JobState::kUnplanned &&
-          std::none_of(ready.begin(), ready.end(),
-                       [&](const auto& j) { return j.id == job.id; });
+  for (const core::DagRecord* dag : stored) {
+    if (dag->state == core::DagState::kFinished) continue;
+    const auto ready = r.ready_jobs(dag->id);
+    for (const core::JobRecord& job : r.job_rows(dag->id)) {
+      parent_blocked |= job.state == core::JobState::kUnplanned &&
+                        std::find(ready.begin(), ready.end(), &job) ==
+                            ready.end();
     }
   }
   EXPECT_TRUE(parent_blocked);
@@ -252,12 +261,12 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
   // ...which a from-scratch scan derives from the readiness rule:
   // received/reduced DAGs, and planning DAGs holding a ready job.
   std::vector<DagId> expected;
-  for (const auto& dag : r.all_dags()) {
-    const bool pending = dag.state == core::DagState::kReceived ||
-                         dag.state == core::DagState::kReduced ||
-                         (dag.state == core::DagState::kPlanning &&
-                          !r.ready_jobs(dag.id).empty());
-    if (pending) expected.push_back(dag.id);
+  for (const core::DagRecord* dag : stored) {
+    const bool pending = dag->state == core::DagState::kReceived ||
+                         dag->state == core::DagState::kReduced ||
+                         (dag->state == core::DagState::kPlanning &&
+                          !r.ready_jobs(dag->id).empty());
+    if (pending) expected.push_back(dag->id);
   }
   EXPECT_EQ(r.dirty_dags(), expected);
   r.check_invariants();
@@ -412,14 +421,13 @@ TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
   scenario.engine().schedule_at(1.0, "submit",
                                 [&tenant, dag] { tenant.client->submit(dag); });
   scenario.engine().run_until(minutes(2));
-  std::vector<core::JobRecord> live =
-      tenant.server->warehouse().jobs_in_state(core::JobState::kRunning);
-  for (const core::JobRecord& job :
-       tenant.server->warehouse().jobs_in_state(core::JobState::kSubmitted)) {
-    live.push_back(job);
+  const core::DataWarehouse& warehouse = tenant.server->warehouse();
+  std::vector<JobId> live = warehouse.jobs_in_state(core::JobState::kRunning);
+  for (const JobId id : warehouse.jobs_in_state(core::JobState::kSubmitted)) {
+    live.push_back(id);
   }
   ASSERT_FALSE(live.empty());
-  ASSERT_EQ(live.front().attempt, 1);
+  ASSERT_EQ(warehouse.job(live.front())->attempt, 1);
 
   RawCaller caller(scenario,
                    rpc::Proxy(rpc::Identity{"/CN=server"}, "ivdgl",
@@ -429,14 +437,13 @@ TEST(ClientProtocol, CancelAttemptRejectsOutOfRangeAttempts) {
         tree::XrValue(-3), tree::XrValue("1")}) {
     const auto r = caller.call(
         "sphinx-client/t", "sphinx_client.cancel_attempt",
-        {tree::XrValue(live.front().id.value()), attempt});
+        {tree::XrValue(live.front().value()), attempt});
     EXPECT_FALSE(r.has_value());
   }
   EXPECT_EQ(scenario.recorder().counter("tracker.race_cancels",
                                         "sphinx-client/t"),
             0u);
-  EXPECT_TRUE(core::is_outstanding(
-      tenant.server->warehouse().job(live.front().id)->state));
+  EXPECT_TRUE(core::is_outstanding(warehouse.job(live.front())->state));
 }
 
 TEST(ClientProtocol, RejectsBogusPlans) {
@@ -590,7 +597,7 @@ TEST_F(RedeliveryFixture, SubmitDag) {
   dag.add_job(job);
   twice(server, user,
         core::encode_dag("raw-caller", UserId(5), dag, 1.5, kNever));
-  EXPECT_TRUE(warehouse().dag(DagId(2)).has_value());
+  EXPECT_NE(warehouse().dag(DagId(2)), nullptr);
   EXPECT_EQ(count(scenario, tenant, "server.dags_received"), 2u);
   EXPECT_EQ(count(scenario, tenant, "server.duplicate_dags"), 1u);
 }
@@ -740,7 +747,7 @@ TEST_F(RefusalFixture, SubmitWithBadJobNumbers) {
     refused_submit(chain_with(0, "output_bytes", tree::XrValue(bad)), 0.0,
                    kNever, "output_bytes " + std::to_string(bad));
   }
-  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+  EXPECT_EQ(warehouse().dag(DagId(3)), nullptr);
 }
 
 TEST_F(RefusalFixture, SubmitWithBadDagShape) {
@@ -751,13 +758,13 @@ TEST_F(RefusalFixture, SubmitWithBadDagShape) {
   refused_submit(chain_with(1, "parents",
                             tree::XrValue(tree::XrValue::Array{tree::XrValue(32)})),
                  0.0, kNever, "self edge");
-  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+  EXPECT_EQ(warehouse().dag(DagId(3)), nullptr);
 }
 
 TEST_F(RefusalFixture, SubmitWithNanPriorityOrDeadline) {
   refused_submit(chain(), kNan, kNever, "priority nan");
   refused_submit(chain(), 0.0, kNan, "deadline nan");
-  EXPECT_FALSE(warehouse().dag(DagId(3)).has_value());
+  EXPECT_EQ(warehouse().dag(DagId(3)), nullptr);
 }
 
 TEST_F(RefusalFixture, PlanWithBadComputeTime) {

@@ -7,7 +7,11 @@
 #include <string>
 #include <string_view>
 
+#include "core/planner.hpp"
 #include "core/warehouse.hpp"
+#include "data/gridftp.hpp"
+#include "data/rls.hpp"
+#include "sim/engine.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx::core {
@@ -39,8 +43,8 @@ TEST(Warehouse, InsertDagMaterializesRows) {
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(), "client-1", UserId(9), 12.5);
 
-  const auto dag = wh.dag(DagId(100));
-  ASSERT_TRUE(dag.has_value());
+  const DagRecord* dag = wh.dag(DagId(100));
+  ASSERT_NE(dag, nullptr);
   EXPECT_EQ(dag->name, "wh-dag");
   EXPECT_EQ(dag->client, "client-1");
   EXPECT_EQ(dag->user, UserId(9));
@@ -48,14 +52,16 @@ TEST(Warehouse, InsertDagMaterializesRows) {
   EXPECT_DOUBLE_EQ(dag->received_at, 12.5);
   EXPECT_EQ(dag->total_jobs, 2);
 
-  const auto jobs = wh.jobs_of_dag(DagId(100));
+  const auto jobs = wh.job_rows(DagId(100));
   ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].id, JobId(101));
   EXPECT_EQ(jobs[0].state, JobState::kUnplanned);
   EXPECT_EQ(jobs[0].attempt, 0);
+  EXPECT_EQ(jobs[1].id, JobId(102));
   EXPECT_EQ(wh.job_inputs(JobId(101)),
             std::vector<data::Lfn>{"lfn://in"});
-  EXPECT_EQ(wh.job_parents(JobId(102)), std::vector<JobId>{JobId(101)});
-  EXPECT_TRUE(wh.job_parents(JobId(101)).empty());
+  EXPECT_EQ(wh.job_children(JobId(101)), std::vector<JobId>{JobId(102)});
+  EXPECT_TRUE(wh.job_children(JobId(102)).empty());
 }
 
 TEST(Warehouse, DagStateTransitions) {
@@ -105,8 +111,8 @@ TEST(Warehouse, ReadyJobsFollowParentCompletion) {
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   const auto ready_ids = [&wh] {
     std::vector<JobId> ids;
-    for (const JobRecord& job : wh.ready_jobs(DagId(100))) {
-      ids.push_back(job.id);
+    for (const JobRecord* job : wh.ready_jobs(DagId(100))) {
+      ids.push_back(job->id);
     }
     return ids;
   };
@@ -119,16 +125,64 @@ TEST(Warehouse, ReadyJobsFollowParentCompletion) {
   wh.set_job_state(JobId(101), JobState::kRunning);
   EXPECT_TRUE(ready_ids().empty());
 
-  // The parent's completion readies the child, decoded in full.
+  // The parent's completion readies the child: its stored row.
   wh.set_job_state(JobId(101), JobState::kCompleted);
   const auto ready = wh.ready_jobs(DagId(100));
   ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].id, JobId(102));
-  EXPECT_EQ(ready[0].dag, DagId(100));
-  EXPECT_EQ(ready[0].name, "b");
-  EXPECT_EQ(ready[0].state, JobState::kUnplanned);
-  EXPECT_EQ(ready[0].output, "lfn://out");
+  EXPECT_EQ(ready[0], wh.job(JobId(102)));
+  EXPECT_EQ(ready[0]->dag, DagId(100));
+  EXPECT_EQ(ready[0]->name, "b");
+  EXPECT_EQ(ready[0]->state, JobState::kUnplanned);
+  EXPECT_EQ(ready[0]->output, "lfn://out");
   EXPECT_TRUE(wh.ready_jobs(DagId(999)).empty());
+}
+
+TEST(Warehouse, PlansCarryTheAttemptTheirWriteOpens) {
+  // The planner reads a job through its stored row, and the plan's own
+  // write (set_job_planned, speculate_job) advances that row's attempt:
+  // each plan must carry the attempt the write opened, not one past it.
+  sim::Engine engine;
+  data::TransferService transfers(engine);
+  data::ReplicaLocationService rls;
+  ServerConfig config;
+  config.algorithm = Algorithm::kRoundRobin;
+  DataWarehouse wh;
+  Planner planner(wh, {{SiteId(1), "a", 8}, {SiteId(2), "b", 8}}, rls,
+                  transfers, nullptr, config);
+  workflow::Dag dag(DagId(1), "attempts");
+  workflow::JobSpec spec;
+  spec.id = JobId(11);
+  spec.name = "only";
+  spec.output = "lfn://attempts/out";
+  dag.add_job(spec);
+  wh.insert_dag(dag, "c", UserId(1), 0.0);
+  wh.set_dag_state(DagId(1), DagState::kPlanning);
+
+  const auto first = planner.plan_dag(*wh.dag(DagId(1)), 1.0).plans;
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].attempt, 1);
+  EXPECT_EQ(wh.job(JobId(11))->attempt, 1);
+
+  // Cancelled, then replanned as attempt 2.
+  wh.set_job_state(JobId(11), JobState::kCancelled);
+  wh.set_job_state(JobId(11), JobState::kUnplanned);
+  const auto replan = planner.plan_dag(*wh.dag(DagId(1)), 2.0).plans;
+  ASSERT_EQ(replan.size(), 1u);
+  EXPECT_EQ(replan[0].attempt, 2);
+  EXPECT_EQ(wh.job(JobId(11))->attempt, 2);
+
+  // A replica races the running attempt 2 as attempt 3, on the other site.
+  wh.set_job_state(JobId(11), JobState::kRunning);
+  const auto replica = planner.plan_speculative(*wh.dag(DagId(1)),
+                                                *wh.job(JobId(11)), 3.0);
+  ASSERT_TRUE(replica.has_value());
+  EXPECT_EQ(replica->attempt, 3);
+  EXPECT_NE(replica->site, replan[0].site);
+  const auto race = wh.active_speculation(JobId(11));
+  ASSERT_TRUE(race.has_value());
+  EXPECT_EQ(race->primary_attempt, 2);
+  EXPECT_EQ(race->spec_attempt, 3);
+  EXPECT_EQ(wh.job(JobId(11))->attempt, 3);
 }
 
 TEST(Warehouse, SiteStatsEwmaAndReliability) {
@@ -265,11 +319,8 @@ TEST(Warehouse, DirtyQueueDrivesTheSweep) {
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
 
-  // Draining empties the queue and yields a fresh record.
-  auto drained = wh.drain_dirty_dags();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].id, DagId(100));
-  EXPECT_EQ(drained[0].state, DagState::kReceived);
+  // Draining empties the queue and yields the DAG's id.
+  EXPECT_EQ(wh.drain_dirty_dags(), std::vector<DagId>{DagId(100)});
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_TRUE(wh.drain_dirty_dags().empty());
 
@@ -302,10 +353,8 @@ TEST(Warehouse, DrainYieldsSubmissionOrder) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], DagId(200));
   EXPECT_EQ(ids[1], DagId(100));
-  const auto drained = wh.drain_dirty_dags();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].id, DagId(200));
-  EXPECT_EQ(drained[1].id, DagId(100));
+  EXPECT_EQ(wh.drain_dirty_dags(),
+            (std::vector<DagId>{DagId(200), DagId(100)}));
   // Marking is idempotent: one queue entry per DAG.
   wh.mark_dag_dirty(DagId(100));
   wh.mark_dag_dirty(DagId(100));
@@ -417,10 +466,7 @@ TEST(Warehouse, DrainSkipsDagsWithoutPendingWork) {
 
   wh.set_job_state(JobId(102), JobState::kCompleted);  // readies 103
   EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(100)});
-  const auto drained = wh.drain_dirty_dags();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].id, DagId(100));
-  EXPECT_EQ(drained[0].state, DagState::kPlanning);
+  EXPECT_EQ(wh.drain_dirty_dags(), std::vector<DagId>{DagId(100)});
 }
 
 TEST(Warehouse, RecoveryQueuesThePendingDags) {
@@ -750,9 +796,10 @@ TEST(Warehouse, RecoveryRefusesCellsItsColumnsCannotHold) {
 
 TEST(Warehouse, UnknownLookupsAreSafe) {
   DataWarehouse wh;
-  EXPECT_FALSE(wh.dag(DagId(1)).has_value());
-  EXPECT_FALSE(wh.job(JobId(1)).has_value());
-  EXPECT_TRUE(wh.jobs_of_dag(DagId(1)).empty());
+  EXPECT_EQ(wh.dag(DagId(1)), nullptr);
+  EXPECT_EQ(wh.job(JobId(1)), nullptr);
+  EXPECT_TRUE(wh.job_rows(DagId(1)).empty());
+  EXPECT_TRUE(wh.all_jobs_completed(DagId(1)));
   EXPECT_EQ(wh.outstanding_on_site(SiteId(1)), 0);
   EXPECT_EQ(wh.site_stats(SiteId(1)).completed, 0);
 }

@@ -39,6 +39,7 @@
 #include "submission_reference.hpp"
 #include "submit/condor_g.hpp"
 #include "trace_reference.hpp"
+#include "warehouse_reference.hpp"
 #include "wire_reference.hpp"
 #include "workflow/generator.hpp"
 
@@ -2776,6 +2777,234 @@ TEST_P(SeededProperty, TraceRenderingMatchesStringReference) {
     EXPECT_EQ(sink.name(name), sink.name(std::string(name)));
   }
   RecordProperty("numbered_subjects", static_cast<int>(numbered));
+}
+
+// --- borrowed warehouse reads ---------------------------------------------
+
+/// A DAG of up to seven jobs in one of four shapes: a chain, a fan-in
+/// (every job feeds the last), a fan-out (the first feeds every job) or a
+/// diamond (the first feeds the middle jobs, which feed the last).  Job
+/// ids are the DAG's id times 100 plus 1, 2, ...
+workflow::Dag shaped_dag(Rng& rng, std::uint64_t id) {
+  const std::int64_t shape = rng.uniform_int(0, 3);
+  const auto jobs =
+      static_cast<std::uint64_t>(rng.uniform_int(shape == 3 ? 3 : 2, 7));
+  const auto job_id = [id](std::uint64_t j) { return JobId(id * 100 + j); };
+  workflow::Dag dag(DagId(id), "shape-" + std::to_string(id));
+  for (std::uint64_t j = 1; j <= jobs; ++j) {
+    workflow::JobSpec job;
+    job.id = job_id(j);
+    job.name = "j" + std::to_string(j);
+    job.output = "lfn://shape/" + std::to_string(id) + "/" + std::to_string(j);
+    dag.add_job(job);
+  }
+  for (std::uint64_t j = 2; j <= jobs; ++j) {
+    if (shape == 0) {
+      dag.add_edge(job_id(j - 1), job_id(j));
+    } else if (shape == 1) {
+      dag.add_edge(job_id(j - 1), job_id(jobs));
+    } else if (shape == 2) {
+      dag.add_edge(job_id(1), job_id(j));
+    } else if (j < jobs) {
+      dag.add_edge(job_id(1), job_id(j));
+      dag.add_edge(job_id(j), job_id(jobs));
+    }
+  }
+  return dag;
+}
+
+std::string id_list(const std::vector<std::uint64_t>& ids) {
+  std::string out = "[";
+  for (const std::uint64_t id : ids) {
+    out += (out.size() > 1 ? " " : "") + std::to_string(id);
+  }
+  return out + "]";
+}
+
+// Warehouse reads borrow the stored rows.  After every step of a seeded
+// run of the transitions the server's modules make -- DAG arrivals,
+// sweeps (reducer completions, the hand-off to planning, plans, and
+// re-marking what stayed unplaced), tracker reports (submitted, running,
+// completed, cancelled or held then queued for a replan) and DAG
+// finishes -- the ready sets, pending-work flags, drains and
+// DAG-finished decisions must equal those of the copying reads kept in
+// tests/warehouse_reference.hpp.
+TEST_P(SeededProperty, BorrowedReadsMatchCopyReference) {
+  using core::DagState;
+  using core::JobState;
+  Rng rng(GetParam());
+  constexpr std::uint64_t kDags = 14;
+  constexpr int kSteps = 2000;
+  core::DataWarehouse wh;
+  std::vector<workflow::Dag> dags;  // inserted, in table order
+  std::vector<JobId> jobs;
+  SimTime now = 0.0;
+  std::size_t differing = 0;
+  // Reach: unplanned jobs seen with some but not all of their two or
+  // more parents completed (what a parent test that skips one parent
+  // gets wrong), ready jobs with two or more parents, and each kind of
+  // step that changes what is ready or pending.
+  std::size_t partial_parents = 0;
+  std::size_t ready_joins = 0;
+  std::size_t drains = 0;
+  std::size_t reduced = 0;
+  std::size_t replans = 0;
+  std::size_t finished = 0;
+
+  const auto ids_of = [](const std::vector<core::DagRecord>& rows) {
+    std::vector<DagId> out;
+    for (const core::DagRecord& row : rows) out.push_back(row.id);
+    return out;
+  };
+  const auto mismatch = [&](const std::string& what) {
+    if (differing++ == 0) ADD_FAILURE() << what;
+  };
+  const auto check = [&](const char* step) {
+    for (const workflow::Dag& spec : dags) {
+      const DagId id = spec.id();
+      std::vector<std::uint64_t> borrowed;
+      for (const core::JobRecord* job : wh.ready_jobs(id)) {
+        borrowed.push_back(job->id.value());
+        ready_joins += spec.parents(job->id).size() >= 2;
+      }
+      std::vector<std::uint64_t> copied;
+      for (const core::JobRecord& job :
+           warehouse_reference::ready_jobs(wh, id)) {
+        copied.push_back(job.id.value());
+      }
+      const core::DagRecord& row = *wh.dag(id);
+      const bool pending = core::WarehouseInspector::has_pending_work(wh, row);
+      const bool finishes =
+          row.state != DagState::kFinished && wh.all_jobs_completed(id);
+      if (borrowed != copied ||
+          pending != warehouse_reference::has_pending_work(wh, row) ||
+          finishes != warehouse_reference::finishes(wh, id)) {
+        mismatch(std::string("after ") + step + ", dag " +
+                 std::to_string(id.value()) + ": ready " + id_list(borrowed) +
+                 " vs " + id_list(copied) + ", pending " +
+                 std::to_string(pending) + ", finishes " +
+                 std::to_string(finishes));
+      }
+      for (const workflow::JobSpec& job : spec.jobs()) {
+        const std::vector<JobId>& parents = spec.parents(job.id);
+        if (parents.size() < 2 ||
+            wh.job(job.id)->state != JobState::kUnplanned) {
+          continue;
+        }
+        const auto done = std::count_if(
+            parents.begin(), parents.end(), [&](JobId parent) {
+              return wh.job(parent)->state == JobState::kCompleted;
+            });
+        partial_parents += done > 0 && done < std::ssize(parents);
+      }
+    }
+    if (wh.dirty_dags() !=
+        ids_of(warehouse_reference::queued_pending_dags(wh))) {
+      mismatch(std::string("queue after ") + step);
+    }
+    wh.check_invariants();
+  };
+  // The server's DAG-finished test, run where it runs it: after a
+  // reduction and after a completion report.
+  const auto finish_if_done = [&](DagId id) {
+    const core::DagRecord& row = *wh.dag(id);
+    const bool done =
+        row.state != DagState::kFinished && wh.all_jobs_completed(id);
+    if (done != warehouse_reference::finishes(wh, id)) {
+      mismatch("finish decision for dag " + std::to_string(id.value()));
+    }
+    if (!done) return;
+    wh.set_dag_finished(id, now);
+    ++finished;
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    now += 1.0;
+    const std::int64_t action = rng.uniform_int(0, 19);
+    if (dags.size() < kDags && (dags.empty() || action == 0)) {
+      workflow::Dag dag = shaped_dag(rng, dags.size() + 1);
+      wh.insert_dag(dag, "client", UserId(1), now);
+      for (const workflow::JobSpec& job : dag.jobs()) jobs.push_back(job.id);
+      dags.push_back(std::move(dag));
+      check("arrival");
+      continue;
+    }
+    if (action <= 6) {
+      // A sweep, stage by stage as the server runs it.
+      const std::vector<DagId> expected =
+          ids_of(warehouse_reference::queued_pending_dags(wh));
+      const std::vector<DagId> drained = wh.drain_dirty_dags();
+      if (drained != expected) {
+        mismatch("drain at step " + std::to_string(step));
+      }
+      drains += !drained.empty();
+      for (const DagId id : drained) {
+        if (wh.dag(id)->state != DagState::kReceived) continue;
+        for (const workflow::JobSpec& job : dags[id.value() - 1].jobs()) {
+          if (!rng.chance(0.15)) continue;
+          wh.set_job_state(job.id, JobState::kCompleted,
+                           "reduced:output-exists");
+          ++reduced;
+        }
+        wh.set_dag_state(id, DagState::kReduced);
+        finish_if_done(id);
+      }
+      for (const DagId id : drained) {
+        const core::DagRecord* dag = wh.dag(id);
+        if (dag->state == DagState::kReduced) {
+          wh.set_dag_state(id, DagState::kPlanning);
+        }
+        if (dag->state != DagState::kPlanning) continue;
+        bool left_unplanned = false;
+        for (const core::JobRecord* job : wh.ready_jobs(id)) {
+          if (rng.chance(0.7)) {
+            wh.set_job_planned(job->id, SiteId(rng.uniform_int(1, 4)), now);
+          } else {
+            left_unplanned = true;
+          }
+        }
+        if (left_unplanned) wh.mark_dag_dirty(id);
+      }
+      check("sweep");
+      continue;
+    }
+    // A tracker report on a random job; only outstanding jobs have one.
+    const JobId id = jobs[static_cast<std::size_t>(
+        rng.uniform_int(0, std::ssize(jobs) - 1))];
+    const JobState state = wh.job(id)->state;
+    if (!core::is_outstanding(state)) continue;
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind < 3) {
+      if (state == JobState::kPlanned) {
+        wh.set_job_state(id, JobState::kSubmitted, "report:submitted");
+      }
+    } else if (kind < 5) {
+      if (state != JobState::kRunning) {
+        wh.set_job_state(id, JobState::kRunning, "report:running");
+      }
+    } else if (kind < 8) {
+      wh.set_job_state(id, JobState::kCompleted, "report:completed");
+      finish_if_done(wh.job(id)->dag);
+    } else {
+      wh.set_job_state(id, rng.chance(0.5) ? JobState::kCancelled
+                                           : JobState::kHeld);
+      wh.set_job_state(id, JobState::kUnplanned, "replan-queued");
+      ++replans;
+    }
+    check("report");
+  }
+
+  EXPECT_EQ(differing, 0u);
+  EXPECT_EQ(dags.size(), kDags);
+  EXPECT_GT(partial_parents, 0u);
+  EXPECT_GT(ready_joins, 0u);
+  EXPECT_GT(drains, 0u);
+  EXPECT_GT(reduced, 0u);
+  EXPECT_GT(replans, 0u);
+  EXPECT_GT(finished, kDags / 2);
+  RecordProperty("partial_parents", static_cast<int>(partial_parents));
+  RecordProperty("ready_joins", static_cast<int>(ready_joins));
+  RecordProperty("finished", static_cast<int>(finished));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

@@ -184,8 +184,8 @@ TEST(SpeculationWarehouse, OpenRaceRetargetsJobRowAtReplica) {
   warehouse.set_job_state(JobId(1), core::JobState::kRunning);
 
   warehouse.speculate_job(JobId(1), SiteId(2), 500.0);
-  const auto job = warehouse.job(JobId(1));
-  ASSERT_TRUE(job.has_value());
+  const core::JobRecord* job = warehouse.job(JobId(1));
+  ASSERT_NE(job, nullptr);
   EXPECT_EQ(job->site, SiteId(2));
   EXPECT_EQ(job->attempt, 2);
   EXPECT_EQ(job->state, core::JobState::kPlanned);
@@ -218,8 +218,8 @@ TEST(SpeculationWarehouse, SpecDeadKeepsBurntAttempt) {
   warehouse.speculate_job(JobId(1), SiteId(2), 500.0);
 
   warehouse.resolve_speculation(JobId(1), core::SpeculationState::kSpecDead);
-  const auto job = warehouse.job(JobId(1));
-  ASSERT_TRUE(job.has_value());
+  const core::JobRecord* job = warehouse.job(JobId(1));
+  ASSERT_NE(job, nullptr);
   // Back on the primary site but the replica's attempt number stays
   // burnt: reusing it would collide with the client's (job, attempt)
   // duplicate guard.
