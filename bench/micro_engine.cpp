@@ -63,7 +63,8 @@ void BM_CancelHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelHalf)->Range(1 << 10, 1 << 14);
 
-/// What a message-bus delivery captures: an envelope's worth of strings.
+/// A heavy capture: an envelope's worth of strings, as the message bus's
+/// deliveries once captured (they now capture the bus and a slot index).
 struct DeliveryCapture {
   std::string from = "sphinx-client/tenant-0";
   std::string to = "sphinx-server/tenant-0";

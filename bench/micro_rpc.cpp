@@ -1,7 +1,8 @@
 /// Microbenchmark for the reliable-RPC stack: the end-to-end overhead
 /// the retry layer (sequence numbers, timers, outbox hooks) adds on a
 /// perfect wire -- the price every fault-free experiment pays for
-/// at-least-once delivery.
+/// at-least-once delivery -- and the same round trip as a figure tenant
+/// makes it, traced.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +10,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "obs/recorder.hpp"
 #include "rpc/clarens.hpp"
 #include "rpc/transport.hpp"
 #include "sim/engine.hpp"
@@ -75,8 +78,12 @@ Expected<std::string> read_echo(rpc::XrReader& in) {
 /// retry machinery off (single attempt) for the A/B comparison.
 struct RpcHarness {
   explicit RpcHarness(bool reliable)
-      : service(bus, "sphinx-server", open_policy()),
-        client(bus, "bench-client", bench_proxy(), make_retry(reliable)) {
+      : RpcHarness(reliable, "sphinx-server", "bench-client", bench_proxy()) {}
+
+  RpcHarness(bool reliable, const std::string& server,
+             const std::string& caller, rpc::Proxy proxy)
+      : service(bus, server, open_policy()),
+        client(bus, caller, std::move(proxy), make_retry(reliable)) {
     service.register_method(
         "echo", &decode_echo, &write_echo,
         [](const std::string& text, const rpc::Proxy&) {
@@ -96,13 +103,13 @@ struct RpcHarness {
   rpc::ClarensClient client;
 };
 
-/// Round-trip calls on a perfect wire.  Compare reliable=1 vs reliable=0
-/// to read the retry-path overhead at 0% loss straight off the report.
-void BM_RpcRoundTrip(benchmark::State& state) {
-  RpcHarness harness(state.range(0) == 1);
+/// Runs `state`'s iterations as calls of `harness`'s echo method at
+/// `server`.
+void round_trips(benchmark::State& state, RpcHarness& harness,
+                 const std::string& server) {
   benchmark::IterationCount completed = 0;
   for (auto _ : state) {
-    harness.client.call("sphinx-server", encode_echo("payload"), &read_echo,
+    harness.client.call(server, encode_echo("payload"), &read_echo,
                         [&completed](Expected<std::string> result) {
                           if (result.has_value()) ++completed;
                         });
@@ -110,8 +117,32 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   }
   if (completed != state.iterations()) state.SkipWithError("lost a call");
   state.SetItemsProcessed(completed);
+}
+
+/// Round-trip calls on a perfect wire.  Compare reliable=1 vs reliable=0
+/// to read the retry-path overhead at 0% loss straight off the report.
+void BM_RpcRoundTrip(benchmark::State& state) {
+  RpcHarness harness(state.range(0) == 1);
+  round_trips(state, harness, "sphinx-server");
   state.SetLabel(state.range(0) == 1 ? "reliable" : "bare");
 }
 BENCHMARK(BM_RpcRoundTrip)->Arg(0)->Arg(1);
+
+/// The reliable round trip as a figure tenant makes it: the completion-
+/// time tenant's endpoint names (past the 15-character inline buffer),
+/// its proxy, and a flight recorder on the bus tracing every delivery,
+/// as in every Scenario.
+void BM_RpcRoundTripTenant(benchmark::State& state) {
+  const std::string server = "sphinx-server/completion-time";
+  RpcHarness harness(
+      true, server, "sphinx-client/completion-time/out",
+      rpc::Proxy(rpc::Identity{"/DC=org/DC=griphyn/CN=user-completion-time"},
+                 "uscms", {"/uscms/production"}, 0.0, hours(24 * 365)));
+  obs::Recorder recorder(harness.engine);
+  harness.bus.set_recorder(&recorder);
+  round_trips(state, harness, server);
+  harness.bus.set_recorder(nullptr);
+}
+BENCHMARK(BM_RpcRoundTripTenant);
 
 }  // namespace

@@ -57,6 +57,34 @@ void BM_RlsLocateBulk(benchmark::State& state) {
 }
 BENCHMARK(BM_RlsLocateBulk);
 
+void BM_RlsRegister(benchmark::State& state) {
+  // A catalog shaped like a fig5 execution's: 12,000 names like the
+  // workload generator's external inputs, each at two or three sites,
+  // registered into a fresh service (torn down inside the timing: it is
+  // part of the cost).
+  constexpr int kNames = 12000;
+  std::vector<data::Lfn> names;
+  names.reserve(kNames);
+  for (int i = 0; i < kNames; ++i) {
+    names.push_back("lfn://input/f" + std::to_string(10000 + i));
+  }
+  std::int64_t registrations = 0;
+  for (auto _ : state) {
+    data::ReplicaLocationService rls;
+    for (int i = 0; i < kNames; ++i) {
+      for (int r = 0; r < 2 + i % 2; ++r) {
+        rls.register_replica(
+            names[static_cast<std::size_t>(i)],
+            SiteId(static_cast<std::uint64_t>(1 + (i * 7 + r) % 15)), 1e8);
+        ++registrations;
+      }
+    }
+    benchmark::DoNotOptimize(rls);
+  }
+  state.SetItemsProcessed(registrations);
+}
+BENCHMARK(BM_RlsRegister)->Unit(benchmark::kMillisecond);
+
 void BM_ReplicaSelection(benchmark::State& state) {
   sim::Engine engine;
   data::TransferService transfers(engine);
@@ -65,7 +93,7 @@ void BM_ReplicaSelection(benchmark::State& state) {
   }
   std::vector<data::Replica> replicas;
   for (std::uint64_t s = 1; s <= 8; ++s) {
-    replicas.push_back({"lfn://x", SiteId(s), 1.5e8});
+    replicas.push_back({.site = SiteId(s), .size_bytes = 1.5e8});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -170,7 +198,7 @@ template <typename P>
 Expected<P> decode_call(const std::string& wire,
                         Expected<P> (*decode)(rpc::XrReader&)) {
   rpc::XrReader in(wire);
-  std::string method;
+  std::string_view method;
   if (!in.begin_call(method)) return in.error();
   Expected<P> params = decode(in);
   if (!in.ok() || !in.end_call()) return in.error();

@@ -108,8 +108,9 @@ FailoverArtifacts run_once(const FailoverConfig& config, bool with_crash) {
         // Mark the deliberate ownership transfer before the endpoint
         // comes back: any drop in the (here instantaneous) window reads
         // "endpoint_handoff", not "endpoint_unregistered".
-        scenario.bus().expect_handoff("sphinx-server/failover#" +
-                                      std::to_string(idx));
+        rpc::MessageBus& bus = scenario.bus();
+        bus.expect_handoff(
+            bus.endpoint("sphinx-server/failover#" + std::to_string(idx)));
         auto recovered = scenario.recover_server(idx);
         if (!recovered.ok() && failure.empty()) {
           failure = "adoption failed: " + recovered.error().to_string();

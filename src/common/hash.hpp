@@ -3,9 +3,12 @@
 /// FNV-1a 64, the one byte-string hash behind stream seeds
 /// (SeedTree::seed_for), retry jitter (rpc/clarens.cpp) and the chaos
 /// campaign digests.  Every use depends on its exact values: changing it
-/// moves every seeded run.
+/// moves every seeded run.  Also the transparent string hash that lets a
+/// table keyed by std::string be probed with a std::string_view.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 namespace sphinx {
@@ -24,5 +27,15 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
   }
   return h;
 }
+
+/// std::hash over a string's text, transparent: with std::equal_to<> it
+/// lets an unordered container keyed by std::string find a
+/// std::string_view without building a string.
+struct StringHash {
+  using is_transparent = void;
+  [[nodiscard]] std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 }  // namespace sphinx

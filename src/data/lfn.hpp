@@ -15,9 +15,8 @@ namespace sphinx::data {
 /// A logical file name, e.g. "lfn://cms/reco/run42/evts.root".
 using Lfn = std::string;
 
-/// One physical replica of a logical file.
+/// One physical replica of a logical file, which the caller names.
 struct Replica {
-  Lfn lfn;
   SiteId site;
   double size_bytes = 0.0;
 

@@ -1,25 +1,11 @@
 #include "data/rls.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 
 namespace sphinx::data {
-
-void LocalReplicaCatalog::add(const Lfn& lfn, double size_bytes) {
-  SPHINX_ASSERT(size_bytes >= 0, "replica size must be non-negative");
-  files_[lfn] = size_bytes;
-}
-
-std::optional<double> LocalReplicaCatalog::size_of(
-    const Lfn& lfn) const noexcept {
-  const auto it = files_.find(lfn);
-  if (it == files_.end()) return std::nullopt;
-  return it->second;
-}
-
-LocalReplicaCatalog& ReplicaLocationService::lrc(SiteId site) {
-  return lrcs_.try_emplace(site, site).first->second;
-}
 
 void ReplicaLocationService::enable_soft_state(sim::Engine& engine,
                                                Duration propagation_delay) {
@@ -31,32 +17,53 @@ void ReplicaLocationService::enable_soft_state(sim::Engine& engine,
 void ReplicaLocationService::register_replica(const Lfn& lfn, SiteId site,
                                               double size_bytes) {
   SPHINX_ASSERT(site.valid(), "replica needs a valid site");
-  lrc(site).add(lfn, size_bytes);
+  SPHINX_ASSERT(size_bytes >= 0, "replica size must be non-negative");
+  Entry& entry = entries_.try_emplace(lfn).first->second;
+  // The LRC first, at once...
+  const auto known =
+      std::find_if(entry.registered.begin(), entry.registered.end(),
+                   [site](const Replica& r) { return r.site == site; });
+  if (known != entry.registered.end()) {
+    known->size_bytes = size_bytes;
+  } else {
+    entry.registered.push_back(Replica{site, size_bytes});
+  }
+  // ...then the index, after the propagation delay in soft-state mode.
   if (engine_ != nullptr && propagation_delay_ > 0) {
     engine_->schedule_in(propagation_delay_, "rls:propagate",
-                         [this, lfn, site] { index_[lfn].insert(site); });
+                         [indexed = &entry.indexed, site] {
+                           indexed->insert(site);
+                         });
     return;
   }
-  index_[lfn].insert(site);
+  entry.indexed.insert(site);
 }
 
-std::vector<Replica> ReplicaLocationService::locate_uncounted(
-    const Lfn& lfn) const {
+const ReplicaLocationService::Entry* ReplicaLocationService::find(
+    std::string_view lfn) const {
+  const auto it = entries_.find(lfn);
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+std::vector<Replica> ReplicaLocationService::answer(const Entry* entry) const {
   std::vector<Replica> out;
-  const auto idx = index_.find(lfn);
-  if (idx == index_.end()) return out;
-  for (const SiteId site : idx->second) {
-    const auto lrc_it = lrcs_.find(site);
-    if (lrc_it == lrcs_.end()) continue;
-    const auto size = lrc_it->second.size_of(lfn);
-    if (size.has_value()) out.push_back(Replica{lfn, site, *size});
+  if (entry == nullptr) return out;
+  out.reserve(entry->indexed.size());
+  // The answer keeps the index's iteration order, which the same inserts
+  // into the same set type reproduce run after run; plans depend on it.
+  for (const SiteId site : entry->indexed) {  // sphinx-lint-allow(ordered-escape): the answer order the goldens pin
+    // A site reaches the index only after its LRC registered the file.
+    out.push_back(*std::find_if(
+        entry->registered.begin(), entry->registered.end(),
+        [site](const Replica& r) { return r.site == site; }));
   }
   return out;
 }
 
-std::vector<Replica> ReplicaLocationService::locate(const Lfn& lfn) const {
+std::vector<Replica> ReplicaLocationService::locate(
+    std::string_view lfn) const {
   ++queries_;
-  return locate_uncounted(lfn);
+  return answer(find(lfn));
 }
 
 std::vector<std::vector<Replica>> ReplicaLocationService::locate_bulk(
@@ -64,7 +71,7 @@ std::vector<std::vector<Replica>> ReplicaLocationService::locate_bulk(
   ++queries_;  // a clubbed call is one query no matter how many names
   std::vector<std::vector<Replica>> out;
   out.reserve(lfns.size());
-  for (const Lfn& lfn : lfns) out.push_back(locate_uncounted(lfn));
+  for (const Lfn& lfn : lfns) out.push_back(answer(find(lfn)));
   return out;
 }
 

@@ -8,13 +8,17 @@
 /// logical name, *which* LRCs hold replicas.  Queries go index-first,
 /// then fan out to the relevant LRCs.  SPHINX "clubs" its lookups into
 /// single bulk calls, which the API supports directly.
+///
+/// Both levels live in one table keyed by the logical name, so a name is
+/// hashed once per registration or lookup: its entry holds what the
+/// sites' LRCs registered and which of those sites the index shows.
 
-#include <optional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/time.hpp"
 #include "data/lfn.hpp"
 
@@ -24,48 +28,35 @@ class Engine;
 
 namespace sphinx::data {
 
-/// Local Replica Catalog: one site's logical -> physical mapping.
-class LocalReplicaCatalog {
- public:
-  explicit LocalReplicaCatalog(SiteId site) : site_(site) {}
-
-  [[nodiscard]] SiteId site() const noexcept { return site_; }
-
-  /// Registers (or re-registers, updating the size) a local replica.
-  void add(const Lfn& lfn, double size_bytes);
-  [[nodiscard]] std::optional<double> size_of(const Lfn& lfn) const noexcept;  // sphinx-lint-allow(test-only): the RLS in this pair reads replica sizes through it
-  [[nodiscard]] std::size_t size() const noexcept { return files_.size(); }
-
- private:
-  SiteId site_;
-  std::unordered_map<Lfn, double> files_;  // lfn -> bytes
-};
-
-/// The full service: RLI index over per-site LRCs.
+/// The full service: the RLI index over the sites' LRCs.
 ///
 /// By default index updates are immediate.  In *soft-state* mode (the
 /// Giggle design the paper cites: LRCs push periodic state summaries to
 /// the index) registrations reach the LRC at once but become visible to
 /// index queries only after the propagation delay -- queries in that
 /// window miss the new replica, exactly like a freshly produced file on
-/// the real RLS.
+/// the real RLS.  A size update of a replica the index already shows is
+/// visible at once: it is read from the LRC.
 class ReplicaLocationService {
  public:
   ReplicaLocationService() = default;
+  // Pending soft-state propagations point into the table.
+  ReplicaLocationService(const ReplicaLocationService&) = delete;
+  ReplicaLocationService& operator=(const ReplicaLocationService&) = delete;
+  ReplicaLocationService(ReplicaLocationService&&) = default;
 
   /// Enables soft-state index propagation.  The engine must outlive the
   /// service.
   void enable_soft_state(sim::Engine& engine, Duration propagation_delay);
 
-  /// Creates (idempotently) the LRC for a site.
-  LocalReplicaCatalog& lrc(SiteId site);  // sphinx-lint-allow(test-only): tests read a site's LRC ahead of the soft-state index
-
-  /// Registers a replica of `lfn` at `site` and updates the index.  A
-  /// replica is never unregistered: the grid only ever adds files.
+  /// Registers a replica of `lfn` at `site` (or re-registers it, updating
+  /// its size) and updates the index.  A replica is never unregistered:
+  /// the grid only ever adds files.
   void register_replica(const Lfn& lfn, SiteId site, double size_bytes);
 
-  /// All replicas of one logical file.
-  [[nodiscard]] std::vector<Replica> locate(const Lfn& lfn) const;
+  /// All replicas of one logical file the index shows, each with the size
+  /// its site's LRC holds.
+  [[nodiscard]] std::vector<Replica> locate(std::string_view lfn) const;
 
   /// Bulk ("clubbed") lookup: one call, many logical names.  The result
   /// vector is parallel to `lfns`; missing files yield empty entries.
@@ -77,11 +68,23 @@ class ReplicaLocationService {
   [[nodiscard]] std::size_t queries() const noexcept { return queries_; }  // sphinx-lint-allow(test-only): tests check that a clubbed lookup is one query
 
  private:
-  [[nodiscard]] std::vector<Replica> locate_uncounted(const Lfn& lfn) const;
+  /// One logical file.
+  struct Entry {
+    /// The LRCs' replicas, in first-registration order.
+    std::vector<Replica> registered;
+    /// The sites the index shows, a subset of `registered`'s.  An
+    /// unordered set, as the index has always been: lookups answer in its
+    /// iteration order, which select_replica's first-of-equals rule makes
+    /// part of every plan.
+    std::unordered_set<SiteId> indexed;
+  };
 
-  std::unordered_map<SiteId, LocalReplicaCatalog> lrcs_;
-  // RLI: lfn -> set of sites whose LRC has it.
-  std::unordered_map<Lfn, std::unordered_set<SiteId>> index_;
+  [[nodiscard]] std::vector<Replica> answer(const Entry* entry) const;
+  [[nodiscard]] const Entry* find(std::string_view lfn) const;
+
+  /// Never iterated, and an entry is never erased, so its address is
+  /// stable for a pending propagation.
+  std::unordered_map<Lfn, Entry, StringHash, std::equal_to<>> entries_;
   mutable std::size_t queries_ = 0;
   sim::Engine* engine_ = nullptr;  ///< non-null in soft-state mode
   Duration propagation_delay_ = 0.0;

@@ -8,11 +8,12 @@
 namespace sphinx::rpc {
 namespace {
 
-/// Deterministic stateless jitter in [0, 1): FNV-1a over the endpoint
-/// name folded with splitmix64 over (seq, attempt).  No RNG stream is
-/// consumed, so a journal-recovered client re-arms byte-identical timers.
-double jitter01(const std::string& endpoint, std::uint64_t seq, int attempt) {
-  std::uint64_t h = fnv1a(endpoint);
+/// Deterministic stateless jitter in [0, 1): `seed`, the FNV-1a of the
+/// endpoint's name, folded with splitmix64 over (seq, attempt).  No RNG
+/// stream is consumed, so a journal-recovered client re-arms
+/// byte-identical timers.
+double jitter01(std::uint64_t seed, std::uint64_t seq, int attempt) {
+  std::uint64_t h = seed;
   h ^= seq + 0x9e3779b97f4a7c15ull;
   h ^= static_cast<std::uint64_t>(attempt) * 0xbf58476d1ce4e5b9ull;
   h ^= h >> 30;
@@ -36,11 +37,18 @@ Expected<bool> any_value(XrReader& in) {
   return true;
 }
 
+/// What a request without a proxy presents: no identity, so every
+/// policy denies it.
+const Proxy& anonymous() {
+  static const Proxy kNone;
+  return kNone;
+}
+
 }  // namespace
 
-ClarensService::ClarensService(MessageBus& bus, std::string endpoint,
+ClarensService::ClarensService(MessageBus& bus, std::string_view endpoint,
                                AuthzPolicy policy)
-    : bus_(bus), endpoint_(std::move(endpoint)), policy_(std::move(policy)) {
+    : bus_(bus), endpoint_(bus.endpoint(endpoint)), policy_(std::move(policy)) {
   bus_.register_endpoint(endpoint_, [this](const Envelope& env) {
     bus_.reply(env, process(env));
   });
@@ -52,7 +60,7 @@ std::string ClarensService::process(const Envelope& request) {
   // The whole envelope is decoded before anything else is decided, so a
   // malformed request is a parse fault whatever its method or caller.
   XrReader in(request.payload);
-  std::string method_name;
+  std::string_view method_name;
   Method* method = nullptr;
   if (in.begin_call(method_name)) {
     const auto it = methods_.find(method_name);
@@ -66,28 +74,31 @@ std::string ClarensService::process(const Envelope& request) {
   }
   if (!in.ok()) return fault(ClarensFault::kParse, in.error().error.message);
 
-  if (const StatusOrError admitted =
-          policy_.check(request.proxy, bus_.engine().now());
+  const Proxy& proxy =
+      request.proxy != nullptr ? *request.proxy : anonymous();
+  if (const StatusOrError admitted = policy_.check(proxy, bus_.engine().now());
       !admitted.ok()) {
     return fault(ClarensFault::kDenied, admitted.error().message);
   }
 
   if (method == nullptr) {
-    return fault(ClarensFault::kNoSuchMethod, "no such method: " + method_name);
+    return fault(ClarensFault::kNoSuchMethod,
+                 "no such method: " + std::string(method_name));
   }
 
-  auto reply = method->run(request.proxy);
+  auto reply = method->run(proxy);
   if (!reply) {
     return fault(ClarensFault::kApplication, reply.error().to_string());
   }
   return std::move(*reply);
 }
 
-ClarensClient::ClarensClient(MessageBus& bus, std::string endpoint, Proxy proxy,
-                             RetryPolicy retry)
+ClarensClient::ClarensClient(MessageBus& bus, std::string_view endpoint,
+                             Proxy proxy, RetryPolicy retry)
     : bus_(bus),
-      endpoint_(std::move(endpoint)),
-      proxy_(std::move(proxy)),
+      endpoint_(bus.endpoint(endpoint)),
+      jitter_seed_(fnv1a(endpoint)),
+      proxy_(std::make_shared<const Proxy>(std::move(proxy))),
       retry_(retry) {
   SPHINX_ASSERT(retry_.timeout > 0, "retry timeout must be positive");
   SPHINX_ASSERT(retry_.backoff >= 1, "backoff must not shrink the timeout");
@@ -101,11 +112,11 @@ ClarensClient::~ClarensClient() {
   bus_.unregister_endpoint(endpoint_);
 }
 
-void ClarensClient::start(const std::string& service, std::string payload,
+void ClarensClient::start(std::string_view service, std::string payload,
                           Completion done) {
   const std::uint64_t seq = next_seq_++;
   CallState state;
-  state.service = service;
+  state.service = bus_.endpoint(service);
   state.payload = std::move(payload);
   state.done = std::move(done);
   pending_.emplace(seq, std::move(state));
@@ -117,7 +128,7 @@ void ClarensClient::set_outbox(OutboxUpsert upsert, OutboxErase erase) {
   outbox_erase_ = std::move(erase);
 }
 
-void ClarensClient::restore_call(std::uint64_t seq, std::string service,
+void ClarensClient::restore_call(std::uint64_t seq, std::string_view service,
                                  std::string payload, int attempt,
                                  SimTime last_sent_at,
                                  std::function<void(StatusOrError)> callback) {
@@ -125,7 +136,7 @@ void ClarensClient::restore_call(std::uint64_t seq, std::string service,
   SPHINX_ASSERT(attempt >= 1, "restored call must have been transmitted");
   SPHINX_ASSERT(!pending_.contains(seq), "sequence number already in flight");
   CallState state;
-  state.service = std::move(service);
+  state.service = bus_.endpoint(service);
   state.payload = std::move(payload);
   state.done = [callback = std::move(callback)](
                    Expected<std::string_view> reply) {
@@ -152,7 +163,7 @@ Duration ClarensClient::rto(std::uint64_t seq, int attempt) const {
     base *= retry_.backoff;
   }
   base = std::min(base, retry_.max_timeout);
-  const double swing = 2.0 * jitter01(endpoint_, seq, attempt) - 1.0;
+  const double swing = 2.0 * jitter01(jitter_seed_, seq, attempt) - 1.0;
   return base * (1.0 + retry_.jitter * swing);
 }
 
@@ -164,8 +175,8 @@ void ClarensClient::transmit(std::uint64_t seq) {
   state.last_sent_at = bus_.engine().now();
   bus_.send(endpoint_, state.service, state.payload, proxy_, seq);
   if (outbox_upsert_ != nullptr) {
-    outbox_upsert_(seq, state.service, state.payload, state.attempt,
-                   state.last_sent_at);
+    outbox_upsert_(seq, bus_.name(state.service), state.payload,
+                   state.attempt, state.last_sent_at);
   }
   arm_timer(seq);
 }
@@ -184,7 +195,8 @@ void ClarensClient::on_timeout(std::uint64_t seq) {
   if (it == pending_.end()) return;  // response won the race; timer stale
   if (it->second.attempt >= retry_.max_attempts) {
     complete(seq, make_error("rpc_timeout",
-                             "no response from " + it->second.service +
+                             "no response from " +
+                                 bus_.name(it->second.service) +
                                  " after " +
                                  std::to_string(it->second.attempt) +
                                  " attempts"));

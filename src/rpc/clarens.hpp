@@ -79,7 +79,8 @@ class ClarensService {
   template <typename R>
   using ReplyWriter = void (*)(XrWriter& out, R reply);
 
-  ClarensService(MessageBus& bus, std::string endpoint, AuthzPolicy policy);
+  ClarensService(MessageBus& bus, std::string_view endpoint,
+                 AuthzPolicy policy);
   ~ClarensService();
 
   ClarensService(const ClarensService&) = delete;
@@ -137,7 +138,7 @@ class ClarensService {
   [[nodiscard]] std::string process(const Envelope& request);
 
   MessageBus& bus_;
-  std::string endpoint_;
+  EndpointId endpoint_;
   AuthzPolicy policy_;
   std::map<std::string, std::unique_ptr<Method>, std::less<>> methods_;
 };
@@ -168,7 +169,7 @@ class ClarensClient {
       std::uint64_t, const std::string&, const std::string&, int, SimTime)>;
   using OutboxErase = std::function<void(std::uint64_t)>;
 
-  ClarensClient(MessageBus& bus, std::string endpoint, Proxy proxy,
+  ClarensClient(MessageBus& bus, std::string_view endpoint, Proxy proxy,
                 RetryPolicy retry = {});
   ~ClarensClient();
 
@@ -181,7 +182,7 @@ class ClarensClient {
   /// that did not parse, or "rpc_timeout" after max_attempts
   /// transmissions went unanswered.
   template <typename R, typename F>
-  void call(const std::string& service, std::string payload,
+  void call(std::string_view service, std::string payload,
             ReplyReader<R> read, F callback) {
     SPHINX_ASSERT(read != nullptr, "call reply reader must not be null");
     start(service, std::move(payload),
@@ -202,7 +203,7 @@ class ClarensClient {
   /// it, so a recovered run replays the identical wire schedule.  The
   /// call's method is not known, so `callback` learns only whether a
   /// well-formed, fault-free reply came.
-  void restore_call(std::uint64_t seq, std::string service,
+  void restore_call(std::uint64_t seq, std::string_view service,
                     std::string payload, int attempt, SimTime last_sent_at,
                     std::function<void(StatusOrError)> callback);
 
@@ -231,7 +232,7 @@ class ClarensClient {
   }
 
   struct CallState {
-    std::string service;
+    EndpointId service{};
     std::string payload;  ///< serialized methodCall, reused verbatim
     Completion done;
     int attempt = 0;      ///< transmissions so far
@@ -239,7 +240,7 @@ class ClarensClient {
     sim::EventHandle timer;
   };
 
-  void start(const std::string& service, std::string payload, Completion done);
+  void start(std::string_view service, std::string payload, Completion done);
   void handle(const Envelope& response);
   void transmit(std::uint64_t seq);
   void arm_timer(std::uint64_t seq);
@@ -248,8 +249,11 @@ class ClarensClient {
   [[nodiscard]] Duration rto(std::uint64_t seq, int attempt) const;
 
   MessageBus& bus_;
-  std::string endpoint_;
-  Proxy proxy_;
+  EndpointId endpoint_;
+  /// FNV-1a of the endpoint's name, the seed of every retry's jitter.
+  std::uint64_t jitter_seed_;
+  /// Shared by every envelope the client sends.
+  std::shared_ptr<const Proxy> proxy_;
   RetryPolicy retry_;
   std::uint64_t next_seq_ = 1;
   /// Ordered so destruction/iteration order is deterministic.

@@ -1,6 +1,7 @@
 #include "rpc/transport.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -18,22 +19,40 @@ MessageBus::MessageBus(sim::Engine& engine, Rng rng, Duration base_latency,
   SPHINX_ASSERT(jitter_ >= 0, "jitter must be non-negative");
 }
 
-void MessageBus::register_endpoint(const std::string& name, Handler handler) {
+EndpointId MessageBus::endpoint(std::string_view name) {
+  if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
+  SPHINX_INVARIANT(
+      endpoints_.size() < std::numeric_limits<std::uint32_t>::max(),
+      "endpoint ids exhausted");
+  const EndpointId id{static_cast<std::uint32_t>(endpoints_.size())};
+  Endpoint& added = endpoints_.emplace_back();
+  added.name = name;
+  added.control = is_control(name);
+  if (recorder_ != nullptr) added.trace_name = recorder_->name(name);
+  ids_.emplace(added.name, id);
+  return id;
+}
+
+MessageBus::Endpoint& MessageBus::entry(EndpointId id) {
+  SPHINX_PRECONDITION(index(id) < endpoints_.size(), "unknown endpoint id");
+  return endpoints_[index(id)];
+}
+
+void MessageBus::register_endpoint(EndpointId id, Handler handler) {
   SPHINX_ASSERT(handler != nullptr, "endpoint handler must not be null");
-  endpoints_[name] = std::move(handler);
-  ever_registered_.insert(name);
+  Endpoint& target = entry(id);
+  target.handler = std::make_shared<const Handler>(std::move(handler));
+  target.ever_registered = true;
   // Registration completes a planned handoff: the name has an owner
   // again, so later drops (if any) are back to crash semantics.
-  handoff_windows_.erase(name);
+  target.handoff = false;
 }
 
-void MessageBus::unregister_endpoint(const std::string& name) {
-  endpoints_.erase(name);
+void MessageBus::unregister_endpoint(EndpointId id) {
+  entry(id).handler.reset();
 }
 
-void MessageBus::expect_handoff(const std::string& name) {
-  handoff_windows_.insert(name);
-}
+void MessageBus::expect_handoff(EndpointId id) { entry(id).handoff = true; }
 
 void MessageBus::set_fault_model(NetworkFaultConfig config, Rng faults_rng) {
   for (const LinkFaultRule& rule : config.rules) {
@@ -54,61 +73,62 @@ void MessageBus::set_control_stream(std::string prefix, Rng rng) {
   control_prefix_ = std::move(prefix);
   control_rng_ = std::move(rng);
   control_enabled_ = !control_prefix_.empty();
+  for (Endpoint& known : endpoints_) known.control = is_control(known.name);
 }
 
-void MessageBus::send(const std::string& from, const std::string& to,
-                      std::string payload, Proxy proxy,
+void MessageBus::set_recorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr) return;
+  for (Endpoint& known : endpoints_) {
+    known.trace_name = recorder_->name(known.name);
+  }
+}
+
+bool MessageBus::is_control(std::string_view name) const noexcept {
+  return control_enabled_ && name.starts_with(control_prefix_);
+}
+
+void MessageBus::send(EndpointId from, EndpointId to, std::string payload,
+                      std::shared_ptr<const Proxy> proxy,
                       std::uint64_t call_seq) {
   SPHINX_PRECONDITION(call_seq >= 1, "requests carry a call sequence >= 1");
-  Envelope env;
-  env.from = from;
-  env.to = to;
-  env.payload = std::move(payload);
-  env.proxy = std::move(proxy);
-  env.call_seq = call_seq;
-  post(std::move(env));
+  SPHINX_PRECONDITION(
+      index(from) < endpoints_.size() && index(to) < endpoints_.size(),
+      "unknown endpoint id");
+  post(Envelope{from, to, std::move(payload), std::move(proxy), call_seq});
 }
 
 void MessageBus::reply(const Envelope& request, std::string payload) {
-  Envelope env;
-  env.from = request.to;
-  env.to = request.from;
-  env.payload = std::move(payload);
-  env.call_seq = request.call_seq;
-  post(std::move(env));
+  post(Envelope{request.to, request.from, std::move(payload), nullptr,
+                request.call_seq});
 }
 
 void MessageBus::record(obs::TraceKind kind, const Envelope& env,
                         obs::Name detail, double value) {
-  recorder_->event(kind, recorder_->name(env.from), recorder_->name(env.to),
-                   detail, value);
+  recorder_->event(kind, endpoints_[index(env.from)].trace_name,
+                   endpoints_[index(env.to)].trace_name, detail, value);
 }
 
 bool MessageBus::rule_matches(const LinkFaultRule& rule, const Envelope& env,
-                              SimTime now) {
+                              SimTime now) const {
   if (now < rule.start || now >= rule.end) return false;
-  const auto has_prefix = [](const std::string& name,
-                             const std::string& prefix) {
-    return prefix.empty() || name.rfind(prefix, 0) == 0;
-  };
-  // Symmetric: a (client, server) rule also hits server->client replies.
-  return (has_prefix(env.from, rule.from_prefix) &&
-          has_prefix(env.to, rule.to_prefix)) ||
-         (has_prefix(env.from, rule.to_prefix) &&
-          has_prefix(env.to, rule.from_prefix));
+  const std::string& from = endpoints_[index(env.from)].name;
+  const std::string& to = endpoints_[index(env.to)].name;
+  // Symmetric: a (client, server) rule also hits server->client replies;
+  // an empty prefix matches every name.
+  return (from.starts_with(rule.from_prefix) &&
+          to.starts_with(rule.to_prefix)) ||
+         (from.starts_with(rule.to_prefix) &&
+          to.starts_with(rule.from_prefix));
 }
 
 void MessageBus::post(Envelope envelope) {
-  envelope.sent_at = engine_.now();
   // Control-plane traffic draws its latency from a dedicated stream and
   // skips the probabilistic faults below: its volume differs by design
   // between a failover run and its baseline, so letting it touch rng_ or
   // faults_rng_ would desynchronize every later core draw.
-  const auto has_prefix = [this](const std::string& name) {
-    return name.rfind(control_prefix_, 0) == 0;
-  };
-  const bool control =
-      control_enabled_ && (has_prefix(envelope.from) || has_prefix(envelope.to));
+  const bool control = endpoints_[index(envelope.from)].control ||
+                       endpoints_[index(envelope.to)].control;
   // The legacy latency-jitter draw comes first and always happens, so a
   // bus with no fault model consumes the identical rng_ sequence as one
   // that predates faults entirely.
@@ -182,39 +202,57 @@ void MessageBus::post(Envelope envelope) {
 }
 
 void MessageBus::deliver_in(Duration delay, Envelope envelope) {
-  engine_.schedule_in(
-      delay, "bus:deliver",
-      [this, env = std::move(envelope)]() {
-        const auto it = endpoints_.find(env.to);
-        if (it == endpoints_.end()) {
-          // A planned-handoff window is not a crash: the old owner
-          // unregistered deliberately and a new owner is on the way, so
-          // the drop gets its own counter and detail.
-          if (handoff_windows_.contains(env.to)) {
-            if (recorder_ != nullptr) {
-              recorder_->count("bus", "bus.dropped_handoff");
-              record(obs::TraceKind::kBusDrop, env,
-                     recorder_->name("endpoint_handoff"), 0.0);
-            }
-            return;
-          }
-          const bool known = ever_registered_.contains(env.to);
-          if (recorder_ != nullptr) {
-            recorder_->count("bus", "bus.dropped_no_endpoint");
-            record(obs::TraceKind::kBusDrop, env,
-                   recorder_->name(known ? "endpoint_unregistered"
-                                         : "missing_endpoint"),
-                   0.0);
-          }
-          return;
-        }
-        if (recorder_ != nullptr) {
-          const Duration latency = engine_.now() - env.sent_at;
-          record(obs::TraceKind::kBusDelivery, env, {}, latency);
-          recorder_->observe("bus", "bus.delivery_latency", latency);
-        }
-        it->second(env);
-      });
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    SPHINX_INVARIANT(
+        in_flight_.size() < std::numeric_limits<std::uint32_t>::max(),
+        "in-flight slots exhausted");
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{std::move(envelope), engine_.now()});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{std::move(envelope), engine_.now()};
+  }
+  // Two words: std::function keeps the capture inline.
+  engine_.schedule_in(delay, "bus:deliver", [this, slot] { deliver(slot); });
+}
+
+void MessageBus::deliver(std::uint32_t slot) {
+  // The envelope leaves its slot before anything runs: a handler may send
+  // (reusing the slot or growing the table) while it reads `env`.
+  const Envelope env = std::move(in_flight_[slot].envelope);
+  const SimTime sent_at = in_flight_[slot].sent_at;
+  free_slots_.push_back(slot);
+
+  const Endpoint& target = endpoints_[index(env.to)];
+  if (target.handler == nullptr) {
+    // A planned-handoff window is not a crash: the old owner
+    // unregistered deliberately and a new owner is on the way, so the
+    // drop gets its own counter and detail.
+    if (recorder_ == nullptr) return;
+    if (target.handoff) {
+      recorder_->count("bus", "bus.dropped_handoff");
+      record(obs::TraceKind::kBusDrop, env,
+             recorder_->name("endpoint_handoff"), 0.0);
+      return;
+    }
+    recorder_->count("bus", "bus.dropped_no_endpoint");
+    record(obs::TraceKind::kBusDrop, env,
+           recorder_->name(target.ever_registered ? "endpoint_unregistered"
+                                                  : "missing_endpoint"),
+           0.0);
+    return;
+  }
+  // A copy of the pointer, not of the handler: the record may be
+  // replaced (or the table grown) while the handler runs.
+  const std::shared_ptr<const Handler> handler = target.handler;
+  if (recorder_ != nullptr) {
+    const Duration latency = engine_.now() - sent_at;
+    record(obs::TraceKind::kBusDelivery, env, {}, latency);
+    recorder_->observe("bus", "bus.delivery_latency", latency);
+  }
+  (*handler)(env);
 }
 
 }  // namespace sphinx::rpc

@@ -11,12 +11,15 @@
 /// timed partition windows, all drawn from a dedicated seeded RNG stream
 /// so fault-free runs stay byte-identical to pre-fault-model builds.
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "obs/trace.hpp"
@@ -29,13 +32,19 @@ class Recorder;
 
 namespace sphinx::rpc {
 
+/// An endpoint of one bus: the index its name was interned at.  A bus
+/// hands out ids densely, in the order names first reach it, and never
+/// reuses one; an id stays valid across any number of registrations.
+enum class EndpointId : std::uint32_t {};
+
 /// One message in flight.
 struct Envelope {
-  std::string from;          ///< sender endpoint name
-  std::string to;            ///< recipient endpoint name
-  std::string payload;       ///< serialized XML-RPC call or response
-  Proxy proxy;               ///< caller credential (GSI)
-  SimTime sent_at = 0.0;  // sphinx-lint-allow(test-only): the bus in this pair measures latency from it
+  EndpointId from{};    ///< sender
+  EndpointId to{};      ///< recipient
+  std::string payload;  ///< serialized XML-RPC call or response
+  /// The caller's credential (GSI), shared by every transmission of a
+  /// call; null on a reply.
+  std::shared_ptr<const Proxy> proxy;
   /// End-to-end call sequence number, stable across retransmissions of
   /// the same logical call.  Requests carry one >= 1; replies copy the
   /// request's value.
@@ -67,6 +76,19 @@ struct NetworkFaultConfig {
 };
 
 /// Named-endpoint message bus.
+///
+/// A name costs a hash only where it enters: endpoint() interns it once,
+/// and everything after -- registration, sends, replies, delivery, fault
+/// matching, tracing -- works on the EndpointId.  Each id has one record
+/// holding its handler, whether the name was ever registered and whether
+/// a handoff window is open.  An envelope in flight waits in a slot of
+/// the bus's own table, so a delivery event captures only the bus and a
+/// slot index and allocates nothing.
+///
+/// Handlers may re-enter the bus: a handler may send, reply, and
+/// register, unregister or replace any endpoint while it runs, its own
+/// included.  A replaced or unregistered handler finishes the delivery
+/// it is running, and the next delivery sees the new registration.
 class MessageBus {
  public:
   using Handler = std::function<void(const Envelope&)>;
@@ -76,11 +98,20 @@ class MessageBus {
   MessageBus(sim::Engine& engine, Rng rng, Duration base_latency = 0.05,
              Duration jitter = 0.05);
 
+  /// The id of endpoint `name`, interned on first use.  Interning
+  /// registers nothing: a message to a name never registered is dropped
+  /// as "missing_endpoint".
+  [[nodiscard]] EndpointId endpoint(std::string_view name);
+  /// The name `id` was interned from.
+  [[nodiscard]] const std::string& name(EndpointId id) const {
+    return endpoints_[index(id)].name;
+  }
+
   /// Registers (or replaces) an endpoint handler.  Registration closes
   /// any pending handoff window for the name (see expect_handoff()).
-  void register_endpoint(const std::string& name, Handler handler);
+  void register_endpoint(EndpointId id, Handler handler);
   /// Removes an endpoint; in-flight messages to it will be dropped.
-  void unregister_endpoint(const std::string& name);
+  void unregister_endpoint(EndpointId id);
 
   /// Opens a *planned handoff* window for an endpoint: until the name is
   /// registered again, in-flight messages to it are dropped with detail
@@ -89,15 +120,16 @@ class MessageBus {
   /// plane marks a dead shard here before adoption re-registers it, so
   /// drops during a deliberate ownership transfer are distinguishable
   /// from drops caused by a crashed peer.
-  void expect_handoff(const std::string& name);
+  void expect_handoff(EndpointId id);
 
   /// Sends a request envelope.  `call_seq` (>= 1) threads the caller's
   /// end-to-end sequence number through the wire, which correlates the
-  /// reply.
-  void send(const std::string& from, const std::string& to,
-            std::string payload, Proxy proxy, std::uint64_t call_seq);
+  /// reply; `proxy` is shared, not copied, by every transmission.
+  void send(EndpointId from, EndpointId to, std::string payload,
+            std::shared_ptr<const Proxy> proxy, std::uint64_t call_seq);
 
-  /// Sends a reply correlated with `request` (copies its call_seq).
+  /// Sends a reply correlated with `request` (copies its call_seq); a
+  /// reply carries no proxy.
   void reply(const Envelope& request, std::string payload);
 
   /// Installs the network fault model.  `faults_rng` must be a dedicated
@@ -121,36 +153,63 @@ class MessageBus {
 
   /// Attaches a flight recorder; every delivery records its latency and
   /// every injected fault records an observe-only event, with the sender
-  /// as source and the recipient as subject.  Endpoints come and go, so
-  /// their trace names are looked up per event, a lookup that allocates
-  /// nothing once an endpoint has been traced.  Pass nullptr to detach.
-  /// Observation only -- attaching a recorder changes neither delivery
-  /// timing nor the RNG streams.
-  void set_recorder(obs::Recorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
+  /// as source and the recipient as subject.  Each endpoint's trace name
+  /// is resolved once per attached recorder: here for the endpoints
+  /// interned so far, and by endpoint() for later ones.  Pass nullptr to
+  /// detach.  Observation only -- attaching a recorder changes neither
+  /// delivery timing nor the RNG streams.
+  void set_recorder(obs::Recorder* recorder);
 
  private:
+  /// One interned name.
+  struct Endpoint {
+    std::string name;
+    /// Null while unregistered.  Shared, so a delivery keeps running the
+    /// handler it started even if that handler replaces itself.
+    std::shared_ptr<const Handler> handler;
+    /// Registered at least once, so a delivery-time drop can tell
+    /// "endpoint_unregistered" (peer went away) from "missing_endpoint"
+    /// (never wired up -- a config bug).
+    bool ever_registered = false;
+    /// Inside a planned-handoff window (expect_handoff() opened it,
+    /// registration closes it).
+    bool handoff = false;
+    /// The name starts with the control-stream prefix.
+    bool control = false;
+    obs::Name trace_name{};  ///< in the attached recorder's table
+  };
+  /// An envelope between its send and its delivery, in a slot of
+  /// in_flight_; a free slot holds a moved-from one.
+  struct InFlight {
+    Envelope envelope;
+    SimTime sent_at = 0.0;
+  };
+
+  [[nodiscard]] static std::size_t index(EndpointId id) noexcept {
+    return static_cast<std::size_t>(id);
+  }
+  /// The record of `id`, which must be one this bus issued.
+  [[nodiscard]] Endpoint& entry(EndpointId id);
+  [[nodiscard]] bool is_control(std::string_view name) const noexcept;
   void post(Envelope envelope);
   void deliver_in(Duration delay, Envelope envelope);
+  void deliver(std::uint32_t slot);
   /// Traces one event about `env` (recorder attached).
   void record(obs::TraceKind kind, const Envelope& env, obs::Name detail,
               double value);
-  [[nodiscard]] static bool rule_matches(const LinkFaultRule& rule,
-                                         const Envelope& env, SimTime now);
+  [[nodiscard]] bool rule_matches(const LinkFaultRule& rule,
+                                  const Envelope& env, SimTime now) const;
 
   sim::Engine& engine_;
   Rng rng_;
   Duration base_latency_;
   Duration jitter_;
-  std::unordered_map<std::string, Handler> endpoints_;
-  /// Every name ever registered, so a delivery-time drop can distinguish
-  /// "endpoint_unregistered" (peer went away) from "missing_endpoint"
-  /// (never wired up -- a config bug).
-  std::unordered_set<std::string> ever_registered_;
-  /// Endpoints inside a planned-handoff window (expect_handoff() opened
-  /// it, re-registration closes it).  Probed only, never iterated.
-  std::unordered_set<std::string> handoff_windows_;
+  std::vector<Endpoint> endpoints_;  ///< by EndpointId
+  /// Name -> id.  Probed only, never iterated.
+  std::unordered_map<std::string, EndpointId, StringHash, std::equal_to<>>
+      ids_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;  ///< in_flight_ slots to reuse
   NetworkFaultConfig faults_;
   // Placeholder seed, never drawn from: configuring faults move-assigns
   // a stream-derived Rng over it.

@@ -277,12 +277,6 @@ bool XrReader::decode_text(std::string_view raw, std::string& buffer,
   return true;
 }
 
-/// Consumes `<tag>text</tag>` into `out`.
-bool XrReader::text_element(std::string_view tag, std::string& out) {
-  std::string_view raw;
-  return expect_open(tag) && chars(raw) && close(tag) && decode(raw, out);
-}
-
 /// A member's `<name>`, decoded.
 bool XrReader::member_name(std::string_view& name) {
   std::string_view raw;
@@ -356,8 +350,10 @@ bool XrReader::skip(int depth) {
   return open(depth, type) && skip_open(type, depth);
 }
 
-bool XrReader::begin_call(std::string& method) {
-  if (!begin("methodCall") || !text_element("methodName", method)) {
+bool XrReader::begin_call(std::string_view& method) {
+  std::string_view raw;
+  if (!begin("methodCall") || !expect_open("methodName") || !chars(raw) ||
+      !close("methodName") || !decode_text(raw, method_buffer_, method)) {
     return false;
   }
   if (method.empty()) return fail("missing <methodName>");

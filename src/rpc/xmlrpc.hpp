@@ -136,7 +136,10 @@ class XrReader {
 
   /// Reads the optional declaration, `<methodCall>` and a non-empty
   /// `<methodName>`, and opens `<params>` when the call has one.
-  bool begin_call(std::string& method);
+  /// `method` points into the input, or into a buffer of the reader's
+  /// own when the name holds entities; either way it stays valid while
+  /// the reader lives.
+  bool begin_call(std::string_view& method);
   /// Calls `read(i)` for each `<param>` i of the call; `read` reads its
   /// one value at depth 1.
   template <typename F>
@@ -263,7 +266,6 @@ class XrReader {
   bool decode_text(std::string_view raw, std::string& buffer,
                    std::string_view& out);
   bool member_name(std::string_view& name);
-  bool text_element(std::string_view tag, std::string& out);
   bool close_value() {
     skip_ws();
     return close("value");
@@ -279,6 +281,7 @@ class XrReader {
   std::string_view text_;
   std::string text_buffer_;  ///< a string with entities, decoded
   std::string name_buffer_;  ///< a member name with entities, decoded
+  std::string method_buffer_;  ///< a method name with entities, decoded
   std::string what_;
   std::size_t at_ = 0;
 };

@@ -120,14 +120,15 @@ TEST(SoftStateRls, IndexLagsLrc) {
   rls.enable_soft_state(engine, 60.0);
 
   rls.register_replica("lfn://soft/a", SiteId(1), 1e6);
-  // The LRC has it immediately; the index does not.
-  EXPECT_TRUE(rls.lrc(SiteId(1)).size_of("lfn://soft/a").has_value());
+  // The LRC has it immediately; the index does not show it yet.
   EXPECT_TRUE(rls.locate("lfn://soft/a").empty());
 
   engine.run_until(59.0);
   EXPECT_TRUE(rls.locate("lfn://soft/a").empty());
   engine.run_until(61.0);
-  EXPECT_EQ(rls.locate("lfn://soft/a").size(), 1u);
+  // After the delay it does, at the size the LRC registered.
+  EXPECT_EQ(rls.locate("lfn://soft/a"),
+            (std::vector<data::Replica>{{SiteId(1), 1e6}}));
 }
 
 TEST(SoftStateRls, WorkflowStillCompletesWithLaggingIndex) {

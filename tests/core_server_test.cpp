@@ -486,9 +486,11 @@ class RedeliveryFixture : public ::testing::Test {
 
   RedeliveryFixture()
       : scenario(quiet()), tenant(scenario.add_tenant("t", TenantOptions{})) {
-    scenario.bus().register_endpoint(
-        "raw-caller",
-        [this](const rpc::Envelope& reply) { replies.push_back(reply.payload); });
+    rpc::MessageBus& bus = scenario.bus();
+    bus.register_endpoint(bus.endpoint("raw-caller"),
+                          [this](const rpc::Envelope& reply) {
+                            replies.push_back(reply.payload);
+                          });
     // DAG 1 reaches the server through the client, so both know it.  Its
     // four independent jobs are then planned at site 1 (attempt 1); the
     // server is never started, so nothing else touches them.
@@ -518,7 +520,9 @@ class RedeliveryFixture : public ::testing::Test {
                    bool settle = true) {
     const std::size_t events = scenario.recorder().trace().size();
     const std::size_t answered = replies.size();
-    scenario.bus().send("raw-caller", to, request, proxy, seq);
+    rpc::MessageBus& bus = scenario.bus();
+    bus.send(bus.endpoint("raw-caller"), bus.endpoint(to), request,
+             std::make_shared<const rpc::Proxy>(proxy), seq);
     if (settle) {
       scenario.engine().run_until();
     } else {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
 #include "data/rls.hpp"
@@ -49,8 +51,8 @@ TEST(Rls, BulkLookupIsParallelToInputAndCountsOnce) {
 TEST(Rls, LrcIsPerSite) {
   ReplicaLocationService rls;
   rls.register_replica("lfn://a", SiteId(1), kMB);
-  EXPECT_EQ(rls.lrc(SiteId(1)).size_of("lfn://a"), kMB);
-  EXPECT_FALSE(rls.lrc(SiteId(2)).size_of("lfn://a").has_value());
+  // Site 1's LRC holds the file at its registered size; site 2's does not.
+  EXPECT_EQ(rls.locate("lfn://a"), (std::vector<Replica>{{SiteId(1), kMB}}));
 }
 
 class TransferFixture : public ::testing::Test {
@@ -167,8 +169,8 @@ TEST(ReplicaSelection, PrefersLocalThenFastest) {
   transfers.set_link(SiteId(3), {10 * kMB, 10 * kMB});
 
   const std::vector<Replica> replicas = {
-      {"lfn://a", SiteId(2), 50 * kMB},
-      {"lfn://a", SiteId(1), 50 * kMB},
+      {SiteId(2), 50 * kMB},
+      {SiteId(1), 50 * kMB},
   };
   // Destination 3: site 1's uplink (10 MB/s) beats site 2's (1 MB/s).
   const auto remote = select_replica(replicas, SiteId(3), transfers);

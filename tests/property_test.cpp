@@ -29,10 +29,12 @@
 #include "ctrl/lease.hpp"
 #include "ctrl/renew.hpp"
 #include "data/gridftp.hpp"
+#include "data/rls.hpp"
 #include "db/database.hpp"
 #include "exp/scenario.hpp"
 #include "grid/site.hpp"
 #include "obs/recorder.hpp"
+#include "rls_reference.hpp"
 #include "rpc/clarens.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "sim/engine.hpp"
@@ -1975,9 +1977,10 @@ class WirePair {
                 [](const ctrl::Renewal& r) {
                   return tree::XrValue(tree::renew_text(verdict(r)));
                 });
-    bus_.register_endpoint("caller", [this](const rpc::Envelope& reply) {
-      reply_ = reply.payload;
-    });
+    bus_.register_endpoint(bus_.endpoint("caller"),
+                           [this](const rpc::Envelope& reply) {
+                             reply_ = reply.payload;
+                           });
   }
 
   /// The reply of the typed service and of the tree service to `request`.
@@ -2045,7 +2048,8 @@ class WirePair {
   std::string deliver_to(const std::string& service,
                          const std::string& request) {
     reply_.clear();
-    bus_.send("caller", service, request, proxy_, ++seq_);
+    bus_.send(bus_.endpoint("caller"), bus_.endpoint(service), request,
+              proxy_, ++seq_);
     engine_.run_until();
     return reply_;
   }
@@ -2054,8 +2058,10 @@ class WirePair {
   rpc::MessageBus bus_{engine_, Rng(3), 0.01, 0.0};
   rpc::ClarensService typed_{bus_, "typed", policy()};
   rpc::ClarensService tree_{bus_, "tree", policy()};
-  rpc::Proxy proxy_{rpc::Identity{"/CN=wire"}, "uscms", {}, 0.0,
-                    hours(24)};
+  std::shared_ptr<const rpc::Proxy> proxy_ =
+      std::make_shared<const rpc::Proxy>(rpc::Identity{"/CN=wire"}, "uscms",
+                                         std::vector<std::string>{}, 0.0,
+                                         hours(24));
   std::uint64_t seq_ = 0;
   std::string reply_;
 };
@@ -2131,9 +2137,10 @@ void inject_member(Rng& rng, std::string& doc) {
 class ReplyProbe {
  public:
   ReplyProbe() {
-    bus_.register_endpoint("replier", [this](const rpc::Envelope& request) {
-      bus_.reply(request, reply_);
-    });
+    bus_.register_endpoint(bus_.endpoint("replier"),
+                           [this](const rpc::Envelope& request) {
+                             bus_.reply(request, reply_);
+                           });
   }
 
   /// `reply` as the client's typed reader `read` takes it.
@@ -3005,6 +3012,168 @@ TEST_P(SeededProperty, BorrowedReadsMatchCopyReference) {
   RecordProperty("partial_parents", static_cast<int>(partial_parents));
   RecordProperty("ready_joins", static_cast<int>(ready_joins));
   RecordProperty("finished", static_cast<int>(finished));
+}
+
+// --- replica location service vs the per-site reference -------------------
+
+/// `replicas` as text, for a failure message.
+std::string replica_list(const std::vector<data::Replica>& replicas) {
+  std::string out = "[";
+  for (const data::Replica& r : replicas) {
+    if (out.size() > 1) out += ", ";
+    out += std::to_string(r.site.value()) + ":" +
+           obs::format_double(r.size_bytes);
+  }
+  return out + "]";
+}
+
+TEST_P(SeededProperty, ReplicaCatalogMatchesReference) {
+  // One seeded schedule of registrations (new replicas and re-registered
+  // sizes), single and clubbed lookups, and names never registered, run
+  // against the one-table service and the per-site LRC reference side by
+  // side: immediate, then in soft-state mode, where lookups fall before,
+  // at and after each registration's propagation delay.
+  constexpr int kNames = 48;
+  constexpr std::int64_t kSites = 15;
+  constexpr int kSteps = 1500;
+  constexpr Duration kDelay = 40.0;
+  std::vector<data::Lfn> names;
+  for (int i = 0; i < kNames; ++i) {
+    // Past the 15-character inline buffer, as the workload's names are.
+    names.push_back("lfn://prop/" + std::to_string(GetParam()) + "/f" +
+                    std::to_string(i));
+  }
+  for (const bool soft : {false, true}) {
+    Rng rng(GetParam() * 2 + (soft ? 1 : 0));
+    sim::Engine engine;
+    data::ReplicaLocationService rls;
+    rls_reference::ReplicaLocationService reference;
+    if (soft) {
+      rls.enable_soft_state(engine, kDelay);
+      reference.enable_soft_state(engine, kDelay);
+    }
+    std::size_t differing = 0;
+    // Reach: answers of two or more replicas whose order is not sorted by
+    // site (what a sorting mutation gets wrong), re-registrations that
+    // changed a size, misses on names never registered, clubbed calls,
+    // and in soft-state mode lookups that see a registration's site
+    // missing and present at the very instant it propagates.
+    std::size_t unsorted = 0;
+    std::size_t resized = 0;
+    std::size_t misses = 0;
+    std::size_t bulk = 0;
+    std::size_t before_delay = 0;
+    std::size_t after_delay = 0;
+    std::set<std::pair<std::size_t, std::uint64_t>> registered;
+
+    const auto compare = [&](const std::vector<data::Replica>& got,
+                             const std::vector<data::Replica>& want,
+                             const data::Lfn& name) {
+      if (got != want && differing++ == 0) {
+        ADD_FAILURE() << (soft ? "soft-state" : "immediate") << " at t="
+                      << engine.now() << ", " << name << ": "
+                      << replica_list(got) << " vs " << replica_list(want);
+      }
+      misses += want.empty();
+      unsorted += !std::is_sorted(want.begin(), want.end(),
+                                  [](const data::Replica& a,
+                                     const data::Replica& b) {
+                                    return a.site < b.site;
+                                  });
+    };
+    const auto lookup_one = [&](const data::Lfn& name) {
+      std::vector<data::Replica> got = rls.locate(name);
+      compare(got, reference.locate(name), name);
+      if (rls.queries() != reference.queries() && differing++ == 0) {
+        ADD_FAILURE() << "queries " << rls.queries() << " vs "
+                      << reference.queries();
+      }
+      return got;
+    };
+    // A lookup of `name` in an engine event at `at`, the instant a
+    // registration at `site` propagates.  A probe scheduled before the
+    // registration fires before the propagation; one scheduled after it,
+    // after.  Counts the probes whose site the index lacks (before) or
+    // shows (after).
+    const auto probe_at = [&](SimTime at, std::size_t name, SiteId site,
+                              bool before) {
+      engine.schedule_at(at, "probe", [&, name, site, before] {
+        const std::vector<data::Replica> shown = lookup_one(names[name]);
+        const bool has_site = std::any_of(
+            shown.begin(), shown.end(),
+            [site](const data::Replica& r) { return r.site == site; });
+        before_delay += before && !has_site;
+        after_delay += !before && has_site;
+      });
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+      // Time moves on a grid of quarter delays, so later steps land
+      // exactly on earlier registrations' propagation instants.
+      engine.run_until(engine.now() + kDelay / 4 *
+                                          static_cast<double>(
+                                              rng.uniform_int(0, 3)));
+      const std::int64_t action = rng.uniform_int(0, 9);
+      if (action < 4) {
+        // The first half of the pool, each name at two to five sites of
+        // its own (so re-registrations are frequent).
+        const auto name =
+            static_cast<std::size_t>(rng.uniform_int(0, kNames / 2 - 1));
+        const auto spread = static_cast<std::int64_t>(2 + name % 4);
+        const SiteId site(static_cast<std::uint64_t>(
+            1 + (static_cast<std::int64_t>(name) * 7 +
+                 rng.uniform_int(0, spread - 1)) %
+                    kSites));
+        const double bytes =
+            1e6 * static_cast<double>(rng.uniform_int(1, 400));
+        resized += !registered.emplace(name, site.value()).second;
+        const bool probe = soft && rng.chance(0.3);
+        if (probe) probe_at(engine.now() + kDelay, name, site, true);
+        rls.register_replica(names[name], site, bytes);
+        reference.register_replica(names[name], site, bytes);
+        if (probe) probe_at(engine.now() + kDelay, name, site, false);
+      } else if (action < 7) {
+        // Any name: the second half of the pool is never registered.
+        lookup_one(names[static_cast<std::size_t>(
+            rng.uniform_int(0, kNames - 1))]);
+      } else {
+        std::vector<data::Lfn> batch;
+        const std::int64_t n = rng.uniform_int(0, 12);
+        for (std::int64_t i = 0; i < n; ++i) {
+          batch.push_back(names[static_cast<std::size_t>(
+              rng.uniform_int(0, kNames - 1))]);
+        }
+        const auto got = rls.locate_bulk(batch);
+        const auto want = reference.locate_bulk(batch);
+        ++bulk;
+        if (got.size() != want.size() && differing++ == 0) {
+          ADD_FAILURE() << "bulk answer of " << got.size() << " names for "
+                        << want.size();
+        }
+        for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+          compare(got[i], want[i], batch[i]);
+        }
+        if (rls.queries() != reference.queries() && differing++ == 0) {
+          ADD_FAILURE() << "queries after a clubbed call " << rls.queries()
+                        << " vs " << reference.queries();
+        }
+      }
+    }
+    engine.run_until();
+    for (const data::Lfn& name : names) lookup_one(name);
+
+    EXPECT_EQ(differing, 0u) << (soft ? "soft-state" : "immediate");
+    EXPECT_GT(unsorted, 0u);
+    EXPECT_GT(resized, 0u);
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(bulk, 0u);
+    if (soft) {
+      EXPECT_GT(before_delay, 0u);
+      EXPECT_GT(after_delay, 0u);
+    }
+    RecordProperty(soft ? "soft_unsorted" : "unsorted",
+                   static_cast<int>(unsorted));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

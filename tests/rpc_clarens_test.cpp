@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -72,30 +73,34 @@ class BusFixture : public ::testing::Test {
 
 TEST_F(BusFixture, DeliversAfterLatency) {
   std::vector<std::string> got;
-  bus.register_endpoint("server", [&](const Envelope& e) {
-    got.push_back(e.payload);
-    EXPECT_DOUBLE_EQ(e.sent_at, 0.0);
-  });
-  bus.send("client", "server", "hello", {}, 1);
+  bus.register_endpoint(bus.endpoint("server"),
+                        [&](const Envelope& e) { got.push_back(e.payload); });
+  bus.send(bus.endpoint("client"), bus.endpoint("server"), "hello", {}, 1);
   EXPECT_TRUE(got.empty());  // not yet delivered
   engine.run_until();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], "hello");
   EXPECT_DOUBLE_EQ(engine.now(), 0.05);
+  // Sent at 0.0: the delivery records all of the 0.05 s as its latency.
+  const auto delivered = recorder.trace().events(obs::TraceKind::kBusDelivery);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_DOUBLE_EQ(delivered[0].value, 0.05);
 }
 
 TEST_F(BusFixture, PreservesSendOrderAtEqualLatency) {
   std::vector<int> order;
-  bus.register_endpoint("s", [&](const Envelope& e) {
+  bus.register_endpoint(bus.endpoint("s"), [&](const Envelope& e) {
     order.push_back(std::stoi(e.payload));
   });
-  for (int i = 0; i < 5; ++i) bus.send("c", "s", std::to_string(i), {}, 1);
+  for (int i = 0; i < 5; ++i) {
+    bus.send(bus.endpoint("c"), bus.endpoint("s"), std::to_string(i), {}, 1);
+  }
   engine.run_until();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST_F(BusFixture, DropsToMissingEndpoint) {
-  bus.send("c", "nobody", "lost", {}, 1);
+  bus.send(bus.endpoint("c"), bus.endpoint("nobody"), "lost", {}, 1);
   engine.run_until();
   EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
   EXPECT_EQ(recorder.counter("bus.lost", "bus"), 0u);
@@ -105,28 +110,136 @@ TEST_F(BusFixture, DropsToMissingEndpoint) {
 
 TEST_F(BusFixture, UnregisterDropsInflight) {
   bool delivered = false;
-  bus.register_endpoint("s", [&](const Envelope&) { delivered = true; });
-  bus.send("c", "s", "x", {}, 1);
-  bus.unregister_endpoint("s");
+  bus.register_endpoint(bus.endpoint("s"),
+                        [&](const Envelope&) { delivered = true; });
+  bus.send(bus.endpoint("c"), bus.endpoint("s"), "x", {}, 1);
+  bus.unregister_endpoint(bus.endpoint("s"));
   engine.run_until();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
 }
 
 TEST_F(BusFixture, ReplyCorrelatesWithRequest) {
-  bus.register_endpoint("server",
+  bus.register_endpoint(bus.endpoint("server"),
                         [&](const Envelope& e) { bus.reply(e, "pong"); });
   std::uint64_t got_call_seq = 0;
-  std::string got_to;
-  bus.register_endpoint("client", [&](const Envelope& e) {
+  EndpointId got_to{};
+  bus.register_endpoint(bus.endpoint("client"), [&](const Envelope& e) {
     got_call_seq = e.call_seq;
     got_to = e.to;
     EXPECT_EQ(e.payload, "pong");
   });
-  bus.send("client", "server", "ping", {}, 7);
+  bus.send(bus.endpoint("client"), bus.endpoint("server"), "ping", {}, 7);
   engine.run_until();
   EXPECT_EQ(got_call_seq, 7u);  // the reply carries the request's call
-  EXPECT_EQ(got_to, "client");
+  EXPECT_EQ(bus.name(got_to), "client");
+}
+
+// A handler may rewire the bus while it runs.  Each handler below keeps
+// reading a heap-held capture after it rewired, so a handler destroyed
+// under its own delivery is a use-after-free (asan-ubsan).
+
+TEST_F(BusFixture, HandlerMayUnregisterItsOwnEndpoint) {
+  const EndpointId self = bus.endpoint("one-shot");
+  std::vector<std::string> got;
+  const std::string tag(64, 'u');
+  bus.register_endpoint(self, [&, tag](const Envelope& e) {
+    bus.unregister_endpoint(self);
+    got.push_back(tag + e.payload);
+  });
+  bus.send(bus.endpoint("c"), self, "1", {}, 1);
+  bus.send(bus.endpoint("c"), self, "2", {}, 1);
+  engine.run_until();
+  EXPECT_EQ(got, std::vector<std::string>{tag + "1"});
+  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 1u);
+  const auto drops = recorder.trace().events(obs::TraceKind::kBusDrop);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].detail, "endpoint_unregistered");
+}
+
+TEST_F(BusFixture, HandlerMayReplaceItsOwnEndpoint) {
+  const EndpointId self = bus.endpoint("rewired");
+  std::vector<std::string> got;
+  const std::string tag(64, 'r');
+  bus.register_endpoint(self, [&, tag](const Envelope& e) {
+    bus.register_endpoint(self, [&got](const Envelope& later) {
+      got.push_back("second:" + later.payload);
+    });
+    got.push_back(tag + e.payload);
+  });
+  for (const char* payload : {"1", "2", "3"}) {
+    bus.send(bus.endpoint("c"), self, payload, {}, 1);
+  }
+  engine.run_until();
+  EXPECT_EQ(got, (std::vector<std::string>{tag + "1", "second:2", "second:3"}));
+  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 0u);
+}
+
+TEST_F(BusFixture, HandlerMayRegisterNewEndpoints) {
+  // Registering 64 names grows the endpoint table under the running
+  // handler; each new endpoint then receives what the handler sends it.
+  const EndpointId hub = bus.endpoint("hub");
+  std::vector<std::string> got;
+  const std::string tag(64, 'n');
+  bus.register_endpoint(hub, [&, tag](const Envelope& e) {
+    for (int i = 0; i < 64; ++i) {
+      const EndpointId leaf = bus.endpoint("leaf-" + std::to_string(i));
+      bus.register_endpoint(leaf, [&got, i](const Envelope& note) {
+        got.push_back(std::to_string(i) + ":" + note.payload);
+      });
+      bus.send(hub, leaf, e.payload, {}, e.call_seq);
+    }
+    got.push_back(tag);
+  });
+  bus.send(bus.endpoint("c"), hub, "hello", {}, 1);
+  engine.run_until();
+  ASSERT_EQ(got.size(), 65u);
+  EXPECT_EQ(got[0], tag);
+  EXPECT_EQ(got[1], "0:hello");
+  EXPECT_EQ(got[64], "63:hello");
+}
+
+TEST_F(BusFixture, DropsKeepTheirCounterAndDetailAcrossReusedSlots) {
+  // Three kinds of dead endpoint next to a live one, in rounds that each
+  // start once the last round's envelopes have left their slots, so
+  // later rounds ride reused slots.  Every drop must name its own
+  // recipient with its own detail, and count under its own counter.
+  const EndpointId from = bus.endpoint("c");
+  const EndpointId live = bus.endpoint("live");
+  const EndpointId gone = bus.endpoint("gone");
+  const EndpointId moving = bus.endpoint("moving");
+  const EndpointId never = bus.endpoint("never-wired");
+  std::size_t delivered = 0;
+  const auto count = [&delivered](const Envelope&) { ++delivered; };
+  bus.register_endpoint(live, count);
+  bus.register_endpoint(gone, count);
+  bus.register_endpoint(moving, count);
+  bus.unregister_endpoint(gone);
+  bus.expect_handoff(moving);
+  bus.unregister_endpoint(moving);
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const EndpointId to : {live, gone, live, moving, never, live}) {
+      bus.send(from, to, "m", {}, 1);
+    }
+    engine.run_until();
+  }
+  EXPECT_EQ(delivered, 3u * kRounds);
+  EXPECT_EQ(recorder.counter("bus.dropped_handoff", "bus"), 1u * kRounds);
+  EXPECT_EQ(recorder.counter("bus.dropped_no_endpoint", "bus"), 2u * kRounds);
+  std::vector<std::pair<std::string, std::string>> drops;
+  for (const obs::TraceView& e :
+       recorder.trace().events(obs::TraceKind::kBusDrop)) {
+    EXPECT_EQ(e.source, "c");
+    drops.emplace_back(e.subject, e.detail);
+  }
+  std::vector<std::pair<std::string, std::string>> want;
+  for (int round = 0; round < kRounds; ++round) {
+    want.emplace_back("gone", "endpoint_unregistered");
+    want.emplace_back("moving", "endpoint_handoff");
+    want.emplace_back("never-wired", "missing_endpoint");
+  }
+  EXPECT_EQ(drops, want);
 }
 
 class ClarensFixture : public ::testing::Test {
@@ -236,14 +349,15 @@ TEST_F(ClarensFixture, ExpiredProxyDeniedAtCallTime) {
 
 TEST_F(ClarensFixture, GarbagePayloadFaults) {
   bool got_fault = false;
-  bus.register_endpoint("raw-client", [&](const Envelope& env) {
+  bus.register_endpoint(bus.endpoint("raw-client"), [&](const Envelope& env) {
     const auto parsed = MethodResponse::parse(env.payload);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_TRUE(parsed->is_fault);
     EXPECT_EQ(parsed->fault.code, 1);
     got_fault = true;
   });
-  bus.send("raw-client", "sphinx-server", "this is not xml", user_proxy(), 1);
+  bus.send(bus.endpoint("raw-client"), bus.endpoint("sphinx-server"),
+           "this is not xml", std::make_shared<const Proxy>(user_proxy()), 1);
   engine.run_until();
   EXPECT_TRUE(got_fault);
 }
@@ -290,7 +404,7 @@ TEST_F(ClarensFixture, FaultPrecedenceIsParseDeniedMethodThenParams) {
   const Proxy intruder(Identity{"/CN=Someone Else"}, "ligo", {}, 0.0,
                        hours(1));
   std::optional<MethodResponse> reply;
-  bus.register_endpoint("raw-client", [&](const Envelope& env) {
+  bus.register_endpoint(bus.endpoint("raw-client"), [&](const Envelope& env) {
     auto parsed = MethodResponse::parse(env.payload);
     ASSERT_TRUE(parsed.has_value()) << env.payload;
     reply = std::move(*parsed);
@@ -298,7 +412,8 @@ TEST_F(ClarensFixture, FaultPrecedenceIsParseDeniedMethodThenParams) {
   std::uint64_t seq = 0;
   const auto fault_of = [&](const Proxy& proxy, const std::string& payload) {
     reply.reset();
-    bus.send("raw-client", "sphinx-server", payload, proxy, ++seq);
+    bus.send(bus.endpoint("raw-client"), bus.endpoint("sphinx-server"),
+             payload, std::make_shared<const Proxy>(proxy), ++seq);
     engine.run_until();
     EXPECT_TRUE(reply.has_value() && reply->is_fault) << payload;
     return reply.has_value()
@@ -325,8 +440,9 @@ TEST_F(ClarensFixture, FaultPrecedenceIsParseDeniedMethodThenParams) {
                       std::string("bad_request: expected [n]")));
   // An accepted call runs its handler.
   reply.reset();
-  bus.send("raw-client", "sphinx-server",
-           MethodCall{"count", {XrValue(41)}}.serialize(), user_proxy(), ++seq);
+  bus.send(bus.endpoint("raw-client"), bus.endpoint("sphinx-server"),
+           MethodCall{"count", {XrValue(41)}}.serialize(),
+           std::make_shared<const Proxy>(user_proxy()), ++seq);
   engine.run_until();
   ASSERT_TRUE(reply.has_value());
   EXPECT_FALSE(reply->is_fault);

@@ -6,7 +6,9 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -15,6 +17,12 @@
 
 namespace sphinx::rpc {
 namespace {
+
+/// Sends `payload` from `from` to `to` as call 1.
+void send(MessageBus& bus, std::string_view from, std::string_view to,
+          std::string payload) {
+  bus.send(bus.endpoint(from), bus.endpoint(to), std::move(payload), {}, 1);
+}
 
 class FaultBusFixture : public ::testing::Test {
  protected:
@@ -33,7 +41,8 @@ class FaultBusFixture : public ::testing::Test {
     auto counter = std::make_unique<std::size_t>(0);
     std::size_t* raw = counter.get();
     counters_.push_back(std::move(counter));
-    bus.register_endpoint(name, [raw](const Envelope&) { ++*raw; });
+    bus.register_endpoint(bus.endpoint(name),
+                          [raw](const Envelope&) { ++*raw; });
     return raw;
   }
 
@@ -55,7 +64,7 @@ TEST_F(FaultBusFixture, CertainLossDropsEveryMessage) {
   rule.loss = 1.0;
   with_rule(rule);
   std::size_t* got = sink("server");
-  for (int i = 0; i < 8; ++i) bus.send("client", "server", "m", {}, 1);
+  for (int i = 0; i < 8; ++i) send(bus, "client", "server", "m");
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(counter("bus.lost"), 8u);
@@ -67,7 +76,7 @@ TEST_F(FaultBusFixture, CertainDuplicationDeliversTwice) {
   rule.duplicate = 1.0;
   with_rule(rule);
   std::size_t* got = sink("server");
-  bus.send("client", "server", "m", {}, 1);
+  send(bus, "client", "server", "m");
   engine.run_until();
   EXPECT_EQ(*got, 2u);
   EXPECT_EQ(counter("bus.duplicated"), 1u);
@@ -81,7 +90,7 @@ TEST_F(FaultBusFixture, PartitionWindowIsHalfOpen) {
   with_rule(rule);
   std::size_t* got = sink("server");
   for (const SimTime at : {5.0, 10.0, 19.99, 20.0}) {
-    engine.schedule_at(at, "send", [this] { bus.send("c", "server", "m", {}, 1); });
+    engine.schedule_at(at, "send", [this] { send(bus, "c", "server", "m"); });
   }
   engine.run_until();
   // Sends at t=10 and t=19.99 fall inside [start, end); 5.0 and 20.0 pass.
@@ -99,9 +108,9 @@ TEST_F(FaultBusFixture, RuleMatchingIsSymmetricAndPrefixBased) {
   std::size_t* to_server = sink("server/out");
   std::size_t* to_client = sink("client-7");
   std::size_t* to_other = sink("other");
-  bus.send("client-7", "server/out", "req", {}, 1);     // forward: partitioned
-  bus.send("server/out", "client-7", "reply", {}, 1);   // reverse: partitioned too
-  bus.send("client-7", "other", "side", {}, 1);         // unmatched link: delivered
+  send(bus, "client-7", "server/out", "req");    // forward: partitioned
+  send(bus, "server/out", "client-7", "reply");  // reverse: partitioned too
+  send(bus, "client-7", "other", "side");        // unmatched link: delivered
   engine.run_until();
   EXPECT_EQ(*to_server, 0u);
   EXPECT_EQ(*to_client, 0u);
@@ -115,10 +124,10 @@ TEST_F(FaultBusFixture, ReorderSpikeDelaysDelivery) {
   rule.reorder_spike = 100.0;
   with_rule(rule);
   std::vector<SimTime> delivered_at;
-  bus.register_endpoint("server", [&](const Envelope&) {
+  bus.register_endpoint(bus.endpoint("server"), [&](const Envelope&) {
     delivered_at.push_back(engine.now());
   });
-  bus.send("client", "server", "m", {}, 1);
+  send(bus, "client", "server", "m");
   engine.run_until();
   ASSERT_EQ(delivered_at.size(), 1u);
   EXPECT_GT(delivered_at[0], 0.05);  // base latency plus a spike
@@ -128,9 +137,10 @@ TEST_F(FaultBusFixture, ReorderSpikeDelaysDelivery) {
 
 TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
   std::size_t* got = sink("ephemeral");
-  bus.send("client", "ephemeral", "in-flight", {}, 1);
-  bus.unregister_endpoint("ephemeral");  // drop the in-flight message
-  bus.send("client", "never-wired", "lost cause", {}, 1);
+  send(bus, "client", "ephemeral", "in-flight");
+  // Drop the in-flight message.
+  bus.unregister_endpoint(bus.endpoint("ephemeral"));
+  send(bus, "client", "never-wired", "lost cause");
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 2u);
@@ -145,13 +155,13 @@ TEST_F(FaultBusFixture, DropDetailDistinguishesUnregisteredFromMissing) {
 
 TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
   std::size_t* got = sink("sphinx-server/shard0");
-  bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
+  send(bus, "client", "sphinx-server/shard0", "in-flight");
 
   // Planned ownership transfer: announce the handoff, then take the
   // endpoint down.  The in-flight reply is dropped -- but as
   // "endpoint_handoff", counted separately from crash-style drops.
-  bus.expect_handoff("sphinx-server/shard0");
-  bus.unregister_endpoint("sphinx-server/shard0");
+  bus.expect_handoff(bus.endpoint("sphinx-server/shard0"));
+  bus.unregister_endpoint(bus.endpoint("sphinx-server/shard0"));
   engine.run_until();
   EXPECT_EQ(*got, 0u);
   EXPECT_EQ(counter("bus.dropped_handoff"), 1u);
@@ -166,18 +176,18 @@ TEST_F(FaultBusFixture, HandoffWindowDistinguishesPlannedDropsFromCrash) {
 }
 
 TEST_F(FaultBusFixture, ReRegistrationClosesTheHandoffWindow) {
-  bus.expect_handoff("sphinx-server/shard0");
+  bus.expect_handoff(bus.endpoint("sphinx-server/shard0"));
 
   // The new owner registering the endpoint completes the handoff; a
   // later unregister is a plain crash again, not a handoff remnant.
   std::size_t* got = sink("sphinx-server/shard0");
-  bus.send("client", "sphinx-server/shard0", "post-handoff", {}, 1);
+  send(bus, "client", "sphinx-server/shard0", "post-handoff");
   engine.run_until();
   EXPECT_EQ(*got, 1u);
   EXPECT_EQ(counter("bus.dropped_handoff"), 0u);
 
-  bus.send("client", "sphinx-server/shard0", "in-flight", {}, 1);
-  bus.unregister_endpoint("sphinx-server/shard0");
+  send(bus, "client", "sphinx-server/shard0", "in-flight");
+  bus.unregister_endpoint(bus.endpoint("sphinx-server/shard0"));
   engine.run_until();
   EXPECT_EQ(counter("bus.dropped_handoff"), 0u);
   EXPECT_EQ(counter("bus.dropped_no_endpoint"), 1u);
@@ -200,17 +210,18 @@ TEST(ControlStream, ControlTrafficNeverShiftsCoreLatencyDraws) {
     MessageBus bus{engine, Rng(1), 0.05, 0.05};
     bus.set_control_stream("ctrl/", Rng(99));
     std::vector<SimTime> delivered_at;
-    bus.register_endpoint("server", [&](const Envelope&) {
+    bus.register_endpoint(bus.endpoint("server"), [&](const Envelope&) {
       delivered_at.push_back(engine.now());
     });
-    bus.register_endpoint("ctrl/coordinator", [](const Envelope&) {});
+    bus.register_endpoint(bus.endpoint("ctrl/coordinator"),
+                          [](const Envelope&) {});
     for (int i = 0; i < 16; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "core", {}, 1);
+        send(bus, "client", "server", "core");
       });
       if (with_ctrl_traffic) {
         engine.schedule_at(static_cast<double>(i) + 0.5, "beat", [&bus] {
-          bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
+          send(bus, "ctrl/hb/s0", "ctrl/coordinator", "renew");
         });
       }
     }
@@ -234,13 +245,14 @@ TEST(ControlStream, ControlTrafficIsExemptFromProbabilisticFaults) {
   config.rules.push_back(rule);
   bus.set_fault_model(config, Rng(7));
   std::size_t ctrl_delivered = 0;
-  bus.register_endpoint("ctrl/coordinator",
+  bus.register_endpoint(bus.endpoint("ctrl/coordinator"),
                         [&](const Envelope&) { ++ctrl_delivered; });
   std::size_t core_delivered = 0;
-  bus.register_endpoint("server", [&](const Envelope&) { ++core_delivered; });
+  bus.register_endpoint(bus.endpoint("server"),
+                        [&](const Envelope&) { ++core_delivered; });
   for (int i = 0; i < 8; ++i) {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
-    bus.send("client", "server", "core", {}, 1);
+    send(bus, "ctrl/hb/s0", "ctrl/coordinator", "renew");
+    send(bus, "client", "server", "core");
   }
   engine.run_until();
   EXPECT_EQ(ctrl_delivered, 8u);
@@ -266,16 +278,16 @@ TEST(ControlStream, ControlTrafficStillHonorsPartitions) {
   config.rules.push_back(cut);
   bus.set_fault_model(config, Rng(7));
   std::size_t delivered = 0;
-  bus.register_endpoint("ctrl/coordinator",
+  bus.register_endpoint(bus.endpoint("ctrl/coordinator"),
                         [&](const Envelope&) { ++delivered; });
   engine.schedule_at(0.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
+    send(bus, "ctrl/hb/s0", "ctrl/coordinator", "renew");
   });
   engine.schedule_at(1.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
+    send(bus, "ctrl/hb/s0", "ctrl/coordinator", "renew");
   });
   engine.schedule_at(2.5, "s", [&] {
-    bus.send("ctrl/hb/s0", "ctrl/coordinator", "renew", {}, 1);
+    send(bus, "ctrl/hb/s0", "ctrl/coordinator", "renew");
   });
   engine.run_until();
   EXPECT_EQ(delivered, 2u);
@@ -297,9 +309,9 @@ TEST_F(FaultBusFixture, InjectedFaultsEmitObserveOnlyTraceEvents) {
   config.rules = {loss, dup, cut};
   bus.set_fault_model(config, Rng(9));
   sink("server");
-  engine.schedule_at(0.5, "s", [this] { bus.send("c", "server", "a", {}, 1); });
-  engine.schedule_at(1.5, "s", [this] { bus.send("c", "server", "b", {}, 1); });
-  engine.schedule_at(2.5, "s", [this] { bus.send("c", "server", "c", {}, 1); });
+  engine.schedule_at(0.5, "s", [this] { send(bus, "c", "server", "a"); });
+  engine.schedule_at(1.5, "s", [this] { send(bus, "c", "server", "b"); });
+  engine.schedule_at(2.5, "s", [this] { send(bus, "c", "server", "c"); });
   engine.run_until();
   EXPECT_EQ(recorder.counter("bus.lost", "bus"), 1u);
   EXPECT_EQ(recorder.counter("bus.duplicated", "bus"), 1u);
@@ -320,12 +332,12 @@ TEST(FaultModelDeterminism, InertConfigKeepsDeliveryTimingIdentical) {
       bus.set_fault_model(config, Rng(1234));
     }
     std::vector<SimTime> delivered_at;
-    bus.register_endpoint("server", [&](const Envelope&) {
+    bus.register_endpoint(bus.endpoint("server"), [&](const Envelope&) {
       delivered_at.push_back(engine.now());
     });
     for (int i = 0; i < 32; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "m", {}, 1);
+        send(bus, "client", "server", "m");
       });
     }
     engine.run_until();
@@ -348,10 +360,11 @@ TEST(FaultModelDeterminism, SameSeedSameFaultSequence) {
     config.rules.push_back(rule);
     bus.set_fault_model(config, Rng(77));
     std::size_t delivered = 0;
-    bus.register_endpoint("server", [&](const Envelope&) { ++delivered; });
+    bus.register_endpoint(bus.endpoint("server"),
+                          [&](const Envelope&) { ++delivered; });
     for (int i = 0; i < 64; ++i) {
       engine.schedule_at(static_cast<double>(i), "send", [&bus] {
-        bus.send("client", "server", "m", {}, 1);
+        send(bus, "client", "server", "m");
       });
     }
     engine.run_until();

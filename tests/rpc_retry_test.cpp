@@ -135,8 +135,9 @@ TEST_F(RetryFixture, BackoffIsCappedExponentialWithBoundedJitter) {
 TEST_F(RetryFixture, DuplicateReplyInvokesCallbackOnce) {
   // A raw endpoint that answers every request twice -- the regression
   // case for response correlation under a duplicating wire.
-  bus.unregister_endpoint("sphinx-server");
-  bus.register_endpoint("sphinx-server", [this](const Envelope& request) {
+  const EndpointId server = bus.endpoint("sphinx-server");
+  bus.unregister_endpoint(server);
+  bus.register_endpoint(server, [this](const Envelope& request) {
     const std::string body =
         MethodResponse::success(XrValue(std::int64_t{7})).serialize();
     bus.reply(request, body);

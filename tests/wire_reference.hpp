@@ -198,8 +198,10 @@ struct MethodCall {
   [[nodiscard]] static Expected<MethodCall> parse(const std::string& xml) {
     MethodCall call;
     rpc::XrReader in(xml);
-    if (!in.begin_call(call.method) ||
-        !in.each_param([&](int) {
+    std::string_view method;
+    if (!in.begin_call(method)) return in.error();
+    call.method = method;
+    if (!in.each_param([&](int) {
           return read_value(in, 1, call.params.emplace_back());
         }) ||
         !in.end_call()) {
@@ -742,7 +744,7 @@ template <typename P>
 Expected<P> typed_decode(const std::string& xml,
                          Expected<P> (*decode)(rpc::XrReader&)) {
   rpc::XrReader in(xml);
-  std::string method;
+  std::string_view method;
   if (!in.begin_call(method)) return in.error();
   Expected<P> params = decode(in);
   if (!in.ok() || !in.end_call()) return in.error();
