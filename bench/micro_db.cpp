@@ -5,10 +5,12 @@
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/warehouse.hpp"
 #include "db/database.hpp"
@@ -186,6 +188,31 @@ void BM_JournalAppendPayload(benchmark::State& state) {
                           static_cast<std::int64_t>(payload.size()));
 }
 BENCHMARK(BM_JournalAppendPayload);
+
+/// Real cells as fig5 journals and images them: 46% integral (counts,
+/// whole-second times), 9% infinite (an unset deadline), the rest
+/// fractional at full precision (sim times, EWMAs).
+void BM_AppendReal(benchmark::State& state) {
+  constexpr std::size_t kValues = 4096;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < kValues; ++i) {
+    const std::size_t kind = i * 37 % 100;  // a fixed shuffle of 0..99
+    const auto n = static_cast<double>(i * 7919 % 100000);
+    values.push_back(kind < 46   ? n
+                     : kind < 55 ? std::numeric_limits<double>::infinity()
+                                 : 60.0 + n / 7.0);
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) db::append_real(out, v);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kValues));
+}
+BENCHMARK(BM_AppendReal);
 
 void BM_JournalReplay(benchmark::State& state) {
   // Build a realistic warehouse journal, then measure recovery.

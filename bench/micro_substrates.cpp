@@ -46,10 +46,11 @@ BENCHMARK(BM_RlsLocateSingle);
 void BM_RlsLocateBulk(benchmark::State& state) {
   // The "clubbed" call SPHINX uses for whole-DAG reduction.
   const auto rls = make_rls(10000, 2);
-  std::vector<data::Lfn> batch;
+  std::vector<data::Lfn> names;
   for (int i = 0; i < 100; ++i) {
-    batch.push_back("lfn://bench/f" + std::to_string(i * 97 % 10000));
+    names.push_back("lfn://bench/f" + std::to_string(i * 97 % 10000));
   }
+  const std::vector<std::string_view> batch(names.begin(), names.end());
   for (auto _ : state) {
     benchmark::DoNotOptimize(rls.locate_bulk(batch));
   }

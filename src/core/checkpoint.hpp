@@ -12,8 +12,13 @@
 /// (see DataWarehouse::rebuild_work_state).  Every server publishes one
 /// whenever DataWarehouse::checkpoint_due() says its journal has caught
 /// up with the last image's row count.
+///
+/// The image text is held once: the database that wrote it keeps the
+/// same string, shared, to copy the lines of unchanged rows into its next
+/// image, and a copy of a CheckpointImage copies only the pointer.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace sphinx::core {
@@ -22,8 +27,9 @@ struct CheckpointImage {
   /// Journal sequence number the snapshot reflects; recovery replays the
   /// suffix with sequence >= seq on top of the restored snapshot.
   std::uint64_t seq = 0;
-  /// db::Database::snapshot() image.
-  std::string database;
+  /// db::Database::snapshot() image, shared with the database that wrote
+  /// it.  Recovery refuses a null one as an empty image.
+  std::shared_ptr<const std::string> database;
 };
 
 }  // namespace sphinx::core

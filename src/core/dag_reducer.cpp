@@ -1,8 +1,7 @@
 #include "core/dag_reducer.hpp"
 
+#include <string_view>
 #include <vector>
-
-#include "data/lfn.hpp"
 
 namespace sphinx::core {
 
@@ -12,8 +11,9 @@ DagReducer::DagReducer(DataWarehouse& warehouse,
 
 std::size_t DagReducer::reduce(const DagRecord& dag) {
   // The ids are a snapshot: the loop below completes jobs as it goes.
+  // The outputs are views of the rows, which only the lookup reads.
   std::vector<JobId> ids;
-  std::vector<data::Lfn> outputs;
+  std::vector<std::string_view> outputs;
   for (const JobRecord& job : warehouse_.job_rows(dag.id)) {
     ids.push_back(job.id);
     outputs.push_back(job.output);

@@ -118,7 +118,8 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
                                                     SimTime now,
                                                     bool speculative) {
   // Input availability: every input must have at least one replica (not
-  // yet produced, or lost since a speculated job was planned).
+  // yet produced, or lost since a speculated job was planned).  The
+  // names are views of the job_inputs rows, which planning never inserts.
   const auto inputs = warehouse_.job_inputs(job.id);
   const auto located = rls_.locate_bulk(inputs);
   for (const auto& replicas : located) {
@@ -151,7 +152,7 @@ std::optional<ExecutionPlan> Planner::assemble_plan(const DagRecord& dag,
     const auto choice = data::select_replica(located[i], *site, transfers_);
     SPHINX_ASSERT(choice.has_value(), "located input lost its replicas");
     plan.inputs.push_back(
-        PlannedInput{inputs[i], choice->site, choice->size_bytes});
+        PlannedInput{data::Lfn(inputs[i]), choice->site, choice->size_bytes});
   }
 
   // QoS: deadline requests jump within-VO batch queues; explicit request

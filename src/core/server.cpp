@@ -1,9 +1,9 @@
 #include "core/server.hpp"
 
 #include "common/contracts.hpp"
+#include "common/g17.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -168,7 +168,7 @@ void SphinxServer::maybe_checkpoint() {
           recorder_->count(config_.endpoint, "server.checkpoints");
           recorder_->observe(config_.endpoint,
                              "server.checkpoint_snapshot_bytes",
-                             static_cast<double>(image.database.size()));
+                             static_cast<double>(image.database->size()));
           recorder_->observe(config_.endpoint, "server.checkpoint_compacted",
                              compacted);
         }
@@ -368,9 +368,9 @@ std::size_t SphinxServer::maybe_speculate() {
   last_speculation_check_ = now;
   // Round-trip-exact persistence: the recovered server must compare the
   // identical cursor value or its cadence drifts off the baseline's.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", now);
-  warehouse_->set_scheduler_state("speculation.last_check", buf);
+  char cursor[kG17Chars];
+  warehouse_->set_scheduler_state("speculation.last_check",
+                                  std::string(cursor, write_g17(cursor, now)));
 
   const auto racing = warehouse_->racing_speculations();
   std::size_t global = racing.size();

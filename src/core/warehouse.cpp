@@ -43,8 +43,10 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   auto warehouse = std::make_unique<DataWarehouse>();
   std::uint64_t from_seq = 0;
   if (checkpoint.has_value()) {
-    if (const auto status = warehouse->db_.restore(checkpoint->database);
-        !status.ok()) {
+    const std::string_view image = checkpoint->database
+                                       ? *checkpoint->database
+                                       : std::string_view{};
+    if (const auto status = warehouse->db_.restore(image); !status.ok()) {
       return Unexpected<Error>{status.error()};
     }
     from_seq = checkpoint->seq;
@@ -265,8 +267,8 @@ void DataWarehouse::set_recorder(obs::Recorder* recorder,
   job_name_ = recorder_->name("job");
 }
 
-std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
-  std::vector<data::Lfn> out;
+std::vector<std::string_view> DataWarehouse::job_inputs(JobId id) const {
+  std::vector<std::string_view> out;
   for (const db::RowId row : job_inputs_.find_by<&JobInput::job>(id)) {
     out.push_back(job_inputs_.find(row)->lfn);
   }

@@ -55,7 +55,9 @@
 /// is due once the journal holds at least as many records as the last
 /// image holds rows, so replaying the retained journal never costs more
 /// than restoring the image, and each image is paid for by the records
-/// journaled since the one before.
+/// journaled since the one before.  It costs about that in formatting
+/// too: the database copies the line of every row no record wrote since
+/// its last image, and the published image shares that text with it.
 
 #include <cstdint>
 #include <functional>
@@ -251,10 +253,11 @@ class DataWarehouse {
   [[nodiscard]] bool checkpoint_due() const noexcept;
 
   /// Publishes a checkpoint image of the current state (database
-  /// snapshot at the journal's next_seq), truncates the journal prefix it
-  /// covers, and returns the image.  `mid_hook`, when provided, runs
-  /// between publication and truncation -- the chaos harness's
-  /// mid-checkpoint kill point; returning true marks the instance as
+  /// snapshot at the journal's next_seq, its text shared with the
+  /// database), truncates the journal prefix it covers, and returns the
+  /// image.  `mid_hook`, when provided, runs between publication and
+  /// truncation -- the chaos harness's mid-checkpoint kill point;
+  /// returning true marks the instance as
   /// crashing and leaves the journal untruncated (the recovered instance
   /// finishes the truncation via recover_from, so a crash here is
   /// invisible).
@@ -263,7 +266,9 @@ class DataWarehouse {
 
   /// The most recent checkpoint image: published by checkpoint() and
   /// carried across recover_from(), so a crash handler can always pair
-  /// journal() with the image that anchors its sequence numbers.
+  /// journal() with the image that anchors its sequence numbers.  A
+  /// recovered warehouse's database remembers no lines of it, so its
+  /// first checkpoint formats every row.
   [[nodiscard]] const std::optional<CheckpointImage>& checkpoint_image()
       const noexcept {
     return checkpoint_;
@@ -301,7 +306,10 @@ class DataWarehouse {
   void set_job_state(JobId id, JobState state, std::string_view reason = {});
   /// Records a planning decision (state -> planned, attempt++).
   void set_job_planned(JobId id, SiteId site, SimTime at);
-  [[nodiscard]] std::vector<data::Lfn> job_inputs(JobId id) const;
+  /// The job's input LFNs, as views of its job_inputs rows: valid until
+  /// the next insert into that table (an insert_dag), as job()'s row is
+  /// until the next insert into `jobs`.
+  [[nodiscard]] std::vector<std::string_view> job_inputs(JobId id) const;
   /// Jobs that consume this job's output (dependency children).
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
   /// The DAG's ready set: unplanned jobs whose parents have all

@@ -67,11 +67,11 @@ std::vector<Replica> ReplicaLocationService::locate(
 }
 
 std::vector<std::vector<Replica>> ReplicaLocationService::locate_bulk(
-    const std::vector<Lfn>& lfns) const {
+    std::span<const std::string_view> lfns) const {
   ++queries_;  // a clubbed call is one query no matter how many names
   std::vector<std::vector<Replica>> out;
   out.reserve(lfns.size());
-  for (const Lfn& lfn : lfns) out.push_back(answer(find(lfn)));
+  for (const std::string_view lfn : lfns) out.push_back(answer(find(lfn)));
   return out;
 }
 

@@ -13,6 +13,7 @@
 /// hashed once per registration or lookup: its entry holds what the
 /// sites' LRCs registered and which of those sites the index shows.
 
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,10 +59,11 @@ class ReplicaLocationService {
   /// its site's LRC holds.
   [[nodiscard]] std::vector<Replica> locate(std::string_view lfn) const;
 
-  /// Bulk ("clubbed") lookup: one call, many logical names.  The result
-  /// vector is parallel to `lfns`; missing files yield empty entries.
+  /// Bulk ("clubbed") lookup: one call, many logical names, viewed where
+  /// the caller keeps them.  The result vector is parallel to `lfns`;
+  /// missing files yield empty entries.
   [[nodiscard]] std::vector<std::vector<Replica>> locate_bulk(
-      const std::vector<Lfn>& lfns) const;
+      std::span<const std::string_view> lfns) const;
 
   /// Number of RLS queries answered (single and bulk both count once) --
   /// lets tests verify that clubbing reduces call volume.

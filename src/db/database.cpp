@@ -119,8 +119,12 @@ StatusOrError Database::recover(const Journal& journal,
   return {};
 }
 
-std::string Database::snapshot() const {
-  std::string out = "#db\t1\n";
+std::shared_ptr<const std::string> Database::snapshot() {
+  const std::string_view last = image_ ? *image_ : std::string_view{};
+  std::string out;
+  // Stores grow between images: room for the last one and an eighth.
+  out.reserve(last.size() + last.size() / 8);
+  out += "#db\t1\n";
   for (const auto& table : tables_) {
     out += "T\t";
     append_field(out, table->name());
@@ -131,12 +135,13 @@ std::string Database::snapshot() const {
       append_column(out, col);
     }
     out += '\n';
-    table->append_rows(out);
+    table->append_rows(out, last);
   }
-  return out;
+  image_ = std::make_shared<const std::string>(std::move(out));
+  return image_;
 }
 
-StatusOrError Database::restore(const std::string& snapshot) {
+StatusOrError Database::restore(std::string_view snapshot) {
   if (!fresh()) {
     return make_error("restore_nonempty", "restore() requires empty tables");
   }
@@ -224,10 +229,12 @@ StatusOrError Database::restore(const std::string& snapshot) {
 
 void Database::check_invariants() const {
 #if SPHINX_CONTRACTS_ENABLED
+  const std::string_view image = image_ ? *image_ : std::string_view{};
   for (std::size_t i = 0; i < tables_.size(); ++i) {
     SPHINX_INVARIANT(position(tables_[i]->name()) == i,
                      "table registered twice: " + tables_[i]->name());
     tables_[i]->check_invariants();
+    tables_[i]->check_lines(image);
   }
   for (std::size_t i = 0; i < journal_.size(); ++i) {
     const auto entry = Journal::decode(journal_.record(i));

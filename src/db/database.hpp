@@ -6,6 +6,17 @@
 /// is one, then recover() replays the journal records after it onto the
 /// declared tables.  The schema lives in the code that declares the
 /// tables and in each image, never in the journal.
+///
+/// Images are incremental in their work, not in their bytes.  The
+/// database keeps the last image it wrote, shared with whoever published
+/// it, and each row remembers where its line sits there.  Any write to a
+/// row -- an insert, a set (journaled even when the value is unchanged)
+/// or a replayed insert or update -- makes it forget; the next image
+/// copies every remembered line and formats only the rest.  A restore
+/// remembers nothing, so the first image after recovery formats every
+/// row: remembering a restored line would mean formatting its row to
+/// check that the image holds it in the store's own form, which costs
+/// what the first image saves.
 
 #include <memory>
 #include <string>
@@ -58,7 +69,10 @@ class Database {
   /// store's logical state -- equal tables yield identical bytes no
   /// matter what mutation history produced them.  Round-trips through
   /// restore() using the journal's line-oriented text building blocks.
-  [[nodiscard]] std::string snapshot() const;
+  /// The lines of rows unwritten since the previous image are copied
+  /// from it; the new image replaces it as the one the database keeps,
+  /// and is returned shared, never copied.
+  [[nodiscard]] std::shared_ptr<const std::string> snapshot();
 
   /// Fills this database's declared, still empty tables from a
   /// snapshot() image.  The snapshot is state, not history: nothing is
@@ -70,7 +84,7 @@ class Database {
   /// One whose tables differ from the declared ones -- a table missing or
   /// undeclared, or its columns renamed, retyped, moved or re-indexed --
   /// is refused with "recover_schema".
-  [[nodiscard]] StatusOrError restore(const std::string& snapshot);
+  [[nodiscard]] StatusOrError restore(std::string_view snapshot);
 
   /// Rebuilds database content by replaying the entries of `journal`
   /// whose sequence number is >= from_seq onto the declared tables: with
@@ -88,10 +102,11 @@ class Database {
   [[nodiscard]] StatusOrError recover(const Journal& journal,
                                       std::uint64_t from_seq = 0);
 
-  /// Structural sweep across the store: every table passes its own
-  /// check_invariants(), and every journal entry references a table that
+  /// Sweep across the store: every table passes its own
+  /// check_invariants(), every journal entry references a table that
   /// exists (tables are never dropped, so this holds across truncation
-  /// and recovery).  Throws ContractViolation on corruption; no-op when
+  /// and recovery), and every line a row remembers is its formatting in
+  /// the last image.  Throws ContractViolation on corruption; no-op when
   /// contracts are compiled out.
   void check_invariants() const;
 
@@ -107,6 +122,9 @@ class Database {
 
   std::vector<std::unique_ptr<TableBase>> tables_;  ///< in creation order
   Journal journal_;
+  /// The last image snapshot() wrote (null before the first): every
+  /// line a row remembers is in it.
+  std::shared_ptr<const std::string> image_;
 };
 
 }  // namespace sphinx::db

@@ -1,8 +1,15 @@
 #include "db/encoding.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <iterator>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "common/g17.hpp"
 
 namespace sphinx::db {
 namespace {
@@ -24,6 +31,37 @@ bool payload_of(std::string_view field, char tag,
   return true;
 }
 
+/// Whether append_field escapes `c`.
+constexpr bool escaped(char c) noexcept {
+  return c == '\\' || c == '\t' || c == '\n';
+}
+
+/// The position of the first byte at or after `at` that append_field
+/// escapes, or s.size().  Whole 16-byte blocks are tested at once (SSE2);
+/// the bytes after the last whole block one at a time, so no load reaches
+/// past the field.
+std::size_t next_escaped(std::string_view s, std::size_t at) noexcept {
+#if defined(__SSE2__)
+  const __m128i backslash = _mm_set1_epi8('\\');
+  const __m128i tab = _mm_set1_epi8('\t');
+  const __m128i newline = _mm_set1_epi8('\n');
+  for (; s.size() - at >= 16; at += 16) {
+    const __m128i block =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.data() + at));
+    const __m128i hits = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(block, backslash),
+                     _mm_cmpeq_epi8(block, tab)),
+        _mm_cmpeq_epi8(block, newline));
+    if (const auto mask = static_cast<unsigned>(_mm_movemask_epi8(hits));
+        mask != 0) {
+      return at + static_cast<std::size_t>(std::countr_zero(mask));
+    }
+  }
+#endif
+  while (at < s.size() && !escaped(s[at])) ++at;
+  return at;
+}
+
 const char* type_name(CellType type) noexcept {
   switch (type) {
     case CellType::kInt: return "int";
@@ -37,18 +75,17 @@ const char* type_name(CellType type) noexcept {
 }  // namespace
 
 void append_field(std::string& out, std::string_view s) {
-  // A plain loop: find_first_of over a three-character set costs a
-  // memchr per input byte, and a journaled plan payload is ~1.8 KB.
+  // Each clean run between two escaped bytes is copied in one append: a
+  // journaled plan payload is ~1.8 KB.
   std::size_t from = 0;
-  for (std::size_t at = 0; at < s.size(); ++at) {
-    const char c = s[at];
-    if (c != '\\' && c != '\t' && c != '\n') continue;
-    out.append(s.substr(from, at - from));
+  for (std::size_t at = next_escaped(s, 0); at < s.size();
+       at = next_escaped(s, from)) {
+    out.append(s.data() + from, at - from);
     out += '\\';
-    out += c == '\t' ? 't' : c == '\n' ? 'n' : '\\';
+    out += s[at] == '\t' ? 't' : s[at] == '\n' ? 'n' : '\\';
     from = at + 1;
   }
-  out.append(s.substr(from));
+  out.append(s.data() + from, s.size() - from);
 }
 
 Expected<std::string> unescape_field(std::string_view s) {
@@ -86,11 +123,8 @@ void append_int(std::string& out, std::int64_t v) {
 }
 
 void append_real(std::string& out, double v) {
-  char num[32];  // a double as %.17g
   out += "r:";
-  out.append(num, std::to_chars(std::begin(num), std::end(num), v,
-                                std::chars_format::general, 17)
-                      .ptr);
+  append_g17(out, v);
 }
 
 void append_text(std::string& out, std::string_view v) {

@@ -10,6 +10,12 @@
 /// would have written for the same cells.  Encoders append to a caller's
 /// buffer, so a record is written in place; readers take views of it and
 /// refuse any field that is not entirely what its encoder writes.
+///
+/// The encoders are on every journaled write's path, so the two that
+/// dominate are cheap: append_field finds the bytes it escapes 16 at a
+/// time and copies each clean run between them in one append, and
+/// append_real writes its digits through the shared 17-digit writer
+/// (common/g17.hpp).
 
 #include <cstdint>
 #include <string>
@@ -36,15 +42,17 @@ struct Column {
 };
 
 /// Appends `s` with tabs, newlines and backslashes escaped, so records
-/// stay line-oriented.
+/// stay line-oriented.  The scan for those bytes tests 16-byte blocks
+/// (SSE2) and never reads past `s`; the text between two of them is
+/// appended in one piece.
 void append_field(std::string& out, std::string_view s);
 [[nodiscard]] Expected<std::string> unescape_field(std::string_view s);
 
 /// Appends the decimal digits of `v`.
 void append_u64(std::string& out, std::uint64_t v);
 
-/// Cell writers: "i:<n>", "r:<%.17g>" (so the bit pattern round-trips),
-/// "s:<escaped text>" and "b:0"/"b:1".
+/// Cell writers: "i:<n>", "r:<17 significant digits>" (write_g17's text,
+/// so the bit pattern round-trips), "s:<escaped text>" and "b:0"/"b:1".
 void append_int(std::string& out, std::int64_t v);
 void append_real(std::string& out, double v);
 void append_text(std::string& out, std::string_view v);

@@ -16,6 +16,12 @@
 /// and restore, and the hash indexes, each keyed by its member's own
 /// type.  Reading a row is a lookup of the stored struct, and
 /// a write is one typed column set, set<&Row::member>(id, value).
+///
+/// Each row's slot also remembers where the row's line sits in the last
+/// checkpoint image its database wrote, so the next image copies that
+/// line instead of formatting the row again.  Any write forgets it: an
+/// insert, a set (even of an unchanged value) and every replayed insert
+/// or update.
 
 #include <algorithm>
 #include <concepts>
@@ -187,18 +193,28 @@ class TableBase {
   /// Removes row `id`; false if absent.
   virtual bool replay_erase(RowId id) = 0;
 
-  /// Appends an "R\t<id>\t<cells>\n" image line per row, in id order.
-  virtual void append_rows(std::string& out) const = 0;
-
   /// Structural sweep: every row sits in its id's slot, row ids stay
   /// below the allocation cursor, and every index bucket mirrors the rows
   /// it claims to cover.  Throws ContractViolation on corruption; a no-op
   /// when contracts are compiled out.
   virtual void check_invariants() const = 0;
 
+  /// Line sweep: every row's remembered line lies in `image`, the last
+  /// image the table's database wrote, and is the row's formatting.
+  /// Throws and compiles out like check_invariants().
+  virtual void check_lines(std::string_view image) const = 0;
+
  protected:
   TableBase(std::string name, Journal* journal)
       : name_(std::move(name)), journal_(journal) {}
+
+  /// Appends an "R\t<id>\t<cells>\n" image line per row, in id order,
+  /// to `out`, the image being written.  A row not written since the last
+  /// image, `last`, has its line copied from there; the others are
+  /// formatted.  Every row then remembers where its line sits in `out`.
+  /// Only the database calls it, with the last image it wrote itself.
+  virtual void append_rows(std::string& out, std::string_view last) = 0;
+  friend class Database;
 
   std::string name_;
   Journal* journal_;  ///< null for a table no database journals
@@ -415,15 +431,6 @@ class Table final : public TableBase {
 
   bool replay_erase(RowId id) override { return erase_row(id); }
 
-  void append_rows(std::string& out) const override {
-    for_each([&out](RowId id, const Row& row) {
-      out += "R\t";
-      append_u64(out, id);
-      write_cells(out, row);
-      out += '\n';
-    });
-  }
-
   void check_invariants() const override {
 #if SPHINX_CONTRACTS_ENABLED
     SPHINX_INVARIANT(base_ != kInvalidRow && head_ <= slots_.size() &&
@@ -445,13 +452,64 @@ class Table final : public TableBase {
 #endif
   }
 
+  void check_lines(std::string_view image) const override {
+#if SPHINX_CONTRACTS_ENABLED
+    std::string line;
+    for (std::size_t i = head_; i < slots_.size(); ++i) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kInvalidRow || slot.line_size == 0) continue;
+      line.clear();
+      append_line(line, slot.id, slot.row);
+      SPHINX_INVARIANT(
+          slot.line_at <= image.size() &&
+              image.substr(slot.line_at, slot.line_size) == line,
+          "row " + std::to_string(slot.id) + " of table " + name_ +
+              " remembers an image line that is not its formatting");
+    }
+#else
+    static_cast<void>(image);
+#endif
+  }
+
  private:
   friend struct TableInspector;  // test-only fault injection
 
   struct Slot {
     RowId id = kInvalidRow;  ///< kInvalidRow once the row was erased
+    /// Where the row's line sits in the last image its database wrote:
+    /// an offset and a length, the length 0 once the row is written
+    /// (inserted, set or replayed) after that image, or never imaged.
+    std::uint32_t line_at = 0;
+    std::uint32_t line_size = 0;
     Row row{};
   };
+
+  void append_rows(std::string& out, std::string_view last) override {
+    for (std::size_t i = head_; i < slots_.size(); ++i) {
+      Slot& slot = slots_[i];
+      if (slot.id == kInvalidRow) continue;
+      const std::size_t at = out.size();
+      if (slot.line_size != 0) {
+        out.append(last.data() + slot.line_at, slot.line_size);
+      } else {
+        append_line(out, slot.id, slot.row);
+      }
+      // A line past 4 GiB of image is not remembered: formatted again.
+      const std::size_t size = out.size() - at;
+      const bool fits = at <= std::numeric_limits<std::uint32_t>::max() &&
+                        size <= std::numeric_limits<std::uint32_t>::max();
+      slot.line_at = fits ? static_cast<std::uint32_t>(at) : 0;
+      slot.line_size = fits ? static_cast<std::uint32_t>(size) : 0;
+    }
+  }
+
+  /// Appends row `id`'s image line, "R\t<id>\t<cells>\n".
+  static void append_line(std::string& out, RowId id, const Row& row) {
+    out += "R\t";
+    append_u64(out, id);
+    write_cells(out, row);
+    out += '\n';
+  }
 
   template <typename T>
   using Index = std::unordered_map<T, std::vector<RowId>>;
@@ -497,7 +555,7 @@ class Table final : public TableBase {
     // Ids skipped since the last row (erased tail rows, or an image's
     // gaps) stay empty slots.
     slots_.resize(static_cast<std::size_t>(id - base_));
-    Slot& slot = slots_.emplace_back(Slot{id, std::move(row)});
+    Slot& slot = slots_.emplace_back(Slot{.id = id, .row = std::move(row)});
     ++live_;
     next_id_ = id + 1;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
@@ -528,9 +586,12 @@ class Table final : public TableBase {
   }
 
   /// Stores `value` in column I of `slot`, re-keying the column's index
-  /// only when it has one and the value changes.
+  /// only when it has one and the value changes.  The row forgets its
+  /// image line even when the value is unchanged: every set is journaled,
+  /// and a line is remembered only for a row no record touched since.
   template <std::size_t I>
   void assign(Slot& slot, TypeAt<I> value) {
+    slot.line_size = 0;
     TypeAt<I>& stored = slot.row.*std::get<I>(kFields).member;
     if constexpr (std::get<I>(kFields).indexed) {
       if (!(stored == value)) {

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <string_view>
 
+#include "common/g17.hpp"
+
 namespace sphinx::rpc {
 
 // --- writer ------------------------------------------------------------------
@@ -82,13 +84,6 @@ void XrWriter::int_digits(std::int64_t v) {
   out_.append(num, std::to_chars(num, std::end(num), v).ptr);
 }
 
-void XrWriter::double_digits(double v) {
-  char num[32];  // a double as %.17g
-  out_.append(num, std::to_chars(num, std::end(num), v,
-                                 std::chars_format::general, 17)
-                       .ptr);
-}
-
 void XrWriter::int_value(std::int64_t v) {
   out_ += "<value><i8>";
   int_digits(v);
@@ -97,7 +92,7 @@ void XrWriter::int_value(std::int64_t v) {
 
 void XrWriter::double_value(double v) {
   out_ += "<value><double>";
-  double_digits(v);
+  append_g17(out_, v);
   out_ += "</double></value>";
 }
 
@@ -150,7 +145,7 @@ void XrWriter::int_member(std::string_view name, std::int64_t v) {
 void XrWriter::double_member(std::string_view name, double v) {
   begin_member(name);
   out_ += "<value><double>";
-  double_digits(v);
+  append_g17(out_, v);
   out_ += "</double></value></member>";
 }
 

@@ -24,8 +24,9 @@
 /// compact form the envelopes have always had: a `<?xml version="1.0"?>`
 /// declaration, no whitespace between elements, `<tag/>` for an element
 /// with no content, the five predefined entities escaped, integers as
-/// `<i8>`, doubles as `%.17g`, and struct members in ascending byte order
-/// of their names (the order a tree of std::map structs wrote).  The
+/// `<i8>`, doubles to 17 significant digits (common/g17.hpp), and
+/// struct members in ascending byte order of their names (the order a
+/// tree of std::map structs wrote).  The
 /// reader accepts that form, `<tag></tag>` for `<tag/>`, layout whitespace
 /// between elements, bare `<value>` text as a string and the
 /// `<i4>`/`<int>` tags.  It rejects everything else, including
@@ -97,7 +98,6 @@ class XrWriter {
  private:
   void text_element(std::string_view tag, std::string_view text);
   void int_digits(std::int64_t v);
-  void double_digits(double v);
 
   std::string out_;
   bool params_ = false;  ///< `<params>` is open

@@ -888,8 +888,8 @@ TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
 /// Rows a checkpoint image holds: one "R" line each.
 std::size_t image_rows(const core::CheckpointImage& image) {
   std::size_t rows = 0;
-  for (std::size_t at = image.database.find("\nR\t");
-       at != std::string::npos; at = image.database.find("\nR\t", at + 1)) {
+  for (std::size_t at = image.database->find("\nR\t");
+       at != std::string::npos; at = image.database->find("\nR\t", at + 1)) {
     ++rows;
   }
   return rows;

@@ -59,7 +59,7 @@ TEST(Warehouse, InsertDagMaterializesRows) {
   EXPECT_EQ(jobs[0].attempt, 0);
   EXPECT_EQ(jobs[1].id, JobId(102));
   EXPECT_EQ(wh.job_inputs(JobId(101)),
-            std::vector<data::Lfn>{"lfn://in"});
+            std::vector<std::string_view>{"lfn://in"});
   EXPECT_EQ(wh.job_children(JobId(101)), std::vector<JobId>{JobId(102)});
   EXPECT_TRUE(wh.job_children(JobId(102)).empty());
 }
@@ -614,8 +614,8 @@ TEST(Warehouse, CheckpointIsDueOnceTheJournalHoldsTheImageRows) {
   const CheckpointImage image = wh.checkpoint();
   EXPECT_FALSE(wh.checkpoint_due());  // nothing journaled since
   std::size_t rows = 0;
-  for (std::size_t at = image.database.find("\nR\t");
-       at != std::string::npos; at = image.database.find("\nR\t", at + 1)) {
+  for (std::size_t at = image.database->find("\nR\t");
+       at != std::string::npos; at = image.database->find("\nR\t", at + 1)) {
     ++rows;
   }
   EXPECT_EQ(rows, 6u);  // the DAG, two jobs, two inputs, one edge
@@ -687,15 +687,16 @@ TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
   const CheckpointImage image = wh.checkpoint();
   const auto expect_schema_error = [&](const std::string& text) {
     const auto recovered = DataWarehouse::recover_from(
-        wh.journal(), CheckpointImage{image.seq, text});
+        wh.journal(),
+        CheckpointImage{image.seq, std::make_shared<const std::string>(text)});
     ASSERT_FALSE(recovered.has_value());
     EXPECT_EQ(recovered.error().code, "recover_schema");
   };
 
   // Only the first table (dags) and its row: the jobs table is missing.
-  const std::size_t jobs_line = image.database.find("\nT\tjobs\t");
+  const std::size_t jobs_line = image.database->find("\nT\tjobs\t");
   ASSERT_NE(jobs_line, std::string::npos);
-  expect_schema_error(image.database.substr(0, jobs_line + 1));
+  expect_schema_error(image.database->substr(0, jobs_line + 1));
 
   // No table at all.
   expect_schema_error("#db\t1\n");
@@ -703,7 +704,7 @@ TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
   // The jobs table with its site and attempt column specs swapped: both
   // are int columns, so rows would restore, and a warehouse bound to it
   // would read every job's attempt as its site.
-  std::string text = image.database;
+  std::string text = *image.database;
   const std::size_t site = text.find("\tsite=int\t", jobs_line);
   const std::size_t attempt = text.find("\tattempt=int\t", jobs_line);
   ASSERT_NE(site, std::string::npos);
@@ -783,11 +784,11 @@ TEST(Warehouse, RecoveryRefusesCellsItsColumnsCannotHold) {
     ASSERT_TRUE(mutated.has_value()) << c.to;
     EXPECT_EQ(outcome(*mutated, std::nullopt), "recover_replay") << c.to;
     const std::string mutated_image =
-        replace_cell(image.database, "T\t" + c.table + "\t", "R\t1\t",
+        replace_cell(*image.database, "T\t" + c.table + "\t", "R\t1\t",
                      2 + c.column, c.from, c.to);
-    EXPECT_EQ(outcome(compacted, CheckpointImage{image.seq, mutated_image}),
-              "restore_parse")
-        << c.to;
+    const CheckpointImage mutated_checkpoint{
+        image.seq, std::make_shared<const std::string>(mutated_image)};
+    EXPECT_EQ(outcome(compacted, mutated_checkpoint), "restore_parse") << c.to;
   }
   // Unmutated, both routes recover.
   EXPECT_EQ(outcome(*db::Journal::parse(journal), std::nullopt), "recovered");

@@ -40,7 +40,8 @@ TEST(Rls, BulkLookupIsParallelToInputAndCountsOnce) {
   rls.register_replica("lfn://a", SiteId(1), kMB);
   rls.register_replica("lfn://c", SiteId(2), kMB);
   const std::size_t before = rls.queries();
-  const auto result = rls.locate_bulk({"lfn://a", "lfn://b", "lfn://c"});
+  const std::string_view names[] = {"lfn://a", "lfn://b", "lfn://c"};
+  const auto result = rls.locate_bulk(names);
   EXPECT_EQ(rls.queries(), before + 1);  // one clubbed call
   ASSERT_EQ(result.size(), 3u);
   EXPECT_EQ(result[0].size(), 1u);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "common/contracts.hpp"
@@ -225,7 +228,7 @@ TEST(Database, CreateAndLookupTables) {
   // Declaring a table journals nothing: the code declares the schema,
   // and an image carries it.
   EXPECT_TRUE(d.journal().empty());
-  EXPECT_EQ(d.snapshot(),
+  EXPECT_EQ(*d.snapshot(),
             "#db\t1\nT\tjobs\t1\tname=text\tstate=text\tsite=int\t"
             "runtime=real\tdone=bool\nT\tdags\t1\ta=int\n");
   EXPECT_THROW(d.create_table<Job>("jobs"), AssertionError);
@@ -449,7 +452,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
   jobs.set<&Job::state>(ids[2], "completed");
   jobs.erase(ids[7]);  // tail erase: next_id exceeds the max live id
 
-  const std::string image = original.snapshot();
+  const std::string image = *original.snapshot();
   Database restored;
   Table<Job>& restored_jobs = restored.create_table<Job>("jobs");
   restored.create_table<Job>("empty");
@@ -461,7 +464,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
 
   // The restored store is logically identical, snapshots to the same
   // bytes, and keeps allocating row ids past the erased tail.
-  EXPECT_EQ(restored.snapshot(), image);
+  EXPECT_EQ(*restored.snapshot(), image);
   EXPECT_EQ(restored_jobs.size(), 7u);
   EXPECT_EQ(restored_jobs.find(ids[2])->state, "completed");
   const RowId fresh = restored_jobs.insert(job("new", "ready", 9));
@@ -473,7 +476,7 @@ TEST(Database, SnapshotCarriesIndexDeclarations) {
   Database original;
   original.create_table<IndexedJob>("jobs").insert(
       indexed_job("a", "ready", 1));
-  const std::string image = original.snapshot();
+  const std::string image = *original.snapshot();
   EXPECT_NE(image.find("\tstate=text!\t"), std::string::npos);
 
   Database restored;
@@ -503,7 +506,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   for (int i = 0; i < 6; ++i) {
     ids.push_back(jobs.insert(job("j" + std::to_string(i), "ready", i)));
   }
-  const std::string image = crashed.snapshot();
+  const std::string image = *crashed.snapshot();
   const std::uint64_t seq = crashed.journal().next_seq();
   jobs.set<&Job::state>(ids[1], "completed");
   jobs.erase(ids[4]);
@@ -514,7 +517,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   ASSERT_TRUE(recovered.restore(image).ok());
   ASSERT_TRUE(recovered.recover(crashed.journal(), seq).ok());
   EXPECT_EQ(recovered.journal().serialize(), crashed.journal().serialize());
-  EXPECT_EQ(recovered.snapshot(), crashed.snapshot());
+  EXPECT_EQ(*recovered.snapshot(), *crashed.snapshot());
   EXPECT_EQ(recovered.journal().base_seq(), seq);
 
   // The same suffix also replays from an *untruncated* crashed journal
@@ -532,7 +535,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   ASSERT_TRUE(completed.restore(image).ok());
   ASSERT_TRUE(completed.recover(crashed_untruncated.journal(), seq).ok());
   EXPECT_EQ(completed.journal().serialize(), crashed.journal().serialize());
-  EXPECT_EQ(completed.snapshot(), crashed.snapshot());
+  EXPECT_EQ(*completed.snapshot(), *crashed.snapshot());
 
   // A suffix starting past the requested replay point is unusable.
   Journal too_new = crashed.journal();
@@ -701,6 +704,95 @@ TEST(Journal, FieldEscapesAreExact) {
   d.create_table<Job>("t").insert(job("\tx\\y\n", "s", 0));
   const std::string text = d.journal().serialize();
   EXPECT_NE(text.find("\ts:\\tx\\\\y\\n\t"), std::string::npos) << text;
+}
+
+/// append_field as a plain loop over every byte, kept as the reference
+/// for the block scan.
+void scalar_append_field(std::string& out, std::string_view s) {
+  std::size_t from = 0;
+  for (std::size_t at = 0; at < s.size(); ++at) {
+    const char c = s[at];
+    if (c != '\\' && c != '\t' && c != '\n') continue;
+    out.append(s.substr(from, at - from));
+    out += '\\';
+    out += c == '\t' ? 't' : c == '\n' ? 'n' : '\\';
+    from = at + 1;
+  }
+  out.append(s.substr(from));
+}
+
+TEST(Journal, BlockEscapeScanMatchesTheScalarLoop) {
+  // append_field tests 16-byte blocks at once and the bytes after the
+  // last whole block one at a time.  Each input sits in a heap buffer of
+  // exactly its length, so under asan-ubsan a load past the field is a
+  // heap-buffer-overflow.  Every input must escape as the plain loop
+  // escapes it, after what the buffer already holds, and unescape back.
+  std::size_t checked = 0;
+  const auto check = [&checked](const std::string& input) {
+    const auto held = std::make_unique<char[]>(input.size());
+    std::copy(input.begin(), input.end(), held.get());
+    const std::string_view field(held.get(), input.size());
+    std::string got = "cell:";
+    append_field(got, field);
+    std::string want = "cell:";
+    scalar_append_field(want, input);
+    ASSERT_EQ(got, want) << input;
+    const auto back = unescape_field(std::string_view(got).substr(5));
+    ASSERT_TRUE(back.has_value()) << input;
+    ASSERT_EQ(*back, input);
+    ++checked;
+  };
+  const auto filler = [](std::size_t size) {
+    std::string text;
+    for (std::size_t i = 0; i < size; ++i) text += char('a' + i % 26);
+    return text;
+  };
+  const char specials[] = {'\\', '\t', '\n'};
+
+  // Every length up to four blocks, one escaped byte at every offset,
+  // and a second one at the last byte.
+  for (std::size_t size = 0; size <= 64; ++size) {
+    check(filler(size));
+    check(std::string(size, '\n'));
+    for (std::size_t at = 0; at < size; ++at) {
+      for (const char c : specials) {
+        std::string text = filler(size);
+        text[at] = c;
+        check(text);
+        text.back() = specials[(at + 1) % 3];
+        check(text);
+      }
+    }
+  }
+
+  // A 1.8 KB plan payload, as rpc_outbox journals it, with an escaped
+  // byte on each side of and at every 8-byte edge, the field's end
+  // included.
+  std::string payload = "<?xml version=\"1.0\"?><methodCall><methodName>"
+                        "sphinx_client.execute_plan</methodName><params>";
+  while (payload.size() < 1800) {
+    payload += "<member><name>lfn</name><value><string>lfn://wire/in-" +
+               std::to_string(payload.size()) + "</string></value></member>";
+  }
+  check(payload);
+  for (std::size_t edge = 0; edge <= payload.size(); edge += 8) {
+    for (std::size_t at = edge == 0 ? 0 : edge - 1;
+         at <= edge + 1 && at < payload.size(); ++at) {
+      for (const char c : specials) {
+        std::string text = payload;
+        text[at] = c;
+        check(text);
+      }
+    }
+  }
+  for (std::size_t at = payload.size() - 33; at < payload.size(); ++at) {
+    std::string text = payload;
+    text[at] = '\t';
+    check(text);
+    text.resize(at + 1);  // the escaped byte last, at every tail length
+    check(text);
+  }
+  EXPECT_GT(checked, 10000u);
 }
 
 TEST(Journal, NumbersMustBeTheWholeField) {

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cmath>
 #include <concepts>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -33,6 +34,7 @@
 #include "db/database.hpp"
 #include "exp/scenario.hpp"
 #include "grid/site.hpp"
+#include "image_reference.hpp"
 #include "obs/recorder.hpp"
 #include "rls_reference.hpp"
 #include "rpc/clarens.hpp"
@@ -947,12 +949,12 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
   KeyedStore via_text;
   ASSERT_TRUE(via_text.db.recover(*parsed).ok());
   KeyedStore restored;
-  ASSERT_TRUE(restored.db.restore(original.db.snapshot()).ok());
+  ASSERT_TRUE(restored.db.restore(*original.db.snapshot()).ok());
 
   // snapshot() prints reals at 17 digits, so every bit of x counts.
-  EXPECT_EQ(direct.db.snapshot(), original.db.snapshot());
-  EXPECT_EQ(via_text.db.snapshot(), original.db.snapshot());
-  EXPECT_EQ(restored.db.snapshot(), original.db.snapshot());
+  EXPECT_EQ(*direct.db.snapshot(), *original.db.snapshot());
+  EXPECT_EQ(*via_text.db.snapshot(), *original.db.snapshot());
+  EXPECT_EQ(*restored.db.snapshot(), *original.db.snapshot());
 
   // Every index answers every key (plus one absent key) exactly as a
   // scan of the rows does.
@@ -2487,7 +2489,7 @@ TEST(PinnedBytes, WarehouseJournalAndCheckpointImage) {
   expect_pinned(wh.journal().serialize(), 2820, 0xcf5da5830e50d69eu);
   wh.checkpoint();
   ASSERT_TRUE(wh.checkpoint_image().has_value());
-  expect_pinned(wh.checkpoint_image()->database, 2413, 0xe8fb77be226c0071u);
+  expect_pinned(*wh.checkpoint_image()->database, 2413, 0xe8fb77be226c0071u);
 }
 
 TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
@@ -2503,7 +2505,7 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   const db::Journal suffix = split.journal();
   ASSERT_GT(suffix.base_seq(), 0u);
   ASSERT_FALSE(suffix.empty());
-  const std::vector<std::string> corpus = {journal, image.database,
+  const std::vector<std::string> corpus = {journal, *image.database,
                                            suffix.serialize()};
   static const std::vector<std::string> kFragments = {
       "\t", "\n", "\\", "\\t", "n:", "i:", "r:", "s:", "b:", "b:2", "i:-1",
@@ -2522,7 +2524,7 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   constexpr int kMutations = 10000;
   for (int i = 0; i < kMutations; ++i) {
     const bool is_journal = rng.chance(0.5);
-    std::string doc = is_journal ? journal : image.database;
+    std::string doc = is_journal ? journal : *image.database;
     for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
       mutate(rng, doc, corpus, kFragments);
     }
@@ -2542,7 +2544,8 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
         EXPECT_EQ((*recovered)->journal().serialize(), text) << doc;
       } else {
         const auto recovered = core::DataWarehouse::recover_from(
-            suffix, core::CheckpointImage{image.seq, doc});
+            suffix, core::CheckpointImage{image.seq,
+                                  std::make_shared<const std::string>(doc)});
         if (!recovered) continue;
         ++restored;
         // The recovered state's own image recovers to the same image.
@@ -2553,7 +2556,7 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
             core::DataWarehouse::recover_from(wh.journal(), text);
         ASSERT_TRUE(again.has_value()) << again.error().to_string() << doc;
         (*again)->checkpoint();
-        EXPECT_EQ((*again)->checkpoint_image()->database, text.database)
+        EXPECT_EQ(*(*again)->checkpoint_image()->database, *text.database)
             << doc;
       }
     } catch (const std::exception& error) {
@@ -2568,6 +2571,186 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   RecordProperty("journals_parsed", parsed_journals);
   RecordProperty("journals_replayed", replayed);
   RecordProperty("images_restored", restored);
+}
+
+// --- incremental checkpoint images vs the whole-store formatter -------------
+
+TEST_P(SeededProperty, IncrementalImageMatchesFullImage) {
+  // A warehouse driven the way a server drives it -- DAG arrivals, job
+  // transitions (a set journals even an unchanged value), outbox upserts
+  // and erases of the oldest call (so the outbox's slot window reclaims
+  // its prefix), completions and settings -- checkpointing by the
+  // server's rule, and recovered from its image and journal at random
+  // points, a mid-checkpoint crash among them.  Every image it publishes
+  // must equal the whole-store formatter's output for the same state:
+  // images copy the lines of rows unwritten since the last image, and
+  // the first image after a recovery formats every row.
+  using core::JobState;
+  Rng rng(GetParam());
+  constexpr int kSteps = 15000;
+  auto wh = std::make_unique<core::DataWarehouse>();
+  std::vector<JobId> jobs;  // every job inserted, with its DAG below
+  std::vector<DagId> dag_of;
+  std::deque<std::uint64_t> outbox;  // live call sequences, oldest first
+  std::uint64_t next_dag = 1;
+  std::uint64_t next_call = 1;
+  SimTime now = 0.0;
+  std::size_t differing = 0;
+  std::size_t images = 0;
+  std::size_t recoveries = 0;
+  std::size_t images_after_recovery = 0;
+  std::size_t images_after_image = 0;  // the rows' lines still in use
+  std::size_t reclaimed = 0;
+  bool recovered_since_image = false;
+
+  const auto text = [&rng](const char* stem) {
+    std::string out = stem;
+    for (auto n = rng.uniform_int(0, 40); n > 0; --n) {
+      const std::int64_t pick = rng.uniform_int(0, 30);
+      out += pick == 0 ? '\t' : pick == 1 ? '\n' : pick == 2 ? '\\'
+                                                             : char('a' + pick);
+    }
+    return out;
+  };
+  const auto publish = [&](bool crash_midway) {
+    const core::CheckpointImage& image = wh->checkpoint(
+        [crash_midway](const core::CheckpointImage&) { return crash_midway; });
+    ++images;
+    images_after_recovery += recovered_since_image;
+    images_after_image += images > 1 && !recovered_since_image;
+    recovered_since_image = false;
+    const std::string want = image_reference::full_image(*wh);
+    if (*image.database != want && differing++ == 0) {
+      ADD_FAILURE() << "image " << images << " differs from the full "
+                    << "formatter's:\n" << *image.database << "\nvs\n" << want;
+    }
+  };
+  const auto recover = [&] {
+    auto again = core::DataWarehouse::recover_from(wh->journal(),
+                                                   wh->checkpoint_image());
+    ASSERT_TRUE(again.has_value()) << again.error().to_string();
+    wh = std::move(*again);
+    ++recoveries;
+    recovered_since_image = true;
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    now += 0.25 * static_cast<double>(rng.uniform_int(1, 8));
+    const std::int64_t action = rng.uniform_int(0, 999);
+    if (action < 10 || jobs.empty()) {
+      // An arrival: a chain whose jobs read their predecessor's output.
+      const DagId id(next_dag++);
+      workflow::Dag dag(id, text("dag"));
+      const auto count = rng.uniform_int(1, 6);
+      for (std::int64_t j = 1; j <= count; ++j) {
+        workflow::JobSpec job;
+        job.id = JobId(id.value() * 100 + static_cast<std::uint64_t>(j));
+        job.name = text("job");
+        job.compute_time =
+            60.0 + static_cast<double>(rng.uniform_int(0, 999)) / 7.0;
+        job.output = "lfn://" + std::to_string(job.id.value());
+        job.inputs.push_back(
+            j == 1 ? text("lfn://raw/")
+                   : "lfn://" + std::to_string(job.id.value() - 1));
+        dag.add_job(job);
+        if (j > 1) dag.add_edge(JobId(job.id.value() - 1), job.id);
+        jobs.push_back(job.id);
+        dag_of.push_back(id);
+      }
+      wh->insert_dag(dag, text("client"), UserId(1), now);
+    } else if (action < 500) {
+      // A transition of a random job, along the legal cycle.
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, std::ssize(jobs) - 1));
+      const JobId id = jobs[at];
+      const JobState state = wh->job(id)->state;
+      const SiteId site(static_cast<std::uint64_t>(rng.uniform_int(1, 6)));
+      switch (state) {
+        case JobState::kUnplanned:
+          wh->set_job_planned(id, site, now);
+          break;
+        case JobState::kPlanned:
+          wh->set_job_state(id, JobState::kSubmitted);
+          break;
+        case JobState::kSubmitted:
+          wh->set_job_state(id, rng.chance(0.5) ? JobState::kRunning
+                                                : JobState::kSubmitted);
+          break;
+        case JobState::kRunning:
+          if (rng.chance(0.6)) {
+            wh->set_job_state(id, JobState::kCompleted);
+            if (wh->all_jobs_completed(dag_of[at])) {
+              wh->set_dag_finished(dag_of[at], now);
+            }
+          } else {
+            wh->set_job_state(id, rng.chance(0.5) ? JobState::kCancelled
+                                                  : JobState::kHeld);
+          }
+          break;
+        case JobState::kCancelled:
+        case JobState::kHeld:
+          wh->set_job_state(id, JobState::kUnplanned);
+          break;
+        case JobState::kCompleted:
+          wh->record_completion(site, now / 3.0);
+          break;
+      }
+    } else if (action < 680) {
+      // A call enters the outbox, or a live one is resent.
+      if (outbox.empty() || rng.chance(0.6)) {
+        outbox.push_back(next_call++);
+        wh->outbox_upsert(outbox.back(), "client", text("<plan>"), 1, now);
+      } else {
+        const std::uint64_t seq = outbox[static_cast<std::size_t>(
+            rng.uniform_int(0, std::ssize(outbox) - 1))];
+        wh->outbox_upsert(seq, "client", text("<plan>"),
+                          static_cast<int>(rng.uniform_int(2, 5)), now);
+      }
+    } else if (action < 800) {
+      // The oldest call is answered.
+      if (!outbox.empty()) {
+        wh->outbox_erase(outbox.front());
+        outbox.pop_front();
+        ++reclaimed;
+      }
+    } else if (action < 900) {
+      const SiteId site(static_cast<std::uint64_t>(rng.uniform_int(1, 6)));
+      if (rng.chance(0.5)) {
+        wh->record_completion(
+            site, 1.0 / static_cast<double>(rng.uniform_int(1, 9)));
+      } else {
+        wh->record_runtime_sample(
+            site, static_cast<int>(rng.uniform_int(0, 2)), now / 7.0);
+      }
+    } else if (action < 996) {
+      // A setting, often rewritten with the value it already holds.
+      wh->set_scheduler_state("rr", std::to_string(rng.uniform_int(0, 2)));
+    } else if (action < 998) {
+      recover();
+      continue;
+    } else {
+      // A crash between an image's publication and the journal's
+      // truncation: the recovered warehouse completes the truncation.
+      if (wh->journal().empty()) continue;
+      publish(true);
+      recover();
+      continue;
+    }
+    // Each step ends like a sweep: with the server's rule.
+    if (wh->checkpoint_due()) publish(false);
+  }
+  wh->checkpoint();
+  EXPECT_EQ(*wh->checkpoint_image()->database,
+            image_reference::full_image(*wh));
+
+  EXPECT_EQ(differing, 0u);
+  EXPECT_GT(images, 40u);
+  EXPECT_GT(recoveries, 20u);
+  EXPECT_GT(images_after_recovery, 5u);
+  EXPECT_GT(images_after_image, 30u);
+  EXPECT_GT(reclaimed, 50u);
+  RecordProperty("images", static_cast<int>(images));
+  RecordProperty("recoveries", static_cast<int>(recoveries));
 }
 
 // --- the chaos repro reader under mutation ------------------------------------
@@ -3068,7 +3251,7 @@ TEST_P(SeededProperty, ReplicaCatalogMatchesReference) {
 
     const auto compare = [&](const std::vector<data::Replica>& got,
                              const std::vector<data::Replica>& want,
-                             const data::Lfn& name) {
+                             std::string_view name) {
       if (got != want && differing++ == 0) {
         ADD_FAILURE() << (soft ? "soft-state" : "immediate") << " at t="
                       << engine.now() << ", " << name << ": "
@@ -3137,7 +3320,7 @@ TEST_P(SeededProperty, ReplicaCatalogMatchesReference) {
         lookup_one(names[static_cast<std::size_t>(
             rng.uniform_int(0, kNames - 1))]);
       } else {
-        std::vector<data::Lfn> batch;
+        std::vector<std::string_view> batch;
         const std::int64_t n = rng.uniform_int(0, 12);
         for (std::int64_t i = 0; i < n; ++i) {
           batch.push_back(names[static_cast<std::size_t>(

@@ -12,7 +12,9 @@
 /// sites, sizes and order, and the query count, must match.
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,11 +80,13 @@ class ReplicaLocationService {
   }
 
   [[nodiscard]] std::vector<std::vector<Replica>> locate_bulk(
-      const std::vector<Lfn>& lfns) const {
+      std::span<const std::string_view> lfns) const {
     ++queries_;  // a clubbed call is one query no matter how many names
     std::vector<std::vector<Replica>> out;
     out.reserve(lfns.size());
-    for (const Lfn& lfn : lfns) out.push_back(locate_uncounted(lfn));
+    for (const std::string_view lfn : lfns) {
+      out.push_back(locate_uncounted(Lfn(lfn)));
+    }
     return out;
   }
 

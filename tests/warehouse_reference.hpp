@@ -49,6 +49,15 @@ struct WarehouseInspector {
   static const std::set<db::RowId>& dirty_rows(const DataWarehouse& wh) {
     return wh.dirty_rows_;
   }
+  /// fn(tables...) over every table, in creation order: the image
+  /// reference's view of the store (tests/image_reference.hpp).
+  template <typename Fn>
+  static auto with_tables(const DataWarehouse& wh, const Fn& fn) {
+    return fn(wh.dags_, wh.jobs_, wh.job_inputs_, wh.job_deps_,
+              wh.site_stats_, wh.quotas_, wh.scheduler_state_, wh.rpc_outbox_,
+              wh.speculations_, wh.runtime_samples_);
+  }
+
   /// DataWarehouse::job_parents as it was (its row type is private).
   static std::vector<JobId> job_parents(const DataWarehouse& wh, JobId id) {
     std::vector<JobId> out;

@@ -37,6 +37,18 @@ if [ "$waivers" -gt "$max_test_only_waivers" ]; then
 fi
 echo "test-only waivers: $waivers (bound $max_test_only_waivers)"
 
+echo "== one double writer gate =="
+# Every persisted or wire double -- journal and image cells, XML-RPC
+# <double> values, the server's speculation cursor -- is written by
+# src/common/g17.{hpp,cpp}.  A second 17-digit formatter in src/ could
+# drift from it by a byte and move every digest, so none may appear.
+if grep -rn -e 'chars_format::general, 17' -e '%\.17g' src |
+    grep -v '^src/common/g17\.'; then
+  echo "a 17-digit double formatter outside src/common/g17.*" >&2
+  exit 1
+fi
+echo "double writer: src/common/g17.* only"
+
 echo "== rng stream registry gate =="
 # docs/rng_streams.md is generated from the seeds.stream() literals the
 # analyzer extracts; the committed copy must match byte-for-byte.
@@ -181,8 +193,14 @@ echo "== recovery benchmark =="
 # image: every record replayed onto the empty declared tables) at
 # 1k/10k/100k journal records.  The checkpointed path follows the
 # server's rule, should win by well over an order of magnitude at 100k,
-# and retains only the post-checkpoint journal suffix.  Results land in
-# BENCH_recovery.json.
+# and retains only the post-checkpoint journal suffix.  Two image
+# costs: BM_CheckpointPublish checkpoints a warehouse nothing wrote to
+# since its last image, so every row's line is copied, and
+# BM_CheckpointImage times the images of a warehouse shaped like one
+# fig5 server's (120 ten-job DAGs, 100 finished) as the server's rule
+# takes them, with job transitions, outbox upserts and erases and
+# completions between them; its image_rows and image_bytes counters
+# describe the last image.  Results land in BENCH_recovery.json.
 "$bin/bench/micro_recovery" \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
@@ -205,8 +223,10 @@ echo "== db benchmark =="
 # unindexed column of 4,096 rows sharing one state bucket (no index is
 # touched), journal appends (BM_JournalAppendPayload: the warehouse's
 # OutboxEntry row with a 1.8 KB XML cell, as rpc_outbox journals every
-# plan), warehouse journal replay and the journal text round trip.
-# Results land in BENCH_db.json.
+# plan, escaped by a 16-byte block scan), real cells through the one
+# 17-digit writer (BM_AppendReal: fig5's mix, 46% integral, 9%
+# infinite, the rest fractional), warehouse journal replay and the
+# journal text round trip.  Results land in BENCH_db.json.
 "$bin/bench/micro_db" \
   --benchmark_out=BENCH_db.json --benchmark_out_format=json
 
