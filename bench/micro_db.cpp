@@ -7,7 +7,6 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -234,8 +233,7 @@ void BM_JournalReplay(benchmark::State& state) {
     warehouse.record_completion(SiteId(1 + i % 15), 300.0);
   }
   for (auto _ : state) {
-    auto recovered =
-        core::DataWarehouse::recover_from(warehouse.journal(), std::nullopt);
+    auto recovered = core::DataWarehouse::recover_from(warehouse.durable());
     benchmark::DoNotOptimize(recovered.has_value());
   }
   state.SetLabel(std::to_string(warehouse.journal().size()) + " records");

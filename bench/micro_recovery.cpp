@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -36,18 +35,6 @@ namespace {
 using namespace sphinx;
 
 constexpr int kSites = 15;
-
-/// An image's text.  Written for either way a CheckpointImage may hold
-/// it -- shared, or by value -- so that the same file measures a
-/// checkout of each.
-template <typename Image>
-std::string_view image_text(const Image& image) {
-  if constexpr (requires { *image.database; }) {
-    return *image.database;
-  } else {
-    return image.database;
-  }
-}
 
 /// The row lines of an image.
 std::size_t image_rows(std::string_view text) {
@@ -81,8 +68,7 @@ void BM_RecoverFullReplay(benchmark::State& state) {
   const auto records = static_cast<std::uint64_t>(state.range(0));
   const auto warehouse = build_warehouse(records, false);
   for (auto _ : state) {
-    auto recovered =
-        core::DataWarehouse::recover_from(warehouse->journal(), std::nullopt);
+    auto recovered = core::DataWarehouse::recover_from(warehouse->durable());
     benchmark::DoNotOptimize(recovered.has_value());
   }
   state.counters["journal_records"] =
@@ -95,10 +81,8 @@ BENCHMARK(BM_RecoverFullReplay)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_RecoverCheckpointed(benchmark::State& state) {
   const auto records = static_cast<std::uint64_t>(state.range(0));
   const auto warehouse = build_warehouse(records, true);
-  const auto& image = warehouse->checkpoint_image();
   for (auto _ : state) {
-    auto recovered =
-        core::DataWarehouse::recover_from(warehouse->journal(), image);
+    auto recovered = core::DataWarehouse::recover_from(warehouse->durable());
     benchmark::DoNotOptimize(recovered.has_value());
   }
   state.counters["journal_records"] =
@@ -106,18 +90,19 @@ void BM_RecoverCheckpointed(benchmark::State& state) {
   state.counters["journal_bytes"] =
       static_cast<double>(warehouse->journal().size_bytes());
   state.counters["snapshot_bytes"] =
-      static_cast<double>(image_text(*image).size());
+      static_cast<double>(warehouse->durable().image->size());
 }
 BENCHMARK(BM_RecoverCheckpointed)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// The checkpoint operation itself (snapshot + truncate), so the
+/// The checkpoint operation itself (image + truncate), so the
 /// recovery win above can be weighed against its steady-state cost.
 /// Nothing is written between two images, so every row's line is
 /// copied from the last one.
 void BM_CheckpointPublish(benchmark::State& state) {
   const auto warehouse = build_warehouse(2048, false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(image_text(warehouse->checkpoint()).size());
+    warehouse->checkpoint();
+    benchmark::DoNotOptimize(warehouse->durable().image->size());
   }
 }
 BENCHMARK(BM_CheckpointPublish);
@@ -249,9 +234,10 @@ void BM_CheckpointImage(benchmark::State& state) {
       server.sweep();
     } while (!warehouse.checkpoint_due());
     state.ResumeTiming();
-    benchmark::DoNotOptimize(image_text(warehouse.checkpoint()).size());
+    warehouse.checkpoint();
+    benchmark::DoNotOptimize(warehouse.durable().image->size());
   }
-  const std::string_view text = image_text(*warehouse.checkpoint_image());
+  const std::string_view text = *warehouse.durable().image;
   state.counters["image_rows"] = static_cast<double>(image_rows(text));
   state.counters["image_bytes"] = static_cast<double>(text.size());
 }

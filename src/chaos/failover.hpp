@@ -9,10 +9,11 @@
 /// its shard's lease to a LeaseCoordinator.  The chaotic run fail-stop
 /// kills one scheduler *and* severs the client-server links around the
 /// crash; the coordinator's monitor notices the silent lease, declares it
-/// expired, and a surviving peer adopts the dead shard from its
-/// CheckpointImage + journal suffix, re-arming its rpc_outbox without
-/// resending.  The baseline runs the same seed, partition and workload
-/// uninterrupted.
+/// expired, and a surviving peer adopts the dead shard from its durable
+/// state (db::DurableState: the last checkpoint image + journal suffix),
+/// re-arming its rpc_outbox without resending.  A refused adoption keeps
+/// that state for the monitor's next attempt.  The baseline runs the
+/// same seed, partition and workload uninterrupted.
 ///
 /// The differential oracle (check_failover_differential) then demands the
 /// chaotic run's terminal journals and control-plane-stripped trace equal

@@ -32,34 +32,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Exponentially-weighted moving average, used by the prediction module to
-/// track per-site job completion times (recent behaviour matters more on a
-/// dynamic grid).
-class Ewma {
- public:
-  /// \param alpha weight of the newest observation, in (0, 1].
-  explicit Ewma(double alpha = 0.3) noexcept : alpha_(alpha) {}
-
-  void add(double x) noexcept {
-    if (n_ == 0) {
-      value_ = x;
-    } else {
-      value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-    ++n_;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  /// Current smoothed value; 0 when empty.
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  std::size_t n_ = 0;
-};
-
 /// Percentile over a snapshot of samples.  `q` in [0, 1]; linear
 /// interpolation between order statistics.  Returns 0 for empty input.
 [[nodiscard]] double percentile(std::vector<double> samples, double q);

@@ -29,15 +29,6 @@ bool parse_u64(std::string_view s, std::uint64_t& out) noexcept {
   return true;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view s) noexcept {
   const auto is_space = [](char c) {
     return c == ' ' || c == '\t' || c == '\n' || c == '\r';
@@ -45,15 +36,6 @@ std::string_view trim(std::string_view s) noexcept {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) noexcept {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) noexcept {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string format_double(double v, int digits) {

@@ -13,10 +13,6 @@ namespace sphinx {
 /// Splits `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
 
-/// Joins the pieces with `sep`.
-[[nodiscard]] std::string join(const std::vector<std::string>& parts,
-                               std::string_view sep);
-
 /// Parses all of `s` as an unsigned decimal.  Returns false, leaving
 /// `out` untouched, on anything else: empty, a sign, trailing bytes, or a
 /// value past 64 bits -- so a caller may ignore the result to keep a
@@ -25,9 +21,6 @@ bool parse_u64(std::string_view s, std::uint64_t& out) noexcept;
 
 /// Strips ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
-
-[[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 
 /// Formats a double with `digits` fraction digits (no trailing cleanup).
 [[nodiscard]] std::string format_double(double v, int digits = 2);

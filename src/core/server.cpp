@@ -103,12 +103,11 @@ Expected<std::unique_ptr<SphinxServer>> SphinxServer::recover(
     rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
     data::ReplicaLocationService& rls, data::TransferService& transfers,
     const monitor::MonitoringService* monitoring, ServerConfig config,
-    const db::Journal& journal,
-    const std::optional<CheckpointImage>& checkpoint) {
-  auto warehouse = DataWarehouse::recover_from(journal, checkpoint);
+    const db::DurableState& state) {
+  auto warehouse = DataWarehouse::recover_from(state);
   if (!warehouse) return Unexpected<Error>{warehouse.error()};
   // The recovered warehouse carries everything: tables, indexes, rebuilt
-  // work queue and outstanding counters, and the last image.
+  // work queue and outstanding counters, and the durable state.
   // In-flight plans were already sent; jobs stuck in kPlanned will be
   // re-reported by the client tracker (or time out and be replanned), so
   // no plan is lost permanently.
@@ -155,26 +154,24 @@ void SphinxServer::maybe_crash() { fire_crash(crash_); }
 
 void SphinxServer::maybe_checkpoint() {
   if (!warehouse_->checkpoint_due()) return;
-  warehouse_->checkpoint(
-      [this](const CheckpointImage& image) {
-        // Observability rides publication, before the mid-checkpoint kill
-        // window below, so baseline and crashed-here traces agree on
-        // every event up to the crash itself.
-        if (recorder_ != nullptr) {
-          const auto compacted =
-              static_cast<double>(warehouse_->journal().size());
-          recorder_->event(obs::TraceKind::kCheckpoint, source_name_, {},
-                           recorder_->name("seq:", image.seq), compacted);
-          recorder_->count(config_.endpoint, "server.checkpoints");
-          recorder_->observe(config_.endpoint,
-                             "server.checkpoint_snapshot_bytes",
-                             static_cast<double>(image.database->size()));
-          recorder_->observe(config_.endpoint, "server.checkpoint_compacted",
-                             compacted);
-        }
-        // Crashing here leaves the journal untruncated.
-        return fire_crash(crash_mid_checkpoint_);
-      });
+  warehouse_->checkpoint([this] {
+    // Observability rides publication, before the mid-checkpoint kill
+    // window below, so baseline and crashed-here traces agree on every
+    // event up to the crash itself.
+    if (recorder_ != nullptr) {
+      const db::DurableState& durable = warehouse_->durable();
+      const auto compacted = static_cast<double>(durable.journal.size());
+      recorder_->event(obs::TraceKind::kCheckpoint, source_name_, {},
+                       recorder_->name("seq:", durable.image_seq), compacted);
+      recorder_->count(config_.endpoint, "server.checkpoints");
+      recorder_->observe(config_.endpoint, "server.checkpoint_snapshot_bytes",
+                         static_cast<double>(durable.image->size()));
+      recorder_->observe(config_.endpoint, "server.checkpoint_compacted",
+                         compacted);
+    }
+    // Crashing here leaves the journal untruncated.
+    return fire_crash(crash_mid_checkpoint_);
+  });
 }
 
 void SphinxServer::register_methods() {

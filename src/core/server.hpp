@@ -19,13 +19,14 @@
 /// queue and walks each DAG through the stages -- O(changed work), not
 /// O(total state).  The server itself only owns the wiring: the RPC
 /// endpoint, the outgoing client channel, and the periodic sweep, whose
-/// end publishes a checkpoint image whenever the warehouse's rule says
+/// end publishes a checkpoint image whenever the database's rule says
 /// one is due (DataWarehouse::checkpoint_due), so every server's journal
-/// holds only the records since its last image.
+/// holds only the records since its last image.  The warehouse's
+/// durable() state is all a crashed server leaves, and recover() takes
+/// it.
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,21 +57,21 @@ class SphinxServer {
                const monitor::MonitoringService* monitoring,
                ServerConfig config);
 
-  /// Reconstructs a server from a crashed instance's durable state -- its
-  /// last checkpoint image, if a sweep published one, and its journal
-  /// (paper: "easily recoverable from internal component failures").
-  /// Only the journal suffix past the image is replayed: O(state +
-  /// suffix) instead of O(history).  In-flight client
-  /// connections resume transparently because all state that matters
-  /// lives in the warehouse; the recovered warehouse rebuilds the work
-  /// queue from its tables, so the control process resumes exactly where
-  /// the crashed one stopped.
+  /// Reconstructs a server from a crashed instance's durable state --
+  /// its warehouse's durable(): the last checkpoint image, if a sweep
+  /// published one, and the journal (paper: "easily recoverable from
+  /// internal component failures").  Only the journal suffix past the
+  /// image is replayed: O(state + suffix) instead of O(history).  The
+  /// state is left as it was.  In-flight client connections resume
+  /// transparently because all state that matters lives in the
+  /// warehouse; the recovered warehouse rebuilds the work queue from its
+  /// tables, so the control process resumes exactly where the crashed
+  /// one stopped.
   static Expected<std::unique_ptr<SphinxServer>> recover(
       rpc::MessageBus& bus, std::vector<CatalogSite> catalog,
       data::ReplicaLocationService& rls, data::TransferService& transfers,
       const monitor::MonitoringService* monitoring, ServerConfig config,
-      const db::Journal& journal,
-      const std::optional<CheckpointImage>& checkpoint);
+      const db::DurableState& state);
 
   ~SphinxServer();
   SphinxServer(const SphinxServer&) = delete;

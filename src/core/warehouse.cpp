@@ -35,66 +35,25 @@ DataWarehouse::DataWarehouse()
       runtime_samples_(db_.create_table<RuntimeSample>("runtime_samples")) {}
 
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
-    const db::Journal& journal,
-    const std::optional<CheckpointImage>& checkpoint) {
+    const db::DurableState& state) {
   // A fresh warehouse declares the tables and their indexes; the image
   // and the journal records after it fill them, indexes included.  Only
   // the derived work state needs explicit reconstruction.
   auto warehouse = std::make_unique<DataWarehouse>();
-  std::uint64_t from_seq = 0;
-  if (checkpoint.has_value()) {
-    const std::string_view image = checkpoint->database
-                                       ? *checkpoint->database
-                                       : std::string_view{};
-    if (const auto status = warehouse->db_.restore(image); !status.ok()) {
-      return Unexpected<Error>{status.error()};
-    }
-    from_seq = checkpoint->seq;
-    warehouse->image_rows_ = warehouse->db_.rows();
-  }
-  // Replay only what the image does not hold.  When the crash landed
-  // between image publication and truncation the journal still holds the
-  // compacted prefix; skipping entries below the image's sequence
-  // completes the interrupted truncation.  A compacted journal without
-  // its image is refused (recover_suffix).
-  if (const auto status = warehouse->db_.recover(journal, from_seq);
-      !status.ok()) {
+  if (const auto status = warehouse->db_.recover(state); !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
-  // Carry the image so a later crash can pair the (now compacted)
-  // journal with the image that anchors its sequence numbers.
-  warehouse->checkpoint_ = checkpoint;
   warehouse->rebuild_work_state();
   // Every cell was read into its column, but the rows can still disagree
-  // with each other (a job count, a negative counter): recovery refuses a
-  // store the live warehouse could not have reached.
+  // with each other (a job count, a negative counter) or with the
+  // store's structure: recovery refuses a store the live warehouse could
+  // not have reached.  This one sweep covers the database's too.
   try {
     warehouse->check_invariants();
   } catch (const ContractViolation& violation) {
     return make_error("recover_invariant", violation.what());
   }
   return warehouse;
-}
-
-bool DataWarehouse::checkpoint_due() const noexcept {
-  const std::size_t records = db_.journal().size();
-  return records > 0 && records >= image_rows_;
-}
-
-const CheckpointImage& DataWarehouse::checkpoint(
-    const std::function<bool(const CheckpointImage&)>& mid_hook) {
-  // Publish first: from here on a recovered instance no longer needs the
-  // journal prefix, whether or not the truncation below completes.
-  checkpoint_ = CheckpointImage{db_.journal().next_seq(), db_.snapshot()};
-  image_rows_ = db_.rows();
-  if (mid_hook && mid_hook(*checkpoint_)) {
-    return *checkpoint_;  // crashing mid-checkpoint; journal left untruncated
-  }
-  db_.truncate_journal(checkpoint_->seq);
-  SPHINX_POSTCONDITION(db_.journal().base_seq() == checkpoint_->seq,
-                       "compaction must advance the journal base to the "
-                       "checkpoint sequence");
-  return *checkpoint_;
 }
 
 void DataWarehouse::rebuild_work_state() {

@@ -46,18 +46,18 @@
 /// attempt number).  jobs_in_state() returns ids instead, a snapshot,
 /// because its caller moves jobs out of that state while walking them.
 ///
-/// Recovery is O(state), not O(history): checkpoint() publishes a
-/// CheckpointImage (database snapshot + sequence number) and compacts the
-/// journal prefix it covers, and recover_from(journal, image) restores
-/// the snapshot then replays only the post-checkpoint suffix onto the
-/// declared tables; before the first image that suffix is the whole
-/// journal.  checkpoint_due() keeps the two in proportion: a checkpoint
-/// is due once the journal holds at least as many records as the last
-/// image holds rows, so replaying the retained journal never costs more
-/// than restoring the image, and each image is paid for by the records
-/// journaled since the one before.  It costs about that in formatting
-/// too: the database copies the line of every row no record wrote since
-/// its last image, and the published image shares that text with it.
+/// Recovery is O(state), not O(history): the database keeps the durable
+/// state (db::DurableState: its last checkpoint image, the sequence the
+/// image reflects, and the journal), and checkpoint() publishes an image
+/// and compacts the journal prefix it covers.  recover_from(durable())
+/// restores the image and replays only the records after it onto the
+/// declared tables; before the first image that is the whole journal.
+/// checkpoint_due() keeps the two in proportion: a checkpoint is due
+/// once the journal holds at least as many records as the last image
+/// holds rows, so replaying the retained journal never costs more than
+/// restoring the image.  It costs about that in formatting too: the
+/// database copies the line of every row no record wrote since its last
+/// image.
 
 #include <cstdint>
 #include <functional>
@@ -73,7 +73,6 @@
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
-#include "core/checkpoint.hpp"
 #include "core/state.hpp"
 #include "data/lfn.hpp"
 #include "db/database.hpp"
@@ -222,56 +221,41 @@ class DataWarehouse {
   /// Creates the declared tables in a fresh database.
   DataWarehouse();
 
-  /// Rebuilds a warehouse from a crashed instance's durable state: the
-  /// checkpoint image, when one was published, plus the journal.  Restores
-  /// the image's snapshot and replays only the entries with sequence >=
-  /// image.seq onto the declared tables; without an image it replays the
-  /// whole journal, which must then start at sequence 0 (a compacted
-  /// journal needs its image).
-  /// Handles both a compacted journal (crash after truncation) and an
-  /// untruncated one (crash between snapshot publication and truncation
-  /// -- recovery completes the truncation).  Never throws: a journal or
-  /// image whose tables do not match the declared schema -- a table
-  /// missing or undeclared, or a column renamed, retyped, moved or
-  /// re-indexed -- is refused with `recover_schema`, a cell its column
-  /// cannot hold with `recover_replay` (journal) or `restore_parse`
-  /// (image), and a store that fails check_invariants() with
-  /// `recover_invariant`.
+  /// Rebuilds a warehouse from a crashed instance's durable state -- its
+  /// durable() -- through db::Database::recover (the image, when one was
+  /// published, and the journal records from its sequence on), then
+  /// rebuilds the work state and sweeps the result once with
+  /// check_invariants().  Never throws: recovery refuses what the database
+  /// refuses (`restore_parse`, `recover_schema`, `recover_suffix`,
+  /// `recover_replay`), and a store that fails the sweep with
+  /// `recover_invariant`.  `state` is left as it was, so a caller may try
+  /// again with it.
   [[nodiscard]] static Expected<std::unique_ptr<DataWarehouse>> recover_from(
-      const db::Journal& journal,
-      const std::optional<CheckpointImage>& checkpoint);
+      const db::DurableState& state);
 
-  /// The journal to persist elsewhere for crash recovery.
+  /// The journal, as durable() holds it.
   [[nodiscard]] const db::Journal& journal() const { return db_.journal(); }
 
+  /// The durable state to carry across a crash: the last checkpoint
+  /// image, its sequence, and the journal.
+  [[nodiscard]] const db::DurableState& durable() const noexcept {
+    return db_.durable();
+  }
+
   // --- checkpointing ----------------------------------------------------
-  /// The checkpoint rule: true once the journal holds at least one record
-  /// and at least as many records as the last image holds rows (zero
-  /// before the first image).  It reads only what recovery carries over
-  /// -- the retained journal and the image -- so a recovered warehouse
-  /// answers exactly as the crashed one would have.
-  [[nodiscard]] bool checkpoint_due() const noexcept;
+  /// The database's checkpoint rule (db::Database::checkpoint_due).
+  [[nodiscard]] bool checkpoint_due() const noexcept {
+    return db_.checkpoint_due();
+  }
 
-  /// Publishes a checkpoint image of the current state (database
-  /// snapshot at the journal's next_seq, its text shared with the
-  /// database), truncates the journal prefix it covers, and returns the
-  /// image.  `mid_hook`, when provided, runs between publication and
-  /// truncation -- the chaos harness's mid-checkpoint kill point;
-  /// returning true marks the instance as
-  /// crashing and leaves the journal untruncated (the recovered instance
-  /// finishes the truncation via recover_from, so a crash here is
-  /// invisible).
-  const CheckpointImage& checkpoint(
-      const std::function<bool(const CheckpointImage&)>& mid_hook = {});
-
-  /// The most recent checkpoint image: published by checkpoint() and
-  /// carried across recover_from(), so a crash handler can always pair
-  /// journal() with the image that anchors its sequence numbers.  A
-  /// recovered warehouse's database remembers no lines of it, so its
-  /// first checkpoint formats every row.
-  [[nodiscard]] const std::optional<CheckpointImage>& checkpoint_image()
-      const noexcept {
-    return checkpoint_;
+  /// Publishes a checkpoint image and truncates the journal prefix it
+  /// covers (db::Database::checkpoint).  `mid_hook`, when provided, runs
+  /// between publication and truncation -- the chaos harness's
+  /// mid-checkpoint kill point; returning true marks the instance as
+  /// crashing and leaves the journal untruncated (recover_from finishes
+  /// the truncation, so a crash here is invisible).
+  void checkpoint(const std::function<bool()>& mid_hook = {}) {
+    db_.checkpoint(mid_hook);
   }
 
   // --- DAG lifecycle --------------------------------------------------
@@ -571,13 +555,6 @@ class DataWarehouse {
   /// Live outstanding-jobs-per-site counters (zero entries erased so the
   /// map compares equal to a fresh scan).  Derived state like the queue.
   std::unordered_map<SiteId, std::int64_t> outstanding_;  // sphinx-lint: derived(rebuild_work_state, set_job_state, set_job_planned, speculate_job, resolve_speculation)
-  /// Last published checkpoint image.  Written only when a checkpoint is
-  /// published or carried across recovery -- any other write would let
-  /// the image drift from the journal sequence it anchors.
-  std::optional<CheckpointImage> checkpoint_;  // sphinx-lint: derived(checkpoint, recover_from)
-  /// Rows the last image holds (0 before the first): the store's row
-  /// count when it was published, and again when recovery restores it.
-  std::size_t image_rows_ = 0;  // sphinx-lint: derived(checkpoint, recover_from)
   obs::Recorder* recorder_ = nullptr;
   obs::Name recorder_source_{};
   obs::Name job_name_{};  ///< "job", the subject of every transition

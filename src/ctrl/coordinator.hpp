@@ -9,9 +9,11 @@
 /// shard dead when its owner stops renewing.  On expiry it picks the
 /// adopter -- the first scheduler in grant order that still holds a
 /// current lease of its own -- and runs the installed AdoptHandler,
-/// which recovers the dead shard from its CheckpointImage + journal
-/// suffix and re-registers its endpoint.  Only when the handler succeeds
-/// is the lease transferred (epoch + 1), fencing the old owner.
+/// which recovers the dead shard from its durable state (the last
+/// checkpoint image + journal suffix, db::DurableState) and re-registers
+/// its endpoint.  Only when the handler succeeds is the lease transferred
+/// (epoch + 1), fencing the old owner; a failed handler leaves the state
+/// for the next monitor sweep to try again.
 ///
 /// Trace policy: granted / expired / adopted / fenced each emit one
 /// event; successful renewals are metrics-only ("ctrl.lease_renewals"),

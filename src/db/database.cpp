@@ -83,44 +83,14 @@ StatusOrError Database::replay(const JournalEntry& e) {
   return {};
 }
 
-StatusOrError Database::recover(const Journal& journal,
-                                std::uint64_t from_seq) {
-  if (from_seq == 0 && !fresh()) {
-    return make_error("recover_nonempty",
-                      "recover() requires empty tables");
-  }
-  if (journal.base_seq() > from_seq) {
-    // The journal was compacted past the requested start: the dropped
-    // prefix only survives inside the checkpoint image that truncated
-    // it, so the caller must recover through that image.
-    return make_error("recover_suffix",
-                      "journal starts past the requested sequence; "
-                      "recover through the matching checkpoint image");
-  }
-  if (from_seq > journal.next_seq()) {
-    return make_error("recover_suffix",
-                      "journal ends before the requested sequence");
-  }
-  // The records replay onto the declared tables: empty ones without an
-  // image, the restored ones with it.  Nothing replay applies is
-  // journaled: the replayed suffix is adopted wholesale below --
-  // byte-identical to the crashed journal's retained entries.  Entries
-  // below from_seq are already folded into the restored snapshot
-  // (recovery after a crash between checkpoint publication and
-  // truncation sees them still in the journal).
-  for (std::uint64_t seq = from_seq; seq < journal.next_seq(); ++seq) {
-    const auto entry = Journal::decode(
-        journal.record(static_cast<std::size_t>(seq - journal.base_seq())));
-    if (!entry) return make_error("recover_replay", entry.error().message);
-    if (auto applied = replay(*entry); !applied.ok()) return applied;
-  }
-  journal_.adopt_suffix(journal, from_seq);
-  check_invariants();  // a replayed store must be as sound as the original
-  return {};
+bool Database::checkpoint_due() const noexcept {
+  const std::size_t records = durable_.journal.size();
+  return records > 0 && records >= image_rows_;
 }
 
-std::shared_ptr<const std::string> Database::snapshot() {
-  const std::string_view last = image_ ? *image_ : std::string_view{};
+void Database::checkpoint(const std::function<bool()>& mid_hook) {
+  const std::string_view last =
+      durable_.image ? *durable_.image : std::string_view{};
   std::string out;
   // Stores grow between images: room for the last one and an eighth.
   out.reserve(last.size() + last.size() / 8);
@@ -137,14 +107,61 @@ std::shared_ptr<const std::string> Database::snapshot() {
     out += '\n';
     table->append_rows(out, last);
   }
-  image_ = std::make_shared<const std::string>(std::move(out));
-  return image_;
+  // Publish first: from here on a recovered store no longer needs the
+  // journal prefix, whether or not the truncation below completes.
+  durable_.image = std::make_shared<const std::string>(std::move(out));
+  durable_.image_seq = durable_.journal.next_seq();
+  image_rows_ = rows();
+  if (mid_hook && mid_hook()) return;  // crashing; journal left untruncated
+  durable_.journal.truncate_before(durable_.image_seq);
+  SPHINX_POSTCONDITION(durable_.journal.base_seq() == durable_.image_seq,
+                       "compaction must advance the journal base to the "
+                       "image's sequence");
 }
 
-StatusOrError Database::restore(std::string_view snapshot) {
+StatusOrError Database::recover(const DurableState& state) {
   if (!fresh()) {
-    return make_error("restore_nonempty", "restore() requires empty tables");
+    return make_error("recover_nonempty", "recover() requires empty tables");
   }
+  if (state.image) {
+    if (auto restored = restore(*state.image); !restored.ok()) return restored;
+  } else if (state.image_seq != 0) {
+    return make_error("restore_parse",
+                      "no image at sequence " +
+                          std::to_string(state.image_seq));
+  }
+  const std::size_t image_rows = rows();
+  const Journal& journal = state.journal;
+  if (journal.base_seq() > state.image_seq) {
+    // The journal was compacted past the image: the dropped records only
+    // survive inside a later image, which this state does not hold.
+    return make_error("recover_suffix",
+                      "journal starts past the image's sequence; "
+                      "recover through the matching checkpoint image");
+  }
+  if (state.image_seq > journal.next_seq()) {
+    return make_error("recover_suffix",
+                      "journal ends before the image's sequence");
+  }
+  // The records replay onto the declared tables: empty ones without an
+  // image, the restored ones with it.  Nothing replay applies is
+  // journaled: the journal is adopted below, byte-identical to the
+  // crashed one's records from image_seq on.  Records below image_seq
+  // are already folded into the image (a crash between its publication
+  // and the truncation leaves them in the journal).
+  for (std::uint64_t seq = state.image_seq; seq < journal.next_seq(); ++seq) {
+    const auto entry = Journal::decode(
+        journal.record(static_cast<std::size_t>(seq - journal.base_seq())));
+    if (!entry) return make_error("recover_replay", entry.error().message);
+    if (auto applied = replay(*entry); !applied.ok()) return applied;
+  }
+  durable_ = state;
+  durable_.journal.truncate_before(state.image_seq);
+  image_rows_ = image_rows;
+  return {};
+}
+
+StatusOrError Database::restore(std::string_view image) {
   const auto fail = [](const std::string& what) {
     return make_error("restore_parse", what);
   };
@@ -155,7 +172,7 @@ StatusOrError Database::restore(std::string_view snapshot) {
   std::vector<bool> seen(tables_.size(), false);
   TableBase* current = nullptr;
   RowId cursor = kInvalidRow;
-  std::string_view rest = snapshot;
+  std::string_view rest = image;
   bool saw_header = false;
   while (!rest.empty()) {
     const std::string_view line = take_line(rest);
@@ -222,26 +239,26 @@ StatusOrError Database::restore(std::string_view snapshot) {
   for (std::size_t i = 0; i < tables_.size(); ++i) {
     if (!seen[i]) return schema_error("missing table " + tables_[i]->name());
   }
-  journal_ = Journal{};
-  check_invariants();
   return {};
 }
 
 void Database::check_invariants() const {
 #if SPHINX_CONTRACTS_ENABLED
-  const std::string_view image = image_ ? *image_ : std::string_view{};
+  const std::string_view image =
+      durable_.image ? *durable_.image : std::string_view{};
   for (std::size_t i = 0; i < tables_.size(); ++i) {
     SPHINX_INVARIANT(position(tables_[i]->name()) == i,
                      "table registered twice: " + tables_[i]->name());
     tables_[i]->check_invariants();
     tables_[i]->check_lines(image);
   }
-  for (std::size_t i = 0; i < journal_.size(); ++i) {
-    const auto entry = Journal::decode(journal_.record(i));
+  const Journal& journal = durable_.journal;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const auto entry = Journal::decode(journal.record(i));
     SPHINX_INVARIANT(
         entry.has_value() && position(entry->table) < tables_.size(),
         "journal entry references unknown table: " +
-            std::string(journal_.record(i)));
+            std::string(journal.record(i)));
   }
 #endif
 }

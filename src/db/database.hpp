@@ -1,23 +1,27 @@
 #pragma once
 /// \file database.hpp
-/// The table store: typed tables + journaling + recovery.
+/// The table store: typed tables, their journal, and the durable state
+/// that survives a crash.
 ///
-/// Recovery has one path: restore() the last checkpoint image, if there
-/// is one, then recover() replays the journal records after it onto the
-/// declared tables.  The schema lives in the code that declares the
-/// tables and in each image, never in the journal.
+/// What survives is one DurableState -- the last checkpoint image, the
+/// journal sequence it reflects, and the journal -- and only this class
+/// writes it: checkpoint() publishes an image and truncates the journal
+/// prefix it covers, and recover() is the one way back.  The schema
+/// lives in the code that declares the tables and in each image, never
+/// in the journal.
 ///
-/// Images are incremental in their work, not in their bytes.  The
-/// database keeps the last image it wrote, shared with whoever published
-/// it, and each row remembers where its line sits there.  Any write to a
-/// row -- an insert, a set (journaled even when the value is unchanged)
-/// or a replayed insert or update -- makes it forget; the next image
-/// copies every remembered line and formats only the rest.  A restore
-/// remembers nothing, so the first image after recovery formats every
-/// row: remembering a restored line would mean formatting its row to
-/// check that the image holds it in the store's own form, which costs
-/// what the first image saves.
+/// Images are incremental in their work, not in their bytes.  Each row
+/// remembers where its line sits in the last image checkpoint() wrote.
+/// Any write to a row -- an insert, a set (journaled even when the value
+/// is unchanged) or a replayed insert or update -- makes it forget; the
+/// next image copies every remembered line and formats only the rest.  A
+/// recovered row remembers nothing, so the first image after recovery
+/// formats every row: remembering a restored line would mean formatting
+/// its row to check that the image holds it in the store's own form,
+/// which costs what the first image saves.
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,6 +31,20 @@
 #include "db/table.hpp"
 
 namespace sphinx::db {
+
+/// What survives a crash of a database: its last checkpoint image and
+/// the journal.  The image reflects every record below `image_seq`, so
+/// recovery replays the records from `image_seq` on; the journal may
+/// still hold older ones when the crash fell between an image's
+/// publication and the truncation that follows it.  Copying the state
+/// copies the image's pointer, not its text.
+struct DurableState {
+  /// The last image, null before the first checkpoint.
+  std::shared_ptr<const std::string> image;
+  /// The journal sequence the image reflects; 0 without an image.
+  std::uint64_t image_seq = 0;
+  Journal journal;
+};
 
 /// A collection of tables sharing one journal.  Its owner declares every
 /// table up front, in creation order; recovery fills the declared tables
@@ -46,61 +64,65 @@ class Database {
   /// compile-time constants in this codebase).
   template <typename Row>
   Table<Row>& create_table(std::string name) {
-    auto table = std::make_unique<Table<Row>>(std::move(name), &journal_);
+    auto table =
+        std::make_unique<Table<Row>>(std::move(name), &durable_.journal);
     Table<Row>& ref = *table;
     add(std::move(table));
     return ref;
   }
 
-  /// The journal of all mutations since construction (or last checkpoint).
-  [[nodiscard]] const Journal& journal() const noexcept { return journal_; }
+  /// The journal of all mutations since the last checkpoint (or since
+  /// construction).
+  [[nodiscard]] const Journal& journal() const noexcept {
+    return durable_.journal;
+  }
 
-  /// Rows across every table: the number of row lines snapshot() writes.
-  [[nodiscard]] std::size_t rows() const noexcept;
+  /// Everything a crash leaves behind: what recover() takes.
+  [[nodiscard]] const DurableState& durable() const noexcept {
+    return durable_;
+  }
 
-  /// Compacts the journal prefix below `seq` (see
-  /// Journal::truncate_before) -- the checkpoint path, where `seq` is
-  /// the sequence the published image reflects.
-  void truncate_journal(std::uint64_t seq) { journal_.truncate_before(seq); }
+  /// The checkpoint rule: true once the journal holds at least one record
+  /// and at least as many records as the last image holds rows (zero
+  /// before the first image).  It reads only what recovery carries over,
+  /// so a recovered database answers exactly as the crashed one would
+  /// have.  Replaying the retained journal then never costs more than
+  /// restoring the image, and each image is paid for by the records
+  /// journaled since the one before.
+  [[nodiscard]] bool checkpoint_due() const noexcept;
 
-  /// Deterministic, byte-stable image of the whole store: table schemas
-  /// (creation order, with their index declarations), rows (id order)
-  /// and each table's id-allocation cursor.  A pure function of the
-  /// store's logical state -- equal tables yield identical bytes no
-  /// matter what mutation history produced them.  Round-trips through
-  /// restore() using the journal's line-oriented text building blocks.
-  /// The lines of rows unwritten since the previous image are copied
-  /// from it; the new image replaces it as the one the database keeps,
-  /// and is returned shared, never copied.
-  [[nodiscard]] std::shared_ptr<const std::string> snapshot();
+  /// Writes an image of the whole store and publishes it, with the
+  /// journal's next_seq() and its row count, as the durable state's
+  /// image; then runs `mid_hook`, if given, and truncates the journal
+  /// prefix the image covers unless the hook returned true.  The image is
+  /// deterministic and byte-stable: table schemas (creation order, with
+  /// their index declarations), rows (id order) and each table's
+  /// id-allocation cursor -- equal tables yield identical bytes whatever
+  /// mutation history produced them.  The lines of rows unwritten since
+  /// the previous image are copied from it.  A hook returning true is a
+  /// crash between publication and truncation: the journal keeps its
+  /// prefix, and recovery skips it.
+  void checkpoint(const std::function<bool()>& mid_hook = {});
 
-  /// Fills this database's declared, still empty tables from a
-  /// snapshot() image.  The snapshot is state, not history: nothing is
-  /// journaled and the journal is left empty -- the caller pairs the
-  /// image with the journal suffix it wants replayed on top (see
-  /// recover()).  An image that no store could have written is refused
-  /// ("restore_parse"): a bad number, a row out of id order or at or past
-  /// its table's allocation cursor, or a cell its column cannot hold.
-  /// One whose tables differ from the declared ones -- a table missing or
-  /// undeclared, or its columns renamed, retyped, moved or re-indexed --
-  /// is refused with "recover_schema".
-  [[nodiscard]] StatusOrError restore(std::string_view snapshot);
-
-  /// Rebuilds database content by replaying the entries of `journal`
-  /// whose sequence number is >= from_seq onto the declared tables: with
-  /// from_seq == 0 (no image) they must be empty, and with from_seq > 0
-  /// they hold what a restore() of the image at from_seq just rebuilt.
-  /// On success the replayed suffix is adopted wholesale as this
-  /// database's own journal -- byte-identical to the crashed journal's
-  /// retained entries -- so a recovered server remains recoverable.  Each
-  /// record is checked before it is applied, and one the store would not
-  /// have written is refused ("recover_replay"): a record naming an
-  /// undeclared table or a missing row, an insert whose id is not the one
-  /// its table allocates next, or a cell its column cannot hold.  A
-  /// journal that starts after from_seq, or ends before it, is refused too
-  /// ("recover_suffix").
-  [[nodiscard]] StatusOrError recover(const Journal& journal,
-                                      std::uint64_t from_seq = 0);
+  /// Rebuilds this database, whose declared tables must be fresh
+  /// ("recover_nonempty"), from a crashed one's durable state: restores
+  /// the image, if there is one, replays the journal records from
+  /// `image_seq` on, and adopts the image and the journal, truncated
+  /// before `image_seq`, as its own -- byte-identical to the crashed
+  /// journal's retained records, so a recovered store stays recoverable.
+  /// `state` is left as it was.  Never throws on bad input; refuses an
+  /// image no store could have written, or an `image_seq` without an
+  /// image ("restore_parse": a bad number, a row out of id order or at or
+  /// past its table's allocation cursor, a cell its column cannot hold),
+  /// an image whose tables differ from the declared ones
+  /// ("recover_schema": a table missing or undeclared, a column renamed,
+  /// retyped, moved or re-indexed), a journal that starts after
+  /// `image_seq` or ends before it ("recover_suffix"), and a record the
+  /// store would not have written ("recover_replay": an undeclared table,
+  /// a missing row, an insert whose id is not the one its table allocates
+  /// next, a cell its column cannot hold).  Sweeps nothing: the caller
+  /// runs check_invariants() on the result.
+  [[nodiscard]] StatusOrError recover(const DurableState& state);
 
   /// Sweep across the store: every table passes its own
   /// check_invariants(), every journal entry references a table that
@@ -115,16 +137,25 @@ class Database {
   void add(std::unique_ptr<TableBase> table);
   /// The position of table `name` in tables_, or tables_.size().
   [[nodiscard]] std::size_t position(std::string_view name) const noexcept;
-  /// Applies one journal record to its declared table.
-  [[nodiscard]] StatusOrError replay(const JournalEntry& entry);
   /// Whether every table is as create_table() left it.
   [[nodiscard]] bool fresh() const noexcept;
+  /// Rows across every table: the number of row lines an image holds.
+  [[nodiscard]] std::size_t rows() const noexcept;
+  /// recover()'s first step: fills the fresh declared tables from an
+  /// image checkpoint() wrote.  Nothing is journaled.
+  [[nodiscard]] StatusOrError restore(std::string_view image);
+  /// recover()'s second step: applies one journal record to its declared
+  /// table.
+  [[nodiscard]] StatusOrError replay(const JournalEntry& entry);
 
   std::vector<std::unique_ptr<TableBase>> tables_;  ///< in creation order
-  Journal journal_;
-  /// The last image snapshot() wrote (null before the first): every
-  /// line a row remembers is in it.
-  std::shared_ptr<const std::string> image_;
+  /// The image, its sequence and the journal.  The tables append to the
+  /// journal; only checkpoint() and recover() write the image and its
+  /// sequence, so the image always pairs with the journal it anchors.
+  DurableState durable_;  // sphinx-lint: derived(checkpoint, recover)
+  /// Rows the image holds (0 without one): the store's row count when
+  /// checkpoint() published it, or when recover() restored it.
+  std::size_t image_rows_ = 0;  // sphinx-lint: derived(checkpoint, recover)
 };
 
 }  // namespace sphinx::db

@@ -1,6 +1,5 @@
 #include "db/journal.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <iterator>
 
@@ -85,20 +84,6 @@ void Journal::truncate_before(std::uint64_t seq) {
                 starts_.begin() + static_cast<std::ptrdiff_t>(dropped));
   for (std::size_t& start : starts_) start -= cut;
   base_seq_ = seq;
-}
-
-void Journal::adopt_suffix(const Journal& src, std::uint64_t from_seq) {
-  const std::uint64_t base = std::max(from_seq, src.base_seq_);
-  SPHINX_PRECONDITION(base <= src.next_seq(),
-                      "adopt_suffix start past the source journal's end");
-  const auto skipped = static_cast<std::size_t>(base - src.base_seq_);
-  const std::size_t cut =
-      skipped < src.starts_.size() ? src.starts_[skipped] : src.text_.size();
-  text_.assign(src.text_, cut);
-  starts_.assign(src.starts_.begin() + static_cast<std::ptrdiff_t>(skipped),
-                 src.starts_.end());
-  for (std::size_t& start : starts_) start -= cut;
-  base_seq_ = base;
 }
 
 std::size_t Journal::size_bytes() const noexcept {

@@ -21,8 +21,9 @@
 /// a checkpoint captured its effects) without renumbering the suffix.  A
 /// checkpoint image recording sequence S therefore pairs with exactly the
 /// entries whose sequence is >= S, whether or not the prefix was already
-/// dropped -- recovery after a crash between snapshot publication and
-/// truncation simply completes the truncation.
+/// dropped -- Database::recover(), after a crash between an image's
+/// publication and the truncation, copies the journal and completes the
+/// truncation.
 
 #include <cstdint>
 #include <string>
@@ -104,12 +105,6 @@ class Journal {
   /// checkpoint captured the prefix's effects).  Clamped to
   /// [base_seq, next_seq]; the retained suffix keeps its numbering.
   void truncate_before(std::uint64_t seq);
-
-  /// Replaces this journal's contents with the entries of `src` whose
-  /// sequence number is >= from_seq, preserving their numbering.  Used by
-  /// recovery to carry the crashed journal (or its post-checkpoint
-  /// suffix) into the rebuilt database byte-for-byte.
-  void adopt_suffix(const Journal& src, std::uint64_t from_seq);
 
   /// Byte length of serialize(): a journal-footprint metric.
   [[nodiscard]] std::size_t size_bytes() const noexcept;

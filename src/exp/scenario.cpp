@@ -218,25 +218,20 @@ void Scenario::crash_server(std::size_t tenant_index) {
                       "crash target has no live server");
 
   // Capture everything the recovered instance needs *before* destroying
-  // the crashed one: the journal (its whole durable state), the config,
-  // and the exact pending sweep time -- restarting at the literal time the
-  // crashed control process was going to fire avoids recomputing the
-  // phase in floating point and keeps the event order identical to an
-  // uninterrupted run.
+  // the crashed one: the warehouse's durable state (the last image and
+  // the journal it anchors), the config, and the exact pending sweep time
+  // -- restarting at the literal time the crashed control process was
+  // going to fire avoids recomputing the phase in floating point and
+  // keeps the event order identical to an uninterrupted run.
   DurableServerState durable;
-  durable.journal = tenant.server->warehouse().journal();
-  // Once a sweep has checkpointed, the journal alone is not enough: it is
-  // a compacted suffix whose sequence base only the last published image
-  // anchors.  Capture the image alongside it -- together they are the
-  // crashed instance's complete durable state.
-  durable.checkpoint = tenant.server->warehouse().checkpoint_image();
+  durable.warehouse = tenant.server->warehouse().durable();
   durable.config = tenant.server->config();
   durable.resume_at = tenant.server->next_sweep_at();
 
   recorder_.event(obs::TraceKind::kServerCrash,
                   recorder_.name(durable.config.endpoint), {},
                   recorder_.name("fail-stop"),
-                  static_cast<double>(durable.journal.size()));
+                  static_cast<double>(durable.warehouse.journal.size()));
   recorder_.count("chaos", "server.crashes");
 
   // Fail-stop: the destructor unregisters the endpoint, so until
@@ -260,7 +255,7 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
 
   auto recovered = core::SphinxServer::recover(
       bus_, catalog(), rls_, transfers_, &monitoring_, durable.config,
-      durable.journal, durable.checkpoint);
+      durable.warehouse);
   if (!recovered) return Unexpected<Error>{recovered.error()};
   tenant.server = std::move(*recovered);
   tenant.server->set_recorder(&recorder_);
@@ -273,8 +268,8 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
   recorder_.event(
       obs::TraceKind::kServerRecovery, recorder_.name(durable.config.endpoint),
       {},
-      recorder_.name(durable.checkpoint.has_value() ? "checkpoint+suffix"
-                                                    : "journal-replay"),
+      recorder_.name(durable.warehouse.image != nullptr ? "checkpoint+suffix"
+                                                        : "journal-replay"),
       static_cast<double>(tenant.server->warehouse().journal().size()));
   recorder_.count("chaos", "server.recoveries");
   tenant.durable.reset();

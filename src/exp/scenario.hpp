@@ -9,7 +9,10 @@
 /// the paper's Figure 6), with background load from other VOs, per-site
 /// VO priorities, WAN links, a monitoring service, and the failure
 /// behaviours (downtime, black holes, degradation) that the
-/// fault-tolerance results depend on.
+/// fault-tolerance results depend on.  A tenant's server can also fail:
+/// crash_server() keeps a copy of its warehouse's durable state (the last
+/// checkpoint image and the journal), and recover_server() rebuilds the
+/// server from it with one recovery call.
 
 #include <deque>
 #include <map>
@@ -63,11 +66,11 @@ struct ScenarioConfig {
 
 /// A crashed server's complete durable state, captured at the instant of
 /// the crash: everything a surviving peer needs to adopt the shard later
-/// (journal + optional checkpoint image + config + the crashed control
-/// process's pending sweep time).
+/// (the warehouse's durable state -- its last checkpoint image, if any,
+/// and its journal -- plus the config and the crashed control process's
+/// pending sweep time).
 struct DurableServerState {
-  db::Journal journal;
-  std::optional<core::CheckpointImage> checkpoint;
+  db::DurableState warehouse;
   core::ServerConfig config;
   SimTime resume_at = 0.0;  // sphinx-lint-allow(test-only): crash and recovery in this pair hand it over
 };
@@ -147,7 +150,8 @@ class Scenario {
   /// when an image exists), re-registers the endpoint, re-arms the
   /// rpc_outbox without resending, and resumes the crashed instance's
   /// exact sweep phase.  Runs in the caller's engine event -- for a
-  /// failover this is the adopting peer's monitor sweep.
+  /// failover this is the adopting peer's monitor sweep.  A refused
+  /// recovery keeps the captured state, so a later call retries it.
   [[nodiscard]] StatusOrError recover_server(std::size_t tenant_index);
 
   /// Runs until `horizon`, stopping early once every tenant's client has

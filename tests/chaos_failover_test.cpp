@@ -1,9 +1,9 @@
 // Failover scenario tests: a scheduler crash plus a client<->server
 // partition during shard handoff must be byte-invisible to the
 // scheduling layer.  The surviving peer adopts the dead shard from its
-// CheckpointImage + journal suffix, and the differential oracle demands
-// the terminal journals and the control-plane-stripped trace equal a
-// single-owner baseline's exactly.
+// durable state (checkpoint image + journal suffix), and the
+// differential oracle demands the terminal journals and the
+// control-plane-stripped trace equal a single-owner baseline's exactly.
 
 #include <gtest/gtest.h>
 

@@ -182,7 +182,7 @@ TEST(ChaosKillPoints, CrashAtTheFirstRecordRecoversWithoutAnImage) {
         s->engine().schedule_at(s->engine().now(), "crash", [s] {
           const core::DataWarehouse& crashed =
               s->tenants()[0].server->warehouse();
-          EXPECT_FALSE(crashed.checkpoint_image().has_value());
+          EXPECT_EQ(crashed.durable().image, nullptr);
           EXPECT_EQ(crashed.journal().base_seq(), 0u);
           EXPECT_GT(crashed.journal().size(), 0u);
           ASSERT_TRUE(s->crash_and_recover_server(0).ok());

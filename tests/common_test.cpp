@@ -220,25 +220,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(Ewma, FirstObservationSetsValue) {
-  Ewma e(0.5);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardRecentValues) {
-  Ewma e(0.5);
-  e.add(0.0);
-  for (int i = 0; i < 20; ++i) e.add(100.0);
-  EXPECT_GT(e.value(), 99.0);
-}
-
-TEST(Ewma, EmptyValueIsZero) {
-  Ewma e;
-  EXPECT_TRUE(e.empty());
-  EXPECT_DOUBLE_EQ(e.value(), 0.0);
-}
-
 TEST(Percentile, BasicQuantiles) {
   std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
@@ -251,12 +232,12 @@ TEST(Percentile, EmptyReturnsZero) {
   EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
 }
 
-TEST(Strings, SplitAndJoin) {
+TEST(Strings, SplitKeepsEmptyFields) {
   const auto parts = split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(join(parts, ","), "a,b,,c");
+  EXPECT_EQ(parts[3], "c");
 }
 
 TEST(Strings, SplitSingleField) {
@@ -269,13 +250,6 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hi \n"), "hi");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t "), "");
-}
-
-TEST(Strings, StartsEndsWith) {
-  EXPECT_TRUE(starts_with("gsiftp://host/file", "gsiftp://"));
-  EXPECT_FALSE(starts_with("x", "xyz"));
-  EXPECT_TRUE(ends_with("job.sub", ".sub"));
-  EXPECT_FALSE(ends_with("a", "ab"));
 }
 
 TEST(Strings, FormatHelpers) {

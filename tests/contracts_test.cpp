@@ -51,7 +51,7 @@ struct TableInspector {
 /// Test-only back door into the journal.
 struct DatabaseInspector {
   static void append_foreign_journal_entry(Database& db) {
-    db.journal_.append_erase("no_such_table", 1);
+    db.durable_.journal.append_erase("no_such_table", 1);
   }
 };
 

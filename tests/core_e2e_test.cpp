@@ -279,14 +279,13 @@ TEST(CoreE2E, ServerRecoversFromCrashMidRun) {
   // last image and journal, transparently to the client.
   std::unique_ptr<core::SphinxServer> recovered;
   scenario.engine().schedule_at(150.0, "crash", [&] {
-    const db::Journal journal = tenant.server->warehouse().journal();
-    const auto image = tenant.server->warehouse().checkpoint_image();
+    const db::DurableState durable = tenant.server->warehouse().durable();
     const auto catalog = scenario.catalog();
     const core::ServerConfig config = tenant.server->config();
     tenant.server.reset();  // kaboom: endpoint unregisters, control stops
     auto result = core::SphinxServer::recover(
         scenario.bus(), catalog, scenario.rls(), scenario.transfers(),
-        &scenario.monitoring(), config, journal, image);
+        &scenario.monitoring(), config, durable);
     ASSERT_TRUE(result.has_value()) << result.error().to_string();
     recovered = std::move(*result);
     recovered->start();

@@ -178,7 +178,7 @@ TEST(ServerProtocol, RecoveredServerKeepsQuotaState) {
         c.endpoint = "recovered";
         return c;
       }(),
-      crashed.journal(), crashed.checkpoint_image());
+      crashed.durable());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_DOUBLE_EQ((*recovered)
                        ->warehouse()
@@ -198,7 +198,7 @@ TEST(ServerProtocol, RecoverFromCorruptJournalFails) {
         c.endpoint = "broken";
         return c;
       }(),
-      junk, std::nullopt);
+      db::DurableState{nullptr, 0, junk});
   EXPECT_FALSE(result.has_value());
 }
 
@@ -222,8 +222,7 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
   tenant.server->stop();  // crash point: image and journal survive
   const core::DataWarehouse& live = tenant.server->warehouse();
 
-  const auto recovered =
-      core::DataWarehouse::recover_from(live.journal(), live.checkpoint_image());
+  const auto recovered = core::DataWarehouse::recover_from(live.durable());
   ASSERT_TRUE(recovered.has_value());
   const core::DataWarehouse& r = **recovered;
   // Five DAGs arrived, in submission order; the sixth, submitted at
@@ -310,8 +309,7 @@ TEST(ServerSweep, ParentBlockedDagLeavesTheQueue) {
   tenant.server->sweep();
   EXPECT_TRUE(wh.dirty_dags().empty());
   EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
-  const auto idle =
-      core::DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  const auto idle = core::DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(idle.has_value());
   EXPECT_TRUE((*idle)->dirty_dags().empty());
 
@@ -346,8 +344,7 @@ TEST(ServerSweep, UnplaceableReadyJobStaysQueuedAcrossRecovery) {
     EXPECT_EQ(wh.dirty_dags(), std::vector<DagId>{DagId(6)});
   }
   EXPECT_EQ(count(scenario, tenant, "server.plans"), 0u);
-  const auto recovered =
-      core::DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  const auto recovered = core::DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->dirty_dags(), wh.dirty_dags());
 }
@@ -886,10 +883,10 @@ TEST(ServerCheckpoint, AdoptedShardKeepsPeriodCheckpointsInLockstep) {
 }
 
 /// Rows a checkpoint image holds: one "R" line each.
-std::size_t image_rows(const core::CheckpointImage& image) {
+std::size_t image_rows(const std::string& image) {
   std::size_t rows = 0;
-  for (std::size_t at = image.database->find("\nR\t");
-       at != std::string::npos; at = image.database->find("\nR\t", at + 1)) {
+  for (std::size_t at = image.find("\nR\t"); at != std::string::npos;
+       at = image.find("\nR\t", at + 1)) {
     ++rows;
   }
   return rows;
@@ -922,8 +919,8 @@ TEST(ServerCheckpoint, AfterEverySweepTheJournalIsShorterThanTheImage) {
         ++sweeps;
         const core::DataWarehouse& wh = tenant.server->warehouse();
         const std::size_t records = wh.journal().size();
-        const std::size_t rows =
-            wh.checkpoint_image() ? image_rows(*wh.checkpoint_image()) : 0;
+        const auto& image = wh.durable().image;
+        const std::size_t rows = image ? image_rows(*image) : 0;
         EXPECT_TRUE(records == 0 || records < rows)
             << "t=" << scenario.engine().now() << " records=" << records
             << " rows=" << rows;

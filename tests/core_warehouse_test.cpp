@@ -281,8 +281,7 @@ TEST(Warehouse, RecoveryPreservesEverything) {
   wh.set_quota(UserId(3), SiteId(2), "cpu_seconds", 5000.0);
   wh.consume_quota(UserId(3), SiteId(2), "cpu_seconds", 60.0);
 
-  auto recovered =
-      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  auto recovered = DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(recovered.has_value());
   DataWarehouse& r = **recovered;
   EXPECT_EQ(r.dag(DagId(100))->client, "client-x");
@@ -295,8 +294,7 @@ TEST(Warehouse, RecoveryPreservesEverything) {
                    4940.0);
   // Recovered warehouse keeps journaling and can recover again (chain).
   r.record_completion(SiteId(2), 100.0);
-  auto second =
-      DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
+  auto second = DataWarehouse::recover_from(r.durable());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((*second)->site_stats(SiteId(2)).samples, 2);
 }
@@ -308,7 +306,8 @@ TEST(Warehouse, RecoverySurvivesTextSerialization) {
   const std::string text = wh.journal().serialize();
   const auto parsed = db::Journal::parse(text);
   ASSERT_TRUE(parsed.has_value());
-  const auto recovered = DataWarehouse::recover_from(*parsed, std::nullopt);
+  const auto recovered =
+      DataWarehouse::recover_from(db::DurableState{nullptr, 0, *parsed});
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ((*recovered)->job(JobId(101))->site, SiteId(2));
 }
@@ -411,8 +410,7 @@ TEST(Warehouse, RecoveryRebuildsWorkState) {
   wh.set_job_state(JobId(402), JobState::kCompleted);
   wh.set_dag_finished(DagId(400), 5.0);
 
-  const auto recovered =
-      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  const auto recovered = DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(recovered.has_value());
   const DataWarehouse& r = **recovered;
   // Recovery queues exactly the DAGs with pending work, derived from the
@@ -481,8 +479,7 @@ TEST(Warehouse, RecoveryQueuesThePendingDags) {
   wh.set_job_planned(JobId(102), SiteId(4), 1.0);
 
   const auto dirty_after_recovery = [&wh] {
-    const auto recovered =
-      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+    const auto recovered = DataWarehouse::recover_from(wh.durable());
     EXPECT_TRUE(recovered.has_value());
     return (*recovered)->dirty_dags();
   };
@@ -529,7 +526,8 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   wh.record_completion(SiteId(2), 250.0);
 
   const std::size_t history = wh.journal().size();
-  const std::uint64_t seq = wh.checkpoint().seq;
+  wh.checkpoint();
+  const std::uint64_t seq = wh.durable().image_seq;
   EXPECT_EQ(seq, history);            // the image covers every record
   EXPECT_TRUE(wh.journal().empty());  // O(state): prefix discarded
   EXPECT_EQ(wh.journal().base_seq(), seq);
@@ -541,13 +539,12 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
 
   // The compacted journal alone is not recoverable -- it needs its image.
   const auto replay_only =
-      DataWarehouse::recover_from(wh.journal(), std::nullopt);
+      DataWarehouse::recover_from(db::DurableState{nullptr, 0, wh.journal()});
   ASSERT_FALSE(replay_only.has_value());
   EXPECT_EQ(replay_only.error().code, "recover_suffix");
 
-  ASSERT_TRUE(wh.checkpoint_image().has_value());
-  auto recovered =
-      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  ASSERT_NE(wh.durable().image, nullptr);
+  auto recovered = DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(recovered.has_value());
   DataWarehouse& r = **recovered;
   EXPECT_EQ(r.dag(DagId(100))->client, "client-x");
@@ -563,9 +560,8 @@ TEST(Warehouse, CheckpointRecoveryPreservesEverything) {
   // recovered server is itself recoverable the same way (chain).
   EXPECT_EQ(r.journal().serialize(), wh.journal().serialize());
   r.record_completion(SiteId(2), 100.0);
-  ASSERT_TRUE(r.checkpoint_image().has_value());  // carried across recovery
-  auto second =
-      DataWarehouse::recover_from(r.journal(), r.checkpoint_image());
+  ASSERT_EQ(r.durable().image, wh.durable().image);  // carried across recovery
+  auto second = DataWarehouse::recover_from(r.durable());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((*second)->site_stats(SiteId(2)).samples, 2);
   r.check_invariants();
@@ -579,25 +575,23 @@ TEST(Warehouse, MidCheckpointCrashLeavesJournalRecoverable) {
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   wh.set_job_planned(JobId(101), SiteId(4), 1.0);
 
-  const std::uint64_t seq = wh.checkpoint([](const CheckpointImage&) {
-    return true;  // simulate the kill inside the window
-  }).seq;
+  wh.checkpoint([] { return true; });  // simulate the kill inside the window
+  const std::uint64_t seq = wh.durable().image_seq;
   EXPECT_GT(seq, 0u);
   EXPECT_EQ(wh.journal().base_seq(), 0u);  // untruncated
   EXPECT_GT(wh.journal().size(), 0u);
 
   wh.set_job_state(JobId(101), JobState::kCompleted);  // post-window suffix
 
-  ASSERT_TRUE(wh.checkpoint_image().has_value());
-  const auto recovered =
-      DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+  ASSERT_NE(wh.durable().image, nullptr);
+  const auto recovered = DataWarehouse::recover_from(wh.durable());
   ASSERT_TRUE(recovered.has_value());
   const DataWarehouse& r = **recovered;
   EXPECT_EQ(r.job(JobId(101))->state, JobState::kCompleted);
   EXPECT_EQ(r.dirty_dags(), wh.dirty_dags());
   // Recovery finished what the crash interrupted: the journal it carries
   // is the compacted suffix, based at the image's sequence.
-  EXPECT_EQ(r.journal().base_seq(), wh.checkpoint_image()->seq);
+  EXPECT_EQ(r.journal().base_seq(), wh.durable().image_seq);
   EXPECT_EQ(r.journal().next_seq(), wh.journal().next_seq());
   r.check_invariants();
 }
@@ -611,18 +605,18 @@ TEST(Warehouse, CheckpointIsDueOnceTheJournalHoldsTheImageRows) {
   EXPECT_FALSE(wh.checkpoint_due());  // nothing journaled yet
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
   EXPECT_TRUE(wh.checkpoint_due());
-  const CheckpointImage image = wh.checkpoint();
+  wh.checkpoint();
   EXPECT_FALSE(wh.checkpoint_due());  // nothing journaled since
+  const std::string& image = *wh.durable().image;
   std::size_t rows = 0;
-  for (std::size_t at = image.database->find("\nR\t");
-       at != std::string::npos; at = image.database->find("\nR\t", at + 1)) {
+  for (std::size_t at = image.find("\nR\t"); at != std::string::npos;
+       at = image.find("\nR\t", at + 1)) {
     ++rows;
   }
   EXPECT_EQ(rows, 6u);  // the DAG, two jobs, two inputs, one edge
 
   const auto due_after_recovery = [&wh] {
-    const auto recovered =
-        DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+    const auto recovered = DataWarehouse::recover_from(wh.durable());
     EXPECT_TRUE(recovered.has_value());
     return recovered.has_value() && (*recovered)->checkpoint_due();
   };
@@ -647,8 +641,7 @@ TEST(Warehouse, CheckpointRecoveryQueuesThePendingDags) {
   (void)wh.drain_dirty_dags();  // swept: the child waits on its parent
 
   const auto dirty_after_checkpoint_recovery = [&wh] {
-    const auto recovered =
-        DataWarehouse::recover_from(wh.journal(), wh.checkpoint_image());
+    const auto recovered = DataWarehouse::recover_from(wh.durable());
     EXPECT_TRUE(recovered.has_value());
     (*recovered)->check_invariants();
     return (*recovered)->dirty_dags();
@@ -684,19 +677,20 @@ TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
   // declared tables.
   DataWarehouse wh;
   wh.insert_dag(two_job_dag(), "c", UserId(1), 0.0);
-  const CheckpointImage image = wh.checkpoint();
+  wh.checkpoint();
+  const std::string image = *wh.durable().image;
   const auto expect_schema_error = [&](const std::string& text) {
-    const auto recovered = DataWarehouse::recover_from(
-        wh.journal(),
-        CheckpointImage{image.seq, std::make_shared<const std::string>(text)});
+    db::DurableState mutated = wh.durable();
+    mutated.image = std::make_shared<const std::string>(text);
+    const auto recovered = DataWarehouse::recover_from(mutated);
     ASSERT_FALSE(recovered.has_value());
     EXPECT_EQ(recovered.error().code, "recover_schema");
   };
 
   // Only the first table (dags) and its row: the jobs table is missing.
-  const std::size_t jobs_line = image.database->find("\nT\tjobs\t");
+  const std::size_t jobs_line = image.find("\nT\tjobs\t");
   ASSERT_NE(jobs_line, std::string::npos);
-  expect_schema_error(image.database->substr(0, jobs_line + 1));
+  expect_schema_error(image.substr(0, jobs_line + 1));
 
   // No table at all.
   expect_schema_error("#db\t1\n");
@@ -704,7 +698,7 @@ TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
   // The jobs table with its site and attempt column specs swapped: both
   // are int columns, so rows would restore, and a warehouse bound to it
   // would read every job's attempt as its site.
-  std::string text = *image.database;
+  std::string text = image;
   const std::size_t site = text.find("\tsite=int\t", jobs_line);
   const std::size_t attempt = text.find("\tattempt=int\t", jobs_line);
   ASSERT_NE(site, std::string::npos);
@@ -715,7 +709,7 @@ TEST(Warehouse, RecoveryRefusesImagesThatMissTheDeclaredSchema) {
   expect_schema_error(text);
 
   // The untouched image still recovers.
-  EXPECT_TRUE(DataWarehouse::recover_from(wh.journal(), image).has_value());
+  EXPECT_TRUE(DataWarehouse::recover_from(wh.durable()).has_value());
 }
 
 /// `text` with field `field` of the first line after `anchor` that starts
@@ -751,14 +745,12 @@ TEST(Warehouse, RecoveryRefusesCellsItsColumnsCannotHold) {
   wh.set_job_planned(JobId(101), SiteId(2), 1.0);
   const std::string journal = wh.journal().serialize();
   wh.checkpoint();
-  const CheckpointImage image = *wh.checkpoint_image();
-  const db::Journal compacted = wh.journal();
+  const db::DurableState checkpointed = wh.durable();
 
   // Recovery's error code, or what it did instead of refusing.
-  const auto outcome = [](const db::Journal& log,
-                          const std::optional<CheckpointImage>& checkpoint) {
+  const auto outcome = [](const db::DurableState& state) {
     try {
-      const auto recovered = DataWarehouse::recover_from(log, checkpoint);
+      const auto recovered = DataWarehouse::recover_from(state);
       return recovered ? std::string("recovered") : recovered.error().code;
     } catch (const std::exception& error) {
       return std::string("threw ") + error.what();
@@ -782,17 +774,18 @@ TEST(Warehouse, RecoveryRefusesCellsItsColumnsCannotHold) {
     const auto mutated = db::Journal::parse(replace_cell(
         journal, "", c.journal_line, c.journal_field, c.from, c.to));
     ASSERT_TRUE(mutated.has_value()) << c.to;
-    EXPECT_EQ(outcome(*mutated, std::nullopt), "recover_replay") << c.to;
-    const std::string mutated_image =
-        replace_cell(*image.database, "T\t" + c.table + "\t", "R\t1\t",
-                     2 + c.column, c.from, c.to);
-    const CheckpointImage mutated_checkpoint{
-        image.seq, std::make_shared<const std::string>(mutated_image)};
-    EXPECT_EQ(outcome(compacted, mutated_checkpoint), "restore_parse") << c.to;
+    EXPECT_EQ(outcome(db::DurableState{nullptr, 0, *mutated}), "recover_replay")
+        << c.to;
+    db::DurableState mutated_image = checkpointed;
+    mutated_image.image = std::make_shared<const std::string>(
+        replace_cell(*checkpointed.image, "T\t" + c.table + "\t", "R\t1\t",
+                     2 + c.column, c.from, c.to));
+    EXPECT_EQ(outcome(mutated_image), "restore_parse") << c.to;
   }
   // Unmutated, both routes recover.
-  EXPECT_EQ(outcome(*db::Journal::parse(journal), std::nullopt), "recovered");
-  EXPECT_EQ(outcome(compacted, image), "recovered");
+  EXPECT_EQ(outcome(db::DurableState{nullptr, 0, *db::Journal::parse(journal)}),
+            "recovered");
+  EXPECT_EQ(outcome(checkpointed), "recovered");
 }
 
 TEST(Warehouse, UnknownLookupsAreSafe) {

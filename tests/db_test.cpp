@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -57,6 +58,24 @@ IndexedJob indexed_job(std::string name, std::string state,
                        std::int64_t site, double runtime = 0.0,
                        bool done = false) {
   return IndexedJob{std::move(name), std::move(state), site, runtime, done};
+}
+
+/// A durable state holding `journal` alone: recovery replays all of it.
+DurableState journal_only(Journal journal) {
+  return DurableState{nullptr, 0, std::move(journal)};
+}
+
+/// A durable state holding `image` alone, as a checkpoint that nothing
+/// was journaled after leaves it.
+DurableState image_only(std::string image) {
+  return DurableState{std::make_shared<const std::string>(std::move(image)),
+                      0, Journal{}};
+}
+
+/// The image a checkpoint of `d` publishes (which truncates its journal).
+std::string image_of(Database& d) {
+  d.checkpoint();
+  return *d.durable().image;
 }
 
 /// A field as `Codec` writes `v`.
@@ -116,7 +135,8 @@ TEST(Schema, DuplicateColumnRejected) {
   // image repeating one differs from every declared table.
   Database restored;
   restored.create_table<Cell1>("t");
-  const auto image = restored.restore("#db\t1\nT\tt\t1\ta=int\ta=int\n");
+  const auto image =
+      restored.recover(image_only("#db\t1\nT\tt\t1\ta=int\ta=int\n"));
   ASSERT_FALSE(image.ok());
   EXPECT_EQ(image.error().code, "recover_schema");
 }
@@ -131,7 +151,7 @@ TEST(Schema, IndexedRealColumnRejected) {
   EXPECT_TRUE(decode_column("x=int!").has_value());
   Database d;
   d.create_table<Cell1>("t");
-  EXPECT_FALSE(d.restore("#db\t1\nT\tt\t1\tx=real!\n").ok());
+  EXPECT_FALSE(d.recover(image_only("#db\t1\nT\tt\t1\tx=real!\n")).ok());
 }
 
 TEST(Schema, AcceptsChecksArityAndTypes) {
@@ -228,7 +248,7 @@ TEST(Database, CreateAndLookupTables) {
   // Declaring a table journals nothing: the code declares the schema,
   // and an image carries it.
   EXPECT_TRUE(d.journal().empty());
-  EXPECT_EQ(*d.snapshot(),
+  EXPECT_EQ(image_of(d),
             "#db\t1\nT\tjobs\t1\tname=text\tstate=text\tsite=int\t"
             "runtime=real\tdone=bool\nT\tdags\t1\ta=int\n");
   EXPECT_THROW(d.create_table<Job>("jobs"), AssertionError);
@@ -261,7 +281,7 @@ TEST(Database, RecoverRebuildsExactState) {
 
   Database recovered;
   const Table<Job>& r = recovered.create_table<Job>("jobs");
-  ASSERT_TRUE(recovered.recover(original.journal()).ok());
+  ASSERT_TRUE(recovered.recover(original.durable()).ok());
   EXPECT_EQ(r.size(), 18u);
   EXPECT_EQ(r.find(ids[0])->state, "completed");
   EXPECT_TRUE(r.find(ids[0])->done);
@@ -275,7 +295,7 @@ TEST(Database, RecoveredDatabaseContinuesJournaling) {
 
   Database recovered;
   Table<Job>& jobs = recovered.create_table<Job>("jobs");
-  ASSERT_TRUE(recovered.recover(original.journal()).ok());
+  ASSERT_TRUE(recovered.recover(original.durable()).ok());
   // Insert post-recovery: new row ids must not collide with replayed ones.
   const RowId id2 = jobs.insert(job("k", "ready", 2));
   EXPECT_EQ(jobs.size(), 2u);
@@ -283,14 +303,14 @@ TEST(Database, RecoveredDatabaseContinuesJournaling) {
   // And the recovered journal can recover a third instance.
   Database third;
   const Table<Job>& third_jobs = third.create_table<Job>("jobs");
-  ASSERT_TRUE(third.recover(recovered.journal()).ok());
+  ASSERT_TRUE(third.recover(recovered.durable()).ok());
   EXPECT_EQ(third_jobs.size(), 2u);
 }
 
 TEST(Database, RecoverIntoNonEmptyFails) {
   Database d;
   d.create_table<Job>("jobs").insert(job("j", "ready", 1));
-  const auto status = d.recover(d.journal());
+  const auto status = d.recover(d.durable());
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_nonempty");
 }
@@ -300,7 +320,7 @@ TEST(Database, RecoverDetectsCorruptReplay) {
   ASSERT_TRUE(j.has_value());
   Database d;
   d.create_table<Cell1>("t");
-  const auto status = d.recover(*j);
+  const auto status = d.recover(journal_only(*j));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_replay");
 }
@@ -320,7 +340,7 @@ TEST(Journal, SerializeParseRoundTrip) {
 
   Database recovered;
   const Table<Job>& jobs = recovered.create_table<Job>("jobs");
-  ASSERT_TRUE(recovered.recover(*parsed).ok());
+  ASSERT_TRUE(recovered.recover(journal_only(*parsed)).ok());
   EXPECT_EQ(jobs.size(), 0u);
   // Serialized journals of both databases agree record-for-record.
   EXPECT_EQ(recovered.journal().serialize(), text);
@@ -349,11 +369,13 @@ TEST(Journal, ParseEmptyIsEmpty) {
 }
 
 TEST(Database, TruncateJournalKeepsData) {
+  // A checkpoint truncates the journal its image covers; the rows stay.
   Database d;
   Table<Job>& t = d.create_table<Job>("jobs");
   t.insert(job("j", "ready", 1));
-  d.truncate_journal(d.journal().next_seq());
+  d.checkpoint();
   EXPECT_TRUE(d.journal().empty());
+  EXPECT_EQ(d.durable().image_seq, 1u);
   EXPECT_EQ(t.size(), 1u);
 }
 
@@ -395,21 +417,24 @@ TEST(Journal, SequenceNumbersSurviveTruncation) {
   EXPECT_EQ(d.journal().base_seq(), 0u);
   EXPECT_EQ(d.journal().next_seq(), 5u);
 
-  d.truncate_journal(3);
-  EXPECT_EQ(d.journal().base_seq(), 3u);
-  EXPECT_EQ(d.journal().next_seq(), 5u);
-  EXPECT_EQ(d.journal().size(), 2u);
+  Journal j = d.journal();
+  j.truncate_before(3);
+  EXPECT_EQ(j.base_seq(), 3u);
+  EXPECT_EQ(j.next_seq(), 5u);
+  EXPECT_EQ(j.size(), 2u);
 
-  // New mutations keep numbering from where the prefix left off.
+  // A checkpoint drops the whole journal; new mutations keep numbering
+  // from where the prefix left off.
+  d.checkpoint();
+  EXPECT_EQ(d.journal().base_seq(), 5u);
   t.set<&Job::state>(ids[0], "planned");
   EXPECT_EQ(d.journal().next_seq(), 6u);
 
   // Truncating before the base or past the end clamps, never throws.
-  Journal j = d.journal();
   j.truncate_before(1);
   EXPECT_EQ(j.base_seq(), 3u);
   j.truncate_before(99);
-  EXPECT_EQ(j.base_seq(), 6u);
+  EXPECT_EQ(j.base_seq(), 5u);
   EXPECT_TRUE(j.empty());
 }
 
@@ -423,10 +448,11 @@ TEST(Journal, SerializedSizeMatchesAndHeaderRoundTrips) {
   // Untruncated journals serialize headerless (legacy byte format).
   EXPECT_EQ(d.journal().serialize().front(), 'I');
 
-  d.truncate_journal(1);
-  const std::string text = d.journal().serialize();
+  Journal truncated = d.journal();
+  truncated.truncate_before(1);
+  const std::string text = truncated.serialize();
   EXPECT_EQ(text.rfind("#seq\t1\n", 0), 0u);
-  EXPECT_EQ(d.journal().size_bytes(), text.size());
+  EXPECT_EQ(truncated.size_bytes(), text.size());
 
   const auto parsed = Journal::parse(text);
   ASSERT_TRUE(parsed.has_value());
@@ -452,36 +478,41 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
   jobs.set<&Job::state>(ids[2], "completed");
   jobs.erase(ids[7]);  // tail erase: next_id exceeds the max live id
 
-  const std::string image = *original.snapshot();
+  const std::string image = image_of(original);
   Database restored;
   Table<Job>& restored_jobs = restored.create_table<Job>("jobs");
   restored.create_table<Job>("empty");
-  ASSERT_TRUE(restored.restore(image).ok());
+  ASSERT_TRUE(restored.recover(original.durable()).ok());
 
-  // Restore is state, not history: the journal starts empty for the
-  // caller to pair with a suffix.
+  // The image is state, not history: it carries no journal, and the
+  // recovered store adopts it at the sequence it reflects.
   EXPECT_TRUE(restored.journal().empty());
+  EXPECT_EQ(restored.journal().base_seq(), original.durable().image_seq);
+  EXPECT_EQ(restored.durable().image, original.durable().image);
 
-  // The restored store is logically identical, snapshots to the same
-  // bytes, and keeps allocating row ids past the erased tail.
-  EXPECT_EQ(*restored.snapshot(), image);
+  // The restored store is logically identical, images to the same bytes,
+  // and keeps allocating row ids past the erased tail.
+  EXPECT_EQ(image_of(restored), image);
   EXPECT_EQ(restored_jobs.size(), 7u);
   EXPECT_EQ(restored_jobs.find(ids[2])->state, "completed");
   const RowId fresh = restored_jobs.insert(job("new", "ready", 9));
   EXPECT_GT(fresh, ids[7]);
-  EXPECT_FALSE(restored.restore(image).ok());  // non-empty target refused
+  // A non-empty target is refused.
+  const auto again = restored.recover(original.durable());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code, "recover_nonempty");
 }
 
 TEST(Database, SnapshotCarriesIndexDeclarations) {
   Database original;
   original.create_table<IndexedJob>("jobs").insert(
       indexed_job("a", "ready", 1));
-  const std::string image = *original.snapshot();
+  const std::string image = image_of(original);
   EXPECT_NE(image.find("\tstate=text!\t"), std::string::npos);
 
   Database restored;
   const Table<IndexedJob>& rt = restored.create_table<IndexedJob>("jobs");
-  ASSERT_TRUE(restored.restore(image).ok());
+  ASSERT_TRUE(restored.recover(image_only(image)).ok());
   // The index came back with the rows.
   EXPECT_EQ(rt.find_by<&IndexedJob::state>("ready").size(), 1u);
 
@@ -490,35 +521,38 @@ TEST(Database, SnapshotCarriesIndexDeclarations) {
   dropped.erase(dropped.find("state=text!") + 10, 1);
   Database unindexed;
   unindexed.create_table<IndexedJob>("jobs");
-  const auto status = unindexed.restore(dropped);
+  const auto status = unindexed.recover(image_only(dropped));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_schema");
 }
 
 TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
-  // The checkpoint + suffix path: snapshot mid-history, keep mutating,
-  // truncate, then recover a new database from (image, suffix).  The
-  // recovered journal must be byte-identical to the crashed one -- the
-  // recovered server must itself remain recoverable.
+  // The checkpoint + suffix path: checkpoint mid-history, keep mutating,
+  // then recover a new database from the durable state (image, suffix).
+  // The recovered journal must be byte-identical to the crashed one --
+  // the recovered server must itself remain recoverable.
   Database crashed;
   Table<Job>& jobs = crashed.create_table<Job>("jobs");
   std::vector<RowId> ids;
   for (int i = 0; i < 6; ++i) {
     ids.push_back(jobs.insert(job("j" + std::to_string(i), "ready", i)));
   }
-  const std::string image = *crashed.snapshot();
-  const std::uint64_t seq = crashed.journal().next_seq();
+  crashed.checkpoint();
+  const std::uint64_t seq = crashed.durable().image_seq;
+  EXPECT_EQ(seq, 6u);
   jobs.set<&Job::state>(ids[1], "completed");
   jobs.erase(ids[4]);
-  crashed.truncate_journal(seq);
+  const DurableState at_crash = crashed.durable();
+  const std::string suffix = at_crash.journal.serialize();
 
   Database recovered;
   recovered.create_table<Job>("jobs");
-  ASSERT_TRUE(recovered.restore(image).ok());
-  ASSERT_TRUE(recovered.recover(crashed.journal(), seq).ok());
-  EXPECT_EQ(recovered.journal().serialize(), crashed.journal().serialize());
-  EXPECT_EQ(*recovered.snapshot(), *crashed.snapshot());
+  ASSERT_TRUE(recovered.recover(at_crash).ok());
+  EXPECT_EQ(recovered.journal().serialize(), suffix);
   EXPECT_EQ(recovered.journal().base_seq(), seq);
+  EXPECT_EQ(recovered.durable().image_seq, seq);
+  EXPECT_FALSE(recovered.checkpoint_due());  // 2 records, 6 image rows
+  EXPECT_EQ(image_of(recovered), image_of(crashed));
 
   // The same suffix also replays from an *untruncated* crashed journal
   // (a crash between image publication and truncation): entries below
@@ -528,35 +562,46 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   for (int i = 0; i < 6; ++i) {
     jobs2.insert(job("j" + std::to_string(i), "ready", i));
   }
+  crashed_untruncated.checkpoint([] { return true; });  // killed mid-way
+  EXPECT_EQ(crashed_untruncated.journal().base_seq(), 0u);
   jobs2.set<&Job::state>(ids[1], "completed");
   jobs2.erase(ids[4]);
+  EXPECT_EQ(*crashed_untruncated.durable().image, *at_crash.image);
   Database completed;
   completed.create_table<Job>("jobs");
-  ASSERT_TRUE(completed.restore(image).ok());
-  ASSERT_TRUE(completed.recover(crashed_untruncated.journal(), seq).ok());
-  EXPECT_EQ(completed.journal().serialize(), crashed.journal().serialize());
-  EXPECT_EQ(*completed.snapshot(), *crashed.snapshot());
+  ASSERT_TRUE(completed.recover(crashed_untruncated.durable()).ok());
+  EXPECT_EQ(completed.journal().serialize(), suffix);
+  EXPECT_EQ(image_of(completed), image_of(crashed));
 
-  // A suffix starting past the requested replay point is unusable.
-  Journal too_new = crashed.journal();
-  too_new.truncate_before(seq + 1);
+  // A suffix starting past the image's sequence is unusable.
+  DurableState too_new = at_crash;
+  too_new.journal.truncate_before(seq + 1);
   Database refused;
   refused.create_table<Job>("jobs");
-  ASSERT_TRUE(refused.restore(image).ok());
-  const auto status = refused.recover(too_new, seq);
+  const auto status = refused.recover(too_new);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_suffix");
 
   // So is a journal that ends before it.
+  DurableState past_end = at_crash;
+  past_end.image_seq = at_crash.journal.next_seq() + 1;
   Database short_journal;
   short_journal.create_table<Job>("jobs");
-  ASSERT_TRUE(short_journal.restore(image).ok());
-  StatusOrError past_end;
-  EXPECT_NO_THROW(past_end =
-                      short_journal.recover(crashed.journal(),
-                                            crashed.journal().next_seq() + 1));
-  ASSERT_FALSE(past_end.ok());
-  EXPECT_EQ(past_end.error().code, "recover_suffix");
+  StatusOrError ended;
+  EXPECT_NO_THROW(ended = short_journal.recover(past_end));
+  ASSERT_FALSE(ended.ok());
+  EXPECT_EQ(ended.error().code, "recover_suffix");
+
+  // And a sequence with no image to reflect it.
+  DurableState no_image = at_crash;
+  no_image.image = nullptr;
+  Database imageless;
+  imageless.create_table<Job>("jobs");
+  const auto missing = imageless.recover(no_image);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, "restore_parse");
+  // Recovery copied what it adopted: the captured state is untouched.
+  EXPECT_EQ(at_crash.journal.serialize(), suffix);
 }
 
 TEST(Database, RestoreRejectsCorruptImages) {
@@ -565,7 +610,7 @@ TEST(Database, RestoreRejectsCorruptImages) {
        {"not a snapshot", "#db\t9\n", "#db\t1\nR\t1\tn\n"}) {
     Database d;
     d.create_table<Cell1>("t");
-    EXPECT_FALSE(d.restore(image).ok()) << image;
+    EXPECT_FALSE(d.recover(image_only(image)).ok()) << image;
   }
 }
 
@@ -610,7 +655,7 @@ TEST(Database, RecoverRefusesRecordsTheStoreCouldNotHaveWritten) {
     StatusOrError status;
     bool threw = false;
     try {
-      status = d.recover(*journal);
+      status = d.recover(journal_only(*journal));
     } catch (const std::exception&) {
       threw = true;
     }
@@ -625,13 +670,16 @@ TEST(Database, RecoverRefusesRecordsTheStoreCouldNotHaveWritten) {
   // No insert takes the last row id, after which the cursor would wrap.
   Database edge;
   edge.create_table<Cell1>("t");
-  ASSERT_TRUE(edge.restore("#db\t1\nT\tt\t18446744073709551614\ta=int\n").ok());
   const auto tail = Journal::parse(
       "#seq\t1\nI\tt\t18446744073709551614\ti:1\n"
       "I\tt\t18446744073709551615\ti:2\n");
   ASSERT_TRUE(tail.has_value());
+  const DurableState last_ids{
+      std::make_shared<const std::string>(
+          "#db\t1\nT\tt\t18446744073709551614\ta=int\n"),
+      1, *tail};
   StatusOrError status;
-  EXPECT_NO_THROW(status = edge.recover(*tail, 1));
+  EXPECT_NO_THROW(status = edge.recover(last_ids));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "recover_replay");
 }
@@ -658,7 +706,7 @@ TEST(Database, RestoreRefusesImagesTheStoreCouldNotHaveWritten) {
     StatusOrError status;
     bool threw = false;
     try {
-      status = d.restore(image);
+      status = d.recover(image_only(image));
     } catch (const std::exception&) {
       threw = true;
     }
@@ -809,10 +857,9 @@ TEST(Journal, NumbersMustBeTheWholeField) {
     }
     Database d;
     d.create_table<Cell1>("t");
-    EXPECT_FALSE(
-        d.restore(std::string("#db\t1\nT\tt\t2\ta=int\nR\t1\t") + cell + "\n")
-            .ok())
-        << cell;
+    const std::string image =
+        std::string("#db\t1\nT\tt\t2\ta=int\nR\t1\t") + cell + "\n";
+    EXPECT_FALSE(d.recover(image_only(image)).ok()) << cell;
   }
   // The snapshot's allocation cursor and row ids are whole decimals too.
   for (const char* image : {"#db\t1\nT\tt\t5x\ta=int\n",
@@ -822,7 +869,7 @@ TEST(Journal, NumbersMustBeTheWholeField) {
                             "#db\t1\nT\tt\t3\ta=int\nR\t+1\ti:1\n"}) {
     Database d;
     d.create_table<Cell1>("t");
-    EXPECT_FALSE(d.restore(image).ok()) << image;
+    EXPECT_FALSE(d.recover(image_only(image)).ok()) << image;
   }
   // What the encoder writes still reads back to the same bytes: a journal
   // parsed without its tables checks each cell's form, not its column.

@@ -1,7 +1,7 @@
 #pragma once
 /// \file image_reference.hpp
 /// The whole-store image formatter, kept as the ground truth for
-/// incremental checkpoint images.  db::Database::snapshot() copies the
+/// incremental checkpoint images.  db::Database::checkpoint() copies the
 /// line of every row no write touched since its last image; this writer
 /// formats every line from its row, as the store did before it kept any
 /// image, through the tables' public reads and the cell codecs.

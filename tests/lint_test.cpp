@@ -413,6 +413,29 @@ TEST(SphinxLint, DerivedStateMutationOutsideAllowedFunctionFires) {
   EXPECT_EQ(findings[0].line, 7u);  // the poke() mutation
 }
 
+TEST(SphinxLint, DerivedStateFieldAssignmentIsAMutation) {
+  // Assigning a field of an annotated member writes the member; reading
+  // a field, comparing it or passing its address does not.
+  const auto findings = lint_source(
+      "#pragma once\n"
+      "/// \\file store.hpp\n"
+      "/// Fixture.\n"
+      "struct State { int seq = 0; int rows = 0; };\n"
+      "class S {\n"
+      " public:\n"
+      "  void publish() { state_.seq = 1; state_.rows += 2; }\n"
+      "  void poke() { state_.seq = 3; }\n"
+      "  bool first() const { return state_.seq == 1; }\n"
+      "  const int* rows() const { return &state_.rows; }\n"
+      " private:\n"
+      "  State state_;  // sphinx-lint: derived(publish)\n"
+      "};\n",
+      "src/db/store.hpp");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "derived-state");
+  EXPECT_EQ(findings[0].line, 8u);  // the poke() assignment
+}
+
 TEST(SphinxLint, DerivedStateAnnotationCrossesHeaderSourcePairs) {
   TempTree tree("derived_cross");
   tree.write("src/core/cache.hpp",

@@ -941,20 +941,25 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
       rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(idx));
     }
   }
-  // Replay directly, through the text form and from a snapshot image.
+  // Replay directly, through the text form and from a checkpoint image.
   KeyedStore direct;
-  ASSERT_TRUE(direct.db.recover(original.db.journal()).ok());
+  ASSERT_TRUE(direct.db.recover(original.db.durable()).ok());
   const auto parsed = db::Journal::parse(original.db.journal().serialize());
   ASSERT_TRUE(parsed.has_value());
   KeyedStore via_text;
-  ASSERT_TRUE(via_text.db.recover(*parsed).ok());
+  ASSERT_TRUE(via_text.db.recover(db::DurableState{nullptr, 0, *parsed}).ok());
+  const auto image = [](KeyedStore& store) {
+    store.db.checkpoint();
+    return *store.db.durable().image;
+  };
+  const std::string want = image(original);
   KeyedStore restored;
-  ASSERT_TRUE(restored.db.restore(*original.db.snapshot()).ok());
+  ASSERT_TRUE(restored.db.recover(original.db.durable()).ok());
 
-  // snapshot() prints reals at 17 digits, so every bit of x counts.
-  EXPECT_EQ(*direct.db.snapshot(), *original.db.snapshot());
-  EXPECT_EQ(*via_text.db.snapshot(), *original.db.snapshot());
-  EXPECT_EQ(*restored.db.snapshot(), *original.db.snapshot());
+  // Images print reals at 17 digits, so every bit of x counts.
+  EXPECT_EQ(image(direct), want);
+  EXPECT_EQ(image(via_text), want);
+  EXPECT_EQ(image(restored), want);
 
   // Every index answers every key (plus one absent key) exactly as a
   // scan of the rows does.
@@ -2488,8 +2493,8 @@ TEST(PinnedBytes, WarehouseJournalAndCheckpointImage) {
   run_fixed_warehouse(wh);
   expect_pinned(wh.journal().serialize(), 2820, 0xcf5da5830e50d69eu);
   wh.checkpoint();
-  ASSERT_TRUE(wh.checkpoint_image().has_value());
-  expect_pinned(*wh.checkpoint_image()->database, 2413, 0xe8fb77be226c0071u);
+  ASSERT_NE(wh.durable().image, nullptr);
+  expect_pinned(*wh.durable().image, 2413, 0xe8fb77be226c0071u);
 }
 
 TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
@@ -2501,12 +2506,12 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   core::DataWarehouse split;
   run_fixed_warehouse(split, [&split] { split.checkpoint(); });
   const std::string journal = whole.journal().serialize();
-  const core::CheckpointImage image = *split.checkpoint_image();
-  const db::Journal suffix = split.journal();
-  ASSERT_GT(suffix.base_seq(), 0u);
-  ASSERT_FALSE(suffix.empty());
-  const std::vector<std::string> corpus = {journal, *image.database,
-                                           suffix.serialize()};
+  const db::DurableState checkpointed = split.durable();
+  const std::string& image = *checkpointed.image;
+  ASSERT_GT(checkpointed.journal.base_seq(), 0u);
+  ASSERT_FALSE(checkpointed.journal.empty());
+  const std::vector<std::string> corpus = {journal, image,
+                                           checkpointed.journal.serialize()};
   static const std::vector<std::string> kFragments = {
       "\t", "\n", "\\", "\\t", "n:", "i:", "r:", "s:", "b:", "b:2", "i:-1",
       "r:nan", "r:1e-310", "0", "99", "-1", "+", "0x", "=int", "=text!",
@@ -2524,7 +2529,7 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   constexpr int kMutations = 10000;
   for (int i = 0; i < kMutations; ++i) {
     const bool is_journal = rng.chance(0.5);
-    std::string doc = is_journal ? journal : *image.database;
+    std::string doc = is_journal ? journal : image;
     for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
       mutate(rng, doc, corpus, kFragments);
     }
@@ -2537,27 +2542,24 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
         const auto again = db::Journal::parse(text);
         ASSERT_TRUE(again.has_value()) << doc;
         EXPECT_EQ(again->serialize(), text) << doc;
-        const auto recovered =
-            core::DataWarehouse::recover_from(*parsed, std::nullopt);
+        const auto recovered = core::DataWarehouse::recover_from(
+            db::DurableState{nullptr, 0, *parsed});
         if (!recovered) continue;
         ++replayed;
         EXPECT_EQ((*recovered)->journal().serialize(), text) << doc;
       } else {
-        const auto recovered = core::DataWarehouse::recover_from(
-            suffix, core::CheckpointImage{image.seq,
-                                  std::make_shared<const std::string>(doc)});
+        db::DurableState mutated = checkpointed;
+        mutated.image = std::make_shared<const std::string>(doc);
+        const auto recovered = core::DataWarehouse::recover_from(mutated);
         if (!recovered) continue;
         ++restored;
         // The recovered state's own image recovers to the same image.
         core::DataWarehouse& wh = **recovered;
         wh.checkpoint();
-        const core::CheckpointImage text = *wh.checkpoint_image();
-        const auto again =
-            core::DataWarehouse::recover_from(wh.journal(), text);
+        const auto again = core::DataWarehouse::recover_from(wh.durable());
         ASSERT_TRUE(again.has_value()) << again.error().to_string() << doc;
         (*again)->checkpoint();
-        EXPECT_EQ(*(*again)->checkpoint_image()->database, *text.database)
-            << doc;
+        EXPECT_EQ(*(*again)->durable().image, *wh.durable().image) << doc;
       }
     } catch (const std::exception& error) {
       ADD_FAILURE() << "threw " << error.what() << " on:\n" << doc;
@@ -2571,6 +2573,140 @@ TEST_P(SeededProperty, MutatedJournalsAndImagesAreRefusedOrRoundTrip) {
   RecordProperty("journals_parsed", parsed_journals);
   RecordProperty("journals_replayed", replayed);
   RecordProperty("images_restored", restored);
+}
+
+// --- every prefix of a crashed journal -------------------------------------
+
+/// The first `records` records of `journal`, cut from its text at a line
+/// boundary (after the "#seq" header of a truncated journal).
+db::Journal journal_prefix(const db::Journal& journal, std::size_t records) {
+  const std::string text = journal.serialize();
+  std::size_t cut = journal.base_seq() == 0 ? 0 : text.find('\n') + 1;
+  for (std::size_t i = 0; i < records; ++i) cut = text.find('\n', cut) + 1;
+  auto prefix = db::Journal::parse(text.substr(0, cut));
+  EXPECT_TRUE(prefix.has_value());
+  return prefix ? *prefix : db::Journal{};
+}
+
+/// How recovery answered each prefix: the invariant a refusal names.
+struct PrefixOutcomes {
+  int recovered = 0;
+  int suffix_refusals = 0;
+  std::map<std::string, int> invariant_refusals;  ///< by invariant text
+  std::vector<std::string> images;  ///< each prefix's image; "" if refused
+};
+
+/// Recovers a warehouse from `state` with its journal cut after each of
+/// its records in turn.  Every recovered prefix's checkpoint image must
+/// recover to itself; every refusal must carry a recovery code; nothing
+/// may throw.
+PrefixOutcomes recover_every_prefix(const db::DurableState& state) {
+  static const std::set<std::string> kCodes = {
+      "restore_parse",  "recover_schema",    "recover_replay",
+      "recover_suffix", "recover_invariant", "recover_nonempty"};
+  static const char* const kInvariants[] = {
+      "dag job total disagrees with the jobs table",
+      "outstanding job has no site assigned",
+      "outstanding job was never planned",
+      "racing job row must track the replica attempt"};
+  PrefixOutcomes out;
+  for (std::size_t records = 0; records <= state.journal.size(); ++records) {
+    db::DurableState cut = state;
+    cut.journal = journal_prefix(state.journal, records);
+    std::string image;
+    try {
+      const auto recovered = core::DataWarehouse::recover_from(cut);
+      if (recovered) {
+        ++out.recovered;
+        core::DataWarehouse& wh = **recovered;
+        wh.checkpoint();
+        image = *wh.durable().image;
+        const auto again = core::DataWarehouse::recover_from(wh.durable());
+        EXPECT_TRUE(again.has_value()) << records;
+        if (again) {
+          (*again)->checkpoint();
+          EXPECT_EQ(*(*again)->durable().image, image) << records;
+        }
+      } else {
+        const Error& error = recovered.error();
+        EXPECT_TRUE(kCodes.contains(error.code)) << error.to_string();
+        if (error.code == "recover_suffix") ++out.suffix_refusals;
+        if (error.code == "recover_invariant") {
+          std::string which = error.message;
+          for (const char* invariant : kInvariants) {
+            if (error.message.find(invariant) != std::string::npos) {
+              which = invariant;
+            }
+          }
+          ++out.invariant_refusals[which];
+        }
+      }
+    } catch (const std::exception& thrown) {
+      ADD_FAILURE() << "prefix of " << records << " records threw "
+                    << thrown.what();
+    }
+    out.images.push_back(image);
+  }
+  return out;
+}
+
+TEST(RecoveryPrefixes, EveryJournalPrefixRecoversOrIsRefused) {
+  // The fixed run's durable state with its journal cut at every record: a
+  // crash can leave any prefix behind, and recovery must rebuild it or
+  // refuse it with a code, never throw.  A prefix cut inside one
+  // warehouse write (a DAG's rows, a plan's columns, a race's) leaves
+  // rows that disagree, which the one invariant sweep of recover_from
+  // refuses; that sweep throwing outside recover_from's try would fail
+  // here.  Three forms: the whole run's journal with no image, the run
+  // checkpointed midway (its image and the journal suffix after it), and
+  // the same image with the journal a crash between the image's
+  // publication and its truncation leaves.
+  core::DataWarehouse whole;
+  run_fixed_warehouse(whole);
+  core::DataWarehouse split;
+  run_fixed_warehouse(split, [&split] { split.checkpoint(); });
+  core::DataWarehouse killed;
+  run_fixed_warehouse(killed,
+                      [&killed] { killed.checkpoint([] { return true; }); });
+  const std::uint64_t seq = split.durable().image_seq;
+  ASSERT_EQ(killed.durable().image_seq, seq);
+  ASSERT_EQ(*killed.durable().image, *split.durable().image);
+  ASSERT_EQ(killed.journal().base_seq(), 0u);
+
+  const PrefixOutcomes journal_only = recover_every_prefix(whole.durable());
+  EXPECT_EQ(journal_only.images.size(), 77u);
+  EXPECT_EQ(journal_only.recovered, 62);
+  EXPECT_EQ(journal_only.invariant_refusals,
+            (std::map<std::string, int>{
+                {"dag job total disagrees with the jobs table", 8},
+                {"outstanding job has no site assigned", 2},
+                {"outstanding job was never planned", 2},
+                {"racing job row must track the replica attempt", 3}}));
+  // The whole journal recovers to the live warehouse's image.
+  whole.checkpoint();
+  EXPECT_EQ(journal_only.images.back(), *whole.durable().image);
+
+  const PrefixOutcomes suffix = recover_every_prefix(split.durable());
+  EXPECT_EQ(suffix.images.size(), 22u);
+  EXPECT_EQ(suffix.recovered, 17);
+  EXPECT_EQ(suffix.invariant_refusals,
+            (std::map<std::string, int>{
+                {"outstanding job has no site assigned", 1},
+                {"outstanding job was never planned", 1},
+                {"racing job row must track the replica attempt", 3}}));
+
+  // Untruncated, the prefixes that end before the image's sequence do
+  // not reach it; the rest answer as the truncated suffix's.
+  const PrefixOutcomes untruncated = recover_every_prefix(killed.durable());
+  ASSERT_EQ(untruncated.images.size(), seq + suffix.images.size());
+  EXPECT_EQ(untruncated.suffix_refusals, static_cast<int>(seq));
+  EXPECT_EQ(untruncated.recovered, suffix.recovered);
+  EXPECT_EQ(untruncated.invariant_refusals, suffix.invariant_refusals);
+  for (std::size_t i = 0; i < suffix.images.size(); ++i) {
+    EXPECT_EQ(untruncated.images[seq + i], suffix.images[i]) << i;
+  }
+  // Whichever form recovery read, it holds the live warehouse's state.
+  EXPECT_EQ(untruncated.images.back(), journal_only.images.back());
 }
 
 // --- incremental checkpoint images vs the whole-store formatter -------------
@@ -2613,21 +2749,20 @@ TEST_P(SeededProperty, IncrementalImageMatchesFullImage) {
     return out;
   };
   const auto publish = [&](bool crash_midway) {
-    const core::CheckpointImage& image = wh->checkpoint(
-        [crash_midway](const core::CheckpointImage&) { return crash_midway; });
+    wh->checkpoint([crash_midway] { return crash_midway; });
+    const std::string& image = *wh->durable().image;
     ++images;
     images_after_recovery += recovered_since_image;
     images_after_image += images > 1 && !recovered_since_image;
     recovered_since_image = false;
     const std::string want = image_reference::full_image(*wh);
-    if (*image.database != want && differing++ == 0) {
+    if (image != want && differing++ == 0) {
       ADD_FAILURE() << "image " << images << " differs from the full "
-                    << "formatter's:\n" << *image.database << "\nvs\n" << want;
+                    << "formatter's:\n" << image << "\nvs\n" << want;
     }
   };
   const auto recover = [&] {
-    auto again = core::DataWarehouse::recover_from(wh->journal(),
-                                                   wh->checkpoint_image());
+    auto again = core::DataWarehouse::recover_from(wh->durable());
     ASSERT_TRUE(again.has_value()) << again.error().to_string();
     wh = std::move(*again);
     ++recoveries;
@@ -2740,8 +2875,7 @@ TEST_P(SeededProperty, IncrementalImageMatchesFullImage) {
     if (wh->checkpoint_due()) publish(false);
   }
   wh->checkpoint();
-  EXPECT_EQ(*wh->checkpoint_image()->database,
-            image_reference::full_image(*wh));
+  EXPECT_EQ(*wh->durable().image, image_reference::full_image(*wh));
 
   EXPECT_EQ(differing, 0u);
   EXPECT_GT(images, 40u);

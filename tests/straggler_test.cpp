@@ -266,8 +266,7 @@ TEST(SpeculationWarehouse, RaceStateSurvivesJournalRecovery) {
   warehouse.speculate_job(JobId(1), SiteId(2), 500.0);
   warehouse.record_runtime_sample(SiteId(1), 6, 123.0);
 
-  const auto recovered = core::DataWarehouse::recover_from(
-      warehouse.journal(), warehouse.checkpoint_image());
+  const auto recovered = core::DataWarehouse::recover_from(warehouse.durable());
   ASSERT_TRUE(recovered.has_value());
   const auto race = (*recovered)->active_speculation(JobId(1));
   ASSERT_TRUE(race.has_value());

@@ -191,9 +191,11 @@ echo "== sweep-cost and report-cost benchmark =="
 echo "== recovery benchmark =="
 # Checkpoint + suffix recovery vs full-history replay (recovery with no
 # image: every record replayed onto the empty declared tables) at
-# 1k/10k/100k journal records.  The checkpointed path follows the
-# server's rule, should win by well over an order of magnitude at 100k,
-# and retains only the post-checkpoint journal suffix.  Two image
+# 1k/10k/100k journal records, each one DataWarehouse::recover_from call
+# on the warehouse's durable state (one replay, one invariant sweep).
+# The checkpointed path follows the server's rule, should win by well
+# over an order of magnitude at 100k, and retains only the
+# post-checkpoint journal suffix.  Two image
 # costs: BM_CheckpointPublish checkpoints a warehouse nothing wrote to
 # since its last image, so every row's line is copied, and
 # BM_CheckpointImage times the images of a warehouse shaped like one

@@ -31,6 +31,11 @@ namespace {
   return t.kind == TokenKind::kPunct && t.text == text;
 }
 
+/// An assignment token: =, += or -=.
+[[nodiscard]] bool assigns(const Token& t) {
+  return is_punct(t, "=") || is_punct(t, "+=") || is_punct(t, "-=");
+}
+
 /// Container-mutating member functions.
 [[nodiscard]] bool mutator_method(const std::string& name) {
   static const std::set<std::string> kMutators = {
@@ -58,14 +63,18 @@ void rule_derived_state(const FileContext& file, const Reporter& out) {
     const Token& next = t[i + 1];
     std::string how;
     if (is_punct(next, ".") || is_punct(next, "->")) {
-      if (i + 2 < t.size() && t[i + 2].kind == TokenKind::kIdentifier &&
-          mutator_method(t[i + 2].text)) {
-        how = "." + t[i + 2].text + "()";
+      if (i + 2 < t.size() && t[i + 2].kind == TokenKind::kIdentifier) {
+        // A mutator call on the member, or an assignment to one of its
+        // fields: a write to a field writes the member.
+        if (mutator_method(t[i + 2].text)) {
+          how = "." + t[i + 2].text + "()";
+        } else if (i + 3 < t.size() && assigns(t[i + 3])) {
+          how = "." + t[i + 2].text + " " + t[i + 3].text;
+        }
       }
     } else if (is_punct(next, "[")) {
       how = "operator[]";
-    } else if (is_punct(next, "=") || is_punct(next, "+=") ||
-               is_punct(next, "-=")) {
+    } else if (assigns(next)) {
       how = next.text;
     }
     if (how.empty()) continue;
